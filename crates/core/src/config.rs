@@ -421,6 +421,14 @@ pub enum ConfigError {
     /// epoch, zero regions, inverted hysteresis band). The payload names
     /// the problem.
     AdaptivePolicy(&'static str),
+    /// A router would have more input VCs (`ports` × `vcs` per port) than
+    /// its 64-entry VC occupancy index can address.
+    TooManyVcs {
+        /// Ports per router of the topology.
+        ports: usize,
+        /// Virtual channels per port of the VC layout.
+        vcs: usize,
+    },
 }
 
 impl fmt::Display for ConfigError {
@@ -456,6 +464,10 @@ impl fmt::Display for ConfigError {
             ConfigError::AdaptivePolicy(what) => {
                 write!(f, "adaptive policy misconfigured: {what}")
             }
+            ConfigError::TooManyVcs { ports, vcs } => write!(
+                f,
+                "{ports} ports x {vcs} VCs per port exceeds the 64 input VCs a router can index"
+            ),
         }
     }
 }

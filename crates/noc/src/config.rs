@@ -1,6 +1,7 @@
 //! Network configuration and the virtual-channel layout.
 
-use rcsim_core::{MechanismConfig, Topology, Vnet};
+use crate::router::VC_INDEX_BITS;
+use rcsim_core::{ConfigError, MechanismConfig, Topology, Vnet};
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
 
@@ -80,6 +81,24 @@ impl NocConfig {
             extra_reply_vcs: usize::from(topology.has_wrap()),
             va_hol_relief: true,
         }
+    }
+
+    /// Checks the configuration is one a [`Network`](crate::Network) can
+    /// be built for.
+    ///
+    /// # Errors
+    ///
+    /// Returns the mechanism's [`ConfigError`] when it is internally
+    /// inconsistent (see [`MechanismConfig::validate`]), and
+    /// [`ConfigError::TooManyVcs`] when `ports × vc_layout().total()`
+    /// exceeds the 64 input VCs a router's occupancy index addresses.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        self.mechanism.validate()?;
+        let (ports, vcs) = (self.topology.ports(), self.vc_layout().total());
+        if ports.saturating_mul(vcs) > VC_INDEX_BITS {
+            return Err(ConfigError::TooManyVcs { ports, vcs });
+        }
+        Ok(())
     }
 
     /// The VC layout implied by the mechanism configuration.
@@ -229,6 +248,33 @@ mod tests {
         let mesh = NocConfig::paper_baseline(Mesh::new(4, 4).unwrap(), MechanismConfig::complete());
         assert_eq!(mesh.extra_reply_vcs, 0);
         assert_eq!(mesh.vc_layout().total(), 4);
+    }
+
+    #[test]
+    fn vc_index_width_is_a_typed_config_error() {
+        // cmesh-4 routers have 8 ports: 6 request + 2 reply VCs fill the
+        // 64-entry index exactly.
+        let cmesh = Topology::cmesh(2, 2, 4).unwrap();
+        let mut cfg = NocConfig::paper_baseline(cmesh, MechanismConfig::baseline());
+        cfg.req_vcs = 6;
+        assert_eq!(cfg.topology.ports() * cfg.vc_layout().total(), 64);
+        assert_eq!(cfg.validate(), Ok(()));
+        assert!(crate::Network::new(cfg).is_ok());
+        // A mesh router has 5 ports: 11 + 2 VCs make 65.
+        let mut cfg =
+            NocConfig::paper_baseline(Mesh::new(4, 4).unwrap(), MechanismConfig::baseline());
+        cfg.req_vcs = 11;
+        let err = ConfigError::TooManyVcs { ports: 5, vcs: 13 };
+        assert_eq!(cfg.validate(), Err(err));
+        assert_eq!(crate::Network::new(cfg).err(), Some(err));
+        assert!(err.to_string().contains("5 ports x 13 VCs"), "{err}");
+        // The reachable case from the issue: cmesh-4 with 8 request VCs.
+        let mut cfg = NocConfig::paper_baseline(cmesh, MechanismConfig::complete());
+        cfg.req_vcs = 8;
+        assert!(matches!(
+            crate::Network::with_faults(cfg, crate::FaultConfig::none()),
+            Err(ConfigError::TooManyVcs { ports: 8, vcs: 10 })
+        ));
     }
 
     #[test]

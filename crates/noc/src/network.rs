@@ -424,6 +424,9 @@ pub struct Network {
     router_inboxes: Vec<RouterInbox>,
     ni_inboxes: Vec<NiInbox>,
     delivered: Vec<Vec<Delivered>>,
+    /// Packets held in `delivered` (derived; lets the every-cycle
+    /// [`Network::take_all_delivered`] skip the per-tile walk).
+    delivered_pending: usize,
     stats: NocStats,
     now: Cycle,
     next_packet: u64,
@@ -494,9 +497,8 @@ impl Network {
     ///
     /// # Errors
     ///
-    /// Returns the mechanism's [`ConfigError`] when the configuration is
-    /// internally inconsistent (see
-    /// [`MechanismConfig::validate`](rcsim_core::MechanismConfig::validate)).
+    /// Returns the [`ConfigError`] of [`NocConfig::validate`] when the
+    /// configuration is internally inconsistent or too wide.
     pub fn new(cfg: NocConfig) -> Result<Self, ConfigError> {
         Network::with_faults(cfg, FaultConfig::none())
     }
@@ -506,10 +508,10 @@ impl Network {
     ///
     /// # Errors
     ///
-    /// Returns the mechanism's [`ConfigError`] when the configuration is
-    /// internally inconsistent.
+    /// Returns the [`ConfigError`] of [`NocConfig::validate`] or
+    /// [`FaultConfig::validate`].
     pub fn with_faults(cfg: NocConfig, faults: FaultConfig) -> Result<Self, ConfigError> {
-        cfg.mechanism.validate()?;
+        cfg.validate()?;
         faults.validate(&cfg.topology)?;
         let tiles = cfg.topology.nodes();
         let routers_n = cfg.topology.routers();
@@ -543,6 +545,7 @@ impl Network {
             router_inboxes: (0..routers_n).map(|_| RouterInbox::new(ports)).collect(),
             ni_inboxes: (0..tiles).map(|_| NiInbox::default()).collect(),
             delivered: vec![Vec::new(); tiles],
+            delivered_pending: 0,
             stats: NocStats::default(),
             now: 0,
             next_packet: 0,
@@ -874,7 +877,7 @@ impl Network {
                     retries: 0,
                 },
             });
-            self.delivered[spec.dst.index()].push(Delivered {
+            let local = Delivered {
                 packet: id,
                 src: spec.src,
                 dst: spec.dst,
@@ -886,7 +889,8 @@ impl Network {
                 delivered_at: self.now + 1,
                 circuit: None,
                 rode_circuit: false,
-            });
+            };
+            self.deliver(spec.dst.index(), local);
             return (id, false);
         }
         let committed = self.nis[spec.src.index()].enqueue(
@@ -944,15 +948,27 @@ impl Network {
         self.stats.record_outcome(outcome);
     }
 
+    /// Hands a fully received packet to `tile`'s delivery list.
+    fn deliver(&mut self, tile: usize, d: Delivered) {
+        self.delivered_pending += 1;
+        self.delivered[tile].push(d);
+    }
+
     /// Packets fully received at `node` since the last call.
     pub fn take_delivered(&mut self, node: NodeId) -> Vec<Delivered> {
-        std::mem::take(&mut self.delivered[node.index()])
+        let taken = std::mem::take(&mut self.delivered[node.index()]);
+        self.delivered_pending -= taken.len();
+        taken
     }
 
     /// Packets fully received anywhere since the last call, as
     /// `(node, packet)` pairs.
     pub fn take_all_delivered(&mut self) -> Vec<(NodeId, Delivered)> {
-        let mut all = Vec::new();
+        let mut all = Vec::with_capacity(self.delivered_pending);
+        if self.delivered_pending == 0 {
+            return all;
+        }
+        self.delivered_pending = 0;
         for (i, v) in self.delivered.iter_mut().enumerate() {
             for d in v.drain(..) {
                 all.push((NodeId(i as u16), d));
@@ -1307,7 +1323,7 @@ impl Network {
                         retries,
                     },
                 });
-                self.delivered[i].push(d);
+                self.deliver(i, d);
             }
         }
 
@@ -1540,7 +1556,7 @@ impl Network {
                             retries,
                         },
                     });
-                    self.delivered[tile].push(d);
+                    self.deliver(tile, d);
                 }
             }
         }
@@ -1990,6 +2006,29 @@ impl Network {
         s
     }
 
+    /// Recomputes every derived occupancy quantity — each router's VC
+    /// occupancy index (DESIGN.md §15) and the pending-delivery count —
+    /// from the state it mirrors and reports the first mismatch. Debug
+    /// builds assert the router part on every router tick; tests call
+    /// this in release builds too.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first stale index.
+    pub fn check_index(&self) -> Result<(), String> {
+        for r in &self.routers {
+            r.check_index()?;
+        }
+        let held: usize = self.delivered.iter().map(Vec::len).sum();
+        if held != self.delivered_pending {
+            return Err(format!(
+                "delivered_pending {} but {held} packets are held",
+                self.delivered_pending
+            ));
+        }
+        Ok(())
+    }
+
     /// Assembles a structured liveness snapshot: stall state, in-flight
     /// and queued traffic, the oldest stuck messages, suspected
     /// circuit-table leaks and the fault counters. Purely observational
@@ -2240,6 +2279,7 @@ impl Network {
         self.router_inboxes = snap.router_inboxes.clone();
         self.ni_inboxes = snap.ni_inboxes.clone();
         self.delivered = snap.delivered.clone();
+        self.delivered_pending = self.delivered.iter().map(Vec::len).sum();
         self.stats = snap.stats.clone();
         self.now = snap.now;
         self.next_packet = snap.next_packet;

@@ -20,12 +20,40 @@ impl RoundRobin {
         Self { next: 0, n }
     }
 
-    /// Grants one of the requesting indices (`requests[i] == true`) and
-    /// advances the priority pointer. Returns `None` when nothing requests.
+    /// Grants one of the requesting indices (bit `i` of `requests` set)
+    /// and advances the priority pointer. Returns `None`, leaving the
+    /// pointer alone, when nothing requests — the request vector a
+    /// hardware arbiter sees, so callers build it from asserted lines
+    /// only. Bits at or above `n` must be clear.
+    pub fn grant_mask(&mut self, requests: u64) -> Option<usize> {
+        debug_assert!(self.n <= 64, "arbiter wider than the request mask");
+        debug_assert!(
+            self.n == 64 || requests >> self.n == 0,
+            "request beyond the arbiter width"
+        );
+        if requests == 0 {
+            return None;
+        }
+        // First requester at or after the pointer, else wrap to the lowest.
+        let at_or_after = requests & (u64::MAX << self.next);
+        let pick = if at_or_after != 0 {
+            at_or_after
+        } else {
+            requests
+        };
+        let i = pick.trailing_zeros() as usize;
+        self.next = (i + 1) % self.n;
+        Some(i)
+    }
+
+    /// The linear-scan reference [`RoundRobin::grant_mask`] is tested
+    /// against: grants one of the requesting indices (`requests[i] ==
+    /// true`) and advances the priority pointer.
     ///
     /// # Panics
     ///
     /// Panics if `requests.len() != n`.
+    #[cfg(test)]
     pub fn grant(&mut self, requests: &[bool]) -> Option<usize> {
         assert_eq!(requests.len(), self.n, "request vector size mismatch");
         if self.n == 0 {
@@ -60,6 +88,7 @@ impl RoundRobin {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn rotates_fairly() {
@@ -98,6 +127,19 @@ mod tests {
     }
 
     #[test]
+    fn grant_mask_rotates_and_wraps() {
+        let mut rr = RoundRobin::new(4);
+        assert_eq!(rr.grant_mask(0b0100), Some(2));
+        // Pointer is now at 3, which is idle; the grant wraps to 0.
+        assert_eq!(rr.grant_mask(0b0101), Some(0));
+        assert_eq!(rr.grant_mask(0), None);
+        assert_eq!(rr.grant_mask(0b0101), Some(2), "None left the pointer");
+        let mut full = RoundRobin::new(64);
+        assert_eq!(full.grant_mask(1 << 63), Some(63));
+        assert_eq!(full.grant_mask(u64::MAX), Some(0), "pointer wrapped");
+    }
+
+    #[test]
     fn starvation_freedom() {
         // Input 0 always requests; input 1 requests too. Both must be
         // served infinitely often.
@@ -108,5 +150,28 @@ mod tests {
             counts[w] += 1;
         }
         assert_eq!(counts, [50, 50]);
+    }
+
+    proptest! {
+        /// From any pointer state, the bit-vector grant and the
+        /// linear-scan reference pick the same winner and leave the same
+        /// pointer — over a whole request sequence, so pointer states
+        /// reached only through earlier grants are covered too.
+        #[test]
+        fn grant_mask_matches_linear_scan(
+            n in 1usize..=64,
+            start in 0usize..64,
+            masks in prop::collection::vec(any::<u64>(), 1..24),
+        ) {
+            let mut fast = RoundRobin { next: start % n, n };
+            let mut reference = fast.clone();
+            for m in masks {
+                // Sparse request vectors matter most: thin the mask out.
+                let m = (m & m.rotate_left(7)) & (u64::MAX >> (64 - n));
+                let bools: Vec<bool> = (0..n).map(|i| m >> i & 1 == 1).collect();
+                prop_assert_eq!(fast.grant_mask(m), reference.grant(&bools));
+                prop_assert_eq!(&fast, &reference);
+            }
+        }
     }
 }

@@ -103,6 +103,48 @@ struct StGrant {
     in_vc: usize,
 }
 
+/// Width of the [`OccupancyIndex`] masks: a router may have at most this
+/// many input VCs (`ports × VcLayout::total()`), which
+/// [`NocConfig::validate`] enforces.
+pub(crate) const VC_INDEX_BITS: usize = u64::BITS as usize;
+
+/// Which input VCs and retry queues hold work — the request lines a
+/// hardware allocator sees, so the pipeline stages visit busy VCs only
+/// instead of scanning `ports × VCs` states per tick.
+///
+/// This is *scratch*, not *state* (DESIGN.md §15): every field is a
+/// function of the VC states, VC buffers and bypass-retry queues, is
+/// rebuilt from them by [`Router::derive_index`] on restore, and is never
+/// serialized. It is maintained where a VC changes state
+/// ([`Router::buffer_flit`], the VA grant, the tail's reset in
+/// [`Router::stage_st`]) and where a flit enters or leaves a buffer or
+/// retry queue. Bit `p·total+v` stands for input VC `(p, v)`, so walking
+/// set bits in ascending order is the `for p { for v { .. } }` order of a
+/// full scan — arbitration, reservation and trace-event order are those
+/// of the scan.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct OccupancyIndex {
+    /// VCs in `WaitVa`.
+    wait_va: u64,
+    /// VCs in `WaitSa` or `Active`.
+    post_va: u64,
+    /// Flits buffered across all input VCs.
+    buffered: usize,
+    /// Flits queued across all bypass-retry queues.
+    retries: usize,
+}
+
+/// The set bit positions of `mask`, ascending.
+fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let i = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            i
+        })
+    })
+}
+
 pub(crate) struct Router {
     /// Router id (`0..Topology::routers()`; equals the tile id only when
     /// the concentration is 1).
@@ -121,12 +163,12 @@ pub(crate) struct Router {
     st_pending: Vec<StGrant>,
     /// Reused backing store for [`Router::stage_st`]'s grant sweep.
     st_scratch: Vec<StGrant>,
-    /// Reused request vector for [`Router::stage_sa`] phase 1.
-    sa_requests: Vec<bool>,
-    /// Reused per-port scratch for the SA/VA arbitration sweeps.
-    sa_blocked: Vec<bool>,
-    sa_nominee: Vec<Option<usize>>,
-    arb_scratch: Vec<usize>,
+    /// The VC each input port nominated in [`Router::stage_sa`] phase 1
+    /// (meaningful only for ports that nominated this tick).
+    sa_nominee: Vec<usize>,
+    /// Per output port, the input ports requesting it in the current
+    /// SA/VA sweep, as a mask; all zero between sweeps.
+    contend: Vec<u64>,
     sa_rr_in: Vec<RoundRobin>,
     sa_rr_out: Vec<RoundRobin>,
     va_rr_out: Vec<RoundRobin>,
@@ -135,6 +177,7 @@ pub(crate) struct Router {
     /// Bypass flits that lost a same-cycle output conflict (ideal mode) or
     /// arrived while an earlier flit of the same stream is still queued.
     bypass_retry: Vec<VecDeque<Flit>>,
+    occ: OccupancyIndex,
     /// `true` while this router is part of, or borders, a dead region
     /// (set by the network when scheduled permanent faults fire).
     /// Degraded routers take no part in circuits: reservations are
@@ -156,6 +199,10 @@ impl Router {
         let layout = cfg.vc_layout();
         let total = layout.total();
         let ports = cfg.topology.ports();
+        assert!(
+            ports * total <= VC_INDEX_BITS,
+            "NocConfig::validate bounds the input VCs per router"
+        );
         let outputs = (0..ports)
             .map(|_| OutputPort {
                 credits: vec![cfg.buffer_depth; total],
@@ -182,15 +229,14 @@ impl Router {
             ),
             st_pending: Vec::new(),
             st_scratch: Vec::new(),
-            sa_requests: vec![false; total],
-            sa_blocked: vec![false; ports],
-            sa_nominee: vec![None; ports],
-            arb_scratch: Vec::with_capacity(ports),
+            sa_nominee: vec![0; ports],
+            contend: vec![0; ports],
             sa_rr_in: (0..ports).map(|_| RoundRobin::new(total)).collect(),
             sa_rr_out: (0..ports).map(|_| RoundRobin::new(ports)).collect(),
             va_rr_out: (0..ports).map(|_| RoundRobin::new(ports)).collect(),
             va_scratch: Vec::with_capacity(total),
             bypass_retry: (0..ports).map(|_| VecDeque::new()).collect(),
+            occ: OccupancyIndex::default(),
             degraded: false,
             va_hol_relief: cfg.va_hol_relief,
             activity: Activity::default(),
@@ -301,19 +347,19 @@ impl Router {
         self.stage_st(now, out);
         self.stage_sa(now);
         self.stage_va(now, out);
+        debug_assert_eq!(self.check_index(), Ok(()));
     }
 
     /// `true` when a tick with no arriving messages could still change
     /// state: flits are buffered in the pipeline, a switch grant or
-    /// bypass retry is pending, or a timed circuit entry is (over)due for
-    /// expiry. A `false` router receiving nothing this cycle only resets
-    /// `busy` flags, re-stamps the table clock and runs empty stage
-    /// loops — all no-ops — so the event kernel may skip its tick.
+    /// bypass retry is pending (three O(1) tests: the grant list and the
+    /// index's flit and retry counters), or a timed circuit entry is
+    /// (over)due for expiry. A `false` router receiving nothing this
+    /// cycle only resets `busy` flags, re-stamps the table clock and
+    /// returns early from every stage — all no-ops — so the event kernel
+    /// may skip its tick.
     pub(crate) fn is_active(&self, now: Cycle) -> bool {
-        if !self.st_pending.is_empty() || self.buffered_flits() > 0 {
-            return true;
-        }
-        if self.bypass_retry.iter().any(|q| !q.is_empty()) {
+        if !self.st_pending.is_empty() || self.occ.buffered > 0 || self.occ.retries > 0 {
             return true;
         }
         if self.mechanism.timed.is_timed() {
@@ -364,22 +410,27 @@ impl Router {
     }
 
     fn drain_bypass_retries(&mut self, now: Cycle, out: &mut Vec<Outgoing>) {
+        if self.occ.retries == 0 {
+            return;
+        }
         for p in 0..self.ports {
-            while let Some(flit) = self.bypass_retry[p].front().cloned() {
-                match self.bypass_check(p, &flit) {
+            // Decide on the queue head in place; pop only to act.
+            while let Some(front) = self.bypass_retry[p].front() {
+                let (key, is_head, vc) = (front.on_circuit, front.kind.is_head(), front.vc);
+                match self.bypass_check(p, key, is_head) {
                     BypassCheck::Ready => {
-                        let flit = self.bypass_retry[p].pop_front().expect("front checked");
+                        let flit = self.pop_retry(p);
                         self.execute_bypass(now, p, flit, out);
                     }
                     BypassCheck::Busy => break,
                     BypassCheck::Pipeline => {
-                        if flit.kind.is_head() && !self.inputs[p].vcs[flit.vc].is_idle() {
+                        if is_head && !self.inputs[p].vcs[vc].is_idle() {
                             // The fallback VC is still draining an earlier
                             // packet: hold the stream here (in order) until
                             // it idles instead of corrupting the wormhole.
                             break;
                         }
-                        let flit = self.bypass_retry[p].pop_front().expect("front checked");
+                        let flit = self.pop_retry(p);
                         self.buffer_flit(now, p, flit);
                     }
                 }
@@ -387,9 +438,22 @@ impl Router {
         }
     }
 
-    /// Whether a circuit-tagged flit can take the bypass path right now.
-    fn bypass_check(&mut self, port: usize, flit: &Flit) -> BypassCheck {
-        let Some(key) = flit.on_circuit else {
+    fn push_retry(&mut self, port: usize, flit: Flit) {
+        self.bypass_retry[port].push_back(flit);
+        self.occ.retries += 1;
+    }
+
+    fn pop_retry(&mut self, port: usize) -> Flit {
+        self.occ.retries -= 1;
+        self.bypass_retry[port]
+            .pop_front()
+            .expect("caller saw the queue head")
+    }
+
+    /// Whether a flit riding circuit `key` (a head if `is_head`) can take
+    /// the bypass path right now.
+    fn bypass_check(&mut self, port: usize, key: Option<CircuitKey>, is_head: bool) -> BypassCheck {
+        let Some(key) = key else {
             return BypassCheck::Pipeline;
         };
         if self.degraded {
@@ -405,9 +469,7 @@ impl Router {
             // already fell back and released the entry.
             return BypassCheck::Pipeline;
         };
-        if self.mechanism.mode == CircuitMode::Fragmented
-            && flit.kind.is_head()
-            && entry.out_port < PORT_LOCAL
+        if self.mechanism.mode == CircuitMode::Fragmented && is_head && entry.out_port < PORT_LOCAL
         {
             // Fragmented circuits keep buffers: the downstream circuit VC
             // must be able to hold the whole message in case its own
@@ -446,16 +508,16 @@ impl Router {
             // Keep stream order: if earlier flits of this input are already
             // queued for retry, queue behind them.
             if !self.bypass_retry[port].is_empty() {
-                self.bypass_retry[port].push_back(flit);
+                self.push_retry(port, flit);
                 return;
             }
-            match self.bypass_check(port, &flit) {
+            match self.bypass_check(port, flit.on_circuit, flit.kind.is_head()) {
                 BypassCheck::Ready => {
                     self.execute_bypass(now, port, flit, out);
                     return;
                 }
                 BypassCheck::Busy => {
-                    self.bypass_retry[port].push_back(flit);
+                    self.push_retry(port, flit);
                     return;
                 }
                 BypassCheck::Pipeline => {}
@@ -547,9 +609,10 @@ impl Router {
             // retries ([`Router::drain_bypass_retries`] holds it until
             // the VC idles, and the non-empty queue keeps its body flits
             // behind it in arrival order).
-            self.bypass_retry[port].push_back(flit);
+            self.push_retry(port, flit);
             return;
         }
+        let bit = self.vc_bit(port, vc_idx);
         let vc = &mut self.inputs[port].vcs[vc_idx];
         self.activity.buffer_writes += 1;
         if flit.kind.is_head() {
@@ -565,14 +628,19 @@ impl Router {
             vc.state = VcState::WaitVa;
             vc.state_since = now;
             vc.circuit_attempted = false;
+            self.occ.wait_va |= bit;
         }
         vc.buffer.push_back(flit);
+        self.occ.buffered += 1;
     }
 
     /// Stage 4: switch traversal for last cycle's SA winners. Circuit
     /// bypasses processed earlier this cycle have already claimed their
     /// output ports (crossbar priority, §4.3); blocked grants retry.
     fn stage_st(&mut self, now: Cycle, out: &mut Vec<Outgoing>) {
+        if self.st_pending.is_empty() {
+            return;
+        }
         // Swap the grant list into scratch so blocked grants can re-queue
         // onto `st_pending` without reallocating either vector.
         std::mem::swap(&mut self.st_pending, &mut self.st_scratch);
@@ -585,11 +653,14 @@ impl Router {
                 self.st_pending.push(g);
                 continue;
             }
+            let bit = self.vc_bit(g.in_port, g.in_vc);
             let vc = &mut self.inputs[g.in_port].vcs[g.in_vc];
             let mut flit = vc.buffer.pop_front().expect("granted VC has a flit");
+            self.occ.buffered -= 1;
             let is_tail = flit.kind.is_tail();
             if is_tail {
                 vc.reset(now);
+                self.occ.post_va &= !bit;
             }
             if flit.kind.is_head() {
                 self.sink.emit(|| TraceEvent {
@@ -642,26 +713,21 @@ impl Router {
     /// Stage 3: two-phase round-robin switch allocation; winners traverse
     /// the crossbar next cycle.
     fn stage_sa(&mut self, now: Cycle) {
-        // Inputs with a grant still pending ST cannot be granted again.
-        // (Scratch vectors are swapped out of `self` so the round-robin
-        // arbiters can be borrowed mutably alongside them.)
-        let mut blocked = std::mem::take(&mut self.sa_blocked);
-        blocked.iter_mut().for_each(|b| *b = false);
-        for g in &self.st_pending {
-            blocked[g.in_port] = true;
+        if self.occ.post_va == 0 {
+            return;
         }
-        // Phase 1: each input port nominates one VC.
-        let mut nominee = std::mem::take(&mut self.sa_nominee);
-        nominee.iter_mut().for_each(|n| *n = None);
-        #[allow(clippy::needless_range_loop)] // p indexes three parallel arrays
+        // Inputs with a grant still pending ST cannot be granted again.
+        let blocked = self.st_pending.iter().fold(0u64, |m, g| m | 1 << g.in_port);
+        // Phase 1: each input port holding a post-VA VC nominates one.
+        // `wanted` collects the output ports some nominee routes to.
+        let mut wanted = 0u64;
         for p in 0..self.ports {
-            if blocked[p] {
+            let port_vcs = self.port_bits(self.occ.post_va, p);
+            if port_vcs == 0 || blocked >> p & 1 == 1 {
                 continue;
             }
-            let total = self.layout.total();
-            self.sa_requests.clear();
-            self.sa_requests.resize(total, false);
-            for v in 0..total {
+            let mut requests = 0u64;
+            for v in bits(port_vcs) {
                 let vc = &self.inputs[p].vcs[v];
                 let stage_ok = match vc.state {
                     VcState::WaitSa => vc.state_since < now,
@@ -679,90 +745,83 @@ impl Router {
                     // credited (fragmented gap traffic).
                     || self.layout.is_circuit_vc(out_vc);
                 if credit_ok {
-                    self.sa_requests[v] = true;
+                    requests |= 1 << v;
                 }
             }
-            nominee[p] = self.sa_rr_in[p].grant(&self.sa_requests);
-        }
-        // Phase 2: each output port picks one input.
-        let mut contenders = std::mem::take(&mut self.arb_scratch);
-        for out_port in 0..self.ports {
-            contenders.clear();
-            for (p, nom) in nominee.iter().enumerate() {
-                if nom.is_some_and(|v| self.inputs[p].vcs[v].route == Some(out_port)) {
-                    contenders.push(p);
-                }
-            }
-            if let Some(winner) = self.sa_rr_out[out_port].grant_among(&contenders) {
-                let v = nominee[winner].expect("winner nominated a VC");
-                let vc = &mut self.inputs[winner].vcs[v];
-                if vc.state == VcState::WaitSa {
-                    vc.state = VcState::Active;
-                    vc.state_since = now;
-                    let head = vc.buffer.front().expect("granted VC holds a flit");
-                    if head.kind.is_head() {
-                        let packet = head.packet.0;
-                        self.sink.emit(|| TraceEvent {
-                            cycle: now,
-                            kind: EventKind::StageSa {
-                                packet,
-                                node: self.node.0,
-                            },
-                        });
-                    }
-                }
-                self.activity.sw_allocs += 1;
-                self.st_pending.push(StGrant {
-                    in_port: winner,
-                    in_vc: v,
-                });
+            if let Some(v) = self.sa_rr_in[p].grant_mask(requests) {
+                let route = self.inputs[p].vcs[v].route.expect("post-VA VC has a route");
+                self.sa_nominee[p] = v;
+                self.contend[route] |= 1 << p;
+                wanted |= 1 << route;
             }
         }
-        self.sa_blocked = blocked;
-        self.sa_nominee = nominee;
-        self.arb_scratch = contenders;
+        // Phase 2: each requested output port picks one input.
+        for out_port in bits(wanted) {
+            let contenders = std::mem::take(&mut self.contend[out_port]);
+            let winner = self.sa_rr_out[out_port]
+                .grant_mask(contenders)
+                .expect("a nominee routes to every wanted output");
+            let v = self.sa_nominee[winner];
+            let vc = &mut self.inputs[winner].vcs[v];
+            if vc.state == VcState::WaitSa {
+                vc.state = VcState::Active;
+                vc.state_since = now;
+                let head = vc.buffer.front().expect("granted VC holds a flit");
+                if head.kind.is_head() {
+                    let packet = head.packet.0;
+                    self.sink.emit(|| TraceEvent {
+                        cycle: now,
+                        kind: EventKind::StageSa {
+                            packet,
+                            node: self.node.0,
+                        },
+                    });
+                }
+            }
+            self.activity.sw_allocs += 1;
+            self.st_pending.push(StGrant {
+                in_port: winner,
+                in_vc: v,
+            });
+        }
     }
 
     /// Stage 2: VC allocation — and, in parallel, the reactive-circuit
     /// reservation for request packets (§4.1).
     fn stage_va(&mut self, now: Cycle, out: &mut Vec<Outgoing>) {
+        if self.occ.wait_va == 0 {
+            return;
+        }
         // Circuit reservations happen on the first VA attempt, whether or
-        // not the VC wins allocation this cycle.
-        for p in 0..self.ports {
-            for v in 0..self.layout.total() {
-                let vc = &self.inputs[p].vcs[v];
-                if vc.state == VcState::WaitVa && vc.state_since < now && !vc.circuit_attempted {
-                    self.attempt_reservation(now, p, v, out);
-                }
+        // not the VC wins allocation this cycle. The same pass groups the
+        // requesting input ports by output port.
+        let mut wanted = 0u64;
+        for i in bits(self.occ.wait_va) {
+            let (p, v) = (i / self.layout.total(), i % self.layout.total());
+            let vc = &self.inputs[p].vcs[v];
+            if vc.state_since >= now {
+                continue;
             }
+            let route = vc.route.expect("WaitVa VC has a route");
+            if !vc.circuit_attempted {
+                self.attempt_reservation(now, p, v, out);
+            }
+            self.contend[route] |= 1 << p;
+            wanted |= 1 << route;
         }
 
-        // Two-phase allocation: requesters grouped by output port; one
-        // grant per output port per cycle, round-robin over input ports.
-        let mut tried = std::mem::take(&mut self.arb_scratch);
-        for out_port in 0..self.ports {
-            tried.clear();
-            for p in 0..self.ports {
-                if self.inputs[p].vcs.iter().any(|vc| {
-                    vc.state == VcState::WaitVa
-                        && vc.state_since < now
-                        && vc.route == Some(out_port)
-                }) {
-                    tried.push(p);
-                }
-            }
+        // Two-phase allocation: one grant per requested output port per
+        // cycle, round-robin over the requesting input ports.
+        for out_port in bits(wanted) {
+            let mut tried = std::mem::take(&mut self.contend[out_port]);
             // Check a free output VC exists for at least one contender
             // class; pick the winner first (RR), then the VC.
             let mut granted = false;
-            while !granted && !tried.is_empty() {
-                let Some(winner) = self.va_rr_out[out_port].grant_among(&tried) else {
+            while !granted {
+                let Some(winner) = self.va_rr_out[out_port].grant_mask(tried) else {
                     break;
                 };
-                let pos = tried
-                    .iter()
-                    .position(|&p| p == winner)
-                    .expect("winner came from the candidate list");
-                tried.remove(pos);
+                tried &= !(1 << winner);
                 // The winning input port's WaitVa VCs for this output,
                 // walked in age order: the first candidate that can
                 // actually be allocated wins. (The retired legacy
@@ -775,16 +834,11 @@ impl Router {
                 // `NocConfig::va_hol_relief` and tests/echo_probe.rs.)
                 let mut candidates = std::mem::take(&mut self.va_scratch);
                 candidates.clear();
+                let inputs = &self.inputs[winner].vcs;
                 candidates.extend(
-                    self.inputs[winner]
-                        .vcs
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, vc)| {
-                            vc.state == VcState::WaitVa
-                                && vc.state_since < now
-                                && vc.route == Some(out_port)
-                        })
+                    bits(self.port_bits(self.occ.wait_va, winner))
+                        .map(|v| (v, &inputs[v]))
+                        .filter(|(_, vc)| vc.state_since < now && vc.route == Some(out_port))
                         .map(|(v, vc)| {
                             let head = vc.buffer.front().expect("WaitVa VC holds its head");
                             (vc.state_since, v, head.vnet, head.dst)
@@ -820,6 +874,9 @@ impl Router {
                         allocatable.find(|&ovc| self.outputs[out_port].owner[ovc] == Owner::Free);
                     if let Some(ovc) = free_vc {
                         self.outputs[out_port].owner[ovc] = Owner::Owned(winner, v);
+                        let bit = self.vc_bit(winner, v);
+                        self.occ.wait_va &= !bit;
+                        self.occ.post_va |= bit;
                         let vc = &mut self.inputs[winner].vcs[v];
                         vc.out_vc = Some(ovc);
                         vc.state = VcState::WaitSa;
@@ -845,17 +902,54 @@ impl Router {
                 self.va_scratch = candidates;
             }
         }
-        self.arb_scratch = tried;
+    }
+
+    /// The index bit of input VC `(port, vc)`.
+    fn vc_bit(&self, port: usize, vc: usize) -> u64 {
+        1 << (port * self.layout.total() + vc)
+    }
+
+    /// `port`'s slice of an index mask, shifted down to bit 0 = VC 0.
+    fn port_bits(&self, mask: u64, port: usize) -> u64 {
+        let vcs = self.layout.total();
+        (mask >> (port * vcs)) & ((1 << vcs) - 1)
+    }
+
+    /// Recomputes the [`OccupancyIndex`] from the state it mirrors.
+    fn derive_index(&self) -> OccupancyIndex {
+        let mut occ = OccupancyIndex::default();
+        for (p, port) in self.inputs.iter().enumerate() {
+            for (v, vc) in port.vcs.iter().enumerate() {
+                match vc.state {
+                    VcState::Idle => {}
+                    VcState::WaitVa => occ.wait_va |= self.vc_bit(p, v),
+                    VcState::WaitSa | VcState::Active => occ.post_va |= self.vc_bit(p, v),
+                }
+                occ.buffered += vc.buffer.len();
+            }
+        }
+        occ.retries = self.bypass_retry.iter().map(VecDeque::len).sum();
+        occ
+    }
+
+    /// Checks the incrementally maintained [`OccupancyIndex`] against a
+    /// fresh [`Router::derive_index`].
+    pub(crate) fn check_index(&self) -> Result<(), String> {
+        let derived = self.derive_index();
+        if self.occ == derived {
+            Ok(())
+        } else {
+            Err(format!(
+                "{:?}: occupancy index {:x?} but the VC states give {:x?}",
+                self.node, self.occ, derived
+            ))
+        }
     }
 
     /// Number of flits buffered across all input VCs (occupancy telemetry
     /// and whitebox tests).
     pub(crate) fn buffered_flits(&self) -> usize {
-        self.inputs
-            .iter()
-            .flat_map(|p| p.vcs.iter())
-            .map(|v| v.buffer.len())
-            .sum()
+        self.occ.buffered
     }
 
     /// The §4.1 reservation: while the request head sits in VA, write the
@@ -1007,9 +1101,10 @@ impl Router {
 
     /// The full dynamic state, for checkpointing. Taken at tick
     /// boundaries, where the per-tick scratch vectors (`st_scratch`,
-    /// `sa_requests`, `sa_blocked`, `sa_nominee`, `arb_scratch`,
-    /// `va_scratch`) are dead and the `busy` flags stale — everything
-    /// else is configuration, rebuilt from the [`NocConfig`].
+    /// `sa_nominee`, `contend`, `va_scratch`) are dead and the `busy`
+    /// flags stale; the [`OccupancyIndex`] is derived, so
+    /// [`Router::restore`] rebuilds it — everything else is
+    /// configuration, rebuilt from the [`NocConfig`].
     pub(crate) fn snapshot(&self) -> RouterSnapshot {
         RouterSnapshot {
             inputs: self.inputs.clone(),
@@ -1038,6 +1133,7 @@ impl Router {
         self.bypass_retry = snap.bypass_retry;
         self.degraded = snap.degraded;
         self.activity = snap.activity;
+        self.occ = self.derive_index();
     }
 
     /// Reports every input VC that is blocked on a channel resource,
@@ -1322,6 +1418,59 @@ mod tests {
         // stream back-to-back behind it.
         assert_eq!(departures, vec![3, 4, 5, 6, 7], "1 flit/cycle streaming");
         assert_eq!(r.buffered_flits(), 0);
+    }
+
+    /// The occupancy index is scratch: it is not in the snapshot, a
+    /// restore rebuilds it, and a router restored mid-packet — one VC
+    /// streaming, one still waiting for VC allocation behind it —
+    /// continues exactly like the uninterrupted one.
+    #[test]
+    fn restore_rebuilds_the_index_and_continues_identically() {
+        let arrivals_at = |now: Cycle| {
+            let mut arrivals = Vec::new();
+            if now < 5 {
+                let seq = now as u32;
+                arrivals.push((
+                    PORT_WEST,
+                    flit(FlitKind::for_position(seq, 5), seq, 5, 6, 0),
+                ));
+            }
+            if now == 4 {
+                let mut rival = flit(FlitKind::HeadTail, 0, 1, 6, 1);
+                rival.packet = PacketId(2);
+                arrivals.push((PORT_NORTH, rival));
+            }
+            arrivals
+        };
+        let json = |r: &Router| serde_json::to_string(&r.snapshot()).expect("serializes");
+
+        let mut uninterrupted = router(MechanismConfig::baseline());
+        for now in 0..5 {
+            tick(&mut uninterrupted, now, arrivals_at(now));
+        }
+        assert!(uninterrupted.occ.post_va != 0 && uninterrupted.occ.wait_va != 0);
+        let snap = uninterrupted.snapshot();
+        assert!(
+            !json(&uninterrupted).contains("wait_va"),
+            "the index must stay out of the snapshot"
+        );
+
+        let mut restored = router(MechanismConfig::baseline());
+        restored.restore(snap);
+        assert_eq!(restored.occ, uninterrupted.occ);
+        assert_eq!(restored.check_index(), Ok(()));
+        assert_eq!(json(&restored), json(&uninterrupted));
+
+        for now in 5..16 {
+            assert_eq!(
+                tick(&mut restored, now, arrivals_at(now)),
+                tick(&mut uninterrupted, now, arrivals_at(now)),
+                "cycle {now}"
+            );
+            assert_eq!(json(&restored), json(&uninterrupted), "cycle {now}");
+        }
+        assert_eq!(restored.buffered_flits(), 0);
+        assert_eq!(restored.occ, OccupancyIndex::default());
     }
 
     /// Two heads contending for one output port: switch allocation

@@ -329,4 +329,22 @@ RC_CKPT_BENCH_CYCLES=2000 RC_CKPT_BENCH_REPS=2 \
 test -s target/experiments/BENCH_checkpoint.json
 $CARGO run --release -q -p rcsim-bench --bin validate_bench "$@"
 
+echo "==> canonical benchmark gate (benchmark/check.sh + full-size drift check)"
+# benchmark/ is a package of its own (own workspace and lock file), so
+# nothing above builds, lints or tests it; check.sh is its gate. It
+# refuses to run under RC_* variables, as perf itself does — none is
+# exported here, and none is unset: a caller who exports one is told.
+# Then every workload runs once at full size at the seed of
+# benchmark/expected.json: a DRIFT line means simulated behaviour moved
+# (a latency, an exact count or the result fingerprint), which a
+# speed-only change must never do — caught here rather than by the
+# acceptance driver.
+benchmark/check.sh
+perf_out=$($CARGO run --release --offline -q --manifest-path benchmark/Cargo.toml -- \
+  --seed 1 --seconds 1) || { echo "$perf_out"; echo "FAIL: perf exited non-zero"; exit 1; }
+grep -E '^(== |sim_cycles_per_s|FAILED|DRIFT)' <<< "$perf_out" | sed 's/^/    /'
+if grep -q -E '^(DRIFT|FAILED)' <<< "$perf_out"; then
+  echo "FAIL: simulated results differ from benchmark/expected.json (or a rep failed)"; exit 1
+fi
+
 echo "CI gate passed."

@@ -2,6 +2,7 @@
 //! cross-crate invariants (determinism, energy/area consistency).
 
 use reactive_circuits::prelude::*;
+use reactive_circuits::system::run_sim_with;
 
 fn quick(mechanism: MechanismConfig, app: &str) -> SimConfig {
     SimConfig {
@@ -110,6 +111,44 @@ fn fault_free_config_is_zero_perturbation() {
     let b = run_sim(&cfg).unwrap();
     assert_eq!(a, b, "FaultConfig::none() must be bit-identical");
     assert!(a.health.healthy());
+}
+
+/// The configuration of the two differential rows below: one row each
+/// of `rcsim-system`'s `kernel_diff` and `checkpoint_diff` matrices, kept
+/// in tier-1 so the plain test command exercises the routers' occupancy
+/// index (stage skipping under both kernels) and its rebuild on restore.
+fn differential_cfg() -> SimConfig {
+    SimConfig {
+        seed: 0xD1FF,
+        warmup_cycles: 500,
+        measure_cycles: 2_500,
+        ..SimConfig::quick(16, MechanismConfig::complete_noack(), "blackscholes")
+    }
+}
+
+fn serialized(result: &RunResult) -> String {
+    serde_json::to_string(result).expect("RunResult serializes")
+}
+
+#[test]
+fn dense_and_event_kernels_are_byte_identical() {
+    let cfg = differential_cfg();
+    let dense = run_sim_with(&cfg, KernelMode::Dense, 1).unwrap();
+    let event = run_sim_with(&cfg, KernelMode::Event, 1).unwrap();
+    assert!(dense.instructions > 0);
+    assert_eq!(serialized(&dense), serialized(&event));
+}
+
+#[test]
+fn resume_at_mid_run_is_byte_identical() {
+    let cfg = differential_cfg();
+    let uninterrupted = run_sim_with(&cfg, KernelMode::Event, 1).unwrap();
+    let mut first = SimSession::new(&cfg, None, KernelMode::Event, 1).unwrap();
+    first.run_until(1_700).unwrap();
+    let mut resumed = SimSession::resume(&first.checkpoint(), KernelMode::Event, 1).unwrap();
+    resumed.run_until(resumed.total()).unwrap();
+    let (result, _) = resumed.finish();
+    assert_eq!(serialized(&uninterrupted), serialized(&result));
 }
 
 #[test]
