@@ -429,6 +429,15 @@ pub enum ConfigError {
         /// Virtual channels per port of the VC layout.
         vcs: usize,
     },
+    /// The link latency is zero (a credit would reach its neighbour in
+    /// the cycle it was sent, visible or not depending on router order)
+    /// or above `max`, the longest the links' arrival calendars hold.
+    LinkLatency {
+        /// The rejected latency, in cycles.
+        latency: u32,
+        /// The largest supported latency, in cycles.
+        max: u32,
+    },
 }
 
 impl fmt::Display for ConfigError {
@@ -467,6 +476,10 @@ impl fmt::Display for ConfigError {
             ConfigError::TooManyVcs { ports, vcs } => write!(
                 f,
                 "{ports} ports x {vcs} VCs per port exceeds the 64 input VCs a router can index"
+            ),
+            ConfigError::LinkLatency { latency, max } => write!(
+                f,
+                "link latency of {latency} cycles is outside the supported 1..={max}"
             ),
         }
     }

@@ -1,5 +1,6 @@
 //! Network configuration and the virtual-channel layout.
 
+use crate::calendar::MAX_LINK_LATENCY;
 use crate::router::VC_INDEX_BITS;
 use rcsim_core::{ConfigError, MechanismConfig, Topology, Vnet};
 use serde::{Deserialize, Serialize};
@@ -89,11 +90,19 @@ impl NocConfig {
     /// # Errors
     ///
     /// Returns the mechanism's [`ConfigError`] when it is internally
-    /// inconsistent (see [`MechanismConfig::validate`]), and
+    /// inconsistent (see [`MechanismConfig::validate`]),
     /// [`ConfigError::TooManyVcs`] when `ports × vc_layout().total()`
-    /// exceeds the 64 input VCs a router's occupancy index addresses.
+    /// exceeds the 64 input VCs a router's occupancy index addresses, and
+    /// [`ConfigError::LinkLatency`] when `link_latency` is zero or its
+    /// arrival window exceeds a link calendar's 64-cycle occupancy mask.
     pub fn validate(&self) -> Result<(), ConfigError> {
         self.mechanism.validate()?;
+        if !(1..=MAX_LINK_LATENCY).contains(&self.link_latency) {
+            return Err(ConfigError::LinkLatency {
+                latency: self.link_latency,
+                max: MAX_LINK_LATENCY,
+            });
+        }
         let (ports, vcs) = (self.topology.ports(), self.vc_layout().total());
         if ports.saturating_mul(vcs) > VC_INDEX_BITS {
             return Err(ConfigError::TooManyVcs { ports, vcs });
@@ -275,6 +284,31 @@ mod tests {
             crate::Network::with_faults(cfg, crate::FaultConfig::none()),
             Err(ConfigError::TooManyVcs { ports: 8, vcs: 10 })
         ));
+    }
+
+    #[test]
+    fn link_latency_bounds_are_a_typed_config_error() {
+        let mut cfg =
+            NocConfig::paper_baseline(Mesh::new(4, 4).unwrap(), MechanismConfig::complete());
+        for ok in [1, 2, MAX_LINK_LATENCY] {
+            cfg.link_latency = ok;
+            assert_eq!(cfg.validate(), Ok(()), "latency {ok}");
+            assert!(crate::Network::new(cfg).is_ok(), "latency {ok}");
+        }
+        for bad in [0, MAX_LINK_LATENCY + 1, u32::MAX] {
+            cfg.link_latency = bad;
+            let err = ConfigError::LinkLatency {
+                latency: bad,
+                max: 62,
+            };
+            assert_eq!(cfg.validate(), Err(err), "latency {bad}");
+            assert_eq!(crate::Network::new(cfg).err(), Some(err));
+            assert!(
+                err.to_string()
+                    .contains(&format!("link latency of {bad} cycles")),
+                "{err}"
+            );
+        }
     }
 
     #[test]

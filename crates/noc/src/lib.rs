@@ -42,6 +42,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod calendar;
 mod config;
 mod fault;
 mod flit;

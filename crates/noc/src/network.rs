@@ -2,6 +2,7 @@
 //! fault-injection hooks (flits and credits crossing inter-router links,
 //! circuit tables, input ports) and the always-on progress watchdog.
 
+use crate::calendar::Calendar;
 use crate::config::NocConfig;
 use crate::fault::{FaultConfig, FaultSnapshot, FaultState, FaultStats, LinkFate};
 use crate::flit::{Delivered, Flit, PacketId, PacketSpec};
@@ -49,100 +50,19 @@ fn opposite_port(port: usize) -> usize {
     port ^ 2
 }
 
-/// Messages in flight towards one router.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct RouterInbox {
-    /// Flits per input port, with arrival cycle.
-    flits: Vec<Vec<(Cycle, Flit)>>,
-    /// Credits per *output* port (they return upstream).
-    credits: Vec<Vec<(Cycle, usize)>>,
-    /// Undo notifications.
-    undos: Vec<(Cycle, CircuitKey, NodeId)>,
-}
-
-impl RouterInbox {
-    fn new(ports: usize) -> Self {
-        RouterInbox {
-            flits: vec![Vec::new(); ports],
-            credits: vec![Vec::new(); ports],
-            undos: Vec::new(),
-        }
-    }
-
-    /// Earliest arrival cycle across every queue (`Cycle::MAX` if empty).
-    fn next_due(&self) -> Cycle {
-        let mut t = Cycle::MAX;
-        for q in &self.flits {
-            for &(a, _) in q {
-                t = t.min(a);
-            }
-        }
-        for q in &self.credits {
-            for &(a, _) in q {
-                t = t.min(a);
-            }
-        }
-        for &(a, _, _) in &self.undos {
-            t = t.min(a);
-        }
-        t
-    }
-}
-
-/// Messages in flight towards one NI.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-struct NiInbox {
-    flits: Vec<(Cycle, Flit)>,
-    credits: Vec<(Cycle, usize)>,
-}
-
-impl NiInbox {
-    /// Earliest arrival cycle across both queues (`Cycle::MAX` if empty).
-    fn next_due(&self) -> Cycle {
-        let f = self
-            .flits
-            .iter()
-            .map(|&(a, _)| a)
-            .min()
-            .unwrap_or(Cycle::MAX);
-        let c = self
-            .credits
-            .iter()
-            .map(|&(a, _)| a)
-            .min()
-            .unwrap_or(Cycle::MAX);
-        f.min(c)
-    }
-}
-
-/// Moves every entry due at `now` from `v` into `due`, preserving the
-/// enqueue order of the due items (the cycle-accurate contract: arrival
-/// processing order equals emission order).
-fn drain_due_into<T>(v: &mut Vec<(Cycle, T)>, now: Cycle, due: &mut Vec<T>) {
-    let mut i = 0;
-    while i < v.len() {
-        if v[i].0 <= now {
-            due.push(v.remove(i).1);
-        } else {
-            i += 1;
-        }
-    }
-}
-
 /// Reusable per-tick buffers — the cycle loop's arena. Taken out of
 /// `self` at the top of [`Network::tick`] (sidestepping borrow
 /// conflicts) and put back at the end, so the steady-state loop performs
 /// no per-flit heap allocation.
 #[derive(Debug, Default)]
 struct Scratch {
-    ejected: Vec<Flit>,
-    ni_credits: Vec<usize>,
     ni_out: NiOut,
     arrivals: Vec<(usize, Flit)>,
     credits: Vec<(usize, usize)>,
     undos: Vec<(CircuitKey, NodeId)>,
     outgoing: Vec<Outgoing>,
-    stuck: Vec<bool>,
+    /// Per router, the mask of input ports stuck this cycle.
+    stuck: Vec<u64>,
 }
 
 /// One shard worker's state: reusable per-tick buffers (the sharded
@@ -152,13 +72,10 @@ struct Scratch {
 #[derive(Debug, Default)]
 struct ShardLocal {
     // Worker-private tick buffers (mirror `Scratch`).
-    ejected: Vec<Flit>,
-    ni_credits: Vec<usize>,
     ni_out: NiOut,
     arrivals: Vec<(usize, Flit)>,
     credits: Vec<(usize, usize)>,
     undos: Vec<(CircuitKey, NodeId)>,
-    outgoing_tmp: Vec<Outgoing>,
     // Staged outputs for the serial merge.
     /// `true` when any flit moved in this shard this tick.
     moved: bool,
@@ -193,8 +110,8 @@ struct NiMerge {
 }
 
 /// The disjoint slice of network state one shard worker owns for a tick:
-/// its tile range's NIs, inboxes and wake slots, its router range's
-/// routers, inboxes and wake slots, and its [`ShardLocal`]. Built by
+/// its tile range's NIs, their inbound links and wake slots, its router
+/// range's routers, links and wake slots, and its [`ShardLocal`]. Built by
 /// progressive `split_at_mut` over the network's vectors, so workers can
 /// run concurrently without any sharing — a tile's router is always in
 /// the tile's own shard ([`ShardPlan`] cuts on router boundaries).
@@ -202,10 +119,10 @@ struct ShardWork<'a> {
     tile0: usize,
     router0: usize,
     nis: &'a mut [Ni],
-    ni_inboxes: &'a mut [NiInbox],
+    ni_links: &'a mut [Calendar],
     ni_wake: &'a mut [Cycle],
     routers: &'a mut [Router],
-    router_inboxes: &'a mut [RouterInbox],
+    router_links: &'a mut [Calendar],
     router_wake: &'a mut [Cycle],
     local: &'a mut ShardLocal,
 }
@@ -217,7 +134,6 @@ struct ShardWork<'a> {
 /// serial phase C to replay in fixed order. Writes go only through `w`'s
 /// disjoint slices, so any number of workers may run concurrently; see
 /// DESIGN.md §13 for the byte-identity argument.
-#[allow(clippy::too_many_arguments)]
 fn shard_phase_b(
     w: &mut ShardWork<'_>,
     now: Cycle,
@@ -225,8 +141,7 @@ fn shard_phase_b(
     topology: Topology,
     topo: &TopologyHealth,
     cong: &CongestionMap,
-    stuck: &[bool],
-    ports: usize,
+    stuck: &[u64],
 ) {
     let l = &mut *w.local;
     l.moved = false;
@@ -243,16 +158,15 @@ fn shard_phase_b(
             continue;
         }
         if due {
-            drain_due_into(&mut w.ni_inboxes[t].flits, now, &mut l.ejected);
-            drain_due_into(&mut w.ni_inboxes[t].credits, now, &mut l.ni_credits);
-            w.ni_wake[t] = w.ni_inboxes[t].next_due();
+            w.ni_wake[t] =
+                w.ni_links[t].drain(now, 0, &mut l.arrivals, &mut l.credits, &mut l.undos);
         }
-        l.moved |= !l.ejected.is_empty();
+        l.moved |= !l.arrivals.is_empty();
         l.ni_out.clear();
         w.nis[t].tick(
             now,
-            &mut l.ejected,
-            &mut l.ni_credits,
+            &mut l.arrivals,
+            &mut l.credits,
             topo,
             cong,
             &mut l.ni_out,
@@ -269,11 +183,11 @@ fn shard_phase_b(
             // `set` ran first) either way, so the serial `set`-after-push
             // and this `set`-before-push agree.
             w.router_wake[router] = w.router_wake[router].min(now + 1);
-            w.router_inboxes[router].flits[inject_port].push((now + 1, flit));
+            w.router_links[router].push_flit(now, now + 1, inject_port, flit);
         }
         for (key, dst) in l.ni_out.undos.drain(..) {
             w.router_wake[router] = w.router_wake[router].min(now + 1);
-            w.router_inboxes[router].undos.push((now + 1, key, dst));
+            w.router_links[router].push_undo(now, now + 1, key, dst);
         }
         let injection = l.ni_out.injection.take();
         if !l.ni_out.delivered.is_empty()
@@ -296,64 +210,34 @@ fn shard_phase_b(
     }
 
     // Routers (the fault pre-pass already ran densely in phase A; this
-    // loop only reads its flattened stuck flags).
+    // loop only reads its per-router stuck masks). Each router appends
+    // straight onto the shard's staged output.
     for r in 0..w.routers.len() {
         let i = w.router0 + r;
-        let flags = &stuck[i * ports..(i + 1) * ports];
         let due = w.router_wake[r] <= now;
         if event && !due && !w.routers[r].is_active(now) {
             continue;
         }
         if due {
-            let inbox = &mut w.router_inboxes[r];
-            for (p, port_stuck) in flags.iter().enumerate() {
-                if *port_stuck {
-                    continue;
-                }
-                let q = &mut inbox.flits[p];
-                let mut j = 0;
-                while j < q.len() {
-                    if q[j].0 <= now {
-                        l.arrivals.push((p, q.remove(j).1));
-                    } else {
-                        j += 1;
-                    }
-                }
-            }
-            for p in 0..ports {
-                let q = &mut inbox.credits[p];
-                let mut j = 0;
-                while j < q.len() {
-                    if q[j].0 <= now {
-                        l.credits.push((p, q.remove(j).1));
-                    } else {
-                        j += 1;
-                    }
-                }
-            }
-            let mut j = 0;
-            while j < inbox.undos.len() {
-                if inbox.undos[j].0 <= now {
-                    let (_, k, d) = inbox.undos.remove(j);
-                    l.undos.push((k, d));
-                } else {
-                    j += 1;
-                }
-            }
-            w.router_wake[r] = w.router_inboxes[r].next_due();
+            w.router_wake[r] = w.router_links[r].drain(
+                now,
+                stuck[i],
+                &mut l.arrivals,
+                &mut l.credits,
+                &mut l.undos,
+            );
         }
         l.moved |= !l.arrivals.is_empty();
-        l.outgoing_tmp.clear();
+        let staged = l.outgoing.len();
         w.routers[r].tick(
             now,
             &mut l.arrivals,
             &mut l.credits,
             &mut l.undos,
-            &mut l.outgoing_tmp,
+            &mut l.outgoing,
         );
-        if !l.outgoing_tmp.is_empty() {
-            l.router_merge.push((i, l.outgoing_tmp.len()));
-            l.outgoing.append(&mut l.outgoing_tmp);
+        if l.outgoing.len() > staged {
+            l.router_merge.push((i, l.outgoing.len() - staged));
         }
     }
 }
@@ -421,8 +305,13 @@ pub struct Network {
     cfg: NocConfig,
     routers: Vec<Router>,
     nis: Vec<Ni>,
-    router_inboxes: Vec<RouterInbox>,
-    ni_inboxes: Vec<NiInbox>,
+    /// Messages in flight towards each router.
+    router_links: Vec<Calendar>,
+    /// Messages in flight towards each NI (all on port 0).
+    ni_links: Vec<Calendar>,
+    /// Each router's neighbour per network port ([`Topology::neighbor`],
+    /// tabulated once: `route_outgoing` asks for every message).
+    neighbors: Vec<[Option<NodeId>; PORT_LOCAL]>,
     delivered: Vec<Vec<Delivered>>,
     /// Packets held in `delivered` (derived; lets the every-cycle
     /// [`Network::take_all_delivered`] skip the per-tile walk).
@@ -459,9 +348,9 @@ pub struct Network {
     last_progress: Cycle,
     /// Which kernel drives the per-cycle loops (see [`KernelMode`]).
     kernel: KernelMode,
-    /// Earliest due inbox item per NI (event-kernel wake times).
+    /// Next cycle each NI's calendar is due (event-kernel wake times).
     ni_wake: WakeTimes,
-    /// Earliest due inbox item per router (event-kernel wake times).
+    /// Next cycle each router's calendar is due (event-kernel wake times).
     router_wake: WakeTimes,
     /// Reusable per-tick buffers.
     scratch: Scratch,
@@ -515,7 +404,6 @@ impl Network {
         faults.validate(&cfg.topology)?;
         let tiles = cfg.topology.nodes();
         let routers_n = cfg.topology.routers();
-        let ports = cfg.topology.ports();
         let mut fault_schedule = Vec::new();
         for e in &faults.dead_links {
             fault_schedule.push((e.at, TopoChange::LinkDown(e.a, e.b)));
@@ -542,8 +430,13 @@ impl Network {
                 .iter_tiles()
                 .map(|id| Ni::new(id, &cfg))
                 .collect(),
-            router_inboxes: (0..routers_n).map(|_| RouterInbox::new(ports)).collect(),
-            ni_inboxes: (0..tiles).map(|_| NiInbox::default()).collect(),
+            router_links: vec![Calendar::new(cfg.link_latency); routers_n],
+            ni_links: vec![Calendar::new(cfg.link_latency); tiles],
+            neighbors: cfg
+                .topology
+                .iter_routers()
+                .map(|id| std::array::from_fn(|port| cfg.topology.neighbor(id, port)))
+                .collect(),
             delivered: vec![Vec::new(); tiles],
             delivered_pending: 0,
             stats: NocStats::default(),
@@ -980,7 +873,7 @@ impl Network {
     /// Advances the network by one clock cycle.
     ///
     /// Under [`KernelMode::Event`] the NI and router loops skip
-    /// components with no due inbox traffic and no internal activity
+    /// components with nothing due on their links and no internal activity
     /// (see [`Ni::is_active`] / [`Router::is_active`] for the no-op
     /// argument); everything else — iteration order, drain order, fault
     /// RNG draws, statistics — is shared verbatim with the dense kernel.
@@ -998,7 +891,7 @@ impl Network {
     /// The serial prologue shared by both tick paths: scheduled fault
     /// transitions, due end-to-end retransmissions, and the dense fault
     /// pre-pass (all order-sensitive, none shardable).
-    fn tick_prologue(&mut self, now: Cycle, stuck: &mut Vec<bool>) {
+    fn tick_prologue(&mut self, now: Cycle, stuck: &mut Vec<u64>) {
         // Scheduled dead-link / dead-router transitions fire first, before
         // anything moves this cycle: they are dense (kernel-independent)
         // and draw no fault RNG.
@@ -1181,26 +1074,25 @@ impl Network {
     }
 
     /// The dense per-cycle fault pre-pass, hoisted ahead of the NI and
-    /// router loops: computes every router's stuck-port flags into
-    /// `stuck` (flattened `router × port`), counts stuck-port cycles, and
+    /// router loops: computes every router's stuck-port mask into `stuck`
+    /// (bit `p` = input port `p`), counts stuck-port cycles, and
     /// rolls each router's table-corruption draw. It runs for every
     /// router in index order regardless of kernel or shard count, so the
     /// fault RNG stream is `corrupt(0..n)` then `links(0..n)` — identical
     /// across kernels and shard counts. Scheduled stuck-port windows
-    /// freeze individual input ports: their arrivals stay queued on the
+    /// freeze individual input ports: their arrivals stay parked on the
     /// link until the window ends.
-    fn fault_pre_pass(&mut self, now: Cycle, stuck: &mut Vec<bool>) {
+    fn fault_pre_pass(&mut self, now: Cycle, stuck: &mut Vec<u64>) {
         let routers_n = self.cfg.topology.routers();
         let ports = self.cfg.topology.ports();
         stuck.clear();
-        stuck.resize(routers_n * ports, false);
+        stuck.resize(routers_n, 0);
         if self.faults.is_none() {
             return;
         }
-        for i in 0..routers_n {
-            let flags = &mut stuck[i * ports..(i + 1) * ports];
-            if let Some(fs) = &self.faults {
-                for (p, st) in flags.iter_mut().enumerate() {
+        for (i, mask) in stuck.iter_mut().enumerate() {
+            if let Some(fs) = self.faults.as_mut() {
+                for p in 0..ports {
                     // Scheduled stuck-port events name network ports by
                     // direction; every local port maps to `Local`.
                     let dir = if p < PORT_LOCAL {
@@ -1208,11 +1100,9 @@ impl Network {
                     } else {
                         Direction::Local
                     };
-                    *st = fs.port_stuck(i, dir, now);
+                    *mask |= u64::from(fs.port_stuck(i, dir, now)) << p;
                 }
-            }
-            if let Some(fs) = self.faults.as_mut() {
-                fs.stats.stuck_port_cycles += flags.iter().filter(|&&st| st).count() as u64;
+                fs.stats.stuck_port_cycles += u64::from(mask.count_ones());
             }
             // Soft errors in the reservation SRAM: one random entry of one
             // random port evaporates; the riding reply (if any) degrades
@@ -1240,7 +1130,6 @@ impl Network {
         let now = self.now;
         let tiles = self.cfg.topology.nodes();
         let routers_n = self.cfg.topology.routers();
-        let ports = self.cfg.topology.ports();
         let mut moved = false;
         let event = self.kernel == KernelMode::Event;
         let mut s = std::mem::take(&mut self.scratch);
@@ -1257,16 +1146,16 @@ impl Network {
                 continue;
             }
             if due {
-                drain_due_into(&mut self.ni_inboxes[i].flits, now, &mut s.ejected);
-                drain_due_into(&mut self.ni_inboxes[i].credits, now, &mut s.ni_credits);
-                self.ni_wake.set(i, self.ni_inboxes[i].next_due());
+                let wake =
+                    self.ni_links[i].drain(now, 0, &mut s.arrivals, &mut s.credits, &mut s.undos);
+                self.ni_wake.set(i, wake);
             }
-            moved |= !s.ejected.is_empty();
+            moved |= !s.arrivals.is_empty();
             s.ni_out.clear();
             self.nis[i].tick(
                 now,
-                &mut s.ejected,
-                &mut s.ni_credits,
+                &mut s.arrivals,
+                &mut s.credits,
                 &self.topo,
                 &self.congestion,
                 &mut s.ni_out,
@@ -1303,11 +1192,11 @@ impl Network {
             let inject_port = self.cfg.topology.eject_port(tile);
             for flit in s.ni_out.flits.drain(..) {
                 self.router_wake.wake_at(router, now + 1);
-                self.router_inboxes[router].flits[inject_port].push((now + 1, flit));
+                self.router_links[router].push_flit(now, now + 1, inject_port, flit);
             }
             for (key, dst) in s.ni_out.undos.drain(..) {
                 self.router_wake.wake_at(router, now + 1);
-                self.router_inboxes[router].undos.push((now + 1, key, dst));
+                self.router_links[router].push_undo(now, now + 1, key, dst);
             }
             for id in s.ni_out.corrupt_discards.drain(..) {
                 self.schedule_retry(id, now);
@@ -1329,56 +1218,26 @@ impl Network {
 
         // Routers. The fault pre-pass already ran densely for every
         // router (see [`Network::fault_pre_pass`]); this loop only reads
-        // its flattened per-router stuck flags.
+        // its per-router stuck masks.
         for i in 0..routers_n {
-            let flags = &s.stuck[i * ports..(i + 1) * ports];
             let due = self.router_wake.due(i, now);
             if event && !due && !self.routers[i].is_active(now) {
                 // Nothing due, nothing buffered or pending: skip. A stuck
-                // port never hides work — its queued arrivals stay in the
-                // inbox, keeping the wake time due until the window ends.
+                // port never hides work — the flits it parks keep the
+                // calendar due every cycle until the window ends.
                 continue;
             }
             if due {
-                let inbox = &mut self.router_inboxes[i];
-                for (p, port_stuck) in flags.iter().enumerate() {
-                    if *port_stuck {
-                        continue;
-                    }
-                    let q = &mut inbox.flits[p];
-                    let mut j = 0;
-                    while j < q.len() {
-                        if q[j].0 <= now {
-                            s.arrivals.push((p, q.remove(j).1));
-                        } else {
-                            j += 1;
-                        }
-                    }
-                }
-                for p in 0..ports {
-                    let q = &mut inbox.credits[p];
-                    let mut j = 0;
-                    while j < q.len() {
-                        if q[j].0 <= now {
-                            s.credits.push((p, q.remove(j).1));
-                        } else {
-                            j += 1;
-                        }
-                    }
-                }
-                let mut j = 0;
-                while j < inbox.undos.len() {
-                    if inbox.undos[j].0 <= now {
-                        let (_, k, d) = inbox.undos.remove(j);
-                        s.undos.push((k, d));
-                    } else {
-                        j += 1;
-                    }
-                }
-                self.router_wake.set(i, self.router_inboxes[i].next_due());
+                let wake = self.router_links[i].drain(
+                    now,
+                    s.stuck[i],
+                    &mut s.arrivals,
+                    &mut s.credits,
+                    &mut s.undos,
+                );
+                self.router_wake.set(i, wake);
             }
             moved |= !s.arrivals.is_empty();
-            s.outgoing.clear();
             self.routers[i].tick(
                 now,
                 &mut s.arrivals,
@@ -1386,7 +1245,7 @@ impl Network {
                 &mut s.undos,
                 &mut s.outgoing,
             );
-            self.route_outgoing(NodeId(i as u16), &s.outgoing);
+            self.route_outgoing(now, NodeId(i as u16), s.outgoing.drain(..));
         }
 
         if moved {
@@ -1421,7 +1280,6 @@ impl Network {
     /// the serial tick at any shard count (DESIGN.md §13).
     fn tick_sharded(&mut self) {
         let now = self.now;
-        let ports = self.cfg.topology.ports();
         let topology = self.cfg.topology;
         let event = self.kernel == KernelMode::Event;
         let plan = self
@@ -1441,10 +1299,10 @@ impl Network {
             let stuck = &s.stuck[..];
             let mut works: Vec<ShardWork<'_>> = Vec::with_capacity(plan.shards());
             let mut nis = &mut self.nis[..];
-            let mut ni_inboxes = &mut self.ni_inboxes[..];
+            let mut ni_links = &mut self.ni_links[..];
             let mut ni_wake = self.ni_wake.as_mut_slice();
             let mut routers = &mut self.routers[..];
-            let mut router_inboxes = &mut self.router_inboxes[..];
+            let mut router_links = &mut self.router_links[..];
             let mut router_wake = self.router_wake.as_mut_slice();
             let mut locals_rest = &mut locals[..];
             for sh in 0..plan.shards() {
@@ -1452,14 +1310,14 @@ impl Network {
                 let rr = plan.router_range(sh);
                 let (a, rest) = std::mem::take(&mut nis).split_at_mut(tiles.len());
                 nis = rest;
-                let (b, rest) = std::mem::take(&mut ni_inboxes).split_at_mut(tiles.len());
-                ni_inboxes = rest;
+                let (b, rest) = std::mem::take(&mut ni_links).split_at_mut(tiles.len());
+                ni_links = rest;
                 let (c, rest) = std::mem::take(&mut ni_wake).split_at_mut(tiles.len());
                 ni_wake = rest;
                 let (d, rest) = std::mem::take(&mut routers).split_at_mut(rr.len());
                 routers = rest;
-                let (e, rest) = std::mem::take(&mut router_inboxes).split_at_mut(rr.len());
-                router_inboxes = rest;
+                let (e, rest) = std::mem::take(&mut router_links).split_at_mut(rr.len());
+                router_links = rest;
                 let (f, rest) = std::mem::take(&mut router_wake).split_at_mut(rr.len());
                 router_wake = rest;
                 let (l, rest) = std::mem::take(&mut locals_rest).split_at_mut(1);
@@ -1468,10 +1326,10 @@ impl Network {
                     tile0: tiles.start,
                     router0: rr.start,
                     nis: a,
-                    ni_inboxes: b,
+                    ni_links: b,
                     ni_wake: c,
                     routers: d,
-                    router_inboxes: e,
+                    router_links: e,
                     router_wake: f,
                     local: &mut l[0],
                 });
@@ -1482,11 +1340,11 @@ impl Network {
                 let handles: Vec<_> = works
                     .map(|mut w| {
                         scope.spawn(move || {
-                            shard_phase_b(&mut w, now, event, topology, topo, cong, stuck, ports);
+                            shard_phase_b(&mut w, now, event, topology, topo, cong, stuck);
                         })
                     })
                     .collect();
-                shard_phase_b(&mut first, now, event, topology, topo, cong, stuck, ports);
+                shard_phase_b(&mut first, now, event, topology, topo, cong, stuck);
                 for h in handles {
                     h.join().expect("shard worker panicked");
                 }
@@ -1570,7 +1428,7 @@ impl Network {
                 ..
             } = local;
             let mut entries = router_merge.iter().peekable();
-            let mut off = 0;
+            let mut staged = outgoing.drain(..);
             for i in plan.router_range(sh) {
                 if tracing {
                     for ev in self.router_stage[i].drain() {
@@ -1580,8 +1438,7 @@ impl Network {
                 let Some(&(_, cnt)) = entries.next_if(|&&(r, _)| r == i) else {
                     continue;
                 };
-                self.route_outgoing(NodeId(i as u16), &outgoing[off..off + cnt]);
-                off += cnt;
+                self.route_outgoing(now, NodeId(i as u16), staged.by_ref().take(cnt));
             }
         }
 
@@ -1655,21 +1512,38 @@ impl Network {
         }
     }
 
-    fn route_outgoing(&mut self, from: NodeId, outgoing: &[Outgoing]) {
+    /// The router out of `from`'s network port `port`, from the table
+    /// built at construction (`None` at a mesh edge or for a local port).
+    fn neighbor(&self, from: NodeId, port: usize) -> Option<NodeId> {
+        self.neighbors[from.index()].get(port).copied().flatten()
+    }
+
+    /// Puts one router's output on its links: every message is written
+    /// once, by value, into the calendar of the component it reaches —
+    /// after the link-fault layer had its say, in emission order (the
+    /// fault RNG draws are order-sensitive).
+    fn route_outgoing(
+        &mut self,
+        now: Cycle,
+        from: NodeId,
+        outgoing: impl Iterator<Item = Outgoing>,
+    ) {
         for o in outgoing {
             match o {
-                Outgoing::Flit { port, flit, arrive } => {
-                    if *port >= PORT_LOCAL {
+                Outgoing::Flit {
+                    port,
+                    mut flit,
+                    arrive,
+                } => {
+                    if port >= PORT_LOCAL {
                         // Ejection: local port `4 + slot` reaches the NI of
                         // the tile in that slot of this router.
-                        let tile = self.cfg.topology.tile_of(from, *port - PORT_LOCAL);
-                        self.ni_wake.wake_at(tile.index(), *arrive);
-                        self.ni_inboxes[tile.index()]
-                            .flits
-                            .push((*arrive, flit.clone()));
+                        let tile = self.cfg.topology.tile_of(from, port - PORT_LOCAL).index();
+                        self.ni_wake.wake_at(tile, arrive);
+                        self.ni_links[tile].push_flit(now, arrive, 0, flit);
                         continue;
                     }
-                    let Some(nb) = self.cfg.topology.neighbor(from, *port) else {
+                    let Some(nb) = self.neighbor(from, port) else {
                         // Invariant: XY/YX routing never crosses the mesh
                         // edge. Losing one flit beats tearing down a long
                         // experiment run, and the watchdog will flag the
@@ -1700,32 +1574,30 @@ impl Network {
                         if let Some(fs) = self.faults.as_mut() {
                             fs.stats.dead_flits_lost += 1;
                         }
-                        self.drop_on_link(from, nb, *port, flit, *arrive);
+                        self.drop_on_link(now, from, nb, port, &flit, arrive);
                         continue;
                     }
-                    let mut flit = flit.clone();
                     if let Some(fs) = self.faults.as_mut() {
-                        match fs.on_link_flit(from.index(), *port, &flit) {
+                        match fs.on_link_flit(from.index(), port, &flit) {
                             LinkFate::Deliver => {}
                             LinkFate::Corrupt => flit.corrupted = true,
                             LinkFate::Drop => {
-                                self.drop_on_link(from, nb, *port, &flit, *arrive);
+                                self.drop_on_link(now, from, nb, port, &flit, arrive);
                                 continue;
                             }
                         }
                     }
-                    self.router_wake.wake_at(nb.index(), *arrive);
-                    self.router_inboxes[nb.index()].flits[opposite_port(*port)]
-                        .push((*arrive, flit));
+                    self.router_wake.wake_at(nb.index(), arrive);
+                    self.router_links[nb.index()].push_flit(now, arrive, opposite_port(port), flit);
                 }
                 Outgoing::Credit { port, vc, arrive } => {
-                    if *port >= PORT_LOCAL {
-                        let tile = self.cfg.topology.tile_of(from, *port - PORT_LOCAL);
-                        self.ni_wake.wake_at(tile.index(), *arrive);
-                        self.ni_inboxes[tile.index()].credits.push((*arrive, *vc));
+                    if port >= PORT_LOCAL {
+                        let tile = self.cfg.topology.tile_of(from, port - PORT_LOCAL).index();
+                        self.ni_wake.wake_at(tile, arrive);
+                        self.ni_links[tile].push_credit(now, arrive, 0, vc);
                         continue;
                     }
-                    let Some(nb) = self.cfg.topology.neighbor(from, *port) else {
+                    let Some(nb) = self.neighbor(from, port) else {
                         // Invariant: credits return along existing links.
                         debug_assert!(false, "credit crossed the mesh edge at {from}/{port}");
                         continue;
@@ -1738,9 +1610,8 @@ impl Network {
                     // without it every VC that ever crossed the link would
                     // wedge permanently (DESIGN.md §10). Credit loss stays
                     // its own (random) fault class.
-                    self.router_wake.wake_at(nb.index(), *arrive);
-                    self.router_inboxes[nb.index()].credits[opposite_port(*port)]
-                        .push((*arrive, *vc));
+                    self.router_wake.wake_at(nb.index(), arrive);
+                    self.router_links[nb.index()].push_credit(now, arrive, opposite_port(port), vc);
                 }
                 Outgoing::Undo {
                     port,
@@ -1748,7 +1619,7 @@ impl Network {
                     dst,
                     arrive,
                 } => {
-                    let Some(nb) = self.cfg.topology.neighbor(from, *port) else {
+                    let Some(nb) = self.neighbor(from, port) else {
                         // Invariant: undo propagation follows the reserved
                         // path, which never leaves the mesh.
                         debug_assert!(false, "undo crossed the mesh edge at {from}/{port}");
@@ -1760,10 +1631,8 @@ impl Network {
                         // teardown, so nothing is left to clean up.
                         continue;
                     }
-                    self.router_wake.wake_at(nb.index(), *arrive);
-                    self.router_inboxes[nb.index()]
-                        .undos
-                        .push((*arrive, *key, *dst));
+                    self.router_wake.wake_at(nb.index(), arrive);
+                    self.router_links[nb.index()].push_undo(now, arrive, key, dst);
                 }
             }
         }
@@ -1774,13 +1643,21 @@ impl Network {
     /// class; drops must not wedge the fabric by themselves), tears down
     /// the circuit reservations the packet leaves orphaned, and schedules
     /// the end-to-end retransmission.
-    fn drop_on_link(&mut self, from: NodeId, nb: NodeId, port: usize, flit: &Flit, arrive: Cycle) {
+    fn drop_on_link(
+        &mut self,
+        now: Cycle,
+        from: NodeId,
+        nb: NodeId,
+        port: usize,
+        flit: &Flit,
+        arrive: Cycle,
+    ) {
         // Mirror the downstream router's credit-return rule: circuit VCs
         // are only credited when they are buffered (fragmented mode).
         let layout = self.cfg.vc_layout();
         if !layout.is_circuit_vc(flit.vc) || self.cfg.mechanism.circuit_vc_buffered() {
             self.router_wake.wake_at(from.index(), arrive);
-            self.router_inboxes[from.index()].credits[port].push((arrive, flit.vc));
+            self.router_links[from.index()].push_credit(now, arrive, port, flit.vc);
         }
         if flit.kind.is_head() {
             if let Some(h) = &flit.circuit {
@@ -1788,17 +1665,13 @@ impl Network {
                 // reservations it made, starting from the last router it
                 // crossed (the retransmission goes plain packet-switched).
                 self.router_wake.wake_at(from.index(), arrive);
-                self.router_inboxes[from.index()]
-                    .undos
-                    .push((arrive, h.key, h.key.requestor));
+                self.router_links[from.index()].push_undo(now, arrive, h.key, h.key.requestor);
             } else if let Some(key) = flit.on_circuit {
                 // A dropped circuit ride: the not-yet-used suffix of the
                 // circuit (from the next router on) is torn down; routers
                 // it already crossed were released by normal streaming.
                 self.router_wake.wake_at(nb.index(), arrive);
-                self.router_inboxes[nb.index()]
-                    .undos
-                    .push((arrive, key, key.requestor));
+                self.router_links[nb.index()].push_undo(now, arrive, key, key.requestor);
             }
             self.schedule_retry(flit.packet, arrive);
         }
@@ -1960,11 +1833,8 @@ impl Network {
     /// the fault layer after exhausting their retries count as resolved.
     pub fn is_quiescent(&self) -> bool {
         self.nis.iter().all(|ni| ni.backlog() == 0)
-            && self
-                .router_inboxes
-                .iter()
-                .all(|ib| ib.flits.iter().all(Vec::is_empty) && ib.undos.is_empty())
-            && self.ni_inboxes.iter().all(|ib| ib.flits.is_empty())
+            && !self.router_links.iter().any(Calendar::carries_traffic)
+            && !self.ni_links.iter().any(Calendar::carries_traffic)
             && self.retry_queue.is_empty()
             && self.ingress.as_ref().is_none_or(|i| i.queued() == 0)
             && self.stats.total_injected()
@@ -2231,8 +2101,8 @@ impl Network {
         NetworkSnapshot {
             routers: self.routers.iter().map(Router::snapshot).collect(),
             nis: self.nis.iter().map(Ni::snapshot).collect(),
-            router_inboxes: self.router_inboxes.clone(),
-            ni_inboxes: self.ni_inboxes.clone(),
+            router_links: self.router_links.clone(),
+            ni_links: self.ni_links.clone(),
             delivered: self.delivered.clone(),
             stats: self.stats.clone(),
             now: self.now,
@@ -2276,8 +2146,8 @@ impl Network {
         for (ni, s) in self.nis.iter_mut().zip(&snap.nis) {
             ni.restore(s.clone());
         }
-        self.router_inboxes = snap.router_inboxes.clone();
-        self.ni_inboxes = snap.ni_inboxes.clone();
+        self.router_links = snap.router_links.clone();
+        self.ni_links = snap.ni_links.clone();
         self.delivered = snap.delivered.clone();
         self.delivered_pending = self.delivered.iter().map(Vec::len).sum();
         self.stats = snap.stats.clone();
@@ -2328,8 +2198,8 @@ impl Network {
 pub struct NetworkSnapshot {
     routers: Vec<RouterSnapshot>,
     nis: Vec<NiSnapshot>,
-    router_inboxes: Vec<RouterInbox>,
-    ni_inboxes: Vec<NiInbox>,
+    router_links: Vec<Calendar>,
+    ni_links: Vec<Calendar>,
     delivered: Vec<Vec<Delivered>>,
     stats: NocStats,
     now: Cycle,

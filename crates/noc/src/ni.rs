@@ -130,6 +130,11 @@ pub(crate) struct Ni {
     queues: [VecDeque<Pending>; 2],
     /// Per local-input VC, the packet currently streaming into the router.
     streams: Vec<Option<Stream>>,
+    /// Occupied slots of `streams` — scratch (DESIGN.md §15): kept in
+    /// step where a slot fills or empties, recounted on restore, never
+    /// serialized. Makes [`Ni::backlog`], polled for every NI every
+    /// cycle by the event kernel, O(1).
+    live_streams: usize,
     /// Credits for the router's local-input VC buffers.
     credits: Vec<u32>,
     rr_stream: RoundRobin,
@@ -181,6 +186,7 @@ impl Ni {
             buffer_depth: cfg.buffer_depth,
             queues: [VecDeque::new(), VecDeque::new()],
             streams: vec![None; total],
+            live_streams: 0,
             credits: vec![cfg.buffer_depth; total],
             rr_stream: RoundRobin::new(total),
             vnet_rr: 0,
@@ -542,7 +548,9 @@ impl Ni {
 
     /// One NI cycle: process ejected flits, then inject at most one flit
     /// into the router's local port (circuit streams have priority).
-    /// Inputs are drained in place so the caller can reuse the buffers.
+    /// Inputs come as a link calendar hands them over — `(port, _)` pairs,
+    /// the port always 0 at an NI — and are drained in place so the
+    /// caller can reuse the buffers.
     ///
     /// Deliberately statistics-free: deliveries and the counted injection
     /// are surfaced through `out` and replayed into [`NocStats`] by the
@@ -551,17 +559,17 @@ impl Ni {
     pub(crate) fn tick(
         &mut self,
         now: Cycle,
-        ejected: &mut Vec<Flit>,
-        credit_arrivals: &mut Vec<usize>,
+        ejected: &mut Vec<(usize, Flit)>,
+        credit_arrivals: &mut Vec<(usize, usize)>,
         topo: &TopologyHealth,
         cong: &CongestionMap,
         out: &mut NiOut,
     ) {
         out.undos.append(&mut self.pending_undos);
-        for vc in credit_arrivals.drain(..) {
+        for (_, vc) in credit_arrivals.drain(..) {
             self.credits[vc] += 1;
         }
-        for flit in ejected.drain(..) {
+        for (_, flit) in ejected.drain(..) {
             self.receive_flit(flit, now, cong, out);
         }
         self.inject_one(now, topo, cong, out);
@@ -711,6 +719,8 @@ impl Ni {
             out.flits.push(flit);
             if s.next_seq < s.pending.len {
                 self.streams[vc] = Some(s);
+            } else {
+                self.live_streams -= 1;
             }
         }
     }
@@ -747,6 +757,7 @@ impl Ni {
                     next_seq: 0,
                     vc,
                 });
+                self.live_streams += 1;
                 self.vnet_rr = (vn + 1) % 2;
                 return;
             }
@@ -943,9 +954,11 @@ impl Ni {
 
     /// Number of packets waiting or streaming (diagnostics).
     pub(crate) fn backlog(&self) -> usize {
-        self.queues.iter().map(VecDeque::len).sum::<usize>()
+        debug_assert_eq!(self.live_streams, self.streams.iter().flatten().count());
+        self.queues[0].len()
+            + self.queues[1].len()
             + self.circuit_queue.len()
-            + self.streams.iter().flatten().count()
+            + self.live_streams
             + usize::from(self.circuit_active.is_some())
     }
 
@@ -999,6 +1012,7 @@ impl Ni {
     pub(crate) fn restore(&mut self, snap: NiSnapshot) {
         self.queues = snap.queues;
         self.streams = snap.streams;
+        self.live_streams = self.streams.iter().flatten().count();
         self.credits = snap.credits;
         self.rr_stream = snap.rr_stream;
         self.vnet_rr = snap.vnet_rr;

@@ -81,8 +81,6 @@ enum Owner {
 struct OutputPort {
     credits: Vec<u32>,
     owner: Vec<Owner>,
-    /// Crossbar output used this cycle (circuits have priority, §4.3).
-    busy: bool,
 }
 
 /// Outcome of checking whether a circuit-tagged flit can bypass.
@@ -159,6 +157,10 @@ pub(crate) struct Router {
     inject_overhead: u32,
     inputs: Vec<InputPort>,
     outputs: Vec<OutputPort>,
+    /// Crossbar outputs used this cycle, as a mask over output ports
+    /// (circuits have priority, §4.3). Per-tick scratch: cleared at the
+    /// top of every tick, never serialized.
+    out_busy: u64,
     pub(crate) circuits: RouterCircuits,
     st_pending: Vec<StGrant>,
     /// Reused backing store for [`Router::stage_st`]'s grant sweep.
@@ -207,7 +209,6 @@ impl Router {
             .map(|_| OutputPort {
                 credits: vec![cfg.buffer_depth; total],
                 owner: vec![Owner::Free; total],
-                busy: false,
             })
             .collect();
         Self {
@@ -221,6 +222,7 @@ impl Router {
             inject_overhead: cfg.inject_overhead,
             inputs: (0..ports).map(|_| InputPort::new(total)).collect(),
             outputs,
+            out_busy: 0,
             circuits: RouterCircuits::with_ports(
                 cfg.mechanism.mode,
                 cfg.mechanism.max_circuits_per_input,
@@ -313,11 +315,7 @@ impl Router {
         undos: &mut Vec<(CircuitKey, NodeId)>,
         out: &mut Vec<Outgoing>,
     ) {
-        for o in &mut self.outputs {
-            o.busy = false;
-        }
-        // Stamp the table's clock so leak detection can age entries.
-        self.circuits.note_now(now);
+        self.out_busy = 0;
 
         // Credits (and the undo information they may carry, §4.4).
         for (port, vc) in credits.drain(..) {
@@ -355,9 +353,8 @@ impl Router {
     /// bypass retry is pending (three O(1) tests: the grant list and the
     /// index's flit and retry counters), or a timed circuit entry is
     /// (over)due for expiry. A `false` router receiving nothing this
-    /// cycle only resets `busy` flags, re-stamps the table clock and
-    /// returns early from every stage — all no-ops — so the event kernel
-    /// may skip its tick.
+    /// cycle only clears `out_busy` and returns early from every stage —
+    /// all no-ops — so the event kernel may skip its tick.
     pub(crate) fn is_active(&self, now: Cycle) -> bool {
         if !self.st_pending.is_empty() || self.occ.buffered > 0 || self.occ.retries > 0 {
             return true;
@@ -486,7 +483,7 @@ impl Router {
                 return BypassCheck::Pipeline;
             }
         }
-        if self.outputs[entry.out_port].busy {
+        if self.out_busy >> entry.out_port & 1 == 1 {
             // Ideal mode resolves collisions per cycle (§4.8); fragmented
             // circuits may share an output port through different circuit
             // VCs. The complete-circuit conflict rules make this
@@ -570,7 +567,7 @@ impl Router {
             });
         }
         let o = &mut self.outputs[entry.out_port];
-        o.busy = true;
+        self.out_busy |= 1 << entry.out_port;
         self.activity.xbar_traversals += 1;
         flit.vc = if self.layout.circuit_vcs > 0 {
             self.layout
@@ -649,7 +646,7 @@ impl Router {
             let vc = &self.inputs[g.in_port].vcs[g.in_vc];
             let route = vc.route.expect("granted VC has a route");
             let out_vc = vc.out_vc.expect("granted VC has an output VC");
-            if self.outputs[route].busy {
+            if self.out_busy >> route & 1 == 1 {
                 self.st_pending.push(g);
                 continue;
             }
@@ -683,7 +680,7 @@ impl Router {
             });
 
             let o = &mut self.outputs[route];
-            o.busy = true;
+            self.out_busy |= 1 << route;
             flit.vc = out_vc;
             let arrive = if route >= PORT_LOCAL {
                 now + 1
@@ -1040,6 +1037,11 @@ impl Router {
             max_extra_shift,
         };
         let key = handle.key;
+        // Stamp the table's clock so leak detection can age the entry.
+        // Done here rather than once per tick so the clock is a function
+        // of the reservations alone — the same whether or not the event
+        // kernel skipped this router's idle ticks.
+        self.circuits.note_now(now);
         match self.circuits.try_reserve(&req) {
             Ok(outcome) => {
                 handle.built_hops += 1;
@@ -1101,9 +1103,10 @@ impl Router {
 
     /// The full dynamic state, for checkpointing. Taken at tick
     /// boundaries, where the per-tick scratch vectors (`st_scratch`,
-    /// `sa_nominee`, `contend`, `va_scratch`) are dead and the `busy`
-    /// flags stale; the [`OccupancyIndex`] is derived, so
-    /// [`Router::restore`] rebuilds it — everything else is
+    /// `sa_nominee`, `contend`, `va_scratch`) and the `out_busy` mask are
+    /// dead — left out, so a router the event kernel skipped snapshots
+    /// the same as one the dense kernel ticked; the [`OccupancyIndex`] is
+    /// derived, so [`Router::restore`] rebuilds it — everything else is
     /// configuration, rebuilt from the [`NocConfig`].
     pub(crate) fn snapshot(&self) -> RouterSnapshot {
         RouterSnapshot {

@@ -280,8 +280,8 @@ echo "==> checkpoint smoke (kill-and-resume byte-identity, corrupt-file clean mi
 # left behind are deliberately corrupted, and the rerun must finish
 # from the surviving on-disk state with rows byte-identical to an
 # uncheckpointed reference — a corrupt or stale checkpoint is a clean
-# miss (fresh start), never a crash. Finally rcsim-replay must reject a
-# stale-version checkpoint with a clean nonzero exit.
+# miss (fresh start), never a crash. Finally rcsim-replay must reject
+# stale-version checkpoints (v0 and v1) with a clean nonzero exit.
 $CARGO test -q -p rcsim-system --test checkpoint_diff "$@"
 $CARGO test -q -p rcsim-noc --test deadlock_diagnoser "$@"
 ckpt_smoke=(RC_APPS=blackscholes RC_CYCLES=8000 RC_WARMUP=2000
@@ -314,10 +314,15 @@ if find "$ckpt_dir" -name '*.ckpt' | grep -q .; then
   echo "FAIL: completed sweep left checkpoints behind in $ckpt_dir"; exit 1
 fi
 mkdir -p "$ckpt_dir"
-printf 'rcsim-checkpoint v0 0000000000000000\n{}' > "$ckpt_dir/stale.ckpt"
-if $CARGO run --release -q -p rcsim-bench --bin rcsim-replay "$ckpt_dir/stale.ckpt" > /dev/null 2> /dev/null; then
-  echo "FAIL: rcsim-replay accepted a stale-version checkpoint"; exit 1
-fi
+# The current format is v2. The v1 file carries the right checksum for
+# its payload (fnv1a-64 of "{}"), so only its version can reject it.
+printf 'rcsim-checkpoint v0 0000000000000000\n{}' > "$ckpt_dir/stale_v0.ckpt"
+printf 'rcsim-checkpoint v1 08f44b07b5901a25\n{}' > "$ckpt_dir/stale_v1.ckpt"
+for stale in "$ckpt_dir"/stale_v0.ckpt "$ckpt_dir"/stale_v1.ckpt; do
+  if $CARGO run --release -q -p rcsim-bench --bin rcsim-replay "$stale" > /dev/null 2> /dev/null; then
+    echo "FAIL: rcsim-replay accepted the stale-version checkpoint $stale"; exit 1
+  fi
+done
 
 echo "==> checkpoint cost bench (BENCH_checkpoint.json + <5% default-interval gate)"
 # The cost sweep asserts internally that every checkpointed run is

@@ -113,10 +113,11 @@ fn fault_free_config_is_zero_perturbation() {
     assert!(a.health.healthy());
 }
 
-/// The configuration of the two differential rows below: one row each
-/// of `rcsim-system`'s `kernel_diff` and `checkpoint_diff` matrices, kept
+/// The configuration of the three differential rows below: rows of
+/// `rcsim-system`'s `kernel_diff` and `checkpoint_diff` matrices, kept
 /// in tier-1 so the plain test command exercises the routers' occupancy
-/// index (stage skipping under both kernels) and its rebuild on restore.
+/// index (stage skipping under both kernels), its rebuild on restore,
+/// and the link calendars both tick paths share.
 fn differential_cfg() -> SimConfig {
     SimConfig {
         seed: 0xD1FF,
@@ -137,6 +138,15 @@ fn dense_and_event_kernels_are_byte_identical() {
     let event = run_sim_with(&cfg, KernelMode::Event, 1).unwrap();
     assert!(dense.instructions > 0);
     assert_eq!(serialized(&dense), serialized(&event));
+}
+
+#[test]
+fn one_and_four_shards_are_byte_identical() {
+    let cfg = differential_cfg();
+    let serial = run_sim_with(&cfg, KernelMode::Event, 1).unwrap();
+    let sharded = run_sim_with(&cfg, KernelMode::Event, 4).unwrap();
+    assert!(serial.instructions > 0);
+    assert_eq!(serialized(&serial), serialized(&sharded));
 }
 
 #[test]
