@@ -6,8 +6,8 @@ use serde::{Deserialize, Serialize};
 
 /// Identity of a circuit as stored at routers: the requestor (the reply's
 /// destination) plus the cache-line address (§4.1 — "requestor identifier
-/// and cache line address").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+/// and cache line address"). Ordered by requestor, then address.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct CircuitKey {
     /// The node that issued the request and will receive the reply.
     pub requestor: NodeId,

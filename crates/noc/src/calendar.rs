@@ -143,6 +143,17 @@ impl Calendar {
         }
     }
 
+    /// The cycle [`Calendar::drain`] is next due, seen between ticks with
+    /// the tick of cycle `now` up next: what the component's wake slot
+    /// must hold.
+    pub(crate) fn next_due(&self, now: Cycle) -> Cycle {
+        if self.held.is_empty() {
+            self.next_occupied(now.saturating_sub(1))
+        } else {
+            now
+        }
+    }
+
     /// The first cycle after `now` with an occupied bucket.
     fn next_occupied(&self, now: Cycle) -> Cycle {
         if self.occupied == 0 {
@@ -176,28 +187,16 @@ mod tests {
     use super::*;
     use crate::flit::{FlitKind, PacketId};
     use proptest::prelude::*;
-    use rcsim_core::{MessageClass, Vnet};
 
     fn flit(id: u64) -> Flit {
         Flit {
             packet: PacketId(id),
-            kind: FlitKind::HeadTail,
+            kind: FlitKind::Body,
             seq: 0,
-            len: 1,
-            src: NodeId(0),
-            dst: NodeId(1),
-            class: MessageClass::L1Request,
-            vnet: Vnet::Request,
             vc: 0,
-            circuit: None,
             on_circuit: None,
             scrounger_final: None,
-            block: 0,
-            token: 0,
-            created_at: 0,
-            injected_at: 0,
-            corrupted: false,
-            path: None,
+            head: None,
         }
     }
 

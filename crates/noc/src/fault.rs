@@ -338,7 +338,7 @@ impl FaultState {
             if self.chance(self.cfg.link_drop_rate) {
                 self.stats.packets_dropped += 1;
                 self.stats.flits_dropped += 1;
-                let rest = flit.len.saturating_sub(1);
+                let rest = flit.head().len.saturating_sub(1);
                 if rest > 0 {
                     self.eating.insert(key, rest);
                 }
@@ -421,7 +421,7 @@ pub(crate) struct FaultSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flit::FlitKind;
+    use crate::flit::{FlitKind, Head};
     use rcsim_core::{Mesh, MessageClass, Vnet};
 
     fn head(len: u32) -> Flit {
@@ -429,21 +429,23 @@ mod tests {
             packet: PacketId(7),
             kind: FlitKind::for_position(0, len),
             seq: 0,
-            len,
-            src: NodeId(0),
-            dst: NodeId(1),
-            class: MessageClass::L2Reply,
-            vnet: Vnet::Reply,
             vc: 0,
-            circuit: None,
             on_circuit: None,
             scrounger_final: None,
-            block: 0,
-            token: 0,
-            created_at: 0,
-            injected_at: 0,
-            corrupted: false,
-            path: None,
+            head: Some(Box::new(Head {
+                len,
+                src: NodeId(0),
+                dst: NodeId(1),
+                class: MessageClass::L2Reply,
+                vnet: Vnet::Reply,
+                corrupted: false,
+                circuit: None,
+                block: 0,
+                token: 0,
+                created_at: 0,
+                injected_at: 0,
+                path: None,
+            })),
         }
     }
 

@@ -132,9 +132,9 @@ impl FlitKind {
 
 /// One 16-byte flow-control unit travelling through the network.
 ///
-/// Flits carry a copy of their packet's metadata (src/dst/class) so router
-/// decisions stay local; the circuit-construction handle travels only in
-/// the head flit of circuit-building requests.
+/// Only what every flit of a packet needs at every router travels inline;
+/// the packet's routing and bookkeeping data rides in the head flit alone
+/// ([`Head`]), as in a real wormhole network.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Flit {
     /// Owning packet.
@@ -143,6 +143,21 @@ pub struct Flit {
     pub kind: FlitKind,
     /// Flit index within the packet.
     pub seq: u32,
+    /// The virtual channel the flit currently travels on (set by the
+    /// sender's switch-traversal stage; the downstream buffer index).
+    pub vc: u8,
+    /// Circuit this reply *rides* (looked up at every router input).
+    pub on_circuit: Option<CircuitKey>,
+    /// For scrounger replies: the real destination to re-inject towards
+    /// after ejecting at the head's `dst`.
+    pub scrounger_final: Option<NodeId>,
+    /// The packet's header: `Some` on head flits, `None` on the rest.
+    pub head: Option<Box<Head>>,
+}
+
+/// The per-packet data a head flit carries.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct Head {
     /// Total flits in the packet.
     pub len: u32,
     /// Source node.
@@ -154,17 +169,12 @@ pub struct Flit {
     pub class: MessageClass,
     /// Virtual network.
     pub vnet: Vnet,
-    /// The virtual channel the flit currently travels on (set by the
-    /// sender's switch-traversal stage; the downstream buffer index).
-    pub vc: usize,
-    /// Circuit being *built* by this request (head flit only; updated at
-    /// every router).
+    /// Set by the fault layer when the packet is corrupted in transit;
+    /// the destination NI discards the packet instead of delivering it
+    /// and the source retransmits.
+    pub corrupted: bool,
+    /// Circuit being *built* by this request (updated at every router).
     pub circuit: Option<Box<CircuitHandle>>,
-    /// Circuit this reply *rides* (looked up at every router input).
-    pub on_circuit: Option<CircuitKey>,
-    /// For scrounger replies: the real destination to re-inject towards
-    /// after ejecting at `dst`.
-    pub scrounger_final: Option<NodeId>,
     /// Cache-line address.
     pub block: u64,
     /// Protocol token.
@@ -173,19 +183,23 @@ pub struct Flit {
     pub created_at: Cycle,
     /// Cycle the packet's head entered the network (left the NI queue).
     pub injected_at: Cycle,
-    /// Set by the fault layer when the packet is corrupted in transit
-    /// (head flit only); the destination NI discards the packet instead
-    /// of delivering it and the source retransmits.
-    #[serde(default)]
-    pub corrupted: bool,
-    /// Recorded source route (head flit only): the full router sequence
-    /// the packet must follow, set by the source NI when DOR would cross a
-    /// dead link or router. Routers on the path forward along it; replies
-    /// to a detoured request retrace it reversed so the reservation
-    /// symmetry of §4.1 survives rerouting (DESIGN.md §10). `None` for the
+    /// Recorded source route: the full router sequence the packet must
+    /// follow, set by the source NI when DOR would cross a dead link or
+    /// router. Routers on the path forward along it; replies to a
+    /// detoured request retrace it reversed so the reservation symmetry
+    /// of §4.1 survives rerouting (DESIGN.md §10). `None` for the
     /// ordinary DOR case.
-    #[serde(default)]
     pub path: Option<Box<Vec<NodeId>>>,
+}
+
+// A flit is moved at every hop; keep it within one cache line.
+const _: () = assert!(std::mem::size_of::<Flit>() <= 64);
+
+impl Flit {
+    /// The header of a head flit; panics on a body or tail flit.
+    pub fn head(&self) -> &Head {
+        self.head.as_deref().expect("head flits carry a header")
+    }
 }
 
 /// A fully received packet handed back to the destination's user.

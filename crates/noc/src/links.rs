@@ -1,0 +1,322 @@
+//! One sink, two implementations (DESIGN.md §13): routers and NIs hand
+//! every message they emit to a [`LinkSink`]. On the serial tick path
+//! that is [`Links`], a view of the network's calendars that lets the
+//! link-fault layer decide the message's fate and writes it once, into
+//! the calendar it reaches; a shard worker stages [`Outgoing`] records
+//! instead, which the serial merge replays through the same view.
+
+use crate::calendar::Calendar;
+use crate::config::NocConfig;
+use crate::fault::{FaultState, LinkFate};
+use crate::flit::{Flit, PacketId};
+use crate::network::Outstanding;
+use rcsim_core::circuit::CircuitKey;
+use rcsim_core::{Cycle, NodeId, TopologyHealth, WakeTimes, PORT_LOCAL};
+use rcsim_trace::{EventKind, TraceEvent, TraceSink};
+use std::collections::{HashMap, HashSet};
+
+/// Where a router or NI puts the messages it emits, one call per message
+/// in emission order.
+///
+/// Ports are indices in `0..Topology::ports()`: 0–3 the N/E/S/W network
+/// ports, 4.. the local (NI) ports — one per tile concentrated on this
+/// router. An NI has the single port 0, into its router.
+pub(crate) trait LinkSink {
+    /// A flit leaving through output `port` (local ports eject to a
+    /// tile's NI); its `vc` field is the downstream buffer index.
+    fn flit(&mut self, port: usize, flit: Flit, arrive: Cycle);
+    /// A credit for `vc` returned upstream through input port `port`.
+    fn credit(&mut self, port: usize, vc: usize, arrive: Cycle);
+    /// Circuit-undo information riding the credit channel (§4.4) out of
+    /// `port` towards the circuit destination `dst` (the requestor).
+    fn undo(&mut self, port: usize, key: CircuitKey, dst: NodeId, arrive: Cycle);
+}
+
+/// One staged [`LinkSink`] call of a router, argument for argument.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum Outgoing {
+    Flit(usize, Flit, Cycle),
+    Credit(usize, usize, Cycle),
+    Undo(usize, CircuitKey, NodeId, Cycle),
+}
+
+impl Outgoing {
+    /// Makes the staged call on `sink`.
+    pub(crate) fn replay(self, sink: &mut impl LinkSink) {
+        match self {
+            Outgoing::Flit(port, flit, arrive) => sink.flit(port, flit, arrive),
+            Outgoing::Credit(port, vc, arrive) => sink.credit(port, vc, arrive),
+            Outgoing::Undo(port, key, dst, arrive) => sink.undo(port, key, dst, arrive),
+        }
+    }
+}
+
+impl LinkSink for Vec<Outgoing> {
+    fn flit(&mut self, port: usize, flit: Flit, arrive: Cycle) {
+        self.push(Outgoing::Flit(port, flit, arrive));
+    }
+
+    fn credit(&mut self, port: usize, vc: usize, arrive: Cycle) {
+        self.push(Outgoing::Credit(port, vc, arrive));
+    }
+
+    fn undo(&mut self, port: usize, key: CircuitKey, dst: NodeId, arrive: Cycle) {
+        self.push(Outgoing::Undo(port, key, dst, arrive));
+    }
+}
+
+/// The input port a flit sent out of network port `port` arrives on at
+/// the downstream router. All four network ports are grid-directional
+/// (N↔S, E↔W), so the opposite is a single XOR — valid on every
+/// topology, including wraparound links and 2-wide rings where both of a
+/// router's horizontal ports reach the same neighbour.
+pub(crate) fn opposite_port(port: usize) -> usize {
+    debug_assert!(port < PORT_LOCAL, "only network ports have an opposite");
+    port ^ 2
+}
+
+/// An NI's wire into local input `port` of its own router — always in
+/// the NI's shard, and fault-free, so both tick paths write it directly
+/// (`wake` is the router's raw [`WakeTimes`] slot, min-merged).
+pub(crate) struct NiLink<'a> {
+    pub now: Cycle,
+    pub port: usize,
+    pub link: &'a mut Calendar,
+    pub wake: &'a mut Cycle,
+}
+
+impl LinkSink for NiLink<'_> {
+    fn flit(&mut self, _: usize, flit: Flit, arrive: Cycle) {
+        *self.wake = (*self.wake).min(arrive);
+        self.link.push_flit(self.now, arrive, self.port, flit);
+    }
+
+    fn credit(&mut self, _: usize, _: usize, _: Cycle) {
+        unreachable!("ejection is uncredited: an NI returns no credits");
+    }
+
+    fn undo(&mut self, _: usize, key: CircuitKey, dst: NodeId, arrive: Cycle) {
+        *self.wake = (*self.wake).min(arrive);
+        self.link.push_undo(self.now, arrive, key, dst);
+    }
+}
+
+/// The serial sink: everything a message leaving router `from` at `now`
+/// can touch — both calendar sets with their wake slots, the neighbour
+/// table, the link-fault layer and the end-to-end retry state (see
+/// `Network::links`). Fault-RNG draws happen per message in emission
+/// order, which both kernels and every shard count share.
+pub(crate) struct Links<'a> {
+    pub now: Cycle,
+    pub from: NodeId,
+    pub cfg: &'a NocConfig,
+    pub neighbors: &'a [[Option<NodeId>; PORT_LOCAL]],
+    pub router_links: &'a mut [Calendar],
+    pub ni_links: &'a mut [Calendar],
+    pub router_wake: &'a mut WakeTimes,
+    pub ni_wake: &'a mut WakeTimes,
+    pub topo: &'a TopologyHealth,
+    /// `topo.is_degraded()`, which cannot change while routers tick: on a
+    /// healthy fabric no message asks the map about its hop.
+    pub degraded: bool,
+    pub faults: &'a mut Option<FaultState>,
+    pub dead_eating: &'a mut HashSet<PacketId>,
+    pub outstanding: &'a mut HashMap<PacketId, Outstanding>,
+    pub retry_queue: &'a mut Vec<(Cycle, PacketId)>,
+    pub dropped_packets: &'a mut u64,
+    pub sink: &'a TraceSink,
+    /// Packets that lost their head on a link since the last
+    /// [`Links::settle`], with the cycle the loss takes effect.
+    pub lost: Vec<(PacketId, Cycle)>,
+}
+
+impl Links<'_> {
+    /// The router out of `from`'s network port `port`. A message never
+    /// leaves the fabric: XY/YX routing, credits and undo propagation all
+    /// follow existing links. Should one try, losing it beats tearing
+    /// down a long experiment run, and the watchdog will flag the wedged
+    /// packet.
+    fn neighbor(&self, port: usize) -> Option<NodeId> {
+        let nb = self.neighbors[self.from.index()]
+            .get(port)
+            .copied()
+            .flatten();
+        debug_assert!(nb.is_some(), "{}/{port} leaves the fabric", self.from);
+        nb
+    }
+
+    /// The NI behind `from`'s local port `port`.
+    fn tile(&self, port: usize) -> usize {
+        self.cfg
+            .topology
+            .tile_of(self.from, port - PORT_LOCAL)
+            .index()
+    }
+
+    /// Schedules the end-to-end retransmissions of the packets lost
+    /// since the last call — after the router's tick rather than inside
+    /// it, so their trace events follow the tick's own on both paths
+    /// (a shard worker's are staged per router).
+    pub(crate) fn settle(&mut self) {
+        for (id, at) in std::mem::take(&mut self.lost) {
+            self.schedule_retry(id, at);
+        }
+    }
+
+    /// Marks `id` as hit by a fault and schedules its next end-to-end
+    /// retransmission (linear backoff), or abandons it once the retry
+    /// budget is spent. No-op without fault injection.
+    pub(crate) fn schedule_retry(&mut self, id: PacketId, at: Cycle) {
+        let Some(fs) = self.faults.as_mut() else {
+            return;
+        };
+        let Some(rec) = self.outstanding.get_mut(&id) else {
+            return;
+        };
+        if rec.retries < fs.cfg.max_retries {
+            rec.retries += 1;
+            fs.stats.retransmissions += 1;
+            let attempt = rec.retries;
+            let backoff = fs.cfg.retry_backoff.max(1) * attempt as Cycle;
+            self.retry_queue.push((at + backoff, id));
+            self.sink.emit(|| TraceEvent {
+                cycle: at,
+                kind: EventKind::NiRetry {
+                    packet: id.0,
+                    attempt,
+                },
+            });
+        } else {
+            fs.stats.packets_abandoned += 1;
+            *self.dropped_packets += 1;
+            let retries = rec.retries;
+            self.outstanding.remove(&id);
+            self.sink.emit(|| TraceEvent {
+                cycle: at,
+                kind: EventKind::PacketDropped {
+                    packet: id.0,
+                    retries,
+                },
+            });
+        }
+    }
+
+    /// Handles one flit dropped on the link `from → nb`: synthesizes the
+    /// downstream credit it will never earn (credit loss is its own fault
+    /// class; drops must not wedge the fabric by themselves), tears down
+    /// the circuit reservations the packet leaves orphaned, and notes the
+    /// end-to-end retransmission.
+    fn drop_on_link(&mut self, nb: NodeId, port: usize, flit: &Flit, arrive: Cycle) {
+        let (now, from) = (self.now, self.from.index());
+        // Mirror the downstream router's credit-return rule: circuit VCs
+        // are only credited when they are buffered (fragmented mode).
+        if !self.cfg.vc_layout().is_circuit_vc(flit.vc.into())
+            || self.cfg.mechanism.circuit_vc_buffered()
+        {
+            self.router_wake.wake_at(from, arrive);
+            self.router_links[from].push_credit(now, arrive, port, flit.vc.into());
+        }
+        if let Some(head) = &flit.head {
+            if let Some(h) = &head.circuit {
+                // A dropped circuit-building request: undo the prefix of
+                // reservations it made, starting from the last router it
+                // crossed (the retransmission goes plain packet-switched).
+                self.router_wake.wake_at(from, arrive);
+                self.router_links[from].push_undo(now, arrive, h.key, h.key.requestor);
+            } else if let Some(key) = flit.on_circuit {
+                // A dropped circuit ride: the not-yet-used suffix of the
+                // circuit (from the next router on) is torn down; routers
+                // it already crossed were released by normal streaming.
+                self.router_wake.wake_at(nb.index(), arrive);
+                self.router_links[nb.index()].push_undo(now, arrive, key, key.requestor);
+            }
+            self.lost.push((flit.packet, arrive));
+        }
+    }
+}
+
+impl LinkSink for Links<'_> {
+    fn flit(&mut self, port: usize, mut flit: Flit, arrive: Cycle) {
+        if port >= PORT_LOCAL {
+            let tile = self.tile(port);
+            self.ni_wake.wake_at(tile, arrive);
+            self.ni_links[tile].push_flit(self.now, arrive, 0, flit);
+            return;
+        }
+        let Some(nb) = self.neighbor(port) else {
+            return;
+        };
+        if self.degraded
+            && !self.topo.hop_usable(self.from, nb)
+            && (flit.kind.is_head() || self.dead_eating.contains(&flit.packet))
+        {
+            // The link (or an endpoint router) is dead: the packet is
+            // lost from its head flit on. Synthesize the credits it would
+            // have earned, tear the reservations it orphans and schedule
+            // the end-to-end retransmission — without touching the fault
+            // RNG, so the random-fault stream is unchanged by scheduled
+            // dead resources. A packet whose head crossed *before* the
+            // link died drains whole instead: cutting a wormhole
+            // mid-stream would wedge the downstream VC forever.
+            if flit.kind.is_head() && !flit.kind.is_tail() {
+                self.dead_eating.insert(flit.packet);
+            }
+            if flit.kind.is_tail() {
+                self.dead_eating.remove(&flit.packet);
+            }
+            if let Some(fs) = self.faults.as_mut() {
+                fs.stats.dead_flits_lost += 1;
+            }
+            self.drop_on_link(nb, port, &flit, arrive);
+            return;
+        }
+        if let Some(fs) = self.faults.as_mut() {
+            match fs.on_link_flit(self.from.index(), port, &flit) {
+                LinkFate::Deliver => {}
+                LinkFate::Corrupt => {
+                    flit.head.as_mut().expect("only heads corrupt").corrupted = true;
+                }
+                LinkFate::Drop => {
+                    self.drop_on_link(nb, port, &flit, arrive);
+                    return;
+                }
+            }
+        }
+        self.router_wake.wake_at(nb.index(), arrive);
+        self.router_links[nb.index()].push_flit(self.now, arrive, opposite_port(port), flit);
+    }
+
+    fn credit(&mut self, port: usize, vc: usize, arrive: Cycle) {
+        if port >= PORT_LOCAL {
+            let tile = self.tile(port);
+            self.ni_wake.wake_at(tile, arrive);
+            self.ni_links[tile].push_credit(self.now, arrive, 0, vc);
+            return;
+        }
+        let Some(nb) = self.neighbor(port) else {
+            return;
+        };
+        if self.faults.as_mut().is_some_and(FaultState::on_link_credit) {
+            return;
+        }
+        // Credits deliberately survive dead links: the credit backchannel
+        // is the recovery path's control plane, and without it every VC
+        // that ever crossed the link would wedge permanently (DESIGN.md
+        // §10). Credit loss stays its own (random) fault class.
+        self.router_wake.wake_at(nb.index(), arrive);
+        self.router_links[nb.index()].push_credit(self.now, arrive, opposite_port(port), vc);
+    }
+
+    fn undo(&mut self, port: usize, key: CircuitKey, dst: NodeId, arrive: Cycle) {
+        let Some(nb) = self.neighbor(port) else {
+            return;
+        };
+        // Undo propagation dies with a dead link; the entries beyond it
+        // were removed by the scheduled-fault teardown, so nothing is
+        // left to clean up.
+        if !self.degraded || self.topo.hop_usable(self.from, nb) {
+            self.router_wake.wake_at(nb.index(), arrive);
+            self.router_links[nb.index()].push_undo(self.now, arrive, key, dst);
+        }
+    }
+}

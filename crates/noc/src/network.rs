@@ -4,7 +4,7 @@
 
 use crate::calendar::Calendar;
 use crate::config::NocConfig;
-use crate::fault::{FaultConfig, FaultSnapshot, FaultState, FaultStats, LinkFate};
+use crate::fault::{FaultConfig, FaultSnapshot, FaultState, FaultStats};
 use crate::flit::{Delivered, Flit, PacketId, PacketSpec};
 use crate::health::{
     AdaptiveReport, DeadlockReport, DeadlockResource, HealthReport, LeakedCircuit, StuckMessage,
@@ -14,8 +14,9 @@ use crate::ingress::{
     Admission, IngressConfig, IngressSnapshot, IngressState, OverloadReport, ReleasedArrival,
     ShedArrival,
 };
+use crate::links::{opposite_port, Links, NiLink, Outgoing};
 use crate::ni::{Ni, NiOut, NiSnapshot};
-use crate::router::{Outgoing, Router, RouterSnapshot, VcWaiter, WaitEdge};
+use crate::router::{Router, RouterSnapshot, VcWaiter, WaitEdge};
 use crate::stats::{CircuitOutcome, NocStats};
 use rcsim_core::circuit::CircuitKey;
 use rcsim_core::routing::{path_is_healthy, Routing};
@@ -26,7 +27,7 @@ use rcsim_core::{
 };
 use rcsim_trace::{EventKind, TraceSink};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 
 /// A whole-network occupancy snapshot, taken between cycles. Feeds the
 /// trace layer's periodic `EpochSample` events.
@@ -40,16 +41,6 @@ pub struct NetworkTelemetry {
     pub ni_backlog: u64,
 }
 
-/// The input port a flit sent out of network port `port` arrives on at
-/// the downstream router. All four network ports are grid-directional
-/// (N↔S, E↔W), so the opposite is a single XOR — valid on every
-/// topology, including wraparound links and 2-wide rings where both of a
-/// router's horizontal ports reach the same neighbour.
-fn opposite_port(port: usize) -> usize {
-    debug_assert!(port < PORT_LOCAL, "only network ports have an opposite");
-    port ^ 2
-}
-
 /// Reusable per-tick buffers — the cycle loop's arena. Taken out of
 /// `self` at the top of [`Network::tick`] (sidestepping borrow
 /// conflicts) and put back at the end, so the steady-state loop performs
@@ -60,7 +51,6 @@ struct Scratch {
     arrivals: Vec<(usize, Flit)>,
     credits: Vec<(usize, usize)>,
     undos: Vec<(CircuitKey, NodeId)>,
-    outgoing: Vec<Outgoing>,
     /// Per router, the mask of input ports stuck this cycle.
     stuck: Vec<u64>,
 }
@@ -92,7 +82,8 @@ struct ShardLocal {
     /// `(router index, outgoing count)` per router with output, in router
     /// order.
     router_merge: Vec<(usize, usize)>,
-    /// Concatenated router outputs, sliced by [`ShardLocal::router_merge`].
+    /// Concatenated router outputs (the staging sink), sliced by
+    /// [`ShardLocal::router_merge`].
     outgoing: Vec<Outgoing>,
 }
 
@@ -130,8 +121,8 @@ struct ShardWork<'a> {
 /// Phase B of the sharded tick: one shard's NI and router loops. The
 /// body is the serial loops verbatim minus everything order-sensitive —
 /// statistics, retry scheduling, delivery bookkeeping and
-/// `route_outgoing` are staged into the shard's [`ShardLocal`] for the
-/// serial phase C to replay in fixed order. Writes go only through `w`'s
+/// the routers' link output are staged into the shard's [`ShardLocal`] for
+/// the serial phase C to replay in fixed order. Writes go only through `w`'s
 /// disjoint slices, so any number of workers may run concurrently; see
 /// DESIGN.md §13 for the byte-identity argument.
 fn shard_phase_b(
@@ -163,32 +154,25 @@ fn shard_phase_b(
         }
         l.moved |= !l.arrivals.is_empty();
         l.ni_out.clear();
-        w.nis[t].tick(
+        let tile = NodeId((w.tile0 + t) as u16);
+        // Injection targets the tile's own router, which is always in
+        // this shard.
+        let router = topology.router_of(tile).index() - w.router0;
+        let injected = w.nis[t].tick(
             now,
             &mut l.arrivals,
             &mut l.credits,
             topo,
             cong,
             &mut l.ni_out,
+            &mut NiLink {
+                now,
+                port: topology.eject_port(tile),
+                link: &mut w.router_links[router],
+                wake: &mut w.router_wake[router],
+            },
         );
-        l.moved |= !l.ni_out.flits.is_empty() || !l.ni_out.delivered.is_empty();
-        let tile = NodeId((w.tile0 + t) as u16);
-        let router = topology.router_of(tile).index() - w.router0;
-        let inject_port = topology.eject_port(tile);
-        for flit in l.ni_out.flits.drain(..) {
-            // Injection targets the tile's own router, which is always in
-            // this shard — the min-merge wake and push are local. Items
-            // arrive at `now + 1`, so a wake slot can only move to
-            // `now + 1`; it was `> now` (otherwise `due` already held and
-            // `set` ran first) either way, so the serial `set`-after-push
-            // and this `set`-before-push agree.
-            w.router_wake[router] = w.router_wake[router].min(now + 1);
-            w.router_links[router].push_flit(now, now + 1, inject_port, flit);
-        }
-        for (key, dst) in l.ni_out.undos.drain(..) {
-            w.router_wake[router] = w.router_wake[router].min(now + 1);
-            w.router_links[router].push_undo(now, now + 1, key, dst);
-        }
+        l.moved |= injected || !l.ni_out.delivered.is_empty();
         let injection = l.ni_out.injection.take();
         if !l.ni_out.delivered.is_empty()
             || !l.ni_out.corrupt_discards.is_empty()
@@ -270,25 +254,28 @@ struct AdaptiveState {
     controller: PolicyController,
     report: AdaptiveReport,
     next_decision: Cycle,
+    /// `RC_ADAPT_DEBUG` was set when adaptation was enabled: dump every
+    /// epoch's region scores to stderr.
+    debug: bool,
 }
 
 /// One injected packet, tracked until delivery or abandonment: the raw
 /// material for per-message watchdog ages and end-to-end retransmission.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-struct Outstanding {
-    src: NodeId,
-    dst: NodeId,
-    class: MessageClass,
-    len: u32,
-    block: u64,
-    token: u64,
-    created_at: Cycle,
+pub(crate) struct Outstanding {
+    pub(crate) src: NodeId,
+    pub(crate) dst: NodeId,
+    pub(crate) class: MessageClass,
+    pub(crate) len: u32,
+    pub(crate) block: u64,
+    pub(crate) token: u64,
+    pub(crate) created_at: Cycle,
     /// The reply committed to riding its own complete circuit at inject.
     committed: bool,
     /// The circuit key the reply intended to ride, if any.
     circuit_key: Option<CircuitKey>,
     /// End-to-end retransmissions issued so far.
-    retries: u32,
+    pub(crate) retries: u32,
 }
 
 /// A mesh NoC instance.
@@ -310,7 +297,7 @@ pub struct Network {
     /// Messages in flight towards each NI (all on port 0).
     ni_links: Vec<Calendar>,
     /// Each router's neighbour per network port ([`Topology::neighbor`],
-    /// tabulated once: `route_outgoing` asks for every message).
+    /// tabulated once: [`Links`] asks for every message).
     neighbors: Vec<[Option<NodeId>; PORT_LOCAL]>,
     delivered: Vec<Vec<Delivered>>,
     /// Packets held in `delivered` (derived; lets the every-cycle
@@ -542,6 +529,7 @@ impl Network {
             controller,
             report: AdaptiveReport::default(),
             next_decision: self.now + cfg.decision_epoch,
+            debug: std::env::var_os("RC_ADAPT_DEBUG").is_some(),
         }));
         Ok(())
     }
@@ -881,14 +869,23 @@ impl Network {
     /// instead — byte-identical by construction, see
     /// [`Network::tick_sharded`].
     pub fn tick(&mut self) {
-        if self.shard_plan.is_some() {
-            self.tick_sharded();
+        let now = self.now;
+        let mut s = std::mem::take(&mut self.scratch);
+        self.tick_prologue(now, &mut s.stuck);
+        let moved = if self.shard_plan.is_some() {
+            self.tick_sharded(now, &mut s)
         } else {
-            self.tick_serial();
+            self.tick_serial(now, &mut s)
+        };
+        if moved {
+            self.last_progress = now;
         }
+        self.stats.cycles += 1;
+        self.now = now + 1;
+        self.scratch = s;
     }
 
-    /// The serial prologue shared by both tick paths: scheduled fault
+    /// The serial prologue of both tick paths: scheduled fault
     /// transitions, due end-to-end retransmissions, and the dense fault
     /// pre-pass (all order-sensitive, none shardable).
     fn tick_prologue(&mut self, now: Cycle, stuck: &mut Vec<u64>) {
@@ -906,28 +903,9 @@ impl Network {
         self.adaptive_tick(now);
 
         // Due end-to-end retransmissions re-enter their source NI.
-        let mut due_retries = Vec::new();
-        self.retry_queue.retain(|&(t, id)| {
-            if t <= now {
-                due_retries.push(id);
-                false
-            } else {
-                true
-            }
-        });
-        for id in due_retries {
+        for (_, id) in self.retry_queue.extract_if(.., |&mut (t, _)| t <= now) {
             if let Some(rec) = self.outstanding.get(&id) {
-                self.nis[rec.src.index()].reenqueue_retry(
-                    id,
-                    rec.src,
-                    rec.dst,
-                    rec.class,
-                    rec.len,
-                    rec.block,
-                    rec.token,
-                    rec.created_at,
-                    now,
-                );
+                self.nis[rec.src.index()].reenqueue_retry(id, rec, now);
             }
         }
 
@@ -954,7 +932,7 @@ impl Network {
             // epoch's region scores to stderr so `hot_enter`/`hot_exit`
             // can be placed relative to a workload's calm and burst
             // bands. Output only — never feeds back into decisions.
-            if std::env::var_os("RC_ADAPT_DEBUG").is_some() {
+            if ad.debug {
                 let scores: Vec<u64> = samples.iter().map(|s| s.score()).collect();
                 eprintln!("[adaptive] t={now} scores={scores:?}");
             }
@@ -1083,62 +1061,50 @@ impl Network {
     /// freeze individual input ports: their arrivals stay parked on the
     /// link until the window ends.
     fn fault_pre_pass(&mut self, now: Cycle, stuck: &mut Vec<u64>) {
-        let routers_n = self.cfg.topology.routers();
         let ports = self.cfg.topology.ports();
         stuck.clear();
-        stuck.resize(routers_n, 0);
-        if self.faults.is_none() {
+        stuck.resize(self.routers.len(), 0);
+        let Some(fs) = self.faults.as_mut() else {
             return;
-        }
+        };
         for (i, mask) in stuck.iter_mut().enumerate() {
-            if let Some(fs) = self.faults.as_mut() {
-                for p in 0..ports {
-                    // Scheduled stuck-port events name network ports by
-                    // direction; every local port maps to `Local`.
-                    let dir = if p < PORT_LOCAL {
-                        Direction::from_index(p)
-                    } else {
-                        Direction::Local
-                    };
-                    *mask |= u64::from(fs.port_stuck(i, dir, now)) << p;
-                }
-                fs.stats.stuck_port_cycles += u64::from(mask.count_ones());
+            for p in 0..ports {
+                // Scheduled stuck-port events name network ports by
+                // direction; every local port maps to `Local`.
+                let dir = if p < PORT_LOCAL {
+                    Direction::from_index(p)
+                } else {
+                    Direction::Local
+                };
+                *mask |= u64::from(fs.port_stuck(i, dir, now)) << p;
             }
+            fs.stats.stuck_port_cycles += u64::from(mask.count_ones());
             // Soft errors in the reservation SRAM: one random entry of one
             // random port evaporates; the riding reply (if any) degrades
             // to the ordinary pipeline at this router.
-            if let Some((port, draw)) = self
-                .faults
-                .as_mut()
-                .and_then(|fs| fs.roll_table_corruption(ports))
-            {
-                let occ = self.routers[i].circuits.port_occupancy(port);
+            if let Some((port, draw)) = fs.roll_table_corruption(ports) {
+                let circuits = &mut self.routers[i].circuits;
+                let occ = circuits.port_occupancy(port);
                 if occ > 0 {
-                    if let Some(e) = self.routers[i].circuits.fault_remove(port, draw % occ) {
+                    if let Some(e) = circuits.fault_remove(port, draw % occ) {
                         self.faulted_circuits.insert(e.key);
-                        if let Some(fs) = self.faults.as_mut() {
-                            fs.stats.table_entries_corrupted += 1;
-                        }
+                        fs.stats.table_entries_corrupted += 1;
                     }
                 }
             }
         }
     }
 
-    /// The serial (single-shard) tick path.
-    fn tick_serial(&mut self) {
-        let now = self.now;
-        let tiles = self.cfg.topology.nodes();
-        let routers_n = self.cfg.topology.routers();
+    /// The serial (single-shard) NI and router loops; returns whether any
+    /// flit moved.
+    fn tick_serial(&mut self, now: Cycle, s: &mut Scratch) -> bool {
+        let topology = self.cfg.topology;
         let mut moved = false;
         let event = self.kernel == KernelMode::Event;
-        let mut s = std::mem::take(&mut self.scratch);
-
-        self.tick_prologue(now, &mut s.stuck);
 
         // NIs first: they consume flits/credits produced last cycle and
         // inject at most one flit each into their router's local port.
-        for i in 0..tiles {
+        for i in 0..topology.nodes() {
             let due = self.ni_wake.due(i, now);
             if event && !due && !self.nis[i].is_active() {
                 // Nothing due and nothing queued or streaming: the tick
@@ -1152,116 +1118,153 @@ impl Network {
             }
             moved |= !s.arrivals.is_empty();
             s.ni_out.clear();
-            self.nis[i].tick(
+            let tile = NodeId(i as u16);
+            let router = topology.router_of(tile).index();
+            let injected = self.nis[i].tick(
                 now,
                 &mut s.arrivals,
                 &mut s.credits,
                 &self.topo,
                 &self.congestion,
                 &mut s.ni_out,
+                &mut NiLink {
+                    now,
+                    port: topology.eject_port(tile),
+                    link: &mut self.router_links[router],
+                    wake: &mut self.router_wake.as_mut_slice()[router],
+                },
             );
-            moved |= !s.ni_out.flits.is_empty() || !s.ni_out.delivered.is_empty();
-            // Replay the tick's deferred statistics in the canonical
-            // per-NI order — deliveries (in ejection order), then the
-            // at-most-one injection, then reroutes. The sharded merge
-            // replays the same sequence from its staging buffers, which
-            // is what keeps f64 accumulation order (and therefore every
-            // statistic) byte-identical across shard counts.
-            for d in &s.ni_out.delivered {
-                self.stats.record_delivery(
-                    d.class,
-                    d.injected_at - d.created_at,
-                    d.delivered_at - d.injected_at,
-                );
-            }
-            if let Some((class, len)) = s.ni_out.injection.take() {
-                self.stats.record_injection(class, len);
-            }
-            if s.ni_out.reroutes > 0 {
-                if let Some(fs) = self.faults.as_mut() {
-                    fs.stats.packets_rerouted += s.ni_out.reroutes;
-                }
-            }
-            if s.ni_out.congestion_reroutes > 0 {
-                if let Some(ad) = self.adaptive.as_mut() {
-                    ad.report.congestion_detours += s.ni_out.congestion_reroutes;
-                }
-            }
-            let tile = NodeId(i as u16);
-            let router = self.cfg.topology.router_of(tile).index();
-            let inject_port = self.cfg.topology.eject_port(tile);
-            for flit in s.ni_out.flits.drain(..) {
-                self.router_wake.wake_at(router, now + 1);
-                self.router_links[router].push_flit(now, now + 1, inject_port, flit);
-            }
-            for (key, dst) in s.ni_out.undos.drain(..) {
-                self.router_wake.wake_at(router, now + 1);
-                self.router_links[router].push_undo(now, now + 1, key, dst);
-            }
-            for id in s.ni_out.corrupt_discards.drain(..) {
-                self.schedule_retry(id, now);
-            }
-            for mut d in s.ni_out.delivered.drain(..) {
-                let retries = self.note_delivered(&mut d);
-                self.sink.emit(|| rcsim_trace::TraceEvent {
-                    cycle: now,
-                    kind: EventKind::NiEject {
-                        packet: d.packet.0,
-                        node: d.dst.0,
-                        rode_circuit: d.rode_circuit,
-                        retries,
-                    },
-                });
-                self.deliver(i, d);
-            }
+            moved |= injected || !s.ni_out.delivered.is_empty();
+            self.settle_ni(
+                i,
+                now,
+                s.ni_out.injection.take(),
+                (s.ni_out.reroutes, s.ni_out.congestion_reroutes),
+                &s.ni_out.corrupt_discards,
+                s.ni_out.delivered.drain(..),
+            );
         }
 
-        // Routers. The fault pre-pass already ran densely for every
-        // router (see [`Network::fault_pre_pass`]); this loop only reads
-        // its per-router stuck masks.
-        for i in 0..routers_n {
-            let due = self.router_wake.due(i, now);
-            if event && !due && !self.routers[i].is_active(now) {
+        // Routers, each writing its output straight onto the links. The
+        // fault pre-pass already ran densely for every router (see
+        // [`Network::fault_pre_pass`]); this loop only reads its
+        // per-router stuck masks.
+        let (routers, mut links) = self.links(now);
+        for (i, router) in routers.iter_mut().enumerate() {
+            let due = links.router_wake.due(i, now);
+            if event && !due && !router.is_active(now) {
                 // Nothing due, nothing buffered or pending: skip. A stuck
                 // port never hides work — the flits it parks keep the
                 // calendar due every cycle until the window ends.
                 continue;
             }
             if due {
-                let wake = self.router_links[i].drain(
+                let wake = links.router_links[i].drain(
                     now,
                     s.stuck[i],
                     &mut s.arrivals,
                     &mut s.credits,
                     &mut s.undos,
                 );
-                self.router_wake.set(i, wake);
+                links.router_wake.set(i, wake);
             }
             moved |= !s.arrivals.is_empty();
-            self.routers[i].tick(
+            links.from = NodeId(i as u16);
+            router.tick(
                 now,
                 &mut s.arrivals,
                 &mut s.credits,
                 &mut s.undos,
-                &mut s.outgoing,
+                &mut links,
             );
-            self.route_outgoing(now, NodeId(i as u16), s.outgoing.drain(..));
+            links.settle();
         }
+        moved
+    }
 
-        if moved {
-            self.last_progress = now;
+    /// Accounts one NI's tick in the canonical per-NI order: the
+    /// at-most-one counted injection, `(fault, congestion)` reroutes,
+    /// retries of corrupt discards, then deliveries in ejection order.
+    /// Both tick paths come through here, NI by NI in tile order — the
+    /// serial one straight after the NI's tick, the sharded merge from
+    /// its staging buffers — which is what keeps the f64 accumulation
+    /// order (and therefore every statistic) and the trace byte-identical
+    /// across shard counts.
+    fn settle_ni(
+        &mut self,
+        tile: usize,
+        now: Cycle,
+        injection: Option<(MessageClass, u32)>,
+        (reroutes, congestion_reroutes): (u64, u64),
+        corrupt: &[PacketId],
+        delivered: impl Iterator<Item = Delivered>,
+    ) {
+        if let Some((class, len)) = injection {
+            self.stats.record_injection(class, len);
         }
-        self.stats.cycles += 1;
-        self.now = now + 1;
-        self.scratch = s;
+        if let Some(fs) = self.faults.as_mut() {
+            fs.stats.packets_rerouted += reroutes;
+        }
+        if let Some(ad) = self.adaptive.as_mut() {
+            ad.report.congestion_detours += congestion_reroutes;
+        }
+        if !corrupt.is_empty() {
+            let (_, mut links) = self.links(now);
+            for &id in corrupt {
+                links.schedule_retry(id, now);
+            }
+        }
+        for mut d in delivered {
+            self.stats.record_delivery(
+                d.class,
+                d.injected_at - d.created_at,
+                d.delivered_at - d.injected_at,
+            );
+            let retries = self.note_delivered(&mut d);
+            self.sink.emit(|| rcsim_trace::TraceEvent {
+                cycle: now,
+                kind: EventKind::NiEject {
+                    packet: d.packet.0,
+                    node: d.dst.0,
+                    rode_circuit: d.rode_circuit,
+                    retries,
+                },
+            });
+            self.deliver(tile, d);
+        }
+    }
+
+    /// Splits the network into its routers and the serial link sink over
+    /// everything a router's output can reach.
+    fn links(&mut self, now: Cycle) -> (&mut [Router], Links<'_>) {
+        let links = Links {
+            now,
+            from: NodeId(0),
+            cfg: &self.cfg,
+            neighbors: &self.neighbors,
+            router_links: &mut self.router_links,
+            ni_links: &mut self.ni_links,
+            router_wake: &mut self.router_wake,
+            ni_wake: &mut self.ni_wake,
+            topo: &self.topo,
+            degraded: self.topo.is_degraded(),
+            faults: &mut self.faults,
+            dead_eating: &mut self.dead_eating,
+            outstanding: &mut self.outstanding,
+            retry_queue: &mut self.retry_queue,
+            dropped_packets: &mut self.stats.dropped_packets,
+            sink: &self.sink,
+            lost: Vec::new(),
+        };
+        (&mut self.routers, links)
     }
 
     /// The sharded tick (`RC_SHARDS > 1`), in three phases:
     ///
-    /// * **Phase A (serial):** the shared prologue — scheduled fault
-    ///   transitions, due retransmissions, the dense fault pre-pass.
-    ///   Everything here is order-sensitive (trace events, RNG draws,
-    ///   cross-shard NI mutation) and cheap, so it stays serial.
+    /// * **Phase A (serial):** the prologue [`Network::tick`] runs on
+    ///   either path — scheduled fault transitions, due retransmissions,
+    ///   the dense fault pre-pass. Everything there is order-sensitive
+    ///   (trace events, RNG draws, cross-shard NI mutation) and cheap.
     /// * **Phase B (parallel):** each shard's NI and router loops run on
     ///   their own scoped worker thread ([`shard_phase_b`]); shard 0 runs
     ///   inline on the calling thread. Workers write only their own
@@ -1270,27 +1273,22 @@ impl Network {
     /// * **Phase C (serial):** the merge replays the staged effects in
     ///   fixed shard-then-index order: per-NI trace buffers, delivery
     ///   statistics, injections, reroutes, retry scheduling, delivery
-    ///   bookkeeping; then per-router trace buffers and
-    ///   [`Network::route_outgoing`] (boundary flits/credits/undos plus
-    ///   the link-fault RNG draws).
+    ///   bookkeeping; then per-router trace buffers and each router's
+    ///   staged link output through [`Links`] (boundary
+    ///   flits/credits/undos plus the link-fault RNG draws).
     ///
     /// Because phases A and C execute the serial path's order-sensitive
     /// operations in the serial path's exact order, and phase B's work is
     /// order-insensitive by construction, the result is byte-identical to
     /// the serial tick at any shard count (DESIGN.md §13).
-    fn tick_sharded(&mut self) {
-        let now = self.now;
+    fn tick_sharded(&mut self, now: Cycle, s: &mut Scratch) -> bool {
         let topology = self.cfg.topology;
         let event = self.kernel == KernelMode::Event;
         let plan = self
             .shard_plan
             .clone()
             .expect("sharded tick without a plan");
-        let mut s = std::mem::take(&mut self.scratch);
         let mut locals = std::mem::take(&mut self.shard_locals);
-
-        // Phase A.
-        self.tick_prologue(now, &mut s.stuck);
 
         // Phase B.
         {
@@ -1304,34 +1302,24 @@ impl Network {
             let mut routers = &mut self.routers[..];
             let mut router_links = &mut self.router_links[..];
             let mut router_wake = self.router_wake.as_mut_slice();
-            let mut locals_rest = &mut locals[..];
+            let mut locals_rest = locals.iter_mut();
             for sh in 0..plan.shards() {
-                let tiles = plan.tile_range(sh);
-                let rr = plan.router_range(sh);
-                let (a, rest) = std::mem::take(&mut nis).split_at_mut(tiles.len());
-                nis = rest;
-                let (b, rest) = std::mem::take(&mut ni_links).split_at_mut(tiles.len());
-                ni_links = rest;
-                let (c, rest) = std::mem::take(&mut ni_wake).split_at_mut(tiles.len());
-                ni_wake = rest;
-                let (d, rest) = std::mem::take(&mut routers).split_at_mut(rr.len());
-                routers = rest;
-                let (e, rest) = std::mem::take(&mut router_links).split_at_mut(rr.len());
-                router_links = rest;
-                let (f, rest) = std::mem::take(&mut router_wake).split_at_mut(rr.len());
-                router_wake = rest;
-                let (l, rest) = std::mem::take(&mut locals_rest).split_at_mut(1);
-                locals_rest = rest;
+                let (tiles, rr) = (plan.tile_range(sh), plan.router_range(sh));
+                // Each shard's ranges are cut off the front of what the
+                // earlier shards left.
+                fn cut<'a, T>(rest: &mut &'a mut [T], n: usize) -> &'a mut [T] {
+                    rest.split_off_mut(..n).expect("the plan covers the fabric")
+                }
                 works.push(ShardWork {
                     tile0: tiles.start,
                     router0: rr.start,
-                    nis: a,
-                    ni_links: b,
-                    ni_wake: c,
-                    routers: d,
-                    router_links: e,
-                    router_wake: f,
-                    local: &mut l[0],
+                    nis: cut(&mut nis, tiles.len()),
+                    ni_links: cut(&mut ni_links, tiles.len()),
+                    ni_wake: cut(&mut ni_wake, tiles.len()),
+                    routers: cut(&mut routers, rr.len()),
+                    router_links: cut(&mut router_links, rr.len()),
+                    router_wake: cut(&mut router_wake, rr.len()),
+                    local: locals_rest.next().expect("one local per shard"),
                 });
             }
             std::thread::scope(|scope| {
@@ -1353,22 +1341,13 @@ impl Network {
 
         // Phase C.
         let tracing = self.sink.is_enabled();
-        let mut moved = false;
-        for l in &locals {
-            moved |= l.moved;
-        }
+        let moved = locals.iter().any(|l| l.moved);
         // NI effects first (tile order), matching the serial NI-then-router
         // loop order.
         for (sh, local) in locals.iter_mut().enumerate() {
-            let ShardLocal {
-                ni_merge,
-                delivered,
-                corrupt,
-                ..
-            } = local;
-            let mut deliveries = delivered.drain(..);
-            let mut entries = ni_merge.iter().peekable();
-            let mut corrupt_at = 0;
+            let mut deliveries = local.delivered.drain(..);
+            let mut entries = local.ni_merge.iter().peekable();
+            let mut corrupt = &local.corrupt[..];
             for tile in plan.tile_range(sh) {
                 if tracing {
                     for ev in self.ni_stage[tile].drain() {
@@ -1378,77 +1357,46 @@ impl Network {
                 let Some(e) = entries.next_if(|e| e.tile == tile) else {
                     continue;
                 };
-                let mut batch: Vec<Delivered> = deliveries.by_ref().take(e.n_delivered).collect();
-                for d in &batch {
-                    self.stats.record_delivery(
-                        d.class,
-                        d.injected_at - d.created_at,
-                        d.delivered_at - d.injected_at,
-                    );
-                }
-                if let Some((class, len)) = e.injection {
-                    self.stats.record_injection(class, len);
-                }
-                if e.reroutes > 0 {
-                    if let Some(fs) = self.faults.as_mut() {
-                        fs.stats.packets_rerouted += e.reroutes;
-                    }
-                }
-                if e.congestion_reroutes > 0 {
-                    if let Some(ad) = self.adaptive.as_mut() {
-                        ad.report.congestion_detours += e.congestion_reroutes;
-                    }
-                }
-                for k in 0..e.n_corrupt {
-                    self.schedule_retry(corrupt[corrupt_at + k], now);
-                }
-                corrupt_at += e.n_corrupt;
-                for mut d in batch.drain(..) {
-                    let retries = self.note_delivered(&mut d);
-                    self.sink.emit(|| rcsim_trace::TraceEvent {
-                        cycle: now,
-                        kind: EventKind::NiEject {
-                            packet: d.packet.0,
-                            node: d.dst.0,
-                            rode_circuit: d.rode_circuit,
-                            retries,
-                        },
-                    });
-                    self.deliver(tile, d);
-                }
+                let discards;
+                (discards, corrupt) = corrupt.split_at(e.n_corrupt);
+                self.settle_ni(
+                    tile,
+                    now,
+                    e.injection,
+                    (e.reroutes, e.congestion_reroutes),
+                    discards,
+                    deliveries.by_ref().take(e.n_delivered),
+                );
             }
         }
         // Router effects (router order): staged trace events, then the
-        // outgoing batch — `route_outgoing` performs the boundary
-        // wake/enqueue and every link-fault RNG draw, in the serial order.
+        // staged link output replayed through the serial sink — which
+        // performs the boundary wake/enqueue and every link-fault RNG
+        // draw, in the serial order.
+        let router_stage = std::mem::take(&mut self.router_stage);
+        let (_, mut links) = self.links(now);
         for (sh, local) in locals.iter_mut().enumerate() {
-            let ShardLocal {
-                router_merge,
-                outgoing,
-                ..
-            } = local;
-            let mut entries = router_merge.iter().peekable();
-            let mut staged = outgoing.drain(..);
+            let mut entries = local.router_merge.iter().peekable();
+            let mut staged = local.outgoing.drain(..);
             for i in plan.router_range(sh) {
                 if tracing {
-                    for ev in self.router_stage[i].drain() {
-                        self.sink.emit(move || ev);
+                    for ev in router_stage[i].drain() {
+                        links.sink.emit(move || ev);
                     }
                 }
                 let Some(&(_, cnt)) = entries.next_if(|&&(r, _)| r == i) else {
                     continue;
                 };
-                self.route_outgoing(now, NodeId(i as u16), staged.by_ref().take(cnt));
+                links.from = NodeId(i as u16);
+                for o in staged.by_ref().take(cnt) {
+                    o.replay(&mut links);
+                }
+                links.settle();
             }
         }
-
-        if moved {
-            self.last_progress = now;
-        }
-        self.stats.cycles += 1;
-        self.now = now + 1;
-        self.scratch = s;
+        self.router_stage = router_stage;
         self.shard_locals = locals;
+        moved
     }
 
     /// Watchdog bookkeeping at delivery: closes the packet's outstanding
@@ -1472,209 +1420,6 @@ impl Network {
             d.rode_circuit = true;
         }
         rec.retries
-    }
-
-    /// Marks `id` as hit by a fault and schedules its next end-to-end
-    /// retransmission (linear backoff), or abandons it once the retry
-    /// budget is spent. No-op without fault injection.
-    fn schedule_retry(&mut self, id: PacketId, at: Cycle) {
-        let Some(fs) = self.faults.as_mut() else {
-            return;
-        };
-        let Some(rec) = self.outstanding.get_mut(&id) else {
-            return;
-        };
-        if rec.retries < fs.cfg.max_retries {
-            rec.retries += 1;
-            fs.stats.retransmissions += 1;
-            let attempt = rec.retries;
-            let backoff = fs.cfg.retry_backoff.max(1) * attempt as Cycle;
-            self.retry_queue.push((at + backoff, id));
-            self.sink.emit(|| rcsim_trace::TraceEvent {
-                cycle: at,
-                kind: EventKind::NiRetry {
-                    packet: id.0,
-                    attempt,
-                },
-            });
-        } else {
-            fs.stats.packets_abandoned += 1;
-            self.stats.dropped_packets += 1;
-            let retries = rec.retries;
-            self.outstanding.remove(&id);
-            self.sink.emit(|| rcsim_trace::TraceEvent {
-                cycle: at,
-                kind: EventKind::PacketDropped {
-                    packet: id.0,
-                    retries,
-                },
-            });
-        }
-    }
-
-    /// The router out of `from`'s network port `port`, from the table
-    /// built at construction (`None` at a mesh edge or for a local port).
-    fn neighbor(&self, from: NodeId, port: usize) -> Option<NodeId> {
-        self.neighbors[from.index()].get(port).copied().flatten()
-    }
-
-    /// Puts one router's output on its links: every message is written
-    /// once, by value, into the calendar of the component it reaches —
-    /// after the link-fault layer had its say, in emission order (the
-    /// fault RNG draws are order-sensitive).
-    fn route_outgoing(
-        &mut self,
-        now: Cycle,
-        from: NodeId,
-        outgoing: impl Iterator<Item = Outgoing>,
-    ) {
-        for o in outgoing {
-            match o {
-                Outgoing::Flit {
-                    port,
-                    mut flit,
-                    arrive,
-                } => {
-                    if port >= PORT_LOCAL {
-                        // Ejection: local port `4 + slot` reaches the NI of
-                        // the tile in that slot of this router.
-                        let tile = self.cfg.topology.tile_of(from, port - PORT_LOCAL).index();
-                        self.ni_wake.wake_at(tile, arrive);
-                        self.ni_links[tile].push_flit(now, arrive, 0, flit);
-                        continue;
-                    }
-                    let Some(nb) = self.neighbor(from, port) else {
-                        // Invariant: XY/YX routing never crosses the mesh
-                        // edge. Losing one flit beats tearing down a long
-                        // experiment run, and the watchdog will flag the
-                        // wedged packet.
-                        debug_assert!(false, "routing crossed the mesh edge at {from}/{port}");
-                        continue;
-                    };
-                    if !self.topo.hop_usable(from, nb)
-                        && (flit.kind.is_head() || self.dead_eating.contains(&flit.packet))
-                    {
-                        // The link (or an endpoint router) is dead: the
-                        // packet is lost from its head flit on. Synthesize
-                        // the credits it would have earned, tear the
-                        // reservations it orphans and schedule the
-                        // end-to-end retransmission — without touching the
-                        // fault RNG, so the random-fault stream is
-                        // unchanged by scheduled dead resources. A packet
-                        // whose head crossed *before* the link died drains
-                        // whole instead (the `else` path): cutting a
-                        // wormhole mid-stream would wedge the downstream
-                        // VC forever.
-                        if flit.kind.is_head() && !flit.kind.is_tail() {
-                            self.dead_eating.insert(flit.packet);
-                        }
-                        if flit.kind.is_tail() {
-                            self.dead_eating.remove(&flit.packet);
-                        }
-                        if let Some(fs) = self.faults.as_mut() {
-                            fs.stats.dead_flits_lost += 1;
-                        }
-                        self.drop_on_link(now, from, nb, port, &flit, arrive);
-                        continue;
-                    }
-                    if let Some(fs) = self.faults.as_mut() {
-                        match fs.on_link_flit(from.index(), port, &flit) {
-                            LinkFate::Deliver => {}
-                            LinkFate::Corrupt => flit.corrupted = true,
-                            LinkFate::Drop => {
-                                self.drop_on_link(now, from, nb, port, &flit, arrive);
-                                continue;
-                            }
-                        }
-                    }
-                    self.router_wake.wake_at(nb.index(), arrive);
-                    self.router_links[nb.index()].push_flit(now, arrive, opposite_port(port), flit);
-                }
-                Outgoing::Credit { port, vc, arrive } => {
-                    if port >= PORT_LOCAL {
-                        let tile = self.cfg.topology.tile_of(from, port - PORT_LOCAL).index();
-                        self.ni_wake.wake_at(tile, arrive);
-                        self.ni_links[tile].push_credit(now, arrive, 0, vc);
-                        continue;
-                    }
-                    let Some(nb) = self.neighbor(from, port) else {
-                        // Invariant: credits return along existing links.
-                        debug_assert!(false, "credit crossed the mesh edge at {from}/{port}");
-                        continue;
-                    };
-                    if self.faults.as_mut().is_some_and(FaultState::on_link_credit) {
-                        continue;
-                    }
-                    // Credits deliberately survive dead links: the credit
-                    // backchannel is the recovery path's control plane, and
-                    // without it every VC that ever crossed the link would
-                    // wedge permanently (DESIGN.md §10). Credit loss stays
-                    // its own (random) fault class.
-                    self.router_wake.wake_at(nb.index(), arrive);
-                    self.router_links[nb.index()].push_credit(now, arrive, opposite_port(port), vc);
-                }
-                Outgoing::Undo {
-                    port,
-                    key,
-                    dst,
-                    arrive,
-                } => {
-                    let Some(nb) = self.neighbor(from, port) else {
-                        // Invariant: undo propagation follows the reserved
-                        // path, which never leaves the mesh.
-                        debug_assert!(false, "undo crossed the mesh edge at {from}/{port}");
-                        continue;
-                    };
-                    if !self.topo.hop_usable(from, nb) {
-                        // Undo propagation dies with the link; the entries
-                        // beyond it were removed by the scheduled-fault
-                        // teardown, so nothing is left to clean up.
-                        continue;
-                    }
-                    self.router_wake.wake_at(nb.index(), arrive);
-                    self.router_links[nb.index()].push_undo(now, arrive, key, dst);
-                }
-            }
-        }
-    }
-
-    /// Handles one flit dropped on the link `from → nb`: synthesizes the
-    /// downstream credit it will never earn (credit loss is its own fault
-    /// class; drops must not wedge the fabric by themselves), tears down
-    /// the circuit reservations the packet leaves orphaned, and schedules
-    /// the end-to-end retransmission.
-    fn drop_on_link(
-        &mut self,
-        now: Cycle,
-        from: NodeId,
-        nb: NodeId,
-        port: usize,
-        flit: &Flit,
-        arrive: Cycle,
-    ) {
-        // Mirror the downstream router's credit-return rule: circuit VCs
-        // are only credited when they are buffered (fragmented mode).
-        let layout = self.cfg.vc_layout();
-        if !layout.is_circuit_vc(flit.vc) || self.cfg.mechanism.circuit_vc_buffered() {
-            self.router_wake.wake_at(from.index(), arrive);
-            self.router_links[from.index()].push_credit(now, arrive, port, flit.vc);
-        }
-        if flit.kind.is_head() {
-            if let Some(h) = &flit.circuit {
-                // A dropped circuit-building request: undo the prefix of
-                // reservations it made, starting from the last router it
-                // crossed (the retransmission goes plain packet-switched).
-                self.router_wake.wake_at(from.index(), arrive);
-                self.router_links[from.index()].push_undo(now, arrive, h.key, h.key.requestor);
-            } else if let Some(key) = flit.on_circuit {
-                // A dropped circuit ride: the not-yet-used suffix of the
-                // circuit (from the next router on) is torn down; routers
-                // it already crossed were released by normal streaming.
-                self.router_wake.wake_at(nb.index(), arrive);
-                self.router_links[nb.index()].push_undo(now, arrive, key, key.requestor);
-            }
-            self.schedule_retry(flit.packet, arrive);
-        }
     }
 
     /// Applies every scheduled dead-link / dead-router transition due
@@ -1766,7 +1511,8 @@ impl Network {
     fn teardown_circuits(&mut self, now: Cycle) {
         let topology = self.cfg.topology;
         let ports = topology.ports();
-        let mut doomed: HashSet<CircuitKey> = HashSet::new();
+        // Ordered, so the `CircuitTear` trace events are too.
+        let mut doomed: BTreeSet<CircuitKey> = BTreeSet::new();
         for i in 0..topology.routers() {
             let node = NodeId(i as u16);
             for (_, e, _) in self.routers[i].circuits.stale_entries(now, 0) {
@@ -1876,9 +1622,10 @@ impl Network {
         s
     }
 
-    /// Recomputes every derived occupancy quantity — each router's VC
-    /// occupancy index (DESIGN.md §15) and the pending-delivery count —
-    /// from the state it mirrors and reports the first mismatch. Debug
+    /// Recomputes every derived quantity — each router's VC occupancy
+    /// index (DESIGN.md §15), each component's wake slot and the
+    /// pending-delivery count — from the state it mirrors and reports
+    /// the first mismatch. Debug
     /// builds assert the router part on every router tick; tests call
     /// this in release builds too.
     ///
@@ -1888,6 +1635,20 @@ impl Network {
     pub fn check_index(&self) -> Result<(), String> {
         for r in &self.routers {
             r.check_index()?;
+        }
+        // Between ticks every wake slot is exact: its calendar's next due
+        // cycle, no earlier (a spurious wake) and no later (a missed one).
+        for (what, links, wake) in [
+            ("router", &self.router_links, &self.router_wake),
+            ("ni", &self.ni_links, &self.ni_wake),
+        ] {
+            for (i, due) in links.iter().map(|l| l.next_due(self.now)).enumerate() {
+                if !wake.due(i, due) || (due > 0 && wake.due(i, due - 1)) {
+                    return Err(format!(
+                        "{what} {i}: wake slot is not the {due} its calendar is due"
+                    ));
+                }
+            }
         }
         let held: usize = self.delivered.iter().map(Vec::len).sum();
         if held != self.delivered_pending {

@@ -4,7 +4,9 @@
 //! and scrounger reuse (§4.5).
 
 use crate::config::{NocConfig, VcLayout};
-use crate::flit::{Delivered, Flit, FlitKind, PacketId, PacketSpec};
+use crate::flit::{Delivered, Flit, FlitKind, Head, PacketId, PacketSpec};
+use crate::links::LinkSink;
+use crate::network::Outstanding;
 use crate::router::alloc::RoundRobin;
 use crate::stats::{CircuitOutcome, NocStats};
 use rcsim_core::circuit::{CircuitHandle, CircuitKey};
@@ -15,7 +17,7 @@ use rcsim_core::{
 };
 use rcsim_trace::{EventKind, TraceEvent, TraceSink};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 
 /// The reply class (and its flit count) a circuit-building request expects.
 pub(crate) fn expected_reply_flits(class: MessageClass, flit_bytes: u32) -> u32 {
@@ -68,19 +70,16 @@ struct Origin {
 
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 struct Assembly {
-    head: Option<Flit>,
+    head: Option<Box<Head>>,
     received: u32,
 }
 
-/// What one NI tick produced. The network owns one reusable instance
-/// per tick ([`NiOut::clear`] between NIs) so the per-cycle loop stays
-/// allocation-free.
+/// What one NI tick produced for the network to account — the flit and
+/// the undos it sent went straight onto its link. The network owns one
+/// reusable instance per tick ([`NiOut::clear`] between NIs) so the
+/// per-cycle loop stays allocation-free.
 #[derive(Debug, Default)]
 pub(crate) struct NiOut {
-    /// Flits entering the router's local input port next cycle.
-    pub flits: Vec<Flit>,
-    /// Circuit undos to start propagating from this node's router.
-    pub undos: Vec<(CircuitKey, NodeId)>,
     /// Fully received packets for the tile logic.
     pub delivered: Vec<Delivered>,
     /// Packets that failed the NI's integrity check (corrupted by the
@@ -97,20 +96,14 @@ pub(crate) struct NiOut {
     /// The statistics-counted injection this tick started, if any (class
     /// and flit count of the head emitted with `count_injection` set). At
     /// most one per tick — an NI injects at most one flit per cycle. The
-    /// network replays it into [`NocStats::record_injection`]: keeping
-    /// *all* NI statistics out of [`Ni::tick`] makes the tick body safe to
-    /// run on a shard worker, with the serial merge replaying deliveries
-    /// and injections in fixed tile order so the f64 accumulation order —
-    /// and therefore every derived statistic — is byte-identical to the
-    /// serial path.
+    /// network records it, like the deliveries: [`Ni::tick`] touches no
+    /// statistics, so it can run on a shard worker.
     pub injection: Option<(MessageClass, u32)>,
 }
 
 impl NiOut {
     /// Empties every output list, keeping the allocations.
     pub(crate) fn clear(&mut self) {
-        self.flits.clear();
-        self.undos.clear();
         self.delivered.clear();
         self.corrupt_discards.clear();
         self.reroutes = 0;
@@ -225,7 +218,7 @@ impl Ni {
     /// that would have ridden it records the `torn_down` outcome instead
     /// of a generic failure. The router entries are removed by the
     /// network; no undo propagation is needed.
-    pub(crate) fn purge_origins(&mut self, doomed: &HashSet<CircuitKey>) {
+    pub(crate) fn purge_origins(&mut self, doomed: &BTreeSet<CircuitKey>) {
         for key in doomed {
             if self.origins.remove(key).is_some() {
                 self.torn.insert(*key);
@@ -447,18 +440,18 @@ impl Ni {
 
     /// Re-injection of a scrounger at its intermediate node: same logical
     /// message, original timestamps, no new statistics.
-    fn reenqueue_scrounger(&mut self, flit: &Flit, final_dst: NodeId, now: Cycle) {
+    fn reenqueue_scrounger(&mut self, id: PacketId, head: &Head, final_dst: NodeId, now: Cycle) {
         let mut pending = Pending {
-            id: flit.packet,
-            src: flit.src,
+            id,
+            src: head.src,
             dst: final_dst,
-            class: flit.class,
+            class: head.class,
             vnet: Vnet::Reply,
-            len: flit.len,
-            block: flit.block,
-            token: flit.token,
-            created_at: flit.created_at,
-            injected_at: Some(flit.injected_at),
+            len: head.len,
+            block: head.block,
+            token: head.token,
+            created_at: head.created_at,
+            injected_at: Some(head.injected_at),
             circuit: None,
             on_circuit: None,
             scrounger_final: None,
@@ -476,7 +469,7 @@ impl Ni {
                 pending.on_circuit = Some(key);
                 pending.scrounger_final = Some(final_dst);
                 pending.start_at = start;
-                self.circuit_link_free_at = start + flit.len as Cycle;
+                self.circuit_link_free_at = start + head.len as Cycle;
                 self.circuit_queue.push_back(pending);
                 return;
             }
@@ -489,29 +482,17 @@ impl Ni {
     /// packet-switched traversal — a replacement circuit would need a new
     /// request, so retries never ride one. Injection statistics are not
     /// recounted (the original injection already was).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn reenqueue_retry(
-        &mut self,
-        id: PacketId,
-        src: NodeId,
-        dst: NodeId,
-        class: MessageClass,
-        len: u32,
-        block: u64,
-        token: u64,
-        created_at: Cycle,
-        now: Cycle,
-    ) {
-        self.queues[class.vnet().index()].push_back(Pending {
+    pub(crate) fn reenqueue_retry(&mut self, id: PacketId, lost: &Outstanding, now: Cycle) {
+        self.queues[lost.class.vnet().index()].push_back(Pending {
             id,
-            src,
-            dst,
-            class,
-            vnet: class.vnet(),
-            len,
-            block,
-            token,
-            created_at,
+            src: lost.src,
+            dst: lost.dst,
+            class: lost.class,
+            vnet: lost.class.vnet(),
+            len: lost.len,
+            block: lost.block,
+            token: lost.token,
+            created_at: lost.created_at,
             injected_at: None,
             circuit: None,
             on_circuit: None,
@@ -547,15 +528,17 @@ impl Ni {
     }
 
     /// One NI cycle: process ejected flits, then inject at most one flit
-    /// into the router's local port (circuit streams have priority).
-    /// Inputs come as a link calendar hands them over — `(port, _)` pairs,
-    /// the port always 0 at an NI — and are drained in place so the
-    /// caller can reuse the buffers.
+    /// into the router's local port (circuit streams have priority);
+    /// returns whether one was injected. Inputs come as a link calendar
+    /// hands them over — `(port, _)` pairs, the port always 0 at an NI —
+    /// and are drained in place so the caller can reuse the buffers; the
+    /// flit and any circuit undos go out on `link`, the NI's single port.
     ///
     /// Deliberately statistics-free: deliveries and the counted injection
     /// are surfaced through `out` and replayed into [`NocStats`] by the
     /// network, in tile order, so the tick body can run on a shard worker
     /// (see [`NiOut::injection`]).
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn tick(
         &mut self,
         now: Cycle,
@@ -564,15 +547,22 @@ impl Ni {
         topo: &TopologyHealth,
         cong: &CongestionMap,
         out: &mut NiOut,
-    ) {
-        out.undos.append(&mut self.pending_undos);
+        link: &mut impl LinkSink,
+    ) -> bool {
+        for (key, dst) in self.pending_undos.drain(..) {
+            link.undo(0, key, dst, now + 1);
+        }
         for (_, vc) in credit_arrivals.drain(..) {
             self.credits[vc] += 1;
         }
         for (_, flit) in ejected.drain(..) {
             self.receive_flit(flit, now, cong, out);
         }
-        self.inject_one(now, topo, cong, out);
+        let Some(flit) = self.inject_one(now, topo, cong, out) else {
+            return false;
+        };
+        link.flit(0, flit, now + 1);
+        true
     }
 
     /// `true` when a tick with no arriving flits or credits could still
@@ -583,11 +573,11 @@ impl Ni {
         self.backlog() > 0 || !self.pending_undos.is_empty()
     }
 
-    fn receive_flit(&mut self, flit: Flit, now: Cycle, cong: &CongestionMap, out: &mut NiOut) {
+    fn receive_flit(&mut self, mut flit: Flit, now: Cycle, cong: &CongestionMap, out: &mut NiOut) {
         let a = self.assembling.entry(flit.packet).or_default();
         a.received += 1;
         if flit.kind.is_head() {
-            a.head = Some(flit.clone());
+            a.head = flit.head.take();
         }
         if !flit.kind.is_tail() {
             return;
@@ -596,20 +586,22 @@ impl Ni {
             .assembling
             .remove(&flit.packet)
             .expect("assembly entry exists for the tail's packet");
-        debug_assert_eq!(a.received, flit.len, "flits lost or duplicated in transit");
         let head = a.head.expect("head received before tail");
+        debug_assert_eq!(a.received, head.len, "flits lost or duplicated in transit");
 
         if head.corrupted {
             // Failed the integrity check: discard here (even a scrounger
             // leg — the data is bad everywhere) and let the network
             // schedule an end-to-end retransmission from the source.
-            out.corrupt_discards.push(head.packet);
+            out.corrupt_discards.push(flit.packet);
             return;
         }
 
-        if let Some(final_dst) = head.scrounger_final {
+        // Every flit of a packet carries the same circuit tags, so the
+        // tail's are the head's.
+        if let Some(final_dst) = flit.scrounger_final {
             if final_dst != self.node {
-                self.reenqueue_scrounger(&head, final_dst, now);
+                self.reenqueue_scrounger(flit.packet, &head, final_dst, now);
                 return;
             }
         }
@@ -655,7 +647,7 @@ impl Ni {
             }
         }
         out.delivered.push(Delivered {
-            packet: head.packet,
+            packet: flit.packet,
             src: head.src,
             dst: self.node,
             class: head.class,
@@ -668,17 +660,18 @@ impl Ni {
             // "Rode a circuit" means *its own* circuit: a scrounger ends
             // its circuit leg at an intermediate node and re-injects, so
             // it must not trigger ACK elision at the receiver (§4.6).
-            rode_circuit: head.on_circuit.is_some() && head.scrounger_final.is_none(),
+            rode_circuit: flit.on_circuit.is_some() && flit.scrounger_final.is_none(),
         });
     }
 
+    /// The flit this NI sends into its router this cycle, if any.
     fn inject_one(
         &mut self,
         now: Cycle,
         topo: &TopologyHealth,
         cong: &CongestionMap,
         out: &mut NiOut,
-    ) {
+    ) -> Option<Flit> {
         // Circuit streams first: they must hold their committed schedule.
         if self.circuit_active.is_none() {
             if let Some(p) = self.circuit_queue.front() {
@@ -699,11 +692,10 @@ impl Ni {
         }
         if let Some(mut s) = self.circuit_active.take() {
             let flit = self.emit_flit(&mut s, now, topo, cong, out);
-            out.flits.push(flit);
             if s.next_seq < s.pending.len {
                 self.circuit_active = Some(s);
             }
-            return;
+            return Some(flit);
         }
 
         // Packet-switched: continue an in-flight stream or start one.
@@ -712,17 +704,16 @@ impl Ni {
             self.try_activate(now);
             self.collect_sendable();
         }
-        if let Some(vc) = self.rr_stream.grant_among(&self.sendable) {
-            let mut s = self.streams[vc].take().expect("sendable stream exists");
-            self.credits[vc] -= 1;
-            let flit = self.emit_flit(&mut s, now, topo, cong, out);
-            out.flits.push(flit);
-            if s.next_seq < s.pending.len {
-                self.streams[vc] = Some(s);
-            } else {
-                self.live_streams -= 1;
-            }
+        let vc = self.rr_stream.grant_among(&self.sendable)?;
+        let mut s = self.streams[vc].take().expect("sendable stream exists");
+        self.credits[vc] -= 1;
+        let flit = self.emit_flit(&mut s, now, topo, cong, out);
+        if s.next_seq < s.pending.len {
+            self.streams[vc] = Some(s);
+        } else {
+            self.live_streams -= 1;
         }
+        Some(flit)
     }
 
     /// Rebuilds the scratch list of VCs with a stream and a credit.
@@ -799,25 +790,25 @@ impl Ni {
             packet: p.id,
             kind,
             seq: s.next_seq,
-            len: p.len,
-            src: p.src,
-            dst: p.dst,
-            class: p.class,
-            vnet: p.vnet,
-            vc: s.vc,
-            circuit: if kind.is_head() {
-                p.circuit.clone()
-            } else {
-                None
-            },
+            vc: s.vc as u8,
             on_circuit: p.on_circuit,
             scrounger_final: p.scrounger_final,
-            block: p.block,
-            token: p.token,
-            created_at: p.created_at,
-            injected_at: p.injected_at.expect("set on head emission"),
-            corrupted: false,
-            path,
+            head: kind.is_head().then(|| {
+                Box::new(Head {
+                    len: p.len,
+                    src: p.src,
+                    dst: p.dst,
+                    class: p.class,
+                    vnet: p.vnet,
+                    corrupted: false,
+                    circuit: p.circuit.clone(),
+                    block: p.block,
+                    token: p.token,
+                    created_at: p.created_at,
+                    injected_at: p.injected_at.expect("set on head emission"),
+                    path,
+                })
+            }),
         };
         s.next_seq += 1;
         flit
@@ -833,8 +824,8 @@ impl Ni {
     /// healthy route crosses the hot region anyway, or when no healthy
     /// route exists at all — then the flit is emitted on DOR and, for
     /// faults, the end-to-end retry/abandon machinery takes over.
-    // The Box matches `Flit::path`, which keeps the no-detour case
-    // pointer-sized on every head flit.
+    // The Box matches `Head::path`, which keeps the no-detour case
+    // pointer-sized in every header.
     #[allow(clippy::box_collection)]
     fn plan_detour(
         &mut self,

@@ -42,8 +42,14 @@ impl RoundRobin {
             requests
         };
         let i = pick.trailing_zeros() as usize;
-        self.next = (i + 1) % self.n;
+        self.advance_past(i);
         Some(i)
+    }
+
+    /// Moves the priority pointer just past `winner` (`< n`), wrapping
+    /// by comparison: `n` is a run-time value, so `%` would be a divide.
+    fn advance_past(&mut self, winner: usize) {
+        self.next = if winner + 1 == self.n { 0 } else { winner + 1 };
     }
 
     /// The linear-scan reference [`RoundRobin::grant_mask`] is tested
@@ -72,15 +78,16 @@ impl RoundRobin {
     /// Like [`RoundRobin::grant`] but over an explicit candidate list of
     /// indices (not necessarily dense).
     pub fn grant_among(&mut self, candidates: &[usize]) -> Option<usize> {
-        if candidates.is_empty() || self.n == 0 {
-            return None;
-        }
+        debug_assert!(candidates.iter().all(|&c| c < self.n));
         // Pick the candidate closest after the pointer.
-        let winner = candidates
-            .iter()
-            .copied()
-            .min_by_key(|&c| (c + self.n - self.next) % self.n)?;
-        self.next = (winner + 1) % self.n;
+        let winner = candidates.iter().copied().min_by_key(|&c| {
+            if c >= self.next {
+                c - self.next
+            } else {
+                c + self.n - self.next
+            }
+        })?;
+        self.advance_past(winner);
         Some(winner)
     }
 }

@@ -1,4 +1,4 @@
-//! Input-port state: per-VC buffers and the pipeline state machine.
+//! Input-VC state: the flit buffer and the pipeline state machine.
 
 use crate::flit::Flit;
 use rcsim_core::Cycle;
@@ -7,9 +7,10 @@ use std::collections::VecDeque;
 
 /// Pipeline state of one input virtual channel (the `G` field of the
 /// paper's Figure 2 router diagram).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum VcState {
     /// No packet in flight.
+    #[default]
     Idle,
     /// Head buffered, route computed; waiting for VC allocation.
     WaitVa,
@@ -21,7 +22,8 @@ pub enum VcState {
 
 /// One input virtual channel: flit buffer plus control state
 /// (`G`/`R`/`O` of Figure 2; the credit count lives at the output side).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// The default is a fresh idle VC.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct InputVc {
     /// Pipeline state.
     pub state: VcState,
@@ -41,18 +43,6 @@ pub struct InputVc {
 }
 
 impl InputVc {
-    /// A fresh idle VC.
-    pub fn new() -> Self {
-        Self {
-            state: VcState::Idle,
-            state_since: 0,
-            buffer: VecDeque::new(),
-            route: None,
-            out_vc: None,
-            circuit_attempted: false,
-        }
-    }
-
     /// Resets control state after a tail flit departs.
     pub fn reset(&mut self, now: Cycle) {
         self.state = VcState::Idle;
@@ -69,35 +59,13 @@ impl InputVc {
     }
 }
 
-impl Default for InputVc {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// One input port: its VCs.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct InputPort {
-    /// Virtual channels, indexed by global VC id.
-    pub vcs: Vec<InputVc>,
-}
-
-impl InputPort {
-    /// An input port with `vcs` virtual channels.
-    pub fn new(vcs: usize) -> Self {
-        Self {
-            vcs: (0..vcs).map(|_| InputVc::new()).collect(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn vc_lifecycle() {
-        let mut vc = InputVc::new();
+        let mut vc = InputVc::default();
         assert!(vc.is_idle());
         vc.state = VcState::WaitVa;
         assert!(!vc.is_idle());
@@ -110,12 +78,5 @@ mod tests {
         assert_eq!(vc.route, None);
         assert_eq!(vc.out_vc, None);
         assert!(!vc.circuit_attempted);
-    }
-
-    #[test]
-    fn port_has_requested_vcs() {
-        let p = InputPort::new(4);
-        assert_eq!(p.vcs.len(), 4);
-        assert!(p.vcs.iter().all(InputVc::is_idle));
     }
 }

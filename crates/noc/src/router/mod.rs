@@ -14,9 +14,10 @@ mod input;
 
 use crate::config::{NocConfig, VcLayout};
 use crate::flit::{Flit, PacketId};
+use crate::links::LinkSink;
 use crate::stats::Activity;
 use alloc::RoundRobin;
-use input::{InputPort, VcState};
+use input::{InputVc, VcState};
 use rcsim_core::circuit::timing::{router_window, REQ_HOP_CYCLES};
 use rcsim_core::circuit::{CircuitKey, ReserveRequest, RouterCircuits};
 use rcsim_core::routing::Routing;
@@ -25,62 +26,16 @@ use rcsim_trace::{EventKind, TraceEvent, TraceSink};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
-/// A message leaving the router this cycle, to be routed by the network.
-///
-/// Ports are indices in `0..Topology::ports()`: 0–3 the N/E/S/W network
-/// ports, 4.. the local (NI) ports — one per tile concentrated on this
-/// router.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Outgoing {
-    /// A flit leaving through `port` (local ports eject to a tile's NI).
-    Flit {
-        /// Output port index.
-        port: usize,
-        /// The flit (its `vc` field is the downstream buffer index).
-        flit: Flit,
-        /// Cycle it reaches the neighbour router / NI.
-        arrive: Cycle,
-    },
-    /// A credit returned upstream through input port `port` (local ports
-    /// go to a tile's NI).
-    Credit {
-        /// The input port whose buffer slot was freed.
-        port: usize,
-        /// The VC the credit belongs to.
-        vc: usize,
-        /// Cycle it reaches the upstream router / NI.
-        arrive: Cycle,
-    },
-    /// Circuit-undo information riding the credit channel (§4.4) towards
-    /// the circuit destination `dst`.
-    Undo {
-        /// Port towards the next router on the circuit's path.
-        port: usize,
-        /// Circuit identity.
-        key: CircuitKey,
-        /// The circuit's destination node (the original requestor).
-        dst: NodeId,
-        /// Cycle it reaches the neighbour.
-        arrive: Cycle,
-    },
-}
-
 /// How one output VC is held by a packet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 enum Owner {
     /// Free for VC allocation.
     Free,
     /// Held by a packet streaming from `(in_port, in_vc)`.
-    Owned(usize, usize),
+    Owned(u8, u8),
     /// Tail has departed; waiting for all credits to return so the
     /// downstream VC is idle again.
     Draining,
-}
-
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct OutputPort {
-    credits: Vec<u32>,
-    owner: Vec<Owner>,
 }
 
 /// Outcome of checking whether a circuit-tagged flit can bypass.
@@ -101,9 +56,10 @@ struct StGrant {
     in_vc: usize,
 }
 
-/// Width of the [`OccupancyIndex`] masks: a router may have at most this
-/// many input VCs (`ports × VcLayout::total()`), which
-/// [`NocConfig::validate`] enforces.
+/// Width of the [`OccupancyIndex`] masks and capacity of the router's
+/// per-VC and per-port arrays: a router may have at most this many input
+/// VCs (`ports × VcLayout::total()`), which [`NocConfig::validate`]
+/// enforces.
 pub(crate) const VC_INDEX_BITS: usize = u64::BITS as usize;
 
 /// Which input VCs and retry queues hold work — the request lines a
@@ -143,6 +99,10 @@ fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
     })
 }
 
+/// Control state is flat (DESIGN.md §15): everything per VC — input or
+/// output side — lives at slot `port · total + vc`, the numbering of the
+/// [`OccupancyIndex`] bits, and everything per port at slot `port`, in
+/// arrays of [`VC_INDEX_BITS`] entries inside the router itself.
 pub(crate) struct Router {
     /// Router id (`0..Topology::routers()`; equals the tile id only when
     /// the concentration is 1).
@@ -155,8 +115,12 @@ pub(crate) struct Router {
     buffer_depth: u32,
     link_latency: u32,
     inject_overhead: u32,
-    inputs: Vec<InputPort>,
-    outputs: Vec<OutputPort>,
+    /// The input VCs, by slot.
+    vcs: Vec<InputVc>,
+    /// Credits held for the downstream buffer of each output VC, by slot.
+    credits: [u32; VC_INDEX_BITS],
+    /// Who holds each output VC, by slot.
+    owner: [Owner; VC_INDEX_BITS],
     /// Crossbar outputs used this cycle, as a mask over output ports
     /// (circuits have priority, §4.3). Per-tick scratch: cleared at the
     /// top of every tick, never serialized.
@@ -167,13 +131,14 @@ pub(crate) struct Router {
     st_scratch: Vec<StGrant>,
     /// The VC each input port nominated in [`Router::stage_sa`] phase 1
     /// (meaningful only for ports that nominated this tick).
-    sa_nominee: Vec<usize>,
+    sa_nominee: [u8; VC_INDEX_BITS],
     /// Per output port, the input ports requesting it in the current
     /// SA/VA sweep, as a mask; all zero between sweeps.
-    contend: Vec<u64>,
-    sa_rr_in: Vec<RoundRobin>,
-    sa_rr_out: Vec<RoundRobin>,
-    va_rr_out: Vec<RoundRobin>,
+    contend: [u64; VC_INDEX_BITS],
+    /// The three arbiter rows, one arbiter per port.
+    sa_rr_in: [RoundRobin; VC_INDEX_BITS],
+    sa_rr_out: [RoundRobin; VC_INDEX_BITS],
+    va_rr_out: [RoundRobin; VC_INDEX_BITS],
     /// Reused candidate list for the VC-allocation sweep.
     va_scratch: Vec<(Cycle, usize, Vnet, NodeId)>,
     /// Bypass flits that lost a same-cycle output conflict (ideal mode) or
@@ -205,12 +170,6 @@ impl Router {
             ports * total <= VC_INDEX_BITS,
             "NocConfig::validate bounds the input VCs per router"
         );
-        let outputs = (0..ports)
-            .map(|_| OutputPort {
-                credits: vec![cfg.buffer_depth; total],
-                owner: vec![Owner::Free; total],
-            })
-            .collect();
         Self {
             node,
             topology: cfg.topology,
@@ -220,8 +179,9 @@ impl Router {
             buffer_depth: cfg.buffer_depth,
             link_latency: cfg.link_latency,
             inject_overhead: cfg.inject_overhead,
-            inputs: (0..ports).map(|_| InputPort::new(total)).collect(),
-            outputs,
+            vcs: vec![InputVc::default(); ports * total],
+            credits: [cfg.buffer_depth; VC_INDEX_BITS],
+            owner: [Owner::Free; VC_INDEX_BITS],
             out_busy: 0,
             circuits: RouterCircuits::with_ports(
                 cfg.mechanism.mode,
@@ -231,11 +191,11 @@ impl Router {
             ),
             st_pending: Vec::new(),
             st_scratch: Vec::new(),
-            sa_nominee: vec![0; ports],
-            contend: vec![0; ports],
-            sa_rr_in: (0..ports).map(|_| RoundRobin::new(total)).collect(),
-            sa_rr_out: (0..ports).map(|_| RoundRobin::new(ports)).collect(),
-            va_rr_out: (0..ports).map(|_| RoundRobin::new(ports)).collect(),
+            sa_nominee: [0; VC_INDEX_BITS],
+            contend: [0; VC_INDEX_BITS],
+            sa_rr_in: std::array::from_fn(|_| RoundRobin::new(total)),
+            sa_rr_out: std::array::from_fn(|_| RoundRobin::new(ports)),
+            va_rr_out: std::array::from_fn(|_| RoundRobin::new(ports)),
             va_scratch: Vec::with_capacity(total),
             bypass_retry: (0..ports).map(|_| VecDeque::new()).collect(),
             occ: OccupancyIndex::default(),
@@ -250,27 +210,39 @@ impl Router {
         self.sink = sink;
     }
 
+    /// The slot of VC `(port, vc)`, on the input or the output side.
+    fn slot(&self, port: usize, vc: usize) -> usize {
+        port * self.layout.total() + vc
+    }
+
+    /// The `(port, vc)` a slot stands for.
+    fn port_vc(&self, slot: usize) -> (usize, usize) {
+        (slot / self.layout.total(), slot % self.layout.total())
+    }
+
     /// Appends a human-readable dump of this router's non-idle pipeline
     /// state (waiting VCs, bypass retry queues, busy output VCs) — used
     /// by wedge-diagnosis assertions to show *where* traffic stuck.
     pub(crate) fn debug_dump(&self, out: &mut String) {
         use std::fmt::Write;
-        for (p, port) in self.inputs.iter().enumerate() {
-            for (v, vc) in port.vcs.iter().enumerate() {
-                if !vc.is_idle() {
-                    let head = vc
-                        .buffer
-                        .front()
-                        .map(|f| (f.packet.0, f.kind, f.on_circuit.is_some()));
-                    writeln!(
-                        out,
-                        "  {:?} in[{p}][{v}] state={:?} since={} route={:?} out_vc={:?} buf={} head={:?}",
-                        self.node, vc.state, vc.state_since, vc.route, vc.out_vc,
-                        vc.buffer.len(), head
-                    )
-                    .ok();
-                }
-            }
+        for (i, vc) in self.vcs.iter().enumerate().filter(|(_, vc)| !vc.is_idle()) {
+            let (p, v) = self.port_vc(i);
+            let head = vc
+                .buffer
+                .front()
+                .map(|f| (f.packet.0, f.kind, f.on_circuit.is_some()));
+            writeln!(
+                out,
+                "  {:?} in[{p}][{v}] state={:?} since={} route={:?} out_vc={:?} buf={} head={:?}",
+                self.node,
+                vc.state,
+                vc.state_since,
+                vc.route,
+                vc.out_vc,
+                vc.buffer.len(),
+                head
+            )
+            .ok();
         }
         for (p, q) in self.bypass_retry.iter().enumerate() {
             if !q.is_empty() {
@@ -281,13 +253,11 @@ impl Router {
                 writeln!(out, "  {:?} bypass_retry[{p}]: {items:?}", self.node).ok();
             }
         }
-        for (o, outp) in self.outputs.iter().enumerate() {
-            let owned: Vec<_> = outp
-                .owner
-                .iter()
-                .enumerate()
-                .filter(|(_, ow)| **ow != Owner::Free)
-                .map(|(v, ow)| format!("vc{v}={ow:?} cr{}", outp.credits[v]))
+        for o in 0..self.ports {
+            let owned: Vec<_> = (0..self.layout.total())
+                .map(|v| (v, self.slot(o, v)))
+                .filter(|&(_, i)| self.owner[i] != Owner::Free)
+                .map(|(v, i)| format!("vc{v}={:?} cr{}", self.owner[i], self.credits[i]))
                 .collect();
             if !owned.is_empty() {
                 writeln!(out, "  {:?} out[{o}]: {owned:?}", self.node).ok();
@@ -306,23 +276,23 @@ impl Router {
 
     /// Runs one cycle. `arrivals`, `credits` and `undos` are the messages
     /// reaching this router this cycle (drained in place so the caller can
-    /// reuse the buffers); produced messages go into `out`.
+    /// reuse the buffers); produced messages go straight onto `out`.
     pub(crate) fn tick(
         &mut self,
         now: Cycle,
         arrivals: &mut Vec<(usize, Flit)>,
         credits: &mut Vec<(usize, usize)>,
         undos: &mut Vec<(CircuitKey, NodeId)>,
-        out: &mut Vec<Outgoing>,
+        out: &mut impl LinkSink,
     ) {
         self.out_busy = 0;
 
         // Credits (and the undo information they may carry, §4.4).
         for (port, vc) in credits.drain(..) {
-            let o = &mut self.outputs[port];
-            o.credits[vc] += 1;
-            if o.owner[vc] == Owner::Draining && o.credits[vc] >= self.buffer_depth {
-                o.owner[vc] = Owner::Free;
+            let i = self.slot(port, vc);
+            self.credits[i] += 1;
+            if self.owner[i] == Owner::Draining && self.credits[i] >= self.buffer_depth {
+                self.owner[i] = Owner::Free;
             }
         }
         for (key, dst) in undos.drain(..) {
@@ -373,7 +343,7 @@ impl Router {
 
     /// Undo handling: clear the local reservation and forward the undo
     /// towards the circuit destination (it rides credits, 1 cycle/hop).
-    fn process_undo(&mut self, now: Cycle, key: CircuitKey, dst: NodeId, out: &mut Vec<Outgoing>) {
+    fn process_undo(&mut self, now: Cycle, key: CircuitKey, dst: NodeId, out: &mut impl LinkSink) {
         let port = match self.circuits.undo(key) {
             Some(entry) => {
                 self.sink.emit(|| TraceEvent {
@@ -397,16 +367,18 @@ impl Router {
         };
         if port < PORT_LOCAL {
             self.activity.credits += 1;
-            out.push(Outgoing::Undo {
-                port,
-                key,
-                dst,
-                arrive: now + self.link_latency as Cycle,
-            });
+            out.undo(port, key, dst, now + self.link_latency as Cycle);
         }
     }
 
-    fn drain_bypass_retries(&mut self, now: Cycle, out: &mut Vec<Outgoing>) {
+    /// Starts undo propagation for the built prefix of a doomed circuit
+    /// out of `port`, towards the requestor.
+    fn start_undo(&mut self, now: Cycle, port: usize, key: CircuitKey, out: &mut impl LinkSink) {
+        self.activity.credits += 1;
+        out.undo(port, key, key.requestor, now + self.link_latency as Cycle);
+    }
+
+    fn drain_bypass_retries(&mut self, now: Cycle, out: &mut impl LinkSink) {
         if self.occ.retries == 0 {
             return;
         }
@@ -421,7 +393,7 @@ impl Router {
                     }
                     BypassCheck::Busy => break,
                     BypassCheck::Pipeline => {
-                        if is_head && !self.inputs[p].vcs[vc].is_idle() {
+                        if is_head && !self.vcs[self.slot(p, vc.into())].is_idle() {
                             // The fallback VC is still draining an earlier
                             // packet: hold the stream here (in order) until
                             // it idles instead of corrupting the wormhole.
@@ -478,7 +450,7 @@ impl Router {
                 .circuit_vc(entry.vc as usize % self.layout.circuit_vcs);
             // A head needs the downstream VC completely idle (all credits
             // home), like the packet-switched Draining rule.
-            if self.outputs[entry.out_port].credits[gvc] < self.buffer_depth {
+            if self.credits[self.slot(entry.out_port, gvc)] < self.buffer_depth {
                 self.circuits.release(port, key);
                 return BypassCheck::Pipeline;
             }
@@ -499,7 +471,7 @@ impl Router {
 
     /// Arrival processing: circuit check first (§4.3), else stage 1
     /// (buffer write + route computation).
-    fn receive(&mut self, now: Cycle, port: usize, flit: Flit, out: &mut Vec<Outgoing>) {
+    fn receive(&mut self, now: Cycle, port: usize, flit: Flit, out: &mut impl LinkSink) {
         if flit.on_circuit.is_some() {
             self.activity.circuit_lookups += 1;
             // Keep stream order: if earlier flits of this input are already
@@ -524,7 +496,7 @@ impl Router {
     }
 
     /// One-cycle circuit traversal: straight through the crossbar (§4.3).
-    fn execute_bypass(&mut self, now: Cycle, port: usize, mut flit: Flit, out: &mut Vec<Outgoing>) {
+    fn execute_bypass(&mut self, now: Cycle, port: usize, mut flit: Flit, out: &mut impl LinkSink) {
         let key = flit.on_circuit.expect("bypass requires a circuit key");
         let entry = *self
             .circuits
@@ -556,29 +528,24 @@ impl Router {
         // A bypassed flit never occupies the buffer slot its VC credit paid
         // for; return the credit immediately (not needed on the bufferless
         // complete-mode circuit VC, whose flits are uncredited).
-        let arrived_buffered =
-            !self.layout.is_circuit_vc(flit.vc) || self.mechanism.circuit_vc_buffered();
-        if arrived_buffered {
+        let in_vc = usize::from(flit.vc);
+        if !self.layout.is_circuit_vc(in_vc) || self.mechanism.circuit_vc_buffered() {
             self.activity.credits += 1;
-            out.push(Outgoing::Credit {
-                port,
-                vc: flit.vc,
-                arrive: now + self.link_latency as Cycle,
-            });
+            out.credit(port, in_vc, now + self.link_latency as Cycle);
         }
-        let o = &mut self.outputs[entry.out_port];
         self.out_busy |= 1 << entry.out_port;
         self.activity.xbar_traversals += 1;
-        flit.vc = if self.layout.circuit_vcs > 0 {
-            self.layout
-                .circuit_vc(entry.vc as usize % self.layout.circuit_vcs.max(1))
-        } else {
-            flit.vc
-        };
+        if self.layout.circuit_vcs > 0 {
+            let out_vc = self
+                .layout
+                .circuit_vc(entry.vc as usize % self.layout.circuit_vcs);
+            flit.vc = out_vc as u8;
+        }
         // Fragmented circuit VCs are buffered and credited; the bypass
         // consumes the downstream slot it may need at a gap router.
         if self.mechanism.mode == CircuitMode::Fragmented && entry.out_port < PORT_LOCAL {
-            o.credits[flit.vc] = o.credits[flit.vc]
+            let slot = self.slot(entry.out_port, flit.vc.into());
+            self.credits[slot] = self.credits[slot]
                 .checked_sub(1)
                 .expect("fragmented bypass head verified whole-message credits");
         }
@@ -588,17 +555,13 @@ impl Router {
             self.activity.link_flits += 1;
             now + 1 + self.link_latency as Cycle
         };
-        out.push(Outgoing::Flit {
-            port: entry.out_port,
-            flit,
-            arrive,
-        });
+        out.flit(entry.out_port, flit, arrive);
     }
 
     /// Stage 1: buffer write and route computation.
     fn buffer_flit(&mut self, now: Cycle, port: usize, flit: Flit) {
-        let vc_idx = flit.vc;
-        if flit.kind.is_head() && !self.inputs[port].vcs[vc_idx].is_idle() {
+        let slot = self.slot(port, flit.vc.into());
+        if flit.kind.is_head() && !self.vcs[slot].is_idle() {
             // A head whose fallback VC is still draining an earlier
             // packet — e.g. a timed circuit stream that lost its window
             // behind a stuck port and degraded to the pipeline. It must
@@ -609,23 +572,22 @@ impl Router {
             self.push_retry(port, flit);
             return;
         }
-        let bit = self.vc_bit(port, vc_idx);
-        let vc = &mut self.inputs[port].vcs[vc_idx];
+        let vc = &mut self.vcs[slot];
         self.activity.buffer_writes += 1;
-        if flit.kind.is_head() {
+        if let Some(head) = flit.head.as_deref() {
             // Detoured packets follow the source route recorded in their
             // head (DESIGN.md §10); everything else routes DOR.
-            let routing = Routing::for_vnet(flit.vnet);
-            let hop = flit
+            let routing = Routing::for_vnet(head.vnet);
+            let hop = head
                 .path
                 .as_deref()
-                .and_then(|p| self.topology.next_hop_on_path(p, self.node, flit.dst))
-                .unwrap_or_else(|| self.topology.next_hop_port(self.node, flit.dst, routing));
+                .and_then(|p| self.topology.next_hop_on_path(p, self.node, head.dst))
+                .unwrap_or_else(|| self.topology.next_hop_port(self.node, head.dst, routing));
             vc.route = Some(hop);
             vc.state = VcState::WaitVa;
             vc.state_since = now;
             vc.circuit_attempted = false;
-            self.occ.wait_va |= bit;
+            self.occ.wait_va |= 1 << slot;
         }
         vc.buffer.push_back(flit);
         self.occ.buffered += 1;
@@ -634,7 +596,7 @@ impl Router {
     /// Stage 4: switch traversal for last cycle's SA winners. Circuit
     /// bypasses processed earlier this cycle have already claimed their
     /// output ports (crossbar priority, §4.3); blocked grants retry.
-    fn stage_st(&mut self, now: Cycle, out: &mut Vec<Outgoing>) {
+    fn stage_st(&mut self, now: Cycle, out: &mut impl LinkSink) {
         if self.st_pending.is_empty() {
             return;
         }
@@ -643,21 +605,20 @@ impl Router {
         std::mem::swap(&mut self.st_pending, &mut self.st_scratch);
         for i in 0..self.st_scratch.len() {
             let g = self.st_scratch[i];
-            let vc = &self.inputs[g.in_port].vcs[g.in_vc];
+            let slot = self.slot(g.in_port, g.in_vc);
+            let vc = &mut self.vcs[slot];
             let route = vc.route.expect("granted VC has a route");
             let out_vc = vc.out_vc.expect("granted VC has an output VC");
             if self.out_busy >> route & 1 == 1 {
                 self.st_pending.push(g);
                 continue;
             }
-            let bit = self.vc_bit(g.in_port, g.in_vc);
-            let vc = &mut self.inputs[g.in_port].vcs[g.in_vc];
             let mut flit = vc.buffer.pop_front().expect("granted VC has a flit");
             self.occ.buffered -= 1;
             let is_tail = flit.kind.is_tail();
             if is_tail {
                 vc.reset(now);
-                self.occ.post_va &= !bit;
+                self.occ.post_va &= !(1 << slot);
             }
             if flit.kind.is_head() {
                 self.sink.emit(|| TraceEvent {
@@ -673,36 +634,28 @@ impl Router {
 
             // Return the freed buffer slot upstream.
             self.activity.credits += 1;
-            out.push(Outgoing::Credit {
-                port: g.in_port,
-                vc: g.in_vc,
-                arrive: now + self.link_latency as Cycle,
-            });
+            out.credit(g.in_port, g.in_vc, now + self.link_latency as Cycle);
 
-            let o = &mut self.outputs[route];
+            let out_slot = self.slot(route, out_vc);
             self.out_busy |= 1 << route;
-            flit.vc = out_vc;
+            flit.vc = out_vc as u8;
             let arrive = if route >= PORT_LOCAL {
                 now + 1
             } else {
-                o.credits[out_vc] = o.credits[out_vc]
+                self.credits[out_slot] = self.credits[out_slot]
                     .checked_sub(1)
                     .expect("SA checked a credit was available");
                 self.activity.link_flits += 1;
                 now + 1 + self.link_latency as Cycle
             };
             if is_tail {
-                o.owner[out_vc] = if route >= PORT_LOCAL {
+                self.owner[out_slot] = if route >= PORT_LOCAL {
                     Owner::Free
                 } else {
                     Owner::Draining
                 };
             }
-            out.push(Outgoing::Flit {
-                port: route,
-                flit,
-                arrive,
-            });
+            out.flit(route, flit, arrive);
         }
         self.st_scratch.clear();
     }
@@ -725,7 +678,7 @@ impl Router {
             }
             let mut requests = 0u64;
             for v in bits(port_vcs) {
-                let vc = &self.inputs[p].vcs[v];
+                let vc = &self.vcs[self.slot(p, v)];
                 let stage_ok = match vc.state {
                     VcState::WaitSa => vc.state_since < now,
                     VcState::Active => true,
@@ -737,7 +690,7 @@ impl Router {
                 let route = vc.route.expect("post-VA VC has a route");
                 let out_vc = vc.out_vc.expect("post-VA VC has an output VC");
                 let credit_ok = route >= PORT_LOCAL
-                    || self.outputs[route].credits[out_vc] > 0
+                    || self.credits[self.slot(route, out_vc)] > 0
                     // Circuit-class VCs are reservation-managed, not
                     // credited (fragmented gap traffic).
                     || self.layout.is_circuit_vc(out_vc);
@@ -746,8 +699,10 @@ impl Router {
                 }
             }
             if let Some(v) = self.sa_rr_in[p].grant_mask(requests) {
-                let route = self.inputs[p].vcs[v].route.expect("post-VA VC has a route");
-                self.sa_nominee[p] = v;
+                let route = self.vcs[self.slot(p, v)]
+                    .route
+                    .expect("post-VA VC has a route");
+                self.sa_nominee[p] = v as u8;
                 self.contend[route] |= 1 << p;
                 wanted |= 1 << route;
             }
@@ -758,8 +713,9 @@ impl Router {
             let winner = self.sa_rr_out[out_port]
                 .grant_mask(contenders)
                 .expect("a nominee routes to every wanted output");
-            let v = self.sa_nominee[winner];
-            let vc = &mut self.inputs[winner].vcs[v];
+            let v = usize::from(self.sa_nominee[winner]);
+            let slot = self.slot(winner, v);
+            let vc = &mut self.vcs[slot];
             if vc.state == VcState::WaitSa {
                 vc.state = VcState::Active;
                 vc.state_since = now;
@@ -785,7 +741,7 @@ impl Router {
 
     /// Stage 2: VC allocation — and, in parallel, the reactive-circuit
     /// reservation for request packets (§4.1).
-    fn stage_va(&mut self, now: Cycle, out: &mut Vec<Outgoing>) {
+    fn stage_va(&mut self, now: Cycle, out: &mut impl LinkSink) {
         if self.occ.wait_va == 0 {
             return;
         }
@@ -793,15 +749,15 @@ impl Router {
         // not the VC wins allocation this cycle. The same pass groups the
         // requesting input ports by output port.
         let mut wanted = 0u64;
-        for i in bits(self.occ.wait_va) {
-            let (p, v) = (i / self.layout.total(), i % self.layout.total());
-            let vc = &self.inputs[p].vcs[v];
+        for slot in bits(self.occ.wait_va) {
+            let vc = &self.vcs[slot];
             if vc.state_since >= now {
                 continue;
             }
             let route = vc.route.expect("WaitVa VC has a route");
+            let p = slot / self.layout.total();
             if !vc.circuit_attempted {
-                self.attempt_reservation(now, p, v, out);
+                self.attempt_reservation(now, p, slot, out);
             }
             self.contend[route] |= 1 << p;
             wanted |= 1 << route;
@@ -831,13 +787,13 @@ impl Router {
                 // `NocConfig::va_hol_relief` and tests/echo_probe.rs.)
                 let mut candidates = std::mem::take(&mut self.va_scratch);
                 candidates.clear();
-                let inputs = &self.inputs[winner].vcs;
+                let inputs = &self.vcs[self.slot(winner, 0)..];
                 candidates.extend(
                     bits(self.port_bits(self.occ.wait_va, winner))
                         .map(|v| (v, &inputs[v]))
                         .filter(|(_, vc)| vc.state_since < now && vc.route == Some(out_port))
                         .map(|(v, vc)| {
-                            let head = vc.buffer.front().expect("WaitVa VC holds its head");
+                            let head = vc.buffer.front().expect("WaitVa VC holds its head").head();
                             (vc.state_since, v, head.vnet, head.dst)
                         }),
                 );
@@ -849,32 +805,15 @@ impl Router {
                     candidates.truncate(1);
                 }
                 for &(_, v, vnet, dst) in &candidates {
-                    // Dateline deadlock avoidance: on wrap topologies a
-                    // packet crossing a network link may only claim VCs of
-                    // its dateline class, which breaks the dependency
-                    // cycle the wraparound links would otherwise close.
-                    let mut allocatable = if self.topology.has_wrap() && out_port < PORT_LOCAL {
-                        let downstream = self
-                            .topology
-                            .neighbor(self.node, out_port)
-                            .expect("network port leads to a neighbor");
-                        let class = self.topology.vc_class(
-                            downstream,
-                            self.topology.router_of(dst),
-                            out_port,
-                        );
-                        self.layout.allocatable_class_vcs(vnet, class as u8)
-                    } else {
-                        self.layout.allocatable_vcs(vnet)
-                    };
-                    let free_vc =
-                        allocatable.find(|&ovc| self.outputs[out_port].owner[ovc] == Owner::Free);
+                    let free_vc = self
+                        .allocatable(out_port, vnet, dst)
+                        .find(|&ovc| self.owner[self.slot(out_port, ovc)] == Owner::Free);
                     if let Some(ovc) = free_vc {
-                        self.outputs[out_port].owner[ovc] = Owner::Owned(winner, v);
-                        let bit = self.vc_bit(winner, v);
-                        self.occ.wait_va &= !bit;
-                        self.occ.post_va |= bit;
-                        let vc = &mut self.inputs[winner].vcs[v];
+                        self.owner[self.slot(out_port, ovc)] = Owner::Owned(winner as u8, v as u8);
+                        let slot = self.slot(winner, v);
+                        self.occ.wait_va &= !(1 << slot);
+                        self.occ.post_va |= 1 << slot;
+                        let vc = &mut self.vcs[slot];
                         vc.out_vc = Some(ovc);
                         vc.state = VcState::WaitSa;
                         vc.state_since = now;
@@ -901,9 +840,24 @@ impl Router {
         }
     }
 
-    /// The index bit of input VC `(port, vc)`.
-    fn vc_bit(&self, port: usize, vc: usize) -> u64 {
-        1 << (port * self.layout.total() + vc)
+    /// The output VCs of `out_port` a packet of `vnet` bound for `dst` may
+    /// claim. Dateline deadlock avoidance: on wrap topologies a packet
+    /// crossing a network link may only claim VCs of its dateline class,
+    /// which breaks the dependency cycle the wraparound links would
+    /// otherwise close.
+    fn allocatable(&self, out_port: usize, vnet: Vnet, dst: NodeId) -> std::ops::Range<usize> {
+        if self.topology.has_wrap() && out_port < PORT_LOCAL {
+            let downstream = self
+                .topology
+                .neighbor(self.node, out_port)
+                .expect("network port leads to a neighbor");
+            let class = self
+                .topology
+                .vc_class(downstream, self.topology.router_of(dst), out_port);
+            self.layout.allocatable_class_vcs(vnet, class as u8)
+        } else {
+            self.layout.allocatable_vcs(vnet)
+        }
     }
 
     /// `port`'s slice of an index mask, shifted down to bit 0 = VC 0.
@@ -915,15 +869,13 @@ impl Router {
     /// Recomputes the [`OccupancyIndex`] from the state it mirrors.
     fn derive_index(&self) -> OccupancyIndex {
         let mut occ = OccupancyIndex::default();
-        for (p, port) in self.inputs.iter().enumerate() {
-            for (v, vc) in port.vcs.iter().enumerate() {
-                match vc.state {
-                    VcState::Idle => {}
-                    VcState::WaitVa => occ.wait_va |= self.vc_bit(p, v),
-                    VcState::WaitSa | VcState::Active => occ.post_va |= self.vc_bit(p, v),
-                }
-                occ.buffered += vc.buffer.len();
+        for (slot, vc) in self.vcs.iter().enumerate() {
+            match vc.state {
+                VcState::Idle => {}
+                VcState::WaitVa => occ.wait_va |= 1 << slot,
+                VcState::WaitSa | VcState::Active => occ.post_va |= 1 << slot,
             }
+            occ.buffered += vc.buffer.len();
         }
         occ.retries = self.bypass_retry.iter().map(VecDeque::len).sum();
         occ
@@ -950,61 +902,43 @@ impl Router {
     }
 
     /// The §4.1 reservation: while the request head sits in VA, write the
-    /// reply's circuit into this router's tables.
-    fn attempt_reservation(&mut self, now: Cycle, p: usize, v: usize, out: &mut Vec<Outgoing>) {
-        let vc = &mut self.inputs[p].vcs[v];
+    /// reply's circuit into this router's tables. `p` is the input port
+    /// of the VC at `slot`.
+    fn attempt_reservation(&mut self, now: Cycle, p: usize, slot: usize, out: &mut impl LinkSink) {
+        let vc = &mut self.vcs[slot];
         vc.circuit_attempted = true;
         let route = vc.route.expect("WaitVa VC has a route");
-        let head = vc.buffer.front_mut().expect("WaitVa VC holds its head");
+        let head = vc
+            .buffer
+            .front_mut()
+            .and_then(|f| f.head.as_deref_mut())
+            .expect("WaitVa VC holds its head");
         let Some(handle) = head.circuit.as_deref_mut() else {
             return;
         };
         if handle.failed {
             return;
         }
+        let key = handle.key;
         // Reply direction through this router: it arrives from where the
         // request is going and leaves where the request came from.
         let in_port_reply = route;
         let out_port_reply = p;
-        if self.degraded {
-            // A degraded router refuses reservations outright: complete
-            // circuits are doomed like any reservation conflict, while
-            // fragmented and ideal circuits simply gain a gap here.
-            if self.mechanism.mode == CircuitMode::Complete {
-                handle.failed = true;
-                if handle.built_hops > 0 {
-                    let key = handle.key;
-                    self.activity.credits += 1;
-                    out.push(Outgoing::Undo {
-                        port: out_port_reply,
-                        key,
-                        dst: key.requestor,
-                        arrive: now + self.link_latency as Cycle,
-                    });
-                }
-            }
-            return;
-        }
-        if self.topology.is_wrap_hop(self.node, in_port_reply)
+        // A degraded router refuses reservations outright, and circuit
+        // reservations never span a wraparound link: a reply streaming
+        // through the bypass would skip the dateline VC switch and close
+        // the channel-dependency cycle the dateline exists to break.
+        // Either way complete circuits are doomed like any reservation
+        // conflict, while fragmented and ideal ones simply gain a gap
+        // here.
+        if self.degraded
+            || self.topology.is_wrap_hop(self.node, in_port_reply)
             || self.topology.is_wrap_hop(self.node, out_port_reply)
         {
-            // Circuit reservations never span a wraparound link: a reply
-            // streaming through the bypass would skip the dateline VC
-            // switch and close the channel-dependency cycle the dateline
-            // exists to break. Complete circuits are doomed like any
-            // reservation conflict; fragmented and ideal ones simply gain
-            // a gap at the dateline router.
             if self.mechanism.mode == CircuitMode::Complete {
                 handle.failed = true;
                 if handle.built_hops > 0 {
-                    let key = handle.key;
-                    self.activity.credits += 1;
-                    out.push(Outgoing::Undo {
-                        port: out_port_reply,
-                        key,
-                        dst: key.requestor,
-                        arrive: now + self.link_latency as Cycle,
-                    });
+                    self.start_undo(now, out_port_reply, key, out);
                 }
             }
             return;
@@ -1029,14 +963,13 @@ impl Router {
         };
 
         let req = ReserveRequest {
-            key: handle.key,
+            key,
             source: handle.source,
             in_port: in_port_reply,
             out_port: out_port_reply,
             window,
             max_extra_shift,
         };
-        let key = handle.key;
         // Stamp the table's clock so leak detection can age the entry.
         // Done here rather than once per tick so the clock is a function
         // of the reservations alone — the same whether or not the event
@@ -1061,9 +994,7 @@ impl Router {
                         // A delayed request can no longer meet the earlier
                         // routers' windows: doom the circuit now.
                         handle.failed = true;
-                        let key = handle.key;
-                        let dst = key.requestor;
-                        self.process_undo(now, key, dst, out);
+                        self.process_undo(now, key, key.requestor, out);
                     }
                 }
             }
@@ -1079,15 +1010,8 @@ impl Router {
                 match self.mechanism.mode {
                     CircuitMode::Complete => {
                         handle.failed = true;
-                        let built = handle.built_hops;
-                        if built > 0 {
-                            self.activity.credits += 1;
-                            out.push(Outgoing::Undo {
-                                port: out_port_reply,
-                                key,
-                                dst: key.requestor,
-                                arrive: now + self.link_latency as Cycle,
-                            });
+                        if handle.built_hops > 0 {
+                            self.start_undo(now, out_port_reply, key, out);
                         }
                     }
                     // Fragmented circuits keep the partial prefix and try
@@ -1101,22 +1025,25 @@ impl Router {
         }
     }
 
-    /// The full dynamic state, for checkpointing. Taken at tick
-    /// boundaries, where the per-tick scratch vectors (`st_scratch`,
-    /// `sa_nominee`, `contend`, `va_scratch`) and the `out_busy` mask are
-    /// dead — left out, so a router the event kernel skipped snapshots
-    /// the same as one the dense kernel ticked; the [`OccupancyIndex`] is
-    /// derived, so [`Router::restore`] rebuilds it — everything else is
-    /// configuration, rebuilt from the [`NocConfig`].
+    /// The full dynamic state, for checkpointing: the used prefix of
+    /// every state array. Taken at tick boundaries, where the per-tick
+    /// scratch (`st_scratch`, `sa_nominee`, `contend`, `va_scratch`) and
+    /// the `out_busy` mask are dead — left out, so a router the event
+    /// kernel skipped snapshots the same as one the dense kernel ticked;
+    /// the [`OccupancyIndex`] is derived, so [`Router::restore`] rebuilds
+    /// it — everything else is configuration, rebuilt from the
+    /// [`NocConfig`].
     pub(crate) fn snapshot(&self) -> RouterSnapshot {
+        let (slots, ports) = (self.vcs.len(), self.ports);
         RouterSnapshot {
-            inputs: self.inputs.clone(),
-            outputs: self.outputs.clone(),
+            vcs: self.vcs.clone(),
+            credits: self.credits[..slots].to_vec(),
+            owner: self.owner[..slots].to_vec(),
             circuits: self.circuits.clone(),
             st_pending: self.st_pending.clone(),
-            sa_rr_in: self.sa_rr_in.clone(),
-            sa_rr_out: self.sa_rr_out.clone(),
-            va_rr_out: self.va_rr_out.clone(),
+            sa_rr_in: self.sa_rr_in[..ports].to_vec(),
+            sa_rr_out: self.sa_rr_out[..ports].to_vec(),
+            va_rr_out: self.va_rr_out[..ports].to_vec(),
             bypass_retry: self.bypass_retry.clone(),
             degraded: self.degraded,
             activity: self.activity,
@@ -1124,15 +1051,18 @@ impl Router {
     }
 
     /// Overwrites the dynamic state from a [`Router::snapshot`] taken on
-    /// an identically-configured router.
+    /// an identically-configured router (a different shape panics).
     pub(crate) fn restore(&mut self, snap: RouterSnapshot) {
-        self.inputs = snap.inputs;
-        self.outputs = snap.outputs;
+        let (slots, ports) = (self.vcs.len(), self.ports);
+        assert_eq!(snap.vcs.len(), slots, "router snapshot shape mismatch");
+        self.vcs = snap.vcs;
+        self.credits[..slots].copy_from_slice(&snap.credits);
+        self.owner[..slots].copy_from_slice(&snap.owner);
         self.circuits = snap.circuits;
         self.st_pending = snap.st_pending;
-        self.sa_rr_in = snap.sa_rr_in;
-        self.sa_rr_out = snap.sa_rr_out;
-        self.va_rr_out = snap.va_rr_out;
+        self.sa_rr_in[..ports].clone_from_slice(&snap.sa_rr_in);
+        self.sa_rr_out[..ports].clone_from_slice(&snap.sa_rr_out);
+        self.va_rr_out[..ports].clone_from_slice(&snap.va_rr_out);
         self.bypass_retry = snap.bypass_retry;
         self.degraded = snap.degraded;
         self.activity = snap.activity;
@@ -1147,109 +1077,97 @@ impl Router {
     /// in its allocatable class is free. Only runs on the cold
     /// watchdog path, so it allocates freely.
     pub(crate) fn waiters(&self, now: Cycle, out: &mut Vec<VcWaiter>) {
-        for (p, port) in self.inputs.iter().enumerate() {
-            for (v, vc) in port.vcs.iter().enumerate() {
-                if vc.is_idle() {
-                    continue;
-                }
-                let Some(route) = vc.route else { continue };
-                if route >= PORT_LOCAL {
-                    // Ejection waits never close a channel cycle.
-                    continue;
-                }
-                let Some(head) = vc.buffer.front() else {
-                    continue;
-                };
-                let o = &self.outputs[route];
-                let mut edges = Vec::new();
-                let credits = match vc.out_vc {
-                    Some(ov) => {
-                        if o.credits[ov] == 0 && !self.layout.is_circuit_vc(ov) {
-                            edges.push(WaitEdge::Downstream { out_vc: ov });
-                        }
-                        o.credits[ov]
+        for (slot, vc) in self.vcs.iter().enumerate() {
+            let (p, v) = self.port_vc(slot);
+            if vc.is_idle() {
+                continue;
+            }
+            let Some(route) = vc.route else { continue };
+            if route >= PORT_LOCAL {
+                // Ejection waits never close a channel cycle.
+                continue;
+            }
+            let Some(front) = vc.buffer.front() else {
+                continue;
+            };
+            let mut edges = Vec::new();
+            let credits = match vc.out_vc {
+                Some(ov) => {
+                    let credits = self.credits[self.slot(route, ov)];
+                    if credits == 0 && !self.layout.is_circuit_vc(ov) {
+                        edges.push(WaitEdge::Downstream { out_vc: ov });
                     }
-                    None => {
-                        // Under the legacy oldest-only allocator a WaitVa
-                        // VC that is not the oldest same-route VC of its
-                        // input port is never even tried: it waits on the
-                        // shadowing VC, not on any output resource.
-                        let shadow = (!self.va_hol_relief)
-                            .then(|| {
-                                port.vcs
-                                    .iter()
-                                    .enumerate()
-                                    .filter(|(_, o)| {
-                                        o.state == VcState::WaitVa && o.route == Some(route)
-                                    })
-                                    .min_by_key(|(ov, o)| (o.state_since, *ov))
-                                    .map(|(ov, _)| ov)
-                            })
-                            .flatten()
-                            .filter(|&oldest| oldest != v);
-                        if let Some(oldest) = shadow {
-                            edges.push(WaitEdge::Local {
-                                in_port: p,
-                                vc: oldest,
-                            });
-                        } else if vc.state == VcState::WaitVa {
-                            let allocatable = if self.topology.has_wrap() && route < PORT_LOCAL {
-                                let downstream = self
-                                    .topology
-                                    .neighbor(self.node, route)
-                                    .expect("network port leads to a neighbor");
-                                let class = self.topology.vc_class(
-                                    downstream,
-                                    self.topology.router_of(head.dst),
-                                    route,
-                                );
-                                self.layout.allocatable_class_vcs(head.vnet, class as u8)
-                            } else {
-                                self.layout.allocatable_vcs(head.vnet)
-                            };
-                            let cands: Vec<usize> = allocatable.collect();
-                            if cands.iter().all(|&ovc| o.owner[ovc] != Owner::Free) {
-                                for &ovc in &cands {
-                                    match o.owner[ovc] {
-                                        Owner::Owned(hp, hv) => {
-                                            edges.push(WaitEdge::Local {
-                                                in_port: hp,
-                                                vc: hv,
-                                            });
-                                        }
-                                        Owner::Draining => {
-                                            edges.push(WaitEdge::Downstream { out_vc: ovc });
-                                        }
-                                        Owner::Free => {}
+                    credits
+                }
+                None => {
+                    // Under the legacy oldest-only allocator a WaitVa
+                    // VC that is not the oldest same-route VC of its
+                    // input port is never even tried: it waits on the
+                    // shadowing VC, not on any output resource.
+                    let shadow = (!self.va_hol_relief)
+                        .then(|| {
+                            self.vcs[self.slot(p, 0)..][..self.layout.total()]
+                                .iter()
+                                .enumerate()
+                                .filter(|(_, o)| {
+                                    o.state == VcState::WaitVa && o.route == Some(route)
+                                })
+                                .min_by_key(|(ov, o)| (o.state_since, *ov))
+                                .map(|(ov, _)| ov)
+                        })
+                        .flatten()
+                        .filter(|&oldest| oldest != v);
+                    if let Some(oldest) = shadow {
+                        edges.push(WaitEdge::Local {
+                            in_port: p,
+                            vc: oldest,
+                        });
+                    } else if vc.state == VcState::WaitVa {
+                        let head = front.head();
+                        let cands: Vec<usize> =
+                            self.allocatable(route, head.vnet, head.dst).collect();
+                        let owner = |ovc: usize| self.owner[self.slot(route, ovc)];
+                        if cands.iter().all(|&ovc| owner(ovc) != Owner::Free) {
+                            for &ovc in &cands {
+                                match owner(ovc) {
+                                    Owner::Owned(hp, hv) => {
+                                        edges.push(WaitEdge::Local {
+                                            in_port: hp.into(),
+                                            vc: hv.into(),
+                                        });
                                     }
+                                    Owner::Draining => {
+                                        edges.push(WaitEdge::Downstream { out_vc: ovc });
+                                    }
+                                    Owner::Free => {}
                                 }
                             }
                         }
-                        0
                     }
-                };
-                if edges.is_empty() {
-                    continue;
+                    0
                 }
-                edges.sort_unstable();
-                edges.dedup();
-                let held_by_circuit = self
-                    .circuits
-                    .stale_entries(now, 0)
-                    .into_iter()
-                    .find(|(_, e, _)| e.out_port == route)
-                    .map(|(_, e, _)| e.key);
-                out.push(VcWaiter {
-                    in_port: p,
-                    vc: v,
-                    packet: Some(head.packet),
-                    wants_port: route,
-                    out_vc: vc.out_vc,
-                    credits,
-                    held_by_circuit,
-                    edges,
-                });
+            };
+            if edges.is_empty() {
+                continue;
             }
+            edges.sort_unstable();
+            edges.dedup();
+            let held_by_circuit = self
+                .circuits
+                .stale_entries(now, 0)
+                .into_iter()
+                .find(|(_, e, _)| e.out_port == route)
+                .map(|(_, e, _)| e.key);
+            out.push(VcWaiter {
+                in_port: p,
+                vc: v,
+                packet: Some(front.packet),
+                wants_port: route,
+                out_vc: vc.out_vc,
+                credits,
+                held_by_circuit,
+                edges,
+            });
         }
     }
 }
@@ -1297,11 +1215,13 @@ pub(crate) struct VcWaiter {
     pub edges: Vec<WaitEdge>,
 }
 
-/// Complete dynamic state of one [`Router`], for checkpointing.
+/// Complete dynamic state of one [`Router`], for checkpointing: per-VC
+/// vectors are in slot order, per-port ones in port order.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub(crate) struct RouterSnapshot {
-    inputs: Vec<InputPort>,
-    outputs: Vec<OutputPort>,
+    vcs: Vec<InputVc>,
+    credits: Vec<u32>,
+    owner: Vec<Owner>,
     circuits: RouterCircuits,
     st_pending: Vec<StGrant>,
     sa_rr_in: Vec<RoundRobin>,
@@ -1315,7 +1235,8 @@ pub(crate) struct RouterSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flit::{FlitKind, PacketId};
+    use crate::flit::{FlitKind, Head, PacketId};
+    use crate::links::Outgoing;
     use rcsim_core::{MechanismConfig, Mesh, MessageClass, Vnet, PORT_EAST, PORT_NORTH, PORT_WEST};
 
     fn router(mechanism: MechanismConfig) -> Router {
@@ -1324,26 +1245,30 @@ mod tests {
         Router::new(NodeId(5), &NocConfig::paper_baseline(mesh, mechanism))
     }
 
-    fn flit(kind: FlitKind, seq: u32, len: u32, dst: u16, vc: usize) -> Flit {
+    fn flit(kind: FlitKind, seq: u32, len: u32, dst: u16, vc: u8) -> Flit {
         Flit {
             packet: PacketId(1),
             kind,
             seq,
-            len,
-            src: NodeId(4),
-            dst: NodeId(dst),
-            class: MessageClass::L1Request,
-            vnet: Vnet::Request,
             vc,
-            circuit: None,
             on_circuit: None,
             scrounger_final: None,
-            block: 0x40,
-            token: 0,
-            created_at: 0,
-            injected_at: 0,
-            corrupted: false,
-            path: None,
+            head: kind.is_head().then(|| {
+                Box::new(Head {
+                    len,
+                    src: NodeId(4),
+                    dst: NodeId(dst),
+                    class: MessageClass::L1Request,
+                    vnet: Vnet::Request,
+                    corrupted: false,
+                    circuit: None,
+                    block: 0x40,
+                    token: 0,
+                    created_at: 0,
+                    injected_at: 0,
+                    path: None,
+                })
+            }),
         }
     }
 
@@ -1378,21 +1303,16 @@ mod tests {
         let sent = out
             .iter()
             .find_map(|o| match o {
-                Outgoing::Flit { port, arrive, .. } => Some((*port, *arrive)),
+                Outgoing::Flit(port, _, arrive) => Some((*port, *arrive)),
                 _ => None,
             })
             .expect("cycle 3: switch traversal");
         assert_eq!(sent.0, PORT_EAST);
         assert_eq!(sent.1, 3 + 2, "one ST cycle + one link cycle");
         // The freed buffer slot returns upstream as a credit.
-        assert!(out.iter().any(|o| matches!(
-            o,
-            Outgoing::Credit {
-                port: PORT_WEST,
-                vc: 0,
-                ..
-            }
-        )));
+        assert!(out
+            .iter()
+            .any(|o| matches!(o, Outgoing::Credit(PORT_WEST, 0, _))));
         assert_eq!(r.buffered_flits(), 0);
     }
 
@@ -1412,7 +1332,7 @@ mod tests {
                 vec![]
             };
             for o in tick(&mut r, now, arrivals) {
-                if let Outgoing::Flit { .. } = o {
+                if let Outgoing::Flit(..) = o {
                     departures.push(now);
                 }
             }
@@ -1423,10 +1343,11 @@ mod tests {
         assert_eq!(r.buffered_flits(), 0);
     }
 
-    /// The occupancy index is scratch: it is not in the snapshot, a
-    /// restore rebuilds it, and a router restored mid-packet — one VC
-    /// streaming, one still waiting for VC allocation behind it —
-    /// continues exactly like the uninterrupted one.
+    /// The flat control state round-trips and the occupancy index is
+    /// scratch: it is not in the snapshot, a restore rebuilds it, and a
+    /// router restored mid-packet — one VC streaming, one still waiting
+    /// for VC allocation behind it — continues exactly like the
+    /// uninterrupted one.
     #[test]
     fn restore_rebuilds_the_index_and_continues_identically() {
         let arrivals_at = |now: Cycle| {
@@ -1457,6 +1378,14 @@ mod tests {
             !json(&uninterrupted).contains("wait_va"),
             "the index must stay out of the snapshot"
         );
+        // Flat state: one entry per slot (5 ports × 4 VCs), one arbiter
+        // per port — the used prefix of the inline arrays, nothing nested.
+        assert_eq!(
+            (snap.vcs.len(), snap.credits.len(), snap.owner.len()),
+            (20, 20, 20)
+        );
+        assert_eq!((snap.sa_rr_in.len(), snap.va_rr_out.len()), (5, 5));
+        assert!(snap.owner.contains(&Owner::Owned(PORT_WEST as u8, 0)));
 
         let mut restored = router(MechanismConfig::baseline());
         restored.restore(snap);
@@ -1484,12 +1413,12 @@ mod tests {
         let a = flit(FlitKind::HeadTail, 0, 1, 6, 0);
         let mut b = flit(FlitKind::HeadTail, 0, 1, 6, 0);
         b.packet = PacketId(2);
-        b.src = NodeId(1);
+        b.head.as_mut().expect("head").src = NodeId(1);
         let _ = tick(&mut r, 0, vec![(PORT_WEST, a), (PORT_NORTH, b)]);
         let mut departures = 0;
         for now in 1..10 {
             for o in tick(&mut r, now, vec![]) {
-                if let Outgoing::Flit { port, .. } = o {
+                if let Outgoing::Flit(port, ..) = o {
                     assert_eq!(port, PORT_EAST);
                     departures += 1;
                 }
@@ -1504,14 +1433,9 @@ mod tests {
     fn reservation_happens_at_va_with_mirrored_ports() {
         let mut r = router(MechanismConfig::complete());
         let mut f = flit(FlitKind::HeadTail, 0, 1, 6, 0);
-        f.circuit = Some(Box::new(rcsim_core::circuit::CircuitHandle::new(
-            NodeId(4),
-            0x40,
-            NodeId(6),
-            2,
-            5,
-            7,
-        )));
+        f.head.as_mut().expect("head").circuit = Some(Box::new(
+            rcsim_core::circuit::CircuitHandle::new(NodeId(4), 0x40, NodeId(6), 2, 5, 7),
+        ));
         let _ = tick(&mut r, 0, vec![(PORT_WEST, f)]);
         assert_eq!(r.circuits.total_entries(), 0, "not during RC");
         let _ = tick(&mut r, 1, vec![]);
@@ -1553,14 +1477,15 @@ mod tests {
             })
             .expect("reservation succeeds");
         let mut f = flit(FlitKind::HeadTail, 0, 1, 4, 3);
-        f.class = MessageClass::L2Reply;
-        f.vnet = Vnet::Reply;
+        let head = f.head.as_mut().expect("head");
+        head.class = MessageClass::L2Reply;
+        head.vnet = Vnet::Reply;
         f.on_circuit = Some(key);
         let out = tick(&mut r, 10, vec![(PORT_EAST, f)]);
         let (port, arrive) = out
             .iter()
             .find_map(|o| match o {
-                Outgoing::Flit { port, arrive, .. } => Some((*port, *arrive)),
+                Outgoing::Flit(port, _, arrive) => Some((*port, *arrive)),
                 _ => None,
             })
             .expect("bypass departs the same cycle");
@@ -1598,12 +1523,8 @@ mod tests {
             &mut out,
         );
         assert_eq!(r.circuits.total_entries(), 0);
-        assert!(out.iter().any(|o| matches!(
-            o,
-            Outgoing::Undo {
-                port: PORT_WEST,
-                ..
-            }
-        )));
+        assert!(out
+            .iter()
+            .any(|o| matches!(o, Outgoing::Undo(PORT_WEST, ..))));
     }
 }

@@ -37,9 +37,10 @@ use std::path::{Path, PathBuf};
 
 /// Bumped whenever the snapshot layout changes incompatibly. A checkpoint
 /// carrying any other version is treated as a clean miss, never an error.
-/// v2: links are serialized as arrival calendars, and the routers'
-/// per-tick crossbar `busy` flags are no longer part of the snapshot.
-pub const CHECKPOINT_FORMAT_VERSION: u32 = 2;
+/// v3: router control state is serialized flat (per-slot vectors, not
+/// nested per-port structs) and a flit's packet data sits in its head's
+/// `Head`.
+pub const CHECKPOINT_FORMAT_VERSION: u32 = 3;
 
 /// Stable 64-bit FNV-1a over `bytes` — deliberately not `DefaultHasher`,
 /// whose output may change between Rust releases; checkpoint checksums
@@ -394,11 +395,11 @@ mod tests {
         // Flip a payload byte: checksum mismatch is a clean miss.
         let corrupt = text.replacen("\"pos\":0", "\"pos\":1", 1);
         assert!(SessionSnapshot::decode(&corrupt).is_none());
-        // Stale versions (the previous layout and the original): clean
+        // Stale versions (the earlier layouts and the original): clean
         // misses, even though the checksum still matches the payload.
-        assert!(text.starts_with("rcsim-checkpoint v2 "));
-        for old in ["v1", "v0"] {
-            let stale = text.replacen("rcsim-checkpoint v2", &format!("rcsim-checkpoint {old}"), 1);
+        assert!(text.starts_with("rcsim-checkpoint v3 "));
+        for old in ["v2", "v1", "v0"] {
+            let stale = text.replacen("rcsim-checkpoint v3", &format!("rcsim-checkpoint {old}"), 1);
             assert!(SessionSnapshot::decode(&stale).is_none(), "{old}");
         }
         // Truncated: clean miss.

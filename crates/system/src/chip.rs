@@ -99,7 +99,8 @@ pub struct Chip {
     cores: Vec<Core>,
     l1s: Vec<L1Cache>,
     l2s: Vec<L2Bank>,
-    mcs: HashMap<usize, MemoryController>,
+    /// The memory controller of each tile that has one, indexed by tile.
+    mcs: Vec<Option<MemoryController>>,
     payloads: HashMap<u64, Msg>,
     next_token: u64,
     undone: HashSet<CircuitKey>,
@@ -167,11 +168,10 @@ impl Chip {
             .iter_tiles()
             .map(|n| L2Bank::new(n, topology, proto_cfg.clone()))
             .collect();
-        let mcs = proto_cfg
-            .mc_tiles
-            .iter()
-            .map(|n| (n.index(), MemoryController::new(*n, proto_cfg.mem_latency)))
-            .collect();
+        let mut mcs: Vec<Option<MemoryController>> = topology.iter_tiles().map(|_| None).collect();
+        for n in &proto_cfg.mc_tiles {
+            mcs[n.index()] = Some(MemoryController::new(*n, proto_cfg.mem_latency));
+        }
         Ok(Self {
             topology,
             proto_cfg,
@@ -419,8 +419,8 @@ impl Chip {
                     self.l2s[i].receive(msg, now);
                 }
                 MessageClass::MemRequest | MessageClass::MemWbData => {
-                    self.mcs
-                        .get_mut(&i)
+                    self.mcs[i]
+                        .as_mut()
                         .expect("memory traffic targets an MC tile")
                         .receive(msg, now);
                 }
@@ -433,7 +433,7 @@ impl Chip {
             // pending) is a no-op; the event kernel skips the tile.
             if event
                 && !self.l2s[i].has_due_work(now)
-                && !self.mcs.get(&i).is_some_and(|m| m.has_due_work(now))
+                && !self.mcs[i].as_ref().is_some_and(|m| m.has_due_work(now))
             {
                 continue;
             }
@@ -447,7 +447,7 @@ impl Chip {
                 track_undone,
             };
             self.l2s[i].tick(now, &mut port);
-            if let Some(mc) = self.mcs.get_mut(&i) {
+            if let Some(mc) = self.mcs[i].as_mut() {
                 mc.tick(now, &mut port);
             }
         }
@@ -499,7 +499,7 @@ impl Chip {
         for l2 in &mut self.l2s {
             l2.reset_stats();
         }
-        for mc in self.mcs.values_mut() {
+        for mc in self.mcs.iter_mut().flatten() {
             mc.reset_stats();
         }
         if let Some(ol) = self.open_loop.as_mut() {
@@ -558,9 +558,12 @@ impl Chip {
     /// excluded — a restore target is rebuilt from the same `SimConfig`
     /// and the snapshot overwrites only what evolves.
     pub fn snapshot(&self) -> ChipSnapshot {
-        let mut mcs: Vec<(usize, MemSnapshot)> =
-            self.mcs.iter().map(|(&i, mc)| (i, mc.snapshot())).collect();
-        mcs.sort_unstable_by_key(|&(i, _)| i);
+        let mcs: Vec<(usize, MemSnapshot)> = self
+            .mcs
+            .iter()
+            .enumerate()
+            .filter_map(|(i, mc)| Some((i, mc.as_ref()?.snapshot())))
+            .collect();
         let mut payloads: Vec<(u64, Msg)> = self.payloads.iter().map(|(&t, &m)| (t, m)).collect();
         payloads.sort_unstable_by_key(|&(t, _)| t);
         let mut undone: Vec<CircuitKey> = self.undone.iter().copied().collect();
@@ -603,8 +606,8 @@ impl Chip {
             l2.restore(s.clone());
         }
         for (i, s) in &snap.mcs {
-            self.mcs
-                .get_mut(i)
+            self.mcs[*i]
+                .as_mut()
                 .expect("checkpoint has an MC on a non-MC tile")
                 .restore(s.clone());
         }

@@ -258,13 +258,15 @@ diff <(strip_telemetry target/experiments/ci_fig6_serial.json) \
   || { echo "FAIL: adaptive-off BENCH_fig6.json rows drifted after the adaptive smoke"; exit 1; }
 
 echo "==> kernel/shard/power/traffic differential suites (RC_JOBS=1 and 4)"
-# The dense-vs-event differential layer plus the new power-model and
-# traffic-pattern suites, under both a serial and a parallel test
-# harness (RC_JOBS is read by sweep-backed tests; the loop also shakes
-# out any accidental test-order coupling).
+# The dense-vs-event differential layer, the link-sink suite (serial
+# vs staged emission under link faults, DESIGN.md §13) plus the
+# power-model and traffic-pattern suites, under both a serial and a
+# parallel test harness (RC_JOBS is read by sweep-backed tests; the loop
+# also shakes out any accidental test-order coupling).
 for jobs in 1 4; do
   RC_JOBS=$jobs $CARGO test -q -p rcsim-system --test kernel_diff "$@"
   RC_JOBS=$jobs $CARGO test -q -p rcsim-core --test shard_props "$@"
+  RC_JOBS=$jobs $CARGO test -q -p rcsim-noc --test direct_links "$@"
   RC_JOBS=$jobs $CARGO test -q -p rcsim-power "$@"
   RC_JOBS=$jobs $CARGO test -q -p rcsim-noc --test traffic_patterns "$@"
 done
@@ -281,7 +283,7 @@ echo "==> checkpoint smoke (kill-and-resume byte-identity, corrupt-file clean mi
 # from the surviving on-disk state with rows byte-identical to an
 # uncheckpointed reference — a corrupt or stale checkpoint is a clean
 # miss (fresh start), never a crash. Finally rcsim-replay must reject
-# stale-version checkpoints (v0 and v1) with a clean nonzero exit.
+# stale-version checkpoints (v0, v1 and v2) with a clean nonzero exit.
 $CARGO test -q -p rcsim-system --test checkpoint_diff "$@"
 $CARGO test -q -p rcsim-noc --test deadlock_diagnoser "$@"
 ckpt_smoke=(RC_APPS=blackscholes RC_CYCLES=8000 RC_WARMUP=2000
@@ -314,11 +316,13 @@ if find "$ckpt_dir" -name '*.ckpt' | grep -q .; then
   echo "FAIL: completed sweep left checkpoints behind in $ckpt_dir"; exit 1
 fi
 mkdir -p "$ckpt_dir"
-# The current format is v2. The v1 file carries the right checksum for
-# its payload (fnv1a-64 of "{}"), so only its version can reject it.
+# The current format is v3. The v1 and v2 files carry the right checksum
+# for their payload (fnv1a-64 of "{}"), so only their version can reject
+# them.
 printf 'rcsim-checkpoint v0 0000000000000000\n{}' > "$ckpt_dir/stale_v0.ckpt"
 printf 'rcsim-checkpoint v1 08f44b07b5901a25\n{}' > "$ckpt_dir/stale_v1.ckpt"
-for stale in "$ckpt_dir"/stale_v0.ckpt "$ckpt_dir"/stale_v1.ckpt; do
+printf 'rcsim-checkpoint v2 08f44b07b5901a25\n{}' > "$ckpt_dir/stale_v2.ckpt"
+for stale in "$ckpt_dir"/stale_v0.ckpt "$ckpt_dir"/stale_v1.ckpt "$ckpt_dir"/stale_v2.ckpt; do
   if $CARGO run --release -q -p rcsim-bench --bin rcsim-replay "$stale" > /dev/null 2> /dev/null; then
     echo "FAIL: rcsim-replay accepted the stale-version checkpoint $stale"; exit 1
   fi

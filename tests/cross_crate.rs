@@ -149,6 +149,25 @@ fn one_and_four_shards_are_byte_identical() {
     assert_eq!(serialized(&serial), serialized(&sharded));
 }
 
+/// Both link sinks against each other under the fault layer (DESIGN.md
+/// §13): one shard writes every message straight onto its link, four
+/// stage theirs for the serial merge to replay, and the fault RNG is
+/// drawn per message — so any difference in emission order shows.
+#[test]
+fn one_and_four_shards_are_byte_identical_under_link_faults() {
+    let mut cfg = differential_cfg();
+    cfg.faults = FaultConfig {
+        link_drop_rate: 0.002,
+        link_corrupt_rate: 0.002,
+        ..FaultConfig::none()
+    };
+    let serial = run_sim_with(&cfg, KernelMode::Event, 1).unwrap();
+    let sharded = run_sim_with(&cfg, KernelMode::Event, 4).unwrap();
+    assert!(serial.health.faults.packets_dropped > 0);
+    assert!(serial.health.faults.packets_corrupted > 0);
+    assert_eq!(serialized(&serial), serialized(&sharded));
+}
+
 #[test]
 fn resume_at_mid_run_is_byte_identical() {
     let cfg = differential_cfg();
