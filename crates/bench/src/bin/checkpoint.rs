@@ -16,9 +16,9 @@
 //!   sub-second smoke configs cannot flake CI).
 //! - **Network-level** (64 and 256 cores): the coherence protocol caps
 //!   full chips at 64 tiles, so snapshot-size scaling past that is
-//!   measured on a [`Network`] driven with the same closed-loop echo the
-//!   shards sweep uses, snapshotting mid-flight and asserting the
-//!   restore → re-snapshot round trip is byte-identical.
+//!   measured on a [`Network`] driven with a closed-loop echo,
+//!   snapshotting mid-flight and asserting the restore → re-snapshot
+//!   round trip is byte-identical.
 //!
 //! Knobs: `RC_CKPT_BENCH_CYCLES` (full-system measure window, default
 //! 4000), `RC_CKPT_BENCH_REPS` (wall-time repetitions, min is reported;
@@ -32,7 +32,7 @@ use rcsim_core::circuit::CircuitKey;
 use rcsim_core::{MechanismConfig, MessageClass, NodeId, TopologySpec};
 use rcsim_noc::{Network, NocConfig, PacketSpec};
 use rcsim_system::{
-    run_sim_resumable, run_sim_with, shards_from_env, KernelMode, RunResult, SimConfig, SimSession,
+    run_sim_resumable, run_sim_with_kernel, KernelMode, RunResult, SimConfig, SimSession,
 };
 use std::time::Instant;
 
@@ -87,8 +87,8 @@ fn fingerprint(r: &RunResult) -> String {
     serde_json::to_string(r).expect("results serialize")
 }
 
-/// Consumes deliveries for the network-tier point (same closed loop as
-/// the shards sweep): requests echo back as circuit-riding replies.
+/// Consumes deliveries for the network-tier point: requests echo back
+/// as circuit-riding replies.
 fn echo(net: &mut Network, outstanding: &mut [u32]) {
     for (node, d) in net.take_all_delivered() {
         match d.class {
@@ -156,7 +156,6 @@ fn net_point(cores: u16, window: u64) -> (f64, u64) {
 
 fn main() {
     let kernel = KernelMode::from_env();
-    let shards = shards_from_env();
     let reps = reps();
     let measure = sim_cycles();
     let mut cfg = SimConfig::quick(64, MechanismConfig::complete(), "fft");
@@ -169,13 +168,13 @@ fn main() {
 
     // -- Full-system tier: plain baseline ------------------------------
     let (plain, plain_wall) = min_wall(reps, || {
-        run_sim_with(&cfg, kernel, shards).expect("plain run completes")
+        run_sim_with_kernel(&cfg, kernel).expect("plain run completes")
     });
     let plain_fp = fingerprint(&plain);
     println!("plain 64-core run: {plain_wall:.3}s");
 
     // -- Snapshot / save / resume microcosts at the midpoint -----------
-    let mut session = SimSession::new(&cfg, None, kernel, shards).expect("session builds");
+    let mut session = SimSession::new(&cfg, None, kernel, 1).expect("session builds");
     session.run_until(total / 2).expect("midpoint is reachable");
     let started = Instant::now();
     let snap = session.checkpoint();
@@ -185,7 +184,7 @@ fn main() {
     let snapshot_bytes = std::fs::metadata(&path).expect("saved file exists").len();
     let started = Instant::now();
     let reloaded = rcsim_system::SessionSnapshot::load(&path).expect("checkpoint loads");
-    let resumed = SimSession::resume(&reloaded, kernel, shards).expect("checkpoint resumes");
+    let resumed = SimSession::resume(&reloaded, kernel, 1).expect("checkpoint resumes");
     let resume_ms = started.elapsed().as_secs_f64() * 1e3;
     assert_eq!(resumed.pos(), total / 2, "resume landed on the wrong cycle");
     println!(
@@ -207,8 +206,7 @@ fn main() {
     ] {
         let run_dir = dir.join(name);
         let (res, wall) = min_wall(reps, || {
-            run_sim_resumable(&cfg, kernel, shards, &run_dir, interval)
-                .expect("checkpointed run completes")
+            run_sim_resumable(&cfg, kernel, &run_dir, interval).expect("checkpointed run completes")
         });
         assert_eq!(
             fingerprint(&res),

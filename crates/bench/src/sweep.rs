@@ -15,9 +15,7 @@
 //! bypasses the cache entirely. A corrupt, truncated or stale-format
 //! cache file is treated as a miss and recomputed, never an error.
 
-use rcsim_system::{
-    run_sim, run_sim_resumable, shards_from_env, KernelMode, RunResult, SimConfig, SimError,
-};
+use rcsim_system::{run_sim, run_sim_resumable, KernelMode, RunResult, SimConfig, SimError};
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
@@ -231,13 +229,7 @@ impl SweepRunner {
         }
         let started = Instant::now();
         let res = match &self.checkpoints {
-            Some((dir, interval)) => run_sim_resumable(
-                cfg,
-                KernelMode::from_env(),
-                shards_from_env(),
-                dir,
-                *interval,
-            ),
+            Some((dir, interval)) => run_sim_resumable(cfg, KernelMode::from_env(), dir, *interval),
             None => run_sim(cfg),
         };
         let ms = started.elapsed().as_secs_f64() * 1e3;

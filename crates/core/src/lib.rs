@@ -44,7 +44,6 @@ pub mod geometry;
 pub mod policy;
 pub mod routing;
 pub mod sched;
-pub mod shard;
 pub mod topology;
 pub mod types;
 
@@ -52,11 +51,10 @@ pub use config::{CircuitMode, ConfigError, MechanismConfig, TimedPolicy};
 pub use geometry::Mesh;
 pub use policy::{
     AdaptiveConfig, CongestionMap, CongestionSnapshot, PolicyController, RegionDecision,
-    RegionMode, RegionSample, SCORE_SCALE,
+    RegionMode, RegionPlan, RegionSample, SCORE_SCALE,
 };
 pub use routing::{TopologyHealth, TopologyHealthSnapshot};
 pub use sched::{KernelMode, WakeTimes};
-pub use shard::{shards_from_env, ShardPlan};
 pub use topology::{
     Topology, TopologySpec, PORT_EAST, PORT_LOCAL, PORT_NORTH, PORT_SOUTH, PORT_WEST,
 };

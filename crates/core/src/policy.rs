@@ -5,8 +5,8 @@
 //! The controller itself is a pure state machine: [`PolicyController::decide`]
 //! is a function of `(controller state, now, samples)` only — no RNG, no
 //! clocks, no host-dependent input — which is what keeps adaptive runs
-//! bit-reproducible per seed and invariant under `RC_KERNEL` / `RC_SHARDS`
-//! (decisions are taken in the serial tick prologue; see DESIGN.md §14).
+//! bit-reproducible per seed and identical under both kernels (decisions
+//! are taken densely at the top of the tick; see DESIGN.md §14).
 //! What a *hot* verdict means is up to the embedder (`rcsim-noc` suppresses
 //! circuit construction and plans congestion-aware detours); this module only
 //! decides *when* a region changes state:
@@ -17,14 +17,15 @@
 //! * **min-dwell** — after any switch, the region holds its state for at
 //!   least `min_dwell` cycles, bounding the switch frequency outright.
 //!
-//! Regions are contiguous router ranges from a [`ShardPlan`](crate::shard)
-//! built with `regions` domains — deliberately independent of the
-//! `RC_SHARDS` execution plan, so the region map (and therefore every
-//! decision) is identical at any shard count.
+//! Regions are the contiguous router ranges of a [`RegionPlan`] — a pure
+//! function of `(topology, regions)`, so the region map (and therefore
+//! every decision) depends on nothing but the configuration.
 
 use crate::config::ConfigError;
+use crate::topology::Topology;
 use crate::types::Cycle;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// Fixed-point scale for [`RegionSample::score`]: scores are occupancy
 /// per router times this constant, so integer thresholds can express
@@ -57,12 +58,12 @@ fn default_true() -> bool {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct AdaptiveConfig {
     /// Cycles between controller decisions. Decisions happen at
-    /// `t = decision_epoch, 2·decision_epoch, …` in the serial tick
-    /// prologue; must be non-zero.
+    /// `t = decision_epoch, 2·decision_epoch, …` at the top of the tick;
+    /// must be non-zero.
     #[serde(default = "default_decision_epoch")]
     pub decision_epoch: Cycle,
-    /// Number of contiguous router regions (clamped to the router count,
-    /// like `RC_SHARDS`); must be non-zero.
+    /// Number of contiguous router regions (clamped to the router
+    /// count); must be non-zero.
     #[serde(default = "default_regions")]
     pub regions: usize,
     /// A calm region becomes hot when its score reaches this threshold
@@ -120,6 +121,76 @@ impl AdaptiveConfig {
             ));
         }
         Ok(())
+    }
+}
+
+/// The adaptive layer's region map: a contiguous partition of a
+/// topology's routers (and, via the concentration factor, its tiles) into
+/// balanced regions.
+///
+/// Ranges are ascending and non-empty: region `g` owns routers
+/// `g·R/K .. (g+1)·R/K` (integer division), so sizes differ by at most
+/// one. Tiles are numbered `router * c + slot` (see
+/// [`Topology::tile_of`]), so a contiguous router range induces a
+/// contiguous tile range and an NI always lands in its router's region.
+/// The plan is a pure function of `(routers, regions)`: no RNG, no
+/// host-dependent input.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RegionPlan {
+    /// Router-index boundaries; `bounds[g]..bounds[g + 1]` is region `g`.
+    bounds: Vec<usize>,
+    /// Tiles per router, cached from the topology.
+    concentration: usize,
+}
+
+impl RegionPlan {
+    /// Builds the plan for `topology` with the requested region count,
+    /// clamped to `1..=routers` so every region is non-empty.
+    pub fn new(topology: &Topology, regions: usize) -> Self {
+        let routers = topology.routers();
+        let regions = regions.clamp(1, routers.max(1));
+        let bounds = (0..=regions).map(|g| g * routers / regions).collect();
+        RegionPlan {
+            bounds,
+            concentration: topology.concentration(),
+        }
+    }
+
+    /// Number of regions.
+    pub fn regions(&self) -> usize {
+        self.bounds.len() - 1
+    }
+
+    /// The contiguous router-index range owned by region `g`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `g >= self.regions()`.
+    pub fn router_range(&self, g: usize) -> Range<usize> {
+        self.bounds[g]..self.bounds[g + 1]
+    }
+
+    /// The contiguous tile-index range owned by region `g` — the router
+    /// range scaled by the concentration, so `router_of(tile)` of every
+    /// tile in the range lies in [`RegionPlan::router_range`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `g >= self.regions()`.
+    pub fn tile_range(&self, g: usize) -> Range<usize> {
+        (self.bounds[g] * self.concentration)..(self.bounds[g + 1] * self.concentration)
+    }
+
+    /// The region owning router `r`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `r` is outside the plan.
+    pub fn region_of_router(&self, r: usize) -> usize {
+        let routers = *self.bounds.last().expect("bounds are never empty");
+        assert!(r < routers, "router {r} outside the plan");
+        // First boundary strictly above r, minus one.
+        self.bounds.partition_point(|&b| b <= r) - 1
     }
 }
 

@@ -1,6 +1,8 @@
 //! Property-based tests for the adaptive policy layer (DESIGN.md §14):
-//! the controller's decision function is pure, hysteresis + min-dwell
-//! bound how often a region can switch, and the policy-triggered circuit
+//! the region map is a balanced contiguous partition that keeps every
+//! tile with its router, the controller's decision function is pure,
+//! hysteresis + min-dwell bound how often a region can switch, and the
+//! policy-triggered circuit
 //! teardown conserves circuits exactly — torn circuits vanish from every
 //! router on their path, surviving circuits keep every entry — checked
 //! against an independent shadow model.
@@ -9,9 +11,98 @@ use proptest::prelude::*;
 use rcsim_core::circuit::{CircuitKey, ReserveRequest, RouterCircuits};
 use rcsim_core::routing::Routing;
 use rcsim_core::{
-    AdaptiveConfig, CircuitMode, NodeId, PolicyController, RegionMode, RegionSample, TopologySpec,
+    AdaptiveConfig, CircuitMode, Mesh, NodeId, PolicyController, RegionMode, RegionPlan,
+    RegionSample, Topology, TopologySpec,
 };
 use std::collections::BTreeSet;
+
+// ---------------------------------------------------------------------------
+// Region-map properties
+// ---------------------------------------------------------------------------
+
+/// A strategy over all four topology families at mixed sizes (4–1024
+/// tiles), mirroring the spread the topology benches sweep.
+fn topology_strategy() -> impl Strategy<Value = Topology> {
+    prop_oneof![
+        (2u16..=8, 2u16..=8).prop_map(|(w, h)| Topology::from(Mesh::new(w, h).expect("mesh dims"))),
+        (2u16..=8, 2u16..=8).prop_map(|(w, h)| Topology::torus(w, h).expect("torus dims")),
+        (2u16..=6, 2u16..=6, prop_oneof![Just(2u16), Just(4u16)])
+            .prop_map(|(w, h, c)| Topology::cmesh(w, h, c).expect("cmesh dims")),
+        (3u16..=64).prop_map(|n| Topology::ring(n).expect("ring size")),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Partition: the region ranges are contiguous, ordered, non-empty,
+    /// within one router of each other in size, and cover 0..routers
+    /// exactly once; a count above the router count clamps to one router
+    /// per region.
+    #[test]
+    fn every_router_lands_in_exactly_one_region(
+        topology in topology_strategy(),
+        regions in 1usize..=80,
+    ) {
+        let plan = RegionPlan::new(&topology, regions);
+        prop_assert_eq!(plan.regions(), regions.min(topology.routers()));
+        let mut next = 0;
+        let (mut min, mut max) = (usize::MAX, 0);
+        for g in 0..plan.regions() {
+            let r = plan.router_range(g);
+            prop_assert_eq!(r.start, next, "region {} not contiguous", g);
+            prop_assert!(!r.is_empty(), "region {} empty", g);
+            for i in r.clone() {
+                prop_assert_eq!(plan.region_of_router(i), g);
+            }
+            (min, max) = (min.min(r.len()), max.max(r.len()));
+            next = r.end;
+        }
+        prop_assert_eq!(next, topology.routers(), "ranges must cover every router");
+        prop_assert!(max - min <= 1, "unbalanced partition: {}..={}", min, max);
+    }
+
+    /// Tiles follow their router: a tile lies in the tile range of its
+    /// router's region on every topology, including concentrated meshes
+    /// where several tiles share one router — a region's NI backlog
+    /// sample and its wake-ups cover exactly the NIs of its routers.
+    #[test]
+    fn tiles_always_land_in_their_routers_region(
+        topology in topology_strategy(),
+        regions in 1usize..=16,
+    ) {
+        let plan = RegionPlan::new(&topology, regions);
+        for tile in topology.iter_tiles() {
+            let g = plan.region_of_router(topology.router_of(tile).index());
+            prop_assert!(
+                plan.tile_range(g).contains(&tile.index()),
+                "tile {} outside its region's tile range",
+                tile
+            );
+        }
+        // And the tile ranges tile the tile space exactly.
+        let mut next = 0;
+        for g in 0..plan.regions() {
+            let t = plan.tile_range(g);
+            prop_assert_eq!(t.start, next);
+            next = t.end;
+        }
+        prop_assert_eq!(next, topology.nodes());
+    }
+
+    /// Purity: the plan is a deterministic function of its inputs alone,
+    /// so every run of one configuration decides over the same regions.
+    #[test]
+    fn region_map_is_a_pure_function_of_its_inputs(
+        topology in topology_strategy(),
+        regions in 1usize..=16,
+    ) {
+        prop_assert_eq!(
+            RegionPlan::new(&topology, regions),
+            RegionPlan::new(&topology, regions)
+        );
+    }
+}
 
 // ---------------------------------------------------------------------------
 // Controller properties

@@ -1,9 +1,8 @@
-//! One sink, two implementations (DESIGN.md §13): routers and NIs hand
-//! every message they emit to a [`LinkSink`]. On the serial tick path
-//! that is [`Links`], a view of the network's calendars that lets the
-//! link-fault layer decide the message's fate and writes it once, into
-//! the calendar it reaches; a shard worker stages [`Outgoing`] records
-//! instead, which the serial merge replays through the same view.
+//! One sink per producer (DESIGN.md §9): routers and NIs hand every
+//! message they emit to a [`LinkSink`]. For a router that is [`Links`], a
+//! view of the network's calendars that lets the link-fault layer decide
+//! the message's fate and writes it once, into the calendar it reaches;
+//! for an NI it is [`NiLink`], the fault-free wire into its own router.
 
 use crate::calendar::Calendar;
 use crate::config::NocConfig;
@@ -32,7 +31,9 @@ pub(crate) trait LinkSink {
     fn undo(&mut self, port: usize, key: CircuitKey, dst: NodeId, arrive: Cycle);
 }
 
-/// One staged [`LinkSink`] call of a router, argument for argument.
+/// One recorded [`LinkSink`] call, argument for argument: the router
+/// unit tests tick a lone router into a `Vec<Outgoing>`.
+#[cfg(test)]
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum Outgoing {
     Flit(usize, Flit, Cycle),
@@ -40,17 +41,7 @@ pub(crate) enum Outgoing {
     Undo(usize, CircuitKey, NodeId, Cycle),
 }
 
-impl Outgoing {
-    /// Makes the staged call on `sink`.
-    pub(crate) fn replay(self, sink: &mut impl LinkSink) {
-        match self {
-            Outgoing::Flit(port, flit, arrive) => sink.flit(port, flit, arrive),
-            Outgoing::Credit(port, vc, arrive) => sink.credit(port, vc, arrive),
-            Outgoing::Undo(port, key, dst, arrive) => sink.undo(port, key, dst, arrive),
-        }
-    }
-}
-
+#[cfg(test)]
 impl LinkSink for Vec<Outgoing> {
     fn flit(&mut self, port: usize, flit: Flit, arrive: Cycle) {
         self.push(Outgoing::Flit(port, flit, arrive));
@@ -75,19 +66,20 @@ pub(crate) fn opposite_port(port: usize) -> usize {
     port ^ 2
 }
 
-/// An NI's wire into local input `port` of its own router — always in
-/// the NI's shard, and fault-free, so both tick paths write it directly
-/// (`wake` is the router's raw [`WakeTimes`] slot, min-merged).
+/// An NI's wire into local input `port` of its own router (index
+/// `router`): fault-free, so it bypasses the link-fault layer and writes
+/// the router's calendar directly.
 pub(crate) struct NiLink<'a> {
     pub now: Cycle,
     pub port: usize,
+    pub router: usize,
     pub link: &'a mut Calendar,
-    pub wake: &'a mut Cycle,
+    pub wake: &'a mut WakeTimes,
 }
 
 impl LinkSink for NiLink<'_> {
     fn flit(&mut self, _: usize, flit: Flit, arrive: Cycle) {
-        *self.wake = (*self.wake).min(arrive);
+        self.wake.wake_at(self.router, arrive);
         self.link.push_flit(self.now, arrive, self.port, flit);
     }
 
@@ -96,16 +88,16 @@ impl LinkSink for NiLink<'_> {
     }
 
     fn undo(&mut self, _: usize, key: CircuitKey, dst: NodeId, arrive: Cycle) {
-        *self.wake = (*self.wake).min(arrive);
+        self.wake.wake_at(self.router, arrive);
         self.link.push_undo(self.now, arrive, key, dst);
     }
 }
 
-/// The serial sink: everything a message leaving router `from` at `now`
+/// The routers' sink: everything a message leaving router `from` at `now`
 /// can touch — both calendar sets with their wake slots, the neighbour
 /// table, the link-fault layer and the end-to-end retry state (see
 /// `Network::links`). Fault-RNG draws happen per message in emission
-/// order, which both kernels and every shard count share.
+/// order, which both kernels share.
 pub(crate) struct Links<'a> {
     pub now: Cycle,
     pub from: NodeId,
@@ -155,8 +147,7 @@ impl Links<'_> {
 
     /// Schedules the end-to-end retransmissions of the packets lost
     /// since the last call — after the router's tick rather than inside
-    /// it, so their trace events follow the tick's own on both paths
-    /// (a shard worker's are staged per router).
+    /// it, so their trace events follow the tick's own.
     pub(crate) fn settle(&mut self) {
         for (id, at) in std::mem::take(&mut self.lost) {
             self.schedule_retry(id, at);

@@ -14,16 +14,16 @@ use crate::ingress::{
     Admission, IngressConfig, IngressSnapshot, IngressState, OverloadReport, ReleasedArrival,
     ShedArrival,
 };
-use crate::links::{opposite_port, Links, NiLink, Outgoing};
+use crate::links::{opposite_port, Links, NiLink};
 use crate::ni::{Ni, NiOut, NiSnapshot};
 use crate::router::{Router, RouterSnapshot, VcWaiter, WaitEdge};
 use crate::stats::{CircuitOutcome, NocStats};
 use rcsim_core::circuit::CircuitKey;
 use rcsim_core::routing::{path_is_healthy, Routing};
 use rcsim_core::{
-    shards_from_env, AdaptiveConfig, ConfigError, CongestionMap, CongestionSnapshot, Cycle,
-    Direction, KernelMode, MessageClass, NodeId, PolicyController, RegionMode, RegionSample,
-    ShardPlan, Topology, TopologyHealth, TopologyHealthSnapshot, WakeTimes, PORT_LOCAL,
+    AdaptiveConfig, ConfigError, CongestionMap, CongestionSnapshot, Cycle, Direction, KernelMode,
+    MessageClass, NodeId, PolicyController, RegionMode, RegionPlan, RegionSample, TopologyHealth,
+    TopologyHealthSnapshot, WakeTimes, PORT_LOCAL,
 };
 use rcsim_trace::{EventKind, TraceSink};
 use serde::{Deserialize, Serialize};
@@ -55,177 +55,6 @@ struct Scratch {
     stuck: Vec<u64>,
 }
 
-/// One shard worker's state: reusable per-tick buffers (the sharded
-/// equivalent of [`Scratch`]) plus the per-tick merge staging the serial
-/// phase C consumes. Owned by the network so the steady-state loop
-/// allocates nothing, and lent to exactly one worker per tick.
-#[derive(Debug, Default)]
-struct ShardLocal {
-    // Worker-private tick buffers (mirror `Scratch`).
-    ni_out: NiOut,
-    arrivals: Vec<(usize, Flit)>,
-    credits: Vec<(usize, usize)>,
-    undos: Vec<(CircuitKey, NodeId)>,
-    // Staged outputs for the serial merge.
-    /// `true` when any flit moved in this shard this tick.
-    moved: bool,
-    /// One entry per NI whose tick produced observable output, in tile
-    /// order (NIs with nothing to report are skipped — by definition they
-    /// have no effect on the merge).
-    ni_merge: Vec<NiMerge>,
-    /// This shard's deliveries this tick, in (tile, ejection) order;
-    /// sliced by [`NiMerge::n_delivered`].
-    delivered: Vec<Delivered>,
-    /// Corrupt-discarded packets, same ordering, sliced by
-    /// [`NiMerge::n_corrupt`].
-    corrupt: Vec<PacketId>,
-    /// `(router index, outgoing count)` per router with output, in router
-    /// order.
-    router_merge: Vec<(usize, usize)>,
-    /// Concatenated router outputs (the staging sink), sliced by
-    /// [`ShardLocal::router_merge`].
-    outgoing: Vec<Outgoing>,
-}
-
-/// The merge-relevant summary of one NI's tick: everything the serial
-/// phase C must replay, in the serial path's per-NI order (deliveries,
-/// then the at-most-one injection, then reroutes, then retries).
-#[derive(Debug)]
-struct NiMerge {
-    tile: usize,
-    n_delivered: usize,
-    n_corrupt: usize,
-    injection: Option<(MessageClass, u32)>,
-    reroutes: u64,
-    congestion_reroutes: u64,
-}
-
-/// The disjoint slice of network state one shard worker owns for a tick:
-/// its tile range's NIs, their inbound links and wake slots, its router
-/// range's routers, links and wake slots, and its [`ShardLocal`]. Built by
-/// progressive `split_at_mut` over the network's vectors, so workers can
-/// run concurrently without any sharing — a tile's router is always in
-/// the tile's own shard ([`ShardPlan`] cuts on router boundaries).
-struct ShardWork<'a> {
-    tile0: usize,
-    router0: usize,
-    nis: &'a mut [Ni],
-    ni_links: &'a mut [Calendar],
-    ni_wake: &'a mut [Cycle],
-    routers: &'a mut [Router],
-    router_links: &'a mut [Calendar],
-    router_wake: &'a mut [Cycle],
-    local: &'a mut ShardLocal,
-}
-
-/// Phase B of the sharded tick: one shard's NI and router loops. The
-/// body is the serial loops verbatim minus everything order-sensitive —
-/// statistics, retry scheduling, delivery bookkeeping and
-/// the routers' link output are staged into the shard's [`ShardLocal`] for
-/// the serial phase C to replay in fixed order. Writes go only through `w`'s
-/// disjoint slices, so any number of workers may run concurrently; see
-/// DESIGN.md §13 for the byte-identity argument.
-fn shard_phase_b(
-    w: &mut ShardWork<'_>,
-    now: Cycle,
-    event: bool,
-    topology: Topology,
-    topo: &TopologyHealth,
-    cong: &CongestionMap,
-    stuck: &[u64],
-) {
-    let l = &mut *w.local;
-    l.moved = false;
-    l.ni_merge.clear();
-    l.delivered.clear();
-    l.corrupt.clear();
-    l.router_merge.clear();
-    l.outgoing.clear();
-
-    // NIs first (same order as the serial loop).
-    for t in 0..w.nis.len() {
-        let due = w.ni_wake[t] <= now;
-        if event && !due && !w.nis[t].is_active() {
-            continue;
-        }
-        if due {
-            w.ni_wake[t] =
-                w.ni_links[t].drain(now, 0, &mut l.arrivals, &mut l.credits, &mut l.undos);
-        }
-        l.moved |= !l.arrivals.is_empty();
-        l.ni_out.clear();
-        let tile = NodeId((w.tile0 + t) as u16);
-        // Injection targets the tile's own router, which is always in
-        // this shard.
-        let router = topology.router_of(tile).index() - w.router0;
-        let injected = w.nis[t].tick(
-            now,
-            &mut l.arrivals,
-            &mut l.credits,
-            topo,
-            cong,
-            &mut l.ni_out,
-            &mut NiLink {
-                now,
-                port: topology.eject_port(tile),
-                link: &mut w.router_links[router],
-                wake: &mut w.router_wake[router],
-            },
-        );
-        l.moved |= injected || !l.ni_out.delivered.is_empty();
-        let injection = l.ni_out.injection.take();
-        if !l.ni_out.delivered.is_empty()
-            || !l.ni_out.corrupt_discards.is_empty()
-            || injection.is_some()
-            || l.ni_out.reroutes > 0
-            || l.ni_out.congestion_reroutes > 0
-        {
-            l.ni_merge.push(NiMerge {
-                tile: w.tile0 + t,
-                n_delivered: l.ni_out.delivered.len(),
-                n_corrupt: l.ni_out.corrupt_discards.len(),
-                injection,
-                reroutes: l.ni_out.reroutes,
-                congestion_reroutes: l.ni_out.congestion_reroutes,
-            });
-            l.delivered.append(&mut l.ni_out.delivered);
-            l.corrupt.append(&mut l.ni_out.corrupt_discards);
-        }
-    }
-
-    // Routers (the fault pre-pass already ran densely in phase A; this
-    // loop only reads its per-router stuck masks). Each router appends
-    // straight onto the shard's staged output.
-    for r in 0..w.routers.len() {
-        let i = w.router0 + r;
-        let due = w.router_wake[r] <= now;
-        if event && !due && !w.routers[r].is_active(now) {
-            continue;
-        }
-        if due {
-            w.router_wake[r] = w.router_links[r].drain(
-                now,
-                stuck[i],
-                &mut l.arrivals,
-                &mut l.credits,
-                &mut l.undos,
-            );
-        }
-        l.moved |= !l.arrivals.is_empty();
-        let staged = l.outgoing.len();
-        w.routers[r].tick(
-            now,
-            &mut l.arrivals,
-            &mut l.credits,
-            &mut l.undos,
-            &mut l.outgoing,
-        );
-        if l.outgoing.len() > staged {
-            l.router_merge.push((i, l.outgoing.len() - staged));
-        }
-    }
-}
-
 /// One scheduled permanent-fault transition, precomputed at construction
 /// from the [`FaultConfig`] and applied densely at the top of the cycle
 /// loop (RNG-free, so both kernels see the identical fault stream).
@@ -242,15 +71,14 @@ enum TopoChange {
 }
 
 /// Runtime state of the adaptive policy layer (DESIGN.md §14): the knobs,
-/// the region map (its *own* `ShardPlan`, independent of the `RC_SHARDS`
-/// execution plan so decisions are shard-invariant), the deterministic
-/// controller, the cumulative counters and the next decision cycle.
+/// the region map, the deterministic controller, the cumulative counters
+/// and the next decision cycle.
 /// Boxed behind `Option` so the default (adaptive-off) network carries a
 /// single extra pointer.
 #[derive(Debug)]
 struct AdaptiveState {
     cfg: AdaptiveConfig,
-    plan: ShardPlan,
+    plan: RegionPlan,
     controller: PolicyController,
     report: AdaptiveReport,
     next_decision: Cycle,
@@ -347,16 +175,6 @@ pub struct Network {
     ingress: Option<Box<IngressState>>,
     /// Where trace events go; [`TraceSink::Disabled`] by default.
     sink: TraceSink,
-    /// In-tick domain decomposition; `None` selects the serial path. See
-    /// [`Network::set_shards`].
-    shard_plan: Option<ShardPlan>,
-    /// One [`ShardLocal`] per shard (empty on the serial path).
-    shard_locals: Vec<ShardLocal>,
-    /// Per-NI staging buffers, installed while sharded tracing is active
-    /// (see [`Network::rewire_sinks`]); empty otherwise.
-    ni_stage: Vec<TraceSink>,
-    /// Per-router staging buffers for sharded tracing; empty otherwise.
-    router_stage: Vec<TraceSink>,
     /// Adaptive policy layer; `None` (the default) is the exact seed
     /// behavior. See [`Network::enable_adaptive`].
     adaptive: Option<Box<AdaptiveState>>,
@@ -405,7 +223,7 @@ impl Network {
             }
         }
         fault_schedule.sort_by_key(|&(t, _)| t);
-        let mut net = Self {
+        Ok(Self {
             cfg,
             routers: cfg
                 .topology
@@ -449,46 +267,13 @@ impl Network {
             scratch: Scratch::default(),
             ingress: None,
             sink: TraceSink::default(),
-            shard_plan: None,
-            shard_locals: Vec::new(),
-            ni_stage: Vec::new(),
-            router_stage: Vec::new(),
             adaptive: None,
             congestion: CongestionMap::new(routers_n),
-        };
-        // Like the kernel, the shard count is an environment knob rather
-        // than part of the (serialized, cache-keyed) configuration:
-        // results are byte-identical at any count, so it must never
-        // invalidate caches or goldens.
-        net.set_shards(shards_from_env());
-        Ok(net)
+        })
     }
 
-    /// Selects the in-tick shard count: `1` (the default) is the serial
-    /// path; `n > 1` partitions the fabric into `n` contiguous router
-    /// domains ticked on `n` scoped worker threads per cycle. Results are
-    /// required — and tested, see `rcsim-system/tests/kernel_diff.rs` —
-    /// to be byte-identical at every count, making this purely a host
-    /// parallelism knob (the in-tick analogue of `RC_JOBS`). Counts above
-    /// the router count are clamped. Construction honours the
-    /// `RC_SHARDS` environment knob.
-    pub fn set_shards(&mut self, shards: usize) {
-        let shards = shards.clamp(1, self.cfg.topology.routers().max(1));
-        if shards <= 1 {
-            self.shard_plan = None;
-            self.shard_locals.clear();
-        } else {
-            let plan = ShardPlan::new(&self.cfg.topology, shards);
-            self.shard_locals = (0..plan.shards()).map(|_| ShardLocal::default()).collect();
-            self.shard_plan = Some(plan);
-        }
-        self.rewire_sinks();
-    }
-
-    /// The active in-tick shard count.
-    pub fn shards(&self) -> usize {
-        self.shard_plan.as_ref().map_or(1, ShardPlan::shards)
-    }
+    /// Does nothing; the `[benchmark]` PR retiring `core.shard.*` drops it and its calls.
+    pub fn set_shards(&mut self, _shards: usize) {}
 
     /// Selects the simulation kernel. Both kernels are required to
     /// produce byte-identical results; `Event` (the default, overridable
@@ -504,9 +289,9 @@ impl Network {
 
     /// Installs the adaptive runtime-policy layer (DESIGN.md §14): a
     /// deterministic per-region controller that, every
-    /// [`AdaptiveConfig::decision_epoch`] cycles — in the serial tick
-    /// prologue, so `RC_KERNEL` and `RC_SHARDS` byte-identity is
-    /// preserved — samples occupancy telemetry per region and flips
+    /// [`AdaptiveConfig::decision_epoch`] cycles — densely at the top of
+    /// the tick, so both kernels decide identically — samples occupancy
+    /// telemetry per region and flips
     /// regions between calm and hot with hysteresis and min-dwell. While
     /// a region is hot, requests whose reply path would cross it skip
     /// circuit construction (path-sensitive mechanism switch; the
@@ -520,8 +305,8 @@ impl Network {
     /// their invariants (see [`AdaptiveConfig::validate`]).
     pub fn enable_adaptive(&mut self, cfg: AdaptiveConfig) -> Result<(), ConfigError> {
         cfg.validate()?;
-        let plan = ShardPlan::new(&self.cfg.topology, cfg.regions);
-        let controller = PolicyController::new(cfg, plan.shards());
+        let plan = RegionPlan::new(&self.cfg.topology, cfg.regions);
+        let controller = PolicyController::new(cfg, plan.regions());
         self.congestion.set_features(cfg.detour, cfg.mech_switch);
         self.adaptive = Some(Box::new(AdaptiveState {
             cfg,
@@ -551,39 +336,13 @@ impl Network {
     /// whole fabric records into one shared event log. Pass
     /// [`TraceSink::Disabled`] to turn tracing back off.
     pub fn set_trace_sink(&mut self, sink: TraceSink) {
-        self.sink = sink;
-        self.rewire_sinks();
-    }
-
-    /// (Re)installs per-component sinks for the active shard/trace
-    /// combination: direct clones of the shared sink on the serial path
-    /// (or when tracing is off), per-component staging buffers when the
-    /// sharded path is active with tracing on. Workers then record
-    /// concurrently without interleaving, and the merge replays every
-    /// buffer into the shared sink in fixed component order — reproducing
-    /// the serial emission order exactly. NIs and routers emit only from
-    /// inside their `tick`, so a staging buffer never carries events
-    /// across a cycle boundary.
-    fn rewire_sinks(&mut self) {
-        if self.shard_plan.is_some() && self.sink.is_enabled() {
-            self.ni_stage = self.nis.iter().map(|_| TraceSink::buffer()).collect();
-            self.router_stage = self.routers.iter().map(|_| TraceSink::buffer()).collect();
-            for (ni, stage) in self.nis.iter_mut().zip(&self.ni_stage) {
-                ni.set_trace_sink(stage.clone());
-            }
-            for (r, stage) in self.routers.iter_mut().zip(&self.router_stage) {
-                r.set_trace_sink(stage.clone());
-            }
-        } else {
-            self.ni_stage.clear();
-            self.router_stage.clear();
-            for ni in &mut self.nis {
-                ni.set_trace_sink(self.sink.clone());
-            }
-            for r in &mut self.routers {
-                r.set_trace_sink(self.sink.clone());
-            }
+        for ni in &mut self.nis {
+            ni.set_trace_sink(sink.clone());
         }
+        for r in &mut self.routers {
+            r.set_trace_sink(sink.clone());
+        }
+        self.sink = sink;
     }
 
     /// The occupancy snapshot the trace layer samples once per epoch.
@@ -865,30 +624,13 @@ impl Network {
     /// (see [`Ni::is_active`] / [`Router::is_active`] for the no-op
     /// argument); everything else — iteration order, drain order, fault
     /// RNG draws, statistics — is shared verbatim with the dense kernel.
-    /// With [`Network::set_shards`] above 1, the sharded path runs
-    /// instead — byte-identical by construction, see
-    /// [`Network::tick_sharded`].
     pub fn tick(&mut self) {
         let now = self.now;
         let mut s = std::mem::take(&mut self.scratch);
-        self.tick_prologue(now, &mut s.stuck);
-        let moved = if self.shard_plan.is_some() {
-            self.tick_sharded(now, &mut s)
-        } else {
-            self.tick_serial(now, &mut s)
-        };
-        if moved {
-            self.last_progress = now;
-        }
-        self.stats.cycles += 1;
-        self.now = now + 1;
-        self.scratch = s;
-    }
+        let topology = self.cfg.topology;
+        let event = self.kernel == KernelMode::Event;
+        let mut moved = false;
 
-    /// The serial prologue of both tick paths: scheduled fault
-    /// transitions, due end-to-end retransmissions, and the dense fault
-    /// pre-pass (all order-sensitive, none shardable).
-    fn tick_prologue(&mut self, now: Cycle, stuck: &mut Vec<u64>) {
         // Scheduled dead-link / dead-router transitions fire first, before
         // anything moves this cycle: they are dense (kernel-independent)
         // and draw no fault RNG.
@@ -896,10 +638,9 @@ impl Network {
 
         // Adaptive policy decisions come next, after the fault map has
         // settled (a sample taken exactly at a fault-onset tick sees the
-        // post-onset state). Serial, dense, RNG-free: decisions — and the
-        // trace events and teardowns they trigger — land at the same
-        // point of every tick path, which is the whole byte-identity
-        // argument for `RC_KERNEL` × `RC_SHARDS` under adaptation.
+        // post-onset state). Dense and RNG-free: decisions — and the trace
+        // events and teardowns they trigger — land at the same point of
+        // the tick under both kernels.
         self.adaptive_tick(now);
 
         // Due end-to-end retransmissions re-enter their source NI.
@@ -909,7 +650,86 @@ impl Network {
             }
         }
 
-        self.fault_pre_pass(now, stuck);
+        self.fault_pre_pass(now, &mut s.stuck);
+
+        // NIs first: they consume flits/credits produced last cycle and
+        // inject at most one flit each into their router's local port.
+        for i in 0..topology.nodes() {
+            let due = self.ni_wake.due(i, now);
+            if event && !due && !self.nis[i].is_active() {
+                // Nothing due and nothing queued or streaming: the tick
+                // would be a no-op; skip it.
+                continue;
+            }
+            if due {
+                let wake =
+                    self.ni_links[i].drain(now, 0, &mut s.arrivals, &mut s.credits, &mut s.undos);
+                self.ni_wake.set(i, wake);
+            }
+            moved |= !s.arrivals.is_empty();
+            s.ni_out.clear();
+            let tile = NodeId(i as u16);
+            let router = topology.router_of(tile).index();
+            let injected = self.nis[i].tick(
+                now,
+                &mut s.arrivals,
+                &mut s.credits,
+                &self.topo,
+                &self.congestion,
+                &mut s.ni_out,
+                &mut NiLink {
+                    now,
+                    port: topology.eject_port(tile),
+                    router,
+                    link: &mut self.router_links[router],
+                    wake: &mut self.router_wake,
+                },
+            );
+            moved |= injected || !s.ni_out.delivered.is_empty();
+            self.settle_ni(i, now, &mut s.ni_out);
+        }
+
+        // Routers, each writing its output straight onto the links. The
+        // fault pre-pass already ran densely for every router (see
+        // [`Network::fault_pre_pass`]); this loop only reads its
+        // per-router stuck masks.
+        let (routers, mut links) = self.links(now);
+        for (i, router) in routers.iter_mut().enumerate() {
+            let due = links.router_wake.due(i, now);
+            if event && !due && !router.is_active(now) {
+                // Nothing due, nothing buffered or pending: skip. A stuck
+                // port never hides work — the flits it parks keep the
+                // calendar due every cycle until the window ends.
+                continue;
+            }
+            if due {
+                let wake = links.router_links[i].drain(
+                    now,
+                    s.stuck[i],
+                    &mut s.arrivals,
+                    &mut s.credits,
+                    &mut s.undos,
+                );
+                links.router_wake.set(i, wake);
+            }
+            moved |= !s.arrivals.is_empty();
+            links.from = NodeId(i as u16);
+            router.tick(
+                now,
+                &mut s.arrivals,
+                &mut s.credits,
+                &mut s.undos,
+                &mut links,
+            );
+            links.settle();
+        }
+
+        if moved {
+            self.last_progress = now;
+        }
+        self.stats.cycles += 1;
+        self.now = now + 1;
+        self.scratch = s;
     }
 
     /// One adaptive-policy step: on decision-epoch boundaries, samples
@@ -992,8 +812,8 @@ impl Network {
 
     /// Per-region occupancy sums (the [`Network::telemetry`] quantities,
     /// split over the region plan's contiguous router/tile ranges).
-    fn region_samples(&self, plan: &ShardPlan) -> Vec<RegionSample> {
-        (0..plan.shards())
+    fn region_samples(&self, plan: &RegionPlan) -> Vec<RegionSample> {
+        (0..plan.regions())
             .map(|s| {
                 let rr = plan.router_range(s);
                 let routers = rr.len() as u64;
@@ -1031,7 +851,7 @@ impl Network {
     /// NIs are visited in index order and keys in sorted order, so the
     /// teardown (and its `CircuitTear` trace stream) is deterministic.
     /// Returns the circuits torn.
-    fn teardown_regions(&mut self, now: Cycle, plan: &ShardPlan, regions: &[usize]) -> u64 {
+    fn teardown_regions(&mut self, now: Cycle, plan: &RegionPlan, regions: &[usize]) -> u64 {
         let topology = self.cfg.topology;
         let mut torn = 0u64;
         for i in 0..self.nis.len() {
@@ -1040,7 +860,7 @@ impl Network {
                 let reply_path = topology.route_path(node, key.requestor, Routing::Yx);
                 if reply_path
                     .iter()
-                    .any(|r| regions.contains(&plan.shard_of_router(r.index())))
+                    .any(|r| regions.contains(&plan.region_of_router(r.index())))
                     && self.nis[i].teardown_origin(key)
                 {
                     torn += 1;
@@ -1055,11 +875,11 @@ impl Network {
     /// router loops: computes every router's stuck-port mask into `stuck`
     /// (bit `p` = input port `p`), counts stuck-port cycles, and
     /// rolls each router's table-corruption draw. It runs for every
-    /// router in index order regardless of kernel or shard count, so the
-    /// fault RNG stream is `corrupt(0..n)` then `links(0..n)` — identical
-    /// across kernels and shard counts. Scheduled stuck-port windows
-    /// freeze individual input ports: their arrivals stay parked on the
-    /// link until the window ends.
+    /// router in index order under both kernels, so the fault RNG stream
+    /// is `corrupt(0..n)` then `links(0..n)` whether or not idle routers
+    /// are skipped. Scheduled stuck-port windows freeze individual input
+    /// ports: their arrivals stay parked on the link until the window
+    /// ends.
     fn fault_pre_pass(&mut self, now: Cycle, stuck: &mut Vec<u64>) {
         let ports = self.cfg.topology.ports();
         stuck.clear();
@@ -1095,126 +915,29 @@ impl Network {
         }
     }
 
-    /// The serial (single-shard) NI and router loops; returns whether any
-    /// flit moved.
-    fn tick_serial(&mut self, now: Cycle, s: &mut Scratch) -> bool {
-        let topology = self.cfg.topology;
-        let mut moved = false;
-        let event = self.kernel == KernelMode::Event;
-
-        // NIs first: they consume flits/credits produced last cycle and
-        // inject at most one flit each into their router's local port.
-        for i in 0..topology.nodes() {
-            let due = self.ni_wake.due(i, now);
-            if event && !due && !self.nis[i].is_active() {
-                // Nothing due and nothing queued or streaming: the tick
-                // would be a no-op; skip it.
-                continue;
-            }
-            if due {
-                let wake =
-                    self.ni_links[i].drain(now, 0, &mut s.arrivals, &mut s.credits, &mut s.undos);
-                self.ni_wake.set(i, wake);
-            }
-            moved |= !s.arrivals.is_empty();
-            s.ni_out.clear();
-            let tile = NodeId(i as u16);
-            let router = topology.router_of(tile).index();
-            let injected = self.nis[i].tick(
-                now,
-                &mut s.arrivals,
-                &mut s.credits,
-                &self.topo,
-                &self.congestion,
-                &mut s.ni_out,
-                &mut NiLink {
-                    now,
-                    port: topology.eject_port(tile),
-                    link: &mut self.router_links[router],
-                    wake: &mut self.router_wake.as_mut_slice()[router],
-                },
-            );
-            moved |= injected || !s.ni_out.delivered.is_empty();
-            self.settle_ni(
-                i,
-                now,
-                s.ni_out.injection.take(),
-                (s.ni_out.reroutes, s.ni_out.congestion_reroutes),
-                &s.ni_out.corrupt_discards,
-                s.ni_out.delivered.drain(..),
-            );
-        }
-
-        // Routers, each writing its output straight onto the links. The
-        // fault pre-pass already ran densely for every router (see
-        // [`Network::fault_pre_pass`]); this loop only reads its
-        // per-router stuck masks.
-        let (routers, mut links) = self.links(now);
-        for (i, router) in routers.iter_mut().enumerate() {
-            let due = links.router_wake.due(i, now);
-            if event && !due && !router.is_active(now) {
-                // Nothing due, nothing buffered or pending: skip. A stuck
-                // port never hides work — the flits it parks keep the
-                // calendar due every cycle until the window ends.
-                continue;
-            }
-            if due {
-                let wake = links.router_links[i].drain(
-                    now,
-                    s.stuck[i],
-                    &mut s.arrivals,
-                    &mut s.credits,
-                    &mut s.undos,
-                );
-                links.router_wake.set(i, wake);
-            }
-            moved |= !s.arrivals.is_empty();
-            links.from = NodeId(i as u16);
-            router.tick(
-                now,
-                &mut s.arrivals,
-                &mut s.credits,
-                &mut s.undos,
-                &mut links,
-            );
-            links.settle();
-        }
-        moved
-    }
-
-    /// Accounts one NI's tick in the canonical per-NI order: the
-    /// at-most-one counted injection, `(fault, congestion)` reroutes,
-    /// retries of corrupt discards, then deliveries in ejection order.
-    /// Both tick paths come through here, NI by NI in tile order — the
-    /// serial one straight after the NI's tick, the sharded merge from
-    /// its staging buffers — which is what keeps the f64 accumulation
-    /// order (and therefore every statistic) and the trace byte-identical
-    /// across shard counts.
-    fn settle_ni(
-        &mut self,
-        tile: usize,
-        now: Cycle,
-        injection: Option<(MessageClass, u32)>,
-        (reroutes, congestion_reroutes): (u64, u64),
-        corrupt: &[PacketId],
-        delivered: impl Iterator<Item = Delivered>,
-    ) {
-        if let Some((class, len)) = injection {
+    /// Accounts one NI's tick (the NI itself is statistics-free, see
+    /// [`Ni::tick`]) in a fixed per-NI order: the at-most-one counted
+    /// injection, reroutes, retries of corrupt discards, then deliveries
+    /// in ejection order. Called NI by NI in tile order under both
+    /// kernels, which fixes the f64 accumulation order of every statistic
+    /// and the order of the trace.
+    fn settle_ni(&mut self, tile: usize, now: Cycle, out: &mut NiOut) {
+        if let Some((class, len)) = out.injection.take() {
             self.stats.record_injection(class, len);
         }
         if let Some(fs) = self.faults.as_mut() {
-            fs.stats.packets_rerouted += reroutes;
+            fs.stats.packets_rerouted += out.reroutes;
         }
         if let Some(ad) = self.adaptive.as_mut() {
-            ad.report.congestion_detours += congestion_reroutes;
+            ad.report.congestion_detours += out.congestion_reroutes;
         }
-        if !corrupt.is_empty() {
+        if !out.corrupt_discards.is_empty() {
             let (_, mut links) = self.links(now);
-            for &id in corrupt {
+            for &id in &out.corrupt_discards {
                 links.schedule_retry(id, now);
             }
         }
-        for mut d in delivered {
+        for mut d in out.delivered.drain(..) {
             self.stats.record_delivery(
                 d.class,
                 d.injected_at - d.created_at,
@@ -1234,7 +957,7 @@ impl Network {
         }
     }
 
-    /// Splits the network into its routers and the serial link sink over
+    /// Splits the network into its routers and the link sink over
     /// everything a router's output can reach.
     fn links(&mut self, now: Cycle) -> (&mut [Router], Links<'_>) {
         let links = Links {
@@ -1257,146 +980,6 @@ impl Network {
             lost: Vec::new(),
         };
         (&mut self.routers, links)
-    }
-
-    /// The sharded tick (`RC_SHARDS > 1`), in three phases:
-    ///
-    /// * **Phase A (serial):** the prologue [`Network::tick`] runs on
-    ///   either path — scheduled fault transitions, due retransmissions,
-    ///   the dense fault pre-pass. Everything there is order-sensitive
-    ///   (trace events, RNG draws, cross-shard NI mutation) and cheap.
-    /// * **Phase B (parallel):** each shard's NI and router loops run on
-    ///   their own scoped worker thread ([`shard_phase_b`]); shard 0 runs
-    ///   inline on the calling thread. Workers write only their own
-    ///   disjoint state slices — a tile's router is always in the tile's
-    ///   shard — and stage every order-sensitive effect.
-    /// * **Phase C (serial):** the merge replays the staged effects in
-    ///   fixed shard-then-index order: per-NI trace buffers, delivery
-    ///   statistics, injections, reroutes, retry scheduling, delivery
-    ///   bookkeeping; then per-router trace buffers and each router's
-    ///   staged link output through [`Links`] (boundary
-    ///   flits/credits/undos plus the link-fault RNG draws).
-    ///
-    /// Because phases A and C execute the serial path's order-sensitive
-    /// operations in the serial path's exact order, and phase B's work is
-    /// order-insensitive by construction, the result is byte-identical to
-    /// the serial tick at any shard count (DESIGN.md §13).
-    fn tick_sharded(&mut self, now: Cycle, s: &mut Scratch) -> bool {
-        let topology = self.cfg.topology;
-        let event = self.kernel == KernelMode::Event;
-        let plan = self
-            .shard_plan
-            .clone()
-            .expect("sharded tick without a plan");
-        let mut locals = std::mem::take(&mut self.shard_locals);
-
-        // Phase B.
-        {
-            let topo = &self.topo;
-            let cong = &self.congestion;
-            let stuck = &s.stuck[..];
-            let mut works: Vec<ShardWork<'_>> = Vec::with_capacity(plan.shards());
-            let mut nis = &mut self.nis[..];
-            let mut ni_links = &mut self.ni_links[..];
-            let mut ni_wake = self.ni_wake.as_mut_slice();
-            let mut routers = &mut self.routers[..];
-            let mut router_links = &mut self.router_links[..];
-            let mut router_wake = self.router_wake.as_mut_slice();
-            let mut locals_rest = locals.iter_mut();
-            for sh in 0..plan.shards() {
-                let (tiles, rr) = (plan.tile_range(sh), plan.router_range(sh));
-                // Each shard's ranges are cut off the front of what the
-                // earlier shards left.
-                fn cut<'a, T>(rest: &mut &'a mut [T], n: usize) -> &'a mut [T] {
-                    rest.split_off_mut(..n).expect("the plan covers the fabric")
-                }
-                works.push(ShardWork {
-                    tile0: tiles.start,
-                    router0: rr.start,
-                    nis: cut(&mut nis, tiles.len()),
-                    ni_links: cut(&mut ni_links, tiles.len()),
-                    ni_wake: cut(&mut ni_wake, tiles.len()),
-                    routers: cut(&mut routers, rr.len()),
-                    router_links: cut(&mut router_links, rr.len()),
-                    router_wake: cut(&mut router_wake, rr.len()),
-                    local: locals_rest.next().expect("one local per shard"),
-                });
-            }
-            std::thread::scope(|scope| {
-                let mut works = works.into_iter();
-                let mut first = works.next().expect("plans have at least one shard");
-                let handles: Vec<_> = works
-                    .map(|mut w| {
-                        scope.spawn(move || {
-                            shard_phase_b(&mut w, now, event, topology, topo, cong, stuck);
-                        })
-                    })
-                    .collect();
-                shard_phase_b(&mut first, now, event, topology, topo, cong, stuck);
-                for h in handles {
-                    h.join().expect("shard worker panicked");
-                }
-            });
-        }
-
-        // Phase C.
-        let tracing = self.sink.is_enabled();
-        let moved = locals.iter().any(|l| l.moved);
-        // NI effects first (tile order), matching the serial NI-then-router
-        // loop order.
-        for (sh, local) in locals.iter_mut().enumerate() {
-            let mut deliveries = local.delivered.drain(..);
-            let mut entries = local.ni_merge.iter().peekable();
-            let mut corrupt = &local.corrupt[..];
-            for tile in plan.tile_range(sh) {
-                if tracing {
-                    for ev in self.ni_stage[tile].drain() {
-                        self.sink.emit(move || ev);
-                    }
-                }
-                let Some(e) = entries.next_if(|e| e.tile == tile) else {
-                    continue;
-                };
-                let discards;
-                (discards, corrupt) = corrupt.split_at(e.n_corrupt);
-                self.settle_ni(
-                    tile,
-                    now,
-                    e.injection,
-                    (e.reroutes, e.congestion_reroutes),
-                    discards,
-                    deliveries.by_ref().take(e.n_delivered),
-                );
-            }
-        }
-        // Router effects (router order): staged trace events, then the
-        // staged link output replayed through the serial sink — which
-        // performs the boundary wake/enqueue and every link-fault RNG
-        // draw, in the serial order.
-        let router_stage = std::mem::take(&mut self.router_stage);
-        let (_, mut links) = self.links(now);
-        for (sh, local) in locals.iter_mut().enumerate() {
-            let mut entries = local.router_merge.iter().peekable();
-            let mut staged = local.outgoing.drain(..);
-            for i in plan.router_range(sh) {
-                if tracing {
-                    for ev in router_stage[i].drain() {
-                        links.sink.emit(move || ev);
-                    }
-                }
-                let Some(&(_, cnt)) = entries.next_if(|&&(r, _)| r == i) else {
-                    continue;
-                };
-                links.from = NodeId(i as u16);
-                for o in staged.by_ref().take(cnt) {
-                    o.replay(&mut links);
-                }
-                links.settle();
-            }
-        }
-        self.router_stage = router_stage;
-        self.shard_locals = locals;
-        moved
     }
 
     /// Watchdog bookkeeping at delivery: closes the packet's outstanding
@@ -1427,7 +1010,7 @@ impl Network {
     /// router's degraded flag, emits the fault trace events, and on each
     /// onset tears down every circuit whose reply path crosses a dead
     /// resource. Dense and RNG-free, so the fault stream (and therefore
-    /// the whole run) is identical across kernels and worker counts.
+    /// the whole run) is identical under both kernels.
     fn process_fault_onsets(&mut self, now: Cycle) {
         while self.fault_cursor < self.fault_schedule.len()
             && self.fault_schedule[self.fault_cursor].0 <= now
@@ -1845,9 +1428,8 @@ impl Network {
     }
 
     /// Captures every piece of dynamic network state. Must be taken
-    /// between ticks: the per-tick scratch and shard staging buffers are
-    /// empty there, which is what makes the snapshot identical across
-    /// `RC_KERNEL` and `RC_SHARDS` settings.
+    /// between ticks: the per-tick scratch is empty there, which is what
+    /// makes the snapshot identical under both kernels.
     pub fn snapshot(&self) -> NetworkSnapshot {
         let mut outstanding: Vec<(PacketId, Outstanding)> = self
             .outstanding
@@ -1892,9 +1474,9 @@ impl Network {
     /// [`Network::snapshot`]. `self` must have been freshly constructed
     /// from the *same* configuration (topology, mechanism, faults,
     /// ingress, adaptive) that produced the snapshot: configuration-
-    /// derived objects — routing, the fault schedule, shard plans, trace
-    /// sinks — are kept and only dynamic state is replaced. Mismatched
-    /// shapes panic rather than limp along.
+    /// derived objects — routing, the fault schedule, the region plan,
+    /// trace sinks — are kept and only dynamic state is replaced.
+    /// Mismatched shapes panic rather than limp along.
     pub fn restore(&mut self, snap: &NetworkSnapshot) {
         assert_eq!(
             self.routers.len(),
@@ -1951,7 +1533,7 @@ impl Network {
 /// [`Network::snapshot`] and re-applied with [`Network::restore`] onto a
 /// freshly constructed, identically-configured network (DESIGN.md §15).
 /// Configuration-derived objects (routing tables, the fault schedule,
-/// shard plans, trace sinks, kernel mode) are deliberately excluded: they
+/// the region plan, trace sinks, kernel mode) are deliberately excluded: they
 /// are rebuilt from the simulation config on resume, and only cursor and
 /// ownership state travels. Hash-map state is stored as sorted vectors so
 /// the serialized form is deterministic.

@@ -97,7 +97,7 @@ pub(crate) struct NiOut {
     /// and flit count of the head emitted with `count_injection` set). At
     /// most one per tick — an NI injects at most one flit per cycle. The
     /// network records it, like the deliveries: [`Ni::tick`] touches no
-    /// statistics, so it can run on a shard worker.
+    /// statistics; the network accounts for each NI in tile order.
     pub injection: Option<(MessageClass, u32)>,
 }
 
@@ -535,9 +535,8 @@ impl Ni {
     /// flit and any circuit undos go out on `link`, the NI's single port.
     ///
     /// Deliberately statistics-free: deliveries and the counted injection
-    /// are surfaced through `out` and replayed into [`NocStats`] by the
-    /// network, in tile order, so the tick body can run on a shard worker
-    /// (see [`NiOut::injection`]).
+    /// are surfaced through `out` and recorded into [`NocStats`] by the
+    /// network, NI by NI in tile order (see [`NiOut::injection`]).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn tick(
         &mut self,

@@ -1,13 +1,13 @@
-//! Direct emission (DESIGN.md §13 "One sink, two implementations"):
-//! routers and NIs write their flits, credits and undos straight onto the
+//! Direct emission (DESIGN.md §9 "One sink per producer"): routers and
+//! NIs write their flits, credits and undos straight onto the
 //! links, and the link-fault layer acts on each message as it is emitted.
 //! The fault RNG is drawn per message, so the draw order *is* the emission
 //! order — these runs pin it. Every row (fabric × mechanism, all with
 //! random link drops, corruption and credit loss, one dead-link window and
 //! one stuck-port window) must give the same statistics, fault counters,
-//! trace-event sequence and mid-run snapshot bytes whether the serial sink
-//! (1 shard), the staged one (4 shards) or the dense kernel produced them,
-//! and the same [`PINS`] as the two-pass transport this replaced.
+//! trace-event sequence and mid-run snapshot bytes under the event kernel
+//! as under the dense one, and the same [`PINS`] as the two-pass
+//! transport this replaced.
 
 #![cfg(feature = "trace")]
 
@@ -69,16 +69,10 @@ struct Outcome {
 /// credits may leave a VC short for good, so the run length is fixed
 /// rather than waiting for quiescence. Derived indices and wake times are
 /// re-checked after every cycle.
-fn run(
-    topology: Topology,
-    mechanism: MechanismConfig,
-    kernel: KernelMode,
-    shards: usize,
-) -> Outcome {
+fn run(topology: Topology, mechanism: MechanismConfig, kernel: KernelMode) -> Outcome {
     let cfg = NocConfig::paper_baseline(topology, mechanism);
     let mut net = Network::with_faults(cfg, faults()).expect("valid configuration");
     net.set_kernel(kernel);
-    net.set_shards(shards);
     let sink = TraceSink::ring(1 << 20);
     net.set_trace_sink(sink.clone());
     let tiles = topology.nodes() as u16;
@@ -150,49 +144,45 @@ fn sweep(topology: Topology, fabric: &str) {
         MechanismConfig::fragmented(),
     ] {
         let label = format!("{fabric} / {}", mechanism.label());
-        let serial = run(topology, mechanism, KernelMode::Event, 1);
-        assert_eq!(serial.snapshots.len(), SNAPSHOT_AT.len());
+        let event = run(topology, mechanism, KernelMode::Event);
+        assert_eq!(event.snapshots.len(), SNAPSHOT_AT.len());
         assert!(
-            !serial.faults.contains("\"packets_dropped\":0,")
-                && !serial.faults.contains("\"packets_corrupted\":0,")
-                && !serial.faults.contains("\"credits_lost\":0,")
-                && !serial.faults.contains("\"packets_rerouted\":0,"),
+            !event.faults.contains("\"packets_dropped\":0,")
+                && !event.faults.contains("\"packets_corrupted\":0,")
+                && !event.faults.contains("\"credits_lost\":0,")
+                && !event.faults.contains("\"packets_rerouted\":0,"),
             "{label}: every link-fault class must fire: {}",
-            serial.faults
+            event.faults
         );
-        for (other, what) in [
-            (run(topology, mechanism, KernelMode::Event, 4), "4 shards"),
-            (run(topology, mechanism, KernelMode::Dense, 1), "dense"),
-        ] {
-            assert_eq!(serial.stats, other.stats, "{label}: stats, {what}");
-            assert_eq!(serial.faults, other.faults, "{label}: faults, {what}");
-            assert!(serial.trace == other.trace, "{label}: trace, {what}");
-            for (i, at) in SNAPSHOT_AT.iter().enumerate() {
-                assert!(
-                    serial.snapshots[i] == other.snapshots[i],
-                    "{label}: snapshot at {at}, {what}"
-                );
-            }
+        let dense = run(topology, mechanism, KernelMode::Dense);
+        assert_eq!(event.stats, dense.stats, "{label}: stats");
+        assert_eq!(event.faults, dense.faults, "{label}: faults");
+        assert!(event.trace == dense.trace, "{label}: trace");
+        for (i, at) in SNAPSHOT_AT.iter().enumerate() {
+            assert!(
+                event.snapshots[i] == dense.snapshots[i],
+                "{label}: snapshot at {at}"
+            );
         }
-        let pin = fnv1a(&[&serial.stats, &serial.faults, &serial.trace]);
+        let pin = fnv1a(&[&event.stats, &event.faults, &event.trace]);
         let want = PINS
             .iter()
             .find(|(row, _)| *row == label)
             .unwrap_or_else(|| panic!("no pin for {label}"))
             .1;
         if pin != want {
-            moved.push(format!("{label}: {pin:#018x}, counters {}", serial.faults));
+            moved.push(format!("{label}: {pin:#018x}, counters {}", event.faults));
         }
     }
     assert!(moved.is_empty(), "fault order moved:\n{}", moved.join("\n"));
 }
 
 #[test]
-fn serial_sharded_and_dense_agree_under_link_faults_on_a_mesh() {
+fn event_and_dense_agree_under_link_faults_on_a_mesh() {
     sweep(Mesh::new(4, 4).expect("valid").into(), "mesh 4x4");
 }
 
 #[test]
-fn serial_sharded_and_dense_agree_under_link_faults_on_a_concentrated_mesh() {
+fn event_and_dense_agree_under_link_faults_on_a_concentrated_mesh() {
     sweep(Topology::cmesh(2, 2, 4).expect("valid"), "cmesh 2x2x4");
 }

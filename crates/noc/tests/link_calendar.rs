@@ -1,4 +1,4 @@
-//! The link calendars (DESIGN.md §13) and the state/scratch split around
+//! The link calendars (DESIGN.md §9) and the state/scratch split around
 //! them (§15), seen from outside the crate: a snapshot holds state only,
 //! so the same mid-run network serializes to the same bytes whichever
 //! kernel produced it, and a network restored from it — parked flits,
@@ -12,7 +12,7 @@ use rcsim_noc::{FaultConfig, Network, NocConfig, PacketSpec, StuckPortEvent};
 
 /// A 16-core mesh whose router 5 has its west input stuck over cycles
 /// 300..420, so flits are parked on a link while the snapshots are taken.
-fn network(mechanism: MechanismConfig, kernel: KernelMode, shards: usize) -> Network {
+fn network(mechanism: MechanismConfig, kernel: KernelMode) -> Network {
     let mut faults = FaultConfig::none();
     faults.stuck_ports.push(StuckPortEvent {
         node: NodeId(5),
@@ -23,7 +23,6 @@ fn network(mechanism: MechanismConfig, kernel: KernelMode, shards: usize) -> Net
     let cfg = NocConfig::paper_baseline(Mesh::new(4, 4).expect("valid"), mechanism);
     let mut net = Network::with_faults(cfg, faults).expect("valid configuration");
     net.set_kernel(kernel);
-    net.set_shards(shards);
     net
 }
 
@@ -62,10 +61,10 @@ fn snapshot_json(net: &Network) -> String {
     serde_json::to_string(&net.snapshot()).expect("snapshot serializes")
 }
 
-/// Runs the traffic under `kernel`/`shards`, returning the snapshot JSON
-/// at each of `at` and the final statistics.
-fn run(mechanism: MechanismConfig, kernel: KernelMode, shards: usize, at: &[u64]) -> Vec<String> {
-    let mut net = network(mechanism, kernel, shards);
+/// Runs the traffic under `kernel`, returning the snapshot JSON at each
+/// of `at` and the final statistics.
+fn run(mechanism: MechanismConfig, kernel: KernelMode, at: &[u64]) -> Vec<String> {
+    let mut net = network(mechanism, kernel);
     let mut rng = StdRng::seed_from_u64(0xCA1E_17DA);
     let mut block = 0;
     let mut out = Vec::new();
@@ -91,24 +90,21 @@ fn dense_and_event_snapshots_are_byte_identical() {
         MechanismConfig::complete(),
         MechanismConfig::slack_delay(1),
     ] {
-        let dense = run(mechanism, KernelMode::Dense, 1, &SNAPSHOT_AT);
-        let event = run(mechanism, KernelMode::Event, 1, &SNAPSHOT_AT);
-        let sharded = run(mechanism, KernelMode::Event, 4, &SNAPSHOT_AT);
+        let dense = run(mechanism, KernelMode::Dense, &SNAPSHOT_AT);
+        let event = run(mechanism, KernelMode::Event, &SNAPSHOT_AT);
         assert_eq!(dense.len(), SNAPSHOT_AT.len() + 1);
         for (i, at) in SNAPSHOT_AT.iter().enumerate() {
             let label = mechanism.label();
             assert!(dense[i] == event[i], "{label}: dense vs event at {at}");
-            assert!(dense[i] == sharded[i], "{label}: 1 vs 4 shards at {at}");
         }
         assert_eq!(dense.last(), event.last());
-        assert_eq!(dense.last(), sharded.last());
     }
 }
 
 #[test]
 fn restore_with_flits_parked_on_a_link_continues_identically() {
     let mechanism = MechanismConfig::complete();
-    let mut original = network(mechanism, KernelMode::Event, 1);
+    let mut original = network(mechanism, KernelMode::Event);
     let mut rng = StdRng::seed_from_u64(0xCA1E_17DA);
     let mut block = 0;
     while original.now() < 380 {
@@ -120,7 +116,7 @@ fn restore_with_flits_parked_on_a_link_continues_identically() {
         "the stuck port must have parked a flit by cycle 380"
     );
     let snap = serde_json::from_str(&json).expect("snapshot parses");
-    let mut restored = network(mechanism, KernelMode::Event, 1);
+    let mut restored = network(mechanism, KernelMode::Event);
     restored.restore(&snap);
     assert_eq!(snapshot_json(&restored), json);
     let (mut rng_b, mut block_b) = (rng.clone(), block);

@@ -8,8 +8,8 @@
 //! [`SimSession::resume`] to continue from `k`. The contract — enforced by
 //! the `checkpoint_diff` differential matrix — is byte identity:
 //! `run(0..T)` and `run(0..k) + save + restore + run(k..T)` produce the
-//! same [`RunResult`] and the same trace stream, for any `k`, under every
-//! kernel, shard count, topology, fault plan, open-loop and adaptive
+//! same [`RunResult`] and the same trace stream, for any `k`, under both
+//! kernels and every topology, fault plan, open-loop and adaptive
 //! configuration.
 //!
 //! What a snapshot holds is the *dynamic* state only: router pipelines,
@@ -149,6 +149,7 @@ pub struct SimSession {
 
 impl SimSession {
     /// Opens a fresh session at cycle 0.
+    /// `_shards` is ignored; the `[benchmark]` PR retiring `core.shard.*` drops it.
     ///
     /// # Errors
     ///
@@ -158,9 +159,9 @@ impl SimSession {
         cfg: &SimConfig,
         trace: Option<&TraceConfig>,
         kernel: KernelMode,
-        shards: usize,
+        _shards: usize,
     ) -> Result<Self, SimError> {
-        let mut chip = build_chip(cfg, kernel, shards)?;
+        let mut chip = build_chip(cfg, kernel)?;
         let sink = match trace {
             Some(t) => {
                 let sink = TraceSink::ring(t.capacity);
@@ -181,10 +182,11 @@ impl SimSession {
 
     /// Rebuilds a session from a [`SessionSnapshot`]: constructs the chip
     /// from the saved config by the same code path as a fresh run, then
-    /// overwrites its dynamic state. The kernel and shard count are *not*
-    /// part of the snapshot — both are pure host-performance knobs, so a
-    /// run checkpointed under one combination may resume under any other
-    /// with byte-identical results.
+    /// overwrites its dynamic state. The kernel is *not* part of the
+    /// snapshot — it is a pure host-performance knob, so a run
+    /// checkpointed under one kernel may resume under the other with
+    /// byte-identical results.
+    /// `_shards` is ignored; the `[benchmark]` PR retiring `core.shard.*` drops it.
     ///
     /// # Errors
     ///
@@ -193,9 +195,9 @@ impl SimSession {
     pub fn resume(
         snap: &SessionSnapshot,
         kernel: KernelMode,
-        shards: usize,
+        _shards: usize,
     ) -> Result<Self, SimError> {
-        let mut session = Self::new(&snap.config, snap.trace.as_ref(), kernel, shards)?;
+        let mut session = Self::new(&snap.config, snap.trace.as_ref(), kernel, 1)?;
         session.chip.restore(&snap.chip);
         session.sink.restore(
             snap.trace_events
@@ -341,7 +343,6 @@ impl SimSession {
 pub fn run_sim_resumable(
     cfg: &SimConfig,
     kernel: KernelMode,
-    shards: usize,
     dir: &Path,
     interval: u64,
 ) -> Result<RunResult, SimError> {
@@ -356,9 +357,9 @@ pub fn run_sim_resumable(
                 snap.pos(),
                 path.display()
             );
-            SimSession::resume(&snap, kernel, shards)?
+            SimSession::resume(&snap, kernel, 1)?
         }
-        None => SimSession::new(cfg, None, kernel, shards)?,
+        None => SimSession::new(cfg, None, kernel, 1)?,
     };
     let total = session.total();
     while session.pos() < total {

@@ -245,21 +245,6 @@ impl Chip {
         self.kernel
     }
 
-    /// Selects the network's in-tick shard count (see
-    /// [`Network::set_shards`](rcsim_noc::Network::set_shards)): `1` is
-    /// the serial path, `n > 1` ticks `n` contiguous router domains on
-    /// `n` worker threads per cycle with byte-identical results. The
-    /// cache hierarchy itself stays serial — the network tick dominates
-    /// the cycle loop.
-    pub fn set_shards(&mut self, shards: usize) {
-        self.net.set_shards(shards);
-    }
-
-    /// The network's active in-tick shard count.
-    pub fn shards(&self) -> usize {
-        self.net.shards()
-    }
-
     /// Installs a trace sink, fanned out to the network (NIs and routers)
     /// and every cache so the whole chip records into one shared event
     /// log. Pass [`TraceSink::Disabled`] to turn tracing back off.
@@ -552,8 +537,8 @@ impl Chip {
 
     /// The complete dynamic state of the chip, for checkpointing. Call
     /// at a tick boundary (between [`Chip::tick`] calls): mid-tick
-    /// scratch is empty there, so the snapshot is identical under every
-    /// kernel and shard count. Configuration (topology, protocol
+    /// scratch is empty there, so the snapshot is identical under both
+    /// kernels. Configuration (topology, protocol
     /// parameters, mechanism, kernel, trace wiring) is deliberately
     /// excluded — a restore target is rebuilt from the same `SimConfig`
     /// and the snapshot overwrites only what evolves.

@@ -40,7 +40,7 @@ pub use checkpoint::{run_sim_resumable, SessionSnapshot, SimSession, CHECKPOINT_
 pub use chip::{Chip, ChipSnapshot};
 pub use core_model::Core;
 pub use open_loop::OpenLoopConfig;
-pub use rcsim_core::{shards_from_env, AdaptiveConfig, KernelMode};
+pub use rcsim_core::{AdaptiveConfig, KernelMode};
 pub use rcsim_noc::{
     DeadLinkEvent, DeadRouterEvent, FaultConfig, FaultStats, HealthReport, IngressConfig,
     OverloadReport, StuckPortEvent, WatchdogConfig,
@@ -48,6 +48,6 @@ pub use rcsim_noc::{
 pub use rcsim_workload::ArrivalProcess;
 pub use report::{ExternalSummary, LatencyRow, RunResult};
 pub use sim::{
-    run_sim, run_sim_traced, run_sim_traced_with, run_sim_traced_with_kernel, run_sim_with,
-    run_sim_with_kernel, SimConfig, SimError, TraceConfig, TraceReport,
+    run_sim, run_sim_traced, run_sim_traced_with_kernel, run_sim_with_kernel, SimConfig, SimError,
+    TraceConfig, TraceReport,
 };

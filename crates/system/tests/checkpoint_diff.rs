@@ -2,16 +2,15 @@
 //! `run(0..T)` and `run(0..k) → checkpoint → restore → run(k..T)` must
 //! produce the byte-identical serialized `RunResult` — and, when traced,
 //! the identical trace-event sequence — across mechanisms, kernels,
-//! shard counts, fault injection, open-loop overload and the adaptive
-//! runtime policies. The restore side deliberately crosses kernels and
-//! shard counts (checkpoint under dense/serial, resume under
-//! event/sharded and vice versa): both are host-performance knobs and
-//! must stay invisible to the snapshot.
+//! fault injection, open-loop overload and the adaptive runtime
+//! policies. The restore side deliberately crosses kernels (checkpoint
+//! under dense, resume under event and vice versa): the kernel is a
+//! host-performance knob and must stay invisible to the snapshot.
 
 use rcsim_core::MechanismConfig;
 use rcsim_system::{
-    run_sim_traced_with, run_sim_with, AdaptiveConfig, FaultConfig, KernelMode, OpenLoopConfig,
-    SessionSnapshot, SimConfig, SimSession, TraceConfig,
+    run_sim_traced_with_kernel, run_sim_with_kernel, AdaptiveConfig, FaultConfig, KernelMode,
+    OpenLoopConfig, SessionSnapshot, SimConfig, SimSession, TraceConfig,
 };
 
 fn quick(cores: u16, mechanism: MechanismConfig) -> SimConfig {
@@ -61,19 +60,19 @@ fn adaptive(cores: u16) -> SimConfig {
 
 /// Runs `cfg` uninterrupted, then re-runs it split at cycle `k` through a
 /// full serialize → checksum → deserialize round trip of the checkpoint,
-/// optionally switching kernel/shards at the restore, and asserts the
+/// optionally switching kernel at the restore, and asserts the
 /// serialized results are byte-identical.
 fn assert_split_identical(
     cfg: &SimConfig,
     k: u64,
-    save: (KernelMode, usize),
-    load: (KernelMode, usize),
+    save: KernelMode,
+    load: KernelMode,
     label: &str,
 ) {
-    let reference = run_sim_with(cfg, save.0, save.1).expect("reference run");
+    let reference = run_sim_with_kernel(cfg, save).expect("reference run");
     let reference = serde_json::to_string(&reference).expect("serialize reference");
 
-    let mut first = SimSession::new(cfg, None, save.0, save.1).expect("session");
+    let mut first = SimSession::new(cfg, None, save, 1).expect("session");
     first.run_until(k).expect("run to split point");
     // Round-trip through the on-disk encoding, not just the in-memory
     // snapshot: the serializer is part of the contract.
@@ -85,7 +84,7 @@ fn assert_split_identical(
     std::fs::remove_file(&path).ok();
     assert_eq!(snap.pos(), k, "checkpoint stored the wrong position");
 
-    let mut resumed = SimSession::resume(&snap, load.0, load.1).expect("resume");
+    let mut resumed = SimSession::resume(&snap, load, 1).expect("resume");
     let total = resumed.total();
     resumed.run_until(total).expect("run to completion");
     let (result, _) = resumed.finish();
@@ -96,9 +95,8 @@ fn assert_split_identical(
     );
 }
 
-const DENSE1: (KernelMode, usize) = (KernelMode::Dense, 1);
-const EVENT1: (KernelMode, usize) = (KernelMode::Event, 1);
-const EVENT4: (KernelMode, usize) = (KernelMode::Event, 4);
+const DENSE: KernelMode = KernelMode::Dense;
+const EVENT: KernelMode = KernelMode::Event;
 
 /// Splits chosen to land in every phase of a run: mid-warm-up, exactly at
 /// the warm-up boundary, and mid-measure.
@@ -113,8 +111,8 @@ fn every_mechanism_resumes_identically() {
             assert_split_identical(
                 &quick(16, m),
                 k,
-                EVENT1,
-                EVENT1,
+                EVENT,
+                EVENT,
                 &format!("{} k={k}", m.label()),
             );
         }
@@ -122,20 +120,15 @@ fn every_mechanism_resumes_identically() {
 }
 
 #[test]
-fn resume_crosses_kernels_and_shards() {
+fn resume_crosses_kernels() {
     let cfg = quick(16, MechanismConfig::complete_noack());
-    for (save, load) in [
-        (DENSE1, EVENT4),
-        (EVENT4, DENSE1),
-        (EVENT1, EVENT4),
-        (EVENT4, EVENT1),
-    ] {
+    for (save, load) in [(DENSE, EVENT), (EVENT, DENSE)] {
         assert_split_identical(
             &cfg,
             1_700,
             save,
             load,
-            &format!("cross {:?}x{} to {:?}x{}", save.0, save.1, load.0, load.1),
+            &format!("cross {save:?} to {load:?}"),
         );
     }
 }
@@ -145,7 +138,7 @@ fn faulty_runs_resume_identically() {
     let mut cfg = quick(16, MechanismConfig::complete());
     cfg.faults = light_faults(16);
     for k in SPLITS {
-        assert_split_identical(&cfg, k, EVENT1, EVENT4, &format!("faults k={k}"));
+        assert_split_identical(&cfg, k, EVENT, DENSE, &format!("faults k={k}"));
     }
 }
 
@@ -153,7 +146,7 @@ fn faulty_runs_resume_identically() {
 fn overloaded_runs_resume_identically() {
     let cfg = overloaded(16);
     for k in SPLITS {
-        assert_split_identical(&cfg, k, EVENT1, EVENT1, &format!("overload k={k}"));
+        assert_split_identical(&cfg, k, EVENT, EVENT, &format!("overload k={k}"));
     }
 }
 
@@ -161,7 +154,7 @@ fn overloaded_runs_resume_identically() {
 fn adaptive_runs_resume_identically() {
     let cfg = adaptive(16);
     for k in SPLITS {
-        assert_split_identical(&cfg, k, EVENT1, EVENT1, &format!("adaptive k={k}"));
+        assert_split_identical(&cfg, k, EVENT, EVENT, &format!("adaptive k={k}"));
     }
 }
 
@@ -173,8 +166,8 @@ fn non_mesh_topologies_resume_identically() {
         assert_split_identical(
             &cfg,
             1_700,
-            EVENT1,
-            EVENT1,
+            EVENT,
+            EVENT,
             &format!("topology {}", spec.label()),
         );
     }
@@ -184,7 +177,7 @@ fn non_mesh_topologies_resume_identically() {
 fn large_chip_resumes_identically() {
     let mut cfg = quick(64, MechanismConfig::complete_noack());
     cfg.faults = light_faults(64);
-    assert_split_identical(&cfg, 900, EVENT4, EVENT4, "64 cores faults");
+    assert_split_identical(&cfg, 900, EVENT, EVENT, "64 cores faults");
 }
 
 /// Traced runs: the checkpoint carries the ring contents, so the resumed
@@ -198,7 +191,7 @@ fn traced_runs_resume_with_identical_event_streams() {
         epoch: 50,
     };
     let (reference, reference_tr) =
-        run_sim_traced_with(&cfg, &trace, KernelMode::Event, 1).expect("reference");
+        run_sim_traced_with_kernel(&cfg, &trace, KernelMode::Event).expect("reference");
     assert!(!reference_tr.events.is_empty(), "no events traced");
     for k in SPLITS {
         let mut first = SimSession::new(&cfg, Some(&trace), KernelMode::Event, 1).expect("session");

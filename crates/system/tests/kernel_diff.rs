@@ -1,21 +1,18 @@
-//! The differential byte-identity matrix: every host-performance knob —
-//! the event kernel (`RC_KERNEL`, idle-skip scheduling) and the in-tick
-//! shard count (`RC_SHARDS`, domain-decomposed parallel ticking) — must
-//! be observationally indistinguishable from the dense serial reference
-//! that ticks every tile every cycle on one thread. Every mechanism
+//! The differential byte-identity matrix: the event kernel (`RC_KERNEL`,
+//! idle-skip scheduling) must be observationally indistinguishable from
+//! the dense reference that ticks every tile every cycle. Every mechanism
 //! version of the paper's Figure 6 grid is run under both kernels on the
 //! 4×4 and 8×8 chips — with and without fault injection — and the full
 //! serialized `RunResult` (latency histograms, outcome fractions, energy,
-//! health, fault counters) must be **byte-identical**. The shard matrix
-//! crosses `RC_SHARDS` ∈ {1, 2, 4} with both kernels over
-//! {mesh, torus, ring} × {faults off, on}, plus an open-loop overload
-//! point and a mid-run dead-link point. Traced runs must additionally
-//! produce the identical trace-event *sequence* at every matrix point.
+//! health, fault counters) must be **byte-identical**; so must
+//! {mesh, torus, ring} × {faults off, on}, an open-loop overload point
+//! and a mid-run dead-link point. Traced runs must additionally produce
+//! the identical trace-event *sequence*.
 
 use rcsim_core::MechanismConfig;
 use rcsim_system::{
-    run_sim_traced_with_kernel, run_sim_with, run_sim_with_kernel, DeadLinkEvent, FaultConfig,
-    KernelMode, OpenLoopConfig, SimConfig, StuckPortEvent, TraceConfig,
+    run_sim_traced_with_kernel, run_sim_with_kernel, DeadLinkEvent, FaultConfig, KernelMode,
+    OpenLoopConfig, SimConfig, StuckPortEvent, TraceConfig,
 };
 
 /// Baseline first, then the full Figure 6 grid (Fragmented → Postponed_k).
@@ -66,30 +63,6 @@ fn assert_kernels_agree(cfg: &SimConfig, label: &str) {
         dense_json, event_json,
         "dense and event kernels diverged on {label}"
     );
-}
-
-/// Runs `cfg` across the full (kernel × shard-count) matrix and asserts
-/// every serialized report is byte-identical to the dense serial
-/// reference. Shard counts above 1 tick the fabric on worker threads;
-/// 4 shards on the 4×4 mesh exercises 2-router domains and boundary
-/// exchange on every internal column.
-fn assert_matrix_agrees(cfg: &SimConfig, label: &str) {
-    let reference = run_sim_with(cfg, KernelMode::Dense, 1).expect("dense serial run");
-    let reference = serde_json::to_string(&reference).expect("serialize reference");
-    for kernel in [KernelMode::Dense, KernelMode::Event] {
-        for shards in [1usize, 2, 4] {
-            if kernel == KernelMode::Dense && shards == 1 {
-                continue;
-            }
-            let run = run_sim_with(cfg, kernel, shards).expect("matrix run");
-            let run = serde_json::to_string(&run).expect("serialize run");
-            assert_eq!(
-                reference, run,
-                "{kernel:?} × {shards} shards diverged from the dense serial \
-                 reference on {label}"
-            );
-        }
-    }
 }
 
 #[test]
@@ -226,13 +199,11 @@ fn traced_event_streams_are_identical() {
     }
 }
 
-/// The shard matrix proper: {mesh, torus, ring} × {faults off, on} ×
-/// both kernels × `RC_SHARDS` ∈ {1, 2, 4}, all byte-identical to the
-/// dense serial reference. The ring is the sharding worst case (every
-/// shard boundary is also a dateline-class boundary); the torus adds
-/// wraparound links that always cross shard domains.
+/// {mesh, torus, ring} × {faults off, on}. The ring is the idle-skipping
+/// worst case for the fault stream (every hop crosses a dateline class);
+/// the torus adds wraparound links, whose drops wake a far-away router.
 #[test]
-fn shard_matrix_is_byte_identical_on_every_topology() {
+fn every_topology_agrees_with_and_without_faults() {
     use rcsim_core::TopologySpec;
     for spec in [TopologySpec::Mesh, TopologySpec::Torus, TopologySpec::Ring] {
         for faults in [false, true] {
@@ -240,7 +211,7 @@ fn shard_matrix_is_byte_identical_on_every_topology() {
             if faults {
                 cfg.faults = light_faults(16);
             }
-            assert_matrix_agrees(
+            assert_kernels_agree(
                 &cfg,
                 &format!("complete @ 16 cores on {} (faults: {faults})", spec.label()),
             );
@@ -250,11 +221,11 @@ fn shard_matrix_is_byte_identical_on_every_topology() {
 
 /// Open-loop overload point: sustained external Poisson arrivals past the
 /// admission capacity, so ingress queues, sheds and backpressure are all
-/// active while the shards tick. The ingress layer runs serially between
-/// ticks, but its release decisions read NI backlogs the sharded tick
-/// produced — any divergence would compound immediately.
+/// active. The ingress layer runs between ticks, but its release
+/// decisions read NI backlogs the tick produced — a skipped NI that was
+/// not idle would compound immediately.
 #[test]
-fn shard_matrix_agrees_under_open_loop_overload() {
+fn kernels_agree_under_open_loop_overload() {
     let mut ol = OpenLoopConfig::poisson(0.2);
     ol.ingress.tokens_per_kilocycle = 103; // ~0.1/cycle/edge capacity
     ol.ingress.shed_timeout = 800;
@@ -265,15 +236,15 @@ fn shard_matrix_agrees_under_open_loop_overload() {
         open_loop: Some(ol),
         ..SimConfig::quick(16, MechanismConfig::complete_noack(), "blackscholes")
     };
-    assert_matrix_agrees(&cfg, "complete_noack @ 16 cores, open-loop overload");
+    assert_kernels_agree(&cfg, "complete_noack @ 16 cores, open-loop overload");
 }
 
 /// Mid-run dead-link point: an interior link dies inside the measure
-/// window, exercising the fault-onset pre-pass (circuit teardown, purge,
-/// reroute) between sharded ticks and the dead-link eating path inside
-/// the serial merge's `route_outgoing`.
+/// window, exercising the fault-onset pass (circuit teardown, purge,
+/// reroute) at the top of the tick and the dead-link eating path in
+/// `Links`.
 #[test]
-fn shard_matrix_agrees_across_midrun_dead_link() {
+fn kernels_agree_across_midrun_dead_link() {
     let mut cfg = quick(16, MechanismConfig::complete());
     cfg.faults.dead_links = vec![DeadLinkEvent {
         a: rcsim_core::NodeId(5),
@@ -281,60 +252,5 @@ fn shard_matrix_agrees_across_midrun_dead_link() {
         at: 900,
         duration: None,
     }];
-    assert_matrix_agrees(&cfg, "complete @ 16 cores, mid-run dead link");
-}
-
-/// Stuck ports under shards: the stuck-port flags are computed in the
-/// serial pre-pass and read by the workers, so the window must freeze the
-/// same arrivals at every shard count.
-#[test]
-fn shard_matrix_agrees_across_stuck_port_window() {
-    let mut cfg = quick(16, MechanismConfig::complete());
-    cfg.faults = FaultConfig {
-        stuck_ports: vec![StuckPortEvent {
-            node: rcsim_core::NodeId(5),
-            dir: rcsim_core::Direction::East,
-            at: 900,
-            duration: 400,
-        }],
-        ..FaultConfig::none()
-    };
-    assert_matrix_agrees(&cfg, "complete @ 16 cores, stuck port, shards");
-}
-
-/// Traced shard runs: the event *sequence* — not just the multiset — must
-/// be identical at every shard count. Workers stage events into
-/// per-component buffers; the serial merge replays them in component
-/// order, which must reproduce the serial emission order exactly.
-#[test]
-fn sharded_trace_event_sequences_are_identical() {
-    use rcsim_system::run_sim_traced_with;
-    let trace = TraceConfig {
-        capacity: 1 << 20,
-        epoch: 50,
-    };
-    for faults in [false, true] {
-        let mut cfg = quick(16, MechanismConfig::complete_noack());
-        if faults {
-            cfg.faults = light_faults(16);
-        }
-        let (reference, reference_tr) =
-            run_sim_traced_with(&cfg, &trace, KernelMode::Event, 1).expect("serial run");
-        assert!(!reference_tr.events.is_empty(), "no events traced");
-        for shards in [2usize, 4] {
-            let (run, tr) =
-                run_sim_traced_with(&cfg, &trace, KernelMode::Event, shards).expect("sharded run");
-            let label = format!("{shards} shards (faults: {faults})");
-            assert_eq!(
-                serde_json::to_string(&reference).unwrap(),
-                serde_json::to_string(&run).unwrap(),
-                "traced reports diverged on {label}"
-            );
-            assert_eq!(
-                reference_tr.events, tr.events,
-                "trace-event sequences diverged on {label}"
-            );
-            assert_eq!(reference_tr.dropped, tr.dropped, "drop counts diverged");
-        }
-    }
+    assert_kernels_agree(&cfg, "complete @ 16 cores, mid-run dead link");
 }

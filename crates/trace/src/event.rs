@@ -227,7 +227,7 @@ pub enum EventKind {
     },
     /// The adaptive policy controller switched a region between calm and
     /// hot (hysteresis + min-dwell; see DESIGN.md §14). Emitted once per
-    /// region switch, from the serial tick prologue.
+    /// region switch, at the top of the tick.
     PolicySwitch {
         /// Region index in the controller's region plan.
         region: u16,

@@ -21,6 +21,19 @@ $CARGO fmt --all -- --check
 echo "==> cargo clippy (warnings are errors)"
 $CARGO clippy --workspace --all-targets "$@" -- -D warnings
 
+echo "==> one tick loop (no in-tick sharding left, no threads under noc/core)"
+# What survives of in-tick sharding is three inert stubs benchmark/ still
+# calls — Network::set_shards and the `_shards` of SimSession::new and
+# SimSession::resume — each one definition line and one doc line.
+stubs='^crates/(noc/src/network|system/src/checkpoint)\.rs:[0-9]+: *(/// .*`core\.shard\.\*` drops it|pub fn set_shards\(&mut self, _shards: usize\) \{\}$|_shards: usize,$)'
+found=$(grep -rni --include='*.rs' shard crates src tests examples || true)
+if [ "$(grep -c . <<< "$found")" -ne 6 ] || grep -v -E "$stubs" <<< "$found"; then
+  echo "FAIL: expected exactly the three stubs to mention sharding, found:"; echo "$found"; exit 1
+fi
+if grep -rn 'thread::\(scope\|spawn\)' crates/noc crates/core; then
+  echo "FAIL: crates/noc and crates/core must not spawn threads"; exit 1
+fi
+
 echo "==> cargo build --release"
 $CARGO build --release "$@"
 
@@ -188,53 +201,12 @@ diff <(strip_telemetry target/experiments/ci_topology_a.json) \
   || { echo "FAIL: BENCH_topology.json rows differ between identical reruns"; exit 1; }
 $CARGO run --release -q -p rcsim-bench --bin validate_bench "$@"
 
-echo "==> sharded-tick smoke (RC_SHARDS byte-identity on fig6 + topology rows)"
-# In-tick sharding gate (DESIGN.md §13). One simulation split across
-# worker threads must be observationally indistinguishable from the
-# serial tick: the fig6 quick grid and the per-topology sweep, run at
-# RC_SHARDS=1 and RC_SHARDS=4, must emit byte-identical BENCH rows.
-# RC_NO_CACHE=1 is load-bearing — the cache key deliberately excludes
-# RC_SHARDS, so a cache hit would compare a result with itself.
-env "${smoke[@]}" RC_JOBS=1 RC_NO_CACHE=1 RC_SHARDS=1 \
-  $CARGO run --release -q -p rcsim-bench --bin fig6 "$@" > /dev/null 2> /dev/null
-cp target/experiments/BENCH_fig6.json target/experiments/ci_fig6_shards1.json
-env "${smoke[@]}" RC_JOBS=1 RC_NO_CACHE=1 RC_SHARDS=4 \
-  $CARGO run --release -q -p rcsim-bench --bin fig6 "$@" > /dev/null 2> /dev/null
-cp target/experiments/BENCH_fig6.json target/experiments/ci_fig6_shards4.json
-diff <(strip_telemetry target/experiments/ci_fig6_shards1.json) \
-     <(strip_telemetry target/experiments/ci_fig6_shards4.json) \
-  || { echo "FAIL: BENCH_fig6.json rows differ between RC_SHARDS=1 and RC_SHARDS=4"; exit 1; }
-RC_TOPO_CYCLES=600 RC_TOPO_CORES=64 RC_SHARDS=1 \
-  $CARGO run --release -q -p rcsim-bench --bin topology "$@" > /dev/null
-cp target/experiments/BENCH_topology.json target/experiments/ci_topology_shards1.json
-RC_TOPO_CYCLES=600 RC_TOPO_CORES=64 RC_SHARDS=4 \
-  $CARGO run --release -q -p rcsim-bench --bin topology "$@" > /dev/null
-diff <(strip_telemetry target/experiments/ci_topology_shards1.json) \
-     <(strip_telemetry target/experiments/BENCH_topology.json) \
-  || { echo "FAIL: BENCH_topology.json rows differ between RC_SHARDS=1 and RC_SHARDS=4"; exit 1; }
-
-echo "==> shards bench smoke (BENCH_shards.json + per-point identity asserts)"
-# The shards bench re-asserts serial/sharded stats byte-identity on
-# every point before reporting its speedup, so just running it is a
-# differential check; a small 256-core slice keeps it quick. On runners
-# with >= 4 cores the best 4-shard point must also clear 1.5x.
-RC_SHARD_CYCLES=600 RC_SHARD_CORES=256 RC_SHARD_COUNTS=1,4 \
-  $CARGO run --release -q -p rcsim-bench --bin shards "$@" > /dev/null
-test -s target/experiments/BENCH_shards.json
-$CARGO run --release -q -p rcsim-bench --bin validate_bench "$@"
-if [ "$(nproc)" -ge 4 ]; then
-  best=$(grep -o '"speedup_shards4": [0-9.]*' target/experiments/BENCH_shards.json \
-    | awk '{ if ($2 > m) m = $2 } END { print m }')
-  awk -v s="${best:-0}" 'BEGIN { exit !(s > 1.5) }' \
-    || { echo "FAIL: expected > 1.5x tick speedup with RC_SHARDS=4 at 256 cores on a $(nproc)-core runner (best ${best:-0})"; exit 1; }
-fi
-
 echo "==> adaptive policy smoke (static-vs-adaptive rows, off-path byte-identity)"
 # Adaptive-policy gate (DESIGN.md §14). The differential suite proves
-# the policy hooks are invisible with `adaptive` off (traced kernel x
-# shard matrix on mesh and torus) and deterministic with it on; the
-# property suite pins the controller's hysteresis/dwell algebra and the
-# teardown conservation law. The adaptive bench then runs the
+# the policy hooks are invisible with `adaptive` off (traced, under both
+# kernels, on mesh and torus) and deterministic with it on; the property
+# suite pins the region map, the controller's hysteresis/dwell algebra
+# and the teardown conservation law. The adaptive bench then runs the
 # adversarial sweep — phased hotspot salvos over a light closed-loop
 # foreground — and asserts internally that the adaptive row beats the
 # best static row on p99 RTT or foreground goodput while actually
@@ -257,15 +229,14 @@ diff <(strip_telemetry target/experiments/ci_fig6_serial.json) \
      <(strip_telemetry target/experiments/BENCH_fig6.json) \
   || { echo "FAIL: adaptive-off BENCH_fig6.json rows drifted after the adaptive smoke"; exit 1; }
 
-echo "==> kernel/shard/power/traffic differential suites (RC_JOBS=1 and 4)"
-# The dense-vs-event differential layer, the link-sink suite (serial
-# vs staged emission under link faults, DESIGN.md §13) plus the
-# power-model and traffic-pattern suites, under both a serial and a
-# parallel test harness (RC_JOBS is read by sweep-backed tests; the loop
+echo "==> kernel/link/power/traffic differential suites (RC_JOBS=1 and 4)"
+# The dense-vs-event differential layer, the link-sink suite (emission
+# order under link faults, DESIGN.md §9) plus the power-model and
+# traffic-pattern suites, under both a serial and a parallel test
+# harness (RC_JOBS is read by sweep-backed tests; the loop
 # also shakes out any accidental test-order coupling).
 for jobs in 1 4; do
   RC_JOBS=$jobs $CARGO test -q -p rcsim-system --test kernel_diff "$@"
-  RC_JOBS=$jobs $CARGO test -q -p rcsim-core --test shard_props "$@"
   RC_JOBS=$jobs $CARGO test -q -p rcsim-noc --test direct_links "$@"
   RC_JOBS=$jobs $CARGO test -q -p rcsim-power "$@"
   RC_JOBS=$jobs $CARGO test -q -p rcsim-noc --test traffic_patterns "$@"
@@ -274,7 +245,7 @@ done
 echo "==> checkpoint smoke (kill-and-resume byte-identity, corrupt-file clean miss)"
 # Crash-resilience gate (DESIGN.md §15). The differential suite proves
 # save/restore byte-identity at arbitrary split cycles across kernels,
-# shards, topologies, faults, overload and adaptive runs; the diagnoser
+# topologies, faults, overload and adaptive runs; the diagnoser
 # suite pins the wait-for-graph cycle report on a real legacy-allocator
 # wedge. Then the crash drill: a checkpointed fig6 sweep is SIGKILLed
 # mid-run (the bench binary is invoked directly — killing a `cargo run`
@@ -355,5 +326,16 @@ grep -E '^(== |sim_cycles_per_s|FAILED|DRIFT)' <<< "$perf_out" | sed 's/^/    /'
 if grep -q -E '^(DRIFT|FAILED)' <<< "$perf_out"; then
   echo "FAIL: simulated results differ from benchmark/expected.json (or a rep failed)"; exit 1
 fi
+
+echo "==> non-test lines per crate (src/**/*.rs up to each file's #[cfg(test)] mod)"
+for crate in crates/*/; do
+  find "${crate}src" -name '*.rs' -print0 | xargs -0 awk -v crate="$(basename "$crate")" '
+    FNR == 1 { skip = 0; held = 0 }
+    skip { next }
+    held { held = 0; if ($0 ~ /^mod /) { skip = 1; next } n++ }
+    /^#\[cfg\(test\)\]$/ { held = 1; next }
+    { n++ }
+    END { printf "    %-10s %6d\n", crate, n; }'
+done
 
 echo "CI gate passed."

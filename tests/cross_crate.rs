@@ -2,7 +2,9 @@
 //! cross-crate invariants (determinism, energy/area consistency).
 
 use reactive_circuits::prelude::*;
-use reactive_circuits::system::run_sim_with;
+use reactive_circuits::system::{
+    run_sim_traced_with_kernel, run_sim_with_kernel, AdaptiveConfig, TraceConfig,
+};
 
 fn quick(mechanism: MechanismConfig, app: &str) -> SimConfig {
     SimConfig {
@@ -113,11 +115,11 @@ fn fault_free_config_is_zero_perturbation() {
     assert!(a.health.healthy());
 }
 
-/// The configuration of the three differential rows below: rows of
-/// `rcsim-system`'s `kernel_diff` and `checkpoint_diff` matrices, kept
-/// in tier-1 so the plain test command exercises the routers' occupancy
-/// index (stage skipping under both kernels), its rebuild on restore,
-/// and the link calendars both tick paths share.
+/// The configuration of the differential rows below: rows of
+/// `rcsim-system`'s `kernel_diff`, `adaptive_diff` and `checkpoint_diff`
+/// matrices, kept in tier-1 so the plain test command exercises the
+/// routers' occupancy index (stage skipping under both kernels), its
+/// rebuild on restore, and the link calendars.
 fn differential_cfg() -> SimConfig {
     SimConfig {
         seed: 0xD1FF,
@@ -134,44 +136,61 @@ fn serialized(result: &RunResult) -> String {
 #[test]
 fn dense_and_event_kernels_are_byte_identical() {
     let cfg = differential_cfg();
-    let dense = run_sim_with(&cfg, KernelMode::Dense, 1).unwrap();
-    let event = run_sim_with(&cfg, KernelMode::Event, 1).unwrap();
+    let dense = run_sim_with_kernel(&cfg, KernelMode::Dense).unwrap();
+    let event = run_sim_with_kernel(&cfg, KernelMode::Event).unwrap();
     assert!(dense.instructions > 0);
     assert_eq!(serialized(&dense), serialized(&event));
 }
 
+/// The fault RNG is drawn per message in emission order, so the event
+/// kernel's idle-skipping must not reorder (or skip) a single draw.
 #[test]
-fn one_and_four_shards_are_byte_identical() {
-    let cfg = differential_cfg();
-    let serial = run_sim_with(&cfg, KernelMode::Event, 1).unwrap();
-    let sharded = run_sim_with(&cfg, KernelMode::Event, 4).unwrap();
-    assert!(serial.instructions > 0);
-    assert_eq!(serialized(&serial), serialized(&sharded));
-}
-
-/// Both link sinks against each other under the fault layer (DESIGN.md
-/// §13): one shard writes every message straight onto its link, four
-/// stage theirs for the serial merge to replay, and the fault RNG is
-/// drawn per message — so any difference in emission order shows.
-#[test]
-fn one_and_four_shards_are_byte_identical_under_link_faults() {
+fn dense_and_event_kernels_are_byte_identical_under_link_faults() {
     let mut cfg = differential_cfg();
     cfg.faults = FaultConfig {
         link_drop_rate: 0.002,
         link_corrupt_rate: 0.002,
         ..FaultConfig::none()
     };
-    let serial = run_sim_with(&cfg, KernelMode::Event, 1).unwrap();
-    let sharded = run_sim_with(&cfg, KernelMode::Event, 4).unwrap();
-    assert!(serial.health.faults.packets_dropped > 0);
-    assert!(serial.health.faults.packets_corrupted > 0);
-    assert_eq!(serialized(&serial), serialized(&sharded));
+    let dense = run_sim_with_kernel(&cfg, KernelMode::Dense).unwrap();
+    let event = run_sim_with_kernel(&cfg, KernelMode::Event).unwrap();
+    assert!(dense.health.faults.packets_dropped > 0);
+    assert!(dense.health.faults.packets_corrupted > 0);
+    assert_eq!(serialized(&dense), serialized(&event));
+}
+
+/// Adaptive policies on (thresholds low enough that regions heat and
+/// cool inside the run): decisions, the teardowns they trigger and the
+/// wake-ups they issue land identically under both kernels — the result
+/// *and* the trace-event sequence.
+#[test]
+fn adaptive_run_and_trace_are_identical_under_both_kernels() {
+    let mut cfg = differential_cfg();
+    cfg.warmup_cycles = 0;
+    cfg.adaptive = Some(AdaptiveConfig {
+        decision_epoch: 40,
+        regions: 4,
+        hot_enter: 96,
+        hot_exit: 48,
+        min_dwell: 80,
+        ..AdaptiveConfig::default()
+    });
+    let trace = TraceConfig {
+        capacity: 1 << 20,
+        epoch: 0,
+    };
+    let (dense, dense_tr) = run_sim_traced_with_kernel(&cfg, &trace, KernelMode::Dense).unwrap();
+    let (event, event_tr) = run_sim_traced_with_kernel(&cfg, &trace, KernelMode::Event).unwrap();
+    assert!(dense.health.adaptive.hot_switches > 0);
+    assert!(dense.health.adaptive.calm_switches > 0);
+    assert_eq!(serialized(&dense), serialized(&event));
+    assert_eq!(dense_tr.events, event_tr.events);
 }
 
 #[test]
 fn resume_at_mid_run_is_byte_identical() {
     let cfg = differential_cfg();
-    let uninterrupted = run_sim_with(&cfg, KernelMode::Event, 1).unwrap();
+    let uninterrupted = run_sim_with_kernel(&cfg, KernelMode::Event).unwrap();
     let mut first = SimSession::new(&cfg, None, KernelMode::Event, 1).unwrap();
     first.run_until(1_700).unwrap();
     let mut resumed = SimSession::resume(&first.checkpoint(), KernelMode::Event, 1).unwrap();
