@@ -9,25 +9,14 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rcsim_bench::{
-    bench_row, measure_cycles, run_points, save_bench_summary, save_json, warmup_cycles, BenchRow,
-    BenchSummary, PointSpec,
+    bench_row, env, run_points, save_bench_summary, save_json, BenchRow, BenchSummary, PointSpec,
 };
 use rcsim_core::circuit::CircuitKey;
-use rcsim_core::{MechanismConfig, Mesh, MessageClass, NodeId};
+use rcsim_core::{MechanismConfig, Mesh, MessageClass};
 use rcsim_noc::{MessageGroup, Network, NocConfig, PacketSpec};
 
-fn app() -> String {
-    std::env::var("RC_APPS")
-        .ok()
-        .and_then(|s| s.split(',').next().map(str::to_owned))
-        .unwrap_or_else(|| "canneal".to_owned())
-}
-
-fn circuits_per_input_sweep(summary: &mut BenchSummary) {
-    println!(
-        "== circuits per input port (Complete_NoAck, 64 cores, '{}') ==",
-        app()
-    );
+fn circuits_per_input_sweep(summary: &mut BenchSummary, app: &str) {
+    println!("== circuits per input port (Complete_NoAck, 64 cores, '{app}') ==");
     println!(
         "{:>9} {:>10} {:>10} {:>12}",
         "entries", "circuit%", "failed%", "storage-fail"
@@ -38,7 +27,7 @@ fn circuits_per_input_sweep(summary: &mut BenchSummary) {
         .map(|&entries| {
             let mut mechanism = MechanismConfig::complete_noack();
             mechanism.max_circuits_per_input = entries;
-            PointSpec::new(64, mechanism, &app(), 1)
+            PointSpec::new(64, mechanism, app, 1)
         })
         .collect();
     let runs = run_points(&specs);
@@ -61,17 +50,14 @@ fn circuits_per_input_sweep(summary: &mut BenchSummary) {
     save_json("ablation_entries", &rows);
 }
 
-fn undo_on_l2_miss(summary: &mut BenchSummary) {
-    println!(
-        "== keep vs undo circuits on L2 miss (§4.4, 64 cores, '{}') ==",
-        app()
-    );
+fn undo_on_l2_miss(summary: &mut BenchSummary, app: &str) {
+    println!("== keep vs undo circuits on L2 miss (§4.4, 64 cores, '{app}') ==");
     let mut undo_mech = MechanismConfig::complete_noack();
     undo_mech.undo_on_l2_miss = true;
     let specs = [
-        PointSpec::new(64, MechanismConfig::baseline(), &app(), 1),
-        PointSpec::new(64, MechanismConfig::complete_noack(), &app(), 1),
-        PointSpec::new(64, undo_mech, &app(), 1),
+        PointSpec::new(64, MechanismConfig::baseline(), app, 1),
+        PointSpec::new(64, MechanismConfig::complete_noack(), app, 1),
+        PointSpec::new(64, undo_mech, app, 1),
     ];
     let runs = run_points(&specs);
     let (base, keep, undo) = (&runs[0], &runs[1], &runs[2]);
@@ -94,18 +80,18 @@ fn undo_on_l2_miss(summary: &mut BenchSummary) {
     println!("(the paper found keeping them performs better)\n");
 }
 
-fn scrounger_modes(summary: &mut BenchSummary) {
-    println!("== scrounger semantics (64 cores, '{}') ==", app());
+fn scrounger_modes(summary: &mut BenchSummary, app: &str) {
+    println!("== scrounger semantics (64 cores, '{app}') ==");
     let modes = [
         ("no reuse", MechanismConfig::complete_noack()),
         ("consume", MechanismConfig::reuse_noack()),
         ("borrow", MechanismConfig::reuse_borrow_noack()),
     ];
-    let mut specs = vec![PointSpec::new(64, MechanismConfig::baseline(), &app(), 1)];
+    let mut specs = vec![PointSpec::new(64, MechanismConfig::baseline(), app, 1)];
     specs.extend(
         modes
             .iter()
-            .map(|(_, mechanism)| PointSpec::new(64, *mechanism, &app(), 1)),
+            .map(|(_, mechanism)| PointSpec::new(64, *mechanism, app, 1)),
     );
     let runs = run_points(&specs);
     let base = &runs[0];
@@ -132,8 +118,8 @@ fn scrounger_modes(summary: &mut BenchSummary) {
     println!(" the circuit alive for its own reply, consuming steals it)\n");
 }
 
-fn slack_sweep(summary: &mut BenchSummary) {
-    println!("== slack sweep (timed circuits, 64 cores, '{}') ==", app());
+fn slack_sweep(summary: &mut BenchSummary, app: &str) {
+    println!("== slack sweep (timed circuits, 64 cores, '{app}') ==");
     println!(
         "{:>7} {:>10} {:>10} {:>10}",
         "slack", "circuit%", "failed%", "undone%"
@@ -147,7 +133,7 @@ fn slack_sweep(summary: &mut BenchSummary) {
             } else {
                 MechanismConfig::slack(k)
             };
-            PointSpec::new(64, mechanism, &app(), 1)
+            PointSpec::new(64, mechanism, app, 1)
         })
         .collect();
     let runs = run_points(&specs);
@@ -183,6 +169,7 @@ fn load_threshold(summary: &mut BenchSummary) {
         let lat = |mechanism: MechanismConfig| -> f64 {
             let mesh = Mesh::new(8, 8).expect("valid mesh");
             let mut net = Network::new(NocConfig::paper_baseline(mesh, mechanism)).expect("valid");
+            net.set_kernel(env().kernel);
             let gen = rcsim_noc::traffic::Generator::uniform(rate);
             let mut rng = StdRng::seed_from_u64(7);
             let mut block = 0;
@@ -243,15 +230,15 @@ fn load_threshold(summary: &mut BenchSummary) {
 fn main() {
     println!(
         "Ablations (RC_CYCLES={}, RC_WARMUP={})\n",
-        measure_cycles(),
-        warmup_cycles()
+        env().cycles,
+        env().warmup
     );
     let mut summary = BenchSummary::new("ablations");
-    circuits_per_input_sweep(&mut summary);
-    undo_on_l2_miss(&mut summary);
-    scrounger_modes(&mut summary);
-    slack_sweep(&mut summary);
+    let app = &env().first_app;
+    circuits_per_input_sweep(&mut summary, app);
+    undo_on_l2_miss(&mut summary, app);
+    scrounger_modes(&mut summary, app);
+    slack_sweep(&mut summary, app);
     load_threshold(&mut summary);
     save_bench_summary(&mut summary);
-    let _ = NodeId(0);
 }

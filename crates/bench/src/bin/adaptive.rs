@@ -24,13 +24,11 @@
 //! round-trip or on goodput at one or more mixes — the tentpole
 //! acceptance criterion.
 //!
-//! Knobs: `RC_ADAPT_PHASES` (calm/burst phase pairs per run, default 6),
-//! `RC_ADAPT_WINDOW` (outstanding foreground requests per node, default
-//! 4).
+//! Knobs: `RC_ADAPT_PHASES`, `RC_ADAPT_WINDOW` (README.md).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rcsim_bench::{save_bench_summary, save_json, BenchRow, BenchSummary};
+use rcsim_bench::{env, save_bench_summary, save_json, BenchRow, BenchSummary};
 use rcsim_core::circuit::CircuitKey;
 use rcsim_core::{AdaptiveConfig, MechanismConfig, MessageClass, NodeId, TopologySpec};
 use rcsim_noc::traffic::{Generator, Pattern};
@@ -40,20 +38,6 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 /// Modeled L2 turnaround: cycles between a request's delivery and the
 /// injection of its reply.
 const TURNAROUND: u64 = 7;
-
-fn phase_pairs() -> u32 {
-    std::env::var("RC_ADAPT_PHASES")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(6)
-}
-
-fn window_outstanding() -> u32 {
-    std::env::var("RC_ADAPT_WINDOW")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(4)
-}
 
 /// One traffic mix: the calm/burst phase lengths (background bursts run
 /// only during the burst phases; the foreground never stops).
@@ -165,12 +149,13 @@ fn run_row(mechanism: MechanismConfig, mix: &Mix, adaptive: Option<AdaptiveConfi
     let topology = TopologySpec::Mesh.build(64).expect("8x8 mesh");
     let cfg = NocConfig::paper_baseline(topology, mechanism);
     let mut net = Network::new(cfg).expect("valid config");
+    net.set_kernel(env().kernel);
     if let Some(ad) = adaptive {
         net.enable_adaptive(ad).expect("valid adaptive config");
     }
     let mut rng = StdRng::seed_from_u64(0xADA7);
     let n = topology.nodes() as u16;
-    let fg_win = window_outstanding();
+    let fg_win = env().adapt_window;
     // Each node fires a bounded salvo of background requests per burst
     // phase: enough to jam the hotspot column for a while, small enough
     // that the jam drains before the next phase.
@@ -193,7 +178,7 @@ fn run_row(mechanism: MechanismConfig, mix: &Mix, adaptive: Option<AdaptiveConfi
         injection_rate: 0.5,
         class: MessageClass::FwdRequest,
     };
-    for _ in 0..phase_pairs() {
+    for _ in 0..env().adapt_phases {
         for (bursting, cycles) in [(false, mix.calm_cycles), (true, mix.burst_cycles)] {
             if bursting {
                 bg_budget.iter_mut().for_each(|b| *b = bg_salvo);
@@ -279,7 +264,7 @@ fn run_row(mechanism: MechanismConfig, mix: &Mix, adaptive: Option<AdaptiveConfi
 }
 
 fn main() {
-    let pairs = phase_pairs();
+    let pairs = env().adapt_phases;
     println!("Adaptive-policy sweep (RC_ADAPT_PHASES={pairs})\n");
     println!(
         "{:<12} {:<22} {:>9} {:>9} {:>9} {:>9} {:>9}",

@@ -5,17 +5,13 @@
 //!
 //! `RC_APPS` picks the workload (first entry; default canneal).
 
-use rcsim_bench::{
-    bench_row, max_cycles, run_configs, save_bench_summary, save_json, BenchSummary,
-};
+use rcsim_bench::{bench_row, env, run_configs, save_bench_summary, save_json, BenchSummary};
 use rcsim_core::MechanismConfig;
 use rcsim_system::SimConfig;
 
 fn main() {
-    let app = std::env::var("RC_APPS")
-        .ok()
-        .and_then(|s| s.split(',').next().map(str::to_owned))
-        .unwrap_or_else(|| "canneal".to_owned());
+    let app = &env().first_app;
+    let max_cycles = env().max_cycles;
     println!("Message-mix convergence vs warm-up ({app}, 64 cores, baseline)\n");
     println!(
         "{:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>8}",
@@ -27,7 +23,7 @@ fn main() {
     // takes labelled configs directly.
     let warmups: Vec<u64> = [5_000u64, 20_000, 60_000, 150_000, 400_000]
         .into_iter()
-        .map(|w| w.min(max_cycles() - 1))
+        .map(|w| w.min(max_cycles - 1))
         .collect();
     let jobs: Vec<(String, SimConfig)> = warmups
         .iter()
@@ -35,9 +31,9 @@ fn main() {
             let cfg = SimConfig {
                 seed: 1,
                 warmup_cycles: warmup,
-                measure_cycles: 30_000.min(max_cycles() - warmup),
+                measure_cycles: 30_000.min(max_cycles - warmup),
                 small_caches: false,
-                ..SimConfig::quick(64, MechanismConfig::baseline(), &app)
+                ..SimConfig::quick(64, MechanismConfig::baseline(), app)
             };
             (format!("convergence/{app}/warmup {warmup}"), cfg)
         })

@@ -5,7 +5,7 @@
 //! the paper does.
 
 use rcsim_bench::{
-    bench_row, experiment_apps, run_points, save_bench_summary, save_json, BenchSummary, PointSpec,
+    bench_row, env, run_points, save_bench_summary, save_json, BenchSummary, PointSpec,
 };
 use rcsim_core::MechanismConfig;
 use rcsim_stats::geometric_mean;
@@ -22,7 +22,8 @@ fn main() {
     let mechanism = MechanismConfig::slack_delay(1);
     // One (baseline, slack) pair per application, submitted as one flat
     // job list so the sweep runner fans the whole figure across workers.
-    let specs: Vec<PointSpec> = experiment_apps()
+    let specs: Vec<PointSpec> = env()
+        .apps
         .iter()
         .flat_map(|app| {
             [
@@ -36,7 +37,7 @@ fn main() {
     let mut speedups = Vec::new();
     let mut raw = Vec::new();
     let mut summary = BenchSummary::new("fig10");
-    for (app, pair) in experiment_apps().iter().zip(all.chunks(2)) {
+    for (app, pair) in env().apps.iter().zip(all.chunks(2)) {
         let (base, r) = (&pair[0], &pair[1]);
         let s = r.speedup_over(base);
         println!(

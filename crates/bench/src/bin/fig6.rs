@@ -13,28 +13,25 @@
 //!   EXPERIMENTS.md for the walkthrough).
 
 use rcsim_bench::{
-    app_seed_points, bench_row, cores_list, experiment_apps, mean_outcomes, run_points,
-    save_bench_summary, save_json, save_text, seeds, BenchSummary, PointSpec,
+    app_seed_points, bench_row, env, mean_outcomes, run_points, save_bench_summary, save_json,
+    save_text, BenchSummary, PointSpec,
 };
 use rcsim_core::MechanismConfig;
-use rcsim_system::{run_sim_traced, SimConfig, TraceConfig};
+use rcsim_system::{run_sim_traced_with_kernel, SimConfig, TraceConfig};
 use rcsim_trace::chrome_trace_json;
 
 /// One extra small traced run whose event log becomes a Chrome trace:
 /// enough cycles to show circuit construction and reply slices without
 /// bloating the JSON.
 fn export_chrome_trace() {
-    let app = experiment_apps()
-        .first()
-        .cloned()
-        .unwrap_or_else(|| "blackscholes".to_owned());
+    let app = &env().apps[0];
     let cfg = SimConfig {
         seed: 1,
         warmup_cycles: 1_000,
         measure_cycles: 3_000,
-        ..SimConfig::quick(16, MechanismConfig::complete_noack(), &app)
+        ..SimConfig::quick(16, MechanismConfig::complete_noack(), app)
     };
-    match run_sim_traced(&cfg, &TraceConfig::default()) {
+    match run_sim_traced_with_kernel(&cfg, &TraceConfig::default(), env().kernel) {
         Ok((_, report)) => {
             save_text("fig6_trace.json", &chrome_trace_json(&report.events));
             eprintln!(
@@ -58,9 +55,10 @@ fn main() {
     // The whole (cores × mechanism × app × seed) grid goes to the sweep
     // runner as one job list, so RC_JOBS workers parallelize across
     // mechanisms as well as apps; results come back in submission order.
-    let grid: Vec<(u16, MechanismConfig)> = cores_list()
-        .into_iter()
-        .flat_map(|c| {
+    let grid: Vec<(u16, MechanismConfig)> = env()
+        .cores
+        .iter()
+        .flat_map(|&c| {
             MechanismConfig::figure6_grid()
                 .into_iter()
                 .map(move |m| (c, m))
@@ -70,13 +68,13 @@ fn main() {
         .iter()
         .flat_map(|&(c, m)| app_seed_points(c, m, 1))
         .collect();
-    let per_point = experiment_apps().len() * seeds().len();
+    let per_point = env().apps.len() * env().seeds.len();
     let all = run_points(&specs);
     let mut chunks = all.chunks(per_point);
 
     let mut raw = Vec::new();
     let mut summary = BenchSummary::new("fig6");
-    for cores in cores_list() {
+    for &cores in &env().cores {
         println!("== {cores} cores ==");
         println!(
             "{:<22} {:>9} {:>9} {:>9} {:>10} {:>13} {:>12}",

@@ -3,8 +3,8 @@
 //! configurations.
 
 use rcsim_bench::{
-    app_seed_points, bench_row, cores_list, experiment_apps, run_points, save_bench_summary,
-    save_json, seeds, BenchSummary, PointSpec,
+    app_seed_points, bench_row, env, run_points, save_bench_summary, save_json, BenchSummary,
+    PointSpec,
 };
 use rcsim_core::MechanismConfig;
 use rcsim_stats::Accumulator;
@@ -25,9 +25,10 @@ fn main() {
     // One flat job list over the whole (cores × mechanism × app × seed)
     // grid: the sweep runner fans it across RC_JOBS workers and returns
     // results in submission order, which the loops below re-chunk.
-    let grid: Vec<(u16, MechanismConfig)> = cores_list()
-        .into_iter()
-        .flat_map(|c| {
+    let grid: Vec<(u16, MechanismConfig)> = env()
+        .cores
+        .iter()
+        .flat_map(|&c| {
             MechanismConfig::key_configs()
                 .into_iter()
                 .map(move |m| (c, m))
@@ -37,13 +38,13 @@ fn main() {
         .iter()
         .flat_map(|&(c, m)| app_seed_points(c, m, 1))
         .collect();
-    let per_point = experiment_apps().len() * seeds().len();
+    let per_point = env().apps.len() * env().seeds.len();
     let all = run_points(&specs);
     let mut chunks = all.chunks(per_point);
 
     let mut raw = Vec::new();
     let mut summary = BenchSummary::new("fig7");
-    for cores in cores_list() {
+    for &cores in &env().cores {
         println!("== {cores} cores ==");
         println!(
             "{:<22} {:>14} {:>16} {:>18} {:>8}",

@@ -2,8 +2,7 @@
 //! standard error across applications.
 
 use rcsim_bench::{
-    bench_row, cores_list, experiment_apps, run_points, save_bench_summary, save_json,
-    BenchSummary, PointSpec,
+    bench_row, env, run_points, save_bench_summary, save_json, BenchSummary, PointSpec,
 };
 use rcsim_core::MechanismConfig;
 use rcsim_stats::Accumulator;
@@ -17,20 +16,17 @@ fn main() {
 
     // One baseline per (app, seed): comparisons stay seed-paired. The
     // whole grid is one submission-ordered job list for the sweep runner.
-    let points: Vec<(String, u64)> = experiment_apps()
+    let points: Vec<(String, u64)> = env()
+        .apps
         .iter()
-        .flat_map(|app| {
-            rcsim_bench::seeds()
-                .into_iter()
-                .map(move |s| (app.clone(), s))
-        })
+        .flat_map(|app| env().seeds.iter().map(move |&s| (app.clone(), s)))
         .collect();
     let swept: Vec<MechanismConfig> = MechanismConfig::key_configs()
         .into_iter()
         .filter(|m| *m != MechanismConfig::baseline())
         .collect();
     let mut specs = Vec::new();
-    for cores in cores_list() {
+    for &cores in &env().cores {
         for (app, s) in &points {
             specs.push(PointSpec::new(cores, MechanismConfig::baseline(), app, *s));
         }
@@ -45,7 +41,7 @@ fn main() {
 
     let mut raw = Vec::new();
     let mut summary = BenchSummary::new("fig9");
-    for (ci, cores) in cores_list().into_iter().enumerate() {
+    for (ci, &cores) in env().cores.iter().enumerate() {
         let block = &all[ci * per_cores..(ci + 1) * per_cores];
         let (baselines, rest) = block.split_at(points.len());
         let mut mech_chunks = rest.chunks(points.len());

@@ -18,8 +18,7 @@
 //! `validate_bench`) plus raw rows in `overload.json`.
 
 use rcsim_bench::{
-    bench_row, cores_list, experiment_apps, measure_cycles, run_configs, save_bench_summary,
-    save_json, seeds, BenchSummary, PointSpec,
+    bench_row, env, run_configs, save_bench_summary, save_json, BenchSummary, PointSpec,
 };
 use rcsim_core::{MechanismConfig, Mesh};
 use rcsim_system::{OpenLoopConfig, RunResult, SimConfig};
@@ -158,16 +157,15 @@ fn main() {
     println!("terminate, conserve every arrival, and keep its ingress queues");
     println!("within bound; with admission on, post-knee goodput must plateau.\n");
 
-    let cores = cores_list().into_iter().next().unwrap_or(16);
+    let cores = env().cores[0];
     let mesh = Mesh::square(cores)
         .or_else(|_| Mesh::near_square(cores))
         .expect("valid core count");
     let edge_count = mesh.height() as u64;
-    let apps = experiment_apps();
-    let seed_list = seeds();
+    let (apps, seed_list) = (&env().apps, &env().seeds);
     let per_point = apps.len() * seed_list.len();
     let queue_cap = open_loop(ADMIT_RATE, true).ingress.queue_cap;
-    let window = measure_cycles();
+    let window = env().cycles;
 
     let mut raw = Vec::new();
     let mut summary = BenchSummary::new("overload");
@@ -176,8 +174,8 @@ fn main() {
     let mut jobs = Vec::new();
     for mechanism in mechanisms() {
         for &rate in &RATES {
-            for app in &apps {
-                for &s in &seed_list {
+            for app in apps {
+                for &s in seed_list {
                     let spec = PointSpec::new(cores, mechanism, app, s);
                     let mut cfg: SimConfig = spec.config();
                     cfg.open_loop = Some(open_loop(rate, true));
@@ -269,8 +267,8 @@ fn main() {
     let mechanism = MechanismConfig::complete_noack();
     let mut jobs = Vec::new();
     for &rate in &RATES {
-        for app in &apps {
-            for &s in &seed_list {
+        for app in apps {
+            for &s in seed_list {
                 let spec = PointSpec::new(cores, mechanism, app, s);
                 let mut cfg: SimConfig = spec.config();
                 cfg.open_loop = Some(open_loop(rate, false));

@@ -1,5 +1,5 @@
-//! Loads a checkpoint file — typically a `wedged-*.ckpt` auto-dumped by
-//! the watchdog when a run stalls with `RC_CKPT_DIR` set — rebuilds the
+//! Loads a checkpoint file — typically a `wedged-*.ckpt` dumped by the
+//! sweep runner when a run stalls with `RC_CKPT_DIR` set — rebuilds the
 //! chip from it, and prints the saved position, the embedded
 //! configuration and the full health report, including the wait-for-graph
 //! deadlock diagnosis when the network is wedged.
@@ -9,7 +9,8 @@
 //! dump (watching whether a suspected livelock moves). Exits non-zero on
 //! an unreadable or corrupt checkpoint.
 
-use rcsim_system::{KernelMode, SessionSnapshot, SimSession};
+use rcsim_bench::env;
+use rcsim_system::{SessionSnapshot, SimSession};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -41,7 +42,7 @@ fn main() -> ExitCode {
         Err(e) => eprintln!("rcsim-replay: config failed to serialize: {e}"),
     }
 
-    let mut session = match SimSession::resume(&snap, KernelMode::from_env(), 1) {
+    let mut session = match SimSession::resume(&snap, env().kernel, 1) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("rcsim-replay: checkpoint no longer builds: {e}");

@@ -7,8 +7,7 @@
 //! `validate_bench`) plus raw rows in `resilience.json`.
 
 use rcsim_bench::{
-    bench_row, cores_list, experiment_apps, run_configs, save_bench_summary, save_json, seeds,
-    BenchSummary, PointSpec,
+    bench_row, env, run_configs, save_bench_summary, save_json, BenchSummary, PointSpec,
 };
 use rcsim_core::{MechanismConfig, Mesh, NodeId};
 use rcsim_noc::DeadLinkEvent;
@@ -75,9 +74,8 @@ fn main() {
     println!("crossing the region are torn down, and lost messages are");
     println!("reissued — no request may ever be abandoned.\n");
 
-    let cores = cores_list().into_iter().next().unwrap_or(16);
-    let apps = experiment_apps();
-    let seed_list = seeds();
+    let cores = env().cores[0];
+    let (apps, seed_list) = (&env().apps, &env().seeds);
     let per_point = apps.len() * seed_list.len();
 
     // One flat job list so RC_JOBS workers parallelize across the whole
@@ -85,8 +83,8 @@ fn main() {
     let mut jobs = Vec::new();
     for mechanism in mechanisms() {
         for &dead in &DEAD_COUNTS {
-            for app in &apps {
-                for &s in &seed_list {
+            for app in apps {
+                for &s in seed_list {
                     let spec = PointSpec::new(cores, mechanism, app, s);
                     let mut cfg: SimConfig = spec.config();
                     cfg.faults.dead_links = interior_dead_links(cores, dead);
@@ -183,8 +181,8 @@ fn main() {
     let mechanism = MechanismConfig::complete();
     let mut jobs = Vec::new();
     for retries in [true, false] {
-        for app in &apps {
-            for &s in &seed_list {
+        for app in apps {
+            for &s in seed_list {
                 let spec = PointSpec::new(cores, mechanism, app, s);
                 let mut cfg: SimConfig = spec.config();
                 let onset = cfg.warmup_cycles + cfg.measure_cycles / 2;

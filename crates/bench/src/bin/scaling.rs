@@ -3,14 +3,13 @@
 //! complete circuits harder to build — the reason the paper argues for
 //! timed circuits and partitioned usage at larger scales.
 
-use rcsim_bench::{bench_row, run_points, save_bench_summary, save_json, BenchSummary, PointSpec};
+use rcsim_bench::{
+    bench_row, env, run_points, save_bench_summary, save_json, BenchSummary, PointSpec,
+};
 use rcsim_core::MechanismConfig;
 
 fn main() {
-    let app = std::env::var("RC_APPS")
-        .ok()
-        .and_then(|s| s.split(',').next().map(str::to_owned))
-        .unwrap_or_else(|| "canneal".to_owned());
+    let app = &env().first_app;
     println!("Scalability sweep ('{app}'): circuits get harder to build as chips grow\n");
     println!(
         "{:<8} {:>12} {:>12} {:>10} {:>10} {:>10}",
@@ -23,9 +22,9 @@ fn main() {
         .iter()
         .flat_map(|&cores| {
             [
-                PointSpec::new(cores, MechanismConfig::baseline(), &app, 1),
-                PointSpec::new(cores, MechanismConfig::complete_noack(), &app, 1),
-                PointSpec::new(cores, MechanismConfig::slack_delay(1), &app, 1),
+                PointSpec::new(cores, MechanismConfig::baseline(), app, 1),
+                PointSpec::new(cores, MechanismConfig::complete_noack(), app, 1),
+                PointSpec::new(cores, MechanismConfig::slack_delay(1), app, 1),
             ]
         })
         .collect();

@@ -2,7 +2,7 @@
 //! (64-core chip, average over all benchmarks, baseline network).
 
 use rcsim_bench::{
-    bench_row, experiment_apps, run_points, save_bench_summary, save_json, BenchSummary, PointSpec,
+    bench_row, env, run_points, save_bench_summary, save_json, BenchSummary, PointSpec,
 };
 use rcsim_core::MechanismConfig;
 use std::collections::BTreeMap;
@@ -29,7 +29,8 @@ const REQUEST_CLASSES: &[&str] = &[
 
 fn main() {
     println!("Table 1 — message mix (64 cores, baseline, avg over apps)\n");
-    let specs: Vec<PointSpec> = experiment_apps()
+    let specs: Vec<PointSpec> = env()
+        .apps
         .iter()
         .map(|app| PointSpec::new(64, MechanismConfig::baseline(), app, 1))
         .collect();
@@ -63,7 +64,7 @@ fn main() {
     println!(
         "\n({} messages total across {} apps)",
         all,
-        experiment_apps().len()
+        env().apps.len()
     );
     save_json("table1", &totals);
 

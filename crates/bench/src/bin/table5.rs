@@ -3,7 +3,7 @@
 //! fraction.
 
 use rcsim_bench::{
-    bench_row, experiment_apps, run_points, save_bench_summary, save_json, BenchSummary, PointSpec,
+    bench_row, env, run_points, save_bench_summary, save_json, BenchSummary, PointSpec,
 };
 use rcsim_core::MechanismConfig;
 
@@ -11,7 +11,8 @@ const PAPER: [f64; 6] = [48.0, 24.0, 7.0, 6.0, 6.0, 9.0]; // 1st..5th, failed
 
 fn main() {
     println!("Table 5 — circuit reservations per input-port entry (Complete_NoAck, 64 cores)\n");
-    let specs: Vec<PointSpec> = experiment_apps()
+    let specs: Vec<PointSpec> = env()
+        .apps
         .iter()
         .map(|app| PointSpec::new(64, MechanismConfig::complete_noack(), app, 1))
         .collect();

@@ -19,39 +19,15 @@
 //! quiescence with zero abandoned packets: the deadlock-freedom check
 //! for the wraparound topologies' dateline rule.
 //!
-//! Knobs: `RC_TOPO_CYCLES` (injection window per point, default 3000),
-//! `RC_TOPO_CORES` (comma list, default `64,256,1024`),
-//! `RC_TOPO_WINDOW` (outstanding requests per node, default 8).
+//! Knobs: `RC_TOPO_CYCLES`, `RC_TOPO_CORES`, `RC_TOPO_WINDOW` (README.md).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rcsim_bench::{save_bench_summary, save_json, BenchRow, BenchSummary};
+use rcsim_bench::{env, save_bench_summary, save_json, BenchRow, BenchSummary};
 use rcsim_core::circuit::CircuitKey;
 use rcsim_core::{MechanismConfig, MessageClass, NodeId, Topology, TopologySpec};
 use rcsim_noc::{CircuitOutcome, MessageGroup, Network, NocConfig, PacketSpec};
 use std::collections::BTreeMap;
-
-fn cycles() -> u64 {
-    std::env::var("RC_TOPO_CYCLES")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(3_000)
-}
-
-fn cores_list() -> Vec<u16> {
-    std::env::var("RC_TOPO_CORES")
-        .ok()
-        .map(|s| s.split(',').filter_map(|c| c.trim().parse().ok()).collect())
-        .filter(|v: &Vec<u16>| !v.is_empty())
-        .unwrap_or_else(|| vec![64, 256, 1024])
-}
-
-fn window_outstanding() -> u32 {
-    std::env::var("RC_TOPO_WINDOW")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(8)
-}
 
 /// Rough per-node saturation estimate for uniform random traffic, in
 /// *transactions* per node per cycle: bisection bandwidth over half the
@@ -101,14 +77,12 @@ fn echo(net: &mut Network, outstanding: &mut [u32]) {
 /// slot), replies echoed back over the reserved circuits, then runs to
 /// quiescence and asserts nothing deadlocked or was abandoned.
 fn run_point(topology: Topology, mechanism: MechanismConfig, rate: f64, window: u64) -> Measured {
-    // `NocConfig::va_hol_relief` defaults to on, so the sweep's drain
-    // assertion checks the *topologies*, not the legacy allocator's
-    // head-of-line shadowing wedge.
     let cfg = NocConfig::paper_baseline(topology, mechanism);
     let mut net = Network::new(cfg).expect("valid config");
+    net.set_kernel(env().kernel);
     let mut rng = StdRng::seed_from_u64(0xC1C0);
     let n = topology.nodes() as u16;
-    let max_outstanding = window_outstanding();
+    let max_outstanding = env().topo_window;
     let mut outstanding = vec![0u32; n as usize];
     let mut block = 0u64;
     let rate = rate.clamp(0.0, 1.0);
@@ -175,7 +149,7 @@ fn run_point(topology: Topology, mechanism: MechanismConfig, rate: f64, window: 
 }
 
 fn main() {
-    let window = cycles();
+    let window = env().topo_cycles;
     let mechanisms = [
         ("baseline", MechanismConfig::baseline()),
         ("fragmented", MechanismConfig::fragmented()),
@@ -196,7 +170,7 @@ fn main() {
     let mut summary = BenchSummary::new("topology");
     let mut raw = Vec::new();
     for spec in specs {
-        for &cores in &cores_list() {
+        for &cores in &env().topo_cores {
             let topology = spec.build(cores).expect("sweep sizes fit every shape");
             let cap = capacity_estimate(&topology);
             for (name, mechanism) in mechanisms {

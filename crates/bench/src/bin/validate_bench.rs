@@ -3,7 +3,7 @@
 //! semantic invariants through [`rcsim_trace::BenchSummary::validate`].
 //!
 //! Usage: `validate_bench [file.json ...]` — with no arguments, scans
-//! `target/experiments/`. `RC_BENCH_SCHEMA` overrides the schema path.
+//! `target/experiments/`.
 //! Exits non-zero when any file fails or no summaries are found, so CI's
 //! smoke step (`scripts/ci.sh`) catches a bench binary that silently
 //! stops writing its summary.
@@ -106,9 +106,8 @@ fn summary_files() -> Vec<PathBuf> {
 }
 
 fn main() {
-    let schema_path =
-        std::env::var("RC_BENCH_SCHEMA").unwrap_or_else(|_| "scripts/bench_schema.json".to_owned());
-    let schema: Value = match std::fs::read_to_string(&schema_path)
+    let schema_path = "scripts/bench_schema.json";
+    let schema: Value = match std::fs::read_to_string(schema_path)
         .map_err(|e| e.to_string())
         .and_then(|t| serde_json::from_str(&t).map_err(|e| e.to_string()))
     {

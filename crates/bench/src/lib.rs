@@ -6,24 +6,14 @@
 //! values measured by this reproduction, and writes the raw rows as JSON
 //! under `target/experiments/`.
 //!
-//! Environment knobs (defaults keep a full figure under a few minutes):
-//!
-//! | variable | meaning | default |
-//! |---|---|---|
-//! | `RC_APPS` | `all`, or a comma list of workload names | 6 representative apps + mix |
-//! | `RC_CYCLES` | measured cycles per run | 30 000 |
-//! | `RC_WARMUP` | warm-up cycles per run | 60 000 |
-//! | `RC_SEEDS` | seeds averaged per point | 1 |
-//! | `RC_CORES` | comma list of core counts | `16,64` |
-//! | `RC_SMALL_CACHES` | `1` = scaled-down caches (smoke runs) | paper's Table 2 sizes |
-//! | `RC_MAX_CYCLES` | hard per-run cycle budget (warm-up + measure) | 2 000 000 |
-//! | `RC_JOBS` | sweep worker threads (`1` = serial path) | available parallelism |
-//! | `RC_NO_CACHE` | `1` = bypass the on-disk result cache | cache enabled |
-//! | `RC_CACHE_DIR` | result-cache location | `target/experiments/cache` |
+//! The `RC_*` knobs (defaults keep a full figure under a few minutes)
+//! are the rows of [`KNOBS`], tabulated in README.md and parsed once into
+//! the [`RunEnv`] that [`env`] returns.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod env;
 mod sweep;
 
 use rcsim_core::MechanismConfig;
@@ -33,74 +23,9 @@ use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::Mutex;
 
+pub use env::{env, Knob, RunEnv, KNOBS};
 pub use rcsim_trace::{BenchRow, BenchSummary};
-pub use sweep::{
-    cache_key, SweepOutcome, SweepRunner, SweepStats, CACHE_FORMAT_VERSION, DEFAULT_CKPT_INTERVAL,
-};
-
-/// The workloads an experiment sweeps (see `RC_APPS`).
-pub fn experiment_apps() -> Vec<String> {
-    match std::env::var("RC_APPS") {
-        Ok(s) if s == "all" => rcsim_workload::workload_names()
-            .into_iter()
-            .map(str::to_owned)
-            .collect(),
-        Ok(s) => s.split(',').map(|a| a.trim().to_owned()).collect(),
-        Err(_) => [
-            "blackscholes",
-            "canneal",
-            "fft",
-            "ocean_cp",
-            "raytrace",
-            "swaptions",
-            "mix",
-        ]
-        .into_iter()
-        .map(str::to_owned)
-        .collect(),
-    }
-}
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-/// Measured cycles per run (see `RC_CYCLES`).
-pub fn measure_cycles() -> u64 {
-    env_u64("RC_CYCLES", 30_000)
-}
-
-/// Warm-up cycles per run (see `RC_WARMUP`). The default is long enough
-/// for the caches to reach a steady state (the paper warms for 200 M
-/// cycles; the synthetic workloads converge much faster).
-pub fn warmup_cycles() -> u64 {
-    env_u64("RC_WARMUP", 60_000)
-}
-
-/// Workload seeds per (app, configuration) point: `RC_SEEDS=n` averages
-/// over `n` seeds (default 1; figures gain tighter error bars at n× cost).
-pub fn seeds() -> Vec<u64> {
-    let n = env_u64("RC_SEEDS", 1).max(1);
-    (1..=n).collect()
-}
-
-/// Hard ceiling on warm-up + measured cycles per run (see
-/// `RC_MAX_CYCLES`): a mis-set `RC_CYCLES`/`RC_WARMUP` cannot wedge CI,
-/// it just truncates the run.
-pub fn max_cycles() -> u64 {
-    env_u64("RC_MAX_CYCLES", 2_000_000).max(2)
-}
-
-/// Chip sizes to sweep (see `RC_CORES`).
-pub fn cores_list() -> Vec<u16> {
-    match std::env::var("RC_CORES") {
-        Ok(s) => s.split(',').filter_map(|v| v.trim().parse().ok()).collect(),
-        Err(_) => vec![16, 64],
-    }
-}
+pub use sweep::{cache_key, SweepOutcome, SweepRunner, SweepStats, CACHE_FORMAT_VERSION};
 
 /// One sweep point: workload × chip size × mechanism × seed, with the
 /// harness-wide `RC_*` settings applied when lowered to a [`SimConfig`].
@@ -140,74 +65,57 @@ impl PointSpec {
 
     /// Lowers the point to a full [`SimConfig`] with the harness-wide
     /// settings applied: warm-up and measurement clamped to the
-    /// [`max_cycles`] budget, cache geometry per `RC_SMALL_CACHES`.
+    /// `RC_MAX_CYCLES` budget, cache geometry per `RC_SMALL_CACHES`.
     pub fn config(&self) -> SimConfig {
-        let budget = max_cycles();
-        let warmup = warmup_cycles().min(budget - 1);
+        let env = env();
+        let warmup = env.warmup.min(env.max_cycles - 1);
         SimConfig {
             cores: self.cores,
             mechanism: self.mechanism,
             workload: self.app.clone(),
             seed: self.seed,
             warmup_cycles: warmup,
-            measure_cycles: measure_cycles().clamp(1, budget - warmup),
-            // Experiments default to the paper's Table 2 cache sizes; set
-            // RC_SMALL_CACHES=1 for quick smoke runs.
-            small_caches: std::env::var("RC_SMALL_CACHES").is_ok_and(|v| v == "1"),
+            measure_cycles: env.cycles.clamp(1, env.max_cycles - warmup),
+            small_caches: env.small_caches,
             ..SimConfig::quick(self.cores, self.mechanism, &self.app)
         }
     }
 }
 
-/// The (app × seed) point grid one `run_apps` call sweeps; experiment
-/// binaries concatenate several of these into one big job list so the
-/// whole figure parallelizes, not just one mechanism at a time.
+/// The (app × seed) point grid of one mechanism (`RC_APPS` × `RC_SEEDS`,
+/// `seed` offsetting the seed sequence so paired comparisons stay paired);
+/// experiment binaries concatenate several of these into one big job list
+/// so the whole figure parallelizes, not just one mechanism at a time.
 pub fn app_seed_points(cores: u16, mechanism: MechanismConfig, seed: u64) -> Vec<PointSpec> {
     let mut out = Vec::new();
-    for app in experiment_apps() {
-        for s in seeds() {
-            out.push(PointSpec::new(cores, mechanism, &app, seed + s - 1));
+    for app in &env().apps {
+        for s in &env().seeds {
+            out.push(PointSpec::new(cores, mechanism, app, seed + s - 1));
         }
     }
     out
 }
 
-/// Cross-sweep totals for the current process, stamped into every bench
-/// summary by [`save_bench_summary`].
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct SweepTotals {
-    /// Wall-clock ms spent inside sweeps.
-    pub wall_ms: f64,
-    /// Sum of individual point run times in ms.
-    pub busy_ms: f64,
-    /// Points executed or served from cache.
-    pub points: usize,
-    /// Points served from the on-disk result cache.
-    pub cached: usize,
-    /// Largest worker count any sweep used.
-    pub jobs: usize,
-}
-
-static SWEEP_TOTALS: Mutex<SweepTotals> = Mutex::new(SweepTotals {
+/// Cross-sweep totals for the current process (`jobs`: the largest worker
+/// count any sweep used), stamped into every bench summary by
+/// [`save_bench_summary`].
+static SWEEP_TOTALS: Mutex<SweepStats> = Mutex::new(SweepStats {
+    points: 0,
+    jobs: 0,
+    cached: 0,
+    failed: 0,
     wall_ms: 0.0,
     busy_ms: 0.0,
-    points: 0,
-    cached: 0,
-    jobs: 0,
 });
 
 fn note_sweep(stats: &SweepStats) {
     let mut t = SWEEP_TOTALS.lock().expect("sweep totals poisoned");
+    t.points += stats.points;
+    t.jobs = t.jobs.max(stats.jobs);
+    t.cached += stats.cached;
+    t.failed += stats.failed;
     t.wall_ms += stats.wall_ms;
     t.busy_ms += stats.busy_ms;
-    t.points += stats.points;
-    t.cached += stats.cached;
-    t.jobs = t.jobs.max(stats.jobs);
-}
-
-/// Snapshot of this process's accumulated sweep counters.
-pub fn sweep_totals() -> SweepTotals {
-    SWEEP_TOTALS.lock().expect("sweep totals poisoned").clone()
 }
 
 /// Runs labelled configurations through the [`SweepRunner`] (parallel +
@@ -228,7 +136,7 @@ pub fn sweep_totals() -> SweepTotals {
 /// Panics when a configuration is invalid (unknown workload etc.) —
 /// experiment binaries fail loudly.
 pub fn run_configs(jobs: Vec<(String, SimConfig)>) -> Vec<RunResult> {
-    let outcome = SweepRunner::from_env().run(&jobs);
+    let outcome = SweepRunner::for_env(env()).run(&jobs);
     note_sweep(&outcome.stats);
     let mut results = Vec::with_capacity(jobs.len());
     let mut failures = Vec::new();
@@ -259,46 +167,6 @@ pub fn run_configs(jobs: Vec<(String, SimConfig)>) -> Vec<RunResult> {
 /// [`run_configs`] over [`PointSpec`]s (the common case).
 pub fn run_points(specs: &[PointSpec]) -> Vec<RunResult> {
     run_configs(specs.iter().map(|s| (s.label(), s.config())).collect())
-}
-
-/// Runs one configuration, or terminates the binary with a diagnostic
-/// dump (see [`run_configs`] for the failure contract).
-///
-/// # Panics
-///
-/// Panics when the configuration is invalid (unknown workload etc.) —
-/// experiment binaries fail loudly.
-pub fn run_or_die(cfg: &SimConfig, label: &str) -> RunResult {
-    run_configs(vec![(label.to_owned(), cfg.clone())])
-        .pop()
-        .expect("one job in, one result out")
-}
-
-/// One experiment run with the harness-wide settings applied. Warm-up and
-/// measurement are clamped to the [`max_cycles`] budget, and a wedged
-/// network aborts with a diagnostic dump (see [`run_configs`]).
-///
-/// # Panics
-///
-/// Panics when the configuration is invalid (unknown workload etc.) —
-/// experiment binaries fail loudly.
-pub fn run_point(cores: u16, mechanism: MechanismConfig, app: &str, seed: u64) -> RunResult {
-    run_points(&[PointSpec::new(cores, mechanism, app, seed)])
-        .pop()
-        .expect("one point in, one result out")
-}
-
-/// Runs `mechanism` over all experiment apps (× `RC_SEEDS` seeds) through
-/// the sweep runner; returns one result per (app, seed), in grid order.
-/// `seed` offsets the seed sequence so paired comparisons stay paired.
-pub fn run_apps(cores: u16, mechanism: MechanismConfig, seed: u64) -> Vec<RunResult> {
-    run_points(&app_seed_points(cores, mechanism, seed))
-}
-
-/// Mean of a per-run metric across applications, with CI95 half-width.
-pub fn mean_ci<F: Fn(&RunResult) -> f64>(results: &[RunResult], f: F) -> (f64, f64) {
-    let acc: Accumulator = results.iter().map(f).collect();
-    (acc.mean(), acc.ci95_half_width())
 }
 
 /// Writes an experiment's raw rows to `target/experiments/<name>.json`.
@@ -354,7 +222,7 @@ pub fn bench_row(label: &str, cores: u16, results: &[RunResult]) -> BenchRow {
 /// Writes a bench summary to `target/experiments/BENCH_<name>.json` —
 /// the machine-readable counterpart of the human-readable stdout tables,
 /// consumed by `validate_bench` and external dashboards. The process's
-/// accumulated sweep counters ([`sweep_totals`]) are stamped into the
+/// accumulated sweep counters are stamped into the
 /// summary's `wall_ms`/`busy_ms`/`jobs`/`cached_points` fields, so every
 /// `BENCH_<name>.json` records how fast its sweep executed and how much
 /// the result cache saved.
@@ -365,7 +233,7 @@ pub fn bench_row(label: &str, cores: u16, results: &[RunResult]) -> BenchRow {
 /// [`BenchSummary::validate`]) — a malformed summary must fail the run,
 /// not poison downstream consumers.
 pub fn save_bench_summary(summary: &mut BenchSummary) {
-    let totals = sweep_totals();
+    let totals = SWEEP_TOTALS.lock().expect("sweep totals poisoned").clone();
     summary.wall_ms = totals.wall_ms;
     summary.busy_ms = totals.busy_ms;
     summary.jobs = totals.jobs;
@@ -426,20 +294,6 @@ pub fn mean_outcomes(results: &[RunResult]) -> BTreeMap<String, f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn defaults_are_sane() {
-        assert!(!experiment_apps().is_empty());
-        assert!(measure_cycles() > 0);
-        assert!(cores_list().contains(&16));
-    }
-
-    #[test]
-    fn mean_ci_works() {
-        let r: Vec<RunResult> = Vec::new();
-        let (m, ci) = mean_ci(&r, |x| x.instructions as f64);
-        assert_eq!((m, ci), (0.0, 0.0));
-    }
 
     #[test]
     fn bench_row_weights_latency_by_count() {

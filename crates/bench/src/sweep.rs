@@ -2,11 +2,11 @@
 //!
 //! Every experiment binary is a sweep over independent, seed-deterministic
 //! [`SimConfig`] points. [`SweepRunner`] fans a job list across
-//! `std::thread::scope` workers (`RC_JOBS`, default = available
-//! parallelism; `RC_JOBS=1` is the exact serial path — no threads are
-//! spawned) and collects results **in submission order**, so tables and
-//! `BENCH_<name>.json` rows are byte-identical regardless of worker
-//! count. Per-point failures are collected, not fatal mid-sweep.
+//! `std::thread::scope` workers (`RC_JOBS`; one worker is the exact
+//! serial path — no threads are spawned) and collects results **in
+//! submission order**, so tables and `BENCH_<name>.json` rows are
+//! byte-identical regardless of worker count. Per-point failures are
+//! collected, not fatal mid-sweep.
 //!
 //! Completed points are cached under `target/experiments/cache/` (or
 //! `RC_CACHE_DIR`), keyed by [`cache_key`]: a stable FNV-1a hash of the
@@ -15,35 +15,19 @@
 //! bypasses the cache entirely. A corrupt, truncated or stale-format
 //! cache file is treated as a miss and recomputed, never an error.
 
-use rcsim_system::{run_sim, run_sim_resumable, KernelMode, RunResult, SimConfig, SimError};
+use crate::env::RunEnv;
+use rcsim_system::{
+    fnv1a_64, run_sim_resumable, run_sim_with_kernel, KernelMode, RunResult, SimConfig, SimError,
+};
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 use std::time::Instant;
 
-/// Cycles between periodic checkpoints when `RC_CKPT_DIR` enables them
-/// without an explicit `RC_CKPT_INTERVAL`. Long enough that the snapshot
-/// cost stays well under 5% of the wall time of any realistic point (the
-/// `BENCH_checkpoint` harness asserts it), short enough that a killed
-/// overnight sweep loses minutes, not hours.
-pub const DEFAULT_CKPT_INTERVAL: u64 = 100_000;
-
 /// Bumped whenever [`RunResult`] or the simulator's semantics change in a
 /// way that invalidates previously cached results. Part of the cache key,
 /// so stale entries are simply never looked up again.
 pub const CACHE_FORMAT_VERSION: u32 = 2;
-
-/// Stable 64-bit FNV-1a over `bytes` — deliberately not `DefaultHasher`,
-/// whose output may change between Rust releases; cache keys must be
-/// stable across toolchains.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// The content hash a [`SimConfig`] is cached under: FNV-1a of the
 /// version-prefixed serde JSON form. Any field change — seed, cycles,
@@ -51,7 +35,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// only if the config fails to serialize (never happens in practice).
 pub fn cache_key(cfg: &SimConfig) -> Option<u64> {
     let json = serde_json::to_string(cfg).ok()?;
-    Some(fnv1a(
+    Some(fnv1a_64(
         format!("rcsim-cache-v{CACHE_FORMAT_VERSION}:{json}").as_bytes(),
     ))
 }
@@ -101,64 +85,33 @@ pub struct SweepRunner {
     workers: usize,
     cache_dir: Option<PathBuf>,
     checkpoints: Option<(PathBuf, u64)>,
+    kernel: KernelMode,
 }
 
 impl SweepRunner {
     /// A runner with an explicit worker count and cache directory
-    /// (`None` disables caching). Tests use this to avoid touching the
-    /// process environment.
+    /// (`None` disables caching), no checkpoints, the event kernel.
     pub fn new(workers: usize, cache_dir: Option<PathBuf>) -> Self {
         Self {
             workers: workers.max(1),
             cache_dir,
             checkpoints: None,
+            kernel: KernelMode::Event,
         }
     }
 
-    /// Enables crash resilience: uncached points checkpoint to `dir`
-    /// every `interval` cycles and resume from the latest valid
-    /// checkpoint on a rerun, so a killed sweep re-does at most
-    /// `interval` cycles per in-flight point. Composes with the result
-    /// cache — a finished point is served from the cache, a half-finished
-    /// one from its checkpoint.
-    #[must_use]
-    pub fn with_checkpoints(mut self, dir: PathBuf, interval: u64) -> Self {
-        self.checkpoints = Some((dir, interval.max(1)));
-        self
-    }
-
-    /// The runner the experiment binaries use: `RC_JOBS` workers (default
-    /// = available parallelism), caching under `RC_CACHE_DIR` (default
-    /// `target/experiments/cache/`) unless `RC_NO_CACHE=1`.
-    pub fn from_env() -> Self {
-        let workers = std::env::var("RC_JOBS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n >= 1)
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(std::num::NonZeroUsize::get)
-                    .unwrap_or(1)
-            });
-        let cache_dir = if std::env::var("RC_NO_CACHE").is_ok_and(|v| v == "1") {
-            None
-        } else {
-            Some(PathBuf::from(
-                std::env::var("RC_CACHE_DIR")
-                    .unwrap_or_else(|_| "target/experiments/cache".to_owned()),
-            ))
-        };
-        let runner = Self::new(workers, cache_dir);
-        match std::env::var("RC_CKPT_DIR") {
-            Ok(dir) if !dir.is_empty() => {
-                let interval = std::env::var("RC_CKPT_INTERVAL")
-                    .ok()
-                    .and_then(|v| v.parse::<u64>().ok())
-                    .filter(|&n| n >= 1)
-                    .unwrap_or(DEFAULT_CKPT_INTERVAL);
-                runner.with_checkpoints(PathBuf::from(dir), interval)
-            }
-            _ => runner,
+    /// The runner the experiment binaries use: everything as `env` says
+    /// (`RC_JOBS`, `RC_CACHE_DIR`/`RC_NO_CACHE`, `RC_KERNEL`). Under
+    /// `RC_CKPT_DIR`/`RC_CKPT_INTERVAL` uncached points checkpoint to that
+    /// directory every interval and resume from the latest valid
+    /// checkpoint on a rerun, so a killed sweep re-does at most one
+    /// interval per in-flight point; a finished point is served from the
+    /// cache, a half-finished one from its checkpoint.
+    pub fn for_env(env: &RunEnv) -> Self {
+        Self {
+            checkpoints: env.checkpoints.clone(),
+            kernel: env.kernel,
+            ..Self::new(env.jobs, env.cache_dir.clone())
         }
     }
 
@@ -173,9 +126,14 @@ impl SweepRunner {
     }
 
     /// The checkpoint directory and interval, when crash resilience is
-    /// enabled (`RC_CKPT_DIR` / [`Self::with_checkpoints`]).
+    /// enabled (`RC_CKPT_DIR`).
     pub fn checkpoints(&self) -> Option<(&Path, u64)> {
         self.checkpoints.as_ref().map(|(d, i)| (d.as_path(), *i))
+    }
+
+    /// The simulation kernel every point runs under.
+    pub fn kernel(&self) -> KernelMode {
+        self.kernel
     }
 
     /// The on-disk cache file a config maps to, if caching is enabled.
@@ -229,14 +187,15 @@ impl SweepRunner {
         }
         let started = Instant::now();
         let res = match &self.checkpoints {
-            Some((dir, interval)) => run_sim_resumable(cfg, KernelMode::from_env(), dir, *interval),
-            None => run_sim(cfg),
+            Some((dir, interval)) => run_sim_resumable(cfg, self.kernel, dir, *interval),
+            None => run_sim_with_kernel(cfg, self.kernel),
         };
         let ms = started.elapsed().as_secs_f64() * 1e3;
         match &res {
             Ok(r) => {
                 self.cache_store(cfg, r);
-                eprintln!("[sweep {worker}] {label}: ran in {ms:.0} ms");
+                let kernel = self.kernel;
+                eprintln!("[sweep {worker}] {label}: ran in {ms:.0} ms ({kernel:?} kernel)");
             }
             Err(e) => eprintln!("[sweep {worker}] {label}: FAILED ({e})"),
         }
@@ -322,13 +281,6 @@ mod tests {
     use rcsim_core::MechanismConfig;
 
     #[test]
-    fn fnv1a_is_stable() {
-        // Pinned values: the on-disk cache outlives any single build.
-        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
-    }
-
-    #[test]
     fn cache_key_tracks_every_field() {
         let base = SimConfig::quick(16, MechanismConfig::baseline(), "fft");
         let k0 = cache_key(&base).unwrap();
@@ -343,10 +295,11 @@ mod tests {
         assert_ne!(cache_key(&mech).unwrap(), k0);
     }
 
+    /// The driver itself (resume from a planted checkpoint, stale and
+    /// garbage files) is `rcsim-system`'s `checkpoint_diff`; this pins
+    /// that a checkpointing runner hands its directory through.
     #[test]
-    fn checkpointed_sweep_is_byte_identical_and_resumes() {
-        use rcsim_system::{SessionSnapshot, SimSession};
-
+    fn checkpointed_sweep_is_byte_identical_and_leaves_nothing_behind() {
         let cfg = SimConfig {
             warmup_cycles: 300,
             measure_cycles: 900,
@@ -354,36 +307,18 @@ mod tests {
         };
         let dir = std::env::temp_dir().join(format!("rcsim-sweep-ckpt-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let jobs = [("point".to_owned(), cfg.clone())];
-
+        let jobs = [("point".to_owned(), cfg)];
         let plain = SweepRunner::new(1, None).run(&jobs);
-        let ckpt = SweepRunner::new(1, None)
-            .with_checkpoints(dir.clone(), 250)
-            .run(&jobs);
+        let checkpointing = SweepRunner {
+            checkpoints: Some((dir.clone(), 250)),
+            ..SweepRunner::new(1, None)
+        };
         assert_eq!(
             serde_json::to_string(plain.results[0].as_ref().unwrap()).unwrap(),
-            serde_json::to_string(ckpt.results[0].as_ref().unwrap()).unwrap(),
+            serde_json::to_string(checkpointing.run(&jobs).results[0].as_ref().unwrap()).unwrap(),
             "checkpointed run diverged from the plain run"
         );
-
-        // A half-finished checkpoint left behind by a "killed" run is
-        // picked up: plant one mid-run at the exact path the resumable
-        // driver uses, rerun, and the result must still be identical.
-        let json = serde_json::to_string(&cfg).unwrap();
-        let path = dir.join(format!("{:016x}.ckpt", fnv1a(json.as_bytes())));
-        let mut half = SimSession::new(&cfg, None, KernelMode::Event, 1).unwrap();
-        half.run_until(700).unwrap();
-        half.checkpoint().save(&path).unwrap();
-        assert!(SessionSnapshot::load(&path).is_some());
-        let resumed = SweepRunner::new(1, None)
-            .with_checkpoints(dir.clone(), 250)
-            .run(&jobs);
-        assert_eq!(
-            serde_json::to_string(plain.results[0].as_ref().unwrap()).unwrap(),
-            serde_json::to_string(resumed.results[0].as_ref().unwrap()).unwrap(),
-            "resumed run diverged from the plain run"
-        );
-        assert!(!path.exists(), "completed point must remove its checkpoint");
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0);
         std::fs::remove_dir_all(&dir).ok();
     }
 

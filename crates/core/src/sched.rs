@@ -26,17 +26,6 @@ pub enum KernelMode {
     Event,
 }
 
-impl KernelMode {
-    /// Reads the `RC_KERNEL` environment knob: `dense` selects the dense
-    /// reference kernel; anything else (including unset) selects `Event`.
-    pub fn from_env() -> Self {
-        match std::env::var("RC_KERNEL") {
-            Ok(v) if v.eq_ignore_ascii_case("dense") => KernelMode::Dense,
-            _ => KernelMode::Event,
-        }
-    }
-}
-
 /// Earliest-due-cycle tracker for a set of `n` components.
 ///
 /// `next[i]` is a lower bound that is never *later* than the true
@@ -78,13 +67,6 @@ impl WakeTimes {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn env_knob_selects_kernel() {
-        // `from_env` reads the process environment, which tests share;
-        // exercise only the pure parsing contract via the default.
-        assert_eq!(KernelMode::default(), KernelMode::Event);
-    }
 
     #[test]
     fn wake_is_min_merge_and_set_overwrites() {

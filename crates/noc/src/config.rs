@@ -36,33 +36,6 @@ pub struct NocConfig {
     /// (torus, ring) need one so each virtual network keeps at least two
     /// allocatable VCs after the dateline split halves them into classes.
     pub extra_reply_vcs: usize,
-    /// Head-of-line relief in the VC allocator: when the oldest waiting
-    /// VC of the winning input port cannot be allocated (its virtual
-    /// network has no free output VC), consider the port's younger
-    /// waiting VCs instead of granting nothing — the oldest VC would
-    /// otherwise shadow younger VCs forever and could close a
-    /// request/reply credit cycle into a hard deadlock under sustained
-    /// bidirectional load (the wedges pinned by `tests/echo_probe.rs`).
-    /// On by default since the legacy single-candidate sweep was retired
-    /// (the goldens are regenerated accordingly). Setting it to `false`
-    /// restores the legacy oldest-only sweep — the reproducible wedge the
-    /// wait-for-graph deadlock diagnoser is regression-tested against
-    /// (see [`crate::DeadlockReport`]).
-    #[serde(default = "default_true", skip_serializing_if = "is_true")]
-    pub va_hol_relief: bool,
-}
-
-/// Serde default for [`NocConfig::va_hol_relief`] (on since the legacy
-/// allocator was retired).
-fn default_true() -> bool {
-    true
-}
-
-/// `skip_serializing_if` helper: keeps default configs byte-identical to
-/// serializations from before the flag existed (cache keys, goldens).
-#[allow(clippy::trivially_copy_pass_by_ref)]
-fn is_true(b: &bool) -> bool {
-    *b
 }
 
 impl NocConfig {
@@ -80,7 +53,6 @@ impl NocConfig {
             link_latency: 1,
             inject_overhead: 6,
             extra_reply_vcs: usize::from(topology.has_wrap()),
-            va_hol_relief: true,
         }
     }
 

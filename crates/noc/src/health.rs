@@ -13,8 +13,10 @@
 
 use crate::fault::FaultStats;
 use crate::flit::PacketId;
+use crate::links::opposite_port;
+use crate::router::{VcWaiter, WaitEdge};
 use rcsim_core::circuit::CircuitKey;
-use rcsim_core::{Cycle, MessageClass, NodeId};
+use rcsim_core::{Cycle, MessageClass, NodeId, Topology};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -197,6 +199,113 @@ pub struct DeadlockReport {
     pub truncated: bool,
 }
 
+impl DeadlockReport {
+    /// The pure half of the diagnoser. Builds the wait-for graph over
+    /// `waiters` (each blocked input VC with its router; `vcs` input VCs
+    /// per port) — an edge runs from a blocked VC to the resource it
+    /// waits on: the downstream VC it needs credits from, or the
+    /// same-router VC owning its wanted output — then walks it with a
+    /// deterministic DFS (waiters in slot order, edges as listed) and
+    /// reports the first cycle, listing at most `cap` of its resources.
+    pub(crate) fn find(
+        topology: &Topology,
+        vcs: usize,
+        waiters: &[(NodeId, VcWaiter)],
+        cap: usize,
+    ) -> Option<Box<Self>> {
+        let ports = topology.ports();
+        let idx = |n: NodeId, p: usize, v: usize| (n.index() * ports + p) * vcs + v;
+        let total = topology.routers() * ports * vcs;
+        let mut edges: Vec<Vec<usize>> = vec![Vec::new(); total];
+        let mut waiter: Vec<Option<&(NodeId, VcWaiter)>> = vec![None; total];
+        for entry in waiters {
+            let (node, w) = entry;
+            let src = idx(*node, w.in_port, w.vc);
+            for e in &w.edges {
+                match *e {
+                    WaitEdge::Local { in_port, vc } => edges[src].push(idx(*node, in_port, vc)),
+                    WaitEdge::Downstream { out_vc } => {
+                        if let Some(nb) = topology.neighbor(*node, w.wants_port) {
+                            edges[src].push(idx(nb, opposite_port(w.wants_port), out_vc));
+                        }
+                    }
+                }
+            }
+            waiter[src] = Some(entry);
+        }
+        // Deterministic iterative DFS with tree-edge parents; a back
+        // edge to a gray node closes the cycle.
+        let mut color = vec![0u8; total]; // 0 white, 1 gray, 2 black
+        let mut parent = vec![usize::MAX; total];
+        for start in 0..total {
+            if color[start] != 0 || waiter[start].is_none() {
+                continue;
+            }
+            color[start] = 1;
+            let mut stack = vec![(start, 0usize)];
+            while let Some(&mut (node, ref mut ei)) = stack.last_mut() {
+                if *ei >= edges[node].len() {
+                    color[node] = 2;
+                    stack.pop();
+                    continue;
+                }
+                let next = edges[node][*ei];
+                *ei += 1;
+                if waiter[next].is_none() {
+                    // Waiting on an idle or progressing VC: a dangling
+                    // edge, never part of a cycle.
+                    continue;
+                }
+                match color[next] {
+                    0 => {
+                        color[next] = 1;
+                        parent[next] = node;
+                        stack.push((next, 0));
+                    }
+                    1 => {
+                        // Walk the tree path next → … → node; with the
+                        // back edge node → next it is the cycle, in
+                        // wait order (each entry waits on the next).
+                        let mut cycle = Vec::new();
+                        let mut cur = node;
+                        while cur != next {
+                            cycle.push(cur);
+                            cur = parent[cur];
+                        }
+                        cycle.push(next);
+                        cycle.reverse();
+                        let cycle_len = cycle.len();
+                        let resources = cycle
+                            .iter()
+                            .take(cap)
+                            .map(|&ix| {
+                                let (node, w) = waiter[ix].expect("cycle nodes are waiters");
+                                DeadlockResource {
+                                    node: *node,
+                                    in_port: w.in_port,
+                                    vc: w.vc,
+                                    packet: w.packet,
+                                    wants_port: w.wants_port,
+                                    out_vc: w.out_vc,
+                                    credits: w.credits,
+                                    held_by_circuit: w.held_by_circuit,
+                                }
+                            })
+                            .collect();
+                        return Some(Box::new(DeadlockReport {
+                            resources,
+                            cycle_len,
+                            truncated: cycle_len > cap,
+                        }));
+                    }
+                    _ => {}
+                }
+            }
+        }
+        None
+    }
+}
+
 impl HealthReport {
     /// `true` when the report shows nothing suspicious: no stall, no
     /// suspected leaks, nothing abandoned.
@@ -330,12 +439,130 @@ impl fmt::Display for HealthReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rcsim_core::{PORT_EAST, PORT_LOCAL, PORT_NORTH, PORT_SOUTH, PORT_WEST};
 
     #[test]
     fn default_report_is_healthy() {
         let r = HealthReport::default();
         assert!(r.healthy());
         assert!(!r.stalled);
+    }
+
+    /// A blocked VC 0 of `in_port` at router `node` heading out of
+    /// `wants_port`: a credit wait for a `Downstream` edge (output VC 0
+    /// allocated, no credits), a VA wait for a `Local` one.
+    fn waiter(node: u16, in_port: usize, wants_port: usize, edge: WaitEdge) -> (NodeId, VcWaiter) {
+        let w = VcWaiter {
+            in_port,
+            vc: 0,
+            packet: Some(PacketId(u64::from(node))),
+            wants_port,
+            out_vc: matches!(edge, WaitEdge::Downstream { .. }).then_some(0),
+            credits: 0,
+            held_by_circuit: None,
+            edges: vec![edge],
+        };
+        (NodeId(node), w)
+    }
+
+    /// The clockwise credit cycle around a 2×2 mesh (0 → 1 → 3 → 2 → 0):
+    /// every router's VC holds a packet that wants the next router's VC.
+    fn ring_2x2() -> Vec<(NodeId, VcWaiter)> {
+        let down = WaitEdge::Downstream { out_vc: 0 };
+        vec![
+            waiter(0, PORT_SOUTH, PORT_EAST, down),
+            waiter(1, PORT_WEST, PORT_SOUTH, down),
+            waiter(2, PORT_EAST, PORT_NORTH, down),
+            waiter(3, PORT_NORTH, PORT_WEST, down),
+        ]
+    }
+
+    fn find(waiters: &[(NodeId, VcWaiter)], cap: usize) -> Option<Box<DeadlockReport>> {
+        let mesh = Topology::Mesh(rcsim_core::Mesh::square(4).unwrap());
+        DeadlockReport::find(&mesh, 2, waiters, cap)
+    }
+
+    fn nodes(report: &DeadlockReport) -> Vec<u16> {
+        report.resources.iter().map(|r| r.node.0).collect()
+    }
+
+    #[test]
+    fn credit_cycle_is_reported_in_wait_order() {
+        let report = find(&ring_2x2(), 8).expect("four VCs wait in a circle");
+        assert_eq!(nodes(&report), [0, 1, 3, 2], "each entry waits on the next");
+        assert_eq!((report.cycle_len, report.truncated), (4, false));
+        let r = &report.resources[0];
+        assert_eq!((r.in_port, r.vc, r.wants_port), (PORT_SOUTH, 0, PORT_EAST));
+        assert_eq!(
+            (r.out_vc, r.credits, r.packet),
+            (Some(0), 0, Some(PacketId(0)))
+        );
+    }
+
+    #[test]
+    fn chain_ending_at_an_idle_vc_is_not_a_deadlock() {
+        // Router 2's VC is not blocked, so 0 → 1 → 3 → (idle) closes nothing.
+        let mut chain = ring_2x2();
+        chain.remove(2);
+        assert_eq!(find(&chain, 8), None);
+        assert_eq!(find(&[], 8), None);
+    }
+
+    #[test]
+    fn local_edge_closes_a_cycle_inside_one_router() {
+        // At router 0 the VC fed from the south waits in VA for the east
+        // output, which the local port's VC owns; that one is out of
+        // credits, and the wait runs round the mesh back to the first.
+        let mut waiters = ring_2x2();
+        waiters[0] = waiter(
+            0,
+            PORT_SOUTH,
+            PORT_EAST,
+            WaitEdge::Local {
+                in_port: PORT_LOCAL,
+                vc: 0,
+            },
+        );
+        waiters.push(waiter(
+            0,
+            PORT_LOCAL,
+            PORT_EAST,
+            WaitEdge::Downstream { out_vc: 0 },
+        ));
+        let report = find(&waiters, 8).expect("the local edge joins the cycle");
+        assert_eq!(nodes(&report), [0, 0, 1, 3, 2]);
+        assert_eq!(
+            report.resources[0].out_vc, None,
+            "a VA wait holds no output VC"
+        );
+        assert_eq!(report.resources[1].in_port, PORT_LOCAL);
+    }
+
+    #[test]
+    fn long_cycle_is_truncated_with_its_length_intact() {
+        let report = find(&ring_2x2(), 2).expect("same cycle, smaller cap");
+        assert_eq!(nodes(&report), [0, 1]);
+        assert_eq!((report.cycle_len, report.truncated), (4, true));
+    }
+
+    #[test]
+    fn display_renders_the_deadlock_section() {
+        let mut health = HealthReport {
+            stalled: true,
+            deadlock: find(&ring_2x2(), 8),
+            ..HealthReport::default()
+        };
+        let s = health.to_string();
+        assert!(
+            s.contains("DEADLOCK: circular wait over 4 channel resources:"),
+            "{s}"
+        );
+        assert!(
+            s.contains("n0/in2/vc0 holds Some(PacketId(0)), wants out1 vc0 (0 credits)"),
+            "{s}"
+        );
+        health.deadlock = find(&ring_2x2(), 2);
+        assert!(health.to_string().contains("(listing truncated)"));
     }
 
     #[test]

@@ -7,16 +7,15 @@ use crate::config::NocConfig;
 use crate::fault::{FaultConfig, FaultSnapshot, FaultState, FaultStats};
 use crate::flit::{Delivered, Flit, PacketId, PacketSpec};
 use crate::health::{
-    AdaptiveReport, DeadlockReport, DeadlockResource, HealthReport, LeakedCircuit, StuckMessage,
-    WatchdogConfig,
+    AdaptiveReport, DeadlockReport, HealthReport, LeakedCircuit, StuckMessage, WatchdogConfig,
 };
 use crate::ingress::{
     Admission, IngressConfig, IngressSnapshot, IngressState, OverloadReport, ReleasedArrival,
     ShedArrival,
 };
-use crate::links::{opposite_port, Links, NiLink};
+use crate::links::{Links, NiLink};
 use crate::ni::{Ni, NiOut, NiSnapshot};
-use crate::router::{Router, RouterSnapshot, VcWaiter, WaitEdge};
+use crate::router::{Router, RouterSnapshot};
 use crate::stats::{CircuitOutcome, NocStats};
 use rcsim_core::circuit::CircuitKey;
 use rcsim_core::routing::{path_is_healthy, Routing};
@@ -82,9 +81,6 @@ struct AdaptiveState {
     controller: PolicyController,
     report: AdaptiveReport,
     next_decision: Cycle,
-    /// `RC_ADAPT_DEBUG` was set when adaptation was enabled: dump every
-    /// epoch's region scores to stderr.
-    debug: bool,
 }
 
 /// One injected packet, tracked until delivery or abandonment: the raw
@@ -261,7 +257,7 @@ impl Network {
             faulted_circuits: HashSet::new(),
             dead_eating: HashSet::new(),
             last_progress: 0,
-            kernel: KernelMode::from_env(),
+            kernel: KernelMode::Event,
             ni_wake: WakeTimes::new(tiles),
             router_wake: WakeTimes::new(routers_n),
             scratch: Scratch::default(),
@@ -276,15 +272,10 @@ impl Network {
     pub fn set_shards(&mut self, _shards: usize) {}
 
     /// Selects the simulation kernel. Both kernels are required to
-    /// produce byte-identical results; `Event` (the default, overridable
-    /// via `RC_KERNEL=dense`) skips provably idle components.
+    /// produce byte-identical results; `Event` (the default) skips
+    /// provably idle components.
     pub fn set_kernel(&mut self, kernel: KernelMode) {
         self.kernel = kernel;
-    }
-
-    /// The active simulation kernel.
-    pub fn kernel(&self) -> KernelMode {
-        self.kernel
     }
 
     /// Installs the adaptive runtime-policy layer (DESIGN.md §14): a
@@ -314,7 +305,6 @@ impl Network {
             controller,
             report: AdaptiveReport::default(),
             next_decision: self.now + cfg.decision_epoch,
-            debug: std::env::var_os("RC_ADAPT_DEBUG").is_some(),
         }));
         Ok(())
     }
@@ -748,14 +738,6 @@ impl Network {
                 ad.next_decision += ad.cfg.decision_epoch;
             }
             let samples = self.region_samples(&ad.plan);
-            // Threshold-calibration aid: `RC_ADAPT_DEBUG=1` dumps every
-            // epoch's region scores to stderr so `hot_enter`/`hot_exit`
-            // can be placed relative to a workload's calm and burst
-            // bands. Output only — never feeds back into decisions.
-            if ad.debug {
-                let scores: Vec<u64> = samples.iter().map(|s| s.score()).collect();
-                eprintln!("[adaptive] t={now} scores={scores:?}");
-            }
             let decisions = ad.controller.decide(now, &samples);
             ad.report.decisions += 1;
             let mut newly_hot: Vec<usize> = Vec::new();
@@ -1312,119 +1294,24 @@ impl Network {
         }
     }
 
-    /// The wait-for-graph deadlock diagnoser. Builds the blocked-VC
-    /// graph — nodes are input-VC channel resources, an edge runs from
-    /// a blocked VC to the resource it waits on (the downstream VC it
-    /// needs credits from, or the same-router VC owning its wanted
-    /// output) — then walks it with a deterministic DFS (routers in id
-    /// order, edges sorted) and reports the first cycle. Returns `None`
-    /// when no cycle exists, so a stall caused by livelock or lost
-    /// credits is not misreported as a deadlock.
+    /// The wait-for-graph deadlock diagnoser: collects every router's
+    /// blocked input VCs ([`Router::waiters`], routers in id order) and
+    /// hands them to [`DeadlockReport::find`]. Returns `None` when no
+    /// cycle exists, so a stall caused by livelock or lost credits is
+    /// not misreported as a deadlock.
     pub fn deadlock_report(&self) -> Option<Box<DeadlockReport>> {
-        let ports = self.cfg.topology.ports();
-        let vcs = self.cfg.vc_layout().total();
-        let idx = |n: usize, p: usize, v: usize| (n * ports + p) * vcs + v;
-        let total = self.routers.len() * ports * vcs;
-        let mut edges: Vec<Vec<usize>> = vec![Vec::new(); total];
-        let mut waiters: Vec<Option<(NodeId, VcWaiter)>> = vec![None; total];
+        let mut waiters = Vec::new();
         let mut buf = Vec::new();
-        for (i, r) in self.routers.iter().enumerate() {
-            buf.clear();
+        for (r, id) in self.routers.iter().zip(self.cfg.topology.iter_routers()) {
             r.waiters(self.now, &mut buf);
-            for w in buf.drain(..) {
-                let src = idx(i, w.in_port, w.vc);
-                for e in &w.edges {
-                    match *e {
-                        WaitEdge::Local { in_port, vc } => edges[src].push(idx(i, in_port, vc)),
-                        WaitEdge::Downstream { out_vc } => {
-                            let Some(nb) =
-                                self.cfg.topology.neighbor(NodeId(i as u16), w.wants_port)
-                            else {
-                                continue;
-                            };
-                            edges[src].push(idx(
-                                nb.0 as usize,
-                                opposite_port(w.wants_port),
-                                out_vc,
-                            ));
-                        }
-                    }
-                }
-                waiters[src] = Some((NodeId(i as u16), w));
-            }
+            waiters.extend(buf.drain(..).map(|w| (id, w)));
         }
-        // Deterministic iterative DFS with tree-edge parents; a back
-        // edge to a gray node closes the cycle.
-        let mut color = vec![0u8; total]; // 0 white, 1 gray, 2 black
-        let mut parent = vec![usize::MAX; total];
-        for start in 0..total {
-            if color[start] != 0 || waiters[start].is_none() {
-                continue;
-            }
-            color[start] = 1;
-            let mut stack = vec![(start, 0usize)];
-            while let Some(&mut (node, ref mut ei)) = stack.last_mut() {
-                if *ei >= edges[node].len() {
-                    color[node] = 2;
-                    stack.pop();
-                    continue;
-                }
-                let next = edges[node][*ei];
-                *ei += 1;
-                if waiters[next].is_none() {
-                    // Waiting on an idle or progressing VC: a dangling
-                    // edge, never part of a cycle.
-                    continue;
-                }
-                match color[next] {
-                    0 => {
-                        color[next] = 1;
-                        parent[next] = node;
-                        stack.push((next, 0));
-                    }
-                    1 => {
-                        // Walk the tree path next → … → node; with the
-                        // back edge node → next it is the cycle, in
-                        // wait order (each entry waits on the next).
-                        let mut cycle = Vec::new();
-                        let mut cur = node;
-                        while cur != next {
-                            cycle.push(cur);
-                            cur = parent[cur];
-                        }
-                        cycle.push(next);
-                        cycle.reverse();
-                        let cycle_len = cycle.len();
-                        let cap = self.watchdog.max_report_entries;
-                        let resources = cycle
-                            .iter()
-                            .take(cap)
-                            .map(|&ix| {
-                                let (node, w) =
-                                    waiters[ix].as_ref().expect("cycle nodes are waiters");
-                                DeadlockResource {
-                                    node: *node,
-                                    in_port: w.in_port,
-                                    vc: w.vc,
-                                    packet: w.packet,
-                                    wants_port: w.wants_port,
-                                    out_vc: w.out_vc,
-                                    credits: w.credits,
-                                    held_by_circuit: w.held_by_circuit,
-                                }
-                            })
-                            .collect();
-                        return Some(Box::new(DeadlockReport {
-                            resources,
-                            cycle_len,
-                            truncated: cycle_len > cap,
-                        }));
-                    }
-                    _ => {}
-                }
-            }
-        }
-        None
+        DeadlockReport::find(
+            &self.cfg.topology,
+            self.cfg.vc_layout().total(),
+            &waiters,
+            self.watchdog.max_report_entries,
+        )
     }
 
     /// Captures every piece of dynamic network state. Must be taken

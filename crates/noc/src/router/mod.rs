@@ -151,11 +151,6 @@ pub(crate) struct Router {
     /// refused and bypasses forced to the packet pipeline (DESIGN.md
     /// §10).
     degraded: bool,
-    /// Whether VC allocation walks *all* of an input port's waiting VCs
-    /// in age order (`true`, the default) or only the oldest one — the
-    /// retired legacy behaviour, kept reachable for deadlock-diagnoser
-    /// regressions (`NocConfig::va_hol_relief`).
-    va_hol_relief: bool,
     pub(crate) activity: Activity,
     /// Where trace events go; disabled by default.
     sink: TraceSink,
@@ -200,7 +195,6 @@ impl Router {
             bypass_retry: (0..ports).map(|_| VecDeque::new()).collect(),
             occ: OccupancyIndex::default(),
             degraded: false,
-            va_hol_relief: cfg.va_hol_relief,
             activity: Activity::default(),
             sink: TraceSink::default(),
         }
@@ -777,14 +771,13 @@ impl Router {
                 tried &= !(1 << winner);
                 // The winning input port's WaitVa VCs for this output,
                 // walked in age order: the first candidate that can
-                // actually be allocated wins. (The retired legacy
-                // allocator considered only the oldest VC; if its virtual
-                // network had no free output VC the whole input port was
-                // passed over, and since that oldest VC never changes,
-                // younger VCs behind it were shadowed forever — a
-                // head-of-line wait that can close a request/reply credit
-                // cycle into a hard deadlock under sustained load; see
-                // `NocConfig::va_hol_relief` and tests/echo_probe.rs.)
+                // actually be allocated wins. (Considering only the
+                // oldest VC would pass the whole input port over whenever
+                // that VC's virtual network has no free output VC, and
+                // since the oldest VC never changes, younger VCs behind it
+                // would wait forever — a head-of-line wait that can close
+                // a request/reply credit cycle into a hard deadlock under
+                // sustained load; see tests/echo_probe.rs.)
                 let mut candidates = std::mem::take(&mut self.va_scratch);
                 candidates.clear();
                 let inputs = &self.vcs[self.slot(winner, 0)..];
@@ -798,12 +791,6 @@ impl Router {
                         }),
                 );
                 candidates.sort_unstable_by_key(|&(since, v, _, _)| (since, v));
-                if !self.va_hol_relief {
-                    // Legacy single-candidate sweep: only the oldest VC may
-                    // be allocated, recreating the head-of-line wedge the
-                    // deadlock diagnoser is regression-tested against.
-                    candidates.truncate(1);
-                }
                 for &(_, v, vnet, dst) in &candidates {
                     let free_vc = self
                         .allocatable(out_port, vnet, dst)
@@ -1100,29 +1087,7 @@ impl Router {
                     credits
                 }
                 None => {
-                    // Under the legacy oldest-only allocator a WaitVa
-                    // VC that is not the oldest same-route VC of its
-                    // input port is never even tried: it waits on the
-                    // shadowing VC, not on any output resource.
-                    let shadow = (!self.va_hol_relief)
-                        .then(|| {
-                            self.vcs[self.slot(p, 0)..][..self.layout.total()]
-                                .iter()
-                                .enumerate()
-                                .filter(|(_, o)| {
-                                    o.state == VcState::WaitVa && o.route == Some(route)
-                                })
-                                .min_by_key(|(ov, o)| (o.state_since, *ov))
-                                .map(|(ov, _)| ov)
-                        })
-                        .flatten()
-                        .filter(|&oldest| oldest != v);
-                    if let Some(oldest) = shadow {
-                        edges.push(WaitEdge::Local {
-                            in_port: p,
-                            vc: oldest,
-                        });
-                    } else if vc.state == VcState::WaitVa {
+                    if vc.state == VcState::WaitVa {
                         let head = front.head();
                         let cands: Vec<usize> =
                             self.allocatable(route, head.vnet, head.dst).collect();

@@ -1,183 +1,17 @@
-//! Wait-for-graph deadlock diagnoser regression, pinned to the legacy
-//! VC allocator's reproducible wedge (see `echo_probe.rs`): with
-//! `va_hol_relief` off, the allocator considers only the oldest waiting
-//! VC per input port, and sustained bidirectional echo traffic under
-//! Complete circuits closes a request/reply credit cycle into a hard
-//! deadlock within a few hundred cycles. The watchdog must (a) declare
-//! the stall, (b) attach a [`DeadlockReport`] whose resources form an
-//! actual cycle in wait order, and (c) render it in the `Display` form
-//! `run_or_die` prints. A livelock-free healthy run must *not* carry a
-//! report.
+//! The wait-for-graph diagnoser on a live network: a healthy run must
+//! *not* carry a [`rcsim_noc::DeadlockReport`]. (The cycle finder itself
+//! is pinned on hand-built wait-for graphs in `health.rs`'s unit tests;
+//! the watchdog declaring a stall is `watchdog.rs`.)
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use rcsim_core::circuit::CircuitKey;
 use rcsim_core::{MechanismConfig, Mesh, MessageClass, NodeId};
-use rcsim_noc::{DeadlockReport, Network, NocConfig, PacketSpec, WatchdogConfig};
+use rcsim_noc::{Network, NocConfig, PacketSpec};
 
-/// Closed-loop echo (as in `echo_probe.rs`) on a network with the legacy
-/// oldest-only allocator: inject for a burst, then stop and let the
-/// network drain. A healthy network quiesces; the wedged request/reply
-/// cycle survives the drain, global progress ceases, and the watchdog
-/// fires. Returns the network at the stall, `None` if it drained clean.
-fn drive_until_stall(cores: u16, rate: f64, window: u32, seed: u64) -> Option<Network> {
-    let mesh = Mesh::square(cores).unwrap();
-    let mut cfg = NocConfig::paper_baseline(mesh, MechanismConfig::complete());
-    cfg.va_hol_relief = false;
-    let mut net = Network::new(cfg).unwrap();
-    net.set_watchdog(WatchdogConfig {
-        stall_window: 400,
-        ..WatchdogConfig::default()
-    });
-    let n = mesh.nodes() as u16;
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut outstanding = vec![0u32; n as usize];
-    let mut block = 0u64;
-    let echo = |net: &mut Network, outstanding: &mut [u32]| {
-        for (node, d) in net.take_all_delivered() {
-            if d.class == MessageClass::L1Request {
-                let key = CircuitKey {
-                    requestor: d.src,
-                    block: d.block,
-                };
-                net.inject(
-                    PacketSpec::new(node, d.src, MessageClass::L2Reply)
-                        .with_block(d.block)
-                        .with_circuit_key(key),
-                );
-            } else {
-                outstanding[node.0 as usize] -= 1;
-            }
-        }
-    };
-    for _ in 0..600u64 {
-        for s in 0..n {
-            if outstanding[s as usize] < window && rng.gen_bool(rate) {
-                let dst = loop {
-                    let d = NodeId(rng.gen_range(0..n));
-                    if d != NodeId(s) {
-                        break d;
-                    }
-                };
-                block += 64;
-                net.inject(
-                    PacketSpec::new(NodeId(s), dst, MessageClass::L1Request).with_block(block),
-                );
-                outstanding[s as usize] += 1;
-            }
-        }
-        net.tick();
-        echo(&mut net, &mut outstanding);
-    }
-    let deadline = net.now() + 30_000;
-    while !net.is_quiescent() && net.now() < deadline {
-        net.tick();
-        echo(&mut net, &mut outstanding);
-        if net.stalled() {
-            return Some(net);
-        }
-    }
-    None
-}
-
-/// The structural invariant of a reported cycle: every listed resource
-/// is a distinct blocked input VC, and (when untruncated) each entry's
-/// wanted channel leads to the next entry in wait order.
-fn assert_well_formed(report: &DeadlockReport) {
-    assert!(
-        report.cycle_len >= 2,
-        "a circular wait involves at least two resources"
-    );
-    assert!(!report.resources.is_empty(), "cycle with no resources");
-    assert!(report.resources.len() <= report.cycle_len);
-    assert_eq!(
-        report.truncated,
-        report.resources.len() < report.cycle_len,
-        "truncation flag disagrees with the listed length"
-    );
-    let mut seen = std::collections::BTreeSet::new();
-    for r in &report.resources {
-        assert!(
-            seen.insert((r.node, r.in_port, r.vc)),
-            "resource listed twice in one cycle"
-        );
-        assert!(
-            r.packet.is_some(),
-            "a blocked VC in a wait cycle holds a packet"
-        );
-        if r.out_vc.is_some() {
-            assert_eq!(r.credits, 0, "a credit wait has zero credits left");
-        }
-    }
-}
-
-#[test]
-fn legacy_allocator_wedge_is_diagnosed_as_a_cycle() {
-    // The pinned repro: the legacy allocator wedges this configuration
-    // deterministically (same seed → same wedge) within a few thousand
-    // cycles.
-    let mut diagnosed = 0;
-    for seed in 0..4u64 {
-        let Some(net) = drive_until_stall(16, 0.4, 64, seed) else {
-            continue;
-        };
-        let health = net.health();
-        assert!(health.stalled, "watchdog fired, report must say so");
-        let Some(report) = &health.deadlock else {
-            // A stall without a circular wait (e.g. pure injection
-            // backlog) is legal for the diagnoser; the pinned seeds
-            // below must produce at least one true cycle.
-            continue;
-        };
-        assert_well_formed(report);
-        let rendered = format!("{health}");
-        assert!(
-            rendered.contains("DEADLOCK: circular wait over"),
-            "Display must render the deadlock section:\n{rendered}"
-        );
-        assert!(
-            rendered.contains("wants out"),
-            "Display must render each blocked resource:\n{rendered}"
-        );
-        diagnosed += 1;
-    }
-    assert!(
-        diagnosed > 0,
-        "no seed produced a diagnosed deadlock — the pinned wedge is gone"
-    );
-}
-
-#[test]
-fn report_respects_the_entry_cap() {
-    for seed in 0..4u64 {
-        let Some(mut net) = drive_until_stall(16, 0.4, 64, seed) else {
-            continue;
-        };
-        net.set_watchdog(WatchdogConfig {
-            stall_window: 400,
-            max_report_entries: 2,
-            ..WatchdogConfig::default()
-        });
-        let health = net.health();
-        if let Some(report) = &health.deadlock {
-            assert!(report.resources.len() <= 2, "cap ignored");
-            if report.cycle_len > 2 {
-                assert!(report.truncated, "truncation must be flagged");
-            }
-            return;
-        }
-    }
-    panic!("no seed produced a diagnosed deadlock under the entry cap");
-}
-
-/// A healthy network — same traffic, modern allocator — must stall
-/// nowhere and carry no deadlock report, and a quiescent network's
-/// health must stay clean.
+/// A healthy network must stall nowhere and carry no deadlock report,
+/// and a quiescent network's health must stay clean.
 #[test]
 fn healthy_runs_carry_no_deadlock_report() {
     let mesh = Mesh::square(16).unwrap();
     let cfg = NocConfig::paper_baseline(mesh, MechanismConfig::complete());
-    assert!(cfg.va_hol_relief, "relief is the default");
     let mut net = Network::new(cfg).unwrap();
     net.inject(PacketSpec::new(NodeId(0), NodeId(15), MessageClass::L1Request).with_block(64));
     for _ in 0..200 {

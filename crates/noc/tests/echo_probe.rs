@@ -1,14 +1,12 @@
 //! Sustained closed-loop request/reply echo under Complete circuits.
 //!
-//! These configurations are wedge repros for the legacy VC allocator:
-//! it considered only the oldest waiting VC of the winning input port,
-//! and under sustained bidirectional load the oldest VC can be
-//! unallocatable (its VN's output VCs all draining) and shadow younger
-//! VCs forever, closing a request/reply credit cycle into a hard
-//! deadlock within a few hundred cycles. `NocConfig::va_hol_relief` —
-//! now the default and the only allocator path — walks the port's
-//! waiting VCs in age order instead; every configuration below must
-//! drain to quiescence.
+//! These configurations wedge a VC allocator that considers only the
+//! oldest waiting VC of the winning input port: under sustained
+//! bidirectional load the oldest VC can be unallocatable (its VN's
+//! output VCs all draining) and block younger VCs forever, closing a
+//! request/reply credit cycle into a hard deadlock within a few hundred
+//! cycles. `Router::stage_va` walks the port's waiting VCs in age order
+//! instead; every configuration below must drain to quiescence.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -33,7 +33,7 @@ use crate::sim::{assemble_result, build_chip, SimConfig, SimError, TraceConfig, 
 use rcsim_core::{Cycle, KernelMode};
 use rcsim_trace::{LatencyBreakdown, MetricsRegistry, PortableEvent, TraceEvent, TraceSink};
 use serde::{Deserialize, Serialize};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// Bumped whenever the snapshot layout changes incompatibly. A checkpoint
 /// carrying any other version is treated as a clean miss, never an error.
@@ -44,8 +44,9 @@ pub const CHECKPOINT_FORMAT_VERSION: u32 = 3;
 
 /// Stable 64-bit FNV-1a over `bytes` — deliberately not `DefaultHasher`,
 /// whose output may change between Rust releases; checkpoint checksums
-/// must be stable across toolchains.
-pub(crate) fn fnv1a_64(bytes: &[u8]) -> u64 {
+/// and file names, and the sweep result cache's keys, must be stable
+/// across toolchains.
+pub fn fnv1a_64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in bytes {
         h ^= u64::from(*b);
@@ -248,10 +249,8 @@ impl SimSession {
     /// same cycle regardless of how the run is sliced, which is what
     /// makes resume byte-identical.
     ///
-    /// On a watchdog stall the chip is left at the stalled cycle for
-    /// inspection, and — when `RC_CKPT_DIR` is set — the wedged state is
-    /// dumped as `wedged-<confighash>.ckpt` in that directory for
-    /// post-mortem loading by `rcsim-replay`.
+    /// On a watchdog stall the session is left at the stalled cycle for
+    /// inspection or a [`Self::checkpoint`] (see [`run_sim_resumable`]).
     ///
     /// # Errors
     ///
@@ -270,34 +269,12 @@ impl SimSession {
             self.chip.tick();
             self.pos += 1;
             if self.chip.stalled() {
-                self.dump_wedged();
                 return Err(SimError::Stalled {
                     report: Box::new(self.chip.health()),
                 });
             }
         }
         Ok(())
-    }
-
-    /// Best-effort wedged-state dump for post-mortem debugging; failures
-    /// (no `RC_CKPT_DIR`, unwritable disk) cost the dump, never the stall
-    /// report.
-    fn dump_wedged(&self) {
-        let Ok(dir) = std::env::var("RC_CKPT_DIR") else {
-            return;
-        };
-        let Ok(json) = serde_json::to_string(&self.cfg) else {
-            return;
-        };
-        let path =
-            PathBuf::from(dir).join(format!("wedged-{:016x}.ckpt", fnv1a_64(json.as_bytes())));
-        if self.checkpoint().save(&path).is_ok() {
-            eprintln!(
-                "[checkpoint] wedged state at cycle {} dumped to {} (inspect with rcsim-replay)",
-                self.pos,
-                path.display()
-            );
-        }
     }
 
     /// Gathers the final [`RunResult`] (and the [`TraceReport`] when the
@@ -336,6 +313,10 @@ impl SimSession {
 /// concurrent sweeps over different points never collide; a stale file
 /// for a *changed* config misses on the embedded-config comparison.
 ///
+/// On a watchdog stall the wedged state is dumped, best effort, as
+/// `wedged-<confighash>.ckpt` in `dir` for post-mortem loading by
+/// `rcsim-replay`; a failed write costs the dump, never the stall report.
+///
 /// # Errors
 ///
 /// Returns [`SimError`] for unknown workloads, invalid configurations or
@@ -348,7 +329,8 @@ pub fn run_sim_resumable(
 ) -> Result<RunResult, SimError> {
     let interval = interval.max(1);
     let json = serde_json::to_string(cfg).expect("configs always serialize");
-    let path = dir.join(format!("{:016x}.ckpt", fnv1a_64(json.as_bytes())));
+    let hash = fnv1a_64(json.as_bytes());
+    let path = dir.join(format!("{hash:016x}.ckpt"));
     let mut session = match SessionSnapshot::load(&path).filter(|s| s.config() == cfg) {
         Some(snap) => {
             eprintln!(
@@ -364,7 +346,17 @@ pub fn run_sim_resumable(
     let total = session.total();
     while session.pos() < total {
         let target = (session.pos() + interval).min(total);
-        session.run_until(target)?;
+        if let Err(stalled) = session.run_until(target) {
+            let wedged = dir.join(format!("wedged-{hash:016x}.ckpt"));
+            if session.checkpoint().save(&wedged).is_ok() {
+                eprintln!(
+                    "[checkpoint] wedged state at cycle {} dumped to {} (inspect with rcsim-replay)",
+                    session.pos(),
+                    wedged.display()
+                );
+            }
+            return Err(stalled);
+        }
         if session.pos() < total {
             // Best effort: a failed write costs resumability, not the run.
             let _ = session.checkpoint().save(&path);

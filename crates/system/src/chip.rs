@@ -185,7 +185,7 @@ impl Chip {
             undone: HashSet::new(),
             sink: TraceSink::default(),
             trace_epoch: 0,
-            kernel: KernelMode::from_env(),
+            kernel: KernelMode::Event,
             open_loop: None,
         })
     }
@@ -234,15 +234,10 @@ impl Chip {
 
     /// Selects the simulation kernel for this chip and its network. Both
     /// kernels produce byte-identical results; `Event` skips quiescent
-    /// tiles and is the default (see `RC_KERNEL`).
+    /// tiles and is the default.
     pub fn set_kernel(&mut self, kernel: KernelMode) {
         self.kernel = kernel;
         self.net.set_kernel(kernel);
-    }
-
-    /// The active simulation kernel.
-    pub fn kernel(&self) -> KernelMode {
-        self.kernel
     }
 
     /// Installs a trace sink, fanned out to the network (NIs and routers)

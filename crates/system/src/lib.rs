@@ -36,7 +36,9 @@ mod open_loop;
 mod report;
 mod sim;
 
-pub use checkpoint::{run_sim_resumable, SessionSnapshot, SimSession, CHECKPOINT_FORMAT_VERSION};
+pub use checkpoint::{
+    fnv1a_64, run_sim_resumable, SessionSnapshot, SimSession, CHECKPOINT_FORMAT_VERSION,
+};
 pub use chip::{Chip, ChipSnapshot};
 pub use core_model::Core;
 pub use open_loop::OpenLoopConfig;

@@ -161,19 +161,19 @@ pub struct TraceReport {
     pub metrics: MetricsRegistry,
 }
 
-/// Runs one simulation point and gathers every measured quantity.
+/// Runs one simulation point under the event kernel and gathers every
+/// measured quantity.
 ///
 /// # Errors
 ///
 /// Returns [`SimError`] for unknown workloads or invalid configurations.
 pub fn run_sim(cfg: &SimConfig) -> Result<RunResult, SimError> {
-    run_sim_with_kernel(cfg, KernelMode::from_env())
+    run_sim_with_kernel(cfg, KernelMode::Event)
 }
 
-/// [`run_sim`] with an explicit simulation kernel, overriding the
-/// `RC_KERNEL` environment knob. Both kernels produce byte-identical
-/// results (see the `kernel_diff` test suite); `Event` skips quiescent
-/// tiles and is the faster default.
+/// [`run_sim`] with an explicit simulation kernel. Both kernels produce
+/// byte-identical results (see the `kernel_diff` test suite); `Event`
+/// skips quiescent tiles and is the faster default.
 ///
 /// # Errors
 ///
@@ -194,12 +194,12 @@ pub fn run_sim_traced(
     cfg: &SimConfig,
     trace: &TraceConfig,
 ) -> Result<(RunResult, TraceReport), SimError> {
-    run_sim_traced_with_kernel(cfg, trace, KernelMode::from_env())
+    run_sim_traced_with_kernel(cfg, trace, KernelMode::Event)
 }
 
-/// [`run_sim_traced`] with an explicit simulation kernel, overriding the
-/// `RC_KERNEL` environment knob. The trace stream — sequence, not just
-/// multiset — is required to be identical under both kernels.
+/// [`run_sim_traced`] with an explicit simulation kernel. The trace
+/// stream — sequence, not just multiset — is required to be identical
+/// under both kernels.
 ///
 /// # Errors
 ///

@@ -9,9 +9,11 @@
 
 use rcsim_core::MechanismConfig;
 use rcsim_system::{
-    run_sim_traced_with_kernel, run_sim_with_kernel, AdaptiveConfig, FaultConfig, KernelMode,
-    OpenLoopConfig, SessionSnapshot, SimConfig, SimSession, TraceConfig,
+    fnv1a_64, run_sim, run_sim_resumable, run_sim_traced_with_kernel, run_sim_with_kernel,
+    AdaptiveConfig, FaultConfig, KernelMode, OpenLoopConfig, RunResult, SessionSnapshot, SimConfig,
+    SimSession, TraceConfig,
 };
+use std::path::{Path, PathBuf};
 
 fn quick(cores: u16, mechanism: MechanismConfig) -> SimConfig {
     SimConfig {
@@ -215,23 +217,87 @@ fn traced_runs_resume_with_identical_event_streams() {
     }
 }
 
+/// A fresh scratch directory for one test of the resumable driver.
+fn scratch_dir(test: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("rcsim-ckpt-diff-{}-{test}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    dir
+}
+
+/// Where `run_sim_resumable` keeps `cfg`'s checkpoint: `dir/<fnv1a-64 of
+/// the config's JSON>.ckpt` (pinned here — checkpoints outlive a build).
+fn ckpt_path(dir: &Path, cfg: &SimConfig) -> PathBuf {
+    let json = serde_json::to_string(cfg).expect("serialize config");
+    dir.join(format!("{:016x}.ckpt", fnv1a_64(json.as_bytes())))
+}
+
+fn serialized(result: &RunResult) -> String {
+    serde_json::to_string(result).expect("serialize result")
+}
+
+/// The driver every checkpointed sweep point takes: whatever the interval
+/// and the kernel, the result is `run_sim`'s, the finished point leaves
+/// no checkpoint behind, garbage under the checkpoint's name is a clean
+/// miss, and the half-finished checkpoint a killed run left there is
+/// picked up.
+#[test]
+fn resumable_driver_matches_the_plain_run() {
+    let cfg = quick(16, MechanismConfig::complete_noack());
+    let total = cfg.warmup_cycles + cfg.measure_cycles;
+    let reference = serialized(&run_sim(&cfg).expect("reference run"));
+    let dir = scratch_dir("driver");
+    let mut killed = SimSession::new(&cfg, None, DENSE, 1).expect("session");
+    killed.run_until(1_700).expect("run to the kill");
+    for (kernel, interval) in [
+        (DENSE, total / 8),
+        (DENSE, total / 2),
+        (EVENT, total / 8),
+        (EVENT, total / 2),
+    ] {
+        for killed_run_left_a_checkpoint in [false, true] {
+            let path = ckpt_path(&dir, &cfg);
+            if killed_run_left_a_checkpoint {
+                killed.checkpoint().save(&path).expect("plant a checkpoint");
+            } else {
+                std::fs::write(&path, "garbage").expect("plant garbage");
+            }
+            let result = run_sim_resumable(&cfg, kernel, &dir, interval).expect("resumable run");
+            assert_eq!(
+                reference,
+                serialized(&result),
+                "{kernel:?}, interval {interval}: diverged from run_sim"
+            );
+            let left: Vec<_> = std::fs::read_dir(&dir).expect("list").collect();
+            assert!(left.is_empty(), "finished point left {left:?} behind");
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A checkpoint written for one config must never resume a different one:
-/// the resumable driver compares the embedded config field by field.
+/// the resumable driver compares the embedded config field by field, so a
+/// valid checkpoint of another point sitting under this point's name is a
+/// clean miss — the run starts from cycle 0 and the result is its own.
 #[test]
 fn stale_checkpoint_for_changed_config_is_a_clean_miss() {
     let cfg = quick(16, MechanismConfig::complete_noack());
     let mut session = SimSession::new(&cfg, None, KernelMode::Event, 1).expect("session");
     session.run_until(600).expect("run");
-    let snap = session.checkpoint();
     let mut changed = cfg.clone();
     changed.seed += 1;
+    let dir = scratch_dir("stale");
+    let stale = ckpt_path(&dir, &changed);
+    session.checkpoint().save(&stale).expect("plant stale file");
+    assert!(SessionSnapshot::load(&stale).is_some(), "the file is valid");
+
+    let reference = run_sim(&changed).expect("reference run");
+    assert_ne!(reference, run_sim(&cfg).expect("other point"));
+    let result = run_sim_resumable(&changed, KernelMode::Event, &dir, 1_000).expect("run");
+    assert_eq!(serialized(&reference), serialized(&result));
     assert!(
-        SessionSnapshot::load(std::path::Path::new("/nonexistent/x.ckpt")).is_none(),
+        SessionSnapshot::load(Path::new("/nonexistent/x.ckpt")).is_none(),
         "missing file must be a clean miss"
     );
-    assert_ne!(
-        serde_json::to_string(snap.config()).unwrap(),
-        serde_json::to_string(&changed).unwrap(),
-        "config comparison must distinguish the changed point"
-    );
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -34,6 +34,12 @@ if grep -rn 'thread::\(scope\|spawn\)' crates/noc crates/core; then
   echo "FAIL: crates/noc and crates/core must not spawn threads"; exit 1
 fi
 
+echo "==> one environment (only crates/bench/src/env.rs reads it)"
+# Tests (crates/*/tests, tests/) keep RC_UPDATE_GOLDEN; nothing else may.
+if grep -rn 'env::var' crates/*/src src examples | grep -v '^crates/bench/src/env\.rs:'; then
+  echo "FAIL: the process environment is read outside crates/bench/src/env.rs"; exit 1
+fi
+
 echo "==> cargo build --release"
 $CARGO build --release "$@"
 
@@ -58,6 +64,17 @@ RC_APPS=blackscholes RC_CYCLES=2000 RC_WARMUP=1000 RC_SMALL_CACHES=1 \
 test -s target/experiments/BENCH_fig6.json
 test -s target/experiments/fig6_trace.json
 $CARGO run --release -q -p rcsim-bench --bin validate_bench "$@"
+
+echo "==> typo gate (an unknown RC_* name or an unparsable value exits 2, simulates nothing)"
+rm -f target/experiments/BENCH_fig6.json
+for typo in RC_KERNAL=dense RC_CYCLES=20k; do
+  status=0
+  env "$typo" target/release/fig6 > /dev/null 2> target/experiments/ci_typo.log || status=$?
+  if [ "$status" -ne 2 ] || ! grep -q "${typo%%=*}" target/experiments/ci_typo.log \
+      || [ -e target/experiments/BENCH_fig6.json ]; then
+    echo "FAIL: $typo target/release/fig6 must exit 2 naming the variable (exit $status)"; exit 1
+  fi
+done
 
 echo "==> parallel sweep smoke (RC_JOBS determinism, cache, speedup)"
 # The sweep engine's contract: BENCH rows are byte-identical for any
@@ -106,28 +123,30 @@ $CARGO run --release -q -p rcsim-bench --bin validate_bench "$@"
 
 echo "==> dense-vs-event kernel smoke (RC_KERNEL byte-identity on fig6 rows)"
 # The event kernel (idle-skip scheduling) must be observationally
-# indistinguishable from the dense one: the same fig6 quick grid, run
-# once per kernel, must emit byte-identical BENCH rows. RC_NO_CACHE=1 is
+# indistinguishable from the dense one: the same quick grid, run once per
+# kernel, must emit byte-identical BENCH rows. RC_NO_CACHE=1 is
 # load-bearing — the disk cache keys on SimConfig, which deliberately
-# excludes RC_KERNEL, so a cache hit would compare a result with itself.
-env "${smoke[@]}" RC_JOBS=1 RC_NO_CACHE=1 RC_KERNEL=dense \
-  $CARGO run --release -q -p rcsim-bench --bin fig6 "$@" > /dev/null 2> /dev/null
-cp target/experiments/BENCH_fig6.json target/experiments/ci_fig6_dense.json
-env "${smoke[@]}" RC_JOBS=1 RC_NO_CACHE=1 RC_KERNEL=event \
-  $CARGO run --release -q -p rcsim-bench --bin fig6 "$@" > /dev/null 2> /dev/null
-cp target/experiments/BENCH_fig6.json target/experiments/ci_fig6_event.json
-diff <(strip_telemetry target/experiments/ci_fig6_dense.json) \
-     <(strip_telemetry target/experiments/ci_fig6_event.json) \
-  || { echo "FAIL: BENCH_fig6.json rows differ between RC_KERNEL=dense and RC_KERNEL=event"; exit 1; }
-
-echo "==> kernel bench smoke (BENCH_kernel.json + internal identity asserts)"
-# The kernel bench re-asserts dense/event RunResult identity on every
-# point it times, so just running it is a differential check; then make
-# sure its summary landed and validates against the schema.
-env "${smoke[@]}" \
-  $CARGO run --release -q -p rcsim-bench --bin kernel "$@" > /dev/null
-test -s target/experiments/BENCH_kernel.json
-$CARGO run --release -q -p rcsim-bench --bin validate_bench "$@"
+# excludes RC_KERNEL, so a cache hit would compare a result with itself —
+# and so is the check that the dense run's per-point `[sweep …]` lines
+# name the dense kernel: a diff of the event kernel with itself passes.
+# Leaves ci_<bin>_dense.json and ci_<bin>_event.json behind.
+kernel_smoke() {
+  local bin=$1 k; shift
+  for k in dense event; do
+    env "${smoke[@]}" RC_JOBS=1 RC_NO_CACHE=1 RC_KERNEL=$k \
+      $CARGO run --release -q -p rcsim-bench --bin "$bin" "$@" \
+      > /dev/null 2> "target/experiments/ci_${bin}_$k.log"
+    cp "target/experiments/BENCH_$bin.json" "target/experiments/ci_${bin}_$k.json"
+  done
+  if ! grep -q '^\[sweep .*(Dense kernel)$' "target/experiments/ci_${bin}_dense.log" \
+      || grep -q '^\[sweep .*(Event kernel)$' "target/experiments/ci_${bin}_dense.log"; then
+    echo "FAIL: RC_KERNEL=dense $bin did not run every point under the dense kernel"; exit 1
+  fi
+  diff <(strip_telemetry "target/experiments/ci_${bin}_dense.json") \
+       <(strip_telemetry "target/experiments/ci_${bin}_event.json") \
+    || { echo "FAIL: BENCH_$bin.json rows differ between RC_KERNEL=dense and RC_KERNEL=event"; exit 1; }
+}
+kernel_smoke fig6 "$@"
 
 echo "==> resilience smoke (dead links: every mechanism, kernel/jobs invariance)"
 # Permanent-fault gate (DESIGN.md §10). The resilience test suite proves
@@ -135,23 +154,13 @@ echo "==> resilience smoke (dead links: every mechanism, kernel/jobs invariance)
 # abandoned — with a permanently dead interior link; the resilience
 # bench (degradation sweep + mid-run-onset recovery, with its own
 # zero-abandoned asserts) must then emit byte-identical rows for any
-# worker count and either kernel. RC_NO_CACHE=1 is load-bearing for the
-# kernel diff — the cache key excludes RC_KERNEL.
+# worker count and either kernel (kernel_smoke above).
 $CARGO test -q -p rcsim-system --test resilience "$@"
-env "${smoke[@]}" RC_JOBS=1 RC_NO_CACHE=1 RC_KERNEL=dense \
+kernel_smoke resilience "$@"
+env "${smoke[@]}" RC_JOBS=4 RC_NO_CACHE=1 \
   $CARGO run --release -q -p rcsim-bench --bin resilience "$@" > /dev/null 2> /dev/null
-cp target/experiments/BENCH_resilience.json target/experiments/ci_resilience_dense.json
-env "${smoke[@]}" RC_JOBS=1 RC_NO_CACHE=1 RC_KERNEL=event \
-  $CARGO run --release -q -p rcsim-bench --bin resilience "$@" > /dev/null 2> /dev/null
-cp target/experiments/BENCH_resilience.json target/experiments/ci_resilience_event.json
-env "${smoke[@]}" RC_JOBS=4 RC_NO_CACHE=1 RC_KERNEL=event \
-  $CARGO run --release -q -p rcsim-bench --bin resilience "$@" > /dev/null 2> /dev/null
-cp target/experiments/BENCH_resilience.json target/experiments/ci_resilience_jobs4.json
-diff <(strip_telemetry target/experiments/ci_resilience_dense.json) \
-     <(strip_telemetry target/experiments/ci_resilience_event.json) \
-  || { echo "FAIL: BENCH_resilience.json rows differ between RC_KERNEL=dense and RC_KERNEL=event"; exit 1; }
 diff <(strip_telemetry target/experiments/ci_resilience_event.json) \
-     <(strip_telemetry target/experiments/ci_resilience_jobs4.json) \
+     <(strip_telemetry target/experiments/BENCH_resilience.json) \
   || { echo "FAIL: BENCH_resilience.json rows differ between RC_JOBS=1 and RC_JOBS=4"; exit 1; }
 $CARGO run --release -q -p rcsim-bench --bin validate_bench "$@"
 
@@ -163,23 +172,12 @@ echo "==> overload smoke (open-loop saturation: conservation, kernel/jobs invari
 # past-saturation load sweep per mechanism with per-point conservation,
 # termination and queue-bound asserts baked in — must then emit
 # byte-identical rows for either kernel and any worker count.
-# RC_NO_CACHE=1 is load-bearing for the kernel diff — the cache key
-# excludes RC_KERNEL.
 $CARGO test -q -p rcsim-system --test open_loop "$@"
-env "${smoke[@]}" RC_JOBS=1 RC_NO_CACHE=1 RC_KERNEL=dense \
+kernel_smoke overload "$@"
+env "${smoke[@]}" RC_JOBS=4 RC_NO_CACHE=1 \
   $CARGO run --release -q -p rcsim-bench --bin overload "$@" > /dev/null 2> /dev/null
-cp target/experiments/BENCH_overload.json target/experiments/ci_overload_dense.json
-env "${smoke[@]}" RC_JOBS=1 RC_NO_CACHE=1 RC_KERNEL=event \
-  $CARGO run --release -q -p rcsim-bench --bin overload "$@" > /dev/null 2> /dev/null
-cp target/experiments/BENCH_overload.json target/experiments/ci_overload_event.json
-env "${smoke[@]}" RC_JOBS=4 RC_NO_CACHE=1 RC_KERNEL=event \
-  $CARGO run --release -q -p rcsim-bench --bin overload "$@" > /dev/null 2> /dev/null
-cp target/experiments/BENCH_overload.json target/experiments/ci_overload_jobs4.json
-diff <(strip_telemetry target/experiments/ci_overload_dense.json) \
-     <(strip_telemetry target/experiments/ci_overload_event.json) \
-  || { echo "FAIL: BENCH_overload.json rows differ between RC_KERNEL=dense and RC_KERNEL=event"; exit 1; }
 diff <(strip_telemetry target/experiments/ci_overload_event.json) \
-     <(strip_telemetry target/experiments/ci_overload_jobs4.json) \
+     <(strip_telemetry target/experiments/BENCH_overload.json) \
   || { echo "FAIL: BENCH_overload.json rows differ between RC_JOBS=1 and RC_JOBS=4"; exit 1; }
 $CARGO run --release -q -p rcsim-bench --bin validate_bench "$@"
 
@@ -229,25 +227,21 @@ diff <(strip_telemetry target/experiments/ci_fig6_serial.json) \
      <(strip_telemetry target/experiments/BENCH_fig6.json) \
   || { echo "FAIL: adaptive-off BENCH_fig6.json rows drifted after the adaptive smoke"; exit 1; }
 
-echo "==> kernel/link/power/traffic differential suites (RC_JOBS=1 and 4)"
+echo "==> kernel/link/power/traffic differential suites"
 # The dense-vs-event differential layer, the link-sink suite (emission
 # order under link faults, DESIGN.md §9) plus the power-model and
-# traffic-pattern suites, under both a serial and a parallel test
-# harness (RC_JOBS is read by sweep-backed tests; the loop
-# also shakes out any accidental test-order coupling).
-for jobs in 1 4; do
-  RC_JOBS=$jobs $CARGO test -q -p rcsim-system --test kernel_diff "$@"
-  RC_JOBS=$jobs $CARGO test -q -p rcsim-noc --test direct_links "$@"
-  RC_JOBS=$jobs $CARGO test -q -p rcsim-power "$@"
-  RC_JOBS=$jobs $CARGO test -q -p rcsim-noc --test traffic_patterns "$@"
-done
+# traffic-pattern suites.
+$CARGO test -q -p rcsim-system --test kernel_diff "$@"
+$CARGO test -q -p rcsim-noc --test direct_links "$@"
+$CARGO test -q -p rcsim-power "$@"
+$CARGO test -q -p rcsim-noc --test traffic_patterns "$@"
 
 echo "==> checkpoint smoke (kill-and-resume byte-identity, corrupt-file clean miss)"
 # Crash-resilience gate (DESIGN.md §15). The differential suite proves
 # save/restore byte-identity at arbitrary split cycles across kernels,
-# topologies, faults, overload and adaptive runs; the diagnoser
-# suite pins the wait-for-graph cycle report on a real legacy-allocator
-# wedge. Then the crash drill: a checkpointed fig6 sweep is SIGKILLed
+# topologies, faults, overload and adaptive runs, and that the resumable
+# driver's result is run_sim's. Then the crash drill: a checkpointed fig6
+# sweep is SIGKILLed
 # mid-run (the bench binary is invoked directly — killing a `cargo run`
 # wrapper would orphan the simulator), half of whatever checkpoints it
 # left behind are deliberately corrupted, and the rerun must finish
@@ -256,7 +250,6 @@ echo "==> checkpoint smoke (kill-and-resume byte-identity, corrupt-file clean mi
 # miss (fresh start), never a crash. Finally rcsim-replay must reject
 # stale-version checkpoints (v0, v1 and v2) with a clean nonzero exit.
 $CARGO test -q -p rcsim-system --test checkpoint_diff "$@"
-$CARGO test -q -p rcsim-noc --test deadlock_diagnoser "$@"
 ckpt_smoke=(RC_APPS=blackscholes RC_CYCLES=8000 RC_WARMUP=2000
             RC_SMALL_CACHES=1 RC_CORES=16 RC_MAX_CYCLES=40000
             RC_JOBS=1 RC_NO_CACHE=1)
@@ -298,16 +291,6 @@ for stale in "$ckpt_dir"/stale_v0.ckpt "$ckpt_dir"/stale_v1.ckpt "$ckpt_dir"/sta
     echo "FAIL: rcsim-replay accepted the stale-version checkpoint $stale"; exit 1
   fi
 done
-
-echo "==> checkpoint cost bench (BENCH_checkpoint.json + <5% default-interval gate)"
-# The cost sweep asserts internally that every checkpointed run is
-# byte-identical to the plain run and that default-interval overhead
-# stays under 5%; a short window keeps it quick.
-RC_CKPT_BENCH_CYCLES=2000 RC_CKPT_BENCH_REPS=2 \
-  RC_CKPT_NET_CORES=64 RC_CKPT_NET_CYCLES=600 \
-  $CARGO run --release -q -p rcsim-bench --bin checkpoint "$@" > /dev/null
-test -s target/experiments/BENCH_checkpoint.json
-$CARGO run --release -q -p rcsim-bench --bin validate_bench "$@"
 
 echo "==> canonical benchmark gate (benchmark/check.sh + full-size drift check)"
 # benchmark/ is a package of its own (own workspace and lock file), so

@@ -1,10 +1,12 @@
 //! Workspace-level integration tests: the public prelude workflow, and
 //! cross-crate invariants (determinism, energy/area consistency).
 
+use rcsim_bench::{RunEnv, SweepRunner, KNOBS};
 use reactive_circuits::prelude::*;
 use reactive_circuits::system::{
     run_sim_traced_with_kernel, run_sim_with_kernel, AdaptiveConfig, TraceConfig,
 };
+use std::path::{Path, PathBuf};
 
 fn quick(mechanism: MechanismConfig, app: &str) -> SimConfig {
     SimConfig {
@@ -75,11 +77,8 @@ fn network_is_usable_standalone() {
     assert_eq!(net.take_delivered(NodeId(15)).len(), 1);
 }
 
-#[test]
-fn wedged_network_surfaces_as_stalled_error() {
-    // Total credit loss deadlocks the mesh; run_sim must return
-    // SimError::Stalled with a diagnostic report instead of spinning
-    // through the full cycle budget with a dead network.
+/// Total credit loss deadlocks the mesh within a few hundred cycles.
+fn wedged_cfg() -> SimConfig {
     let mut cfg = quick(MechanismConfig::baseline(), "fft");
     cfg.faults = FaultConfig {
         credit_loss_rate: 1.0,
@@ -89,6 +88,15 @@ fn wedged_network_surfaces_as_stalled_error() {
         stall_window: 300,
         ..WatchdogConfig::default()
     };
+    cfg
+}
+
+#[test]
+fn wedged_network_surfaces_as_stalled_error() {
+    // run_sim must return SimError::Stalled with a diagnostic report
+    // instead of spinning through the full cycle budget with a dead
+    // network.
+    let cfg = wedged_cfg();
     match run_sim(&cfg) {
         Err(SimError::Stalled { report }) => {
             assert!(report.stalled);
@@ -101,6 +109,48 @@ fn wedged_network_surfaces_as_stalled_error() {
         }
         other => panic!("expected SimError::Stalled, got {other:?}"),
     }
+}
+
+/// The same wedge through the resumable driver (the path every sweep
+/// takes under `RC_CKPT_DIR`) leaves the wedged chip behind as a
+/// checkpoint, and loading it shows the stall — what `rcsim-replay
+/// <file> <cycles>` does.
+#[test]
+fn wedged_run_dumps_a_checkpoint_that_replays_the_stall() {
+    let cfg = wedged_cfg();
+    let dir = std::env::temp_dir().join(format!("rcsim-wedge-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let stalled_at = match run_sim_resumable(&cfg, KernelMode::Event, &dir, 1_000_000) {
+        Err(SimError::Stalled { report }) => report.cycle,
+        other => panic!("expected SimError::Stalled, got {other:?}"),
+    };
+    let left: Vec<PathBuf> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .collect();
+    let [dump] = left.as_slice() else {
+        panic!("expected exactly the wedge dump, found {left:?}");
+    };
+    let name = dump.file_name().unwrap().to_string_lossy();
+    assert!(
+        name.starts_with("wedged-") && name.ends_with(".ckpt"),
+        "{name}"
+    );
+
+    let snap = SessionSnapshot::load(dump).expect("the dump is a valid checkpoint");
+    assert_eq!(snap.pos(), stalled_at);
+    assert_eq!(snap.config(), &cfg);
+    let mut session = SimSession::resume(&snap, KernelMode::Event, 1).unwrap();
+    if !session.chip().health().stalled {
+        let target = session.pos() + cfg.watchdog.stall_window;
+        assert!(matches!(
+            session.run_until(target),
+            Err(SimError::Stalled { .. })
+        ));
+    }
+    let health = session.chip().health();
+    assert!(health.stalled && health.in_flight > 0, "{health}");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -205,4 +255,112 @@ fn all_workloads_resolve_through_prelude() {
     for name in workload_names() {
         assert!(Workload::by_name(name, 16, 0).is_some(), "{name}");
     }
+}
+
+fn run_env(vars: &[(&str, &str)]) -> Result<RunEnv, String> {
+    RunEnv::parse(vars.iter().map(|&(k, v)| (k.to_owned(), v.to_owned())))
+}
+
+#[test]
+fn run_env_of_an_empty_environment_is_the_documented_defaults() {
+    let apps = [
+        "blackscholes",
+        "canneal",
+        "fft",
+        "ocean_cp",
+        "raytrace",
+        "swaptions",
+        "mix",
+    ];
+    let defaults = RunEnv {
+        apps: apps.map(str::to_owned).to_vec(),
+        first_app: "canneal".to_owned(),
+        cycles: 30_000,
+        warmup: 60_000,
+        seeds: vec![1],
+        cores: vec![16, 64],
+        small_caches: false,
+        max_cycles: 2_000_000,
+        jobs: std::thread::available_parallelism().map_or(1, |n| n.get()),
+        cache_dir: Some(PathBuf::from("target/experiments/cache")),
+        checkpoints: None,
+        kernel: KernelMode::Event,
+        topo_cycles: 3_000,
+        topo_cores: vec![64, 256, 1024],
+        topo_window: 8,
+        adapt_phases: 6,
+        adapt_window: 4,
+    };
+    assert_eq!(run_env(&[]), Ok(defaults.clone()));
+    // Variables of other programs are not ours to judge.
+    assert_eq!(run_env(&[("PATH", "/bin"), ("RCX", "1")]), Ok(defaults));
+    // Every knob is accepted, and its table default is what unset means.
+    assert_eq!(KNOBS.len(), 19);
+    for knob in KNOBS {
+        let mut set = run_env(&[(knob.name, knob.default)]).expect(knob.name);
+        if knob.name == "RC_APPS" {
+            assert_eq!(set.first_app, "blackscholes");
+            set.first_app = "canneal".to_owned();
+        }
+        assert_eq!(set, run_env(&[]).unwrap(), "{}", knob.name);
+    }
+}
+
+#[test]
+fn run_env_rejects_typos_and_names_the_variable() {
+    for (name, value) in [
+        ("RC_KERNAL", "dense"),
+        ("RC_CYCLES", "20k"),
+        ("RC_KERNEL", "dens"),
+        ("RC_JOBS", "0"),
+        ("RC_APPS", "caneal"),
+        ("RC_CORES", "16,"),
+        ("RC_SMALL_CACHES", "yes"),
+        ("RC_MAX_CYCLES", "1"),
+    ] {
+        let message = run_env(&[(name, value)]).expect_err(name);
+        assert!(message.starts_with(name), "{name}={value}: {message}");
+    }
+}
+
+#[test]
+fn run_env_apps_all_is_every_workload() {
+    let all = run_env(&[("RC_APPS", "all")]).unwrap();
+    assert_eq!(all.apps, workload_names());
+    assert!(Workload::by_name(&all.first_app, 16, 0).is_some());
+    let listed = run_env(&[("RC_APPS", "fft, mix"), ("RC_SEEDS", "3")]).unwrap();
+    assert_eq!(
+        (listed.apps, listed.first_app.as_str()),
+        (vec!["fft".to_owned(), "mix".to_owned()], "fft")
+    );
+    assert_eq!(listed.seeds, [1, 2, 3]);
+}
+
+#[test]
+fn env_built_sweep_runner_is_what_the_environment_says() {
+    let env = run_env(&[
+        ("RC_JOBS", "3"),
+        ("RC_KERNEL", "Dense"),
+        ("RC_CACHE_DIR", "somewhere/cache"),
+        ("RC_CKPT_DIR", "somewhere/ckpt"),
+        ("RC_CKPT_INTERVAL", "500"),
+    ])
+    .unwrap();
+    let runner = SweepRunner::for_env(&env);
+    assert_eq!(runner.workers(), 3);
+    assert_eq!(runner.kernel(), KernelMode::Dense);
+    assert_eq!(runner.cache_dir(), Some(Path::new("somewhere/cache")));
+    assert_eq!(
+        runner.checkpoints(),
+        Some((Path::new("somewhere/ckpt"), 500))
+    );
+
+    let plain = SweepRunner::for_env(&run_env(&[("RC_NO_CACHE", "1"), ("RC_JOBS", "1")]).unwrap());
+    assert_eq!((plain.workers(), plain.kernel()), (1, KernelMode::Event));
+    assert_eq!((plain.cache_dir(), plain.checkpoints()), (None, None));
+    // Without a directory the default interval checkpoints nothing.
+    assert_eq!(
+        run_env(&[("RC_CKPT_INTERVAL", "500")]).unwrap().checkpoints,
+        None
+    );
 }
