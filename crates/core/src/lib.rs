@@ -44,17 +44,19 @@ pub mod geometry;
 pub mod policy;
 pub mod routing;
 pub mod sched;
+pub mod state;
 pub mod topology;
 pub mod types;
 
 pub use config::{CircuitMode, ConfigError, MechanismConfig, TimedPolicy};
 pub use geometry::Mesh;
 pub use policy::{
-    AdaptiveConfig, CongestionMap, CongestionSnapshot, PolicyController, RegionDecision,
+    AdaptiveConfig, CongestionMap, CongestionState, PolicyController, PolicyState, RegionDecision,
     RegionMode, RegionPlan, RegionSample, SCORE_SCALE,
 };
-pub use routing::{TopologyHealth, TopologyHealthSnapshot};
+pub use routing::TopologyHealth;
 pub use sched::{KernelMode, WakeTimes};
+pub use state::{StateMap, StateSet};
 pub use topology::{
     Topology, TopologySpec, PORT_EAST, PORT_LOCAL, PORT_NORTH, PORT_SOUTH, PORT_WEST,
 };

@@ -242,10 +242,17 @@ pub struct RegionDecision {
     pub score: u64,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 struct RegionState {
     mode: RegionMode,
     last_switch: Option<Cycle>,
+}
+
+/// The [`PolicyController`]'s state (DESIGN.md §15): every region's mode
+/// and last switch cycle.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct PolicyState {
+    regions: Vec<RegionState>,
 }
 
 /// The deterministic per-region policy state machine (hysteresis +
@@ -254,21 +261,21 @@ struct RegionState {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PolicyController {
     cfg: AdaptiveConfig,
-    regions: Vec<RegionState>,
+    state: PolicyState,
 }
 
 impl PolicyController {
     /// A controller for `regions` regions, all initially calm.
     pub fn new(cfg: AdaptiveConfig, regions: usize) -> Self {
+        let calm = RegionState {
+            mode: RegionMode::Calm,
+            last_switch: None,
+        };
         PolicyController {
             cfg,
-            regions: vec![
-                RegionState {
-                    mode: RegionMode::Calm,
-                    last_switch: None,
-                };
-                regions
-            ],
+            state: PolicyState {
+                regions: vec![calm; regions],
+            },
         }
     }
 
@@ -279,47 +286,32 @@ impl PolicyController {
 
     /// Number of regions.
     pub fn regions(&self) -> usize {
-        self.regions.len()
+        self.state.regions.len()
     }
 
     /// A region's current mode.
     pub fn mode(&self, region: usize) -> RegionMode {
-        self.regions[region].mode
+        self.state.regions[region].mode
     }
 
     /// How many regions are currently hot.
     pub fn hot_regions(&self) -> u64 {
-        self.regions
+        self.state
+            .regions
             .iter()
             .filter(|r| r.mode == RegionMode::Hot)
             .count() as u64
     }
 
-    /// The dynamic per-region state as `(mode, last_switch)` pairs, for
-    /// checkpointing (the knobs travel in the config, not the snapshot).
-    pub fn snapshot(&self) -> Vec<(RegionMode, Option<Cycle>)> {
-        self.regions
-            .iter()
-            .map(|r| (r.mode, r.last_switch))
-            .collect()
+    /// The state, for checkpointing (the knobs travel in the config).
+    pub fn snapshot(&self) -> PolicyState {
+        self.state.clone()
     }
 
-    /// Overwrites the per-region state from a [`PolicyController::snapshot`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the snapshot's region count differs from this
-    /// controller's (the snapshot belongs to a different configuration).
-    pub fn restore(&mut self, snapshot: &[(RegionMode, Option<Cycle>)]) {
-        assert_eq!(
-            snapshot.len(),
-            self.regions.len(),
-            "snapshot region count must match the controller's"
-        );
-        for (st, &(mode, last_switch)) in self.regions.iter_mut().zip(snapshot) {
-            st.mode = mode;
-            st.last_switch = last_switch;
-        }
+    /// Overwrites the state with a [`PolicyController::snapshot`] of a
+    /// controller built from the same knobs and region count.
+    pub fn restore(&mut self, state: PolicyState) {
+        self.state = state;
     }
 
     /// Runs one decision: applies hysteresis and min-dwell to every
@@ -335,11 +327,11 @@ impl PolicyController {
     pub fn decide(&mut self, now: Cycle, samples: &[RegionSample]) -> Vec<RegionDecision> {
         assert_eq!(
             samples.len(),
-            self.regions.len(),
+            self.state.regions.len(),
             "one sample per region required"
         );
         let mut out = Vec::with_capacity(samples.len());
-        for (region, (st, sample)) in self.regions.iter_mut().zip(samples).enumerate() {
+        for (region, (st, sample)) in self.state.regions.iter_mut().zip(samples).enumerate() {
             let score = sample.score();
             let want = match st.mode {
                 RegionMode::Calm if score >= self.cfg.hot_enter => RegionMode::Hot,
@@ -374,24 +366,35 @@ impl PolicyController {
 /// heals, or a hot region cools), and the NI only rides a recorded path
 /// whose era matches — post-heal traffic returns to DOR instead of
 /// retracing a detour recorded under conditions that no longer hold.
+///
+/// The feature switches are wiring (set once, by whoever installs the
+/// policy); the hot count is scratch, recounted by `rebuild_scratch`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CongestionMap {
-    hot: Vec<bool>,
-    hot_count: usize,
-    era: u64,
     detour: bool,
     suppress: bool,
+    state: CongestionState,
+    hot_count: usize,
+}
+
+/// The [`CongestionMap`]'s state (DESIGN.md §15).
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct CongestionState {
+    /// Per-router hot flags.
+    hot: Vec<bool>,
+    /// Staleness era for recorded detour paths.
+    era: u64,
 }
 
 impl CongestionMap {
     /// An all-calm map over `routers` routers.
     pub fn new(routers: usize) -> Self {
         CongestionMap {
-            hot: vec![false; routers],
-            hot_count: 0,
-            era: 0,
-            detour: false,
-            suppress: false,
+            state: CongestionState {
+                hot: vec![false; routers],
+                era: 0,
+            },
+            ..CongestionMap::default()
         }
     }
 
@@ -419,7 +422,7 @@ impl CongestionMap {
 
     /// Marks router `r` hot or calm.
     pub fn set_hot(&mut self, r: usize, hot: bool) {
-        if let Some(slot) = self.hot.get_mut(r) {
+        if let Some(slot) = self.state.hot.get_mut(r) {
             if *slot != hot {
                 *slot = hot;
                 if hot {
@@ -435,7 +438,7 @@ impl CongestionMap {
     /// (empty) map reports everything calm, which is what makes the
     /// adaptive-off path behave exactly like the seed.
     pub fn is_hot(&self, r: usize) -> bool {
-        self.hot.get(r).copied().unwrap_or(false)
+        self.state.hot.get(r).copied().unwrap_or(false)
     }
 
     /// `true` when any router is hot (the NI's cheap entry check before
@@ -446,49 +449,32 @@ impl CongestionMap {
 
     /// The current staleness era for recorded detour paths.
     pub fn era(&self) -> u64 {
-        self.era
+        self.state.era
     }
 
     /// Advances the era: previously recorded reverse paths become stale.
     /// Called when a fault heals or a hot region cools.
     pub fn bump_era(&mut self) {
-        self.era += 1;
+        self.state.era += 1;
     }
 
-    /// The full dynamic state, for checkpointing.
-    pub fn snapshot(&self) -> CongestionSnapshot {
-        CongestionSnapshot {
-            hot: self.hot.clone(),
-            era: self.era,
-            detour: self.detour,
-            suppress: self.suppress,
-        }
+    /// The state, for checkpointing.
+    pub fn snapshot(&self) -> CongestionState {
+        self.state.clone()
     }
 
-    /// Overwrites this map from a [`CongestionMap::snapshot`]. The hot
-    /// count is recomputed, so a snapshot is self-consistent by
-    /// construction.
-    pub fn restore(&mut self, snap: &CongestionSnapshot) {
-        self.hot = snap.hot.clone();
-        self.hot_count = self.hot.iter().filter(|&&h| h).count();
-        self.era = snap.era;
-        self.detour = snap.detour;
-        self.suppress = snap.suppress;
+    /// Overwrites the state with a [`CongestionMap::snapshot`] of a map
+    /// over the same routers.
+    pub fn restore(&mut self, state: CongestionState) {
+        self.hot_count = Self::rebuild_scratch(&state);
+        self.state = state;
     }
-}
 
-/// Serializable state of a [`CongestionMap`] (the hot count is derived
-/// and recomputed on restore).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CongestionSnapshot {
-    /// Per-router hot flags.
-    pub hot: Vec<bool>,
-    /// Staleness era for recorded detour paths.
-    pub era: u64,
-    /// Detour feature armed.
-    pub detour: bool,
-    /// Circuit-suppression feature armed.
-    pub suppress: bool,
+    /// The hot count `state` implies.
+    fn rebuild_scratch(state: &CongestionState) -> usize {
+        let CongestionState { hot, era: _ } = state;
+        hot.iter().filter(|&&h| h).count()
+    }
 }
 
 #[cfg(test)]

@@ -7,9 +7,9 @@
 //! so the XY/YX mix stays deadlock-free.
 
 use crate::geometry::Mesh;
+use crate::state::StateSet;
 use crate::types::{Direction, NodeId};
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
 
 /// Deterministic routing algorithm.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -94,12 +94,14 @@ pub fn hop_count(mesh: &Mesh, src: NodeId, dst: NodeId) -> u32 {
 /// dead (the permanent-fault model, DESIGN.md §10). Links are
 /// bidirectional — killing `(a, b)` kills both directions — and a dead
 /// router implicitly kills every link touching it.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+///
+/// Every field is state (DESIGN.md §15): the map serializes as it stands.
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TopologyHealth {
     /// Dead links, stored as normalized `(min, max)` node pairs.
-    dead_links: HashSet<(NodeId, NodeId)>,
+    dead_links: StateSet<(NodeId, NodeId)>,
     /// Dead routers: nothing may enter, leave or cross them.
-    dead_routers: HashSet<NodeId>,
+    dead_routers: StateSet<NodeId>,
 }
 
 fn norm(a: NodeId, b: NodeId) -> (NodeId, NodeId) {
@@ -160,47 +162,13 @@ impl TopologyHealth {
 
     /// Currently dead links, sorted, for deterministic reporting.
     pub fn dead_links_sorted(&self) -> Vec<(NodeId, NodeId)> {
-        let mut v: Vec<_> = self.dead_links.iter().copied().collect();
-        v.sort_unstable_by_key(|&(a, b)| (a.0, b.0));
-        v
+        self.dead_links.clone().into()
     }
 
     /// Currently dead routers, sorted, for deterministic reporting.
     pub fn dead_routers_sorted(&self) -> Vec<NodeId> {
-        let mut v: Vec<_> = self.dead_routers.iter().copied().collect();
-        v.sort_unstable_by_key(|n| n.0);
-        v
+        self.dead_routers.clone().into()
     }
-
-    /// The full health state as sorted lists, for checkpointing.
-    pub fn snapshot(&self) -> TopologyHealthSnapshot {
-        TopologyHealthSnapshot {
-            dead_links: self.dead_links_sorted(),
-            dead_routers: self.dead_routers_sorted(),
-        }
-    }
-
-    /// Rebuilds health state from a [`TopologyHealth::snapshot`].
-    pub fn from_snapshot(snap: &TopologyHealthSnapshot) -> Self {
-        let mut h = TopologyHealth::new();
-        for &(a, b) in &snap.dead_links {
-            h.kill_link(a, b);
-        }
-        for &n in &snap.dead_routers {
-            h.kill_router(n);
-        }
-        h
-    }
-}
-
-/// Serializable state of a [`TopologyHealth`] map (sorted, so equal maps
-/// serialize identically regardless of insertion history).
-#[derive(Debug, Clone, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub struct TopologyHealthSnapshot {
-    /// Dead links as normalized `(min, max)` pairs, sorted.
-    pub dead_links: Vec<(NodeId, NodeId)>,
-    /// Dead routers, sorted.
-    pub dead_routers: Vec<NodeId>,
 }
 
 /// `true` when every router on `path` is alive and every consecutive hop

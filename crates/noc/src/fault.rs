@@ -56,9 +56,8 @@
 use crate::flit::{Flit, PacketId};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use rcsim_core::{ConfigError, Cycle, Direction, NodeId, Topology};
+use rcsim_core::{ConfigError, Cycle, Direction, NodeId, StateMap, Topology};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// A scheduled one-shot fault: one router input port accepts nothing for
 /// `duration` cycles starting at cycle `at`.
@@ -294,58 +293,83 @@ pub enum LinkFate {
     Drop,
 }
 
-/// Live fault-injection state: the dedicated RNG plus the bookkeeping
-/// needed to swallow whole packets. Held by the network only when the
-/// configuration can actually fire.
+/// The fault RNG, serialized as its two state words.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+#[serde(from = "(u64, u64)", into = "(u64, u64)")]
+struct FaultRng(ChaCha8Rng);
+
+impl From<FaultRng> for (u64, u64) {
+    fn from(rng: FaultRng) -> Self {
+        rng.0.state_words()
+    }
+}
+
+impl From<(u64, u64)> for FaultRng {
+    fn from((state, stream): (u64, u64)) -> Self {
+        FaultRng(ChaCha8Rng::from_state_words(state, stream))
+    }
+}
+
+/// The fault layer's state (DESIGN.md §15).
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub(crate) struct State {
+    rng: FaultRng,
+    /// Packets being swallowed at a link, keyed by
+    /// (upstream node index, output-port index, packet): remaining flits.
+    eating: StateMap<(usize, usize, PacketId), u32>,
+    pub(crate) stats: FaultStats,
+}
+
+/// Live fault injection: the configuration (wiring) plus the dedicated
+/// RNG and the bookkeeping needed to swallow whole packets. Held by the
+/// network only when the configuration can actually fire.
 #[derive(Debug, Clone)]
 pub(crate) struct FaultState {
     pub(crate) cfg: FaultConfig,
-    rng: ChaCha8Rng,
-    /// Packets being swallowed at a link, keyed by
-    /// (upstream node index, output-port index, packet): remaining flits.
-    eating: HashMap<(usize, usize, PacketId), u32>,
-    pub(crate) stats: FaultStats,
+    pub(crate) state: State,
 }
 
 impl FaultState {
     pub(crate) fn new(cfg: FaultConfig) -> Self {
-        let rng = ChaCha8Rng::seed_from_u64(cfg.seed);
+        let rng = FaultRng(ChaCha8Rng::seed_from_u64(cfg.seed));
         FaultState {
             cfg,
-            rng,
-            eating: HashMap::new(),
-            stats: FaultStats::default(),
+            state: State {
+                rng,
+                eating: StateMap::default(),
+                stats: FaultStats::default(),
+            },
         }
     }
 
     fn chance(&mut self, rate: f64) -> bool {
-        rate > 0.0 && self.rng.gen_bool(rate.clamp(0.0, 1.0))
+        rate > 0.0 && self.state.rng.0.gen_bool(rate.clamp(0.0, 1.0))
     }
 
     /// Decides the fate of `flit` leaving router `from` through output
     /// port `dir` onto an inter-router link.
     pub(crate) fn on_link_flit(&mut self, from: usize, dir: usize, flit: &Flit) -> LinkFate {
         let key = (from, dir, flit.packet);
-        if let Some(rest) = self.eating.get_mut(&key) {
+        if let Some(rest) = self.state.eating.get_mut(&key) {
             *rest -= 1;
             if *rest == 0 {
-                self.eating.remove(&key);
+                self.state.eating.remove(&key);
             }
-            self.stats.flits_dropped += 1;
+            self.state.stats.flits_dropped += 1;
             return LinkFate::Drop;
         }
         if flit.kind.is_head() {
             if self.chance(self.cfg.link_drop_rate) {
-                self.stats.packets_dropped += 1;
-                self.stats.flits_dropped += 1;
+                self.state.stats.packets_dropped += 1;
+                self.state.stats.flits_dropped += 1;
                 let rest = flit.head().len.saturating_sub(1);
                 if rest > 0 {
-                    self.eating.insert(key, rest);
+                    self.state.eating.insert(key, rest);
                 }
                 return LinkFate::Drop;
             }
             if self.chance(self.cfg.link_corrupt_rate) {
-                self.stats.packets_corrupted += 1;
+                self.state.stats.packets_corrupted += 1;
                 return LinkFate::Corrupt;
             }
         }
@@ -356,7 +380,7 @@ impl FaultState {
     pub(crate) fn on_link_credit(&mut self) -> bool {
         let lost = self.chance(self.cfg.credit_loss_rate);
         if lost {
-            self.stats.credits_lost += 1;
+            self.state.stats.credits_lost += 1;
         }
         lost
     }
@@ -368,8 +392,8 @@ impl FaultState {
     pub(crate) fn roll_table_corruption(&mut self, ports: usize) -> Option<(usize, usize)> {
         if self.chance(self.cfg.table_corrupt_rate) {
             Some((
-                self.rng.gen_range(0..ports),
-                self.rng.gen_range(0..usize::MAX),
+                self.state.rng.0.gen_range(0..ports),
+                self.state.rng.0.gen_range(0..usize::MAX),
             ))
         } else {
             None
@@ -383,39 +407,6 @@ impl FaultState {
             .iter()
             .any(|e| e.node.index() == node && e.dir == dir && e.active(now))
     }
-
-    /// The full dynamic state, for checkpointing (the configuration
-    /// travels with the run config). The swallow map is sorted by key so
-    /// the snapshot bytes are deterministic.
-    pub(crate) fn snapshot(&self) -> FaultSnapshot {
-        let (rng_state, rng_stream) = self.rng.state_words();
-        let mut eating: Vec<((usize, usize, PacketId), u32)> =
-            self.eating.iter().map(|(k, v)| (*k, *v)).collect();
-        eating.sort_by_key(|&((node, port, packet), _)| (node, port, packet.0));
-        FaultSnapshot {
-            rng_state,
-            rng_stream,
-            eating,
-            stats: self.stats.clone(),
-        }
-    }
-
-    /// Overwrites the dynamic state from a [`FaultState::snapshot`] taken
-    /// under the same fault configuration.
-    pub(crate) fn restore(&mut self, snap: FaultSnapshot) {
-        self.rng = ChaCha8Rng::from_state_words(snap.rng_state, snap.rng_stream);
-        self.eating = snap.eating.into_iter().collect();
-        self.stats = snap.stats;
-    }
-}
-
-/// Complete dynamic state of the fault layer, for checkpointing.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub(crate) struct FaultSnapshot {
-    rng_state: u64,
-    rng_stream: u64,
-    eating: Vec<((usize, usize, PacketId), u32)>,
-    stats: FaultStats,
 }
 
 #[cfg(test)]
@@ -634,9 +625,9 @@ mod tests {
         for _ in 0..4 {
             assert_eq!(fs.on_link_flit(3, 1, &body), LinkFate::Drop);
         }
-        assert!(fs.eating.is_empty(), "swallow bookkeeping must drain");
-        assert_eq!(fs.stats.packets_dropped, 1);
-        assert_eq!(fs.stats.flits_dropped, 5);
+        assert!(fs.state.eating.is_empty(), "swallow bookkeeping must drain");
+        assert_eq!(fs.state.stats.packets_dropped, 1);
+        assert_eq!(fs.state.stats.flits_dropped, 5);
     }
 
     #[test]
@@ -769,9 +760,9 @@ mod tests {
                 let mut original = FaultState::new(cfg.clone());
                 play(&mut original, &prefix);
 
-                let snap = original.snapshot();
+                let snap = original.state.clone();
                 let json = serde_json::to_string(&snap).expect("serialize snapshot");
-                let decoded: FaultSnapshot =
+                let decoded: State =
                     serde_json::from_str(&json).expect("deserialize snapshot");
                 prop_assert_eq!(
                     serde_json::to_string(&decoded).expect("re-serialize"),
@@ -783,7 +774,7 @@ mod tests {
                     seed: seed ^ 0x5EED,
                     ..cfg
                 });
-                restored.restore(decoded);
+                restored.state = decoded;
                 prop_assert_eq!(
                     play(&mut original, &suffix),
                     play(&mut restored, &suffix),

@@ -195,52 +195,60 @@ struct QueuedArrival {
 }
 
 /// Per-edge queue plus token bucket.
-#[derive(Debug)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 struct EdgeIngress {
-    node: NodeId,
     queue: VecDeque<QueuedArrival>,
     /// Fixed-point token level, `TOKEN_SCALE` units per whole token.
     tokens: u64,
 }
 
-/// The whole ingress layer: one [`EdgeIngress`] per configured edge node
-/// plus the cumulative [`OverloadReport`] counters.
-#[derive(Debug)]
-pub(crate) struct IngressState {
-    cfg: IngressConfig,
+/// The ingress layer's state (DESIGN.md §15): one [`EdgeIngress`] per
+/// configured edge node, in edge order, plus the cumulative
+/// [`OverloadReport`] counters.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub(crate) struct State {
     edges: Vec<EdgeIngress>,
     report: OverloadReport,
 }
 
+/// The whole ingress layer: its configuration and edge nodes (wiring),
+/// and its [`State`].
+#[derive(Debug)]
+pub(crate) struct IngressState {
+    cfg: IngressConfig,
+    /// The configured edge nodes, in offer/drain order.
+    nodes: Vec<NodeId>,
+    pub(crate) state: State,
+}
+
 impl IngressState {
-    pub(crate) fn new(cfg: IngressConfig, edges: Vec<NodeId>) -> Self {
-        let edges = edges
-            .into_iter()
-            .map(|node| EdgeIngress {
-                node,
-                queue: VecDeque::new(),
-                // Start full so a cold-start burst up to `bucket_cap` is
-                // admitted rather than spuriously rejected at cycle 0.
-                tokens: cfg.bucket_cap * TOKEN_SCALE,
-            })
-            .collect();
+    pub(crate) fn new(cfg: IngressConfig, nodes: Vec<NodeId>) -> Self {
+        let full = EdgeIngress {
+            queue: VecDeque::new(),
+            // Start full so a cold-start burst up to `bucket_cap` is
+            // admitted rather than spuriously rejected at cycle 0.
+            tokens: cfg.bucket_cap * TOKEN_SCALE,
+        };
         Self {
             cfg,
-            edges,
-            report: OverloadReport::default(),
+            state: State {
+                edges: vec![full; nodes.len()],
+                report: OverloadReport::default(),
+            },
+            nodes,
         }
     }
 
     /// The configured edge nodes, in offer/drain order.
-    pub(crate) fn edge_nodes(&self) -> Vec<NodeId> {
-        self.edges.iter().map(|e| e.node).collect()
+    pub(crate) fn edge_nodes(&self) -> &[NodeId] {
+        &self.nodes
     }
 
     /// Index of `edge` in the configured edge list.
     fn edge_index(&self, edge: NodeId) -> usize {
-        self.edges
+        self.nodes
             .iter()
-            .position(|e| e.node == edge)
+            .position(|&n| n == edge)
             .expect("offer_external at a node configured as an ingress edge")
     }
 
@@ -249,10 +257,10 @@ impl IngressState {
     pub(crate) fn offer(&mut self, now: Cycle, edge: NodeId, dst: NodeId, block: u64) -> Admission {
         let i = self.edge_index(edge);
         let cfg = self.cfg;
-        self.report.offered += 1;
-        let e = &mut self.edges[i];
+        self.state.report.offered += 1;
+        let e = &mut self.state.edges[i];
         if cfg.admission && e.tokens < TOKEN_SCALE {
-            self.report.rejected_no_token += 1;
+            self.state.report.rejected_no_token += 1;
             // How long until one whole token accumulates at the refill
             // rate (at least one cycle; fall back to the generic backoff
             // when refill is off).
@@ -268,7 +276,7 @@ impl IngressState {
             };
         }
         if e.queue.len() >= cfg.queue_cap {
-            self.report.rejected_queue_full += 1;
+            self.state.report.rejected_queue_full += 1;
             return Admission::Rejected {
                 reason: RejectReason::QueueFull,
                 retry_after: cfg.retry_backoff.max(1),
@@ -282,10 +290,10 @@ impl IngressState {
             block,
             arrived_at: now,
         });
-        self.report.admitted += 1;
-        self.report.queued += 1;
+        self.state.report.admitted += 1;
+        self.state.report.queued += 1;
         let depth = e.queue.len() as u32;
-        self.report.depth_high_water = self.report.depth_high_water.max(depth);
+        self.state.report.depth_high_water = self.state.report.depth_high_water.max(depth);
         Admission::Admitted { depth }
     }
 
@@ -300,9 +308,9 @@ impl IngressState {
         released: &mut Vec<ReleasedArrival>,
         shed: &mut Vec<ShedArrival>,
     ) {
-        debug_assert_eq!(backlogs.len(), self.edges.len());
+        debug_assert_eq!(backlogs.len(), self.state.edges.len());
         let cfg = self.cfg;
-        for (i, e) in self.edges.iter_mut().enumerate() {
+        for (i, (e, &node)) in self.state.edges.iter_mut().zip(&self.nodes).enumerate() {
             if cfg.admission {
                 e.tokens = (e.tokens + cfg.tokens_per_kilocycle).min(cfg.bucket_cap * TOKEN_SCALE);
             }
@@ -312,19 +320,16 @@ impl IngressState {
                     break;
                 }
                 e.queue.pop_front();
-                self.report.shed_timeout += 1;
-                self.report.queued -= 1;
-                shed.push(ShedArrival {
-                    edge: e.node,
-                    waited,
-                });
+                self.state.report.shed_timeout += 1;
+                self.state.report.queued -= 1;
+                shed.push(ShedArrival { edge: node, waited });
             }
             if backlogs[i] < cfg.backpressure_threshold {
                 if let Some(head) = e.queue.pop_front() {
-                    self.report.released += 1;
-                    self.report.queued -= 1;
+                    self.state.report.released += 1;
+                    self.state.report.queued -= 1;
                     released.push(ReleasedArrival {
-                        edge: e.node,
+                        edge: node,
                         dst: head.dst,
                         block: head.block,
                         arrived_at: head.arrived_at,
@@ -333,55 +338,20 @@ impl IngressState {
                 }
             }
         }
-        if self.edges.iter().any(|e| !e.queue.is_empty()) {
-            self.report.time_in_overload += 1;
+        if self.state.edges.iter().any(|e| !e.queue.is_empty()) {
+            self.state.report.time_in_overload += 1;
         }
     }
 
     /// Arrivals currently queued across all edges.
     pub(crate) fn queued(&self) -> u64 {
-        self.report.queued
+        self.state.report.queued
     }
 
     /// A copy of the cumulative ledger.
     pub(crate) fn report(&self) -> OverloadReport {
-        self.report
+        self.state.report
     }
-
-    /// The full dynamic state, for checkpointing: per-edge queues and
-    /// token levels (in edge order) plus the cumulative ledger.
-    pub(crate) fn snapshot(&self) -> IngressSnapshot {
-        IngressSnapshot {
-            edges: self
-                .edges
-                .iter()
-                .map(|e| (e.queue.clone(), e.tokens))
-                .collect(),
-            report: self.report,
-        }
-    }
-
-    /// Overwrites the dynamic state from an [`IngressState::snapshot`]
-    /// taken under the same ingress configuration and edge list.
-    pub(crate) fn restore(&mut self, snap: IngressSnapshot) {
-        assert_eq!(
-            snap.edges.len(),
-            self.edges.len(),
-            "ingress snapshot edge count mismatch"
-        );
-        for (e, (queue, tokens)) in self.edges.iter_mut().zip(snap.edges) {
-            e.queue = queue;
-            e.tokens = tokens;
-        }
-        self.report = snap.report;
-    }
-}
-
-/// Complete dynamic state of the ingress layer, for checkpointing.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub(crate) struct IngressSnapshot {
-    edges: Vec<(VecDeque<QueuedArrival>, u64)>,
-    report: OverloadReport,
 }
 
 #[cfg(test)]

@@ -166,7 +166,7 @@ impl Links<'_> {
         };
         if rec.retries < fs.cfg.max_retries {
             rec.retries += 1;
-            fs.stats.retransmissions += 1;
+            fs.state.stats.retransmissions += 1;
             let attempt = rec.retries;
             let backoff = fs.cfg.retry_backoff.max(1) * attempt as Cycle;
             self.retry_queue.push((at + backoff, id));
@@ -178,7 +178,7 @@ impl Links<'_> {
                 },
             });
         } else {
-            fs.stats.packets_abandoned += 1;
+            fs.state.stats.packets_abandoned += 1;
             *self.dropped_packets += 1;
             let retries = rec.retries;
             self.outstanding.remove(&id);
@@ -256,7 +256,7 @@ impl LinkSink for Links<'_> {
                 self.dead_eating.remove(&flit.packet);
             }
             if let Some(fs) = self.faults.as_mut() {
-                fs.stats.dead_flits_lost += 1;
+                fs.state.stats.dead_flits_lost += 1;
             }
             self.drop_on_link(nb, port, &flit, arrive);
             return;

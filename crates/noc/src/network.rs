@@ -4,29 +4,28 @@
 
 use crate::calendar::Calendar;
 use crate::config::NocConfig;
-use crate::fault::{FaultConfig, FaultSnapshot, FaultState, FaultStats};
+use crate::fault::{self, FaultConfig, FaultState, FaultStats};
 use crate::flit::{Delivered, Flit, PacketId, PacketSpec};
 use crate::health::{
     AdaptiveReport, DeadlockReport, HealthReport, LeakedCircuit, StuckMessage, WatchdogConfig,
 };
 use crate::ingress::{
-    Admission, IngressConfig, IngressSnapshot, IngressState, OverloadReport, ReleasedArrival,
-    ShedArrival,
+    self, Admission, IngressConfig, IngressState, OverloadReport, ReleasedArrival, ShedArrival,
 };
 use crate::links::{Links, NiLink};
-use crate::ni::{Ni, NiOut, NiSnapshot};
-use crate::router::{Router, RouterSnapshot};
+use crate::ni::{self, Ni, NiOut};
+use crate::router::{self, Router};
 use crate::stats::{CircuitOutcome, NocStats};
 use rcsim_core::circuit::CircuitKey;
 use rcsim_core::routing::{path_is_healthy, Routing};
 use rcsim_core::{
-    AdaptiveConfig, ConfigError, CongestionMap, CongestionSnapshot, Cycle, Direction, KernelMode,
-    MessageClass, NodeId, PolicyController, RegionMode, RegionPlan, RegionSample, TopologyHealth,
-    TopologyHealthSnapshot, WakeTimes, PORT_LOCAL,
+    AdaptiveConfig, ConfigError, CongestionMap, CongestionState, Cycle, Direction, KernelMode,
+    MessageClass, NodeId, PolicyController, PolicyState, RegionMode, RegionPlan, RegionSample,
+    StateMap, StateSet, TopologyHealth, WakeTimes, PORT_LOCAL,
 };
-use rcsim_trace::{EventKind, TraceSink};
+use rcsim_trace::{ClassLabel, EventKind, TraceSink};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::BTreeSet;
 
 /// A whole-network occupancy snapshot, taken between cycles. Feeds the
 /// trace layer's periodic `EpochSample` events.
@@ -69,9 +68,8 @@ enum TopoChange {
     RouterUp(NodeId),
 }
 
-/// Runtime state of the adaptive policy layer (DESIGN.md §14): the knobs,
-/// the region map, the deterministic controller, the cumulative counters
-/// and the next decision cycle.
+/// The adaptive policy layer (DESIGN.md §14): the knobs and the region
+/// map (wiring), the deterministic controller, and its own state.
 /// Boxed behind `Option` so the default (adaptive-off) network carries a
 /// single extra pointer.
 #[derive(Debug)]
@@ -79,6 +77,13 @@ struct AdaptiveState {
     cfg: AdaptiveConfig,
     plan: RegionPlan,
     controller: PolicyController,
+    state: AdaptiveProgress,
+}
+
+/// The adaptive layer's own state (DESIGN.md §15): the cumulative
+/// counters and the next decision cycle.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+struct AdaptiveProgress {
     report: AdaptiveReport,
     next_decision: Cycle,
 }
@@ -113,64 +118,30 @@ pub(crate) struct Outstanding {
 /// [`Network::stalled`]. The watchdog bookkeeping is always on and purely
 /// observational, so it never perturbs the simulation.
 pub struct Network {
+    // Wiring.
     cfg: NocConfig,
-    routers: Vec<Router>,
-    nis: Vec<Ni>,
-    /// Messages in flight towards each router.
-    router_links: Vec<Calendar>,
-    /// Messages in flight towards each NI (all on port 0).
-    ni_links: Vec<Calendar>,
     /// Each router's neighbour per network port ([`Topology::neighbor`],
     /// tabulated once: [`Links`] asks for every message).
     neighbors: Vec<[Option<NodeId>; PORT_LOCAL]>,
-    delivered: Vec<Vec<Delivered>>,
-    /// Packets held in `delivered` (derived; lets the every-cycle
-    /// [`Network::take_all_delivered`] skip the per-tile walk).
-    delivered_pending: usize,
-    stats: NocStats,
-    now: Cycle,
-    next_packet: u64,
+    /// Scheduled permanent-fault transitions, sorted by cycle.
+    fault_schedule: Vec<(Cycle, TopoChange)>,
+    watchdog: WatchdogConfig,
+    /// Which kernel drives the per-cycle loops (see [`KernelMode`]).
+    kernel: KernelMode,
+    /// Where trace events go; [`TraceSink::Disabled`] by default.
+    sink: TraceSink,
+
+    // Components, each with a state of its own.
+    routers: Vec<Router>,
+    nis: Vec<Ni>,
     /// `Some` only when the fault configuration can actually fire — a
     /// fault-free network carries no fault state at all, which is what
     /// makes `FaultConfig::none()` bit-identical to no fault layer.
     faults: Option<FaultState>,
-    /// The live dead-link / dead-router map, updated as the scheduled
-    /// fault events in [`Network::fault_schedule`] fire. Routing and the
-    /// NIs consult it; a healthy map costs one boolean check per packet.
-    topo: TopologyHealth,
-    /// Scheduled permanent-fault transitions, sorted by cycle.
-    fault_schedule: Vec<(Cycle, TopoChange)>,
-    /// First not-yet-applied entry of `fault_schedule`.
-    fault_cursor: usize,
-    watchdog: WatchdogConfig,
-    /// Every injected, not-yet-delivered packet (src == dst traffic never
-    /// enters the network and is not tracked).
-    outstanding: HashMap<PacketId, Outstanding>,
-    /// Scheduled end-to-end retransmissions: (due cycle, packet).
-    retry_queue: Vec<(Cycle, PacketId)>,
-    /// Circuits hit by table corruption or dead-resource teardown;
-    /// consumed when their reply is delivered to reclassify it as
-    /// `FaultDegraded`.
-    faulted_circuits: HashSet<CircuitKey>,
-    /// Packets whose head flit died at a dead link; their remaining flits
-    /// are eaten silently at the same link (packet-atomic loss).
-    dead_eating: HashSet<PacketId>,
-    /// Last cycle any flit moved (arrived, ejected or was delivered).
-    last_progress: Cycle,
-    /// Which kernel drives the per-cycle loops (see [`KernelMode`]).
-    kernel: KernelMode,
-    /// Next cycle each NI's calendar is due (event-kernel wake times).
-    ni_wake: WakeTimes,
-    /// Next cycle each router's calendar is due (event-kernel wake times).
-    router_wake: WakeTimes,
-    /// Reusable per-tick buffers.
-    scratch: Scratch,
     /// Open-loop edge ingress (bounded queues + admission control);
     /// `None` unless [`Network::configure_ingress`] was called, so
     /// closed-loop runs carry no ingress state at all.
     ingress: Option<Box<IngressState>>,
-    /// Where trace events go; [`TraceSink::Disabled`] by default.
-    sink: TraceSink,
     /// Adaptive policy layer; `None` (the default) is the exact seed
     /// behavior. See [`Network::enable_adaptive`].
     adaptive: Option<Box<AdaptiveState>>,
@@ -180,6 +151,52 @@ pub struct Network {
     /// fault-heal staleness: it bumps on every link/router revival, so
     /// post-heal replies stop riding detours recorded under the fault.
     congestion: CongestionMap,
+
+    state: State,
+
+    // Scratch.
+    /// Packets held in `delivered` (lets the every-cycle
+    /// [`Network::take_all_delivered`] skip the per-tile walk).
+    delivered_pending: usize,
+    /// Reusable per-tick buffers.
+    scratch: Scratch,
+}
+
+/// The network's own state (DESIGN.md §15).
+#[derive(Debug, Clone, Serialize, Deserialize)]
+struct State {
+    /// Messages in flight towards each router.
+    router_links: Vec<Calendar>,
+    /// Messages in flight towards each NI (all on port 0).
+    ni_links: Vec<Calendar>,
+    delivered: Vec<Vec<Delivered>>,
+    stats: NocStats,
+    now: Cycle,
+    next_packet: u64,
+    /// The live dead-link / dead-router map, updated as the scheduled
+    /// fault events in [`Network::fault_schedule`] fire. Routing and the
+    /// NIs consult it; a healthy map costs one boolean check per packet.
+    topo: TopologyHealth,
+    /// First not-yet-applied entry of `fault_schedule`.
+    fault_cursor: usize,
+    /// Every injected, not-yet-delivered packet (src == dst traffic never
+    /// enters the network and is not tracked).
+    outstanding: StateMap<PacketId, Outstanding>,
+    /// Scheduled end-to-end retransmissions: (due cycle, packet).
+    retry_queue: Vec<(Cycle, PacketId)>,
+    /// Circuits hit by table corruption or dead-resource teardown;
+    /// consumed when their reply is delivered to reclassify it as
+    /// `FaultDegraded`.
+    faulted_circuits: StateSet<CircuitKey>,
+    /// Packets whose head flit died at a dead link; their remaining flits
+    /// are eaten silently at the same link (packet-atomic loss).
+    dead_eating: StateSet<PacketId>,
+    /// Last cycle any flit moved (arrived, ejected or was delivered).
+    last_progress: Cycle,
+    /// Next cycle each NI's calendar is due (event-kernel wake times).
+    ni_wake: WakeTimes,
+    /// Next cycle each router's calendar is due (event-kernel wake times).
+    router_wake: WakeTimes,
 }
 
 impl Network {
@@ -221,6 +238,15 @@ impl Network {
         fault_schedule.sort_by_key(|&(t, _)| t);
         Ok(Self {
             cfg,
+            neighbors: cfg
+                .topology
+                .iter_routers()
+                .map(|id| std::array::from_fn(|port| cfg.topology.neighbor(id, port)))
+                .collect(),
+            fault_schedule,
+            watchdog: WatchdogConfig::default(),
+            kernel: KernelMode::Event,
+            sink: TraceSink::default(),
             routers: cfg
                 .topology
                 .iter_routers()
@@ -231,40 +257,33 @@ impl Network {
                 .iter_tiles()
                 .map(|id| Ni::new(id, &cfg))
                 .collect(),
-            router_links: vec![Calendar::new(cfg.link_latency); routers_n],
-            ni_links: vec![Calendar::new(cfg.link_latency); tiles],
-            neighbors: cfg
-                .topology
-                .iter_routers()
-                .map(|id| std::array::from_fn(|port| cfg.topology.neighbor(id, port)))
-                .collect(),
-            delivered: vec![Vec::new(); tiles],
-            delivered_pending: 0,
-            stats: NocStats::default(),
-            now: 0,
-            next_packet: 0,
             faults: if faults.is_none() {
                 None
             } else {
                 Some(FaultState::new(faults))
             },
-            topo: TopologyHealth::new(),
-            fault_schedule,
-            fault_cursor: 0,
-            watchdog: WatchdogConfig::default(),
-            outstanding: HashMap::new(),
-            retry_queue: Vec::new(),
-            faulted_circuits: HashSet::new(),
-            dead_eating: HashSet::new(),
-            last_progress: 0,
-            kernel: KernelMode::Event,
-            ni_wake: WakeTimes::new(tiles),
-            router_wake: WakeTimes::new(routers_n),
-            scratch: Scratch::default(),
             ingress: None,
-            sink: TraceSink::default(),
             adaptive: None,
             congestion: CongestionMap::new(routers_n),
+            state: State {
+                router_links: vec![Calendar::new(cfg.link_latency); routers_n],
+                ni_links: vec![Calendar::new(cfg.link_latency); tiles],
+                delivered: vec![Vec::new(); tiles],
+                stats: NocStats::default(),
+                now: 0,
+                next_packet: 0,
+                topo: TopologyHealth::new(),
+                fault_cursor: 0,
+                outstanding: StateMap::default(),
+                retry_queue: Vec::new(),
+                faulted_circuits: StateSet::default(),
+                dead_eating: StateSet::default(),
+                last_progress: 0,
+                ni_wake: WakeTimes::new(tiles),
+                router_wake: WakeTimes::new(routers_n),
+            },
+            delivered_pending: 0,
+            scratch: Scratch::default(),
         })
     }
 
@@ -303,8 +322,10 @@ impl Network {
             cfg,
             plan,
             controller,
-            report: AdaptiveReport::default(),
-            next_decision: self.now + cfg.decision_epoch,
+            state: AdaptiveProgress {
+                report: AdaptiveReport::default(),
+                next_decision: self.state.now + cfg.decision_epoch,
+            },
         }));
         Ok(())
     }
@@ -314,7 +335,7 @@ impl Network {
         self.adaptive
             .as_ref()
             .map(|a| {
-                let mut r = a.report;
+                let mut r = a.state.report;
                 r.hot_regions = a.controller.hot_regions();
                 r.circuits_suppressed = self.nis.iter().map(|ni| ni.circuits_suppressed()).sum();
                 r
@@ -341,7 +362,7 @@ impl Network {
             circuit_entries: self
                 .routers
                 .iter()
-                .map(|r| r.circuits.total_entries() as u64)
+                .map(|r| r.state.circuits.total_entries() as u64)
                 .sum(),
             buffered_flits: self.routers.iter().map(|r| r.buffered_flits() as u64).sum(),
             ni_backlog: self.nis.iter().map(|ni| ni.backlog() as u64).sum(),
@@ -388,7 +409,7 @@ impl Network {
     /// Panics when no ingress layer is configured or `edge` is not one of
     /// its edges.
     pub fn offer_external(&mut self, edge: NodeId, dst: NodeId, block: u64) -> Admission {
-        let now = self.now;
+        let now = self.state.now;
         let ingress = self
             .ingress
             .as_mut()
@@ -431,11 +452,11 @@ impl Network {
             .map(|e| self.nis[e.index()].backlog())
             .collect();
         let mut shed: Vec<ShedArrival> = Vec::new();
-        ingress.drain(self.now, &backlogs, out, &mut shed);
+        ingress.drain(self.state.now, &backlogs, out, &mut shed);
         self.ingress = Some(ingress);
         for s in &shed {
             self.sink.emit(|| rcsim_trace::TraceEvent {
-                cycle: self.now,
+                cycle: self.state.now,
                 kind: EventKind::IngressShed {
                     node: s.edge.0,
                     waited: s.waited,
@@ -460,7 +481,7 @@ impl Network {
 
     /// Current simulation cycle.
     pub fn now(&self) -> Cycle {
-        self.now
+        self.state.now
     }
 
     /// Submits a packet at its source NI. Returns the packet id and, for
@@ -483,15 +504,15 @@ impl Network {
             spec.dst.index() < self.cfg.topology.nodes(),
             "dst out of range"
         );
-        let id = PacketId(self.next_packet);
-        self.next_packet += 1;
+        let id = PacketId(self.state.next_packet);
+        self.state.next_packet += 1;
         self.sink.emit(|| rcsim_trace::TraceEvent {
-            cycle: self.now,
+            cycle: self.state.now,
             kind: EventKind::NiEnqueue {
                 packet: id.0,
                 src: spec.src.0,
                 dst: spec.dst.0,
-                class: spec.class.label(),
+                class: ClassLabel(spec.class.label()),
             },
         });
         if spec.src == spec.dst {
@@ -499,7 +520,7 @@ impl Network {
             // ejection here so the lifecycle invariant (one terminal event
             // per enqueue) holds for every packet.
             self.sink.emit(|| rcsim_trace::TraceEvent {
-                cycle: self.now + 1,
+                cycle: self.state.now + 1,
                 kind: EventKind::NiEject {
                     packet: id.0,
                     node: spec.dst.0,
@@ -514,9 +535,9 @@ impl Network {
                 class: spec.class,
                 block: spec.block,
                 token: spec.token,
-                created_at: self.now,
-                injected_at: self.now,
-                delivered_at: self.now + 1,
+                created_at: self.state.now,
+                injected_at: self.state.now,
+                delivered_at: self.state.now + 1,
                 circuit: None,
                 rode_circuit: false,
             };
@@ -526,11 +547,11 @@ impl Network {
         let committed = self.nis[spec.src.index()].enqueue(
             spec,
             id,
-            self.now,
+            self.state.now,
             &self.congestion,
-            &mut self.stats,
+            &mut self.state.stats,
         );
-        self.outstanding.insert(
+        self.state.outstanding.insert(
             id,
             Outstanding {
                 src: spec.src,
@@ -541,7 +562,7 @@ impl Network {
                     .unwrap_or_else(|| spec.class.flits(self.cfg.flit_bytes)),
                 block: spec.block,
                 token: spec.token,
-                created_at: self.now,
+                created_at: self.state.now,
                 committed,
                 circuit_key: spec.circuit_key,
                 retries: 0,
@@ -555,7 +576,7 @@ impl Network {
     /// instead of replying itself (§4.4). Returns `false` when no such
     /// circuit is registered.
     pub fn undo_circuit(&mut self, node: NodeId, key: CircuitKey) -> bool {
-        self.nis[node.index()].undo_circuit(key, &mut self.stats)
+        self.nis[node.index()].undo_circuit(key, &mut self.state.stats)
     }
 
     /// `true` when `node`'s NI holds a fully built circuit origin for
@@ -567,7 +588,8 @@ impl Network {
     /// Records an `L1_DATA_ACK` eliminated by the protocol (§4.6) so the
     /// Figure 6 outcome breakdown stays complete.
     pub fn record_eliminated_ack(&mut self) {
-        self.stats
+        self.state
+            .stats
             .record_outcome(crate::stats::CircuitOutcome::Eliminated);
     }
 
@@ -575,18 +597,18 @@ impl Network {
     /// logical reply of a forwarded transaction whose circuit had already
     /// failed mid-path and so was never registered at an NI).
     pub fn record_reply_outcome(&mut self, outcome: crate::stats::CircuitOutcome) {
-        self.stats.record_outcome(outcome);
+        self.state.stats.record_outcome(outcome);
     }
 
     /// Hands a fully received packet to `tile`'s delivery list.
     fn deliver(&mut self, tile: usize, d: Delivered) {
         self.delivered_pending += 1;
-        self.delivered[tile].push(d);
+        self.state.delivered[tile].push(d);
     }
 
     /// Packets fully received at `node` since the last call.
     pub fn take_delivered(&mut self, node: NodeId) -> Vec<Delivered> {
-        let taken = std::mem::take(&mut self.delivered[node.index()]);
+        let taken = std::mem::take(&mut self.state.delivered[node.index()]);
         self.delivered_pending -= taken.len();
         taken
     }
@@ -599,7 +621,7 @@ impl Network {
             return all;
         }
         self.delivered_pending = 0;
-        for (i, v) in self.delivered.iter_mut().enumerate() {
+        for (i, v) in self.state.delivered.iter_mut().enumerate() {
             for d in v.drain(..) {
                 all.push((NodeId(i as u16), d));
             }
@@ -615,7 +637,7 @@ impl Network {
     /// argument); everything else — iteration order, drain order, fault
     /// RNG draws, statistics — is shared verbatim with the dense kernel.
     pub fn tick(&mut self) {
-        let now = self.now;
+        let now = self.state.now;
         let mut s = std::mem::take(&mut self.scratch);
         let topology = self.cfg.topology;
         let event = self.kernel == KernelMode::Event;
@@ -634,8 +656,12 @@ impl Network {
         self.adaptive_tick(now);
 
         // Due end-to-end retransmissions re-enter their source NI.
-        for (_, id) in self.retry_queue.extract_if(.., |&mut (t, _)| t <= now) {
-            if let Some(rec) = self.outstanding.get(&id) {
+        for (_, id) in self
+            .state
+            .retry_queue
+            .extract_if(.., |&mut (t, _)| t <= now)
+        {
+            if let Some(rec) = self.state.outstanding.get(&id) {
                 self.nis[rec.src.index()].reenqueue_retry(id, rec, now);
             }
         }
@@ -645,16 +671,21 @@ impl Network {
         // NIs first: they consume flits/credits produced last cycle and
         // inject at most one flit each into their router's local port.
         for i in 0..topology.nodes() {
-            let due = self.ni_wake.due(i, now);
+            let due = self.state.ni_wake.due(i, now);
             if event && !due && !self.nis[i].is_active() {
                 // Nothing due and nothing queued or streaming: the tick
                 // would be a no-op; skip it.
                 continue;
             }
             if due {
-                let wake =
-                    self.ni_links[i].drain(now, 0, &mut s.arrivals, &mut s.credits, &mut s.undos);
-                self.ni_wake.set(i, wake);
+                let wake = self.state.ni_links[i].drain(
+                    now,
+                    0,
+                    &mut s.arrivals,
+                    &mut s.credits,
+                    &mut s.undos,
+                );
+                self.state.ni_wake.set(i, wake);
             }
             moved |= !s.arrivals.is_empty();
             s.ni_out.clear();
@@ -664,15 +695,15 @@ impl Network {
                 now,
                 &mut s.arrivals,
                 &mut s.credits,
-                &self.topo,
+                &self.state.topo,
                 &self.congestion,
                 &mut s.ni_out,
                 &mut NiLink {
                     now,
                     port: topology.eject_port(tile),
                     router,
-                    link: &mut self.router_links[router],
-                    wake: &mut self.router_wake,
+                    link: &mut self.state.router_links[router],
+                    wake: &mut self.state.router_wake,
                 },
             );
             moved |= injected || !s.ni_out.delivered.is_empty();
@@ -715,10 +746,10 @@ impl Network {
         }
 
         if moved {
-            self.last_progress = now;
+            self.state.last_progress = now;
         }
-        self.stats.cycles += 1;
-        self.now = now + 1;
+        self.state.stats.cycles += 1;
+        self.state.now = now + 1;
         self.scratch = s;
     }
 
@@ -733,13 +764,13 @@ impl Network {
         let Some(mut ad) = self.adaptive.take() else {
             return;
         };
-        if now >= ad.next_decision {
-            while ad.next_decision <= now {
-                ad.next_decision += ad.cfg.decision_epoch;
+        if now >= ad.state.next_decision {
+            while ad.state.next_decision <= now {
+                ad.state.next_decision += ad.cfg.decision_epoch;
             }
             let samples = self.region_samples(&ad.plan);
             let decisions = ad.controller.decide(now, &samples);
-            ad.report.decisions += 1;
+            ad.state.report.decisions += 1;
             let mut newly_hot: Vec<usize> = Vec::new();
             for d in decisions.iter().filter(|d| d.switched) {
                 let hot = d.mode == RegionMode::Hot;
@@ -752,12 +783,12 @@ impl Network {
                     },
                 });
                 if hot {
-                    ad.report.hot_switches += 1;
+                    ad.state.report.hot_switches += 1;
                     if ad.cfg.mech_switch {
                         newly_hot.push(d.region);
                     }
                 } else {
-                    ad.report.calm_switches += 1;
+                    ad.state.report.calm_switches += 1;
                 }
                 // Both features key off the hot-router map: detours avoid
                 // hot routers, the mechanism switch suppresses circuits
@@ -777,17 +808,17 @@ impl Network {
                 // Wake the region so the event kernel re-evaluates its
                 // components under the new policy this very cycle.
                 for t in ad.plan.tile_range(d.region) {
-                    self.ni_wake.wake_at(t, now);
+                    self.state.ni_wake.wake_at(t, now);
                 }
                 for r in ad.plan.router_range(d.region) {
-                    self.router_wake.wake_at(r, now);
+                    self.state.router_wake.wake_at(r, now);
                 }
             }
             if !newly_hot.is_empty() {
-                ad.report.circuits_torn_on_switch +=
+                ad.state.report.circuits_torn_on_switch +=
                     self.teardown_regions(now, &ad.plan, &newly_hot);
             }
-            ad.report.hot_regions = ad.controller.hot_regions();
+            ad.state.report.hot_regions = ad.controller.hot_regions();
         }
         self.adaptive = Some(ad);
     }
@@ -806,7 +837,7 @@ impl Network {
                         .sum(),
                     circuit_entries: self.routers[rr]
                         .iter()
-                        .map(|r| r.circuits.total_entries() as u64)
+                        .map(|r| r.state.circuits.total_entries() as u64)
                         .sum(),
                     ni_backlog: self.nis[plan.tile_range(s)]
                         .iter()
@@ -846,7 +877,7 @@ impl Network {
                     && self.nis[i].teardown_origin(key)
                 {
                     torn += 1;
-                    self.ni_wake.wake_at(i, now);
+                    self.state.ni_wake.wake_at(i, now);
                 }
             }
         }
@@ -880,17 +911,17 @@ impl Network {
                 };
                 *mask |= u64::from(fs.port_stuck(i, dir, now)) << p;
             }
-            fs.stats.stuck_port_cycles += u64::from(mask.count_ones());
+            fs.state.stats.stuck_port_cycles += u64::from(mask.count_ones());
             // Soft errors in the reservation SRAM: one random entry of one
             // random port evaporates; the riding reply (if any) degrades
             // to the ordinary pipeline at this router.
             if let Some((port, draw)) = fs.roll_table_corruption(ports) {
-                let circuits = &mut self.routers[i].circuits;
+                let circuits = &mut self.routers[i].state.circuits;
                 let occ = circuits.port_occupancy(port);
                 if occ > 0 {
                     if let Some(e) = circuits.fault_remove(port, draw % occ) {
-                        self.faulted_circuits.insert(e.key);
-                        fs.stats.table_entries_corrupted += 1;
+                        self.state.faulted_circuits.insert(e.key);
+                        fs.state.stats.table_entries_corrupted += 1;
                     }
                 }
             }
@@ -905,13 +936,13 @@ impl Network {
     /// and the order of the trace.
     fn settle_ni(&mut self, tile: usize, now: Cycle, out: &mut NiOut) {
         if let Some((class, len)) = out.injection.take() {
-            self.stats.record_injection(class, len);
+            self.state.stats.record_injection(class, len);
         }
         if let Some(fs) = self.faults.as_mut() {
-            fs.stats.packets_rerouted += out.reroutes;
+            fs.state.stats.packets_rerouted += out.reroutes;
         }
         if let Some(ad) = self.adaptive.as_mut() {
-            ad.report.congestion_detours += out.congestion_reroutes;
+            ad.state.report.congestion_detours += out.congestion_reroutes;
         }
         if !out.corrupt_discards.is_empty() {
             let (_, mut links) = self.links(now);
@@ -920,7 +951,7 @@ impl Network {
             }
         }
         for mut d in out.delivered.drain(..) {
-            self.stats.record_delivery(
+            self.state.stats.record_delivery(
                 d.class,
                 d.injected_at - d.created_at,
                 d.delivered_at - d.injected_at,
@@ -947,17 +978,17 @@ impl Network {
             from: NodeId(0),
             cfg: &self.cfg,
             neighbors: &self.neighbors,
-            router_links: &mut self.router_links,
-            ni_links: &mut self.ni_links,
-            router_wake: &mut self.router_wake,
-            ni_wake: &mut self.ni_wake,
-            topo: &self.topo,
-            degraded: self.topo.is_degraded(),
+            router_links: &mut self.state.router_links,
+            ni_links: &mut self.state.ni_links,
+            router_wake: &mut self.state.router_wake,
+            ni_wake: &mut self.state.ni_wake,
+            topo: &self.state.topo,
+            degraded: self.state.topo.is_degraded(),
             faults: &mut self.faults,
-            dead_eating: &mut self.dead_eating,
-            outstanding: &mut self.outstanding,
-            retry_queue: &mut self.retry_queue,
-            dropped_packets: &mut self.stats.dropped_packets,
+            dead_eating: &mut self.state.dead_eating,
+            outstanding: &mut self.state.outstanding,
+            retry_queue: &mut self.state.retry_queue,
+            dropped_packets: &mut self.state.stats.dropped_packets,
             sink: &self.sink,
             lost: Vec::new(),
         };
@@ -971,14 +1002,15 @@ impl Network {
     /// delivery's `rode_circuit` flag consistent with the sender's §4.6
     /// NoAck commitment. Returns the packet's end-to-end retry count.
     fn note_delivered(&mut self, d: &mut Delivered) -> u32 {
-        let Some(rec) = self.outstanding.remove(&d.packet) else {
+        let Some(rec) = self.state.outstanding.remove(&d.packet) else {
             return 0;
         };
         let key_faulted = rec
             .circuit_key
-            .is_some_and(|k| self.faulted_circuits.remove(&k));
+            .is_some_and(|k| self.state.faulted_circuits.remove(&k));
         if rec.committed && (rec.retries > 0 || key_faulted) {
-            self.stats
+            self.state
+                .stats
                 .reclassify_outcome(CircuitOutcome::OnCircuit, CircuitOutcome::FaultDegraded);
             // The sender committed to the NoAck condition; the receiver
             // must still elide its ack even though the reply limped home.
@@ -994,35 +1026,35 @@ impl Network {
     /// resource. Dense and RNG-free, so the fault stream (and therefore
     /// the whole run) is identical under both kernels.
     fn process_fault_onsets(&mut self, now: Cycle) {
-        while self.fault_cursor < self.fault_schedule.len()
-            && self.fault_schedule[self.fault_cursor].0 <= now
+        while self.state.fault_cursor < self.fault_schedule.len()
+            && self.fault_schedule[self.state.fault_cursor].0 <= now
         {
-            let (_, change) = self.fault_schedule[self.fault_cursor];
-            self.fault_cursor += 1;
+            let (_, change) = self.fault_schedule[self.state.fault_cursor];
+            self.state.fault_cursor += 1;
             match change {
                 TopoChange::LinkDown(a, b) => {
-                    self.topo.kill_link(a, b);
+                    self.state.topo.kill_link(a, b);
                     self.sink.emit(|| rcsim_trace::TraceEvent {
                         cycle: now,
                         kind: EventKind::LinkDead { a: a.0, b: b.0 },
                     });
                 }
                 TopoChange::LinkUp(a, b) => {
-                    self.topo.revive_link(a, b);
+                    self.state.topo.revive_link(a, b);
                     self.sink.emit(|| rcsim_trace::TraceEvent {
                         cycle: now,
                         kind: EventKind::LinkHealed { a: a.0, b: b.0 },
                     });
                 }
                 TopoChange::RouterDown(node) => {
-                    self.topo.kill_router(node);
+                    self.state.topo.kill_router(node);
                     self.sink.emit(|| rcsim_trace::TraceEvent {
                         cycle: now,
                         kind: EventKind::RouterDead { node: node.0 },
                     });
                 }
                 TopoChange::RouterUp(node) => {
-                    self.topo.revive_router(node);
+                    self.state.topo.revive_router(node);
                     self.sink.emit(|| rcsim_trace::TraceEvent {
                         cycle: now,
                         kind: EventKind::RouterHealed { node: node.0 },
@@ -1053,13 +1085,13 @@ impl Network {
     fn refresh_degraded(&mut self) {
         for i in 0..self.cfg.topology.routers() {
             let id = NodeId(i as u16);
-            let degraded = self.topo.is_degraded()
-                && (!self.topo.node_usable(id)
+            let degraded = self.state.topo.is_degraded()
+                && (!self.state.topo.node_usable(id)
                     || (0..PORT_LOCAL).any(|p| {
                         self.cfg
                             .topology
                             .neighbor(id, p)
-                            .is_some_and(|nb| !self.topo.hop_usable(id, nb))
+                            .is_some_and(|nb| !self.state.topo.hop_usable(id, nb))
                     }));
             self.routers[i].set_degraded(degraded);
         }
@@ -1080,12 +1112,14 @@ impl Network {
         let mut doomed: BTreeSet<CircuitKey> = BTreeSet::new();
         for i in 0..topology.routers() {
             let node = NodeId(i as u16);
-            for (_, e, _) in self.routers[i].circuits.stale_entries(now, 0) {
+            for (_, e, _) in self.routers[i].state.circuits.stale_entries(now, 0) {
                 if doomed.contains(&e.key) {
                     continue;
                 }
                 let reply_path = topology.route_path(e.source, e.key.requestor, Routing::Yx);
-                if !self.topo.node_usable(node) || !path_is_healthy(&reply_path, &self.topo) {
+                if !self.state.topo.node_usable(node)
+                    || !path_is_healthy(&reply_path, &self.state.topo)
+                {
                     doomed.insert(e.key);
                 }
             }
@@ -1096,7 +1130,7 @@ impl Network {
         for i in 0..topology.routers() {
             for key in &doomed {
                 for p in 0..ports {
-                    if self.routers[i].circuits.release(p, *key).is_some() {
+                    if self.routers[i].state.circuits.release(p, *key).is_some() {
                         self.sink.emit(|| rcsim_trace::TraceEvent {
                             cycle: now,
                             kind: EventKind::CircuitTear {
@@ -1113,29 +1147,29 @@ impl Network {
             ni.purge_origins(&doomed);
         }
         if let Some(fs) = self.faults.as_mut() {
-            fs.stats.circuits_torn += doomed.len() as u64;
+            fs.state.stats.circuits_torn += doomed.len() as u64;
         }
-        self.faulted_circuits.extend(doomed.iter().copied());
+        self.state.faulted_circuits.extend(doomed.iter().copied());
     }
 
     /// Zeroes every statistic (latencies, outcomes, activity, table
     /// counters, cycle count) without disturbing in-flight traffic —
     /// called at the end of a warm-up phase.
     pub fn reset_stats(&mut self) {
-        self.stats = NocStats::default();
+        self.state.stats = NocStats::default();
         for r in &mut self.routers {
-            r.activity = Default::default();
-            r.circuits.reset_stats();
+            r.state.activity = Default::default();
+            r.state.circuits.reset_stats();
         }
     }
 
     /// A snapshot of all statistics, including per-router activity and
     /// circuit-table counters.
     pub fn stats(&self) -> NocStats {
-        let mut s = self.stats.clone();
+        let mut s = self.state.stats.clone();
         for r in &self.routers {
-            s.activity.merge(&r.activity);
-            s.tables.merge(r.circuits.stats());
+            s.activity.merge(&r.state.activity);
+            s.tables.merge(r.state.circuits.stats());
         }
         s
     }
@@ -1144,27 +1178,31 @@ impl Network {
     /// the fault layer after exhausting their retries count as resolved.
     pub fn is_quiescent(&self) -> bool {
         self.nis.iter().all(|ni| ni.backlog() == 0)
-            && !self.router_links.iter().any(Calendar::carries_traffic)
-            && !self.ni_links.iter().any(Calendar::carries_traffic)
-            && self.retry_queue.is_empty()
+            && !self
+                .state
+                .router_links
+                .iter()
+                .any(Calendar::carries_traffic)
+            && !self.state.ni_links.iter().any(Calendar::carries_traffic)
+            && self.state.retry_queue.is_empty()
             && self.ingress.as_ref().is_none_or(|i| i.queued() == 0)
-            && self.stats.total_injected()
-                == self.stats.total_delivered() + self.stats.dropped_packets
+            && self.state.stats.total_injected()
+                == self.state.stats.total_delivered() + self.state.stats.dropped_packets
     }
 
     /// `true` when packets are in flight but no flit has moved for at
     /// least the watchdog's stall window — a deadlock (e.g. lost credits)
     /// or total livelock.
     pub fn stalled(&self) -> bool {
-        !self.outstanding.is_empty()
-            && self.now.saturating_sub(self.last_progress) >= self.watchdog.stall_window
+        !self.state.outstanding.is_empty()
+            && self.state.now.saturating_sub(self.state.last_progress) >= self.watchdog.stall_window
     }
 
     /// The fault-injection counters (all zero when faults are disabled).
     pub fn fault_stats(&self) -> FaultStats {
         self.faults
             .as_ref()
-            .map(|f| f.stats.clone())
+            .map(|f| f.state.stats.clone())
             .unwrap_or_default()
     }
 
@@ -1204,10 +1242,10 @@ impl Network {
         // Between ticks every wake slot is exact: its calendar's next due
         // cycle, no earlier (a spurious wake) and no later (a missed one).
         for (what, links, wake) in [
-            ("router", &self.router_links, &self.router_wake),
-            ("ni", &self.ni_links, &self.ni_wake),
+            ("router", &self.state.router_links, &self.state.router_wake),
+            ("ni", &self.state.ni_links, &self.state.ni_wake),
         ] {
-            for (i, due) in links.iter().map(|l| l.next_due(self.now)).enumerate() {
+            for (i, due) in links.iter().map(|l| l.next_due(self.state.now)).enumerate() {
                 if !wake.due(i, due) || (due > 0 && wake.due(i, due - 1)) {
                     return Err(format!(
                         "{what} {i}: wake slot is not the {due} its calendar is due"
@@ -1215,7 +1253,7 @@ impl Network {
                 }
             }
         }
-        let held: usize = self.delivered.iter().map(Vec::len).sum();
+        let held = Self::rebuild_scratch(&self.state);
         if held != self.delivered_pending {
             return Err(format!(
                 "delivered_pending {} but {held} packets are held",
@@ -1231,6 +1269,7 @@ impl Network {
     /// and deterministic (messages are ordered by age, then packet id).
     pub fn health(&self) -> HealthReport {
         let mut msgs: Vec<StuckMessage> = self
+            .state
             .outstanding
             .iter()
             .map(|(id, rec)| StuckMessage {
@@ -1238,7 +1277,7 @@ impl Network {
                 src: rec.src,
                 dst: rec.dst,
                 class: rec.class,
-                age: self.now.saturating_sub(rec.created_at),
+                age: self.state.now.saturating_sub(rec.created_at),
                 retries: rec.retries,
             })
             .collect();
@@ -1249,8 +1288,9 @@ impl Network {
         let mut leaked = Vec::new();
         'scan: for (i, r) in self.routers.iter().enumerate() {
             for (in_port, e, age) in r
+                .state
                 .circuits
-                .stale_entries(self.now.saturating_sub(1), self.watchdog.leak_age)
+                .stale_entries(self.state.now.saturating_sub(1), self.watchdog.leak_age)
             {
                 if leaked.len() >= self.watchdog.max_report_entries {
                     break 'scan;
@@ -1265,16 +1305,16 @@ impl Network {
             }
         }
 
-        let mut dead_links = self.topo.dead_links_sorted();
+        let mut dead_links = self.state.topo.dead_links_sorted();
         dead_links.truncate(self.watchdog.max_report_entries);
-        let mut dead_routers = self.topo.dead_routers_sorted();
+        let mut dead_routers = self.state.topo.dead_routers_sorted();
         dead_routers.truncate(self.watchdog.max_report_entries);
 
         HealthReport {
-            cycle: self.now,
+            cycle: self.state.now,
             stalled: self.stalled(),
-            last_progress: self.last_progress,
-            in_flight: self.outstanding.len() as u64,
+            last_progress: self.state.last_progress,
+            in_flight: self.state.outstanding.len() as u64,
             ni_backlog: self.nis.iter().map(|ni| ni.backlog() as u64).sum(),
             quiescent: self.is_quiescent(),
             oldest_age,
@@ -1303,7 +1343,7 @@ impl Network {
         let mut waiters = Vec::new();
         let mut buf = Vec::new();
         for (r, id) in self.routers.iter().zip(self.cfg.topology.iter_routers()) {
-            r.waiters(self.now, &mut buf);
+            r.waiters(self.state.now, &mut buf);
             waiters.extend(buf.drain(..).map(|w| (id, w)));
         }
         DeadlockReport::find(
@@ -1314,148 +1354,103 @@ impl Network {
         )
     }
 
-    /// Captures every piece of dynamic network state. Must be taken
-    /// between ticks: the per-tick scratch is empty there, which is what
-    /// makes the snapshot identical under both kernels.
+    /// Captures the network's state and its components' — every piece of
+    /// dynamic state. Must be taken between ticks: the per-tick scratch
+    /// is dead there, which is what makes the snapshot identical under
+    /// both kernels.
     pub fn snapshot(&self) -> NetworkSnapshot {
-        let mut outstanding: Vec<(PacketId, Outstanding)> = self
-            .outstanding
-            .iter()
-            .map(|(id, rec)| (*id, rec.clone()))
-            .collect();
-        outstanding.sort_unstable_by_key(|&(id, _)| id);
-        let mut faulted_circuits: Vec<CircuitKey> = self.faulted_circuits.iter().copied().collect();
-        faulted_circuits.sort_unstable_by_key(|k| (k.requestor, k.block));
-        let mut dead_eating: Vec<PacketId> = self.dead_eating.iter().copied().collect();
-        dead_eating.sort_unstable();
         NetworkSnapshot {
-            routers: self.routers.iter().map(Router::snapshot).collect(),
-            nis: self.nis.iter().map(Ni::snapshot).collect(),
-            router_links: self.router_links.clone(),
-            ni_links: self.ni_links.clone(),
-            delivered: self.delivered.clone(),
-            stats: self.stats.clone(),
-            now: self.now,
-            next_packet: self.next_packet,
-            faults: self.faults.as_ref().map(FaultState::snapshot),
-            topo: self.topo.snapshot(),
-            fault_cursor: self.fault_cursor,
-            outstanding,
-            retry_queue: self.retry_queue.clone(),
-            faulted_circuits,
-            dead_eating,
-            last_progress: self.last_progress,
-            ni_wake: self.ni_wake.clone(),
-            router_wake: self.router_wake.clone(),
-            ingress: self.ingress.as_deref().map(IngressState::snapshot),
-            adaptive: self.adaptive.as_deref().map(|a| AdaptiveSnapshot {
-                controller: a.controller.snapshot(),
-                report: a.report,
-                next_decision: a.next_decision,
-            }),
+            state: self.state.clone(),
+            routers: self.routers.iter().map(|r| r.state.clone()).collect(),
+            nis: self.nis.iter().map(|ni| ni.state.clone()).collect(),
+            faults: self.faults.as_ref().map(|f| f.state.clone()),
+            ingress: self.ingress.as_ref().map(|i| i.state.clone()),
+            adaptive: self
+                .adaptive
+                .as_deref()
+                .map(|a| (a.state.clone(), a.controller.snapshot())),
             congestion: self.congestion.snapshot(),
         }
     }
 
-    /// Overwrites this network's dynamic state with a snapshot taken by
-    /// [`Network::snapshot`]. `self` must have been freshly constructed
-    /// from the *same* configuration (topology, mechanism, faults,
-    /// ingress, adaptive) that produced the snapshot: configuration-
-    /// derived objects — routing, the fault schedule, the region plan,
-    /// trace sinks — are kept and only dynamic state is replaced.
-    /// Mismatched shapes panic rather than limp along.
+    /// Overwrites this network's state, and its components', with a
+    /// [`Network::snapshot`]. `self` must have been constructed from the
+    /// *same* configuration (topology, mechanism, faults, ingress,
+    /// adaptive) that produced the snapshot: wiring — routing, the fault
+    /// schedule, the region plan, trace sinks, the kernel — is kept.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a snapshot of a differently shaped network (component
+    /// counts, or which optional layers exist) — checked here, once, for
+    /// every component below. Snapshots are a same-process API, so that is
+    /// a caller bug; checkpoint files are guarded before they get here, by
+    /// version, checksum and the embedded configuration.
     pub fn restore(&mut self, snap: &NetworkSnapshot) {
-        assert_eq!(
-            self.routers.len(),
-            snap.routers.len(),
-            "network snapshot router count mismatch"
+        assert!(
+            snap.routers.len() == self.routers.len()
+                && snap.nis.len() == self.nis.len()
+                && snap.faults.is_some() == self.faults.is_some()
+                && snap.ingress.is_some() == self.ingress.is_some()
+                && snap.adaptive.is_some() == self.adaptive.is_some(),
+            "snapshot of a differently configured network"
         );
+        self.delivered_pending = Self::rebuild_scratch(&snap.state);
+        self.state = snap.state.clone();
         for (r, s) in self.routers.iter_mut().zip(&snap.routers) {
             r.restore(s.clone());
         }
         for (ni, s) in self.nis.iter_mut().zip(&snap.nis) {
             ni.restore(s.clone());
         }
-        self.router_links = snap.router_links.clone();
-        self.ni_links = snap.ni_links.clone();
-        self.delivered = snap.delivered.clone();
-        self.delivered_pending = self.delivered.iter().map(Vec::len).sum();
-        self.stats = snap.stats.clone();
-        self.now = snap.now;
-        self.next_packet = snap.next_packet;
-        match (&mut self.faults, &snap.faults) {
-            (Some(f), Some(s)) => f.restore(s.clone()),
-            (None, None) => {}
-            _ => panic!("network snapshot fault-state presence mismatch"),
+        if let (Some(f), Some(s)) = (&mut self.faults, &snap.faults) {
+            f.state = s.clone();
         }
-        self.topo = TopologyHealth::from_snapshot(&snap.topo);
-        self.fault_cursor = snap.fault_cursor;
-        self.outstanding = snap.outstanding.iter().cloned().collect();
-        self.retry_queue = snap.retry_queue.clone();
-        self.faulted_circuits = snap.faulted_circuits.iter().copied().collect();
-        self.dead_eating = snap.dead_eating.iter().copied().collect();
-        self.last_progress = snap.last_progress;
-        self.ni_wake = snap.ni_wake.clone();
-        self.router_wake = snap.router_wake.clone();
-        match (&mut self.ingress, &snap.ingress) {
-            (Some(i), Some(s)) => i.restore(s.clone()),
-            (None, None) => {}
-            _ => panic!("network snapshot ingress presence mismatch"),
+        if let (Some(i), Some(s)) = (&mut self.ingress, &snap.ingress) {
+            i.state = s.clone();
         }
-        match (&mut self.adaptive, &snap.adaptive) {
-            (Some(a), Some(s)) => {
-                a.controller.restore(&s.controller);
-                a.report = s.report;
-                a.next_decision = s.next_decision;
-            }
-            (None, None) => {}
-            _ => panic!("network snapshot adaptive presence mismatch"),
+        if let (Some(a), Some((own, controller))) = (&mut self.adaptive, &snap.adaptive) {
+            a.state = own.clone();
+            a.controller.restore(controller.clone());
         }
-        self.congestion.restore(&snap.congestion);
-        self.refresh_degraded();
+        self.congestion.restore(snap.congestion.clone());
+    }
+
+    /// The pending-delivery count `state` implies.
+    fn rebuild_scratch(state: &State) -> usize {
+        let State {
+            delivered,
+            router_links: _,
+            ni_links: _,
+            stats: _,
+            now: _,
+            next_packet: _,
+            topo: _,
+            fault_cursor: _,
+            outstanding: _,
+            retry_queue: _,
+            faulted_circuits: _,
+            dead_eating: _,
+            last_progress: _,
+            ni_wake: _,
+            router_wake: _,
+        } = state;
+        delivered.iter().map(Vec::len).sum()
     }
 }
 
-/// Complete dynamic state of a [`Network`], captured between ticks by
-/// [`Network::snapshot`] and re-applied with [`Network::restore`] onto a
-/// freshly constructed, identically-configured network (DESIGN.md §15).
-/// Configuration-derived objects (routing tables, the fault schedule,
-/// the region plan, trace sinks, kernel mode) are deliberately excluded: they
-/// are rebuilt from the simulation config on resume, and only cursor and
-/// ownership state travels. Hash-map state is stored as sorted vectors so
-/// the serialized form is deterministic.
+/// A [`Network`]'s state and that of each of its components, captured
+/// between ticks by [`Network::snapshot`] and re-applied with
+/// [`Network::restore`] (DESIGN.md §15).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct NetworkSnapshot {
-    routers: Vec<RouterSnapshot>,
-    nis: Vec<NiSnapshot>,
-    router_links: Vec<Calendar>,
-    ni_links: Vec<Calendar>,
-    delivered: Vec<Vec<Delivered>>,
-    stats: NocStats,
-    now: Cycle,
-    next_packet: u64,
-    faults: Option<FaultSnapshot>,
-    topo: TopologyHealthSnapshot,
-    fault_cursor: usize,
-    outstanding: Vec<(PacketId, Outstanding)>,
-    retry_queue: Vec<(Cycle, PacketId)>,
-    faulted_circuits: Vec<CircuitKey>,
-    dead_eating: Vec<PacketId>,
-    last_progress: Cycle,
-    ni_wake: WakeTimes,
-    router_wake: WakeTimes,
-    ingress: Option<IngressSnapshot>,
-    adaptive: Option<AdaptiveSnapshot>,
-    congestion: CongestionSnapshot,
-}
-
-/// Dynamic slice of [`AdaptiveState`] (the config and region plan are
-/// rebuilt from the simulation config on resume).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct AdaptiveSnapshot {
-    controller: Vec<(RegionMode, Option<Cycle>)>,
-    report: AdaptiveReport,
-    next_decision: Cycle,
+    state: State,
+    routers: Vec<router::State>,
+    nis: Vec<ni::State>,
+    faults: Option<fault::State>,
+    ingress: Option<ingress::State>,
+    adaptive: Option<(AdaptiveProgress, PolicyState)>,
+    congestion: CongestionState,
 }
 
 #[cfg(test)]

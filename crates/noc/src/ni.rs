@@ -12,12 +12,12 @@ use crate::stats::{CircuitOutcome, NocStats};
 use rcsim_core::circuit::{CircuitHandle, CircuitKey};
 use rcsim_core::routing::{path_is_healthy, Routing};
 use rcsim_core::{
-    CircuitMode, CongestionMap, Cycle, MechanismConfig, MessageClass, NodeId, Topology,
-    TopologyHealth, Vnet,
+    CircuitMode, CongestionMap, Cycle, MechanismConfig, MessageClass, NodeId, StateMap, StateSet,
+    Topology, TopologyHealth, Vnet,
 };
 use rcsim_trace::{EventKind, TraceEvent, TraceSink};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 
 /// The reply class (and its flit count) a circuit-building request expects.
 pub(crate) fn expected_reply_flits(class: MessageClass, flit_bytes: u32) -> u32 {
@@ -112,22 +112,13 @@ impl NiOut {
     }
 }
 
-pub(crate) struct Ni {
-    node: NodeId,
-    topology: Topology,
-    layout: VcLayout,
-    mechanism: MechanismConfig,
-    flit_bytes: u32,
-    buffer_depth: u32,
+/// An NI's state (DESIGN.md §15).
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub(crate) struct State {
     /// Per-VN FIFO of packet-switched packets.
     queues: [VecDeque<Pending>; 2],
     /// Per local-input VC, the packet currently streaming into the router.
     streams: Vec<Option<Stream>>,
-    /// Occupied slots of `streams` — scratch (DESIGN.md §15): kept in
-    /// step where a slot fills or empties, recounted on restore, never
-    /// serialized. Makes [`Ni::backlog`], polled for every NI every
-    /// cycle by the event kernel, O(1).
-    live_streams: usize,
     /// Credits for the router's local-input VC buffers.
     credits: Vec<u32>,
     rr_stream: RoundRobin,
@@ -138,7 +129,7 @@ pub(crate) struct Ni {
     /// Cycle after which the next circuit stream may start (commitments
     /// are back-to-back and never overlap).
     circuit_link_free_at: Cycle,
-    origins: HashMap<CircuitKey, Origin>,
+    origins: StateMap<CircuitKey, Origin>,
     /// Reversed source routes of detoured requests delivered here, keyed
     /// by `(requestor, block)`: consumed when the matching reply is
     /// emitted so it retraces the request's detour instead of a freshly
@@ -148,22 +139,42 @@ pub(crate) struct Ni {
     /// condition heals (link/router revival, hot region cooling) the era
     /// bumps and the stale detour is ignored, so post-heal replies return
     /// to DOR. Bounded FIFO.
-    reply_paths: HashMap<(NodeId, u64), (u64, Vec<NodeId>)>,
+    reply_paths: StateMap<(NodeId, u64), (u64, Vec<NodeId>)>,
     /// Insertion order of `reply_paths` keys, for deterministic eviction.
+    /// It is the eviction history: it legitimately holds keys already
+    /// removed from the map (a consumed reply path leaves its order slot
+    /// behind) and duplicates (a re-recorded path is pushed again), and
+    /// the bounded eviction's future pops depend on exactly that sequence.
     reply_path_order: VecDeque<(NodeId, u64)>,
     /// Circuit origins removed by fault-recovery teardown; consumed when
     /// the reply shows up to record the `TornDown` outcome.
-    torn: HashSet<CircuitKey>,
-    assembling: HashMap<PacketId, Assembly>,
+    torn: StateSet<CircuitKey>,
+    assembling: StateMap<PacketId, Assembly>,
     /// Undos decided at enqueue time, drained at the next tick.
     pending_undos: Vec<(CircuitKey, NodeId)>,
-    /// Reused scratch for [`Ni::inject_one`]'s sendable-VC collection.
-    sendable: Vec<usize>,
     /// Requests whose circuit construction the adaptive mechanism switch
     /// suppressed (reply path crossed a hot region at enqueue time).
     circuits_suppressed: u64,
+}
+
+/// Wiring, [`State`], then scratch.
+pub(crate) struct Ni {
+    node: NodeId,
+    topology: Topology,
+    layout: VcLayout,
+    mechanism: MechanismConfig,
+    flit_bytes: u32,
+    buffer_depth: u32,
     /// Where trace events go; disabled by default.
     sink: TraceSink,
+    pub(crate) state: State,
+    /// Occupied slots of `streams`: kept in step where a slot fills or
+    /// empties, recounted by [`Ni::rebuild_scratch`]. Makes
+    /// [`Ni::backlog`], polled for every NI every cycle by the event
+    /// kernel, O(1).
+    live_streams: usize,
+    /// Reused scratch for [`Ni::inject_one`]'s sendable-VC collection.
+    sendable: Vec<usize>,
 }
 
 impl Ni {
@@ -177,31 +188,33 @@ impl Ni {
             mechanism: cfg.mechanism,
             flit_bytes: cfg.flit_bytes,
             buffer_depth: cfg.buffer_depth,
-            queues: [VecDeque::new(), VecDeque::new()],
-            streams: vec![None; total],
-            live_streams: 0,
-            credits: vec![cfg.buffer_depth; total],
-            rr_stream: RoundRobin::new(total),
-            vnet_rr: 0,
-            circuit_queue: VecDeque::new(),
-            circuit_active: None,
-            circuit_link_free_at: 0,
-            origins: HashMap::new(),
-            reply_paths: HashMap::new(),
-            reply_path_order: VecDeque::new(),
-            torn: HashSet::new(),
-            assembling: HashMap::new(),
-            pending_undos: Vec::new(),
-            sendable: Vec::new(),
-            circuits_suppressed: 0,
             sink: TraceSink::default(),
+            state: State {
+                queues: [VecDeque::new(), VecDeque::new()],
+                streams: vec![None; total],
+                credits: vec![cfg.buffer_depth; total],
+                rr_stream: RoundRobin::new(total),
+                vnet_rr: 0,
+                circuit_queue: VecDeque::new(),
+                circuit_active: None,
+                circuit_link_free_at: 0,
+                origins: StateMap::default(),
+                reply_paths: StateMap::default(),
+                reply_path_order: VecDeque::new(),
+                torn: StateSet::default(),
+                assembling: StateMap::default(),
+                pending_undos: Vec::new(),
+                circuits_suppressed: 0,
+            },
+            live_streams: 0,
+            sendable: Vec::new(),
         }
     }
 
     /// How many requests enqueued here had their circuit construction
     /// suppressed by the adaptive mechanism switch.
     pub(crate) fn circuits_suppressed(&self) -> u64 {
-        self.circuits_suppressed
+        self.state.circuits_suppressed
     }
 
     pub(crate) fn set_trace_sink(&mut self, sink: TraceSink) {
@@ -210,7 +223,7 @@ impl Ni {
 
     /// `true` if a fully built circuit origin for `key` is registered here.
     pub(crate) fn has_origin(&self, key: CircuitKey) -> bool {
-        self.origins.contains_key(&key)
+        self.state.origins.contains_key(&key)
     }
 
     /// Fault-recovery teardown (DESIGN.md §10): forgets every circuit
@@ -220,8 +233,8 @@ impl Ni {
     /// network; no undo propagation is needed.
     pub(crate) fn purge_origins(&mut self, doomed: &BTreeSet<CircuitKey>) {
         for key in doomed {
-            if self.origins.remove(key).is_some() {
-                self.torn.insert(*key);
+            if self.state.origins.remove(key).is_some() {
+                self.state.torn.insert(*key);
             }
         }
     }
@@ -229,7 +242,7 @@ impl Ni {
     /// The circuit keys of every origin registered at this NI, in sorted
     /// order (deterministic iteration for the adaptive teardown).
     pub(crate) fn origin_keys(&self) -> Vec<CircuitKey> {
-        let mut keys: Vec<CircuitKey> = self.origins.keys().copied().collect();
+        let mut keys: Vec<CircuitKey> = self.state.origins.keys().copied().collect();
         keys.sort_by_key(|k| (k.requestor, k.block));
         keys
     }
@@ -242,9 +255,9 @@ impl Ni {
     /// tail passes). The reply that would have ridden the circuit records
     /// the `torn_down` outcome and goes packet-switched.
     pub(crate) fn teardown_origin(&mut self, key: CircuitKey) -> bool {
-        if self.origins.remove(&key).is_some() {
-            self.torn.insert(key);
-            self.pending_undos.push((key, key.requestor));
+        if self.state.origins.remove(&key).is_some() {
+            self.state.torn.insert(key);
+            self.state.pending_undos.push((key, key.requestor));
             true
         } else {
             false
@@ -254,9 +267,9 @@ impl Ni {
     /// Protocol-initiated circuit teardown (the L2-forwards-to-owner flow
     /// of §4.4). Records the `undone` outcome and starts undo propagation.
     pub(crate) fn undo_circuit(&mut self, key: CircuitKey, stats: &mut NocStats) -> bool {
-        if self.origins.remove(&key).is_some() {
+        if self.state.origins.remove(&key).is_some() {
             stats.record_outcome(CircuitOutcome::Undone);
-            self.pending_undos.push((key, key.requestor));
+            self.state.pending_undos.push((key, key.requestor));
             true
         } else {
             false
@@ -320,7 +333,7 @@ impl Ni {
                 .with_policy(self.mechanism.timed);
                 pending.circuit = Some(Box::new(handle));
             }
-            self.queues[pending.vnet.index()].push_back(pending);
+            self.state.queues[pending.vnet.index()].push_back(pending);
             return false;
         }
 
@@ -328,10 +341,10 @@ impl Ni {
         let mut committed = false;
         let mut outcome = CircuitOutcome::NotEligible;
         if let Some(key) = spec.circuit_key {
-            match self.origins.get(&key) {
+            match self.state.origins.get(&key) {
                 Some(origin) if origin.handle.fully_built() => {
                     if self.mechanism.mode.is_complete() {
-                        let earliest = now.max(self.circuit_link_free_at);
+                        let earliest = now.max(self.state.circuit_link_free_at);
                         let start = match origin.handle.timing {
                             None => Some(earliest),
                             Some(t) => t.injection_time(earliest),
@@ -342,15 +355,15 @@ impl Ni {
                                 outcome = CircuitOutcome::OnCircuit;
                                 pending.on_circuit = Some(key);
                                 pending.start_at = t;
-                                self.circuit_link_free_at = t + len as Cycle;
-                                self.origins.remove(&key);
+                                self.state.circuit_link_free_at = t + len as Cycle;
+                                self.state.origins.remove(&key);
                             }
                             None => {
                                 // Missed the reserved window (§4.7): undo
                                 // and go packet-switched.
                                 outcome = CircuitOutcome::Undone;
-                                self.origins.remove(&key);
-                                self.pending_undos.push((key, key.requestor));
+                                self.state.origins.remove(&key);
+                                self.state.pending_undos.push((key, key.requestor));
                             }
                         }
                     } else {
@@ -358,17 +371,17 @@ impl Ni {
                         // guarantee progress everywhere else.
                         outcome = CircuitOutcome::OnCircuit;
                         pending.on_circuit = Some(key);
-                        self.origins.remove(&key);
+                        self.state.origins.remove(&key);
                     }
                 }
                 Some(_) => {
                     // Partially built fragmented circuit: still useful.
                     outcome = CircuitOutcome::Failed;
                     pending.on_circuit = Some(key);
-                    self.origins.remove(&key);
+                    self.state.origins.remove(&key);
                 }
                 None => {
-                    outcome = if self.torn.remove(&key) {
+                    outcome = if self.state.torn.remove(&key) {
                         // The circuit was built but a dead link or router
                         // tore it down before the reply could ride.
                         CircuitOutcome::TornDown
@@ -390,15 +403,15 @@ impl Ni {
         {
             if let Some(key) = self.best_scrounge_target(spec.dst, now) {
                 if !self.mechanism.scrounger_borrow {
-                    self.origins.remove(&key);
+                    self.state.origins.remove(&key);
                 }
-                let start = now.max(self.circuit_link_free_at);
+                let start = now.max(self.state.circuit_link_free_at);
                 outcome = CircuitOutcome::Scrounger;
                 pending.dst = key.requestor;
                 pending.on_circuit = Some(key);
                 pending.scrounger_final = Some(spec.dst);
                 pending.start_at = start;
-                self.circuit_link_free_at = start + len as Cycle;
+                self.state.circuit_link_free_at = start + len as Cycle;
             }
         }
 
@@ -406,9 +419,9 @@ impl Ni {
             stats.record_outcome(outcome);
         }
         if pending.on_circuit.is_some() && self.mechanism.mode.is_complete() {
-            self.circuit_queue.push_back(pending);
+            self.state.circuit_queue.push_back(pending);
         } else {
-            self.queues[pending.vnet.index()].push_back(pending);
+            self.state.queues[pending.vnet.index()].push_back(pending);
         }
         committed
     }
@@ -431,7 +444,7 @@ impl Ni {
         }
         let reply = self.topology.route_path(spec.dst, spec.src, Routing::Yx);
         if Self::path_is_congested(&reply, cong) {
-            self.circuits_suppressed += 1;
+            self.state.circuits_suppressed += 1;
             true
         } else {
             false
@@ -462,19 +475,19 @@ impl Ni {
         if self.mechanism.reuse_circuits && final_dst != self.node {
             if let Some(key) = self.best_scrounge_target(final_dst, now) {
                 if !self.mechanism.scrounger_borrow {
-                    self.origins.remove(&key);
+                    self.state.origins.remove(&key);
                 }
-                let start = now.max(self.circuit_link_free_at);
+                let start = now.max(self.state.circuit_link_free_at);
                 pending.dst = key.requestor;
                 pending.on_circuit = Some(key);
                 pending.scrounger_final = Some(final_dst);
                 pending.start_at = start;
-                self.circuit_link_free_at = start + head.len as Cycle;
-                self.circuit_queue.push_back(pending);
+                self.state.circuit_link_free_at = start + head.len as Cycle;
+                self.state.circuit_queue.push_back(pending);
                 return;
             }
         }
-        self.queues[Vnet::Reply.index()].push_back(pending);
+        self.state.queues[Vnet::Reply.index()].push_back(pending);
     }
 
     /// End-to-end retransmission of a packet lost or corrupted by the
@@ -483,7 +496,7 @@ impl Ni {
     /// request, so retries never ride one. Injection statistics are not
     /// recounted (the original injection already was).
     pub(crate) fn reenqueue_retry(&mut self, id: PacketId, lost: &Outstanding, now: Cycle) {
-        self.queues[lost.class.vnet().index()].push_back(Pending {
+        self.state.queues[lost.class.vnet().index()].push_back(Pending {
             id,
             src: lost.src,
             dst: lost.dst,
@@ -514,7 +527,8 @@ impl Ni {
     /// `final_dst`.
     fn best_scrounge_target(&self, final_dst: NodeId, now: Cycle) -> Option<CircuitKey> {
         let here = self.topology.hop_count(self.node, final_dst);
-        self.origins
+        self.state
+            .origins
             .iter()
             .filter(|(_, o)| {
                 o.handle.fully_built()
@@ -548,11 +562,11 @@ impl Ni {
         out: &mut NiOut,
         link: &mut impl LinkSink,
     ) -> bool {
-        for (key, dst) in self.pending_undos.drain(..) {
+        for (key, dst) in self.state.pending_undos.drain(..) {
             link.undo(0, key, dst, now + 1);
         }
         for (_, vc) in credit_arrivals.drain(..) {
-            self.credits[vc] += 1;
+            self.state.credits[vc] += 1;
         }
         for (_, flit) in ejected.drain(..) {
             self.receive_flit(flit, now, cong, out);
@@ -569,11 +583,11 @@ impl Ni {
     /// waiting to propagate. A `false` NI receiving no input this cycle
     /// is a provable no-op, so the event kernel may skip its tick.
     pub(crate) fn is_active(&self) -> bool {
-        self.backlog() > 0 || !self.pending_undos.is_empty()
+        self.backlog() > 0 || !self.state.pending_undos.is_empty()
     }
 
     fn receive_flit(&mut self, mut flit: Flit, now: Cycle, cong: &CongestionMap, out: &mut NiOut) {
-        let a = self.assembling.entry(flit.packet).or_default();
+        let a = self.state.assembling.entry(flit.packet).or_default();
         a.received += 1;
         if flit.kind.is_head() {
             a.head = flit.head.take();
@@ -582,6 +596,7 @@ impl Ni {
             return;
         }
         let a = self
+            .state
             .assembling
             .remove(&flit.packet)
             .expect("assembly entry exists for the tail's packet");
@@ -636,7 +651,7 @@ impl Ni {
                         block: h.key.block,
                     },
                 });
-                self.origins.insert(
+                self.state.origins.insert(
                     h.key,
                     Origin {
                         handle: *h,
@@ -672,16 +687,16 @@ impl Ni {
         out: &mut NiOut,
     ) -> Option<Flit> {
         // Circuit streams first: they must hold their committed schedule.
-        if self.circuit_active.is_none() {
-            if let Some(p) = self.circuit_queue.front() {
+        if self.state.circuit_active.is_none() {
+            if let Some(p) = self.state.circuit_queue.front() {
                 if p.start_at <= now {
-                    let pending = self.circuit_queue.pop_front().expect("front checked");
+                    let pending = self.state.circuit_queue.pop_front().expect("front checked");
                     let vc = if self.layout.circuit_vcs > 0 {
                         self.layout.circuit_vc(0)
                     } else {
                         0
                     };
-                    self.circuit_active = Some(Stream {
+                    self.state.circuit_active = Some(Stream {
                         pending,
                         next_seq: 0,
                         vc,
@@ -689,10 +704,10 @@ impl Ni {
                 }
             }
         }
-        if let Some(mut s) = self.circuit_active.take() {
+        if let Some(mut s) = self.state.circuit_active.take() {
             let flit = self.emit_flit(&mut s, now, topo, cong, out);
             if s.next_seq < s.pending.len {
-                self.circuit_active = Some(s);
+                self.state.circuit_active = Some(s);
             }
             return Some(flit);
         }
@@ -703,12 +718,14 @@ impl Ni {
             self.try_activate(now);
             self.collect_sendable();
         }
-        let vc = self.rr_stream.grant_among(&self.sendable)?;
-        let mut s = self.streams[vc].take().expect("sendable stream exists");
-        self.credits[vc] -= 1;
+        let vc = self.state.rr_stream.grant_among(&self.sendable)?;
+        let mut s = self.state.streams[vc]
+            .take()
+            .expect("sendable stream exists");
+        self.state.credits[vc] -= 1;
         let flit = self.emit_flit(&mut s, now, topo, cong, out);
         if s.next_seq < s.pending.len {
-            self.streams[vc] = Some(s);
+            self.state.streams[vc] = Some(s);
         } else {
             self.live_streams -= 1;
         }
@@ -719,7 +736,7 @@ impl Ni {
     fn collect_sendable(&mut self) {
         self.sendable.clear();
         for vc in 0..self.layout.total() {
-            if self.streams[vc].is_some() && self.credits[vc] > 0 {
+            if self.state.streams[vc].is_some() && self.state.credits[vc] > 0 {
                 self.sendable.push(vc);
             }
         }
@@ -729,26 +746,25 @@ impl Ni {
     /// idle (all credits home, no local stream).
     fn try_activate(&mut self, _now: Cycle) {
         for attempt in 0..2 {
-            let vn = (self.vnet_rr + attempt) % 2;
+            let vn = (self.state.vnet_rr + attempt) % 2;
             let vnet = Vnet::ALL[vn];
-            if self.queues[vn].is_empty() {
+            if self.state.queues[vn].is_empty() {
                 continue;
             }
-            let vc = self
-                .layout
-                .allocatable_vcs(vnet)
-                .find(|&vc| self.streams[vc].is_none() && self.credits[vc] == self.buffer_depth);
+            let vc = self.layout.allocatable_vcs(vnet).find(|&vc| {
+                self.state.streams[vc].is_none() && self.state.credits[vc] == self.buffer_depth
+            });
             if let Some(vc) = vc {
-                let pending = self.queues[vn]
+                let pending = self.state.queues[vn]
                     .pop_front()
                     .expect("queue checked non-empty");
-                self.streams[vc] = Some(Stream {
+                self.state.streams[vc] = Some(Stream {
                     pending,
                     next_seq: 0,
                     vc,
                 });
                 self.live_streams += 1;
-                self.vnet_rr = (vn + 1) % 2;
+                self.state.vnet_rr = (vn + 1) % 2;
                 return;
             }
         }
@@ -844,7 +860,8 @@ impl Ni {
         }
         let my_router = self.topology.router_of(self.node);
         let recorded = if p.vnet == Vnet::Reply {
-            self.reply_paths
+            self.state
+                .reply_paths
                 .remove(&(p.dst, p.block))
                 .filter(|(era, r)| {
                     *era == cong.era()
@@ -931,114 +948,53 @@ impl Ni {
     /// oldest recorded route is evicted first.
     fn record_reply_path(&mut self, key: (NodeId, u64), era: u64, rev: Vec<NodeId>) {
         const REPLY_PATH_CAP: usize = 256;
-        if self.reply_paths.insert(key, (era, rev)).is_none() {
-            self.reply_path_order.push_back(key);
+        if self.state.reply_paths.insert(key, (era, rev)).is_none() {
+            self.state.reply_path_order.push_back(key);
         }
-        while self.reply_paths.len() > REPLY_PATH_CAP {
-            let Some(old) = self.reply_path_order.pop_front() else {
+        while self.state.reply_paths.len() > REPLY_PATH_CAP {
+            let Some(old) = self.state.reply_path_order.pop_front() else {
                 break;
             };
-            self.reply_paths.remove(&old);
+            self.state.reply_paths.remove(&old);
         }
     }
 
     /// Number of packets waiting or streaming (diagnostics).
     pub(crate) fn backlog(&self) -> usize {
-        debug_assert_eq!(self.live_streams, self.streams.iter().flatten().count());
-        self.queues[0].len()
-            + self.queues[1].len()
-            + self.circuit_queue.len()
+        debug_assert_eq!(self.live_streams, Self::rebuild_scratch(&self.state));
+        self.state.queues[0].len()
+            + self.state.queues[1].len()
+            + self.state.circuit_queue.len()
             + self.live_streams
-            + usize::from(self.circuit_active.is_some())
+            + usize::from(self.state.circuit_active.is_some())
     }
 
-    /// The full dynamic state, for checkpointing. Hash-keyed maps and
-    /// sets are flattened to deterministically ordered vectors (sorted by
-    /// key), so the snapshot bytes are a pure function of the simulation
-    /// state. `reply_path_order` is captured verbatim — it is the
-    /// eviction history, which legitimately holds keys already removed
-    /// from the map (a consumed reply path leaves its order slot behind)
-    /// and duplicates (a re-recorded path is pushed again), and the
-    /// bounded eviction's future pops depend on exactly that sequence.
-    pub(crate) fn snapshot(&self) -> NiSnapshot {
-        let mut origins: Vec<(CircuitKey, Origin)> =
-            self.origins.iter().map(|(k, o)| (*k, o.clone())).collect();
-        origins.sort_by_key(|(k, _)| (k.requestor, k.block));
-        let mut reply_paths: Vec<ReplyPathEntry> = self
-            .reply_paths
-            .iter()
-            .map(|(k, v)| (*k, v.clone()))
-            .collect();
-        reply_paths.sort_by_key(|&((node, block), _)| (node, block));
-        let mut torn: Vec<CircuitKey> = self.torn.iter().copied().collect();
-        torn.sort_by_key(|k| (k.requestor, k.block));
-        let mut assembling: Vec<(PacketId, Assembly)> = self
-            .assembling
-            .iter()
-            .map(|(k, a)| (*k, a.clone()))
-            .collect();
-        assembling.sort_by_key(|(k, _)| k.0);
-        NiSnapshot {
-            queues: self.queues.clone(),
-            streams: self.streams.clone(),
-            credits: self.credits.clone(),
-            rr_stream: self.rr_stream.clone(),
-            vnet_rr: self.vnet_rr,
-            circuit_queue: self.circuit_queue.clone(),
-            circuit_active: self.circuit_active.clone(),
-            circuit_link_free_at: self.circuit_link_free_at,
-            origins,
-            reply_paths,
-            reply_path_order: self.reply_path_order.clone(),
-            torn,
-            assembling,
-            pending_undos: self.pending_undos.clone(),
-            circuits_suppressed: self.circuits_suppressed,
-        }
+    /// Overwrites the state with that of an NI built from the same
+    /// configuration.
+    pub(crate) fn restore(&mut self, state: State) {
+        self.live_streams = Self::rebuild_scratch(&state);
+        self.state = state;
     }
 
-    /// Overwrites the dynamic state from an [`Ni::snapshot`] taken on an
-    /// identically-configured NI.
-    pub(crate) fn restore(&mut self, snap: NiSnapshot) {
-        self.queues = snap.queues;
-        self.streams = snap.streams;
-        self.live_streams = self.streams.iter().flatten().count();
-        self.credits = snap.credits;
-        self.rr_stream = snap.rr_stream;
-        self.vnet_rr = snap.vnet_rr;
-        self.circuit_queue = snap.circuit_queue;
-        self.circuit_active = snap.circuit_active;
-        self.circuit_link_free_at = snap.circuit_link_free_at;
-        self.reply_path_order = snap.reply_path_order;
-        self.reply_paths = snap.reply_paths.into_iter().collect();
-        self.origins = snap.origins.into_iter().collect();
-        self.torn = snap.torn.into_iter().collect();
-        self.assembling = snap.assembling.into_iter().collect();
-        self.pending_undos = snap.pending_undos;
-        self.circuits_suppressed = snap.circuits_suppressed;
+    /// The live-stream count `state` implies.
+    fn rebuild_scratch(state: &State) -> usize {
+        let State {
+            streams,
+            queues: _,
+            credits: _,
+            rr_stream: _,
+            vnet_rr: _,
+            circuit_queue: _,
+            circuit_active: _,
+            circuit_link_free_at: _,
+            origins: _,
+            reply_paths: _,
+            reply_path_order: _,
+            torn: _,
+            assembling: _,
+            pending_undos: _,
+            circuits_suppressed: _,
+        } = state;
+        streams.iter().flatten().count()
     }
-}
-
-/// One saved reply path: `(requestor, block)` mapped to its recording
-/// cycle and hop list.
-type ReplyPathEntry = ((NodeId, u64), (u64, Vec<NodeId>));
-
-/// Complete dynamic state of one [`Ni`], for checkpointing.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub(crate) struct NiSnapshot {
-    queues: [VecDeque<Pending>; 2],
-    streams: Vec<Option<Stream>>,
-    credits: Vec<u32>,
-    rr_stream: RoundRobin,
-    vnet_rr: usize,
-    circuit_queue: VecDeque<Pending>,
-    circuit_active: Option<Stream>,
-    circuit_link_free_at: Cycle,
-    origins: Vec<(CircuitKey, Origin)>,
-    reply_paths: Vec<ReplyPathEntry>,
-    reply_path_order: VecDeque<(NodeId, u64)>,
-    torn: Vec<CircuitKey>,
-    assembling: Vec<(PacketId, Assembly)>,
-    pending_undos: Vec<(CircuitKey, NodeId)>,
-    circuits_suppressed: u64,
 }

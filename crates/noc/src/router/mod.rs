@@ -68,7 +68,7 @@ pub(crate) const VC_INDEX_BITS: usize = u64::BITS as usize;
 ///
 /// This is *scratch*, not *state* (DESIGN.md §15): every field is a
 /// function of the VC states, VC buffers and bypass-retry queues, is
-/// rebuilt from them by [`Router::derive_index`] on restore, and is never
+/// rebuilt from them by [`Router::rebuild_scratch`] on restore, and is never
 /// serialized. It is maintained where a VC changes state
 /// ([`Router::buffer_flit`], the VA grant, the tail's reset in
 /// [`Router::stage_st`]) and where a flit enters or leaves a buffer or
@@ -99,10 +99,42 @@ fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
     })
 }
 
-/// Control state is flat (DESIGN.md §15): everything per VC — input or
+/// A router's state (DESIGN.md §15), flat: everything per VC — input or
 /// output side — lives at slot `port · total + vc`, the numbering of the
 /// [`OccupancyIndex`] bits, and everything per port at slot `port`, in
-/// arrays of [`VC_INDEX_BITS`] entries inside the router itself.
+/// arrays of [`VC_INDEX_BITS`] entries inside the router itself. They
+/// serialize whole: the entries past the last slot (or port) are never
+/// touched, so they are the same constants in every snapshot.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub(crate) struct State {
+    /// The input VCs, by slot.
+    vcs: Vec<InputVc>,
+    /// Credits held for the downstream buffer of each output VC, by slot.
+    credits: [u32; VC_INDEX_BITS],
+    /// Who holds each output VC, by slot.
+    owner: [Owner; VC_INDEX_BITS],
+    pub(crate) circuits: RouterCircuits,
+    st_pending: Vec<StGrant>,
+    /// The three arbiter rows, one arbiter per port.
+    sa_rr_in: [RoundRobin; VC_INDEX_BITS],
+    sa_rr_out: [RoundRobin; VC_INDEX_BITS],
+    va_rr_out: [RoundRobin; VC_INDEX_BITS],
+    /// Bypass flits that lost a same-cycle output conflict (ideal mode) or
+    /// arrived while an earlier flit of the same stream is still queued.
+    bypass_retry: Vec<VecDeque<Flit>>,
+    /// `true` while this router is part of, or borders, a dead region
+    /// (set by the network when scheduled permanent faults fire).
+    /// Degraded routers take no part in circuits: reservations are
+    /// refused and bypasses forced to the packet pipeline (DESIGN.md
+    /// §10).
+    degraded: bool,
+    pub(crate) activity: Activity,
+}
+
+/// Wiring, [`State`], then scratch: the [`OccupancyIndex`] is derived
+/// from the state; the rest is dead at the tick boundaries where
+/// snapshots are taken, so a router the event kernel skipped snapshots
+/// the same as one the dense kernel ticked.
 pub(crate) struct Router {
     /// Router id (`0..Topology::routers()`; equals the tile id only when
     /// the concentration is 1).
@@ -115,18 +147,13 @@ pub(crate) struct Router {
     buffer_depth: u32,
     link_latency: u32,
     inject_overhead: u32,
-    /// The input VCs, by slot.
-    vcs: Vec<InputVc>,
-    /// Credits held for the downstream buffer of each output VC, by slot.
-    credits: [u32; VC_INDEX_BITS],
-    /// Who holds each output VC, by slot.
-    owner: [Owner; VC_INDEX_BITS],
+    /// Where trace events go; disabled by default.
+    sink: TraceSink,
+    pub(crate) state: State,
+    occ: OccupancyIndex,
     /// Crossbar outputs used this cycle, as a mask over output ports
-    /// (circuits have priority, §4.3). Per-tick scratch: cleared at the
-    /// top of every tick, never serialized.
+    /// (circuits have priority, §4.3); cleared at the top of every tick.
     out_busy: u64,
-    pub(crate) circuits: RouterCircuits,
-    st_pending: Vec<StGrant>,
     /// Reused backing store for [`Router::stage_st`]'s grant sweep.
     st_scratch: Vec<StGrant>,
     /// The VC each input port nominated in [`Router::stage_sa`] phase 1
@@ -135,25 +162,8 @@ pub(crate) struct Router {
     /// Per output port, the input ports requesting it in the current
     /// SA/VA sweep, as a mask; all zero between sweeps.
     contend: [u64; VC_INDEX_BITS],
-    /// The three arbiter rows, one arbiter per port.
-    sa_rr_in: [RoundRobin; VC_INDEX_BITS],
-    sa_rr_out: [RoundRobin; VC_INDEX_BITS],
-    va_rr_out: [RoundRobin; VC_INDEX_BITS],
     /// Reused candidate list for the VC-allocation sweep.
     va_scratch: Vec<(Cycle, usize, Vnet, NodeId)>,
-    /// Bypass flits that lost a same-cycle output conflict (ideal mode) or
-    /// arrived while an earlier flit of the same stream is still queued.
-    bypass_retry: Vec<VecDeque<Flit>>,
-    occ: OccupancyIndex,
-    /// `true` while this router is part of, or borders, a dead region
-    /// (set by the network when scheduled permanent faults fire).
-    /// Degraded routers take no part in circuits: reservations are
-    /// refused and bypasses forced to the packet pipeline (DESIGN.md
-    /// §10).
-    degraded: bool,
-    pub(crate) activity: Activity,
-    /// Where trace events go; disabled by default.
-    sink: TraceSink,
 }
 
 impl Router {
@@ -174,29 +184,31 @@ impl Router {
             buffer_depth: cfg.buffer_depth,
             link_latency: cfg.link_latency,
             inject_overhead: cfg.inject_overhead,
-            vcs: vec![InputVc::default(); ports * total],
-            credits: [cfg.buffer_depth; VC_INDEX_BITS],
-            owner: [Owner::Free; VC_INDEX_BITS],
+            sink: TraceSink::default(),
+            state: State {
+                vcs: vec![InputVc::default(); ports * total],
+                credits: [cfg.buffer_depth; VC_INDEX_BITS],
+                owner: [Owner::Free; VC_INDEX_BITS],
+                circuits: RouterCircuits::with_ports(
+                    cfg.mechanism.mode,
+                    cfg.mechanism.max_circuits_per_input,
+                    cfg.mechanism.circuit_vcs().max(1),
+                    ports,
+                ),
+                st_pending: Vec::new(),
+                sa_rr_in: std::array::from_fn(|_| RoundRobin::new(total)),
+                sa_rr_out: std::array::from_fn(|_| RoundRobin::new(ports)),
+                va_rr_out: std::array::from_fn(|_| RoundRobin::new(ports)),
+                bypass_retry: (0..ports).map(|_| VecDeque::new()).collect(),
+                degraded: false,
+                activity: Activity::default(),
+            },
+            occ: OccupancyIndex::default(),
             out_busy: 0,
-            circuits: RouterCircuits::with_ports(
-                cfg.mechanism.mode,
-                cfg.mechanism.max_circuits_per_input,
-                cfg.mechanism.circuit_vcs().max(1),
-                ports,
-            ),
-            st_pending: Vec::new(),
             st_scratch: Vec::new(),
             sa_nominee: [0; VC_INDEX_BITS],
             contend: [0; VC_INDEX_BITS],
-            sa_rr_in: std::array::from_fn(|_| RoundRobin::new(total)),
-            sa_rr_out: std::array::from_fn(|_| RoundRobin::new(ports)),
-            va_rr_out: std::array::from_fn(|_| RoundRobin::new(ports)),
             va_scratch: Vec::with_capacity(total),
-            bypass_retry: (0..ports).map(|_| VecDeque::new()).collect(),
-            occ: OccupancyIndex::default(),
-            degraded: false,
-            activity: Activity::default(),
-            sink: TraceSink::default(),
         }
     }
 
@@ -219,7 +231,13 @@ impl Router {
     /// by wedge-diagnosis assertions to show *where* traffic stuck.
     pub(crate) fn debug_dump(&self, out: &mut String) {
         use std::fmt::Write;
-        for (i, vc) in self.vcs.iter().enumerate().filter(|(_, vc)| !vc.is_idle()) {
+        for (i, vc) in self
+            .state
+            .vcs
+            .iter()
+            .enumerate()
+            .filter(|(_, vc)| !vc.is_idle())
+        {
             let (p, v) = self.port_vc(i);
             let head = vc
                 .buffer
@@ -238,7 +256,7 @@ impl Router {
             )
             .ok();
         }
-        for (p, q) in self.bypass_retry.iter().enumerate() {
+        for (p, q) in self.state.bypass_retry.iter().enumerate() {
             if !q.is_empty() {
                 let items: Vec<_> = q
                     .iter()
@@ -250,22 +268,32 @@ impl Router {
         for o in 0..self.ports {
             let owned: Vec<_> = (0..self.layout.total())
                 .map(|v| (v, self.slot(o, v)))
-                .filter(|&(_, i)| self.owner[i] != Owner::Free)
-                .map(|(v, i)| format!("vc{v}={:?} cr{}", self.owner[i], self.credits[i]))
+                .filter(|&(_, i)| self.state.owner[i] != Owner::Free)
+                .map(|(v, i)| {
+                    format!(
+                        "vc{v}={:?} cr{}",
+                        self.state.owner[i], self.state.credits[i]
+                    )
+                })
                 .collect();
             if !owned.is_empty() {
                 writeln!(out, "  {:?} out[{o}]: {owned:?}", self.node).ok();
             }
         }
-        if !self.st_pending.is_empty() {
-            writeln!(out, "  {:?} st_pending: {:?}", self.node, self.st_pending).ok();
+        if !self.state.st_pending.is_empty() {
+            writeln!(
+                out,
+                "  {:?} st_pending: {:?}",
+                self.node, self.state.st_pending
+            )
+            .ok();
         }
     }
 
     /// Marks this router as part of (or adjacent to) a dead region; the
     /// network re-derives the flag whenever a scheduled fault fires.
     pub(crate) fn set_degraded(&mut self, degraded: bool) {
-        self.degraded = degraded;
+        self.state.degraded = degraded;
     }
 
     /// Runs one cycle. `arrivals`, `credits` and `undos` are the messages
@@ -284,9 +312,10 @@ impl Router {
         // Credits (and the undo information they may carry, §4.4).
         for (port, vc) in credits.drain(..) {
             let i = self.slot(port, vc);
-            self.credits[i] += 1;
-            if self.owner[i] == Owner::Draining && self.credits[i] >= self.buffer_depth {
-                self.owner[i] = Owner::Free;
+            self.state.credits[i] += 1;
+            if self.state.owner[i] == Owner::Draining && self.state.credits[i] >= self.buffer_depth
+            {
+                self.state.owner[i] = Owner::Free;
             }
         }
         for (key, dst) in undos.drain(..) {
@@ -297,7 +326,7 @@ impl Router {
             // A few cycles of grace keep boundary-case replies (committed
             // at the very edge of their window) from losing their entries;
             // lookups are key-matched, so lingering entries are harmless.
-            self.circuits.expire(now.saturating_sub(4));
+            self.state.circuits.expire(now.saturating_sub(4));
         }
 
         // Retry queued bypass flits (in order per input), then arrivals.
@@ -320,13 +349,13 @@ impl Router {
     /// cycle only clears `out_busy` and returns early from every stage —
     /// all no-ops — so the event kernel may skip its tick.
     pub(crate) fn is_active(&self, now: Cycle) -> bool {
-        if !self.st_pending.is_empty() || self.occ.buffered > 0 || self.occ.retries > 0 {
+        if !self.state.st_pending.is_empty() || self.occ.buffered > 0 || self.occ.retries > 0 {
             return true;
         }
         if self.mechanism.timed.is_timed() {
             // `tick` expires entries at `now - 4`; stay awake from the
             // cycle that check starts firing.
-            if let Some(end) = self.circuits.next_expiry() {
+            if let Some(end) = self.state.circuits.next_expiry() {
                 if now.saturating_sub(4) >= end {
                     return true;
                 }
@@ -338,7 +367,7 @@ impl Router {
     /// Undo handling: clear the local reservation and forward the undo
     /// towards the circuit destination (it rides credits, 1 cycle/hop).
     fn process_undo(&mut self, now: Cycle, key: CircuitKey, dst: NodeId, out: &mut impl LinkSink) {
-        let port = match self.circuits.undo(key) {
+        let port = match self.state.circuits.undo(key) {
             Some(entry) => {
                 self.sink.emit(|| TraceEvent {
                     cycle: now,
@@ -360,7 +389,7 @@ impl Router {
             }
         };
         if port < PORT_LOCAL {
-            self.activity.credits += 1;
+            self.state.activity.credits += 1;
             out.undo(port, key, dst, now + self.link_latency as Cycle);
         }
     }
@@ -368,7 +397,7 @@ impl Router {
     /// Starts undo propagation for the built prefix of a doomed circuit
     /// out of `port`, towards the requestor.
     fn start_undo(&mut self, now: Cycle, port: usize, key: CircuitKey, out: &mut impl LinkSink) {
-        self.activity.credits += 1;
+        self.state.activity.credits += 1;
         out.undo(port, key, key.requestor, now + self.link_latency as Cycle);
     }
 
@@ -378,7 +407,7 @@ impl Router {
         }
         for p in 0..self.ports {
             // Decide on the queue head in place; pop only to act.
-            while let Some(front) = self.bypass_retry[p].front() {
+            while let Some(front) = self.state.bypass_retry[p].front() {
                 let (key, is_head, vc) = (front.on_circuit, front.kind.is_head(), front.vc);
                 match self.bypass_check(p, key, is_head) {
                     BypassCheck::Ready => {
@@ -387,7 +416,7 @@ impl Router {
                     }
                     BypassCheck::Busy => break,
                     BypassCheck::Pipeline => {
-                        if is_head && !self.vcs[self.slot(p, vc.into())].is_idle() {
+                        if is_head && !self.state.vcs[self.slot(p, vc.into())].is_idle() {
                             // The fallback VC is still draining an earlier
                             // packet: hold the stream here (in order) until
                             // it idles instead of corrupting the wormhole.
@@ -402,13 +431,13 @@ impl Router {
     }
 
     fn push_retry(&mut self, port: usize, flit: Flit) {
-        self.bypass_retry[port].push_back(flit);
+        self.state.bypass_retry[port].push_back(flit);
         self.occ.retries += 1;
     }
 
     fn pop_retry(&mut self, port: usize) -> Flit {
         self.occ.retries -= 1;
-        self.bypass_retry[port]
+        self.state.bypass_retry[port]
             .pop_front()
             .expect("caller saw the queue head")
     }
@@ -419,15 +448,15 @@ impl Router {
         let Some(key) = key else {
             return BypassCheck::Pipeline;
         };
-        if self.degraded {
+        if self.state.degraded {
             // Circuits are disabled while this router borders a dead
             // region: drop the local reservation (if any, so it cannot
             // leak — the tail that would have released it now streams
             // through the pipeline) and fall back.
-            self.circuits.release(port, key);
+            self.state.circuits.release(port, key);
             return BypassCheck::Pipeline;
         }
-        let Some(entry) = self.circuits.lookup(port, key).copied() else {
+        let Some(entry) = self.state.circuits.lookup(port, key).copied() else {
             // No reservation here: a fragmented gap, or a head that
             // already fell back and released the entry.
             return BypassCheck::Pipeline;
@@ -444,8 +473,8 @@ impl Router {
                 .circuit_vc(entry.vc as usize % self.layout.circuit_vcs);
             // A head needs the downstream VC completely idle (all credits
             // home), like the packet-switched Draining rule.
-            if self.credits[self.slot(entry.out_port, gvc)] < self.buffer_depth {
-                self.circuits.release(port, key);
+            if self.state.credits[self.slot(entry.out_port, gvc)] < self.buffer_depth {
+                self.state.circuits.release(port, key);
                 return BypassCheck::Pipeline;
             }
         }
@@ -467,10 +496,10 @@ impl Router {
     /// (buffer write + route computation).
     fn receive(&mut self, now: Cycle, port: usize, flit: Flit, out: &mut impl LinkSink) {
         if flit.on_circuit.is_some() {
-            self.activity.circuit_lookups += 1;
+            self.state.activity.circuit_lookups += 1;
             // Keep stream order: if earlier flits of this input are already
             // queued for retry, queue behind them.
-            if !self.bypass_retry[port].is_empty() {
+            if !self.state.bypass_retry[port].is_empty() {
                 self.push_retry(port, flit);
                 return;
             }
@@ -493,11 +522,12 @@ impl Router {
     fn execute_bypass(&mut self, now: Cycle, port: usize, mut flit: Flit, out: &mut impl LinkSink) {
         let key = flit.on_circuit.expect("bypass requires a circuit key");
         let entry = *self
+            .state
             .circuits
             .lookup(port, key)
             .expect("caller checked the entry exists");
         if flit.kind.is_head() {
-            self.circuits.begin_use(port, key);
+            self.state.circuits.begin_use(port, key);
             self.sink.emit(|| TraceEvent {
                 cycle: now,
                 kind: EventKind::CircuitBypass {
@@ -512,11 +542,11 @@ impl Router {
                 // reply. If an undo raced the borrow, the entry comes
                 // back here — the undo already continued downstream, so
                 // dropping it completes the teardown.
-                self.circuits.end_use(port, key);
+                self.state.circuits.end_use(port, key);
             } else {
                 // The tail clears the built-circuit bit (§4.3);
                 // consuming scroungers release the same way (DESIGN.md).
-                self.circuits.release(port, key);
+                self.state.circuits.release(port, key);
             }
         }
         // A bypassed flit never occupies the buffer slot its VC credit paid
@@ -524,11 +554,11 @@ impl Router {
         // complete-mode circuit VC, whose flits are uncredited).
         let in_vc = usize::from(flit.vc);
         if !self.layout.is_circuit_vc(in_vc) || self.mechanism.circuit_vc_buffered() {
-            self.activity.credits += 1;
+            self.state.activity.credits += 1;
             out.credit(port, in_vc, now + self.link_latency as Cycle);
         }
         self.out_busy |= 1 << entry.out_port;
-        self.activity.xbar_traversals += 1;
+        self.state.activity.xbar_traversals += 1;
         if self.layout.circuit_vcs > 0 {
             let out_vc = self
                 .layout
@@ -539,14 +569,14 @@ impl Router {
         // consumes the downstream slot it may need at a gap router.
         if self.mechanism.mode == CircuitMode::Fragmented && entry.out_port < PORT_LOCAL {
             let slot = self.slot(entry.out_port, flit.vc.into());
-            self.credits[slot] = self.credits[slot]
+            self.state.credits[slot] = self.state.credits[slot]
                 .checked_sub(1)
                 .expect("fragmented bypass head verified whole-message credits");
         }
         let arrive = if entry.out_port >= PORT_LOCAL {
             now + 1
         } else {
-            self.activity.link_flits += 1;
+            self.state.activity.link_flits += 1;
             now + 1 + self.link_latency as Cycle
         };
         out.flit(entry.out_port, flit, arrive);
@@ -555,7 +585,7 @@ impl Router {
     /// Stage 1: buffer write and route computation.
     fn buffer_flit(&mut self, now: Cycle, port: usize, flit: Flit) {
         let slot = self.slot(port, flit.vc.into());
-        if flit.kind.is_head() && !self.vcs[slot].is_idle() {
+        if flit.kind.is_head() && !self.state.vcs[slot].is_idle() {
             // A head whose fallback VC is still draining an earlier
             // packet — e.g. a timed circuit stream that lost its window
             // behind a stuck port and degraded to the pipeline. It must
@@ -566,8 +596,8 @@ impl Router {
             self.push_retry(port, flit);
             return;
         }
-        let vc = &mut self.vcs[slot];
-        self.activity.buffer_writes += 1;
+        let vc = &mut self.state.vcs[slot];
+        self.state.activity.buffer_writes += 1;
         if let Some(head) = flit.head.as_deref() {
             // Detoured packets follow the source route recorded in their
             // head (DESIGN.md §10); everything else routes DOR.
@@ -591,20 +621,20 @@ impl Router {
     /// bypasses processed earlier this cycle have already claimed their
     /// output ports (crossbar priority, §4.3); blocked grants retry.
     fn stage_st(&mut self, now: Cycle, out: &mut impl LinkSink) {
-        if self.st_pending.is_empty() {
+        if self.state.st_pending.is_empty() {
             return;
         }
         // Swap the grant list into scratch so blocked grants can re-queue
         // onto `st_pending` without reallocating either vector.
-        std::mem::swap(&mut self.st_pending, &mut self.st_scratch);
+        std::mem::swap(&mut self.state.st_pending, &mut self.st_scratch);
         for i in 0..self.st_scratch.len() {
             let g = self.st_scratch[i];
             let slot = self.slot(g.in_port, g.in_vc);
-            let vc = &mut self.vcs[slot];
+            let vc = &mut self.state.vcs[slot];
             let route = vc.route.expect("granted VC has a route");
             let out_vc = vc.out_vc.expect("granted VC has an output VC");
             if self.out_busy >> route & 1 == 1 {
-                self.st_pending.push(g);
+                self.state.st_pending.push(g);
                 continue;
             }
             let mut flit = vc.buffer.pop_front().expect("granted VC has a flit");
@@ -623,11 +653,11 @@ impl Router {
                     },
                 });
             }
-            self.activity.buffer_reads += 1;
-            self.activity.xbar_traversals += 1;
+            self.state.activity.buffer_reads += 1;
+            self.state.activity.xbar_traversals += 1;
 
             // Return the freed buffer slot upstream.
-            self.activity.credits += 1;
+            self.state.activity.credits += 1;
             out.credit(g.in_port, g.in_vc, now + self.link_latency as Cycle);
 
             let out_slot = self.slot(route, out_vc);
@@ -636,14 +666,14 @@ impl Router {
             let arrive = if route >= PORT_LOCAL {
                 now + 1
             } else {
-                self.credits[out_slot] = self.credits[out_slot]
+                self.state.credits[out_slot] = self.state.credits[out_slot]
                     .checked_sub(1)
                     .expect("SA checked a credit was available");
-                self.activity.link_flits += 1;
+                self.state.activity.link_flits += 1;
                 now + 1 + self.link_latency as Cycle
             };
             if is_tail {
-                self.owner[out_slot] = if route >= PORT_LOCAL {
+                self.state.owner[out_slot] = if route >= PORT_LOCAL {
                     Owner::Free
                 } else {
                     Owner::Draining
@@ -661,7 +691,11 @@ impl Router {
             return;
         }
         // Inputs with a grant still pending ST cannot be granted again.
-        let blocked = self.st_pending.iter().fold(0u64, |m, g| m | 1 << g.in_port);
+        let blocked = self
+            .state
+            .st_pending
+            .iter()
+            .fold(0u64, |m, g| m | 1 << g.in_port);
         // Phase 1: each input port holding a post-VA VC nominates one.
         // `wanted` collects the output ports some nominee routes to.
         let mut wanted = 0u64;
@@ -672,7 +706,7 @@ impl Router {
             }
             let mut requests = 0u64;
             for v in bits(port_vcs) {
-                let vc = &self.vcs[self.slot(p, v)];
+                let vc = &self.state.vcs[self.slot(p, v)];
                 let stage_ok = match vc.state {
                     VcState::WaitSa => vc.state_since < now,
                     VcState::Active => true,
@@ -684,7 +718,7 @@ impl Router {
                 let route = vc.route.expect("post-VA VC has a route");
                 let out_vc = vc.out_vc.expect("post-VA VC has an output VC");
                 let credit_ok = route >= PORT_LOCAL
-                    || self.credits[self.slot(route, out_vc)] > 0
+                    || self.state.credits[self.slot(route, out_vc)] > 0
                     // Circuit-class VCs are reservation-managed, not
                     // credited (fragmented gap traffic).
                     || self.layout.is_circuit_vc(out_vc);
@@ -692,8 +726,8 @@ impl Router {
                     requests |= 1 << v;
                 }
             }
-            if let Some(v) = self.sa_rr_in[p].grant_mask(requests) {
-                let route = self.vcs[self.slot(p, v)]
+            if let Some(v) = self.state.sa_rr_in[p].grant_mask(requests) {
+                let route = self.state.vcs[self.slot(p, v)]
                     .route
                     .expect("post-VA VC has a route");
                 self.sa_nominee[p] = v as u8;
@@ -704,12 +738,12 @@ impl Router {
         // Phase 2: each requested output port picks one input.
         for out_port in bits(wanted) {
             let contenders = std::mem::take(&mut self.contend[out_port]);
-            let winner = self.sa_rr_out[out_port]
+            let winner = self.state.sa_rr_out[out_port]
                 .grant_mask(contenders)
                 .expect("a nominee routes to every wanted output");
             let v = usize::from(self.sa_nominee[winner]);
             let slot = self.slot(winner, v);
-            let vc = &mut self.vcs[slot];
+            let vc = &mut self.state.vcs[slot];
             if vc.state == VcState::WaitSa {
                 vc.state = VcState::Active;
                 vc.state_since = now;
@@ -725,8 +759,8 @@ impl Router {
                     });
                 }
             }
-            self.activity.sw_allocs += 1;
-            self.st_pending.push(StGrant {
+            self.state.activity.sw_allocs += 1;
+            self.state.st_pending.push(StGrant {
                 in_port: winner,
                 in_vc: v,
             });
@@ -744,7 +778,7 @@ impl Router {
         // requesting input ports by output port.
         let mut wanted = 0u64;
         for slot in bits(self.occ.wait_va) {
-            let vc = &self.vcs[slot];
+            let vc = &self.state.vcs[slot];
             if vc.state_since >= now {
                 continue;
             }
@@ -765,7 +799,7 @@ impl Router {
             // class; pick the winner first (RR), then the VC.
             let mut granted = false;
             while !granted {
-                let Some(winner) = self.va_rr_out[out_port].grant_mask(tried) else {
+                let Some(winner) = self.state.va_rr_out[out_port].grant_mask(tried) else {
                     break;
                 };
                 tried &= !(1 << winner);
@@ -780,7 +814,7 @@ impl Router {
                 // sustained load; see tests/echo_probe.rs.)
                 let mut candidates = std::mem::take(&mut self.va_scratch);
                 candidates.clear();
-                let inputs = &self.vcs[self.slot(winner, 0)..];
+                let inputs = &self.state.vcs[self.slot(winner, 0)..];
                 candidates.extend(
                     bits(self.port_bits(self.occ.wait_va, winner))
                         .map(|v| (v, &inputs[v]))
@@ -794,13 +828,14 @@ impl Router {
                 for &(_, v, vnet, dst) in &candidates {
                     let free_vc = self
                         .allocatable(out_port, vnet, dst)
-                        .find(|&ovc| self.owner[self.slot(out_port, ovc)] == Owner::Free);
+                        .find(|&ovc| self.state.owner[self.slot(out_port, ovc)] == Owner::Free);
                     if let Some(ovc) = free_vc {
-                        self.owner[self.slot(out_port, ovc)] = Owner::Owned(winner as u8, v as u8);
+                        self.state.owner[self.slot(out_port, ovc)] =
+                            Owner::Owned(winner as u8, v as u8);
                         let slot = self.slot(winner, v);
                         self.occ.wait_va &= !(1 << slot);
                         self.occ.post_va |= 1 << slot;
-                        let vc = &mut self.vcs[slot];
+                        let vc = &mut self.state.vcs[slot];
                         vc.out_vc = Some(ovc);
                         vc.state = VcState::WaitSa;
                         vc.state_since = now;
@@ -817,7 +852,7 @@ impl Router {
                                 node: self.node.0,
                             },
                         });
-                        self.activity.vc_allocs += 1;
+                        self.state.activity.vc_allocs += 1;
                         granted = true;
                         break;
                     }
@@ -853,10 +888,24 @@ impl Router {
         (mask >> (port * vcs)) & ((1 << vcs) - 1)
     }
 
-    /// Recomputes the [`OccupancyIndex`] from the state it mirrors.
-    fn derive_index(&self) -> OccupancyIndex {
+    /// The [`OccupancyIndex`] `state` implies — the one scratch field that
+    /// outlives a tick.
+    fn rebuild_scratch(state: &State) -> OccupancyIndex {
+        let State {
+            vcs,
+            bypass_retry,
+            credits: _,
+            owner: _,
+            circuits: _,
+            st_pending: _,
+            sa_rr_in: _,
+            sa_rr_out: _,
+            va_rr_out: _,
+            degraded: _,
+            activity: _,
+        } = state;
         let mut occ = OccupancyIndex::default();
-        for (slot, vc) in self.vcs.iter().enumerate() {
+        for (slot, vc) in vcs.iter().enumerate() {
             match vc.state {
                 VcState::Idle => {}
                 VcState::WaitVa => occ.wait_va |= 1 << slot,
@@ -864,14 +913,14 @@ impl Router {
             }
             occ.buffered += vc.buffer.len();
         }
-        occ.retries = self.bypass_retry.iter().map(VecDeque::len).sum();
+        occ.retries = bypass_retry.iter().map(VecDeque::len).sum();
         occ
     }
 
     /// Checks the incrementally maintained [`OccupancyIndex`] against a
-    /// fresh [`Router::derive_index`].
+    /// fresh [`Router::rebuild_scratch`].
     pub(crate) fn check_index(&self) -> Result<(), String> {
-        let derived = self.derive_index();
+        let derived = Self::rebuild_scratch(&self.state);
         if self.occ == derived {
             Ok(())
         } else {
@@ -892,7 +941,7 @@ impl Router {
     /// reply's circuit into this router's tables. `p` is the input port
     /// of the VC at `slot`.
     fn attempt_reservation(&mut self, now: Cycle, p: usize, slot: usize, out: &mut impl LinkSink) {
-        let vc = &mut self.vcs[slot];
+        let vc = &mut self.state.vcs[slot];
         vc.circuit_attempted = true;
         let route = vc.route.expect("WaitVa VC has a route");
         let head = vc
@@ -918,7 +967,7 @@ impl Router {
         // Either way complete circuits are doomed like any reservation
         // conflict, while fragmented and ideal ones simply gain a gap
         // here.
-        if self.degraded
+        if self.state.degraded
             || self.topology.is_wrap_hop(self.node, in_port_reply)
             || self.topology.is_wrap_hop(self.node, out_port_reply)
         {
@@ -961,11 +1010,11 @@ impl Router {
         // Done here rather than once per tick so the clock is a function
         // of the reservations alone — the same whether or not the event
         // kernel skipped this router's idle ticks.
-        self.circuits.note_now(now);
-        match self.circuits.try_reserve(&req) {
+        self.state.circuits.note_now(now);
+        match self.state.circuits.try_reserve(&req) {
             Ok(outcome) => {
                 handle.built_hops += 1;
-                self.activity.circuit_writes += 1;
+                self.state.activity.circuit_writes += 1;
                 self.sink.emit(|| TraceEvent {
                     cycle: now,
                     kind: EventKind::CircuitReserve {
@@ -1012,48 +1061,11 @@ impl Router {
         }
     }
 
-    /// The full dynamic state, for checkpointing: the used prefix of
-    /// every state array. Taken at tick boundaries, where the per-tick
-    /// scratch (`st_scratch`, `sa_nominee`, `contend`, `va_scratch`) and
-    /// the `out_busy` mask are dead — left out, so a router the event
-    /// kernel skipped snapshots the same as one the dense kernel ticked;
-    /// the [`OccupancyIndex`] is derived, so [`Router::restore`] rebuilds
-    /// it — everything else is configuration, rebuilt from the
-    /// [`NocConfig`].
-    pub(crate) fn snapshot(&self) -> RouterSnapshot {
-        let (slots, ports) = (self.vcs.len(), self.ports);
-        RouterSnapshot {
-            vcs: self.vcs.clone(),
-            credits: self.credits[..slots].to_vec(),
-            owner: self.owner[..slots].to_vec(),
-            circuits: self.circuits.clone(),
-            st_pending: self.st_pending.clone(),
-            sa_rr_in: self.sa_rr_in[..ports].to_vec(),
-            sa_rr_out: self.sa_rr_out[..ports].to_vec(),
-            va_rr_out: self.va_rr_out[..ports].to_vec(),
-            bypass_retry: self.bypass_retry.clone(),
-            degraded: self.degraded,
-            activity: self.activity,
-        }
-    }
-
-    /// Overwrites the dynamic state from a [`Router::snapshot`] taken on
-    /// an identically-configured router (a different shape panics).
-    pub(crate) fn restore(&mut self, snap: RouterSnapshot) {
-        let (slots, ports) = (self.vcs.len(), self.ports);
-        assert_eq!(snap.vcs.len(), slots, "router snapshot shape mismatch");
-        self.vcs = snap.vcs;
-        self.credits[..slots].copy_from_slice(&snap.credits);
-        self.owner[..slots].copy_from_slice(&snap.owner);
-        self.circuits = snap.circuits;
-        self.st_pending = snap.st_pending;
-        self.sa_rr_in[..ports].clone_from_slice(&snap.sa_rr_in);
-        self.sa_rr_out[..ports].clone_from_slice(&snap.sa_rr_out);
-        self.va_rr_out[..ports].clone_from_slice(&snap.va_rr_out);
-        self.bypass_retry = snap.bypass_retry;
-        self.degraded = snap.degraded;
-        self.activity = snap.activity;
-        self.occ = self.derive_index();
+    /// Overwrites the state with that of a router built from the same
+    /// configuration.
+    pub(crate) fn restore(&mut self, state: State) {
+        self.occ = Self::rebuild_scratch(&state);
+        self.state = state;
     }
 
     /// Reports every input VC that is blocked on a channel resource,
@@ -1064,7 +1076,7 @@ impl Router {
     /// in its allocatable class is free. Only runs on the cold
     /// watchdog path, so it allocates freely.
     pub(crate) fn waiters(&self, now: Cycle, out: &mut Vec<VcWaiter>) {
-        for (slot, vc) in self.vcs.iter().enumerate() {
+        for (slot, vc) in self.state.vcs.iter().enumerate() {
             let (p, v) = self.port_vc(slot);
             if vc.is_idle() {
                 continue;
@@ -1080,7 +1092,7 @@ impl Router {
             let mut edges = Vec::new();
             let credits = match vc.out_vc {
                 Some(ov) => {
-                    let credits = self.credits[self.slot(route, ov)];
+                    let credits = self.state.credits[self.slot(route, ov)];
                     if credits == 0 && !self.layout.is_circuit_vc(ov) {
                         edges.push(WaitEdge::Downstream { out_vc: ov });
                     }
@@ -1091,7 +1103,7 @@ impl Router {
                         let head = front.head();
                         let cands: Vec<usize> =
                             self.allocatable(route, head.vnet, head.dst).collect();
-                        let owner = |ovc: usize| self.owner[self.slot(route, ovc)];
+                        let owner = |ovc: usize| self.state.owner[self.slot(route, ovc)];
                         if cands.iter().all(|&ovc| owner(ovc) != Owner::Free) {
                             for &ovc in &cands {
                                 match owner(ovc) {
@@ -1118,6 +1130,7 @@ impl Router {
             edges.sort_unstable();
             edges.dedup();
             let held_by_circuit = self
+                .state
                 .circuits
                 .stale_entries(now, 0)
                 .into_iter()
@@ -1178,23 +1191,6 @@ pub(crate) struct VcWaiter {
     pub held_by_circuit: Option<CircuitKey>,
     /// Everything this VC is blocked behind (never empty).
     pub edges: Vec<WaitEdge>,
-}
-
-/// Complete dynamic state of one [`Router`], for checkpointing: per-VC
-/// vectors are in slot order, per-port ones in port order.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub(crate) struct RouterSnapshot {
-    vcs: Vec<InputVc>,
-    credits: Vec<u32>,
-    owner: Vec<Owner>,
-    circuits: RouterCircuits,
-    st_pending: Vec<StGrant>,
-    sa_rr_in: Vec<RoundRobin>,
-    sa_rr_out: Vec<RoundRobin>,
-    va_rr_out: Vec<RoundRobin>,
-    bypass_retry: Vec<VecDeque<Flit>>,
-    degraded: bool,
-    activity: Activity,
 }
 
 #[cfg(test)]
@@ -1331,26 +1327,22 @@ mod tests {
             }
             arrivals
         };
-        let json = |r: &Router| serde_json::to_string(&r.snapshot()).expect("serializes");
+        let json = |r: &Router| serde_json::to_string(&r.state).expect("serializes");
 
         let mut uninterrupted = router(MechanismConfig::baseline());
         for now in 0..5 {
             tick(&mut uninterrupted, now, arrivals_at(now));
         }
         assert!(uninterrupted.occ.post_va != 0 && uninterrupted.occ.wait_va != 0);
-        let snap = uninterrupted.snapshot();
         assert!(
             !json(&uninterrupted).contains("wait_va"),
             "the index must stay out of the snapshot"
         );
-        // Flat state: one entry per slot (5 ports × 4 VCs), one arbiter
-        // per port — the used prefix of the inline arrays, nothing nested.
-        assert_eq!(
-            (snap.vcs.len(), snap.credits.len(), snap.owner.len()),
-            (20, 20, 20)
-        );
-        assert_eq!((snap.sa_rr_in.len(), snap.va_rr_out.len()), (5, 5));
-        assert!(snap.owner.contains(&Owner::Owned(PORT_WEST as u8, 0)));
+        let snap: State = serde_json::from_str(&json(&uninterrupted)).expect("deserializes");
+        // Flat state: one input VC per slot (5 ports × 4 VCs), nothing
+        // nested.
+        assert_eq!(snap.vcs.len(), 20);
+        assert!(snap.owner[..20].contains(&Owner::Owned(PORT_WEST as u8, 0)));
 
         let mut restored = router(MechanismConfig::baseline());
         restored.restore(snap);
@@ -1402,10 +1394,10 @@ mod tests {
             rcsim_core::circuit::CircuitHandle::new(NodeId(4), 0x40, NodeId(6), 2, 5, 7),
         ));
         let _ = tick(&mut r, 0, vec![(PORT_WEST, f)]);
-        assert_eq!(r.circuits.total_entries(), 0, "not during RC");
+        assert_eq!(r.state.circuits.total_entries(), 0, "not during RC");
         let _ = tick(&mut r, 1, vec![]);
         assert_eq!(
-            r.circuits.total_entries(),
+            r.state.circuits.total_entries(),
             1,
             "reserved in parallel with VA"
         );
@@ -1416,6 +1408,7 @@ mod tests {
             block: 0x40,
         };
         let e = r
+            .state
             .circuits
             .lookup(PORT_EAST, key)
             .expect("entry at East input");
@@ -1431,7 +1424,8 @@ mod tests {
             requestor: NodeId(4),
             block: 0x40,
         };
-        r.circuits
+        r.state
+            .circuits
             .try_reserve(&ReserveRequest {
                 key,
                 source: NodeId(6),
@@ -1456,7 +1450,11 @@ mod tests {
             .expect("bypass departs the same cycle");
         assert_eq!(port, PORT_WEST);
         assert_eq!(arrive, 12, "1 router cycle + 1 link cycle");
-        assert_eq!(r.circuits.total_entries(), 0, "tail released the circuit");
+        assert_eq!(
+            r.state.circuits.total_entries(),
+            0,
+            "tail released the circuit"
+        );
         assert_eq!(r.buffered_flits(), 0, "bypassed flits are never stored");
     }
 
@@ -1469,7 +1467,8 @@ mod tests {
             requestor: NodeId(4),
             block: 0x40,
         };
-        r.circuits
+        r.state
+            .circuits
             .try_reserve(&ReserveRequest {
                 key,
                 source: NodeId(6),
@@ -1487,7 +1486,7 @@ mod tests {
             &mut vec![(key, NodeId(4))],
             &mut out,
         );
-        assert_eq!(r.circuits.total_entries(), 0);
+        assert_eq!(r.state.circuits.total_entries(), 0);
         assert!(out
             .iter()
             .any(|o| matches!(o, Outgoing::Undo(PORT_WEST, ..))));

@@ -5,10 +5,9 @@
 use crate::cache::CacheArray;
 use crate::config::ProtocolConfig;
 use crate::msg::{Msg, Port, ReqKind};
-use rcsim_core::{Cycle, MessageClass, NodeId, Topology};
+use rcsim_core::{Cycle, MessageClass, NodeId, StateMap, Topology};
 use rcsim_trace::{EventKind, TraceEvent, TraceSink};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// MESI stable states (`I` is represented by absence).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -92,27 +91,35 @@ pub struct L1Cache {
     node: NodeId,
     topology: Topology,
     cfg: ProtocolConfig,
-    array: CacheArray<L1Line>,
-    miss: Option<PendingMiss>,
-    wb_buffer: HashMap<u64, u64>,
-    stats: L1Stats,
     /// Where trace events go; disabled by default.
     sink: TraceSink,
+    state: L1CacheState,
+}
+
+/// An [`L1Cache`]'s state (DESIGN.md §15).
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct L1CacheState {
+    array: CacheArray<L1Line>,
+    miss: Option<PendingMiss>,
+    wb_buffer: StateMap<u64, u64>,
+    stats: L1Stats,
 }
 
 impl L1Cache {
     /// An empty L1 for the tile at `node`.
     pub fn new(node: NodeId, topology: Topology, cfg: ProtocolConfig) -> Self {
-        let array = CacheArray::new(cfg.l1);
+        let state = L1CacheState {
+            array: CacheArray::new(cfg.l1),
+            miss: None,
+            wb_buffer: StateMap::default(),
+            stats: L1Stats::default(),
+        };
         Self {
             node,
             topology,
             cfg,
-            array,
-            miss: None,
-            wb_buffer: HashMap::new(),
-            stats: L1Stats::default(),
             sink: TraceSink::default(),
+            state,
         }
     }
 
@@ -124,17 +131,17 @@ impl L1Cache {
 
     /// Event counters.
     pub fn stats(&self) -> &L1Stats {
-        &self.stats
+        &self.state.stats
     }
 
     /// Zeroes the counters (end of warm-up).
     pub fn reset_stats(&mut self) {
-        self.stats = L1Stats::default();
+        self.state.stats = L1Stats::default();
     }
 
     /// `true` while a miss is outstanding (the in-order core is stalled).
     pub fn miss_pending(&self) -> bool {
-        self.miss.is_some()
+        self.state.miss.is_some()
     }
 
     fn home(&self, block: u64) -> NodeId {
@@ -154,35 +161,39 @@ impl L1Cache {
         port: &mut dyn Port,
     ) -> Access {
         assert!(
-            self.miss.is_none(),
+            self.state.miss.is_none(),
             "core accessed the L1 while a miss is pending"
         );
-        if let Some(line) = self.array.get_mut(block) {
+        if let Some(line) = self.state.array.get_mut(block) {
             match (write, line.state) {
                 (false, _) => {
-                    self.stats.hits += 1;
+                    self.state.stats.hits += 1;
                     return Access::Hit { value: line.data };
                 }
                 (true, L1State::Modified) | (true, L1State::Exclusive) => {
                     line.state = L1State::Modified;
                     line.data = write_value.unwrap_or(line.data);
-                    self.stats.hits += 1;
+                    self.state.stats.hits += 1;
                     return Access::Hit { value: line.data };
                 }
                 (true, L1State::Shared) => {
                     // Upgrade: GetX while keeping the stale copy readable.
-                    self.stats.upgrades += 1;
+                    self.state.stats.upgrades += 1;
                 }
             }
         } else {
             // Make room ahead of the fill; dirty/exclusive victims enter
             // the write-back buffer until the L2 acknowledges them.
-            if let Some(victim_block) = self.array.victim_for(block) {
-                let victim = self.array.remove(victim_block).expect("victim exists");
+            if let Some(victim_block) = self.state.array.victim_for(block) {
+                let victim = self
+                    .state
+                    .array
+                    .remove(victim_block)
+                    .expect("victim exists");
                 self.evict(victim_block, victim, port);
             }
         }
-        self.stats.misses += 1;
+        self.state.stats.misses += 1;
         self.sink.emit(|| TraceEvent {
             cycle: port.now(),
             kind: EventKind::L1MissStart {
@@ -191,7 +202,7 @@ impl L1Cache {
             },
         });
         let kind = if write { ReqKind::GetX } else { ReqKind::GetS };
-        self.miss = Some(PendingMiss {
+        self.state.miss = Some(PendingMiss {
             block,
             kind,
             write_value: if write { write_value } else { None },
@@ -200,7 +211,7 @@ impl L1Cache {
         });
         let mut req =
             Msg::new(MessageClass::L1Request, self.node, self.home(block), block).with_req(kind);
-        if self.wb_buffer.contains_key(&block) {
+        if self.state.wb_buffer.contains_key(&block) {
             req = req.with_wb_race();
         }
         port.send(req, self.cfg.l2_hit_latency);
@@ -219,7 +230,7 @@ impl L1Cache {
     /// Cheap no-op (one `Option` check) when no miss is outstanding, so
     /// callers may invoke it every cycle.
     pub fn maybe_reissue(&mut self, now: Cycle, port: &mut dyn Port) {
-        let (block, kind) = match &self.miss {
+        let (block, kind) = match &self.state.miss {
             Some(m) if m.reissues < self.cfg.max_reissues => {
                 let threshold = self
                     .cfg
@@ -234,11 +245,11 @@ impl L1Cache {
             _ => return,
         };
         let attempt = {
-            let m = self.miss.as_mut().expect("checked above");
+            let m = self.state.miss.as_mut().expect("checked above");
             m.reissues += 1;
             m.reissues
         };
-        self.stats.reissues += 1;
+        self.state.stats.reissues += 1;
         self.sink.emit(|| TraceEvent {
             cycle: now,
             kind: EventKind::L1Reissue {
@@ -249,7 +260,7 @@ impl L1Cache {
         });
         let mut req =
             Msg::new(MessageClass::L1Request, self.node, self.home(block), block).with_req(kind);
-        if self.wb_buffer.contains_key(&block) {
+        if self.state.wb_buffer.contains_key(&block) {
             req = req.with_wb_race();
         }
         port.send(req, self.cfg.l2_hit_latency);
@@ -262,8 +273,8 @@ impl L1Cache {
             // invalidation acks and failed forwards.
             L1State::Shared | L1State::Exclusive => {}
             L1State::Modified => {
-                self.stats.writebacks += 1;
-                self.wb_buffer.insert(block, line.data);
+                self.state.stats.writebacks += 1;
+                self.state.wb_buffer.insert(block, line.data);
                 port.send(
                     Msg::new(MessageClass::WbData, self.node, self.home(block), block)
                         .with_data(line.data),
@@ -292,7 +303,7 @@ impl L1Cache {
                 None
             }
             MessageClass::L2WbAck => {
-                self.wb_buffer.remove(&msg.block);
+                self.state.wb_buffer.remove(&msg.block);
                 None
             }
             other => panic!("L1 {} received unexpected {other}", self.node),
@@ -304,8 +315,8 @@ impl L1Cache {
         // resolves the miss, so a data message with no (or a different)
         // outstanding miss is a stale duplicate. Acknowledge it so the
         // home bank unblocks, but install nothing.
-        if !matches!(&self.miss, Some(m) if m.block == msg.block) {
-            self.stats.stale_fills += 1;
+        if !matches!(&self.state.miss, Some(m) if m.block == msg.block) {
+            self.state.stats.stale_fills += 1;
             let elide =
                 self.cfg.eliminate_acks && rode_circuit && msg.class == MessageClass::L2Reply;
             if !elide {
@@ -321,7 +332,7 @@ impl L1Cache {
             }
             return None;
         }
-        let pending = self.miss.take().expect("matched above");
+        let pending = self.state.miss.take().expect("matched above");
         let (state, data) = match pending.kind {
             ReqKind::GetX => (L1State::Modified, pending.write_value.unwrap_or(msg.data)),
             ReqKind::GetS => (
@@ -334,8 +345,8 @@ impl L1Cache {
             ),
         };
         // The upgrade path may still hold the stale Shared copy.
-        self.array.remove(msg.block);
-        if let Some((vb, vline)) = self.array.insert(msg.block, L1Line { state, data }) {
+        self.state.array.remove(msg.block);
+        if let Some((vb, vline)) = self.state.array.insert(msg.block, L1Line { state, data }) {
             self.evict(vb, vline, port);
         }
         // Acknowledge to the home bank — unless the data came over a
@@ -343,7 +354,7 @@ impl L1Cache {
         // self-acknowledged when the reply committed to the circuit).
         let elide = self.cfg.eliminate_acks && rode_circuit && msg.class == MessageClass::L2Reply;
         if elide {
-            self.stats.acks_elided += 1;
+            self.state.stats.acks_elided += 1;
         } else {
             port.send(
                 Msg::new(
@@ -370,8 +381,8 @@ impl L1Cache {
     }
 
     fn invalidate(&mut self, msg: &Msg, port: &mut dyn Port) {
-        self.stats.invalidations += 1;
-        match self.array.remove(msg.block) {
+        self.state.stats.invalidations += 1;
+        match self.state.array.remove(msg.block) {
             Some(line) if line.state == L1State::Modified => {
                 // The dirty data itself is the acknowledgement: the L2
                 // counts a WbData from a pending node as its inv-ack.
@@ -405,8 +416,8 @@ impl L1Cache {
     fn forward(&mut self, msg: &Msg, port: &mut dyn Port) {
         let requestor = msg.requestor.expect("forward names its requestor");
         let kind = msg.req.expect("forward carries the request kind");
-        self.stats.forwards_served += 1;
-        let cached = self.array.peek(msg.block).map(|l| (l.state, l.data));
+        self.state.stats.forwards_served += 1;
+        let cached = self.state.array.peek(msg.block).map(|l| (l.state, l.data));
         let data = if let Some((state, data)) = cached {
             match kind {
                 ReqKind::GetS => {
@@ -423,14 +434,18 @@ impl L1Cache {
                             self.cfg.l2_hit_latency,
                         );
                     }
-                    self.array.peek_mut(msg.block).expect("still cached").state = L1State::Shared;
+                    self.state
+                        .array
+                        .peek_mut(msg.block)
+                        .expect("still cached")
+                        .state = L1State::Shared;
                 }
                 ReqKind::GetX => {
-                    self.array.remove(msg.block);
+                    self.state.array.remove(msg.block);
                 }
             }
             data
-        } else if let Some(&data) = self.wb_buffer.get(&msg.block) {
+        } else if let Some(&data) = self.state.wb_buffer.get(&msg.block) {
             // Our write-back is racing the forward: serve from the buffer
             // (the L2 defers the WB ack until this forward completes).
             data
@@ -458,7 +473,7 @@ impl L1Cache {
     /// Iterates over all cached lines as `(block, writable, value)`, for
     /// chip-level coherence invariant checks.
     pub fn lines(&self) -> impl Iterator<Item = (u64, bool, u64)> + '_ {
-        self.array.iter().map(|(b, l)| {
+        self.state.array.iter().map(|(b, l)| {
             (
                 b,
                 matches!(l.state, L1State::Exclusive | L1State::Modified),
@@ -470,7 +485,7 @@ impl L1Cache {
     /// Visible state of a block, for invariant checks: `None` when absent,
     /// `Some((is_writable, value))` otherwise.
     pub fn probe(&self, block: u64) -> Option<(bool, u64)> {
-        self.array.peek(block).map(|l| {
+        self.state.array.peek(block).map(|l| {
             (
                 matches!(l.state, L1State::Exclusive | L1State::Modified),
                 l.data,
@@ -478,38 +493,16 @@ impl L1Cache {
         })
     }
 
-    /// The full dynamic state, for checkpointing (the configuration and
-    /// trace sink are rebuilt by the caller on resume).
-    pub fn snapshot(&self) -> L1Snapshot {
-        let mut wb_buffer: Vec<(u64, u64)> = self.wb_buffer.iter().map(|(&b, &d)| (b, d)).collect();
-        wb_buffer.sort_unstable();
-        L1Snapshot {
-            array: self.array.clone(),
-            miss: self.miss,
-            wb_buffer,
-            stats: self.stats,
-        }
+    /// The state, for checkpointing.
+    pub fn snapshot(&self) -> L1CacheState {
+        self.state.clone()
     }
 
-    /// Overwrites the dynamic state from an [`L1Cache::snapshot`] taken
-    /// on an identically-configured cache.
-    pub fn restore(&mut self, snap: L1Snapshot) {
-        self.array = snap.array;
-        self.miss = snap.miss;
-        self.wb_buffer = snap.wb_buffer.into_iter().collect();
-        self.stats = snap.stats;
+    /// Overwrites the state with an [`L1Cache::snapshot`] of an
+    /// identically-configured cache.
+    pub fn restore(&mut self, state: L1CacheState) {
+        self.state = state;
     }
-}
-
-/// Complete dynamic state of one [`L1Cache`], for checkpointing. The
-/// write-back buffer is stored as a sorted vector so the serialized form
-/// is deterministic.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct L1Snapshot {
-    array: CacheArray<L1Line>,
-    miss: Option<PendingMiss>,
-    wb_buffer: Vec<(u64, u64)>,
-    stats: L1Stats,
 }
 
 #[cfg(test)]
@@ -740,7 +733,7 @@ mod tests {
         // The eventual WB ack clears the buffer.
         let ack = Msg::new(MessageClass::L2WbAck, wb.dst, NodeId(3), 0x100);
         c.handle(&ack, false, &mut p);
-        assert!(c.wb_buffer.is_empty());
+        assert!(c.state.wb_buffer.is_empty());
     }
 
     #[test]

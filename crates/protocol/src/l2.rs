@@ -7,10 +7,10 @@
 use crate::cache::CacheArray;
 use crate::config::ProtocolConfig;
 use crate::msg::{Msg, Port, ReqKind};
-use rcsim_core::{Cycle, MessageClass, NodeId, Topology};
+use rcsim_core::{Cycle, MessageClass, NodeId, StateMap, Topology};
 use rcsim_trace::{EventKind, TraceEvent, TraceSink};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 fn bit(n: NodeId) -> u64 {
     1u64 << n.index()
@@ -104,20 +104,26 @@ pub struct L2Stats {
 pub struct L2Bank {
     node: NodeId,
     cfg: ProtocolConfig,
+    /// Where trace events go; disabled by default.
+    sink: TraceSink,
+    state: L2BankState,
+}
+
+/// An [`L2Bank`]'s state (DESIGN.md §15).
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct L2BankState {
     array: CacheArray<L2Line>,
-    mshrs: HashMap<u64, Mshr>,
+    mshrs: StateMap<u64, Mshr>,
     /// Victim blocks written back to memory, with requests that must wait
     /// for the `MEMORY` ack before re-fetching them.
-    wb_pending: HashMap<u64, VecDeque<Msg>>,
+    wb_pending: StateMap<u64, VecDeque<Msg>>,
     /// Ways already promised to in-flight fetches, per set index.
-    reserved_ways: HashMap<usize, usize>,
+    reserved_ways: StateMap<usize, usize>,
     /// Incoming messages delayed by the bank access latency.
     inbox: VecDeque<(Cycle, Msg)>,
     /// Requests that found no evictable victim; retried every cycle.
     stalled: VecDeque<Msg>,
     stats: L2Stats,
-    /// Where trace events go; disabled by default.
-    sink: TraceSink,
 }
 
 impl L2Bank {
@@ -132,19 +138,21 @@ impl L2Bank {
             topology.nodes() <= 64,
             "sharer bitmask supports up to 64 tiles"
         );
-        let array = CacheArray::new(cfg.l2);
+        let state = L2BankState {
+            array: CacheArray::new(cfg.l2),
+            mshrs: StateMap::default(),
+            wb_pending: StateMap::default(),
+            reserved_ways: StateMap::default(),
+            inbox: VecDeque::new(),
+            stalled: VecDeque::new(),
+            stats: L2Stats::default(),
+        };
         let _ = topology;
         Self {
             node,
             cfg,
-            array,
-            mshrs: HashMap::new(),
-            wb_pending: HashMap::new(),
-            reserved_ways: HashMap::new(),
-            inbox: VecDeque::new(),
-            stalled: VecDeque::new(),
-            stats: L2Stats::default(),
             sink: TraceSink::default(),
+            state,
         }
     }
 
@@ -156,21 +164,22 @@ impl L2Bank {
 
     /// Event counters.
     pub fn stats(&self) -> &L2Stats {
-        &self.stats
+        &self.state.stats
     }
 
     /// Zeroes the counters (end of warm-up).
     pub fn reset_stats(&mut self) {
-        self.stats = L2Stats::default();
+        self.state.stats = L2Stats::default();
     }
 
     /// `true` when no transaction is in flight at this bank.
     pub fn is_quiescent(&self) -> bool {
-        self.mshrs.is_empty()
-            && self.wb_pending.is_empty()
-            && self.inbox.is_empty()
-            && self.stalled.is_empty()
+        self.state.mshrs.is_empty()
+            && self.state.wb_pending.is_empty()
+            && self.state.inbox.is_empty()
+            && self.state.stalled.is_empty()
             && self
+                .state
                 .array
                 .iter()
                 .all(|(_, l)| l.busy.is_none() && l.queue.is_empty())
@@ -193,7 +202,7 @@ impl L2Bank {
     /// bank access latency (7 cycles for array accesses, 1 for acks).
     pub fn receive(&mut self, msg: Msg, now: Cycle) {
         let ready = now + self.proc_latency(msg.class) as Cycle;
-        self.inbox.push_back((ready, msg));
+        self.state.inbox.push_back((ready, msg));
     }
 
     /// `true` when [`L2Bank::tick`] would do any work at `now`: a message
@@ -202,21 +211,26 @@ impl L2Bank {
     /// this is `false` ticks as a no-op, so skipping it cannot change
     /// observable state.
     pub fn has_due_work(&self, now: Cycle) -> bool {
-        !self.stalled.is_empty() || self.inbox.front().is_some_and(|&(ready, _)| ready <= now)
+        !self.state.stalled.is_empty()
+            || self
+                .state
+                .inbox
+                .front()
+                .is_some_and(|&(ready, _)| ready <= now)
     }
 
     /// Processes everything that has become due.
     pub fn tick(&mut self, now: Cycle, port: &mut dyn Port) {
-        while let Some(&(ready, _)) = self.inbox.front() {
+        while let Some(&(ready, _)) = self.state.inbox.front() {
             if ready > now {
                 break;
             }
-            let (_, msg) = self.inbox.pop_front().expect("front checked");
+            let (_, msg) = self.state.inbox.pop_front().expect("front checked");
             self.process(msg, port);
         }
         // Retry requests that previously found no evictable way.
-        for _ in 0..self.stalled.len() {
-            let msg = self.stalled.pop_front().expect("len checked");
+        for _ in 0..self.state.stalled.len() {
+            let msg = self.state.stalled.pop_front().expect("len checked");
             self.on_request(msg, port);
         }
     }
@@ -234,24 +248,24 @@ impl L2Bank {
 
     fn on_request(&mut self, msg: Msg, port: &mut dyn Port) {
         let block = msg.block;
-        if let Some(mshr) = self.mshrs.get_mut(&block) {
-            self.stats.queued_on_busy += 1;
+        if let Some(mshr) = self.state.mshrs.get_mut(&block) {
+            self.state.stats.queued_on_busy += 1;
             mshr.queue.push_back(msg);
             return;
         }
-        if let Some(q) = self.wb_pending.get_mut(&block) {
-            self.stats.queued_on_busy += 1;
+        if let Some(q) = self.state.wb_pending.get_mut(&block) {
+            self.state.stats.queued_on_busy += 1;
             q.push_back(msg);
             return;
         }
-        if self.array.peek(block).is_some() {
-            let line = self.array.peek_mut(block).expect("peeked");
+        if self.state.array.peek(block).is_some() {
+            let line = self.state.array.peek_mut(block).expect("peeked");
             if line.busy.is_some() {
                 if self.on_duplicate_request(&msg, port) {
                     return;
                 }
-                let line = self.array.peek_mut(block).expect("peeked");
-                self.stats.queued_on_busy += 1;
+                let line = self.state.array.peek_mut(block).expect("peeked");
+                self.state.stats.queued_on_busy += 1;
                 line.queue.push_back(msg);
                 return;
             }
@@ -269,7 +283,7 @@ impl L2Bank {
     /// request belongs to a different transaction and must queue normally.
     fn on_duplicate_request(&mut self, msg: &Msg, port: &mut dyn Port) -> bool {
         let block = msg.block;
-        let line = self.array.peek_mut(block).expect("caller checked");
+        let line = self.state.array.peek_mut(block).expect("caller checked");
         match line.busy {
             Some(Busy::WaitDataAck {
                 requestor,
@@ -294,7 +308,7 @@ impl L2Bank {
                 // was lost: re-send the forward. If the old owner no
                 // longer holds the line it answers "not here" and the
                 // bank serves the requestor from its own copy.
-                self.stats.forwards += 1;
+                self.state.stats.forwards += 1;
                 port.send(
                     Msg::new(MessageClass::FwdRequest, self.node, old_owner, block)
                         .with_req(kind)
@@ -310,7 +324,7 @@ impl L2Bank {
                 // invalidations are harmless — an L1 without the line
                 // answers with a plain ack, and stale acks are ignored.
                 for n in nodes_of(pending) {
-                    self.stats.invalidations += 1;
+                    self.state.stats.invalidations += 1;
                     port.send(Msg::new(MessageClass::Invalidation, self.node, n, block), 1);
                 }
                 true
@@ -324,7 +338,7 @@ impl L2Bank {
         let requestor = msg.src;
         let kind = msg.req.expect("L1 requests carry their kind");
         let block = msg.block;
-        self.stats.hits += 1;
+        self.state.stats.hits += 1;
         self.sink.emit(|| TraceEvent {
             cycle: port.now(),
             kind: EventKind::L2Access {
@@ -334,6 +348,7 @@ impl L2Bank {
             },
         });
         let line = self
+            .state
             .array
             .get_mut(block)
             .expect("serve requires a cached line");
@@ -357,7 +372,7 @@ impl L2Bank {
                 old_owner: owner,
                 wb_ack_owed: false,
             });
-            self.stats.forwards += 1;
+            self.state.stats.forwards += 1;
             port.send(
                 Msg::new(MessageClass::FwdRequest, self.node, owner, block)
                     .with_req(kind)
@@ -388,7 +403,7 @@ impl L2Bank {
                         pending: others,
                     });
                     for n in nodes_of(others) {
-                        self.stats.invalidations += 1;
+                        self.state.stats.invalidations += 1;
                         port.send(Msg::new(MessageClass::Invalidation, self.node, n, block), 1);
                     }
                 } else {
@@ -418,11 +433,15 @@ impl L2Bank {
             reply = reply.with_exclusive();
         }
         let committed = port.send(reply, 1);
-        let line = self.array.peek_mut(block).expect("reply for a cached line");
+        let line = self
+            .state
+            .array
+            .peek_mut(block)
+            .expect("reply for a cached line");
         if committed && self.cfg.eliminate_acks {
             // Delivery over a complete circuit is guaranteed and ordered:
             // acknowledge on the reply's behalf and unblock immediately.
-            self.stats.self_acked += 1;
+            self.state.stats.self_acked += 1;
             port.record_eliminated_ack();
             line.busy = None;
             if let Some(owner) = wb_ack_owed {
@@ -443,7 +462,7 @@ impl L2Bank {
         // duplicate (or late) acks can land after the transaction already
         // resolved — possibly after the line was even evicted. Anything
         // that does not match the ack the line is waiting for is ignored.
-        let Some(line) = self.array.peek_mut(block) else {
+        let Some(line) = self.state.array.peek_mut(block) else {
             return;
         };
         match line.busy {
@@ -495,7 +514,7 @@ impl L2Bank {
         data: u64,
         port: &mut dyn Port,
     ) {
-        let Some(line) = self.array.peek_mut(block) else {
+        let Some(line) = self.state.array.peek_mut(block) else {
             // The eviction this ack belongs to has already completed (the
             // node answered both with a write-back and a late ack).
             return;
@@ -558,7 +577,7 @@ impl L2Bank {
     fn on_wb_data(&mut self, msg: Msg, port: &mut dyn Port) {
         let block = msg.block;
         let from = msg.src;
-        let Some(line) = self.array.peek_mut(block) else {
+        let Some(line) = self.state.array.peek_mut(block) else {
             panic!(
                 "L2 {} write-back for absent line {block:#x} (inclusion violated)",
                 self.node
@@ -637,7 +656,7 @@ impl L2Bank {
 
     fn drain_line_queue(&mut self, block: u64, port: &mut dyn Port) {
         loop {
-            let Some(line) = self.array.peek_mut(block) else {
+            let Some(line) = self.state.array.peek_mut(block) else {
                 return;
             };
             if line.busy.is_some() {
@@ -646,7 +665,7 @@ impl L2Bank {
             let Some(msg) = line.queue.pop_front() else {
                 return;
             };
-            self.stats.busy_wait_cycles += 1;
+            self.state.stats.busy_wait_cycles += 1;
             self.serve(msg, port);
         }
     }
@@ -655,7 +674,7 @@ impl L2Bank {
     /// the set is full.
     fn start_fetch(&mut self, msg: Msg, port: &mut dyn Port) {
         let block = msg.block;
-        self.stats.misses += 1;
+        self.state.stats.misses += 1;
         self.sink.emit(|| TraceEvent {
             cycle: port.now(),
             kind: EventKind::L2Access {
@@ -670,10 +689,10 @@ impl L2Bank {
             port.undo_circuit(Msg::circuit_key_for(msg.src, block));
         }
         let set = self.set_index(block);
-        let reserved = self.reserved_ways.get(&set).copied().unwrap_or(0);
-        if self.array.free_ways(block) > reserved {
-            *self.reserved_ways.entry(set).or_insert(0) += 1;
-            self.mshrs.insert(
+        let reserved = self.state.reserved_ways.get(&set).copied().unwrap_or(0);
+        if self.state.array.free_ways(block) > reserved {
+            *self.state.reserved_ways.entry(set).or_insert(0) += 1;
+            self.state.mshrs.insert(
                 block,
                 Mshr {
                     evicting_victim: None,
@@ -689,46 +708,49 @@ impl L2Bank {
         // in an L1 but invisible to the L2's recency — then (3) the idle
         // PLRU choice, (4) any idle line.
         let victim = {
-            let plru = self.array.victim_for(block);
+            let plru = self.state.array.victim_for(block);
             let idle = |b: &u64| {
-                self.array
+                self.state
+                    .array
                     .peek(*b)
                     .is_some_and(|l| l.busy.is_none() && l.queue.is_empty())
             };
             let uncopied = |b: &u64| {
-                self.array
+                self.state
+                    .array
                     .peek(*b)
                     .is_some_and(|l| l.sharers == 0 && l.owner.is_none())
             };
             plru.filter(|b| idle(b) && uncopied(b))
                 .or_else(|| {
-                    self.array
+                    self.state
+                        .array
                         .set_blocks(block)
                         .into_iter()
                         .find(|b| idle(b) && uncopied(b))
                 })
                 .or_else(|| plru.filter(idle))
-                .or_else(|| self.array.set_blocks(block).into_iter().find(idle))
+                .or_else(|| self.state.array.set_blocks(block).into_iter().find(idle))
         };
         let Some(victim) = victim else {
             // Every line in the set is mid-transaction: retry next cycle.
-            self.stats.misses -= 1;
-            self.stalled.push_back(msg);
+            self.state.stats.misses -= 1;
+            self.state.stalled.push_back(msg);
             return;
         };
-        self.stats.evictions += 1;
-        let vline = self.array.peek_mut(victim).expect("victim cached");
+        self.state.stats.evictions += 1;
+        let vline = self.state.array.peek_mut(victim).expect("victim cached");
         let copies = vline.sharers | vline.owner.map_or(0, bit);
         if copies == 0 {
             // No L1 copies: evict immediately.
-            self.mshrs.insert(
+            self.state.mshrs.insert(
                 block,
                 Mshr {
                     evicting_victim: None,
                     queue: VecDeque::from([msg]),
                 },
             );
-            *self.reserved_ways.entry(set).or_insert(0) += 1;
+            *self.state.reserved_ways.entry(set).or_insert(0) += 1;
             self.drop_victim(victim, port);
             self.fetch_from_memory(block, port);
         } else {
@@ -736,7 +758,7 @@ impl L2Bank {
                 pending: copies,
                 fetch_for: block,
             });
-            self.mshrs.insert(
+            self.state.mshrs.insert(
                 block,
                 Mshr {
                     evicting_victim: Some(victim),
@@ -744,7 +766,7 @@ impl L2Bank {
                 },
             );
             for n in nodes_of(copies) {
-                self.stats.invalidations += 1;
+                self.state.stats.invalidations += 1;
                 port.send(
                     Msg::new(MessageClass::Invalidation, self.node, n, victim),
                     1,
@@ -756,9 +778,9 @@ impl L2Bank {
     /// Removes a victim whose L1 copies are gone, writing dirty data back
     /// to memory.
     fn drop_victim(&mut self, victim: u64, port: &mut dyn Port) {
-        let line = self.array.remove(victim).expect("victim cached");
+        let line = self.state.array.remove(victim).expect("victim cached");
         if line.dirty {
-            self.wb_pending.insert(victim, VecDeque::new());
+            self.state.wb_pending.insert(victim, VecDeque::new());
             port.send(
                 Msg::new(
                     MessageClass::MemWbData,
@@ -774,9 +796,10 @@ impl L2Bank {
 
     fn finish_eviction(&mut self, victim: u64, fetch_for: u64, port: &mut dyn Port) {
         let set = self.set_index(fetch_for);
-        *self.reserved_ways.entry(set).or_insert(0) += 1;
+        *self.state.reserved_ways.entry(set).or_insert(0) += 1;
         self.drop_victim(victim, port);
         let mshr = self
+            .state
             .mshrs
             .get_mut(&fetch_for)
             .expect("fetch waiting on eviction");
@@ -798,20 +821,24 @@ impl L2Bank {
 
     fn on_mem_reply(&mut self, msg: Msg, port: &mut dyn Port) {
         let block = msg.block;
-        if let Some(mshr) = self.mshrs.remove(&block) {
+        if let Some(mshr) = self.state.mshrs.remove(&block) {
             debug_assert!(mshr.evicting_victim.is_none(), "fetch before eviction done");
             let set = self.set_index(block);
-            let r = self.reserved_ways.get_mut(&set).expect("way was reserved");
+            let r = self
+                .state
+                .reserved_ways
+                .get_mut(&set)
+                .expect("way was reserved");
             *r -= 1;
             if *r == 0 {
-                self.reserved_ways.remove(&set);
+                self.state.reserved_ways.remove(&set);
             }
-            let evicted = self.array.insert(block, L2Line::fresh(msg.data));
+            let evicted = self.state.array.insert(block, L2Line::fresh(msg.data));
             assert!(evicted.is_none(), "reserved way was taken");
             for msg in mshr.queue {
                 self.on_request(msg, port);
             }
-        } else if let Some(waiters) = self.wb_pending.remove(&block) {
+        } else if let Some(waiters) = self.state.wb_pending.remove(&block) {
             // The MEMORY ack for a victim write-back; deferred requests
             // can now re-fetch the block.
             for msg in waiters {
@@ -826,59 +853,19 @@ impl L2Bank {
     /// Directory view of a block, for invariant checks:
     /// `(owner, sharer_mask)` when cached.
     pub fn probe(&self, block: u64) -> Option<(Option<NodeId>, u64)> {
-        self.array.peek(block).map(|l| (l.owner, l.sharers))
+        self.state.array.peek(block).map(|l| (l.owner, l.sharers))
     }
 
-    /// The full dynamic state, for checkpointing (the configuration and
-    /// trace sink are rebuilt by the caller on resume).
-    pub fn snapshot(&self) -> L2Snapshot {
-        let mut mshrs: Vec<(u64, Mshr)> = self.mshrs.iter().map(|(&b, m)| (b, m.clone())).collect();
-        mshrs.sort_unstable_by_key(|&(b, _)| b);
-        let mut wb_pending: Vec<(u64, VecDeque<Msg>)> = self
-            .wb_pending
-            .iter()
-            .map(|(&b, q)| (b, q.clone()))
-            .collect();
-        wb_pending.sort_unstable_by_key(|&(b, _)| b);
-        let mut reserved_ways: Vec<(usize, usize)> =
-            self.reserved_ways.iter().map(|(&s, &n)| (s, n)).collect();
-        reserved_ways.sort_unstable();
-        L2Snapshot {
-            array: self.array.clone(),
-            mshrs,
-            wb_pending,
-            reserved_ways,
-            inbox: self.inbox.clone(),
-            stalled: self.stalled.clone(),
-            stats: self.stats,
-        }
+    /// The state, for checkpointing.
+    pub fn snapshot(&self) -> L2BankState {
+        self.state.clone()
     }
 
-    /// Overwrites the dynamic state from an [`L2Bank::snapshot`] taken
-    /// on an identically-configured bank.
-    pub fn restore(&mut self, snap: L2Snapshot) {
-        self.array = snap.array;
-        self.mshrs = snap.mshrs.into_iter().collect();
-        self.wb_pending = snap.wb_pending.into_iter().collect();
-        self.reserved_ways = snap.reserved_ways.into_iter().collect();
-        self.inbox = snap.inbox;
-        self.stalled = snap.stalled;
-        self.stats = snap.stats;
+    /// Overwrites the state with an [`L2Bank::snapshot`] of an
+    /// identically-configured bank.
+    pub fn restore(&mut self, state: L2BankState) {
+        self.state = state;
     }
-}
-
-/// Complete dynamic state of one [`L2Bank`], for checkpointing. Hash
-/// maps are stored as sorted vectors so the serialized form is
-/// deterministic.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct L2Snapshot {
-    array: CacheArray<L2Line>,
-    mshrs: Vec<(u64, Mshr)>,
-    wb_pending: Vec<(u64, VecDeque<Msg>)>,
-    reserved_ways: Vec<(usize, usize)>,
-    inbox: VecDeque<(Cycle, Msg)>,
-    stalled: VecDeque<Msg>,
-    stats: L2Stats,
 }
 
 #[cfg(test)]

@@ -35,8 +35,8 @@ mod plru;
 
 pub use cache::{CacheArray, CacheConfig};
 pub use config::ProtocolConfig;
-pub use l1::{Access, L1Cache, L1Snapshot, L1Stats, MissDone};
-pub use l2::{L2Bank, L2Snapshot, L2Stats};
-pub use mem::{MemSnapshot, MemStats, MemoryController};
+pub use l1::{Access, L1Cache, L1CacheState, L1Stats, MissDone};
+pub use l2::{L2Bank, L2BankState, L2Stats};
+pub use mem::{MemStats, MemoryController, MemoryState};
 pub use msg::{Msg, Port, ReqKind};
 pub use plru::TreePlru;

@@ -1,9 +1,9 @@
 //! Memory controllers: fixed-latency backing store (160 cycles, Table 2).
 
 use crate::msg::{Msg, Port};
-use rcsim_core::{Cycle, MessageClass, NodeId};
+use rcsim_core::{Cycle, MessageClass, NodeId, StateMap};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Per-controller counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -21,7 +21,13 @@ pub struct MemStats {
 pub struct MemoryController {
     node: NodeId,
     latency: u32,
-    store: HashMap<u64, u64>,
+    state: MemoryState,
+}
+
+/// A [`MemoryController`]'s state (DESIGN.md §15).
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+pub struct MemoryState {
+    store: StateMap<u64, u64>,
     pending: VecDeque<(Cycle, Msg)>,
     stats: MemStats,
 }
@@ -32,31 +38,29 @@ impl MemoryController {
         Self {
             node,
             latency,
-            store: HashMap::new(),
-            pending: VecDeque::new(),
-            stats: MemStats::default(),
+            state: MemoryState::default(),
         }
     }
 
     /// Event counters.
     pub fn stats(&self) -> &MemStats {
-        &self.stats
+        &self.state.stats
     }
 
     /// Zeroes the counters (end of warm-up).
     pub fn reset_stats(&mut self) {
-        self.stats = MemStats::default();
+        self.state.stats = MemStats::default();
     }
 
     /// `true` when no access is in flight.
     pub fn is_quiescent(&self) -> bool {
-        self.pending.is_empty()
+        self.state.pending.is_empty()
     }
 
     /// The stored content of a line (0 if never written), for invariant
     /// checks.
     pub fn peek(&self, block: u64) -> u64 {
-        self.store.get(&block).copied().unwrap_or(0)
+        self.state.store.get(&block).copied().unwrap_or(0)
     }
 
     /// Accepts a request; the reply is produced `latency` cycles later.
@@ -65,26 +69,31 @@ impl MemoryController {
             msg.class,
             MessageClass::MemRequest | MessageClass::MemWbData
         ));
-        self.pending.push_back((now + self.latency as Cycle, msg));
+        self.state
+            .pending
+            .push_back((now + self.latency as Cycle, msg));
     }
 
     /// `true` when [`MemoryController::tick`] would emit a reply at `now`.
     /// Used by the event kernel to skip idle controllers; ticking when this
     /// is `false` is a no-op, so skipping cannot change observable state.
     pub fn has_due_work(&self, now: Cycle) -> bool {
-        self.pending.front().is_some_and(|&(ready, _)| ready <= now)
+        self.state
+            .pending
+            .front()
+            .is_some_and(|&(ready, _)| ready <= now)
     }
 
     /// Emits due replies.
     pub fn tick(&mut self, now: Cycle, port: &mut dyn Port) {
-        while let Some(&(ready, _)) = self.pending.front() {
+        while let Some(&(ready, _)) = self.state.pending.front() {
             if ready > now {
                 break;
             }
-            let (_, msg) = self.pending.pop_front().expect("front checked");
+            let (_, msg) = self.state.pending.pop_front().expect("front checked");
             match msg.class {
                 MessageClass::MemRequest => {
-                    self.stats.reads += 1;
+                    self.state.stats.reads += 1;
                     let data = self.peek(msg.block);
                     port.send(
                         Msg::new(MessageClass::MemoryReply, self.node, msg.src, msg.block)
@@ -93,8 +102,8 @@ impl MemoryController {
                     );
                 }
                 MessageClass::MemWbData => {
-                    self.stats.writes += 1;
-                    self.store.insert(msg.block, msg.data);
+                    self.state.stats.writes += 1;
+                    self.state.store.insert(msg.block, msg.data);
                     // The ack is a single-flit MEMORY reply.
                     port.send(
                         Msg::new(MessageClass::MemoryReply, self.node, msg.src, msg.block)
@@ -107,35 +116,16 @@ impl MemoryController {
         }
     }
 
-    /// The full dynamic state, for checkpointing.
-    pub fn snapshot(&self) -> MemSnapshot {
-        let mut store: Vec<(u64, u64)> = self.store.iter().map(|(&b, &d)| (b, d)).collect();
-        store.sort_unstable();
-        MemSnapshot {
-            store,
-            pending: self.pending.clone(),
-            stats: self.stats,
-        }
+    /// The state, for checkpointing.
+    pub fn snapshot(&self) -> MemoryState {
+        self.state.clone()
     }
 
-    /// Overwrites the dynamic state from a
-    /// [`MemoryController::snapshot`] taken on an identically-configured
-    /// controller.
-    pub fn restore(&mut self, snap: MemSnapshot) {
-        self.store = snap.store.into_iter().collect();
-        self.pending = snap.pending;
-        self.stats = snap.stats;
+    /// Overwrites the state with a [`MemoryController::snapshot`] of an
+    /// identically-configured controller.
+    pub fn restore(&mut self, state: MemoryState) {
+        self.state = state;
     }
-}
-
-/// Complete dynamic state of one [`MemoryController`], for
-/// checkpointing. The backing store is sorted so the serialized form is
-/// deterministic.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct MemSnapshot {
-    store: Vec<(u64, u64)>,
-    pending: VecDeque<(Cycle, Msg)>,
-    stats: MemStats,
 }
 
 #[cfg(test)]

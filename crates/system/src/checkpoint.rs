@@ -12,14 +12,11 @@
 //! kernels and every topology, fault plan, open-loop and adaptive
 //! configuration.
 //!
-//! What a snapshot holds is the *dynamic* state only: router pipelines,
-//! VC buffers and credits, circuit tables, in-flight flits, NI queues and
-//! retransmission state, the fault layer's RNG and health bookkeeping,
-//! L1/L2/MSHR/directory and memory-controller state, core trace cursors,
-//! the open-loop driver, adaptive policy controllers and the trace ring.
-//! Everything derivable from the [`SimConfig`] (geometry, latencies,
-//! mechanism flags, kernel wiring) is rebuilt by construction and
-//! deliberately excluded — see DESIGN.md §15 for the ownership map.
+//! What a snapshot holds is each component's `State` — every field its
+//! behaviour depends on from one tick to the next — and nothing else:
+//! wiring (geometry, latencies, mechanism flags, kernel, trace sinks) is
+//! rebuilt from the [`SimConfig`] by construction and scratch is rebuilt
+//! from the state. DESIGN.md §15 has the rule and the table.
 //!
 //! On disk a checkpoint is a one-line header
 //! (`rcsim-checkpoint v<version> <fnv1a-64 of the payload>`) followed by
@@ -31,16 +28,13 @@ use crate::chip::{Chip, ChipSnapshot};
 use crate::report::RunResult;
 use crate::sim::{assemble_result, build_chip, SimConfig, SimError, TraceConfig, TraceReport};
 use rcsim_core::{Cycle, KernelMode};
-use rcsim_trace::{LatencyBreakdown, MetricsRegistry, PortableEvent, TraceEvent, TraceSink};
+use rcsim_trace::{LatencyBreakdown, MetricsRegistry, TraceEvent, TraceSink};
 use serde::{Deserialize, Serialize};
 use std::path::Path;
 
 /// Bumped whenever the snapshot layout changes incompatibly. A checkpoint
 /// carrying any other version is treated as a clean miss, never an error.
-/// v3: router control state is serialized flat (per-slot vectors, not
-/// nested per-port structs) and a flit's packet data sits in its head's
-/// `Head`.
-pub const CHECKPOINT_FORMAT_VERSION: u32 = 3;
+pub const CHECKPOINT_FORMAT_VERSION: u32 = 4;
 
 /// Stable 64-bit FNV-1a over `bytes` — deliberately not `DefaultHasher`,
 /// whose output may change between Rust releases; checkpoint checksums
@@ -64,7 +58,7 @@ pub struct SessionSnapshot {
     trace: Option<TraceConfig>,
     pos: Cycle,
     chip: ChipSnapshot,
-    trace_events: Vec<PortableEvent>,
+    trace_events: Vec<TraceEvent>,
     trace_dropped: u64,
 }
 
@@ -200,14 +194,9 @@ impl SimSession {
     ) -> Result<Self, SimError> {
         let mut session = Self::new(&snap.config, snap.trace.as_ref(), kernel, 1)?;
         session.chip.restore(&snap.chip);
-        session.sink.restore(
-            snap.trace_events
-                .iter()
-                .cloned()
-                .map(TraceEvent::from)
-                .collect(),
-            snap.trace_dropped,
-        );
+        session
+            .sink
+            .restore(snap.trace_events.clone(), snap.trace_dropped);
         session.pos = snap.pos;
         Ok(session)
     }
@@ -234,12 +223,7 @@ impl SimSession {
             trace: self.trace_cfg.clone(),
             pos: self.pos,
             chip: self.chip.snapshot(),
-            trace_events: self
-                .sink
-                .snapshot()
-                .into_iter()
-                .map(PortableEvent::from)
-                .collect(),
+            trace_events: self.sink.snapshot(),
             trace_dropped: self.sink.dropped(),
         }
     }
@@ -388,12 +372,13 @@ mod tests {
         // Flip a payload byte: checksum mismatch is a clean miss.
         let corrupt = text.replacen("\"pos\":0", "\"pos\":1", 1);
         assert!(SessionSnapshot::decode(&corrupt).is_none());
-        // Stale versions (the earlier layouts and the original): clean
-        // misses, even though the checksum still matches the payload.
-        assert!(text.starts_with("rcsim-checkpoint v3 "));
-        for old in ["v2", "v1", "v0"] {
-            let stale = text.replacen("rcsim-checkpoint v3", &format!("rcsim-checkpoint {old}"), 1);
-            assert!(SessionSnapshot::decode(&stale).is_none(), "{old}");
+        // Every earlier version: a clean miss, even though the checksum
+        // still matches the payload.
+        let current = format!("rcsim-checkpoint v{CHECKPOINT_FORMAT_VERSION} ");
+        assert!(text.starts_with(&current));
+        for old in 0..CHECKPOINT_FORMAT_VERSION {
+            let stale = text.replacen(&current, &format!("rcsim-checkpoint v{old} "), 1);
+            assert!(SessionSnapshot::decode(&stale).is_none(), "v{old}");
         }
         // Truncated: clean miss.
         assert!(SessionSnapshot::decode(&text[..text.len() / 2]).is_none());

@@ -3,32 +3,32 @@
 //! wired to the cycle-accurate NoC through an adapter implementing the
 //! protocol's [`Port`].
 
-use crate::core_model::{Core, CoreAction, CoreSnapshot};
-use crate::open_loop::{OpenLoopConfig, OpenLoopSnapshot, OpenLoopState, EXT_TOKEN_BIT};
+use crate::core_model::{self, Core, CoreAction};
+use crate::open_loop::{self, OpenLoopConfig, OpenLoopState, EXT_TOKEN_BIT};
 use crate::report::ExternalSummary;
 use rcsim_core::circuit::CircuitKey;
-use rcsim_core::{Cycle, KernelMode, MechanismConfig, MessageClass, NodeId, Topology};
+use rcsim_core::{
+    Cycle, KernelMode, MechanismConfig, MessageClass, NodeId, StateMap, StateSet, Topology,
+};
 use rcsim_noc::{
     CircuitOutcome, FaultConfig, HealthReport, Network, NetworkSnapshot, NocConfig, NocStats,
     PacketSpec, WatchdogConfig,
 };
 use rcsim_protocol::{
-    Access, L1Cache, L1Snapshot, L2Bank, L2Snapshot, MemSnapshot, MemoryController, Msg, Port,
+    Access, L1Cache, L1CacheState, L2Bank, L2BankState, MemoryController, MemoryState, Msg, Port,
     ProtocolConfig,
 };
 use rcsim_trace::{EventKind, TraceEvent, TraceSink};
-use rcsim_workload::Workload;
+use rcsim_workload::{ArrivalState, Workload, WorkloadRng};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
+use std::collections::BTreeMap;
 
 /// Bridges the protocol state machines to the NoC: attaches circuit keys
 /// to eligible replies, reports NoAck commits, forwards undos and keeps
 /// the Figure 6 outcome accounting consistent (see DESIGN.md).
 struct ChipPort<'a> {
     net: &'a mut Network,
-    payloads: &'a mut HashMap<u64, Msg>,
-    next_token: &'a mut u64,
-    undone: &'a mut HashSet<CircuitKey>,
+    state: &'a mut State,
     node: NodeId,
     circuits_enabled: bool,
     track_undone: bool,
@@ -40,9 +40,9 @@ impl Port for ChipPort<'_> {
     }
 
     fn send(&mut self, msg: Msg, turnaround: u32) -> bool {
-        let token = *self.next_token;
-        *self.next_token += 1;
-        self.payloads.insert(token, msg);
+        let token = self.state.next_token;
+        self.state.next_token += 1;
+        self.state.payloads.insert(token, msg);
         let mut spec = PacketSpec::new(msg.src, msg.dst, msg.class)
             .with_block(msg.block)
             .with_token(token)
@@ -56,7 +56,7 @@ impl Port for ChipPort<'_> {
                     requestor: msg.dst,
                     block: msg.block,
                 };
-                if self.undone.remove(&key) {
+                if self.state.undone.remove(&key) {
                     // The §4.4 ablation already classified this reply as
                     // `undone` when the circuit was torn down at L2 miss.
                     spec = spec.without_outcome();
@@ -77,7 +77,7 @@ impl Port for ChipPort<'_> {
     fn undo_circuit(&mut self, key: CircuitKey) {
         if self.net.undo_circuit(self.node, key) {
             if self.track_undone {
-                self.undone.insert(key);
+                self.state.undone.insert(key);
             }
         } else if self.circuits_enabled {
             // The circuit had already failed mid-path: the transaction's
@@ -93,25 +93,38 @@ impl Port for ChipPort<'_> {
 
 /// The full chip multiprocessor.
 pub struct Chip {
+    // Wiring.
     topology: Topology,
     proto_cfg: ProtocolConfig,
-    net: Network,
-    cores: Vec<Core>,
-    l1s: Vec<L1Cache>,
-    l2s: Vec<L2Bank>,
-    /// The memory controller of each tile that has one, indexed by tile.
-    mcs: Vec<Option<MemoryController>>,
-    payloads: HashMap<u64, Msg>,
-    next_token: u64,
-    undone: HashSet<CircuitKey>,
     /// Where trace events go; disabled by default.
     sink: TraceSink,
     /// Cycles between whole-network occupancy samples (0 = never).
     trace_epoch: u64,
     /// Dense (tick everything) or event-driven (skip quiescent tiles).
     kernel: KernelMode,
+
+    // Components, each with a state of its own.
+    net: Network,
+    cores: Vec<Core>,
+    l1s: Vec<L1Cache>,
+    l2s: Vec<L2Bank>,
+    /// The memory controller of each tile that has one, indexed by tile.
+    mcs: Vec<Option<MemoryController>>,
     /// Open-loop external-traffic driver; `None` for closed-loop runs.
     open_loop: Option<Box<OpenLoopState>>,
+
+    state: State,
+}
+
+/// The chip's own state (DESIGN.md §15): the glue between the protocol
+/// and the network.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+struct State {
+    /// The message behind each packet in flight, by token.
+    payloads: StateMap<u64, Msg>,
+    next_token: u64,
+    /// Circuits the §4.4 ablation undid at L2 miss, until their reply.
+    undone: StateSet<CircuitKey>,
 }
 
 impl Chip {
@@ -175,18 +188,16 @@ impl Chip {
         Ok(Self {
             topology,
             proto_cfg,
+            sink: TraceSink::default(),
+            trace_epoch: 0,
+            kernel: KernelMode::Event,
             net,
             cores,
             l1s,
             l2s,
             mcs,
-            payloads: HashMap::new(),
-            next_token: 0,
-            undone: HashSet::new(),
-            sink: TraceSink::default(),
-            trace_epoch: 0,
-            kernel: KernelMode::Event,
             open_loop: None,
+            state: State::default(),
         })
     }
 
@@ -296,9 +307,7 @@ impl Chip {
             {
                 let mut port = ChipPort {
                     net: &mut self.net,
-                    payloads: &mut self.payloads,
-                    next_token: &mut self.next_token,
-                    undone: &mut self.undone,
+                    state: &mut self.state,
                     node: NodeId(i as u16),
                     circuits_enabled,
                     track_undone,
@@ -321,9 +330,7 @@ impl Chip {
             }
             let mut port = ChipPort {
                 net: &mut self.net,
-                payloads: &mut self.payloads,
-                next_token: &mut self.next_token,
-                undone: &mut self.undone,
+                state: &mut self.state,
                 node: NodeId(i as u16),
                 circuits_enabled,
                 track_undone,
@@ -365,6 +372,7 @@ impl Chip {
                 continue;
             }
             let msg = self
+                .state
                 .payloads
                 .remove(&d.token)
                 .expect("every injected packet has a payload record");
@@ -377,9 +385,7 @@ impl Chip {
                 | MessageClass::L2WbAck => {
                     let mut port = ChipPort {
                         net: &mut self.net,
-                        payloads: &mut self.payloads,
-                        next_token: &mut self.next_token,
-                        undone: &mut self.undone,
+                        state: &mut self.state,
                         node,
                         circuits_enabled,
                         track_undone,
@@ -419,9 +425,7 @@ impl Chip {
             }
             let mut port = ChipPort {
                 net: &mut self.net,
-                payloads: &mut self.payloads,
-                next_token: &mut self.next_token,
-                undone: &mut self.undone,
+                state: &mut self.state,
                 node: NodeId(i as u16),
                 circuits_enabled,
                 track_undone,
@@ -471,7 +475,7 @@ impl Chip {
     pub fn reset_stats(&mut self) {
         self.net.reset_stats();
         for c in &mut self.cores {
-            c.instructions = 0;
+            c.state.instructions = 0;
         }
         for l1 in &mut self.l1s {
             l1.reset_stats();
@@ -489,7 +493,7 @@ impl Chip {
 
     /// Instructions retired across all cores since the last reset.
     pub fn instructions(&self) -> u64 {
-        self.cores.iter().map(|c| c.instructions).sum()
+        self.cores.iter().map(|c| c.state.instructions).sum()
     }
 
     /// Network statistics snapshot.
@@ -530,54 +534,47 @@ impl Chip {
         total
     }
 
-    /// The complete dynamic state of the chip, for checkpointing. Call
-    /// at a tick boundary (between [`Chip::tick`] calls): mid-tick
-    /// scratch is empty there, so the snapshot is identical under both
-    /// kernels. Configuration (topology, protocol
-    /// parameters, mechanism, kernel, trace wiring) is deliberately
-    /// excluded — a restore target is rebuilt from the same `SimConfig`
-    /// and the snapshot overwrites only what evolves.
+    /// The chip's state and its components', for checkpointing. Call at
+    /// a tick boundary (between [`Chip::tick`] calls): mid-tick scratch
+    /// is dead there, so the snapshot is identical under both kernels.
     pub fn snapshot(&self) -> ChipSnapshot {
-        let mcs: Vec<(usize, MemSnapshot)> = self
-            .mcs
-            .iter()
-            .enumerate()
-            .filter_map(|(i, mc)| Some((i, mc.as_ref()?.snapshot())))
-            .collect();
-        let mut payloads: Vec<(u64, Msg)> = self.payloads.iter().map(|(&t, &m)| (t, m)).collect();
-        payloads.sort_unstable_by_key(|&(t, _)| t);
-        let mut undone: Vec<CircuitKey> = self.undone.iter().copied().collect();
-        undone.sort_unstable_by_key(|k| (k.requestor, k.block));
+        let mc = |mc: &Option<MemoryController>| mc.as_ref().map(MemoryController::snapshot);
         ChipSnapshot {
+            state: self.state.clone(),
             net: self.net.snapshot(),
             cores: self.cores.iter().map(Core::snapshot).collect(),
             l1s: self.l1s.iter().map(L1Cache::snapshot).collect(),
             l2s: self.l2s.iter().map(L2Bank::snapshot).collect(),
-            mcs,
-            payloads,
-            next_token: self.next_token,
-            undone,
+            mcs: self.mcs.iter().map(mc).collect(),
             open_loop: self.open_loop.as_deref().map(OpenLoopState::snapshot),
         }
     }
 
-    /// Overwrites the chip's dynamic state from a [`Chip::snapshot`]
-    /// taken on an identically-configured chip.
+    /// Overwrites the chip's state, and its components', with a
+    /// [`Chip::snapshot`] of a chip built from the same configuration
+    /// (wiring — topology, protocol parameters, mechanism, kernel, trace
+    /// sinks — is kept).
     ///
     /// # Panics
     ///
-    /// Panics when the snapshot's shape disagrees with this chip's
-    /// configuration (different core count, or open-loop presence
-    /// mismatch) — restoring across configurations is a caller bug.
+    /// Panics on a snapshot of a differently shaped chip (tile count,
+    /// which tiles have a memory controller, open-loop presence), like
+    /// [`Network::restore`] and for the same reason.
     pub fn restore(&mut self, snap: &ChipSnapshot) {
-        assert_eq!(
-            snap.cores.len(),
-            self.cores.len(),
-            "checkpoint is for a different core count"
+        assert!(
+            snap.cores.len() == self.cores.len()
+                && snap.open_loop.is_some() == self.open_loop.is_some()
+                && snap
+                    .mcs
+                    .iter()
+                    .map(Option::is_some)
+                    .eq(self.mcs.iter().map(Option::is_some)),
+            "snapshot of a differently configured chip"
         );
+        self.state = snap.state.clone();
         self.net.restore(&snap.net);
         for (core, s) in self.cores.iter_mut().zip(&snap.cores) {
-            core.restore(s);
+            core.restore(s.clone());
         }
         for (l1, s) in self.l1s.iter_mut().zip(&snap.l1s) {
             l1.restore(s.clone());
@@ -585,19 +582,11 @@ impl Chip {
         for (l2, s) in self.l2s.iter_mut().zip(&snap.l2s) {
             l2.restore(s.clone());
         }
-        for (i, s) in &snap.mcs {
-            self.mcs[*i]
-                .as_mut()
-                .expect("checkpoint has an MC on a non-MC tile")
-                .restore(s.clone());
+        for (mc, s) in self.mcs.iter_mut().flatten().zip(snap.mcs.iter().flatten()) {
+            mc.restore(s.clone());
         }
-        self.payloads = snap.payloads.iter().copied().collect();
-        self.next_token = snap.next_token;
-        self.undone = snap.undone.iter().copied().collect();
-        match (self.open_loop.as_deref_mut(), &snap.open_loop) {
-            (Some(ol), Some(s)) => ol.restore(s),
-            (None, None) => {}
-            _ => panic!("checkpoint and chip disagree on open-loop traffic"),
+        if let (Some(ol), Some(s)) = (&mut self.open_loop, &snap.open_loop) {
+            ol.restore(s);
         }
     }
 
@@ -607,7 +596,7 @@ impl Chip {
     pub fn coherence_violations(&self) -> Vec<String> {
         let mut violations = Vec::new();
         // Gather every cached L1 line.
-        let mut holders: HashMap<u64, Vec<(NodeId, bool, u64)>> = HashMap::new();
+        let mut holders: BTreeMap<u64, Vec<(NodeId, bool, u64)>> = BTreeMap::new();
         for (i, l1) in self.l1s.iter().enumerate() {
             for (block, writable, value) in l1.lines() {
                 holders
@@ -652,18 +641,16 @@ impl Chip {
     }
 }
 
-/// Complete dynamic state of a [`Chip`], for checkpointing (see
-/// [`Chip::snapshot`]). Hash-keyed collections are sorted so the
-/// serialized form is deterministic.
+/// A [`Chip`]'s state and that of each of its components (see
+/// [`Chip::snapshot`]).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ChipSnapshot {
+    state: State,
     net: NetworkSnapshot,
-    cores: Vec<CoreSnapshot>,
-    l1s: Vec<L1Snapshot>,
-    l2s: Vec<L2Snapshot>,
-    mcs: Vec<(usize, MemSnapshot)>,
-    payloads: Vec<(u64, Msg)>,
-    next_token: u64,
-    undone: Vec<CircuitKey>,
-    open_loop: Option<OpenLoopSnapshot>,
+    cores: Vec<(core_model::State, WorkloadRng)>,
+    l1s: Vec<L1CacheState>,
+    l2s: Vec<L2BankState>,
+    /// Indexed by tile, like [`Chip::mcs`].
+    mcs: Vec<Option<MemoryState>>,
+    open_loop: Option<(open_loop::State, Vec<ArrivalState>)>,
 }

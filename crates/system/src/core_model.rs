@@ -2,12 +2,12 @@
 //! single-threaded, blocking on misses).
 
 use rcsim_core::Cycle;
-use rcsim_workload::{CoreTrace, TraceOp};
+use rcsim_workload::{CoreTrace, TraceOp, WorkloadRng};
 use serde::{Deserialize, Serialize};
 
 /// What the core is doing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-enum CoreState {
+enum Phase {
     /// Executing non-memory instructions until the given cycle, after
     /// which the pending memory reference accesses the L1.
     Compute { until: Cycle },
@@ -19,16 +19,23 @@ enum CoreState {
 /// after each compute gap, and stalls on misses.
 #[derive(Debug, Clone)]
 pub struct Core {
+    id: u16,
+    /// The reference stream, a component with a state of its own.
     trace: CoreTrace,
-    state: CoreState,
+    pub(crate) state: State,
+}
+
+/// A [`Core`]'s own state (DESIGN.md §15).
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub(crate) struct State {
+    phase: Phase,
     pending: Option<TraceOp>,
     /// Instructions retired since the last stats reset (the performance
     /// metric behind the paper's Figure 9/10 speedups: fixed measurement
     /// window, more instructions = faster execution).
-    pub instructions: u64,
+    pub(crate) instructions: u64,
     /// Monotonic per-core value source for store data tokens.
-    pub write_counter: u64,
-    id: u16,
+    write_counter: u64,
 }
 
 /// What the core wants to do this cycle.
@@ -51,12 +58,14 @@ impl Core {
     /// A core running `trace`.
     pub fn new(id: u16, trace: CoreTrace) -> Self {
         Self {
-            trace,
-            state: CoreState::Compute { until: 0 },
-            pending: None,
-            instructions: 0,
-            write_counter: 0,
             id,
+            trace,
+            state: State {
+                phase: Phase::Compute { until: 0 },
+                pending: None,
+                instructions: 0,
+                write_counter: 0,
+            },
         }
     }
 
@@ -64,25 +73,25 @@ impl Core {
     /// The chip must answer an `Access` with [`Core::access_hit`] or
     /// [`Core::access_missed`] in the same cycle.
     pub fn poll(&mut self, now: Cycle, l1_hit_latency: u32) -> CoreAction {
-        match self.state {
-            CoreState::WaitMiss => CoreAction::Idle,
-            CoreState::Compute { until } => {
+        match self.state.phase {
+            Phase::WaitMiss => CoreAction::Idle,
+            Phase::Compute { until } => {
                 if now < until {
                     return CoreAction::Idle;
                 }
-                let Some(op) = self.pending.take() else {
+                let Some(op) = self.state.pending.take() else {
                     let op = self.trace.next_op();
                     // The compute gap plus the L1 lookup occupy the core.
-                    self.instructions += op.gap as u64;
-                    self.state = CoreState::Compute {
+                    self.state.instructions += op.gap as u64;
+                    self.state.phase = Phase::Compute {
                         until: now + op.gap as Cycle + l1_hit_latency as Cycle,
                     };
-                    self.pending = Some(op);
+                    self.state.pending = Some(op);
                     return CoreAction::Idle;
                 };
                 let value = if op.write {
-                    self.write_counter += 1;
-                    ((self.id as u64) << 48) | self.write_counter
+                    self.state.write_counter += 1;
+                    ((self.id as u64) << 48) | self.state.write_counter
                 } else {
                     0
                 };
@@ -97,28 +106,28 @@ impl Core {
 
     /// The issued access hit: the memory instruction retires.
     pub fn access_hit(&mut self, now: Cycle) {
-        self.instructions += 1;
-        self.state = CoreState::Compute { until: now };
+        self.state.instructions += 1;
+        self.state.phase = Phase::Compute { until: now };
     }
 
     /// The issued access missed: stall until [`Core::miss_done`].
     pub fn access_missed(&mut self) {
-        self.state = CoreState::WaitMiss;
+        self.state.phase = Phase::WaitMiss;
     }
 
     /// The outstanding miss completed; the instruction retires after the
     /// fill-to-use latency.
     pub fn miss_done(&mut self, now: Cycle, l1_hit_latency: u32) {
-        debug_assert_eq!(self.state, CoreState::WaitMiss);
-        self.instructions += 1;
-        self.state = CoreState::Compute {
+        debug_assert_eq!(self.state.phase, Phase::WaitMiss);
+        self.state.instructions += 1;
+        self.state.phase = Phase::Compute {
             until: now + l1_hit_latency as Cycle,
         };
     }
 
     /// `true` while blocked on a miss.
     pub fn stalled(&self) -> bool {
-        self.state == CoreState::WaitMiss
+        self.state.phase == Phase::WaitMiss
     }
 
     /// The earliest cycle at which [`Core::poll`] can do anything but
@@ -128,44 +137,23 @@ impl Core {
     /// skips polling cores whose `ready_at` lies in the future; such a
     /// poll is a pure no-op, so skipping cannot change observable state.
     pub fn ready_at(&self) -> Cycle {
-        match self.state {
-            CoreState::WaitMiss => Cycle::MAX,
-            CoreState::Compute { until } => until,
+        match self.state.phase {
+            Phase::WaitMiss => Cycle::MAX,
+            Phase::Compute { until } => until,
         }
     }
 
-    /// The full dynamic state, for checkpointing. The trace itself is
-    /// config-derived (rebuilt from the workload name); only its RNG
-    /// position is captured.
-    pub(crate) fn snapshot(&self) -> CoreSnapshot {
-        CoreSnapshot {
-            trace_rng: self.trace.rng_state(),
-            state: self.state,
-            pending: self.pending,
-            instructions: self.instructions,
-            write_counter: self.write_counter,
-        }
+    /// The core's state and its trace's, for checkpointing.
+    pub(crate) fn snapshot(&self) -> (State, WorkloadRng) {
+        (self.state.clone(), self.trace.snapshot())
     }
 
-    /// Overwrites the dynamic state from a [`Core::snapshot`] taken on a
-    /// core running the same trace.
-    pub(crate) fn restore(&mut self, snap: &CoreSnapshot) {
-        self.trace.set_rng_state(snap.trace_rng);
-        self.state = snap.state;
-        self.pending = snap.pending;
-        self.instructions = snap.instructions;
-        self.write_counter = snap.write_counter;
+    /// Overwrites both states with a [`Core::snapshot`] of a core running
+    /// the same trace.
+    pub(crate) fn restore(&mut self, (state, trace): (State, WorkloadRng)) {
+        self.state = state;
+        self.trace.restore(trace);
     }
-}
-
-/// Complete dynamic state of one [`Core`], for checkpointing.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub(crate) struct CoreSnapshot {
-    trace_rng: (u64, u64),
-    state: CoreState,
-    pending: Option<TraceOp>,
-    instructions: u64,
-    write_counter: u64,
 }
 
 #[cfg(test)]
@@ -202,13 +190,13 @@ mod tests {
         while let CoreAction::Idle = c.poll(now, 2) {
             now += 1;
         }
-        let before = c.instructions;
+        let before = c.state.instructions;
         c.access_missed();
         assert!(c.stalled());
         assert_eq!(c.poll(now, 2), CoreAction::Idle);
         c.miss_done(now + 100, 2);
         assert!(!c.stalled());
-        assert_eq!(c.instructions, before + 1);
+        assert_eq!(c.state.instructions, before + 1);
     }
 
     #[test]

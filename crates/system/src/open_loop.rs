@@ -29,12 +29,11 @@
 //! would surface here as a positive residue, by design.)
 
 use rcsim_core::circuit::CircuitKey;
-use rcsim_core::{Cycle, MessageClass, NodeId};
+use rcsim_core::{Cycle, MessageClass, NodeId, StateMap};
 use rcsim_noc::{Admission, IngressConfig, Network, PacketSpec, ReleasedArrival};
 use rcsim_stats::LatencyStat;
-use rcsim_workload::{ArrivalProcess, ArrivalSnapshot, ArrivalStream};
+use rcsim_workload::{ArrivalProcess, ArrivalState, ArrivalStream};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// High bit of a packet token, marking external (open-loop) traffic so
 /// the chip can route deliveries around the coherence protocol.
@@ -130,13 +129,21 @@ pub(crate) struct OpenLoopState {
     cfg: OpenLoopConfig,
     edges: Vec<NodeId>,
     servers: Vec<NodeId>,
+    circuits_enabled: bool,
+    /// One arrival source per edge, each with a state of its own.
     streams: Vec<ArrivalStream>,
+    state: State,
+    /// Reused buffer for the ingress layer's releases; empty between ticks.
+    released_buf: Vec<ReleasedArrival>,
+}
+
+/// The open-loop driver's own state (DESIGN.md §15).
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub(crate) struct State {
     retries: Vec<PendingRetry>,
     in_service: Vec<InService>,
-    in_net: HashMap<u64, ExtPacket>,
+    in_net: StateMap<u64, ExtPacket>,
     next_token: u64,
-    released_buf: Vec<ReleasedArrival>,
-    circuits_enabled: bool,
 
     // Cumulative counters (never reset; conservation runs from cycle 0).
     offered_first: u64,
@@ -177,20 +184,22 @@ impl OpenLoopState {
             cfg,
             edges,
             servers,
-            streams,
-            retries: Vec::new(),
-            in_service: Vec::new(),
-            in_net: HashMap::new(),
-            next_token: 0,
-            released_buf: Vec::new(),
             circuits_enabled,
-            offered_first: 0,
-            reoffers: 0,
-            gave_up: 0,
-            completed: 0,
-            completed_measured: 0,
-            completed_in_slo: 0,
-            latency: ext_latency_stat(),
+            streams,
+            state: State {
+                retries: Vec::new(),
+                in_service: Vec::new(),
+                in_net: StateMap::default(),
+                next_token: 0,
+                offered_first: 0,
+                reoffers: 0,
+                gave_up: 0,
+                completed: 0,
+                completed_measured: 0,
+                completed_in_slo: 0,
+                latency: ext_latency_stat(),
+            },
+            released_buf: Vec::new(),
         }
     }
 
@@ -211,9 +220,9 @@ impl OpenLoopState {
     ) {
         if let Admission::Rejected { retry_after, .. } = outcome {
             if attempts > self.cfg.max_client_retries {
-                self.gave_up += 1;
+                self.state.gave_up += 1;
             } else {
-                self.retries.push(PendingRetry {
+                self.state.retries.push(PendingRetry {
                     due: now + retry_after.max(1),
                     edge,
                     dst,
@@ -232,7 +241,7 @@ impl OpenLoopState {
     pub(crate) fn pre_net_tick(&mut self, net: &mut Network, now: Cycle) {
         // 1. Service completions inject their replies.
         let mut due_service = Vec::new();
-        self.in_service.retain(|s| {
+        self.state.in_service.retain(|s| {
             if s.due <= now {
                 due_service.push(*s);
                 false
@@ -241,8 +250,8 @@ impl OpenLoopState {
             }
         });
         for s in due_service {
-            let token = EXT_TOKEN_BIT | self.next_token;
-            self.next_token += 1;
+            let token = EXT_TOKEN_BIT | self.state.next_token;
+            self.state.next_token += 1;
             let mut spec = PacketSpec::new(s.server, s.edge, MessageClass::L2Reply)
                 .with_block(s.block)
                 .with_token(token);
@@ -253,7 +262,7 @@ impl OpenLoopState {
                 });
             }
             net.inject(spec);
-            self.in_net.insert(
+            self.state.in_net.insert(
                 token,
                 ExtPacket::Reply {
                     arrived_at: s.arrived_at,
@@ -263,7 +272,7 @@ impl OpenLoopState {
 
         // 2. Backed-off clients re-offer.
         let mut due_retries = Vec::new();
-        self.retries.retain(|r| {
+        self.state.retries.retain(|r| {
             if r.due <= now {
                 due_retries.push(*r);
                 false
@@ -272,7 +281,7 @@ impl OpenLoopState {
             }
         });
         for r in due_retries {
-            self.reoffers += 1;
+            self.state.reoffers += 1;
             let outcome = net.offer_external(r.edge, r.dst, r.block);
             self.handle_offer_outcome(outcome, now, r.edge, r.dst, r.block, r.attempts + 1);
         }
@@ -282,7 +291,7 @@ impl OpenLoopState {
             let Some(a) = self.streams[i].poll(now, self.servers.len()) else {
                 continue;
             };
-            self.offered_first += 1;
+            self.state.offered_first += 1;
             let edge = self.edges[i];
             let dst = self.servers[a.dst_index];
             let block = self.ext_block(i, a.seq);
@@ -295,14 +304,14 @@ impl OpenLoopState {
         buf.clear();
         net.drain_ingress(&mut buf);
         for rel in &buf {
-            let token = EXT_TOKEN_BIT | self.next_token;
-            self.next_token += 1;
+            let token = EXT_TOKEN_BIT | self.state.next_token;
+            self.state.next_token += 1;
             let spec = PacketSpec::new(rel.edge, rel.dst, MessageClass::L1Request)
                 .with_block(rel.block)
                 .with_token(token)
                 .with_turnaround(self.cfg.service_time as u32);
             net.inject(spec);
-            self.in_net.insert(
+            self.state.in_net.insert(
                 token,
                 ExtPacket::Request {
                     edge: rel.edge,
@@ -318,12 +327,13 @@ impl OpenLoopState {
     /// their transaction and record its end-to-end latency.
     pub(crate) fn on_delivered(&mut self, node: NodeId, token: u64, block: u64, now: Cycle) {
         match self
+            .state
             .in_net
             .remove(&token)
             .expect("every external packet has an open-loop record")
         {
             ExtPacket::Request { edge, arrived_at } => {
-                self.in_service.push(InService {
+                self.state.in_service.push(InService {
                     due: now + self.cfg.service_time,
                     server: node,
                     edge,
@@ -332,13 +342,13 @@ impl OpenLoopState {
                 });
             }
             ExtPacket::Reply { arrived_at } => {
-                self.completed += 1;
-                self.completed_measured += 1;
+                self.state.completed += 1;
+                self.state.completed_measured += 1;
                 let lat = now.saturating_sub(arrived_at);
                 if lat <= self.cfg.slo {
-                    self.completed_in_slo += 1;
+                    self.state.completed_in_slo += 1;
                 }
-                self.latency.record(lat as f64);
+                self.state.latency.record(lat as f64);
             }
         }
     }
@@ -347,104 +357,54 @@ impl OpenLoopState {
     /// The conservation counters deliberately survive: they must cover
     /// every arrival since cycle 0 or the identity would not close.
     pub(crate) fn reset_window(&mut self) {
-        self.completed_measured = 0;
-        self.completed_in_slo = 0;
-        self.latency = ext_latency_stat();
+        self.state.completed_measured = 0;
+        self.state.completed_in_slo = 0;
+        self.state.latency = ext_latency_stat();
     }
 
-    /// The full dynamic driver state, for checkpointing. Config-derived
-    /// fields (`cfg`, `edges`, `servers`, `circuits_enabled`) are rebuilt
-    /// by [`OpenLoopState::new`]; the per-tick `released_buf` is always
-    /// empty at tick boundaries and deliberately excluded.
-    pub(crate) fn snapshot(&self) -> OpenLoopSnapshot {
-        let mut in_net: Vec<(u64, ExtPacket)> = self.in_net.iter().map(|(&t, &p)| (t, p)).collect();
-        in_net.sort_unstable_by_key(|&(t, _)| t);
-        OpenLoopSnapshot {
-            streams: self.streams.iter().map(ArrivalStream::snapshot).collect(),
-            retries: self.retries.clone(),
-            in_service: self.in_service.clone(),
-            in_net,
-            next_token: self.next_token,
-            offered_first: self.offered_first,
-            reoffers: self.reoffers,
-            gave_up: self.gave_up,
-            completed: self.completed,
-            completed_measured: self.completed_measured,
-            completed_in_slo: self.completed_in_slo,
-            latency: self.latency.clone(),
-        }
+    /// The driver's state and its arrival streams', for checkpointing.
+    pub(crate) fn snapshot(&self) -> (State, Vec<ArrivalState>) {
+        let streams = self.streams.iter().map(ArrivalStream::snapshot).collect();
+        (self.state.clone(), streams)
     }
 
-    /// Overwrites the dynamic state from an [`OpenLoopState::snapshot`]
-    /// taken on an identically-configured driver.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the snapshot's edge count differs.
-    pub(crate) fn restore(&mut self, snap: &OpenLoopSnapshot) {
+    /// Overwrites those states with an [`OpenLoopState::snapshot`] of an
+    /// identically-configured driver.
+    pub(crate) fn restore(&mut self, (state, streams): &(State, Vec<ArrivalState>)) {
         assert_eq!(
-            snap.streams.len(),
+            streams.len(),
             self.streams.len(),
-            "checkpoint has a different edge count"
+            "snapshot of a different edge list"
         );
-        for (stream, s) in self.streams.iter_mut().zip(&snap.streams) {
-            stream.restore(s);
+        self.state = state.clone();
+        for (stream, s) in self.streams.iter_mut().zip(streams) {
+            stream.restore(s.clone());
         }
-        self.retries = snap.retries.clone();
-        self.in_service = snap.in_service.clone();
-        self.in_net = snap.in_net.iter().copied().collect();
-        self.next_token = snap.next_token;
-        self.offered_first = snap.offered_first;
-        self.reoffers = snap.reoffers;
-        self.gave_up = snap.gave_up;
-        self.completed = snap.completed;
-        self.completed_measured = snap.completed_measured;
-        self.completed_in_slo = snap.completed_in_slo;
-        self.latency = snap.latency.clone();
     }
 
     /// The external-traffic summary, including the conservation residue.
     pub(crate) fn summary(&self, net: &Network) -> crate::report::ExternalSummary {
         let ov = net.overload_report();
         let in_flight = ov.queued
-            + self.in_net.len() as u64
-            + self.in_service.len() as u64
-            + self.retries.len() as u64;
-        let accounted = self.completed + ov.shed_timeout + self.gave_up + in_flight;
+            + self.state.in_net.len() as u64
+            + self.state.in_service.len() as u64
+            + self.state.retries.len() as u64;
+        let accounted = self.state.completed + ov.shed_timeout + self.state.gave_up + in_flight;
         crate::report::ExternalSummary {
-            offered: self.offered_first,
-            reoffers: self.reoffers,
+            offered: self.state.offered_first,
+            reoffers: self.state.reoffers,
             rejected: ov.rejected(),
             shed: ov.shed_timeout,
-            gave_up: self.gave_up,
-            completed: self.completed,
-            completed_measured: self.completed_measured,
-            completed_in_slo: self.completed_in_slo,
-            latency_mean: self.latency.mean(),
-            latency_p50: self.latency.p50().unwrap_or(0.0),
-            latency_p99: self.latency.p99().unwrap_or(0.0),
-            latency_p999: self.latency.p999().unwrap_or(0.0),
+            gave_up: self.state.gave_up,
+            completed: self.state.completed,
+            completed_measured: self.state.completed_measured,
+            completed_in_slo: self.state.completed_in_slo,
+            latency_mean: self.state.latency.mean(),
+            latency_p50: self.state.latency.p50().unwrap_or(0.0),
+            latency_p99: self.state.latency.p99().unwrap_or(0.0),
+            latency_p999: self.state.latency.p999().unwrap_or(0.0),
             in_flight,
-            unaccounted: self.offered_first as i64 - accounted as i64,
+            unaccounted: self.state.offered_first as i64 - accounted as i64,
         }
     }
-}
-
-/// Complete dynamic state of the open-loop driver, for checkpointing.
-/// The in-network map is sorted by token so the serialized form is
-/// deterministic.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub(crate) struct OpenLoopSnapshot {
-    streams: Vec<ArrivalSnapshot>,
-    retries: Vec<PendingRetry>,
-    in_service: Vec<InService>,
-    in_net: Vec<(u64, ExtPacket)>,
-    next_token: u64,
-    offered_first: u64,
-    reoffers: u64,
-    gave_up: u64,
-    completed: u64,
-    completed_measured: u64,
-    completed_in_slo: u64,
-    latency: LatencyStat,
 }

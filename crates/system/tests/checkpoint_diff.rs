@@ -1,25 +1,32 @@
 //! The checkpoint/restore differential matrix: for any split cycle `k`,
 //! `run(0..T)` and `run(0..k) → checkpoint → restore → run(k..T)` must
-//! produce the byte-identical serialized `RunResult` — and, when traced,
-//! the identical trace-event sequence — across mechanisms, kernels,
-//! fault injection, open-loop overload and the adaptive runtime
-//! policies. The restore side deliberately crosses kernels (checkpoint
-//! under dense, resume under event and vice versa): the kernel is a
-//! host-performance knob and must stay invisible to the snapshot.
+//! agree byte for byte — in the serialized `RunResult`, in the trace-event
+//! sequence, and in *state*: what a resume holds is what was saved, and a
+//! resumed run ends in the uninterrupted run's final checkpoint — across
+//! mechanisms, kernels, fault injection, dead links and routers, open-loop
+//! overload, the adaptive runtime policies and topologies. The restore
+//! side crosses kernels (checkpoint under dense, resume under event and
+//! vice versa): the kernel is a host-performance knob and must stay
+//! invisible to the snapshot.
 
-use rcsim_core::MechanismConfig;
+use proptest::prelude::*;
+use rcsim_core::{MechanismConfig, NodeId, TopologySpec};
 use rcsim_system::{
-    fnv1a_64, run_sim, run_sim_resumable, run_sim_traced_with_kernel, run_sim_with_kernel,
-    AdaptiveConfig, FaultConfig, KernelMode, OpenLoopConfig, RunResult, SessionSnapshot, SimConfig,
-    SimSession, TraceConfig,
+    fnv1a_64, run_sim, run_sim_resumable, AdaptiveConfig, DeadLinkEvent, DeadRouterEvent,
+    FaultConfig, KernelMode, OpenLoopConfig, RunResult, SessionSnapshot, SimConfig, SimSession,
+    TraceConfig,
 };
 use std::path::{Path, PathBuf};
+
+const WARMUP: u64 = 500;
+/// Warm-up plus measure cycles of every 16-core configuration here.
+const TOTAL: u64 = 3_000;
 
 fn quick(cores: u16, mechanism: MechanismConfig) -> SimConfig {
     SimConfig {
         seed: 0xD1FF,
-        warmup_cycles: 500,
-        measure_cycles: if cores > 16 { 1_500 } else { 2_500 },
+        warmup_cycles: WARMUP,
+        measure_cycles: if cores > 16 { 1_500 } else { TOTAL - WARMUP },
         ..SimConfig::quick(cores, mechanism, "blackscholes")
     }
 }
@@ -32,6 +39,38 @@ fn light_faults(cores: u16) -> FaultConfig {
         table_corrupt_rate: 0.001,
         ..FaultConfig::none()
     }
+}
+
+fn faulty(cores: u16) -> SimConfig {
+    SimConfig {
+        faults: light_faults(cores),
+        ..quick(cores, MechanismConfig::complete())
+    }
+}
+
+/// The n5–n6 link dies at 400 and heals at 1 300: reroutes, teardown,
+/// dead-link eating, then the heal's era bump.
+fn dead_link_window() -> SimConfig {
+    let mut cfg = quick(16, MechanismConfig::complete());
+    cfg.faults.dead_links = vec![DeadLinkEvent {
+        a: NodeId(5),
+        b: NodeId(6),
+        at: 400,
+        duration: Some(900),
+    }];
+    cfg
+}
+
+/// Router n10 is dead from 600 to 1 000 (a window: the protocol does not
+/// model losing an L2 bank for good, it reissues across the outage).
+fn dead_router_window() -> SimConfig {
+    let mut cfg = quick(16, MechanismConfig::complete());
+    cfg.faults.dead_routers = vec![DeadRouterEvent {
+        node: NodeId(10),
+        at: 600,
+        duration: Some(400),
+    }];
+    cfg
 }
 
 fn overloaded(cores: u16) -> SimConfig {
@@ -60,64 +99,100 @@ fn adaptive(cores: u16) -> SimConfig {
     }
 }
 
-/// Runs `cfg` uninterrupted, then re-runs it split at cycle `k` through a
-/// full serialize → checksum → deserialize round trip of the checkpoint,
-/// optionally switching kernel at the restore, and asserts the
-/// serialized results are byte-identical.
+/// Every run here is traced: the ring is state like any other.
+const TRACE: TraceConfig = TraceConfig {
+    capacity: 1 << 16,
+    epoch: 50,
+};
+
+/// What a finished traced run leaves behind.
+#[derive(Debug, PartialEq)]
+struct Outcome {
+    result: String,
+    events: Vec<rcsim_trace::TraceEvent>,
+    dropped: u64,
+    /// The final checkpoint, serialized: the state of every component.
+    state: String,
+}
+
+fn finish(mut session: SimSession) -> Outcome {
+    let total = session.total();
+    session.run_until(total).expect("run to completion");
+    let state = serde_json::to_string(&session.checkpoint()).expect("serialize checkpoint");
+    let (result, trace) = session.finish();
+    let trace = trace.expect("traced session yields a report");
+    assert!(!trace.events.is_empty(), "no events traced");
+    Outcome {
+        result: serialized(&result),
+        events: trace.events,
+        dropped: trace.dropped,
+        state,
+    }
+}
+
+fn uninterrupted(cfg: &SimConfig, kernel: KernelMode) -> Outcome {
+    finish(SimSession::new(cfg, Some(&TRACE), kernel, 1).expect("session"))
+}
+
+/// Re-runs `cfg` split at cycle `k` through a full serialize → checksum →
+/// deserialize round trip of the checkpoint, optionally switching kernel
+/// at the restore, and asserts that (i) the resumed session re-checkpoints
+/// to the very bytes of the file and (ii) it ends exactly like
+/// `reference`, the uninterrupted run: result, trace and final state.
 fn assert_split_identical(
+    reference: &Outcome,
     cfg: &SimConfig,
     k: u64,
     save: KernelMode,
     load: KernelMode,
     label: &str,
 ) {
-    let reference = run_sim_with_kernel(cfg, save).expect("reference run");
-    let reference = serde_json::to_string(&reference).expect("serialize reference");
-
-    let mut first = SimSession::new(cfg, None, save, 1).expect("session");
+    let mut first = SimSession::new(cfg, Some(&TRACE), save, 1).expect("session");
     first.run_until(k).expect("run to split point");
     // Round-trip through the on-disk encoding, not just the in-memory
     // snapshot: the serializer is part of the contract.
-    let dir = std::env::temp_dir().join(format!("rcsim-ckpt-diff-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let path = dir.join(format!("{label}.ckpt").replace([' ', '/', ':'], "_"));
+    let dir =
+        scratch_dir(&format!("{label} k={k} {save:?} {load:?}").replace([' ', '/', ':'], "_"));
+    let (path, again) = (dir.join("saved.ckpt"), dir.join("again.ckpt"));
     first.checkpoint().save(&path).expect("save checkpoint");
     let snap = SessionSnapshot::load(&path).expect("load checkpoint");
-    std::fs::remove_file(&path).ok();
     assert_eq!(snap.pos(), k, "checkpoint stored the wrong position");
 
-    let mut resumed = SimSession::resume(&snap, load, 1).expect("resume");
-    let total = resumed.total();
-    resumed.run_until(total).expect("run to completion");
-    let (result, _) = resumed.finish();
-    let result = serde_json::to_string(&result).expect("serialize resumed");
-    assert_eq!(
-        reference, result,
-        "resume at k={k} diverged from the uninterrupted run on {label}"
+    let resumed = SimSession::resume(&snap, load, 1).expect("resume");
+    resumed.checkpoint().save(&again).expect("save again");
+    assert!(
+        std::fs::read(&path).expect("read") == std::fs::read(&again).expect("read"),
+        "resume at k={k} does not hold the state it was given on {label}"
     );
+    std::fs::remove_dir_all(&dir).ok();
+
+    let resumed = finish(resumed);
+    let what = format!("resume at k={k} ({save:?} to {load:?}) on {label}");
+    assert_eq!(reference.result, resumed.result, "{what}: result");
+    assert!(reference.events == resumed.events, "{what}: trace events");
+    assert_eq!(reference.dropped, resumed.dropped, "{what}: dropped events");
+    assert!(reference.state == resumed.state, "{what}: final state");
 }
 
 const DENSE: KernelMode = KernelMode::Dense;
 const EVENT: KernelMode = KernelMode::Event;
 
-/// Splits chosen to land in every phase of a run: mid-warm-up, exactly at
-/// the warm-up boundary, and mid-measure.
-const SPLITS: [u64; 3] = [137, 500, 1_700];
+/// Mid-warm-up and mid-measure; the warm-up boundary itself (and its
+/// neighbours, and both ends of the run) are [`BOUNDARIES`], which every
+/// class of the property below crosses under every kernel pair.
+const SPLITS: [u64; 2] = [137, 1_700];
+
+fn assert_splits_identical(cfg: &SimConfig, save: KernelMode, load: KernelMode, label: &str) {
+    let reference = uninterrupted(cfg, save);
+    for k in SPLITS {
+        assert_split_identical(&reference, cfg, k, save, load, label);
+    }
+}
 
 #[test]
 fn every_mechanism_resumes_identically() {
-    let mut mechanisms = vec![MechanismConfig::baseline()];
-    mechanisms.extend(MechanismConfig::key_configs());
-    for m in mechanisms {
-        for k in SPLITS {
-            assert_split_identical(
-                &quick(16, m),
-                k,
-                EVENT,
-                EVENT,
-                &format!("{} k={k}", m.label()),
-            );
-        }
+    for m in MechanismConfig::key_configs() {
+        assert_splits_identical(&quick(16, m), EVENT, EVENT, &m.label());
     }
 }
 
@@ -125,95 +200,127 @@ fn every_mechanism_resumes_identically() {
 fn resume_crosses_kernels() {
     let cfg = quick(16, MechanismConfig::complete_noack());
     for (save, load) in [(DENSE, EVENT), (EVENT, DENSE)] {
-        assert_split_identical(
-            &cfg,
-            1_700,
-            save,
-            load,
-            &format!("cross {save:?} to {load:?}"),
-        );
+        assert_splits_identical(&cfg, save, load, "cross");
     }
 }
 
 #[test]
 fn faulty_runs_resume_identically() {
-    let mut cfg = quick(16, MechanismConfig::complete());
-    cfg.faults = light_faults(16);
-    for k in SPLITS {
-        assert_split_identical(&cfg, k, EVENT, DENSE, &format!("faults k={k}"));
+    assert_splits_identical(&faulty(16), EVENT, DENSE, "faults");
+}
+
+/// Splits before the link dies, while it is dead (`dead_eating`, the
+/// degraded routers, the detours) and after it healed.
+#[test]
+fn dead_link_window_resumes_identically() {
+    let cfg = dead_link_window();
+    let reference = uninterrupted(&cfg, DENSE);
+    assert!(!reference.result.contains("\"packets_rerouted\":0,"));
+    for k in [137, 700, 1_700] {
+        assert_split_identical(&reference, &cfg, k, DENSE, EVENT, "dead link");
+    }
+}
+
+#[test]
+fn dead_router_window_resumes_identically() {
+    let cfg = dead_router_window();
+    let reference = uninterrupted(&cfg, EVENT);
+    for k in [137, 800, 1_700] {
+        assert_split_identical(&reference, &cfg, k, EVENT, DENSE, "dead router");
     }
 }
 
 #[test]
 fn overloaded_runs_resume_identically() {
-    let cfg = overloaded(16);
-    for k in SPLITS {
-        assert_split_identical(&cfg, k, EVENT, EVENT, &format!("overload k={k}"));
-    }
+    assert_splits_identical(&overloaded(16), EVENT, EVENT, "overload");
 }
 
 #[test]
 fn adaptive_runs_resume_identically() {
-    let cfg = adaptive(16);
-    for k in SPLITS {
-        assert_split_identical(&cfg, k, EVENT, EVENT, &format!("adaptive k={k}"));
-    }
+    assert_splits_identical(&adaptive(16), EVENT, EVENT, "adaptive");
 }
 
 #[test]
 fn non_mesh_topologies_resume_identically() {
-    use rcsim_core::TopologySpec;
     for spec in [TopologySpec::Torus, TopologySpec::Ring] {
         let cfg = quick(16, MechanismConfig::complete()).with_topology(spec);
-        assert_split_identical(
-            &cfg,
-            1_700,
-            EVENT,
-            EVENT,
-            &format!("topology {}", spec.label()),
-        );
+        let reference = uninterrupted(&cfg, EVENT);
+        assert_split_identical(&reference, &cfg, 1_700, EVENT, EVENT, &spec.label());
     }
 }
 
 #[test]
 fn large_chip_resumes_identically() {
-    let mut cfg = quick(64, MechanismConfig::complete_noack());
-    cfg.faults = light_faults(64);
-    assert_split_identical(&cfg, 900, EVENT, EVENT, "64 cores faults");
+    let cfg = faulty(64);
+    let reference = uninterrupted(&cfg, EVENT);
+    assert_split_identical(&reference, &cfg, 900, EVENT, EVENT, "64 cores faults");
 }
 
-/// Traced runs: the checkpoint carries the ring contents, so the resumed
-/// run's final event stream — sequence, drop count and report — must be
-/// byte-identical to the uninterrupted traced run.
+/// The config classes of the property: every key mechanism (the first is
+/// the baseline), then one configuration per subsystem with state of its
+/// own.
+fn classes() -> Vec<(String, SimConfig)> {
+    let mut classes: Vec<(String, SimConfig)> = MechanismConfig::key_configs()
+        .into_iter()
+        .map(|m| (m.label(), quick(16, m)))
+        .collect();
+    let complete = || quick(16, MechanismConfig::complete());
+    classes.extend([
+        ("light faults".to_owned(), faulty(16)),
+        ("dead link".to_owned(), dead_link_window()),
+        ("overload".to_owned(), overloaded(16)),
+        ("adaptive".to_owned(), adaptive(16)),
+        (
+            "torus".to_owned(),
+            complete().with_topology(TopologySpec::Torus),
+        ),
+        (
+            "ring".to_owned(),
+            complete().with_topology(TopologySpec::Ring),
+        ),
+    ]);
+    classes
+}
+
+/// The splits no draw may miss: both ends of the run, and the warm-up
+/// boundary (where statistics reset and the trace ring drains) with the
+/// cycle either side of it.
+const BOUNDARIES: [u64; 5] = [0, WARMUP - 1, WARMUP, WARMUP + 1, TOTAL];
+
+/// ROADMAP item 6, forced part: every class × every boundary split ×
+/// every (save, load) kernel pair.
 #[test]
-fn traced_runs_resume_with_identical_event_streams() {
-    let cfg = quick(16, MechanismConfig::complete_noack());
-    let trace = TraceConfig {
-        capacity: 1 << 16,
-        epoch: 50,
-    };
-    let (reference, reference_tr) =
-        run_sim_traced_with_kernel(&cfg, &trace, KernelMode::Event).expect("reference");
-    assert!(!reference_tr.events.is_empty(), "no events traced");
-    for k in SPLITS {
-        let mut first = SimSession::new(&cfg, Some(&trace), KernelMode::Event, 1).expect("session");
-        first.run_until(k).expect("run to split");
-        let snap = first.checkpoint();
-        let mut resumed = SimSession::resume(&snap, KernelMode::Event, 1).expect("resume");
-        let total = resumed.total();
-        resumed.run_until(total).expect("completion");
-        let (result, tr) = resumed.finish();
-        let tr = tr.expect("traced session yields a report");
-        assert_eq!(
-            serde_json::to_string(&reference).unwrap(),
-            serde_json::to_string(&result).unwrap(),
-            "traced result diverged at k={k}"
-        );
-        assert_eq!(
-            reference_tr.events, tr.events,
-            "trace-event sequences diverged at k={k}"
-        );
-        assert_eq!(reference_tr.dropped, tr.dropped, "drop counts diverged");
+fn boundary_splits_resume_identically_under_every_kernel_pair() {
+    for (label, cfg) in classes() {
+        let reference = uninterrupted(&cfg, EVENT);
+        for k in BOUNDARIES {
+            for (save, load) in [
+                (DENSE, DENSE),
+                (DENSE, EVENT),
+                (EVENT, DENSE),
+                (EVENT, EVENT),
+            ] {
+                assert_split_identical(&reference, &cfg, k, save, load, &label);
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// ROADMAP item 6, drawn part: any class, split anywhere in the run,
+    /// under any (save, load) kernel pair ⇒ identical `RunResult`, trace
+    /// stream and final checkpoint bytes.
+    #[test]
+    fn any_split_resumes_identically(
+        class in 0..classes().len(),
+        k in 0..=TOTAL,
+        save in prop_oneof![Just(DENSE), Just(EVENT)],
+        load in prop_oneof![Just(DENSE), Just(EVENT)],
+    ) {
+        let (label, cfg) = classes().swap_remove(class);
+        assert_split_identical(&uninterrupted(&cfg, load), &cfg, k, save, load, &label);
     }
 }
 

@@ -148,6 +148,7 @@ impl LatencyBreakdown {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::ClassLabel;
 
     fn ev(cycle: u64, kind: EventKind) -> TraceEvent {
         TraceEvent { cycle, kind }
@@ -162,7 +163,7 @@ mod tests {
                     packet: 1,
                     src: 0,
                     dst: 3,
-                    class: "L1_REQ",
+                    class: ClassLabel("L1_REQ"),
                 },
             ),
             ev(14, EventKind::NiInject { packet: 1, node: 0 }),
@@ -248,7 +249,7 @@ mod tests {
                     packet: 1,
                     src: 0,
                     dst: 1,
-                    class: "L1_REQ",
+                    class: ClassLabel("L1_REQ"),
                 },
             ),
             ev(
@@ -257,7 +258,7 @@ mod tests {
                     packet: 2,
                     src: 0,
                     dst: 1,
-                    class: "L1_REQ",
+                    class: ClassLabel("L1_REQ"),
                 },
             ),
             ev(

@@ -40,7 +40,7 @@ pub fn chrome_trace(events: &[TraceEvent]) -> Value {
     for e in events {
         match e.kind {
             EventKind::NiEnqueue { packet, class, .. } => {
-                classes.insert(packet, class);
+                classes.insert(packet, class.0);
             }
             EventKind::NiInject { packet, node } => {
                 let class = classes.get(&packet).copied().unwrap_or("packet");
@@ -136,6 +136,7 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::ClassLabel;
 
     fn ev(cycle: u64, kind: EventKind) -> TraceEvent {
         TraceEvent { cycle, kind }
@@ -150,7 +151,7 @@ mod tests {
                     packet: 1,
                     src: 0,
                     dst: 5,
-                    class: "L2_Reply",
+                    class: ClassLabel("L2_Reply"),
                 },
             ),
             ev(3, EventKind::NiInject { packet: 1, node: 0 }),

@@ -9,8 +9,54 @@
 
 use serde::{Deserialize, Serialize};
 
+/// A message-class label. Live it is the `&'static str` the simulator
+/// emits, so an event stays a `Copy` record of plain words; it serializes
+/// as that string and, read back, is interned against the labels the
+/// simulator knows.
+#[derive(Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(from = "String", into = "String")]
+pub struct ClassLabel(pub &'static str);
+
+/// Prints as the bare string, so an event's `Debug` form is unchanged.
+impl std::fmt::Debug for ClassLabel {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.0.fmt(f)
+    }
+}
+
+impl From<ClassLabel> for String {
+    fn from(label: ClassLabel) -> Self {
+        label.0.to_owned()
+    }
+}
+
+impl From<String> for ClassLabel {
+    /// Every label the simulator emits is known statically; an
+    /// unrecognised one (a checkpoint from a newer build) is leaked once
+    /// to satisfy the lifetime — bounded by ring capacity.
+    fn from(label: String) -> Self {
+        const KNOWN: [&str; 13] = [
+            "Request",
+            "FwdRequest",
+            "Invalidation",
+            "WbData",
+            "MemRequest",
+            "MemWbData",
+            "L2_Reply",
+            "L1_DATA_ACK",
+            "L2_WB_ACK",
+            "L1_INV_ACK",
+            "MEMORY",
+            "L1_TO_L1",
+            "L1_REQ",
+        ];
+        let known = KNOWN.into_iter().find(|&k| k == label);
+        ClassLabel(known.unwrap_or_else(|| Box::leak(label.into_boxed_str())))
+    }
+}
+
 /// One traced occurrence, stamped with the simulation cycle it happened on.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TraceEvent {
     /// Simulation cycle of the occurrence.
     pub cycle: u64,
@@ -21,7 +67,7 @@ pub struct TraceEvent {
 /// What happened. Grouped by the layer that emits it: network-interface
 /// packet lifecycle, router pipeline stages, circuit-table transitions,
 /// cache-protocol message lifecycle and periodic occupancy samples.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum EventKind {
     /// A packet entered its source NI's injection queue.
     NiEnqueue {
@@ -32,7 +78,7 @@ pub enum EventKind {
         /// Destination node.
         dst: u16,
         /// Message-class label (e.g. `"L2_Reply"`).
-        class: &'static str,
+        class: ClassLabel,
     },
     /// The packet's head flit left the NI into the router's local port.
     NiInject {
@@ -249,134 +295,6 @@ pub enum EventKind {
     },
 }
 
-/// An owned, deserializable mirror of [`TraceEvent`] for checkpoint
-/// files. The live event borrows the message-class label as a
-/// `&'static str` (so emitting stays a couple of stores); the portable
-/// form owns it as a `String` so checkpoints can be read back. The two
-/// serialize identically, byte for byte.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PortableEvent {
-    /// Simulation cycle of the occurrence.
-    pub cycle: u64,
-    /// What happened (owned mirror of [`EventKind`]).
-    pub kind: PortableKind,
-}
-
-impl From<TraceEvent> for PortableEvent {
-    fn from(e: TraceEvent) -> Self {
-        Self {
-            cycle: e.cycle,
-            kind: e.kind.into(),
-        }
-    }
-}
-
-impl From<PortableEvent> for TraceEvent {
-    fn from(e: PortableEvent) -> Self {
-        Self {
-            cycle: e.cycle,
-            kind: e.kind.into(),
-        }
-    }
-}
-
-/// Returns the `'static` interned form of a message-class label read
-/// back from a checkpoint. Every label the simulator emits is known
-/// statically; an unrecognised one (a checkpoint from a newer build) is
-/// leaked once to satisfy the lifetime — bounded by ring capacity.
-fn intern_class(class: &str) -> &'static str {
-    const KNOWN: [&str; 13] = [
-        "Request",
-        "FwdRequest",
-        "Invalidation",
-        "WbData",
-        "MemRequest",
-        "MemWbData",
-        "L2_Reply",
-        "L1_DATA_ACK",
-        "L2_WB_ACK",
-        "L1_INV_ACK",
-        "MEMORY",
-        "L1_TO_L1",
-        "L1_REQ",
-    ];
-    for k in KNOWN {
-        if k == class {
-            return k;
-        }
-    }
-    Box::leak(class.to_owned().into_boxed_str())
-}
-
-/// Generates [`PortableKind`] plus both conversions. `NiEnqueue` is the
-/// one hand-written variant (its label becomes an owned `String`); every
-/// other variant is mirrored field for field.
-macro_rules! portable_kinds {
-    ( $( $variant:ident { $( $field:ident : $ty:ty ),* $(,)? } ),* $(,)? ) => {
-        /// Owned mirror of [`EventKind`] for checkpoint files — identical
-        /// shape and serialized form, with the class label owned.
-        #[allow(missing_docs)]
-        #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-        pub enum PortableKind {
-            NiEnqueue { packet: u64, src: u16, dst: u16, class: String },
-            $( $variant { $( $field : $ty ),* } ),*
-        }
-
-        impl From<EventKind> for PortableKind {
-            fn from(k: EventKind) -> Self {
-                match k {
-                    EventKind::NiEnqueue { packet, src, dst, class } => {
-                        PortableKind::NiEnqueue { packet, src, dst, class: class.to_owned() }
-                    }
-                    $( EventKind::$variant { $( $field ),* } =>
-                        PortableKind::$variant { $( $field ),* } ),*
-                }
-            }
-        }
-
-        impl From<PortableKind> for EventKind {
-            fn from(k: PortableKind) -> Self {
-                match k {
-                    PortableKind::NiEnqueue { packet, src, dst, class } => {
-                        EventKind::NiEnqueue { packet, src, dst, class: intern_class(&class) }
-                    }
-                    $( PortableKind::$variant { $( $field ),* } =>
-                        EventKind::$variant { $( $field ),* } ),*
-                }
-            }
-        }
-    };
-}
-
-portable_kinds! {
-    NiInject { packet: u64, node: u16 },
-    NiEject { packet: u64, node: u16, rode_circuit: bool, retries: u32 },
-    NiRetry { packet: u64, attempt: u32 },
-    PacketDropped { packet: u64, retries: u32 },
-    StageVa { packet: u64, node: u16 },
-    StageSa { packet: u64, node: u16 },
-    StageSt { packet: u64, node: u16 },
-    CircuitBypass { packet: u64, node: u16 },
-    CircuitReserve { node: u16, requestor: u16, block: u64 },
-    CircuitConflict { node: u16, requestor: u16, block: u64 },
-    CircuitConfirm { node: u16, requestor: u16, block: u64 },
-    CircuitTear { node: u16, requestor: u16, block: u64 },
-    L1MissStart { node: u16, block: u64 },
-    L1MissEnd { node: u16, block: u64 },
-    L2Access { node: u16, block: u64, hit: bool },
-    LinkDead { a: u16, b: u16 },
-    LinkHealed { a: u16, b: u16 },
-    RouterDead { node: u16 },
-    RouterHealed { node: u16 },
-    NiReroute { packet: u64, node: u16 },
-    L1Reissue { node: u16, block: u64, attempt: u32 },
-    IngressAdmit { node: u16, depth: u32 },
-    IngressReject { node: u16, queue_full: bool, retry_after: u64 },
-    IngressShed { node: u16, waited: u64 },
-    PolicySwitch { region: u16, hot: bool, score: u64 },
-    EpochSample { circuit_entries: u64, buffered_flits: u64, ni_backlog: u64 },
-}
-
 impl EventKind {
     /// Stable lower-snake name of the event kind (metrics keys, Chrome
     /// trace names).
@@ -442,7 +360,7 @@ mod tests {
                 packet: 1,
                 src: 0,
                 dst: 1,
-                class: "L1_REQ",
+                class: ClassLabel("L1_REQ"),
             },
             EventKind::NiInject { packet: 1, node: 0 },
             EventKind::EpochSample {
@@ -481,5 +399,31 @@ mod tests {
         let s = serde_json::to_string(&e).unwrap();
         assert!(s.contains("\"cycle\":42"), "{s}");
         assert!(s.contains("NiInject"), "{s}");
+        assert_eq!(serde_json::from_str::<TraceEvent>(&s).unwrap(), e);
+    }
+
+    /// The class label is a plain JSON string; a known one reads back as
+    /// the very `'static` the simulator emits, an unknown one still reads.
+    #[test]
+    fn class_labels_intern_on_read() {
+        let e = TraceEvent {
+            cycle: 1,
+            kind: EventKind::NiEnqueue {
+                packet: 2,
+                src: 3,
+                dst: 4,
+                class: ClassLabel("L2_Reply"),
+            },
+        };
+        let s = serde_json::to_string(&e).unwrap();
+        assert!(s.contains("\"class\":\"L2_Reply\""), "{s}");
+        assert_eq!(serde_json::from_str::<TraceEvent>(&s).unwrap(), e);
+        let newer = s.replace("L2_Reply", "L3_Reply");
+        let EventKind::NiEnqueue { class, .. } =
+            serde_json::from_str::<TraceEvent>(&newer).unwrap().kind
+        else {
+            panic!("still an enqueue");
+        };
+        assert_eq!(class.0, "L3_Reply");
     }
 }

@@ -40,7 +40,7 @@ mod sink;
 pub use bench::{BenchRow, BenchSummary, BENCH_SCHEMA_VERSION};
 pub use breakdown::LatencyBreakdown;
 pub use chrome::{chrome_trace, chrome_trace_json};
-pub use event::{EventKind, PortableEvent, PortableKind, TraceEvent};
+pub use event::{ClassLabel, EventKind, TraceEvent};
 pub use metrics::MetricsRegistry;
 pub use ring::RingLog;
 pub use sink::TraceSink;

@@ -18,6 +18,7 @@
 //! one destination draw only on arrival), which is what makes the stream
 //! deterministic under idle-skipping kernels.
 
+use crate::WorkloadRng;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
@@ -94,7 +95,7 @@ pub struct ExternalArrival {
 }
 
 /// On/off modulation state for [`ArrivalProcess::Bursty`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct BurstState {
     on: bool,
     /// Cycles left in the current dwell.
@@ -105,8 +106,16 @@ struct BurstState {
 #[derive(Debug, Clone)]
 pub struct ArrivalStream {
     process: ArrivalProcess,
-    rng: ChaCha8Rng,
+    state: ArrivalState,
+}
+
+/// An [`ArrivalStream`]'s state (DESIGN.md §15).
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct ArrivalState {
+    rng: WorkloadRng,
+    /// Burst modulation, for bursty processes.
     burst: Option<BurstState>,
+    /// Next arrival sequence number.
     seq: u64,
 }
 
@@ -135,11 +144,10 @@ impl ArrivalStream {
             }
             _ => None,
         };
+        let rng = WorkloadRng(rng);
         Self {
             process,
-            rng,
-            burst,
-            seq: 0,
+            state: ArrivalState { rng, burst, seq: 0 },
         }
     }
 
@@ -154,11 +162,11 @@ impl ArrivalStream {
                 mean_on,
                 mean_off,
             } => {
-                let state = self.burst.as_mut().expect("bursty stream has state");
+                let state = self.state.burst.as_mut().expect("bursty stream has state");
                 if state.remaining == 0 {
                     state.on = !state.on;
                     let mean = if state.on { mean_on } else { mean_off };
-                    state.remaining = self.rng.gen_range(1..=2 * mean.max(1));
+                    state.remaining = self.state.rng.0.gen_range(1..=2 * mean.max(1));
                 }
                 state.remaining -= 1;
                 if state.on {
@@ -183,58 +191,34 @@ impl ArrivalStream {
     /// sequence *is* the process definition.
     pub fn poll(&mut self, now: u64, servers: usize) -> Option<ExternalArrival> {
         let p = self.rate_at(now);
-        if p <= 0.0 || !self.rng.gen_bool(p) {
+        if p <= 0.0 || !self.state.rng.0.gen_bool(p) {
             return None;
         }
         let dst_index = if servers > 1 {
-            self.rng.gen_range(0..servers)
+            self.state.rng.0.gen_range(0..servers)
         } else {
             0
         };
-        let seq = self.seq;
-        self.seq += 1;
+        let seq = self.state.seq;
+        self.state.seq += 1;
         Some(ExternalArrival { dst_index, seq })
     }
 
     /// Total arrivals produced so far.
     pub fn produced(&self) -> u64 {
-        self.seq
+        self.state.seq
     }
 
-    /// The full dynamic state, for checkpointing (the process itself is
-    /// configuration and travels with the run config, not the snapshot).
-    pub fn snapshot(&self) -> ArrivalSnapshot {
-        let (rng_state, rng_stream) = self.rng.state_words();
-        ArrivalSnapshot {
-            rng_state,
-            rng_stream,
-            burst: self.burst.as_ref().map(|b| (b.on, b.remaining)),
-            seq: self.seq,
-        }
+    /// The state, for checkpointing.
+    pub fn snapshot(&self) -> ArrivalState {
+        self.state.clone()
     }
 
-    /// Overwrites the dynamic state from an [`ArrivalStream::snapshot`],
+    /// Overwrites the state with an [`ArrivalStream::snapshot`],
     /// continuing the exact stream the snapshot was taken from.
-    pub fn restore(&mut self, snap: &ArrivalSnapshot) {
-        self.rng = ChaCha8Rng::from_state_words(snap.rng_state, snap.rng_stream);
-        self.burst = snap
-            .burst
-            .map(|(on, remaining)| BurstState { on, remaining });
-        self.seq = snap.seq;
+    pub fn restore(&mut self, state: ArrivalState) {
+        self.state = state;
     }
-}
-
-/// Serializable dynamic state of an [`ArrivalStream`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ArrivalSnapshot {
-    /// RNG state word.
-    pub rng_state: u64,
-    /// RNG stream word.
-    pub rng_stream: u64,
-    /// Burst modulation `(on, cycles remaining)`, for bursty processes.
-    pub burst: Option<(bool, u64)>,
-    /// Next arrival sequence number.
-    pub seq: u64,
 }
 
 #[cfg(test)]

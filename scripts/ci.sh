@@ -40,6 +40,11 @@ if grep -rn 'env::var' crates/*/src src examples | grep -v '^crates/bench/src/en
   echo "FAIL: the process environment is read outside crates/bench/src/env.rs"; exit 1
 fi
 
+echo "==> state is the snapshot (DESIGN.md §15: only the three containers compose one)"
+mirrors=$(grep -rnE 'struct \w+Snapshot|Portable(Event|Kind)' crates/*/src \
+  | grep -vE 'struct (Session|Chip|Network)Snapshot\b' || true)
+[ -z "$mirrors" ] || { echo "FAIL: a mirror *Snapshot struct or a Portable* twin is back:"; echo "$mirrors"; exit 1; }
+
 echo "==> cargo build --release"
 $CARGO build --release "$@"
 
@@ -238,17 +243,15 @@ $CARGO test -q -p rcsim-noc --test traffic_patterns "$@"
 
 echo "==> checkpoint smoke (kill-and-resume byte-identity, corrupt-file clean miss)"
 # Crash-resilience gate (DESIGN.md §15). The differential suite proves
-# save/restore byte-identity at arbitrary split cycles across kernels,
-# topologies, faults, overload and adaptive runs, and that the resumable
-# driver's result is run_sim's. Then the crash drill: a checkpointed fig6
-# sweep is SIGKILLed
-# mid-run (the bench binary is invoked directly — killing a `cargo run`
-# wrapper would orphan the simulator), half of whatever checkpoints it
-# left behind are deliberately corrupted, and the rerun must finish
-# from the surviving on-disk state with rows byte-identical to an
-# uncheckpointed reference — a corrupt or stale checkpoint is a clean
-# miss (fresh start), never a crash. Finally rcsim-replay must reject
-# stale-version checkpoints (v0, v1 and v2) with a clean nonzero exit.
+# save/restore byte-identity — result, trace and state — at forced and
+# drawn split cycles across kernels, topologies, faults, overload and
+# adaptive runs, and that the resumable driver's result is run_sim's.
+# Then the crash drill: a checkpointed fig6 sweep is SIGKILLed mid-run
+# (the bench binary directly — killing a `cargo run` wrapper would orphan
+# the simulator), half of the checkpoints it left are corrupted, and the
+# rerun must finish from what survives with rows byte-identical to an
+# uncheckpointed reference: a corrupt or stale checkpoint is a clean miss.
+# Finally rcsim-replay must reject every stale-version checkpoint.
 $CARGO test -q -p rcsim-system --test checkpoint_diff "$@"
 ckpt_smoke=(RC_APPS=blackscholes RC_CYCLES=8000 RC_WARMUP=2000
             RC_SMALL_CACHES=1 RC_CORES=16 RC_MAX_CYCLES=40000
@@ -280,13 +283,10 @@ if find "$ckpt_dir" -name '*.ckpt' | grep -q .; then
   echo "FAIL: completed sweep left checkpoints behind in $ckpt_dir"; exit 1
 fi
 mkdir -p "$ckpt_dir"
-# The current format is v3. The v1 and v2 files carry the right checksum
-# for their payload (fnv1a-64 of "{}"), so only their version can reject
-# them.
-printf 'rcsim-checkpoint v0 0000000000000000\n{}' > "$ckpt_dir/stale_v0.ckpt"
-printf 'rcsim-checkpoint v1 08f44b07b5901a25\n{}' > "$ckpt_dir/stale_v1.ckpt"
-printf 'rcsim-checkpoint v2 08f44b07b5901a25\n{}' > "$ckpt_dir/stale_v2.ckpt"
-for stale in "$ckpt_dir"/stale_v0.ckpt "$ckpt_dir"/stale_v1.ckpt "$ckpt_dir"/stale_v2.ckpt; do
+# Every earlier version, with the checksum of its "{}": only the version rejects it.
+current=$(sed -n 's/^pub const CHECKPOINT_FORMAT_VERSION: u32 = \([0-9]*\);$/\1/p' crates/system/src/checkpoint.rs)
+for v in $(seq 0 $((${current:?CHECKPOINT_FORMAT_VERSION not found} - 1))); do
+  stale="$ckpt_dir/stale_v$v.ckpt"; printf 'rcsim-checkpoint v%s 08f44b07b5901a25\n{}' "$v" > "$stale"
   if $CARGO run --release -q -p rcsim-bench --bin rcsim-replay "$stale" > /dev/null 2> /dev/null; then
     echo "FAIL: rcsim-replay accepted the stale-version checkpoint $stale"; exit 1
   fi

@@ -11,8 +11,11 @@
 //! * unit structs,
 //! * enums with unit, newtype, tuple and struct variants
 //!   (externally tagged, as in real serde),
-//! * simple type generics (`struct CacheArray<M>`), which get
-//!   `Serialize`/`Deserialize` bounds.
+//! * simple type generics (`struct CacheArray<M>`), which keep their
+//!   declared bounds and gain `Serialize`/`Deserialize` ones,
+//! * the container attributes `#[serde(from = "T", into = "T")]`: the
+//!   type (de)serializes as `T`, through its `From`/`Into` impls (and
+//!   `Clone`, for `into`) — the body's shape is then irrelevant.
 //!
 //! Unsupported syntax (where-clauses, lifetimes on the item, const
 //! generics) panics with a clear message at expansion time rather than
@@ -58,10 +61,20 @@ struct Variant {
     shape: VariantShape,
 }
 
+/// One type parameter: its name and its declared bounds (`""` if none).
+struct Generic {
+    name: String,
+    bounds: String,
+}
+
 struct Item {
     name: String,
-    generics: Vec<String>,
+    generics: Vec<Generic>,
     shape: Shape,
+    /// `#[serde(from = "T")]`: deserialize a `T`, then `From::from` it.
+    from: Option<String>,
+    /// `#[serde(into = "T")]`: serialize `Into::<T>::into(self.clone())`.
+    into: Option<String>,
 }
 
 type Tokens = Peekable<proc_macro::token_stream::IntoIter>;
@@ -148,43 +161,56 @@ fn skip_visibility(it: &mut Tokens) {
     }
 }
 
-/// Consumes a `<...>` generics list, returning the type-parameter names.
-fn parse_generics(it: &mut Tokens) -> Vec<String> {
-    let mut params = Vec::new();
+/// Consumes a `<...>` generics list, returning each type parameter with
+/// the bounds it was declared with (real serde copies them onto its
+/// impls too, which is what lets a `from`/`into` conversion rely on them).
+fn parse_generics(it: &mut Tokens) -> Vec<Generic> {
+    let mut params: Vec<Generic> = Vec::new();
     if !matches!(it.peek(), Some(TokenTree::Punct(p)) if p.as_char() == '<') {
         return params;
     }
     it.next();
     let mut depth = 1usize;
-    let mut expecting_param = true;
-    let mut in_lifetime = false;
+    // Tokens of the current parameter's bounds, once its `:` was seen.
+    let mut bounds: Option<Vec<TokenTree>> = None;
+    let close = |params: &mut Vec<Generic>, bounds: &mut Option<Vec<TokenTree>>| {
+        if let (Some(g), Some(b)) = (params.last_mut(), bounds.take()) {
+            g.bounds = b.into_iter().collect::<TokenStream>().to_string();
+        }
+    };
     for t in it.by_ref() {
-        match t {
-            TokenTree::Punct(p) if p.as_char() == '<' => depth += 1,
-            TokenTree::Punct(p) if p.as_char() == '>' => {
-                depth -= 1;
-                if depth == 0 {
-                    break;
-                }
-            }
+        match &t {
+            TokenTree::Punct(p) if p.as_char() == '>' && depth == 1 => break,
             TokenTree::Punct(p) if p.as_char() == ',' && depth == 1 => {
-                expecting_param = true;
-                in_lifetime = false;
+                close(&mut params, &mut bounds);
+                continue;
             }
+            TokenTree::Punct(p) if p.as_char() == '<' => depth += 1,
+            TokenTree::Punct(p) if p.as_char() == '>' => depth -= 1,
             TokenTree::Punct(p) if p.as_char() == '\'' && depth == 1 => {
                 panic!("serde_derive stub: lifetime parameters are not supported");
             }
-            TokenTree::Punct(p) if p.as_char() == ':' && depth == 1 => expecting_param = false,
-            TokenTree::Ident(id) if depth == 1 && expecting_param && !in_lifetime => {
-                if id.to_string() == "const" {
-                    panic!("serde_derive stub: const generics are not supported");
-                }
-                params.push(id.to_string());
-                expecting_param = false;
+            TokenTree::Punct(p) if p.as_char() == '=' && depth == 1 => {
+                panic!("serde_derive stub: default type parameters are not supported");
             }
             _ => {}
         }
+        match (&mut bounds, &t) {
+            (Some(b), _) => b.push(t),
+            (None, TokenTree::Punct(p)) if p.as_char() == ':' => bounds = Some(Vec::new()),
+            (None, TokenTree::Ident(id)) => {
+                if id.to_string() == "const" {
+                    panic!("serde_derive stub: const generics are not supported");
+                }
+                params.push(Generic {
+                    name: id.to_string(),
+                    bounds: String::new(),
+                });
+            }
+            (None, _) => {}
+        }
     }
+    close(&mut params, &mut bounds);
     params
 }
 
@@ -285,12 +311,51 @@ fn parse_variants(ts: TokenStream) -> Vec<Variant> {
     variants
 }
 
+/// The string value of a `name = "value"` pair whose name was just read.
+fn string_value(name: &str, args: &mut impl Iterator<Item = TokenTree>) -> String {
+    match (args.next(), args.next()) {
+        (Some(TokenTree::Punct(eq)), Some(TokenTree::Literal(value))) if eq.as_char() == '=' => {
+            value.to_string().trim_matches('"').to_owned()
+        }
+        _ => panic!("serde_derive stub: `{name}` needs a string value"),
+    }
+}
+
+/// Reads one container attribute's `[...]` group: `serde(from = "T")` and
+/// `serde(into = "T")` are recorded, every other attribute is ignored.
+fn parse_container_attr(group: TokenStream, from: &mut Option<String>, into: &mut Option<String>) {
+    let mut inner = group.into_iter();
+    match (inner.next(), inner.next()) {
+        (Some(TokenTree::Ident(id)), Some(TokenTree::Group(args))) if id.to_string() == "serde" => {
+            let mut args = args.stream().into_iter();
+            while let Some(t) = args.next() {
+                match t {
+                    TokenTree::Ident(a) if a.to_string() == "from" => {
+                        *from = Some(string_value("from", &mut args));
+                    }
+                    TokenTree::Ident(a) if a.to_string() == "into" => {
+                        *into = Some(string_value("into", &mut args));
+                    }
+                    TokenTree::Ident(a) => panic!(
+                        "serde_derive stub: unsupported serde container attribute `{a}`"
+                    ),
+                    _ => {}
+                }
+            }
+        }
+        _ => {}
+    }
+}
+
 fn parse_item(input: TokenStream) -> Item {
     let mut it = input.into_iter().peekable();
+    let (mut from, mut into) = (None, None);
     let kind = loop {
         match it.next() {
             Some(TokenTree::Punct(p)) if p.as_char() == '#' => {
-                it.next(); // the [...] group
+                if let Some(TokenTree::Group(g)) = it.next() {
+                    parse_container_attr(g.stream(), &mut from, &mut into);
+                }
             }
             Some(TokenTree::Ident(id)) => {
                 let s = id.to_string();
@@ -341,6 +406,8 @@ fn parse_item(input: TokenStream) -> Item {
         name: name.to_string(),
         generics,
         shape,
+        from,
+        into,
     }
 }
 
@@ -355,8 +422,19 @@ fn type_args(item: &Item) -> String {
     if item.generics.is_empty() {
         String::new()
     } else {
-        format!("<{}>", item.generics.join(", "))
+        let names: Vec<&str> = item.generics.iter().map(|g| g.name.as_str()).collect();
+        format!("<{}>", names.join(", "))
     }
+}
+
+/// The impl's type-parameter declarations: each parameter with its
+/// declared bounds plus `extra`.
+fn bounded_params(item: &Item, extra: &str) -> Vec<String> {
+    let declare = |g: &Generic| match g.bounds.as_str() {
+        "" => format!("{}: {extra}", g.name),
+        bounds => format!("{}: {bounds} + {extra}", g.name),
+    };
+    item.generics.iter().map(declare).collect()
 }
 
 fn ser_named_fields(fields: &[Field], accessor: impl Fn(&str) -> String) -> String {
@@ -423,26 +501,23 @@ fn gen_serialize(item: &Item) -> String {
     let params = if item.generics.is_empty() {
         String::new()
     } else {
-        format!(
-            "<{}>",
-            item.generics
-                .iter()
-                .map(|g| format!("{g}: ::serde::Serialize"))
-                .collect::<Vec<_>>()
-                .join(", ")
-        )
+        format!("<{}>", bounded_params(item, "::serde::Serialize").join(", "))
     };
-    let body = match &item.shape {
-        Shape::Named(fields) => ser_named_fields(fields, |n| format!("&self.{n}")),
-        Shape::Tuple(1) => format!("::serde::Serialize::to_content(&self.0)"),
-        Shape::Tuple(n) => {
+    let body = match (&item.into, &item.shape) {
+        (Some(into), _) => format!(
+            "let converted: {into} = ::std::convert::Into::into(::std::clone::Clone::clone(self));\n        \
+             ::serde::Serialize::to_content(&converted)"
+        ),
+        (None, Shape::Named(fields)) => ser_named_fields(fields, |n| format!("&self.{n}")),
+        (None, Shape::Tuple(1)) => format!("::serde::Serialize::to_content(&self.0)"),
+        (None, Shape::Tuple(n)) => {
             let items: Vec<String> = (0..*n)
                 .map(|i| format!("::serde::Serialize::to_content(&self.{i})"))
                 .collect();
             format!("{C}::Seq(::std::vec![{}])", items.join(", "))
         }
-        Shape::Unit => format!("{C}::Null"),
-        Shape::Enum(variants) => {
+        (None, Shape::Unit) => format!("{C}::Null"),
+        (None, Shape::Enum(variants)) => {
             let arms: Vec<String> = variants
                 .iter()
                 .map(|v| {
@@ -496,29 +571,29 @@ fn gen_deserialize(item: &Item) -> String {
     let name = &item.name;
     let args = type_args(item);
     let mut params: Vec<String> = vec!["'de".to_owned()];
-    params.extend(
-        item.generics
-            .iter()
-            .map(|g| format!("{g}: ::serde::Deserialize<'de>")),
-    );
+    params.extend(bounded_params(item, "::serde::Deserialize<'de>"));
     let params = format!("<{}>", params.join(", "));
     let err = |msg: &str| {
         format!(
             "::std::result::Result::Err(::serde::content::Error::msg(::std::format!(\"{msg}\", c.kind())))"
         )
     };
-    let body = match &item.shape {
-        Shape::Named(fields) => {
+    let body = match (&item.from, &item.shape) {
+        (Some(from), _) => format!(
+            "let raw: {from} = ::serde::Deserialize::from_content(c)?;\n        \
+             ::std::result::Result::Ok(::std::convert::From::from(raw))"
+        ),
+        (None, Shape::Named(fields)) => {
             let build = de_named_fields(name, fields, "m");
             format!(
                 "let m = match c {{ {C}::Map(m) => m, other => return ::std::result::Result::Err(::serde::content::expected_map(\"{name}\", other)) }};\n        \
                  ::std::result::Result::Ok({name} {{\n            {build}\n        }})"
             )
         }
-        Shape::Tuple(1) => format!(
+        (None, Shape::Tuple(1)) => format!(
             "::std::result::Result::Ok({name}(::serde::Deserialize::from_content(c)?))"
         ),
-        Shape::Tuple(n) => {
+        (None, Shape::Tuple(n)) => {
             let items: Vec<String> = (0..*n)
                 .map(|i| format!("::serde::Deserialize::from_content(&items[{i}])?"))
                 .collect();
@@ -528,11 +603,11 @@ fn gen_deserialize(item: &Item) -> String {
                 err(&format!("expected {n}-element array for `{name}`, got {{}}"))
             )
         }
-        Shape::Unit => format!(
+        (None, Shape::Unit) => format!(
             "match c {{ {C}::Null => ::std::result::Result::Ok({name}), _ => {} }}",
             err(&format!("expected null for unit struct `{name}`, got {{}}"))
         ),
-        Shape::Enum(variants) => {
+        (None, Shape::Enum(variants)) => {
             let unit_arms: Vec<String> = variants
                 .iter()
                 .filter(|v| matches!(v.shape, VariantShape::Unit))

@@ -4,7 +4,7 @@
 use rcsim_bench::{RunEnv, SweepRunner, KNOBS};
 use reactive_circuits::prelude::*;
 use reactive_circuits::system::{
-    run_sim_traced_with_kernel, run_sim_with_kernel, AdaptiveConfig, TraceConfig,
+    run_sim_traced_with_kernel, run_sim_with_kernel, AdaptiveConfig, DeadLinkEvent, TraceConfig,
 };
 use std::path::{Path, PathBuf};
 
@@ -247,6 +247,47 @@ fn resume_at_mid_run_is_byte_identical() {
     resumed.run_until(resumed.total()).unwrap();
     let (result, _) = resumed.finish();
     assert_eq!(serialized(&uninterrupted), serialized(&result));
+}
+
+/// State, not just results: with a link dying at 400 and healing at 1 300
+/// and the adaptive policy on, a run checkpointed inside the window under
+/// the dense kernel and resumed under the event kernel holds exactly the
+/// state it saved, and ends in exactly the state — every field of every
+/// component — of the run that was never interrupted.
+#[test]
+fn resumed_state_is_byte_identical() {
+    let bytes = |s: &SimSession| serde_json::to_string(&s.checkpoint()).expect("serializes");
+    let mut cfg = SimConfig {
+        adaptive: Some(AdaptiveConfig {
+            decision_epoch: 40,
+            regions: 4,
+            hot_enter: 96,
+            hot_exit: 48,
+            min_dwell: 80,
+            ..AdaptiveConfig::default()
+        }),
+        ..differential_cfg()
+    };
+    cfg.mechanism = MechanismConfig::complete();
+    cfg.faults.dead_links = vec![DeadLinkEvent {
+        a: NodeId(5),
+        b: NodeId(6),
+        at: 400,
+        duration: Some(900),
+    }];
+    let mut whole = SimSession::new(&cfg, None, KernelMode::Dense, 1).unwrap();
+    whole.run_until(500).unwrap();
+    // Through the serialized form, as a file would go.
+    let saved = bytes(&whole);
+    let snap: SessionSnapshot = serde_json::from_str(&saved).unwrap();
+    let mut resumed = SimSession::resume(&snap, KernelMode::Event, 1).unwrap();
+    assert_eq!(bytes(&resumed), saved);
+    whole.run_until(whole.total()).unwrap();
+    resumed.run_until(resumed.total()).unwrap();
+    assert_eq!(bytes(&resumed), bytes(&whole));
+    let (whole, resumed) = (whole.finish().0, resumed.finish().0);
+    assert!(whole.health.faults.packets_rerouted > 0 && whole.health.adaptive.hot_switches > 0);
+    assert_eq!(serialized(&resumed), serialized(&whole));
 }
 
 #[test]
