@@ -438,6 +438,13 @@ pub enum ConfigError {
         /// The largest supported latency, in cycles.
         max: u32,
     },
+    /// The VC buffer depth exceeds `max`, the most a credit counter holds.
+    BufferDepth {
+        /// The rejected depth, in flits.
+        depth: u32,
+        /// The largest supported depth, in flits.
+        max: u32,
+    },
 }
 
 impl fmt::Display for ConfigError {
@@ -481,6 +488,9 @@ impl fmt::Display for ConfigError {
                 f,
                 "link latency of {latency} cycles is outside the supported 1..={max}"
             ),
+            ConfigError::BufferDepth { depth, max } => {
+                write!(f, "VC buffers of {depth} flits exceed the supported {max}")
+            }
         }
     }
 }

@@ -56,7 +56,7 @@ pub use policy::{
 };
 pub use routing::TopologyHealth;
 pub use sched::{KernelMode, WakeTimes};
-pub use state::{StateMap, StateSet};
+pub use state::{Slab, StateMap, StateSet};
 pub use topology::{
     Topology, TopologySpec, PORT_EAST, PORT_LOCAL, PORT_NORTH, PORT_SOUTH, PORT_WEST,
 };

@@ -1,7 +1,8 @@
-//! Hash containers for a component's `State` (DESIGN.md §15): the std
+//! Containers for a component's `State` (DESIGN.md §15): the std
 //! `HashMap`/`HashSet` the hot path uses, unchanged behind `Deref`, whose
 //! serialized form is a key-sorted sequence — so equal states serialize
-//! to equal bytes whatever their insertion history or hasher seed.
+//! to equal bytes whatever their insertion history or hasher seed — and
+//! [`Slab`], for records whose key the simulator mints itself.
 
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
@@ -84,9 +85,107 @@ impl<K: Ord + Hash + Clone> From<StateSet<K>> for Vec<K> {
     }
 }
 
+/// Records in numbered slots: a record is reached by index, not by hash,
+/// and a freed slot's number is handed out again (the most recently freed
+/// first), so a table of short-lived records stays as small as the most
+/// it ever held at once. Slots and free list serialize as they are —
+/// equal histories give equal bytes, and allocation order is part of a
+/// deterministic component's history.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct Slab<T> {
+    slots: Vec<Option<T>>,
+    free: Vec<u32>,
+}
+
+impl<T> Default for Slab<T> {
+    fn default() -> Self {
+        Slab {
+            slots: Vec::new(),
+            free: Vec::new(),
+        }
+    }
+}
+
+impl<T> Slab<T> {
+    /// Stores `value` and returns the number of the slot it went to.
+    pub fn insert(&mut self, value: T) -> u32 {
+        if let Some(slot) = self.free.pop() {
+            self.slots[slot as usize] = Some(value);
+            return slot;
+        }
+        self.slots.push(Some(value));
+        u32::try_from(self.slots.len() - 1).expect("a slab holds fewer than 2^32 records")
+    }
+
+    /// Empties `slot` for reuse and returns what it held.
+    pub fn remove(&mut self, slot: u32) -> Option<T> {
+        let value = self.slots.get_mut(slot as usize)?.take();
+        if value.is_some() {
+            self.free.push(slot);
+        }
+        value
+    }
+
+    /// The record in `slot`, if it holds one.
+    pub fn get(&self, slot: u32) -> Option<&T> {
+        self.slots.get(slot as usize)?.as_ref()
+    }
+
+    /// The record in `slot`, if it holds one.
+    pub fn get_mut(&mut self, slot: u32) -> Option<&mut T> {
+        self.slots.get_mut(slot as usize)?.as_mut()
+    }
+
+    /// Slots holding a record.
+    pub fn occupied(&self) -> usize {
+        self.slots.len() - self.free.len()
+    }
+
+    /// Slots ever allocated: the most records held at once.
+    pub fn slots(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// The records held, in slot order.
+    pub fn iter(&self) -> impl Iterator<Item = (u32, &T)> {
+        (0..)
+            .zip(&self.slots)
+            .filter_map(|(i, s)| Some((i, s.as_ref()?)))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Slots are reused last-freed-first, a vacant slot reads as `None`
+    /// (a stale handle is caught, not served), and the serialized form
+    /// round-trips slots and free list exactly.
+    #[test]
+    fn slab_reuses_slots_and_round_trips() {
+        let mut slab = Slab::default();
+        let (a, b, c) = (slab.insert("a"), slab.insert("b"), slab.insert("c"));
+        assert_eq!((a, b, c, slab.occupied(), slab.slots()), (0, 1, 2, 3, 3));
+        assert_eq!(slab.remove(a), Some("a"));
+        assert_eq!(slab.remove(c), Some("c"));
+        assert_eq!(
+            (slab.remove(c), slab.get(a), slab.occupied()),
+            (None, None, 1)
+        );
+        assert_eq!(slab.iter().collect::<Vec<_>>(), [(1, &"b")]);
+        let mut slab: Slab<u64> = [10, 11, 12].into_iter().fold(Slab::default(), |mut s, v| {
+            s.insert(v);
+            s
+        });
+        slab.remove(0);
+        slab.remove(2);
+        let json = serde_json::to_string(&slab).expect("serializes");
+        assert_eq!(json, r#"{"slots":[null,11,null],"free":[0,2]}"#);
+        let mut back: Slab<u64> = serde_json::from_str(&json).expect("deserializes");
+        assert_eq!(back, slab);
+        assert_eq!((back.insert(7), back.insert(8), back.insert(9)), (2, 0, 3));
+        assert_eq!(back.slots(), 4, "the high-water mark grows only when full");
+    }
 
     /// Whatever the insertion order (and so the bucket order), the bytes
     /// are those of the key-sorted sequence, and they read back equal.

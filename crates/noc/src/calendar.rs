@@ -1,13 +1,16 @@
-//! Links as arrival calendars.
+//! Links as arrival registers.
 //!
 //! Every link is a fixed-latency wire (Table 4), so whatever a router or
 //! NI emits at cycle `now` reaches its neighbour at
-//! `now + 1 ..= now + 1 + link_latency`. A component's inbound links are
-//! therefore a small ring of per-cycle buckets rather than a mailbox to
-//! search: a message is written once into the bucket of its arrival cycle
-//! and handed over once, whole bucket at a time, when that cycle comes.
+//! `now + 1 ..= now + 1 + link_latency`, and a wire carries one flit per
+//! cycle. A component's inbound links are therefore what the hardware
+//! has — one flit register per input port and a credit count per VC, for
+//! each cycle of a short arrival window — rather than a mailbox to
+//! search: a message is written once into the registers of its arrival
+//! cycle and read once when that cycle comes.
 
 use crate::flit::Flit;
+use crate::router::bits;
 use rcsim_core::circuit::CircuitKey;
 use rcsim_core::{Cycle, NodeId};
 use serde::{Deserialize, Serialize};
@@ -17,187 +20,225 @@ use serde::{Deserialize, Serialize};
 /// must fit the 64-bit occupancy mask.
 pub(crate) const MAX_LINK_LATENCY: u32 = u64::BITS - 2;
 
-/// Everything arriving at one component in one cycle, in enqueue order.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-struct Bucket {
-    /// `(input port, flit)`.
-    flits: Vec<(usize, Flit)>,
-    /// `(output port the credit returns through, vc)`.
-    credits: Vec<(usize, usize)>,
-    /// `(circuit, circuit destination)` undo notifications.
-    undos: Vec<(CircuitKey, NodeId)>,
-}
-
-/// The messages in flight towards one router or NI: one bucket per
-/// cycle of the arrival window, bucket `c % W` holding cycle `c`.
+/// The messages in flight towards every component of one kind (all the
+/// routers, or all the NIs), as flat arrays over *cells*: cell
+/// `(c % W) · n + i` holds what reaches component `i` at cycle `c`, so
+/// the cells one tick reads are adjacent and in component order.
 ///
-/// The window is `W = link_latency + 2` cycles: a sender ticking at `now`
-/// may write as far ahead as `now + 1 + link_latency`, while a receiver
-/// later in the same cycle's loop has not yet drained `now` itself, so
-/// those two cycles must not share a bucket.
+/// The window `W` is `link_latency + 2` cycles rounded up to a power of
+/// two: a sender ticking at `now` may write as far ahead as
+/// `now + 1 + link_latency`, while a receiver later in the same cycle's
+/// loop has not yet drained `now` itself, so those two cycles must not
+/// share a cell.
 ///
 /// This is *state* (DESIGN.md §15): it is serialized as-is.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub(crate) struct Calendar {
-    buckets: Vec<Bucket>,
-    /// Bit `b` is set while `buckets[b]` holds anything.
-    occupied: u64,
-    /// Flits whose arrival cycle passed while their input port was stuck
-    /// (a scheduled fault window), oldest first.
-    held: Vec<(usize, Flit)>,
+    /// Components, input ports per component, VCs per port and `W - 1`.
+    n: usize,
+    ports: usize,
+    vcs: usize,
+    window_mask: Cycle,
+    /// Per component, bit `c % W` is set while its cell of cycle `c` holds
+    /// anything: the event kernel's wake test.
+    occupied: Vec<u64>,
+    /// Per cell: the ports whose flit register is full, and the VC slots
+    /// (`port · vcs + vc`) with credits arriving.
+    masks: Vec<(u64, u64)>,
+    /// Per cell and port, the flit register (meaningful while its mask
+    /// bit is set); per cell and VC slot, the credits arriving.
+    regs: Vec<Flit>,
+    credits: Vec<u8>,
+    /// `(component, arrival, circuit, circuit destination)` undo
+    /// notifications, in enqueue order.
+    undos: Vec<(usize, Cycle, CircuitKey, NodeId)>,
+    /// `(component, port, flit)` whose arrival cycle passed while their
+    /// input port was stuck (a scheduled fault window), oldest first.
+    held: Vec<(usize, usize, Flit)>,
 }
 
 impl Calendar {
-    /// An empty calendar for links of `link_latency` cycles
+    /// Empty registers for `n` components of `ports` input ports and
+    /// `vcs` VCs each, on links of `link_latency` cycles
     /// (`1..=MAX_LINK_LATENCY`, which [`crate::NocConfig::validate`]
     /// enforces).
-    pub(crate) fn new(link_latency: u32) -> Self {
+    pub(crate) fn new(link_latency: u32, n: usize, ports: usize, vcs: usize) -> Self {
         assert!(
             (1..=MAX_LINK_LATENCY).contains(&link_latency),
             "NocConfig::validate bounds the link latency"
         );
+        let cells = (link_latency as usize + 2).next_power_of_two() * n;
         Calendar {
-            buckets: vec![Bucket::default(); link_latency as usize + 2],
-            occupied: 0,
+            n,
+            ports,
+            vcs,
+            window_mask: (cells / n) as Cycle - 1,
+            occupied: vec![0; n],
+            masks: vec![(0, 0); cells],
+            regs: vec![Flit::default(); cells * ports],
+            credits: vec![0; cells * ports * vcs],
+            undos: Vec::new(),
             held: Vec::new(),
         }
     }
 
-    /// Cycles a message may be scheduled ahead, one bucket each.
-    fn window(&self) -> Cycle {
-        self.buckets.len() as Cycle
-    }
-
-    /// The bucket of cycle `arrive`, marked occupied. A message outside
-    /// the window would alias another cycle's bucket and silently arrive
-    /// at the wrong time, so the range is checked in release builds too.
-    fn slot(&mut self, now: Cycle, arrive: Cycle) -> &mut Bucket {
-        let window = self.window();
+    /// The cell of component `i` at cycle `arrive`, marked occupied. A
+    /// message outside the window would alias another cycle's cell and
+    /// silently arrive at the wrong time, so the range is checked in
+    /// release builds too.
+    fn cell(&mut self, i: usize, now: Cycle, arrive: Cycle) -> usize {
         assert!(
-            now < arrive && arrive < now + window,
-            "arrival at {arrive} scheduled at {now} is outside the link window of {window} cycles"
+            now < arrive && arrive - now <= self.window_mask,
+            "arrival at {arrive} scheduled at {now} is outside the link window of {} cycles",
+            self.window_mask + 1
         );
-        let b = (arrive % window) as usize;
-        self.occupied |= 1 << b;
-        &mut self.buckets[b]
+        let b = (arrive & self.window_mask) as usize;
+        self.occupied[i] |= 1 << b;
+        b * self.n + i
     }
 
-    /// Schedules a flit to arrive on input port `port` at cycle `arrive`.
-    pub(crate) fn push_flit(&mut self, now: Cycle, arrive: Cycle, port: usize, flit: Flit) {
-        self.slot(now, arrive).flits.push((port, flit));
+    /// Schedules a flit to arrive on input port `port` of component `i`
+    /// at cycle `arrive`. A wire carries one flit per cycle — a router's
+    /// crossbar grants each output once per cycle and an NI injects one
+    /// flit per cycle — so the register must be empty: a second flit
+    /// would silently replace the first.
+    pub(crate) fn push_flit(&mut self, i: usize, now: Cycle, arrive: Cycle, port: usize, f: Flit) {
+        let cell = self.cell(i, now, arrive);
+        let full = &mut self.masks[cell].0;
+        assert!(
+            *full >> port & 1 == 0,
+            "two flits on input port {port} of component {i} at cycle {arrive}"
+        );
+        *full |= 1 << port;
+        self.regs[cell * self.ports + port] = f;
     }
 
-    /// Schedules a credit for `(port, vc)` to arrive at cycle `arrive`.
-    pub(crate) fn push_credit(&mut self, now: Cycle, arrive: Cycle, port: usize, vc: usize) {
-        self.slot(now, arrive).credits.push((port, vc));
+    /// Schedules a credit for `(port, vc)` of component `i` to arrive at
+    /// cycle `arrive`.
+    pub(crate) fn push_credit(
+        &mut self,
+        i: usize,
+        now: Cycle,
+        arrive: Cycle,
+        port: usize,
+        vc: usize,
+    ) {
+        let (cell, slot) = (self.cell(i, now, arrive), port * self.vcs + vc);
+        self.masks[cell].1 |= 1 << slot;
+        self.credits[cell * self.ports * self.vcs + slot] += 1;
     }
 
-    /// Schedules an undo notification to arrive at cycle `arrive`.
-    pub(crate) fn push_undo(&mut self, now: Cycle, arrive: Cycle, key: CircuitKey, dst: NodeId) {
-        self.slot(now, arrive).undos.push((key, dst));
+    /// Schedules an undo notification to reach component `i` at `arrive`.
+    pub(crate) fn push_undo(
+        &mut self,
+        i: usize,
+        now: Cycle,
+        arrive: Cycle,
+        key: CircuitKey,
+        dst: NodeId,
+    ) {
+        self.cell(i, now, arrive);
+        self.undos.push((i, arrive, key, dst));
     }
 
-    /// Hands over everything due at `now` by swapping the due bucket's
-    /// vectors with the caller's (empty) scratch vectors, and returns the
-    /// next cycle this calendar needs draining (`Cycle::MAX` when empty).
-    /// The caller must drain at exactly that cycle — the event kernel's
-    /// wake time — or the bucket would be mistaken for a later cycle's.
-    ///
-    /// Flits come out port-major, and within a port in arrival order (a
-    /// port is one wire, so that is its enqueue order too); credits and
-    /// undos in enqueue order. Bit `p` of `stuck` freezes input port `p`:
-    /// its flits are parked, and come out ahead of the port's later
-    /// arrivals on the first drain that finds the port free again.
+    /// `true` when component `i` has anything to [`Calendar::drain`] at
+    /// `now`: its cell of this cycle is occupied, or a stuck port parked
+    /// flits for it. It must be asked (and a `true` answered with a
+    /// drain) every cycle, or the cell would be mistaken for a later
+    /// cycle's.
+    pub(crate) fn due(&self, i: usize, now: Cycle) -> bool {
+        self.occupied[i] >> (now & self.window_mask) & 1 == 1 || self.held.iter().any(|h| h.0 == i)
+    }
+
+    /// Makes component `i` due at `now` with nothing arriving: a wake-up.
+    pub(crate) fn wake(&mut self, i: usize, now: Cycle) {
+        self.occupied[i] |= 1 << (now & self.window_mask);
+    }
+
+    /// Hands over everything due at component `i` at `now` into the
+    /// caller's (empty) scratch vectors: flits as `(port, flit)`,
+    /// port-major, and within a port in arrival order; credits as
+    /// `(VC slot, count)`; undos in enqueue order. Bit `p` of `stuck`
+    /// freezes input port `p`: its flits are parked, and come out ahead of
+    /// the port's later arrivals on the first drain that finds the port
+    /// free again.
     pub(crate) fn drain(
         &mut self,
+        i: usize,
         now: Cycle,
         stuck: u64,
         flits: &mut Vec<(usize, Flit)>,
-        credits: &mut Vec<(usize, usize)>,
+        credits: &mut Vec<(usize, u8)>,
         undos: &mut Vec<(CircuitKey, NodeId)>,
-    ) -> Cycle {
+    ) {
         debug_assert!(flits.is_empty() && credits.is_empty() && undos.is_empty());
-        let b = (now % self.window()) as usize;
-        if self.occupied >> b & 1 == 1 {
-            self.occupied &= !(1 << b);
-            let due = &mut self.buckets[b];
-            std::mem::swap(&mut due.flits, flits);
-            std::mem::swap(&mut due.credits, credits);
-            std::mem::swap(&mut due.undos, undos);
+        let b = (now & self.window_mask) as usize;
+        let cell = b * self.n + i;
+        let mut arrived = 0;
+        if self.occupied[i] >> b & 1 == 1 {
+            self.occupied[i] &= !(1 << b);
+            let credited;
+            (arrived, credited) = std::mem::take(&mut self.masks[cell]);
+            let counts = &mut self.credits[cell * self.ports * self.vcs..];
+            credits.extend(bits(credited).map(|slot| (slot, std::mem::take(&mut counts[slot]))));
+            if !self.undos.is_empty() {
+                let due = self.undos.extract_if(.., |u| u.0 == i && u.1 == now);
+                undos.extend(due.map(|(_, _, key, dst)| (key, dst)));
+            }
         }
-        if !self.held.is_empty() {
-            self.held.append(flits);
-            std::mem::swap(&mut self.held, flits);
+        let arrivals = bits(arrived).map(|p| (p, self.regs[cell * self.ports + p]));
+        if stuck == 0 && self.held.is_empty() {
+            return flits.extend(arrivals);
         }
-        if stuck != 0 {
-            self.held
-                .extend(flits.extract_if(.., |(p, _)| stuck >> *p & 1 == 1));
+        // A stuck-port window: port by port, the parked flits and then the
+        // arrival stay parked or come out as the port is now.
+        let parked = std::mem::take(&mut self.held);
+        let (mut mine, others) = parked.into_iter().partition::<Vec<_>, _>(|h| h.0 == i);
+        mine.extend(arrivals.map(|(p, f)| (i, p, f)));
+        self.held = others;
+        for p in 0..self.ports {
+            for h in mine.iter().filter(|h| h.1 == p) {
+                if stuck >> p & 1 == 1 {
+                    self.held.push(*h);
+                } else {
+                    flits.push((p, h.2));
+                }
+            }
         }
-        // Senders enqueue in their own tick order, not the receiver's
-        // port order; the sort is stable, so each port keeps its order.
-        flits.sort_by_key(|&(p, _)| p);
-        if self.held.is_empty() {
-            self.next_occupied(now)
-        } else {
-            now + 1
-        }
-    }
-
-    /// The cycle [`Calendar::drain`] is next due, seen between ticks with
-    /// the tick of cycle `now` up next: what the component's wake slot
-    /// must hold.
-    pub(crate) fn next_due(&self, now: Cycle) -> Cycle {
-        if self.held.is_empty() {
-            self.next_occupied(now.saturating_sub(1))
-        } else {
-            now
-        }
-    }
-
-    /// The first cycle after `now` with an occupied bucket.
-    fn next_occupied(&self, now: Cycle) -> Cycle {
-        if self.occupied == 0 {
-            return Cycle::MAX;
-        }
-        let first = ((now + 1) % self.window()) as u32;
-        // Rotate the ring so bit 0 stands for cycle `now + 1`: the buckets
-        // from `first` up, then (above them) the ones that wrapped.
-        let wrapped = self
-            .occupied
-            .checked_shl(self.buckets.len() as u32 - first)
-            .unwrap_or(0);
-        let ahead = self.occupied >> first | wrapped;
-        now + 1 + Cycle::from(ahead.trailing_zeros())
     }
 
     /// `true` while a flit or an undo is on its way (credits in flight do
     /// not count: they belong to packets already delivered).
     pub(crate) fn carries_traffic(&self) -> bool {
-        !self.held.is_empty()
-            || (self.occupied != 0
-                && self
-                    .buckets
-                    .iter()
-                    .any(|b| !b.flits.is_empty() || !b.undos.is_empty()))
+        !self.held.is_empty() || !self.undos.is_empty() || self.masks.iter().any(|m| m.0 != 0)
+    }
+
+    /// Every flit on its way or parked, in no particular order.
+    pub(crate) fn flits(&self) -> impl Iterator<Item = Flit> + '_ {
+        let regs = self.masks.iter().zip(self.regs.chunks(self.ports));
+        regs.flat_map(|(m, r)| bits(m.0).map(|p| r[p]))
+            .chain(self.held.iter().map(|h| h.2))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flit::{FlitKind, PacketId};
     use proptest::prelude::*;
 
-    fn flit(id: u64) -> Flit {
-        Flit {
-            packet: PacketId(id),
-            kind: FlitKind::Body,
-            seq: 0,
-            vc: 0,
-            on_circuit: None,
-            scrounger_final: None,
-            head: None,
-        }
+    const PORTS: usize = 5;
+    const VCS: usize = 4;
+    /// The tests drive the last of three components; the other two must
+    /// stay empty.
+    const N: usize = 3;
+    const I: usize = 2;
+
+    fn calendar(latency: u32) -> Calendar {
+        Calendar::new(latency, N, PORTS, VCS)
+    }
+
+    fn flit(id: u32) -> Flit {
+        Flit::new(id, 1, 3, 0, 0)
     }
 
     fn key(block: u64) -> CircuitKey {
@@ -207,26 +248,31 @@ mod tests {
         }
     }
 
-    /// What one drain handed over, flits reduced to `(port, packet id)`.
+    /// What one drain handed over: flits as `(port, packet slot)`, credits
+    /// as sorted `(port, vc)` pairs (a credit only touches its own
+    /// counter, so their order is immaterial), undos.
     type Drained = (
-        Vec<(usize, u64)>,
+        Vec<(usize, u32)>,
         Vec<(usize, usize)>,
         Vec<(CircuitKey, NodeId)>,
-        Cycle,
     );
 
     fn drain(cal: &mut Calendar, now: Cycle, stuck: u64) -> Drained {
         let (mut f, mut c, mut u) = (Vec::new(), Vec::new(), Vec::new());
-        let wake = cal.drain(now, stuck, &mut f, &mut c, &mut u);
-        let f = f.into_iter().map(|(p, f)| (p, f.packet.0)).collect();
-        (f, c, u, wake)
+        cal.drain(I, now, stuck, &mut f, &mut c, &mut u);
+        let f = f.into_iter().map(|(p, f)| (p, f.slot)).collect();
+        let c = c
+            .into_iter()
+            .flat_map(|(slot, n)| (0..n).map(move |_| (slot / VCS, slot % VCS)))
+            .collect();
+        (f, c, u)
     }
 
     /// The mailbox the calendar replaced, kept as the reference: one
     /// `Vec<(Cycle, T)>` per port, scanned front to back for due entries.
     #[derive(Default)]
     struct Mailbox {
-        flits: Vec<Vec<(Cycle, u64)>>,
+        flits: Vec<Vec<(Cycle, u32)>>,
         credits: Vec<Vec<(Cycle, usize)>>,
         undos: Vec<(Cycle, CircuitKey, NodeId)>,
     }
@@ -238,6 +284,19 @@ mod tests {
                 credits: vec![Vec::new(); ports],
                 undos: Vec::new(),
             }
+        }
+
+        /// The earliest arrival still queued: in the past while a stuck
+        /// port holds flits back.
+        fn next_due(&self) -> Cycle {
+            let flits = self.flits.iter().flatten().map(|&(a, _)| a);
+            let credits = self.credits.iter().flatten().map(|&(a, _)| a);
+            let undos = self.undos.iter().map(|&(a, _, _)| a);
+            flits
+                .chain(credits)
+                .chain(undos)
+                .min()
+                .unwrap_or(Cycle::MAX)
         }
 
         fn drain(&mut self, now: Cycle, stuck: u64) -> Drained {
@@ -260,6 +319,7 @@ mod tests {
             for (p, q) in self.credits.iter_mut().enumerate() {
                 due(q, now, |vc| c.push((p, vc)));
             }
+            c.sort_unstable();
             let mut j = 0;
             while j < self.undos.len() {
                 if self.undos[j].0 <= now {
@@ -269,110 +329,128 @@ mod tests {
                     j += 1;
                 }
             }
-            // The old wake time: the earliest arrival still queued, which
-            // stays in the past while a stuck port holds flits back.
-            let pending = self
-                .flits
-                .iter()
-                .flatten()
-                .map(|&(a, _)| a)
-                .chain(self.credits.iter().flatten().map(|&(a, _)| a))
-                .chain(self.undos.iter().map(|&(a, _, _)| a))
-                .min()
-                .unwrap_or(Cycle::MAX);
-            (f, c, u, pending)
+            (f, c, u)
         }
     }
 
     #[test]
-    fn messages_arrive_at_their_cycle_in_port_major_order() {
-        let mut cal = Calendar::new(1);
-        cal.push_flit(10, 11, 4, flit(1));
-        cal.push_flit(10, 12, 2, flit(2));
-        cal.push_flit(10, 11, 0, flit(3));
-        cal.push_flit(10, 11, 4, flit(4));
-        cal.push_credit(10, 11, 3, 1);
-        cal.push_credit(10, 11, 0, 2);
-        cal.push_undo(10, 12, key(64), NodeId(3));
+    fn messages_arrive_at_their_cycle_in_port_order() {
+        let mut cal = calendar(1);
+        cal.push_flit(I, 10, 11, 4, flit(1));
+        cal.push_flit(I, 10, 12, 2, flit(2));
+        cal.push_flit(I, 10, 11, 0, flit(3));
+        cal.push_flit(I, 10, 12, 4, flit(4));
+        cal.push_credit(I, 10, 11, 3, 1);
+        cal.push_credit(I, 10, 11, 0, 2);
+        cal.push_credit(I, 10, 11, 3, 1);
+        cal.push_undo(I, 10, 12, key(64), NodeId(3));
         assert!(cal.carries_traffic());
-        let (f, c, u, wake) = drain(&mut cal, 11, 0);
-        assert_eq!(f, [(0, 3), (4, 1), (4, 4)]);
-        assert_eq!(c, [(3, 1), (0, 2)], "credits keep enqueue order");
+        assert_eq!(cal.flits().count(), 4);
+        assert!(!cal.due(I, 10) && cal.due(I, 11));
+        let (f, c, u) = drain(&mut cal, 11, 0);
+        assert_eq!(f, [(0, 3), (4, 1)]);
+        assert_eq!(c, [(0, 2), (3, 1), (3, 1)], "credits add up per VC");
         assert!(u.is_empty());
-        assert_eq!(wake, 12);
-        let (f, c, u, wake) = drain(&mut cal, 12, 0);
-        assert_eq!(f, [(2, 2)]);
+        assert!(!cal.due(I, 11) && cal.due(I, 12));
+        let (f, c, u) = drain(&mut cal, 12, 0);
+        assert_eq!(f, [(2, 2), (4, 4)]);
         assert!(c.is_empty());
         assert_eq!(u, [(key(64), NodeId(3))]);
-        assert_eq!(wake, Cycle::MAX);
         assert!(!cal.carries_traffic());
+        for i in 0..N {
+            assert!((10..20).all(|now| !cal.due(i, now)));
+        }
+        cal.wake(I, 20);
+        assert!(cal.due(I, 20) && !cal.carries_traffic());
+        assert_eq!(drain(&mut cal, 20, 0), (vec![], vec![], vec![]));
+        assert!(!cal.due(I, 20));
     }
 
     #[test]
-    fn next_due_wraps_around_the_ring() {
+    fn the_window_wraps_around_the_ring() {
         for latency in [1, 2, 5, 6, MAX_LINK_LATENCY] {
-            let mut cal = Calendar::new(latency);
+            let mut cal = calendar(latency);
             let far = Cycle::from(latency) + 1;
             for now in 0..200 {
-                cal.push_credit(now, now + far, 0, 0);
-                let (_, c, _, wake) = drain(&mut cal, now, 0);
+                cal.push_credit(I, now, now + far, 0, 0);
+                assert_eq!(cal.due(I, now), now >= far, "latency {latency}");
+                let (_, c, _) = drain(&mut cal, now, 0);
                 assert_eq!(c.len(), usize::from(now >= far), "latency {latency}");
-                assert_eq!(wake, far.max(now + 1), "latency {latency}");
             }
         }
     }
 
     #[test]
     fn flits_held_behind_a_stuck_port_come_out_first() {
-        let mut cal = Calendar::new(1);
-        cal.push_flit(0, 1, 2, flit(1));
-        cal.push_flit(0, 1, 0, flit(2));
-        cal.push_flit(0, 2, 2, flit(3));
+        let mut cal = calendar(1);
+        cal.push_flit(I, 0, 1, 2, flit(1));
+        cal.push_flit(I, 0, 1, 0, flit(2));
+        cal.push_flit(I, 0, 2, 2, flit(3));
         // Port 2 is stuck at cycle 1: its flit is parked, port 0 flows.
-        let (f, _, _, wake) = drain(&mut cal, 1, 1 << 2);
+        let (f, _, _) = drain(&mut cal, 1, 1 << 2);
         assert_eq!(f, [(0, 2)]);
-        assert_eq!(wake, 2, "a parked flit keeps the calendar due");
         assert!(cal.carries_traffic());
         // Still stuck at 2: the second flit queues behind the first.
-        cal.push_flit(2, 3, 2, flit(4));
-        let (f, _, _, wake) = drain(&mut cal, 2, 1 << 2);
+        cal.push_flit(I, 2, 3, 2, flit(4));
+        let (f, _, _) = drain(&mut cal, 2, 1 << 2);
         assert!(f.is_empty());
-        assert_eq!(wake, 3);
+        assert_eq!(cal.flits().count(), 3);
         // Freed at 3: parked flits precede the one arriving now.
-        let (f, _, _, wake) = drain(&mut cal, 3, 0);
+        let (f, _, _) = drain(&mut cal, 3, 0);
         assert_eq!(f, [(2, 1), (2, 3), (2, 4)]);
-        assert_eq!(wake, Cycle::MAX);
+        // A parked flit keeps its component, and only it, due every cycle.
+        cal.push_flit(I, 3, 4, 2, flit(5));
+        drain(&mut cal, 4, 1 << 2);
+        assert!((5..9).all(|now| cal.due(I, now) && !cal.due(0, now)));
+        assert_eq!(drain(&mut cal, 9, 0).0, [(2, 5)]);
+        assert!(!cal.due(I, 10));
     }
 
     #[test]
     #[should_panic(expected = "outside the link window")]
     fn scheduling_past_the_window_panics() {
-        Calendar::new(1).push_credit(7, 10, 0, 0);
+        calendar(1).push_credit(I, 7, 11, 0, 0);
     }
 
     #[test]
     #[should_panic(expected = "outside the link window")]
     fn scheduling_for_the_current_cycle_panics() {
-        Calendar::new(1).push_flit(7, 7, 0, flit(1));
+        calendar(1).push_flit(I, 7, 7, 0, flit(1));
+    }
+
+    /// One wire, one flit per cycle: a second flit for the same port and
+    /// cycle has no register to go to.
+    #[test]
+    #[should_panic(expected = "two flits on input port 3")]
+    fn two_flits_on_one_wire_in_one_cycle_panic() {
+        let mut cal = calendar(1);
+        cal.push_flit(I, 7, 9, 3, flit(1));
+        cal.push_flit(I, 8, 9, 3, flit(2));
     }
 
     /// One cycle of a random schedule: what is enqueued (as deltas ahead
     /// of `now`) and which ports are stuck when the cycle is drained.
     #[derive(Debug, Clone)]
     struct Step {
-        flit_ports: Vec<usize>,
+        /// The ports whose wire carries a flit this cycle.
+        flit_ports: u64,
         credits: Vec<(usize, u64, usize)>,
         undos: Vec<u64>,
         stuck: u64,
         skip_when_idle: bool,
     }
 
-    const PORTS: usize = 5;
-
     fn step() -> impl Strategy<Value = Step> {
         (
-            proptest::collection::vec(0..PORTS, 0..4),
-            proptest::collection::vec((0..PORTS, 0..64u64, 0..4usize), 0..4),
+            // Usually a flit or two, sometimes every wire busy.
+            (0..4u8, 0..1u64 << PORTS, 0..1u64 << PORTS).prop_map(|(roll, a, b)| {
+                if roll == 0 {
+                    a
+                } else {
+                    a & b
+                }
+            }),
+            proptest::collection::vec((0..PORTS, 0..64u64, 0..VCS), 0..4),
             proptest::collection::vec(0..64u64, 0..2),
             // Mostly free, sometimes a random subset of ports stuck.
             (0..4u8, 0..1u64 << PORTS).prop_map(|(roll, m)| if roll == 0 { m } else { 0 }),
@@ -389,9 +467,10 @@ mod tests {
 
     proptest! {
         /// Interleaved pushes and drains against the reference mailbox:
-        /// identical drained sequences and an equivalent wake time. Each
-        /// port is one wire with its own latency, drawn per case; credits
-        /// and undos take any delta in the window (a dropped flit's
+        /// identical drained sequences, due exactly when it is. Each
+        /// port is one wire with its own latency, drawn per case, carrying
+        /// at most one flit per cycle (the register law); credits and
+        /// undos take any delta in the window (a dropped flit's
         /// synthesized credit travels a different distance than an
         /// ordinary one on the same port). Like the event kernel, the
         /// driver may skip a cycle neither side reports as due.
@@ -402,53 +481,41 @@ mod tests {
             steps in proptest::collection::vec(step(), 1..120),
         ) {
             let window = Cycle::from(latency) + 2;
-            let mut cal = Calendar::new(latency);
+            let mut cal = calendar(latency);
             let mut reference = Mailbox::new(PORTS);
-            let mut next_id = 0u64;
-            let mut wake = Cycle::MAX;
+            let mut next_id = 0u32;
             for (now, s) in steps.iter().enumerate() {
                 let now = now as Cycle;
-                if wake <= now || !s.skip_when_idle {
-                    let (flits, mut credits, undos, next) = drain(&mut cal, now, s.stuck);
-                    let want = reference.drain(now, s.stuck);
-                    // The mailbox scanned credits port by port; the
-                    // calendar leaves them in enqueue order, which is the
-                    // same sequence per port — and a credit only touches
-                    // its own port's counters.
-                    credits.sort_by_key(|&(p, _)| p);
-                    // With flits parked the mailbox reports their (past)
-                    // arrival cycle, the calendar the next cycle: both
-                    // mean "due every cycle". Otherwise the two agree.
-                    prop_assert_eq!(
-                        (now, flits, credits, undos, next.max(now + 1)),
-                        (now, want.0, want.1, want.2, want.3.max(now + 1))
-                    );
-                    wake = next;
+                let due = cal.due(I, now);
+                prop_assert_eq!((now, due), (now, reference.next_due() <= now));
+                if due || !s.skip_when_idle {
+                    let got = drain(&mut cal, now, s.stuck);
+                    prop_assert_eq!((now, got), (now, reference.drain(now, s.stuck)));
                 }
-                let mut schedule = |delta: u64| {
-                    let arrive = now + 1 + delta % (window - 1);
-                    wake = wake.min(arrive);
-                    arrive
-                };
-                for &p in &s.flit_ports {
+                let schedule = |delta: u64| now + 1 + delta % (window - 1);
+                for p in bits(s.flit_ports) {
                     let arrive = schedule(wire[p]);
-                    cal.push_flit(now, arrive, p, flit(next_id));
+                    cal.push_flit(I, now, arrive, p, flit(next_id));
                     reference.flits[p].push((arrive, next_id));
                     next_id += 1;
                 }
                 for &(p, delta, vc) in &s.credits {
                     let arrive = schedule(delta);
-                    cal.push_credit(now, arrive, p, vc);
+                    cal.push_credit(I, now, arrive, p, vc);
                     reference.credits[p].push((arrive, vc));
                 }
                 for &delta in &s.undos {
                     let arrive = schedule(delta);
-                    cal.push_undo(now, arrive, key(delta), NodeId(3));
+                    cal.push_undo(I, now, arrive, key(delta), NodeId(3));
                     reference.undos.push((arrive, key(delta), NodeId(3)));
                 }
                 prop_assert_eq!(
                     cal.carries_traffic(),
                     reference.flits.iter().any(|q| !q.is_empty()) || !reference.undos.is_empty()
+                );
+                prop_assert_eq!(
+                    cal.flits().count(),
+                    reference.flits.iter().map(Vec::len).sum::<usize>()
                 );
             }
         }

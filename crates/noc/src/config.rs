@@ -1,7 +1,7 @@
 //! Network configuration and the virtual-channel layout.
 
 use crate::calendar::MAX_LINK_LATENCY;
-use crate::router::VC_INDEX_BITS;
+use crate::router::{MAX_BUFFER_DEPTH, VC_INDEX_BITS};
 use rcsim_core::{ConfigError, MechanismConfig, Topology, Vnet};
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
@@ -64,9 +64,11 @@ impl NocConfig {
     /// Returns the mechanism's [`ConfigError`] when it is internally
     /// inconsistent (see [`MechanismConfig::validate`]),
     /// [`ConfigError::TooManyVcs`] when `ports × vc_layout().total()`
-    /// exceeds the 64 input VCs a router's occupancy index addresses, and
+    /// exceeds the 64 input VCs a router's occupancy index addresses,
     /// [`ConfigError::LinkLatency`] when `link_latency` is zero or its
-    /// arrival window exceeds a link calendar's 64-cycle occupancy mask.
+    /// arrival window exceeds the link registers' 64-cycle occupancy mask,
+    /// and [`ConfigError::BufferDepth`] when `buffer_depth` exceeds the
+    /// 255 credits a router's counters hold.
     pub fn validate(&self) -> Result<(), ConfigError> {
         self.mechanism.validate()?;
         if !(1..=MAX_LINK_LATENCY).contains(&self.link_latency) {
@@ -78,6 +80,12 @@ impl NocConfig {
         let (ports, vcs) = (self.topology.ports(), self.vc_layout().total());
         if ports.saturating_mul(vcs) > VC_INDEX_BITS {
             return Err(ConfigError::TooManyVcs { ports, vcs });
+        }
+        if self.buffer_depth > MAX_BUFFER_DEPTH {
+            return Err(ConfigError::BufferDepth {
+                depth: self.buffer_depth,
+                max: MAX_BUFFER_DEPTH,
+            });
         }
         Ok(())
     }
@@ -281,6 +289,21 @@ mod tests {
                 "{err}"
             );
         }
+    }
+
+    #[test]
+    fn buffer_depth_bound_is_a_typed_config_error() {
+        let mut cfg =
+            NocConfig::paper_baseline(Mesh::new(4, 4).unwrap(), MechanismConfig::complete());
+        cfg.buffer_depth = 255;
+        assert!(crate::Network::new(cfg).is_ok());
+        cfg.buffer_depth = 256;
+        let err = ConfigError::BufferDepth {
+            depth: 256,
+            max: 255,
+        };
+        assert_eq!(crate::Network::new(cfg).err(), Some(err));
+        assert!(err.to_string().contains("256 flits"), "{err}");
     }
 
     #[test]

@@ -53,7 +53,7 @@
 //! [`BypassCheck::Pipeline`]: crate::router::BypassCheck::Pipeline
 //! [`CircuitOutcome::FaultDegraded`]: crate::CircuitOutcome::FaultDegraded
 
-use crate::flit::{Flit, PacketId};
+use crate::flit::{Flit, Packet, PacketId};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use rcsim_core::{ConfigError, Cycle, Direction, NodeId, StateMap, Topology};
@@ -346,10 +346,16 @@ impl FaultState {
         rate > 0.0 && self.state.rng.0.gen_bool(rate.clamp(0.0, 1.0))
     }
 
-    /// Decides the fate of `flit` leaving router `from` through output
-    /// port `dir` onto an inter-router link.
-    pub(crate) fn on_link_flit(&mut self, from: usize, dir: usize, flit: &Flit) -> LinkFate {
-        let key = (from, dir, flit.packet);
+    /// Decides the fate of `flit`, one of `packet`'s, leaving router
+    /// `from` through output port `dir` onto an inter-router link.
+    pub(crate) fn on_link_flit(
+        &mut self,
+        from: usize,
+        dir: usize,
+        flit: Flit,
+        packet: &Packet,
+    ) -> LinkFate {
+        let key = (from, dir, packet.id);
         if let Some(rest) = self.state.eating.get_mut(&key) {
             *rest -= 1;
             if *rest == 0 {
@@ -358,11 +364,11 @@ impl FaultState {
             self.state.stats.flits_dropped += 1;
             return LinkFate::Drop;
         }
-        if flit.kind.is_head() {
+        if flit.is_head() {
             if self.chance(self.cfg.link_drop_rate) {
                 self.state.stats.packets_dropped += 1;
                 self.state.stats.flits_dropped += 1;
-                let rest = flit.head().len.saturating_sub(1);
+                let rest = packet.len.saturating_sub(1);
                 if rest > 0 {
                     self.state.eating.insert(key, rest);
                 }
@@ -412,32 +418,21 @@ impl FaultState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flit::{FlitKind, Head};
-    use rcsim_core::{Mesh, MessageClass, Vnet};
+    use crate::flit::PacketSpec;
+    use rcsim_core::{Mesh, MessageClass};
 
-    fn head(len: u32) -> Flit {
-        Flit {
-            packet: PacketId(7),
-            kind: FlitKind::for_position(0, len),
-            seq: 0,
-            vc: 0,
-            on_circuit: None,
-            scrounger_final: None,
-            head: Some(Box::new(Head {
-                len,
-                src: NodeId(0),
-                dst: NodeId(1),
-                class: MessageClass::L2Reply,
-                vnet: Vnet::Reply,
-                corrupted: false,
-                circuit: None,
-                block: 0,
-                token: 0,
-                created_at: 0,
-                injected_at: 0,
-                path: None,
-            })),
-        }
+    /// Packet `id`, `len` flits long.
+    fn packet(id: u64, len: u32) -> Packet {
+        let spec = PacketSpec::new(NodeId(0), NodeId(1), MessageClass::L2Reply);
+        Packet::new(PacketId(id), &spec, len, 0)
+    }
+
+    /// The head and a body flit of a `len`-flit packet.
+    fn flits(len: u32) -> (Flit, Flit) {
+        (
+            Flit::new(0, 0, len, 0, 0),
+            Flit::new(0, 1, len.max(3), 0, 0),
+        )
     }
 
     #[test]
@@ -616,14 +611,12 @@ mod tests {
             ..FaultConfig::none()
         };
         let mut fs = FaultState::new(cfg);
-        let h = head(5);
-        assert_eq!(fs.on_link_flit(3, 1, &h), LinkFate::Drop);
+        let (p, (head, body)) = (packet(7, 5), flits(5));
+        assert_eq!(fs.on_link_flit(3, 1, head, &p), LinkFate::Drop);
         // The four body/tail flits at the same link are swallowed without
         // further draws.
-        let mut body = head(5);
-        body.kind = FlitKind::Body;
         for _ in 0..4 {
-            assert_eq!(fs.on_link_flit(3, 1, &body), LinkFate::Drop);
+            assert_eq!(fs.on_link_flit(3, 1, body, &p), LinkFate::Drop);
         }
         assert!(fs.state.eating.is_empty(), "swallow bookkeeping must drain");
         assert_eq!(fs.state.stats.packets_dropped, 1);
@@ -637,10 +630,16 @@ mod tests {
             ..FaultConfig::none()
         };
         let mut fs = FaultState::new(cfg);
-        assert_eq!(fs.on_link_flit(0, 0, &head(1)), LinkFate::Corrupt);
-        let mut body = head(5);
-        body.kind = FlitKind::Body;
-        assert_eq!(fs.on_link_flit(0, 0, &body), LinkFate::Deliver);
+        let single = flits(1).0;
+        assert_eq!(
+            fs.on_link_flit(0, 0, single, &packet(7, 1)),
+            LinkFate::Corrupt
+        );
+        let body = flits(5).1;
+        assert_eq!(
+            fs.on_link_flit(0, 0, body, &packet(7, 5)),
+            LinkFate::Deliver
+        );
     }
 
     #[test]
@@ -667,9 +666,10 @@ mod tests {
         let mut a = FaultState::new(cfg.clone());
         let mut b = FaultState::new(cfg);
         for i in 0..64 {
+            let (p, head) = (packet(7, 1), flits(1).0);
             assert_eq!(
-                a.on_link_flit(i, 0, &head(1)),
-                b.on_link_flit(i, 0, &head(1))
+                a.on_link_flit(i, 0, head, &p),
+                b.on_link_flit(i, 0, head, &p)
             );
         }
     }
@@ -720,15 +720,11 @@ mod tests {
                         dir,
                         len,
                         pkt,
-                    } => {
-                        let mut f = head(len);
-                        f.packet = PacketId(pkt);
-                        match fs.on_link_flit(from, dir, &f) {
-                            LinkFate::Deliver => 0,
-                            LinkFate::Drop => 1,
-                            LinkFate::Corrupt => 2,
-                        }
-                    }
+                    } => match fs.on_link_flit(from, dir, flits(len).0, &packet(pkt, len)) {
+                        LinkFate::Deliver => 0,
+                        LinkFate::Drop => 1,
+                        LinkFate::Corrupt => 2,
+                    },
                     Roll::Credit => 3 + fs.on_link_credit() as u64,
                     Roll::Table => match fs.roll_table_corruption(5) {
                         None => 5,

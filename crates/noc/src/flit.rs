@@ -1,7 +1,7 @@
 //! Packets and flits.
 
 use rcsim_core::circuit::{CircuitHandle, CircuitKey};
-use rcsim_core::{Cycle, MessageClass, NodeId, Vnet};
+use rcsim_core::{Cycle, MessageClass, NodeId, Slab, Vnet};
 use serde::{Deserialize, Serialize};
 
 /// Unique packet identifier (monotonic per network instance).
@@ -58,7 +58,9 @@ impl PacketSpec {
         }
     }
 
-    /// Overrides the packet length in flits.
+    /// Overrides the packet length in flits. A packet has at least one
+    /// flit and at most `u16::MAX`, the most a flit's sequence field
+    /// counts: [`crate::Network::inject`] panics on any other length.
     pub fn with_flits(mut self, flits: u32) -> Self {
         self.flits_override = Some(flits);
         self
@@ -109,16 +111,6 @@ pub enum FlitKind {
 }
 
 impl FlitKind {
-    /// `true` for `Head` and `HeadTail`.
-    pub fn is_head(self) -> bool {
-        matches!(self, FlitKind::Head | FlitKind::HeadTail)
-    }
-
-    /// `true` for `Tail` and `HeadTail`.
-    pub fn is_tail(self) -> bool {
-        matches!(self, FlitKind::Tail | FlitKind::HeadTail)
-    }
-
     /// The kind for flit `seq` of a packet `len` flits long.
     pub fn for_position(seq: u32, len: u32) -> FlitKind {
         match (seq == 0, seq + 1 == len) {
@@ -130,75 +122,278 @@ impl FlitKind {
     }
 }
 
-/// One 16-byte flow-control unit travelling through the network.
-///
-/// Only what every flit of a packet needs at every router travels inline;
-/// the packet's routing and bookkeeping data rides in the head flit alone
-/// ([`Head`]), as in a real wormhole network.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// One 16-byte flow-control unit travelling through the network — here an
+/// 8-byte handle: whose it is (a slot of the network's [`Packets`] table),
+/// which flit of the packet, the VC it travels on and how it is tagged.
+/// Everything else about the packet is in its record, once.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[serde(from = "u64", into = "u64")]
 pub struct Flit {
-    /// Owning packet.
-    pub packet: PacketId,
-    /// Head/body/tail position.
-    pub kind: FlitKind,
+    /// Slot of the owning packet's record.
+    pub slot: u32,
     /// Flit index within the packet.
-    pub seq: u32,
+    pub seq: u16,
     /// The virtual channel the flit currently travels on (set by the
     /// sender's switch-traversal stage; the downstream buffer index).
     pub vc: u8,
-    /// Circuit this reply *rides* (looked up at every router input).
-    pub on_circuit: Option<CircuitKey>,
-    /// For scrounger replies: the real destination to re-inject towards
-    /// after ejecting at the head's `dst`.
-    pub scrounger_final: Option<NodeId>,
-    /// The packet's header: `Some` on head flits, `None` on the rest.
-    pub head: Option<Box<Head>>,
+    tags: u8,
 }
 
-/// The per-packet data a head flit carries.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Head {
+// A flit is moved at every hop: eight to a cache line, and `Copy`.
+const _: () = assert!(std::mem::size_of::<Flit>() <= 16);
+const _: fn() = || {
+    fn copy<T: Copy>() {}
+    copy::<Flit>();
+};
+
+impl Flit {
+    const HEAD: u8 = 1;
+    const TAIL: u8 = 2;
+    /// The flit *rides* the circuit in its record's `riding` (looked up
+    /// at every router input).
+    pub(crate) const RIDES: u8 = 4;
+    /// The flit belongs to a scrounger's circuit leg: it ejects at the
+    /// circuit's end, short of the packet's real destination.
+    pub(crate) const SCROUNGER: u8 = 8;
+
+    /// Flit `seq` of the `len`-flit packet in `slot`, on `vc`, carrying
+    /// the circuit `tags` of its copy ([`Flit::RIDES`], [`Flit::SCROUNGER`]).
+    pub(crate) fn new(slot: u32, seq: u16, len: u32, vc: u8, mut tags: u8) -> Flit {
+        tags |= if seq == 0 { Flit::HEAD } else { 0 };
+        tags |= if u32::from(seq) + 1 == len {
+            Flit::TAIL
+        } else {
+            0
+        };
+        Flit {
+            slot,
+            seq,
+            vc,
+            tags,
+        }
+    }
+
+    /// `true` for the first flit of a packet.
+    pub fn is_head(self) -> bool {
+        self.tags & Flit::HEAD != 0
+    }
+
+    /// `true` for the last flit of a packet.
+    pub fn is_tail(self) -> bool {
+        self.tags & Flit::TAIL != 0
+    }
+
+    /// Head/body/tail position.
+    pub fn kind(self) -> FlitKind {
+        match (self.is_head(), self.is_tail()) {
+            (true, true) => FlitKind::HeadTail,
+            (true, false) => FlitKind::Head,
+            (false, true) => FlitKind::Tail,
+            (false, false) => FlitKind::Body,
+        }
+    }
+
+    pub(crate) fn rides(self) -> bool {
+        self.tags & Flit::RIDES != 0
+    }
+
+    pub(crate) fn scrounger(self) -> bool {
+        self.tags & Flit::SCROUNGER != 0
+    }
+}
+
+impl From<Flit> for u64 {
+    fn from(f: Flit) -> u64 {
+        u64::from(f.slot) | u64::from(f.seq) << 32 | u64::from(f.vc) << 48 | u64::from(f.tags) << 56
+    }
+}
+
+impl From<u64> for Flit {
+    fn from(w: u64) -> Flit {
+        let (slot, seq, vc, tags) = (w as u32, (w >> 32) as u16, (w >> 48) as u8, (w >> 56) as u8);
+        Flit {
+            slot,
+            seq,
+            vc,
+            tags,
+        }
+    }
+}
+
+/// Everything the network knows about one packet in flight, once: what
+/// was injected, where its current traversal is headed and how, what the
+/// fault layer did to it, and how much of it is still out there. Flits,
+/// NI queues and the retry list refer to it by slot. Laid out by who
+/// reads what: the first cache line is all a router's route computation
+/// or an NI's flit count touches; the circuit keys, the handle under
+/// construction and the delivery record's fields follow.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+#[repr(C, align(64))]
+pub(crate) struct Packet {
+    /// The id [`crate::Network::inject`] returned and traces print; a slot
+    /// is reused, the id is not, so it doubles as the slot's generation.
+    pub id: PacketId,
+    /// Recorded source route: the router sequence the current copy must
+    /// follow, set by the source NI when DOR would cross a dead link or
+    /// router (replies to a detoured request retrace it reversed,
+    /// DESIGN.md §10). `None` for the ordinary DOR case.
+    pub path: Option<Vec<NodeId>>,
+    pub src: NodeId,
+    /// Destination of the *current traversal*: the circuit's end while
+    /// `scrounger_final` is set, else the packet's real destination.
+    pub dst: NodeId,
+    /// For a scrounger leg: the real destination to re-inject towards
+    /// after ejecting at `dst`.
+    pub scrounger_final: Option<NodeId>,
+    pub class: MessageClass,
+    pub vnet: Vnet,
+    /// Set by the fault layer when the current copy is corrupted in
+    /// transit: the destination NI discards it, the source retransmits.
+    pub corrupted: bool,
+    /// The reply committed to riding its own complete circuit at inject.
+    pub committed: bool,
+    /// A head was emitted and counted as this packet's injection.
+    pub counted: bool,
+    /// A head of this packet died at a dead link; its remaining flits
+    /// are eaten silently at the same link (packet-atomic loss).
+    pub head_eaten: bool,
+    /// Delivered or abandoned: the record goes when `in_fabric` is zero.
+    pub closed: bool,
     /// Total flits in the packet.
     pub len: u32,
-    /// Source node.
-    pub src: NodeId,
-    /// Destination node of *this network traversal* (a scrounger's
-    /// intermediate hop).
-    pub dst: NodeId,
-    /// Message class.
-    pub class: MessageClass,
-    /// Virtual network.
-    pub vnet: Vnet,
-    /// Set by the fault layer when the packet is corrupted in transit;
-    /// the destination NI discards the packet instead of delivering it
-    /// and the source retransmits.
-    pub corrupted: bool,
+    /// Flits of the current copy its destination NI has reassembled.
+    pub received: u32,
+    /// Flits of started copies not yet received or lost: on a link, in a
+    /// buffer, or still to leave their NI stream.
+    pub in_fabric: u32,
+    /// End-to-end retransmissions issued so far.
+    pub retries: u32,
+    /// The circuit the flits tagged [`Flit::RIDES`] ride. Only a first
+    /// copy or a scrounger leg rides, and a leg starts after the previous
+    /// one arrived whole, so the key is never rewritten under a flit that
+    /// reads it — a retransmission goes untagged and leaves it alone.
+    pub riding: Option<CircuitKey>,
+    /// The circuit a reply asked to ride, granted or not.
+    pub circuit_key: Option<CircuitKey>,
     /// Circuit being *built* by this request (updated at every router).
-    pub circuit: Option<Box<CircuitHandle>>,
-    /// Cache-line address.
+    pub circuit: Option<CircuitHandle>,
     pub block: u64,
-    /// Protocol token.
     pub token: u64,
     /// Cycle the packet was enqueued at the source NI.
     pub created_at: Cycle,
-    /// Cycle the packet's head entered the network (left the NI queue).
-    pub injected_at: Cycle,
-    /// Recorded source route: the full router sequence the packet must
-    /// follow, set by the source NI when DOR would cross a dead link or
-    /// router. Routers on the path forward along it; replies to a
-    /// detoured request retrace it reversed so the reservation symmetry
-    /// of §4.1 survives rerouting (DESIGN.md §10). `None` for the
-    /// ordinary DOR case.
-    pub path: Option<Box<Vec<NodeId>>>,
+    /// Cycle the head left the NI queue; `None` until then, and again for
+    /// a retransmission, which restamps it.
+    pub injected_at: Option<Cycle>,
+    /// Earliest cycle a committed circuit stream may start.
+    pub start_at: Cycle,
 }
 
-// A flit is moved at every hop; keep it within one cache line.
-const _: () = assert!(std::mem::size_of::<Flit>() <= 64);
+impl Packet {
+    /// The record of packet `id`, `len` flits long, as `spec` describes it
+    /// at its injection at `now`, before its NI plans the traversal.
+    pub(crate) fn new(id: PacketId, spec: &PacketSpec, len: u32, now: Cycle) -> Packet {
+        Packet {
+            id,
+            path: None,
+            src: spec.src,
+            dst: spec.dst,
+            scrounger_final: None,
+            class: spec.class,
+            vnet: spec.class.vnet(),
+            corrupted: false,
+            committed: false,
+            counted: false,
+            head_eaten: false,
+            closed: false,
+            len,
+            received: 0,
+            in_fabric: 0,
+            retries: 0,
+            riding: None,
+            circuit_key: spec.circuit_key,
+            circuit: None,
+            block: spec.block,
+            token: spec.token,
+            created_at: now,
+            injected_at: None,
+            start_at: now,
+        }
+    }
 
-impl Flit {
-    /// The header of a head flit; panics on a body or tail flit.
-    pub fn head(&self) -> &Head {
-        self.head.as_deref().expect("head flits carry a header")
+    /// Where the packet is finally bound, scrounger leg or not.
+    pub(crate) fn final_dst(&self) -> NodeId {
+        self.scrounger_final.unwrap_or(self.dst)
+    }
+}
+
+/// The network's packet table: one [`Packet`] per injected, not yet
+/// resolved packet. A record is *closed* when the packet is delivered or
+/// abandoned and *recycled* once none of its flits is left in the fabric
+/// — a retransmission reuses the record while the lost copy's body flits
+/// are still draining towards the link that ate their head.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+pub(crate) struct Packets {
+    records: Slab<Packet>,
+    /// Records not yet closed.
+    open: usize,
+}
+
+impl Packets {
+    /// Files a fresh packet and returns its slot.
+    pub(crate) fn insert(&mut self, packet: Packet) -> u32 {
+        self.open += 1;
+        self.records.insert(packet)
+    }
+
+    /// The open record in `slot`, if it is still packet `id`'s.
+    pub(crate) fn open_mut(&mut self, slot: u32, id: PacketId) -> Option<&mut Packet> {
+        let open = |p: &&mut Packet| p.id == id && !p.closed;
+        self.records.get_mut(slot).filter(open)
+    }
+
+    /// The packet is delivered or abandoned.
+    pub(crate) fn close(&mut self, slot: u32) {
+        self[slot].closed = true;
+        self.open -= 1;
+        self.recycle(slot);
+    }
+
+    /// One flit of the packet left the fabric (received or lost).
+    pub(crate) fn flit_gone(&mut self, slot: u32) {
+        self[slot].in_fabric -= 1;
+        self.recycle(slot);
+    }
+
+    fn recycle(&mut self, slot: u32) {
+        let packet = &self[slot];
+        if packet.closed && packet.in_fabric == 0 {
+            self.records.remove(slot);
+        }
+    }
+
+    /// Packets injected and neither delivered nor abandoned.
+    pub(crate) fn in_flight(&self) -> usize {
+        self.open
+    }
+
+    /// The records held: open, or closed and draining.
+    pub(crate) fn records(&self) -> &Slab<Packet> {
+        &self.records
+    }
+}
+
+impl std::ops::Index<u32> for Packets {
+    type Output = Packet;
+    fn index(&self, slot: u32) -> &Packet {
+        let held = self.records.get(slot);
+        held.expect("a flit names a live packet record")
+    }
+}
+
+impl std::ops::IndexMut<u32> for Packets {
+    fn index_mut(&mut self, slot: u32) -> &mut Packet {
+        let held = self.records.get_mut(slot);
+        held.expect("a flit names a live packet record")
     }
 }
 
@@ -240,9 +435,18 @@ mod tests {
         assert_eq!(FlitKind::for_position(0, 5), FlitKind::Head);
         assert_eq!(FlitKind::for_position(2, 5), FlitKind::Body);
         assert_eq!(FlitKind::for_position(4, 5), FlitKind::Tail);
-        assert!(FlitKind::HeadTail.is_head() && FlitKind::HeadTail.is_tail());
-        assert!(FlitKind::Head.is_head() && !FlitKind::Head.is_tail());
-        assert!(!FlitKind::Body.is_head() && !FlitKind::Body.is_tail());
+    }
+
+    #[test]
+    fn flit_handles_pack_position_and_tags() {
+        for (seq, len) in [(0, 1), (0, 5), (2, 5), (4, 5)] {
+            let f = Flit::new(7, seq, len, 3, Flit::RIDES);
+            assert_eq!(f.kind(), FlitKind::for_position(seq.into(), len));
+            assert!(f.rides() && !f.scrounger());
+            assert_eq!(Flit::from(u64::from(f)), f);
+        }
+        assert!(Flit::new(0, 0, 1, 0, Flit::SCROUNGER).scrounger());
+        assert_eq!(std::mem::size_of::<Flit>(), 8);
     }
 
     #[test]

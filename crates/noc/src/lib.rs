@@ -57,7 +57,7 @@ pub mod traffic;
 
 pub use config::{NocConfig, VcLayout};
 pub use fault::{DeadLinkEvent, DeadRouterEvent, FaultConfig, FaultStats, StuckPortEvent};
-pub use flit::{Delivered, Flit, FlitKind, Head, PacketId, PacketSpec};
+pub use flit::{Delivered, Flit, FlitKind, PacketId, PacketSpec};
 pub use health::{
     AdaptiveReport, DeadlockReport, DeadlockResource, HealthReport, LeakedCircuit, StuckMessage,
     WatchdogConfig,

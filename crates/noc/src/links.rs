@@ -1,18 +1,16 @@
 //! One sink per producer (DESIGN.md §9): routers and NIs hand every
 //! message they emit to a [`LinkSink`]. For a router that is [`Links`], a
-//! view of the network's calendars that lets the link-fault layer decide
-//! the message's fate and writes it once, into the calendar it reaches;
+//! view of the network's link registers that lets the link-fault layer
+//! decide the message's fate and writes it once, where it arrives;
 //! for an NI it is [`NiLink`], the fault-free wire into its own router.
 
 use crate::calendar::Calendar;
 use crate::config::NocConfig;
 use crate::fault::{FaultState, LinkFate};
-use crate::flit::{Flit, PacketId};
-use crate::network::Outstanding;
+use crate::flit::{Flit, PacketId, Packets};
 use rcsim_core::circuit::CircuitKey;
-use rcsim_core::{Cycle, NodeId, TopologyHealth, WakeTimes, PORT_LOCAL};
+use rcsim_core::{Cycle, NodeId, TopologyHealth, PORT_LOCAL};
 use rcsim_trace::{EventKind, TraceEvent, TraceSink};
-use std::collections::{HashMap, HashSet};
 
 /// Where a router or NI puts the messages it emits, one call per message
 /// in emission order.
@@ -22,8 +20,9 @@ use std::collections::{HashMap, HashSet};
 /// router. An NI has the single port 0, into its router.
 pub(crate) trait LinkSink {
     /// A flit leaving through output `port` (local ports eject to a
-    /// tile's NI); its `vc` field is the downstream buffer index.
-    fn flit(&mut self, port: usize, flit: Flit, arrive: Cycle);
+    /// tile's NI); its `vc` field is the downstream buffer index. The
+    /// link may mark, or lose, the flit's packet in `packets`.
+    fn flit(&mut self, port: usize, flit: Flit, arrive: Cycle, packets: &mut Packets);
     /// A credit for `vc` returned upstream through input port `port`.
     fn credit(&mut self, port: usize, vc: usize, arrive: Cycle);
     /// Circuit-undo information riding the credit channel (§4.4) out of
@@ -43,7 +42,7 @@ pub(crate) enum Outgoing {
 
 #[cfg(test)]
 impl LinkSink for Vec<Outgoing> {
-    fn flit(&mut self, port: usize, flit: Flit, arrive: Cycle) {
+    fn flit(&mut self, port: usize, flit: Flit, arrive: Cycle, _: &mut Packets) {
         self.push(Outgoing::Flit(port, flit, arrive));
     }
 
@@ -68,19 +67,18 @@ pub(crate) fn opposite_port(port: usize) -> usize {
 
 /// An NI's wire into local input `port` of its own router (index
 /// `router`): fault-free, so it bypasses the link-fault layer and writes
-/// the router's calendar directly.
+/// the router's registers directly.
 pub(crate) struct NiLink<'a> {
     pub now: Cycle,
     pub port: usize,
     pub router: usize,
-    pub link: &'a mut Calendar,
-    pub wake: &'a mut WakeTimes,
+    pub links: &'a mut Calendar,
 }
 
 impl LinkSink for NiLink<'_> {
-    fn flit(&mut self, _: usize, flit: Flit, arrive: Cycle) {
-        self.wake.wake_at(self.router, arrive);
-        self.link.push_flit(self.now, arrive, self.port, flit);
+    fn flit(&mut self, _: usize, flit: Flit, arrive: Cycle, _: &mut Packets) {
+        self.links
+            .push_flit(self.router, self.now, arrive, self.port, flit);
     }
 
     fn credit(&mut self, _: usize, _: usize, _: Cycle) {
@@ -88,13 +86,13 @@ impl LinkSink for NiLink<'_> {
     }
 
     fn undo(&mut self, _: usize, key: CircuitKey, dst: NodeId, arrive: Cycle) {
-        self.wake.wake_at(self.router, arrive);
-        self.link.push_undo(self.now, arrive, key, dst);
+        self.links
+            .push_undo(self.router, self.now, arrive, key, dst);
     }
 }
 
 /// The routers' sink: everything a message leaving router `from` at `now`
-/// can touch — both calendar sets with their wake slots, the neighbour
+/// can touch — both register sets, the neighbour
 /// table, the link-fault layer and the end-to-end retry state (see
 /// `Network::links`). Fault-RNG draws happen per message in emission
 /// order, which both kernels share.
@@ -103,23 +101,19 @@ pub(crate) struct Links<'a> {
     pub from: NodeId,
     pub cfg: &'a NocConfig,
     pub neighbors: &'a [[Option<NodeId>; PORT_LOCAL]],
-    pub router_links: &'a mut [Calendar],
-    pub ni_links: &'a mut [Calendar],
-    pub router_wake: &'a mut WakeTimes,
-    pub ni_wake: &'a mut WakeTimes,
+    pub router_links: &'a mut Calendar,
+    pub ni_links: &'a mut Calendar,
     pub topo: &'a TopologyHealth,
     /// `topo.is_degraded()`, which cannot change while routers tick: on a
     /// healthy fabric no message asks the map about its hop.
     pub degraded: bool,
     pub faults: &'a mut Option<FaultState>,
-    pub dead_eating: &'a mut HashSet<PacketId>,
-    pub outstanding: &'a mut HashMap<PacketId, Outstanding>,
-    pub retry_queue: &'a mut Vec<(Cycle, PacketId)>,
+    pub retry_queue: &'a mut Vec<(Cycle, u32, PacketId)>,
     pub dropped_packets: &'a mut u64,
     pub sink: &'a TraceSink,
-    /// Packets that lost their head on a link since the last
-    /// [`Links::settle`], with the cycle the loss takes effect.
-    pub lost: Vec<(PacketId, Cycle)>,
+    /// Packets (slot and id) that lost their head on a link since the
+    /// last [`Links::settle`], with the cycle the loss takes effect.
+    pub lost: Vec<(u32, PacketId, Cycle)>,
 }
 
 impl Links<'_> {
@@ -148,20 +142,27 @@ impl Links<'_> {
     /// Schedules the end-to-end retransmissions of the packets lost
     /// since the last call — after the router's tick rather than inside
     /// it, so their trace events follow the tick's own.
-    pub(crate) fn settle(&mut self) {
-        for (id, at) in std::mem::take(&mut self.lost) {
-            self.schedule_retry(id, at);
+    pub(crate) fn settle(&mut self, packets: &mut Packets) {
+        for (slot, id, at) in std::mem::take(&mut self.lost) {
+            self.schedule_retry(packets, slot, id, at);
         }
     }
 
-    /// Marks `id` as hit by a fault and schedules its next end-to-end
-    /// retransmission (linear backoff), or abandons it once the retry
-    /// budget is spent. No-op without fault injection.
-    pub(crate) fn schedule_retry(&mut self, id: PacketId, at: Cycle) {
+    /// Marks packet `id` (in `slot`) as hit by a fault and schedules its
+    /// next end-to-end retransmission (linear backoff), or abandons it
+    /// once the retry budget is spent. No-op without fault injection, or
+    /// when the packet is already resolved.
+    pub(crate) fn schedule_retry(
+        &mut self,
+        packets: &mut Packets,
+        slot: u32,
+        id: PacketId,
+        at: Cycle,
+    ) {
         let Some(fs) = self.faults.as_mut() else {
             return;
         };
-        let Some(rec) = self.outstanding.get_mut(&id) else {
+        let Some(rec) = packets.open_mut(slot, id) else {
             return;
         };
         if rec.retries < fs.cfg.max_retries {
@@ -169,7 +170,7 @@ impl Links<'_> {
             fs.state.stats.retransmissions += 1;
             let attempt = rec.retries;
             let backoff = fs.cfg.retry_backoff.max(1) * attempt as Cycle;
-            self.retry_queue.push((at + backoff, id));
+            self.retry_queue.push((at + backoff, slot, id));
             self.sink.emit(|| TraceEvent {
                 cycle: at,
                 kind: EventKind::NiRetry {
@@ -181,7 +182,7 @@ impl Links<'_> {
             fs.state.stats.packets_abandoned += 1;
             *self.dropped_packets += 1;
             let retries = rec.retries;
-            self.outstanding.remove(&id);
+            packets.close(slot);
             self.sink.emit(|| TraceEvent {
                 cycle: at,
                 kind: EventKind::PacketDropped {
@@ -197,49 +198,58 @@ impl Links<'_> {
     /// class; drops must not wedge the fabric by themselves), tears down
     /// the circuit reservations the packet leaves orphaned, and notes the
     /// end-to-end retransmission.
-    fn drop_on_link(&mut self, nb: NodeId, port: usize, flit: &Flit, arrive: Cycle) {
+    fn drop_on_link(
+        &mut self,
+        nb: NodeId,
+        port: usize,
+        flit: Flit,
+        arrive: Cycle,
+        packets: &mut Packets,
+    ) {
         let (now, from) = (self.now, self.from.index());
         // Mirror the downstream router's credit-return rule: circuit VCs
         // are only credited when they are buffered (fragmented mode).
         if !self.cfg.vc_layout().is_circuit_vc(flit.vc.into())
             || self.cfg.mechanism.circuit_vc_buffered()
         {
-            self.router_wake.wake_at(from, arrive);
-            self.router_links[from].push_credit(now, arrive, port, flit.vc.into());
+            self.router_links
+                .push_credit(from, now, arrive, port, flit.vc.into());
         }
-        if let Some(head) = &flit.head {
-            if let Some(h) = &head.circuit {
+        if flit.is_head() {
+            let rec = &packets[flit.slot];
+            if let Some(h) = &rec.circuit {
                 // A dropped circuit-building request: undo the prefix of
                 // reservations it made, starting from the last router it
                 // crossed (the retransmission goes plain packet-switched).
-                self.router_wake.wake_at(from, arrive);
-                self.router_links[from].push_undo(now, arrive, h.key, h.key.requestor);
-            } else if let Some(key) = flit.on_circuit {
+                self.router_links
+                    .push_undo(from, now, arrive, h.key, h.key.requestor);
+            } else if let Some(key) = rec.riding.filter(|_| flit.rides()) {
                 // A dropped circuit ride: the not-yet-used suffix of the
                 // circuit (from the next router on) is torn down; routers
                 // it already crossed were released by normal streaming.
-                self.router_wake.wake_at(nb.index(), arrive);
-                self.router_links[nb.index()].push_undo(now, arrive, key, key.requestor);
+                self.router_links
+                    .push_undo(nb.index(), now, arrive, key, key.requestor);
             }
-            self.lost.push((flit.packet, arrive));
+            self.lost.push((flit.slot, rec.id, arrive));
         }
+        packets.flit_gone(flit.slot);
     }
 }
 
 impl LinkSink for Links<'_> {
-    fn flit(&mut self, port: usize, mut flit: Flit, arrive: Cycle) {
+    fn flit(&mut self, port: usize, flit: Flit, arrive: Cycle, packets: &mut Packets) {
         if port >= PORT_LOCAL {
             let tile = self.tile(port);
-            self.ni_wake.wake_at(tile, arrive);
-            self.ni_links[tile].push_flit(self.now, arrive, 0, flit);
+            self.ni_links.push_flit(tile, self.now, arrive, 0, flit);
             return;
         }
         let Some(nb) = self.neighbor(port) else {
+            packets.flit_gone(flit.slot);
             return;
         };
         if self.degraded
             && !self.topo.hop_usable(self.from, nb)
-            && (flit.kind.is_head() || self.dead_eating.contains(&flit.packet))
+            && (flit.is_head() || packets[flit.slot].head_eaten)
         {
             // The link (or an endpoint router) is dead: the packet is
             // lost from its head flit on. Synthesize the credits it would
@@ -249,39 +259,35 @@ impl LinkSink for Links<'_> {
             // dead resources. A packet whose head crossed *before* the
             // link died drains whole instead: cutting a wormhole
             // mid-stream would wedge the downstream VC forever.
-            if flit.kind.is_head() && !flit.kind.is_tail() {
-                self.dead_eating.insert(flit.packet);
-            }
-            if flit.kind.is_tail() {
-                self.dead_eating.remove(&flit.packet);
+            if flit.is_tail() {
+                packets[flit.slot].head_eaten = false;
+            } else if flit.is_head() {
+                packets[flit.slot].head_eaten = true;
             }
             if let Some(fs) = self.faults.as_mut() {
                 fs.state.stats.dead_flits_lost += 1;
             }
-            self.drop_on_link(nb, port, &flit, arrive);
+            self.drop_on_link(nb, port, flit, arrive, packets);
             return;
         }
         if let Some(fs) = self.faults.as_mut() {
-            match fs.on_link_flit(self.from.index(), port, &flit) {
+            match fs.on_link_flit(self.from.index(), port, flit, &packets[flit.slot]) {
                 LinkFate::Deliver => {}
-                LinkFate::Corrupt => {
-                    flit.head.as_mut().expect("only heads corrupt").corrupted = true;
-                }
+                LinkFate::Corrupt => packets[flit.slot].corrupted = true,
                 LinkFate::Drop => {
-                    self.drop_on_link(nb, port, &flit, arrive);
+                    self.drop_on_link(nb, port, flit, arrive, packets);
                     return;
                 }
             }
         }
-        self.router_wake.wake_at(nb.index(), arrive);
-        self.router_links[nb.index()].push_flit(self.now, arrive, opposite_port(port), flit);
+        self.router_links
+            .push_flit(nb.index(), self.now, arrive, opposite_port(port), flit);
     }
 
     fn credit(&mut self, port: usize, vc: usize, arrive: Cycle) {
         if port >= PORT_LOCAL {
             let tile = self.tile(port);
-            self.ni_wake.wake_at(tile, arrive);
-            self.ni_links[tile].push_credit(self.now, arrive, 0, vc);
+            self.ni_links.push_credit(tile, self.now, arrive, 0, vc);
             return;
         }
         let Some(nb) = self.neighbor(port) else {
@@ -294,8 +300,8 @@ impl LinkSink for Links<'_> {
         // is the recovery path's control plane, and without it every VC
         // that ever crossed the link would wedge permanently (DESIGN.md
         // §10). Credit loss stays its own (random) fault class.
-        self.router_wake.wake_at(nb.index(), arrive);
-        self.router_links[nb.index()].push_credit(self.now, arrive, opposite_port(port), vc);
+        self.router_links
+            .push_credit(nb.index(), self.now, arrive, opposite_port(port), vc);
     }
 
     fn undo(&mut self, port: usize, key: CircuitKey, dst: NodeId, arrive: Cycle) {
@@ -306,8 +312,8 @@ impl LinkSink for Links<'_> {
         // were removed by the scheduled-fault teardown, so nothing is
         // left to clean up.
         if !self.degraded || self.topo.hop_usable(self.from, nb) {
-            self.router_wake.wake_at(nb.index(), arrive);
-            self.router_links[nb.index()].push_undo(self.now, arrive, key, dst);
+            self.router_links
+                .push_undo(nb.index(), self.now, arrive, key, dst);
         }
     }
 }

@@ -5,7 +5,7 @@
 use crate::calendar::Calendar;
 use crate::config::NocConfig;
 use crate::fault::{self, FaultConfig, FaultState, FaultStats};
-use crate::flit::{Delivered, Flit, PacketId, PacketSpec};
+use crate::flit::{Delivered, Flit, Packet, PacketId, PacketSpec, Packets};
 use crate::health::{
     AdaptiveReport, DeadlockReport, HealthReport, LeakedCircuit, StuckMessage, WatchdogConfig,
 };
@@ -20,8 +20,8 @@ use rcsim_core::circuit::CircuitKey;
 use rcsim_core::routing::{path_is_healthy, Routing};
 use rcsim_core::{
     AdaptiveConfig, ConfigError, CongestionMap, CongestionState, Cycle, Direction, KernelMode,
-    MessageClass, NodeId, PolicyController, PolicyState, RegionMode, RegionPlan, RegionSample,
-    StateMap, StateSet, TopologyHealth, WakeTimes, PORT_LOCAL,
+    NodeId, PolicyController, PolicyState, RegionMode, RegionPlan, RegionSample, StateSet,
+    TopologyHealth, PORT_LOCAL,
 };
 use rcsim_trace::{ClassLabel, EventKind, TraceSink};
 use serde::{Deserialize, Serialize};
@@ -47,7 +47,7 @@ pub struct NetworkTelemetry {
 struct Scratch {
     ni_out: NiOut,
     arrivals: Vec<(usize, Flit)>,
-    credits: Vec<(usize, usize)>,
+    credits: Vec<(usize, u8)>,
     undos: Vec<(CircuitKey, NodeId)>,
     /// Per router, the mask of input ports stuck this cycle.
     stuck: Vec<u64>,
@@ -86,25 +86,6 @@ struct AdaptiveState {
 struct AdaptiveProgress {
     report: AdaptiveReport,
     next_decision: Cycle,
-}
-
-/// One injected packet, tracked until delivery or abandonment: the raw
-/// material for per-message watchdog ages and end-to-end retransmission.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub(crate) struct Outstanding {
-    pub(crate) src: NodeId,
-    pub(crate) dst: NodeId,
-    pub(crate) class: MessageClass,
-    pub(crate) len: u32,
-    pub(crate) block: u64,
-    pub(crate) token: u64,
-    pub(crate) created_at: Cycle,
-    /// The reply committed to riding its own complete circuit at inject.
-    committed: bool,
-    /// The circuit key the reply intended to ride, if any.
-    circuit_key: Option<CircuitKey>,
-    /// End-to-end retransmissions issued so far.
-    pub(crate) retries: u32,
 }
 
 /// A mesh NoC instance.
@@ -165,10 +146,15 @@ pub struct Network {
 /// The network's own state (DESIGN.md §15).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct State {
+    /// Every injected, not yet resolved packet (src == dst traffic never
+    /// enters the network and is not tracked): what the flits below, the
+    /// NI queues and the retry list refer to by slot, and the raw
+    /// material for per-message watchdog ages.
+    packets: Packets,
     /// Messages in flight towards each router.
-    router_links: Vec<Calendar>,
+    router_links: Calendar,
     /// Messages in flight towards each NI (all on port 0).
-    ni_links: Vec<Calendar>,
+    ni_links: Calendar,
     delivered: Vec<Vec<Delivered>>,
     stats: NocStats,
     now: Cycle,
@@ -179,24 +165,14 @@ struct State {
     topo: TopologyHealth,
     /// First not-yet-applied entry of `fault_schedule`.
     fault_cursor: usize,
-    /// Every injected, not-yet-delivered packet (src == dst traffic never
-    /// enters the network and is not tracked).
-    outstanding: StateMap<PacketId, Outstanding>,
-    /// Scheduled end-to-end retransmissions: (due cycle, packet).
-    retry_queue: Vec<(Cycle, PacketId)>,
+    /// Scheduled end-to-end retransmissions: (due cycle, slot, packet).
+    retry_queue: Vec<(Cycle, u32, PacketId)>,
     /// Circuits hit by table corruption or dead-resource teardown;
     /// consumed when their reply is delivered to reclassify it as
     /// `FaultDegraded`.
     faulted_circuits: StateSet<CircuitKey>,
-    /// Packets whose head flit died at a dead link; their remaining flits
-    /// are eaten silently at the same link (packet-atomic loss).
-    dead_eating: StateSet<PacketId>,
     /// Last cycle any flit moved (arrived, ejected or was delivered).
     last_progress: Cycle,
-    /// Next cycle each NI's calendar is due (event-kernel wake times).
-    ni_wake: WakeTimes,
-    /// Next cycle each router's calendar is due (event-kernel wake times).
-    router_wake: WakeTimes,
 }
 
 impl Network {
@@ -222,6 +198,7 @@ impl Network {
         faults.validate(&cfg.topology)?;
         let tiles = cfg.topology.nodes();
         let routers_n = cfg.topology.routers();
+        let (ports, vcs) = (cfg.topology.ports(), cfg.vc_layout().total());
         let mut fault_schedule = Vec::new();
         for e in &faults.dead_links {
             fault_schedule.push((e.at, TopoChange::LinkDown(e.a, e.b)));
@@ -266,21 +243,18 @@ impl Network {
             adaptive: None,
             congestion: CongestionMap::new(routers_n),
             state: State {
-                router_links: vec![Calendar::new(cfg.link_latency); routers_n],
-                ni_links: vec![Calendar::new(cfg.link_latency); tiles],
+                packets: Packets::default(),
+                router_links: Calendar::new(cfg.link_latency, routers_n, ports, vcs),
+                ni_links: Calendar::new(cfg.link_latency, tiles, 1, vcs),
                 delivered: vec![Vec::new(); tiles],
                 stats: NocStats::default(),
                 now: 0,
                 next_packet: 0,
                 topo: TopologyHealth::new(),
                 fault_cursor: 0,
-                outstanding: StateMap::default(),
                 retry_queue: Vec::new(),
                 faulted_circuits: StateSet::default(),
-                dead_eating: StateSet::default(),
                 last_progress: 0,
-                ni_wake: WakeTimes::new(tiles),
-                router_wake: WakeTimes::new(routers_n),
             },
             delivered_pending: 0,
             scratch: Scratch::default(),
@@ -494,7 +468,9 @@ impl Network {
     ///
     /// # Panics
     ///
-    /// Panics if `src` or `dst` are outside the mesh.
+    /// Panics if `src` or `dst` are outside the mesh, or if the packet's
+    /// length ([`PacketSpec::with_flits`]) is zero — a head no tail
+    /// follows would hold its VCs forever — or more than `u16::MAX`.
     pub fn inject(&mut self, spec: PacketSpec) -> (PacketId, bool) {
         assert!(
             spec.src.index() < self.cfg.topology.nodes(),
@@ -503,6 +479,13 @@ impl Network {
         assert!(
             spec.dst.index() < self.cfg.topology.nodes(),
             "dst out of range"
+        );
+        let len = spec
+            .flits_override
+            .unwrap_or_else(|| spec.class.flits(self.cfg.flit_bytes));
+        assert!(
+            (1..=u32::from(u16::MAX)).contains(&len),
+            "packet length out of range"
         );
         let id = PacketId(self.state.next_packet);
         self.state.next_packet += 1;
@@ -544,29 +527,15 @@ impl Network {
             self.deliver(spec.dst.index(), local);
             return (id, false);
         }
+        let packets = &mut self.state.packets;
+        let slot = packets.insert(Packet::new(id, &spec, len, self.state.now));
         let committed = self.nis[spec.src.index()].enqueue(
-            spec,
-            id,
+            &spec,
+            slot,
+            &mut packets[slot],
             self.state.now,
             &self.congestion,
             &mut self.state.stats,
-        );
-        self.state.outstanding.insert(
-            id,
-            Outstanding {
-                src: spec.src,
-                dst: spec.dst,
-                class: spec.class,
-                len: spec
-                    .flits_override
-                    .unwrap_or_else(|| spec.class.flits(self.cfg.flit_bytes)),
-                block: spec.block,
-                token: spec.token,
-                created_at: self.state.now,
-                committed,
-                circuit_key: spec.circuit_key,
-                retries: 0,
-            },
         );
         (id, committed)
     }
@@ -656,13 +625,13 @@ impl Network {
         self.adaptive_tick(now);
 
         // Due end-to-end retransmissions re-enter their source NI.
-        for (_, id) in self
+        for (_, slot, id) in self
             .state
             .retry_queue
-            .extract_if(.., |&mut (t, _)| t <= now)
+            .extract_if(.., |&mut (t, ..)| t <= now)
         {
-            if let Some(rec) = self.state.outstanding.get(&id) {
-                self.nis[rec.src.index()].reenqueue_retry(id, rec, now);
+            if let Some(rec) = self.state.packets.open_mut(slot, id) {
+                self.nis[rec.src.index()].reenqueue_retry(slot, rec, now);
             }
         }
 
@@ -671,21 +640,17 @@ impl Network {
         // NIs first: they consume flits/credits produced last cycle and
         // inject at most one flit each into their router's local port.
         for i in 0..topology.nodes() {
-            let due = self.state.ni_wake.due(i, now);
+            let due = self.state.ni_links.due(i, now);
             if event && !due && !self.nis[i].is_active() {
                 // Nothing due and nothing queued or streaming: the tick
                 // would be a no-op; skip it.
                 continue;
             }
             if due {
-                let wake = self.state.ni_links[i].drain(
-                    now,
-                    0,
-                    &mut s.arrivals,
-                    &mut s.credits,
-                    &mut s.undos,
-                );
-                self.state.ni_wake.set(i, wake);
+                let (flits, credits) = (&mut s.arrivals, &mut s.credits);
+                self.state
+                    .ni_links
+                    .drain(i, now, 0, flits, credits, &mut s.undos);
             }
             moved |= !s.arrivals.is_empty();
             s.ni_out.clear();
@@ -697,13 +662,13 @@ impl Network {
                 &mut s.credits,
                 &self.state.topo,
                 &self.congestion,
+                &mut self.state.packets,
                 &mut s.ni_out,
                 &mut NiLink {
                     now,
                     port: topology.eject_port(tile),
                     router,
-                    link: &mut self.state.router_links[router],
-                    wake: &mut self.state.router_wake,
+                    links: &mut self.state.router_links,
                 },
             );
             moved |= injected || !s.ni_out.delivered.is_empty();
@@ -714,24 +679,21 @@ impl Network {
         // fault pre-pass already ran densely for every router (see
         // [`Network::fault_pre_pass`]); this loop only reads its
         // per-router stuck masks.
-        let (routers, mut links) = self.links(now);
+        let (routers, packets, mut links) = self.links(now);
         for (i, router) in routers.iter_mut().enumerate() {
-            let due = links.router_wake.due(i, now);
+            let due = links.router_links.due(i, now);
             if event && !due && !router.is_active(now) {
                 // Nothing due, nothing buffered or pending: skip. A stuck
                 // port never hides work — the flits it parks keep the
-                // calendar due every cycle until the window ends.
+                // registers due every cycle until the window ends.
                 continue;
             }
             if due {
-                let wake = links.router_links[i].drain(
-                    now,
-                    s.stuck[i],
-                    &mut s.arrivals,
-                    &mut s.credits,
-                    &mut s.undos,
-                );
-                links.router_wake.set(i, wake);
+                let (flits, credits) = (&mut s.arrivals, &mut s.credits);
+                let stuck = s.stuck[i];
+                links
+                    .router_links
+                    .drain(i, now, stuck, flits, credits, &mut s.undos);
             }
             moved |= !s.arrivals.is_empty();
             links.from = NodeId(i as u16);
@@ -740,9 +702,10 @@ impl Network {
                 &mut s.arrivals,
                 &mut s.credits,
                 &mut s.undos,
+                packets,
                 &mut links,
             );
-            links.settle();
+            links.settle(packets);
         }
 
         if moved {
@@ -808,10 +771,10 @@ impl Network {
                 // Wake the region so the event kernel re-evaluates its
                 // components under the new policy this very cycle.
                 for t in ad.plan.tile_range(d.region) {
-                    self.state.ni_wake.wake_at(t, now);
+                    self.state.ni_links.wake(t, now);
                 }
                 for r in ad.plan.router_range(d.region) {
-                    self.state.router_wake.wake_at(r, now);
+                    self.state.router_links.wake(r, now);
                 }
             }
             if !newly_hot.is_empty() {
@@ -877,7 +840,7 @@ impl Network {
                     && self.nis[i].teardown_origin(key)
                 {
                     torn += 1;
-                    self.state.ni_wake.wake_at(i, now);
+                    self.state.ni_links.wake(i, now);
                 }
             }
         }
@@ -945,18 +908,18 @@ impl Network {
             ad.state.report.congestion_detours += out.congestion_reroutes;
         }
         if !out.corrupt_discards.is_empty() {
-            let (_, mut links) = self.links(now);
-            for &id in &out.corrupt_discards {
-                links.schedule_retry(id, now);
+            let (_, packets, mut links) = self.links(now);
+            for &(slot, id) in &out.corrupt_discards {
+                links.schedule_retry(packets, slot, id, now);
             }
         }
-        for mut d in out.delivered.drain(..) {
+        for (slot, mut d) in out.delivered.drain(..) {
             self.state.stats.record_delivery(
                 d.class,
                 d.injected_at - d.created_at,
                 d.delivered_at - d.injected_at,
             );
-            let retries = self.note_delivered(&mut d);
+            let retries = self.note_delivered(slot, &mut d);
             self.sink.emit(|| rcsim_trace::TraceEvent {
                 cycle: now,
                 kind: EventKind::NiEject {
@@ -970,9 +933,9 @@ impl Network {
         }
     }
 
-    /// Splits the network into its routers and the link sink over
-    /// everything a router's output can reach.
-    fn links(&mut self, now: Cycle) -> (&mut [Router], Links<'_>) {
+    /// Splits the network into its routers, the packet table and the link
+    /// sink over everything a router's output can reach.
+    fn links(&mut self, now: Cycle) -> (&mut [Router], &mut Packets, Links<'_>) {
         let links = Links {
             now,
             from: NodeId(0),
@@ -980,19 +943,15 @@ impl Network {
             neighbors: &self.neighbors,
             router_links: &mut self.state.router_links,
             ni_links: &mut self.state.ni_links,
-            router_wake: &mut self.state.router_wake,
-            ni_wake: &mut self.state.ni_wake,
             topo: &self.state.topo,
             degraded: self.state.topo.is_degraded(),
             faults: &mut self.faults,
-            dead_eating: &mut self.state.dead_eating,
-            outstanding: &mut self.state.outstanding,
             retry_queue: &mut self.state.retry_queue,
             dropped_packets: &mut self.state.stats.dropped_packets,
             sink: &self.sink,
             lost: Vec::new(),
         };
-        (&mut self.routers, links)
+        (&mut self.routers, &mut self.state.packets, links)
     }
 
     /// Watchdog bookkeeping at delivery: closes the packet's outstanding
@@ -1001,14 +960,14 @@ impl Network {
     /// reclassifies its Figure 6 outcome as `FaultDegraded` and keeps the
     /// delivery's `rode_circuit` flag consistent with the sender's §4.6
     /// NoAck commitment. Returns the packet's end-to-end retry count.
-    fn note_delivered(&mut self, d: &mut Delivered) -> u32 {
-        let Some(rec) = self.state.outstanding.remove(&d.packet) else {
-            return 0;
-        };
+    fn note_delivered(&mut self, slot: u32, d: &mut Delivered) -> u32 {
+        let rec = &self.state.packets[slot];
+        let (committed, retries) = (rec.committed, rec.retries);
         let key_faulted = rec
             .circuit_key
             .is_some_and(|k| self.state.faulted_circuits.remove(&k));
-        if rec.committed && (rec.retries > 0 || key_faulted) {
+        self.state.packets.close(slot);
+        if committed && (retries > 0 || key_faulted) {
             self.state
                 .stats
                 .reclassify_outcome(CircuitOutcome::OnCircuit, CircuitOutcome::FaultDegraded);
@@ -1016,7 +975,7 @@ impl Network {
             // must still elide its ack even though the reply limped home.
             d.rode_circuit = true;
         }
-        rec.retries
+        retries
     }
 
     /// Applies every scheduled dead-link / dead-router transition due
@@ -1178,12 +1137,8 @@ impl Network {
     /// the fault layer after exhausting their retries count as resolved.
     pub fn is_quiescent(&self) -> bool {
         self.nis.iter().all(|ni| ni.backlog() == 0)
-            && !self
-                .state
-                .router_links
-                .iter()
-                .any(Calendar::carries_traffic)
-            && !self.state.ni_links.iter().any(Calendar::carries_traffic)
+            && !self.state.router_links.carries_traffic()
+            && !self.state.ni_links.carries_traffic()
             && self.state.retry_queue.is_empty()
             && self.ingress.as_ref().is_none_or(|i| i.queued() == 0)
             && self.state.stats.total_injected()
@@ -1194,7 +1149,7 @@ impl Network {
     /// least the watchdog's stall window — a deadlock (e.g. lost credits)
     /// or total livelock.
     pub fn stalled(&self) -> bool {
-        !self.state.outstanding.is_empty()
+        self.state.packets.in_flight() > 0
             && self.state.now.saturating_sub(self.state.last_progress) >= self.watchdog.stall_window
     }
 
@@ -1214,7 +1169,7 @@ impl Network {
     pub fn debug_dump(&self) -> String {
         let mut s = String::new();
         for r in &self.routers {
-            r.debug_dump(&mut s);
+            r.debug_dump(&self.state.packets, &mut s);
         }
         for (i, ni) in self.nis.iter().enumerate() {
             if ni.backlog() > 0 {
@@ -1226,32 +1181,22 @@ impl Network {
     }
 
     /// Recomputes every derived quantity — each router's VC occupancy
-    /// index (DESIGN.md §15), each component's wake slot and the
-    /// pending-delivery count — from the state it mirrors and reports
-    /// the first mismatch. Debug
-    /// builds assert the router part on every router tick; tests call
-    /// this in release builds too.
+    /// index (DESIGN.md §15), the pending-delivery count — from the state
+    /// it mirrors, checks the
+    /// packet table's laws (every flit handle anywhere names a held
+    /// record, each record's `in_fabric` is the number of its flits out
+    /// there, a closed record with none left is gone, no copy delivers
+    /// more flits than the packet has, the open count is a recount) and
+    /// reports the first mismatch. Debug builds assert the
+    /// router part on every router tick; tests call this in release
+    /// builds too.
     ///
     /// # Errors
     ///
-    /// Returns a description of the first stale index.
+    /// Returns a description of the first stale index or broken law.
     pub fn check_index(&self) -> Result<(), String> {
         for r in &self.routers {
             r.check_index()?;
-        }
-        // Between ticks every wake slot is exact: its calendar's next due
-        // cycle, no earlier (a spurious wake) and no later (a missed one).
-        for (what, links, wake) in [
-            ("router", &self.state.router_links, &self.state.router_wake),
-            ("ni", &self.state.ni_links, &self.state.ni_wake),
-        ] {
-            for (i, due) in links.iter().map(|l| l.next_due(self.state.now)).enumerate() {
-                if !wake.due(i, due) || (due > 0 && wake.due(i, due - 1)) {
-                    return Err(format!(
-                        "{what} {i}: wake slot is not the {due} its calendar is due"
-                    ));
-                }
-            }
         }
         let held = Self::rebuild_scratch(&self.state);
         if held != self.delivered_pending {
@@ -1260,7 +1205,58 @@ impl Network {
                 self.delivered_pending
             ));
         }
+        let packets = self.state.packets.records();
+        let mut out_there = vec![0u32; packets.slots()];
+        let mut count = |slot: u32, flits: u32, holder: &str| {
+            let free = || format!("{holder} names packet slot {slot}, which is free");
+            packets.get(slot).ok_or_else(free)?;
+            out_there[slot as usize] += flits;
+            Ok::<(), String>(())
+        };
+        for f in self.routers.iter().flat_map(Router::flits) {
+            count(f.slot, 1, "a router")?;
+        }
+        for f in self.state.router_links.flits() {
+            count(f.slot, 1, "a router's link register")?;
+        }
+        for f in self.state.ni_links.flits() {
+            count(f.slot, 1, "an NI's link register")?;
+        }
+        for ni in &self.nis {
+            for (slot, sent) in ni.copies() {
+                let unsent = sent.map_or(0, |sent| packets.get(slot).map_or(0, |p| p.len - sent));
+                count(slot, unsent, "an NI")?;
+            }
+        }
+        for (slot, p) in packets.iter() {
+            let out_there = out_there[slot as usize];
+            if p.in_fabric != out_there || (p.closed && out_there == 0) || p.received > p.len {
+                return Err(format!(
+                    "{:?} (slot {slot}, closed: {}): {} of {} flits received, {} counted in \
+                     the fabric, {out_there} there",
+                    p.id, p.closed, p.received, p.len, p.in_fabric
+                ));
+            }
+        }
+        let open = packets.iter().filter(|(_, p)| !p.closed).count();
+        if open != self.state.packets.in_flight() {
+            return Err(format!("{open} open packet records, not the count"));
+        }
         Ok(())
+    }
+
+    /// The packet table's size: records open (packets injected and not
+    /// yet delivered or abandoned), records held (open, or closed with
+    /// flits still draining) and the most ever held at once — slots are
+    /// reused, so the last stays far below the packets injected.
+    #[doc(hidden)]
+    pub fn packet_records(&self) -> (usize, usize, usize) {
+        let packets = &self.state.packets;
+        (
+            packets.in_flight(),
+            packets.records().occupied(),
+            packets.records().slots(),
+        )
     }
 
     /// Assembles a structured liveness snapshot: stall state, in-flight
@@ -1270,12 +1266,14 @@ impl Network {
     pub fn health(&self) -> HealthReport {
         let mut msgs: Vec<StuckMessage> = self
             .state
-            .outstanding
+            .packets
+            .records()
             .iter()
-            .map(|(id, rec)| StuckMessage {
-                packet: *id,
+            .filter(|(_, rec)| !rec.closed)
+            .map(|(_, rec)| StuckMessage {
+                packet: rec.id,
                 src: rec.src,
-                dst: rec.dst,
+                dst: rec.final_dst(),
                 class: rec.class,
                 age: self.state.now.saturating_sub(rec.created_at),
                 retries: rec.retries,
@@ -1314,7 +1312,7 @@ impl Network {
             cycle: self.state.now,
             stalled: self.stalled(),
             last_progress: self.state.last_progress,
-            in_flight: self.state.outstanding.len() as u64,
+            in_flight: self.state.packets.in_flight() as u64,
             ni_backlog: self.nis.iter().map(|ni| ni.backlog() as u64).sum(),
             quiescent: self.is_quiescent(),
             oldest_age,
@@ -1343,7 +1341,7 @@ impl Network {
         let mut waiters = Vec::new();
         let mut buf = Vec::new();
         for (r, id) in self.routers.iter().zip(self.cfg.topology.iter_routers()) {
-            r.waiters(self.state.now, &mut buf);
+            r.waiters(self.state.now, &self.state.packets, &mut buf);
             waiters.extend(buf.drain(..).map(|w| (id, w)));
         }
         DeadlockReport::find(
@@ -1420,6 +1418,7 @@ impl Network {
     fn rebuild_scratch(state: &State) -> usize {
         let State {
             delivered,
+            packets: _,
             router_links: _,
             ni_links: _,
             stats: _,
@@ -1427,13 +1426,9 @@ impl Network {
             next_packet: _,
             topo: _,
             fault_cursor: _,
-            outstanding: _,
             retry_queue: _,
             faulted_circuits: _,
-            dead_eating: _,
             last_progress: _,
-            ni_wake: _,
-            router_wake: _,
         } = state;
         delivered.iter().map(Vec::len).sum()
     }

@@ -4,9 +4,8 @@
 //! and scrounger reuse (§4.5).
 
 use crate::config::{NocConfig, VcLayout};
-use crate::flit::{Delivered, Flit, FlitKind, Head, PacketId, PacketSpec};
+use crate::flit::{Delivered, Flit, Packet, PacketId, PacketSpec, Packets};
 use crate::links::LinkSink;
-use crate::network::Outstanding;
 use crate::router::alloc::RoundRobin;
 use crate::stats::{CircuitOutcome, NocStats};
 use rcsim_core::circuit::{CircuitHandle, CircuitKey};
@@ -31,35 +30,35 @@ pub(crate) fn expected_reply_flits(class: MessageClass, flit_bytes: u32) -> u32 
     }
 }
 
-/// A packet waiting at (or streaming out of) the NI.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct Pending {
-    id: PacketId,
-    src: NodeId,
-    dst: NodeId,
-    class: MessageClass,
-    vnet: Vnet,
-    len: u32,
-    block: u64,
-    token: u64,
-    created_at: Cycle,
-    /// Preserved original injection time for scrounger re-injections.
-    injected_at: Option<Cycle>,
-    circuit: Option<Box<CircuitHandle>>,
-    on_circuit: Option<CircuitKey>,
-    scrounger_final: Option<NodeId>,
-    /// Earliest cycle the committed circuit stream may start.
-    start_at: Cycle,
-    /// `false` for scrounger re-injections (already counted).
-    count_injection: bool,
-}
+/// A copy of a packet waiting at the NI: the slot of its record and the
+/// circuit tags ([`Flit::RIDES`], [`Flit::SCROUNGER`]) its flits will
+/// carry — a retransmission waits untagged while the copy it replaces may
+/// still be streaming out tagged.
+type Queued = (u32, u8);
 
 /// An in-flight outbound stream on one local-input VC (or the circuit path).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 struct Stream {
-    pending: Pending,
-    next_seq: u32,
-    vc: usize,
+    slot: u32,
+    next_seq: u16,
+    vc: u8,
+    tags: u8,
+}
+
+impl Stream {
+    /// Starts streaming the queued copy `(slot, tags)` on `vc`: from here
+    /// until each of its flits is received or lost, the copy counts
+    /// towards its record's `in_fabric`.
+    fn start((slot, tags): Queued, vc: usize, packets: &mut Packets) -> Stream {
+        let p = &mut packets[slot];
+        p.in_fabric += p.len;
+        Stream {
+            slot,
+            next_seq: 0,
+            vc: vc as u8,
+            tags,
+        }
+    }
 }
 
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -68,24 +67,18 @@ struct Origin {
     registered_at: Cycle,
 }
 
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-struct Assembly {
-    head: Option<Box<Head>>,
-    received: u32,
-}
-
 /// What one NI tick produced for the network to account — the flit and
 /// the undos it sent went straight onto its link. The network owns one
 /// reusable instance per tick ([`NiOut::clear`] between NIs) so the
 /// per-cycle loop stays allocation-free.
 #[derive(Debug, Default)]
 pub(crate) struct NiOut {
-    /// Fully received packets for the tile logic.
-    pub delivered: Vec<Delivered>,
-    /// Packets that failed the NI's integrity check (corrupted by the
-    /// fault layer) and were discarded instead of delivered; the network
-    /// schedules their end-to-end retransmission.
-    pub corrupt_discards: Vec<PacketId>,
+    /// Fully received packets for the tile logic, with their record's slot.
+    pub delivered: Vec<(u32, Delivered)>,
+    /// Packets (slot and id) that failed the NI's integrity check
+    /// (corrupted by the fault layer) and were discarded instead of
+    /// delivered; the network schedules their end-to-end retransmission.
+    pub corrupt_discards: Vec<(u32, PacketId)>,
     /// Packets this tick sent on a recorded detour because their DOR path
     /// crossed a dead link or router (added to the fault counters).
     pub reroutes: u64,
@@ -116,7 +109,7 @@ impl NiOut {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub(crate) struct State {
     /// Per-VN FIFO of packet-switched packets.
-    queues: [VecDeque<Pending>; 2],
+    queues: [VecDeque<Queued>; 2],
     /// Per local-input VC, the packet currently streaming into the router.
     streams: Vec<Option<Stream>>,
     /// Credits for the router's local-input VC buffers.
@@ -124,7 +117,7 @@ pub(crate) struct State {
     rr_stream: RoundRobin,
     vnet_rr: usize,
     /// Committed circuit (and scrounger) packets, in commitment order.
-    circuit_queue: VecDeque<Pending>,
+    circuit_queue: VecDeque<Queued>,
     circuit_active: Option<Stream>,
     /// Cycle after which the next circuit stream may start (commitments
     /// are back-to-back and never overlap).
@@ -149,7 +142,6 @@ pub(crate) struct State {
     /// Circuit origins removed by fault-recovery teardown; consumed when
     /// the reply shows up to record the `TornDown` outcome.
     torn: StateSet<CircuitKey>,
-    assembling: StateMap<PacketId, Assembly>,
     /// Undos decided at enqueue time, drained at the next tick.
     pending_undos: Vec<(CircuitKey, NodeId)>,
     /// Requests whose circuit construction the adaptive mechanism switch
@@ -202,7 +194,6 @@ impl Ni {
                 reply_paths: StateMap::default(),
                 reply_path_order: VecDeque::new(),
                 torn: StateSet::default(),
-                assembling: StateMap::default(),
                 pending_undos: Vec::new(),
                 circuits_suppressed: 0,
             },
@@ -276,38 +267,19 @@ impl Ni {
         }
     }
 
-    /// Enqueues a packet. Returns `true` when the packet is a reply that
-    /// committed to riding its own complete circuit (the §4.6 NoAck
-    /// condition).
+    /// Enqueues the freshly injected packet `p` (the record in `slot`),
+    /// planning its traversal into the record. Returns `true` when the
+    /// packet is a reply that committed to riding its own complete
+    /// circuit (the §4.6 NoAck condition).
     pub(crate) fn enqueue(
         &mut self,
-        spec: PacketSpec,
-        id: PacketId,
+        spec: &PacketSpec,
+        slot: u32,
+        p: &mut Packet,
         now: Cycle,
         cong: &CongestionMap,
         stats: &mut NocStats,
     ) -> bool {
-        let len = spec
-            .flits_override
-            .unwrap_or_else(|| spec.class.flits(self.flit_bytes));
-        let mut pending = Pending {
-            id,
-            src: spec.src,
-            dst: spec.dst,
-            class: spec.class,
-            vnet: spec.class.vnet(),
-            len,
-            block: spec.block,
-            token: spec.token,
-            created_at: now,
-            injected_at: None,
-            circuit: None,
-            on_circuit: None,
-            scrounger_final: None,
-            start_at: now,
-            count_injection: true,
-        };
-
         if !spec.class.is_reply() {
             // A circuit needs at least one router-to-router hop: tiles
             // sharing a router on a concentrated mesh exchange traffic
@@ -315,13 +287,13 @@ impl Ni {
             if spec.class.builds_circuit()
                 && self.mechanism.circuits_enabled()
                 && self.topology.hop_count(spec.src, spec.dst) > 0
-                && !self.mech_switch_suppresses(&spec, cong)
+                && !self.mech_switch_suppresses(spec, cong)
             {
                 let reply_flits = expected_reply_flits(spec.class, self.flit_bytes);
                 // The tail of a multi-flit request arrives len-1 cycles
                 // after its head, so the responder's turnaround as seen
                 // from the head's schedule is that much longer.
-                let turnaround = spec.turnaround + (len - 1);
+                let turnaround = spec.turnaround + (p.len - 1);
                 let handle = CircuitHandle::new(
                     spec.src,
                     spec.block,
@@ -331,14 +303,13 @@ impl Ni {
                     turnaround,
                 )
                 .with_policy(self.mechanism.timed);
-                pending.circuit = Some(Box::new(handle));
+                p.circuit = Some(handle);
             }
-            self.state.queues[pending.vnet.index()].push_back(pending);
+            self.state.queues[p.vnet.index()].push_back((slot, 0));
             return false;
         }
 
         // Reply: resolve its circuit situation.
-        let mut committed = false;
         let mut outcome = CircuitOutcome::NotEligible;
         if let Some(key) = spec.circuit_key {
             match self.state.origins.get(&key) {
@@ -351,11 +322,11 @@ impl Ni {
                         };
                         match start {
                             Some(t) => {
-                                committed = true;
+                                p.committed = true;
                                 outcome = CircuitOutcome::OnCircuit;
-                                pending.on_circuit = Some(key);
-                                pending.start_at = t;
-                                self.state.circuit_link_free_at = t + len as Cycle;
+                                p.riding = Some(key);
+                                p.start_at = t;
+                                self.state.circuit_link_free_at = t + p.len as Cycle;
                                 self.state.origins.remove(&key);
                             }
                             None => {
@@ -370,14 +341,14 @@ impl Ni {
                         // Fragmented: ride wherever reserved; buffers
                         // guarantee progress everywhere else.
                         outcome = CircuitOutcome::OnCircuit;
-                        pending.on_circuit = Some(key);
+                        p.riding = Some(key);
                         self.state.origins.remove(&key);
                     }
                 }
                 Some(_) => {
                     // Partially built fragmented circuit: still useful.
                     outcome = CircuitOutcome::Failed;
-                    pending.on_circuit = Some(key);
+                    p.riding = Some(key);
                     self.state.origins.remove(&key);
                 }
                 None => {
@@ -396,34 +367,46 @@ impl Ni {
 
         // Scrounger reuse (§4.5): ride a foreign complete circuit that
         // ends strictly closer to this reply's destination.
-        if !committed
-            && pending.on_circuit.is_none()
-            && self.mechanism.reuse_circuits
-            && spec.dst != self.node
-        {
-            if let Some(key) = self.best_scrounge_target(spec.dst, now) {
-                if !self.mechanism.scrounger_borrow {
-                    self.state.origins.remove(&key);
-                }
-                let start = now.max(self.state.circuit_link_free_at);
-                outcome = CircuitOutcome::Scrounger;
-                pending.dst = key.requestor;
-                pending.on_circuit = Some(key);
-                pending.scrounger_final = Some(spec.dst);
-                pending.start_at = start;
-                self.state.circuit_link_free_at = start + len as Cycle;
-            }
+        if p.riding.is_none() && self.scrounge(p, now) {
+            outcome = CircuitOutcome::Scrounger;
         }
 
         if spec.count_outcome {
             stats.record_outcome(outcome);
         }
-        if pending.on_circuit.is_some() && self.mechanism.mode.is_complete() {
-            self.state.circuit_queue.push_back(pending);
+        let tags = match (p.riding, p.scrounger_final) {
+            (None, _) => 0,
+            (Some(_), None) => Flit::RIDES,
+            (Some(_), Some(_)) => Flit::RIDES | Flit::SCROUNGER,
+        };
+        if tags != 0 && self.mechanism.mode.is_complete() {
+            self.state.circuit_queue.push_back((slot, tags));
         } else {
-            self.state.queues[pending.vnet.index()].push_back(pending);
+            self.state.queues[p.vnet.index()].push_back((slot, tags));
         }
-        committed
+        p.committed
+    }
+
+    /// Scrounger reuse (§4.5): if a suitable foreign circuit starts here,
+    /// re-plans `p`'s traversal as a leg riding it to the circuit's end
+    /// and reserves the circuit link for the stream.
+    fn scrounge(&mut self, p: &mut Packet, now: Cycle) -> bool {
+        if !self.mechanism.reuse_circuits || p.dst == self.node {
+            return false;
+        }
+        let Some(key) = self.best_scrounge_target(p.dst, now) else {
+            return false;
+        };
+        if !self.mechanism.scrounger_borrow {
+            self.state.origins.remove(&key);
+        }
+        let start = now.max(self.state.circuit_link_free_at);
+        p.scrounger_final = Some(p.dst);
+        p.dst = key.requestor;
+        p.riding = Some(key);
+        p.start_at = start;
+        self.state.circuit_link_free_at = start + p.len as Cycle;
+        true
     }
 
     /// The adaptive mechanism switch (DESIGN.md §14): `true` when circuit
@@ -453,41 +436,18 @@ impl Ni {
 
     /// Re-injection of a scrounger at its intermediate node: same logical
     /// message, original timestamps, no new statistics.
-    fn reenqueue_scrounger(&mut self, id: PacketId, head: &Head, final_dst: NodeId, now: Cycle) {
-        let mut pending = Pending {
-            id,
-            src: head.src,
-            dst: final_dst,
-            class: head.class,
-            vnet: Vnet::Reply,
-            len: head.len,
-            block: head.block,
-            token: head.token,
-            created_at: head.created_at,
-            injected_at: Some(head.injected_at),
-            circuit: None,
-            on_circuit: None,
-            scrounger_final: None,
-            start_at: now,
-            count_injection: false,
-        };
+    fn reenqueue_scrounger(&mut self, slot: u32, p: &mut Packet, final_dst: NodeId, now: Cycle) {
+        p.dst = final_dst;
+        p.scrounger_final = None;
+        p.start_at = now;
+        p.received = 0;
         // A scrounger may chain onto another circuit from here.
-        if self.mechanism.reuse_circuits && final_dst != self.node {
-            if let Some(key) = self.best_scrounge_target(final_dst, now) {
-                if !self.mechanism.scrounger_borrow {
-                    self.state.origins.remove(&key);
-                }
-                let start = now.max(self.state.circuit_link_free_at);
-                pending.dst = key.requestor;
-                pending.on_circuit = Some(key);
-                pending.scrounger_final = Some(final_dst);
-                pending.start_at = start;
-                self.state.circuit_link_free_at = start + head.len as Cycle;
-                self.state.circuit_queue.push_back(pending);
-                return;
-            }
+        if self.scrounge(p, now) {
+            let tags = Flit::RIDES | Flit::SCROUNGER;
+            self.state.circuit_queue.push_back((slot, tags));
+        } else {
+            self.state.queues[Vnet::Reply.index()].push_back((slot, 0));
         }
-        self.state.queues[Vnet::Reply.index()].push_back(pending);
     }
 
     /// End-to-end retransmission of a packet lost or corrupted by the
@@ -495,24 +455,15 @@ impl Ni {
     /// packet-switched traversal — a replacement circuit would need a new
     /// request, so retries never ride one. Injection statistics are not
     /// recounted (the original injection already was).
-    pub(crate) fn reenqueue_retry(&mut self, id: PacketId, lost: &Outstanding, now: Cycle) {
-        self.state.queues[lost.class.vnet().index()].push_back(Pending {
-            id,
-            src: lost.src,
-            dst: lost.dst,
-            class: lost.class,
-            vnet: lost.class.vnet(),
-            len: lost.len,
-            block: lost.block,
-            token: lost.token,
-            created_at: lost.created_at,
-            injected_at: None,
-            circuit: None,
-            on_circuit: None,
-            scrounger_final: None,
-            start_at: now,
-            count_injection: false,
-        });
+    pub(crate) fn reenqueue_retry(&mut self, slot: u32, p: &mut Packet, now: Cycle) {
+        p.dst = p.final_dst();
+        p.scrounger_final = None;
+        p.injected_at = None;
+        p.circuit = None;
+        p.corrupted = false;
+        p.received = 0;
+        p.start_at = now;
+        self.state.queues[p.vnet.index()].push_back((slot, 0));
     }
 
     /// How long a circuit must have sat idle before a scrounger may take
@@ -543,10 +494,11 @@ impl Ni {
 
     /// One NI cycle: process ejected flits, then inject at most one flit
     /// into the router's local port (circuit streams have priority);
-    /// returns whether one was injected. Inputs come as a link calendar
-    /// hands them over — `(port, _)` pairs, the port always 0 at an NI —
-    /// and are drained in place so the caller can reuse the buffers; the
-    /// flit and any circuit undos go out on `link`, the NI's single port.
+    /// returns whether one was injected. Inputs come as the link registers
+    /// hand them over — `(port, flit)` and `(VC, credits)` pairs, the port
+    /// always 0 at an NI — and are drained in place so the caller can
+    /// reuse the buffers; the flit and any circuit undos go out on
+    /// `link`, the NI's single port.
     ///
     /// Deliberately statistics-free: deliveries and the counted injection
     /// are surfaced through `out` and recorded into [`NocStats`] by the
@@ -556,25 +508,26 @@ impl Ni {
         &mut self,
         now: Cycle,
         ejected: &mut Vec<(usize, Flit)>,
-        credit_arrivals: &mut Vec<(usize, usize)>,
+        credit_arrivals: &mut Vec<(usize, u8)>,
         topo: &TopologyHealth,
         cong: &CongestionMap,
+        packets: &mut Packets,
         out: &mut NiOut,
         link: &mut impl LinkSink,
     ) -> bool {
         for (key, dst) in self.state.pending_undos.drain(..) {
             link.undo(0, key, dst, now + 1);
         }
-        for (_, vc) in credit_arrivals.drain(..) {
-            self.state.credits[vc] += 1;
+        for (vc, n) in credit_arrivals.drain(..) {
+            self.state.credits[vc] += u32::from(n);
         }
         for (_, flit) in ejected.drain(..) {
-            self.receive_flit(flit, now, cong, out);
+            self.receive_flit(flit, now, cong, packets, out);
         }
-        let Some(flit) = self.inject_one(now, topo, cong, out) else {
+        let Some(flit) = self.inject_one(now, topo, cong, packets, out) else {
             return false;
         };
-        link.flit(0, flit, now + 1);
+        link.flit(0, flit, now + 1, packets);
         true
     }
 
@@ -586,47 +539,55 @@ impl Ni {
         self.backlog() > 0 || !self.state.pending_undos.is_empty()
     }
 
-    fn receive_flit(&mut self, mut flit: Flit, now: Cycle, cong: &CongestionMap, out: &mut NiOut) {
-        let a = self.state.assembling.entry(flit.packet).or_default();
-        a.received += 1;
-        if flit.kind.is_head() {
-            a.head = flit.head.take();
+    /// Takes one ejected flit out of the fabric; the tail completes the
+    /// packet's current traversal.
+    fn receive_flit(
+        &mut self,
+        flit: Flit,
+        now: Cycle,
+        cong: &CongestionMap,
+        packets: &mut Packets,
+        out: &mut NiOut,
+    ) {
+        let p = &mut packets[flit.slot];
+        p.received += 1;
+        if flit.is_tail() {
+            self.receive_packet(flit, p, now, cong, out);
         }
-        if !flit.kind.is_tail() {
-            return;
-        }
-        let a = self
-            .state
-            .assembling
-            .remove(&flit.packet)
-            .expect("assembly entry exists for the tail's packet");
-        let head = a.head.expect("head received before tail");
-        debug_assert_eq!(a.received, head.len, "flits lost or duplicated in transit");
+        packets.flit_gone(flit.slot);
+    }
 
-        if head.corrupted {
+    fn receive_packet(
+        &mut self,
+        tail: Flit,
+        p: &mut Packet,
+        now: Cycle,
+        cong: &CongestionMap,
+        out: &mut NiOut,
+    ) {
+        debug_assert_eq!(p.received, p.len, "flits lost or duplicated in transit");
+        if p.corrupted {
             // Failed the integrity check: discard here (even a scrounger
             // leg — the data is bad everywhere) and let the network
             // schedule an end-to-end retransmission from the source.
-            out.corrupt_discards.push(flit.packet);
+            out.corrupt_discards.push((tail.slot, p.id));
             return;
         }
 
-        // Every flit of a packet carries the same circuit tags, so the
-        // tail's are the head's.
-        if let Some(final_dst) = flit.scrounger_final {
+        if let Some(final_dst) = p.scrounger_final {
             if final_dst != self.node {
-                self.reenqueue_scrounger(flit.packet, &head, final_dst, now);
+                self.reenqueue_scrounger(tail.slot, p, final_dst, now);
                 return;
             }
         }
 
-        if head.vnet == Vnet::Request {
-            if let Some(path) = &head.path {
+        if p.vnet == Vnet::Request {
+            if let Some(path) = &p.path {
                 // A detoured request: remember its route reversed so the
                 // reply retraces it (path symmetry, DESIGN.md §10).
-                let mut rev = path.as_ref().clone();
+                let mut rev = path.clone();
                 rev.reverse();
-                self.record_reply_path((head.src, head.block), cong.era(), rev);
+                self.record_reply_path((p.src, p.block), cong.era(), rev);
             }
         }
 
@@ -635,8 +596,7 @@ impl Ni {
         // (`injected_at - created_at`) and network latency
         // (`delivered_at - injected_at`) — are all fields of the record,
         // so the replay is exact.
-        let circuit = head.circuit.as_deref().copied();
-        if let Some(h) = &circuit {
+        if let Some(h) = &p.circuit {
             let register = match self.mechanism.mode {
                 CircuitMode::Complete | CircuitMode::Ideal => h.fully_built(),
                 CircuitMode::Fragmented => h.built_hops > 0,
@@ -660,22 +620,23 @@ impl Ni {
                 );
             }
         }
-        out.delivered.push(Delivered {
-            packet: flit.packet,
-            src: head.src,
+        let delivered = Delivered {
+            packet: p.id,
+            src: p.src,
             dst: self.node,
-            class: head.class,
-            block: head.block,
-            token: head.token,
-            created_at: head.created_at,
-            injected_at: head.injected_at,
+            class: p.class,
+            block: p.block,
+            token: p.token,
+            created_at: p.created_at,
+            injected_at: p.injected_at.expect("stamped when the head left its NI"),
             delivered_at: now,
-            circuit,
+            circuit: p.circuit,
             // "Rode a circuit" means *its own* circuit: a scrounger ends
             // its circuit leg at an intermediate node and re-injects, so
             // it must not trigger ACK elision at the receiver (§4.6).
-            rode_circuit: flit.on_circuit.is_some() && flit.scrounger_final.is_none(),
-        });
+            rode_circuit: tail.rides() && !tail.scrounger(),
+        };
+        out.delivered.push((tail.slot, delivered));
     }
 
     /// The flit this NI sends into its router this cycle, if any.
@@ -684,29 +645,26 @@ impl Ni {
         now: Cycle,
         topo: &TopologyHealth,
         cong: &CongestionMap,
+        packets: &mut Packets,
         out: &mut NiOut,
     ) -> Option<Flit> {
         // Circuit streams first: they must hold their committed schedule.
         if self.state.circuit_active.is_none() {
-            if let Some(p) = self.state.circuit_queue.front() {
-                if p.start_at <= now {
-                    let pending = self.state.circuit_queue.pop_front().expect("front checked");
+            if let Some(&queued) = self.state.circuit_queue.front() {
+                if packets[queued.0].start_at <= now {
+                    self.state.circuit_queue.pop_front();
                     let vc = if self.layout.circuit_vcs > 0 {
                         self.layout.circuit_vc(0)
                     } else {
                         0
                     };
-                    self.state.circuit_active = Some(Stream {
-                        pending,
-                        next_seq: 0,
-                        vc,
-                    });
+                    self.state.circuit_active = Some(Stream::start(queued, vc, packets));
                 }
             }
         }
         if let Some(mut s) = self.state.circuit_active.take() {
-            let flit = self.emit_flit(&mut s, now, topo, cong, out);
-            if s.next_seq < s.pending.len {
+            let flit = self.emit_flit(&mut s, now, topo, cong, packets, out);
+            if !flit.is_tail() {
                 self.state.circuit_active = Some(s);
             }
             return Some(flit);
@@ -715,7 +673,7 @@ impl Ni {
         // Packet-switched: continue an in-flight stream or start one.
         self.collect_sendable();
         if self.sendable.is_empty() {
-            self.try_activate(now);
+            self.try_activate(packets);
             self.collect_sendable();
         }
         let vc = self.state.rr_stream.grant_among(&self.sendable)?;
@@ -723,11 +681,11 @@ impl Ni {
             .take()
             .expect("sendable stream exists");
         self.state.credits[vc] -= 1;
-        let flit = self.emit_flit(&mut s, now, topo, cong, out);
-        if s.next_seq < s.pending.len {
-            self.state.streams[vc] = Some(s);
-        } else {
+        let flit = self.emit_flit(&mut s, now, topo, cong, packets, out);
+        if flit.is_tail() {
             self.live_streams -= 1;
+        } else {
+            self.state.streams[vc] = Some(s);
         }
         Some(flit)
     }
@@ -744,7 +702,7 @@ impl Ni {
 
     /// Starts a new packet-switched stream if a VC of its class is fully
     /// idle (all credits home, no local stream).
-    fn try_activate(&mut self, _now: Cycle) {
+    fn try_activate(&mut self, packets: &mut Packets) {
         for attempt in 0..2 {
             let vn = (self.state.vnet_rr + attempt) % 2;
             let vnet = Vnet::ALL[vn];
@@ -755,14 +713,10 @@ impl Ni {
                 self.state.streams[vc].is_none() && self.state.credits[vc] == self.buffer_depth
             });
             if let Some(vc) = vc {
-                let pending = self.state.queues[vn]
+                let queued = self.state.queues[vn]
                     .pop_front()
                     .expect("queue checked non-empty");
-                self.state.streams[vc] = Some(Stream {
-                    pending,
-                    next_seq: 0,
-                    vc,
-                });
+                self.state.streams[vc] = Some(Stream::start(queued, vc, packets));
                 self.live_streams += 1;
                 self.state.vnet_rr = (vn + 1) % 2;
                 return;
@@ -776,15 +730,16 @@ impl Ni {
         now: Cycle,
         topo: &TopologyHealth,
         cong: &CongestionMap,
+        packets: &mut Packets,
         out: &mut NiOut,
     ) -> Flit {
-        let p = &mut s.pending;
-        let mut path = None;
+        let p = &mut packets[s.slot];
         if s.next_seq == 0 {
             if p.injected_at.is_none() {
                 p.injected_at = Some(now);
             }
-            if p.count_injection {
+            if !p.counted {
+                p.counted = true;
                 out.injection = Some((p.class, p.len));
             }
             // Scrounger legs and retransmissions re-emit: the breakdown
@@ -796,42 +751,19 @@ impl Ni {
                     node: self.node.0,
                 },
             });
+            p.path = None;
             if (topo.is_degraded() || cong.detour_active()) && p.dst != self.node {
-                path = self.plan_detour(p, now, topo, cong, out);
+                p.path = self.plan_detour(p, now, topo, cong, out);
             }
         }
-        let kind = FlitKind::for_position(s.next_seq, p.len);
-        let flit = Flit {
-            packet: p.id,
-            kind,
-            seq: s.next_seq,
-            vc: s.vc as u8,
-            on_circuit: p.on_circuit,
-            scrounger_final: p.scrounger_final,
-            head: kind.is_head().then(|| {
-                Box::new(Head {
-                    len: p.len,
-                    src: p.src,
-                    dst: p.dst,
-                    class: p.class,
-                    vnet: p.vnet,
-                    corrupted: false,
-                    circuit: p.circuit.clone(),
-                    block: p.block,
-                    token: p.token,
-                    created_at: p.created_at,
-                    injected_at: p.injected_at.expect("set on head emission"),
-                    path,
-                })
-            }),
-        };
+        let flit = Flit::new(s.slot, s.next_seq, p.len, s.vc, s.tags);
         s.next_seq += 1;
         flit
     }
 
     /// When the packet's DOR route crosses a dead link or router — or a
     /// hot region the adaptive policy wants avoided — the detour to record
-    /// in its head flit: the reversed route of the request it answers when
+    /// in its record: the reversed route of the request it answers when
     /// a current-era one was recorded (path symmetry, DESIGN.md §10), else
     /// a deterministic BFS around the dead (and, when adaptation is on,
     /// hot) region. `None` when DOR is healthy and uncongested (the
@@ -839,17 +771,14 @@ impl Ni {
     /// healthy route crosses the hot region anyway, or when no healthy
     /// route exists at all — then the flit is emitted on DOR and, for
     /// faults, the end-to-end retry/abandon machinery takes over.
-    // The Box matches `Head::path`, which keeps the no-detour case
-    // pointer-sized in every header.
-    #[allow(clippy::box_collection)]
     fn plan_detour(
         &mut self,
-        p: &mut Pending,
+        p: &mut Packet,
         now: Cycle,
         topo: &TopologyHealth,
         cong: &CongestionMap,
         out: &mut NiOut,
-    ) -> Option<Box<Vec<NodeId>>> {
+    ) -> Option<Vec<NodeId>> {
         let dor = self
             .topology
             .route_path(self.node, p.dst, Routing::for_vnet(p.vnet));
@@ -916,7 +845,7 @@ impl Ni {
                 node: self.node.0,
             },
         });
-        Some(Box::new(detour))
+        Some(detour)
     }
 
     /// `true` when the recorded path satisfies the reply VN's east-last
@@ -959,6 +888,17 @@ impl Ni {
         }
     }
 
+    /// The packet copies this NI holds, as `(slot, flits sent)`: `None`
+    /// flits sent for a copy still queued.
+    pub(crate) fn copies(&self) -> impl Iterator<Item = (u32, Option<u32>)> + '_ {
+        let state = &self.state;
+        let queued = state.queues.iter().flatten().chain(&state.circuit_queue);
+        let streams = state.streams.iter().flatten().chain(&state.circuit_active);
+        queued
+            .map(|q| (q.0, None))
+            .chain(streams.map(|s| (s.slot, Some(s.next_seq.into()))))
+    }
+
     /// Number of packets waiting or streaming (diagnostics).
     pub(crate) fn backlog(&self) -> usize {
         debug_assert_eq!(self.live_streams, Self::rebuild_scratch(&self.state));
@@ -991,7 +931,6 @@ impl Ni {
             reply_paths: _,
             reply_path_order: _,
             torn: _,
-            assembling: _,
             pending_undos: _,
             circuits_suppressed: _,
         } = state;

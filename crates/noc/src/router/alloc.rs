@@ -3,21 +3,30 @@
 
 use serde::{Deserialize, Serialize};
 
-/// A rotating-priority arbiter over `n` requesters.
+/// A rotating-priority arbiter over `n` requesters — at most 64, the
+/// width of a request mask, so the whole arbiter is two bytes.
 ///
 /// After each grant the priority pointer moves past the winner, giving
 /// strong fairness (every continuously-requesting input is served within
 /// `n` grants).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RoundRobin {
-    next: usize,
-    n: usize,
+    next: u8,
+    n: u8,
 }
 
 impl RoundRobin {
     /// An arbiter over `n` requesters.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` exceeds the 64 bits of a request mask.
     pub fn new(n: usize) -> Self {
-        Self { next: 0, n }
+        assert!(n <= 64, "arbiter wider than the request mask");
+        Self {
+            next: 0,
+            n: n as u8,
+        }
     }
 
     /// Grants one of the requesting indices (bit `i` of `requests` set)
@@ -26,7 +35,6 @@ impl RoundRobin {
     /// hardware arbiter sees, so callers build it from asserted lines
     /// only. Bits at or above `n` must be clear.
     pub fn grant_mask(&mut self, requests: u64) -> Option<usize> {
-        debug_assert!(self.n <= 64, "arbiter wider than the request mask");
         debug_assert!(
             self.n == 64 || requests >> self.n == 0,
             "request beyond the arbiter width"
@@ -49,7 +57,11 @@ impl RoundRobin {
     /// Moves the priority pointer just past `winner` (`< n`), wrapping
     /// by comparison: `n` is a run-time value, so `%` would be a divide.
     fn advance_past(&mut self, winner: usize) {
-        self.next = if winner + 1 == self.n { 0 } else { winner + 1 };
+        self.next = if winner + 1 == usize::from(self.n) {
+            0
+        } else {
+            winner as u8 + 1
+        };
     }
 
     /// The linear-scan reference [`RoundRobin::grant_mask`] is tested
@@ -61,14 +73,12 @@ impl RoundRobin {
     /// Panics if `requests.len() != n`.
     #[cfg(test)]
     pub fn grant(&mut self, requests: &[bool]) -> Option<usize> {
-        assert_eq!(requests.len(), self.n, "request vector size mismatch");
-        if self.n == 0 {
-            return None;
-        }
-        for off in 0..self.n {
-            let i = (self.next + off) % self.n;
+        let (next, n) = (usize::from(self.next), usize::from(self.n));
+        assert_eq!(requests.len(), n, "request vector size mismatch");
+        for off in 0..n {
+            let i = (next + off) % n;
             if requests[i] {
-                self.next = (i + 1) % self.n;
+                self.next = ((i + 1) % n) as u8;
                 return Some(i);
             }
         }
@@ -78,13 +88,14 @@ impl RoundRobin {
     /// Like [`RoundRobin::grant`] but over an explicit candidate list of
     /// indices (not necessarily dense).
     pub fn grant_among(&mut self, candidates: &[usize]) -> Option<usize> {
-        debug_assert!(candidates.iter().all(|&c| c < self.n));
+        let (next, n) = (usize::from(self.next), usize::from(self.n));
+        debug_assert!(candidates.iter().all(|&c| c < n));
         // Pick the candidate closest after the pointer.
         let winner = candidates.iter().copied().min_by_key(|&c| {
-            if c >= self.next {
-                c - self.next
+            if c >= next {
+                c - next
             } else {
-                c + self.n - self.next
+                c + n - next
             }
         })?;
         self.advance_past(winner);
@@ -170,8 +181,8 @@ mod tests {
             start in 0usize..64,
             masks in prop::collection::vec(any::<u64>(), 1..24),
         ) {
-            let mut fast = RoundRobin { next: start % n, n };
-            let mut reference = fast.clone();
+            let mut fast = RoundRobin { next: (start % n) as u8, n: n as u8 };
+            let mut reference = fast;
             for m in masks {
                 // Sparse request vectors matter most: thin the mask out.
                 let m = (m & m.rotate_left(7)) & (u64::MAX >> (64 - n));

@@ -13,7 +13,7 @@ pub(crate) mod alloc;
 mod input;
 
 use crate::config::{NocConfig, VcLayout};
-use crate::flit::{Flit, PacketId};
+use crate::flit::{Flit, PacketId, Packets};
 use crate::links::LinkSink;
 use crate::stats::Activity;
 use alloc::RoundRobin;
@@ -27,9 +27,10 @@ use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// How one output VC is held by a packet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 enum Owner {
     /// Free for VC allocation.
+    #[default]
     Free,
     /// Held by a packet streaming from `(in_port, in_vc)`.
     Owned(u8, u8),
@@ -50,10 +51,20 @@ enum BypassCheck {
 }
 
 /// A switch-allocation grant awaiting switch traversal next cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 struct StGrant {
-    in_port: usize,
-    in_vc: usize,
+    in_port: u8,
+    in_vc: u8,
+}
+
+/// One port's three arbiters: the input side's over its VCs (switch
+/// allocation phase 1), the output side's two over the input ports
+/// (switch allocation phase 2, VC allocation).
+#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+struct PortArbiters {
+    sa_in: RoundRobin,
+    sa_out: RoundRobin,
+    va_out: RoundRobin,
 }
 
 /// Width of the [`OccupancyIndex`] masks and capacity of the router's
@@ -61,6 +72,10 @@ struct StGrant {
 /// VCs (`ports × VcLayout::total()`), which [`NocConfig::validate`]
 /// enforces.
 pub(crate) const VC_INDEX_BITS: usize = u64::BITS as usize;
+
+/// Deepest VC buffer ([`NocConfig::buffer_depth`]) a router's one-byte
+/// credit counters can count; [`NocConfig::validate`] enforces it.
+pub(crate) const MAX_BUFFER_DEPTH: u32 = u8::MAX as u32;
 
 /// Which input VCs and retry queues hold work — the request lines a
 /// hardware allocator sees, so the pipeline stages visit busy VCs only
@@ -77,6 +92,7 @@ pub(crate) const VC_INDEX_BITS: usize = u64::BITS as usize;
 /// full scan — arbitration, reservation and trace-event order are those
 /// of the scan.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[repr(C)]
 struct OccupancyIndex {
     /// VCs in `WaitVa`.
     wait_va: u64,
@@ -84,12 +100,12 @@ struct OccupancyIndex {
     post_va: u64,
     /// Flits buffered across all input VCs.
     buffered: usize,
-    /// Flits queued across all bypass-retry queues.
-    retries: usize,
+    /// Input ports whose bypass-retry queue holds flits.
+    retries: u64,
 }
 
 /// The set bit positions of `mask`, ascending.
-fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
+pub(crate) fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
     std::iter::from_fn(move || {
         (mask != 0).then(|| {
             let i = mask.trailing_zeros() as usize;
@@ -102,69 +118,89 @@ fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
 /// A router's state (DESIGN.md §15), flat: everything per VC — input or
 /// output side — lives at slot `port · total + vc`, the numbering of the
 /// [`OccupancyIndex`] bits, and everything per port at slot `port`, in
-/// arrays of [`VC_INDEX_BITS`] entries inside the router itself. They
-/// serialize whole: the entries past the last slot (or port) are never
-/// touched, so they are the same constants in every snapshot.
+/// arrays of [`VC_INDEX_BITS`] entries inside the router itself, each
+/// entry as narrow as [`NocConfig::validate`] lets it be. They serialize
+/// whole: the entries past the last slot (or port) are never touched, so
+/// they are the same constants in every snapshot. Declaration order is
+/// memory order (DESIGN.md §9 has the field → cache line table).
 #[derive(Debug, Clone, Serialize, Deserialize)]
+#[repr(C)]
 pub(crate) struct State {
-    /// The input VCs, by slot.
-    vcs: Vec<InputVc>,
-    /// Credits held for the downstream buffer of each output VC, by slot.
-    credits: [u32; VC_INDEX_BITS],
-    /// Who holds each output VC, by slot.
-    owner: [Owner; VC_INDEX_BITS],
-    pub(crate) circuits: RouterCircuits,
-    st_pending: Vec<StGrant>,
-    /// The three arbiter rows, one arbiter per port.
-    sa_rr_in: [RoundRobin; VC_INDEX_BITS],
-    sa_rr_out: [RoundRobin; VC_INDEX_BITS],
-    va_rr_out: [RoundRobin; VC_INDEX_BITS],
-    /// Bypass flits that lost a same-cycle output conflict (ideal mode) or
-    /// arrived while an earlier flit of the same stream is still queued.
-    bypass_retry: Vec<VecDeque<Flit>>,
+    /// Switch grants awaiting traversal: the first `st_len` entries of
+    /// `st_pending`, in grant order (at most one per input port).
+    st_len: u8,
     /// `true` while this router is part of, or borders, a dead region
     /// (set by the network when scheduled permanent faults fire).
     /// Degraded routers take no part in circuits: reservations are
     /// refused and bypasses forced to the packet pipeline (DESIGN.md
     /// §10).
     degraded: bool,
+    /// Credits held for the downstream buffer of each output VC, by slot.
+    credits: [u8; VC_INDEX_BITS],
+    /// Who holds each output VC, by slot.
+    owner: [Owner; VC_INDEX_BITS],
+    st_pending: [StGrant; VC_INDEX_BITS],
+    /// The arbiters, by port.
+    arbiters: [PortArbiters; VC_INDEX_BITS],
     pub(crate) activity: Activity,
+    /// The input VCs, by slot: control words and flit ring, a line each.
+    vcs: Vec<InputVc>,
+    /// Flits that found their VC's ring full, as `(slot, flit)` in
+    /// arrival order. Growable, because one bound cannot be proven: the
+    /// complete-mode circuit VC is uncredited, so a torn circuit's
+    /// fallen-back stream is bounded by its packet's length, not by
+    /// `buffer_depth`.
+    spill: Vec<(u8, Flit)>,
+    pub(crate) circuits: RouterCircuits,
+    /// Per input port, bypass flits that lost a same-cycle output conflict
+    /// (ideal mode) or arrived while an earlier flit of the same stream is
+    /// still queued.
+    bypass_retry: Vec<VecDeque<Flit>>,
 }
 
-/// Wiring, [`State`], then scratch: the [`OccupancyIndex`] is derived
-/// from the state; the rest is dead at the tick boundaries where
-/// snapshots are taken, so a router the event kernel skipped snapshots
-/// the same as one the dense kernel ticked.
+/// Wiring, [`State`] and scratch: the [`OccupancyIndex`] is derived
+/// from the state; the rest of the scratch is dead at the tick boundaries
+/// where snapshots are taken, so a router the event kernel skipped
+/// snapshots the same as one the dense kernel ticked. Declaration order
+/// is memory order: the first line is all an idle test or the top of a
+/// tick reads.
+#[repr(C)]
 pub(crate) struct Router {
-    /// Router id (`0..Topology::routers()`; equals the tile id only when
-    /// the concentration is 1).
-    node: NodeId,
-    topology: Topology,
-    /// Ports per router (`Topology::ports()`), cached.
-    ports: usize,
-    layout: VcLayout,
-    mechanism: MechanismConfig,
-    buffer_depth: u32,
-    link_latency: u32,
-    inject_overhead: u32,
-    /// Where trace events go; disabled by default.
-    sink: TraceSink,
-    pub(crate) state: State,
     occ: OccupancyIndex,
     /// Crossbar outputs used this cycle, as a mask over output ports
     /// (circuits have priority, §4.3); cleared at the top of every tick.
     out_busy: u64,
-    /// Reused backing store for [`Router::stage_st`]'s grant sweep.
-    st_scratch: Vec<StGrant>,
-    /// The VC each input port nominated in [`Router::stage_sa`] phase 1
-    /// (meaningful only for ports that nominated this tick).
-    sa_nominee: [u8; VC_INDEX_BITS],
+    topology: Topology,
+    /// Where trace events go; disabled by default.
+    sink: TraceSink,
+    /// Router id (`0..Topology::routers()`; equals the tile id only when
+    /// the concentration is 1).
+    node: NodeId,
+    /// Ports per router (`Topology::ports()`) and VCs per port
+    /// (`VcLayout::total()`), cached like the four bytes after them.
+    ports: u8,
+    vcs: u8,
+    buffer_depth: u8,
+    link_latency: u8,
+    /// `mechanism.timed.is_timed()`.
+    timed: bool,
+    /// The first circuit-class VC (`vcs` when there is none).
+    circuit_vc0: u8,
     /// Per output port, the input ports requesting it in the current
     /// SA/VA sweep, as a mask; all zero between sweeps.
     contend: [u64; VC_INDEX_BITS],
+    /// The VC each input port nominated in [`Router::stage_sa`] phase 1
+    /// (meaningful only for ports that nominated this tick).
+    sa_nominee: [u8; VC_INDEX_BITS],
+    pub(crate) state: State,
     /// Reused candidate list for the VC-allocation sweep.
     va_scratch: Vec<(Cycle, usize, Vnet, NodeId)>,
+    layout: VcLayout,
+    mechanism: MechanismConfig,
+    inject_overhead: u32,
 }
+
+const _: () = assert!(std::mem::offset_of!(Router, contend) == 64);
 
 impl Router {
     pub(crate) fn new(node: NodeId, cfg: &NocConfig) -> Self {
@@ -172,43 +208,50 @@ impl Router {
         let total = layout.total();
         let ports = cfg.topology.ports();
         assert!(
-            ports * total <= VC_INDEX_BITS,
-            "NocConfig::validate bounds the input VCs per router"
+            ports * total <= VC_INDEX_BITS && cfg.buffer_depth <= MAX_BUFFER_DEPTH,
+            "NocConfig::validate bounds the input VCs per router and their depth"
         );
+        let arbiters = PortArbiters {
+            sa_in: RoundRobin::new(total),
+            sa_out: RoundRobin::new(ports),
+            va_out: RoundRobin::new(ports),
+        };
         Self {
-            node,
+            occ: OccupancyIndex::default(),
+            out_busy: 0,
             topology: cfg.topology,
-            ports,
-            layout,
-            mechanism: cfg.mechanism,
-            buffer_depth: cfg.buffer_depth,
-            link_latency: cfg.link_latency,
-            inject_overhead: cfg.inject_overhead,
             sink: TraceSink::default(),
+            node,
+            ports: ports as u8,
+            vcs: total as u8,
+            buffer_depth: cfg.buffer_depth as u8,
+            link_latency: cfg.link_latency as u8,
+            timed: cfg.mechanism.timed.is_timed(),
+            circuit_vc0: (total - layout.circuit_vcs) as u8,
+            contend: [0; VC_INDEX_BITS],
+            sa_nominee: [0; VC_INDEX_BITS],
             state: State {
-                vcs: vec![InputVc::default(); ports * total],
-                credits: [cfg.buffer_depth; VC_INDEX_BITS],
+                st_len: 0,
+                degraded: false,
+                credits: [cfg.buffer_depth as u8; VC_INDEX_BITS],
                 owner: [Owner::Free; VC_INDEX_BITS],
+                st_pending: [StGrant::default(); VC_INDEX_BITS],
+                arbiters: [arbiters; VC_INDEX_BITS],
+                activity: Activity::default(),
+                vcs: vec![InputVc::default(); ports * total],
+                spill: Vec::new(),
                 circuits: RouterCircuits::with_ports(
                     cfg.mechanism.mode,
                     cfg.mechanism.max_circuits_per_input,
                     cfg.mechanism.circuit_vcs().max(1),
                     ports,
                 ),
-                st_pending: Vec::new(),
-                sa_rr_in: std::array::from_fn(|_| RoundRobin::new(total)),
-                sa_rr_out: std::array::from_fn(|_| RoundRobin::new(ports)),
-                va_rr_out: std::array::from_fn(|_| RoundRobin::new(ports)),
                 bypass_retry: (0..ports).map(|_| VecDeque::new()).collect(),
-                degraded: false,
-                activity: Activity::default(),
             },
-            occ: OccupancyIndex::default(),
-            out_busy: 0,
-            st_scratch: Vec::new(),
-            sa_nominee: [0; VC_INDEX_BITS],
-            contend: [0; VC_INDEX_BITS],
             va_scratch: Vec::with_capacity(total),
+            layout,
+            mechanism: cfg.mechanism,
+            inject_overhead: cfg.inject_overhead,
         }
     }
 
@@ -218,18 +261,26 @@ impl Router {
 
     /// The slot of VC `(port, vc)`, on the input or the output side.
     fn slot(&self, port: usize, vc: usize) -> usize {
-        port * self.layout.total() + vc
+        port * usize::from(self.vcs) + vc
     }
 
     /// The `(port, vc)` a slot stands for.
     fn port_vc(&self, slot: usize) -> (usize, usize) {
-        (slot / self.layout.total(), slot % self.layout.total())
+        (slot / usize::from(self.vcs), slot % usize::from(self.vcs))
+    }
+
+    /// Every flit this router holds, in no particular order.
+    pub(crate) fn flits(&self) -> impl Iterator<Item = Flit> + '_ {
+        let buffered = self.state.vcs.iter().flat_map(InputVc::flits);
+        let spilled = self.state.spill.iter().map(|s| s.1);
+        let retrying = self.state.bypass_retry.iter().flatten().copied();
+        buffered.chain(spilled).chain(retrying)
     }
 
     /// Appends a human-readable dump of this router's non-idle pipeline
     /// state (waiting VCs, bypass retry queues, busy output VCs) — used
     /// by wedge-diagnosis assertions to show *where* traffic stuck.
-    pub(crate) fn debug_dump(&self, out: &mut String) {
+    pub(crate) fn debug_dump(&self, packets: &Packets, out: &mut String) {
         use std::fmt::Write;
         for (i, vc) in self
             .state
@@ -240,9 +291,8 @@ impl Router {
         {
             let (p, v) = self.port_vc(i);
             let head = vc
-                .buffer
                 .front()
-                .map(|f| (f.packet.0, f.kind, f.on_circuit.is_some()));
+                .map(|f| (packets[f.slot].id.0, f.kind(), f.rides()));
             writeln!(
                 out,
                 "  {:?} in[{p}][{v}] state={:?} since={} route={:?} out_vc={:?} buf={} head={:?}",
@@ -251,7 +301,7 @@ impl Router {
                 vc.state_since,
                 vc.route,
                 vc.out_vc,
-                vc.buffer.len(),
+                vc.len(),
                 head
             )
             .ok();
@@ -260,12 +310,12 @@ impl Router {
             if !q.is_empty() {
                 let items: Vec<_> = q
                     .iter()
-                    .map(|f| (f.packet.0, f.kind, f.vc, f.on_circuit.is_some()))
+                    .map(|f| (packets[f.slot].id.0, f.kind(), f.vc, f.rides()))
                     .collect();
                 writeln!(out, "  {:?} bypass_retry[{p}]: {items:?}", self.node).ok();
             }
         }
-        for o in 0..self.ports {
+        for o in 0..usize::from(self.ports) {
             let owned: Vec<_> = (0..self.layout.total())
                 .map(|v| (v, self.slot(o, v)))
                 .filter(|&(_, i)| self.state.owner[i] != Owner::Free)
@@ -280,11 +330,12 @@ impl Router {
                 writeln!(out, "  {:?} out[{o}]: {owned:?}", self.node).ok();
             }
         }
-        if !self.state.st_pending.is_empty() {
+        if self.state.st_len > 0 {
             writeln!(
                 out,
                 "  {:?} st_pending: {:?}",
-                self.node, self.state.st_pending
+                self.node,
+                &self.state.st_pending[..self.state.st_len.into()]
             )
             .ok();
         }
@@ -297,22 +348,27 @@ impl Router {
     }
 
     /// Runs one cycle. `arrivals`, `credits` and `undos` are the messages
-    /// reaching this router this cycle (drained in place so the caller can
-    /// reuse the buffers); produced messages go straight onto `out`.
+    /// reaching this router this cycle, as its link registers hand them
+    /// over (drained in place so the caller can reuse the buffers);
+    /// produced messages go straight onto `out`. Flits are handles into
+    /// `packets`.
     pub(crate) fn tick(
         &mut self,
         now: Cycle,
         arrivals: &mut Vec<(usize, Flit)>,
-        credits: &mut Vec<(usize, usize)>,
+        credits: &mut Vec<(usize, u8)>,
         undos: &mut Vec<(CircuitKey, NodeId)>,
+        packets: &mut Packets,
         out: &mut impl LinkSink,
     ) {
         self.out_busy = 0;
 
         // Credits (and the undo information they may carry, §4.4).
-        for (port, vc) in credits.drain(..) {
-            let i = self.slot(port, vc);
-            self.state.credits[i] += 1;
+        for (i, n) in credits.drain(..) {
+            // (Saturating: the uncredited complete-mode circuit VC is sent
+            // credits by its fallen-back flits that nothing ever spends
+            // or reads.)
+            self.state.credits[i] = self.state.credits[i].saturating_add(n);
             if self.state.owner[i] == Owner::Draining && self.state.credits[i] >= self.buffer_depth
             {
                 self.state.owner[i] = Owner::Free;
@@ -322,7 +378,7 @@ impl Router {
             self.process_undo(now, key, dst, out);
         }
 
-        if self.mechanism.timed.is_timed() {
+        if self.timed {
             // A few cycles of grace keep boundary-case replies (committed
             // at the very edge of their window) from losing their entries;
             // lookups are key-matched, so lingering entries are harmless.
@@ -330,29 +386,29 @@ impl Router {
         }
 
         // Retry queued bypass flits (in order per input), then arrivals.
-        self.drain_bypass_retries(now, out);
+        self.drain_bypass_retries(now, packets, out);
         for (port, flit) in arrivals.drain(..) {
-            self.receive(now, port, flit, out);
+            self.receive(now, port, flit, packets, out);
         }
 
-        self.stage_st(now, out);
-        self.stage_sa(now);
-        self.stage_va(now, out);
+        self.stage_st(now, packets, out);
+        self.stage_sa(now, packets);
+        self.stage_va(now, packets, out);
         debug_assert_eq!(self.check_index(), Ok(()));
     }
 
     /// `true` when a tick with no arriving messages could still change
     /// state: flits are buffered in the pipeline, a switch grant or
-    /// bypass retry is pending (three O(1) tests: the grant list and the
-    /// index's flit and retry counters), or a timed circuit entry is
+    /// bypass retry is pending (three O(1) tests: the grant count and the
+    /// index's flit count and retry mask), or a timed circuit entry is
     /// (over)due for expiry. A `false` router receiving nothing this
     /// cycle only clears `out_busy` and returns early from every stage —
     /// all no-ops — so the event kernel may skip its tick.
     pub(crate) fn is_active(&self, now: Cycle) -> bool {
-        if !self.state.st_pending.is_empty() || self.occ.buffered > 0 || self.occ.retries > 0 {
+        if self.state.st_len > 0 || self.occ.buffered > 0 || self.occ.retries != 0 {
             return true;
         }
-        if self.mechanism.timed.is_timed() {
+        if self.timed {
             // `tick` expires entries at `now - 4`; stay awake from the
             // cycle that check starts firing.
             if let Some(end) = self.state.circuits.next_expiry() {
@@ -401,29 +457,27 @@ impl Router {
         out.undo(port, key, key.requestor, now + self.link_latency as Cycle);
     }
 
-    fn drain_bypass_retries(&mut self, now: Cycle, out: &mut impl LinkSink) {
-        if self.occ.retries == 0 {
-            return;
-        }
-        for p in 0..self.ports {
+    fn drain_bypass_retries(&mut self, now: Cycle, packets: &mut Packets, out: &mut impl LinkSink) {
+        for p in bits(self.occ.retries) {
             // Decide on the queue head in place; pop only to act.
-            while let Some(front) = self.state.bypass_retry[p].front() {
-                let (key, is_head, vc) = (front.on_circuit, front.kind.is_head(), front.vc);
-                match self.bypass_check(p, key, is_head) {
+            while let Some(&front) = self.state.bypass_retry[p].front() {
+                match self.bypass_check(p, front, packets) {
                     BypassCheck::Ready => {
                         let flit = self.pop_retry(p);
-                        self.execute_bypass(now, p, flit, out);
+                        self.execute_bypass(now, p, flit, packets, out);
                     }
                     BypassCheck::Busy => break,
                     BypassCheck::Pipeline => {
-                        if is_head && !self.state.vcs[self.slot(p, vc.into())].is_idle() {
+                        if front.is_head()
+                            && !self.state.vcs[self.slot(p, front.vc.into())].is_idle()
+                        {
                             // The fallback VC is still draining an earlier
                             // packet: hold the stream here (in order) until
                             // it idles instead of corrupting the wormhole.
                             break;
                         }
                         let flit = self.pop_retry(p);
-                        self.buffer_flit(now, p, flit);
+                        self.buffer_flit(now, p, flit, packets);
                     }
                 }
             }
@@ -432,22 +486,28 @@ impl Router {
 
     fn push_retry(&mut self, port: usize, flit: Flit) {
         self.state.bypass_retry[port].push_back(flit);
-        self.occ.retries += 1;
+        self.occ.retries |= 1 << port;
     }
 
     fn pop_retry(&mut self, port: usize) -> Flit {
-        self.occ.retries -= 1;
-        self.state.bypass_retry[port]
-            .pop_front()
-            .expect("caller saw the queue head")
+        let queue = &mut self.state.bypass_retry[port];
+        let flit = queue.pop_front().expect("caller saw the queue head");
+        if queue.is_empty() {
+            self.occ.retries &= !(1 << port);
+        }
+        flit
     }
 
-    /// Whether a flit riding circuit `key` (a head if `is_head`) can take
-    /// the bypass path right now.
-    fn bypass_check(&mut self, port: usize, key: Option<CircuitKey>, is_head: bool) -> BypassCheck {
-        let Some(key) = key else {
+    /// Whether `flit`, arrived on `port`, can take the bypass path right
+    /// now: it must ride a circuit (the key is in its packet's record)
+    /// that is reserved here.
+    fn bypass_check(&mut self, port: usize, flit: Flit, packets: &Packets) -> BypassCheck {
+        if !flit.rides() {
             return BypassCheck::Pipeline;
-        };
+        }
+        let key = packets[flit.slot]
+            .riding
+            .expect("a riding flit's record names the circuit");
         if self.state.degraded {
             // Circuits are disabled while this router borders a dead
             // region: drop the local reservation (if any, so it cannot
@@ -461,7 +521,9 @@ impl Router {
             // already fell back and released the entry.
             return BypassCheck::Pipeline;
         };
-        if self.mechanism.mode == CircuitMode::Fragmented && is_head && entry.out_port < PORT_LOCAL
+        if self.mechanism.mode == CircuitMode::Fragmented
+            && flit.is_head()
+            && entry.out_port < PORT_LOCAL
         {
             // Fragmented circuits keep buffers: the downstream circuit VC
             // must be able to hold the whole message in case its own
@@ -494,18 +556,25 @@ impl Router {
 
     /// Arrival processing: circuit check first (§4.3), else stage 1
     /// (buffer write + route computation).
-    fn receive(&mut self, now: Cycle, port: usize, flit: Flit, out: &mut impl LinkSink) {
-        if flit.on_circuit.is_some() {
+    fn receive(
+        &mut self,
+        now: Cycle,
+        port: usize,
+        flit: Flit,
+        packets: &mut Packets,
+        out: &mut impl LinkSink,
+    ) {
+        if flit.rides() {
             self.state.activity.circuit_lookups += 1;
             // Keep stream order: if earlier flits of this input are already
             // queued for retry, queue behind them.
-            if !self.state.bypass_retry[port].is_empty() {
+            if self.occ.retries >> port & 1 == 1 {
                 self.push_retry(port, flit);
                 return;
             }
-            match self.bypass_check(port, flit.on_circuit, flit.kind.is_head()) {
+            match self.bypass_check(port, flit, packets) {
                 BypassCheck::Ready => {
-                    self.execute_bypass(now, port, flit, out);
+                    self.execute_bypass(now, port, flit, packets, out);
                     return;
                 }
                 BypassCheck::Busy => {
@@ -515,29 +584,37 @@ impl Router {
                 BypassCheck::Pipeline => {}
             }
         }
-        self.buffer_flit(now, port, flit);
+        self.buffer_flit(now, port, flit, packets);
     }
 
     /// One-cycle circuit traversal: straight through the crossbar (§4.3).
-    fn execute_bypass(&mut self, now: Cycle, port: usize, mut flit: Flit, out: &mut impl LinkSink) {
-        let key = flit.on_circuit.expect("bypass requires a circuit key");
+    fn execute_bypass(
+        &mut self,
+        now: Cycle,
+        port: usize,
+        mut flit: Flit,
+        packets: &mut Packets,
+        out: &mut impl LinkSink,
+    ) {
+        let packet = &packets[flit.slot];
+        let key = packet.riding.expect("bypass requires a circuit key");
         let entry = *self
             .state
             .circuits
             .lookup(port, key)
             .expect("caller checked the entry exists");
-        if flit.kind.is_head() {
+        if flit.is_head() {
             self.state.circuits.begin_use(port, key);
             self.sink.emit(|| TraceEvent {
                 cycle: now,
                 kind: EventKind::CircuitBypass {
-                    packet: flit.packet.0,
+                    packet: packet.id.0,
                     node: self.node.0,
                 },
             });
         }
-        if flit.kind.is_tail() {
-            if flit.scrounger_final.is_some() && self.mechanism.scrounger_borrow {
+        if flit.is_tail() {
+            if flit.scrounger() && self.mechanism.scrounger_borrow {
                 // Borrowing scrounger: the circuit survives for its own
                 // reply. If an undo raced the borrow, the entry comes
                 // back here — the undo already continued downstream, so
@@ -579,13 +656,13 @@ impl Router {
             self.state.activity.link_flits += 1;
             now + 1 + self.link_latency as Cycle
         };
-        out.flit(entry.out_port, flit, arrive);
+        out.flit(entry.out_port, flit, arrive, packets);
     }
 
     /// Stage 1: buffer write and route computation.
-    fn buffer_flit(&mut self, now: Cycle, port: usize, flit: Flit) {
+    fn buffer_flit(&mut self, now: Cycle, port: usize, flit: Flit, packets: &Packets) {
         let slot = self.slot(port, flit.vc.into());
-        if flit.kind.is_head() && !self.state.vcs[slot].is_idle() {
+        if flit.is_head() && !self.state.vcs[slot].is_idle() {
             // A head whose fallback VC is still draining an earlier
             // packet — e.g. a timed circuit stream that lost its window
             // behind a stuck port and degraded to the pipeline. It must
@@ -596,59 +673,79 @@ impl Router {
             self.push_retry(port, flit);
             return;
         }
-        let vc = &mut self.state.vcs[slot];
         self.state.activity.buffer_writes += 1;
-        if let Some(head) = flit.head.as_deref() {
-            // Detoured packets follow the source route recorded in their
-            // head (DESIGN.md §10); everything else routes DOR.
-            let routing = Routing::for_vnet(head.vnet);
-            let hop = head
+        if flit.is_head() {
+            // Detoured packets follow the source route recorded for them
+            // (DESIGN.md §10); everything else routes DOR.
+            let packet = &packets[flit.slot];
+            let routing = Routing::for_vnet(packet.vnet);
+            let hop = packet
                 .path
                 .as_deref()
-                .and_then(|p| self.topology.next_hop_on_path(p, self.node, head.dst))
-                .unwrap_or_else(|| self.topology.next_hop_port(self.node, head.dst, routing));
-            vc.route = Some(hop);
+                .and_then(|p| self.topology.next_hop_on_path(p, self.node, packet.dst))
+                .unwrap_or_else(|| self.topology.next_hop_port(self.node, packet.dst, routing));
+            let vc = &mut self.state.vcs[slot];
+            vc.route = Some(hop as u8);
             vc.state = VcState::WaitVa;
             vc.state_since = now;
             vc.circuit_attempted = false;
             self.occ.wait_va |= 1 << slot;
         }
-        vc.buffer.push_back(flit);
+        if !self.state.vcs[slot].push(flit) {
+            self.state.spill.push((slot as u8, flit));
+        }
         self.occ.buffered += 1;
+    }
+
+    /// Takes the oldest flit out of the input VC at `slot`; the ring then
+    /// takes over the VC's oldest spilled flit, if any.
+    fn unbuffer(&mut self, slot: usize) -> Flit {
+        let vc = &mut self.state.vcs[slot];
+        let flit = vc.pop().expect("granted VC has a flit");
+        self.occ.buffered -= 1;
+        if !self.state.spill.is_empty() {
+            let spilled = self
+                .state
+                .spill
+                .iter()
+                .position(|s| usize::from(s.0) == slot);
+            if let Some(k) = spilled {
+                vc.push(self.state.spill.remove(k).1);
+            }
+        }
+        flit
     }
 
     /// Stage 4: switch traversal for last cycle's SA winners. Circuit
     /// bypasses processed earlier this cycle have already claimed their
     /// output ports (crossbar priority, §4.3); blocked grants retry.
-    fn stage_st(&mut self, now: Cycle, out: &mut impl LinkSink) {
-        if self.state.st_pending.is_empty() {
-            return;
-        }
-        // Swap the grant list into scratch so blocked grants can re-queue
-        // onto `st_pending` without reallocating either vector.
-        std::mem::swap(&mut self.state.st_pending, &mut self.st_scratch);
-        for i in 0..self.st_scratch.len() {
-            let g = self.st_scratch[i];
-            let slot = self.slot(g.in_port, g.in_vc);
-            let vc = &mut self.state.vcs[slot];
-            let route = vc.route.expect("granted VC has a route");
-            let out_vc = vc.out_vc.expect("granted VC has an output VC");
+    fn stage_st(&mut self, now: Cycle, packets: &mut Packets, out: &mut impl LinkSink) {
+        // Blocked grants re-queue at the front of the list they are read
+        // from, in order: never ahead of the read position.
+        let granted = usize::from(std::mem::take(&mut self.state.st_len));
+        for i in 0..granted {
+            let g = self.state.st_pending[i];
+            let (in_port, in_vc) = (usize::from(g.in_port), usize::from(g.in_vc));
+            let slot = self.slot(in_port, in_vc);
+            let vc = &self.state.vcs[slot];
+            let route = usize::from(vc.route.expect("granted VC has a route"));
+            let out_vc = usize::from(vc.out_vc.expect("granted VC has an output VC"));
             if self.out_busy >> route & 1 == 1 {
-                self.state.st_pending.push(g);
+                self.state.st_pending[usize::from(self.state.st_len)] = g;
+                self.state.st_len += 1;
                 continue;
             }
-            let mut flit = vc.buffer.pop_front().expect("granted VC has a flit");
-            self.occ.buffered -= 1;
-            let is_tail = flit.kind.is_tail();
+            let mut flit = self.unbuffer(slot);
+            let is_tail = flit.is_tail();
             if is_tail {
-                vc.reset(now);
+                self.state.vcs[slot].reset(now);
                 self.occ.post_va &= !(1 << slot);
             }
-            if flit.kind.is_head() {
+            if flit.is_head() {
                 self.sink.emit(|| TraceEvent {
                     cycle: now,
                     kind: EventKind::StageSt {
-                        packet: flit.packet.0,
+                        packet: packets[flit.slot].id.0,
                         node: self.node.0,
                     },
                 });
@@ -658,7 +755,7 @@ impl Router {
 
             // Return the freed buffer slot upstream.
             self.state.activity.credits += 1;
-            out.credit(g.in_port, g.in_vc, now + self.link_latency as Cycle);
+            out.credit(in_port, in_vc, now + self.link_latency as Cycle);
 
             let out_slot = self.slot(route, out_vc);
             self.out_busy |= 1 << route;
@@ -679,27 +776,24 @@ impl Router {
                     Owner::Draining
                 };
             }
-            out.flit(route, flit, arrive);
+            out.flit(route, flit, arrive, packets);
         }
-        self.st_scratch.clear();
     }
 
     /// Stage 3: two-phase round-robin switch allocation; winners traverse
     /// the crossbar next cycle.
-    fn stage_sa(&mut self, now: Cycle) {
+    fn stage_sa(&mut self, now: Cycle, packets: &Packets) {
         if self.occ.post_va == 0 {
             return;
         }
         // Inputs with a grant still pending ST cannot be granted again.
-        let blocked = self
-            .state
-            .st_pending
+        let blocked = self.state.st_pending[..self.state.st_len.into()]
             .iter()
             .fold(0u64, |m, g| m | 1 << g.in_port);
         // Phase 1: each input port holding a post-VA VC nominates one.
         // `wanted` collects the output ports some nominee routes to.
         let mut wanted = 0u64;
-        for p in 0..self.ports {
+        for p in 0..usize::from(self.ports) {
             let port_vcs = self.port_bits(self.occ.post_va, p);
             if port_vcs == 0 || blocked >> p & 1 == 1 {
                 continue;
@@ -712,64 +806,65 @@ impl Router {
                     VcState::Active => true,
                     _ => false,
                 };
-                if !stage_ok || vc.buffer.is_empty() {
+                if !stage_ok || vc.len() == 0 {
                     continue;
                 }
-                let route = vc.route.expect("post-VA VC has a route");
-                let out_vc = vc.out_vc.expect("post-VA VC has an output VC");
+                let route = usize::from(vc.route.expect("post-VA VC has a route"));
+                let out_vc = usize::from(vc.out_vc.expect("post-VA VC has an output VC"));
                 let credit_ok = route >= PORT_LOCAL
                     || self.state.credits[self.slot(route, out_vc)] > 0
                     // Circuit-class VCs are reservation-managed, not
                     // credited (fragmented gap traffic).
-                    || self.layout.is_circuit_vc(out_vc);
+                    || out_vc >= usize::from(self.circuit_vc0);
                 if credit_ok {
                     requests |= 1 << v;
                 }
             }
-            if let Some(v) = self.state.sa_rr_in[p].grant_mask(requests) {
+            if let Some(v) = self.state.arbiters[p].sa_in.grant_mask(requests) {
                 let route = self.state.vcs[self.slot(p, v)]
                     .route
                     .expect("post-VA VC has a route");
                 self.sa_nominee[p] = v as u8;
-                self.contend[route] |= 1 << p;
+                self.contend[usize::from(route)] |= 1 << p;
                 wanted |= 1 << route;
             }
         }
         // Phase 2: each requested output port picks one input.
         for out_port in bits(wanted) {
             let contenders = std::mem::take(&mut self.contend[out_port]);
-            let winner = self.state.sa_rr_out[out_port]
+            let winner = self.state.arbiters[out_port]
+                .sa_out
                 .grant_mask(contenders)
                 .expect("a nominee routes to every wanted output");
-            let v = usize::from(self.sa_nominee[winner]);
-            let slot = self.slot(winner, v);
+            let v = self.sa_nominee[winner];
+            let slot = self.slot(winner, v.into());
             let vc = &mut self.state.vcs[slot];
             if vc.state == VcState::WaitSa {
                 vc.state = VcState::Active;
                 vc.state_since = now;
-                let head = vc.buffer.front().expect("granted VC holds a flit");
-                if head.kind.is_head() {
-                    let packet = head.packet.0;
+                let head = vc.front().expect("granted VC holds a flit");
+                if head.is_head() {
                     self.sink.emit(|| TraceEvent {
                         cycle: now,
                         kind: EventKind::StageSa {
-                            packet,
+                            packet: packets[head.slot].id.0,
                             node: self.node.0,
                         },
                     });
                 }
             }
             self.state.activity.sw_allocs += 1;
-            self.state.st_pending.push(StGrant {
-                in_port: winner,
+            self.state.st_pending[usize::from(self.state.st_len)] = StGrant {
+                in_port: winner as u8,
                 in_vc: v,
-            });
+            };
+            self.state.st_len += 1;
         }
     }
 
     /// Stage 2: VC allocation — and, in parallel, the reactive-circuit
     /// reservation for request packets (§4.1).
-    fn stage_va(&mut self, now: Cycle, out: &mut impl LinkSink) {
+    fn stage_va(&mut self, now: Cycle, packets: &mut Packets, out: &mut impl LinkSink) {
         if self.occ.wait_va == 0 {
             return;
         }
@@ -782,10 +877,10 @@ impl Router {
             if vc.state_since >= now {
                 continue;
             }
-            let route = vc.route.expect("WaitVa VC has a route");
-            let p = slot / self.layout.total();
+            let route = usize::from(vc.route.expect("WaitVa VC has a route"));
+            let p = slot / usize::from(self.vcs);
             if !vc.circuit_attempted {
-                self.attempt_reservation(now, p, slot, out);
+                self.attempt_reservation(now, p, slot, packets, out);
             }
             self.contend[route] |= 1 << p;
             wanted |= 1 << route;
@@ -799,7 +894,7 @@ impl Router {
             // class; pick the winner first (RR), then the VC.
             let mut granted = false;
             while !granted {
-                let Some(winner) = self.state.va_rr_out[out_port].grant_mask(tried) else {
+                let Some(winner) = self.state.arbiters[out_port].va_out.grant_mask(tried) else {
                     break;
                 };
                 tried &= !(1 << winner);
@@ -818,10 +913,11 @@ impl Router {
                 candidates.extend(
                     bits(self.port_bits(self.occ.wait_va, winner))
                         .map(|v| (v, &inputs[v]))
-                        .filter(|(_, vc)| vc.state_since < now && vc.route == Some(out_port))
+                        .filter(|(_, vc)| vc.state_since < now && vc.route == Some(out_port as u8))
                         .map(|(v, vc)| {
-                            let head = vc.buffer.front().expect("WaitVa VC holds its head").head();
-                            (vc.state_since, v, head.vnet, head.dst)
+                            let head = vc.front().expect("WaitVa VC holds its head");
+                            let packet = &packets[head.slot];
+                            (vc.state_since, v, packet.vnet, packet.dst)
                         }),
                 );
                 candidates.sort_unstable_by_key(|&(since, v, _, _)| (since, v));
@@ -836,19 +932,14 @@ impl Router {
                         self.occ.wait_va &= !(1 << slot);
                         self.occ.post_va |= 1 << slot;
                         let vc = &mut self.state.vcs[slot];
-                        vc.out_vc = Some(ovc);
+                        vc.out_vc = Some(ovc as u8);
                         vc.state = VcState::WaitSa;
                         vc.state_since = now;
-                        let packet = vc
-                            .buffer
-                            .front()
-                            .expect("WaitVa VC holds its head")
-                            .packet
-                            .0;
+                        let head = vc.front().expect("WaitVa VC holds its head");
                         self.sink.emit(|| TraceEvent {
                             cycle: now,
                             kind: EventKind::StageVa {
-                                packet,
+                                packet: packets[head.slot].id.0,
                                 node: self.node.0,
                             },
                         });
@@ -884,8 +975,7 @@ impl Router {
 
     /// `port`'s slice of an index mask, shifted down to bit 0 = VC 0.
     fn port_bits(&self, mask: u64, port: usize) -> u64 {
-        let vcs = self.layout.total();
-        (mask >> (port * vcs)) & ((1 << vcs) - 1)
+        (mask >> (port * usize::from(self.vcs))) & ((1 << self.vcs) - 1)
     }
 
     /// The [`OccupancyIndex`] `state` implies — the one scratch field that
@@ -893,14 +983,14 @@ impl Router {
     fn rebuild_scratch(state: &State) -> OccupancyIndex {
         let State {
             vcs,
+            spill,
             bypass_retry,
+            st_len: _,
+            st_pending: _,
             credits: _,
             owner: _,
             circuits: _,
-            st_pending: _,
-            sa_rr_in: _,
-            sa_rr_out: _,
-            va_rr_out: _,
+            arbiters: _,
             degraded: _,
             activity: _,
         } = state;
@@ -911,23 +1001,37 @@ impl Router {
                 VcState::WaitVa => occ.wait_va |= 1 << slot,
                 VcState::WaitSa | VcState::Active => occ.post_va |= 1 << slot,
             }
-            occ.buffered += vc.buffer.len();
+            occ.buffered += vc.len();
         }
-        occ.retries = bypass_retry.iter().map(VecDeque::len).sum();
+        occ.buffered += spill.len();
+        for (port, queue) in bypass_retry.iter().enumerate() {
+            occ.retries |= u64::from(!queue.is_empty()) << port;
+        }
         occ
     }
 
     /// Checks the incrementally maintained [`OccupancyIndex`] against a
-    /// fresh [`Router::rebuild_scratch`].
+    /// fresh [`Router::rebuild_scratch`], and that only a full ring
+    /// spills.
     pub(crate) fn check_index(&self) -> Result<(), String> {
         let derived = Self::rebuild_scratch(&self.state);
-        if self.occ == derived {
-            Ok(())
-        } else {
-            Err(format!(
+        if self.occ != derived {
+            return Err(format!(
                 "{:?}: occupancy index {:x?} but the VC states give {:x?}",
                 self.node, self.occ, derived
-            ))
+            ));
+        }
+        match self
+            .state
+            .spill
+            .iter()
+            .find(|s| self.state.vcs[usize::from(s.0)].len() < input::RING)
+        {
+            Some(s) => Err(format!(
+                "{:?}: VC slot {} spilled past a free ring entry",
+                self.node, s.0
+            )),
+            None => Ok(()),
         }
     }
 
@@ -940,16 +1044,21 @@ impl Router {
     /// The §4.1 reservation: while the request head sits in VA, write the
     /// reply's circuit into this router's tables. `p` is the input port
     /// of the VC at `slot`.
-    fn attempt_reservation(&mut self, now: Cycle, p: usize, slot: usize, out: &mut impl LinkSink) {
+    fn attempt_reservation(
+        &mut self,
+        now: Cycle,
+        p: usize,
+        slot: usize,
+        packets: &mut Packets,
+        out: &mut impl LinkSink,
+    ) {
         let vc = &mut self.state.vcs[slot];
         vc.circuit_attempted = true;
-        let route = vc.route.expect("WaitVa VC has a route");
-        let head = vc
-            .buffer
-            .front_mut()
-            .and_then(|f| f.head.as_deref_mut())
-            .expect("WaitVa VC holds its head");
-        let Some(handle) = head.circuit.as_deref_mut() else {
+        let route = usize::from(vc.route.expect("WaitVa VC has a route"));
+        let head = vc.front().expect("WaitVa VC holds its head");
+        let packet = &mut packets[head.slot];
+        let dst = packet.dst;
+        let Some(handle) = packet.circuit.as_mut() else {
             return;
         };
         if handle.failed {
@@ -981,7 +1090,7 @@ impl Router {
         }
         let h_req = self
             .topology
-            .distance(self.node, self.topology.router_of(head.dst));
+            .distance(self.node, self.topology.router_of(dst));
 
         let (window, max_extra_shift, nominal, slack) = match handle.timing {
             Some(t) => {
@@ -1075,24 +1184,28 @@ impl Router {
     /// output VC has no credits; a `WaitVa` VC is blocked when *no* VC
     /// in its allocatable class is free. Only runs on the cold
     /// watchdog path, so it allocates freely.
-    pub(crate) fn waiters(&self, now: Cycle, out: &mut Vec<VcWaiter>) {
+    pub(crate) fn waiters(&self, now: Cycle, packets: &Packets, out: &mut Vec<VcWaiter>) {
         for (slot, vc) in self.state.vcs.iter().enumerate() {
             let (p, v) = self.port_vc(slot);
             if vc.is_idle() {
                 continue;
             }
-            let Some(route) = vc.route else { continue };
+            let Some(route) = vc.route.map(usize::from) else {
+                continue;
+            };
             if route >= PORT_LOCAL {
                 // Ejection waits never close a channel cycle.
                 continue;
             }
-            let Some(front) = vc.buffer.front() else {
+            let Some(front) = vc.front() else {
                 continue;
             };
+            let packet = &packets[front.slot];
+            let out_vc = vc.out_vc.map(usize::from);
             let mut edges = Vec::new();
-            let credits = match vc.out_vc {
+            let credits = match out_vc {
                 Some(ov) => {
-                    let credits = self.state.credits[self.slot(route, ov)];
+                    let credits = u32::from(self.state.credits[self.slot(route, ov)]);
                     if credits == 0 && !self.layout.is_circuit_vc(ov) {
                         edges.push(WaitEdge::Downstream { out_vc: ov });
                     }
@@ -1100,9 +1213,8 @@ impl Router {
                 }
                 None => {
                     if vc.state == VcState::WaitVa {
-                        let head = front.head();
                         let cands: Vec<usize> =
-                            self.allocatable(route, head.vnet, head.dst).collect();
+                            self.allocatable(route, packet.vnet, packet.dst).collect();
                         let owner = |ovc: usize| self.state.owner[self.slot(route, ovc)];
                         if cands.iter().all(|&ovc| owner(ovc) != Owner::Free) {
                             for &ovc in &cands {
@@ -1139,9 +1251,9 @@ impl Router {
             out.push(VcWaiter {
                 in_port: p,
                 vc: v,
-                packet: Some(front.packet),
+                packet: Some(packet.id),
                 wants_port: route,
-                out_vc: vc.out_vc,
+                out_vc,
                 credits,
                 held_by_circuit,
                 edges,
@@ -1196,9 +1308,9 @@ pub(crate) struct VcWaiter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flit::{FlitKind, Head, PacketId};
+    use crate::flit::{Packet, PacketSpec};
     use crate::links::Outgoing;
-    use rcsim_core::{MechanismConfig, Mesh, MessageClass, Vnet, PORT_EAST, PORT_NORTH, PORT_WEST};
+    use rcsim_core::{MechanismConfig, Mesh, MessageClass, PORT_EAST, PORT_NORTH, PORT_WEST};
 
     fn router(mechanism: MechanismConfig) -> Router {
         let mesh = Mesh::new(4, 4).expect("valid");
@@ -1206,40 +1318,34 @@ mod tests {
         Router::new(NodeId(5), &NocConfig::paper_baseline(mesh, mechanism))
     }
 
-    fn flit(kind: FlitKind, seq: u32, len: u32, dst: u16, vc: u8) -> Flit {
-        Flit {
-            packet: PacketId(1),
-            kind,
-            seq,
-            vc,
-            on_circuit: None,
-            scrounger_final: None,
-            head: kind.is_head().then(|| {
-                Box::new(Head {
-                    len,
-                    src: NodeId(4),
-                    dst: NodeId(dst),
-                    class: MessageClass::L1Request,
-                    vnet: Vnet::Request,
-                    corrupted: false,
-                    circuit: None,
-                    block: 0x40,
-                    token: 0,
-                    created_at: 0,
-                    injected_at: 0,
-                    path: None,
-                })
-            }),
-        }
+    /// Files a `len`-flit packet of `class` from n4 to `dst`, block 0x40.
+    fn packet(packets: &mut Packets, class: MessageClass, dst: u16, len: u32) -> u32 {
+        let id = PacketId(packets.records().slots() as u64 + 1);
+        let spec = PacketSpec::new(NodeId(4), NodeId(dst), class).with_block(0x40);
+        packets.insert(Packet::new(id, &spec, len, 0))
     }
 
-    fn tick(r: &mut Router, now: Cycle, mut arrivals: Vec<(usize, Flit)>) -> Vec<Outgoing> {
+    /// A request to n6 = (2,1) — East of n5 — and its flits on VC 0.
+    fn request(packets: &mut Packets, len: u32) -> Vec<Flit> {
+        let slot = packet(packets, MessageClass::L1Request, 6, len);
+        (0..len as u16)
+            .map(|seq| Flit::new(slot, seq, len, 0, 0))
+            .collect()
+    }
+
+    fn tick(
+        r: &mut Router,
+        now: Cycle,
+        packets: &mut Packets,
+        mut arrivals: Vec<(usize, Flit)>,
+    ) -> Vec<Outgoing> {
         let mut out = Vec::new();
         r.tick(
             now,
             &mut arrivals,
             &mut Vec::new(),
             &mut Vec::new(),
+            packets,
             &mut out,
         );
         out
@@ -1251,16 +1357,20 @@ mod tests {
     #[test]
     fn single_flit_takes_four_router_cycles() {
         let mut r = router(MechanismConfig::baseline());
-        // Head-tail toward n6 = (2,1): East of n5, arriving from the West.
-        let f = flit(FlitKind::HeadTail, 0, 1, 6, 0);
-        let out = tick(&mut r, 0, vec![(PORT_WEST, f)]);
+        let mut packets = Packets::default();
+        // Head-tail toward n6, arriving from the West.
+        let f = request(&mut packets, 1)[0];
+        let out = tick(&mut r, 0, &mut packets, vec![(PORT_WEST, f)]);
         assert!(out.is_empty(), "cycle 0: buffered + route computed");
-        assert!(tick(&mut r, 1, vec![]).is_empty(), "cycle 1: VC allocation");
         assert!(
-            tick(&mut r, 2, vec![]).is_empty(),
+            tick(&mut r, 1, &mut packets, vec![]).is_empty(),
+            "cycle 1: VC allocation"
+        );
+        assert!(
+            tick(&mut r, 2, &mut packets, vec![]).is_empty(),
             "cycle 2: switch allocation"
         );
-        let out = tick(&mut r, 3, vec![]);
+        let out = tick(&mut r, 3, &mut packets, vec![]);
         let sent = out
             .iter()
             .find_map(|o| match o {
@@ -1281,18 +1391,12 @@ mod tests {
     #[test]
     fn multiflit_streams_at_one_per_cycle() {
         let mut r = router(MechanismConfig::baseline());
+        let mut packets = Packets::default();
+        let flits = request(&mut packets, 5);
         let mut departures = Vec::new();
         for now in 0..16u64 {
-            let arrivals = if now < 5 {
-                let seq = now as u32;
-                vec![(
-                    PORT_WEST,
-                    flit(FlitKind::for_position(seq, 5), seq, 5, 6, 0),
-                )]
-            } else {
-                vec![]
-            };
-            for o in tick(&mut r, now, arrivals) {
+            let arrivals = flits.get(now as usize).map(|&f| (PORT_WEST, f));
+            for o in tick(&mut r, now, &mut packets, arrivals.into_iter().collect()) {
                 if let Outgoing::Flit(..) = o {
                     departures.push(now);
                 }
@@ -1304,6 +1408,46 @@ mod tests {
         assert_eq!(r.buffered_flits(), 0);
     }
 
+    /// A VC buffer deeper than its ring — what an uncredited circuit VC
+    /// can be asked to hold — spills, keeps arrival order across ring and
+    /// spill, and drains back to nothing.
+    #[test]
+    fn a_buffer_deeper_than_its_ring_spills_in_order() {
+        let mut r = router(MechanismConfig::baseline());
+        let mut packets = Packets::default();
+        let len = 2 * input::RING as u32 + 1;
+        let flits = request(&mut packets, len);
+        // Hold the output busy so nothing leaves while the flits pile up.
+        for now in 0..u64::from(len) {
+            let mut arrivals = vec![(PORT_WEST, flits[now as usize])];
+            r.tick(
+                now,
+                &mut arrivals,
+                &mut Vec::new(),
+                &mut Vec::new(),
+                &mut packets,
+                &mut Vec::new(),
+            );
+            r.state.st_len = 0;
+        }
+        assert_eq!(r.buffered_flits(), len as usize);
+        assert_eq!(r.state.spill.len(), len as usize - input::RING);
+        assert_eq!(r.check_index(), Ok(()));
+        let mut seqs = Vec::new();
+        for now in u64::from(len)..u64::from(4 * len) {
+            // The downstream buffer is as deep as it needs to be.
+            r.state.credits = [u8::MAX; VC_INDEX_BITS];
+            for o in tick(&mut r, now, &mut packets, vec![]) {
+                if let Outgoing::Flit(_, f, _) = o {
+                    seqs.push(f.seq);
+                }
+            }
+            assert_eq!(r.check_index(), Ok(()));
+        }
+        assert_eq!(seqs, (0..len as u16).collect::<Vec<_>>());
+        assert!(r.state.spill.is_empty() && r.buffered_flits() == 0);
+    }
+
     /// The flat control state round-trips and the occupancy index is
     /// scratch: it is not in the snapshot, a restore rebuilds it, and a
     /// router restored mid-packet — one VC streaming, one still waiting
@@ -1311,19 +1455,16 @@ mod tests {
     /// uninterrupted one.
     #[test]
     fn restore_rebuilds_the_index_and_continues_identically() {
+        let mut packets = Packets::default();
+        let flits = request(&mut packets, 5);
+        let rival = packet(&mut packets, MessageClass::L1Request, 6, 1);
         let arrivals_at = |now: Cycle| {
             let mut arrivals = Vec::new();
-            if now < 5 {
-                let seq = now as u32;
-                arrivals.push((
-                    PORT_WEST,
-                    flit(FlitKind::for_position(seq, 5), seq, 5, 6, 0),
-                ));
+            if let Some(&f) = flits.get(now as usize) {
+                arrivals.push((PORT_WEST, f));
             }
             if now == 4 {
-                let mut rival = flit(FlitKind::HeadTail, 0, 1, 6, 1);
-                rival.packet = PacketId(2);
-                arrivals.push((PORT_NORTH, rival));
+                arrivals.push((PORT_NORTH, Flit::new(rival, 0, 1, 1, 0)));
             }
             arrivals
         };
@@ -1331,7 +1472,7 @@ mod tests {
 
         let mut uninterrupted = router(MechanismConfig::baseline());
         for now in 0..5 {
-            tick(&mut uninterrupted, now, arrivals_at(now));
+            tick(&mut uninterrupted, now, &mut packets, arrivals_at(now));
         }
         assert!(uninterrupted.occ.post_va != 0 && uninterrupted.occ.wait_va != 0);
         assert!(
@@ -1352,8 +1493,8 @@ mod tests {
 
         for now in 5..16 {
             assert_eq!(
-                tick(&mut restored, now, arrivals_at(now)),
-                tick(&mut uninterrupted, now, arrivals_at(now)),
+                tick(&mut restored, now, &mut packets.clone(), arrivals_at(now)),
+                tick(&mut uninterrupted, now, &mut packets, arrivals_at(now)),
                 "cycle {now}"
             );
             assert_eq!(json(&restored), json(&uninterrupted), "cycle {now}");
@@ -1367,14 +1508,18 @@ mod tests {
     #[test]
     fn output_contention_is_arbitrated() {
         let mut r = router(MechanismConfig::baseline());
-        let a = flit(FlitKind::HeadTail, 0, 1, 6, 0);
-        let mut b = flit(FlitKind::HeadTail, 0, 1, 6, 0);
-        b.packet = PacketId(2);
-        b.head.as_mut().expect("head").src = NodeId(1);
-        let _ = tick(&mut r, 0, vec![(PORT_WEST, a), (PORT_NORTH, b)]);
+        let mut packets = Packets::default();
+        let a = request(&mut packets, 1)[0];
+        let b = request(&mut packets, 1)[0];
+        let _ = tick(
+            &mut r,
+            0,
+            &mut packets,
+            vec![(PORT_WEST, a), (PORT_NORTH, b)],
+        );
         let mut departures = 0;
         for now in 1..10 {
-            for o in tick(&mut r, now, vec![]) {
+            for o in tick(&mut r, now, &mut packets, vec![]) {
                 if let Outgoing::Flit(port, ..) = o {
                     assert_eq!(port, PORT_EAST);
                     departures += 1;
@@ -1389,17 +1534,28 @@ mod tests {
     #[test]
     fn reservation_happens_at_va_with_mirrored_ports() {
         let mut r = router(MechanismConfig::complete());
-        let mut f = flit(FlitKind::HeadTail, 0, 1, 6, 0);
-        f.head.as_mut().expect("head").circuit = Some(Box::new(
-            rcsim_core::circuit::CircuitHandle::new(NodeId(4), 0x40, NodeId(6), 2, 5, 7),
+        let mut packets = Packets::default();
+        let f = request(&mut packets, 1)[0];
+        packets[f.slot].circuit = Some(rcsim_core::circuit::CircuitHandle::new(
+            NodeId(4),
+            0x40,
+            NodeId(6),
+            2,
+            5,
+            7,
         ));
-        let _ = tick(&mut r, 0, vec![(PORT_WEST, f)]);
+        let _ = tick(&mut r, 0, &mut packets, vec![(PORT_WEST, f)]);
         assert_eq!(r.state.circuits.total_entries(), 0, "not during RC");
-        let _ = tick(&mut r, 1, vec![]);
+        let _ = tick(&mut r, 1, &mut packets, vec![]);
         assert_eq!(
             r.state.circuits.total_entries(),
             1,
             "reserved in parallel with VA"
+        );
+        assert_eq!(
+            packets[f.slot].circuit.map(|h| h.built_hops),
+            Some(1),
+            "the record's handle counts the hop"
         );
         // Reply arrives from where the request went (East) and leaves
         // where it came from (West).
@@ -1435,12 +1591,11 @@ mod tests {
                 max_extra_shift: 0,
             })
             .expect("reservation succeeds");
-        let mut f = flit(FlitKind::HeadTail, 0, 1, 4, 3);
-        let head = f.head.as_mut().expect("head");
-        head.class = MessageClass::L2Reply;
-        head.vnet = Vnet::Reply;
-        f.on_circuit = Some(key);
-        let out = tick(&mut r, 10, vec![(PORT_EAST, f)]);
+        let mut packets = Packets::default();
+        let slot = packet(&mut packets, MessageClass::L2Reply, 4, 1);
+        packets[slot].riding = Some(key);
+        let f = Flit::new(slot, 0, 1, 3, Flit::RIDES);
+        let out = tick(&mut r, 10, &mut packets, vec![(PORT_EAST, f)]);
         let (port, arrive) = out
             .iter()
             .find_map(|o| match o {
@@ -1484,6 +1639,7 @@ mod tests {
             &mut Vec::new(),
             &mut Vec::new(),
             &mut vec![(key, NodeId(4))],
+            &mut Packets::default(),
             &mut out,
         );
         assert_eq!(r.state.circuits.total_entries(), 0);

@@ -1,8 +1,10 @@
-//! The link calendars (DESIGN.md §9) and the state/scratch split around
+//! The link registers (DESIGN.md §9) and the state/scratch split around
 //! them (§15), seen from outside the crate: a snapshot holds state only,
 //! so the same mid-run network serializes to the same bytes whichever
 //! kernel produced it, and a network restored from it — parked flits,
-//! in-flight buckets and all — continues exactly like the original.
+//! full registers, packet table and all — continues exactly like the
+//! original. Derived indices, wake slots and the packet table's laws are
+//! re-checked after every cycle.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -42,6 +44,8 @@ fn step(net: &mut Network, rng: &mut StdRng, block: &mut u64) {
         }
     }
     net.tick();
+    net.check_index()
+        .unwrap_or_else(|e| panic!("cycle {}: {e}", net.now()));
     for (node, d) in net.take_all_delivered() {
         if d.class == MessageClass::L1Request {
             let key = CircuitKey {

@@ -31,6 +31,8 @@ struct PendingMiss {
     issued_at: Cycle,
     /// Times the request has been re-sent because no reply arrived.
     reissues: u32,
+    /// The cycle the next re-send is due (`Cycle::MAX`: never again).
+    reissue_at: Cycle,
 }
 
 /// Result of a core access.
@@ -144,6 +146,21 @@ impl L1Cache {
         self.state.miss.is_some()
     }
 
+    /// The first cycle [`L1Cache::maybe_reissue`] will do anything:
+    /// `Cycle::MAX` with no miss outstanding or its reissues spent.
+    pub fn reissue_at(&self) -> Cycle {
+        self.state.miss.map_or(Cycle::MAX, |m| m.reissue_at)
+    }
+
+    /// When reissue `reissues + 1` of a miss issued at `issued_at` is due.
+    fn next_reissue(&self, issued_at: Cycle, reissues: u32) -> Cycle {
+        if reissues >= self.cfg.max_reissues {
+            return Cycle::MAX;
+        }
+        let wait = self.cfg.reissue_timeout.checked_shl(reissues);
+        issued_at.saturating_add(wait.unwrap_or(Cycle::MAX))
+    }
+
     fn home(&self, block: u64) -> NodeId {
         self.cfg.home(&self.topology, block)
     }
@@ -208,6 +225,7 @@ impl L1Cache {
             write_value: if write { write_value } else { None },
             issued_at: port.now(),
             reissues: 0,
+            reissue_at: self.next_reissue(port.now(), 0),
         });
         let mut req =
             Msg::new(MessageClass::L1Request, self.node, self.home(block), block).with_req(kind);
@@ -230,25 +248,13 @@ impl L1Cache {
     /// Cheap no-op (one `Option` check) when no miss is outstanding, so
     /// callers may invoke it every cycle.
     pub fn maybe_reissue(&mut self, now: Cycle, port: &mut dyn Port) {
-        let (block, kind) = match &self.state.miss {
-            Some(m) if m.reissues < self.cfg.max_reissues => {
-                let threshold = self
-                    .cfg
-                    .reissue_timeout
-                    .checked_shl(m.reissues)
-                    .unwrap_or(Cycle::MAX);
-                if now.saturating_sub(m.issued_at) < threshold {
-                    return;
-                }
-                (m.block, m.kind)
-            }
-            _ => return,
+        let Some(mut m) = self.state.miss.filter(|m| m.reissue_at <= now) else {
+            return;
         };
-        let attempt = {
-            let m = self.state.miss.as_mut().expect("checked above");
-            m.reissues += 1;
-            m.reissues
-        };
+        m.reissues += 1;
+        m.reissue_at = self.next_reissue(m.issued_at, m.reissues);
+        self.state.miss = Some(m);
+        let (block, kind, attempt) = (m.block, m.kind, m.reissues);
         self.state.stats.reissues += 1;
         self.sink.emit(|| TraceEvent {
             cycle: now,

@@ -211,12 +211,20 @@ impl L2Bank {
     /// this is `false` ticks as a no-op, so skipping it cannot change
     /// observable state.
     pub fn has_due_work(&self, now: Cycle) -> bool {
-        !self.state.stalled.is_empty()
-            || self
-                .state
-                .inbox
-                .front()
-                .is_some_and(|&(ready, _)| ready <= now)
+        self.next_due() <= now
+    }
+
+    /// The first cycle [`L2Bank::has_due_work`] holds: at once while a
+    /// stalled request retries every cycle, else when the inbox's head
+    /// becomes due (`Cycle::MAX` for an empty inbox).
+    pub fn next_due(&self) -> Cycle {
+        if !self.state.stalled.is_empty() {
+            return 0;
+        }
+        self.state
+            .inbox
+            .front()
+            .map_or(Cycle::MAX, |&(ready, _)| ready)
     }
 
     /// Processes everything that has become due.

@@ -78,10 +78,14 @@ impl MemoryController {
     /// Used by the event kernel to skip idle controllers; ticking when this
     /// is `false` is a no-op, so skipping cannot change observable state.
     pub fn has_due_work(&self, now: Cycle) -> bool {
-        self.state
-            .pending
-            .front()
-            .is_some_and(|&(ready, _)| ready <= now)
+        self.next_due() <= now
+    }
+
+    /// The first cycle [`MemoryController::has_due_work`] holds
+    /// (`Cycle::MAX` with nothing pending).
+    pub fn next_due(&self) -> Cycle {
+        let head = self.state.pending.front();
+        head.map_or(Cycle::MAX, |&(ready, _)| ready)
     }
 
     /// Emits due replies.

@@ -8,7 +8,7 @@ use crate::open_loop::{self, OpenLoopConfig, OpenLoopState, EXT_TOKEN_BIT};
 use crate::report::ExternalSummary;
 use rcsim_core::circuit::CircuitKey;
 use rcsim_core::{
-    Cycle, KernelMode, MechanismConfig, MessageClass, NodeId, StateMap, StateSet, Topology,
+    Cycle, KernelMode, MechanismConfig, MessageClass, NodeId, Slab, StateSet, Topology, WakeTimes,
 };
 use rcsim_noc::{
     CircuitOutcome, FaultConfig, HealthReport, Network, NetworkSnapshot, NocConfig, NocStats,
@@ -40,9 +40,7 @@ impl Port for ChipPort<'_> {
     }
 
     fn send(&mut self, msg: Msg, turnaround: u32) -> bool {
-        let token = self.state.next_token;
-        self.state.next_token += 1;
-        self.state.payloads.insert(token, msg);
+        let token = u64::from(self.state.payloads.insert(msg));
         let mut spec = PacketSpec::new(msg.src, msg.dst, msg.class)
             .with_block(msg.block)
             .with_token(token)
@@ -114,15 +112,32 @@ pub struct Chip {
     open_loop: Option<Box<OpenLoopState>>,
 
     state: State,
+
+    // Scratch.
+    wake: Wake,
+}
+
+/// Per tile, the next cycle each of its components has anything to do:
+/// what [`Chip::tick`] asks every cycle instead of the components
+/// themselves. Exact between ticks — re-set wherever a component is
+/// touched — and rebuilt from them by [`Chip::rebuild_scratch`].
+struct Wake {
+    /// [`Core::ready_at`].
+    cores: WakeTimes,
+    /// [`L1Cache::reissue_at`].
+    reissues: WakeTimes,
+    /// The earlier of [`L2Bank::next_due`] and the tile's
+    /// [`MemoryController::next_due`].
+    banks: WakeTimes,
 }
 
 /// The chip's own state (DESIGN.md §15): the glue between the protocol
 /// and the network.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 struct State {
-    /// The message behind each packet in flight, by token.
-    payloads: StateMap<u64, Msg>,
-    next_token: u64,
+    /// The message behind each packet in flight; its slot is the token
+    /// the packet carries.
+    payloads: Slab<Msg>,
     /// Circuits the §4.4 ablation undid at L2 miss, until their reply.
     undone: StateSet<CircuitKey>,
 }
@@ -185,7 +200,8 @@ impl Chip {
         for n in &proto_cfg.mc_tiles {
             mcs[n.index()] = Some(MemoryController::new(*n, proto_cfg.mem_latency));
         }
-        Ok(Self {
+        let n = topology.nodes();
+        let mut chip = Self {
             topology,
             proto_cfg,
             sink: TraceSink::default(),
@@ -198,7 +214,30 @@ impl Chip {
             mcs,
             open_loop: None,
             state: State::default(),
-        })
+            wake: Wake {
+                cores: WakeTimes::new(n),
+                reissues: WakeTimes::new(n),
+                banks: WakeTimes::new(n),
+            },
+        };
+        chip.rebuild_scratch();
+        Ok(chip)
+    }
+
+    /// Re-derives every wake slot from the component it stands for.
+    fn rebuild_scratch(&mut self) {
+        for i in 0..self.cores.len() {
+            self.wake.cores.set(i, self.cores[i].ready_at());
+            self.wake.reissues.set(i, self.l1s[i].reissue_at());
+            self.wake_bank(i);
+        }
+    }
+
+    /// Re-sets tile `i`'s bank slot after its L2 bank or memory
+    /// controller received or processed something.
+    fn wake_bank(&mut self, i: usize) {
+        let mc = self.mcs[i].as_ref().map_or(Cycle::MAX, |m| m.next_due());
+        self.wake.banks.set(i, self.l2s[i].next_due().min(mc));
     }
 
     /// Turns on open-loop external traffic: installs the bounded-ingress
@@ -296,7 +335,7 @@ impl Chip {
         for i in 0..n {
             // A core still computing (or blocked on a miss) polls as a
             // pure no-op; the event kernel skips the call outright.
-            if event && self.cores[i].ready_at() > now {
+            if event && !self.wake.cores.due(i, now) {
                 continue;
             }
             if let CoreAction::Access {
@@ -316,16 +355,18 @@ impl Chip {
                     Access::Hit { .. } => self.cores[i].access_hit(now),
                     Access::Miss => self.cores[i].access_missed(),
                 }
+                self.wake.reissues.set(i, self.l1s[i].reissue_at());
             }
+            self.wake.cores.set(i, self.cores[i].ready_at());
         }
 
         // Overdue-miss reissue (DESIGN.md §10): a permanent fault may have
         // eaten a request or its reply before the fabric routed around the
-        // dead resource. Cheap per-L1 no-op unless a miss is outstanding,
-        // so it runs every cycle under both kernels (a blocked core is
-        // exactly the tile the event kernel would otherwise skip).
+        // dead resource. A no-op until the outstanding miss's next
+        // reissue cycle, so that is all either kernel asks (a blocked core
+        // is exactly the tile the event kernel would otherwise skip).
         for i in 0..n {
-            if !self.l1s[i].miss_pending() {
+            if !self.wake.reissues.due(i, now) {
                 continue;
             }
             let mut port = ChipPort {
@@ -336,6 +377,7 @@ impl Chip {
                 track_undone,
             };
             self.l1s[i].maybe_reissue(now, &mut port);
+            self.wake.reissues.set(i, self.l1s[i].reissue_at());
         }
 
         // Open-loop external traffic: service replies, client retries,
@@ -371,10 +413,9 @@ impl Chip {
                     .on_delivered(node, d.token, d.block, now);
                 continue;
             }
-            let msg = self
-                .state
-                .payloads
-                .remove(&d.token)
+            let msg = u32::try_from(d.token)
+                .ok()
+                .and_then(|token| self.state.payloads.remove(token))
                 .expect("every injected packet has a payload record");
             let i = node.index();
             match msg.class {
@@ -395,6 +436,8 @@ impl Chip {
                         .is_some()
                     {
                         self.cores[i].miss_done(now, l1_hit);
+                        self.wake.cores.set(i, self.cores[i].ready_at());
+                        self.wake.reissues.set(i, self.l1s[i].reissue_at());
                     }
                 }
                 MessageClass::L1Request
@@ -403,12 +446,14 @@ impl Chip {
                 | MessageClass::L1InvAck
                 | MessageClass::MemoryReply => {
                     self.l2s[i].receive(msg, now);
+                    self.wake_bank(i);
                 }
                 MessageClass::MemRequest | MessageClass::MemWbData => {
                     self.mcs[i]
                         .as_mut()
                         .expect("memory traffic targets an MC tile")
                         .receive(msg, now);
+                    self.wake_bank(i);
                 }
             }
         }
@@ -417,10 +462,7 @@ impl Chip {
         for i in 0..n {
             // Ticking a bank with nothing due (and an MC with nothing
             // pending) is a no-op; the event kernel skips the tile.
-            if event
-                && !self.l2s[i].has_due_work(now)
-                && !self.mcs[i].as_ref().is_some_and(|m| m.has_due_work(now))
-            {
+            if event && !self.wake.banks.due(i, now) {
                 continue;
             }
             let mut port = ChipPort {
@@ -434,6 +476,7 @@ impl Chip {
             if let Some(mc) = self.mcs[i].as_mut() {
                 mc.tick(now, &mut port);
             }
+            self.wake_bank(i);
         }
     }
 
@@ -588,6 +631,7 @@ impl Chip {
         if let (Some(ol), Some(s)) = (&mut self.open_loop, &snap.open_loop) {
             ol.restore(s);
         }
+        self.rebuild_scratch();
     }
 
     /// Checks the single-writer/multiple-reader invariant and directory

@@ -45,6 +45,14 @@ mirrors=$(grep -rnE 'struct \w+Snapshot|Portable(Event|Kind)' crates/*/src \
   | grep -vE 'struct (Session|Chip|Network)Snapshot\b' || true)
 [ -z "$mirrors" ] || { echo "FAIL: a mirror *Snapshot struct or a Portable* twin is back:"; echo "$mirrors"; exit 1; }
 
+echo "==> one record per packet (DESIGN.md §9: a flit is a Copy handle into the packet table)"
+old=$(grep -rnE '(Hash|State)Map<PacketId|payloads: StateMap|struct Head\b' crates/*/src || true)
+boxed=$(sed -n '/^pub struct Flit {/,/^}/p' crates/noc/src/flit.rs | grep 'Box<' || true)
+[ -z "$old$boxed" ] || { echo "FAIL: a per-packet map, a flit header or a boxed flit field is back:"; echo "$old$boxed"; exit 1; }
+grep -q 'const _: () = assert!(std::mem::size_of::<Flit>() <= 16);' crates/noc/src/flit.rs \
+  && grep -q 'copy::<Flit>();' crates/noc/src/flit.rs \
+  || { echo "FAIL: crates/noc/src/flit.rs lost its size or Copy assertion on Flit"; exit 1; }
+
 echo "==> cargo build --release"
 $CARGO build --release "$@"
 
@@ -57,11 +65,8 @@ $CARGO test --workspace "$@"
 echo "==> bench telemetry smoke (traced fig6 + summary validation)"
 # A tiny traced fig6 run must emit its machine-readable summary and a
 # Chrome trace; validate_bench then checks every BENCH_*.json written so
-# far against scripts/bench_schema.json. Catches a bench binary that
-# silently stops writing (or corrupts) its summary. Summaries left over
-# from runs predating the current BENCH_SCHEMA_VERSION would fail that
-# scan spuriously on incremental builders, so start from a clean slate —
-# every summary validated below is written by this CI run.
+# far against scripts/bench_schema.json. Summaries predating the current
+# BENCH_SCHEMA_VERSION would fail that scan spuriously, so start clean.
 rm -f target/experiments/BENCH_*.json
 RC_APPS=blackscholes RC_CYCLES=2000 RC_WARMUP=1000 RC_SMALL_CACHES=1 \
   RC_CORES=16 RC_MAX_CYCLES=10000 \
@@ -82,11 +87,10 @@ for typo in RC_KERNAL=dense RC_CYCLES=20k; do
 done
 
 echo "==> parallel sweep smoke (RC_JOBS determinism, cache, speedup)"
-# The sweep engine's contract: BENCH rows are byte-identical for any
-# worker count — only the telemetry fields (wall_ms/busy_ms/jobs/
-# cached_points) may differ — and a cache-warm rerun serves every point
-# from disk. On runners with >= 4 cores the 4-worker sweep must also be
-# at least 1.5x faster than the serial one.
+# BENCH rows are byte-identical for any worker count — only the telemetry
+# fields (wall_ms/busy_ms/jobs/cached_points) may differ — and a cache-warm
+# rerun serves every point from disk. On runners with >= 4 cores the
+# 4-worker sweep must also be at least 1.5x faster than the serial one.
 smoke=(RC_APPS=blackscholes RC_CYCLES=2000 RC_WARMUP=1000
        RC_SMALL_CACHES=1 RC_CORES=16 RC_MAX_CYCLES=10000)
 cache_dir=target/experiments/cache-ci
@@ -127,14 +131,12 @@ echo "    cache-warm rerun served $cached points from $cache_dir"
 $CARGO run --release -q -p rcsim-bench --bin validate_bench "$@"
 
 echo "==> dense-vs-event kernel smoke (RC_KERNEL byte-identity on fig6 rows)"
-# The event kernel (idle-skip scheduling) must be observationally
-# indistinguishable from the dense one: the same quick grid, run once per
-# kernel, must emit byte-identical BENCH rows. RC_NO_CACHE=1 is
-# load-bearing — the disk cache keys on SimConfig, which deliberately
-# excludes RC_KERNEL, so a cache hit would compare a result with itself —
-# and so is the check that the dense run's per-point `[sweep …]` lines
-# name the dense kernel: a diff of the event kernel with itself passes.
-# Leaves ci_<bin>_dense.json and ci_<bin>_event.json behind.
+# The same quick grid, run once per kernel, must emit byte-identical
+# BENCH rows. RC_NO_CACHE=1 is load-bearing — the disk cache keys on
+# SimConfig, which deliberately excludes RC_KERNEL, so a cache hit would
+# compare a result with itself — and so is the check that the dense run's
+# per-point `[sweep …]` lines name the dense kernel: a diff of the event
+# kernel with itself passes. Leaves ci_<bin>_{dense,event}.json behind.
 kernel_smoke() {
   local bin=$1 k; shift
   for k in dense event; do
@@ -155,11 +157,10 @@ kernel_smoke fig6 "$@"
 
 echo "==> resilience smoke (dead links: every mechanism, kernel/jobs invariance)"
 # Permanent-fault gate (DESIGN.md §10). The resilience test suite proves
-# every Figure-6 mechanism completes — nothing stalled, nothing
-# abandoned — with a permanently dead interior link; the resilience
-# bench (degradation sweep + mid-run-onset recovery, with its own
-# zero-abandoned asserts) must then emit byte-identical rows for any
-# worker count and either kernel (kernel_smoke above).
+# every Figure-6 mechanism completes — nothing stalled, nothing abandoned —
+# with a permanently dead interior link; the resilience bench (degradation
+# sweep + mid-run-onset recovery, with its own zero-abandoned asserts) must
+# then emit byte-identical rows for any worker count and either kernel.
 $CARGO test -q -p rcsim-system --test resilience "$@"
 kernel_smoke resilience "$@"
 env "${smoke[@]}" RC_JOBS=4 RC_NO_CACHE=1 \
@@ -173,10 +174,9 @@ echo "==> overload smoke (open-loop saturation: conservation, kernel/jobs invari
 # Overload gate (DESIGN.md §11). The open_loop test suite proves
 # conservation (offered == completed + shed + gave_up + in_flight, zero
 # unaccounted) below and past saturation, with admission on and off, and
-# dense/event byte-identity on open-loop runs. The overload bench — a
-# past-saturation load sweep per mechanism with per-point conservation,
-# termination and queue-bound asserts baked in — must then emit
-# byte-identical rows for either kernel and any worker count.
+# dense/event byte-identity on open-loop runs. The overload bench — with
+# per-point conservation, termination and queue-bound asserts baked in —
+# must then emit byte-identical rows for either kernel and any worker count.
 $CARGO test -q -p rcsim-system --test open_loop "$@"
 kernel_smoke overload "$@"
 env "${smoke[@]}" RC_JOBS=4 RC_NO_CACHE=1 \
@@ -189,10 +189,9 @@ $CARGO run --release -q -p rcsim-bench --bin validate_bench "$@"
 echo "==> topology smoke (mesh/torus/cmesh/ring circuit sweep, deadlock-freedom)"
 # Topology gate (DESIGN.md §12). A small closed-loop sweep over every
 # topology shape at 64 cores: every point must drain to quiescence with
-# zero abandoned packets (asserted inside the bench — this is the
-# wraparound dateline correctness check), rows must be byte-identical
-# across reruns (seeded, single-threaded determinism), and the summary
-# must validate against the schema.
+# zero abandoned packets (asserted inside the bench — the wraparound
+# dateline correctness check), rows must be byte-identical across reruns,
+# and the summary must validate against the schema.
 RC_TOPO_CYCLES=600 RC_TOPO_CORES=64 \
   $CARGO run --release -q -p rcsim-bench --bin topology "$@" > /dev/null
 test -s target/experiments/BENCH_topology.json
@@ -209,9 +208,8 @@ echo "==> adaptive policy smoke (static-vs-adaptive rows, off-path byte-identity
 # the policy hooks are invisible with `adaptive` off (traced, under both
 # kernels, on mesh and torus) and deterministic with it on; the property
 # suite pins the region map, the controller's hysteresis/dwell algebra
-# and the teardown conservation law. The adaptive bench then runs the
-# adversarial sweep — phased hotspot salvos over a light closed-loop
-# foreground — and asserts internally that the adaptive row beats the
+# and the teardown conservation law. The adaptive bench then asserts
+# internally that, under phased hotspot salvos, the adaptive row beats the
 # best static row on p99 RTT or foreground goodput while actually
 # switching; the rows are echoed here so a CI log shows the margin.
 # Finally, an off-path re-check: a fresh RC_NO_CACHE=1 fig6 run after
@@ -232,12 +230,14 @@ diff <(strip_telemetry target/experiments/ci_fig6_serial.json) \
      <(strip_telemetry target/experiments/BENCH_fig6.json) \
   || { echo "FAIL: adaptive-off BENCH_fig6.json rows drifted after the adaptive smoke"; exit 1; }
 
-echo "==> kernel/link/power/traffic differential suites"
-# The dense-vs-event differential layer, the link-sink suite (emission
-# order under link faults, DESIGN.md §9) plus the power-model and
-# traffic-pattern suites.
+echo "==> kernel/link/packet-table/power/traffic differential suites"
+# Dense vs event, the link-sink suite (emission order under link faults,
+# DESIGN.md §9), the packet table under faults and the zero-allocation tick.
 $CARGO test -q -p rcsim-system --test kernel_diff "$@"
 $CARGO test -q -p rcsim-noc --test direct_links "$@"
+for jobs in 1 4; do
+  RC_JOBS=$jobs $CARGO test -q -p rcsim-noc --test packet_table --test steady_state_allocs "$@"
+done
 $CARGO test -q -p rcsim-power "$@"
 $CARGO test -q -p rcsim-noc --test traffic_patterns "$@"
 

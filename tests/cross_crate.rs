@@ -77,6 +77,91 @@ fn network_is_usable_standalone() {
     assert_eq!(net.take_delivered(NodeId(15)).len(), 1);
 }
 
+/// A zero-flit packet used to be a head no tail follows: it held VC 0 of
+/// every router on its route for good (two of these four packets arrived,
+/// the watchdog reported a stall). `inject` refuses it like a bad node.
+#[test]
+fn zero_length_packet_is_rejected() {
+    let mesh = Mesh::new(4, 4).unwrap();
+    let mut net =
+        Network::new(NocConfig::paper_baseline(mesh, MechanismConfig::baseline())).unwrap();
+    let request = PacketSpec::new(NodeId(0), NodeId(3), MessageClass::L1Request);
+    for flits in [0, u32::from(u16::MAX) + 1] {
+        let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            net.inject(request.with_flits(flits));
+        }));
+        let message = *refused.unwrap_err().downcast::<&str>().unwrap();
+        assert_eq!(message, "packet length out of range");
+    }
+    for flits in [1, 1, 1, 40] {
+        net.inject(request.with_flits(flits));
+    }
+    for _ in 0..200 {
+        net.tick();
+    }
+    let health = net.health();
+    assert!(health.quiescent && !health.stalled, "{health}");
+    assert_eq!(net.take_delivered(NodeId(3)).len(), 4);
+}
+
+/// Packet records are recycled — through abandonment under a retry budget
+/// of one and a dead-link window as well as through delivery — the
+/// table's laws hold after every cycle, and the event kernel leaves the
+/// table (free list included) and everything else as the dense one does.
+#[test]
+fn packet_slots_recycle_under_faults_and_kernels_agree() {
+    let run = |kernel: KernelMode| {
+        let mut faults = FaultConfig::none();
+        faults.link_drop_rate = 0.05;
+        faults.link_corrupt_rate = 0.03;
+        faults.max_retries = 1;
+        faults.dead_links.push(DeadLinkEvent {
+            a: NodeId(5),
+            b: NodeId(6),
+            at: 150,
+            duration: Some(100),
+        });
+        let cfg = NocConfig::paper_baseline(Mesh::new(4, 4).unwrap(), MechanismConfig::baseline());
+        let mut net = Network::with_faults(cfg, faults).unwrap();
+        net.set_kernel(kernel);
+        let (mut injected, mut delivered, mut snapshot) = (0, 0, String::new());
+        while net.now() < 900 || !net.is_quiescent() {
+            assert!(net.now() < 20_000 && !net.stalled(), "{}", net.health());
+            if net.now() < 900 && net.now().is_multiple_of(2) {
+                let (src, dst) = (net.now() / 2 % 16, (net.now() * 7 / 2 + 3) % 16);
+                net.inject(PacketSpec::new(
+                    NodeId(src as u16),
+                    NodeId(dst as u16),
+                    MessageClass::WbData,
+                ));
+                injected += u64::from(src != dst);
+            }
+            if net.now() == 300 {
+                snapshot = serde_json::to_string(&net.snapshot()).unwrap();
+            }
+            net.tick();
+            delivered += net.take_all_delivered().len() as u64;
+            net.check_index().unwrap();
+        }
+        let (open, held, high_water) = net.packet_records();
+        assert_eq!((open, held), (0, 0), "the table drains");
+        let faults = net.fault_stats();
+        assert!(faults.packets_abandoned > 0 && faults.dead_flits_lost > 0);
+        assert!(
+            injected > 400 && high_water < 100,
+            "{injected} packets in {high_water} slots: slots must be reused"
+        );
+        (
+            snapshot,
+            serde_json::to_string(&net.stats()).unwrap(),
+            faults,
+            delivered,
+        )
+    };
+    let event = run(KernelMode::Event);
+    assert!(event == run(KernelMode::Dense));
+}
+
 /// Total credit loss deadlocks the mesh within a few hundred cycles.
 fn wedged_cfg() -> SimConfig {
     let mut cfg = quick(MechanismConfig::baseline(), "fft");
