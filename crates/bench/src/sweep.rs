@@ -27,7 +27,7 @@ use std::time::Instant;
 /// Bumped whenever [`RunResult`] or the simulator's semantics change in a
 /// way that invalidates previously cached results. Part of the cache key,
 /// so stale entries are simply never looked up again.
-pub const CACHE_FORMAT_VERSION: u32 = 2;
+pub const CACHE_FORMAT_VERSION: u32 = 3;
 
 /// The content hash a [`SimConfig`] is cached under: FNV-1a of the
 /// version-prefixed serde JSON form. Any field change — seed, cycles,

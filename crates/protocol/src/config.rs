@@ -46,18 +46,13 @@ fn default_max_reissues() -> u32 {
 }
 
 impl ProtocolConfig {
-    /// The Table 2 configuration for a topology. The L2 bank arrays skip
-    /// the bank-select bits (lines interleave over all tiles).
+    /// The Table 2 configuration for a topology. Lines interleave over all
+    /// tiles ([`Self::home`]), so each L2 bank indexes its sets by the
+    /// bank-local line number.
     pub fn paper_defaults(topology: &Topology) -> Self {
-        let bank_bits = (topology.nodes() as u64).trailing_zeros();
-        let bank_bits = if topology.nodes().is_power_of_two() {
-            bank_bits
-        } else {
-            0
-        };
         Self {
             l1: CacheConfig::from_capacity(32 * 1024, 4),
-            l2: CacheConfig::from_capacity(1024 * 1024, 16).with_index_shift(bank_bits),
+            l2: CacheConfig::from_capacity(1024 * 1024, 16).with_interleave(topology.nodes()),
             l1_hit_latency: 2,
             l2_hit_latency: 7,
             mem_latency: 160,
@@ -77,12 +72,12 @@ impl ProtocolConfig {
             l1: CacheConfig {
                 sets: 16,
                 ways: 4,
-                index_shift: 0,
+                interleave: 1,
             },
             l2: CacheConfig {
                 sets: 64,
                 ways: 8,
-                index_shift: defaults.l2.index_shift,
+                interleave: defaults.l2.interleave,
             },
             ..defaults
         }
@@ -103,6 +98,7 @@ impl ProtocolConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::CacheArray;
     use rcsim_core::Mesh;
 
     #[test]
@@ -122,6 +118,38 @@ mod tests {
         assert_eq!(homes.len(), 16);
         // Stable mapping.
         assert_eq!(cfg.home(&mesh, 5), cfg.home(&mesh, 5 + 16));
+    }
+
+    /// At tile counts that are not a power of two a bank's blocks are
+    /// `bank + k·nodes`; indexed by `block` they reached 64 of the 1 024
+    /// sets at 48 tiles. Indexed by the bank-local line number, `sets`
+    /// consecutive blocks of a bank fill every set once, in order, and
+    /// (tag, set) still names each block — high address bits included.
+    #[test]
+    fn every_l2_set_is_reachable_at_any_tile_count() {
+        for (w, h) in [(4, 3), (6, 4), (6, 6), (8, 6), (4, 4), (8, 8)] {
+            let mesh: Topology = Mesh::new(w, h).unwrap().into();
+            let nodes = mesh.nodes() as u64;
+            for cfg in [
+                ProtocolConfig::paper_defaults(&mesh),
+                ProtocolConfig::small_for_tests(&mesh),
+            ] {
+                let sets = cfg.l2.sets as u64;
+                for bank in 0..nodes {
+                    let mut array: CacheArray<u64> = CacheArray::new(cfg.l2);
+                    let blocks = (0..sets).map(|k| bank + ((bank << 32) * sets + k) * nodes);
+                    for (k, block) in blocks.clone().enumerate() {
+                        assert_eq!(cfg.home(&mesh, block).index() as u64, bank);
+                        assert_eq!(array.set_of(block), k, "{nodes} tiles, bank {bank}");
+                        assert_eq!(array.insert(block, block), None);
+                    }
+                    assert!(array
+                        .iter()
+                        .map(|(b, m)| (b, *m))
+                        .eq(blocks.map(|b| (b, b))));
+                }
+            }
+        }
     }
 
     #[test]

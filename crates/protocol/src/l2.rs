@@ -185,10 +185,6 @@ impl L2Bank {
                 .all(|(_, l)| l.busy.is_none() && l.queue.is_empty())
     }
 
-    fn set_index(&self, block: u64) -> usize {
-        ((block >> self.cfg.l2.index_shift) as usize) & (self.cfg.l2.sets - 1)
-    }
-
     fn proc_latency(&self, class: MessageClass) -> u32 {
         match class {
             MessageClass::L1Request | MessageClass::WbData | MessageClass::MemoryReply => {
@@ -696,7 +692,7 @@ impl L2Bank {
             // memory (the paper found keeping it performs better).
             port.undo_circuit(Msg::circuit_key_for(msg.src, block));
         }
-        let set = self.set_index(block);
+        let set = self.state.array.set_of(block);
         let reserved = self.state.reserved_ways.get(&set).copied().unwrap_or(0);
         if self.state.array.free_ways(block) > reserved {
             *self.state.reserved_ways.entry(set).or_insert(0) += 1;
@@ -803,7 +799,7 @@ impl L2Bank {
     }
 
     fn finish_eviction(&mut self, victim: u64, fetch_for: u64, port: &mut dyn Port) {
-        let set = self.set_index(fetch_for);
+        let set = self.state.array.set_of(fetch_for);
         *self.state.reserved_ways.entry(set).or_insert(0) += 1;
         self.drop_victim(victim, port);
         let mshr = self
@@ -831,7 +827,7 @@ impl L2Bank {
         let block = msg.block;
         if let Some(mshr) = self.state.mshrs.remove(&block) {
             debug_assert!(mshr.evicting_victim.is_none(), "fetch before eviction done");
-            let set = self.set_index(block);
+            let set = self.state.array.set_of(block);
             let r = self
                 .state
                 .reserved_ways
@@ -1162,7 +1158,7 @@ mod tests {
     fn eviction_invalidates_l1_copies_before_reuse() {
         let (mut l2, mut p) = bank();
         // Fill all 8 ways of set 0 with owned lines (blocks ≡ 0 mod 64).
-        let set_stride = (l2.cfg.l2.sets as u64) << l2.cfg.l2.index_shift;
+        let set_stride = (l2.cfg.l2.sets * l2.cfg.l2.interleave) as u64;
         for i in 0..8u64 {
             let b = 0x1000 + i * set_stride;
             l2.receive(gets((i + 1) as u16, b), p.now);

@@ -31,7 +31,7 @@ mod l1;
 mod l2;
 mod mem;
 mod msg;
-mod plru;
+pub mod plru;
 
 pub use cache::{CacheArray, CacheConfig};
 pub use config::ProtocolConfig;
@@ -39,4 +39,3 @@ pub use l1::{Access, L1Cache, L1CacheState, L1Stats, MissDone};
 pub use l2::{L2Bank, L2BankState, L2Stats};
 pub use mem::{MemStats, MemoryController, MemoryState};
 pub use msg::{Msg, Port, ReqKind};
-pub use plru::TreePlru;

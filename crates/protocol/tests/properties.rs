@@ -2,7 +2,7 @@
 //! against a reference model, and PLRU sanity under random touch streams.
 
 use proptest::prelude::*;
-use rcsim_protocol::{CacheArray, CacheConfig, TreePlru};
+use rcsim_protocol::{plru, CacheArray, CacheConfig};
 use std::collections::HashMap;
 
 #[derive(Debug, Clone)]
@@ -29,7 +29,7 @@ proptest! {
     /// same-set blocks; len always matches).
     #[test]
     fn array_matches_reference(ops in array_ops(), shift in 0u32..5) {
-        let cfg = CacheConfig { sets: 4, ways: 2, index_shift: shift };
+        let cfg = CacheConfig { sets: 4, ways: 2, interleave: 1 << shift };
         let mut array: CacheArray<u32> = CacheArray::new(cfg);
         let mut model: HashMap<u64, u32> = HashMap::new();
         let set_of = |b: u64| (b >> shift) as usize & 3;
@@ -67,12 +67,12 @@ proptest! {
     #[test]
     fn plru_victim_not_mru(ways_pow in 1u32..5, touches in prop::collection::vec(0usize..16, 1..200)) {
         let ways = 1usize << ways_pow;
-        let mut plru = TreePlru::new(ways);
+        let mut bits = 0;
         for t in touches {
             let w = t % ways;
-            plru.touch(w);
+            bits = plru::touch(bits, ways, w);
             if ways > 1 {
-                prop_assert_ne!(plru.victim(), w);
+                prop_assert_ne!(plru::victim(bits, ways), w);
             }
         }
     }
@@ -82,10 +82,7 @@ proptest! {
     #[test]
     fn plru_scan_order(ways_pow in 1u32..5) {
         let ways = 1usize << ways_pow;
-        let mut plru = TreePlru::new(ways);
-        for w in 0..ways {
-            plru.touch(w);
-        }
-        prop_assert_eq!(plru.victim(), 0);
+        let bits = (0..ways).fold(0, |bits, w| plru::touch(bits, ways, w));
+        prop_assert_eq!(plru::victim(bits, ways), 0);
     }
 }

@@ -100,6 +100,8 @@ pub struct Chip {
     trace_epoch: u64,
     /// Dense (tick everything) or event-driven (skip quiescent tiles).
     kernel: KernelMode,
+    /// Whether the mechanism builds circuits at all: fixed at construction.
+    circuits_enabled: bool,
 
     // Components, each with a state of its own.
     net: Network,
@@ -207,6 +209,7 @@ impl Chip {
             sink: TraceSink::default(),
             trace_epoch: 0,
             kernel: KernelMode::Event,
+            circuits_enabled: mechanism.circuits_enabled(),
             net,
             cores,
             l1s,
@@ -252,13 +255,12 @@ impl Chip {
             .iter_tiles()
             .filter(|n| !edges.contains(n))
             .collect();
-        let circuits_enabled = self.net.config().mechanism.circuits_enabled();
         self.open_loop = Some(Box::new(OpenLoopState::new(
             cfg,
             seed,
             edges,
             servers,
-            circuits_enabled,
+            self.circuits_enabled,
             &mut self.net,
         )));
     }
@@ -325,8 +327,6 @@ impl Chip {
     pub fn tick(&mut self) {
         let now = self.net.now();
         let n = self.topology.nodes();
-        let mechanism = *self.net.config();
-        let circuits_enabled = mechanism.mechanism.circuits_enabled();
         let track_undone = self.proto_cfg.undo_on_l2_miss;
         let l1_hit = self.proto_cfg.l1_hit_latency;
         let event = self.kernel == KernelMode::Event;
@@ -348,7 +348,7 @@ impl Chip {
                     net: &mut self.net,
                     state: &mut self.state,
                     node: NodeId(i as u16),
-                    circuits_enabled,
+                    circuits_enabled: self.circuits_enabled,
                     track_undone,
                 };
                 match self.l1s[i].access(block, write, write.then_some(value), &mut port) {
@@ -373,7 +373,7 @@ impl Chip {
                 net: &mut self.net,
                 state: &mut self.state,
                 node: NodeId(i as u16),
-                circuits_enabled,
+                circuits_enabled: self.circuits_enabled,
                 track_undone,
             };
             self.l1s[i].maybe_reissue(now, &mut port);
@@ -428,7 +428,7 @@ impl Chip {
                         net: &mut self.net,
                         state: &mut self.state,
                         node,
-                        circuits_enabled,
+                        circuits_enabled: self.circuits_enabled,
                         track_undone,
                     };
                     if self.l1s[i]
@@ -469,7 +469,7 @@ impl Chip {
                 net: &mut self.net,
                 state: &mut self.state,
                 node: NodeId(i as u16),
-                circuits_enabled,
+                circuits_enabled: self.circuits_enabled,
                 track_undone,
             };
             self.l2s[i].tick(now, &mut port);

@@ -53,6 +53,15 @@ grep -q 'const _: () = assert!(std::mem::size_of::<Flit>() <= 16);' crates/noc/s
   && grep -q 'copy::<Flit>();' crates/noc/src/flit.rs \
   || { echo "FAIL: crates/noc/src/flit.rs lost its size or Copy assertion on Flit"; exit 1; }
 
+echo "==> flat cache arrays (DESIGN.md §15: memory grows with resident lines, not modelled capacity)"
+# Up to the test module, where the old array lives on as the oracle.
+flat=$(sed '/^#\[cfg(test)\]$/,$d' crates/protocol/src/cache.rs)
+if grep -nE 'Vec<Vec<|Vec<Option<Line|struct (Set|Line)\b' <<< "$flat"; then
+  echo "FAIL: a per-set or per-line allocation is back in crates/protocol/src/cache.rs"; exit 1
+fi
+grep -q '^#!\[forbid(unsafe_code)\]$' crates/protocol/src/lib.rs \
+  || { echo "FAIL: crates/protocol/src/lib.rs lost forbid(unsafe_code)"; exit 1; }
+
 echo "==> cargo build --release"
 $CARGO build --release "$@"
 
@@ -241,6 +250,13 @@ done
 $CARGO test -q -p rcsim-power "$@"
 $CARGO test -q -p rcsim-noc --test traffic_patterns "$@"
 
+echo "==> cache arrays in release (oracle proptest, geometry, footprint law)"
+# Shifts, masks and `as` casts behave alike in both profiles only if no
+# debug assertion was doing the work; the footprint law (allocations,
+# file size, resume on paper-size caches) is stated for release builds.
+$CARGO test --release -q -p rcsim-protocol "$@"
+$CARGO test --release -q --test footprint "$@"
+
 echo "==> checkpoint smoke (kill-and-resume byte-identity, corrupt-file clean miss)"
 # Crash-resilience gate (DESIGN.md §15). The differential suite proves
 # save/restore byte-identity — result, trace and state — at forced and
@@ -283,7 +299,8 @@ if find "$ckpt_dir" -name '*.ckpt' | grep -q .; then
   echo "FAIL: completed sweep left checkpoints behind in $ckpt_dir"; exit 1
 fi
 mkdir -p "$ckpt_dir"
-# Every earlier version, with the checksum of its "{}": only the version rejects it.
+# Every earlier version (v5, the per-set cache arrays, is the newest of
+# them), with the checksum of its "{}": only the version rejects it.
 current=$(sed -n 's/^pub const CHECKPOINT_FORMAT_VERSION: u32 = \([0-9]*\);$/\1/p' crates/system/src/checkpoint.rs)
 for v in $(seq 0 $((${current:?CHECKPOINT_FORMAT_VERSION not found} - 1))); do
   stale="$ckpt_dir/stale_v$v.ckpt"; printf 'rcsim-checkpoint v%s 08f44b07b5901a25\n{}' "$v" > "$stale"

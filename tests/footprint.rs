@@ -1,0 +1,91 @@
+//! The footprint law: a session's memory, allocations and checkpoint are
+//! sized by what the run touched, not by the capacity it models. At paper
+//! size (Table 2: 32 KB L1s, 1 MB L2 banks, 64 tiles) the cache arrays
+//! model 1 M lines, of which a short run fills a few thousand — building
+//! them used to take 74 393 allocations and a checkpoint 74 563 more, and
+//! the file was 9.2 MB (1 049, 1 347 and 0.9 MB now). This is also the only
+//! checkpoint row on paper-size caches: `checkpoint_diff` runs
+//! `SimConfig::quick`, i.e. small ones.
+
+use reactive_circuits::prelude::*;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Counts every allocation and reallocation of the process.
+struct Counting;
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: defers to the system allocator; only counts the calls.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// The allocations `f` makes (one test in this file: nothing else runs).
+fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let value = f();
+    (value, ALLOCATIONS.load(Ordering::Relaxed) - before)
+}
+
+#[test]
+fn paper_size_session_is_sized_by_what_it_touches() {
+    const SPLIT: u64 = 2_000;
+    let cfg = SimConfig {
+        warmup_cycles: 1_000,
+        measure_cycles: 2_000,
+        small_caches: false,
+        ..SimConfig::quick(64, MechanismConfig::complete_noack(), "canneal")
+    };
+    let session = |cfg| SimSession::new(cfg, None, KernelMode::Event, 1).expect("valid config");
+
+    let (mut first, built) = counted(|| session(&cfg));
+    assert!(built <= 5_000, "SimSession::new made {built} allocations");
+
+    first.run_until(SPLIT).expect("no stall");
+    let (snap, captured) = counted(|| first.checkpoint());
+    assert!(
+        captured <= 5_000,
+        "checkpoint() made {captured} allocations"
+    );
+
+    let path = std::env::temp_dir().join(format!("rcsim-footprint-{}.ckpt", std::process::id()));
+    snap.save(&path).expect("writes");
+    let bytes = std::fs::metadata(&path).expect("written").len();
+    let loaded = SessionSnapshot::load(&path);
+    std::fs::remove_file(&path).expect("removes");
+    assert!(bytes <= 1_500_000, "the checkpoint file is {bytes} bytes");
+
+    let loaded = loaded.expect("a file just written loads");
+    let mut resumed = SimSession::resume(&loaded, KernelMode::Event, 1).expect("resumes");
+    assert_eq!(resumed.pos(), SPLIT);
+    resumed.run_until(resumed.total()).expect("no stall");
+    let mut whole = session(&cfg);
+    whole.run_until(whole.total()).expect("no stall");
+    let (resumed, whole) = (resumed.finish().0, whole.finish().0);
+    assert!(whole.instructions > 0 && whole.l1_miss_rate > 0.0);
+    assert_eq!(
+        serde_json::to_string(&resumed).expect("serializes"),
+        serde_json::to_string(&whole).expect("serializes")
+    );
+}
