@@ -9,7 +9,7 @@
 //! dump (watching whether a suspected livelock moves). Exits non-zero on
 //! an unreadable or corrupt checkpoint.
 
-use rcsim_bench::env;
+use rcsim_bench::RunEnv;
 use rcsim_system::{SessionSnapshot, SimSession};
 use std::process::ExitCode;
 
@@ -42,7 +42,14 @@ fn main() -> ExitCode {
         Err(e) => eprintln!("rcsim-replay: config failed to serialize: {e}"),
     }
 
-    let mut session = match SimSession::resume(&snap, env().kernel, 1) {
+    let kernel = match RunEnv::from_process() {
+        Ok(env) => env.kernel,
+        Err(message) => {
+            eprintln!("rcsim-replay: {message}");
+            return ExitCode::from(2);
+        }
+    };
+    let mut session = match SimSession::resume(&snap, kernel, 1) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("rcsim-replay: checkpoint no longer builds: {e}");

@@ -5,9 +5,10 @@
 //! Usage: `validate_bench [file.json ...]` — with no arguments, scans
 //! `target/experiments/`.
 //! Exits non-zero when any file fails or no summaries are found, so CI's
-//! smoke step (`scripts/ci.sh`) catches a bench binary that silently
+//! smoke step (`scripts/ci.sh`) catches an experiment that silently
 //! stops writing its summary.
 
+use rcsim_bench::Verdict;
 use rcsim_trace::{BenchSummary, BENCH_SCHEMA_VERSION};
 use serde_json::Value;
 use std::path::{Path, PathBuf};
@@ -62,10 +63,11 @@ fn validate_file(path: &Path, schema: &Value) -> Vec<String> {
         "summary",
         &mut problems,
     );
-    if let Some(rows) = doc.get("rows").and_then(Value::as_array) {
-        let row_spec = schema.get("row_required").unwrap_or(&Value::Null);
-        for (i, row) in rows.iter().enumerate() {
-            check_fields(row, row_spec, &format!("rows[{i}]"), &mut problems);
+    for (list, spec) in [("rows", "row_required"), ("claims", "claim_required")] {
+        let spec = schema.get(spec).unwrap_or(&Value::Null);
+        let items = doc.get(list).and_then(Value::as_array);
+        for (i, item) in items.into_iter().flatten().enumerate() {
+            check_fields(item, spec, &format!("{list}[{i}]"), &mut problems);
         }
     }
     if let Some(v) = doc.get("schema_version").and_then(Value::as_u64) {
@@ -80,7 +82,14 @@ fn validate_file(path: &Path, schema: &Value) -> Vec<String> {
     }
 
     match serde_json::from_str::<BenchSummary>(&text) {
-        Ok(summary) => problems.extend(summary.validate()),
+        Ok(summary) => {
+            problems.extend(summary.validate());
+            for claim in &summary.claims {
+                if let Err(e) = claim.verdict.parse::<Verdict>() {
+                    problems.push(format!("claim `{}`: verdict {e}", claim.name));
+                }
+            }
+        }
         Err(e) => problems.push(format!("does not decode as BenchSummary: {e}")),
     }
     problems
@@ -122,7 +131,7 @@ fn main() {
     if files.is_empty() {
         eprintln!(
             "validate_bench: no BENCH_*.json summaries found \
-             (run a bench binary first, e.g. `cargo run -p rcsim-bench --bin fig6`)"
+             (run an experiment first, e.g. `cargo run -p rcsim-bench --bin rcsim-bench fig6`)"
         );
         std::process::exit(1);
     }

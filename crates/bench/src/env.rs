@@ -1,16 +1,16 @@
 //! The one place the process environment is read.
 //!
 //! Every `RC_*` variable is a row of [`KNOBS`] and ends up in a typed
-//! field of [`RunEnv`], parsed once ([`env`]) and handed down: no library
-//! crate, and no other file of this one, looks at the environment. An
-//! `RC_*` name that is not in the table, or a value that does not parse,
-//! stops the binary with status 2 before anything is simulated — a typo
+//! field of [`RunEnv`], parsed once by a binary's `main`
+//! ([`RunEnv::from_process`]) and handed down: no library crate, and no
+//! other file of this one, looks at the environment. An `RC_*` name that
+//! is not in the table, or a value that does not parse, is an error the
+//! binaries exit on with status 2 before anything is simulated — a typo
 //! must not cost a night of sweeping the defaults.
 
 use rcsim_core::KernelMode;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
-use std::sync::OnceLock;
 
 /// One `RC_*` variable: a row of the knob table in README.md.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -130,6 +130,16 @@ impl Vars {
 }
 
 impl RunEnv {
+    /// [`RunEnv::parse`] of this process's environment.
+    ///
+    /// # Errors
+    ///
+    /// As [`RunEnv::parse`].
+    pub fn from_process() -> Result<Self, String> {
+        let lossy = |s: std::ffi::OsString| s.to_string_lossy().into_owned();
+        Self::parse(std::env::vars_os().map(|(k, v)| (lossy(k), lossy(v))))
+    }
+
     /// Parses `(name, value)` pairs — the process environment, or a
     /// test's stand-in. Names that do not start with `RC_` are ignored.
     ///
@@ -198,21 +208,6 @@ impl RunEnv {
             adapt_window: vars.whole("RC_ADAPT_WINDOW", 0)?,
         })
     }
-}
-
-/// This process's [`RunEnv`], parsed from the environment on first use.
-/// A variable [`RunEnv::parse`] rejects prints its message and exits
-/// with status 2 (the status a stalled sweep uses).
-pub fn env() -> &'static RunEnv {
-    static ENV: OnceLock<RunEnv> = OnceLock::new();
-    ENV.get_or_init(|| {
-        let lossy = |s: std::ffi::OsString| s.to_string_lossy().into_owned();
-        let vars = std::env::vars_os().map(|(k, v)| (lossy(k), lossy(v)));
-        RunEnv::parse(vars).unwrap_or_else(|message| {
-            eprintln!("rcsim-bench: {message}");
-            std::process::exit(2);
-        })
-    })
 }
 
 #[cfg(test)]

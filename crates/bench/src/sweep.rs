@@ -1,12 +1,14 @@
 //! Parallel sweep execution with an on-disk result cache.
 //!
-//! Every experiment binary is a sweep over independent, seed-deterministic
-//! [`SimConfig`] points. [`SweepRunner`] fans a job list across
-//! `std::thread::scope` workers (`RC_JOBS`; one worker is the exact
-//! serial path — no threads are spawned) and collects results **in
-//! submission order**, so tables and `BENCH_<name>.json` rows are
-//! byte-identical regardless of worker count. Per-point failures are
-//! collected, not fatal mid-sweep.
+//! Every experiment is a sweep over independent, seed-deterministic
+//! points. [`SweepRunner`] fans a job list across `std::thread::scope`
+//! workers (`RC_JOBS`; one worker is the exact serial path — no threads
+//! are spawned) and collects results **in submission order**, so tables
+//! and `BENCH_<name>.json` rows are byte-identical regardless of worker
+//! count. Per-point failures are collected, not fatal mid-sweep. A point
+//! is a [`SimConfig`] ([`SweepRunner::run`]) or, for the network-only
+//! harnesses, anything a closure can run (`run_uncached`): one pool, one
+//! progress line, one set of counters under both.
 //!
 //! Completed points are cached under `target/experiments/cache/` (or
 //! `RC_CACHE_DIR`), keyed by [`cache_key`]: a stable FNV-1a hash of the
@@ -175,31 +177,20 @@ impl SweepRunner {
         }
     }
 
-    fn run_one(
-        &self,
-        worker: usize,
-        label: &str,
-        cfg: &SimConfig,
-    ) -> (Result<RunResult, SimError>, bool, f64) {
+    /// One full-system point: from the cache if it is there (`true`), else
+    /// simulated — through checkpoints where configured — and stored.
+    fn run_one(&self, cfg: &SimConfig) -> (Result<RunResult, SimError>, bool) {
         if let Some(hit) = self.cache_lookup(cfg) {
-            eprintln!("[sweep {worker}] {label}: cached");
-            return (Ok(hit), true, 0.0);
+            return (Ok(hit), true);
         }
-        let started = Instant::now();
         let res = match &self.checkpoints {
             Some((dir, interval)) => run_sim_resumable(cfg, self.kernel, dir, *interval),
             None => run_sim_with_kernel(cfg, self.kernel),
         };
-        let ms = started.elapsed().as_secs_f64() * 1e3;
-        match &res {
-            Ok(r) => {
-                self.cache_store(cfg, r);
-                let kernel = self.kernel;
-                eprintln!("[sweep {worker}] {label}: ran in {ms:.0} ms ({kernel:?} kernel)");
-            }
-            Err(e) => eprintln!("[sweep {worker}] {label}: FAILED ({e})"),
+        if let Ok(r) = &res {
+            self.cache_store(cfg, r);
         }
-        (res, false, ms)
+        (res, false)
     }
 
     /// Runs every `(label, config)` job and returns the results in
@@ -211,36 +202,62 @@ impl SweepRunner {
     /// Panics only if a worker thread itself panics (i.e. a bug in the
     /// simulator rather than a reported `SimError`).
     pub fn run(&self, jobs: &[(String, SimConfig)]) -> SweepOutcome {
-        let started = Instant::now();
-        let n = jobs.len();
-        let workers = self.workers.min(n.max(1));
-        let slots: Vec<Mutex<Option<Result<RunResult, SimError>>>> =
-            (0..n).map(|_| Mutex::new(None)).collect();
-        let cursor = Mutex::new(0usize);
-        let tally = Mutex::new((0usize, 0.0f64)); // (cached, busy_ms)
+        let (results, stats) = self.fan_out(jobs, |cfg| self.run_one(cfg));
+        SweepOutcome { results, stats }
+    }
 
+    /// [`SweepRunner::run`] for points no [`SimConfig`] describes (the
+    /// network-only harness): `point` in place of the simulator, and no
+    /// cache — there is no configuration to key one on.
+    pub(crate) fn run_uncached<T: Sync, R: Send>(
+        &self,
+        jobs: &[(String, T)],
+        point: impl Fn(&T, KernelMode) -> Result<R, String> + Sync,
+    ) -> (Vec<Result<R, String>>, SweepStats) {
+        self.fan_out(jobs, |job| (point(job, self.kernel), false))
+    }
+
+    /// The pool under both entry points: applies `one` — which returns its
+    /// result and whether the cache served it — to every job on scoped
+    /// worker threads (one worker is the exact serial path: no thread is
+    /// spawned), prints a progress line per point, and returns the results
+    /// in submission order, whichever worker ran a job and whenever it
+    /// finished, with the sweep's counters.
+    fn fan_out<T: Sync, R: Send, E: Send + std::fmt::Display>(
+        &self,
+        jobs: &[(String, T)],
+        one: impl Fn(&T) -> (Result<R, E>, bool) + Sync,
+    ) -> (Vec<Result<R, E>>, SweepStats) {
+        let started = Instant::now();
+        let workers = self.workers.min(jobs.len().max(1));
+        // Per job: its result, whether the cache served it, its busy ms.
+        let slots: Vec<_> = jobs.iter().map(|_| Mutex::new(None)).collect();
+        let cursor = Mutex::new(0usize);
+        let kernel = self.kernel;
         let work = |worker: usize| loop {
             let i = {
                 let mut c = cursor.lock().expect("sweep cursor poisoned");
-                if *c >= n {
+                if *c >= jobs.len() {
                     break;
                 }
-                let i = *c;
                 *c += 1;
-                i
+                *c - 1
             };
-            let (label, cfg) = &jobs[i];
-            let (res, cached, ms) = self.run_one(worker, label, cfg);
-            {
-                let mut t = tally.lock().expect("sweep tally poisoned");
-                t.0 += usize::from(cached);
-                t.1 += ms;
+            let (label, job) = &jobs[i];
+            let began = Instant::now();
+            let (res, cached) = one(job);
+            let ms = began.elapsed().as_secs_f64() * 1e3;
+            match &res {
+                _ if cached => eprintln!("[sweep {worker}] {label}: cached"),
+                Ok(_) => {
+                    eprintln!("[sweep {worker}] {label}: ran in {ms:.0} ms ({kernel:?} kernel)")
+                }
+                Err(e) => eprintln!("[sweep {worker}] {label}: FAILED ({e})"),
             }
-            *slots[i].lock().expect("sweep slot poisoned") = Some(res);
+            let busy_ms = if cached { 0.0 } else { ms };
+            *slots[i].lock().expect("sweep slot poisoned") = Some((res, cached, busy_ms));
         };
-
         if workers <= 1 {
-            // Serial path: identical to the pre-sweep harness, no threads.
             work(0);
         } else {
             std::thread::scope(|s| {
@@ -250,28 +267,22 @@ impl SweepRunner {
                 }
             });
         }
-
-        let results: Vec<Result<RunResult, SimError>> = slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("sweep slot poisoned")
-                    .expect("every submitted job produces a result")
-            })
-            .collect();
-        let (cached, busy_ms) = tally.into_inner().expect("sweep tally poisoned");
-        let failed = results.iter().filter(|r| r.is_err()).count();
-        SweepOutcome {
-            stats: SweepStats {
-                points: n,
-                jobs: workers,
-                cached,
-                failed,
-                wall_ms: started.elapsed().as_secs_f64() * 1e3,
-                busy_ms,
-            },
-            results,
+        let mut stats = SweepStats {
+            points: jobs.len(),
+            jobs: workers,
+            ..SweepStats::default()
+        };
+        let mut results = Vec::with_capacity(jobs.len());
+        for slot in slots {
+            let slot = slot.into_inner().expect("sweep slot poisoned");
+            let (res, cached, busy_ms) = slot.expect("every submitted job produces a result");
+            stats.cached += usize::from(cached);
+            stats.busy_ms += busy_ms;
+            stats.failed += usize::from(res.is_err());
+            results.push(res);
         }
+        stats.wall_ms = started.elapsed().as_secs_f64() * 1e3;
+        (results, stats)
     }
 }
 

@@ -1,5 +1,5 @@
 //! Machine-readable benchmark output: the `BENCH_<name>.json` summary
-//! every bench bin writes, and the validator the CI smoke step runs
+//! every experiment writes, and the validator the CI smoke step runs
 //! against it.
 //!
 //! The schema is deliberately tiny and flat so downstream tooling (CI
@@ -28,7 +28,9 @@ use std::collections::BTreeMap;
 /// `snapshot_bytes`), resume cost (`resume_ms`) and the
 /// checkpointed-run wall overhead per interval (`overhead_frac_*`) in
 /// `extra`.
-pub const BENCH_SCHEMA_VERSION: u32 = 5;
+///
+/// v6: `claims` — the paper's statements about the rows, as evaluated.
+pub const BENCH_SCHEMA_VERSION: u32 = 6;
 
 /// One measured configuration (one workload × mechanism × core-count
 /// point) inside a bench summary.
@@ -62,6 +64,19 @@ fn default_topology() -> String {
     "mesh".to_owned()
 }
 
+/// One statement of the paper about a bench's rows, as evaluated.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct ClaimOutcome {
+    /// Short stable name of the claim.
+    pub name: String,
+    /// The statement, with the paper's numbers.
+    pub paper: String,
+    /// `holds`, `fails`, or `deviates(<named deviation>)`.
+    pub verdict: String,
+    /// The measured numbers the verdict rests on.
+    pub measured: String,
+}
+
 /// The document written to `BENCH_<name>.json`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BenchSummary {
@@ -85,6 +100,9 @@ pub struct BenchSummary {
     pub cached_points: usize,
     /// One row per measured configuration.
     pub rows: Vec<BenchRow>,
+    /// The paper's claims about the rows (empty where it makes none).
+    #[serde(default)]
+    pub claims: Vec<ClaimOutcome>,
 }
 
 impl BenchSummary {
@@ -98,6 +116,7 @@ impl BenchSummary {
             jobs: 0,
             cached_points: 0,
             rows: Vec::new(),
+            claims: Vec::new(),
         }
     }
 
@@ -216,7 +235,7 @@ mod tests {
 
     #[test]
     fn extra_defaults_when_absent_from_json() {
-        let json = r#"{"bench":"t","schema_version":5,"rows":[
+        let json = r#"{"bench":"t","schema_version":6,"rows":[
             {"label":"a","cores":4,"avg_latency":1.0,"p99_latency":2.0,"circuit_hit_rate":0.5}
         ]}"#;
         let s: BenchSummary = serde_json::from_str(json).unwrap();

@@ -37,7 +37,7 @@ mod metrics;
 mod ring;
 mod sink;
 
-pub use bench::{BenchRow, BenchSummary, BENCH_SCHEMA_VERSION};
+pub use bench::{BenchRow, BenchSummary, ClaimOutcome, BENCH_SCHEMA_VERSION};
 pub use breakdown::LatencyBreakdown;
 pub use chrome::{chrome_trace, chrome_trace_json};
 pub use event::{ClassLabel, EventKind, TraceEvent};

@@ -62,6 +62,20 @@ fi
 grep -q '^#!\[forbid(unsafe_code)\]$' crates/protocol/src/lib.rs \
   || { echo "FAIL: crates/protocol/src/lib.rs lost forbid(unsafe_code)"; exit 1; }
 
+echo "==> experiments are a table (one driver; no result slicing, no global env, no printing in an experiment)"
+# crates/bench/src/bin holds the two tools that are not experiments; an
+# experiment is an entry of EXPERIMENTS (crates/bench/src/experiments/),
+# gets its results attached to its rows by the driver, takes the RunEnv
+# it is handed, and returns data that the driver prints.
+bins=$(ls crates/bench/src/bin | tr '\n' ' ')
+[ "$bins" = "rcsim-replay.rs validate_bench.rs " ] \
+  || { echo "FAIL: crates/bench/src/bin must hold only validate_bench.rs and rcsim-replay.rs, found: $bins"; exit 1; }
+sliced=$(grep -rnE 'chunks\(|split_at\(|grid-aligned' crates/bench/src || true)
+global=$(grep -rnE '\benv\(\)' crates/bench/src | grep -vE '^crates/bench/src/(main|env)\.rs:' || true)
+printed=$(grep -rn 'println!' crates/bench/src/experiments crates/bench/src/table.rs crates/bench/src/echo.rs || true)
+[ -z "$sliced$global$printed" ] \
+  || { echo "FAIL: index arithmetic over results, a global env() or a println! is back in the bench harness:"; echo "$sliced$global$printed"; exit 1; }
+
 echo "==> cargo build --release"
 $CARGO build --release "$@"
 
@@ -72,36 +86,46 @@ echo "==> cargo test --workspace"
 $CARGO test --workspace "$@"
 
 echo "==> bench telemetry smoke (traced fig6 + summary validation)"
-# A tiny traced fig6 run must emit its machine-readable summary and a
-# Chrome trace; validate_bench then checks every BENCH_*.json written so
-# far against scripts/bench_schema.json. Summaries predating the current
-# BENCH_SCHEMA_VERSION would fail that scan spuriously, so start clean.
-rm -f target/experiments/BENCH_*.json
-RC_APPS=blackscholes RC_CYCLES=2000 RC_WARMUP=1000 RC_SMALL_CACHES=1 \
-  RC_CORES=16 RC_MAX_CYCLES=10000 \
-  $CARGO run --release -q -p rcsim-bench --bin fig6 "$@" > /dev/null
+# A tiny fig6 run must emit its machine-readable summary, its Markdown
+# table and a Chrome trace; validate_bench then checks every BENCH_*.json
+# written so far against scripts/bench_schema.json. Summaries predating
+# the current BENCH_SCHEMA_VERSION would fail that scan spuriously, so
+# start clean. Every experiment is `rcsim-bench <name>`: the package
+# builds that binary and the two tools (the gate above keeps it so).
+$CARGO build --release -p rcsim-bench "$@"
+bench=target/release/rcsim-bench
+for bin in rcsim-bench validate_bench rcsim-replay; do test -x "target/release/$bin"; done
+[ "$($bench list | wc -l)" -eq 15 ] || { echo "FAIL: rcsim-bench list must name 15 experiments"; exit 1; }
+rm -f target/experiments/BENCH_*.json target/experiments/*.md
+smoke=(RC_APPS=blackscholes RC_CYCLES=2000 RC_WARMUP=1000
+       RC_SMALL_CACHES=1 RC_CORES=16 RC_MAX_CYCLES=10000)
+env "${smoke[@]}" $bench fig6 > /dev/null
 test -s target/experiments/BENCH_fig6.json
+test -s target/experiments/fig6.md
 test -s target/experiments/fig6_trace.json
 $CARGO run --release -q -p rcsim-bench --bin validate_bench "$@"
 
-echo "==> typo gate (an unknown RC_* name or an unparsable value exits 2, simulates nothing)"
+echo "==> typo gate (an unknown RC_* name, an unparsable value or an unknown experiment exits 2, simulates nothing)"
 rm -f target/experiments/BENCH_fig6.json
-for typo in RC_KERNAL=dense RC_CYCLES=20k; do
-  status=0
-  env "$typo" target/release/fig6 > /dev/null 2> target/experiments/ci_typo.log || status=$?
-  if [ "$status" -ne 2 ] || ! grep -q "${typo%%=*}" target/experiments/ci_typo.log \
+# <what stderr must name> <variables and command...>
+must_exit_2() {
+  local named=$1 status=0; shift
+  env "$@" > /dev/null 2> target/experiments/ci_typo.log || status=$?
+  if [ "$status" -ne 2 ] || ! grep -q "$named" target/experiments/ci_typo.log \
       || [ -e target/experiments/BENCH_fig6.json ]; then
-    echo "FAIL: $typo target/release/fig6 must exit 2 naming the variable (exit $status)"; exit 1
+    echo "FAIL: \`$*\` must exit 2 naming $named and simulate nothing (exit $status)"; exit 1
   fi
-done
+}
+must_exit_2 RC_KERNAL RC_KERNAL=dense $bench fig6
+must_exit_2 RC_CYCLES RC_CYCLES=20k $bench fig6
+# The names are listed, and the known experiment beside the typo does not run.
+must_exit_2 'fig6, fig7' RC_JOBS=1 $bench fig6 fig66
 
 echo "==> parallel sweep smoke (RC_JOBS determinism, cache, speedup)"
 # BENCH rows are byte-identical for any worker count — only the telemetry
 # fields (wall_ms/busy_ms/jobs/cached_points) may differ — and a cache-warm
 # rerun serves every point from disk. On runners with >= 4 cores the
 # 4-worker sweep must also be at least 1.5x faster than the serial one.
-smoke=(RC_APPS=blackscholes RC_CYCLES=2000 RC_WARMUP=1000
-       RC_SMALL_CACHES=1 RC_CORES=16 RC_MAX_CYCLES=10000)
 cache_dir=target/experiments/cache-ci
 rm -rf "$cache_dir"
 strip_telemetry() {
@@ -111,12 +135,10 @@ telemetry() {
   awk -F': ' -v key="\"$2\"" '$1 ~ key {gsub(/,/, "", $2); print $2; exit}' "$1"
 }
 
-env "${smoke[@]}" RC_JOBS=1 RC_NO_CACHE=1 \
-  $CARGO run --release -q -p rcsim-bench --bin fig6 "$@" > /dev/null 2> /dev/null
+env "${smoke[@]}" RC_JOBS=1 RC_NO_CACHE=1 $bench fig6 > /dev/null 2> /dev/null
 cp target/experiments/BENCH_fig6.json target/experiments/ci_fig6_serial.json
 
-env "${smoke[@]}" RC_JOBS=4 RC_CACHE_DIR="$cache_dir" \
-  $CARGO run --release -q -p rcsim-bench --bin fig6 "$@" > /dev/null 2> /dev/null
+env "${smoke[@]}" RC_JOBS=4 RC_CACHE_DIR="$cache_dir" $bench fig6 > /dev/null 2> /dev/null
 cp target/experiments/BENCH_fig6.json target/experiments/ci_fig6_parallel.json
 
 diff <(strip_telemetry target/experiments/ci_fig6_serial.json) \
@@ -131,113 +153,64 @@ if [ "$(nproc)" -ge 4 ]; then
     || { echo "FAIL: expected > 1.5x sweep speedup with RC_JOBS=4 on a $(nproc)-core runner"; exit 1; }
 fi
 
-env "${smoke[@]}" RC_JOBS=4 RC_CACHE_DIR="$cache_dir" \
-  $CARGO run --release -q -p rcsim-bench --bin fig6 "$@" > /dev/null 2> /dev/null
+env "${smoke[@]}" RC_JOBS=4 RC_CACHE_DIR="$cache_dir" $bench fig6 > /dev/null 2> /dev/null
 cached=$(telemetry target/experiments/BENCH_fig6.json cached_points)
 [ "${cached:-0}" -gt 0 ] \
   || { echo "FAIL: cache-warm rerun recomputed every point (cached_points=$cached)"; exit 1; }
 echo "    cache-warm rerun served $cached points from $cache_dir"
-$CARGO run --release -q -p rcsim-bench --bin validate_bench "$@"
 
-echo "==> dense-vs-event kernel smoke (RC_KERNEL byte-identity on fig6 rows)"
-# The same quick grid, run once per kernel, must emit byte-identical
-# BENCH rows. RC_NO_CACHE=1 is load-bearing — the disk cache keys on
-# SimConfig, which deliberately excludes RC_KERNEL, so a cache hit would
-# compare a result with itself — and so is the check that the dense run's
-# per-point `[sweep …]` lines name the dense kernel: a diff of the event
-# kernel with itself passes. Leaves ci_<bin>_{dense,event}.json behind.
-kernel_smoke() {
-  local bin=$1 k; shift
-  for k in dense event; do
-    env "${smoke[@]}" RC_JOBS=1 RC_NO_CACHE=1 RC_KERNEL=$k \
-      $CARGO run --release -q -p rcsim-bench --bin "$bin" "$@" \
-      > /dev/null 2> "target/experiments/ci_${bin}_$k.log"
-    cp "target/experiments/BENCH_$bin.json" "target/experiments/ci_${bin}_$k.json"
-  done
-  if ! grep -q '^\[sweep .*(Dense kernel)$' "target/experiments/ci_${bin}_dense.log" \
-      || grep -q '^\[sweep .*(Event kernel)$' "target/experiments/ci_${bin}_dense.log"; then
-    echo "FAIL: RC_KERNEL=dense $bin did not run every point under the dense kernel"; exit 1
-  fi
-  diff <(strip_telemetry "target/experiments/ci_${bin}_dense.json") \
-       <(strip_telemetry "target/experiments/ci_${bin}_event.json") \
-    || { echo "FAIL: BENCH_$bin.json rows differ between RC_KERNEL=dense and RC_KERNEL=event"; exit 1; }
-}
-kernel_smoke fig6 "$@"
-
-echo "==> resilience smoke (dead links: every mechanism, kernel/jobs invariance)"
-# Permanent-fault gate (DESIGN.md §10). The resilience test suite proves
-# every Figure-6 mechanism completes — nothing stalled, nothing abandoned —
-# with a permanently dead interior link; the resilience bench (degradation
-# sweep + mid-run-onset recovery, with its own zero-abandoned asserts) must
-# then emit byte-identical rows for any worker count and either kernel.
-$CARGO test -q -p rcsim-system --test resilience "$@"
-kernel_smoke resilience "$@"
-env "${smoke[@]}" RC_JOBS=4 RC_NO_CACHE=1 \
-  $CARGO run --release -q -p rcsim-bench --bin resilience "$@" > /dev/null 2> /dev/null
-diff <(strip_telemetry target/experiments/ci_resilience_event.json) \
-     <(strip_telemetry target/experiments/BENCH_resilience.json) \
-  || { echo "FAIL: BENCH_resilience.json rows differ between RC_JOBS=1 and RC_JOBS=4"; exit 1; }
-$CARGO run --release -q -p rcsim-bench --bin validate_bench "$@"
-
-echo "==> overload smoke (open-loop saturation: conservation, kernel/jobs invariance)"
-# Overload gate (DESIGN.md §11). The open_loop test suite proves
-# conservation (offered == completed + shed + gave_up + in_flight, zero
-# unaccounted) below and past saturation, with admission on and off, and
-# dense/event byte-identity on open-loop runs. The overload bench — with
-# per-point conservation, termination and queue-bound asserts baked in —
-# must then emit byte-identical rows for either kernel and any worker count.
-$CARGO test -q -p rcsim-system --test open_loop "$@"
-kernel_smoke overload "$@"
-env "${smoke[@]}" RC_JOBS=4 RC_NO_CACHE=1 \
-  $CARGO run --release -q -p rcsim-bench --bin overload "$@" > /dev/null 2> /dev/null
-diff <(strip_telemetry target/experiments/ci_overload_event.json) \
-     <(strip_telemetry target/experiments/BENCH_overload.json) \
-  || { echo "FAIL: BENCH_overload.json rows differ between RC_JOBS=1 and RC_JOBS=4"; exit 1; }
-$CARGO run --release -q -p rcsim-bench --bin validate_bench "$@"
-
-echo "==> topology smoke (mesh/torus/cmesh/ring circuit sweep, deadlock-freedom)"
-# Topology gate (DESIGN.md §12). A small closed-loop sweep over every
-# topology shape at 64 cores: every point must drain to quiescence with
-# zero abandoned packets (asserted inside the bench — the wraparound
-# dateline correctness check), rows must be byte-identical across reruns,
-# and the summary must validate against the schema.
-RC_TOPO_CYCLES=600 RC_TOPO_CORES=64 \
-  $CARGO run --release -q -p rcsim-bench --bin topology "$@" > /dev/null
-test -s target/experiments/BENCH_topology.json
-cp target/experiments/BENCH_topology.json target/experiments/ci_topology_a.json
-RC_TOPO_CYCLES=600 RC_TOPO_CORES=64 \
-  $CARGO run --release -q -p rcsim-bench --bin topology "$@" > /dev/null
-diff <(strip_telemetry target/experiments/ci_topology_a.json) \
-     <(strip_telemetry target/experiments/BENCH_topology.json) \
-  || { echo "FAIL: BENCH_topology.json rows differ between identical reruns"; exit 1; }
-$CARGO run --release -q -p rcsim-bench --bin validate_bench "$@"
-
-echo "==> adaptive policy smoke (static-vs-adaptive rows, off-path byte-identity)"
-# Adaptive-policy gate (DESIGN.md §14). The differential suite proves
-# the policy hooks are invisible with `adaptive` off (traced, under both
-# kernels, on mesh and torus) and deterministic with it on; the property
-# suite pins the region map, the controller's hysteresis/dwell algebra
-# and the teardown conservation law. The adaptive bench then asserts
-# internally that, under phased hotspot salvos, the adaptive row beats the
-# best static row on p99 RTT or foreground goodput while actually
-# switching; the rows are echoed here so a CI log shows the margin.
-# Finally, an off-path re-check: a fresh RC_NO_CACHE=1 fig6 run after
-# the policy layer has been exercised must still match the serial rows
-# from the sweep smoke bit for bit (RC_NO_CACHE=1 is load-bearing —
-# `adaptive` is skip-serialized when off, so a cache hit would compare
-# a pre-adaptive row with itself).
-$CARGO test -q -p rcsim-system --test adaptive_diff "$@"
+echo "==> every experiment: dense ≡ event, RC_JOBS 1 ≡ 4 (BENCH rows byte-identical), summaries valid"
+# The whole table three times at the smoke size (plus the topology sizes
+# the smoke uses): serial under each kernel, then on four workers. Every
+# experiment's rows and claims must be byte-identical across the three —
+# the network-only ones included, which go through the same worker pool —
+# and every summary must validate. RC_NO_CACHE=1 is load-bearing — the
+# disk cache keys on SimConfig, which deliberately excludes RC_KERNEL, so
+# a cache hit would compare a result with itself — and so is the check
+# that the dense run's per-point `[sweep …]` lines name the dense kernel:
+# a diff of the event kernel with itself passes. The experiments' own
+# asserts ride along: nothing abandoned or stalled under dead links
+# (DESIGN.md §10), conservation and the queue bound past saturation
+# (§11), every topology point drained to quiescence — the wraparound
+# dateline check (§12) — and the adaptive row beating both statics while
+# switching (§14). Leaves ci_<name>_{dense,event,jobs4}.json behind.
+$CARGO test -q -p rcsim-system --test resilience --test open_loop --test adaptive_diff "$@"
 $CARGO test -q -p rcsim-core --test policy_props "$@"
-$CARGO run --release -q -p rcsim-bench --bin adaptive "$@" > /dev/null
-test -s target/experiments/BENCH_adaptive.json
-grep -E '"(label|p99_latency|goodput)"' target/experiments/BENCH_adaptive.json \
-  | sed 's/^ */    /'
+run_all() {
+  local tag=$1 name; shift
+  env "${smoke[@]}" RC_TOPO_CYCLES=600 RC_TOPO_CORES=64 RC_NO_CACHE=1 "$@" \
+    $bench all > /dev/null 2> "target/experiments/ci_all_$tag.log"
+  for name in $($bench list); do
+    cp "target/experiments/BENCH_$name.json" "target/experiments/ci_${name}_$tag.json"
+  done
+}
+run_all dense RC_JOBS=1 RC_KERNEL=dense
+run_all event RC_JOBS=1 RC_KERNEL=event
+run_all jobs4 RC_JOBS=4
+if ! grep -q '^\[sweep .*(Dense kernel)$' target/experiments/ci_all_dense.log \
+    || grep -q '^\[sweep .*(Event kernel)$' target/experiments/ci_all_dense.log; then
+  echo "FAIL: RC_KERNEL=dense did not run every point under the dense kernel"; exit 1
+fi
+for name in $($bench list); do
+  for other in dense jobs4; do
+    diff <(strip_telemetry "target/experiments/ci_${name}_event.json") \
+         <(strip_telemetry "target/experiments/ci_${name}_$other.json") \
+      || { echo "FAIL: BENCH_$name.json differs between the serial event-kernel run and the $other run"; exit 1; }
+  done
+done
+[ "$(telemetry target/experiments/ci_topology_jobs4.json jobs)" -gt 0 ] \
+  || { echo "FAIL: the network-only topology sweep reports no workers"; exit 1; }
+grep -E '"(label|p99_latency|goodput)"' target/experiments/BENCH_adaptive.json | sed 's/^ */    /'
 $CARGO run --release -q -p rcsim-bench --bin validate_bench "$@"
-env "${smoke[@]}" RC_JOBS=1 RC_NO_CACHE=1 \
-  $CARGO run --release -q -p rcsim-bench --bin fig6 "$@" > /dev/null 2> /dev/null
+[ "$(ls target/experiments/*.md | wc -l)" -eq 15 ] \
+  || { echo "FAIL: rcsim-bench all must leave one Markdown table per experiment"; exit 1; }
+# Off-path re-check: a fresh fig6 after the policy layer has been
+# exercised must still match the serial rows from the sweep smoke bit for
+# bit (`adaptive` is skip-serialized when off, so a cache hit would
+# compare a pre-adaptive row with itself — RC_NO_CACHE=1 again).
 diff <(strip_telemetry target/experiments/ci_fig6_serial.json) \
-     <(strip_telemetry target/experiments/BENCH_fig6.json) \
-  || { echo "FAIL: adaptive-off BENCH_fig6.json rows drifted after the adaptive smoke"; exit 1; }
+     <(strip_telemetry target/experiments/ci_fig6_event.json) \
+  || { echo "FAIL: adaptive-off BENCH_fig6.json rows drifted after the adaptive sweep"; exit 1; }
 
 echo "==> kernel/link/packet-table/power/traffic differential suites"
 # Dense vs event, the link-sink suite (emission order under link faults,
@@ -263,8 +236,8 @@ echo "==> checkpoint smoke (kill-and-resume byte-identity, corrupt-file clean mi
 # drawn split cycles across kernels, topologies, faults, overload and
 # adaptive runs, and that the resumable driver's result is run_sim's.
 # Then the crash drill: a checkpointed fig6 sweep is SIGKILLed mid-run
-# (the bench binary directly — killing a `cargo run` wrapper would orphan
-# the simulator), half of the checkpoints it left are corrupted, and the
+# (the binary itself — killing a `cargo run` wrapper would orphan the
+# simulator), half of the checkpoints it left are corrupted, and the
 # rerun must finish from what survives with rows byte-identical to an
 # uncheckpointed reference: a corrupt or stale checkpoint is a clean miss.
 # Finally rcsim-replay must reject every stale-version checkpoint.
@@ -274,11 +247,10 @@ ckpt_smoke=(RC_APPS=blackscholes RC_CYCLES=8000 RC_WARMUP=2000
             RC_JOBS=1 RC_NO_CACHE=1)
 ckpt_dir=target/experiments/ckpt-ci
 rm -rf "$ckpt_dir"
-env "${ckpt_smoke[@]}" \
-  $CARGO run --release -q -p rcsim-bench --bin fig6 "$@" > /dev/null 2> /dev/null
+env "${ckpt_smoke[@]}" $bench fig6 > /dev/null 2> /dev/null
 cp target/experiments/BENCH_fig6.json target/experiments/ci_fig6_nockpt.json
 env "${ckpt_smoke[@]}" RC_CKPT_DIR="$ckpt_dir" RC_CKPT_INTERVAL=500 \
-  target/release/fig6 > /dev/null 2> /dev/null &
+  $bench fig6 > /dev/null 2> /dev/null &
 victim=$!
 sleep 0.4
 kill -9 "$victim" 2> /dev/null || true
@@ -290,8 +262,7 @@ for f in "$ckpt_dir"/*.ckpt; do
   if [ $((i % 2)) -eq 0 ]; then printf 'garbage' >> "$f"; fi
   i=$((i + 1))
 done
-env "${ckpt_smoke[@]}" RC_CKPT_DIR="$ckpt_dir" RC_CKPT_INTERVAL=500 \
-  $CARGO run --release -q -p rcsim-bench --bin fig6 "$@" > /dev/null 2> /dev/null
+env "${ckpt_smoke[@]}" RC_CKPT_DIR="$ckpt_dir" RC_CKPT_INTERVAL=500 $bench fig6 > /dev/null 2> /dev/null
 diff <(strip_telemetry target/experiments/ci_fig6_nockpt.json) \
      <(strip_telemetry target/experiments/BENCH_fig6.json) \
   || { echo "FAIL: BENCH_fig6.json rows differ after a SIGKILLed checkpointed sweep resumed"; exit 1; }

@@ -1,7 +1,11 @@
 //! Workspace-level integration tests: the public prelude workflow, and
 //! cross-crate invariants (determinism, energy/area consistency).
 
-use rcsim_bench::{RunEnv, SweepRunner, KNOBS};
+#[path = "../crates/bench/tests/golden_rows/mod.rs"]
+mod golden_rows;
+
+use golden_rows::{first_difference, row_lines};
+use rcsim_bench::{run_experiment, RunEnv, SweepRunner, EXPERIMENTS, KNOBS};
 use reactive_circuits::prelude::*;
 use reactive_circuits::system::{
     run_sim_traced_with_kernel, run_sim_with_kernel, AdaptiveConfig, DeadLinkEvent, TraceConfig,
@@ -489,4 +493,33 @@ fn env_built_sweep_runner_is_what_the_environment_says() {
         run_env(&[("RC_CKPT_INTERVAL", "500")]).unwrap().checkpoints,
         None
     );
+}
+
+/// The experiment table end to end, on its cheapest simulated entry:
+/// `fig6` through `rcsim-bench`'s driver under `scripts/ci.sh`'s smoke
+/// environment reproduces its checked-in rows (the whole table is
+/// `crates/bench/tests/experiments_golden.rs`).
+#[test]
+fn fig6_through_the_experiment_table_matches_its_golden_rows() {
+    let env = run_env(&[
+        ("RC_APPS", "blackscholes"),
+        ("RC_CYCLES", "2000"),
+        ("RC_WARMUP", "1000"),
+        ("RC_SMALL_CACHES", "1"),
+        ("RC_CORES", "16"),
+        ("RC_MAX_CYCLES", "10000"),
+        ("RC_NO_CACHE", "1"),
+        ("RC_JOBS", "2"),
+    ])
+    .unwrap();
+    let fig6 = EXPERIMENTS.iter().find(|e| e.name == "fig6").unwrap();
+    let report = run_experiment(fig6, &env).unwrap();
+    let golden = include_str!("../crates/bench/tests/experiments_golden/fig6.txt");
+    assert_eq!(
+        first_difference(golden, &row_lines(&report.summary)),
+        None,
+        "golden vs measured"
+    );
+    let files: Vec<&str> = report.files.iter().map(|f| f.0.as_str()).collect();
+    assert_eq!(files, ["BENCH_fig6.json", "fig6.md", "fig6_trace.json"]);
 }

@@ -36,7 +36,6 @@ fn sweep_engine_types_are_thread_portable() {
     assert_send_sync::<rcsim_bench::SweepRunner>();
     assert_send_sync::<rcsim_bench::SweepStats>();
     assert_send_sync::<rcsim_bench::SweepOutcome>();
-    assert_send_sync::<rcsim_bench::PointSpec>();
     assert_send_sync::<Result<RunResult, reactive_circuits::system::SimError>>();
     assert_send_sync::<Vec<(String, SimConfig)>>();
 }
