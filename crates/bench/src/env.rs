@@ -44,9 +44,6 @@ pub const KNOBS: &[Knob] = &[
     Knob { name: "RC_KERNEL", meaning: "`event` (skip idle components) or `dense` (the reference kernel)", default: "event" },
     Knob { name: "RC_TOPO_CYCLES", meaning: "`topology`: injection window per point", default: "3000" },
     Knob { name: "RC_TOPO_CORES", meaning: "`topology`: comma list of core counts", default: "64,256,1024" },
-    Knob { name: "RC_TOPO_WINDOW", meaning: "`topology`: outstanding requests per node", default: "8" },
-    Knob { name: "RC_ADAPT_PHASES", meaning: "`adaptive`: calm/burst phase pairs per run", default: "6" },
-    Knob { name: "RC_ADAPT_WINDOW", meaning: "`adaptive`: outstanding foreground requests per node", default: "4" },
     Knob { name: "RC_UPDATE_GOLDEN", meaning: "tests only: `1` = rewrite the golden files instead of comparing", default: "0" },
 ];
 
@@ -75,9 +72,6 @@ pub struct RunEnv {
     pub kernel: KernelMode,
     pub topo_cycles: u64,
     pub topo_cores: Vec<u16>,
-    pub topo_window: u32,
-    pub adapt_phases: u32,
-    pub adapt_window: u32,
 }
 
 /// The `RC_*` variables a caller set, looked up against [`KNOBS`].
@@ -203,9 +197,6 @@ impl RunEnv {
             })?,
             topo_cycles: vars.whole("RC_TOPO_CYCLES", 0)?,
             topo_cores: vars.cores("RC_TOPO_CORES")?,
-            topo_window: vars.whole("RC_TOPO_WINDOW", 0)?,
-            adapt_phases: vars.whole("RC_ADAPT_PHASES", 0)?,
-            adapt_window: vars.whole("RC_ADAPT_WINDOW", 0)?,
         })
     }
 }

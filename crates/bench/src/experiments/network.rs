@@ -34,10 +34,13 @@ fn capacity_estimate(t: &Topology) -> f64 {
     (4.0 * cut_links * wrap) / (t.nodes() as f64 * flits_per_txn)
 }
 
+/// Outstanding requests per node, like an L1's MSHR file.
+const TOPO_WINDOW: u32 = 8;
+
 /// Every {shape × `RC_TOPO_CORES` size × mechanism} twice: at a light
 /// reactive load (30 % of the capacity estimate) for the hit rate and
 /// the circuit-reply latency the row reports, and — the hidden base —
-/// with every node injecting whenever its `RC_TOPO_WINDOW` has a free
+/// with every node injecting whenever its [`TOPO_WINDOW`] has a free
 /// slot, for the credit-limited saturation throughput. Both must drain.
 fn topology_grid(env: &RunEnv) -> Result<Vec<Row>, String> {
     let shapes = [
@@ -66,7 +69,7 @@ fn topology_grid(env: &RunEnv) -> Result<Vec<Row>, String> {
                     adaptive: None,
                     seed: 0xC1C0,
                     rate,
-                    window: env.topo_window,
+                    window: TOPO_WINDOW,
                     turnaround: 0,
                     phases: vec![(env.topo_cycles, false)],
                     drain: true,
@@ -106,16 +109,20 @@ pub const TOPOLOGY: Experiment = Experiment {
 
 /// One traffic mix: the lengths of the calm and the burst phase of a pair.
 const MIXES: [(&str, u64, u64); 2] = [("calm_heavy", 1_500, 300), ("burst_heavy", 300, 700)];
+/// Calm/burst phase pairs per run.
+const ADAPT_PHASES: usize = 6;
+/// Outstanding foreground requests per node.
+const ADAPT_WINDOW: u32 = 4;
 
 /// The controller only pays for itself when no single static choice is
-/// right for the whole run, so each mix alternates `RC_ADAPT_PHASES`
+/// right for the whole run, so each mix alternates [`ADAPT_PHASES`]
 /// pairs of a calm phase — `Fragmented` circuits win: an extra buffered
 /// reply VC plus circuit hits — and a burst phase, where hotspot salvos
 /// make the circuit machinery around the hot column pure overhead and
 /// the detour and suppression policies pay off on the foreground's
 /// request leg. Per mix: both statics, then the second one's hardware
 /// with the controller on at its default knobs.
-fn adaptive_grid(env: &RunEnv) -> Result<Vec<Row>, String> {
+fn adaptive_grid(_: &RunEnv) -> Result<Vec<Row>, String> {
     let fragmented = MechanismConfig::fragmented();
     let versions = [
         ("static/baseline", MechanismConfig::baseline(), None),
@@ -136,9 +143,9 @@ fn adaptive_grid(env: &RunEnv) -> Result<Vec<Row>, String> {
                 adaptive,
                 seed: 0xADA7,
                 rate: 0.02,
-                window: env.adapt_window,
+                window: ADAPT_WINDOW,
                 turnaround: 7,
-                phases: [(calm, false), (burst, true)].repeat(env.adapt_phases as usize),
+                phases: [(calm, false), (burst, true)].repeat(ADAPT_PHASES),
                 drain: true,
             };
             rows.push(Row::new(mix, 64, format!("{mix}/{version}")).net(spec));

@@ -393,8 +393,14 @@ pub enum ConfigError {
     EmptyMesh,
     /// The mesh has more nodes than `NodeId` can address.
     MeshTooLarge,
-    /// A square mesh was requested for a non-square core count.
-    NotSquare(u16),
+    /// A concentrated mesh whose concentration does not divide the core
+    /// count (or is zero).
+    Concentration {
+        /// The requested number of tiles.
+        cores: u16,
+        /// Tiles per router.
+        concentration: u16,
+    },
     /// Timed reservations only work with complete circuits (§4.7).
     TimedRequiresComplete,
     /// ACK elimination relies on the never-blocking guarantee of complete
@@ -452,7 +458,13 @@ impl fmt::Display for ConfigError {
         match self {
             ConfigError::EmptyMesh => f.write_str("mesh dimensions must be non-zero"),
             ConfigError::MeshTooLarge => f.write_str("mesh exceeds the 16-bit node id space"),
-            ConfigError::NotSquare(n) => write!(f, "{n} cores is not a square mesh"),
+            ConfigError::Concentration {
+                cores,
+                concentration,
+            } => write!(
+                f,
+                "{cores} cores do not divide into routers of {concentration} tiles"
+            ),
             ConfigError::TimedRequiresComplete => {
                 f.write_str("timed reservations require complete circuits")
             }

@@ -1,6 +1,7 @@
-//! Core of the Reactive Circuits reproduction: base types, mesh geometry,
-//! XY/YX dimension-order routing, the mechanism configuration space, and —
-//! the paper's primary contribution — the **circuit reservation engine**.
+//! Core of the Reactive Circuits reproduction: base types, the chip's
+//! geometry ([`Topology`]), XY/YX dimension-order routing, the mechanism
+//! configuration space, and — the paper's primary contribution — the
+//! **circuit reservation engine**.
 //!
 //! The engine ([`circuit::RouterCircuits`]) implements every reservation
 //! flavour evaluated by the paper:
@@ -21,13 +22,12 @@
 //! # Examples
 //!
 //! ```
-//! use rcsim_core::geometry::Mesh;
-//! use rcsim_core::routing::{route_path, Routing};
-//! use rcsim_core::types::NodeId;
+//! use rcsim_core::routing::Routing;
+//! use rcsim_core::{NodeId, Topology};
 //!
-//! let mesh = Mesh::new(4, 4)?;
-//! let req = route_path(&mesh, NodeId(0), NodeId(15), Routing::Xy);
-//! let rep = route_path(&mesh, NodeId(15), NodeId(0), Routing::Yx);
+//! let mesh = Topology::mesh(4, 4)?;
+//! let req = mesh.route_path(NodeId(0), NodeId(15), Routing::Xy);
+//! let rep = mesh.route_path(NodeId(15), NodeId(0), Routing::Yx);
 //! // XY there and YX back cross the same routers, in reverse order.
 //! let mut rev = rep.clone();
 //! rev.reverse();
@@ -40,7 +40,6 @@
 
 pub mod circuit;
 pub mod config;
-pub mod geometry;
 pub mod policy;
 pub mod routing;
 pub mod sched;
@@ -49,7 +48,6 @@ pub mod topology;
 pub mod types;
 
 pub use config::{CircuitMode, ConfigError, MechanismConfig, TimedPolicy};
-pub use geometry::Mesh;
 pub use policy::{
     AdaptiveConfig, CongestionMap, CongestionState, PolicyController, PolicyState, RegionDecision,
     RegionMode, RegionPlan, RegionSample, SCORE_SCALE,
@@ -60,4 +58,4 @@ pub use state::{Slab, StateMap, StateSet};
 pub use topology::{
     Topology, TopologySpec, PORT_EAST, PORT_LOCAL, PORT_NORTH, PORT_SOUTH, PORT_WEST,
 };
-pub use types::{Cycle, Direction, MessageClass, NodeId, Vnet};
+pub use types::{Coord, Cycle, MessageClass, NodeId, Vnet};

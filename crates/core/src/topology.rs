@@ -1,25 +1,25 @@
-//! Topology abstraction: mesh, torus, concentrated mesh and ring behind
-//! one enum, all sharing the paper's port model and the path-symmetry
-//! guarantee that circuit reservation rests on (§4.1).
+//! The chip's geometry: one `width × height` router grid whose *shape* —
+//! mesh, torus, concentrated mesh or ring — says whether its edges wrap
+//! and how many tiles share a router. Every shape keeps the paper's port
+//! model and the path-symmetry guarantee circuit reservation rests on
+//! (§4.1).
 //!
 //! # Port model
 //!
 //! Every router has four network ports with fixed indices — North `0`,
-//! East `1`, South `2`, West `3` (matching [`Direction::index`]) — and
-//! `concentration()` local ports at indices `4..4 + c`. A plain mesh,
-//! torus or ring has one local port (index 4, the old `Direction::Local`),
-//! so its port numbering is bit-identical to the pre-topology code. A
-//! concentrated mesh (`CMesh`) attaches `c` tiles to each router through
-//! distinct local ports.
+//! East `1`, South `2`, West `3` — and `concentration()` local ports at
+//! indices `4..4 + c`. A mesh, torus or ring has one local port (index 4);
+//! a concentrated mesh (`CMesh`) attaches `c` tiles to each router through
+//! distinct local ports. A ring is the `n × 1` torus: its North and South
+//! ports lead nowhere.
 //!
 //! # Identity spaces
 //!
-//! Tiles (cores, caches, NIs) and routers are distinct spaces. For mesh,
-//! torus and ring they coincide (`router_of` is the identity); for
+//! Tiles (cores, caches, NIs) and routers are distinct spaces. With one
+//! tile per router they coincide (`router_of` is the identity); for
 //! `CMesh` with concentration `c`, tile `t` sits at router `t / c`, local
-//! slot `t % c`, and routers form a `width × height` grid numbered
-//! row-major. Flit source routes, [`TopologyHealth`] and fault events all
-//! live in *router* space.
+//! slot `t % c`. Routers are numbered row-major. Flit source routes,
+//! [`TopologyHealth`] and fault events all live in *router* space.
 //!
 //! # Wraparound and deadlock (dateline rule)
 //!
@@ -37,15 +37,14 @@
 //!    close a cycle around a ring dimension.
 
 use crate::config::ConfigError;
-use crate::geometry::{Coord, Mesh};
 use crate::policy::CongestionMap;
 use crate::routing::{Routing, TopologyHealth};
-use crate::types::{Direction, NodeId};
+use crate::types::{Coord, NodeId};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
-/// Port indices of the four network ports (identical to
-/// [`Direction::index`]); local ports follow at `4..4 + concentration`.
+/// North network port. The four network ports come first; local ports
+/// follow at `4..4 + concentration`.
 pub const PORT_NORTH: usize = 0;
 /// East network port.
 pub const PORT_EAST: usize = 1;
@@ -56,50 +55,75 @@ pub const PORT_WEST: usize = 3;
 /// First local (injection/ejection) port.
 pub const PORT_LOCAL: usize = 4;
 
-/// The physical interconnect topology of one chip.
+/// The order every search scans the network ports in, which is what makes
+/// a detour — and the port chosen between two routers a 2-wide torus links
+/// twice — deterministic.
+const SCAN_ORDER: [usize; 4] = [PORT_EAST, PORT_WEST, PORT_NORTH, PORT_SOUTH];
+
+/// The physical interconnect of one chip: a shape and a router grid.
+///
+/// # Examples
+///
+/// ```
+/// use rcsim_core::{NodeId, Topology, PORT_EAST};
+///
+/// let mesh = Topology::mesh(4, 4)?;
+/// assert_eq!(mesh.nodes(), 16);
+/// assert_eq!(mesh.neighbor(NodeId(5), PORT_EAST), Some(NodeId(6)));
+/// assert_eq!(mesh.neighbor(NodeId(3), PORT_EAST), None); // edge
+/// assert_eq!(mesh.distance(NodeId(0), NodeId(15)), 6);
+/// let torus = Topology::torus(4, 4)?;
+/// assert_eq!(torus.neighbor(NodeId(3), PORT_EAST), Some(NodeId(0)));
+/// assert_eq!(torus.distance(NodeId(0), NodeId(15)), 2);
+/// # Ok::<(), rcsim_core::ConfigError>(())
+/// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum Topology {
-    /// The paper's 2-D mesh (bit-identical to the pre-topology code).
-    Mesh(Mesh),
-    /// 2-D torus: mesh plus wraparound links in both dimensions.
-    Torus {
-        /// Columns of the router grid.
-        width: u16,
-        /// Rows of the router grid.
-        height: u16,
-    },
-    /// Concentrated mesh: `concentration` tiles share each router through
-    /// distinct local ports.
-    CMesh {
-        /// Columns of the router grid.
-        width: u16,
-        /// Rows of the router grid.
-        height: u16,
-        /// Tiles per router (local ports per router).
-        concentration: u16,
-    },
-    /// 1-D bidirectional ring using the East/West ports only.
-    Ring {
-        /// Number of nodes (= routers) on the ring.
-        nodes: u16,
-    },
+pub struct Topology {
+    shape: TopologySpec,
+    /// Columns of the router grid.
+    width: u16,
+    /// Rows of the router grid (1 for a ring).
+    height: u16,
 }
 
-impl From<Mesh> for Topology {
-    fn from(mesh: Mesh) -> Self {
-        Topology::Mesh(mesh)
-    }
-}
+// It sits in the first cache line of every router.
+const _: () = assert!(std::mem::size_of::<Topology>() <= 8);
 
 impl Topology {
-    /// A torus with the given router grid.
+    fn new(shape: TopologySpec, width: u16, height: u16) -> Result<Self, ConfigError> {
+        let topology = Topology {
+            shape,
+            width,
+            height,
+        };
+        let tiles = u64::from(width) * u64::from(height) * topology.concentration() as u64;
+        if tiles == 0 {
+            return Err(ConfigError::EmptyMesh);
+        }
+        if tiles > u64::from(u16::MAX) {
+            return Err(ConfigError::MeshTooLarge);
+        }
+        Ok(topology)
+    }
+
+    /// The paper's 2-D mesh, `width × height` tiles numbered row-major.
     ///
     /// # Errors
     ///
-    /// Returns the dimension errors of [`Mesh::new`].
+    /// Returns [`ConfigError::EmptyMesh`] if either dimension is zero, and
+    /// [`ConfigError::MeshTooLarge`] if the node count would not fit the
+    /// 16-bit [`NodeId`] space — as every constructor here does.
+    pub fn mesh(width: u16, height: u16) -> Result<Self, ConfigError> {
+        Self::new(TopologySpec::Mesh, width, height)
+    }
+
+    /// A torus: the mesh plus wraparound links in both dimensions.
+    ///
+    /// # Errors
+    ///
+    /// Returns the dimension errors of [`Topology::mesh`].
     pub fn torus(width: u16, height: u16) -> Result<Self, ConfigError> {
-        Mesh::new(width, height)?;
-        Ok(Topology::Torus { width, height })
+        Self::new(TopologySpec::Torus, width, height)
     }
 
     /// A concentrated mesh: a `width × height` router grid with
@@ -107,26 +131,14 @@ impl Topology {
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError::EmptyMesh`] for a zero dimension or zero
-    /// concentration and [`ConfigError::MeshTooLarge`] when the *tile*
-    /// count exceeds the node-id space.
+    /// Returns the dimension errors of [`Topology::mesh`], counting tiles
+    /// (a zero concentration is an empty mesh).
     pub fn cmesh(width: u16, height: u16, concentration: u16) -> Result<Self, ConfigError> {
-        if concentration == 0 {
-            return Err(ConfigError::EmptyMesh);
-        }
-        Mesh::new(width, height)?;
-        let tiles = width as u32 * height as u32 * concentration as u32;
-        if tiles > u16::MAX as u32 {
-            return Err(ConfigError::MeshTooLarge);
-        }
-        Ok(Topology::CMesh {
-            width,
-            height,
-            concentration,
-        })
+        Self::new(TopologySpec::CMesh { concentration }, width, height)
     }
 
-    /// A ring of `nodes` routers.
+    /// A bidirectional ring of `nodes` routers — the `nodes × 1` torus,
+    /// using the East/West ports only.
     ///
     /// # Errors
     ///
@@ -136,44 +148,36 @@ impl Topology {
         if nodes < 2 {
             return Err(ConfigError::EmptyMesh);
         }
-        Ok(Topology::Ring { nodes })
+        Self::new(TopologySpec::Ring, nodes, 1)
     }
 
-    /// Short label for bench rows and reports.
+    /// Short label for bench rows and reports (the shape's).
     pub fn label(&self) -> String {
-        match self {
-            Topology::Mesh(_) => "mesh".to_owned(),
-            Topology::Torus { .. } => "torus".to_owned(),
-            Topology::CMesh { concentration, .. } => format!("cmesh-{concentration}"),
-            Topology::Ring { .. } => "ring".to_owned(),
-        }
+        self.shape.label()
     }
 
     /// Number of tiles (cores, caches, NIs).
     pub fn nodes(&self) -> usize {
-        match self {
-            Topology::Mesh(m) => m.nodes(),
-            Topology::Torus { width, height } => *width as usize * *height as usize,
-            Topology::CMesh {
-                width,
-                height,
-                concentration,
-            } => *width as usize * *height as usize * *concentration as usize,
-            Topology::Ring { nodes } => *nodes as usize,
-        }
+        self.routers() * self.concentration()
     }
 
-    /// Number of routers (`nodes() / concentration()`).
+    /// Number of routers.
     pub fn routers(&self) -> usize {
-        self.nodes() / self.concentration()
+        self.width as usize * self.height as usize
     }
 
     /// Tiles per router (local ports per router); 1 except for `CMesh`.
     pub fn concentration(&self) -> usize {
-        match self {
-            Topology::CMesh { concentration, .. } => *concentration as usize,
+        match self.shape {
+            TopologySpec::CMesh { concentration } => concentration as usize,
             _ => 1,
         }
+    }
+
+    /// `true` for shapes with wraparound links (torus, ring): these need
+    /// the dateline VC classes and the extra reply VC.
+    pub fn has_wrap(&self) -> bool {
+        matches!(self.shape, TopologySpec::Torus | TopologySpec::Ring)
     }
 
     /// Total ports per router: four network ports plus the local ports.
@@ -183,13 +187,7 @@ impl Topology {
 
     /// The router grid dimensions `(width, height)` (a ring is `n × 1`).
     pub fn dims(&self) -> (u16, u16) {
-        match self {
-            Topology::Mesh(m) => (m.width(), m.height()),
-            Topology::Torus { width, height } | Topology::CMesh { width, height, .. } => {
-                (*width, *height)
-            }
-            Topology::Ring { nodes } => (*nodes, 1),
-        }
+        (self.width, self.height)
     }
 
     /// Iterator over all router ids, row-major.
@@ -229,137 +227,73 @@ impl Topology {
 
     /// Coordinate of a router on the grid.
     pub fn coord(&self, router: NodeId) -> Coord {
-        let (w, _) = self.dims();
+        debug_assert!(
+            router.index() < self.routers(),
+            "router {router} out of range for {self:?}"
+        );
         Coord {
-            x: router.0 % w,
-            y: router.0 / w,
+            x: router.0 % self.width,
+            y: router.0 / self.width,
         }
     }
 
     /// Router at a grid coordinate.
     pub fn router_at(&self, c: Coord) -> NodeId {
-        let (w, _) = self.dims();
-        NodeId(c.y * w + c.x)
+        NodeId(c.y * self.width + c.x)
+    }
+
+    /// One step from position `at` along a dimension of length `len`, up
+    /// (East/South) or down: the new position and whether the step crossed
+    /// the wraparound seam, or `None` off an edge that does not wrap (every
+    /// edge of a mesh; both ends of a dimension of length one).
+    fn step(&self, at: u16, len: u16, up: bool) -> Option<(u16, bool)> {
+        if at != if up { len - 1 } else { 0 } {
+            Some((if up { at + 1 } else { at - 1 }, false))
+        } else if self.has_wrap() && len > 1 {
+            Some((len - 1 - at, true))
+        } else {
+            None
+        }
+    }
+
+    /// The router out of a network port and whether the link to it wraps.
+    fn hop(&self, router: NodeId, port: usize) -> Option<(NodeId, bool)> {
+        let c = self.coord(router);
+        let up = port == PORT_EAST || port == PORT_SOUTH;
+        let (to, wrap) = match port {
+            PORT_EAST | PORT_WEST => {
+                let (x, wrap) = self.step(c.x, self.width, up)?;
+                (Coord { x, ..c }, wrap)
+            }
+            PORT_NORTH | PORT_SOUTH => {
+                let (y, wrap) = self.step(c.y, self.height, up)?;
+                (Coord { y, ..c }, wrap)
+            }
+            _ => return None,
+        };
+        Some((self.router_at(to), wrap))
     }
 
     /// The neighbouring *router* out of a network port, or `None` at a
-    /// mesh edge, for a local port, or for an unused ring port.
+    /// mesh edge, for a local port, or for a ring's North/South ports.
     pub fn neighbor(&self, router: NodeId, port: usize) -> Option<NodeId> {
-        match self {
-            Topology::Mesh(m) => {
-                if port >= PORT_LOCAL {
-                    return None;
-                }
-                m.neighbor(router, Direction::from_index(port))
-            }
-            Topology::CMesh { width, height, .. } => {
-                let c = self.coord(router);
-                let n = match port {
-                    PORT_NORTH => Coord {
-                        x: c.x,
-                        y: c.y.checked_sub(1)?,
-                    },
-                    PORT_SOUTH => {
-                        if c.y + 1 >= *height {
-                            return None;
-                        }
-                        Coord { x: c.x, y: c.y + 1 }
-                    }
-                    PORT_EAST => {
-                        if c.x + 1 >= *width {
-                            return None;
-                        }
-                        Coord { x: c.x + 1, y: c.y }
-                    }
-                    PORT_WEST => Coord {
-                        x: c.x.checked_sub(1)?,
-                        y: c.y,
-                    },
-                    _ => return None,
-                };
-                Some(self.router_at(n))
-            }
-            Topology::Torus { width, height } => {
-                let c = self.coord(router);
-                let n = match port {
-                    PORT_NORTH if *height > 1 => Coord {
-                        x: c.x,
-                        y: (c.y + height - 1) % height,
-                    },
-                    PORT_SOUTH if *height > 1 => Coord {
-                        x: c.x,
-                        y: (c.y + 1) % height,
-                    },
-                    PORT_EAST if *width > 1 => Coord {
-                        x: (c.x + 1) % width,
-                        y: c.y,
-                    },
-                    PORT_WEST if *width > 1 => Coord {
-                        x: (c.x + width - 1) % width,
-                        y: c.y,
-                    },
-                    _ => return None,
-                };
-                Some(self.router_at(n))
-            }
-            Topology::Ring { nodes } => match port {
-                PORT_EAST => Some(NodeId((router.0 + 1) % nodes)),
-                PORT_WEST => Some(NodeId((router.0 + nodes - 1) % nodes)),
-                _ => None,
-            },
-        }
+        self.hop(router, port).map(|(to, _)| to)
     }
 
     /// `true` when the hop out of `port` at `router` crosses a wraparound
     /// link (torus dateline / ring seam). Always `false` on mesh/cmesh.
     pub fn is_wrap_hop(&self, router: NodeId, port: usize) -> bool {
-        match self {
-            Topology::Mesh(_) | Topology::CMesh { .. } => false,
-            Topology::Torus { width, height } => {
-                let c = self.coord(router);
-                match port {
-                    PORT_NORTH => *height > 1 && c.y == 0,
-                    PORT_SOUTH => *height > 1 && c.y == height - 1,
-                    PORT_EAST => *width > 1 && c.x == width - 1,
-                    PORT_WEST => *width > 1 && c.x == 0,
-                    _ => false,
-                }
-            }
-            Topology::Ring { nodes } => match port {
-                PORT_EAST => router.0 == nodes - 1,
-                PORT_WEST => router.0 == 0,
-                _ => false,
-            },
-        }
-    }
-
-    /// `true` for topologies with wraparound links (torus, ring): these
-    /// need the dateline VC classes and the extra reply VC.
-    pub fn has_wrap(&self) -> bool {
-        matches!(self, Topology::Torus { .. } | Topology::Ring { .. })
+        self.has_wrap() && self.hop(router, port).is_some_and(|(_, wrap)| wrap)
     }
 
     /// Minimal hop distance between two *routers*.
     pub fn distance(&self, a: NodeId, b: NodeId) -> u32 {
-        match self {
-            Topology::Mesh(m) => m.distance(a, b),
-            Topology::CMesh { .. } => {
-                let ca = self.coord(a);
-                let cb = self.coord(b);
-                (ca.x.abs_diff(cb.x) + ca.y.abs_diff(cb.y)) as u32
-            }
-            Topology::Torus { width, height } => {
-                let ca = self.coord(a);
-                let cb = self.coord(b);
-                let dx = ca.x.abs_diff(cb.x);
-                let dy = ca.y.abs_diff(cb.y);
-                (dx.min(width - dx) + dy.min(height - dy)) as u32
-            }
-            Topology::Ring { nodes } => {
-                let d = a.0.abs_diff(b.0);
-                d.min(nodes - d) as u32
-            }
-        }
+        let span = |a: u16, b: u16, len: u16| {
+            let d = a.abs_diff(b);
+            u32::from(if self.has_wrap() { d.min(len - d) } else { d })
+        };
+        let (a, b) = (self.coord(a), self.coord(b));
+        span(a.x, b.x, self.width) + span(a.y, b.y, self.height)
     }
 
     /// Minimal hop distance between two *tiles* (their routers).
@@ -367,25 +301,15 @@ impl Topology {
         self.distance(self.router_of(a), self.router_of(b))
     }
 
-    /// Minimal direction of travel in one wrapping dimension of size
-    /// `len`: `Some(true)` = positive direction (East/South), `Some(false)`
-    /// = negative, `None` = already aligned. Equal wrap distances break
-    /// the tie toward the *non-wrapping* direction, which is what makes
-    /// forward and reverse routes retrace each other.
-    fn wrap_dir(at: u16, dst: u16, len: u16) -> Option<bool> {
-        if at == dst {
-            return None;
-        }
-        let pos = (dst + len - at) % len; // hops going positive
-        let neg = (at + len - dst) % len; // hops going negative
-        if pos < neg {
-            Some(true)
-        } else if neg < pos {
-            Some(false)
-        } else {
-            // Tie: take the direction that does not cross the wrap link.
-            Some(dst > at)
-        }
+    /// Minimal direction of travel from `at` to `dst` in one dimension of
+    /// length `len`: `Some(true)` = up (East/South), `Some(false)` = down,
+    /// `None` = already aligned. The way round through the seam is taken
+    /// only when strictly shorter: equal distances break toward the
+    /// *non-wrapping* direction, which is what makes forward and reverse
+    /// routes retrace each other.
+    fn toward(&self, at: u16, dst: u16, len: u16) -> Option<bool> {
+        let d = at.abs_diff(dst);
+        (d != 0).then_some((dst > at) == (!self.has_wrap() || d <= len - d))
     }
 
     /// The output port at router `at` for a packet whose destination
@@ -394,30 +318,16 @@ impl Topology {
     /// which needs the tile).
     fn min_route_port(&self, at: NodeId, dst: NodeId, algo: Routing) -> usize {
         debug_assert_ne!(at, dst, "min_route_port called at the destination");
-        let (w, h) = self.dims();
-        let ca = self.coord(at);
-        let cd = self.coord(dst);
-        let (x_dir, y_dir) = match self {
-            Topology::Mesh(_) | Topology::CMesh { .. } => (
-                match cd.x.cmp(&ca.x) {
-                    std::cmp::Ordering::Greater => Some(PORT_EAST),
-                    std::cmp::Ordering::Less => Some(PORT_WEST),
-                    std::cmp::Ordering::Equal => None,
-                },
-                match cd.y.cmp(&ca.y) {
-                    std::cmp::Ordering::Greater => Some(PORT_SOUTH),
-                    std::cmp::Ordering::Less => Some(PORT_NORTH),
-                    std::cmp::Ordering::Equal => None,
-                },
-            ),
-            Topology::Torus { .. } | Topology::Ring { .. } => (
-                Self::wrap_dir(ca.x, cd.x, w).map(|pos| if pos { PORT_EAST } else { PORT_WEST }),
-                Self::wrap_dir(ca.y, cd.y, h).map(|pos| if pos { PORT_SOUTH } else { PORT_NORTH }),
-            ),
-        };
+        let (a, d) = (self.coord(at), self.coord(dst));
+        let x_port = self
+            .toward(a.x, d.x, self.width)
+            .map(|up| if up { PORT_EAST } else { PORT_WEST });
+        let y_port =
+            self.toward(a.y, d.y, self.height)
+                .map(|up| if up { PORT_SOUTH } else { PORT_NORTH });
         match algo {
-            Routing::Xy => x_dir.or(y_dir),
-            Routing::Yx => y_dir.or(x_dir),
+            Routing::Xy => x_port.or(y_port),
+            Routing::Yx => y_port.or(x_port),
         }
         .expect("at != dst, so one dimension differs")
     }
@@ -425,6 +335,20 @@ impl Topology {
     /// The output port at router `at` for a packet heading to *tile*
     /// `dst`: the ejection port when `at` is the destination's router,
     /// the DOR port otherwise.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use rcsim_core::routing::Routing;
+    /// use rcsim_core::{NodeId, Topology, PORT_EAST, PORT_LOCAL, PORT_SOUTH};
+    ///
+    /// let mesh = Topology::mesh(4, 4)?;
+    /// // From n0 (0,0) to n5 (1,1): XY goes East first, YX goes South first.
+    /// assert_eq!(mesh.next_hop_port(NodeId(0), NodeId(5), Routing::Xy), PORT_EAST);
+    /// assert_eq!(mesh.next_hop_port(NodeId(0), NodeId(5), Routing::Yx), PORT_SOUTH);
+    /// assert_eq!(mesh.next_hop_port(NodeId(5), NodeId(5), Routing::Xy), PORT_LOCAL);
+    /// # Ok::<(), rcsim_core::ConfigError>(())
+    /// ```
     pub fn next_hop_port(&self, at: NodeId, dst: NodeId, algo: Routing) -> usize {
         let dst_router = self.router_of(dst);
         if at == dst_router {
@@ -475,10 +399,9 @@ impl Topology {
     }
 
     /// The network port leading from router `a` to adjacent router `b`,
-    /// or `None` when the two are not neighbours. Scan order E, W, N, S
-    /// matches the old mesh `direction_between`.
+    /// or `None` when the two are not neighbours (scanned E, W, N, S).
     pub fn port_between(&self, a: NodeId, b: NodeId) -> Option<usize> {
-        [PORT_EAST, PORT_WEST, PORT_NORTH, PORT_SOUTH]
+        SCAN_ORDER
             .into_iter()
             .find(|&p| self.neighbor(a, p) == Some(b))
     }
@@ -497,62 +420,28 @@ impl Topology {
 
     /// Shortest healthy router path between the routers of two tiles,
     /// avoiding dead links and routers, or `None` when the degraded
-    /// network is disconnected between the two. Breadth-first search with
-    /// the fixed E/W/N/S expansion order of the old mesh BFS, so mesh
-    /// detours are bit-identical and every topology's detour is fully
-    /// deterministic.
+    /// network is disconnected between the two. Breadth-first in the fixed
+    /// E/W/N/S order, so the detour is fully deterministic. Detours are
+    /// *not* restricted to dimension order: deadlock freedom is not
+    /// guaranteed in theory on a degraded network (the watchdog catches
+    /// wedges); in practice single-fault detours stay minimal-plus-two and
+    /// do not close dependency cycles.
     pub fn route_path_healthy(
         &self,
         src: NodeId,
         dst: NodeId,
         topo: &TopologyHealth,
     ) -> Option<Vec<NodeId>> {
-        let src = self.router_of(src);
-        let dst = self.router_of(dst);
-        if !topo.node_usable(src) || !topo.node_usable(dst) {
-            return None;
-        }
-        if src == dst {
-            return Some(vec![src]);
-        }
-        let n = self.routers();
-        let mut prev: Vec<Option<NodeId>> = vec![None; n];
-        let mut seen = vec![false; n];
-        seen[src.index()] = true;
-        let mut frontier = VecDeque::from([src]);
-        while let Some(at) = frontier.pop_front() {
-            for port in [PORT_EAST, PORT_WEST, PORT_NORTH, PORT_SOUTH] {
-                let Some(nb) = self.neighbor(at, port) else {
-                    continue;
-                };
-                if seen[nb.index()] || !topo.node_usable(nb) || !topo.link_usable(at, nb) {
-                    continue;
-                }
-                seen[nb.index()] = true;
-                prev[nb.index()] = Some(at);
-                if nb == dst {
-                    let mut path = vec![dst];
-                    let mut n = dst;
-                    while let Some(p) = prev[n.index()] {
-                        path.push(p);
-                        n = p;
-                    }
-                    path.reverse();
-                    return Some(path);
-                }
-                frontier.push_back(nb);
-            }
-        }
-        None
+        self.search(src, dst, topo, None)
     }
 
     /// Like [`Topology::route_path_healthy`], but additionally refuses to
     /// route *through* routers the [`CongestionMap`] marks hot, and —
-    /// unlike the fault BFS, whose detours are rare — constrains the path
-    /// to a deadlock-free *turn model*, because congestion detours happen
-    /// in bulk and unrestricted paths would close cycles in a virtual
-    /// network's channel-dependency graph (observed as wormhole deadlock
-    /// among detoured replies):
+    /// unlike the fault search, whose detours are rare — constrains the
+    /// path to a deadlock-free *turn model*, because congestion detours
+    /// happen in bulk and unrestricted paths would close cycles in a
+    /// virtual network's channel-dependency graph (observed as wormhole
+    /// deadlock among detoured replies):
     ///
     /// * request VN (`Routing::Xy`) — **west-first**: every West hop
     ///   precedes any other direction. XY DOR paths satisfy this (their
@@ -574,9 +463,7 @@ impl Topology {
     /// The endpoints are exempt from the hot check — a packet cannot
     /// avoid its own source or destination router — so this returns
     /// `None` only when every healthy, model-compliant route crosses a
-    /// hot interior router (callers then fall back to DOR). Fixed
-    /// E/W/N/S BFS expansion order, for the same determinism guarantee
-    /// as [`Topology::route_path_healthy`].
+    /// hot interior router (callers then fall back to DOR).
     pub fn route_path_healthy_avoiding(
         &self,
         src: NodeId,
@@ -584,6 +471,21 @@ impl Topology {
         routing: Routing,
         topo: &TopologyHealth,
         cong: &CongestionMap,
+    ) -> Option<Vec<NodeId>> {
+        self.search(src, dst, topo, Some((routing, cong)))
+    }
+
+    /// The one breadth-first search behind both detours. A search state
+    /// is a router and whether the path to it has passed the turn model's
+    /// commit point (west-first: the first non-West hop; east-last: the
+    /// first East hop) — one layer of states per router without a model,
+    /// two with.
+    fn search(
+        &self,
+        src: NodeId,
+        dst: NodeId,
+        topo: &TopologyHealth,
+        model: Option<(Routing, &CongestionMap)>,
     ) -> Option<Vec<NodeId>> {
         let src = self.router_of(src);
         let dst = self.router_of(dst);
@@ -594,75 +496,67 @@ impl Topology {
             return Some(vec![src]);
         }
         let n = self.routers();
-        // Two BFS layers per router: before and after the turn-model
-        // commit point (west-first: the first non-West hop; east-last:
-        // the first East hop).
-        let idx = |r: NodeId, committed: bool| r.index() + if committed { n } else { 0 };
-        let mut prev: Vec<Option<(NodeId, bool)>> = vec![None; 2 * n];
-        let mut seen = vec![false; 2 * n];
-        seen[idx(src, false)] = true;
-        let mut frontier = VecDeque::from([(src, false)]);
-        while let Some((at, committed)) = frontier.pop_front() {
-            for port in [PORT_EAST, PORT_WEST, PORT_NORTH, PORT_SOUTH] {
+        let layers = if model.is_some() { 2 } else { 1 };
+        // `prev[state]` is the state it was first reached from (the
+        // start: itself), `UNSEEN` until it is.
+        const UNSEEN: u32 = u32::MAX;
+        let router = |state: usize| NodeId((state % n) as u16);
+        let start = src.index();
+        let mut prev = vec![UNSEEN; layers * n];
+        prev[start] = start as u32;
+        let mut frontier = VecDeque::from([start]);
+        while let Some(state) = frontier.pop_front() {
+            let (at, committed) = (router(state), state >= n);
+            for port in SCAN_ORDER {
                 let Some(nb) = self.neighbor(at, port) else {
                     continue;
                 };
-                let (a, b) = (self.coord(at), self.coord(nb));
-                if a.x.abs_diff(b.x) + a.y.abs_diff(b.y) != 1 {
-                    continue; // wrap link
+                let mut next_committed = false;
+                if let Some((routing, cong)) = model {
+                    // A link between routers that are not grid neighbours
+                    // wraps (on a 2-wide torus both ports join the same
+                    // pair, and the pair is adjacent).
+                    let (a, b) = (self.coord(at), self.coord(nb));
+                    let commits = match routing {
+                        Routing::Xy => port != PORT_WEST,
+                        Routing::Yx => port == PORT_EAST,
+                    };
+                    if a.x.abs_diff(b.x) + a.y.abs_diff(b.y) != 1
+                        || committed && !commits
+                        || nb != dst && cong.is_hot(nb.index())
+                    {
+                        continue;
+                    }
+                    next_committed = committed || commits;
                 }
-                let next_committed = match routing {
-                    Routing::Xy => {
-                        if committed && port == PORT_WEST {
-                            continue;
-                        }
-                        committed || port != PORT_WEST
-                    }
-                    Routing::Yx => {
-                        if committed && port != PORT_EAST {
-                            continue;
-                        }
-                        committed || port == PORT_EAST
-                    }
-                };
-                if seen[idx(nb, next_committed)]
-                    || !topo.node_usable(nb)
-                    || !topo.link_usable(at, nb)
-                {
+                let next = nb.index() + if next_committed { n } else { 0 };
+                if prev[next] != UNSEEN || !topo.node_usable(nb) || !topo.link_usable(at, nb) {
                     continue;
                 }
-                if nb != dst && cong.is_hot(nb.index()) {
-                    continue;
-                }
-                seen[idx(nb, next_committed)] = true;
-                prev[idx(nb, next_committed)] = Some((at, committed));
+                prev[next] = state as u32;
                 if nb == dst {
-                    let mut path = vec![dst];
-                    let mut cur = (at, committed);
-                    loop {
-                        path.push(cur.0);
-                        match prev[idx(cur.0, cur.1)] {
-                            Some(p) => cur = p,
-                            None => break,
-                        }
+                    let mut path = vec![dst, at];
+                    let mut state = state;
+                    while state != start {
+                        state = prev[state] as usize;
+                        path.push(router(state));
                     }
                     path.reverse();
                     return Some(path);
                 }
-                frontier.push_back((nb, next_committed));
+                frontier.push_back(next);
             }
         }
         None
     }
 
     /// The tiles where external open-loop traffic enters the chip: every
-    /// tile whose router sits in the leftmost grid column (`x == 0`).
-    /// Identical to the old `Mesh::west_edge` on a mesh; a ring's single
-    /// `n × 1` row pins ingress at node 0.
+    /// tile whose router sits in the leftmost grid column (`x == 0`), top
+    /// to bottom — datacenter-style CMPs pin I/O at one physical edge of
+    /// the die. A ring's single row pins ingress at node 0.
     pub fn edge_nodes(&self) -> Vec<NodeId> {
-        let (_, h) = self.dims();
         let mut edge = Vec::new();
-        for y in 0..h {
+        for y in 0..self.height {
             let router = self.router_at(Coord { x: 0, y });
             for slot in 0..self.concentration() {
                 edge.push(self.tile_of(router, slot));
@@ -671,36 +565,35 @@ impl Topology {
         edge
     }
 
-    /// The tiles holding memory controllers. Mesh keeps the paper's
-    /// placement exactly (top and bottom edges); torus and cmesh reuse the
-    /// same grid rule (cmesh maps each chosen router to its slot-0 tile);
-    /// a ring spreads four controllers evenly around the circumference.
+    /// The tiles holding memory controllers: four, a quarter of the way in
+    /// from each end of the top and bottom rows as in the paper (Table 2;
+    /// a concentrated router contributes its slot-0 tile). A ring has no
+    /// rows to speak of and spreads its four evenly around the
+    /// circumference.
     pub fn memory_controller_tiles(&self) -> Vec<NodeId> {
-        match self {
-            Topology::Mesh(m) => m.memory_controller_tiles(),
-            Topology::Torus { width, height } | Topology::CMesh { width, height, .. } => {
-                let grid = Mesh::new(*width, *height).expect("validated at construction");
-                grid.memory_controller_tiles()
-                    .into_iter()
-                    .map(|r| self.tile_of(r, 0))
-                    .collect()
-            }
-            Topology::Ring { nodes } => {
+        match self.shape {
+            TopologySpec::Ring => {
                 let mut tiles: Vec<NodeId> = (0..4u32)
-                    .map(|i| NodeId((i * *nodes as u32 / 4) as u16))
+                    .map(|i| NodeId((i * self.width as u32 / 4) as u16))
                     .collect();
                 tiles.dedup();
                 tiles
+            }
+            _ => {
+                let (w, h) = (self.width, self.height);
+                let q = (w / 4).max(1).min(w - 1);
+                [(q, 0), (w - 1 - q, 0), (q, h - 1), (w - 1 - q, h - 1)]
+                    .into_iter()
+                    .map(|(x, y)| self.tile_of(self.router_at(Coord { x, y }), 0))
+                    .collect()
             }
         }
     }
 }
 
-/// How [`SimConfig`](https://docs.rs/rcsim-system)'s `cores` knob lowers
-/// to a [`Topology`]: the spec carries only the *shape*, and the concrete
-/// dimensions come from the core count (squares preferred, the most
-/// nearly square rectangle otherwise — exactly how plain meshes always
-/// resolved).
+/// A topology's *shape*. [`SimConfig`](https://docs.rs/rcsim-system)
+/// carries only this beside its `cores` knob; [`TopologySpec::build`]
+/// finds the grid.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum TopologySpec {
     /// Plain 2-D mesh (the default; serialization omits it so old cache
@@ -735,43 +628,47 @@ impl TopologySpec {
         }
     }
 
-    /// Builds the concrete topology for `cores` tiles.
+    /// Builds the concrete topology for `cores` tiles: a ring over all of
+    /// them, or the most nearly square grid with exactly that many tiles
+    /// (16 → 4×4, 32 → 8×4, a prime → `n × 1`).
     ///
     /// # Errors
     ///
     /// Returns the dimension errors of the topology constructors (zero
-    /// cores, node-id overflow, or a core count not divisible by a cmesh
-    /// concentration).
+    /// cores, node-id overflow) and [`ConfigError::Concentration`] for a
+    /// core count a cmesh concentration does not divide.
     pub fn build(&self, cores: u16) -> Result<Topology, ConfigError> {
-        match self {
-            TopologySpec::Mesh => {
-                let mesh = Mesh::square(cores).or_else(|_| Mesh::near_square(cores))?;
-                Ok(Topology::Mesh(mesh))
-            }
-            TopologySpec::Torus => {
-                let grid = Mesh::square(cores).or_else(|_| Mesh::near_square(cores))?;
-                Topology::torus(grid.width(), grid.height())
-            }
-            TopologySpec::CMesh { concentration } => {
-                if *concentration == 0 || !cores.is_multiple_of(*concentration) {
-                    return Err(ConfigError::NotSquare(cores));
-                }
-                let routers = cores / concentration;
-                let grid = Mesh::square(routers).or_else(|_| Mesh::near_square(routers))?;
-                Topology::cmesh(grid.width(), grid.height(), *concentration)
-            }
-            TopologySpec::Ring => Topology::ring(cores),
+        let concentration = match *self {
+            TopologySpec::Ring => return Topology::ring(cores),
+            TopologySpec::CMesh { concentration } => concentration,
+            TopologySpec::Mesh | TopologySpec::Torus => 1,
+        };
+        if concentration == 0 || !cores.is_multiple_of(concentration) {
+            return Err(ConfigError::Concentration {
+                cores,
+                concentration,
+            });
         }
+        // In u32: `h * h` passes u16::MAX before the search ends.
+        let routers = u32::from(cores / concentration);
+        let height = (1..=routers)
+            .take_while(|h| h * h <= routers)
+            .filter(|h| routers.is_multiple_of(*h))
+            .last()
+            .unwrap_or(1);
+        Topology::new(*self, (routers / height) as u16, height as u16)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::routing::path_is_healthy;
 
     fn all_topologies() -> Vec<Topology> {
         vec![
-            Topology::Mesh(Mesh::new(4, 4).unwrap()),
+            Topology::mesh(4, 4).unwrap(),
+            Topology::mesh(5, 3).unwrap(),
             Topology::torus(4, 4).unwrap(),
             Topology::torus(5, 3).unwrap(),
             Topology::cmesh(4, 2, 4).unwrap(),
@@ -782,46 +679,63 @@ mod tests {
 
     #[test]
     fn constructors_validate() {
+        assert_eq!(Topology::mesh(0, 4), Err(ConfigError::EmptyMesh));
+        assert_eq!(Topology::mesh(4, 0), Err(ConfigError::EmptyMesh));
+        assert_eq!(Topology::mesh(300, 300), Err(ConfigError::MeshTooLarge));
         assert!(Topology::torus(0, 4).is_err());
-        assert!(Topology::cmesh(4, 4, 0).is_err());
-        assert!(Topology::cmesh(256, 256, 4).is_err());
+        assert_eq!(Topology::cmesh(4, 4, 0), Err(ConfigError::EmptyMesh));
+        assert_eq!(Topology::cmesh(256, 256, 4), Err(ConfigError::MeshTooLarge));
+        assert_eq!(Topology::cmesh(255, 255, 2), Err(ConfigError::MeshTooLarge));
         assert!(Topology::ring(1).is_err());
         assert!(Topology::ring(2).is_ok());
     }
 
     #[test]
-    fn mesh_matches_legacy_geometry() {
-        let mesh = Mesh::new(4, 4).unwrap();
-        let t = Topology::Mesh(mesh);
-        assert_eq!(t.nodes(), 16);
-        assert_eq!(t.routers(), 16);
-        assert_eq!(t.ports(), 5);
+    fn mesh_4x4_by_hand() {
+        let t = Topology::mesh(4, 4).unwrap();
+        assert_eq!((t.nodes(), t.routers(), t.ports()), (16, 16, 5));
+        assert_eq!(t.neighbor(NodeId(0), PORT_NORTH), None);
+        assert_eq!(t.neighbor(NodeId(0), PORT_WEST), None);
+        assert_eq!(t.neighbor(NodeId(0), PORT_EAST), Some(NodeId(1)));
+        assert_eq!(t.neighbor(NodeId(0), PORT_SOUTH), Some(NodeId(4)));
+        assert_eq!(t.neighbor(NodeId(15), PORT_SOUTH), None);
+        assert_eq!(t.neighbor(NodeId(15), PORT_EAST), None);
+        assert_eq!(t.neighbor(NodeId(5), PORT_LOCAL), None);
         for r in t.iter_routers() {
-            for d in Direction::ALL {
-                let legacy = mesh.neighbor(r, d);
-                assert_eq!(t.neighbor(r, d.index()), legacy, "r={r} d={d}");
-            }
-            assert_eq!(t.eject_port(r), Direction::Local.index());
+            assert_eq!(t.eject_port(r), PORT_LOCAL);
+            assert_eq!(t.next_hop_port(r, r, Routing::Xy), PORT_LOCAL);
+            assert_eq!(t.next_hop_port(r, r, Routing::Yx), PORT_LOCAL);
         }
-        assert_eq!(t.edge_nodes(), mesh.west_edge());
-        assert_eq!(t.memory_controller_tiles(), mesh.memory_controller_tiles());
-        use crate::routing::{next_hop, route_path};
-        for s in t.iter_routers() {
-            for d in [NodeId(0), NodeId(3), NodeId(10), NodeId(15)] {
-                for algo in [Routing::Xy, Routing::Yx] {
-                    assert_eq!(
-                        t.route_path(s, d, algo),
-                        route_path(&mesh, s, d, algo),
-                        "s={s} d={d}"
-                    );
-                    assert_eq!(
-                        t.next_hop_port(s, d, algo),
-                        next_hop(&mesh, s, d, algo).index(),
-                        "s={s} d={d}"
-                    );
-                }
+        // n0 = (0,0), n10 = (2,2): XY goes x first, YX y first.
+        assert_eq!(
+            t.route_path(NodeId(0), NodeId(10), Routing::Xy),
+            [0, 1, 2, 6, 10].map(NodeId)
+        );
+        assert_eq!(
+            t.route_path(NodeId(0), NodeId(10), Routing::Yx),
+            [0, 4, 8, 9, 10].map(NodeId)
+        );
+        let big = Topology::mesh(8, 8).unwrap();
+        assert_eq!(big.distance(NodeId(0), NodeId(0)), 0);
+        assert_eq!(big.distance(NodeId(0), NodeId(63)), 14);
+        assert_eq!(big.distance(NodeId(0), NodeId(7)), 7);
+        assert_eq!(big.distance(NodeId(7), NodeId(0)), 7);
+    }
+
+    #[test]
+    fn coord_roundtrip() {
+        for t in all_topologies() {
+            for r in t.iter_routers() {
+                assert_eq!(t.router_at(t.coord(r)), r, "{t:?}");
             }
         }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "out of range")]
+    fn coord_out_of_range_panics() {
+        Topology::mesh(2, 2).unwrap().coord(NodeId(4));
     }
 
     #[test]
@@ -836,6 +750,11 @@ mod tests {
                 ] {
                     if let Some(nb) = t.neighbor(r, port) {
                         assert_eq!(t.neighbor(nb, opp), Some(r), "{t:?} r={r} port={port}");
+                        assert_eq!(
+                            t.is_wrap_hop(r, port),
+                            t.is_wrap_hop(nb, opp),
+                            "{t:?} r={r} port={port}"
+                        );
                     }
                 }
             }
@@ -863,7 +782,8 @@ mod tests {
 
     #[test]
     fn xy_forward_equals_yx_reverse_everywhere() {
-        // The property circuit reservation rests on (§4.1), per topology.
+        // The property circuit reservation rests on (§4.1): the reply's YX
+        // path visits exactly the request's XY routers, reversed.
         for t in all_topologies() {
             for s in t.iter_tiles() {
                 for d in t.iter_tiles() {
@@ -895,10 +815,15 @@ mod tests {
         assert!(t.is_wrap_hop(NodeId(0), PORT_NORTH));
         assert!(t.is_wrap_hop(NodeId(12), PORT_SOUTH));
         assert!(!t.is_wrap_hop(NodeId(1), PORT_EAST));
-        let m = Topology::Mesh(Mesh::new(4, 4).unwrap());
-        for r in m.iter_routers() {
-            for p in 0..4 {
-                assert!(!m.is_wrap_hop(r, p));
+        for m in [
+            Topology::mesh(4, 4).unwrap(),
+            Topology::cmesh(4, 2, 4).unwrap(),
+        ] {
+            assert!(!m.has_wrap());
+            for r in m.iter_routers() {
+                for p in 0..m.ports() {
+                    assert!(!m.is_wrap_hop(r, p));
+                }
             }
         }
         let r = Topology::ring(8).unwrap();
@@ -917,7 +842,7 @@ mod tests {
         // Non-wrapping journeys are class 1 from the start.
         assert_eq!(t.vc_class(NodeId(1), NodeId(3), PORT_EAST), 1);
         // Mesh never restricts.
-        let m = Topology::Mesh(Mesh::new(4, 4).unwrap());
+        let m = Topology::mesh(4, 4).unwrap();
         assert_eq!(m.vc_class(NodeId(1), NodeId(3), PORT_EAST), 1);
     }
 
@@ -936,6 +861,56 @@ mod tests {
         assert_eq!(t.route_path(NodeId(12), NodeId(13), Routing::Xy).len(), 1);
     }
 
+    /// Everything a ring answers, the `n × 1` torus answers alike — but
+    /// its name and where its memory controllers sit.
+    #[test]
+    fn ring_is_the_one_row_torus() {
+        for n in [2u16, 3, 7, 16] {
+            let (ring, torus) = (Topology::ring(n).unwrap(), Topology::torus(n, 1).unwrap());
+            assert_eq!(ring.dims(), torus.dims());
+            assert_eq!(ring.nodes(), torus.nodes());
+            assert_eq!(ring.routers(), torus.routers());
+            assert_eq!(ring.ports(), torus.ports());
+            assert_eq!(ring.has_wrap(), torus.has_wrap());
+            assert_eq!(ring.edge_nodes(), torus.edge_nodes());
+            let mut health = TopologyHealth::new();
+            health.kill_link(NodeId(0), NodeId(1));
+            let mut cong = CongestionMap::new(n as usize);
+            cong.set_hot(n as usize / 2, true);
+            for a in ring.iter_routers() {
+                assert_eq!(ring.coord(a), torus.coord(a));
+                assert_eq!(ring.router_of(a), torus.router_of(a));
+                assert_eq!(ring.eject_port(a), torus.eject_port(a));
+                for port in 0..ring.ports() {
+                    assert_eq!(ring.neighbor(a, port), torus.neighbor(a, port));
+                    assert_eq!(ring.is_wrap_hop(a, port), torus.is_wrap_hop(a, port));
+                }
+                for b in ring.iter_routers() {
+                    assert_eq!(ring.distance(a, b), torus.distance(a, b));
+                    assert_eq!(ring.port_between(a, b), torus.port_between(a, b));
+                    assert_eq!(
+                        ring.route_path_healthy(a, b, &health),
+                        torus.route_path_healthy(a, b, &health)
+                    );
+                    for port in 0..PORT_LOCAL {
+                        assert_eq!(ring.vc_class(a, b, port), torus.vc_class(a, b, port));
+                    }
+                    for algo in [Routing::Xy, Routing::Yx] {
+                        assert_eq!(
+                            ring.next_hop_port(a, b, algo),
+                            torus.next_hop_port(a, b, algo)
+                        );
+                        assert_eq!(ring.route_path(a, b, algo), torus.route_path(a, b, algo));
+                        assert_eq!(
+                            ring.route_path_healthy_avoiding(a, b, algo, &health, &cong),
+                            torus.route_path_healthy_avoiding(a, b, algo, &health, &cong)
+                        );
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn edge_nodes_cover_column_zero() {
         let t = Topology::cmesh(4, 2, 4).unwrap();
@@ -946,6 +921,11 @@ mod tests {
         }
         assert_eq!(Topology::ring(8).unwrap().edge_nodes(), vec![NodeId(0)]);
         assert_eq!(Topology::torus(4, 4).unwrap().edge_nodes().len(), 4);
+        // Height-many entries, top to bottom, on a non-square mesh.
+        assert_eq!(
+            Topology::mesh(8, 4).unwrap().edge_nodes(),
+            [0, 8, 16, 24].map(NodeId)
+        );
     }
 
     #[test]
@@ -961,30 +941,156 @@ mod tests {
                 assert!(mc.index() < t.nodes());
             }
         }
-    }
-
-    #[test]
-    fn healthy_bfs_generalizes() {
-        for t in all_topologies() {
-            let health = TopologyHealth::new();
-            let p = t.route_path_healthy(NodeId(0), NodeId(5), &health).unwrap();
-            assert_eq!(p.first(), Some(&t.router_of(NodeId(0))));
-            assert_eq!(p.last(), Some(&t.router_of(NodeId(5))));
-            // BFS on a healthy network is minimal.
-            assert_eq!(p.len() as u32, t.hop_count(NodeId(0), NodeId(5)) + 1);
+        // The paper's chips: four controllers, on the top and bottom rows.
+        for cores in [16u16, 64] {
+            let t = TopologySpec::Mesh.build(cores).unwrap();
+            let mcs = t.memory_controller_tiles();
+            assert_eq!(mcs.len(), 4);
+            for mc in mcs {
+                let y = t.coord(mc).y;
+                assert!(y == 0 || y == t.dims().1 - 1, "mc {mc} not on an edge row");
+            }
         }
     }
 
     #[test]
+    fn healthy_search_is_minimal_on_a_healthy_network() {
+        for t in all_topologies() {
+            let health = TopologyHealth::new();
+            for s in t.iter_tiles() {
+                for d in t.iter_tiles() {
+                    let p = t.route_path_healthy(s, d, &health).unwrap();
+                    assert_eq!(p.first(), Some(&t.router_of(s)));
+                    assert_eq!(p.last(), Some(&t.router_of(d)));
+                    assert_eq!(p.len() as u32, t.hop_count(s, d) + 1, "{t:?} s={s} d={d}");
+                    assert!(path_is_healthy(&t.route_path(s, d, Routing::Xy), &health));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn dead_link_breaks_path_and_search_detours() {
+        let m = Topology::mesh(4, 4).unwrap();
+        let mut topo = TopologyHealth::new();
+        // Kill the (1)-(2) link on n0 -> n10's XY path.
+        topo.kill_link(NodeId(2), NodeId(1));
+        assert!(topo.is_degraded());
+        assert!(!topo.link_usable(NodeId(1), NodeId(2)));
+        assert!(!topo.hop_usable(NodeId(1), NodeId(2)));
+        let dor = m.route_path(NodeId(0), NodeId(10), Routing::Xy);
+        assert!(!path_is_healthy(&dor, &topo));
+
+        let detour = m.route_path_healthy(NodeId(0), NodeId(10), &topo).unwrap();
+        assert_eq!(detour.first(), Some(&NodeId(0)));
+        assert_eq!(detour.last(), Some(&NodeId(10)));
+        assert!(path_is_healthy(&detour, &topo));
+        // Single dead link off the bounding box: detour stays minimal.
+        assert_eq!(detour.len() as u32, m.distance(NodeId(0), NodeId(10)) + 1);
+
+        topo.revive_link(NodeId(1), NodeId(2));
+        assert!(path_is_healthy(&dor, &topo));
+    }
+
+    #[test]
+    fn dead_router_blocks_traversal_and_endpoints() {
+        for t in all_topologies() {
+            let src = NodeId(0);
+            let dst = t.tile_of(NodeId(t.routers() as u16 / 2 + 1), 0);
+            let dor = t.route_path(src, dst, Routing::Xy);
+            assert!(dor.len() >= 3, "{t:?}");
+            let dead = dor[1];
+            let mut topo = TopologyHealth::new();
+            topo.kill_router(dead);
+            assert!(!topo.node_usable(dead));
+            // Paths through it detour around it (a ring goes the long way).
+            let p = t.route_path_healthy(src, dst, &topo).unwrap();
+            assert!(!p.contains(&dead), "{t:?}");
+            assert!(path_is_healthy(&p, &topo));
+            // Paths *to* a dead router do not exist.
+            let dead_tile = t.tile_of(dead, 0);
+            assert!(t.route_path_healthy(src, dead_tile, &topo).is_none());
+            topo.revive_router(dead);
+            assert!(t.route_path_healthy(src, dead_tile, &topo).is_some());
+        }
+    }
+
+    #[test]
+    fn disconnected_corner_returns_none() {
+        // Cut every link of router 0: the mesh corner's two, the torus
+        // corner's four, the ring node's two.
+        for t in all_topologies() {
+            let mut topo = TopologyHealth::new();
+            for port in 0..PORT_LOCAL {
+                if let Some(nb) = t.neighbor(NodeId(0), port) {
+                    topo.kill_link(NodeId(0), nb);
+                }
+            }
+            let far = NodeId(t.nodes() as u16 - 1);
+            assert!(t.route_path_healthy(NodeId(0), far, &topo).is_none());
+            assert!(t.route_path_healthy(far, NodeId(0), &topo).is_none());
+        }
+    }
+
+    #[test]
+    fn detours_are_deterministic_and_healthy() {
+        for t in [
+            Topology::mesh(8, 8).unwrap(),
+            Topology::torus(8, 8).unwrap(),
+            Topology::cmesh(8, 8, 1).unwrap(),
+            Topology::ring(64).unwrap(),
+        ] {
+            let mut topo = TopologyHealth::new();
+            topo.kill_link(NodeId(9), NodeId(10));
+            topo.kill_router(NodeId(27));
+            for s in t.iter_tiles() {
+                for d in [0u16, 7, 35, 63].map(NodeId) {
+                    let a = t.route_path_healthy(s, d, &topo);
+                    assert_eq!(a, t.route_path_healthy(s, d, &topo), "{t:?} s={s} d={d}");
+                    // The two faults cut a ring into the arcs 10..=26 and
+                    // 28..=9; a grid stays connected around them.
+                    let same_arc = (10..27).contains(&s.0) == (10..27).contains(&d.0);
+                    let connected = s != NodeId(27) && (t.dims().1 > 1 || same_arc);
+                    assert_eq!(a.is_some(), connected, "{t:?} s={s} d={d}");
+                    assert!(a.is_none_or(|p| path_is_healthy(&p, &topo)));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn next_hop_on_path_follows_recording() {
+        let m = Topology::mesh(4, 4).unwrap();
+        let p = [0, 1, 5, 6].map(NodeId);
+        let dst = NodeId(6);
+        assert_eq!(m.next_hop_on_path(&p, NodeId(0), dst), Some(PORT_EAST));
+        assert_eq!(m.next_hop_on_path(&p, NodeId(1), dst), Some(PORT_SOUTH));
+        assert_eq!(m.next_hop_on_path(&p, NodeId(6), dst), Some(PORT_LOCAL));
+        // Off-path routers fall back to DOR (None).
+        assert_eq!(m.next_hop_on_path(&p, NodeId(9), dst), None);
+        // Non-adjacent successor (corrupt recording) also falls back.
+        let bad = [NodeId(0), NodeId(10)];
+        assert_eq!(m.next_hop_on_path(&bad, NodeId(0), NodeId(10)), None);
+    }
+
+    #[test]
     fn spec_builds_expected_shapes() {
-        assert_eq!(
-            TopologySpec::Mesh.build(64).unwrap(),
-            Topology::Mesh(Mesh::new(8, 8).unwrap())
-        );
-        assert_eq!(
-            TopologySpec::Torus.build(64).unwrap(),
-            Topology::torus(8, 8).unwrap()
-        );
+        for (cores, grid) in [
+            (16, (4, 4)),
+            (32, (8, 4)),
+            (64, (8, 8)),
+            (7, (7, 1)),
+            (1024, (32, 32)),
+        ] {
+            assert_eq!(
+                TopologySpec::Mesh.build(cores).unwrap(),
+                Topology::mesh(grid.0, grid.1).unwrap()
+            );
+            assert_eq!(
+                TopologySpec::Torus.build(cores).unwrap(),
+                Topology::torus(grid.0, grid.1).unwrap()
+            );
+        }
         assert_eq!(
             TopologySpec::CMesh { concentration: 4 }.build(64).unwrap(),
             Topology::cmesh(4, 4, 4).unwrap()
@@ -993,9 +1099,8 @@ mod tests {
             TopologySpec::Ring.build(64).unwrap(),
             Topology::ring(64).unwrap()
         );
-        assert!(TopologySpec::CMesh { concentration: 3 }.build(64).is_err());
+        assert_eq!(TopologySpec::Mesh.build(0), Err(ConfigError::EmptyMesh));
         // 1024 cores: the scale regime the bench opens.
-        assert_eq!(TopologySpec::Torus.build(1024).unwrap().routers(), 1024);
         assert_eq!(
             TopologySpec::CMesh { concentration: 4 }
                 .build(1024)
@@ -1010,6 +1115,7 @@ mod tests {
         assert!(TopologySpec::default().is_mesh());
         assert!(!TopologySpec::Ring.is_mesh());
         assert_eq!(TopologySpec::CMesh { concentration: 4 }.label(), "cmesh-4");
+        assert_eq!(Topology::cmesh(4, 4, 4).unwrap().label(), "cmesh-4");
     }
 
     #[test]

@@ -42,77 +42,13 @@ impl From<u16> for NodeId {
     }
 }
 
-/// A router port direction in the 2-D mesh. `Local` is the port to/from the
-/// tile's network interfaces.
+/// An (x, y) position on the router grid; `x` grows east, `y` grows south.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum Direction {
-    /// Towards smaller y (up in the usual drawing).
-    North,
-    /// Towards larger x.
-    East,
-    /// Towards larger y.
-    South,
-    /// Towards smaller x.
-    West,
-    /// Injection/ejection port of the tile.
-    Local,
-}
-
-impl Direction {
-    /// All five port directions, `Local` last (matches port indexing).
-    pub const ALL: [Direction; 5] = [
-        Direction::North,
-        Direction::East,
-        Direction::South,
-        Direction::West,
-        Direction::Local,
-    ];
-
-    /// Dense index in `0..5`, usable for port arrays.
-    pub fn index(self) -> usize {
-        match self {
-            Direction::North => 0,
-            Direction::East => 1,
-            Direction::South => 2,
-            Direction::West => 3,
-            Direction::Local => 4,
-        }
-    }
-
-    /// Inverse of [`Direction::index`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= 5`.
-    pub fn from_index(i: usize) -> Direction {
-        Direction::ALL[i]
-    }
-
-    /// The direction a flit sent out of this port *arrives from* at the
-    /// neighbouring router (`North` ↔ `South`, `East` ↔ `West`).
-    /// `Local` is its own opposite.
-    pub fn opposite(self) -> Direction {
-        match self {
-            Direction::North => Direction::South,
-            Direction::East => Direction::West,
-            Direction::South => Direction::North,
-            Direction::West => Direction::East,
-            Direction::Local => Direction::Local,
-        }
-    }
-}
-
-impl fmt::Display for Direction {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            Direction::North => "N",
-            Direction::East => "E",
-            Direction::South => "S",
-            Direction::West => "W",
-            Direction::Local => "L",
-        };
-        f.write_str(s)
-    }
+pub struct Coord {
+    /// Column, `0..width`.
+    pub x: u16,
+    /// Row, `0..height`.
+    pub y: u16,
 }
 
 /// Virtual network. The baseline NoC has two: one for requests and one for
@@ -295,21 +231,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn direction_roundtrip() {
-        for d in Direction::ALL {
-            assert_eq!(Direction::from_index(d.index()), d);
-            assert_eq!(d.opposite().opposite(), d);
-        }
-    }
-
-    #[test]
-    fn direction_opposites() {
-        assert_eq!(Direction::North.opposite(), Direction::South);
-        assert_eq!(Direction::East.opposite(), Direction::West);
-        assert_eq!(Direction::Local.opposite(), Direction::Local);
-    }
-
-    #[test]
     fn reply_classes_use_reply_vnet() {
         for c in MessageClass::ALL {
             assert_eq!(c.is_reply(), c.vnet() == Vnet::Reply, "{c}");
@@ -355,7 +276,6 @@ mod tests {
     #[test]
     fn node_display() {
         assert_eq!(NodeId::from(3).to_string(), "n3");
-        assert_eq!(Direction::West.to_string(), "W");
         assert_eq!(Vnet::Reply.to_string(), "rep");
     }
 }

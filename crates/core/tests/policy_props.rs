@@ -11,8 +11,8 @@ use proptest::prelude::*;
 use rcsim_core::circuit::{CircuitKey, ReserveRequest, RouterCircuits};
 use rcsim_core::routing::Routing;
 use rcsim_core::{
-    AdaptiveConfig, CircuitMode, Mesh, NodeId, PolicyController, RegionMode, RegionPlan,
-    RegionSample, Topology, TopologySpec,
+    AdaptiveConfig, CircuitMode, NodeId, PolicyController, RegionMode, RegionPlan, RegionSample,
+    Topology, TopologySpec,
 };
 use std::collections::BTreeSet;
 
@@ -24,7 +24,7 @@ use std::collections::BTreeSet;
 /// tiles), mirroring the spread the topology benches sweep.
 fn topology_strategy() -> impl Strategy<Value = Topology> {
     prop_oneof![
-        (2u16..=8, 2u16..=8).prop_map(|(w, h)| Topology::from(Mesh::new(w, h).expect("mesh dims"))),
+        (2u16..=8, 2u16..=8).prop_map(|(w, h)| Topology::mesh(w, h).expect("mesh dims")),
         (2u16..=8, 2u16..=8).prop_map(|(w, h)| Topology::torus(w, h).expect("torus dims")),
         (2u16..=6, 2u16..=6, prop_oneof![Just(2u16), Just(4u16)])
             .prop_map(|(w, h, c)| Topology::cmesh(w, h, c).expect("cmesh dims")),

@@ -1,32 +1,40 @@
-//! Property-based tests for the core geometry, routing and circuit-table
-//! invariants.
+//! Property-based tests for the geometry (every shape), routing and
+//! circuit-table invariants.
 
 use proptest::prelude::*;
 use rcsim_core::circuit::timing::TimeWindow;
 use rcsim_core::circuit::{CircuitKey, ReserveRequest, RouterCircuits};
-use rcsim_core::routing::{next_hop, route_path, Routing};
-use rcsim_core::{CircuitMode, Direction, Mesh, NodeId};
+use rcsim_core::routing::{path_is_healthy, Routing, TopologyHealth};
+use rcsim_core::{CircuitMode, NodeId, Topology, PORT_LOCAL};
 
-fn mesh_and_pair() -> impl Strategy<Value = (Mesh, NodeId, NodeId)> {
-    (2u16..=8, 2u16..=8).prop_flat_map(|(w, h)| {
-        let n = w * h;
-        (Just(Mesh::new(w, h).expect("valid dims")), 0..n, 0..n)
-            .prop_map(|(m, a, b)| (m, NodeId(a), NodeId(b)))
+/// Any of the four shapes on a small grid (a ring over `w * h` nodes),
+/// with two of its tiles.
+fn topology_and_pair() -> impl Strategy<Value = (Topology, NodeId, NodeId)> {
+    (2u16..=8, 2u16..=8, 0usize..4).prop_flat_map(|(w, h, shape)| {
+        let t = match shape {
+            0 => Topology::mesh(w, h),
+            1 => Topology::torus(w, h),
+            2 => Topology::cmesh(w, h, 2),
+            _ => Topology::ring(w * h),
+        }
+        .expect("valid dims");
+        let n = t.nodes() as u16;
+        (Just(t), 0..n, 0..n).prop_map(|(t, a, b)| (t, NodeId(a), NodeId(b)))
     })
 }
 
 proptest! {
     /// DOR paths are minimal and end where they should.
     #[test]
-    fn dor_paths_minimal((mesh, a, b) in mesh_and_pair()) {
+    fn dor_paths_minimal((t, a, b) in topology_and_pair()) {
         for algo in [Routing::Xy, Routing::Yx] {
-            let p = route_path(&mesh, a, b, algo);
-            prop_assert_eq!(p.len() as u32, mesh.distance(a, b) + 1);
-            prop_assert_eq!(*p.first().expect("non-empty"), a);
-            prop_assert_eq!(*p.last().expect("non-empty"), b);
-            // Consecutive path elements are mesh neighbours.
+            let p = t.route_path(a, b, algo);
+            prop_assert_eq!(p.len() as u32, t.hop_count(a, b) + 1);
+            prop_assert_eq!(*p.first().expect("non-empty"), t.router_of(a));
+            prop_assert_eq!(*p.last().expect("non-empty"), t.router_of(b));
+            // Consecutive path elements are neighbours.
             for w in p.windows(2) {
-                prop_assert_eq!(mesh.distance(w[0], w[1]), 1);
+                prop_assert_eq!(t.distance(w[0], w[1]), 1);
             }
         }
     }
@@ -34,21 +42,62 @@ proptest! {
     /// The property Reactive Circuits is built on: the XY path there is
     /// the YX path back, reversed (§4.1).
     #[test]
-    fn xy_equals_reversed_yx((mesh, a, b) in mesh_and_pair()) {
-        let fwd = route_path(&mesh, a, b, Routing::Xy);
-        let mut back = route_path(&mesh, b, a, Routing::Yx);
+    fn xy_equals_reversed_yx((t, a, b) in topology_and_pair()) {
+        let fwd = t.route_path(a, b, Routing::Xy);
+        let mut back = t.route_path(b, a, Routing::Yx);
         back.reverse();
         prop_assert_eq!(fwd, back);
     }
 
-    /// next_hop never points across the mesh edge.
+    /// The next hop never points off the grid, and ejects at the
+    /// destination's router.
     #[test]
-    fn next_hop_stays_inside((mesh, a, b) in mesh_and_pair()) {
-        let d = next_hop(&mesh, a, b, Routing::Xy);
-        if a == b {
-            prop_assert_eq!(d, Direction::Local);
+    fn next_hop_stays_inside((t, a, b) in topology_and_pair()) {
+        let at = t.router_of(a);
+        let port = t.next_hop_port(at, b, Routing::Xy);
+        if at == t.router_of(b) {
+            prop_assert_eq!(port, PORT_LOCAL + t.local_slot(b));
         } else {
-            prop_assert!(mesh.neighbor(a, d).is_some());
+            prop_assert!(t.neighbor(at, port).is_some());
+        }
+    }
+
+    /// Links are symmetric: the way back out of the opposite port leads
+    /// home.
+    #[test]
+    fn links_are_symmetric((t, a, _b) in topology_and_pair()) {
+        let r = t.router_of(a);
+        for port in 0..PORT_LOCAL {
+            if let Some(nb) = t.neighbor(r, port) {
+                prop_assert_eq!(t.neighbor(nb, port ^ 2), Some(r));
+            }
+        }
+    }
+
+    /// No shape here has a bridge (a ring has two ways round), so a
+    /// detour around one dead link exists: a healthy path between the
+    /// same routers, found again by the same search, and — where there is
+    /// a second dimension to step aside into — at most two hops longer.
+    #[test]
+    fn single_fault_detours_are_healthy_and_deterministic(
+        (t, a, b) in topology_and_pair(),
+        cut in 0usize..64,
+    ) {
+        let dor = t.route_path(a, b, Routing::Xy);
+        let mut health = TopologyHealth::new();
+        if dor.len() > 1 {
+            let i = cut % (dor.len() - 1);
+            health.kill_link(dor[i], dor[i + 1]);
+        }
+        let detour = t.route_path_healthy(a, b, &health);
+        prop_assert_eq!(&detour, &t.route_path_healthy(a, b, &health));
+        let detour = detour.expect("one dead link disconnects nothing");
+        prop_assert!(path_is_healthy(&detour, &health));
+        prop_assert_eq!(detour.first(), dor.first());
+        prop_assert_eq!(detour.last(), dor.last());
+        prop_assert!(detour.len() >= dor.len());
+        if t.dims().1 > 1 {
+            prop_assert!(detour.len() <= dor.len() + 2);
         }
     }
 

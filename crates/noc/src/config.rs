@@ -42,8 +42,7 @@ impl NocConfig {
     /// The Table 4 configuration for a given topology and mechanism. On
     /// wrap topologies one extra reply VC is provisioned for the dateline
     /// classes; on the mesh the layout is exactly the paper's.
-    pub fn paper_baseline(topology: impl Into<Topology>, mechanism: MechanismConfig) -> Self {
-        let topology = topology.into();
+    pub fn paper_baseline(topology: Topology, mechanism: MechanismConfig) -> Self {
         Self {
             topology,
             mechanism,
@@ -110,11 +109,11 @@ impl NocConfig {
 /// # Examples
 ///
 /// ```
-/// use rcsim_core::{MechanismConfig, Mesh, Vnet};
+/// use rcsim_core::{MechanismConfig, Topology, Vnet};
 /// use rcsim_noc::NocConfig;
 ///
 /// let cfg = NocConfig::paper_baseline(
-///     Mesh::new(4, 4)?,
+///     Topology::mesh(4, 4)?,
 ///     MechanismConfig::complete(),
 /// );
 /// let vl = cfg.vc_layout();
@@ -209,10 +208,10 @@ impl VcLayout {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rcsim_core::{MechanismConfig, Mesh};
+    use rcsim_core::{MechanismConfig, Topology};
 
     fn layout_for(mechanism: MechanismConfig) -> VcLayout {
-        NocConfig::paper_baseline(Mesh::new(4, 4).unwrap(), mechanism).vc_layout()
+        NocConfig::paper_baseline(Topology::mesh(4, 4).unwrap(), mechanism).vc_layout()
     }
 
     #[test]
@@ -234,7 +233,8 @@ mod tests {
             assert_eq!(c1.end, vl.allocatable_vcs(vnet).end);
         }
         // Mesh keeps the paper's exact layout: no extra VC.
-        let mesh = NocConfig::paper_baseline(Mesh::new(4, 4).unwrap(), MechanismConfig::complete());
+        let mesh =
+            NocConfig::paper_baseline(Topology::mesh(4, 4).unwrap(), MechanismConfig::complete());
         assert_eq!(mesh.extra_reply_vcs, 0);
         assert_eq!(mesh.vc_layout().total(), 4);
     }
@@ -251,7 +251,7 @@ mod tests {
         assert!(crate::Network::new(cfg).is_ok());
         // A mesh router has 5 ports: 11 + 2 VCs make 65.
         let mut cfg =
-            NocConfig::paper_baseline(Mesh::new(4, 4).unwrap(), MechanismConfig::baseline());
+            NocConfig::paper_baseline(Topology::mesh(4, 4).unwrap(), MechanismConfig::baseline());
         cfg.req_vcs = 11;
         let err = ConfigError::TooManyVcs { ports: 5, vcs: 13 };
         assert_eq!(cfg.validate(), Err(err));
@@ -269,7 +269,7 @@ mod tests {
     #[test]
     fn link_latency_bounds_are_a_typed_config_error() {
         let mut cfg =
-            NocConfig::paper_baseline(Mesh::new(4, 4).unwrap(), MechanismConfig::complete());
+            NocConfig::paper_baseline(Topology::mesh(4, 4).unwrap(), MechanismConfig::complete());
         for ok in [1, 2, MAX_LINK_LATENCY] {
             cfg.link_latency = ok;
             assert_eq!(cfg.validate(), Ok(()), "latency {ok}");
@@ -294,7 +294,7 @@ mod tests {
     #[test]
     fn buffer_depth_bound_is_a_typed_config_error() {
         let mut cfg =
-            NocConfig::paper_baseline(Mesh::new(4, 4).unwrap(), MechanismConfig::complete());
+            NocConfig::paper_baseline(Topology::mesh(4, 4).unwrap(), MechanismConfig::complete());
         cfg.buffer_depth = 255;
         assert!(crate::Network::new(cfg).is_ok());
         cfg.buffer_depth = 256;

@@ -56,7 +56,7 @@
 use crate::flit::{Flit, Packet, PacketId};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use rcsim_core::{ConfigError, Cycle, Direction, NodeId, StateMap, Topology};
+use rcsim_core::{ConfigError, Cycle, NodeId, StateMap, Topology, PORT_LOCAL};
 use serde::{Deserialize, Serialize};
 
 /// A scheduled one-shot fault: one router input port accepts nothing for
@@ -65,8 +65,8 @@ use serde::{Deserialize, Serialize};
 pub struct StuckPortEvent {
     /// The router whose input port sticks.
     pub node: NodeId,
-    /// Which input port.
-    pub dir: Direction,
+    /// Which network input port (`PORT_NORTH`..=`PORT_WEST`).
+    pub port: usize,
     /// First stuck cycle.
     pub at: Cycle,
     /// Number of cycles the port stays stuck.
@@ -193,7 +193,7 @@ impl FaultConfig {
     /// * [`ConfigError::FaultWindow`] — a scheduled fault has an explicit
     ///   duration of zero cycles (it could never take effect).
     /// * [`ConfigError::FaultTopology`] — a scheduled fault names a router
-    ///   outside the topology, a non-adjacent link pair, or the `Local`
+    ///   outside the topology, a non-adjacent link pair, or a local
     ///   port.
     pub fn validate(&self, topology: &Topology) -> Result<(), ConfigError> {
         let rates = [
@@ -215,8 +215,8 @@ impl FaultConfig {
             if e.node.index() >= routers {
                 return Err(ConfigError::FaultTopology("stuck-port node out of bounds"));
             }
-            if e.dir == Direction::Local {
-                return Err(ConfigError::FaultTopology("stuck port on the Local port"));
+            if e.port >= PORT_LOCAL {
+                return Err(ConfigError::FaultTopology("stuck port on a local port"));
             }
         }
         for e in &self.dead_links {
@@ -406,12 +406,12 @@ impl FaultState {
         }
     }
 
-    /// `true` while any scheduled event holds input port `dir` of `node`.
-    pub(crate) fn port_stuck(&self, node: usize, dir: Direction, now: Cycle) -> bool {
+    /// `true` while any scheduled event holds input port `port` of `node`.
+    pub(crate) fn port_stuck(&self, node: usize, port: usize, now: Cycle) -> bool {
         self.cfg
             .stuck_ports
             .iter()
-            .any(|e| e.node.index() == node && e.dir == dir && e.active(now))
+            .any(|e| e.node.index() == node && e.port == port && e.active(now))
     }
 }
 
@@ -419,7 +419,7 @@ impl FaultState {
 mod tests {
     use super::*;
     use crate::flit::PacketSpec;
-    use rcsim_core::{Mesh, MessageClass};
+    use rcsim_core::{MessageClass, Topology, PORT_EAST, PORT_WEST};
 
     /// Packet `id`, `len` flits long.
     fn packet(id: u64, len: u32) -> Packet {
@@ -467,7 +467,7 @@ mod tests {
 
     #[test]
     fn validate_rejects_bad_rates() {
-        let mesh: Topology = Mesh::new(4, 4).unwrap().into();
+        let mesh = Topology::mesh(4, 4).unwrap();
         for bad in [f64::NAN, -0.1, 1.5, f64::INFINITY] {
             let cfg = FaultConfig {
                 link_drop_rate: bad,
@@ -499,11 +499,11 @@ mod tests {
 
     #[test]
     fn validate_rejects_zero_windows() {
-        let mesh: Topology = Mesh::new(4, 4).unwrap().into();
+        let mesh = Topology::mesh(4, 4).unwrap();
         let cfg = FaultConfig {
             stuck_ports: vec![StuckPortEvent {
                 node: NodeId(1),
-                dir: Direction::East,
+                port: PORT_EAST,
                 at: 5,
                 duration: 0,
             }],
@@ -549,7 +549,7 @@ mod tests {
 
     #[test]
     fn validate_rejects_bad_topology() {
-        let mesh: Topology = Mesh::new(4, 4).unwrap().into();
+        let mesh = Topology::mesh(4, 4).unwrap();
         let cfg = FaultConfig {
             dead_links: vec![DeadLinkEvent {
                 a: NodeId(0),
@@ -592,7 +592,7 @@ mod tests {
         let cfg = FaultConfig {
             stuck_ports: vec![StuckPortEvent {
                 node: NodeId(1),
-                dir: Direction::Local,
+                port: PORT_LOCAL,
                 at: 0,
                 duration: 10,
             }],
@@ -646,7 +646,7 @@ mod tests {
     fn stuck_window_is_half_open() {
         let e = StuckPortEvent {
             node: NodeId(0),
-            dir: Direction::West,
+            port: PORT_WEST,
             at: 10,
             duration: 5,
         };

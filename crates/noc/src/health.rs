@@ -478,7 +478,7 @@ mod tests {
     }
 
     fn find(waiters: &[(NodeId, VcWaiter)], cap: usize) -> Option<Box<DeadlockReport>> {
-        let mesh = Topology::Mesh(rcsim_core::Mesh::square(4).unwrap());
+        let mesh = Topology::mesh(2, 2).unwrap();
         DeadlockReport::find(&mesh, 2, waiters, cap)
     }
 

@@ -25,10 +25,10 @@
 //! # Examples
 //!
 //! ```
-//! use rcsim_core::{Mesh, MechanismConfig, MessageClass, NodeId};
+//! use rcsim_core::{MechanismConfig, MessageClass, NodeId, Topology};
 //! use rcsim_noc::{Network, NocConfig, PacketSpec};
 //!
-//! let cfg = NocConfig::paper_baseline(Mesh::new(4, 4)?, MechanismConfig::baseline());
+//! let cfg = NocConfig::paper_baseline(Topology::mesh(4, 4)?, MechanismConfig::baseline());
 //! let mut net = Network::new(cfg)?;
 //! net.inject(PacketSpec::new(NodeId(0), NodeId(15), MessageClass::L1Request));
 //! for _ in 0..100 {

@@ -19,9 +19,9 @@ use crate::stats::{CircuitOutcome, NocStats};
 use rcsim_core::circuit::CircuitKey;
 use rcsim_core::routing::{path_is_healthy, Routing};
 use rcsim_core::{
-    AdaptiveConfig, ConfigError, CongestionMap, CongestionState, Cycle, Direction, KernelMode,
-    NodeId, PolicyController, PolicyState, RegionMode, RegionPlan, RegionSample, StateSet,
-    TopologyHealth, PORT_LOCAL,
+    AdaptiveConfig, ConfigError, CongestionMap, CongestionState, Cycle, KernelMode, NodeId,
+    PolicyController, PolicyState, RegionMode, RegionPlan, RegionSample, StateSet, TopologyHealth,
+    PORT_LOCAL,
 };
 use rcsim_trace::{ClassLabel, EventKind, TraceSink};
 use serde::{Deserialize, Serialize};
@@ -864,15 +864,9 @@ impl Network {
             return;
         };
         for (i, mask) in stuck.iter_mut().enumerate() {
-            for p in 0..ports {
-                // Scheduled stuck-port events name network ports by
-                // direction; every local port maps to `Local`.
-                let dir = if p < PORT_LOCAL {
-                    Direction::from_index(p)
-                } else {
-                    Direction::Local
-                };
-                *mask |= u64::from(fs.port_stuck(i, dir, now)) << p;
+            // Only network ports stick (`FaultConfig::validate`).
+            for p in 0..PORT_LOCAL {
+                *mask |= u64::from(fs.port_stuck(i, p, now)) << p;
             }
             fs.state.stats.stuck_port_cycles += u64::from(mask.count_ones());
             // Soft errors in the reservation SRAM: one random entry of one
@@ -1451,10 +1445,10 @@ pub struct NetworkSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rcsim_core::{MechanismConfig, Mesh, MessageClass};
+    use rcsim_core::{MechanismConfig, MessageClass, Topology};
 
     fn net(mechanism: MechanismConfig) -> Network {
-        let mesh = Mesh::new(4, 4).unwrap();
+        let mesh = Topology::mesh(4, 4).unwrap();
         Network::new(NocConfig::paper_baseline(mesh, mechanism)).unwrap()
     }
 

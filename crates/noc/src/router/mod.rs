@@ -1310,10 +1310,10 @@ mod tests {
     use super::*;
     use crate::flit::{Packet, PacketSpec};
     use crate::links::Outgoing;
-    use rcsim_core::{MechanismConfig, Mesh, MessageClass, PORT_EAST, PORT_NORTH, PORT_WEST};
+    use rcsim_core::{MechanismConfig, MessageClass, Topology, PORT_EAST, PORT_NORTH, PORT_WEST};
 
     fn router(mechanism: MechanismConfig) -> Router {
-        let mesh = Mesh::new(4, 4).expect("valid");
+        let mesh = Topology::mesh(4, 4).expect("valid");
         // Router at n5 = (1,1): all four neighbours exist.
         Router::new(NodeId(5), &NocConfig::paper_baseline(mesh, mechanism))
     }

@@ -73,7 +73,7 @@ impl Generator {
                 let (w, h) = topology.dims();
                 let c = topology.coord(topology.router_of(src));
                 let max = (w - 1).min(h - 1);
-                let t_router = topology.router_at(rcsim_core::geometry::Coord {
+                let t_router = topology.router_at(rcsim_core::Coord {
                     x: c.y.min(max),
                     y: c.x.min(max),
                 });
@@ -130,11 +130,11 @@ mod tests {
     use crate::config::NocConfig;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
-    use rcsim_core::{MechanismConfig, Mesh};
+    use rcsim_core::{MechanismConfig, Topology};
 
     fn net() -> Network {
         Network::new(NocConfig::paper_baseline(
-            Mesh::new(4, 4).unwrap(),
+            Topology::mesh(4, 4).unwrap(),
             MechanismConfig::baseline(),
         ))
         .unwrap()

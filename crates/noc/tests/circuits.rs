@@ -3,16 +3,16 @@
 //! circuits, ideal mode and scrounger reuse.
 
 use rcsim_core::circuit::CircuitKey;
-use rcsim_core::{MechanismConfig, Mesh, MessageClass, NodeId};
+use rcsim_core::{MechanismConfig, MessageClass, NodeId, Topology};
 use rcsim_noc::{CircuitOutcome, MessageGroup, Network, NocConfig, PacketSpec};
 
 fn net(mechanism: MechanismConfig) -> Network {
-    let mesh = Mesh::new(4, 4).unwrap();
+    let mesh = Topology::mesh(4, 4).unwrap();
     Network::new(NocConfig::paper_baseline(mesh, mechanism)).unwrap()
 }
 
 fn net8(mechanism: MechanismConfig) -> Network {
-    let mesh = Mesh::new(8, 8).unwrap();
+    let mesh = Topology::mesh(8, 8).unwrap();
     Network::new(NocConfig::paper_baseline(mesh, mechanism)).unwrap()
 }
 

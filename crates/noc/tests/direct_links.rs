@@ -9,12 +9,10 @@
 //! as under the dense one, and the same [`PINS`] as the two-pass
 //! transport this replaced.
 
-#![cfg(feature = "trace")]
-
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rcsim_core::circuit::CircuitKey;
-use rcsim_core::{Direction, KernelMode, MechanismConfig, Mesh, MessageClass, NodeId, Topology};
+use rcsim_core::{KernelMode, MechanismConfig, MessageClass, NodeId, Topology, PORT_WEST};
 use rcsim_noc::{DeadLinkEvent, FaultConfig, Network, NocConfig, PacketSpec, StuckPortEvent};
 use rcsim_trace::TraceSink;
 
@@ -34,7 +32,7 @@ fn faults() -> FaultConfig {
     f.credit_loss_rate = 0.003;
     f.stuck_ports.push(StuckPortEvent {
         node: NodeId(1),
-        dir: Direction::West,
+        port: PORT_WEST,
         at: 400,
         duration: 160,
     });
@@ -179,7 +177,7 @@ fn sweep(topology: Topology, fabric: &str) {
 
 #[test]
 fn event_and_dense_agree_under_link_faults_on_a_mesh() {
-    sweep(Mesh::new(4, 4).expect("valid").into(), "mesh 4x4");
+    sweep(Topology::mesh(4, 4).expect("valid"), "mesh 4x4");
 }
 
 #[test]

@@ -11,13 +11,13 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rcsim_core::circuit::CircuitKey;
-use rcsim_core::{MechanismConfig, Mesh, MessageClass, NodeId};
+use rcsim_core::{MechanismConfig, MessageClass, NodeId, TopologySpec};
 use rcsim_noc::{Network, NocConfig, PacketSpec};
 
 /// Closed-loop echo: every node keeps at most `window` requests
 /// outstanding; delivered requests bounce back as circuit-riding replies.
 fn drive(cores: u16, rate: f64, window: u32, cycles: u64, seed: u64) {
-    let mesh = Mesh::square(cores).unwrap();
+    let mesh = TopologySpec::Mesh.build(cores).unwrap();
     let cfg = NocConfig::paper_baseline(mesh, MechanismConfig::complete());
     let mut net = Network::new(cfg).unwrap();
     let n = mesh.nodes() as u16;

@@ -9,7 +9,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rcsim_core::circuit::CircuitKey;
-use rcsim_core::{Direction, KernelMode, MechanismConfig, Mesh, MessageClass, NodeId};
+use rcsim_core::{KernelMode, MechanismConfig, MessageClass, NodeId, Topology, PORT_WEST};
 use rcsim_noc::{FaultConfig, Network, NocConfig, PacketSpec, StuckPortEvent};
 
 /// A 16-core mesh whose router 5 has its west input stuck over cycles
@@ -18,11 +18,11 @@ fn network(mechanism: MechanismConfig, kernel: KernelMode) -> Network {
     let mut faults = FaultConfig::none();
     faults.stuck_ports.push(StuckPortEvent {
         node: NodeId(5),
-        dir: Direction::West,
+        port: PORT_WEST,
         at: 300,
         duration: 120,
     });
-    let cfg = NocConfig::paper_baseline(Mesh::new(4, 4).expect("valid"), mechanism);
+    let cfg = NocConfig::paper_baseline(Topology::mesh(4, 4).expect("valid"), mechanism);
     let mut net = Network::with_faults(cfg, faults).expect("valid configuration");
     net.set_kernel(kernel);
     net

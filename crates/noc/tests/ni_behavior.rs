@@ -2,12 +2,12 @@
 //! injection windows, flit-count overrides and outcome accounting.
 
 use rcsim_core::circuit::CircuitKey;
-use rcsim_core::{MechanismConfig, Mesh, MessageClass, NodeId};
+use rcsim_core::{MechanismConfig, MessageClass, NodeId, Topology};
 use rcsim_noc::{CircuitOutcome, Network, NocConfig, PacketSpec};
 
 fn net(mechanism: MechanismConfig) -> Network {
     Network::new(NocConfig::paper_baseline(
-        Mesh::new(4, 4).unwrap(),
+        Topology::mesh(4, 4).unwrap(),
         mechanism,
     ))
     .unwrap()

@@ -8,7 +8,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rcsim_core::circuit::CircuitKey;
-use rcsim_core::{Direction, MechanismConfig, Mesh, MessageClass, NodeId, Topology};
+use rcsim_core::{MechanismConfig, MessageClass, NodeId, Topology, PORT_WEST};
 use rcsim_noc::{DeadLinkEvent, FaultConfig, Network, NocConfig, PacketSpec, StuckPortEvent};
 
 const LOAD_CYCLES: u64 = 3_000;
@@ -81,7 +81,7 @@ fn fault_schedules() -> [(&'static str, FaultConfig); 3] {
     let mut stuck = FaultConfig::none();
     stuck.stuck_ports.push(StuckPortEvent {
         node: NodeId(1),
-        dir: Direction::West,
+        port: PORT_WEST,
         at: 400,
         duration: 300,
     });
@@ -116,7 +116,7 @@ fn sweep(topology: Topology, fabric: &str) {
 
 #[test]
 fn index_tracks_vc_states_on_a_mesh() {
-    sweep(Mesh::new(4, 4).expect("valid").into(), "mesh 4x4");
+    sweep(Topology::mesh(4, 4).expect("valid"), "mesh 4x4");
 }
 
 #[test]

@@ -16,12 +16,10 @@
 //! stream can strand its body (ROADMAP item 3a), so those runs have a
 //! fixed length instead of a drain.
 
-#![cfg(feature = "trace")]
-
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rcsim_core::circuit::CircuitKey;
-use rcsim_core::{Direction, KernelMode, MechanismConfig, Mesh, MessageClass, NodeId, Topology};
+use rcsim_core::{KernelMode, MechanismConfig, MessageClass, NodeId, Topology, PORT_WEST};
 use rcsim_noc::{DeadLinkEvent, FaultConfig, Network, NocConfig, PacketSpec, StuckPortEvent};
 use rcsim_trace::TraceSink;
 
@@ -45,7 +43,7 @@ fn faults(all: bool) -> FaultConfig {
     f.max_retries = 1;
     f.stuck_ports.push(StuckPortEvent {
         node: NodeId(1),
-        dir: Direction::West,
+        port: PORT_WEST,
         at: 400,
         duration: 160,
     });
@@ -210,7 +208,7 @@ fn sweep(topology: Topology, fabric: &str) {
 
 #[test]
 fn records_recycle_under_faults_on_a_mesh() {
-    sweep(Mesh::new(4, 4).expect("valid").into(), "mesh 4x4");
+    sweep(Topology::mesh(4, 4).expect("valid"), "mesh 4x4");
 }
 
 #[test]

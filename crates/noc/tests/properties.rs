@@ -2,7 +2,7 @@
 //! latency lower bounds under randomized traffic, for every mechanism.
 
 use proptest::prelude::*;
-use rcsim_core::{MechanismConfig, Mesh, MessageClass, NodeId};
+use rcsim_core::{MechanismConfig, MessageClass, NodeId, Topology};
 use rcsim_noc::{FaultConfig, Network, NocConfig, PacketSpec};
 use std::collections::HashMap;
 
@@ -41,7 +41,7 @@ proptest! {
         mechanism in any_mechanism(),
         packets in prop::collection::vec((0u16..16, 0u16..16, any_class(), 0u64..64), 1..80),
     ) {
-        let mesh = Mesh::new(4, 4).expect("valid");
+        let mesh = Topology::mesh(4, 4).expect("valid");
         let mut net = Network::new(NocConfig::paper_baseline(mesh, mechanism)).expect("valid");
         let mut expected: HashMap<(u16, u64), u32> = HashMap::new();
         for (i, (src, dst, class, stagger)) in packets.iter().enumerate() {
@@ -86,7 +86,7 @@ proptest! {
         fault_seed in 0u64..1_000,
         packets in prop::collection::vec((0u16..16, 0u16..16, any_class(), 0u64..64), 1..60),
     ) {
-        let mesh = Mesh::new(4, 4).expect("valid");
+        let mesh = Topology::mesh(4, 4).expect("valid");
         let faults = FaultConfig {
             link_drop_rate: drop_rate,
             link_corrupt_rate: corrupt_rate,
@@ -143,7 +143,7 @@ proptest! {
         dst in 0u16..16,
     ) {
         prop_assume!(src != dst);
-        let mesh = Mesh::new(4, 4).expect("valid");
+        let mesh = Topology::mesh(4, 4).expect("valid");
         let mut net = Network::new(NocConfig::paper_baseline(mesh, mechanism)).expect("valid");
         net.inject(
             PacketSpec::new(NodeId(src), NodeId(dst), MessageClass::L1Request).with_block(64),
@@ -168,7 +168,7 @@ proptest! {
         mechanism in any_mechanism(),
         senders in prop::collection::vec(0u16..16, 2..10),
     ) {
-        let mesh = Mesh::new(4, 4).expect("valid");
+        let mesh = Topology::mesh(4, 4).expect("valid");
         let mut net = Network::new(NocConfig::paper_baseline(mesh, mechanism)).expect("valid");
         // Everyone streams a 5-flit message to node 0: head-of-line mess.
         let mut n = 0;

@@ -4,13 +4,13 @@
 //! is fully cut off.
 
 use rcsim_core::circuit::CircuitKey;
-use rcsim_core::{MechanismConfig, Mesh, MessageClass, NodeId};
+use rcsim_core::{MechanismConfig, MessageClass, NodeId, Topology};
 use rcsim_noc::{
     CircuitOutcome, DeadLinkEvent, DeadRouterEvent, FaultConfig, Network, NocConfig, PacketSpec,
 };
 
 fn faulty_net(mechanism: MechanismConfig, faults: FaultConfig) -> Network {
-    let mesh = Mesh::new(4, 4).unwrap();
+    let mesh = Topology::mesh(4, 4).unwrap();
     Network::with_faults(NocConfig::paper_baseline(mesh, mechanism), faults).unwrap()
 }
 
@@ -272,7 +272,7 @@ fn reply_after_region_cools_ignores_stale_congestion_detour() {
     // The reply must ride plain DOR: the congestion-detour counter stays
     // at the request's 1 and the reply's latency matches a control.
     use rcsim_core::AdaptiveConfig;
-    let mesh = Mesh::new(4, 4).unwrap();
+    let mesh = Topology::mesh(4, 4).unwrap();
     let mut n = Network::new(NocConfig::paper_baseline(mesh, MechanismConfig::baseline())).unwrap();
     n.enable_adaptive(AdaptiveConfig {
         decision_epoch: 10,

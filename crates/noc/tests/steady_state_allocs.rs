@@ -7,7 +7,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rcsim_core::circuit::CircuitKey;
-use rcsim_core::{MechanismConfig, Mesh, MessageClass, NodeId};
+use rcsim_core::{MechanismConfig, MessageClass, NodeId, Topology};
 use rcsim_noc::{Network, NocConfig, PacketSpec};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -73,7 +73,7 @@ fn cycle(net: &mut Network, rng: &mut StdRng, block: &mut u64) -> u64 {
 
 #[test]
 fn tick_allocates_nothing_after_warm_up() {
-    let mesh = Mesh::new(8, 8).expect("valid");
+    let mesh = Topology::mesh(8, 8).expect("valid");
     let cfg = NocConfig::paper_baseline(mesh, MechanismConfig::complete());
     let mut net = Network::new(cfg).expect("valid configuration");
     let (mut rng, mut block) = (StdRng::seed_from_u64(0x5EED_CAFE), 0);

@@ -4,7 +4,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rcsim_core::circuit::CircuitKey;
-use rcsim_core::{MechanismConfig, Mesh, MessageClass, NodeId};
+use rcsim_core::{MechanismConfig, MessageClass, NodeId, TopologySpec};
 use rcsim_noc::{Network, NocConfig, PacketSpec};
 use std::collections::HashMap;
 
@@ -12,7 +12,7 @@ use std::collections::HashMap;
 /// request triggers its data reply (with circuit key), each delivered data
 /// reply triggers an ack unless the reply rode a circuit under NoAck.
 fn drive(mechanism: MechanismConfig, cores: u16, requests: usize, seed: u64) {
-    let mesh = Mesh::square(cores).unwrap();
+    let mesh = TopologySpec::Mesh.build(cores).unwrap();
     let mut net = Network::new(NocConfig::paper_baseline(mesh, mechanism)).unwrap();
     let mut rng = StdRng::seed_from_u64(seed);
     let n = mesh.nodes() as u16;

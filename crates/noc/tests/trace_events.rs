@@ -3,12 +3,10 @@
 //! exhausting retries) — with and without fault injection — and a
 //! disabled sink observes nothing.
 
-#![cfg(feature = "trace")]
-
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rcsim_core::circuit::CircuitKey;
-use rcsim_core::{MechanismConfig, Mesh, MessageClass, NodeId};
+use rcsim_core::{MechanismConfig, MessageClass, NodeId, Topology};
 use rcsim_noc::{FaultConfig, Network, NocConfig, PacketSpec};
 use rcsim_trace::{EventKind, TraceSink};
 use std::collections::BTreeMap;
@@ -17,7 +15,7 @@ use std::collections::BTreeMap;
 /// checks the conservation invariant on the trace: one terminal event
 /// (eject or drop) per enqueued packet, no terminals for unknown packets.
 fn check_conservation(faults: FaultConfig, mechanism: MechanismConfig, seed: u64) {
-    let mesh = Mesh::new(4, 4).expect("valid mesh");
+    let mesh = Topology::mesh(4, 4).expect("valid mesh");
     let cfg = NocConfig::paper_baseline(mesh, mechanism);
     let mut net = Network::with_faults(cfg, faults).expect("valid network");
     let sink = TraceSink::ring(1 << 16);
@@ -119,7 +117,7 @@ fn conservation_holds_under_fault_injection() {
 
 #[test]
 fn disabled_sink_observes_nothing() {
-    let mesh = Mesh::new(4, 4).expect("valid mesh");
+    let mesh = Topology::mesh(4, 4).expect("valid mesh");
     let cfg = NocConfig::paper_baseline(mesh, MechanismConfig::complete_noack());
     let mut net = Network::new(cfg).expect("valid network");
     let sink = TraceSink::Disabled;

@@ -5,13 +5,13 @@
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use rcsim_core::{MechanismConfig, Mesh, MessageClass, NodeId};
+use rcsim_core::{MechanismConfig, MessageClass, NodeId, Topology};
 use rcsim_noc::traffic::{Generator, Pattern};
 use rcsim_noc::{Network, NocConfig};
 
 fn net(w: u16, h: u16) -> Network {
     Network::new(NocConfig::paper_baseline(
-        Mesh::new(w, h).expect("valid mesh"),
+        Topology::mesh(w, h).expect("valid mesh"),
         MechanismConfig::baseline(),
     ))
     .expect("valid network")

@@ -4,11 +4,11 @@
 //! over the wormhole pipeline as `FaultDegraded`.
 
 use rcsim_core::circuit::CircuitKey;
-use rcsim_core::{MechanismConfig, Mesh, MessageClass, NodeId};
+use rcsim_core::{MechanismConfig, MessageClass, NodeId, Topology};
 use rcsim_noc::{CircuitOutcome, FaultConfig, Network, NocConfig, PacketSpec, WatchdogConfig};
 
 fn cfg(mechanism: MechanismConfig) -> NocConfig {
-    NocConfig::paper_baseline(Mesh::new(4, 4).expect("valid"), mechanism)
+    NocConfig::paper_baseline(Topology::mesh(4, 4).expect("valid"), mechanism)
 }
 
 /// Total credit loss wedges the mesh; the watchdog must declare the

@@ -121,11 +121,11 @@ impl EnergyBreakdown {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rcsim_core::{MechanismConfig, Mesh, MessageClass, NodeId};
+    use rcsim_core::{MechanismConfig, MessageClass, NodeId, Topology};
     use rcsim_noc::{Network, NocConfig, PacketSpec};
 
     fn run_light_load(mechanism: MechanismConfig) -> NocStats {
-        let mesh = Mesh::new(4, 4).unwrap();
+        let mesh = Topology::mesh(4, 4).unwrap();
         let mut net = Network::new(NocConfig::paper_baseline(mesh, mechanism)).unwrap();
         for i in 0..40u64 {
             let src = NodeId((i % 16) as u16);

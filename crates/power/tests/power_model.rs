@@ -11,7 +11,7 @@
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use rcsim_core::{MechanismConfig, Mesh};
+use rcsim_core::{MechanismConfig, Topology};
 use rcsim_noc::traffic::Generator;
 use rcsim_noc::{Network, NocConfig, NocStats};
 use rcsim_power::{area_savings, EnergyBreakdown, EnergyModel, RouterArea};
@@ -23,7 +23,7 @@ const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/power_gold
 /// `injection_rate` flits/node/cycle for a fixed window and returns the
 /// activity counters.
 fn run_traffic(w: u16, h: u16, injection_rate: f64, cycles: u64) -> NocStats {
-    let mesh = Mesh::new(w, h).expect("valid mesh");
+    let mesh = Topology::mesh(w, h).expect("valid mesh");
     let mut net = Network::new(NocConfig::paper_baseline(mesh, MechanismConfig::baseline()))
         .expect("valid network");
     let gen = Generator::uniform(injection_rate);

@@ -99,11 +99,11 @@ impl ProtocolConfig {
 mod tests {
     use super::*;
     use crate::cache::CacheArray;
-    use rcsim_core::Mesh;
+    use rcsim_core::Topology;
 
     #[test]
     fn paper_geometry() {
-        let mesh: Topology = Mesh::new(8, 8).unwrap().into();
+        let mesh = Topology::mesh(8, 8).unwrap();
         let cfg = ProtocolConfig::paper_defaults(&mesh);
         assert_eq!(cfg.l1.sets * cfg.l1.ways * 64, 32 * 1024);
         assert_eq!(cfg.l2.sets * cfg.l2.ways * 64, 1024 * 1024);
@@ -112,7 +112,7 @@ mod tests {
 
     #[test]
     fn home_interleaves_over_all_tiles() {
-        let mesh: Topology = Mesh::new(4, 4).unwrap().into();
+        let mesh = Topology::mesh(4, 4).unwrap();
         let cfg = ProtocolConfig::paper_defaults(&mesh);
         let homes: std::collections::HashSet<_> = (0..64u64).map(|b| cfg.home(&mesh, b)).collect();
         assert_eq!(homes.len(), 16);
@@ -128,7 +128,7 @@ mod tests {
     #[test]
     fn every_l2_set_is_reachable_at_any_tile_count() {
         for (w, h) in [(4, 3), (6, 4), (6, 6), (8, 6), (4, 4), (8, 8)] {
-            let mesh: Topology = Mesh::new(w, h).unwrap().into();
+            let mesh = Topology::mesh(w, h).unwrap();
             let nodes = mesh.nodes() as u64;
             for cfg in [
                 ProtocolConfig::paper_defaults(&mesh),
@@ -154,7 +154,7 @@ mod tests {
 
     #[test]
     fn mc_mapping_hits_all_controllers() {
-        let mesh: Topology = Mesh::new(8, 8).unwrap().into();
+        let mesh = Topology::mesh(8, 8).unwrap();
         let cfg = ProtocolConfig::paper_defaults(&mesh);
         let mcs: std::collections::HashSet<_> =
             (0..16u64).map(|b| cfg.memory_controller(b)).collect();

@@ -550,7 +550,7 @@ mod tests {
     }
 
     fn l1() -> L1Cache {
-        let mesh: Topology = rcsim_core::Mesh::new(4, 4).unwrap().into();
+        let mesh = Topology::mesh(4, 4).unwrap();
         let cfg = ProtocolConfig::small_for_tests(&mesh);
         L1Cache::new(NodeId(3), mesh, cfg)
     }

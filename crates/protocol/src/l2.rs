@@ -918,7 +918,7 @@ mod tests {
     }
 
     fn bank() -> (L2Bank, TestPort) {
-        let mesh: Topology = rcsim_core::Mesh::new(4, 4).unwrap().into();
+        let mesh = Topology::mesh(4, 4).unwrap();
         let cfg = ProtocolConfig::small_for_tests(&mesh);
         (L2Bank::new(NodeId(0), mesh, cfg), TestPort::new())
     }

@@ -4,7 +4,7 @@
 //! (write-back vs forward, upgrade vs invalidation, stale owners).
 
 use rcsim_core::circuit::CircuitKey;
-use rcsim_core::{Cycle, Mesh, MessageClass, NodeId, Topology};
+use rcsim_core::{Cycle, MessageClass, NodeId, Topology};
 use rcsim_protocol::{Access, L1Cache, L2Bank, MemoryController, Msg, Port, ProtocolConfig};
 use std::collections::VecDeque;
 
@@ -40,7 +40,7 @@ struct Cluster {
 
 impl Cluster {
     fn new(cores: usize, delay: Cycle) -> Self {
-        let mesh: Topology = Mesh::new(4, 4).unwrap().into();
+        let mesh = Topology::mesh(4, 4).unwrap();
         let cfg = ProtocolConfig::small_for_tests(&mesh);
         Cluster {
             mesh,

@@ -151,7 +151,7 @@ impl Chip {
     ///
     /// Propagates mechanism-configuration validation errors.
     pub fn new(
-        topology: impl Into<Topology>,
+        topology: Topology,
         mechanism: MechanismConfig,
         proto_cfg: ProtocolConfig,
         workload: &Workload,
@@ -173,14 +173,13 @@ impl Chip {
     ///
     /// Propagates mechanism-configuration validation errors.
     pub fn with_faults(
-        topology: impl Into<Topology>,
+        topology: Topology,
         mechanism: MechanismConfig,
         mut proto_cfg: ProtocolConfig,
         workload: &Workload,
         faults: FaultConfig,
         watchdog: WatchdogConfig,
     ) -> Result<Self, rcsim_core::ConfigError> {
-        let topology = topology.into();
         mechanism.validate()?;
         assert_eq!(workload.cores(), topology.nodes(), "one thread per core");
         proto_cfg.eliminate_acks = mechanism.eliminate_acks;

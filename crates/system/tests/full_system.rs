@@ -2,7 +2,7 @@
 //! real coherence workload, stays coherent, and reproduces the paper's
 //! qualitative effects.
 
-use rcsim_core::{MechanismConfig, Mesh, Topology};
+use rcsim_core::{MechanismConfig, Topology};
 use rcsim_protocol::ProtocolConfig;
 use rcsim_system::{run_sim, Chip, SimConfig};
 use rcsim_workload::Workload;
@@ -18,7 +18,7 @@ fn quick(cores: u16, mechanism: MechanismConfig, workload: &str) -> SimConfig {
 #[test]
 fn every_configuration_runs_and_stays_coherent() {
     for mechanism in MechanismConfig::key_configs() {
-        let mesh: Topology = Mesh::square(16).unwrap().into();
+        let mesh = Topology::mesh(4, 4).unwrap();
         let wl = Workload::by_name("canneal", 16, 7).unwrap();
         let mut chip =
             Chip::new(mesh, mechanism, ProtocolConfig::small_for_tests(&mesh), &wl).unwrap();
@@ -41,7 +41,7 @@ fn every_configuration_runs_and_stays_coherent() {
 #[test]
 fn coherent_under_every_workload() {
     for name in ["fft", "ocean_ncp", "swaptions", "mix"] {
-        let mesh: Topology = Mesh::square(16).unwrap().into();
+        let mesh = Topology::mesh(4, 4).unwrap();
         let wl = Workload::by_name(name, 16, 11).unwrap();
         let mut chip = Chip::new(
             mesh,
@@ -231,7 +231,7 @@ fn sixty_four_core_chip_runs() {
 fn partitioned_chip_stays_coherent() {
     // The §5.5 usage model: four quadrants, four applications, disjoint
     // shared regions.
-    let mesh: Topology = Mesh::square(16).unwrap().into();
+    let mesh = Topology::mesh(4, 4).unwrap();
     let wl = Workload::partitioned(&["fft", "canneal", "swaptions", "barnes"], 16, 5)
         .expect("valid partitioned workload");
     let mut chip = Chip::new(
@@ -254,7 +254,7 @@ fn partitioned_chip_stays_coherent() {
 #[test]
 fn latency_quantiles_are_exposed() {
     let r = {
-        let mesh: Topology = Mesh::square(16).unwrap().into();
+        let mesh = Topology::mesh(4, 4).unwrap();
         let wl = Workload::by_name("fft", 16, 3).unwrap();
         let mut chip = Chip::new(
             mesh,

@@ -3,7 +3,7 @@
 //! execution (not just at the end).
 
 use proptest::prelude::*;
-use rcsim_core::{MechanismConfig, Mesh, Topology};
+use rcsim_core::{MechanismConfig, Topology};
 use rcsim_protocol::ProtocolConfig;
 use rcsim_system::Chip;
 use rcsim_workload::Workload;
@@ -42,7 +42,7 @@ proptest! {
         seed in 0u64..1000,
         checks in 3usize..8,
     ) {
-        let mesh: Topology = Mesh::square(16).expect("square").into();
+        let mesh = Topology::mesh(4, 4).expect("square");
         let wl = Workload::by_name(app, 16, seed).expect("known app");
         let mut chip = Chip::new(
             mesh,

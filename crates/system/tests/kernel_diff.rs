@@ -138,7 +138,7 @@ fn stuck_ports_agree_on_every_mechanism() {
         cfg.faults = FaultConfig {
             stuck_ports: vec![StuckPortEvent {
                 node: rcsim_core::NodeId(5),
-                dir: rcsim_core::Direction::East,
+                port: rcsim_core::PORT_EAST,
                 at: 900,
                 duration: 400,
             }],

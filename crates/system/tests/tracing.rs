@@ -3,8 +3,6 @@
 //! post-pass reconstructs sensible phases, and the Chrome exporter
 //! produces loadable JSON.
 
-#![cfg(feature = "trace")]
-
 use rcsim_core::MechanismConfig;
 use rcsim_system::{run_sim, run_sim_traced, SimConfig, TraceConfig};
 use rcsim_trace::{chrome_trace_json, EventKind};

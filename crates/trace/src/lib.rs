@@ -5,9 +5,8 @@
 //! instruments against:
 //!
 //! - [`TraceSink`] — the handle components emit into. The default
-//!   [`TraceSink::Disabled`] makes every `emit` a no-op whose event
-//!   constructor never runs; compiling without the `hooks` feature removes
-//!   even the branch.
+//!   [`TraceSink::Disabled`] makes every `emit` one enum-tag branch whose
+//!   event constructor never runs.
 //! - [`TraceEvent`] / [`EventKind`] — cycle-stamped events covering the
 //!   NI packet lifecycle, router pipeline stages, circuit-table
 //!   transitions, cache activity, and periodic occupancy samples.

@@ -13,12 +13,11 @@ use std::sync::{Arc, Mutex};
 /// The default [`TraceSink::Disabled`] path is a single enum-tag branch
 /// and the event constructor closure is never invoked — disabled tracing
 /// costs nothing and perturbs nothing (see the bit-identity test in
-/// `rcsim-system`). Compiling the `hooks` feature out removes even the
-/// branch. When enabled, the simulator is single-threaded, so the mutex
-/// guarding the ring is uncontended by construction and acquisition is
-/// one atomic exchange; the `Mutex` exists only to keep the sink `Send +
-/// Sync` for multi-threaded benchmark harnesses that move whole simulators
-/// across threads.
+/// `rcsim-system`). When enabled, the simulator is single-threaded, so
+/// the mutex guarding the ring is uncontended by construction and
+/// acquisition is one atomic exchange; the `Mutex` exists only to keep the
+/// sink `Send + Sync` for multi-threaded benchmark harnesses that move
+/// whole simulators across threads.
 #[derive(Clone, Debug, Default)]
 pub enum TraceSink {
     /// No tracing: `emit` is a no-op.
@@ -49,7 +48,6 @@ impl TraceSink {
     /// the disabled path.
     #[inline]
     pub fn emit(&self, f: impl FnOnce() -> TraceEvent) {
-        #[cfg(feature = "hooks")]
         match self {
             TraceSink::Disabled => {}
             TraceSink::Ring(ring) => {
@@ -57,8 +55,6 @@ impl TraceSink {
                 ring.lock().expect("trace ring poisoned").push(event);
             }
         }
-        #[cfg(not(feature = "hooks"))]
-        let _ = f;
     }
 
     /// Events recorded so far, in order, leaving the ring intact.

@@ -6,17 +6,17 @@
 //! ```
 
 use reactive_circuits::core::circuit::CircuitKey;
-use reactive_circuits::core::routing::{route_path, Routing};
+use reactive_circuits::core::routing::Routing;
 use reactive_circuits::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let mesh = Mesh::new(4, 4)?;
+    let mesh = Topology::mesh(4, 4)?;
     let mut net = Network::new(NocConfig::paper_baseline(mesh, MechanismConfig::complete()))?;
     let (src, dst, block) = (NodeId(0), NodeId(15), 0x40u64);
 
     println!("A request travels {src} → {dst} (XY) and reserves a circuit for its reply:\n");
-    let fwd = route_path(&mesh, src, dst, Routing::Xy);
-    let back = route_path(&mesh, dst, src, Routing::Yx);
+    let fwd = mesh.route_path(src, dst, Routing::Xy);
+    let back = mesh.route_path(dst, src, Routing::Yx);
     println!(
         "  request path (XY): {:?}",
         fwd.iter().map(|n| n.0).collect::<Vec<_>>()

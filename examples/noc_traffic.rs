@@ -14,7 +14,7 @@ use reactive_circuits::prelude::*;
 /// Runs request→reply traffic at `rate` packets/node/cycle; returns the
 /// mean network latency of the circuit-eligible replies.
 fn reply_latency(mechanism: MechanismConfig, rate: f64, seed: u64) -> f64 {
-    let mesh = Mesh::new(8, 8).expect("valid mesh");
+    let mesh = Topology::mesh(8, 8).expect("valid mesh");
     let mut net = Network::new(NocConfig::paper_baseline(mesh, mechanism)).expect("valid config");
     let mut rng = StdRng::seed_from_u64(seed);
     let n = mesh.nodes() as u16;

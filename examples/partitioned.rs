@@ -11,7 +11,7 @@ use reactive_circuits::prelude::*;
 use reactive_circuits::protocol::ProtocolConfig;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let mesh: Topology = Mesh::square(64)?.into();
+    let mesh = Topology::mesh(8, 8)?;
     let apps = ["fft", "canneal", "swaptions", "barnes"];
     let wl = Workload::partitioned(&apps, 64, 7).expect("known apps, square core count");
     println!("Partitioned 8x8 chip: quadrants run {:?}\n", apps);

@@ -76,6 +76,14 @@ printed=$(grep -rn 'println!' crates/bench/src/experiments crates/bench/src/tabl
 [ -z "$sliced$global$printed" ] \
   || { echo "FAIL: index arithmetic over results, a global env() or a println! is back in the bench harness:"; echo "$sliced$global$printed"; exit 1; }
 
+echo "==> one geometry (DESIGN.md §12: Topology is a shape and a grid; ports are indices; no cargo features)"
+twins=$(grep -rnE 'struct Mesh\b|enum Direction\b|Topology::(Mesh|Torus|CMesh|Ring)\b|fn (next_hop|direction_between)\(' \
+  --include='*.rs' crates src tests examples || true)
+gated=$(grep -rn 'cfg(feature' crates/*/src crates/*/tests || true)
+tables=$(grep -n '^\[features\]' crates/*/Cargo.toml || true)
+[ -z "$twins$gated$tables" ] \
+  || { echo "FAIL: a second geometry, a port enum or a cargo feature is back:"; echo "$twins$gated$tables"; exit 1; }
+
 echo "==> cargo build --release"
 $CARGO build --release "$@"
 
@@ -118,6 +126,8 @@ must_exit_2() {
 }
 must_exit_2 RC_KERNAL RC_KERNAL=dense $bench fig6
 must_exit_2 RC_CYCLES RC_CYCLES=20k $bench fig6
+# A retired knob is an unknown name like any other.
+must_exit_2 RC_TOPO_WINDOW RC_TOPO_WINDOW=8 $bench fig6
 # The names are listed, and the known experiment beside the typo does not run.
 must_exit_2 'fig6, fig7' RC_JOBS=1 $bench fig6 fig66
 
@@ -223,11 +233,12 @@ done
 $CARGO test -q -p rcsim-power "$@"
 $CARGO test -q -p rcsim-noc --test traffic_patterns "$@"
 
-echo "==> cache arrays in release (oracle proptest, geometry, footprint law)"
+echo "==> cache arrays and the topology tables in release (oracle proptest, geometry, footprint law)"
 # Shifts, masks and `as` casts behave alike in both profiles only if no
 # debug assertion was doing the work; the footprint law (allocations,
 # file size, resume on paper-size caches) is stated for release builds.
 $CARGO test --release -q -p rcsim-protocol "$@"
+$CARGO test --release -q -p rcsim-core --test topology_table "$@"
 $CARGO test --release -q --test footprint "$@"
 
 echo "==> checkpoint smoke (kill-and-resume byte-identity, corrupt-file clean miss)"

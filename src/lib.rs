@@ -47,8 +47,7 @@ pub use rcsim_workload as workload;
 /// The most common imports for experiments.
 pub mod prelude {
     pub use rcsim_core::{
-        CircuitMode, MechanismConfig, Mesh, MessageClass, NodeId, TimedPolicy, Topology,
-        TopologySpec,
+        CircuitMode, MechanismConfig, MessageClass, NodeId, TimedPolicy, Topology, TopologySpec,
     };
     pub use rcsim_noc::{
         CircuitOutcome, FaultConfig, FaultStats, HealthReport, MessageGroup, Network, NocConfig,

@@ -71,7 +71,7 @@ fn geometric_mean_speedup_over_apps() {
 #[test]
 fn network_is_usable_standalone() {
     // The NoC crate works without the protocol on top.
-    let mesh = Mesh::new(4, 4).unwrap();
+    let mesh = Topology::mesh(4, 4).unwrap();
     let mut net =
         Network::new(NocConfig::paper_baseline(mesh, MechanismConfig::complete())).unwrap();
     net.inject(PacketSpec::new(NodeId(0), NodeId(15), MessageClass::L1Request).with_block(64));
@@ -86,7 +86,7 @@ fn network_is_usable_standalone() {
 /// the watchdog reported a stall). `inject` refuses it like a bad node.
 #[test]
 fn zero_length_packet_is_rejected() {
-    let mesh = Mesh::new(4, 4).unwrap();
+    let mesh = Topology::mesh(4, 4).unwrap();
     let mut net =
         Network::new(NocConfig::paper_baseline(mesh, MechanismConfig::baseline())).unwrap();
     let request = PacketSpec::new(NodeId(0), NodeId(3), MessageClass::L1Request);
@@ -125,7 +125,8 @@ fn packet_slots_recycle_under_faults_and_kernels_agree() {
             at: 150,
             duration: Some(100),
         });
-        let cfg = NocConfig::paper_baseline(Mesh::new(4, 4).unwrap(), MechanismConfig::baseline());
+        let cfg =
+            NocConfig::paper_baseline(Topology::mesh(4, 4).unwrap(), MechanismConfig::baseline());
         let mut net = Network::with_faults(cfg, faults).unwrap();
         net.set_kernel(kernel);
         let (mut injected, mut delivered, mut snapshot) = (0, 0, String::new());
@@ -417,15 +418,12 @@ fn run_env_of_an_empty_environment_is_the_documented_defaults() {
         kernel: KernelMode::Event,
         topo_cycles: 3_000,
         topo_cores: vec![64, 256, 1024],
-        topo_window: 8,
-        adapt_phases: 6,
-        adapt_window: 4,
     };
     assert_eq!(run_env(&[]), Ok(defaults.clone()));
     // Variables of other programs are not ours to judge.
     assert_eq!(run_env(&[("PATH", "/bin"), ("RCX", "1")]), Ok(defaults));
     // Every knob is accepted, and its table default is what unset means.
-    assert_eq!(KNOBS.len(), 19);
+    assert_eq!(KNOBS.len(), 16);
     for knob in KNOBS {
         let mut set = run_env(&[(knob.name, knob.default)]).expect(knob.name);
         if knob.name == "RC_APPS" {

@@ -8,7 +8,7 @@ fn assert_send_sync<T: Send + Sync>() {}
 
 #[test]
 fn core_types_are_send_sync() {
-    assert_send_sync::<Mesh>();
+    assert_send_sync::<Topology>();
     assert_send_sync::<MechanismConfig>();
     assert_send_sync::<NodeId>();
     assert_send_sync::<MessageClass>();
