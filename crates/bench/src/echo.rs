@@ -25,6 +25,8 @@ use rcsim_core::circuit::CircuitKey;
 use rcsim_core::{AdaptiveConfig, KernelMode, MechanismConfig, MessageClass, NodeId, TopologySpec};
 use rcsim_noc::traffic::{Generator, Pattern};
 use rcsim_noc::{CircuitOutcome, MessageGroup, Network, NocConfig, PacketSpec};
+use rcsim_system::Adaptive;
+use rcsim_trace::TraceSink;
 use std::collections::VecDeque;
 
 /// Background requests each node may fire per bursting phase: enough to
@@ -146,9 +148,17 @@ pub(crate) fn run_echo(spec: &EchoSpec, kernel: KernelMode) -> Result<EchoResult
     let cfg = NocConfig::paper_baseline(topology, spec.mechanism);
     let mut net = Network::new(cfg).map_err(|e| e.to_string())?;
     net.set_kernel(kernel);
-    if let Some(adaptive) = spec.adaptive {
-        net.enable_adaptive(adaptive).map_err(|e| e.to_string())?;
-    }
+    let mut policy = match spec.adaptive {
+        Some(cfg) => Some(Adaptive::new(cfg, &mut net).map_err(|e| e.to_string())?),
+        None => None,
+    };
+    // Steps the policy, if any, right before the network moves.
+    let mut tick = |net: &mut Network| {
+        if let Some(p) = policy.as_mut() {
+            p.step(net, &TraceSink::Disabled);
+        }
+        net.tick();
+    };
     let mut rng = StdRng::seed_from_u64(spec.seed);
     let n = topology.nodes() as u16;
     let fg = Generator::uniform(spec.rate.clamp(0.0, 1.0));
@@ -195,7 +205,7 @@ pub(crate) fn run_echo(spec: &EchoSpec, kernel: KernelMode) -> Result<EchoResult
                     }
                 }
             }
-            net.tick();
+            tick(&mut net);
             ledger.echo(&mut net);
         }
     }
@@ -208,7 +218,7 @@ pub(crate) fn run_echo(spec: &EchoSpec, kernel: KernelMode) -> Result<EchoResult
         // saturated point must drain once injection stops.
         let deadline = driven + 200 * driven + 2_000_000;
         while !(net.is_quiescent() && ledger.replies.is_empty()) && net.now() < deadline {
-            net.tick();
+            tick(&mut net);
             ledger.echo(&mut net);
         }
         let health = net.health();
@@ -225,7 +235,8 @@ pub(crate) fn run_echo(spec: &EchoSpec, kernel: KernelMode) -> Result<EchoResult
             return Err("lost deliveries".to_owned());
         }
     }
-    let (stats, adaptive) = (net.stats(), net.health().adaptive);
+    let (stats, ni) = (net.stats(), net.health().adaptive);
+    let adaptive = policy.map_or(ni, |p| p.report(ni));
     let lat = stats.network_latency.get(&MessageGroup::CircuitRep);
     let mut rtt = ledger.rtt;
     rtt.truncate(closed);

@@ -6,10 +6,11 @@
 //! is a function of `(controller state, now, samples)` only — no RNG, no
 //! clocks, no host-dependent input — which is what keeps adaptive runs
 //! bit-reproducible per seed and identical under both kernels (decisions
-//! are taken densely at the top of the tick; see DESIGN.md §14).
-//! What a *hot* verdict means is up to the embedder (`rcsim-noc` suppresses
-//! circuit construction and plans congestion-aware detours); this module only
-//! decides *when* a region changes state:
+//! are taken densely, right before the network's tick; see DESIGN.md §14).
+//! What a *hot* verdict means is up to the embedder (`rcsim-system`'s
+//! `Adaptive` marks the region on the network's [`CongestionMap`], whose
+//! NIs then suppress circuit construction and plan congestion-aware
+//! detours); this module only decides *when* a region changes state:
 //!
 //! * **hysteresis** — a region enters `Hot` at `score >= hot_enter` and
 //!   leaves it at `score <= hot_exit`, with `hot_exit <= hot_enter`, so a
@@ -58,8 +59,8 @@ fn default_true() -> bool {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct AdaptiveConfig {
     /// Cycles between controller decisions. Decisions happen at
-    /// `t = decision_epoch, 2·decision_epoch, …` at the top of the tick;
-    /// must be non-zero.
+    /// `t = decision_epoch, 2·decision_epoch, …` before the network's
+    /// tick; must be non-zero.
     #[serde(default = "default_decision_epoch")]
     pub decision_epoch: Cycle,
     /// Number of contiguous router regions (clamped to the router

@@ -41,8 +41,8 @@ pub(crate) struct Calendar {
     window_mask: Cycle,
     /// Per cycle of the window a bitset over the components: bit `i % 64`
     /// of word `(c % W) · ⌈n/64⌉ + i / 64` is set while component `i`'s
-    /// cell of cycle `c` holds anything, or it was woken — the due half of
-    /// the event kernel's worklist, read a word at a time.
+    /// cell of cycle `c` holds anything — the due half of the event
+    /// kernel's worklist, read a word at a time.
     due_bits: Vec<u64>,
     /// Per cell: the ports whose flit register is full, and the VC slots
     /// (`port · vcs + vc`) with credits arriving.
@@ -160,11 +160,6 @@ impl Calendar {
             word |= 1 << (h.0 % 64);
         }
         word
-    }
-
-    /// Makes component `i` due at `now` with nothing arriving: a wake-up.
-    pub(crate) fn wake(&mut self, i: usize, now: Cycle) {
-        *self.due_at(i, now) |= 1 << (i % 64);
     }
 
     /// Hands over everything due at component `i` at `now`: credits in
@@ -383,10 +378,6 @@ mod tests {
         for i in 0..N {
             assert!((10..20).all(|now| !due(&cal, i, now)));
         }
-        cal.wake(I, 20);
-        assert!(due(&cal, I, 20) && !cal.carries_traffic());
-        assert_eq!(drain(&mut cal, 20, 0), (vec![], vec![], vec![]));
-        assert!(!due(&cal, I, 20));
     }
 
     #[test]
@@ -451,13 +442,12 @@ mod tests {
         cal.push_flit(I, 8, 9, 3, flit(2));
     }
 
-    /// One cycle of a random schedule: which driven component is woken
-    /// and which one receives what is enqueued (as deltas ahead of `now`),
-    /// and which ports are stuck when the cycle is drained.
+    /// One cycle of a random schedule: which driven component receives
+    /// what is enqueued (as deltas ahead of `now`), and which ports are
+    /// stuck when the cycle is drained.
     #[derive(Debug, Clone)]
     struct Step {
-        /// Indices into [`DRIVEN`].
-        wake: Option<usize>,
+        /// An index into [`DRIVEN`].
         target: usize,
         /// The ports whose wire carries a flit this cycle.
         flit_ports: u64,
@@ -469,10 +459,8 @@ mod tests {
 
     fn step() -> impl Strategy<Value = Step> {
         (
-            // Where this cycle's messages go; now and then a wake-up, with
-            // nothing arriving.
-            (0..DRIVEN.len(), 0..8u8, 0..DRIVEN.len())
-                .prop_map(|(target, roll, j)| (target, (roll == 0).then_some(j))),
+            // Where this cycle's messages go.
+            0..DRIVEN.len(),
             // Usually a flit or two, sometimes every wire busy.
             (0..4u8, 0..1u64 << PORTS, 0..1u64 << PORTS).prop_map(|(roll, a, b)| {
                 if roll == 0 {
@@ -488,8 +476,7 @@ mod tests {
             any::<bool>(),
         )
             .prop_map(
-                |((target, wake), flit_ports, credits, undos, stuck, skip_when_idle)| Step {
-                    wake,
+                |(target, flit_ports, credits, undos, stuck, skip_when_idle)| Step {
                     target,
                     flit_ports,
                     credits,
@@ -501,12 +488,11 @@ mod tests {
     }
 
     proptest! {
-        /// Interleaved pushes, wake-ups and drains against one reference
-        /// mailbox per driven component: identical drained sequences, and
-        /// every due word exactly the driven components that are due — a
-        /// reference with an arrival at or before `now` (in the past while
-        /// a stuck port parks flits) or woken this cycle — and nothing
-        /// else. Each port is one wire with its own latency, drawn per
+        /// Interleaved pushes and drains against one reference mailbox per
+        /// driven component: identical drained sequences, and every due
+        /// word exactly the driven components that are due — a reference
+        /// with an arrival at or before `now` (in the past while a stuck
+        /// port parks flits) — and nothing else. Each port is one wire with its own latency, drawn per
         /// case, carrying at most one flit per cycle (the register law);
         /// credits and undos take any delta in the window (a dropped
         /// flit's synthesized credit travels a different distance than an
@@ -524,12 +510,7 @@ mod tests {
             let mut next_id = 0u32;
             for (now, s) in steps.iter().enumerate() {
                 let now = now as Cycle;
-                if let Some(j) = s.wake {
-                    cal.wake(DRIVEN[j], now);
-                }
-                let due_now: Vec<bool> = (0..DRIVEN.len())
-                    .map(|j| reference[j].next_due() <= now || s.wake == Some(j))
-                    .collect();
+                let due_now: Vec<bool> = reference.iter().map(|r| r.next_due() <= now).collect();
                 for w in 0..N.div_ceil(64) {
                     let expected = DRIVEN
                         .iter()

@@ -78,8 +78,10 @@ pub struct LeakedCircuit {
     pub in_use: bool,
 }
 
-/// Counters from the adaptive runtime-policy controller (all zero when
-/// adaptation is disabled — the default).
+/// Counters of the adaptive runtime policy (all zero when adaptation is
+/// disabled — the default). [`crate::Network::health`] fills the NI-side
+/// `congestion_detours` and `circuits_suppressed`; the policy, a client
+/// of the network, adds the rest.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct AdaptiveReport {
     /// Decision epochs the controller has run.
@@ -143,8 +145,8 @@ pub struct HealthReport {
     /// layer is configured).
     #[serde(default)]
     pub overload: crate::ingress::OverloadReport,
-    /// Adaptive-policy controller counters (all zero when the adaptive
-    /// block is absent — the default).
+    /// Adaptive-policy counters (all zero when the adaptive block is
+    /// absent — the default).
     #[serde(default)]
     pub adaptive: AdaptiveReport,
     /// Wait-for-graph diagnosis: present only when the network is

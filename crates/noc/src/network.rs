@@ -19,13 +19,13 @@ use crate::stats::{CircuitOutcome, NocStats};
 use rcsim_core::circuit::CircuitKey;
 use rcsim_core::routing::{path_is_healthy, Routing};
 use rcsim_core::{
-    AdaptiveConfig, ConfigError, CongestionMap, CongestionState, Cycle, KernelMode, NodeId,
-    PolicyController, PolicyState, RegionMode, RegionPlan, RegionSample, StateSet, TopologyHealth,
-    PORT_LOCAL,
+    ConfigError, CongestionMap, CongestionState, Cycle, KernelMode, NodeId, RegionPlan,
+    RegionSample, StateSet, TopologyHealth, PORT_LOCAL,
 };
 use rcsim_trace::{ClassLabel, EventKind, TraceSink};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
+use std::ops::Range;
 
 /// A whole-network occupancy snapshot, taken between cycles. Feeds the
 /// trace layer's periodic `EpochSample` events.
@@ -89,26 +89,6 @@ enum TopoChange {
     RouterUp(NodeId),
 }
 
-/// The adaptive policy layer (DESIGN.md §14): the knobs and the region
-/// map (wiring), the deterministic controller, and its own state.
-/// Boxed behind `Option` so the default (adaptive-off) network carries a
-/// single extra pointer.
-#[derive(Debug)]
-struct AdaptiveState {
-    cfg: AdaptiveConfig,
-    plan: RegionPlan,
-    controller: PolicyController,
-    state: AdaptiveProgress,
-}
-
-/// The adaptive layer's own state (DESIGN.md §15): the cumulative
-/// counters and the next decision cycle.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct AdaptiveProgress {
-    report: AdaptiveReport,
-    next_decision: Cycle,
-}
-
 /// A mesh NoC instance.
 ///
 /// Drive it with [`Network::tick`]; submit packets with
@@ -144,14 +124,11 @@ pub struct Network {
     /// `None` unless [`Network::configure_ingress`] was called, so
     /// closed-loop runs carry no ingress state at all.
     ingress: Option<Box<IngressState>>,
-    /// Adaptive policy layer; `None` (the default) is the exact seed
-    /// behavior. See [`Network::enable_adaptive`].
-    adaptive: Option<Box<AdaptiveState>>,
-    /// Which routers the adaptive policy currently marks hot, plus the
-    /// staleness era for recorded detour paths. Always present (an
-    /// all-calm map when adaptation is off) because the era also fences
-    /// fault-heal staleness: it bumps on every link/router revival, so
-    /// post-heal replies stop riding detours recorded under the fault.
+    /// Which routers an adaptive policy ([`Network::set_congestion`])
+    /// marks hot, plus the staleness era for recorded detour paths. Always
+    /// present (all calm without a policy): the NIs read it, and every
+    /// link/router revival bumps the era too, so post-heal replies stop
+    /// riding detours recorded under the fault.
     congestion: CongestionMap,
 
     state: State,
@@ -260,7 +237,6 @@ impl Network {
                 Some(FaultState::new(faults))
             },
             ingress: None,
-            adaptive: None,
             congestion: CongestionMap::new(routers_n),
             state: State {
                 packets: Packets::default(),
@@ -297,50 +273,25 @@ impl Network {
         self.kernel = kernel;
     }
 
-    /// Installs the adaptive runtime-policy layer (DESIGN.md §14): a
-    /// deterministic per-region controller that, every
-    /// [`AdaptiveConfig::decision_epoch`] cycles — densely at the top of
-    /// the tick, so both kernels decide identically — samples occupancy
-    /// telemetry per region and flips
-    /// regions between calm and hot with hysteresis and min-dwell. While
-    /// a region is hot, requests whose reply path would cross it skip
-    /// circuit construction (path-sensitive mechanism switch; the
-    /// established circuits through it are torn down via §4.4 undo), and
-    /// congestion-aware detours route traffic around its routers — per
-    /// the config's `mech_switch` / `detour` switches.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError::AdaptivePolicy`] when the knobs violate
-    /// their invariants (see [`AdaptiveConfig::validate`]).
-    pub fn enable_adaptive(&mut self, cfg: AdaptiveConfig) -> Result<(), ConfigError> {
-        cfg.validate()?;
-        let plan = RegionPlan::new(&self.cfg.topology, cfg.regions);
-        let controller = PolicyController::new(cfg, plan.regions());
-        self.congestion.set_features(cfg.detour, cfg.mech_switch);
-        self.adaptive = Some(Box::new(AdaptiveState {
-            cfg,
-            plan,
-            controller,
-            state: AdaptiveProgress {
-                report: AdaptiveReport::default(),
-                next_decision: self.state.now + cfg.decision_epoch,
-            },
-        }));
-        Ok(())
-    }
-
-    /// The adaptive-policy counters (all zero when adaptation is off).
-    pub fn adaptive_report(&self) -> AdaptiveReport {
-        self.adaptive
-            .as_ref()
-            .map(|a| {
-                let mut r = a.state.report;
-                r.hot_regions = a.controller.hot_regions();
-                r.circuits_suppressed = self.nis.iter().map(|ni| ni.circuits_suppressed()).sum();
-                r
-            })
-            .unwrap_or_default()
+    /// The congestion map's one writer, for an adaptive policy stepped
+    /// beside the network (DESIGN.md §14): arms its features (`detour`s,
+    /// `suppress`ed circuits; wiring, armed at install with an empty range)
+    /// and marks `routers` hot or calm, cooling bumping the era to stale
+    /// detours recorded through them. No NI needs the worklist for it.
+    pub fn set_congestion(
+        &mut self,
+        detour: bool,
+        suppress: bool,
+        routers: Range<usize>,
+        hot: bool,
+    ) {
+        self.congestion.set_features(detour, suppress);
+        for r in routers {
+            self.congestion.set_hot(r, hot);
+        }
+        if !hot {
+            self.congestion.bump_era();
+        }
     }
 
     /// Installs a trace sink, fanning it out to every NI and router so the
@@ -358,14 +309,19 @@ impl Network {
 
     /// The occupancy snapshot the trace layer samples once per epoch.
     pub fn telemetry(&self) -> NetworkTelemetry {
+        self.occupancy(0..self.routers.len(), 0..self.nis.len())
+    }
+
+    /// The [`NetworkTelemetry`] sums over some routers and NIs.
+    fn occupancy(&self, routers: Range<usize>, tiles: Range<usize>) -> NetworkTelemetry {
+        let routers = &self.routers[routers];
         NetworkTelemetry {
-            circuit_entries: self
-                .routers
+            circuit_entries: routers
                 .iter()
                 .map(|r| r.state.circuits.total_entries() as u64)
                 .sum(),
-            buffered_flits: self.routers.iter().map(|r| r.buffered_flits() as u64).sum(),
-            ni_backlog: self.nis.iter().map(|ni| ni.backlog() as u64).sum(),
+            buffered_flits: routers.iter().map(|r| r.buffered_flits() as u64).sum(),
+            ni_backlog: self.nis[tiles].iter().map(|ni| ni.backlog() as u64).sum(),
         }
     }
 
@@ -651,13 +607,6 @@ impl Network {
         // and draw no fault RNG.
         self.process_fault_onsets(now);
 
-        // Adaptive policy decisions come next, after the fault map has
-        // settled (a sample taken exactly at a fault-onset tick sees the
-        // post-onset state). Dense and RNG-free: decisions — and the trace
-        // events and teardowns they trigger — land at the same point of
-        // the tick under both kernels.
-        self.adaptive_tick(now);
-
         // Due end-to-end retransmissions re-enter their source NI.
         while let Some(k) = self.state.retry_queue.iter().position(|r| r.0 <= now) {
             let (_, slot, id) = self.state.retry_queue.remove(k);
@@ -756,130 +705,41 @@ impl Network {
         self.scratch = s;
     }
 
-    /// One adaptive-policy step: on decision-epoch boundaries, samples
-    /// every region's occupancy, runs the controller, and applies the
-    /// switched regions' effects — circuit suppression flags, congestion
-    /// map updates (with an era bump when a region cools, staling
-    /// recorded detours through it), region circuit teardown, event
-    /// wake-ups and trace events. A no-op (one `Option` check) when
-    /// adaptation is off.
-    fn adaptive_tick(&mut self, now: Cycle) {
-        let Some(mut ad) = self.adaptive.take() else {
-            return;
-        };
-        if now >= ad.state.next_decision {
-            while ad.state.next_decision <= now {
-                ad.state.next_decision += ad.cfg.decision_epoch;
-            }
-            let samples = self.region_samples(&ad.plan);
-            let decisions = ad.controller.decide(now, &samples);
-            ad.state.report.decisions += 1;
-            let mut newly_hot: Vec<usize> = Vec::new();
-            for d in decisions.iter().filter(|d| d.switched) {
-                let hot = d.mode == RegionMode::Hot;
-                self.sink.emit(|| rcsim_trace::TraceEvent {
-                    cycle: now,
-                    kind: EventKind::PolicySwitch {
-                        region: d.region as u16,
-                        hot,
-                        score: d.score,
-                    },
-                });
-                if hot {
-                    ad.state.report.hot_switches += 1;
-                    if ad.cfg.mech_switch {
-                        newly_hot.push(d.region);
-                    }
-                } else {
-                    ad.state.report.calm_switches += 1;
-                }
-                // Both features key off the hot-router map: detours avoid
-                // hot routers, the mechanism switch suppresses circuits
-                // whose reply path crosses one. Which of the two actually
-                // fires is gated by the feature bits armed on the map at
-                // [`Network::enable_adaptive`] time.
-                if ad.cfg.detour || ad.cfg.mech_switch {
-                    for r in ad.plan.router_range(d.region) {
-                        self.congestion.set_hot(r, hot);
-                    }
-                    if !hot {
-                        // The blocking condition cleared: recorded detour
-                        // paths through this region are stale from now on.
-                        self.congestion.bump_era();
-                    }
-                }
-                // Wake the region so the event kernel re-evaluates its
-                // components under the new policy this very cycle.
-                for t in ad.plan.tile_range(d.region) {
-                    self.state.ni_links.wake(t, now);
-                }
-                for r in ad.plan.router_range(d.region) {
-                    self.state.router_links.wake(r, now);
-                }
-            }
-            if !newly_hot.is_empty() {
-                ad.state.report.circuits_torn_on_switch +=
-                    self.teardown_regions(&ad.plan, &newly_hot);
-            }
-            ad.state.report.hot_regions = ad.controller.hot_regions();
-        }
-        self.adaptive = Some(ad);
-    }
-
     /// Per-region occupancy sums (the [`Network::telemetry`] quantities,
-    /// split over the region plan's contiguous router/tile ranges).
-    fn region_samples(&self, plan: &RegionPlan) -> Vec<RegionSample> {
+    /// split over the region plan's contiguous router/tile ranges): what an
+    /// adaptive policy decides on.
+    pub fn region_samples(&self, plan: &RegionPlan) -> Vec<RegionSample> {
         (0..plan.regions())
-            .map(|s| {
-                let rr = plan.router_range(s);
-                let routers = rr.len() as u64;
+            .map(|g| {
+                let rr = plan.router_range(g);
+                let o = self.occupancy(rr.clone(), plan.tile_range(g));
                 RegionSample {
-                    buffered_flits: self.routers[rr.clone()]
-                        .iter()
-                        .map(|r| r.buffered_flits() as u64)
-                        .sum(),
-                    circuit_entries: self.routers[rr]
-                        .iter()
-                        .map(|r| r.state.circuits.total_entries() as u64)
-                        .sum(),
-                    ni_backlog: self.nis[plan.tile_range(s)]
-                        .iter()
-                        .map(|ni| ni.backlog() as u64)
-                        .sum(),
-                    routers,
+                    buffered_flits: o.buffered_flits,
+                    ni_backlog: o.ni_backlog,
+                    circuit_entries: o.circuit_entries,
+                    routers: rr.len() as u64,
                 }
             })
             .collect()
     }
 
-    /// Mechanism-switch circuit teardown. Unlike the fault path
-    /// ([`Network::teardown_circuits`]), which may rip table entries out
-    /// directly because the dead resource also kills any flit that still
-    /// references them, a policy switch happens on a *healthy* fabric:
-    /// requests may still be mid-flight writing reservations, scroungers
-    /// may be borrowing, and a direct release would strand headless body
-    /// flits. So the teardown goes through each circuit's NI *origin*
-    /// instead: every built circuit whose reply path (YX
-    /// source→requestor) crosses a newly-hot region has its origin
-    /// forgotten and §4.4 undo propagation started
-    /// ([`Ni::teardown_origin`]) — the proven abort path, which releases
-    /// entries hop by hop and defers in-use entries to the passing tail.
-    /// NIs are visited in index order and keys in sorted order, so the
-    /// teardown (and its `CircuitTear` trace stream) is deterministic.
-    /// Returns the circuits torn.
-    fn teardown_regions(&mut self, plan: &RegionPlan, regions: &[usize]) -> u64 {
+    /// Mechanism-switch teardown of every built circuit whose reply path
+    /// (YX, source → requestor) crosses a router `doomed` names; returns
+    /// the count. Unlike the fault path ([`Network::teardown_circuits`]),
+    /// whose dead resource kills every flit still referencing the entries
+    /// it rips out, a switch happens on a *healthy* fabric, where a direct
+    /// release would strand headless body flits. So the circuit's NI
+    /// *origin* is forgotten and §4.4 undo started ([`Ni::teardown_origin`]
+    /// through [`Network::ni_mut`]): entries go hop by hop, in-use ones
+    /// when the tail passes. NIs in index order, keys sorted: deterministic.
+    pub fn teardown_origins(&mut self, doomed: impl Fn(usize) -> bool) -> u64 {
         let topology = self.cfg.topology;
-        let mut torn = 0u64;
+        let mut torn = 0;
         for i in 0..self.nis.len() {
-            let node = NodeId(i as u16);
             for key in self.nis[i].origin_keys() {
-                let reply_path = topology.route_path(node, key.requestor, Routing::Yx);
-                if reply_path
-                    .iter()
-                    .any(|r| regions.contains(&plan.region_of_router(r.index())))
-                    && self.ni_mut(i, |ni, _, _| ni.teardown_origin(key))
-                {
-                    torn += 1;
+                let reply_path = topology.route_path(NodeId(i as u16), key.requestor, Routing::Yx);
+                if reply_path.iter().any(|r| doomed(r.index())) {
+                    torn += u64::from(self.ni_mut(i, |ni, _, _| ni.teardown_origin(key)));
                 }
             }
         }
@@ -936,9 +796,6 @@ impl Network {
         }
         if let Some(fs) = self.faults.as_mut() {
             fs.state.stats.packets_rerouted += out.reroutes;
-        }
-        if let Some(ad) = self.adaptive.as_mut() {
-            ad.state.report.congestion_detours += out.congestion_reroutes;
         }
         if !out.corrupt_discards.is_empty() {
             let (_, packets, mut links) = self.links(now);
@@ -1368,7 +1225,11 @@ impl Network {
             dead_routers,
             l1_reissues: 0,
             overload: self.overload_report(),
-            adaptive: self.adaptive_report(),
+            adaptive: AdaptiveReport {
+                circuits_suppressed: self.nis.iter().map(Ni::circuits_suppressed).sum(),
+                congestion_detours: self.nis.iter().map(Ni::congestion_detours).sum(),
+                ..AdaptiveReport::default()
+            },
             deadlock: if self.stalled() {
                 self.deadlock_report()
             } else {
@@ -1408,19 +1269,15 @@ impl Network {
             nis: self.nis.iter().map(|ni| ni.state.clone()).collect(),
             faults: self.faults.as_ref().map(|f| f.state.clone()),
             ingress: self.ingress.as_ref().map(|i| i.state.clone()),
-            adaptive: self
-                .adaptive
-                .as_deref()
-                .map(|a| (a.state.clone(), a.controller.snapshot())),
             congestion: self.congestion.snapshot(),
         }
     }
 
     /// Overwrites this network's state, and its components', with a
     /// [`Network::snapshot`]. `self` must have been constructed from the
-    /// *same* configuration (topology, mechanism, faults, ingress,
-    /// adaptive) that produced the snapshot: wiring — routing, the fault
-    /// schedule, the region plan, trace sinks, the kernel — is kept.
+    /// *same* configuration (topology, mechanism, faults, ingress) that
+    /// produced the snapshot: wiring — routing, the fault schedule, the
+    /// congestion features, trace sinks, the kernel — is kept.
     ///
     /// # Panics
     ///
@@ -1434,8 +1291,7 @@ impl Network {
             snap.routers.len() == self.routers.len()
                 && snap.nis.len() == self.nis.len()
                 && snap.faults.is_some() == self.faults.is_some()
-                && snap.ingress.is_some() == self.ingress.is_some()
-                && snap.adaptive.is_some() == self.adaptive.is_some(),
+                && snap.ingress.is_some() == self.ingress.is_some(),
             "snapshot of a differently configured network"
         );
         self.delivered_tiles = Self::rebuild_scratch(&snap.state);
@@ -1455,10 +1311,6 @@ impl Network {
         }
         if let (Some(i), Some(s)) = (&mut self.ingress, &snap.ingress) {
             i.state = s.clone();
-        }
-        if let (Some(a), Some((own, controller))) = (&mut self.adaptive, &snap.adaptive) {
-            a.state = own.clone();
-            a.controller.restore(controller.clone());
         }
         self.congestion.restore(snap.congestion.clone());
     }
@@ -1493,7 +1345,6 @@ pub struct NetworkSnapshot {
     nis: Vec<ni::State>,
     faults: Option<fault::State>,
     ingress: Option<ingress::State>,
-    adaptive: Option<(AdaptiveProgress, PolicyState)>,
     congestion: CongestionState,
 }
 

@@ -82,10 +82,6 @@ pub(crate) struct NiOut {
     /// Packets this tick sent on a recorded detour because their DOR path
     /// crossed a dead link or router (added to the fault counters).
     pub reroutes: u64,
-    /// Packets this tick sent on a congestion-aware detour: their DOR path
-    /// was healthy but crossed a hot region (added to the adaptive
-    /// counters, not the fault counters).
-    pub congestion_reroutes: u64,
     /// The statistics-counted injection this tick started, if any (class
     /// and flit count of the head emitted with `count_injection` set). At
     /// most one per tick — an NI injects at most one flit per cycle. The
@@ -100,7 +96,6 @@ impl NiOut {
         self.delivered.clear();
         self.corrupt_discards.clear();
         self.reroutes = 0;
-        self.congestion_reroutes = 0;
         self.injection = None;
     }
 }
@@ -147,6 +142,9 @@ pub(crate) struct State {
     /// Requests whose circuit construction the adaptive mechanism switch
     /// suppressed (reply path crossed a hot region at enqueue time).
     circuits_suppressed: u64,
+    /// Packets sent from here on a congestion-aware detour: their DOR path
+    /// was healthy but crossed a hot region (not a fault reroute).
+    congestion_detours: u64,
 }
 
 /// Wiring, [`State`], then scratch.
@@ -195,6 +193,7 @@ impl Ni {
                 torn: StateSet::default(),
                 pending_undos: Vec::new(),
                 circuits_suppressed: 0,
+                congestion_detours: 0,
             },
             live_streams: 0,
             sendable: Vec::new(),
@@ -205,6 +204,11 @@ impl Ni {
     /// suppressed by the adaptive mechanism switch.
     pub(crate) fn circuits_suppressed(&self) -> u64 {
         self.state.circuits_suppressed
+    }
+
+    /// How many packets this NI sent on a congestion-aware detour.
+    pub(crate) fn congestion_detours(&self) -> u64 {
+        self.state.congestion_detours
     }
 
     pub(crate) fn set_trace_sink(&mut self, sink: TraceSink) {
@@ -836,7 +840,7 @@ impl Ni {
         // which the detour breaks.
         p.circuit = None;
         if dor_healthy {
-            out.congestion_reroutes += 1;
+            self.state.congestion_detours += 1;
         } else {
             out.reroutes += 1;
         }
@@ -935,6 +939,7 @@ impl Ni {
             torn: _,
             pending_undos: _,
             circuits_suppressed: _,
+            congestion_detours: _,
         } = state;
         streams.iter().flatten().count()
     }

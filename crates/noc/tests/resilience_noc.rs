@@ -267,35 +267,14 @@ fn reply_after_heal_ignores_stale_recorded_path() {
 #[test]
 fn reply_after_region_cools_ignores_stale_congestion_detour() {
     // The congestion twin of the heal test: a request detours around a
-    // hot region and its reversed route is recorded — then the region
-    // cools (which bumps the staleness era) before the reply is sent.
-    // The reply must ride plain DOR: the congestion-detour counter stays
-    // at the request's 1 and the reply's latency matches a control.
-    use rcsim_core::AdaptiveConfig;
+    // hot row and its reversed route is recorded — then the row cools,
+    // which bumps the staleness era, before the reply is sent. The reply
+    // must ride plain DOR: the congestion-detour counter stays at the
+    // request's 1 and the reply's latency matches a control.
     let mesh = Topology::mesh(4, 4).unwrap();
     let mut n = Network::new(NocConfig::paper_baseline(mesh, MechanismConfig::baseline())).unwrap();
-    n.enable_adaptive(AdaptiveConfig {
-        decision_epoch: 10,
-        regions: 4, // rows of the 4×4 mesh
-        hot_enter: 512,
-        hot_exit: 64,
-        min_dwell: 10,
-        detour: true,
-        mech_switch: false,
-    })
-    .unwrap();
-
-    // Pile write-backs onto node 1's NI: region 0 (routers 0–3) heats at
-    // the next decision epoch.
-    for i in 0..48u64 {
-        n.inject(PacketSpec::new(NodeId(1), NodeId(2), MessageClass::WbData).with_block(i * 64));
-    }
-    run(&mut n, 12);
-    assert!(
-        n.health().adaptive.hot_switches >= 1,
-        "backlog must heat row 0: {}",
-        n.health()
-    );
+    // Row 0 (routers 0–3) hot, detours armed, as a policy would mark it.
+    n.set_congestion(true, false, 0..4, true);
 
     // A request across the hot row detours around it (and node 3's NI
     // records the reversed route for the reply).
@@ -303,16 +282,15 @@ fn reply_after_region_cools_ignores_stale_congestion_detour() {
     run(&mut n, 100);
     assert_eq!(n.take_delivered(NodeId(3)).len(), 1);
     let detours = n.health().adaptive.congestion_detours;
-    assert!(detours >= 1, "request must detour: {}", n.health());
+    assert_eq!(detours, 1, "request must detour: {}", n.health());
 
-    // Drain the backlog; the region cools, staling the recorded path.
-    run(&mut n, 2_000);
-    assert!(n.is_quiescent());
-    assert!(
-        n.health().adaptive.calm_switches >= 1,
-        "row 0 must cool: {}",
-        n.health()
-    );
+    // The row cools, staling the recorded path. Then rows 0 and 1 heat:
+    // the reply's DOR path is congested again, so its NI looks the
+    // recorded path (through row 1) up, and every fresh route from node 3
+    // crosses a hot router, so only the era keeps the reply off the stale
+    // detour.
+    n.set_congestion(true, false, 0..4, false);
+    n.set_congestion(true, false, 0..8, true);
 
     let control_key = CircuitKey {
         requestor: NodeId(0),

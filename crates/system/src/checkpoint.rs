@@ -34,7 +34,7 @@ use std::path::Path;
 
 /// Bumped whenever the snapshot layout changes incompatibly. A checkpoint
 /// carrying any other version is treated as a clean miss, never an error.
-pub const CHECKPOINT_FORMAT_VERSION: u32 = 7;
+pub const CHECKPOINT_FORMAT_VERSION: u32 = 8;
 
 /// Stable 64-bit FNV-1a over `bytes` — deliberately not `DefaultHasher`,
 /// whose output may change between Rust releases; checkpoint checksums

@@ -3,16 +3,18 @@
 //! wired to the cycle-accurate NoC through an adapter implementing the
 //! protocol's [`Port`].
 
+use crate::adaptive::Adaptive;
 use crate::core_model::{self, Core, CoreAction};
 use crate::open_loop::{self, OpenLoopConfig, OpenLoopState, EXT_TOKEN_BIT};
 use crate::report::ExternalSummary;
 use rcsim_core::circuit::CircuitKey;
 use rcsim_core::{
-    Cycle, KernelMode, MechanismConfig, MessageClass, NodeId, Slab, StateSet, Topology, WakeTimes,
+    AdaptiveConfig, ConfigError, Cycle, KernelMode, MechanismConfig, MessageClass, NodeId,
+    PolicyState, Slab, StateSet, Topology, WakeTimes,
 };
 use rcsim_noc::{
-    CircuitOutcome, FaultConfig, HealthReport, Network, NetworkSnapshot, NocConfig, NocStats,
-    PacketSpec, WatchdogConfig,
+    AdaptiveReport, CircuitOutcome, FaultConfig, HealthReport, Network, NetworkSnapshot, NocConfig,
+    NocStats, PacketSpec, WatchdogConfig,
 };
 use rcsim_protocol::{
     Access, L1Cache, L1CacheState, L2Bank, L2BankState, MemoryController, MemoryState, Msg, Port,
@@ -112,6 +114,8 @@ pub struct Chip {
     mcs: Vec<Option<MemoryController>>,
     /// Open-loop external-traffic driver; `None` for closed-loop runs.
     open_loop: Option<Box<OpenLoopState>>,
+    /// The adaptive runtime policy; `None` for static runs.
+    adaptive: Option<Adaptive>,
 
     state: State,
 
@@ -215,6 +219,7 @@ impl Chip {
             l2s,
             mcs,
             open_loop: None,
+            adaptive: None,
             state: State::default(),
             wake: Wake {
                 cores: WakeTimes::new(n),
@@ -264,15 +269,11 @@ impl Chip {
         )));
     }
 
-    /// Turns on the adaptive runtime-policy controller: per-region
-    /// congestion-aware detours and mechanism switching on the network
-    /// (see [`Network::enable_adaptive`](rcsim_noc::Network::enable_adaptive)
-    /// and DESIGN.md §14). Call before the first [`Chip::tick`].
-    pub fn enable_adaptive(
-        &mut self,
-        cfg: rcsim_core::AdaptiveConfig,
-    ) -> Result<(), rcsim_core::ConfigError> {
-        self.net.enable_adaptive(cfg)
+    /// Turns on the adaptive runtime policy, stepped beside the network
+    /// (DESIGN.md §14); fails and panics as [`Adaptive::new`] does.
+    pub fn enable_adaptive(&mut self, cfg: AdaptiveConfig) -> Result<(), ConfigError> {
+        self.adaptive = Some(Adaptive::new(cfg, &mut self.net)?);
+        Ok(())
     }
 
     /// The external-traffic summary (all-zero for closed-loop chips).
@@ -384,6 +385,11 @@ impl Chip {
         // moves, so injections land this cycle under both kernels.
         if let Some(ol) = self.open_loop.as_mut() {
             ol.pre_net_tick(&mut self.net, now);
+        }
+
+        // The adaptive policy decides on the backlog those injections left.
+        if let Some(ad) = self.adaptive.as_mut() {
+            ad.step(&mut self.net, &self.sink);
         }
 
         // The network moves.
@@ -505,11 +511,14 @@ impl Chip {
         self.net.stalled()
     }
 
-    /// A liveness snapshot of the network (see [`Network::health`]),
-    /// extended with the chip-level reissue counter.
+    /// A liveness snapshot of the network (see [`Network::health`]), plus
+    /// the chip-level reissue counter and the adaptive controller's.
     pub fn health(&self) -> HealthReport {
         let mut h = self.net.health();
         h.l1_reissues = self.l1s.iter().map(|l1| l1.stats().reissues).sum();
+        if let Some(ad) = &self.adaptive {
+            h.adaptive = ad.report(h.adaptive);
+        }
         h
     }
 
@@ -589,6 +598,7 @@ impl Chip {
             l2s: self.l2s.iter().map(L2Bank::snapshot).collect(),
             mcs: self.mcs.iter().map(mc).collect(),
             open_loop: self.open_loop.as_deref().map(OpenLoopState::snapshot),
+            adaptive: self.adaptive.as_ref().map(Adaptive::snapshot),
         }
     }
 
@@ -600,12 +610,13 @@ impl Chip {
     /// # Panics
     ///
     /// Panics on a snapshot of a differently shaped chip (tile count,
-    /// which tiles have a memory controller, open-loop presence), like
-    /// [`Network::restore`] and for the same reason.
+    /// which tiles have a memory controller, open-loop or adaptive
+    /// presence), like [`Network::restore`] and for the same reason.
     pub fn restore(&mut self, snap: &ChipSnapshot) {
         assert!(
             snap.cores.len() == self.cores.len()
                 && snap.open_loop.is_some() == self.open_loop.is_some()
+                && snap.adaptive.is_some() == self.adaptive.is_some()
                 && snap
                     .mcs
                     .iter()
@@ -629,6 +640,9 @@ impl Chip {
         }
         if let (Some(ol), Some(s)) = (&mut self.open_loop, &snap.open_loop) {
             ol.restore(s);
+        }
+        if let (Some(ad), Some(s)) = (&mut self.adaptive, &snap.adaptive) {
+            ad.restore(s);
         }
         self.rebuild_scratch();
     }
@@ -696,4 +710,5 @@ pub struct ChipSnapshot {
     /// Indexed by tile, like [`Chip::mcs`].
     mcs: Vec<Option<MemoryState>>,
     open_loop: Option<(open_loop::State, Vec<ArrivalState>)>,
+    adaptive: Option<(AdaptiveReport, PolicyState)>,
 }

@@ -29,6 +29,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod adaptive;
 mod checkpoint;
 mod chip;
 mod core_model;
@@ -36,6 +37,7 @@ mod open_loop;
 mod report;
 mod sim;
 
+pub use adaptive::Adaptive;
 pub use checkpoint::{
     fnv1a_64, run_sim_resumable, SessionSnapshot, SimSession, CHECKPOINT_FORMAT_VERSION,
 };

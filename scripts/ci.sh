@@ -101,6 +101,15 @@ listed=$(grep -rn 'credits: &mut Vec<(usize, u8)>' crates/noc/src || true)
   || { echo "FAIL: Network::tick scans every component, a due test or a credit list is back:"
        printf '%s\n' "$scan" "$asked" "$listed" | grep .; exit 1; }
 
+echo "==> extensions are clients (DESIGN.md §14: the adaptive policy steps beside the network, not inside it)"
+# The network hosts no policy: its controller, knobs and state live in
+# crates/system, which samples and acts through Network's doors, and
+# nothing wakes a component but its own links.
+hosted=$(grep -rnE '\b(AdaptiveConfig|PolicyController|PolicyState|enable_adaptive|adaptive_tick)\b|fn wake\b' \
+  crates/noc/src || true)
+[ -z "$hosted" ] \
+  || { echo "FAIL: crates/noc/src hosts a policy or a wake-up again:"; echo "$hosted"; exit 1; }
+
 echo "==> cargo build --release"
 $CARGO build --release "$@"
 
@@ -302,8 +311,9 @@ if find "$ckpt_dir" -name '*.ckpt' | grep -q .; then
   echo "FAIL: completed sweep left checkpoints behind in $ckpt_dir"; exit 1
 fi
 mkdir -p "$ckpt_dir"
-# Every earlier version (v6, the per-component due masks, is the newest of
-# them), with the checksum of its "{}": only the version rejects it.
+# Every earlier version (v7, with the adaptive policy inside the network's
+# snapshot, is the newest of them), with the checksum of its "{}": only the
+# version rejects it.
 current=$(sed -n 's/^pub const CHECKPOINT_FORMAT_VERSION: u32 = \([0-9]*\);$/\1/p' crates/system/src/checkpoint.rs)
 for v in $(seq 0 $((${current:?CHECKPOINT_FORMAT_VERSION not found} - 1))); do
   stale="$ckpt_dir/stale_v$v.ckpt"; printf 'rcsim-checkpoint v%s 08f44b07b5901a25\n{}' "$v" > "$stale"
