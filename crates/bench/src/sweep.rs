@@ -11,43 +11,40 @@
 //! progress line, one set of counters under both.
 //!
 //! Completed points are cached under `target/experiments/cache/` (or
-//! `RC_CACHE_DIR`), keyed by [`cache_key`]: a stable FNV-1a hash of the
-//! serde-serialized [`SimConfig`] plus [`CACHE_FORMAT_VERSION`]. A rerun
-//! after an unrelated edit skips already-computed points; `RC_NO_CACHE=1`
-//! bypasses the cache entirely. A corrupt, truncated or stale-format
-//! cache file is treated as a miss and recomputed, never an error.
+//! `RC_CACHE_DIR`) as [`Envelope`] files, the checkpoints' format: named
+//! by the [`SimConfig`]'s content hash ([`cache_key`]), stamped with
+//! [`CACHE_FORMAT_VERSION`]. A rerun after an unrelated edit skips
+//! already-computed points; `RC_NO_CACHE=1` bypasses the cache entirely. A
+//! corrupt, truncated or stale-format cache file is treated as a miss and
+//! recomputed, never an error.
 
 use crate::env::RunEnv;
 use rcsim_system::{
-    fnv1a_64, run_sim_resumable, run_sim_with_kernel, KernelMode, RunResult, SimConfig, SimError,
+    run_sim_resumable, run_sim_with_kernel, Envelope, KernelMode, RunResult, SimConfig, SimError,
 };
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 use std::time::Instant;
 
-/// Bumped whenever [`RunResult`] or the simulator's semantics change in a
-/// way that invalidates previously cached results. Part of the cache key,
-/// so stale entries are simply never looked up again.
-pub const CACHE_FORMAT_VERSION: u32 = 3;
+pub use rcsim_system::config_hash as cache_key;
 
-/// The content hash a [`SimConfig`] is cached under: FNV-1a of the
-/// version-prefixed serde JSON form. Any field change — seed, cycles,
-/// mechanism knobs, fault plan — produces a different key. Returns `None`
-/// only if the config fails to serialize (never happens in practice).
-pub fn cache_key(cfg: &SimConfig) -> Option<u64> {
-    let json = serde_json::to_string(cfg).ok()?;
-    Some(fnv1a_64(
-        format!("rcsim-cache-v{CACHE_FORMAT_VERSION}:{json}").as_bytes(),
-    ))
-}
+/// Bumped whenever [`RunResult`] or the simulator's semantics change in a
+/// way that invalidates previously cached results: a file of any other
+/// version is a miss, and is overwritten by the recomputed point.
+pub const CACHE_FORMAT_VERSION: u32 = 4;
+
+const CACHE: Envelope = Envelope {
+    magic: "rcsim-cache",
+    version: CACHE_FORMAT_VERSION,
+    extension: "json",
+};
 
 /// What a cache file holds. The full `config` rides along so a (vanishingly
 /// unlikely) hash collision — or a hand-edited file — is detected by
 /// field-for-field comparison instead of silently returning wrong results.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct CacheEntry {
-    format_version: u32,
     config: SimConfig,
     result: RunResult,
 }
@@ -140,55 +137,25 @@ impl SweepRunner {
 
     /// The on-disk cache file a config maps to, if caching is enabled.
     pub fn cache_path(&self, cfg: &SimConfig) -> Option<PathBuf> {
-        let dir = self.cache_dir.as_ref()?;
-        Some(dir.join(format!("{:016x}.json", cache_key(cfg)?)))
-    }
-
-    fn cache_lookup(&self, cfg: &SimConfig) -> Option<RunResult> {
-        let path = self.cache_path(cfg)?;
-        let text = std::fs::read_to_string(path).ok()?;
-        let entry: CacheEntry = serde_json::from_str(&text).ok()?;
-        (entry.format_version == CACHE_FORMAT_VERSION && entry.config == *cfg)
-            .then_some(entry.result)
-    }
-
-    /// Best-effort: a cache write failure (read-only disk, races) costs a
-    /// future recompute, never the current result.
-    fn cache_store(&self, cfg: &SimConfig, result: &RunResult) {
-        let Some(path) = self.cache_path(cfg) else {
-            return;
-        };
-        let Some(dir) = path.parent() else { return };
-        if std::fs::create_dir_all(dir).is_err() {
-            return;
-        }
-        let entry = CacheEntry {
-            format_version: CACHE_FORMAT_VERSION,
-            config: cfg.clone(),
-            result: result.clone(),
-        };
-        let Ok(json) = serde_json::to_string_pretty(&entry) else {
-            return;
-        };
-        // Write-then-rename so a concurrent reader never sees a torn file.
-        let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-        if std::fs::write(&tmp, json).is_ok() {
-            let _ = std::fs::rename(&tmp, &path);
-        }
+        Some(CACHE.path(self.cache_dir.as_ref()?, cfg))
     }
 
     /// One full-system point: from the cache if it is there (`true`), else
-    /// simulated — through checkpoints where configured — and stored.
+    /// simulated — through checkpoints where configured — and stored, best
+    /// effort: a failed write (read-only disk, races) costs a future
+    /// recompute, never the current result.
     fn run_one(&self, cfg: &SimConfig) -> (Result<RunResult, SimError>, bool) {
-        if let Some(hit) = self.cache_lookup(cfg) {
-            return (Ok(hit), true);
+        let cache = self.cache_dir.as_deref();
+        if let Some(hit) = cache.and_then(|d| CACHE.lookup(d, cfg, |e: &CacheEntry| &e.config)) {
+            return (Ok(hit.result), true);
         }
         let res = match &self.checkpoints {
             Some((dir, interval)) => run_sim_resumable(cfg, self.kernel, dir, *interval),
             None => run_sim_with_kernel(cfg, self.kernel),
         };
-        if let Ok(r) = &res {
-            self.cache_store(cfg, r);
+        if let (Some(path), Ok(result)) = (self.cache_path(cfg), &res) {
+            let (config, result) = (cfg.clone(), result.clone());
+            let _ = CACHE.save(&path, &CacheEntry { config, result });
         }
         (res, false)
     }
@@ -294,16 +261,16 @@ mod tests {
     #[test]
     fn cache_key_tracks_every_field() {
         let base = SimConfig::quick(16, MechanismConfig::baseline(), "fft");
-        let k0 = cache_key(&base).unwrap();
-        assert_eq!(cache_key(&base.clone()).unwrap(), k0, "deterministic");
+        let k0 = cache_key(&base);
+        assert_eq!(cache_key(&base.clone()), k0, "deterministic");
         let mut seed = base.clone();
         seed.seed += 1;
-        assert_ne!(cache_key(&seed).unwrap(), k0);
+        assert_ne!(cache_key(&seed), k0);
         let mut cycles = base.clone();
         cycles.measure_cycles += 1;
-        assert_ne!(cache_key(&cycles).unwrap(), k0);
+        assert_ne!(cache_key(&cycles), k0);
         let mech = SimConfig::quick(16, MechanismConfig::complete_noack(), "fft");
-        assert_ne!(cache_key(&mech).unwrap(), k0);
+        assert_ne!(cache_key(&mech), k0);
     }
 
     /// The driver itself (resume from a planted checkpoint, stale and

@@ -54,7 +54,7 @@ pub use policy::{
 };
 pub use routing::TopologyHealth;
 pub use sched::{KernelMode, WakeTimes};
-pub use state::{Slab, StateMap, StateSet};
+pub use state::{Slab, StateMap, StateSet, Stateful};
 pub use topology::{
     Topology, TopologySpec, PORT_EAST, PORT_LOCAL, PORT_NORTH, PORT_SOUTH, PORT_WEST,
 };

@@ -304,17 +304,6 @@ impl PolicyController {
             .count() as u64
     }
 
-    /// The state, for checkpointing (the knobs travel in the config).
-    pub fn snapshot(&self) -> PolicyState {
-        self.state.clone()
-    }
-
-    /// Overwrites the state with a [`PolicyController::snapshot`] of a
-    /// controller built from the same knobs and region count.
-    pub fn restore(&mut self, state: PolicyState) {
-        self.state = state;
-    }
-
     /// Runs one decision: applies hysteresis and min-dwell to every
     /// region's sample and returns the per-region verdicts (one per
     /// region, in region order — callers filter on `switched`).
@@ -357,6 +346,8 @@ impl PolicyController {
         out
     }
 }
+
+crate::stateful!(PolicyController => PolicyState);
 
 /// Shared read-only view of which routers are congested, handed to every
 /// NI tick (alongside `TopologyHealth`) so detour planning can weight
@@ -459,24 +450,14 @@ impl CongestionMap {
         self.state.era += 1;
     }
 
-    /// The state, for checkpointing.
-    pub fn snapshot(&self) -> CongestionState {
-        self.state.clone()
-    }
-
-    /// Overwrites the state with a [`CongestionMap::snapshot`] of a map
-    /// over the same routers.
-    pub fn restore(&mut self, state: CongestionState) {
-        self.hot_count = Self::rebuild_scratch(&state);
-        self.state = state;
-    }
-
     /// The hot count `state` implies.
     fn rebuild_scratch(state: &CongestionState) -> usize {
         let CongestionState { hot, era: _ } = state;
         hot.iter().filter(|&&h| h).count()
     }
 }
+
+crate::stateful!(CongestionMap => CongestionState, hot_count = CongestionMap::rebuild_scratch);
 
 #[cfg(test)]
 mod tests {

@@ -1,13 +1,103 @@
-//! Containers for a component's `State` (DESIGN.md §15): the std
-//! `HashMap`/`HashSet` the hot path uses, unchanged behind `Deref`, whose
-//! serialized form is a key-sorted sequence — so equal states serialize
-//! to equal bytes whatever their insertion history or hasher seed — and
-//! [`Slab`], for records whose key the simulator mints itself.
+//! A component's `State` (DESIGN.md §15): the [`Stateful`] trait every
+//! component snapshots and restores through, and containers for what a
+//! `State` holds — the std `HashMap`/`HashSet` the hot path uses,
+//! unchanged behind `Deref`, whose serialized form is a key-sorted
+//! sequence — so equal states serialize to equal bytes whatever their
+//! insertion history or hasher seed — and [`Slab`], for records whose key
+//! the simulator mints itself.
 
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
 use std::ops::{Deref, DerefMut};
+
+/// A component whose behaviour from one tick to the next depends on one
+/// `State` and nothing else: its wiring is rebuilt from the configuration,
+/// its scratch from the state.
+pub trait Stateful {
+    /// Every field the component's next tick depends on.
+    type State: Clone;
+    /// The state, for checkpointing.
+    fn snapshot(&self) -> Self::State;
+    /// Overwrites the state with a [`Stateful::snapshot`] of a component
+    /// built from the same configuration, and re-derives the scratch.
+    ///
+    /// # Panics
+    ///
+    /// On a snapshot of a differently shaped container (a list's length,
+    /// an optional layer's presence). Snapshots are a same-process API;
+    /// files are checked against version, checksum and configuration first.
+    fn restore(&mut self, state: &Self::State);
+}
+
+/// Implements [`Stateful`] for a component holding its state in a field
+/// named `state`: a snapshot clones it, a restore overwrites it in place.
+/// The optional scratch hook, `field = derive`, then sets the component's
+/// one derived field from the pure `derive(&State)`.
+#[macro_export]
+macro_rules! stateful {
+    ($component:ty => $state:ty $(, $scratch:ident = $derive:path)?) => {
+        impl $crate::Stateful for $component {
+            type State = $state;
+            fn snapshot(&self) -> $state {
+                self.state.clone()
+            }
+
+            fn restore(&mut self, state: &$state) {
+                self.state.clone_from(state);
+                $(self.$scratch = $derive(&self.state);)?
+            }
+        }
+    };
+}
+
+/// The one shape check of a restore.
+fn same_shape<C>(same: bool) {
+    assert!(
+        same,
+        "snapshot of a differently configured {}",
+        std::any::type_name::<C>()
+    );
+}
+
+impl<T: Stateful> Stateful for Vec<T> {
+    type State = Vec<T::State>;
+    fn snapshot(&self) -> Self::State {
+        self.iter().map(T::snapshot).collect()
+    }
+
+    fn restore(&mut self, state: &Self::State) {
+        same_shape::<Self>(self.len() == state.len());
+        for (component, state) in self.iter_mut().zip(state) {
+            component.restore(state);
+        }
+    }
+}
+
+impl<T: Stateful> Stateful for Option<T> {
+    type State = Option<T::State>;
+    fn snapshot(&self) -> Self::State {
+        self.as_ref().map(T::snapshot)
+    }
+
+    fn restore(&mut self, state: &Self::State) {
+        same_shape::<Self>(self.is_some() == state.is_some());
+        if let (Some(component), Some(state)) = (self, state) {
+            component.restore(state);
+        }
+    }
+}
+
+impl<T: Stateful> Stateful for Box<T> {
+    type State = T::State;
+    fn snapshot(&self) -> T::State {
+        (**self).snapshot()
+    }
+
+    fn restore(&mut self, state: &T::State) {
+        (**self).restore(state);
+    }
+}
 
 /// A `HashMap` serialized as its `(key, value)` pairs in key order.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -157,6 +247,55 @@ impl<T> Slab<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A component with a scratch field derived from its state.
+    #[derive(Debug, Default)]
+    struct Counter {
+        state: u64,
+        doubled: u64,
+    }
+
+    fn double(state: &u64) -> u64 {
+        state * 2
+    }
+
+    crate::stateful!(Counter => u64, doubled = double);
+
+    /// Boxed counters, absent where `states` says `None`.
+    fn layers(states: &[Option<u64>]) -> Vec<Option<Box<Counter>>> {
+        let counter = |state: u64| {
+            let doubled = double(&state);
+            Box::new(Counter { state, doubled })
+        };
+        states.iter().map(|s| s.map(counter)).collect()
+    }
+
+    /// Restoring a snapshot into a fresh container of the same shape gives
+    /// back the snapshot, and every component's scratch hook ran.
+    #[test]
+    fn restore_then_snapshot_gives_back_the_snapshot() {
+        let snap = layers(&[Some(3), None, Some(8)]).snapshot();
+        assert_eq!(snap, [Some(3), None, Some(8)]);
+        let mut fresh = layers(&[Some(0), None, Some(0)]);
+        fresh.restore(&snap);
+        assert_eq!(fresh.snapshot(), snap);
+        let scratch: Vec<u64> = fresh.iter().flatten().map(|c| c.doubled).collect();
+        assert_eq!(scratch, [6, 16]);
+    }
+
+    #[test]
+    #[should_panic(expected = "snapshot of a differently configured alloc::vec::Vec<")]
+    fn a_list_of_another_length_does_not_restore() {
+        let mut two = layers(&[Some(0), Some(0)]);
+        two.restore(&layers(&[Some(1), Some(2), Some(3)]).snapshot());
+    }
+
+    #[test]
+    #[should_panic(expected = "snapshot of a differently configured core::option::Option<")]
+    fn an_absent_layer_does_not_restore() {
+        let mut absent = layers(&[None]);
+        absent.restore(&layers(&[Some(1)]).snapshot());
+    }
 
     /// Slots are reused last-freed-first, a vacant slot reads as `None`
     /// (a stale handle is caught, not served), and the serialized form

@@ -415,6 +415,8 @@ impl FaultState {
     }
 }
 
+rcsim_core::stateful!(FaultState => State);
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -354,6 +354,8 @@ impl IngressState {
     }
 }
 
+rcsim_core::stateful!(IngressState => State);
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -20,7 +20,7 @@ use rcsim_core::circuit::CircuitKey;
 use rcsim_core::routing::{path_is_healthy, Routing};
 use rcsim_core::{
     ConfigError, CongestionMap, CongestionState, Cycle, KernelMode, NodeId, RegionPlan,
-    RegionSample, StateSet, TopologyHealth, PORT_LOCAL,
+    RegionSample, StateSet, Stateful, TopologyHealth, PORT_LOCAL,
 };
 use rcsim_trace::{ClassLabel, EventKind, TraceSink};
 use serde::{Deserialize, Serialize};
@@ -1265,54 +1265,30 @@ impl Network {
     pub fn snapshot(&self) -> NetworkSnapshot {
         NetworkSnapshot {
             state: self.state.clone(),
-            routers: self.routers.iter().map(|r| r.state.clone()).collect(),
-            nis: self.nis.iter().map(|ni| ni.state.clone()).collect(),
-            faults: self.faults.as_ref().map(|f| f.state.clone()),
-            ingress: self.ingress.as_ref().map(|i| i.state.clone()),
+            routers: self.routers.snapshot(),
+            nis: self.nis.snapshot(),
+            faults: self.faults.snapshot(),
+            ingress: self.ingress.snapshot(),
             congestion: self.congestion.snapshot(),
         }
     }
 
     /// Overwrites this network's state, and its components', with a
-    /// [`Network::snapshot`]. `self` must have been constructed from the
-    /// *same* configuration (topology, mechanism, faults, ingress) that
-    /// produced the snapshot: wiring — routing, the fault schedule, the
-    /// congestion features, trace sinks, the kernel — is kept.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a snapshot of a differently shaped network (component
-    /// counts, or which optional layers exist) — checked here, once, for
-    /// every component below. Snapshots are a same-process API, so that is
-    /// a caller bug; checkpoint files are guarded before they get here, by
-    /// version, checksum and the embedded configuration.
+    /// [`Network::snapshot`] of one built from the same configuration;
+    /// wiring (routing, fault schedule, congestion features, sinks, kernel)
+    /// is kept. Panics as [`Stateful::restore`] does.
     pub fn restore(&mut self, snap: &NetworkSnapshot) {
-        assert!(
-            snap.routers.len() == self.routers.len()
-                && snap.nis.len() == self.nis.len()
-                && snap.faults.is_some() == self.faults.is_some()
-                && snap.ingress.is_some() == self.ingress.is_some(),
-            "snapshot of a differently configured network"
-        );
-        self.delivered_tiles = Self::rebuild_scratch(&snap.state);
-        self.state = snap.state.clone();
-        for (r, s) in self.routers.iter_mut().zip(&snap.routers) {
-            r.restore(s.clone());
-        }
-        for (ni, s) in self.nis.iter_mut().zip(&snap.nis) {
-            ni.restore(s.clone());
-        }
+        self.state.clone_from(&snap.state);
+        self.routers.restore(&snap.routers);
+        self.nis.restore(&snap.nis);
+        self.faults.restore(&snap.faults);
+        self.ingress.restore(&snap.ingress);
+        self.congestion.restore(&snap.congestion);
         let (routers, nis) = (&self.routers, &self.nis);
+        self.delivered_tiles = Self::rebuild_scratch(&self.state);
         self.scratch.ni_busy = bitset(nis.len(), |i| nis[i].is_active());
         self.scratch.router_busy = bitset(routers.len(), |i| routers[i].is_busy());
         self.scratch.timed = bitset(routers.len(), |i| routers[i].holds_timed());
-        if let (Some(f), Some(s)) = (&mut self.faults, &snap.faults) {
-            f.state = s.clone();
-        }
-        if let (Some(i), Some(s)) = (&mut self.ingress, &snap.ingress) {
-            i.state = s.clone();
-        }
-        self.congestion.restore(snap.congestion.clone());
     }
 
     /// The tiles holding deliveries in `state`.

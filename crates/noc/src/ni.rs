@@ -915,13 +915,6 @@ impl Ni {
             + usize::from(self.state.circuit_active.is_some())
     }
 
-    /// Overwrites the state with that of an NI built from the same
-    /// configuration.
-    pub(crate) fn restore(&mut self, state: State) {
-        self.live_streams = Self::rebuild_scratch(&state);
-        self.state = state;
-    }
-
     /// The live-stream count `state` implies.
     fn rebuild_scratch(state: &State) -> usize {
         let State {
@@ -944,3 +937,5 @@ impl Ni {
         streams.iter().flatten().count()
     }
 }
+
+rcsim_core::stateful!(Ni => State, live_streams = Ni::rebuild_scratch);

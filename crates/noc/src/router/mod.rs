@@ -1175,13 +1175,6 @@ impl Router {
         }
     }
 
-    /// Overwrites the state with that of a router built from the same
-    /// configuration.
-    pub(crate) fn restore(&mut self, state: State) {
-        self.occ = Self::rebuild_scratch(&state);
-        self.state = state;
-    }
-
     /// Reports every input VC that is blocked on a channel resource,
     /// with the exact resources it waits on — this router's slice of
     /// the network-level wait-for graph (deadlock diagnosis). Mirrors
@@ -1267,6 +1260,8 @@ impl Router {
     }
 }
 
+rcsim_core::stateful!(Router => State, occ = Router::rebuild_scratch);
+
 /// How one blocked input VC waits on another resource, as reported by
 /// [`Router::waiters`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -1315,7 +1310,9 @@ mod tests {
     use super::*;
     use crate::flit::{Packet, PacketSpec};
     use crate::links::Outgoing;
-    use rcsim_core::{MechanismConfig, MessageClass, Topology, PORT_EAST, PORT_NORTH, PORT_WEST};
+    use rcsim_core::{
+        MechanismConfig, MessageClass, Stateful, Topology, PORT_EAST, PORT_NORTH, PORT_WEST,
+    };
 
     fn router(mechanism: MechanismConfig) -> Router {
         let mesh = Topology::mesh(4, 4).expect("valid");
@@ -1483,7 +1480,7 @@ mod tests {
         assert!(snap.owner[..20].contains(&Owner::Owned(PORT_WEST as u8, 0)));
 
         let mut restored = router(MechanismConfig::baseline());
-        restored.restore(snap);
+        restored.restore(&snap);
         assert_eq!(restored.occ, uninterrupted.occ);
         assert_eq!(restored.check_index(), Ok(()));
         assert_eq!(json(&restored), json(&uninterrupted));

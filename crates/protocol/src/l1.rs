@@ -498,18 +498,9 @@ impl L1Cache {
             )
         })
     }
-
-    /// The state, for checkpointing.
-    pub fn snapshot(&self) -> L1CacheState {
-        self.state.clone()
-    }
-
-    /// Overwrites the state with an [`L1Cache::snapshot`] of an
-    /// identically-configured cache.
-    pub fn restore(&mut self, state: L1CacheState) {
-        self.state = state;
-    }
 }
+
+rcsim_core::stateful!(L1Cache => L1CacheState);
 
 #[cfg(test)]
 mod tests {

@@ -859,18 +859,9 @@ impl L2Bank {
     pub fn probe(&self, block: u64) -> Option<(Option<NodeId>, u64)> {
         self.state.array.peek(block).map(|l| (l.owner, l.sharers))
     }
-
-    /// The state, for checkpointing.
-    pub fn snapshot(&self) -> L2BankState {
-        self.state.clone()
-    }
-
-    /// Overwrites the state with an [`L2Bank::snapshot`] of an
-    /// identically-configured bank.
-    pub fn restore(&mut self, state: L2BankState) {
-        self.state = state;
-    }
 }
+
+rcsim_core::stateful!(L2Bank => L2BankState);
 
 #[cfg(test)]
 mod tests {

@@ -119,18 +119,9 @@ impl MemoryController {
             }
         }
     }
-
-    /// The state, for checkpointing.
-    pub fn snapshot(&self) -> MemoryState {
-        self.state.clone()
-    }
-
-    /// Overwrites the state with a [`MemoryController::snapshot`] of an
-    /// identically-configured controller.
-    pub fn restore(&mut self, state: MemoryState) {
-        self.state = state;
-    }
 }
+
+rcsim_core::stateful!(MemoryController => MemoryState);
 
 #[cfg(test)]
 mod tests {

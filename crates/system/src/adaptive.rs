@@ -4,7 +4,7 @@
 //! and [`Network::teardown_origins`].
 
 use rcsim_core::{
-    AdaptiveConfig, ConfigError, PolicyController, PolicyState, RegionMode, RegionPlan,
+    AdaptiveConfig, ConfigError, PolicyController, PolicyState, RegionMode, RegionPlan, Stateful,
 };
 use rcsim_noc::{AdaptiveReport, Network};
 use rcsim_trace::{EventKind, TraceEvent, TraceSink};
@@ -99,15 +99,17 @@ impl Adaptive {
             ..self.counters
         }
     }
+}
 
-    /// The counters and the controller's state, for checkpointing.
-    pub(crate) fn snapshot(&self) -> (AdaptiveReport, PolicyState) {
+/// The counters paired with the controller's state.
+impl Stateful for Adaptive {
+    type State = (AdaptiveReport, PolicyState);
+    fn snapshot(&self) -> Self::State {
         (self.counters, self.controller.snapshot())
     }
 
-    /// Overwrites the state with a [`Adaptive::snapshot`] of the same policy.
-    pub(crate) fn restore(&mut self, (counters, controller): &(AdaptiveReport, PolicyState)) {
+    fn restore(&mut self, (counters, controller): &Self::State) {
         self.counters = *counters;
-        self.controller.restore(controller.clone());
+        self.controller.restore(controller);
     }
 }

@@ -18,13 +18,12 @@
 //! rebuilt from the [`SimConfig`] by construction and scratch is rebuilt
 //! from the state. DESIGN.md §15 has the rule and the table.
 //!
-//! On disk a checkpoint is a one-line header
-//! (`rcsim-checkpoint v<version> <fnv1a-64 of the payload>`) followed by
-//! the serde payload, written tmp-then-rename so readers never observe a
-//! torn file. A corrupt, truncated or stale-version file loads as `None`
-//! — a clean miss, exactly like the sweep result cache — never an error.
+//! On disk a checkpoint is an [`Envelope`] file (`rcsim-checkpoint v8`),
+//! the format the sweep result cache shares: a corrupt, truncated or
+//! stale-version file loads as `None` — a clean miss, never an error.
 
 use crate::chip::{Chip, ChipSnapshot};
+use crate::envelope::{config_hash, Envelope};
 use crate::report::RunResult;
 use crate::sim::{assemble_result, build_chip, SimConfig, SimError, TraceConfig, TraceReport};
 use rcsim_core::{Cycle, KernelMode};
@@ -36,18 +35,11 @@ use std::path::Path;
 /// carrying any other version is treated as a clean miss, never an error.
 pub const CHECKPOINT_FORMAT_VERSION: u32 = 8;
 
-/// Stable 64-bit FNV-1a over `bytes` — deliberately not `DefaultHasher`,
-/// whose output may change between Rust releases; checkpoint checksums
-/// and file names, and the sweep result cache's keys, must be stable
-/// across toolchains.
-pub fn fnv1a_64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+const CHECKPOINT: Envelope = Envelope {
+    magic: "rcsim-checkpoint",
+    version: CHECKPOINT_FORMAT_VERSION,
+    extension: "ckpt",
+};
 
 /// A saved simulation: the config that produced it (so a stale or
 /// mismatched file is detected by comparison, not trusted), the cycle it
@@ -73,60 +65,21 @@ impl SessionSnapshot {
         &self.config
     }
 
-    /// Serializes to the versioned, checksummed on-disk form.
-    fn encode(&self) -> String {
-        let payload = serde_json::to_string(self).expect("snapshots always serialize");
-        format!(
-            "rcsim-checkpoint v{CHECKPOINT_FORMAT_VERSION} {:016x}\n{payload}",
-            fnv1a_64(payload.as_bytes())
-        )
-    }
-
-    /// Parses the on-disk form; `None` on any mismatch (wrong magic,
-    /// stale version, checksum failure, malformed payload).
-    fn decode(text: &str) -> Option<Self> {
-        let (header, payload) = text.split_once('\n')?;
-        let mut parts = header.split(' ');
-        if parts.next()? != "rcsim-checkpoint" {
-            return None;
-        }
-        let version: u32 = parts.next()?.strip_prefix('v')?.parse().ok()?;
-        if version != CHECKPOINT_FORMAT_VERSION {
-            return None;
-        }
-        let checksum = u64::from_str_radix(parts.next()?, 16).ok()?;
-        if parts.next().is_some() || checksum != fnv1a_64(payload.as_bytes()) {
-            return None;
-        }
-        serde_json::from_str(payload).ok()
-    }
-
-    /// Writes the checkpoint atomically (write to a sibling temp file,
-    /// then rename): a reader — or a rerun after a mid-write crash —
-    /// either sees the complete file or no file.
+    /// Writes the checkpoint atomically: a reader — or a rerun after a
+    /// mid-write crash — either sees the complete file or no file.
     ///
     /// # Errors
     ///
-    /// Propagates filesystem errors; the temp file is cleaned up on a
-    /// failed rename.
+    /// As [`Envelope::save`].
     pub fn save(&self, path: &Path) -> std::io::Result<()> {
-        if let Some(dir) = path.parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir)?;
-            }
-        }
-        let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-        std::fs::write(&tmp, self.encode())?;
-        std::fs::rename(&tmp, path).inspect_err(|_| {
-            let _ = std::fs::remove_file(&tmp);
-        })
+        CHECKPOINT.save(path, self)
     }
 
     /// Reads a checkpoint back. Missing, truncated, corrupt or
     /// stale-version files all return `None` — a clean miss the caller
     /// handles by starting from cycle 0.
     pub fn load(path: &Path) -> Option<Self> {
-        Self::decode(&std::fs::read_to_string(path).ok()?)
+        CHECKPOINT.load(path)
     }
 }
 
@@ -312,10 +265,8 @@ pub fn run_sim_resumable(
     interval: u64,
 ) -> Result<RunResult, SimError> {
     let interval = interval.max(1);
-    let json = serde_json::to_string(cfg).expect("configs always serialize");
-    let hash = fnv1a_64(json.as_bytes());
-    let path = dir.join(format!("{hash:016x}.ckpt"));
-    let mut session = match SessionSnapshot::load(&path).filter(|s| s.config() == cfg) {
+    let path = CHECKPOINT.path(dir, cfg);
+    let mut session = match CHECKPOINT.lookup(dir, cfg, SessionSnapshot::config) {
         Some(snap) => {
             eprintln!(
                 "[checkpoint] resuming {} from cycle {} ({})",
@@ -331,7 +282,7 @@ pub fn run_sim_resumable(
     while session.pos() < total {
         let target = (session.pos() + interval).min(total);
         if let Err(stalled) = session.run_until(target) {
-            let wedged = dir.join(format!("wedged-{hash:016x}.ckpt"));
+            let wedged = dir.join(format!("wedged-{:016x}.ckpt", config_hash(cfg)));
             if session.checkpoint().save(&wedged).is_ok() {
                 eprintln!(
                     "[checkpoint] wedged state at cycle {} dumped to {} (inspect with rcsim-replay)",
@@ -366,29 +317,23 @@ mod tests {
     #[test]
     fn header_roundtrip_and_rejection() {
         let session = SimSession::new(&cfg(), None, KernelMode::Dense, 1).unwrap();
-        let snap = session.checkpoint();
-        let text = snap.encode();
-        assert!(SessionSnapshot::decode(&text).is_some());
+        let text = CHECKPOINT.encode(&session.checkpoint());
+        let decode = |text: &str| CHECKPOINT.decode::<SessionSnapshot>(text);
+        assert!(decode(&text).is_some());
         // Flip a payload byte: checksum mismatch is a clean miss.
         let corrupt = text.replacen("\"pos\":0", "\"pos\":1", 1);
-        assert!(SessionSnapshot::decode(&corrupt).is_none());
+        assert!(decode(&corrupt).is_none());
         // Every earlier version: a clean miss, even though the checksum
         // still matches the payload.
         let current = format!("rcsim-checkpoint v{CHECKPOINT_FORMAT_VERSION} ");
         assert!(text.starts_with(&current));
         for old in 0..CHECKPOINT_FORMAT_VERSION {
             let stale = text.replacen(&current, &format!("rcsim-checkpoint v{old} "), 1);
-            assert!(SessionSnapshot::decode(&stale).is_none(), "v{old}");
+            assert!(decode(&stale).is_none(), "v{old}");
         }
-        // Truncated: clean miss.
-        assert!(SessionSnapshot::decode(&text[..text.len() / 2]).is_none());
-        assert!(SessionSnapshot::decode("").is_none());
-    }
-
-    #[test]
-    fn fnv1a_is_stable() {
-        // Pinned: checkpoints outlive any single build.
-        assert_eq!(fnv1a_64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a_64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        // Another magic, truncated, empty: clean misses.
+        assert!(decode(&text.replacen("rcsim-checkpoint", "rcsim-cache", 1)).is_none());
+        assert!(decode(&text[..text.len() / 2]).is_none());
+        assert!(decode("").is_none());
     }
 }

@@ -10,7 +10,7 @@ use crate::report::ExternalSummary;
 use rcsim_core::circuit::CircuitKey;
 use rcsim_core::{
     AdaptiveConfig, ConfigError, Cycle, KernelMode, MechanismConfig, MessageClass, NodeId,
-    PolicyState, Slab, StateSet, Topology, WakeTimes,
+    PolicyState, Slab, StateSet, Stateful, Topology, WakeTimes,
 };
 use rcsim_noc::{
     AdaptiveReport, CircuitOutcome, FaultConfig, HealthReport, Network, NetworkSnapshot, NocConfig,
@@ -589,61 +589,30 @@ impl Chip {
     /// a tick boundary (between [`Chip::tick`] calls): mid-tick scratch
     /// is dead there, so the snapshot is identical under both kernels.
     pub fn snapshot(&self) -> ChipSnapshot {
-        let mc = |mc: &Option<MemoryController>| mc.as_ref().map(MemoryController::snapshot);
         ChipSnapshot {
             state: self.state.clone(),
             net: self.net.snapshot(),
-            cores: self.cores.iter().map(Core::snapshot).collect(),
-            l1s: self.l1s.iter().map(L1Cache::snapshot).collect(),
-            l2s: self.l2s.iter().map(L2Bank::snapshot).collect(),
-            mcs: self.mcs.iter().map(mc).collect(),
-            open_loop: self.open_loop.as_deref().map(OpenLoopState::snapshot),
-            adaptive: self.adaptive.as_ref().map(Adaptive::snapshot),
+            cores: self.cores.snapshot(),
+            l1s: self.l1s.snapshot(),
+            l2s: self.l2s.snapshot(),
+            mcs: self.mcs.snapshot(),
+            open_loop: self.open_loop.snapshot(),
+            adaptive: self.adaptive.snapshot(),
         }
     }
 
     /// Overwrites the chip's state, and its components', with a
-    /// [`Chip::snapshot`] of a chip built from the same configuration
-    /// (wiring — topology, protocol parameters, mechanism, kernel, trace
-    /// sinks — is kept).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a snapshot of a differently shaped chip (tile count,
-    /// which tiles have a memory controller, open-loop or adaptive
-    /// presence), like [`Network::restore`] and for the same reason.
+    /// [`Chip::snapshot`] of one built from the same configuration; wiring
+    /// is kept. Panics as [`Stateful::restore`] does.
     pub fn restore(&mut self, snap: &ChipSnapshot) {
-        assert!(
-            snap.cores.len() == self.cores.len()
-                && snap.open_loop.is_some() == self.open_loop.is_some()
-                && snap.adaptive.is_some() == self.adaptive.is_some()
-                && snap
-                    .mcs
-                    .iter()
-                    .map(Option::is_some)
-                    .eq(self.mcs.iter().map(Option::is_some)),
-            "snapshot of a differently configured chip"
-        );
-        self.state = snap.state.clone();
+        self.state.clone_from(&snap.state);
         self.net.restore(&snap.net);
-        for (core, s) in self.cores.iter_mut().zip(&snap.cores) {
-            core.restore(s.clone());
-        }
-        for (l1, s) in self.l1s.iter_mut().zip(&snap.l1s) {
-            l1.restore(s.clone());
-        }
-        for (l2, s) in self.l2s.iter_mut().zip(&snap.l2s) {
-            l2.restore(s.clone());
-        }
-        for (mc, s) in self.mcs.iter_mut().flatten().zip(snap.mcs.iter().flatten()) {
-            mc.restore(s.clone());
-        }
-        if let (Some(ol), Some(s)) = (&mut self.open_loop, &snap.open_loop) {
-            ol.restore(s);
-        }
-        if let (Some(ad), Some(s)) = (&mut self.adaptive, &snap.adaptive) {
-            ad.restore(s);
-        }
+        self.cores.restore(&snap.cores);
+        self.l1s.restore(&snap.l1s);
+        self.l2s.restore(&snap.l2s);
+        self.mcs.restore(&snap.mcs);
+        self.open_loop.restore(&snap.open_loop);
+        self.adaptive.restore(&snap.adaptive);
         self.rebuild_scratch();
     }
 

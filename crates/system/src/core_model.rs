@@ -1,7 +1,7 @@
 //! Trace-driven, in-order, IPC-1 cores (Table 2: UltraSPARC-class,
 //! single-threaded, blocking on misses).
 
-use rcsim_core::Cycle;
+use rcsim_core::{Cycle, Stateful};
 use rcsim_workload::{CoreTrace, TraceOp, WorkloadRng};
 use serde::{Deserialize, Serialize};
 
@@ -27,7 +27,7 @@ pub struct Core {
 
 /// A [`Core`]'s own state (DESIGN.md §15).
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub(crate) struct State {
+pub struct State {
     phase: Phase,
     pending: Option<TraceOp>,
     /// Instructions retired since the last stats reset (the performance
@@ -142,16 +142,17 @@ impl Core {
             Phase::Compute { until } => until,
         }
     }
+}
 
-    /// The core's state and its trace's, for checkpointing.
-    pub(crate) fn snapshot(&self) -> (State, WorkloadRng) {
+/// The core's state paired with its trace's.
+impl Stateful for Core {
+    type State = (State, WorkloadRng);
+    fn snapshot(&self) -> Self::State {
         (self.state.clone(), self.trace.snapshot())
     }
 
-    /// Overwrites both states with a [`Core::snapshot`] of a core running
-    /// the same trace.
-    pub(crate) fn restore(&mut self, (state, trace): (State, WorkloadRng)) {
-        self.state = state;
+    fn restore(&mut self, (state, trace): &Self::State) {
+        self.state.clone_from(state);
         self.trace.restore(trace);
     }
 }

@@ -33,16 +33,16 @@ mod adaptive;
 mod checkpoint;
 mod chip;
 mod core_model;
+mod envelope;
 mod open_loop;
 mod report;
 mod sim;
 
 pub use adaptive::Adaptive;
-pub use checkpoint::{
-    fnv1a_64, run_sim_resumable, SessionSnapshot, SimSession, CHECKPOINT_FORMAT_VERSION,
-};
+pub use checkpoint::{run_sim_resumable, SessionSnapshot, SimSession, CHECKPOINT_FORMAT_VERSION};
 pub use chip::{Chip, ChipSnapshot};
 pub use core_model::Core;
+pub use envelope::{config_hash, fnv1a_64, Envelope};
 pub use open_loop::OpenLoopConfig;
 pub use rcsim_core::{AdaptiveConfig, KernelMode};
 pub use rcsim_noc::{

@@ -29,7 +29,7 @@
 //! would surface here as a positive residue, by design.)
 
 use rcsim_core::circuit::CircuitKey;
-use rcsim_core::{Cycle, MessageClass, NodeId, StateMap};
+use rcsim_core::{Cycle, MessageClass, NodeId, StateMap, Stateful};
 use rcsim_noc::{Admission, IngressConfig, Network, PacketSpec, ReleasedArrival};
 use rcsim_stats::LatencyStat;
 use rcsim_workload::{ArrivalProcess, ArrivalState, ArrivalStream};
@@ -362,26 +362,6 @@ impl OpenLoopState {
         self.state.latency = ext_latency_stat();
     }
 
-    /// The driver's state and its arrival streams', for checkpointing.
-    pub(crate) fn snapshot(&self) -> (State, Vec<ArrivalState>) {
-        let streams = self.streams.iter().map(ArrivalStream::snapshot).collect();
-        (self.state.clone(), streams)
-    }
-
-    /// Overwrites those states with an [`OpenLoopState::snapshot`] of an
-    /// identically-configured driver.
-    pub(crate) fn restore(&mut self, (state, streams): &(State, Vec<ArrivalState>)) {
-        assert_eq!(
-            streams.len(),
-            self.streams.len(),
-            "snapshot of a different edge list"
-        );
-        self.state = state.clone();
-        for (stream, s) in self.streams.iter_mut().zip(streams) {
-            stream.restore(s.clone());
-        }
-    }
-
     /// The external-traffic summary, including the conservation residue.
     pub(crate) fn summary(&self, net: &Network) -> crate::report::ExternalSummary {
         let ov = net.overload_report();
@@ -406,5 +386,18 @@ impl OpenLoopState {
             in_flight,
             unaccounted: self.state.offered_first as i64 - accounted as i64,
         }
+    }
+}
+
+/// The driver's state paired with its arrival streams'.
+impl Stateful for OpenLoopState {
+    type State = (State, Vec<ArrivalState>);
+    fn snapshot(&self) -> Self::State {
+        (self.state.clone(), self.streams.snapshot())
+    }
+
+    fn restore(&mut self, (state, streams): &Self::State) {
+        self.state.clone_from(state);
+        self.streams.restore(streams);
     }
 }

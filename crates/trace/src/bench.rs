@@ -41,27 +41,19 @@ pub struct BenchRow {
     /// Core count the point ran with.
     pub cores: usize,
     /// Interconnect topology label (`mesh` unless the bench swept
-    /// topologies; defaulted for summaries written before schema v4).
-    #[serde(default = "default_topology")]
+    /// topologies).
     pub topology: String,
     /// Mean network latency over reply messages, in cycles.
     pub avg_latency: f64,
     /// 99th-percentile network latency, in cycles.
     pub p99_latency: f64,
-    /// 99.9th-percentile network latency, in cycles (0 for summaries
-    /// written before schema v3).
-    #[serde(default)]
+    /// 99.9th-percentile network latency, in cycles.
     pub p999_latency: f64,
     /// Fraction of circuit-eligible replies that rode a complete circuit,
     /// in `[0, 1]`.
     pub circuit_hit_rate: f64,
     /// Bench-specific extra values (speedups, energy, hop counts, ...).
-    #[serde(default)]
     pub extra: BTreeMap<String, f64>,
-}
-
-fn default_topology() -> String {
-    "mesh".to_owned()
 }
 
 /// One statement of the paper about a bench's rows, as evaluated.
@@ -86,22 +78,17 @@ pub struct BenchSummary {
     pub schema_version: u32,
     /// Wall-clock milliseconds the bench's simulation sweeps took
     /// (0 for analytic benches that run no simulation).
-    #[serde(default)]
     pub wall_ms: f64,
     /// Sum of per-point simulation times in milliseconds; `busy_ms /
     /// wall_ms` approximates the achieved parallel speedup.
-    #[serde(default)]
     pub busy_ms: f64,
     /// Sweep worker threads used (`RC_JOBS`; 0 when no sweep ran).
-    #[serde(default)]
     pub jobs: usize,
     /// Points served from the on-disk result cache instead of re-running.
-    #[serde(default)]
     pub cached_points: usize,
     /// One row per measured configuration.
     pub rows: Vec<BenchRow>,
     /// The paper's claims about the rows (empty where it makes none).
-    #[serde(default)]
     pub claims: Vec<ClaimOutcome>,
 }
 
@@ -233,20 +220,28 @@ mod tests {
         assert!(s.validate().iter().any(|e| e.contains("schema_version")));
     }
 
+    /// The typed summary is the schema: a summary missing a field, or
+    /// holding a value of the wrong kind, does not decode.
     #[test]
-    fn extra_defaults_when_absent_from_json() {
-        let json = r#"{"bench":"t","schema_version":6,"rows":[
-            {"label":"a","cores":4,"avg_latency":1.0,"p99_latency":2.0,"circuit_hit_rate":0.5}
-        ]}"#;
-        let s: BenchSummary = serde_json::from_str(json).unwrap();
-        assert!(s.rows[0].extra.is_empty());
-        assert_eq!(s.rows[0].topology, "mesh");
-        assert_eq!(s.rows[0].p999_latency, 0.0);
-        assert_eq!(
-            (s.wall_ms, s.busy_ms, s.jobs, s.cached_points),
-            (0.0, 0.0, 0, 0)
-        );
-        assert!(s.validate().is_empty());
+    fn missing_fields_and_wrong_kinds_do_not_decode() {
+        let mut s = BenchSummary::new("t");
+        s.push(row("a"));
+        let json = serde_json::to_string(&s).unwrap();
+        assert_eq!(serde_json::from_str::<BenchSummary>(&json).unwrap(), s);
+        for (what, edit) in [
+            ("no topology", (r#""topology":"mesh","#, "")),
+            ("no extra", (r#","extra":{}"#, "")),
+            ("no wall_ms", (r#""wall_ms":0,"#, "")),
+            ("no claims", (r#","claims":[]"#, "")),
+            ("string cores", (r#""cores":16"#, r#""cores":"16""#)),
+        ] {
+            let broken = json.replacen(edit.0, edit.1, 1);
+            assert_ne!(broken, json, "{what}: {json}");
+            assert!(
+                serde_json::from_str::<BenchSummary>(&broken).is_err(),
+                "{what}"
+            );
+        }
     }
 
     #[test]

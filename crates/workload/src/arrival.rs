@@ -208,18 +208,9 @@ impl ArrivalStream {
     pub fn produced(&self) -> u64 {
         self.state.seq
     }
-
-    /// The state, for checkpointing.
-    pub fn snapshot(&self) -> ArrivalState {
-        self.state.clone()
-    }
-
-    /// Overwrites the state with an [`ArrivalStream::snapshot`],
-    /// continuing the exact stream the snapshot was taken from.
-    pub fn restore(&mut self, state: ArrivalState) {
-        self.state = state;
-    }
 }
+
+rcsim_core::stateful!(ArrivalStream => ArrivalState);
 
 #[cfg(test)]
 mod tests {

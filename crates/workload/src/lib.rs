@@ -296,7 +296,7 @@ impl Workload {
         seed_bytes[8..16].copy_from_slice(&(core as u64).to_le_bytes());
         seed_bytes[16..24].copy_from_slice(&(self.per_core.len() as u64).to_le_bytes());
         CoreTrace {
-            rng: WorkloadRng(ChaCha8Rng::from_seed(seed_bytes)),
+            state: WorkloadRng(ChaCha8Rng::from_seed(seed_bytes)),
             profile,
             private_base,
             shared_base,
@@ -308,42 +308,33 @@ impl Workload {
 /// §15) is the RNG; the rest is rebuilt by [`Workload::core_trace`].
 #[derive(Debug, Clone)]
 pub struct CoreTrace {
-    rng: WorkloadRng,
+    state: WorkloadRng,
     profile: AppProfile,
     private_base: u64,
     shared_base: u64,
 }
 
+rcsim_core::stateful!(CoreTrace => WorkloadRng);
+
 impl CoreTrace {
-    /// The state, for checkpointing.
-    pub fn snapshot(&self) -> WorkloadRng {
-        self.rng.clone()
-    }
-
-    /// Overwrites the state with a [`CoreTrace::snapshot`], continuing
-    /// the exact reference stream.
-    pub fn restore(&mut self, rng: WorkloadRng) {
-        self.rng = rng;
-    }
-
     /// The next memory reference (with its preceding compute gap).
     pub fn next_op(&mut self) -> TraceOp {
         let p = &self.profile;
         // Geometric gap with mean 1/mem_ratio - 1 compute instructions.
         let mut gap = 0u32;
-        while gap < 1000 && !self.rng.0.gen_bool(p.mem_ratio) {
+        while gap < 1000 && !self.state.0.gen_bool(p.mem_ratio) {
             gap += 1;
         }
-        let (block, cold) = if self.rng.0.gen_bool(p.hot_fraction) {
+        let (block, cold) = if self.state.0.gen_bool(p.hot_fraction) {
             // The L1-resident hot set: the head of the private region.
             (
-                self.private_base + self.rng.0.gen_range(0..p.hot_lines.max(1)),
+                self.private_base + self.state.0.gen_range(0..p.hot_lines.max(1)),
                 false,
             )
-        } else if p.shared_lines > 0 && self.rng.0.gen_bool(p.shared_fraction) {
+        } else if p.shared_lines > 0 && self.state.0.gen_bool(p.shared_fraction) {
             // Quadratic skew: popular shared lines are revisited often
             // (producer/consumer hotspots), the tail is touched rarely.
-            let r: f64 = self.rng.0.gen();
+            let r: f64 = self.state.0.gen();
             (
                 self.shared_base + ((r * r) * p.shared_lines as f64) as u64,
                 true,
@@ -352,7 +343,7 @@ impl CoreTrace {
             // Cold private capacity traffic, beyond the hot set; same
             // skew, so compulsory misses decay instead of walking the
             // whole region forever.
-            let r: f64 = self.rng.0.gen();
+            let r: f64 = self.state.0.gen();
             (
                 self.private_base + p.hot_lines + ((r * r) * p.private_lines.max(1) as f64) as u64,
                 true,
@@ -369,7 +360,7 @@ impl CoreTrace {
         TraceOp {
             gap,
             block,
-            write: self.rng.0.gen_bool(wf),
+            write: self.state.0.gen_bool(wf),
         }
     }
 }

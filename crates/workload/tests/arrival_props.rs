@@ -6,6 +6,7 @@
 //! serde byte-for-byte.
 
 use proptest::prelude::*;
+use rcsim_core::Stateful;
 use rcsim_workload::{ArrivalProcess, ArrivalState, ArrivalStream};
 
 fn process_strategy() -> impl Strategy<Value = ArrivalProcess> {
@@ -56,7 +57,7 @@ proptest! {
         // The restore target deliberately starts from a *different* seed:
         // every bit of dynamic state must come from the snapshot.
         let mut restored = ArrivalStream::new(process, seed ^ 0xDEAD_BEEF, (edge + 1) % 8, 8);
-        restored.restore(decoded);
+        restored.restore(&decoded);
         prop_assert_eq!(restored.produced(), original.produced());
 
         for t in split..split + tail {

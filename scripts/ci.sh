@@ -40,10 +40,24 @@ if grep -rn 'env::var' crates/*/src src examples | grep -v '^crates/bench/src/en
   echo "FAIL: the process environment is read outside crates/bench/src/env.rs"; exit 1
 fi
 
-echo "==> state is the snapshot (DESIGN.md §15: only the three containers compose one)"
+echo "==> state is the snapshot (DESIGN.md §15: only the three containers compose one, through one trait)"
 mirrors=$(grep -rnE 'struct \w+Snapshot|Portable(Event|Kind)' crates/*/src \
   | grep -vE 'struct (Session|Chip|Network)Snapshot\b' || true)
 [ -z "$mirrors" ] || { echo "FAIL: a mirror *Snapshot struct or a Portable* twin is back:"; echo "$mirrors"; exit 1; }
+# Up to each file's test module, a component snapshots and restores only
+# inside an `impl Stateful for` block (or through `stateful!`, defined in
+# crates/core/src/state.rs); besides, only the roots' inherent methods and
+# the trace ring's own pair.
+roots='^crates/(noc/src/network|system/src/chip)\.rs:[0-9]+:     pub fn (snapshot\(&self\) -> (Network|Chip)Snapshot|restore\(&mut self, snap: &(Network|Chip)Snapshot\)) \{$'
+pairs=$(find crates/*/src -name '*.rs' ! -path crates/core/src/state.rs \
+    ! -path crates/trace/src/sink.rs ! -path crates/trace/src/ring.rs -print0 | xargs -0 awk '
+  FNR == 1 { skip = 0; inside = 0 }
+  skip { next }
+  /^#\[cfg\(test\)\]$/ { getline; if ($0 ~ /^mod /) skip = 1; next }
+  /^impl Stateful for / { inside = 1 }
+  inside && /^}$/ { inside = 0 }
+  !inside && /fn (snapshot|restore)\(/ { print FILENAME ":" FNR ": " $0 }' | grep -vE "$roots" || true)
+[ -z "$pairs" ] || { echo "FAIL: a snapshot/restore pair outside the Stateful trait is back:"; echo "$pairs"; exit 1; }
 
 echo "==> one record per packet (DESIGN.md §9: a flit is a Copy handle into the packet table)"
 old=$(grep -rnE '(Hash|State)Map<PacketId|payloads: StateMap|struct Head\b' crates/*/src || true)
@@ -121,10 +135,10 @@ $CARGO test --workspace "$@"
 
 echo "==> bench telemetry smoke (traced fig6 + summary validation)"
 # A tiny fig6 run must emit its machine-readable summary, its Markdown
-# table and a Chrome trace; validate_bench then checks every BENCH_*.json
-# written so far against scripts/bench_schema.json. Summaries predating
-# the current BENCH_SCHEMA_VERSION would fail that scan spuriously, so
-# start clean. Every experiment is `rcsim-bench <name>`: the package
+# table and a Chrome trace; validate_bench then decodes every BENCH_*.json
+# written so far as the typed BenchSummary and checks its invariants.
+# Summaries predating the current BENCH_SCHEMA_VERSION would fail that
+# scan spuriously, so start clean. Every experiment is `rcsim-bench <name>`: the package
 # builds that binary and the two tools (the gate above keeps it so).
 $CARGO build --release -p rcsim-bench "$@"
 bench=target/release/rcsim-bench
