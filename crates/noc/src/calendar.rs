@@ -4,10 +4,11 @@
 //! NI emits at cycle `now` reaches its neighbour at
 //! `now + 1 ..= now + 1 + link_latency`, and a wire carries one flit per
 //! cycle. A component's inbound links are therefore what the hardware
-//! has — one flit register per input port and a credit count per VC, for
-//! each cycle of a short arrival window — rather than a mailbox to
-//! search: a message is written once into the registers of its arrival
-//! cycle and read once when that cycle comes.
+//! has — one flit register per input port for each cycle of a short
+//! arrival window — rather than a mailbox to search: a message is written
+//! once into the registers of its arrival cycle and read once when that
+//! cycle comes. Credits travel on back-wires of their own
+//! ([`crate::credit`]) and never enter a calendar.
 
 use crate::flit::Flit;
 use crate::router::bits;
@@ -19,6 +20,10 @@ use serde::{Deserialize, Serialize};
 /// [`Calendar`] can hold: its arrival window (`link_latency + 2` cycles)
 /// must fit the 64-bit occupancy mask.
 pub(crate) const MAX_LINK_LATENCY: u32 = u64::BITS - 2;
+
+/// The bit of a cell's mask set while an undo notification is due there;
+/// the bits below it are the input ports whose flit register is full.
+const UNDO_DUE: u64 = 1 << 63;
 
 /// The messages in flight towards every component of one kind (all the
 /// routers, or all the NIs), as flat arrays over *cells*: cell
@@ -34,23 +39,20 @@ pub(crate) const MAX_LINK_LATENCY: u32 = u64::BITS - 2;
 /// This is *state* (DESIGN.md §15): it is serialized as-is.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub(crate) struct Calendar {
-    /// Components, input ports per component, VCs per port and `W - 1`.
+    /// Components, input ports per component and `W - 1`.
     n: usize,
     ports: usize,
-    vcs: usize,
     window_mask: Cycle,
     /// Per cycle of the window a bitset over the components: bit `i % 64`
     /// of word `(c % W) · ⌈n/64⌉ + i / 64` is set while component `i`'s
     /// cell of cycle `c` holds anything — the due half of the event
     /// kernel's worklist, read a word at a time.
     due_bits: Vec<u64>,
-    /// Per cell: the ports whose flit register is full, and the VC slots
-    /// (`port · vcs + vc`) with credits arriving.
-    masks: Vec<(u64, u64)>,
+    /// Per cell: the ports whose flit register is full, and [`UNDO_DUE`].
+    masks: Vec<u64>,
     /// Per cell and port, the flit register (meaningful while its mask
-    /// bit is set); per cell and VC slot, the credits arriving.
+    /// bit is set).
     regs: Vec<Flit>,
-    credits: Vec<u8>,
     /// `(component, arrival, circuit, circuit destination)` undo
     /// notifications, in enqueue order.
     undos: Vec<(usize, Cycle, CircuitKey, NodeId)>,
@@ -60,26 +62,24 @@ pub(crate) struct Calendar {
 }
 
 impl Calendar {
-    /// Empty registers for `n` components of `ports` input ports and
-    /// `vcs` VCs each, on links of `link_latency` cycles
-    /// (`1..=MAX_LINK_LATENCY`, which [`crate::NocConfig::validate`]
-    /// enforces).
-    pub(crate) fn new(link_latency: u32, n: usize, ports: usize, vcs: usize) -> Self {
+    /// Empty registers for `n` components of `ports` input ports each, on
+    /// links of `link_latency` cycles (`1..=MAX_LINK_LATENCY`, which
+    /// [`crate::NocConfig::validate`] enforces).
+    pub(crate) fn new(link_latency: u32, n: usize, ports: usize) -> Self {
         assert!(
             (1..=MAX_LINK_LATENCY).contains(&link_latency),
             "NocConfig::validate bounds the link latency"
         );
+        assert!(ports < 63, "a cell's mask holds the ports and the undo bit");
         let window = (link_latency as usize + 2).next_power_of_two();
         let cells = window * n;
         Calendar {
             n,
             ports,
-            vcs,
             window_mask: window as Cycle - 1,
             due_bits: vec![0; window * n.div_ceil(64)],
-            masks: vec![(0, 0); cells],
+            masks: vec![0; cells],
             regs: vec![Flit::default(); cells * ports],
-            credits: vec![0; cells * ports * vcs],
             undos: Vec::new(),
             held: Vec::new(),
         }
@@ -112,28 +112,13 @@ impl Calendar {
     /// would silently replace the first.
     pub(crate) fn push_flit(&mut self, i: usize, now: Cycle, arrive: Cycle, port: usize, f: Flit) {
         let cell = self.cell(i, now, arrive);
-        let full = &mut self.masks[cell].0;
+        let full = &mut self.masks[cell];
         assert!(
             *full >> port & 1 == 0,
             "two flits on input port {port} of component {i} at cycle {arrive}"
         );
         *full |= 1 << port;
         self.regs[cell * self.ports + port] = f;
-    }
-
-    /// Schedules a credit for `(port, vc)` of component `i` to arrive at
-    /// cycle `arrive`.
-    pub(crate) fn push_credit(
-        &mut self,
-        i: usize,
-        now: Cycle,
-        arrive: Cycle,
-        port: usize,
-        vc: usize,
-    ) {
-        let (cell, slot) = (self.cell(i, now, arrive), port * self.vcs + vc);
-        self.masks[cell].1 |= 1 << slot;
-        self.credits[cell * self.ports * self.vcs + slot] += 1;
     }
 
     /// Schedules an undo notification to reach component `i` at `arrive`.
@@ -145,7 +130,8 @@ impl Calendar {
         key: CircuitKey,
         dst: NodeId,
     ) {
-        self.cell(i, now, arrive);
+        let cell = self.cell(i, now, arrive);
+        self.masks[cell] |= UNDO_DUE;
         self.undos.push((i, arrive, key, dst));
     }
 
@@ -162,13 +148,13 @@ impl Calendar {
         word
     }
 
-    /// Hands over everything due at component `i` at `now`: credits in
-    /// place, to `credit(VC slot, count)`; flits into the caller's (empty)
-    /// scratch vector as `(port, flit)`, port-major, and within a port in
-    /// arrival order; undos in enqueue order. Bit `p` of `stuck` freezes
-    /// input port `p`: its flits are parked, and come out ahead of the
-    /// port's later arrivals on the first drain that finds the port free
-    /// again.
+    /// Hands over everything due at component `i` at `now`: flits into
+    /// the caller's (empty) scratch vector as `(port, flit)`, port-major,
+    /// and within a port in arrival order; undos in enqueue order. The
+    /// network-wide undo list is searched only when the cell says one is
+    /// due. Bit `p` of `stuck` freezes input port `p`: its flits are
+    /// parked, and come out ahead of the port's later arrivals on the
+    /// first drain that finds the port free again.
     pub(crate) fn drain(
         &mut self,
         i: usize,
@@ -176,7 +162,6 @@ impl Calendar {
         stuck: u64,
         flits: &mut Vec<(usize, Flit)>,
         undos: &mut Vec<(CircuitKey, NodeId)>,
-        mut credit: impl FnMut(usize, u8),
     ) {
         debug_assert!(flits.is_empty() && undos.is_empty());
         let cell = (now & self.window_mask) as usize * self.n + i;
@@ -184,13 +169,9 @@ impl Calendar {
         let due = self.due_at(i, now);
         if *due >> (i % 64) & 1 == 1 {
             *due &= !(1 << (i % 64));
-            let credited;
-            (arrived, credited) = std::mem::take(&mut self.masks[cell]);
-            let counts = &mut self.credits[cell * self.ports * self.vcs..];
-            for slot in bits(credited) {
-                credit(slot, std::mem::take(&mut counts[slot]));
-            }
-            if !self.undos.is_empty() {
+            arrived = std::mem::take(&mut self.masks[cell]);
+            if arrived & UNDO_DUE != 0 {
+                arrived &= !UNDO_DUE;
                 let due = self.undos.extract_if(.., |u| u.0 == i && u.1 == now);
                 undos.extend(due.map(|(_, _, key, dst)| (key, dst)));
             }
@@ -216,17 +197,19 @@ impl Calendar {
         }
     }
 
-    /// `true` while a flit or an undo is on its way (credits in flight do
-    /// not count: they belong to packets already delivered).
+    /// `true` while a flit or an undo is on its way.
     pub(crate) fn carries_traffic(&self) -> bool {
-        !self.held.is_empty() || !self.undos.is_empty() || self.masks.iter().any(|m| m.0 != 0)
+        !self.held.is_empty() || !self.undos.is_empty() || self.masks.iter().any(|&m| m != 0)
     }
 
-    /// Every flit on its way or parked, in no particular order.
-    pub(crate) fn flits(&self) -> impl Iterator<Item = Flit> + '_ {
+    /// Every flit on its way or parked, as `(component, input port,
+    /// flit)`, in no particular order.
+    pub(crate) fn flits(&self) -> impl Iterator<Item = (usize, usize, Flit)> + '_ {
         let regs = self.masks.iter().zip(self.regs.chunks(self.ports));
-        regs.flat_map(|(m, r)| bits(m.0).map(|p| r[p]))
-            .chain(self.held.iter().map(|h| h.2))
+        let n = self.n;
+        regs.enumerate()
+            .flat_map(move |(cell, (m, r))| bits(m & !UNDO_DUE).map(move |p| (cell % n, p, r[p])))
+            .chain(self.held.iter().copied())
     }
 }
 
@@ -236,7 +219,6 @@ mod tests {
     use proptest::prelude::*;
 
     const PORTS: usize = 5;
-    const VCS: usize = 4;
     /// 130 components: three due words, the last one partial. The unit
     /// tests drive component `I`, the proptest each of `DRIVEN` (both
     /// edges of the first word boundary and the last component); every
@@ -246,7 +228,7 @@ mod tests {
     const DRIVEN: [usize; 4] = [I, 63, 64, N - 1];
 
     fn calendar(latency: u32) -> Calendar {
-        Calendar::new(latency, N, PORTS, VCS)
+        Calendar::new(latency, N, PORTS)
     }
 
     fn flit(id: u32) -> Flit {
@@ -260,25 +242,17 @@ mod tests {
         }
     }
 
-    /// What one drain handed over: flits as `(port, packet slot)`, credits
-    /// as sorted `(port, vc)` pairs (a credit only touches its own
-    /// counter, so their order is immaterial), undos.
-    type Drained = (
-        Vec<(usize, u32)>,
-        Vec<(usize, usize)>,
-        Vec<(CircuitKey, NodeId)>,
-    );
+    /// What one drain handed over: flits as `(port, packet slot)`, undos.
+    type Drained = (Vec<(usize, u32)>, Vec<(CircuitKey, NodeId)>);
 
     fn drain(cal: &mut Calendar, now: Cycle, stuck: u64) -> Drained {
         drain_at(cal, I, now, stuck)
     }
 
     fn drain_at(cal: &mut Calendar, i: usize, now: Cycle, stuck: u64) -> Drained {
-        let (mut f, mut c, mut u) = (Vec::new(), Vec::new(), Vec::new());
-        cal.drain(i, now, stuck, &mut f, &mut u, |slot, n| {
-            c.extend((0..n).map(|_| (slot / VCS, slot % VCS)));
-        });
-        (f.into_iter().map(|(p, f)| (p, f.slot)).collect(), c, u)
+        let (mut f, mut u) = (Vec::new(), Vec::new());
+        cal.drain(i, now, stuck, &mut f, &mut u);
+        (f.into_iter().map(|(p, f)| (p, f.slot)).collect(), u)
     }
 
     /// Component `i`'s bit of [`Calendar::due_word`].
@@ -291,7 +265,6 @@ mod tests {
     #[derive(Default)]
     struct Mailbox {
         flits: Vec<Vec<(Cycle, u32)>>,
-        credits: Vec<Vec<(Cycle, usize)>>,
         undos: Vec<(Cycle, CircuitKey, NodeId)>,
     }
 
@@ -299,7 +272,6 @@ mod tests {
         fn new(ports: usize) -> Self {
             Mailbox {
                 flits: vec![Vec::new(); ports],
-                credits: vec![Vec::new(); ports],
                 undos: Vec::new(),
             }
         }
@@ -308,13 +280,8 @@ mod tests {
         /// port holds flits back.
         fn next_due(&self) -> Cycle {
             let flits = self.flits.iter().flatten().map(|&(a, _)| a);
-            let credits = self.credits.iter().flatten().map(|&(a, _)| a);
             let undos = self.undos.iter().map(|&(a, _, _)| a);
-            flits
-                .chain(credits)
-                .chain(undos)
-                .min()
-                .unwrap_or(Cycle::MAX)
+            flits.chain(undos).min().unwrap_or(Cycle::MAX)
         }
 
         fn drain(&mut self, now: Cycle, stuck: u64) -> Drained {
@@ -328,16 +295,12 @@ mod tests {
                     }
                 }
             }
-            let (mut f, mut c, mut u) = (Vec::new(), Vec::new(), Vec::new());
+            let (mut f, mut u) = (Vec::new(), Vec::new());
             for (p, q) in self.flits.iter_mut().enumerate() {
                 if stuck >> p & 1 == 0 {
                     due(q, now, |id| f.push((p, id)));
                 }
             }
-            for (p, q) in self.credits.iter_mut().enumerate() {
-                due(q, now, |vc| c.push((p, vc)));
-            }
-            c.sort_unstable();
             let mut j = 0;
             while j < self.undos.len() {
                 if self.undos[j].0 <= now {
@@ -347,7 +310,7 @@ mod tests {
                     j += 1;
                 }
             }
-            (f, c, u)
+            (f, u)
         }
     }
 
@@ -358,22 +321,23 @@ mod tests {
         cal.push_flit(I, 10, 12, 2, flit(2));
         cal.push_flit(I, 10, 11, 0, flit(3));
         cal.push_flit(I, 10, 12, 4, flit(4));
-        cal.push_credit(I, 10, 11, 3, 1);
-        cal.push_credit(I, 10, 11, 0, 2);
-        cal.push_credit(I, 10, 11, 3, 1);
         cal.push_undo(I, 10, 12, key(64), NodeId(3));
+        cal.push_undo(I, 10, 12, key(128), NodeId(3));
         assert!(cal.carries_traffic());
         assert_eq!(cal.flits().count(), 4);
+        assert!(cal.flits().all(|(i, _, _)| i == I));
         assert!(!due(&cal, I, 10) && due(&cal, I, 11));
-        let (f, c, u) = drain(&mut cal, 11, 0);
+        let (f, u) = drain(&mut cal, 11, 0);
         assert_eq!(f, [(0, 3), (4, 1)]);
-        assert_eq!(c, [(0, 2), (3, 1), (3, 1)], "credits add up per VC");
         assert!(u.is_empty());
         assert!(!due(&cal, I, 11) && due(&cal, I, 12));
-        let (f, c, u) = drain(&mut cal, 12, 0);
+        let (f, u) = drain(&mut cal, 12, 0);
         assert_eq!(f, [(2, 2), (4, 4)]);
-        assert!(c.is_empty());
-        assert_eq!(u, [(key(64), NodeId(3))]);
+        assert_eq!(
+            u,
+            [(key(64), NodeId(3)), (key(128), NodeId(3))],
+            "enqueue order"
+        );
         assert!(!cal.carries_traffic());
         for i in 0..N {
             assert!((10..20).all(|now| !due(&cal, i, now)));
@@ -386,10 +350,10 @@ mod tests {
             let mut cal = calendar(latency);
             let far = Cycle::from(latency) + 1;
             for now in 0..200 {
-                cal.push_credit(I, now, now + far, 0, 0);
+                cal.push_undo(I, now, now + far, key(now), NodeId(3));
                 assert_eq!(due(&cal, I, now), now >= far, "latency {latency}");
-                let (_, c, _) = drain(&mut cal, now, 0);
-                assert_eq!(c.len(), usize::from(now >= far), "latency {latency}");
+                let (_, u) = drain(&mut cal, now, 0);
+                assert_eq!(u.len(), usize::from(now >= far), "latency {latency}");
             }
         }
     }
@@ -401,16 +365,16 @@ mod tests {
         cal.push_flit(I, 0, 1, 0, flit(2));
         cal.push_flit(I, 0, 2, 2, flit(3));
         // Port 2 is stuck at cycle 1: its flit is parked, port 0 flows.
-        let (f, _, _) = drain(&mut cal, 1, 1 << 2);
+        let (f, _) = drain(&mut cal, 1, 1 << 2);
         assert_eq!(f, [(0, 2)]);
         assert!(cal.carries_traffic());
         // Still stuck at 2: the second flit queues behind the first.
         cal.push_flit(I, 2, 3, 2, flit(4));
-        let (f, _, _) = drain(&mut cal, 2, 1 << 2);
+        let (f, _) = drain(&mut cal, 2, 1 << 2);
         assert!(f.is_empty());
         assert_eq!(cal.flits().count(), 3);
         // Freed at 3: parked flits precede the one arriving now.
-        let (f, _, _) = drain(&mut cal, 3, 0);
+        let (f, _) = drain(&mut cal, 3, 0);
         assert_eq!(f, [(2, 1), (2, 3), (2, 4)]);
         // A parked flit keeps its component, and only it, due every cycle.
         cal.push_flit(I, 3, 4, 2, flit(5));
@@ -423,7 +387,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "outside the link window")]
     fn scheduling_past_the_window_panics() {
-        calendar(1).push_credit(I, 7, 11, 0, 0);
+        calendar(1).push_undo(I, 7, 11, key(0), NodeId(3));
     }
 
     #[test]
@@ -451,7 +415,6 @@ mod tests {
         target: usize,
         /// The ports whose wire carries a flit this cycle.
         flit_ports: u64,
-        credits: Vec<(usize, u64, usize)>,
         undos: Vec<u64>,
         stuck: u64,
         skip_when_idle: bool,
@@ -469,22 +432,18 @@ mod tests {
                     a & b
                 }
             }),
-            proptest::collection::vec((0..PORTS, 0..64u64, 0..VCS), 0..4),
             proptest::collection::vec(0..64u64, 0..2),
             // Mostly free, sometimes a random subset of ports stuck.
             (0..4u8, 0..1u64 << PORTS).prop_map(|(roll, m)| if roll == 0 { m } else { 0 }),
             any::<bool>(),
         )
-            .prop_map(
-                |(target, flit_ports, credits, undos, stuck, skip_when_idle)| Step {
-                    target,
-                    flit_ports,
-                    credits,
-                    undos,
-                    stuck,
-                    skip_when_idle,
-                },
-            )
+            .prop_map(|(target, flit_ports, undos, stuck, skip_when_idle)| Step {
+                target,
+                flit_ports,
+                undos,
+                stuck,
+                skip_when_idle,
+            })
     }
 
     proptest! {
@@ -492,12 +451,11 @@ mod tests {
         /// driven component: identical drained sequences, and every due
         /// word exactly the driven components that are due — a reference
         /// with an arrival at or before `now` (in the past while a stuck
-        /// port parks flits) — and nothing else. Each port is one wire with its own latency, drawn per
-        /// case, carrying at most one flit per cycle (the register law);
-        /// credits and undos take any delta in the window (a dropped
-        /// flit's synthesized credit travels a different distance than an
-        /// ordinary one on the same port). Like the event kernel, the
-        /// driver may skip a cycle neither side reports as due.
+        /// port parks flits) — and nothing else. Each port is one wire
+        /// with its own latency, drawn per case, carrying at most one flit
+        /// per cycle (the register law); undos take any delta in the window
+        /// and come out in enqueue order. Like the event kernel, the loop
+        /// may skip a cycle neither side reports as due.
         #[test]
         fn calendar_matches_the_reference_mailbox(
             latency in 1u32..7,
@@ -532,11 +490,6 @@ mod tests {
                     cal.push_flit(i, now, arrive, p, flit(next_id));
                     reference_i.flits[p].push((arrive, next_id));
                     next_id += 1;
-                }
-                for &(p, delta, vc) in &s.credits {
-                    let arrive = schedule(delta);
-                    cal.push_credit(i, now, arrive, p, vc);
-                    reference_i.credits[p].push((arrive, vc));
                 }
                 for &delta in &s.undos {
                     let arrive = schedule(delta);

@@ -44,6 +44,7 @@
 
 mod calendar;
 mod config;
+mod credit;
 mod fault;
 mod flit;
 mod health;

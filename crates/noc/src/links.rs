@@ -1,11 +1,13 @@
 //! One sink per producer (DESIGN.md §9): routers and NIs hand every
 //! message they emit to a [`LinkSink`]. For a router that is [`Links`], a
-//! view of the network's link registers that lets the link-fault layer
-//! decide the message's fate and writes it once, where it arrives;
-//! for an NI it is [`NiLink`], the fault-free wire into its own router.
+//! view of the network's link registers and credit wires that lets the
+//! link-fault layer decide the message's fate and writes it once, where
+//! it arrives; for an NI it is [`NiLink`], the fault-free wire into its
+//! own router. Either also hands the producer its own credit wires.
 
 use crate::calendar::Calendar;
 use crate::config::NocConfig;
+use crate::credit::{CreditWire, CreditWires};
 use crate::fault::{FaultState, LinkFate};
 use crate::flit::{Flit, PacketId, Packets};
 use rcsim_core::circuit::CircuitKey;
@@ -23,36 +25,15 @@ pub(crate) trait LinkSink {
     /// tile's NI); its `vc` field is the downstream buffer index. The
     /// link may mark, or lose, the flit's packet in `packets`.
     fn flit(&mut self, port: usize, flit: Flit, arrive: Cycle, packets: &mut Packets);
-    /// A credit for `vc` returned upstream through input port `port`.
+    /// A credit for `vc` returned upstream through input port `port`,
+    /// landing on the sender's wire at `arrive`.
     fn credit(&mut self, port: usize, vc: usize, arrive: Cycle);
     /// Circuit-undo information riding the credit channel (§4.4) out of
     /// `port` towards the circuit destination `dst` (the requestor).
     fn undo(&mut self, port: usize, key: CircuitKey, dst: NodeId, arrive: Cycle);
-}
-
-/// One recorded [`LinkSink`] call, argument for argument: the router
-/// unit tests tick a lone router into a `Vec<Outgoing>`.
-#[cfg(test)]
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum Outgoing {
-    Flit(usize, Flit, Cycle),
-    Credit(usize, usize, Cycle),
-    Undo(usize, CircuitKey, NodeId, Cycle),
-}
-
-#[cfg(test)]
-impl LinkSink for Vec<Outgoing> {
-    fn flit(&mut self, port: usize, flit: Flit, arrive: Cycle, _: &mut Packets) {
-        self.push(Outgoing::Flit(port, flit, arrive));
-    }
-
-    fn credit(&mut self, port: usize, vc: usize, arrive: Cycle) {
-        self.push(Outgoing::Credit(port, vc, arrive));
-    }
-
-    fn undo(&mut self, port: usize, key: CircuitKey, dst: NodeId, arrive: Cycle) {
-        self.push(Outgoing::Undo(port, key, dst, arrive));
-    }
+    /// The producer's own credit wires, one per output VC slot (a
+    /// router's `port · vcs + vc`, an NI's injection VC).
+    fn wires(&mut self) -> &mut [CreditWire];
 }
 
 /// The input port a flit sent out of network port `port` arrives on at
@@ -67,12 +48,13 @@ pub(crate) fn opposite_port(port: usize) -> usize {
 
 /// An NI's wire into local input `port` of its own router (index
 /// `router`): fault-free, so it bypasses the link-fault layer and writes
-/// the router's registers directly.
+/// the router's registers directly. `wires` are the NI's own.
 pub(crate) struct NiLink<'a> {
     pub now: Cycle,
     pub port: usize,
     pub router: usize,
     pub links: &'a mut Calendar,
+    pub wires: &'a mut [CreditWire],
 }
 
 impl LinkSink for NiLink<'_> {
@@ -89,10 +71,14 @@ impl LinkSink for NiLink<'_> {
         self.links
             .push_undo(self.router, self.now, arrive, key, dst);
     }
+
+    fn wires(&mut self) -> &mut [CreditWire] {
+        self.wires
+    }
 }
 
 /// The routers' sink: everything a message leaving router `from` at `now`
-/// can touch — both register sets, the neighbour
+/// can touch — both register sets, the credit wires, the neighbour
 /// table, the link-fault layer and the end-to-end retry state (see
 /// `Network::links`). Fault-RNG draws happen per message in emission
 /// order, which both kernels share.
@@ -103,6 +89,7 @@ pub(crate) struct Links<'a> {
     pub neighbors: &'a [[Option<NodeId>; PORT_LOCAL]],
     pub router_links: &'a mut Calendar,
     pub ni_links: &'a mut Calendar,
+    pub credits: &'a mut CreditWires,
     pub topo: &'a TopologyHealth,
     /// `topo.is_degraded()`, which cannot change while routers tick: on a
     /// healthy fabric no message asks the map about its hop.
@@ -193,11 +180,11 @@ impl Links<'_> {
         }
     }
 
-    /// Handles one flit dropped on the link `from → nb`: synthesizes the
-    /// downstream credit it will never earn (credit loss is its own fault
-    /// class; drops must not wedge the fabric by themselves), tears down
-    /// the circuit reservations the packet leaves orphaned, and notes the
-    /// end-to-end retransmission.
+    /// Handles one flit dropped on the link `from → nb`: makes up the
+    /// downstream credit it will never earn, landing when the flit would
+    /// have (credit loss is its own fault class; drops must not wedge the
+    /// fabric by themselves), tears down the circuit reservations the
+    /// packet leaves orphaned, and notes the end-to-end retransmission.
     fn drop_on_link(
         &mut self,
         nb: NodeId,
@@ -207,13 +194,8 @@ impl Links<'_> {
         packets: &mut Packets,
     ) {
         let (now, from) = (self.now, self.from.index());
-        // Mirror the downstream router's credit-return rule: circuit VCs
-        // are only credited when they are buffered (fragmented mode).
-        if !self.cfg.vc_layout().is_circuit_vc(flit.vc.into())
-            || self.cfg.mechanism.circuit_vc_buffered()
-        {
-            self.router_links
-                .push_credit(from, now, arrive, port, flit.vc.into());
+        if let Some(wire) = self.credits.router_vc(from, port, flit.vc.into()) {
+            wire.send(arrive);
         }
         if flit.is_head() {
             let rec = &packets[flit.slot];
@@ -287,21 +269,29 @@ impl LinkSink for Links<'_> {
     fn credit(&mut self, port: usize, vc: usize, arrive: Cycle) {
         if port >= PORT_LOCAL {
             let tile = self.tile(port);
-            self.ni_links.push_credit(tile, self.now, arrive, 0, vc);
+            if let Some(wire) = self.credits.ni_vc(tile, vc) {
+                wire.send(arrive);
+            }
             return;
         }
         let Some(nb) = self.neighbor(port) else {
             return;
         };
-        if self.faults.as_mut().is_some_and(FaultState::on_link_credit) {
-            return;
-        }
+        // The fault RNG is drawn for every credit, credited VC or not, so
+        // the fault stream is the emission order.
+        let lost = self.faults.as_mut().is_some_and(FaultState::on_link_credit);
         // Credits deliberately survive dead links: the credit backchannel
         // is the recovery path's control plane, and without it every VC
         // that ever crossed the link would wedge permanently (DESIGN.md
-        // §10). Credit loss stays its own (random) fault class.
-        self.router_links
-            .push_credit(nb.index(), self.now, arrive, opposite_port(port), vc);
+        // §10). Credit loss stays its own (random) fault class, counted on
+        // the wire it never reaches.
+        if let Some(wire) = self.credits.router_vc(nb.index(), opposite_port(port), vc) {
+            if lost {
+                wire.lose();
+            } else {
+                wire.send(arrive);
+            }
+        }
     }
 
     fn undo(&mut self, port: usize, key: CircuitKey, dst: NodeId, arrive: Cycle) {
@@ -315,5 +305,9 @@ impl LinkSink for Links<'_> {
             self.router_links
                 .push_undo(nb.index(), self.now, arrive, key, dst);
         }
+    }
+
+    fn wires(&mut self) -> &mut [CreditWire] {
+        self.credits.router_mut(self.from.index())
     }
 }

@@ -4,6 +4,7 @@
 
 use crate::calendar::Calendar;
 use crate::config::NocConfig;
+use crate::credit::CreditWires;
 use crate::fault::{self, FaultConfig, FaultState, FaultStats};
 use crate::flit::{Delivered, Flit, Packet, PacketId, PacketSpec, Packets};
 use crate::health::{
@@ -12,7 +13,7 @@ use crate::health::{
 use crate::ingress::{
     self, Admission, IngressConfig, IngressState, OverloadReport, ReleasedArrival, ShedArrival,
 };
-use crate::links::{Links, NiLink};
+use crate::links::{opposite_port, Links, NiLink};
 use crate::ni::{self, Ni, NiOut};
 use crate::router::{self, bits, Router};
 use crate::stats::{CircuitOutcome, NocStats};
@@ -48,6 +49,10 @@ struct Scratch {
     ni_out: NiOut,
     arrivals: Vec<(usize, Flit)>,
     undos: Vec<(CircuitKey, NodeId)>,
+    /// The ingress edges' NI backlogs and the arrivals shed, gathered
+    /// every cycle by [`Network::drain_ingress`].
+    backlogs: Vec<usize>,
+    shed: Vec<ShedArrival>,
     /// Per router, the mask of input ports stuck this cycle (all zero
     /// without a fault layer).
     stuck: Vec<u64>,
@@ -152,6 +157,8 @@ struct State {
     router_links: Calendar,
     /// Messages in flight towards each NI (all on port 0).
     ni_links: Calendar,
+    /// The credit return of every router output VC and NI injection VC.
+    credits: CreditWires,
     delivered: Vec<Vec<Delivered>>,
     stats: NocStats,
     now: Cycle,
@@ -195,7 +202,6 @@ impl Network {
         faults.validate(&cfg.topology)?;
         let tiles = cfg.topology.nodes();
         let routers_n = cfg.topology.routers();
-        let (ports, vcs) = (cfg.topology.ports(), cfg.vc_layout().total());
         let mut fault_schedule = Vec::new();
         for e in &faults.dead_links {
             fault_schedule.push((e.at, TopoChange::LinkDown(e.a, e.b)));
@@ -240,8 +246,9 @@ impl Network {
             congestion: CongestionMap::new(routers_n),
             state: State {
                 packets: Packets::default(),
-                router_links: Calendar::new(cfg.link_latency, routers_n, ports, vcs),
-                ni_links: Calendar::new(cfg.link_latency, tiles, 1, vcs),
+                router_links: Calendar::new(cfg.link_latency, routers_n, cfg.topology.ports()),
+                ni_links: Calendar::new(cfg.link_latency, tiles, 1),
+                credits: CreditWires::new(&cfg),
                 delivered: vec![Vec::new(); tiles],
                 stats: NocStats::default(),
                 now: 0,
@@ -402,15 +409,14 @@ impl Network {
         let Some(mut ingress) = self.ingress.take() else {
             return;
         };
-        let backlogs: Vec<usize> = ingress
-            .edge_nodes()
-            .iter()
-            .map(|e| self.nis[e.index()].backlog())
-            .collect();
-        let mut shed: Vec<ShedArrival> = Vec::new();
-        ingress.drain(self.state.now, &backlogs, out, &mut shed);
+        let Scratch { backlogs, shed, .. } = &mut self.scratch;
+        backlogs.clear();
+        let backlog = |e: &NodeId| self.nis[e.index()].backlog();
+        backlogs.extend(ingress.edge_nodes().iter().map(backlog));
+        shed.clear();
+        ingress.drain(self.state.now, backlogs, out, shed);
         self.ingress = Some(ingress);
-        for s in &shed {
+        for s in &self.scratch.shed {
             self.sink.emit(|| rcsim_trace::TraceEvent {
                 cycle: self.state.now,
                 kind: EventKind::IngressShed {
@@ -620,8 +626,8 @@ impl Network {
 
         self.fault_pre_pass(now, &mut s.stuck);
 
-        // NIs first: they consume flits/credits produced last cycle and
-        // inject at most one flit each into their router's local port.
+        // NIs first: they consume flits produced last cycle and inject at
+        // most one flit each into their router's local port.
         for w in 0..s.ni_busy.len() {
             let due = self.state.ni_links.due_word(now, w);
             let work = due | s.ni_busy[w];
@@ -633,8 +639,7 @@ impl Network {
                 debug_assert!(work >> b & 1 == 1 || !ni.is_active());
                 if due >> b & 1 == 1 {
                     let (flits, undos) = (&mut s.arrivals, &mut s.undos);
-                    let credit = |vc, n| ni.credit(vc, n);
-                    self.state.ni_links.drain(i, now, 0, flits, undos, credit);
+                    self.state.ni_links.drain(i, now, 0, flits, undos);
                 }
                 moved |= !s.arrivals.is_empty();
                 s.ni_out.clear();
@@ -651,6 +656,7 @@ impl Network {
                         port: topology.eject_port(tile),
                         router: topology.router_of(tile).index(),
                         links: &mut self.state.router_links,
+                        wires: self.state.credits.ni_mut(i),
                     },
                 );
                 s.ni_busy[w] |= u64::from(ni.is_active()) << b;
@@ -683,10 +689,7 @@ impl Network {
                 debug_assert!(listed || !router.is_busy() && !router.expires(now));
                 if due >> b & 1 == 1 {
                     let (flits, undos) = (&mut s.arrivals, &mut s.undos);
-                    let credit = |slot, n| router.credit(slot, n);
-                    links
-                        .router_links
-                        .drain(i, now, s.stuck[i], flits, undos, credit);
+                    links.router_links.drain(i, now, s.stuck[i], flits, undos);
                 }
                 moved |= !s.arrivals.is_empty();
                 links.from = NodeId(i as u16);
@@ -833,6 +836,7 @@ impl Network {
             neighbors: &self.neighbors,
             router_links: &mut self.state.router_links,
             ni_links: &mut self.state.ni_links,
+            credits: &mut self.state.credits,
             topo: &self.state.topo,
             degraded: self.state.topo.is_degraded(),
             faults: &mut self.faults,
@@ -1058,8 +1062,9 @@ impl Network {
     #[doc(hidden)]
     pub fn debug_dump(&self) -> String {
         let mut s = String::new();
-        for r in &self.routers {
-            r.debug_dump(&self.state.packets, &mut s);
+        for (i, r) in self.routers.iter().enumerate() {
+            let wires = self.state.credits.router(i);
+            r.debug_dump(self.state.now, wires, &self.state.packets, &mut s);
         }
         for (i, ni) in self.nis.iter().enumerate() {
             if ni.backlog() > 0 {
@@ -1115,13 +1120,13 @@ impl Network {
             out_there[slot as usize] += flits;
             Ok::<(), String>(())
         };
-        for f in self.routers.iter().flat_map(Router::flits) {
+        for (_, f) in self.routers.iter().flat_map(Router::flits) {
             count(f.slot, 1, "a router")?;
         }
-        for f in self.state.router_links.flits() {
+        for (_, _, f) in self.state.router_links.flits() {
             count(f.slot, 1, "a router's link register")?;
         }
-        for f in self.state.ni_links.flits() {
+        for (_, _, f) in self.state.ni_links.flits() {
             count(f.slot, 1, "an NI's link register")?;
         }
         for ni in &self.nis {
@@ -1143,6 +1148,49 @@ impl Network {
         let open = packets.iter().filter(|(_, p)| !p.closed).count();
         if open != self.state.packets.in_flight() {
             return Err(format!("{open} open packet records, not the count"));
+        }
+        self.check_credits()
+    }
+
+    /// Credit conservation (DESIGN.md §6b), for every credited VC of every
+    /// link into a router: the credits on the upstream wire — home at
+    /// `now` or still on the way — plus the flits the VC's buffer holds
+    /// (ring, spill and bypass-retry queue), the flits on the link towards
+    /// it (registers, or parked behind a stuck port) and the credits the
+    /// link lost make the buffer depth.
+    fn check_credits(&self) -> Result<(), String> {
+        let (topology, now, credits) = (self.cfg.topology, self.state.now, &self.state.credits);
+        let vcs = self.cfg.vc_layout().total();
+        let slots = topology.ports() * vcs;
+        let mut owed = vec![0u32; self.routers.len() * slots];
+        let held = (self.routers.iter().enumerate())
+            .flat_map(|(i, r)| r.flits().map(move |(port, f)| (i, port, f)));
+        for (i, port, f) in held.chain(self.state.router_links.flits()) {
+            owed[i * slots + port * vcs + usize::from(f.vc)] += 1;
+        }
+        for (i, id) in topology.iter_routers().enumerate() {
+            for port in 0..topology.ports() {
+                let wires = if port < PORT_LOCAL {
+                    let Some(up) = self.neighbors[i][port] else {
+                        continue;
+                    };
+                    &credits.router(up.index())[opposite_port(port) * vcs..][..vcs]
+                } else {
+                    credits.ni(topology.tile_of(id, port - PORT_LOCAL).index())
+                };
+                for (vc, w) in wires.iter().enumerate() {
+                    let flits = owed[i * slots + port * vcs + vc];
+                    let (home, on_wire, lost) = (w.available(now), w.in_flight(now), w.lost());
+                    let sum = u32::from(home) + u32::from(on_wire) + flits + u32::from(lost);
+                    if credits.credited(vc) && sum != self.cfg.buffer_depth {
+                        return Err(format!(
+                            "credits of {id}/in{port} vc{vc} at {now}: {home} home + {on_wire} on \
+                             the wire + {flits} flits + {lost} lost is not the depth {}",
+                            self.cfg.buffer_depth
+                        ));
+                    }
+                }
+            }
         }
         Ok(())
     }
@@ -1247,7 +1295,8 @@ impl Network {
         let mut waiters = Vec::new();
         let mut buf = Vec::new();
         for (r, id) in self.routers.iter().zip(self.cfg.topology.iter_routers()) {
-            r.waiters(self.state.now, &self.state.packets, &mut buf);
+            let wires = self.state.credits.router(id.index());
+            r.waiters(self.state.now, &self.state.packets, wires, &mut buf);
             waiters.extend(buf.drain(..).map(|w| (id, w)));
         }
         DeadlockReport::find(
@@ -1298,6 +1347,7 @@ impl Network {
             packets: _,
             router_links: _,
             ni_links: _,
+            credits: _,
             stats: _,
             now: _,
             next_packet: _,

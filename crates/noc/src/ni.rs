@@ -4,6 +4,7 @@
 //! and scrounger reuse (§4.5).
 
 use crate::config::{NocConfig, VcLayout};
+use crate::credit::CreditWire;
 use crate::flit::{Delivered, Flit, Packet, PacketId, PacketSpec, Packets};
 use crate::links::LinkSink;
 use crate::router::alloc::RoundRobin;
@@ -105,10 +106,9 @@ impl NiOut {
 pub(crate) struct State {
     /// Per-VN FIFO of packet-switched packets.
     queues: [VecDeque<Queued>; 2],
-    /// Per local-input VC, the packet currently streaming into the router.
+    /// Per local-input VC, the packet currently streaming into the router
+    /// (whose credits are the NI's wires, read through its link).
     streams: Vec<Option<Stream>>,
-    /// Credits for the router's local-input VC buffers.
-    credits: Vec<u32>,
     rr_stream: RoundRobin,
     vnet_rr: usize,
     /// Committed circuit (and scrounger) packets, in commitment order.
@@ -181,7 +181,6 @@ impl Ni {
             state: State {
                 queues: [VecDeque::new(), VecDeque::new()],
                 streams: vec![None; total],
-                credits: vec![cfg.buffer_depth; total],
                 rr_stream: RoundRobin::new(total),
                 vnet_rr: 0,
                 circuit_queue: VecDeque::new(),
@@ -495,19 +494,13 @@ impl Ni {
             .map(|(k, _)| k)
     }
 
-    /// `n` credits for local-input VC `vc` arriving, handed over in place
-    /// by the link registers right before this cycle's [`Ni::tick`].
-    pub(crate) fn credit(&mut self, vc: usize, n: u8) {
-        self.state.credits[vc] += u32::from(n);
-    }
-
-    /// One NI cycle, after this cycle's credits ([`Ni::credit`]): process
-    /// ejected flits, then inject at most one flit into the router's local
-    /// port (circuit streams have priority); returns whether one was
-    /// injected. Flits come as the link registers hand them over —
-    /// `(port, flit)` pairs, the port always 0 at an NI — and are drained
-    /// in place so the caller can reuse the buffer; the flit and any
-    /// circuit undos go out on `link`, the NI's single port.
+    /// One NI cycle: process ejected flits, then inject at most one flit
+    /// into the router's local port (circuit streams have priority);
+    /// returns whether one was injected. Flits come as the link registers
+    /// hand them over — `(port, flit)` pairs, the port always 0 at an NI —
+    /// and are drained in place so the caller can reuse the buffer; the
+    /// flit and any circuit undos go out on `link`, the NI's single port,
+    /// whose wires hold the NI's credits.
     ///
     /// Deliberately statistics-free: deliveries and the counted injection
     /// are surfaced through `out` and recorded into [`NocStats`] by the
@@ -529,15 +522,15 @@ impl Ni {
         for (_, flit) in ejected.drain(..) {
             self.receive_flit(flit, now, cong, packets, out);
         }
-        let Some(flit) = self.inject_one(now, topo, cong, packets, out) else {
+        let Some(flit) = self.inject_one(now, topo, cong, packets, out, link.wires()) else {
             return false;
         };
         link.flit(0, flit, now + 1, packets);
         true
     }
 
-    /// `true` when a tick with no arriving flits or credits could still
-    /// produce output: something is queued, streaming, or an undo is
+    /// `true` when a tick with no arriving flits could still produce
+    /// output: something is queued, streaming, or an undo is
     /// waiting to propagate — the NI's busy bit. A `false` NI receiving no
     /// input this cycle is a provable no-op, so the event kernel may skip
     /// its tick.
@@ -645,7 +638,9 @@ impl Ni {
         out.delivered.push((tail.slot, delivered));
     }
 
-    /// The flit this NI sends into its router this cycle, if any.
+    /// The flit this NI sends into its router this cycle, if any, spending
+    /// a credit of its VC's wire (the complete-mode circuit stream is
+    /// uncredited).
     fn inject_one(
         &mut self,
         now: Cycle,
@@ -653,6 +648,7 @@ impl Ni {
         cong: &CongestionMap,
         packets: &mut Packets,
         out: &mut NiOut,
+        wires: &mut [CreditWire],
     ) -> Option<Flit> {
         // Circuit streams first: they must hold their committed schedule.
         if self.state.circuit_active.is_none() {
@@ -677,16 +673,16 @@ impl Ni {
         }
 
         // Packet-switched: continue an in-flight stream or start one.
-        self.collect_sendable();
+        self.collect_sendable(now, wires);
         if self.sendable.is_empty() {
-            self.try_activate(packets);
-            self.collect_sendable();
+            self.try_activate(now, wires, packets);
+            self.collect_sendable(now, wires);
         }
         let vc = self.state.rr_stream.grant_among(&self.sendable)?;
         let mut s = self.state.streams[vc]
             .take()
             .expect("sendable stream exists");
-        self.state.credits[vc] -= 1;
+        wires[vc].take(now);
         let flit = self.emit_flit(&mut s, now, topo, cong, packets, out);
         if flit.is_tail() {
             self.live_streams -= 1;
@@ -696,19 +692,20 @@ impl Ni {
         Some(flit)
     }
 
-    /// Rebuilds the scratch list of VCs with a stream and a credit.
-    fn collect_sendable(&mut self) {
+    /// Rebuilds the scratch list of VCs with a stream and a credit home
+    /// at `now`.
+    fn collect_sendable(&mut self, now: Cycle, wires: &[CreditWire]) {
         self.sendable.clear();
-        for vc in 0..self.layout.total() {
-            if self.state.streams[vc].is_some() && self.state.credits[vc] > 0 {
-                self.sendable.push(vc);
-            }
-        }
+        let vcs = self.state.streams.iter().zip(wires).enumerate();
+        self.sendable.extend(
+            vcs.filter(|(_, (s, w))| s.is_some() && w.available(now) > 0)
+                .map(|(vc, _)| vc),
+        );
     }
 
     /// Starts a new packet-switched stream if a VC of its class is fully
-    /// idle (all credits home, no local stream).
-    fn try_activate(&mut self, packets: &mut Packets) {
+    /// idle at `now` (all credits home, no local stream).
+    fn try_activate(&mut self, now: Cycle, wires: &[CreditWire], packets: &mut Packets) {
         for attempt in 0..2 {
             let vn = (self.state.vnet_rr + attempt) % 2;
             let vnet = Vnet::ALL[vn];
@@ -716,7 +713,8 @@ impl Ni {
                 continue;
             }
             let vc = self.layout.allocatable_vcs(vnet).find(|&vc| {
-                self.state.streams[vc].is_none() && self.state.credits[vc] == self.buffer_depth
+                self.state.streams[vc].is_none()
+                    && u32::from(wires[vc].available(now)) == self.buffer_depth
             });
             if let Some(vc) = vc {
                 let queued = self.state.queues[vn]
@@ -920,7 +918,6 @@ impl Ni {
         let State {
             streams,
             queues: _,
-            credits: _,
             rr_stream: _,
             vnet_rr: _,
             circuit_queue: _,

@@ -13,6 +13,7 @@ pub(crate) mod alloc;
 mod input;
 
 use crate::config::{NocConfig, VcLayout};
+use crate::credit::CreditWire;
 use crate::flit::{Flit, PacketId, Packets};
 use crate::links::LinkSink;
 use crate::stats::Activity;
@@ -26,17 +27,16 @@ use rcsim_trace::{EventKind, TraceEvent, TraceSink};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
-/// How one output VC is held by a packet.
+/// How one output VC is held by a packet. A VC no packet holds is free
+/// for VC allocation once all its credits are home
+/// ([`Router::allocatable_now`]); until then it is draining.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 enum Owner {
-    /// Free for VC allocation.
+    /// Held by no packet.
     #[default]
     Free,
     /// Held by a packet streaming from `(in_port, in_vc)`.
     Owned(u8, u8),
-    /// Tail has departed; waiting for all credits to return so the
-    /// downstream VC is idle again.
-    Draining,
 }
 
 /// Outcome of checking whether a circuit-tagged flit can bypass.
@@ -73,8 +73,8 @@ struct PortArbiters {
 /// enforces.
 pub(crate) const VC_INDEX_BITS: usize = u64::BITS as usize;
 
-/// Deepest VC buffer ([`NocConfig::buffer_depth`]) a router's one-byte
-/// credit counters can count; [`NocConfig::validate`] enforces it.
+/// Deepest VC buffer ([`NocConfig::buffer_depth`]) a one-byte credit
+/// counter ([`CreditWire`]) can count; [`NocConfig::validate`] enforces it.
 pub(crate) const MAX_BUFFER_DEPTH: u32 = u8::MAX as u32;
 
 /// Which input VCs and retry queues hold work — the request lines a
@@ -135,9 +135,8 @@ pub(crate) struct State {
     /// refused and bypasses forced to the packet pipeline (DESIGN.md
     /// §10).
     degraded: bool,
-    /// Credits held for the downstream buffer of each output VC, by slot.
-    credits: [u8; VC_INDEX_BITS],
-    /// Who holds each output VC, by slot.
+    /// Who holds each output VC, by slot. (Its credits are on the
+    /// network's credit wires, which the router reads through its sink.)
     owner: [Owner; VC_INDEX_BITS],
     st_pending: [StGrant; VC_INDEX_BITS],
     /// The arbiters, by port.
@@ -233,7 +232,6 @@ impl Router {
             state: State {
                 st_len: 0,
                 degraded: false,
-                credits: [cfg.buffer_depth as u8; VC_INDEX_BITS],
                 owner: [Owner::Free; VC_INDEX_BITS],
                 st_pending: [StGrant::default(); VC_INDEX_BITS],
                 arbiters: [arbiters; VC_INDEX_BITS],
@@ -269,18 +267,29 @@ impl Router {
         (slot / usize::from(self.vcs), slot % usize::from(self.vcs))
     }
 
-    /// Every flit this router holds, in no particular order.
-    pub(crate) fn flits(&self) -> impl Iterator<Item = Flit> + '_ {
-        let buffered = self.state.vcs.iter().flat_map(InputVc::flits);
-        let spilled = self.state.spill.iter().map(|s| s.1);
-        let retrying = self.state.bypass_retry.iter().flatten().copied();
+    /// Every flit this router holds, with the input port it came in on
+    /// (its `vc` field is the input VC), in no particular order.
+    pub(crate) fn flits(&self) -> impl Iterator<Item = (usize, Flit)> + '_ {
+        let vcs = usize::from(self.vcs);
+        let buffered = (self.state.vcs.iter().enumerate())
+            .flat_map(move |(slot, vc)| vc.flits().map(move |f| (slot / vcs, f)));
+        let spilled = (self.state.spill.iter()).map(move |s| (usize::from(s.0) / vcs, s.1));
+        let retrying = (self.state.bypass_retry.iter().enumerate())
+            .flat_map(|(p, q)| q.iter().map(move |&f| (p, f)));
         buffered.chain(spilled).chain(retrying)
     }
 
     /// Appends a human-readable dump of this router's non-idle pipeline
-    /// state (waiting VCs, bypass retry queues, busy output VCs) — used
-    /// by wedge-diagnosis assertions to show *where* traffic stuck.
-    pub(crate) fn debug_dump(&self, packets: &Packets, out: &mut String) {
+    /// state at `now` (waiting VCs, bypass retry queues, held or draining
+    /// output VCs with the credits home on `wires`) — used by
+    /// wedge-diagnosis assertions to show *where* traffic stuck.
+    pub(crate) fn debug_dump(
+        &self,
+        now: Cycle,
+        wires: &[CreditWire],
+        packets: &Packets,
+        out: &mut String,
+    ) {
         use std::fmt::Write;
         for (i, vc) in self
             .state
@@ -318,12 +327,13 @@ impl Router {
         for o in 0..usize::from(self.ports) {
             let owned: Vec<_> = (0..self.layout.total())
                 .map(|v| (v, self.slot(o, v)))
-                .filter(|&(_, i)| self.state.owner[i] != Owner::Free)
+                .filter(|&(_, i)| !self.free_at(now, wires, i))
                 .map(|(v, i)| {
-                    format!(
-                        "vc{v}={:?} cr{}",
-                        self.state.owner[i], self.state.credits[i]
-                    )
+                    let cr = self.home(now, wires, i);
+                    match self.state.owner[i] {
+                        Owner::Free => format!("vc{v}=Draining cr{cr}"),
+                        owner => format!("vc{v}={owner:?} cr{cr}"),
+                    }
                 })
                 .collect();
             if !owned.is_empty() {
@@ -347,25 +357,26 @@ impl Router {
         self.state.degraded = degraded;
     }
 
-    /// `n` credits for output VC `slot` arriving, handed over in place by
-    /// the link registers right before this cycle's [`Router::tick`]; the
-    /// last one home frees a draining VC. (Saturating: the uncredited
-    /// complete-mode circuit VC is sent credits by its fallen-back flits
-    /// that nothing ever spends or reads.)
-    pub(crate) fn credit(&mut self, slot: usize, n: u8) {
-        self.state.credits[slot] = self.state.credits[slot].saturating_add(n);
-        if self.state.owner[slot] == Owner::Draining
-            && self.state.credits[slot] >= self.buffer_depth
-        {
-            self.state.owner[slot] = Owner::Free;
-        }
+    /// The credits of output VC `slot` home at `now`: its wire's, or the
+    /// whole buffer on an (uncredited) ejection port, which has no wire.
+    fn home(&self, now: Cycle, wires: &[CreditWire], slot: usize) -> u8 {
+        wires
+            .get(slot)
+            .map_or(self.buffer_depth, |w| w.available(now))
     }
 
-    /// Runs one cycle, after this cycle's credits ([`Router::credit`]).
-    /// `arrivals` and `undos` are the other messages reaching this router
-    /// this cycle, as its link registers hand them over (drained in place
-    /// so the caller can reuse the buffers); produced messages go straight
-    /// onto `out`. Flits are handles into `packets`.
+    /// `true` when output VC `slot` may be VC-allocated at `now`: no
+    /// packet holds it and every credit of the downstream buffer is home.
+    /// A VC the tail left whose credits are still on the way is draining.
+    fn free_at(&self, now: Cycle, wires: &[CreditWire], slot: usize) -> bool {
+        self.state.owner[slot] == Owner::Free && self.home(now, wires, slot) == self.buffer_depth
+    }
+
+    /// Runs one cycle. `arrivals` and `undos` are the messages reaching
+    /// this router this cycle, as its link registers hand them over
+    /// (drained in place so the caller can reuse the buffers); produced
+    /// messages go straight onto `out`, and the router's credits are
+    /// `out`'s wires, read at `now`. Flits are handles into `packets`.
     pub(crate) fn tick(
         &mut self,
         now: Cycle,
@@ -395,7 +406,7 @@ impl Router {
         }
 
         self.stage_st(now, packets, out);
-        self.stage_sa(now, packets);
+        self.stage_sa(now, packets, out.wires());
         self.stage_va(now, packets, out);
         debug_assert_eq!(self.check_index(), Ok(()));
     }
@@ -421,8 +432,9 @@ impl Router {
     /// expires entries at `now - 4`, so stay awake from the cycle that
     /// check starts firing.
     pub(crate) fn expires(&self, now: Cycle) -> bool {
-        let next = self.state.circuits.next_expiry();
-        self.timed && next.is_some_and(|end| now.saturating_sub(4) >= end)
+        // The cheap test first: `next_expiry` scans every port's entries.
+        let due = |end| now.saturating_sub(4) >= end;
+        self.timed && self.state.circuits.next_expiry().is_some_and(due)
     }
 
     /// Undo handling: clear the local reservation and forward the undo
@@ -466,7 +478,7 @@ impl Router {
         for p in bits(self.occ.retries) {
             // Decide on the queue head in place; pop only to act.
             while let Some(&front) = self.state.bypass_retry[p].front() {
-                match self.bypass_check(p, front, packets) {
+                match self.bypass_check(now, p, front, packets, out.wires()) {
                     BypassCheck::Ready => {
                         let flit = self.pop_retry(p);
                         self.execute_bypass(now, p, flit, packets, out);
@@ -506,7 +518,14 @@ impl Router {
     /// Whether `flit`, arrived on `port`, can take the bypass path right
     /// now: it must ride a circuit (the key is in its packet's record)
     /// that is reserved here.
-    fn bypass_check(&mut self, port: usize, flit: Flit, packets: &Packets) -> BypassCheck {
+    fn bypass_check(
+        &mut self,
+        now: Cycle,
+        port: usize,
+        flit: Flit,
+        packets: &Packets,
+        wires: &[CreditWire],
+    ) -> BypassCheck {
         if !flit.rides() {
             return BypassCheck::Pipeline;
         }
@@ -539,8 +558,8 @@ impl Router {
                 .layout
                 .circuit_vc(entry.vc as usize % self.layout.circuit_vcs);
             // A head needs the downstream VC completely idle (all credits
-            // home), like the packet-switched Draining rule.
-            if self.state.credits[self.slot(entry.out_port, gvc)] < self.buffer_depth {
+            // home), like the packet-switched draining rule.
+            if wires[self.slot(entry.out_port, gvc)].available(now) < self.buffer_depth {
                 self.state.circuits.release(port, key);
                 return BypassCheck::Pipeline;
             }
@@ -577,7 +596,7 @@ impl Router {
                 self.push_retry(port, flit);
                 return;
             }
-            match self.bypass_check(port, flit, packets) {
+            match self.bypass_check(now, port, flit, packets, out.wires()) {
                 BypassCheck::Ready => {
                     self.execute_bypass(now, port, flit, packets, out);
                     return;
@@ -650,10 +669,7 @@ impl Router {
         // Fragmented circuit VCs are buffered and credited; the bypass
         // consumes the downstream slot it may need at a gap router.
         if self.mechanism.mode == CircuitMode::Fragmented && entry.out_port < PORT_LOCAL {
-            let slot = self.slot(entry.out_port, flit.vc.into());
-            self.state.credits[slot] = self.state.credits[slot]
-                .checked_sub(1)
-                .expect("fragmented bypass head verified whole-message credits");
+            out.wires()[self.slot(entry.out_port, flit.vc.into())].take(now);
         }
         let arrive = if entry.out_port >= PORT_LOCAL {
             now + 1
@@ -768,18 +784,13 @@ impl Router {
             let arrive = if route >= PORT_LOCAL {
                 now + 1
             } else {
-                self.state.credits[out_slot] = self.state.credits[out_slot]
-                    .checked_sub(1)
-                    .expect("SA checked a credit was available");
+                out.wires()[out_slot].take(now);
                 self.state.activity.link_flits += 1;
                 now + 1 + self.link_latency as Cycle
             };
             if is_tail {
-                self.state.owner[out_slot] = if route >= PORT_LOCAL {
-                    Owner::Free
-                } else {
-                    Owner::Draining
-                };
+                // Draining until its credits are home ([`Router::free_at`]).
+                self.state.owner[out_slot] = Owner::Free;
             }
             out.flit(route, flit, arrive, packets);
         }
@@ -787,7 +798,7 @@ impl Router {
 
     /// Stage 3: two-phase round-robin switch allocation; winners traverse
     /// the crossbar next cycle.
-    fn stage_sa(&mut self, now: Cycle, packets: &Packets) {
+    fn stage_sa(&mut self, now: Cycle, packets: &Packets, wires: &[CreditWire]) {
         if self.occ.post_va == 0 {
             return;
         }
@@ -817,7 +828,7 @@ impl Router {
                 let route = usize::from(vc.route.expect("post-VA VC has a route"));
                 let out_vc = usize::from(vc.out_vc.expect("post-VA VC has an output VC"));
                 let credit_ok = route >= PORT_LOCAL
-                    || self.state.credits[self.slot(route, out_vc)] > 0
+                    || wires[self.slot(route, out_vc)].available(now) > 0
                     // Circuit-class VCs are reservation-managed, not
                     // credited (fragmented gap traffic).
                     || out_vc >= usize::from(self.circuit_vc0);
@@ -893,6 +904,7 @@ impl Router {
 
         // Two-phase allocation: one grant per requested output port per
         // cycle, round-robin over the requesting input ports.
+        let wires = &*out.wires();
         for out_port in bits(wanted) {
             let mut tried = std::mem::take(&mut self.contend[out_port]);
             // Check a free output VC exists for at least one contender
@@ -929,7 +941,7 @@ impl Router {
                 for &(_, v, vnet, dst) in &candidates {
                     let free_vc = self
                         .allocatable(out_port, vnet, dst)
-                        .find(|&ovc| self.state.owner[self.slot(out_port, ovc)] == Owner::Free);
+                        .find(|&ovc| self.free_at(now, wires, self.slot(out_port, ovc)));
                     if let Some(ovc) = free_vc {
                         self.state.owner[self.slot(out_port, ovc)] =
                             Owner::Owned(winner as u8, v as u8);
@@ -992,7 +1004,6 @@ impl Router {
             bypass_retry,
             st_len: _,
             st_pending: _,
-            credits: _,
             owner: _,
             circuits: _,
             arbiters: _,
@@ -1178,11 +1189,18 @@ impl Router {
     /// Reports every input VC that is blocked on a channel resource,
     /// with the exact resources it waits on — this router's slice of
     /// the network-level wait-for graph (deadlock diagnosis). Mirrors
-    /// the allocator rules: a post-VA VC is blocked when its allocated
-    /// output VC has no credits; a `WaitVa` VC is blocked when *no* VC
-    /// in its allocatable class is free. Only runs on the cold
-    /// watchdog path, so it allocates freely.
-    pub(crate) fn waiters(&self, now: Cycle, packets: &Packets, out: &mut Vec<VcWaiter>) {
+    /// the allocator rules, reading the router's credit `wires` at `now`:
+    /// a post-VA VC is blocked when its allocated output VC has no
+    /// credits; a `WaitVa` VC is blocked when *no* VC in its allocatable
+    /// class is free. Only runs on the cold watchdog path, so it
+    /// allocates freely.
+    pub(crate) fn waiters(
+        &self,
+        now: Cycle,
+        packets: &Packets,
+        wires: &[CreditWire],
+        out: &mut Vec<VcWaiter>,
+    ) {
         for (slot, vc) in self.state.vcs.iter().enumerate() {
             let (p, v) = self.port_vc(slot);
             if vc.is_idle() {
@@ -1203,7 +1221,7 @@ impl Router {
             let mut edges = Vec::new();
             let credits = match out_vc {
                 Some(ov) => {
-                    let credits = u32::from(self.state.credits[self.slot(route, ov)]);
+                    let credits = u32::from(wires[self.slot(route, ov)].available(now));
                     if credits == 0 && !self.layout.is_circuit_vc(ov) {
                         edges.push(WaitEdge::Downstream { out_vc: ov });
                     }
@@ -1213,21 +1231,19 @@ impl Router {
                     if vc.state == VcState::WaitVa {
                         let cands: Vec<usize> =
                             self.allocatable(route, packet.vnet, packet.dst).collect();
-                        let owner = |ovc: usize| self.state.owner[self.slot(route, ovc)];
-                        if cands.iter().all(|&ovc| owner(ovc) != Owner::Free) {
+                        let slot = |ovc: usize| self.slot(route, ovc);
+                        if cands
+                            .iter()
+                            .all(|&ovc| !self.free_at(now, wires, slot(ovc)))
+                        {
                             for &ovc in &cands {
-                                match owner(ovc) {
-                                    Owner::Owned(hp, hv) => {
-                                        edges.push(WaitEdge::Local {
-                                            in_port: hp.into(),
-                                            vc: hv.into(),
-                                        });
-                                    }
-                                    Owner::Draining => {
-                                        edges.push(WaitEdge::Downstream { out_vc: ovc });
-                                    }
-                                    Owner::Free => {}
-                                }
+                                edges.push(match self.state.owner[slot(ovc)] {
+                                    Owner::Owned(hp, hv) => WaitEdge::Local {
+                                        in_port: hp.into(),
+                                        vc: hv.into(),
+                                    },
+                                    Owner::Free => WaitEdge::Downstream { out_vc: ovc },
+                                });
                             }
                         }
                     }
@@ -1309,15 +1325,76 @@ pub(crate) struct VcWaiter {
 mod tests {
     use super::*;
     use crate::flit::{Packet, PacketSpec};
-    use crate::links::Outgoing;
     use rcsim_core::{
         MechanismConfig, MessageClass, Stateful, Topology, PORT_EAST, PORT_NORTH, PORT_WEST,
     };
 
-    fn router(mechanism: MechanismConfig) -> Router {
+    /// One recorded [`LinkSink`] call, argument for argument.
+    #[derive(Debug, Clone, PartialEq)]
+    enum Outgoing {
+        Flit(usize, Flit, Cycle),
+        Credit(usize, usize, Cycle),
+        Undo(usize, CircuitKey, NodeId, Cycle),
+    }
+
+    /// The sink a lone router ticks into: its calls are recorded in `sent`,
+    /// and `wires` are the router's own credit wires, which nothing
+    /// downstream ever refills.
+    #[derive(Debug, Clone)]
+    struct Recorder {
+        sent: Vec<Outgoing>,
+        wires: Vec<CreditWire>,
+    }
+
+    impl LinkSink for Recorder {
+        fn flit(&mut self, port: usize, flit: Flit, arrive: Cycle, _: &mut Packets) {
+            self.sent.push(Outgoing::Flit(port, flit, arrive));
+        }
+
+        fn credit(&mut self, port: usize, vc: usize, arrive: Cycle) {
+            self.sent.push(Outgoing::Credit(port, vc, arrive));
+        }
+
+        fn undo(&mut self, port: usize, key: CircuitKey, dst: NodeId, arrive: Cycle) {
+            self.sent.push(Outgoing::Undo(port, key, dst, arrive));
+        }
+
+        fn wires(&mut self) -> &mut [CreditWire] {
+            &mut self.wires
+        }
+    }
+
+    /// A lone router and the sink it ticks into.
+    struct Lone {
+        router: Router,
+        sink: Recorder,
+    }
+
+    impl std::ops::Deref for Lone {
+        type Target = Router;
+        fn deref(&self) -> &Router {
+            &self.router
+        }
+    }
+
+    impl std::ops::DerefMut for Lone {
+        fn deref_mut(&mut self) -> &mut Router {
+            &mut self.router
+        }
+    }
+
+    fn router(mechanism: MechanismConfig) -> Lone {
         let mesh = Topology::mesh(4, 4).expect("valid");
-        // Router at n5 = (1,1): all four neighbours exist.
-        Router::new(NodeId(5), &NocConfig::paper_baseline(mesh, mechanism))
+        let cfg = NocConfig::paper_baseline(mesh, mechanism);
+        let slots = mesh.ports() * cfg.vc_layout().total();
+        Lone {
+            // Router at n5 = (1,1): all four neighbours exist.
+            router: Router::new(NodeId(5), &cfg),
+            sink: Recorder {
+                sent: Vec::new(),
+                wires: vec![CreditWire::full(cfg.buffer_depth); slots],
+            },
+        }
     }
 
     /// Files a `len`-flit packet of `class` from n4 to `dst`, block 0x40.
@@ -1336,14 +1413,14 @@ mod tests {
     }
 
     fn tick(
-        r: &mut Router,
+        r: &mut Lone,
         now: Cycle,
         packets: &mut Packets,
         mut arrivals: Vec<(usize, Flit)>,
     ) -> Vec<Outgoing> {
-        let mut out = Vec::new();
-        r.tick(now, &mut arrivals, &mut Vec::new(), packets, &mut out);
-        out
+        let Lone { router, sink } = r;
+        router.tick(now, &mut arrivals, &mut Vec::new(), packets, sink);
+        std::mem::take(&mut sink.sent)
     }
 
     /// The Table 4 pipeline takes exactly four cycles in the router: a
@@ -1414,13 +1491,11 @@ mod tests {
         let flits = request(&mut packets, len);
         // Hold the output busy so nothing leaves while the flits pile up.
         for now in 0..u64::from(len) {
-            let mut arrivals = vec![(PORT_WEST, flits[now as usize])];
-            r.tick(
+            tick(
+                &mut r,
                 now,
-                &mut arrivals,
-                &mut Vec::new(),
                 &mut packets,
-                &mut Vec::new(),
+                vec![(PORT_WEST, flits[now as usize])],
             );
             r.state.st_len = 0;
         }
@@ -1430,7 +1505,7 @@ mod tests {
         let mut seqs = Vec::new();
         for now in u64::from(len)..u64::from(4 * len) {
             // The downstream buffer is as deep as it needs to be.
-            r.state.credits = [u8::MAX; VC_INDEX_BITS];
+            r.sink.wires.fill(CreditWire::full(MAX_BUFFER_DEPTH));
             for o in tick(&mut r, now, &mut packets, vec![]) {
                 if let Outgoing::Flit(_, f, _) = o {
                     seqs.push(f.seq);
@@ -1462,7 +1537,7 @@ mod tests {
             }
             arrivals
         };
-        let json = |r: &Router| serde_json::to_string(&r.state).expect("serializes");
+        let json = |r: &Lone| serde_json::to_string(&r.state).expect("serializes");
 
         let mut uninterrupted = router(MechanismConfig::baseline());
         for now in 0..5 {
@@ -1481,6 +1556,8 @@ mod tests {
 
         let mut restored = router(MechanismConfig::baseline());
         restored.restore(&snap);
+        // The credits are the network's state, beside the router's.
+        restored.sink.wires.clone_from(&uninterrupted.sink.wires);
         assert_eq!(restored.occ, uninterrupted.occ);
         assert_eq!(restored.check_index(), Ok(()));
         assert_eq!(json(&restored), json(&uninterrupted));
@@ -1627,16 +1704,13 @@ mod tests {
                 max_extra_shift: 0,
             })
             .expect("reservation succeeds");
-        let mut out = Vec::new();
-        r.tick(
-            5,
-            &mut Vec::new(),
-            &mut vec![(key, NodeId(4))],
-            &mut Packets::default(),
-            &mut out,
-        );
+        let Lone { router, sink } = &mut r;
+        let undos = &mut vec![(key, NodeId(4))];
+        router.tick(5, &mut Vec::new(), undos, &mut Packets::default(), sink);
         assert_eq!(r.state.circuits.total_entries(), 0);
-        assert!(out
+        assert!(r
+            .sink
+            .sent
             .iter()
             .any(|o| matches!(o, Outgoing::Undo(PORT_WEST, ..))));
     }

@@ -8,19 +8,33 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rcsim_core::circuit::CircuitKey;
 use rcsim_core::{MechanismConfig, MessageClass, NodeId, Topology};
-use rcsim_noc::{Network, NocConfig, PacketSpec};
+use rcsim_noc::{IngressConfig, Network, NocConfig, PacketSpec};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-/// Counts every allocation and reallocation of the process.
+/// Counts every allocation and reallocation, per thread: the tests of
+/// this file run side by side.
 struct Counting;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    // A thread being torn down has no counter left; nothing is measured
+    // there.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// This thread's allocations so far.
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
 
 // SAFETY: defers to the system allocator; only counts the calls.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.alloc(layout)
     }
 
@@ -29,7 +43,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -52,9 +66,9 @@ fn cycle(net: &mut Network, rng: &mut StdRng, block: &mut u64) -> u64 {
             );
         }
     }
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     net.tick();
-    let allocated = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let allocated = allocations() - before;
     for (node, d) in net.take_all_delivered() {
         if d.class == MessageClass::L1Request {
             let key = CircuitKey {
@@ -90,4 +104,45 @@ fn tick_allocates_nothing_after_warm_up() {
         .sum();
     assert_eq!(allocated, 0, "allocations inside 2 000 steady-state ticks");
     assert!(net.stats().total_delivered() > stats.total_delivered() + 3_000);
+}
+
+/// The open-loop edge ingress on top of the same echo: offers at eight
+/// edges, the ingress drain and the tick allocate nothing once warm.
+#[test]
+fn ingress_drain_allocates_nothing_after_warm_up() {
+    let mesh = Topology::mesh(8, 8).expect("valid");
+    let cfg = NocConfig::paper_baseline(mesh, MechanismConfig::complete());
+    let mut net = Network::new(cfg).expect("valid configuration");
+    let edges: Vec<NodeId> = (0..8).map(NodeId).collect();
+    net.configure_ingress(IngressConfig::default(), edges.clone());
+    let (mut rng, mut block) = (StdRng::seed_from_u64(0x0BE7_11E5), 0);
+    let mut released = Vec::new();
+    let mut step = |net: &mut Network| {
+        for &edge in &edges {
+            if rng.gen_bool(0.02) {
+                block += 64;
+                net.offer_external(edge, NodeId(rng.gen_range(8..NODES)), block);
+            }
+        }
+        released.clear();
+        let before = allocations();
+        net.drain_ingress(&mut released);
+        let allocated = allocations() - before;
+        for r in &released {
+            block += 64;
+            net.inject(PacketSpec::new(r.edge, r.dst, MessageClass::L1Request).with_block(block));
+        }
+        allocated + cycle(net, &mut rng, &mut block)
+    };
+    for _ in 0..6_000 {
+        step(&mut net);
+    }
+    let warm = net.overload_report().released;
+    assert!(warm > 600, "warm-up must release open-loop arrivals");
+    let allocated: u64 = (0..2_000).map(|_| step(&mut net)).sum();
+    assert_eq!(
+        allocated, 0,
+        "allocations inside 2 000 steady-state drains and ticks"
+    );
+    assert!(net.overload_report().released > warm + 200);
 }

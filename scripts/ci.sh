@@ -98,11 +98,10 @@ tables=$(grep -n '^\[features\]' crates/*/Cargo.toml || true)
 [ -z "$twins$gated$tables" ] \
   || { echo "FAIL: a second geometry, a port enum or a cargo feature is back:"; echo "$twins$gated$tables"; exit 1; }
 
-echo "==> the kernel walks a worklist (DESIGN.md §9: due words ∪ busy bits; credits handed over in place)"
+echo "==> the kernel walks a worklist (DESIGN.md §9: due words ∪ busy bits)"
 # Network::tick visits the set bits of due | busy, never every component
 # to ask it; the due bit comes from the word the loop holds (`.due(` only
-# in tests, up to each file's #[cfg(test)] mod); credits go straight to
-# the receiver, not through a list.
+# in tests, up to each file's #[cfg(test)] mod); no credit list.
 tick=$(sed -n '/^    pub fn tick(&mut self) {$/,/^    }$/p' crates/noc/src/network.rs)
 scan=$(grep -E 'for i in 0\.\.topology\.nodes\(\)|routers\.iter_mut\(\)\.enumerate\(\)' <<< "$tick" || true)
 asked=$(find crates/noc/src -name '*.rs' -print0 | xargs -0 awk '
@@ -114,6 +113,19 @@ listed=$(grep -rn 'credits: &mut Vec<(usize, u8)>' crates/noc/src || true)
 [ -n "$tick" ] && [ -z "$scan$asked$listed" ] \
   || { echo "FAIL: Network::tick scans every component, a due test or a credit list is back:"
        printf '%s\n' "$scan" "$asked" "$listed" | grep .; exit 1; }
+
+echo "==> credits never enter the calendar (DESIGN.md §9: a credit is a timestamp on its wire, not a message)"
+# Credits are written on CreditWire records (crates/noc/src/credit.rs) and
+# read as a function of time: no calendar cell holds one, no drain hands
+# one over, and no router or NI is visited to count one.
+cells=$(grep -nE 'push_credit|credits: Vec<|masks: Vec<\(' crates/noc/src/calendar.rs || true)
+counted=$(awk '
+  FNR == 1 { skip = 0 }
+  skip { next }
+  /^#\[cfg\(test\)\]$/ { getline; if ($0 ~ /^mod /) skip = 1; next }
+  /fn credit\(/ { print FILENAME ":" FNR ": " $0 }' crates/noc/src/router/*.rs crates/noc/src/ni.rs)
+[ -z "$cells$counted" ] \
+  || { echo "FAIL: a credit cell in the calendar, or a credit callback on Router/Ni, is back:"; echo "$cells$counted"; exit 1; }
 
 echo "==> extensions are clients (DESIGN.md §14: the adaptive policy steps beside the network, not inside it)"
 # The network hosts no policy: its controller, knobs and state live in
@@ -277,13 +289,15 @@ echo "==> cache arrays, the topology tables and the worklist in release (oracle 
 # Shifts, masks and `as` casts behave alike in both profiles only if no
 # debug assertion was doing the work; the footprint law (allocations,
 # file size, resume on paper-size caches) is stated for release builds.
-# The due words against the reference mailbox, and dense ≡ event through
-# every outside mutation and a resume, with the superset law compiled out.
+# The due words against the reference mailbox, the credit wires against
+# their list of arrivals, dense ≡ event through every outside mutation and
+# a resume with the superset law compiled out, and credit conservation
+# every cycle of a faulted echo.
 $CARGO test --release -q -p rcsim-protocol "$@"
 $CARGO test --release -q -p rcsim-core --test topology_table "$@"
 $CARGO test --release -q --test footprint "$@"
-$CARGO test --release -q -p rcsim-noc --lib calendar "$@"
-$CARGO test --release -q --test cross_crate worklist "$@"
+$CARGO test --release -q -p rcsim-noc --lib "$@" -- calendar credit
+$CARGO test --release -q --test cross_crate "$@" -- worklist credit_conservation
 
 echo "==> checkpoint smoke (kill-and-resume byte-identity, corrupt-file clean miss)"
 # Crash-resilience gate (DESIGN.md §15). The differential suite proves
@@ -325,8 +339,8 @@ if find "$ckpt_dir" -name '*.ckpt' | grep -q .; then
   echo "FAIL: completed sweep left checkpoints behind in $ckpt_dir"; exit 1
 fi
 mkdir -p "$ckpt_dir"
-# Every earlier version (v7, with the adaptive policy inside the network's
-# snapshot, is the newest of them), with the checksum of its "{}": only the
+# Every earlier version (v8, with credits as messages in the link
+# calendars, is the newest of them), with the checksum of its "{}": only the
 # version rejects it.
 current=$(sed -n 's/^pub const CHECKPOINT_FORMAT_VERSION: u32 = \([0-9]*\);$/\1/p' crates/system/src/checkpoint.rs)
 for v in $(seq 0 $((${current:?CHECKPOINT_FORMAT_VERSION not found} - 1))); do

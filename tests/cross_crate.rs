@@ -431,6 +431,97 @@ fn worklist_holds_every_outside_mutation_and_survives_a_resume() {
     assert_eq!(serialized(&dense.2), serialized(&event.2));
 }
 
+/// Credits are back-wires (DESIGN.md §6b): on a 4×4 fragmented echo with
+/// link drops, credit loss, a dead-link window and a stuck port, credit
+/// conservation holds after every cycle under both kernels. For every
+/// credited VC, the credits home and on the wire, the flits buffered or
+/// on the link, and the credits lost make the buffer depth
+/// (`Network::check_index`). A fresh network restored mid-run then ends
+/// in the state of the run that was never interrupted.
+#[test]
+fn credit_conservation_holds_every_cycle_under_faults_kernels_and_a_resume() {
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+    use reactive_circuits::core::circuit::CircuitKey;
+    use reactive_circuits::noc::DeadLinkEvent;
+    const SPLIT: u64 = 450;
+    const END: u64 = 900;
+    let mesh = Topology::mesh(4, 4).unwrap();
+    let cfg = NocConfig::paper_baseline(mesh, MechanismConfig::fragmented());
+    let mut faults = FaultConfig::none();
+    faults.seed = 0xC4ED;
+    faults.link_drop_rate = 0.01;
+    faults.credit_loss_rate = 0.002;
+    faults.dead_links.push(DeadLinkEvent {
+        a: NodeId(5),
+        b: NodeId(6),
+        at: 300,
+        duration: Some(250),
+    });
+    faults.stuck_ports.push(StuckPortEvent {
+        node: NodeId(9),
+        port: 3,
+        at: 350,
+        duration: 150,
+    });
+    let network = |kernel: KernelMode| {
+        let mut net = Network::with_faults(cfg, faults.clone()).unwrap();
+        net.set_kernel(kernel);
+        net
+    };
+    // Requests for the first 700 cycles, each answered by a reply that
+    // rides its circuit; the rng lives beside the network it drives.
+    let step = |net: &mut Network, rng: &mut StdRng| {
+        if net.now() < 700 {
+            for src in 0..16u16 {
+                if rng.gen_bool(0.04) {
+                    let dst = (src + rng.gen_range(1..16u16)) % 16;
+                    let block = rng.gen_range(0..1u64 << 40) << 6;
+                    let spec = PacketSpec::new(NodeId(src), NodeId(dst), MessageClass::L1Request);
+                    net.inject(spec.with_block(block));
+                }
+            }
+        }
+        net.tick();
+        if let Err(e) = net.check_index() {
+            panic!("cycle {}: {e}", net.now());
+        }
+        for (node, d) in net.take_all_delivered() {
+            if d.class == MessageClass::L1Request {
+                let key = CircuitKey {
+                    requestor: d.src,
+                    block: d.block,
+                };
+                let reply = PacketSpec::new(node, d.src, MessageClass::L2Reply);
+                net.inject(reply.with_block(d.block).with_circuit_key(key));
+            }
+        }
+    };
+    let bytes = |net: &Network| serde_json::to_string(&net.snapshot()).unwrap();
+    let mut ends = Vec::new();
+    for kernel in [KernelMode::Dense, KernelMode::Event] {
+        let (mut whole, mut rng) = (network(kernel), StdRng::seed_from_u64(0xEC40));
+        while whole.now() < SPLIT {
+            step(&mut whole, &mut rng);
+        }
+        let mut resumed = network(kernel);
+        resumed.restore(&whole.snapshot());
+        let mut resumed_rng = rng.clone();
+        while whole.now() < END {
+            step(&mut whole, &mut rng);
+            step(&mut resumed, &mut resumed_rng);
+        }
+        assert!(
+            bytes(&resumed) == bytes(&whole),
+            "{kernel:?}: the resumed run ends elsewhere"
+        );
+        let f = whole.fault_stats();
+        assert!(f.credits_lost > 0 && f.packets_dropped > 0 && f.dead_flits_lost > 0);
+        assert!(f.stuck_port_cycles > 0 && whole.stats().total_delivered() > 400);
+        ends.push(bytes(&whole));
+    }
+    assert!(ends[0] == ends[1], "the kernels end in different states");
+}
+
 #[test]
 fn all_workloads_resolve_through_prelude() {
     assert_eq!(workload_names().len(), 22);
