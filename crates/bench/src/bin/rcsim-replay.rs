@@ -10,7 +10,7 @@
 //! an unreadable or corrupt checkpoint.
 
 use rcsim_bench::RunEnv;
-use rcsim_system::{SessionSnapshot, SimSession};
+use rcsim_system::{KernelMode, SessionSnapshot, SimSession};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -42,14 +42,11 @@ fn main() -> ExitCode {
         Err(e) => eprintln!("rcsim-replay: config failed to serialize: {e}"),
     }
 
-    let kernel = match RunEnv::from_process() {
-        Ok(env) => env.kernel,
-        Err(message) => {
-            eprintln!("rcsim-replay: {message}");
-            return ExitCode::from(2);
-        }
-    };
-    let mut session = match SimSession::resume(&snap, kernel, 1) {
+    if let Err(message) = RunEnv::from_process() {
+        eprintln!("rcsim-replay: {message}");
+        return ExitCode::from(2);
+    }
+    let mut session = match SimSession::resume(&snap, KernelMode::Event, 1) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("rcsim-replay: checkpoint no longer builds: {e}");

@@ -22,7 +22,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rcsim_core::circuit::CircuitKey;
-use rcsim_core::{AdaptiveConfig, KernelMode, MechanismConfig, MessageClass, NodeId, TopologySpec};
+use rcsim_core::{AdaptiveConfig, MechanismConfig, MessageClass, NodeId, TopologySpec};
 use rcsim_noc::traffic::{Generator, Pattern};
 use rcsim_noc::{CircuitOutcome, MessageGroup, Network, NocConfig, PacketSpec};
 use rcsim_system::Adaptive;
@@ -135,7 +135,7 @@ impl Ledger {
     }
 }
 
-/// Drives one point under `kernel`.
+/// Drives one point.
 ///
 /// # Errors
 ///
@@ -143,11 +143,10 @@ impl Ledger {
 /// invalid adaptive configuration, or a draining point that did not
 /// reach quiescence, abandoned a packet or lost a delivery (with the
 /// network's health report).
-pub(crate) fn run_echo(spec: &EchoSpec, kernel: KernelMode) -> Result<EchoResult, String> {
+pub(crate) fn run_echo(spec: &EchoSpec) -> Result<EchoResult, String> {
     let topology = spec.topology.build(spec.cores).map_err(|e| e.to_string())?;
     let cfg = NocConfig::paper_baseline(topology, spec.mechanism);
     let mut net = Network::new(cfg).map_err(|e| e.to_string())?;
-    net.set_kernel(kernel);
     let mut policy = match spec.adaptive {
         Some(cfg) => Some(Adaptive::new(cfg, &mut net).map_err(|e| e.to_string())?),
         None => None,

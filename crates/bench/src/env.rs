@@ -8,7 +8,6 @@
 //! binaries exit on with status 2 before anything is simulated — a typo
 //! must not cost a night of sweeping the defaults.
 
-use rcsim_core::KernelMode;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
@@ -41,7 +40,6 @@ pub const KNOBS: &[Knob] = &[
     Knob { name: "RC_CACHE_DIR", meaning: "result-cache directory (empty = no cache)", default: "target/experiments/cache" },
     Knob { name: "RC_CKPT_DIR", meaning: "checkpoint sweep points to this directory, resume from it, dump wedged runs into it (empty = no checkpoints)", default: "" },
     Knob { name: "RC_CKPT_INTERVAL", meaning: "cycles between checkpoints under `RC_CKPT_DIR`", default: "100000" },
-    Knob { name: "RC_KERNEL", meaning: "`event` (skip idle components) or `dense` (the reference kernel)", default: "event" },
     Knob { name: "RC_TOPO_CYCLES", meaning: "`topology`: injection window per point", default: "3000" },
     Knob { name: "RC_TOPO_CORES", meaning: "`topology`: comma list of core counts", default: "64,256,1024" },
     Knob { name: "RC_UPDATE_GOLDEN", meaning: "tests only: `1` = rewrite the golden files instead of comparing", default: "0" },
@@ -69,7 +67,6 @@ pub struct RunEnv {
     pub cache_dir: Option<PathBuf>,
     /// `RC_CKPT_DIR` with `RC_CKPT_INTERVAL`; `None` without a directory.
     pub checkpoints: Option<(PathBuf, u64)>,
-    pub kernel: KernelMode,
     pub topo_cycles: u64,
     pub topo_cores: Vec<u16>,
 }
@@ -188,13 +185,6 @@ impl RunEnv {
             jobs,
             cache_dir: vars.dir("RC_CACHE_DIR")?.filter(|_| !no_cache),
             checkpoints: vars.dir("RC_CKPT_DIR")?.map(|d| (d, ckpt_interval)),
-            kernel: vars.get("RC_KERNEL", "`dense` or `event`", |s| {
-                match s.to_ascii_lowercase().as_str() {
-                    "dense" => Some(KernelMode::Dense),
-                    "event" => Some(KernelMode::Event),
-                    _ => None,
-                }
-            })?,
             topo_cycles: vars.whole("RC_TOPO_CYCLES", 0)?,
             topo_cores: vars.cores("RC_TOPO_CORES")?,
         })

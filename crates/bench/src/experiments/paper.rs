@@ -7,7 +7,7 @@ use crate::{sim_jobs, RunEnv};
 use rcsim_core::MechanismConfig;
 use rcsim_power::area_savings;
 use rcsim_stats::geometric_mean;
-use rcsim_system::{run_sim_traced_with_kernel, RunResult, SimConfig, TraceConfig};
+use rcsim_system::{run_sim_traced, RunResult, SimConfig, TraceConfig};
 
 /// One row per (`RC_CORES` size × mechanism) over `RC_APPS` × `RC_SEEDS`;
 /// `paired` makes `Baseline` every other row's base.
@@ -264,7 +264,7 @@ fn fig6_trace(env: &RunEnv) -> Result<String, String> {
         measure_cycles: 3_000,
         ..SimConfig::quick(16, MechanismConfig::complete_noack(), &env.apps[0])
     };
-    let (_, report) = run_sim_traced_with_kernel(&cfg, &TraceConfig::default(), env.kernel)
+    let (_, report) = run_sim_traced(&cfg, &TraceConfig::default())
         .map_err(|e| format!("fig6 trace run: {e}"))?;
     Ok(rcsim_trace::chrome_trace_json(&report.events))
 }

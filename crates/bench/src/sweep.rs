@@ -19,9 +19,7 @@
 //! recomputed, never an error.
 
 use crate::env::RunEnv;
-use rcsim_system::{
-    run_sim_resumable, run_sim_with_kernel, Envelope, KernelMode, RunResult, SimConfig, SimError,
-};
+use rcsim_system::{run_sim, run_sim_resumable, Envelope, RunResult, SimConfig, SimError};
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
@@ -84,23 +82,21 @@ pub struct SweepRunner {
     workers: usize,
     cache_dir: Option<PathBuf>,
     checkpoints: Option<(PathBuf, u64)>,
-    kernel: KernelMode,
 }
 
 impl SweepRunner {
     /// A runner with an explicit worker count and cache directory
-    /// (`None` disables caching), no checkpoints, the event kernel.
+    /// (`None` disables caching), no checkpoints.
     pub fn new(workers: usize, cache_dir: Option<PathBuf>) -> Self {
         Self {
             workers: workers.max(1),
             cache_dir,
             checkpoints: None,
-            kernel: KernelMode::Event,
         }
     }
 
     /// The runner the experiment binaries use: everything as `env` says
-    /// (`RC_JOBS`, `RC_CACHE_DIR`/`RC_NO_CACHE`, `RC_KERNEL`). Under
+    /// (`RC_JOBS`, `RC_CACHE_DIR`/`RC_NO_CACHE`). Under
     /// `RC_CKPT_DIR`/`RC_CKPT_INTERVAL` uncached points checkpoint to that
     /// directory every interval and resume from the latest valid
     /// checkpoint on a rerun, so a killed sweep re-does at most one
@@ -109,7 +105,6 @@ impl SweepRunner {
     pub fn for_env(env: &RunEnv) -> Self {
         Self {
             checkpoints: env.checkpoints.clone(),
-            kernel: env.kernel,
             ..Self::new(env.jobs, env.cache_dir.clone())
         }
     }
@@ -130,11 +125,6 @@ impl SweepRunner {
         self.checkpoints.as_ref().map(|(d, i)| (d.as_path(), *i))
     }
 
-    /// The simulation kernel every point runs under.
-    pub fn kernel(&self) -> KernelMode {
-        self.kernel
-    }
-
     /// The on-disk cache file a config maps to, if caching is enabled.
     pub fn cache_path(&self, cfg: &SimConfig) -> Option<PathBuf> {
         Some(CACHE.path(self.cache_dir.as_ref()?, cfg))
@@ -150,8 +140,8 @@ impl SweepRunner {
             return (Ok(hit.result), true);
         }
         let res = match &self.checkpoints {
-            Some((dir, interval)) => run_sim_resumable(cfg, self.kernel, dir, *interval),
-            None => run_sim_with_kernel(cfg, self.kernel),
+            Some((dir, interval)) => run_sim_resumable(cfg, dir, *interval),
+            None => run_sim(cfg),
         };
         if let (Some(path), Ok(result)) = (self.cache_path(cfg), &res) {
             let (config, result) = (cfg.clone(), result.clone());
@@ -179,9 +169,9 @@ impl SweepRunner {
     pub(crate) fn run_uncached<T: Sync, R: Send>(
         &self,
         jobs: &[(String, T)],
-        point: impl Fn(&T, KernelMode) -> Result<R, String> + Sync,
+        point: impl Fn(&T) -> Result<R, String> + Sync,
     ) -> (Vec<Result<R, String>>, SweepStats) {
-        self.fan_out(jobs, |job| (point(job, self.kernel), false))
+        self.fan_out(jobs, |job| (point(job), false))
     }
 
     /// The pool under both entry points: applies `one` — which returns its
@@ -200,7 +190,6 @@ impl SweepRunner {
         // Per job: its result, whether the cache served it, its busy ms.
         let slots: Vec<_> = jobs.iter().map(|_| Mutex::new(None)).collect();
         let cursor = Mutex::new(0usize);
-        let kernel = self.kernel;
         let work = |worker: usize| loop {
             let i = {
                 let mut c = cursor.lock().expect("sweep cursor poisoned");
@@ -216,9 +205,7 @@ impl SweepRunner {
             let ms = began.elapsed().as_secs_f64() * 1e3;
             match &res {
                 _ if cached => eprintln!("[sweep {worker}] {label}: cached"),
-                Ok(_) => {
-                    eprintln!("[sweep {worker}] {label}: ran in {ms:.0} ms ({kernel:?} kernel)")
-                }
+                Ok(_) => eprintln!("[sweep {worker}] {label}: ran in {ms:.0} ms"),
                 Err(e) => eprintln!("[sweep {worker}] {label}: FAILED ({e})"),
             }
             let busy_ms = if cached { 0.0 } else { ms };

@@ -53,7 +53,7 @@ pub use policy::{
     RegionMode, RegionPlan, RegionSample, SCORE_SCALE,
 };
 pub use routing::TopologyHealth;
-pub use sched::{KernelMode, WakeTimes};
+pub use sched::{skip_law, superset_law, KernelMode, SKIP_LAW_STRIDE};
 pub use state::{Slab, StateMap, StateSet, Stateful};
 pub use topology::{
     Topology, TopologySpec, PORT_EAST, PORT_LOCAL, PORT_NORTH, PORT_SOUTH, PORT_WEST,

@@ -5,8 +5,8 @@
 //! The controller itself is a pure state machine: [`PolicyController::decide`]
 //! is a function of `(controller state, now, samples)` only — no RNG, no
 //! clocks, no host-dependent input — which is what keeps adaptive runs
-//! bit-reproducible per seed and identical under both kernels (decisions
-//! are taken densely, right before the network's tick; see DESIGN.md §14).
+//! bit-reproducible per seed and blind to the worklist (decisions are
+//! taken densely, right before the network's tick; see DESIGN.md §14).
 //! What a *hot* verdict means is up to the embedder (`rcsim-system`'s
 //! `Adaptive` marks the region on the network's [`CongestionMap`], whose
 //! NIs then suppress circuit construction and plan congestion-aware

@@ -1,85 +1,80 @@
-//! Kernel-scheduling primitives for the event-driven simulation loop.
+//! Kernel-scheduling primitives for the worklist simulation loop.
 //!
-//! The cycle-accurate model is defined by the *dense* kernel: every
-//! component ticks every cycle, in a fixed index order. The *event*
-//! kernel produces byte-identical results by skipping only ticks that
-//! are provable no-ops — a component with no due inbox traffic and no
-//! internal activity. [`WakeTimes`] tracks, per component, the earliest
-//! cycle at which pending input becomes due; producers call
-//! [`WakeTimes::wake_at`] at every enqueue and consumers re-derive the
-//! value after draining. See DESIGN.md §9 for the no-op argument.
+//! The cycle-accurate model is defined densely: every component ticks
+//! every cycle, in a fixed index order. The kernel visits only a worklist —
+//! the components with input due or work of their own — and two laws make
+//! that the dense definition (DESIGN.md §9): a component left off the
+//! worklist has nothing to do ([`superset_law`]), and ticking it anyway
+//! would change nothing ([`skip_law`]). Debug builds check both on every
+//! component they skip; release builds compile them out.
 
+use crate::state::Stateful;
 use crate::types::Cycle;
 use serde::{Deserialize, Serialize};
 
-/// Which simulation kernel drives the per-cycle loops.
-///
-/// Both kernels execute the same code in the same order; `Event` merely
-/// skips component ticks that cannot change any observable state, so the
-/// two are required (and tested) to be byte-identical in every output.
+/// Which set of components the per-cycle loops visit: a stub the workspace
+/// only ever sets to `Event`, kept for the benchmark's
+/// `core.sched.event_over_dense` row until a change to the benchmark
+/// retires it. `Dense` visits every component in release builds too,
+/// unchecked; debug builds visit every component whatever the mode,
+/// checking the laws on those they skip.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum KernelMode {
-    /// Tick every component every cycle (the reference semantics).
+    /// Visit every component every cycle.
     Dense,
-    /// Skip components that are provably idle this cycle (the default).
+    /// Visit the worklist (the default).
     #[default]
     Event,
 }
 
-/// Earliest-due-cycle tracker for a set of `n` components.
+/// The superset law on component `i` of `kind`, left off the worklist at
+/// `now`: `idle` — nothing due, no work of its own, no wake slot reached —
+/// must hold.
 ///
-/// `next[i]` is a lower bound that is never *later* than the true
-/// earliest due cycle of component `i`'s pending input (it may be
-/// earlier, which only costs a spurious wake, never a missed one):
-/// producers min-merge with [`WakeTimes::wake_at`] on every enqueue, and
-/// the consumer restores exactness with [`WakeTimes::set`] after a drain.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct WakeTimes {
-    next: Vec<Cycle>,
+/// # Panics
+///
+/// When `idle` is false, naming the component and the cycle.
+#[track_caller]
+pub fn superset_law(kind: &str, i: usize, now: Cycle, idle: bool) {
+    assert!(idle, "superset law: {kind} {i} at cycle {now}");
 }
 
-impl WakeTimes {
-    /// A tracker for `n` components, all initially idle (`Cycle::MAX`).
-    pub fn new(n: usize) -> Self {
-        WakeTimes {
-            next: vec![Cycle::MAX; n],
-        }
-    }
+/// Cycles between two skip-law checks of one component. A check clones
+/// the component's state twice — a router's VCs and tables, an NI's maps,
+/// a whole cache array — which costs a debug build far more than the tick
+/// it checks: checked every cycle, the tests of `cargo test --workspace`
+/// ran 4.6× as long as with the dense/event pairs this law replaces, at
+/// 16 about as long. So components take turns — component `i` is checked
+/// when `now + i` is a multiple of the stride — while the superset law, a
+/// predicate, holds every cycle.
+pub const SKIP_LAW_STRIDE: u64 = 16;
 
-    /// Records that component `i` has input due at cycle `t` (min-merge).
-    pub fn wake_at(&mut self, i: usize, t: Cycle) {
-        let slot = &mut self.next[i];
-        *slot = (*slot).min(t);
+/// The skip law on component `i` of `kind`, left off the worklist at
+/// `now`, on its turn ([`SKIP_LAW_STRIDE`]): `tick` ticks it anyway, into
+/// sinks that keep nothing, and says whether those stayed quiet — no
+/// message, no trace event; its state must be what it was.
+///
+/// # Panics
+///
+/// When `tick` emitted something or changed the state, naming the
+/// component and the cycle.
+#[track_caller]
+pub fn skip_law<C: Stateful>(
+    kind: &str,
+    i: usize,
+    now: Cycle,
+    component: &mut C,
+    tick: impl FnOnce(&mut C) -> bool,
+) where
+    C::State: PartialEq,
+{
+    if !(now + i as Cycle).is_multiple_of(SKIP_LAW_STRIDE) {
+        return;
     }
-
-    /// Overwrites component `i`'s wake cycle with the exact recomputed
-    /// value (use after draining its inboxes).
-    pub fn set(&mut self, i: usize, t: Cycle) {
-        self.next[i] = t;
-    }
-
-    /// `true` when component `i` has (or may have) input due at `now`.
-    pub fn due(&self, i: usize, now: Cycle) -> bool {
-        self.next[i] <= now
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn wake_is_min_merge_and_set_overwrites() {
-        let mut w = WakeTimes::new(2);
-        assert!(!w.due(0, u64::MAX - 1));
-        w.wake_at(0, 10);
-        w.wake_at(0, 20); // later enqueue must not push the wake back
-        assert!(!w.due(0, 9));
-        assert!(w.due(0, 10));
-        assert!(w.due(0, 11));
-        w.set(0, 20);
-        assert!(!w.due(0, 15));
-        assert!(w.due(0, 20));
-        assert!(!w.due(1, 1_000_000));
-    }
+    let before = component.snapshot();
+    let quiet = tick(component);
+    assert!(
+        quiet && component.snapshot() == before,
+        "skip law: {kind} {i} at cycle {now}"
+    );
 }

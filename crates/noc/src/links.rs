@@ -77,11 +77,58 @@ impl LinkSink for NiLink<'_> {
     }
 }
 
+/// The sink a router or NI left off the worklist ticks into under the skip
+/// law (debug builds, DESIGN.md §9): it keeps nothing, counts what it is
+/// handed and lends the producer a copy of its credit wires.
+pub(crate) struct Probe<'a> {
+    sent: usize,
+    wires: Vec<CreditWire>,
+    home: &'a [CreditWire],
+    sink: &'a TraceSink,
+    events: u64,
+}
+
+impl<'a> Probe<'a> {
+    pub(crate) fn new(wires: &'a [CreditWire], sink: &'a TraceSink) -> Self {
+        Probe {
+            sent: 0,
+            wires: wires.to_vec(),
+            home: wires,
+            sink,
+            events: sink.emitted(),
+        }
+    }
+
+    /// `true` while the producer sent nothing, traced nothing and left its
+    /// wires as they were.
+    pub(crate) fn quiet(&self) -> bool {
+        self.sent == 0 && self.wires == self.home && self.sink.emitted() == self.events
+    }
+}
+
+impl LinkSink for Probe<'_> {
+    fn flit(&mut self, _: usize, _: Flit, _: Cycle, _: &mut Packets) {
+        self.sent += 1;
+    }
+
+    fn credit(&mut self, _: usize, _: usize, _: Cycle) {
+        self.sent += 1;
+    }
+
+    fn undo(&mut self, _: usize, _: CircuitKey, _: NodeId, _: Cycle) {
+        self.sent += 1;
+    }
+
+    fn wires(&mut self) -> &mut [CreditWire] {
+        &mut self.wires
+    }
+}
+
 /// The routers' sink: everything a message leaving router `from` at `now`
 /// can touch — both register sets, the credit wires, the neighbour
 /// table, the link-fault layer and the end-to-end retry state (see
 /// `Network::links`). Fault-RNG draws happen per message in emission
-/// order, which both kernels share.
+/// order, which no skipped component moves.
 pub(crate) struct Links<'a> {
     pub now: Cycle,
     pub from: NodeId,

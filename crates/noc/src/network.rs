@@ -13,15 +13,15 @@ use crate::health::{
 use crate::ingress::{
     self, Admission, IngressConfig, IngressState, OverloadReport, ReleasedArrival, ShedArrival,
 };
-use crate::links::{opposite_port, Links, NiLink};
+use crate::links::{opposite_port, Links, NiLink, Probe};
 use crate::ni::{self, Ni, NiOut};
 use crate::router::{self, bits, Router};
 use crate::stats::{CircuitOutcome, NocStats};
 use rcsim_core::circuit::CircuitKey;
 use rcsim_core::routing::{path_is_healthy, Routing};
 use rcsim_core::{
-    ConfigError, CongestionMap, CongestionState, Cycle, KernelMode, NodeId, RegionPlan,
-    RegionSample, StateSet, Stateful, TopologyHealth, PORT_LOCAL,
+    skip_law, superset_law, ConfigError, CongestionMap, CongestionState, Cycle, KernelMode, NodeId,
+    RegionPlan, RegionSample, StateSet, Stateful, TopologyHealth, PORT_LOCAL,
 };
 use rcsim_trace::{ClassLabel, EventKind, TraceSink};
 use serde::{Deserialize, Serialize};
@@ -81,7 +81,7 @@ fn word_mask(n: usize, w: usize) -> u64 {
 
 /// One scheduled permanent-fault transition, precomputed at construction
 /// from the [`FaultConfig`] and applied densely at the top of the cycle
-/// loop (RNG-free, so both kernels see the identical fault stream).
+/// loop (RNG-free, so skipping a component never moves the fault stream).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum TopoChange {
     /// The link between two adjacent routers dies.
@@ -113,7 +113,7 @@ pub struct Network {
     /// Scheduled permanent-fault transitions, sorted by cycle.
     fault_schedule: Vec<(Cycle, TopoChange)>,
     watchdog: WatchdogConfig,
-    /// Which kernel drives the per-cycle loops (see [`KernelMode`]).
+    /// The benchmark's stub (see [`KernelMode`]).
     kernel: KernelMode,
     /// Where trace events go; [`TraceSink::Disabled`] by default.
     sink: TraceSink,
@@ -273,9 +273,8 @@ impl Network {
     /// Does nothing; the `[benchmark]` PR retiring `core.shard.*` drops it and its calls.
     pub fn set_shards(&mut self, _shards: usize) {}
 
-    /// Selects the simulation kernel. Both kernels are required to
-    /// produce byte-identical results; `Event` (the default) skips
-    /// provably idle components.
+    /// The benchmark's stub (see [`KernelMode`]): the dense mode visits
+    /// every component in release builds too, unchecked.
     pub fn set_kernel(&mut self, kernel: KernelMode) {
         self.kernel = kernel;
     }
@@ -598,19 +597,17 @@ impl Network {
     /// The NI and router loops each walk a worklist — word by word, set
     /// bits in ascending order — of the components with something due on
     /// their links or busy (see [`Ni::is_active`] / [`Router::is_busy`]
-    /// for the no-op argument); under [`KernelMode::Dense`] every component
-    /// goes through the same body, and debug builds assert that each one
-    /// due or active is on the worklist. Everything else — visit order,
-    /// drain order, fault RNG draws, statistics — is shared verbatim.
+    /// for the no-op argument). Debug builds take each component left off
+    /// it through the two laws of DESIGN.md §9 ([`Network::ni_laws`],
+    /// `router_laws`) instead of skipping it.
     pub fn tick(&mut self) {
         let now = self.state.now;
         let topology = self.cfg.topology;
-        let event = self.kernel == KernelMode::Event;
+        let dense = self.kernel == KernelMode::Dense;
         let mut moved = false;
 
         // Scheduled dead-link / dead-router transitions fire first, before
-        // anything moves this cycle: they are dense (kernel-independent)
-        // and draw no fault RNG.
+        // anything moves this cycle: they are dense and draw no fault RNG.
         self.process_fault_onsets(now);
 
         // Due end-to-end retransmissions re-enter their source NI.
@@ -632,11 +629,15 @@ impl Network {
             let due = self.state.ni_links.due_word(now, w);
             let work = due | s.ni_busy[w];
             let all = word_mask(topology.nodes(), w);
-            let visit = if event { work } else { all };
+            let visit = if dense { all } else { work };
+            if cfg!(debug_assertions) {
+                for b in bits(all & !visit) {
+                    self.ni_laws(64 * w + b, now);
+                }
+            }
             s.ni_busy[w] &= !visit;
             for b in bits(visit) {
                 let (i, ni) = (64 * w + b, &mut self.nis[64 * w + b]);
-                debug_assert!(work >> b & 1 == 1 || !ni.is_active());
                 if due >> b & 1 == 1 {
                     let (flits, undos) = (&mut s.arrivals, &mut s.undos);
                     self.state.ni_links.drain(i, now, 0, flits, undos);
@@ -680,13 +681,16 @@ impl Network {
                 work |= u64::from(routers[64 * w + b].expires(now)) << b;
             }
             let all = word_mask(routers.len(), w);
-            let visit = if event { work } else { all };
+            let visit = if dense { all } else { work };
+            if cfg!(debug_assertions) {
+                for b in bits(all & !visit) {
+                    router_laws(64 * w + b, now, &mut routers[64 * w + b], packets, &links);
+                }
+            }
             s.router_busy[w] &= !visit;
             s.timed[w] &= !visit;
             for b in bits(visit) {
                 let (i, router) = (64 * w + b, &mut routers[64 * w + b]);
-                let listed = work >> b & 1 == 1;
-                debug_assert!(listed || !router.is_busy() && !router.expires(now));
                 if due >> b & 1 == 1 {
                     let (flits, undos) = (&mut s.arrivals, &mut s.undos);
                     links.router_links.drain(i, now, s.stuck[i], flits, undos);
@@ -706,6 +710,27 @@ impl Network {
         self.state.stats.cycles += 1;
         self.state.now = now + 1;
         self.scratch = s;
+    }
+
+    /// The two laws on NI `i`, left off the worklist at `now` (DESIGN.md
+    /// §9): it has no work, and a tick into a [`Probe`] leaves it as it was.
+    fn ni_laws(&mut self, i: usize, now: Cycle) {
+        let (ni, state, sink) = (&mut self.nis[i], &mut self.state, &self.sink);
+        superset_law("NI", i, now, !ni.is_active());
+        skip_law("NI", i, now, ni, |ni| {
+            let (mut probe, mut out) = (Probe::new(state.credits.ni(i), sink), NiOut::default());
+            let (topo, cong, packets) = (&state.topo, &self.congestion, &mut state.packets);
+            let injected = ni.tick(
+                now,
+                &mut Vec::new(),
+                topo,
+                cong,
+                packets,
+                &mut out,
+                &mut probe,
+            );
+            !injected && out == NiOut::default() && probe.quiet()
+        });
     }
 
     /// Per-region occupancy sums (the [`Network::telemetry`] quantities,
@@ -754,9 +779,8 @@ impl Network {
     /// (bit `p` = input port `p`; all zero, and never written, without a
     /// fault layer), counts stuck-port cycles, and
     /// rolls each router's table-corruption draw. It runs for every
-    /// router in index order under both kernels, so the fault RNG stream
-    /// is `corrupt(0..n)` then `links(0..n)` whether or not idle routers
-    /// are skipped. Scheduled stuck-port windows freeze individual input
+    /// router in index order, so the fault RNG stream is `corrupt(0..n)`
+    /// then `links(0..n)` whether or not idle routers are skipped. Scheduled stuck-port windows freeze individual input
     /// ports: their arrivals stay parked on the link until the window
     /// ends.
     fn fault_pre_pass(&mut self, now: Cycle, stuck: &mut [u64]) {
@@ -790,9 +814,9 @@ impl Network {
     /// Accounts one NI's tick (the NI itself is statistics-free, see
     /// [`Ni::tick`]) in a fixed per-NI order: the at-most-one counted
     /// injection, reroutes, retries of corrupt discards, then deliveries
-    /// in ejection order. Called NI by NI in tile order under both
-    /// kernels, which fixes the f64 accumulation order of every statistic
-    /// and the order of the trace.
+    /// in ejection order. Called NI by NI in tile order, which fixes the
+    /// f64 accumulation order of every statistic and the order of the
+    /// trace.
     fn settle_ni(&mut self, tile: usize, now: Cycle, out: &mut NiOut) {
         if let Some((class, len)) = out.injection.take() {
             self.state.stats.record_injection(class, len);
@@ -876,8 +900,8 @@ impl Network {
     /// this cycle: updates the topology-health map, re-derives each
     /// router's degraded flag, emits the fault trace events, and on each
     /// onset tears down every circuit whose reply path crosses a dead
-    /// resource. Dense and RNG-free, so the fault stream (and therefore
-    /// the whole run) is identical under both kernels.
+    /// resource. Dense and RNG-free, so skipping idle components never
+    /// moves the fault stream.
     fn process_fault_onsets(&mut self, now: Cycle) {
         while self.state.fault_cursor < self.fault_schedule.len()
             && self.fault_schedule[self.state.fault_cursor].0 <= now
@@ -1309,8 +1333,7 @@ impl Network {
 
     /// Captures the network's state and its components' — every piece of
     /// dynamic state. Must be taken between ticks: the per-tick scratch
-    /// is dead there, which is what makes the snapshot identical under
-    /// both kernels.
+    /// is dead there.
     pub fn snapshot(&self) -> NetworkSnapshot {
         NetworkSnapshot {
             state: self.state.clone(),
@@ -1324,8 +1347,8 @@ impl Network {
 
     /// Overwrites this network's state, and its components', with a
     /// [`Network::snapshot`] of one built from the same configuration;
-    /// wiring (routing, fault schedule, congestion features, sinks, kernel)
-    /// is kept. Panics as [`Stateful::restore`] does.
+    /// wiring (routing, fault schedule, congestion features, sinks) is
+    /// kept. Panics as [`Stateful::restore`] does.
     pub fn restore(&mut self, snap: &NetworkSnapshot) {
         self.state.clone_from(&snap.state);
         self.routers.restore(&snap.routers);
@@ -1359,6 +1382,18 @@ impl Network {
         } = state;
         bitset(delivered.len(), |tile| !delivered[tile].is_empty())
     }
+}
+
+/// The two laws on router `i`, left off the worklist at `now` (DESIGN.md
+/// §9): it is neither busy nor expiring, and a tick into a [`Probe`]
+/// leaves it as it was.
+fn router_laws(i: usize, now: Cycle, router: &mut Router, packets: &mut Packets, links: &Links) {
+    superset_law("router", i, now, !router.is_busy() && !router.expires(now));
+    skip_law("router", i, now, router, |r| {
+        let mut probe = Probe::new(links.credits.router(i), links.sink);
+        r.tick(now, &mut Vec::new(), &mut Vec::new(), packets, &mut probe);
+        probe.quiet()
+    });
 }
 
 /// A [`Network`]'s state and that of each of its components, captured
@@ -1456,6 +1491,39 @@ mod tests {
         let d = n.take_delivered(NodeId(12));
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].class, MessageClass::WbData);
+    }
+
+    /// A busy router whose worklist bit is lost is caught the first cycle
+    /// it is skipped.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "superset law: router 0 at cycle 2")]
+    fn a_busy_router_off_the_worklist_breaks_the_superset_law() {
+        let mut n = net(MechanismConfig::baseline());
+        n.inject(PacketSpec::new(
+            NodeId(0),
+            NodeId(15),
+            MessageClass::L1Request,
+        ));
+        run(&mut n, 2);
+        assert!(n.routers[0].is_busy());
+        n.scratch.router_busy[0] &= !1;
+        n.tick();
+    }
+
+    /// The same for an NI holding a packet.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "superset law: NI 3 at cycle 0")]
+    fn an_active_ni_off_the_worklist_breaks_the_superset_law() {
+        let mut n = net(MechanismConfig::baseline());
+        n.inject(PacketSpec::new(
+            NodeId(3),
+            NodeId(12),
+            MessageClass::L1Request,
+        ));
+        n.scratch.ni_busy[0] &= !(1 << 3);
+        n.tick();
     }
 
     #[test]

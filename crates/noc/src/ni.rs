@@ -38,7 +38,7 @@ pub(crate) fn expected_reply_flits(class: MessageClass, flit_bytes: u32) -> u32 
 type Queued = (u32, u8);
 
 /// An in-flight outbound stream on one local-input VC (or the circuit path).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 struct Stream {
     slot: u32,
     next_seq: u16,
@@ -62,7 +62,7 @@ impl Stream {
     }
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct Origin {
     handle: CircuitHandle,
     registered_at: Cycle,
@@ -72,7 +72,7 @@ struct Origin {
 /// the undos it sent went straight onto its link. The network owns one
 /// reusable instance per tick ([`NiOut::clear`] between NIs) so the
 /// per-cycle loop stays allocation-free.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, PartialEq)]
 pub(crate) struct NiOut {
     /// Fully received packets for the tile logic, with their record's slot.
     pub delivered: Vec<(u32, Delivered)>,
@@ -102,7 +102,7 @@ impl NiOut {
 }
 
 /// An NI's state (DESIGN.md §15).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub(crate) struct State {
     /// Per-VN FIFO of packet-switched packets.
     queues: [VecDeque<Queued>; 2],
@@ -532,7 +532,7 @@ impl Ni {
     /// `true` when a tick with no arriving flits could still produce
     /// output: something is queued, streaming, or an undo is
     /// waiting to propagate — the NI's busy bit. A `false` NI receiving no
-    /// input this cycle is a provable no-op, so the event kernel may skip
+    /// input this cycle is a provable no-op, so the worklist may skip
     /// its tick.
     pub(crate) fn is_active(&self) -> bool {
         self.backlog() > 0 || !self.state.pending_undos.is_empty()

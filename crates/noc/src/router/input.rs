@@ -28,7 +28,7 @@ pub const RING: usize = 6;
 /// credit count lives at the output side) and the head of its flit
 /// buffer, laid out together so every pipeline stage of a packet touches
 /// the same line. The default is a fresh idle VC.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 #[repr(align(64))]
 pub struct InputVc {
     /// Cycle the current state was entered (stages take one cycle each, so

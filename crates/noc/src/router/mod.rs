@@ -60,7 +60,7 @@ struct StGrant {
 /// One port's three arbiters: the input side's over its VCs (switch
 /// allocation phase 1), the output side's two over the input ports
 /// (switch allocation phase 2, VC allocation).
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 struct PortArbiters {
     sa_in: RoundRobin,
     sa_out: RoundRobin,
@@ -123,7 +123,7 @@ pub(crate) fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
 /// whole: the entries past the last slot (or port) are never touched, so
 /// they are the same constants in every snapshot. Declaration order is
 /// memory order (DESIGN.md §9 has the field → cache line table).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 #[repr(C)]
 pub(crate) struct State {
     /// Switch grants awaiting traversal: the first `st_len` entries of
@@ -159,8 +159,8 @@ pub(crate) struct State {
 
 /// Wiring, [`State`] and scratch: the [`OccupancyIndex`] is derived
 /// from the state; the rest of the scratch is dead at the tick boundaries
-/// where snapshots are taken, so a router the event kernel skipped
-/// snapshots the same as one the dense kernel ticked. Declaration order
+/// where snapshots are taken, so a router the worklist skipped snapshots
+/// the same as a ticked one (the skip law). Declaration order
 /// is memory order: the first line is all an idle test or the top of a
 /// tick reads.
 #[repr(C)]
@@ -417,13 +417,13 @@ impl Router {
     /// index's flit count and retry mask) — the router's busy bit. A router
     /// neither busy nor [`Router::expires`] receiving nothing this cycle
     /// only clears `out_busy` and returns early from every stage — all
-    /// no-ops — so the event kernel may skip its tick.
+    /// no-ops — so the worklist may skip its tick.
     pub(crate) fn is_busy(&self) -> bool {
         self.state.st_len > 0 || self.occ.buffered > 0 || self.occ.retries != 0
     }
 
     /// `true` while a timed mechanism's table holds entries: the routers
-    /// the event kernel asks [`Router::expires`].
+    /// the worklist asks [`Router::expires`].
     pub(crate) fn holds_timed(&self) -> bool {
         self.timed && self.state.circuits.total_entries() > 0
     }

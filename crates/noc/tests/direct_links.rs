@@ -4,22 +4,21 @@
 //! The fault RNG is drawn per message, so the draw order *is* the emission
 //! order — these runs pin it. Every row (fabric × mechanism, all with
 //! random link drops, corruption and credit loss, one dead-link window and
-//! one stuck-port window) must give the same statistics, fault counters,
-//! trace-event sequence and mid-run snapshot bytes under the event kernel
-//! as under the dense one, and the same [`PINS`] as the two-pass
-//! transport this replaced.
+//! one stuck-port window) must give the same statistics, fault counters
+//! and trace-event sequence — hashed into [`PINS`] — as the two-pass
+//! transport this replaced; in debug builds every skipped router and NI
+//! is also held to the two worklist laws (DESIGN.md §9), in release
+//! builds the worklist alone runs.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rcsim_core::circuit::CircuitKey;
-use rcsim_core::{KernelMode, MechanismConfig, MessageClass, NodeId, Topology, PORT_WEST};
+use rcsim_core::{MechanismConfig, MessageClass, NodeId, Topology, PORT_WEST};
 use rcsim_noc::{DeadLinkEvent, FaultConfig, Network, NocConfig, PacketSpec, StuckPortEvent};
 use rcsim_trace::TraceSink;
 
 const LOAD_CYCLES: u64 = 1_200;
 const RUN_CYCLES: u64 = 2_400;
-/// Before the faults' windows, inside both, and after both.
-const SNAPSHOT_AT: [u64; 3] = [250, 520, 1_000];
 
 /// Router 1 sits east of router 0 on both fabrics: its west input sticks
 /// over cycles 400..560 and the 0–1 link is dead over 480..700, on top of
@@ -53,10 +52,8 @@ fn fnv1a(parts: &[&str]) -> u64 {
     h
 }
 
-/// What one run leaves behind: the snapshot JSON at each of
-/// [`SNAPSHOT_AT`], then statistics, fault counters and the trace.
+/// What one run leaves behind: statistics, fault counters and the trace.
 struct Outcome {
-    snapshots: Vec<String>,
     stats: String,
     faults: String,
     trace: String,
@@ -67,21 +64,15 @@ struct Outcome {
 /// credits may leave a VC short for good, so the run length is fixed
 /// rather than waiting for quiescence. Derived indices and wake times are
 /// re-checked after every cycle.
-fn run(topology: Topology, mechanism: MechanismConfig, kernel: KernelMode) -> Outcome {
+fn run(topology: Topology, mechanism: MechanismConfig) -> Outcome {
     let cfg = NocConfig::paper_baseline(topology, mechanism);
     let mut net = Network::with_faults(cfg, faults()).expect("valid configuration");
-    net.set_kernel(kernel);
     let sink = TraceSink::ring(1 << 20);
     net.set_trace_sink(sink.clone());
     let tiles = topology.nodes() as u16;
     let mut rng = StdRng::seed_from_u64(0xD1EC_7011);
     let mut block = 0u64;
-    let mut snapshots = Vec::new();
     while net.now() < RUN_CYCLES {
-        if SNAPSHOT_AT.contains(&net.now()) {
-            assert!(!net.is_quiescent(), "snapshot points must be mid-traffic");
-            snapshots.push(serde_json::to_string(&net.snapshot()).expect("snapshot serializes"));
-        }
         if net.now() < LOAD_CYCLES {
             for src in 0..tiles {
                 if rng.gen_bool(0.03) {
@@ -113,7 +104,6 @@ fn run(topology: Topology, mechanism: MechanismConfig, kernel: KernelMode) -> Ou
     }
     assert_eq!(sink.dropped(), 0, "ring overflow would hide trace events");
     Outcome {
-        snapshots,
         stats: serde_json::to_string(&net.stats()).expect("stats serialize"),
         faults: serde_json::to_string(&net.fault_stats()).expect("fault stats serialize"),
         trace: format!("{:?}", sink.drain()),
@@ -142,45 +132,34 @@ fn sweep(topology: Topology, fabric: &str) {
         MechanismConfig::fragmented(),
     ] {
         let label = format!("{fabric} / {}", mechanism.label());
-        let event = run(topology, mechanism, KernelMode::Event);
-        assert_eq!(event.snapshots.len(), SNAPSHOT_AT.len());
+        let row = run(topology, mechanism);
         assert!(
-            !event.faults.contains("\"packets_dropped\":0,")
-                && !event.faults.contains("\"packets_corrupted\":0,")
-                && !event.faults.contains("\"credits_lost\":0,")
-                && !event.faults.contains("\"packets_rerouted\":0,"),
+            !row.faults.contains("\"packets_dropped\":0,")
+                && !row.faults.contains("\"packets_corrupted\":0,")
+                && !row.faults.contains("\"credits_lost\":0,")
+                && !row.faults.contains("\"packets_rerouted\":0,"),
             "{label}: every link-fault class must fire: {}",
-            event.faults
+            row.faults
         );
-        let dense = run(topology, mechanism, KernelMode::Dense);
-        assert_eq!(event.stats, dense.stats, "{label}: stats");
-        assert_eq!(event.faults, dense.faults, "{label}: faults");
-        assert!(event.trace == dense.trace, "{label}: trace");
-        for (i, at) in SNAPSHOT_AT.iter().enumerate() {
-            assert!(
-                event.snapshots[i] == dense.snapshots[i],
-                "{label}: snapshot at {at}"
-            );
-        }
-        let pin = fnv1a(&[&event.stats, &event.faults, &event.trace]);
+        let pin = fnv1a(&[&row.stats, &row.faults, &row.trace]);
         let want = PINS
             .iter()
             .find(|(row, _)| *row == label)
             .unwrap_or_else(|| panic!("no pin for {label}"))
             .1;
         if pin != want {
-            moved.push(format!("{label}: {pin:#018x}, counters {}", event.faults));
+            moved.push(format!("{label}: {pin:#018x}, counters {}", row.faults));
         }
     }
     assert!(moved.is_empty(), "fault order moved:\n{}", moved.join("\n"));
 }
 
 #[test]
-fn event_and_dense_agree_under_link_faults_on_a_mesh() {
+fn emission_order_is_pinned_under_link_faults_on_a_mesh() {
     sweep(Topology::mesh(4, 4).expect("valid"), "mesh 4x4");
 }
 
 #[test]
-fn event_and_dense_agree_under_link_faults_on_a_concentrated_mesh() {
+fn emission_order_is_pinned_under_link_faults_on_a_concentrated_mesh() {
     sweep(Topology::cmesh(2, 2, 4).expect("valid"), "cmesh 2x2x4");
 }

@@ -2,7 +2,9 @@
 //! handles, a packet's data lives in its table record, and every queue,
 //! register and scratch list is sized by the traffic's high-water mark,
 //! which warm-up reaches. (A `Box` per head flit and one per circuit
-//! handle used to make this two allocations per packet.)
+//! handle used to make this two allocations per packet.) Release builds
+//! only: a debug build's tick clones the state of every component it
+//! skips, to check the skip law (DESIGN.md §9).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -86,6 +88,7 @@ fn cycle(net: &mut Network, rng: &mut StdRng, block: &mut u64) -> u64 {
 }
 
 #[test]
+#[cfg_attr(debug_assertions, ignore = "the skip law clones state in debug builds")]
 fn tick_allocates_nothing_after_warm_up() {
     let mesh = Topology::mesh(8, 8).expect("valid");
     let cfg = NocConfig::paper_baseline(mesh, MechanismConfig::complete());
@@ -109,6 +112,7 @@ fn tick_allocates_nothing_after_warm_up() {
 /// The open-loop edge ingress on top of the same echo: offers at eight
 /// edges, the ingress drain and the tick allocate nothing once warm.
 #[test]
+#[cfg_attr(debug_assertions, ignore = "the skip law clones state in debug builds")]
 fn ingress_drain_allocates_nothing_after_warm_up() {
     let mesh = Topology::mesh(8, 8).expect("valid");
     let cfg = NocConfig::paper_baseline(mesh, MechanismConfig::complete());

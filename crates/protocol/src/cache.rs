@@ -59,7 +59,7 @@ impl CacheConfig {
 /// l1.insert(0x40, 7);
 /// assert_eq!(l1.get(0x40), Some(&7));
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 #[serde(from = "Image<M>", into = "Image<M>")]
 pub struct CacheArray<M: Clone> {
     cfg: CacheConfig,

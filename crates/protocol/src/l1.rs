@@ -17,13 +17,13 @@ enum L1State {
     Modified,
 }
 
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 struct L1Line {
     state: L1State,
     data: u64,
 }
 
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 struct PendingMiss {
     block: u64,
     kind: ReqKind,
@@ -99,7 +99,7 @@ pub struct L1Cache {
 }
 
 /// An [`L1Cache`]'s state (DESIGN.md §15).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct L1CacheState {
     array: CacheArray<L1Line>,
     miss: Option<PendingMiss>,

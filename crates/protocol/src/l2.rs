@@ -44,7 +44,7 @@ enum Busy {
     Evicting { pending: u64, fetch_for: u64 },
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct L2Line {
     data: u64,
     dirty: bool,
@@ -68,7 +68,7 @@ impl L2Line {
 }
 
 /// An in-flight line fetch.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct Mshr {
     /// `Some(victim)` while the victim's L1 copies are being invalidated.
     evicting_victim: Option<u64>,
@@ -110,7 +110,7 @@ pub struct L2Bank {
 }
 
 /// An [`L2Bank`]'s state (DESIGN.md §15).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct L2BankState {
     array: CacheArray<L2Line>,
     mshrs: StateMap<u64, Mshr>,

@@ -25,7 +25,7 @@ pub struct MemoryController {
 }
 
 /// A [`MemoryController`]'s state (DESIGN.md §15).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct MemoryState {
     store: StateMap<u64, u64>,
     pending: VecDeque<(Cycle, Msg)>,

@@ -8,13 +8,12 @@
 //! [`SimSession::resume`] to continue from `k`. The contract — enforced by
 //! the `checkpoint_diff` differential matrix — is byte identity:
 //! `run(0..T)` and `run(0..k) + save + restore + run(k..T)` produce the
-//! same [`RunResult`] and the same trace stream, for any `k`, under both
-//! kernels and every topology, fault plan, open-loop and adaptive
-//! configuration.
+//! same [`RunResult`] and the same trace stream, for any `k`, under every
+//! topology, fault plan, open-loop and adaptive configuration.
 //!
 //! What a snapshot holds is each component's `State` — every field its
 //! behaviour depends on from one tick to the next — and nothing else:
-//! wiring (geometry, latencies, mechanism flags, kernel, trace sinks) is
+//! wiring (geometry, latencies, mechanism flags, trace sinks) is
 //! rebuilt from the [`SimConfig`] by construction and scratch is rebuilt
 //! from the state. DESIGN.md §15 has the rule and the table.
 //!
@@ -96,7 +95,8 @@ pub struct SimSession {
 }
 
 impl SimSession {
-    /// Opens a fresh session at cycle 0.
+    /// Opens a fresh session at cycle 0. `kernel` is the benchmark's stub
+    /// (see [`KernelMode`]); the workspace passes `KernelMode::Event`.
     /// `_shards` is ignored; the `[benchmark]` PR retiring `core.shard.*` drops it.
     ///
     /// # Errors
@@ -130,10 +130,8 @@ impl SimSession {
 
     /// Rebuilds a session from a [`SessionSnapshot`]: constructs the chip
     /// from the saved config by the same code path as a fresh run, then
-    /// overwrites its dynamic state. The kernel is *not* part of the
-    /// snapshot — it is a pure host-performance knob, so a run
-    /// checkpointed under one kernel may resume under the other with
-    /// byte-identical results.
+    /// overwrites its dynamic state. `kernel` is as in [`SimSession::new`];
+    /// no snapshot holds it.
     /// `_shards` is ignored; the `[benchmark]` PR retiring `core.shard.*` drops it.
     ///
     /// # Errors
@@ -260,7 +258,6 @@ impl SimSession {
 /// watchdog stalls, exactly like [`run_sim`](crate::run_sim).
 pub fn run_sim_resumable(
     cfg: &SimConfig,
-    kernel: KernelMode,
     dir: &Path,
     interval: u64,
 ) -> Result<RunResult, SimError> {
@@ -274,9 +271,9 @@ pub fn run_sim_resumable(
                 snap.pos(),
                 path.display()
             );
-            SimSession::resume(&snap, kernel, 1)?
+            SimSession::resume(&snap, KernelMode::Event, 1)?
         }
-        None => SimSession::new(cfg, None, kernel, 1)?,
+        None => SimSession::new(cfg, None, KernelMode::Event, 1)?,
     };
     let total = session.total();
     while session.pos() < total {
@@ -316,7 +313,7 @@ mod tests {
 
     #[test]
     fn header_roundtrip_and_rejection() {
-        let session = SimSession::new(&cfg(), None, KernelMode::Dense, 1).unwrap();
+        let session = SimSession::new(&cfg(), None, KernelMode::Event, 1).unwrap();
         let text = CHECKPOINT.encode(&session.checkpoint());
         let decode = |text: &str| CHECKPOINT.decode::<SessionSnapshot>(text);
         assert!(decode(&text).is_some());

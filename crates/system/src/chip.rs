@@ -9,8 +9,8 @@ use crate::open_loop::{self, OpenLoopConfig, OpenLoopState, EXT_TOKEN_BIT};
 use crate::report::ExternalSummary;
 use rcsim_core::circuit::CircuitKey;
 use rcsim_core::{
-    AdaptiveConfig, ConfigError, Cycle, KernelMode, MechanismConfig, MessageClass, NodeId,
-    PolicyState, Slab, StateSet, Stateful, Topology, WakeTimes,
+    skip_law, superset_law, AdaptiveConfig, ConfigError, Cycle, KernelMode, MechanismConfig,
+    MessageClass, NodeId, PolicyState, Slab, StateSet, Stateful, Topology,
 };
 use rcsim_noc::{
     AdaptiveReport, CircuitOutcome, FaultConfig, HealthReport, Network, NetworkSnapshot, NocConfig,
@@ -91,6 +91,52 @@ impl Port for ChipPort<'_> {
     }
 }
 
+/// The port a component left off the worklist ticks into under the skip
+/// law (debug builds, DESIGN.md §9): it keeps nothing and counts what it
+/// is handed, trace events included.
+struct Probe<'a> {
+    now: Cycle,
+    sent: usize,
+    sink: &'a TraceSink,
+    events: u64,
+}
+
+impl<'a> Probe<'a> {
+    fn new(now: Cycle, sink: &'a TraceSink) -> Self {
+        let events = sink.emitted();
+        Probe {
+            now,
+            sent: 0,
+            sink,
+            events,
+        }
+    }
+
+    /// `true` while nothing was sent or traced.
+    fn quiet(&self) -> bool {
+        self.sent == 0 && self.sink.emitted() == self.events
+    }
+}
+
+impl Port for Probe<'_> {
+    fn now(&self) -> Cycle {
+        self.now
+    }
+
+    fn send(&mut self, _: Msg, _: u32) -> bool {
+        self.sent += 1;
+        false
+    }
+
+    fn undo_circuit(&mut self, _: CircuitKey) {
+        self.sent += 1;
+    }
+
+    fn record_eliminated_ack(&mut self) {
+        self.sent += 1;
+    }
+}
+
 /// The full chip multiprocessor.
 pub struct Chip {
     // Wiring.
@@ -100,7 +146,7 @@ pub struct Chip {
     sink: TraceSink,
     /// Cycles between whole-network occupancy samples (0 = never).
     trace_epoch: u64,
-    /// Dense (tick everything) or event-driven (skip quiescent tiles).
+    /// The benchmark's stub (see [`KernelMode`]).
     kernel: KernelMode,
     /// Whether the mechanism builds circuits at all: fixed at construction.
     circuits_enabled: bool,
@@ -129,12 +175,12 @@ pub struct Chip {
 /// touched — and rebuilt from them by [`Chip::rebuild_scratch`].
 struct Wake {
     /// [`Core::ready_at`].
-    cores: WakeTimes,
+    cores: Vec<Cycle>,
     /// [`L1Cache::reissue_at`].
-    reissues: WakeTimes,
+    reissues: Vec<Cycle>,
     /// The earlier of [`L2Bank::next_due`] and the tile's
     /// [`MemoryController::next_due`].
-    banks: WakeTimes,
+    banks: Vec<Cycle>,
 }
 
 /// The chip's own state (DESIGN.md §15): the glue between the protocol
@@ -222,9 +268,9 @@ impl Chip {
             adaptive: None,
             state: State::default(),
             wake: Wake {
-                cores: WakeTimes::new(n),
-                reissues: WakeTimes::new(n),
-                banks: WakeTimes::new(n),
+                cores: vec![Cycle::MAX; n],
+                reissues: vec![Cycle::MAX; n],
+                banks: vec![Cycle::MAX; n],
             },
         };
         chip.rebuild_scratch();
@@ -234,8 +280,8 @@ impl Chip {
     /// Re-derives every wake slot from the component it stands for.
     fn rebuild_scratch(&mut self) {
         for i in 0..self.cores.len() {
-            self.wake.cores.set(i, self.cores[i].ready_at());
-            self.wake.reissues.set(i, self.l1s[i].reissue_at());
+            self.wake.cores[i] = self.cores[i].ready_at();
+            self.wake.reissues[i] = self.l1s[i].reissue_at();
             self.wake_bank(i);
         }
     }
@@ -244,7 +290,7 @@ impl Chip {
     /// controller received or processed something.
     fn wake_bank(&mut self, i: usize) {
         let mc = self.mcs[i].as_ref().map_or(Cycle::MAX, |m| m.next_due());
-        self.wake.banks.set(i, self.l2s[i].next_due().min(mc));
+        self.wake.banks[i] = self.l2s[i].next_due().min(mc);
     }
 
     /// Turns on open-loop external traffic: installs the bounded-ingress
@@ -284,10 +330,9 @@ impl Chip {
             .unwrap_or_default()
     }
 
-    /// Selects the simulation kernel for this chip and its network. Both
-    /// kernels produce byte-identical results; `Event` skips quiescent
-    /// tiles and is the default.
-    pub fn set_kernel(&mut self, kernel: KernelMode) {
+    /// The benchmark's stub (see [`KernelMode`]), for this chip and its
+    /// network.
+    pub(crate) fn set_kernel(&mut self, kernel: KernelMode) {
         self.kernel = kernel;
         self.net.set_kernel(kernel);
     }
@@ -323,19 +368,28 @@ impl Chip {
         self.topology
     }
 
-    /// Advances the whole chip one cycle.
+    /// Advances the whole chip one cycle. A core, L1 reissue or bank
+    /// whose wake slot lies ahead is skipped; debug builds take it through
+    /// the two laws of DESIGN.md §9 instead.
     pub fn tick(&mut self) {
         let now = self.net.now();
         let n = self.topology.nodes();
         let track_undone = self.proto_cfg.undo_on_l2_miss;
         let l1_hit = self.proto_cfg.l1_hit_latency;
-        let event = self.kernel == KernelMode::Event;
+        let dense = self.kernel == KernelMode::Dense;
 
         // Cores issue L1 accesses.
         for i in 0..n {
             // A core still computing (or blocked on a miss) polls as a
-            // pure no-op; the event kernel skips the call outright.
-            if event && !self.wake.cores.due(i, now) {
+            // pure no-op.
+            if !dense && self.wake.cores[i] > now {
+                if cfg!(debug_assertions) {
+                    let core = &mut self.cores[i];
+                    superset_law("core", i, now, core.ready_at() > now);
+                    skip_law("core", i, now, core, |c| {
+                        c.poll(now, l1_hit) == CoreAction::Idle
+                    });
+                }
                 continue;
             }
             if let CoreAction::Access {
@@ -355,18 +409,26 @@ impl Chip {
                     Access::Hit { .. } => self.cores[i].access_hit(now),
                     Access::Miss => self.cores[i].access_missed(),
                 }
-                self.wake.reissues.set(i, self.l1s[i].reissue_at());
+                self.wake.reissues[i] = self.l1s[i].reissue_at();
             }
-            self.wake.cores.set(i, self.cores[i].ready_at());
+            self.wake.cores[i] = self.cores[i].ready_at();
         }
 
         // Overdue-miss reissue (DESIGN.md §10): a permanent fault may have
         // eaten a request or its reply before the fabric routed around the
         // dead resource. A no-op until the outstanding miss's next
-        // reissue cycle, so that is all either kernel asks (a blocked core
-        // is exactly the tile the event kernel would otherwise skip).
+        // reissue cycle, so that is all the loop asks.
         for i in 0..n {
-            if !self.wake.reissues.due(i, now) {
+            if self.wake.reissues[i] > now {
+                if cfg!(debug_assertions) {
+                    let l1 = &mut self.l1s[i];
+                    superset_law("L1", i, now, l1.reissue_at() > now);
+                    skip_law("L1", i, now, l1, |l1| {
+                        let mut probe = Probe::new(now, &self.sink);
+                        l1.maybe_reissue(now, &mut probe);
+                        probe.quiet()
+                    });
+                }
                 continue;
             }
             let mut port = ChipPort {
@@ -377,12 +439,12 @@ impl Chip {
                 track_undone,
             };
             self.l1s[i].maybe_reissue(now, &mut port);
-            self.wake.reissues.set(i, self.l1s[i].reissue_at());
+            self.wake.reissues[i] = self.l1s[i].reissue_at();
         }
 
         // Open-loop external traffic: service replies, client retries,
         // fresh arrivals and ingress release — all before the network
-        // moves, so injections land this cycle under both kernels.
+        // moves, so injections land this cycle.
         if let Some(ol) = self.open_loop.as_mut() {
             ol.pre_net_tick(&mut self.net, now);
         }
@@ -441,8 +503,8 @@ impl Chip {
                         .is_some()
                     {
                         self.cores[i].miss_done(now, l1_hit);
-                        self.wake.cores.set(i, self.cores[i].ready_at());
-                        self.wake.reissues.set(i, self.l1s[i].reissue_at());
+                        self.wake.cores[i] = self.cores[i].ready_at();
+                        self.wake.reissues[i] = self.l1s[i].reissue_at();
                     }
                 }
                 MessageClass::L1Request
@@ -466,8 +528,11 @@ impl Chip {
         // L2 banks and memory controllers act on due work.
         for i in 0..n {
             // Ticking a bank with nothing due (and an MC with nothing
-            // pending) is a no-op; the event kernel skips the tile.
-            if event && !self.wake.banks.due(i, now) {
+            // pending) is a no-op.
+            if !dense && self.wake.banks[i] > now {
+                if cfg!(debug_assertions) {
+                    self.bank_laws(i, now);
+                }
                 continue;
             }
             let mut port = ChipPort {
@@ -482,6 +547,26 @@ impl Chip {
                 mc.tick(now, &mut port);
             }
             self.wake_bank(i);
+        }
+    }
+
+    /// The two laws on tile `i`'s bank — its L2 slice and memory
+    /// controller — left off the worklist at `now` (DESIGN.md §9).
+    fn bank_laws(&mut self, i: usize, now: Cycle) {
+        let mc_due = self.mcs[i].as_ref().map_or(Cycle::MAX, |m| m.next_due());
+        superset_law("bank", i, now, self.l2s[i].next_due().min(mc_due) > now);
+        let sink = &self.sink;
+        skip_law("bank", i, now, &mut self.l2s[i], |l2| {
+            let mut probe = Probe::new(now, sink);
+            l2.tick(now, &mut probe);
+            probe.quiet()
+        });
+        if let Some(mc) = self.mcs[i].as_mut() {
+            skip_law("memory controller", i, now, mc, |mc| {
+                let mut probe = Probe::new(now, sink);
+                mc.tick(now, &mut probe);
+                probe.quiet()
+            });
         }
     }
 
@@ -587,7 +672,7 @@ impl Chip {
 
     /// The chip's state and its components', for checkpointing. Call at
     /// a tick boundary (between [`Chip::tick`] calls): mid-tick scratch
-    /// is dead there, so the snapshot is identical under both kernels.
+    /// is dead there.
     pub fn snapshot(&self) -> ChipSnapshot {
         ChipSnapshot {
             state: self.state.clone(),
@@ -680,4 +765,36 @@ pub struct ChipSnapshot {
     mcs: Vec<Option<MemoryState>>,
     open_loop: Option<(open_loop::State, Vec<ArrivalState>)>,
     adaptive: Option<(AdaptiveReport, PolicyState)>,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rcsim_workload::Workload;
+
+    /// A bank whose wake slot runs one cycle late is caught the cycle its
+    /// work falls due, by name.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "superset law: bank 2 at cycle 14")]
+    fn a_bank_woken_late_breaks_the_superset_law() {
+        let topology = Topology::mesh(4, 4).expect("valid");
+        let workload = Workload::by_name("fft", 16, 1).expect("a known workload");
+        let proto = ProtocolConfig::small_for_tests(&topology);
+        let mechanism = MechanismConfig::baseline();
+        let mut chip = Chip::new(topology, mechanism, proto, &workload).expect("valid");
+        let (i, due) = loop {
+            chip.tick();
+            let now = chip.now();
+            let waiting =
+                |i: usize| Some(chip.l2s[i].next_due()).filter(|&t| t > now && t < Cycle::MAX);
+            if let Some((i, due)) = (0..16).find_map(|i| waiting(i).map(|t| (i, t))) {
+                break (i, due);
+            }
+        };
+        chip.wake.banks[i] = due + 1;
+        while chip.now() <= due {
+            chip.tick();
+        }
+    }
 }

@@ -26,7 +26,7 @@ pub struct Core {
 }
 
 /// A [`Core`]'s own state (DESIGN.md §15).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct State {
     phase: Phase,
     pending: Option<TraceOp>,

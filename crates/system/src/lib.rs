@@ -51,7 +51,4 @@ pub use rcsim_noc::{
 };
 pub use rcsim_workload::ArrivalProcess;
 pub use report::{ExternalSummary, LatencyRow, RunResult};
-pub use sim::{
-    run_sim, run_sim_traced, run_sim_traced_with_kernel, run_sim_with_kernel, SimConfig, SimError,
-    TraceConfig, TraceReport,
-};
+pub use sim::{run_sim, run_sim_traced, SimConfig, SimError, TraceConfig, TraceReport};

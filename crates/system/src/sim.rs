@@ -161,25 +161,13 @@ pub struct TraceReport {
     pub metrics: MetricsRegistry,
 }
 
-/// Runs one simulation point under the event kernel and gathers every
-/// measured quantity.
+/// Runs one simulation point and gathers every measured quantity.
 ///
 /// # Errors
 ///
 /// Returns [`SimError`] for unknown workloads or invalid configurations.
 pub fn run_sim(cfg: &SimConfig) -> Result<RunResult, SimError> {
-    run_sim_with_kernel(cfg, KernelMode::Event)
-}
-
-/// [`run_sim`] with an explicit simulation kernel. Both kernels produce
-/// byte-identical results (see the `kernel_diff` test suite); `Event`
-/// skips quiescent tiles and is the faster default.
-///
-/// # Errors
-///
-/// Returns [`SimError`] for unknown workloads or invalid configurations.
-pub fn run_sim_with_kernel(cfg: &SimConfig, kernel: KernelMode) -> Result<RunResult, SimError> {
-    run_sim_inner(cfg, None, kernel).map(|(result, _)| result)
+    run_sim_inner(cfg, None).map(|(result, _)| result)
 }
 
 /// [`run_sim`] with event tracing: identical simulation (the trace layer
@@ -194,22 +182,7 @@ pub fn run_sim_traced(
     cfg: &SimConfig,
     trace: &TraceConfig,
 ) -> Result<(RunResult, TraceReport), SimError> {
-    run_sim_traced_with_kernel(cfg, trace, KernelMode::Event)
-}
-
-/// [`run_sim_traced`] with an explicit simulation kernel. The trace
-/// stream — sequence, not just multiset — is required to be identical
-/// under both kernels.
-///
-/// # Errors
-///
-/// Returns [`SimError`] for unknown workloads or invalid configurations.
-pub fn run_sim_traced_with_kernel(
-    cfg: &SimConfig,
-    trace: &TraceConfig,
-    kernel: KernelMode,
-) -> Result<(RunResult, TraceReport), SimError> {
-    run_sim_inner(cfg, Some(trace), kernel).map(|(result, report)| {
+    run_sim_inner(cfg, Some(trace)).map(|(result, report)| {
         (
             result,
             report.expect("tracing was requested, so a report exists"),
@@ -220,9 +193,8 @@ pub fn run_sim_traced_with_kernel(
 fn run_sim_inner(
     cfg: &SimConfig,
     trace: Option<&TraceConfig>,
-    kernel: KernelMode,
 ) -> Result<(RunResult, Option<TraceReport>), SimError> {
-    let mut session = crate::checkpoint::SimSession::new(cfg, trace, kernel, 1)?;
+    let mut session = crate::checkpoint::SimSession::new(cfg, trace, KernelMode::Event, 1)?;
     let total = session.total();
     session.run_until(total)?;
     Ok(session.finish())

@@ -1,17 +1,17 @@
 //! Differential and edge-case layer for the adaptive runtime policies
 //! (DESIGN.md §14).
 //!
-//! Two obligations, mirroring the `kernel_diff` matrix:
+//! Two obligations, beside the `kernel_diff` matrix (whose two worklist
+//! laws every debug run here checks too):
 //!
 //! * **Off-path**: with `adaptive: None` — the default — the policy
 //!   hooks must be invisible. Serialized configs must not mention the
-//!   field (cache keys and goldens predate it), and full runs must stay
-//!   byte-identical under both kernels on mesh and torus, trace streams
-//!   included.
+//!   field (cache keys and goldens predate it), full runs report no
+//!   adaptive counter and trace no policy event on mesh and torus, and
+//!   tracing them perturbs nothing.
 //! * **On-path**: with the controller enabled the simulation is still a
 //!   deterministic function of the config — bit-reproducible across
-//!   repeated runs and identical under both kernels, which is what pins
-//!   the controller to the dense top of the tick.
+//!   repeated runs, trace streams included.
 //!
 //! Plus the epoch edge cases: decision epochs that do not divide the run
 //! length, all-idle regions (sampling must not perturb), a fault onset
@@ -20,8 +20,7 @@
 
 use rcsim_core::MechanismConfig;
 use rcsim_system::{
-    run_sim_traced_with_kernel, run_sim_with_kernel, AdaptiveConfig, DeadLinkEvent, KernelMode,
-    SimConfig, TraceConfig,
+    run_sim, run_sim_traced, AdaptiveConfig, DeadLinkEvent, SimConfig, TraceConfig,
 };
 
 fn quick(cores: u16, mechanism: MechanismConfig) -> SimConfig {
@@ -56,27 +55,10 @@ fn trace_cfg() -> TraceConfig {
     }
 }
 
-/// Runs `cfg` traced under both kernels and asserts the event kernel's
-/// serialized report *and* trace-event sequence are identical to the
-/// dense reference. Returns the reference run.
-fn assert_traced_kernels_agree(
-    cfg: &SimConfig,
-    label: &str,
-) -> (rcsim_system::RunResult, Vec<rcsim_trace::TraceEvent>) {
-    let trace = trace_cfg();
-    let (reference, reference_tr) =
-        run_sim_traced_with_kernel(cfg, &trace, KernelMode::Dense).expect("dense run");
-    let (run, tr) = run_sim_traced_with_kernel(cfg, &trace, KernelMode::Event).expect("event run");
-    assert_eq!(
-        serde_json::to_string(&reference).expect("serialize reference"),
-        serde_json::to_string(&run).expect("serialize run"),
-        "the event kernel diverged from the dense reference on {label}"
-    );
-    assert_eq!(
-        reference_tr.events, tr.events,
-        "trace-event sequences diverged between the kernels on {label}"
-    );
-    (reference, reference_tr.events)
+/// Runs `cfg` traced and returns the report with its trace-event sequence.
+fn traced(cfg: &SimConfig) -> (rcsim_system::RunResult, Vec<rcsim_trace::TraceEvent>) {
+    let (run, tr) = run_sim_traced(cfg, &trace_cfg()).expect("traced run");
+    (run, tr.events)
 }
 
 /// The `adaptive` field must be absent from serialized configs when off
@@ -103,16 +85,19 @@ fn serialized_config_omits_adaptive_when_off() {
     assert_eq!(round, on, "adaptive config round-trip changed the value");
 }
 
-/// Adaptive absent: traced runs must stay byte-identical under both
-/// kernels on mesh and torus with the policy hooks compiled in.
+/// Adaptive absent, on mesh and torus: no adaptive counter moves, no
+/// policy event is traced, and the traced report is the untraced one.
 #[test]
-fn adaptive_off_kernels_are_byte_identical() {
+fn adaptive_off_is_invisible() {
     use rcsim_core::TopologySpec;
     for spec in [TopologySpec::Mesh, TopologySpec::Torus] {
         let cfg = quick(16, MechanismConfig::complete()).with_topology(spec);
-        let (run, events) = assert_traced_kernels_agree(
-            &cfg,
-            &format!("adaptive off, complete @ 16 cores on {}", spec.label()),
+        let (run, events) = traced(&cfg);
+        assert_eq!(
+            serde_json::to_string(&run).unwrap(),
+            serde_json::to_string(&run_sim(&cfg).expect("plain run")).unwrap(),
+            "tracing perturbed the adaptive-off run on {}",
+            spec.label()
         );
         assert_eq!(
             run.health.adaptive,
@@ -126,11 +111,11 @@ fn adaptive_off_kernels_are_byte_identical() {
     }
 }
 
-/// Adaptive on: the run is bit-reproducible and kernel-invariant, the
-/// controller actually fires (decisions, switches in both directions,
-/// suppressed circuits), and every switch appears in the trace stream.
+/// Adaptive on: the run is bit-reproducible, the controller actually
+/// fires (decisions, switches in both directions, suppressed circuits),
+/// and every switch appears in the trace stream.
 #[test]
-fn adaptive_on_is_reproducible_and_kernel_invariant() {
+fn adaptive_on_is_reproducible() {
     use rcsim_core::TopologySpec;
     for spec in [TopologySpec::Mesh, TopologySpec::Torus] {
         let mut cfg = quick(16, MechanismConfig::complete()).with_topology(spec);
@@ -140,18 +125,14 @@ fn adaptive_on_is_reproducible_and_kernel_invariant() {
         cfg.warmup_cycles = 0;
         cfg.adaptive = Some(aggressive());
         let label = format!("adaptive on, complete @ 16 cores on {}", spec.label());
-        let (run, events) = assert_traced_kernels_agree(&cfg, &label);
-        let (again, again_events) =
-            run_sim_traced_with_kernel(&cfg, &trace_cfg(), KernelMode::Dense).expect("repeat run");
+        let (run, events) = traced(&cfg);
+        let (again, again_events) = traced(&cfg);
         assert_eq!(
             serde_json::to_string(&run).unwrap(),
             serde_json::to_string(&again).unwrap(),
             "repeated adaptive run was not bit-reproducible on {label}"
         );
-        assert_eq!(
-            events, again_events.events,
-            "repeated trace diverged on {label}"
-        );
+        assert_eq!(events, again_events, "repeated trace diverged on {label}");
         let ad = &run.health.adaptive;
         assert!(ad.decisions > 0, "controller never ran on {label}");
         assert!(ad.hot_switches > 0, "no region ever heated on {label}");
@@ -168,17 +149,17 @@ fn adaptive_on_is_reproducible_and_kernel_invariant() {
 }
 
 /// A decision epoch that does not divide the warm-up or measure length:
-/// the controller must still fire on every multiple inside the run and
-/// the kernels must still agree. 2 500 + 500 cycles with a 33-cycle
-/// epoch puts decisions at awkward offsets relative to both boundaries.
+/// the controller must still fire on every multiple inside the run.
+/// 2 500 + 500 cycles with a 33-cycle epoch puts decisions at awkward
+/// offsets relative to both boundaries.
 #[test]
-fn epoch_not_dividing_run_length_is_kernel_invariant() {
+fn epoch_not_dividing_run_length_decides_on_every_multiple() {
     let mut cfg = quick(16, MechanismConfig::complete());
     cfg.adaptive = Some(AdaptiveConfig {
         decision_epoch: 33,
         ..aggressive()
     });
-    let (run, _) = assert_traced_kernels_agree(&cfg, "33-cycle epoch");
+    let (run, _) = traced(&cfg);
     // Decisions start at the first epoch boundary and continue through
     // warm-up and measure: 3 000 / 33 = 90 full epochs.
     assert_eq!(run.health.adaptive.decisions, 3_000 / 33);
@@ -197,8 +178,8 @@ fn all_idle_regions_never_switch_and_never_perturb() {
         hot_exit: u64::MAX / 2,
         ..aggressive()
     });
-    let off_run = run_sim_with_kernel(&off, KernelMode::Event).expect("off run");
-    let on_run = run_sim_with_kernel(&on, KernelMode::Event).expect("on run");
+    let off_run = run_sim(&off).expect("off run");
+    let on_run = run_sim(&on).expect("on run");
     let ad = &on_run.health.adaptive;
     assert!(ad.decisions > 0, "controller never sampled");
     assert_eq!(ad.hot_switches, 0);
@@ -216,9 +197,9 @@ fn all_idle_regions_never_switch_and_never_perturb() {
 
 /// A fault onset landing exactly on a decision tick: the fault pre-pass
 /// (teardown, purge, reroute) and the policy decision run back to back
-/// at the top of the same tick, and the kernels must not notice.
+/// at the top of the same tick, and neither leaves work off the worklist.
 #[test]
-fn fault_onset_on_a_decision_tick_is_kernel_invariant() {
+fn fault_onset_on_a_decision_tick_skips_only_no_ops() {
     let mut cfg = quick(16, MechanismConfig::complete());
     cfg.adaptive = Some(aggressive());
     // Epoch 40 ⇒ decisions at 40, 80, …, 2 000, … — the link dies at
@@ -229,7 +210,7 @@ fn fault_onset_on_a_decision_tick_is_kernel_invariant() {
         at: 2_000,
         duration: None,
     }];
-    let (run, _) = assert_traced_kernels_agree(&cfg, "fault onset on decision tick");
+    let (run, _) = traced(&cfg);
     assert!(run.health.adaptive.decisions > 0);
     assert_eq!(run.health.dead_links.len(), 1, "link never died");
 }
@@ -237,14 +218,14 @@ fn fault_onset_on_a_decision_tick_is_kernel_invariant() {
 /// Decisions spanning the warm-up/measure boundary: the stats reset at
 /// the end of warm-up zeroes the traffic counters but must not disturb
 /// the controller (mode, dwell clocks, decision phase) — the decision
-/// count covers the whole run and the kernels still agree.
+/// count covers the whole run.
 #[test]
 fn warmup_drain_keeps_controller_state_across_stats_reset() {
     let mut cfg = quick(16, MechanismConfig::complete());
     cfg.warmup_cycles = 1_000;
     cfg.measure_cycles = 2_000;
     cfg.adaptive = Some(aggressive());
-    let (run, _) = assert_traced_kernels_agree(&cfg, "decisions across warm-up reset");
+    let (run, _) = traced(&cfg);
     // Ticks cover t = 0 … 2 999, so decisions land at every multiple of
     // 40 up to 2 960: ⌊2 999 / 40⌋ = 74 in total, the first 24 during
     // warm-up — none lost to the reset.

@@ -3,11 +3,10 @@
 //! agree byte for byte — in the serialized `RunResult`, in the trace-event
 //! sequence, and in *state*: what a resume holds is what was saved, and a
 //! resumed run ends in the uninterrupted run's final checkpoint — across
-//! mechanisms, kernels, fault injection, dead links and routers, open-loop
-//! overload, the adaptive runtime policies and topologies. The restore
-//! side crosses kernels (checkpoint under dense, resume under event and
-//! vice versa): the kernel is a host-performance knob and must stay
-//! invisible to the snapshot.
+//! mechanisms, fault injection, dead links and routers, open-loop
+//! overload, the adaptive runtime policies and topologies. In debug builds
+//! a restored run also keeps the two worklist laws (DESIGN.md §9): the
+//! busy bits a restore rebuilds must hold every component with work.
 
 use proptest::prelude::*;
 use rcsim_core::{MechanismConfig, NodeId, TopologySpec};
@@ -130,35 +129,32 @@ fn finish(mut session: SimSession) -> Outcome {
     }
 }
 
-fn uninterrupted(cfg: &SimConfig, kernel: KernelMode) -> Outcome {
-    finish(SimSession::new(cfg, Some(&TRACE), kernel, 1).expect("session"))
+/// A fresh traced session of `cfg`.
+fn session(cfg: &SimConfig) -> SimSession {
+    SimSession::new(cfg, Some(&TRACE), KernelMode::Event, 1).expect("session")
+}
+
+fn uninterrupted(cfg: &SimConfig) -> Outcome {
+    finish(session(cfg))
 }
 
 /// Re-runs `cfg` split at cycle `k` through a full serialize → checksum →
-/// deserialize round trip of the checkpoint, optionally switching kernel
-/// at the restore, and asserts that (i) the resumed session re-checkpoints
-/// to the very bytes of the file and (ii) it ends exactly like
-/// `reference`, the uninterrupted run: result, trace and final state.
-fn assert_split_identical(
-    reference: &Outcome,
-    cfg: &SimConfig,
-    k: u64,
-    save: KernelMode,
-    load: KernelMode,
-    label: &str,
-) {
-    let mut first = SimSession::new(cfg, Some(&TRACE), save, 1).expect("session");
+/// deserialize round trip of the checkpoint and asserts that (i) the
+/// resumed session re-checkpoints to the very bytes of the file and (ii)
+/// it ends exactly like `reference`, the uninterrupted run: result, trace
+/// and final state.
+fn assert_split_identical(reference: &Outcome, cfg: &SimConfig, k: u64, label: &str) {
+    let mut first = session(cfg);
     first.run_until(k).expect("run to split point");
     // Round-trip through the on-disk encoding, not just the in-memory
     // snapshot: the serializer is part of the contract.
-    let dir =
-        scratch_dir(&format!("{label} k={k} {save:?} {load:?}").replace([' ', '/', ':'], "_"));
+    let dir = scratch_dir(&format!("{label} k={k}").replace([' ', '/', ':'], "_"));
     let (path, again) = (dir.join("saved.ckpt"), dir.join("again.ckpt"));
     first.checkpoint().save(&path).expect("save checkpoint");
     let snap = SessionSnapshot::load(&path).expect("load checkpoint");
     assert_eq!(snap.pos(), k, "checkpoint stored the wrong position");
 
-    let resumed = SimSession::resume(&snap, load, 1).expect("resume");
+    let resumed = SimSession::resume(&snap, KernelMode::Event, 1).expect("resume");
     resumed.checkpoint().save(&again).expect("save again");
     assert!(
         std::fs::read(&path).expect("read") == std::fs::read(&again).expect("read"),
@@ -167,46 +163,35 @@ fn assert_split_identical(
     std::fs::remove_dir_all(&dir).ok();
 
     let resumed = finish(resumed);
-    let what = format!("resume at k={k} ({save:?} to {load:?}) on {label}");
+    let what = format!("resume at k={k} on {label}");
     assert_eq!(reference.result, resumed.result, "{what}: result");
     assert!(reference.events == resumed.events, "{what}: trace events");
     assert_eq!(reference.dropped, resumed.dropped, "{what}: dropped events");
     assert!(reference.state == resumed.state, "{what}: final state");
 }
 
-const DENSE: KernelMode = KernelMode::Dense;
-const EVENT: KernelMode = KernelMode::Event;
-
 /// Mid-warm-up and mid-measure; the warm-up boundary itself (and its
 /// neighbours, and both ends of the run) are [`BOUNDARIES`], which every
-/// class of the property below crosses under every kernel pair.
+/// class of the property below crosses.
 const SPLITS: [u64; 2] = [137, 1_700];
 
-fn assert_splits_identical(cfg: &SimConfig, save: KernelMode, load: KernelMode, label: &str) {
-    let reference = uninterrupted(cfg, save);
+fn assert_splits_identical(cfg: &SimConfig, label: &str) {
+    let reference = uninterrupted(cfg);
     for k in SPLITS {
-        assert_split_identical(&reference, cfg, k, save, load, label);
+        assert_split_identical(&reference, cfg, k, label);
     }
 }
 
 #[test]
 fn every_mechanism_resumes_identically() {
     for m in MechanismConfig::key_configs() {
-        assert_splits_identical(&quick(16, m), EVENT, EVENT, &m.label());
-    }
-}
-
-#[test]
-fn resume_crosses_kernels() {
-    let cfg = quick(16, MechanismConfig::complete_noack());
-    for (save, load) in [(DENSE, EVENT), (EVENT, DENSE)] {
-        assert_splits_identical(&cfg, save, load, "cross");
+        assert_splits_identical(&quick(16, m), &m.label());
     }
 }
 
 #[test]
 fn faulty_runs_resume_identically() {
-    assert_splits_identical(&faulty(16), EVENT, DENSE, "faults");
+    assert_splits_identical(&faulty(16), "faults");
 }
 
 /// Splits before the link dies, while it is dead (`dead_eating`, the
@@ -214,46 +199,46 @@ fn faulty_runs_resume_identically() {
 #[test]
 fn dead_link_window_resumes_identically() {
     let cfg = dead_link_window();
-    let reference = uninterrupted(&cfg, DENSE);
+    let reference = uninterrupted(&cfg);
     assert!(!reference.result.contains("\"packets_rerouted\":0,"));
     for k in [137, 700, 1_700] {
-        assert_split_identical(&reference, &cfg, k, DENSE, EVENT, "dead link");
+        assert_split_identical(&reference, &cfg, k, "dead link");
     }
 }
 
 #[test]
 fn dead_router_window_resumes_identically() {
     let cfg = dead_router_window();
-    let reference = uninterrupted(&cfg, EVENT);
+    let reference = uninterrupted(&cfg);
     for k in [137, 800, 1_700] {
-        assert_split_identical(&reference, &cfg, k, EVENT, DENSE, "dead router");
+        assert_split_identical(&reference, &cfg, k, "dead router");
     }
 }
 
 #[test]
 fn overloaded_runs_resume_identically() {
-    assert_splits_identical(&overloaded(16), EVENT, EVENT, "overload");
+    assert_splits_identical(&overloaded(16), "overload");
 }
 
 #[test]
 fn adaptive_runs_resume_identically() {
-    assert_splits_identical(&adaptive(16), EVENT, EVENT, "adaptive");
+    assert_splits_identical(&adaptive(16), "adaptive");
 }
 
 #[test]
 fn non_mesh_topologies_resume_identically() {
     for spec in [TopologySpec::Torus, TopologySpec::Ring] {
         let cfg = quick(16, MechanismConfig::complete()).with_topology(spec);
-        let reference = uninterrupted(&cfg, EVENT);
-        assert_split_identical(&reference, &cfg, 1_700, EVENT, EVENT, &spec.label());
+        let reference = uninterrupted(&cfg);
+        assert_split_identical(&reference, &cfg, 1_700, &spec.label());
     }
 }
 
 #[test]
 fn large_chip_resumes_identically() {
     let cfg = faulty(64);
-    let reference = uninterrupted(&cfg, EVENT);
-    assert_split_identical(&reference, &cfg, 900, EVENT, EVENT, "64 cores faults");
+    let reference = uninterrupted(&cfg);
+    assert_split_identical(&reference, &cfg, 900, "64 cores faults");
 }
 
 /// The config classes of the property: every key mechanism (the first is
@@ -287,21 +272,13 @@ fn classes() -> Vec<(String, SimConfig)> {
 /// cycle either side of it.
 const BOUNDARIES: [u64; 5] = [0, WARMUP - 1, WARMUP, WARMUP + 1, TOTAL];
 
-/// ROADMAP item 6, forced part: every class × every boundary split ×
-/// every (save, load) kernel pair.
+/// The forced part of the property: every class × every boundary split.
 #[test]
-fn boundary_splits_resume_identically_under_every_kernel_pair() {
+fn boundary_splits_resume_identically() {
     for (label, cfg) in classes() {
-        let reference = uninterrupted(&cfg, EVENT);
+        let reference = uninterrupted(&cfg);
         for k in BOUNDARIES {
-            for (save, load) in [
-                (DENSE, DENSE),
-                (DENSE, EVENT),
-                (EVENT, DENSE),
-                (EVENT, EVENT),
-            ] {
-                assert_split_identical(&reference, &cfg, k, save, load, &label);
-            }
+            assert_split_identical(&reference, &cfg, k, &label);
         }
     }
 }
@@ -309,18 +286,15 @@ fn boundary_splits_resume_identically_under_every_kernel_pair() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// ROADMAP item 6, drawn part: any class, split anywhere in the run,
-    /// under any (save, load) kernel pair ⇒ identical `RunResult`, trace
-    /// stream and final checkpoint bytes.
+    /// The drawn part: any class, split anywhere in the run ⇒ identical
+    /// `RunResult`, trace stream and final checkpoint bytes.
     #[test]
     fn any_split_resumes_identically(
         class in 0..classes().len(),
         k in 0..=TOTAL,
-        save in prop_oneof![Just(DENSE), Just(EVENT)],
-        load in prop_oneof![Just(DENSE), Just(EVENT)],
     ) {
         let (label, cfg) = classes().swap_remove(class);
-        assert_split_identical(&uninterrupted(&cfg, load), &cfg, k, save, load, &label);
+        assert_split_identical(&uninterrupted(&cfg), &cfg, k, &label);
     }
 }
 
@@ -343,8 +317,8 @@ fn serialized(result: &RunResult) -> String {
     serde_json::to_string(result).expect("serialize result")
 }
 
-/// The driver every checkpointed sweep point takes: whatever the interval
-/// and the kernel, the result is `run_sim`'s, the finished point leaves
+/// The driver every checkpointed sweep point takes: whatever the interval,
+/// the result is `run_sim`'s, the finished point leaves
 /// no checkpoint behind, garbage under the checkpoint's name is a clean
 /// miss, and the half-finished checkpoint a killed run left there is
 /// picked up.
@@ -354,14 +328,9 @@ fn resumable_driver_matches_the_plain_run() {
     let total = cfg.warmup_cycles + cfg.measure_cycles;
     let reference = serialized(&run_sim(&cfg).expect("reference run"));
     let dir = scratch_dir("driver");
-    let mut killed = SimSession::new(&cfg, None, DENSE, 1).expect("session");
+    let mut killed = SimSession::new(&cfg, None, KernelMode::Event, 1).expect("session");
     killed.run_until(1_700).expect("run to the kill");
-    for (kernel, interval) in [
-        (DENSE, total / 8),
-        (DENSE, total / 2),
-        (EVENT, total / 8),
-        (EVENT, total / 2),
-    ] {
+    for interval in [total / 8, total / 2] {
         for killed_run_left_a_checkpoint in [false, true] {
             let path = ckpt_path(&dir, &cfg);
             if killed_run_left_a_checkpoint {
@@ -369,11 +338,11 @@ fn resumable_driver_matches_the_plain_run() {
             } else {
                 std::fs::write(&path, "garbage").expect("plant garbage");
             }
-            let result = run_sim_resumable(&cfg, kernel, &dir, interval).expect("resumable run");
+            let result = run_sim_resumable(&cfg, &dir, interval).expect("resumable run");
             assert_eq!(
                 reference,
                 serialized(&result),
-                "{kernel:?}, interval {interval}: diverged from run_sim"
+                "interval {interval}: diverged from run_sim"
             );
             let left: Vec<_> = std::fs::read_dir(&dir).expect("list").collect();
             assert!(left.is_empty(), "finished point left {left:?} behind");
@@ -400,7 +369,7 @@ fn stale_checkpoint_for_changed_config_is_a_clean_miss() {
 
     let reference = run_sim(&changed).expect("reference run");
     assert_ne!(reference, run_sim(&cfg).expect("other point"));
-    let result = run_sim_resumable(&changed, KernelMode::Event, &dir, 1_000).expect("run");
+    let result = run_sim_resumable(&changed, &dir, 1_000).expect("run");
     assert_eq!(serialized(&reference), serialized(&result));
     assert!(
         SessionSnapshot::load(Path::new("/nonexistent/x.ckpt")).is_none(),

@@ -1,18 +1,18 @@
-//! The differential byte-identity matrix: the event kernel (`RC_KERNEL`,
-//! idle-skip scheduling) must be observationally indistinguishable from
-//! the dense reference that ticks every tile every cycle. Every mechanism
-//! version of the paper's Figure 6 grid is run under both kernels on the
-//! 4×4 and 8×8 chips — with and without fault injection — and the full
-//! serialized `RunResult` (latency histograms, outcome fractions, energy,
-//! health, fault counters) must be **byte-identical**; so must
-//! {mesh, torus, ring} × {faults off, on}, an open-loop overload point
-//! and a mid-run dead-link point. Traced runs must additionally produce
-//! the identical trace-event *sequence*.
+//! The kernel matrix: the worklist must skip only what the dense model
+//! would have left untouched. In debug builds every run here checks, on
+//! every component it skips in every cycle, the superset law (nothing due,
+//! no work of its own) and the skip law (a tick would change no state and
+//! emit nothing), DESIGN.md §9 — a violation names the component and the
+//! cycle. The grid: every mechanism of the paper's Figure 6 on the 4×4
+//! and 8×8 chips with and without fault injection, {mesh, torus, ring} ×
+//! {faults off, on}, torus/cmesh/ring under a representative mechanism
+//! set, stuck ports, an open-loop overload point and a mid-run dead link;
+//! traced runs must also report exactly what untraced ones do.
 
 use rcsim_core::MechanismConfig;
 use rcsim_system::{
-    run_sim_traced_with_kernel, run_sim_with_kernel, DeadLinkEvent, FaultConfig, KernelMode,
-    OpenLoopConfig, SimConfig, StuckPortEvent, TraceConfig,
+    run_sim, run_sim_traced, DeadLinkEvent, FaultConfig, OpenLoopConfig, SimConfig, StuckPortEvent,
+    TraceConfig,
 };
 
 /// Baseline first, then the full Figure 6 grid (Fragmented → Postponed_k).
@@ -22,7 +22,7 @@ fn all_mechanisms() -> Vec<MechanismConfig> {
     all
 }
 
-/// A quick config small enough to run the whole grid under both kernels.
+/// A quick config small enough to run the whole grid.
 fn quick(cores: u16, mechanism: MechanismConfig) -> SimConfig {
     SimConfig {
         seed: 0xD1FF,
@@ -41,9 +41,8 @@ fn light_faults(cores: u16) -> FaultConfig {
     FaultConfig {
         // A fault-RNG stream the seed simulator tolerates at this mesh
         // size: some (size, seed) pairs trip the pre-existing wormhole
-        // fragility noted above — identically under both kernels — and
-        // this differential layer is about kernel equivalence, not about
-        // fixing that corner.
+        // fragility noted above, and this layer is about the worklist, not
+        // about fixing that corner.
         seed: if cores > 16 { 0x5EED1 } else { 0xFA017 },
         link_drop_rate: 0.003,
         link_corrupt_rate: 0.002,
@@ -52,58 +51,52 @@ fn light_faults(cores: u16) -> FaultConfig {
     }
 }
 
-/// Runs `cfg` under both kernels and asserts the serialized reports are
-/// byte-for-byte identical.
-fn assert_kernels_agree(cfg: &SimConfig, label: &str) {
-    let dense = run_sim_with_kernel(cfg, KernelMode::Dense).expect("dense run");
-    let event = run_sim_with_kernel(cfg, KernelMode::Event).expect("event run");
-    let dense_json = serde_json::to_string(&dense).expect("serialize dense");
-    let event_json = serde_json::to_string(&event).expect("serialize event");
-    assert_eq!(
-        dense_json, event_json,
-        "dense and event kernels diverged on {label}"
-    );
+/// Runs `cfg` — the laws ride along in debug builds — and asserts the
+/// run made progress.
+fn assert_skips_are_no_ops(cfg: &SimConfig, label: &str) {
+    let result = run_sim(cfg).unwrap_or_else(|e| panic!("{label}: {e}"));
+    assert!(result.instructions > 0, "{label}: no progress");
 }
 
 #[test]
-fn every_mechanism_agrees_on_4x4() {
+fn every_mechanism_skips_only_no_ops_on_4x4() {
     for m in all_mechanisms() {
-        assert_kernels_agree(&quick(16, m), &format!("{} @ 16 cores", m.label()));
+        assert_skips_are_no_ops(&quick(16, m), &format!("{} @ 16 cores", m.label()));
     }
 }
 
 #[test]
-fn every_mechanism_agrees_on_8x8() {
+fn every_mechanism_skips_only_no_ops_on_8x8() {
     for m in all_mechanisms() {
-        assert_kernels_agree(&quick(64, m), &format!("{} @ 64 cores", m.label()));
+        assert_skips_are_no_ops(&quick(64, m), &format!("{} @ 64 cores", m.label()));
     }
 }
 
 #[test]
-fn every_mechanism_agrees_on_4x4_under_faults() {
+fn every_mechanism_skips_only_no_ops_on_4x4_under_faults() {
     for m in all_mechanisms() {
         let mut cfg = quick(16, m);
         cfg.faults = light_faults(16);
-        assert_kernels_agree(&cfg, &format!("{} @ 16 cores, faults", m.label()));
+        assert_skips_are_no_ops(&cfg, &format!("{} @ 16 cores, faults", m.label()));
     }
 }
 
 #[test]
-fn every_mechanism_agrees_on_8x8_under_faults() {
+fn every_mechanism_skips_only_no_ops_on_8x8_under_faults() {
     for m in all_mechanisms() {
         let mut cfg = quick(64, m);
         cfg.faults = light_faults(64);
-        assert_kernels_agree(&cfg, &format!("{} @ 64 cores, faults", m.label()));
+        assert_skips_are_no_ops(&cfg, &format!("{} @ 64 cores, faults", m.label()));
     }
 }
 
 /// The non-mesh topologies change the port counts, the wake patterns
 /// (wraparound neighbours, shared cmesh routers) and the VC layout
-/// (dateline classes), so each gets its own dense-vs-event check: a 4×4
-/// torus, a cmesh with four tiles per router, and a 16-node ring, across
-/// a representative mechanism set, must stay byte-identical.
+/// (dateline classes), so each gets its own rows: a 4×4 torus, a cmesh
+/// with four tiles per router, and a 16-node ring, across a representative
+/// mechanism set.
 #[test]
-fn every_topology_agrees_on_both_kernels() {
+fn every_topology_skips_only_no_ops() {
     use rcsim_core::TopologySpec;
     let representative = [
         MechanismConfig::baseline(),
@@ -118,7 +111,7 @@ fn every_topology_agrees_on_both_kernels() {
     ] {
         for m in representative {
             let cfg = quick(16, m).with_topology(spec);
-            assert_kernels_agree(
+            assert_skips_are_no_ops(
                 &cfg,
                 &format!("{} @ 16 cores on {}", m.label(), spec.label()),
             );
@@ -130,9 +123,9 @@ fn every_topology_agrees_on_both_kernels() {
 /// keep the router's wake time due until the window ends). Every Figure 6
 /// mechanism — including the timed ones, whose expired slots at a stuck
 /// port used to trip a wormhole stream-order assertion — must survive the
-/// window, and both kernels must agree byte for byte.
+/// window, skipping only no-ops.
 #[test]
-fn stuck_ports_agree_on_every_mechanism() {
+fn stuck_ports_skip_only_no_ops_on_every_mechanism() {
     for m in all_mechanisms() {
         let mut cfg = quick(16, m);
         cfg.faults = FaultConfig {
@@ -144,16 +137,15 @@ fn stuck_ports_agree_on_every_mechanism() {
             }],
             ..FaultConfig::none()
         };
-        assert_kernels_agree(&cfg, &format!("{} @ 16 cores, stuck port", m.label()));
+        assert_skips_are_no_ops(&cfg, &format!("{} @ 16 cores, stuck port", m.label()));
     }
 }
 
-/// Traced runs: the event stream (order **and** content) must match, the
-/// multiset view must match (belt and braces: a reordering that happened
-/// to cancel in the sequence check would still trip the sorted view), and
-/// the traced `RunResult`s must stay byte-identical too.
+/// Traced runs: tracing is pure observation (the traced report is the
+/// untraced one) and the trace is not empty; in debug builds the skip law
+/// also holds every skipped component to emitting no trace event.
 #[test]
-fn traced_event_streams_are_identical() {
+fn traced_runs_report_what_untraced_runs_do() {
     let representative = [
         MechanismConfig::baseline(),
         MechanismConfig::complete_noack(),
@@ -169,32 +161,15 @@ fn traced_event_streams_are_identical() {
             if faults {
                 cfg.faults = light_faults(16);
             }
-            let (dense, dense_tr) =
-                run_sim_traced_with_kernel(&cfg, &trace, KernelMode::Dense).expect("dense run");
-            let (event, event_tr) =
-                run_sim_traced_with_kernel(&cfg, &trace, KernelMode::Event).expect("event run");
             let label = format!("{} (faults: {faults})", m.label());
+            let (traced, report) = run_sim_traced(&cfg, &trace).expect("traced run");
+            let plain = run_sim(&cfg).expect("plain run");
             assert_eq!(
-                serde_json::to_string(&dense).unwrap(),
-                serde_json::to_string(&event).unwrap(),
-                "traced reports diverged on {label}"
+                serde_json::to_string(&traced).unwrap(),
+                serde_json::to_string(&plain).unwrap(),
+                "tracing perturbed {label}"
             );
-            assert!(!dense_tr.events.is_empty(), "no events traced on {label}");
-            assert_eq!(
-                dense_tr.events, event_tr.events,
-                "trace-event sequences diverged on {label}"
-            );
-            let multiset = |evs: &[rcsim_trace::TraceEvent]| {
-                let mut v: Vec<String> = evs.iter().map(|e| format!("{e:?}")).collect();
-                v.sort_unstable();
-                v
-            };
-            assert_eq!(
-                multiset(&dense_tr.events),
-                multiset(&event_tr.events),
-                "trace-event multisets diverged on {label}"
-            );
-            assert_eq!(dense_tr.dropped, event_tr.dropped);
+            assert!(!report.events.is_empty(), "no events traced on {label}");
         }
     }
 }
@@ -203,7 +178,7 @@ fn traced_event_streams_are_identical() {
 /// worst case for the fault stream (every hop crosses a dateline class);
 /// the torus adds wraparound links, whose drops wake a far-away router.
 #[test]
-fn every_topology_agrees_with_and_without_faults() {
+fn every_topology_skips_only_no_ops_with_and_without_faults() {
     use rcsim_core::TopologySpec;
     for spec in [TopologySpec::Mesh, TopologySpec::Torus, TopologySpec::Ring] {
         for faults in [false, true] {
@@ -211,7 +186,7 @@ fn every_topology_agrees_with_and_without_faults() {
             if faults {
                 cfg.faults = light_faults(16);
             }
-            assert_kernels_agree(
+            assert_skips_are_no_ops(
                 &cfg,
                 &format!("complete @ 16 cores on {} (faults: {faults})", spec.label()),
             );
@@ -225,7 +200,7 @@ fn every_topology_agrees_with_and_without_faults() {
 /// decisions read NI backlogs the tick produced — a skipped NI that was
 /// not idle would compound immediately.
 #[test]
-fn kernels_agree_under_open_loop_overload() {
+fn open_loop_overload_skips_only_no_ops() {
     let mut ol = OpenLoopConfig::poisson(0.2);
     ol.ingress.tokens_per_kilocycle = 103; // ~0.1/cycle/edge capacity
     ol.ingress.shed_timeout = 800;
@@ -236,7 +211,7 @@ fn kernels_agree_under_open_loop_overload() {
         open_loop: Some(ol),
         ..SimConfig::quick(16, MechanismConfig::complete_noack(), "blackscholes")
     };
-    assert_kernels_agree(&cfg, "complete_noack @ 16 cores, open-loop overload");
+    assert_skips_are_no_ops(&cfg, "complete_noack @ 16 cores, open-loop overload");
 }
 
 /// Mid-run dead-link point: an interior link dies inside the measure
@@ -244,7 +219,7 @@ fn kernels_agree_under_open_loop_overload() {
 /// reroute) at the top of the tick and the dead-link eating path in
 /// `Links`.
 #[test]
-fn kernels_agree_across_midrun_dead_link() {
+fn midrun_dead_link_skips_only_no_ops() {
     let mut cfg = quick(16, MechanismConfig::complete());
     cfg.faults.dead_links = vec![DeadLinkEvent {
         a: rcsim_core::NodeId(5),
@@ -252,5 +227,5 @@ fn kernels_agree_across_midrun_dead_link() {
         at: 900,
         duration: None,
     }];
-    assert_kernels_agree(&cfg, "complete @ 16 cores, mid-run dead link");
+    assert_skips_are_no_ops(&cfg, "complete @ 16 cores, mid-run dead link");
 }

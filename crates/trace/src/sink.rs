@@ -66,6 +66,18 @@ impl TraceSink {
         }
     }
 
+    /// Events emitted since the last drain or restore, overwritten ones
+    /// included: a count that moves with every event (0 when disabled).
+    pub fn emitted(&self) -> u64 {
+        match self {
+            TraceSink::Disabled => 0,
+            TraceSink::Ring(ring) => {
+                let ring = ring.lock().expect("trace ring poisoned");
+                ring.len() as u64 + ring.dropped()
+            }
+        }
+    }
+
     /// Removes and returns all recorded events in order.
     pub fn drain(&self) -> Vec<TraceEvent> {
         match self {

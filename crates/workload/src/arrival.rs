@@ -8,15 +8,14 @@
 //! queues earn their keep. Each edge node owns one [`ArrivalStream`],
 //! polled once per cycle in a fixed order, so the arrival sequence is a
 //! pure function of `(seed, edge index, edge count, process)` — bit-
-//! identical across kernels (`RC_KERNEL`) and sweep worker counts
-//! (`RC_JOBS`).
+//! identical across sweep worker counts (`RC_JOBS`).
 //!
 //! Rates are arrivals **per cycle per edge** and are realised by
 //! Bernoulli thinning: at most one arrival per edge per cycle, with the
 //! per-cycle probability clamped to `[0, 1]`. That keeps the draw count
 //! per cycle fixed (one state draw where the process needs it, one coin,
 //! one destination draw only on arrival), which is what makes the stream
-//! deterministic under idle-skipping kernels.
+//! deterministic however many components the kernel skips.
 
 use crate::WorkloadRng;
 use rand::{Rng, SeedableRng};

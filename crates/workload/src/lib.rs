@@ -36,7 +36,7 @@ mod arrival;
 pub use arrival::{ArrivalProcess, ArrivalState, ArrivalStream, ExternalArrival};
 
 /// A generator's RNG, serialized as its two state words.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 #[serde(from = "(u64, u64)", into = "(u64, u64)")]
 pub struct WorkloadRng(ChaCha8Rng);
 

@@ -1,7 +1,6 @@
 //! Checkpoint/restore: pause a run mid-flight, serialize the whole
-//! simulation to disk, reload it — even in a different process, under
-//! the other kernel — and finish with results byte-identical to a run
-//! that never stopped.
+//! simulation to disk, reload it — even in a different process — and
+//! finish with results byte-identical to a run that never stopped.
 //!
 //! ```text
 //! cargo run --release --example checkpoint
@@ -21,7 +20,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The same point, stopped at an arbitrary cycle and saved. A session
     // is an explicitly-stepped run: run_until / checkpoint / finish.
-    let mut first = SimSession::new(&cfg, None, KernelMode::Dense, 1)?;
+    let mut first = SimSession::new(&cfg, None, KernelMode::Event, 1)?;
     first.run_until(total / 3)?;
     first.checkpoint().save(&path)?;
     println!(
@@ -33,12 +32,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     drop(first); // simulate the process dying here
 
-    // Reload and finish. The kernel is a host-performance knob, not
-    // simulation state — resuming under the *event* kernel must still
-    // reproduce the dense run exactly.
+    // Reload and finish: the file holds every component's state, so the
+    // rest of the run cannot tell it was ever interrupted.
     let snap = SessionSnapshot::load(&path).expect("checkpoint readable");
     let mut second = SimSession::resume(&snap, KernelMode::Event, 1)?;
-    println!("resumed at cycle {} under the event kernel", second.pos());
+    println!("resumed at cycle {}", second.pos());
     second.run_until(total)?;
     let (resumed, _) = second.finish();
 
@@ -56,7 +54,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // any compatible checkpoint it finds there, and removes it when the
     // run completes — kill this loop at any point and rerun.
     let dir = std::env::temp_dir().join("reactive-circuits-example-ckpts");
-    let via_wrapper = run_sim_resumable(&cfg, KernelMode::Dense, &dir, 4_000)?;
+    let via_wrapper = run_sim_resumable(&cfg, &dir, 4_000)?;
     assert_eq!(serde_json::to_string(&via_wrapper)?, a);
     println!("run_sim_resumable (interval 4000): byte-identical too");
 

@@ -136,6 +136,20 @@ hosted=$(grep -rnE '\b(AdaptiveConfig|PolicyController|PolicyState|enable_adapti
 [ -z "$hosted" ] \
   || { echo "FAIL: crates/noc/src hosts a policy or a wake-up again:"; echo "$hosted"; exit 1; }
 
+echo "==> one kernel (DESIGN.md §9: the dense kernel is a law checked in debug builds, not a mode)"
+# What survives of the kernel mode is the stub benchmark/ still calls for
+# core.sched.event_over_dense — KernelMode, Network::set_kernel and the
+# kernel of SimSession::new/resume — reaching Network::tick and Chip::tick
+# through these lines and no other; no RC_KERNEL knob is left.
+door='^crates/(noc/src/network|system/src/(chip|sim))\.rs:[0-9]+: *(let dense = self\.kernel == KernelMode::Dense;|pub(\(crate\))? fn set_kernel\(&mut self, kernel: KernelMode\) \{|self\.net\.set_kernel\(kernel\);|chip\.set_kernel\(kernel\);)$'
+found=$(grep -rn --include='*.rs' -E 'KernelMode::Dense|set_kernel' crates src tests examples || true)
+if [ "$(grep -c . <<< "$found")" -ne 6 ] || grep -v -E "$door" <<< "$found"; then
+  echo "FAIL: expected exactly the six door lines to name the dense mode or set_kernel, found:"; echo "$found"; exit 1
+fi
+if grep -rn 'RC_KERNEL' crates src tests examples README.md; then
+  echo "FAIL: RC_KERNEL is back"; exit 1
+fi
+
 echo "==> cargo build --release"
 $CARGO build --release "$@"
 
@@ -176,10 +190,10 @@ must_exit_2() {
     echo "FAIL: \`$*\` must exit 2 naming $named and simulate nothing (exit $status)"; exit 1
   fi
 }
-must_exit_2 RC_KERNAL RC_KERNAL=dense $bench fig6
 must_exit_2 RC_CYCLES RC_CYCLES=20k $bench fig6
 # A retired knob is an unknown name like any other.
 must_exit_2 RC_TOPO_WINDOW RC_TOPO_WINDOW=8 $bench fig6
+must_exit_2 RC_KERNEL RC_KERNEL=dense $bench fig6
 # The names are listed, and the known experiment beside the typo does not run.
 must_exit_2 'fig6, fig7' RC_JOBS=1 $bench fig6 fig66
 
@@ -221,21 +235,18 @@ cached=$(telemetry target/experiments/BENCH_fig6.json cached_points)
   || { echo "FAIL: cache-warm rerun recomputed every point (cached_points=$cached)"; exit 1; }
 echo "    cache-warm rerun served $cached points from $cache_dir"
 
-echo "==> every experiment: dense ≡ event, RC_JOBS 1 ≡ 4 (BENCH rows byte-identical), summaries valid"
-# The whole table three times at the smoke size (plus the topology sizes
-# the smoke uses): serial under each kernel, then on four workers. Every
-# experiment's rows and claims must be byte-identical across the three —
-# the network-only ones included, which go through the same worker pool —
-# and every summary must validate. RC_NO_CACHE=1 is load-bearing — the
-# disk cache keys on SimConfig, which deliberately excludes RC_KERNEL, so
-# a cache hit would compare a result with itself — and so is the check
-# that the dense run's per-point `[sweep …]` lines name the dense kernel:
-# a diff of the event kernel with itself passes. The experiments' own
-# asserts ride along: nothing abandoned or stalled under dead links
-# (DESIGN.md §10), conservation and the queue bound past saturation
-# (§11), every topology point drained to quiescence — the wraparound
-# dateline check (§12) — and the adaptive row beating both statics while
-# switching (§14). Leaves ci_<name>_{dense,event,jobs4}.json behind.
+echo "==> every experiment: RC_JOBS 1 ≡ 4 (BENCH rows byte-identical), summaries valid"
+# The whole table twice at the smoke size (plus the topology sizes the
+# smoke uses): serially, then on four workers. Every experiment's rows and
+# claims must be byte-identical across the two — the network-only ones
+# included, which go through the same worker pool — and every summary
+# must validate. RC_NO_CACHE=1 is load-bearing: a cache hit would compare
+# a result with itself. The experiments' own asserts ride along: nothing
+# abandoned or stalled under dead links (DESIGN.md §10), conservation and
+# the queue bound past saturation (§11), every topology point drained to
+# quiescence — the wraparound dateline check (§12) — and the adaptive row
+# beating both statics while switching (§14). Leaves
+# ci_<name>_{jobs1,jobs4}.json behind.
 $CARGO test -q -p rcsim-system --test resilience --test open_loop --test adaptive_diff "$@"
 $CARGO test -q -p rcsim-core --test policy_props "$@"
 run_all() {
@@ -246,19 +257,12 @@ run_all() {
     cp "target/experiments/BENCH_$name.json" "target/experiments/ci_${name}_$tag.json"
   done
 }
-run_all dense RC_JOBS=1 RC_KERNEL=dense
-run_all event RC_JOBS=1 RC_KERNEL=event
+run_all jobs1 RC_JOBS=1
 run_all jobs4 RC_JOBS=4
-if ! grep -q '^\[sweep .*(Dense kernel)$' target/experiments/ci_all_dense.log \
-    || grep -q '^\[sweep .*(Event kernel)$' target/experiments/ci_all_dense.log; then
-  echo "FAIL: RC_KERNEL=dense did not run every point under the dense kernel"; exit 1
-fi
 for name in $($bench list); do
-  for other in dense jobs4; do
-    diff <(strip_telemetry "target/experiments/ci_${name}_event.json") \
-         <(strip_telemetry "target/experiments/ci_${name}_$other.json") \
-      || { echo "FAIL: BENCH_$name.json differs between the serial event-kernel run and the $other run"; exit 1; }
-  done
+  diff <(strip_telemetry "target/experiments/ci_${name}_jobs1.json") \
+       <(strip_telemetry "target/experiments/ci_${name}_jobs4.json") \
+    || { echo "FAIL: BENCH_$name.json differs between the serial run and the 4-worker run"; exit 1; }
 done
 [ "$(telemetry target/experiments/ci_topology_jobs4.json jobs)" -gt 0 ] \
   || { echo "FAIL: the network-only topology sweep reports no workers"; exit 1; }
@@ -271,17 +275,22 @@ $CARGO run --release -q -p rcsim-bench --bin validate_bench "$@"
 # bit (`adaptive` is skip-serialized when off, so a cache hit would
 # compare a pre-adaptive row with itself — RC_NO_CACHE=1 again).
 diff <(strip_telemetry target/experiments/ci_fig6_serial.json) \
-     <(strip_telemetry target/experiments/ci_fig6_event.json) \
+     <(strip_telemetry target/experiments/ci_fig6_jobs1.json) \
   || { echo "FAIL: adaptive-off BENCH_fig6.json rows drifted after the adaptive sweep"; exit 1; }
 
-echo "==> kernel/link/packet-table/power/traffic differential suites"
-# Dense vs event, the link-sink suite (emission order under link faults,
-# DESIGN.md §9), the packet table under faults and the zero-allocation tick.
+echo "==> kernel/link/packet-table/power/traffic suites"
+# The kernel matrix under both laws, the link-sink suite (emission order
+# under link faults, DESIGN.md §9), the packet table under faults; then
+# the release worklist against the same pins the law-checked debug runs
+# match — the experiment goldens and direct_links' PINS — and the
+# zero-allocation tick, which only a release build has.
 $CARGO test -q -p rcsim-system --test kernel_diff "$@"
 $CARGO test -q -p rcsim-noc --test direct_links "$@"
 for jobs in 1 4; do
-  RC_JOBS=$jobs $CARGO test -q -p rcsim-noc --test packet_table --test steady_state_allocs "$@"
+  RC_JOBS=$jobs $CARGO test -q -p rcsim-noc --test packet_table "$@"
 done
+$CARGO test --release -q -p rcsim-bench --test experiments_golden "$@"
+$CARGO test --release -q -p rcsim-noc --test direct_links --test steady_state_allocs "$@"
 $CARGO test -q -p rcsim-power "$@"
 $CARGO test -q -p rcsim-noc --test traffic_patterns "$@"
 
@@ -290,9 +299,9 @@ echo "==> cache arrays, the topology tables and the worklist in release (oracle 
 # debug assertion was doing the work; the footprint law (allocations,
 # file size, resume on paper-size caches) is stated for release builds.
 # The due words against the reference mailbox, the credit wires against
-# their list of arrivals, dense ≡ event through every outside mutation and
-# a resume with the superset law compiled out, and credit conservation
-# every cycle of a faulted echo.
+# their list of arrivals, the worklist through every outside mutation and
+# a resume with both laws compiled out, and credit conservation every
+# cycle of a faulted echo.
 $CARGO test --release -q -p rcsim-protocol "$@"
 $CARGO test --release -q -p rcsim-core --test topology_table "$@"
 $CARGO test --release -q --test footprint "$@"
@@ -302,8 +311,8 @@ $CARGO test --release -q --test cross_crate "$@" -- worklist credit_conservation
 echo "==> checkpoint smoke (kill-and-resume byte-identity, corrupt-file clean miss)"
 # Crash-resilience gate (DESIGN.md §15). The differential suite proves
 # save/restore byte-identity — result, trace and state — at forced and
-# drawn split cycles across kernels, topologies, faults, overload and
-# adaptive runs, and that the resumable driver's result is run_sim's.
+# drawn split cycles across topologies, faults, overload and adaptive
+# runs, and that the resumable driver's result is run_sim's.
 # Then the crash drill: a checkpointed fig6 sweep is SIGKILLed mid-run
 # (the binary itself — killing a `cargo run` wrapper would orphan the
 # simulator), half of the checkpoints it left are corrupted, and the

@@ -4,7 +4,7 @@
 
 use rand::{RngCore, SeedableRng};
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChaCha8Rng {
     state: u64,
     stream: u64,

@@ -7,9 +7,7 @@ mod golden_rows;
 use golden_rows::{first_difference, row_lines};
 use rcsim_bench::{run_experiment, RunEnv, SweepRunner, EXPERIMENTS, KNOBS};
 use reactive_circuits::prelude::*;
-use reactive_circuits::system::{
-    run_sim_traced_with_kernel, run_sim_with_kernel, AdaptiveConfig, DeadLinkEvent, TraceConfig,
-};
+use reactive_circuits::system::{run_sim_traced, AdaptiveConfig, DeadLinkEvent, TraceConfig};
 use std::path::{Path, PathBuf};
 
 fn quick(mechanism: MechanismConfig, app: &str) -> SimConfig {
@@ -109,62 +107,48 @@ fn zero_length_packet_is_rejected() {
 }
 
 /// Packet records are recycled — through abandonment under a retry budget
-/// of one and a dead-link window as well as through delivery — the
-/// table's laws hold after every cycle, and the event kernel leaves the
-/// table (free list included) and everything else as the dense one does.
+/// of one and a dead-link window as well as through delivery — every
+/// packet is delivered or abandoned, and the table's laws hold after every
+/// cycle (in debug builds so do the two laws on every skipped component).
 #[test]
-fn packet_slots_recycle_under_faults_and_kernels_agree() {
-    let run = |kernel: KernelMode| {
-        let mut faults = FaultConfig::none();
-        faults.link_drop_rate = 0.05;
-        faults.link_corrupt_rate = 0.03;
-        faults.max_retries = 1;
-        faults.dead_links.push(DeadLinkEvent {
-            a: NodeId(5),
-            b: NodeId(6),
-            at: 150,
-            duration: Some(100),
-        });
-        let cfg =
-            NocConfig::paper_baseline(Topology::mesh(4, 4).unwrap(), MechanismConfig::baseline());
-        let mut net = Network::with_faults(cfg, faults).unwrap();
-        net.set_kernel(kernel);
-        let (mut injected, mut delivered, mut snapshot) = (0, 0, String::new());
-        while net.now() < 900 || !net.is_quiescent() {
-            assert!(net.now() < 20_000 && !net.stalled(), "{}", net.health());
-            if net.now() < 900 && net.now().is_multiple_of(2) {
-                let (src, dst) = (net.now() / 2 % 16, (net.now() * 7 / 2 + 3) % 16);
-                net.inject(PacketSpec::new(
-                    NodeId(src as u16),
-                    NodeId(dst as u16),
-                    MessageClass::WbData,
-                ));
-                injected += u64::from(src != dst);
-            }
-            if net.now() == 300 {
-                snapshot = serde_json::to_string(&net.snapshot()).unwrap();
-            }
-            net.tick();
-            delivered += net.take_all_delivered().len() as u64;
-            net.check_index().unwrap();
+fn packet_slots_recycle_under_faults() {
+    let mut faults = FaultConfig::none();
+    faults.link_drop_rate = 0.05;
+    faults.link_corrupt_rate = 0.03;
+    faults.max_retries = 1;
+    faults.dead_links.push(DeadLinkEvent {
+        a: NodeId(5),
+        b: NodeId(6),
+        at: 150,
+        duration: Some(100),
+    });
+    let cfg = NocConfig::paper_baseline(Topology::mesh(4, 4).unwrap(), MechanismConfig::baseline());
+    let mut net = Network::with_faults(cfg, faults).unwrap();
+    let (mut injected, mut delivered) = (0, 0);
+    while net.now() < 900 || !net.is_quiescent() {
+        assert!(net.now() < 20_000 && !net.stalled(), "{}", net.health());
+        if net.now() < 900 && net.now().is_multiple_of(2) {
+            let (src, dst) = (net.now() / 2 % 16, (net.now() * 7 / 2 + 3) % 16);
+            net.inject(PacketSpec::new(
+                NodeId(src as u16),
+                NodeId(dst as u16),
+                MessageClass::WbData,
+            ));
+            injected += 1;
         }
-        let (open, held, high_water) = net.packet_records();
-        assert_eq!((open, held), (0, 0), "the table drains");
-        let faults = net.fault_stats();
-        assert!(faults.packets_abandoned > 0 && faults.dead_flits_lost > 0);
-        assert!(
-            injected > 400 && high_water < 100,
-            "{injected} packets in {high_water} slots: slots must be reused"
-        );
-        (
-            snapshot,
-            serde_json::to_string(&net.stats()).unwrap(),
-            faults,
-            delivered,
-        )
-    };
-    let event = run(KernelMode::Event);
-    assert!(event == run(KernelMode::Dense));
+        net.tick();
+        delivered += net.take_all_delivered().len() as u64;
+        net.check_index().unwrap();
+    }
+    let (open, held, high_water) = net.packet_records();
+    assert_eq!((open, held), (0, 0), "the table drains");
+    let faults = net.fault_stats();
+    assert!(faults.packets_abandoned > 0 && faults.dead_flits_lost > 0);
+    assert!(
+        injected > 400 && high_water < 100,
+        "{injected} packets in {high_water} slots: slots must be reused"
+    );
+    assert_eq!(delivered + faults.packets_abandoned, injected);
 }
 
 /// Total credit loss deadlocks the mesh within a few hundred cycles.
@@ -210,7 +194,7 @@ fn wedged_run_dumps_a_checkpoint_that_replays_the_stall() {
     let cfg = wedged_cfg();
     let dir = std::env::temp_dir().join(format!("rcsim-wedge-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let stalled_at = match run_sim_resumable(&cfg, KernelMode::Event, &dir, 1_000_000) {
+    let stalled_at = match run_sim_resumable(&cfg, &dir, 1_000_000) {
         Err(SimError::Stalled { report }) => report.cycle,
         other => panic!("expected SimError::Stalled, got {other:?}"),
     };
@@ -255,11 +239,12 @@ fn fault_free_config_is_zero_perturbation() {
     assert!(a.health.healthy());
 }
 
-/// The configuration of the differential rows below: rows of
-/// `rcsim-system`'s `kernel_diff`, `adaptive_diff` and `checkpoint_diff`
-/// matrices, kept in tier-1 so the plain test command exercises the
-/// routers' occupancy index (stage skipping under both kernels), its
-/// rebuild on restore, and the link calendars.
+/// The configuration of the rows below: rows of `rcsim-system`'s
+/// `kernel_diff`, `adaptive_diff` and `checkpoint_diff` matrices, kept in
+/// tier-1 so the plain test command exercises the routers' occupancy index
+/// (stage skipping), its rebuild on restore, the link calendars and, in
+/// debug builds, the two laws on every component the worklist skips
+/// (DESIGN.md §9).
 fn differential_cfg() -> SimConfig {
     SimConfig {
         seed: 0xD1FF,
@@ -273,38 +258,29 @@ fn serialized(result: &RunResult) -> String {
     serde_json::to_string(result).expect("RunResult serializes")
 }
 
+/// The fault RNG is drawn per message in emission order, so a skipped
+/// component must not draw: every skip is a no-op under link faults, and
+/// the faults fire.
 #[test]
-fn dense_and_event_kernels_are_byte_identical() {
-    let cfg = differential_cfg();
-    let dense = run_sim_with_kernel(&cfg, KernelMode::Dense).unwrap();
-    let event = run_sim_with_kernel(&cfg, KernelMode::Event).unwrap();
-    assert!(dense.instructions > 0);
-    assert_eq!(serialized(&dense), serialized(&event));
-}
-
-/// The fault RNG is drawn per message in emission order, so the event
-/// kernel's idle-skipping must not reorder (or skip) a single draw.
-#[test]
-fn dense_and_event_kernels_are_byte_identical_under_link_faults() {
+fn skipped_components_are_no_ops_under_link_faults() {
     let mut cfg = differential_cfg();
     cfg.faults = FaultConfig {
         link_drop_rate: 0.002,
         link_corrupt_rate: 0.002,
         ..FaultConfig::none()
     };
-    let dense = run_sim_with_kernel(&cfg, KernelMode::Dense).unwrap();
-    let event = run_sim_with_kernel(&cfg, KernelMode::Event).unwrap();
-    assert!(dense.health.faults.packets_dropped > 0);
-    assert!(dense.health.faults.packets_corrupted > 0);
-    assert_eq!(serialized(&dense), serialized(&event));
+    let result = run_sim(&cfg).unwrap();
+    assert!(result.instructions > 0);
+    assert!(result.health.faults.packets_dropped > 0);
+    assert!(result.health.faults.packets_corrupted > 0);
 }
 
 /// Adaptive policies on (thresholds low enough that regions heat and
-/// cool inside the run): decisions, the teardowns they trigger and the
-/// wake-ups they issue land identically under both kernels — the result
-/// *and* the trace-event sequence.
+/// cool inside the run): decisions and the teardowns they trigger skip
+/// only no-ops, and tracing is pure observation — the traced run's result
+/// is the untraced run's.
 #[test]
-fn adaptive_run_and_trace_are_identical_under_both_kernels() {
+fn adaptive_run_skips_only_no_ops_and_traces_without_perturbing() {
     let mut cfg = differential_cfg();
     cfg.warmup_cycles = 0;
     cfg.adaptive = Some(AdaptiveConfig {
@@ -319,18 +295,21 @@ fn adaptive_run_and_trace_are_identical_under_both_kernels() {
         capacity: 1 << 20,
         epoch: 0,
     };
-    let (dense, dense_tr) = run_sim_traced_with_kernel(&cfg, &trace, KernelMode::Dense).unwrap();
-    let (event, event_tr) = run_sim_traced_with_kernel(&cfg, &trace, KernelMode::Event).unwrap();
-    assert!(dense.health.adaptive.hot_switches > 0);
-    assert!(dense.health.adaptive.calm_switches > 0);
-    assert_eq!(serialized(&dense), serialized(&event));
-    assert_eq!(dense_tr.events, event_tr.events);
+    let (traced, report) = run_sim_traced(&cfg, &trace).unwrap();
+    assert!(traced.health.adaptive.hot_switches > 0);
+    assert!(traced.health.adaptive.calm_switches > 0);
+    assert!(report
+        .events
+        .iter()
+        .any(|e| e.kind.name() == "policy_switch"));
+    assert_eq!(serialized(&traced), serialized(&run_sim(&cfg).unwrap()));
 }
 
 #[test]
 fn resume_at_mid_run_is_byte_identical() {
     let cfg = differential_cfg();
-    let uninterrupted = run_sim_with_kernel(&cfg, KernelMode::Event).unwrap();
+    let uninterrupted = run_sim(&cfg).unwrap();
+    assert!(uninterrupted.instructions > 0);
     let mut first = SimSession::new(&cfg, None, KernelMode::Event, 1).unwrap();
     first.run_until(1_700).unwrap();
     let mut resumed = SimSession::resume(&first.checkpoint(), KernelMode::Event, 1).unwrap();
@@ -340,10 +319,10 @@ fn resume_at_mid_run_is_byte_identical() {
 }
 
 /// State, not just results: with a link dying at 400 and healing at 1 300
-/// and the adaptive policy on, a run checkpointed inside the window under
-/// the dense kernel and resumed under the event kernel holds exactly the
-/// state it saved, and ends in exactly the state — every field of every
-/// component — of the run that was never interrupted.
+/// and the adaptive policy on, a run checkpointed inside the window and
+/// resumed holds exactly the state it saved, and ends in exactly the state
+/// — every field of every component — of the run that was never
+/// interrupted.
 #[test]
 fn resumed_state_is_byte_identical() {
     let bytes = |s: &SimSession| serde_json::to_string(&s.checkpoint()).expect("serializes");
@@ -365,7 +344,7 @@ fn resumed_state_is_byte_identical() {
         at: 400,
         duration: Some(900),
     }];
-    let mut whole = SimSession::new(&cfg, None, KernelMode::Dense, 1).unwrap();
+    let mut whole = SimSession::new(&cfg, None, KernelMode::Event, 1).unwrap();
     whole.run_until(500).unwrap();
     // Through the serialized form, as a file would go.
     let saved = bytes(&whole);
@@ -380,15 +359,14 @@ fn resumed_state_is_byte_identical() {
     assert_eq!(serialized(&resumed), serialized(&whole));
 }
 
-/// The event kernel's worklist (DESIGN.md §9) against every way work
-/// reaches an NI from outside the tick loop — injections, retries of
-/// packets lost on a link, `undo_circuit` (§4.4's call for a forwarded
-/// request, made on every L2 miss by the `undo_on_l2_miss` ablation so a
-/// short cold run makes many), adaptive wake-ups and `teardown_origin` —
-/// and a restore, which rebuilds it: the dense kernel, which in debug
-/// builds asserts that every component due or active is on the worklist,
-/// and the event kernel, which visits only the worklist, checkpoint and
-/// resume mid-run into the same state bytes and end in the same state and
+/// The worklist (DESIGN.md §9) against every way work reaches an NI from
+/// outside the tick loop — injections, retries of packets lost on a link,
+/// `undo_circuit` (§4.4's call for a forwarded request, made on every L2
+/// miss by the `undo_on_l2_miss` ablation so a short cold run makes many),
+/// adaptive decisions and `teardown_origin` — and a restore, which
+/// rebuilds it: debug builds check the superset and skip laws on every
+/// component it leaves out, before and after a mid-run resume that holds
+/// the state bytes it saved and ends in the uninterrupted run's state and
 /// result.
 #[test]
 fn worklist_holds_every_outside_mutation_and_survives_a_resume() {
@@ -410,36 +388,37 @@ fn worklist_holds_every_outside_mutation_and_survives_a_resume() {
     cfg.warmup_cycles = 0;
     cfg.mechanism.undo_on_l2_miss = true;
     let bytes = |s: &SimSession| serde_json::to_string(&s.checkpoint()).expect("serializes");
-    let run = |kernel: KernelMode| {
-        let mut first = SimSession::new(&cfg, None, kernel, 1).unwrap();
-        first.run_until(1_100).unwrap();
-        let mut resumed = SimSession::resume(&first.checkpoint(), kernel, 1).unwrap();
-        let saved = bytes(&resumed);
-        resumed.run_until(resumed.total()).unwrap();
-        let end = bytes(&resumed);
-        (saved, end, resumed.finish().0)
-    };
-    let (dense, event) = (run(KernelMode::Dense), run(KernelMode::Event));
-    let result = &dense.2;
+    let session = |cfg| SimSession::new(cfg, None, KernelMode::Event, 1).unwrap();
+    let mut first = session(&cfg);
+    first.run_until(1_100).unwrap();
+    let saved = bytes(&first);
+    let mut resumed = SimSession::resume(&first.checkpoint(), KernelMode::Event, 1).unwrap();
+    assert!(
+        bytes(&resumed) == saved,
+        "the resume does not hold its checkpoint"
+    );
+    resumed.run_until(resumed.total()).unwrap();
+    let mut whole = session(&cfg);
+    whole.run_until(whole.total()).unwrap();
+    assert!(bytes(&resumed) == bytes(&whole), "the final states differ");
+    let (result, whole) = (resumed.finish().0, whole.finish().0);
     let faults = &result.health.faults;
     assert!(faults.packets_dropped > 0 && faults.retransmissions > 0);
     assert!(result.outcomes.get("undone").is_some_and(|&f| f > 0.0));
     let adaptive = &result.health.adaptive;
     assert!(adaptive.hot_switches > 0 && adaptive.circuits_torn_on_switch > 0);
-    assert!(dense.0 == event.0, "the checkpoints differ");
-    assert!(dense.1 == event.1, "the final states differ");
-    assert_eq!(serialized(&dense.2), serialized(&event.2));
+    assert_eq!(serialized(&result), serialized(&whole));
 }
 
 /// Credits are back-wires (DESIGN.md §6b): on a 4×4 fragmented echo with
 /// link drops, credit loss, a dead-link window and a stuck port, credit
-/// conservation holds after every cycle under both kernels. For every
+/// conservation holds after every cycle. For every
 /// credited VC, the credits home and on the wire, the flits buffered or
 /// on the link, and the credits lost make the buffer depth
 /// (`Network::check_index`). A fresh network restored mid-run then ends
 /// in the state of the run that was never interrupted.
 #[test]
-fn credit_conservation_holds_every_cycle_under_faults_kernels_and_a_resume() {
+fn credit_conservation_holds_every_cycle_under_faults_and_a_resume() {
     use rand::{rngs::StdRng, Rng, SeedableRng};
     use reactive_circuits::core::circuit::CircuitKey;
     use reactive_circuits::noc::DeadLinkEvent;
@@ -463,11 +442,7 @@ fn credit_conservation_holds_every_cycle_under_faults_kernels_and_a_resume() {
         at: 350,
         duration: 150,
     });
-    let network = |kernel: KernelMode| {
-        let mut net = Network::with_faults(cfg, faults.clone()).unwrap();
-        net.set_kernel(kernel);
-        net
-    };
+    let network = || Network::with_faults(cfg, faults.clone()).unwrap();
     // Requests for the first 700 cycles, each answered by a reply that
     // rides its circuit; the rng lives beside the network it drives.
     let step = |net: &mut Network, rng: &mut StdRng| {
@@ -497,29 +472,24 @@ fn credit_conservation_holds_every_cycle_under_faults_kernels_and_a_resume() {
         }
     };
     let bytes = |net: &Network| serde_json::to_string(&net.snapshot()).unwrap();
-    let mut ends = Vec::new();
-    for kernel in [KernelMode::Dense, KernelMode::Event] {
-        let (mut whole, mut rng) = (network(kernel), StdRng::seed_from_u64(0xEC40));
-        while whole.now() < SPLIT {
-            step(&mut whole, &mut rng);
-        }
-        let mut resumed = network(kernel);
-        resumed.restore(&whole.snapshot());
-        let mut resumed_rng = rng.clone();
-        while whole.now() < END {
-            step(&mut whole, &mut rng);
-            step(&mut resumed, &mut resumed_rng);
-        }
-        assert!(
-            bytes(&resumed) == bytes(&whole),
-            "{kernel:?}: the resumed run ends elsewhere"
-        );
-        let f = whole.fault_stats();
-        assert!(f.credits_lost > 0 && f.packets_dropped > 0 && f.dead_flits_lost > 0);
-        assert!(f.stuck_port_cycles > 0 && whole.stats().total_delivered() > 400);
-        ends.push(bytes(&whole));
+    let (mut whole, mut rng) = (network(), StdRng::seed_from_u64(0xEC40));
+    while whole.now() < SPLIT {
+        step(&mut whole, &mut rng);
     }
-    assert!(ends[0] == ends[1], "the kernels end in different states");
+    let mut resumed = network();
+    resumed.restore(&whole.snapshot());
+    let mut resumed_rng = rng.clone();
+    while whole.now() < END {
+        step(&mut whole, &mut rng);
+        step(&mut resumed, &mut resumed_rng);
+    }
+    assert!(
+        bytes(&resumed) == bytes(&whole),
+        "the resumed run ends elsewhere"
+    );
+    let f = whole.fault_stats();
+    assert!(f.credits_lost > 0 && f.packets_dropped > 0 && f.dead_flits_lost > 0);
+    assert!(f.stuck_port_cycles > 0 && whole.stats().total_delivered() > 400);
 }
 
 #[test]
@@ -557,7 +527,6 @@ fn run_env_of_an_empty_environment_is_the_documented_defaults() {
         jobs: std::thread::available_parallelism().map_or(1, |n| n.get()),
         cache_dir: Some(PathBuf::from("target/experiments/cache")),
         checkpoints: None,
-        kernel: KernelMode::Event,
         topo_cycles: 3_000,
         topo_cores: vec![64, 256, 1024],
     };
@@ -565,7 +534,7 @@ fn run_env_of_an_empty_environment_is_the_documented_defaults() {
     // Variables of other programs are not ours to judge.
     assert_eq!(run_env(&[("PATH", "/bin"), ("RCX", "1")]), Ok(defaults));
     // Every knob is accepted, and its table default is what unset means.
-    assert_eq!(KNOBS.len(), 16);
+    assert_eq!(KNOBS.len(), 15);
     for knob in KNOBS {
         let mut set = run_env(&[(knob.name, knob.default)]).expect(knob.name);
         if knob.name == "RC_APPS" {
@@ -579,9 +548,9 @@ fn run_env_of_an_empty_environment_is_the_documented_defaults() {
 #[test]
 fn run_env_rejects_typos_and_names_the_variable() {
     for (name, value) in [
-        ("RC_KERNAL", "dense"),
+        ("RC_SEED", "3"),
         ("RC_CYCLES", "20k"),
-        ("RC_KERNEL", "dens"),
+        ("RC_TOPO_CORES", "64;256"),
         ("RC_JOBS", "0"),
         ("RC_APPS", "caneal"),
         ("RC_CORES", "16,"),
@@ -610,7 +579,6 @@ fn run_env_apps_all_is_every_workload() {
 fn env_built_sweep_runner_is_what_the_environment_says() {
     let env = run_env(&[
         ("RC_JOBS", "3"),
-        ("RC_KERNEL", "Dense"),
         ("RC_CACHE_DIR", "somewhere/cache"),
         ("RC_CKPT_DIR", "somewhere/ckpt"),
         ("RC_CKPT_INTERVAL", "500"),
@@ -618,7 +586,6 @@ fn env_built_sweep_runner_is_what_the_environment_says() {
     .unwrap();
     let runner = SweepRunner::for_env(&env);
     assert_eq!(runner.workers(), 3);
-    assert_eq!(runner.kernel(), KernelMode::Dense);
     assert_eq!(runner.cache_dir(), Some(Path::new("somewhere/cache")));
     assert_eq!(
         runner.checkpoints(),
@@ -626,7 +593,7 @@ fn env_built_sweep_runner_is_what_the_environment_says() {
     );
 
     let plain = SweepRunner::for_env(&run_env(&[("RC_NO_CACHE", "1"), ("RC_JOBS", "1")]).unwrap());
-    assert_eq!((plain.workers(), plain.kernel()), (1, KernelMode::Event));
+    assert_eq!(plain.workers(), 1);
     assert_eq!((plain.cache_dir(), plain.checkpoints()), (None, None));
     // Without a directory the default interval checkpoints nothing.
     assert_eq!(
