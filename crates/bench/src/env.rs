@@ -36,7 +36,6 @@ pub const KNOBS: &[Knob] = &[
     Knob { name: "RC_SMALL_CACHES", meaning: "`1` = scaled-down caches (smoke runs), `0` = the paper's Table 2 sizes", default: "0" },
     Knob { name: "RC_MAX_CYCLES", meaning: "hard per-run cycle budget (warm-up + measure): a mis-set window truncates the run", default: "2000000" },
     Knob { name: "RC_JOBS", meaning: "sweep worker threads (`1` = serial path; empty = available parallelism)", default: "" },
-    Knob { name: "RC_NO_CACHE", meaning: "`1` = bypass the on-disk result cache", default: "0" },
     Knob { name: "RC_CACHE_DIR", meaning: "result-cache directory (empty = no cache)", default: "target/experiments/cache" },
     Knob { name: "RC_CKPT_DIR", meaning: "checkpoint sweep points to this directory, resume from it, dump wedged runs into it (empty = no checkpoints)", default: "" },
     Knob { name: "RC_CKPT_INTERVAL", meaning: "cycles between checkpoints under `RC_CKPT_DIR`", default: "100000" },
@@ -63,7 +62,7 @@ pub struct RunEnv {
     pub small_caches: bool,
     pub max_cycles: u64,
     pub jobs: usize,
-    /// `RC_CACHE_DIR`; `None` under `RC_NO_CACHE=1`.
+    /// `RC_CACHE_DIR`; `None` when it is set empty.
     pub cache_dir: Option<PathBuf>,
     /// `RC_CKPT_DIR` with `RC_CKPT_INTERVAL`; `None` without a directory.
     pub checkpoints: Option<(PathBuf, u64)>,
@@ -168,7 +167,6 @@ impl RunEnv {
         })?;
         // The golden tests read it themselves; only its form is checked here.
         vars.flag("RC_UPDATE_GOLDEN")?;
-        let no_cache = vars.flag("RC_NO_CACHE")?;
         let ckpt_interval = vars.whole("RC_CKPT_INTERVAL", 1)?;
         Ok(Self {
             first_app: match vars.0.get("RC_APPS") {
@@ -183,7 +181,7 @@ impl RunEnv {
             small_caches: vars.flag("RC_SMALL_CACHES")?,
             max_cycles: vars.whole("RC_MAX_CYCLES", 2)?,
             jobs,
-            cache_dir: vars.dir("RC_CACHE_DIR")?.filter(|_| !no_cache),
+            cache_dir: vars.dir("RC_CACHE_DIR")?,
             checkpoints: vars.dir("RC_CKPT_DIR")?.map(|d| (d, ckpt_interval)),
             topo_cycles: vars.whole("RC_TOPO_CYCLES", 0)?,
             topo_cores: vars.cores("RC_TOPO_CORES")?,

@@ -14,9 +14,9 @@
 //! `RC_CACHE_DIR`) as [`Envelope`] files, the checkpoints' format: named
 //! by the [`SimConfig`]'s content hash ([`cache_key`]), stamped with
 //! [`CACHE_FORMAT_VERSION`]. A rerun after an unrelated edit skips
-//! already-computed points; `RC_NO_CACHE=1` bypasses the cache entirely. A
-//! corrupt, truncated or stale-format cache file is treated as a miss and
-//! recomputed, never an error.
+//! already-computed points; an empty `RC_CACHE_DIR` bypasses the cache
+//! entirely. A corrupt, truncated or stale-format cache file is treated as
+//! a miss and recomputed, never an error.
 
 use crate::env::RunEnv;
 use rcsim_system::{run_sim, run_sim_resumable, Envelope, RunResult, SimConfig, SimError};
@@ -96,7 +96,7 @@ impl SweepRunner {
     }
 
     /// The runner the experiment binaries use: everything as `env` says
-    /// (`RC_JOBS`, `RC_CACHE_DIR`/`RC_NO_CACHE`). Under
+    /// (`RC_JOBS`, `RC_CACHE_DIR`, empty for no cache). Under
     /// `RC_CKPT_DIR`/`RC_CKPT_INTERVAL` uncached points checkpoint to that
     /// directory every interval and resume from the latest valid
     /// checkpoint on a rerun, so a killed sweep re-does at most one

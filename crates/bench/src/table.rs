@@ -652,7 +652,7 @@ mod tests {
             asserts: |_| Ok(()),
             trace: None,
         };
-        let vars = [("RC_NO_CACHE".to_owned(), "1".to_owned())];
+        let vars = [("RC_CACHE_DIR".to_owned(), String::new())];
         let report = run_experiment(&exp, &RunEnv::parse(vars).unwrap()).unwrap();
         let rows = &report.summary.rows;
         assert_eq!(rows.len(), 2, "the hidden row is not reported");

@@ -30,16 +30,17 @@
 //! *delay* lets a reservation shift right when its slot is taken;
 //! *postponed* shifts every window right by a fixed amount.
 
+use crate::table4::{BYPASS_STAGES, LINK_LATENCY, PIPELINE_STAGES};
 use crate::types::Cycle;
 use serde::{Deserialize, Serialize};
 
-/// Router pipeline cycles per hop for a packet-switched request: four
-/// pipeline stages plus one link cycle (Table 4).
-pub const REQ_HOP_CYCLES: u32 = 5;
+/// Cycles per hop for a packet-switched request: the router's pipeline
+/// stages plus the link (Table 4).
+pub const REQ_HOP_CYCLES: u32 = PIPELINE_STAGES + LINK_LATENCY;
 
-/// Cycles per hop for a reply on a circuit: one router cycle plus one link
-/// cycle (§4.3).
-pub const REP_HOP_CYCLES: u32 = 2;
+/// Cycles per hop for a reply on a circuit: the router's one bypass cycle
+/// plus the link (§4.3).
+pub const REP_HOP_CYCLES: u32 = BYPASS_STAGES + LINK_LATENCY;
 
 /// A half-open reservation window `[start, end)` in cycles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]

@@ -435,22 +435,6 @@ pub enum ConfigError {
         /// Virtual channels per port of the VC layout.
         vcs: usize,
     },
-    /// The link latency is zero (a credit would reach its neighbour in
-    /// the cycle it was sent, visible or not depending on router order)
-    /// or above `max`, the longest the links' arrival calendars hold.
-    LinkLatency {
-        /// The rejected latency, in cycles.
-        latency: u32,
-        /// The largest supported latency, in cycles.
-        max: u32,
-    },
-    /// The VC buffer depth exceeds `max`, the most a credit counter holds.
-    BufferDepth {
-        /// The rejected depth, in flits.
-        depth: u32,
-        /// The largest supported depth, in flits.
-        max: u32,
-    },
 }
 
 impl fmt::Display for ConfigError {
@@ -496,13 +480,6 @@ impl fmt::Display for ConfigError {
                 f,
                 "{ports} ports x {vcs} VCs per port exceeds the 64 input VCs a router can index"
             ),
-            ConfigError::LinkLatency { latency, max } => write!(
-                f,
-                "link latency of {latency} cycles is outside the supported 1..={max}"
-            ),
-            ConfigError::BufferDepth { depth, max } => {
-                write!(f, "VC buffers of {depth} flits exceed the supported {max}")
-            }
         }
     }
 }

@@ -44,6 +44,7 @@ pub mod policy;
 pub mod routing;
 pub mod sched;
 pub mod state;
+pub mod table4;
 pub mod topology;
 pub mod types;
 

@@ -1,5 +1,6 @@
 //! Base identifier and message-class types shared by every layer.
 
+use crate::table4::FLIT_BYTES;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -178,8 +179,9 @@ impl MessageClass {
         )
     }
 
-    /// `true` for classes that carry a whole 64 B cache line (5 flits of
-    /// 16 B: head + 4 data); control messages are a single flit.
+    /// `true` for classes that carry a whole 64 B cache line: a head flit
+    /// plus the line in [`FLIT_BYTES`]-byte flits, 5 flits. Control
+    /// messages are a single flit.
     pub fn carries_data(self) -> bool {
         matches!(
             self,
@@ -191,11 +193,11 @@ impl MessageClass {
         )
     }
 
-    /// Message length in flits given the flit payload size in bytes.
-    /// Data messages carry a 64 B line plus a header flit.
-    pub fn flits(self, flit_bytes: u32) -> u32 {
+    /// Message length in flits. Data messages carry a 64 B line plus a
+    /// header flit.
+    pub fn flits(self) -> u32 {
         if self.carries_data() {
-            1 + 64_u32.div_ceil(flit_bytes)
+            1 + 64_u32.div_ceil(FLIT_BYTES)
         } else {
             1
         }
@@ -266,11 +268,10 @@ mod tests {
 
     #[test]
     fn flit_counts() {
-        assert_eq!(MessageClass::L1Request.flits(16), 1);
-        assert_eq!(MessageClass::L2Reply.flits(16), 5);
-        assert_eq!(MessageClass::WbData.flits(16), 5);
-        assert_eq!(MessageClass::L1DataAck.flits(16), 1);
-        assert_eq!(MessageClass::L2Reply.flits(32), 3);
+        assert_eq!(MessageClass::L1Request.flits(), 1);
+        assert_eq!(MessageClass::L2Reply.flits(), 5);
+        assert_eq!(MessageClass::WbData.flits(), 5);
+        assert_eq!(MessageClass::L1DataAck.flits(), 1);
     }
 
     #[test]

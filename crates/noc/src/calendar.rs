@@ -2,7 +2,7 @@
 //!
 //! Every link is a fixed-latency wire (Table 4), so whatever a router or
 //! NI emits at cycle `now` reaches its neighbour at
-//! `now + 1 ..= now + 1 + link_latency`, and a wire carries one flit per
+//! `now + 1 ..= now + 1 + LINK_LATENCY`, and a wire carries one flit per
 //! cycle. A component's inbound links are therefore what the hardware
 //! has — one flit register per input port for each cycle of a short
 //! arrival window — rather than a mailbox to search: a message is written
@@ -13,13 +13,19 @@
 use crate::flit::Flit;
 use crate::router::bits;
 use rcsim_core::circuit::CircuitKey;
+use rcsim_core::table4::LINK_LATENCY;
 use rcsim_core::{Cycle, NodeId};
 use serde::{Deserialize, Serialize};
 
-/// Largest [`NocConfig::link_latency`](crate::NocConfig::link_latency) a
-/// [`Calendar`] can hold: its arrival window (`link_latency + 2` cycles)
-/// must fit the 64-bit occupancy mask.
-pub(crate) const MAX_LINK_LATENCY: u32 = u64::BITS - 2;
+/// The cycles of a [`Calendar`]'s arrival window, `W`: `LINK_LATENCY + 2`
+/// rounded up to a power of two. A sender ticking at `now` may write as
+/// far ahead as `now + 1 + LINK_LATENCY`, while a receiver later in the
+/// same cycle's loop has not yet drained `now` itself, so those two
+/// cycles must not share a cell.
+const WINDOW: usize = (LINK_LATENCY as usize + 2).next_power_of_two();
+
+/// `W - 1`, the mask that takes a cycle to its slot of the window.
+const WINDOW_MASK: Cycle = WINDOW as Cycle - 1;
 
 /// The bit of a cell's mask set while an undo notification is due there;
 /// the bits below it are the input ports whose flit register is full.
@@ -27,22 +33,16 @@ const UNDO_DUE: u64 = 1 << 63;
 
 /// The messages in flight towards every component of one kind (all the
 /// routers, or all the NIs), as flat arrays over *cells*: cell
-/// `(c % W) · n + i` holds what reaches component `i` at cycle `c`, so
-/// the cells one tick reads are adjacent and in component order.
-///
-/// The window `W` is `link_latency + 2` cycles rounded up to a power of
-/// two: a sender ticking at `now` may write as far ahead as
-/// `now + 1 + link_latency`, while a receiver later in the same cycle's
-/// loop has not yet drained `now` itself, so those two cycles must not
-/// share a cell.
+/// `(c % W) · n + i` holds what reaches component `i` at cycle `c`
+/// ([`WINDOW`]), so the cells one tick reads are adjacent and in
+/// component order.
 ///
 /// This is *state* (DESIGN.md §15): it is serialized as-is.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub(crate) struct Calendar {
-    /// Components, input ports per component and `W - 1`.
+    /// Components and input ports per component.
     n: usize,
     ports: usize,
-    window_mask: Cycle,
     /// Per cycle of the window a bitset over the components: bit `i % 64`
     /// of word `(c % W) · ⌈n/64⌉ + i / 64` is set while component `i`'s
     /// cell of cycle `c` holds anything — the due half of the event
@@ -62,22 +62,14 @@ pub(crate) struct Calendar {
 }
 
 impl Calendar {
-    /// Empty registers for `n` components of `ports` input ports each, on
-    /// links of `link_latency` cycles (`1..=MAX_LINK_LATENCY`, which
-    /// [`crate::NocConfig::validate`] enforces).
-    pub(crate) fn new(link_latency: u32, n: usize, ports: usize) -> Self {
-        assert!(
-            (1..=MAX_LINK_LATENCY).contains(&link_latency),
-            "NocConfig::validate bounds the link latency"
-        );
+    /// Empty registers for `n` components of `ports` input ports each.
+    pub(crate) fn new(n: usize, ports: usize) -> Self {
         assert!(ports < 63, "a cell's mask holds the ports and the undo bit");
-        let window = (link_latency as usize + 2).next_power_of_two();
-        let cells = window * n;
+        let cells = WINDOW * n;
         Calendar {
             n,
             ports,
-            window_mask: window as Cycle - 1,
-            due_bits: vec![0; window * n.div_ceil(64)],
+            due_bits: vec![0; WINDOW * n.div_ceil(64)],
             masks: vec![0; cells],
             regs: vec![Flit::default(); cells * ports],
             undos: Vec::new(),
@@ -87,7 +79,7 @@ impl Calendar {
 
     /// The word of `due_bits` holding component `i`'s bit at cycle `c`.
     fn due_at(&mut self, i: usize, c: Cycle) -> &mut u64 {
-        let b = (c & self.window_mask) as usize;
+        let b = (c & WINDOW_MASK) as usize;
         &mut self.due_bits[b * self.n.div_ceil(64) + i / 64]
     }
 
@@ -97,12 +89,11 @@ impl Calendar {
     /// release builds too.
     fn cell(&mut self, i: usize, now: Cycle, arrive: Cycle) -> usize {
         assert!(
-            now < arrive && arrive - now <= self.window_mask,
-            "arrival at {arrive} scheduled at {now} is outside the link window of {} cycles",
-            self.window_mask + 1
+            now < arrive && arrive - now <= WINDOW_MASK,
+            "arrival at {arrive} scheduled at {now} is outside the link window of {WINDOW} cycles"
         );
         *self.due_at(i, arrive) |= 1 << (i % 64);
-        (arrive & self.window_mask) as usize * self.n + i
+        (arrive & WINDOW_MASK) as usize * self.n + i
     }
 
     /// Schedules a flit to arrive on input port `port` of component `i`
@@ -141,7 +132,7 @@ impl Calendar {
     /// be answered with a drain in this cycle, or the cell would be
     /// mistaken for a later cycle's.
     pub(crate) fn due_word(&self, now: Cycle, w: usize) -> u64 {
-        let mut word = self.due_bits[(now & self.window_mask) as usize * self.n.div_ceil(64) + w];
+        let mut word = self.due_bits[(now & WINDOW_MASK) as usize * self.n.div_ceil(64) + w];
         for h in self.held.iter().filter(|h| h.0 / 64 == w) {
             word |= 1 << (h.0 % 64);
         }
@@ -164,7 +155,7 @@ impl Calendar {
         undos: &mut Vec<(CircuitKey, NodeId)>,
     ) {
         debug_assert!(flits.is_empty() && undos.is_empty());
-        let cell = (now & self.window_mask) as usize * self.n + i;
+        let cell = (now & WINDOW_MASK) as usize * self.n + i;
         let mut arrived = 0;
         let due = self.due_at(i, now);
         if *due >> (i % 64) & 1 == 1 {
@@ -227,8 +218,8 @@ mod tests {
     const I: usize = 2;
     const DRIVEN: [usize; 4] = [I, 63, 64, N - 1];
 
-    fn calendar(latency: u32) -> Calendar {
-        Calendar::new(latency, N, PORTS)
+    fn calendar() -> Calendar {
+        Calendar::new(N, PORTS)
     }
 
     fn flit(id: u32) -> Flit {
@@ -316,7 +307,7 @@ mod tests {
 
     #[test]
     fn messages_arrive_at_their_cycle_in_port_order() {
-        let mut cal = calendar(1);
+        let mut cal = calendar();
         cal.push_flit(I, 10, 11, 4, flit(1));
         cal.push_flit(I, 10, 12, 2, flit(2));
         cal.push_flit(I, 10, 11, 0, flit(3));
@@ -346,21 +337,20 @@ mod tests {
 
     #[test]
     fn the_window_wraps_around_the_ring() {
-        for latency in [1, 2, 5, 6, MAX_LINK_LATENCY] {
-            let mut cal = calendar(latency);
-            let far = Cycle::from(latency) + 1;
-            for now in 0..200 {
-                cal.push_undo(I, now, now + far, key(now), NodeId(3));
-                assert_eq!(due(&cal, I, now), now >= far, "latency {latency}");
-                let (_, u) = drain(&mut cal, now, 0);
-                assert_eq!(u.len(), usize::from(now >= far), "latency {latency}");
-            }
+        let mut cal = calendar();
+        // The farthest ahead a sender writes: a switch traversal and a link.
+        let far = 1 + Cycle::from(LINK_LATENCY);
+        for now in 0..200 {
+            cal.push_undo(I, now, now + far, key(now), NodeId(3));
+            assert_eq!(due(&cal, I, now), now >= far, "cycle {now}");
+            let (_, u) = drain(&mut cal, now, 0);
+            assert_eq!(u.len(), usize::from(now >= far), "cycle {now}");
         }
     }
 
     #[test]
     fn flits_held_behind_a_stuck_port_come_out_first() {
-        let mut cal = calendar(1);
+        let mut cal = calendar();
         cal.push_flit(I, 0, 1, 2, flit(1));
         cal.push_flit(I, 0, 1, 0, flit(2));
         cal.push_flit(I, 0, 2, 2, flit(3));
@@ -387,13 +377,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "outside the link window")]
     fn scheduling_past_the_window_panics() {
-        calendar(1).push_undo(I, 7, 11, key(0), NodeId(3));
+        calendar().push_undo(I, 7, 11, key(0), NodeId(3));
     }
 
     #[test]
     #[should_panic(expected = "outside the link window")]
     fn scheduling_for_the_current_cycle_panics() {
-        calendar(1).push_flit(I, 7, 7, 0, flit(1));
+        calendar().push_flit(I, 7, 7, 0, flit(1));
     }
 
     /// One wire, one flit per cycle: a second flit for the same port and
@@ -401,7 +391,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "two flits on input port 3")]
     fn two_flits_on_one_wire_in_one_cycle_panic() {
-        let mut cal = calendar(1);
+        let mut cal = calendar();
         cal.push_flit(I, 7, 9, 3, flit(1));
         cal.push_flit(I, 8, 9, 3, flit(2));
     }
@@ -452,18 +442,17 @@ mod tests {
         /// word exactly the driven components that are due — a reference
         /// with an arrival at or before `now` (in the past while a stuck
         /// port parks flits) — and nothing else. Each port is one wire
-        /// with its own latency, drawn per case, carrying at most one flit
+        /// with its own delay, drawn per case, carrying at most one flit
         /// per cycle (the register law); undos take any delta in the window
         /// and come out in enqueue order. Like the event kernel, the loop
         /// may skip a cycle neither side reports as due.
         #[test]
         fn calendar_matches_the_reference_mailbox(
-            latency in 1u32..7,
             wire in proptest::collection::vec(0..64u64, PORTS),
             steps in proptest::collection::vec(step(), 1..120),
         ) {
-            let window = Cycle::from(latency) + 2;
-            let mut cal = calendar(latency);
+            let window = Cycle::from(LINK_LATENCY) + 2;
+            let mut cal = calendar();
             let mut reference: Vec<Mailbox> = DRIVEN.iter().map(|_| Mailbox::new(PORTS)).collect();
             let mut next_id = 0u32;
             for (now, s) in steps.iter().enumerate() {

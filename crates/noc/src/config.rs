@@ -1,57 +1,31 @@
 //! Network configuration and the virtual-channel layout.
 
-use crate::calendar::MAX_LINK_LATENCY;
-use crate::router::{MAX_BUFFER_DEPTH, VC_INDEX_BITS};
+use crate::router::VC_INDEX_BITS;
+use rcsim_core::table4::REQ_VCS;
 use rcsim_core::{ConfigError, MechanismConfig, Topology, Vnet};
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
 
-/// Configuration of one network instance.
+/// Configuration of one network instance: a topology and a mechanism.
 ///
-/// The defaults of [`NocConfig::paper_baseline`] reproduce Table 4 of the
-/// paper: 2 VCs per virtual network (plus the fragmented mode's extra
-/// reply VC), 5-flit buffers, 16-byte flits, 1-cycle links.
+/// Everything else about the router is the paper's Table 4, fixed in
+/// [`rcsim_core::table4`]: 2 VCs per virtual network (plus the
+/// fragmented mode's extra reply VC), 5-flit buffers, 16-byte flits,
+/// 1-cycle links.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct NocConfig {
     /// Network topology (mesh, torus, concentrated mesh or ring).
     pub topology: Topology,
     /// The Reactive Circuits mechanism configuration.
     pub mechanism: MechanismConfig,
-    /// Flit buffer depth per VC, in flits (5: one whole data message).
-    pub buffer_depth: u32,
-    /// Flit payload width in bytes (16).
-    pub flit_bytes: u32,
-    /// Virtual channels in the request virtual network (2).
-    pub req_vcs: usize,
-    /// Link traversal latency in cycles (1).
-    pub link_latency: u32,
-    /// Fixed ejection + responder-NI + injection overhead added to the
-    /// timed-window nominal estimate, in cycles. The reservation estimator
-    /// of §4.7 counts 5 cycles/hop for the request, the responder
-    /// turnaround, and 2 cycles/hop for the reply; the constant pipeline
-    /// cycles at both endpoints are known at design time and included here
-    /// so that an undelayed request yields an exactly-met window.
-    pub inject_overhead: u32,
-    /// Extra reply VCs on top of the mechanism's count. Wrap topologies
-    /// (torus, ring) need one so each virtual network keeps at least two
-    /// allocatable VCs after the dateline split halves them into classes.
-    pub extra_reply_vcs: usize,
 }
 
 impl NocConfig {
-    /// The Table 4 configuration for a given topology and mechanism. On
-    /// wrap topologies one extra reply VC is provisioned for the dateline
-    /// classes; on the mesh the layout is exactly the paper's.
+    /// The Table 4 router on a given topology, with a given mechanism.
     pub fn paper_baseline(topology: Topology, mechanism: MechanismConfig) -> Self {
         Self {
             topology,
             mechanism,
-            buffer_depth: 5,
-            flit_bytes: 16,
-            req_vcs: 2,
-            link_latency: 1,
-            inject_overhead: 6,
-            extra_reply_vcs: usize::from(topology.has_wrap()),
         }
     }
 
@@ -61,39 +35,25 @@ impl NocConfig {
     /// # Errors
     ///
     /// Returns the mechanism's [`ConfigError`] when it is internally
-    /// inconsistent (see [`MechanismConfig::validate`]),
+    /// inconsistent (see [`MechanismConfig::validate`]), and
     /// [`ConfigError::TooManyVcs`] when `ports × vc_layout().total()`
-    /// exceeds the 64 input VCs a router's occupancy index addresses,
-    /// [`ConfigError::LinkLatency`] when `link_latency` is zero or its
-    /// arrival window exceeds the link registers' 64-cycle occupancy mask,
-    /// and [`ConfigError::BufferDepth`] when `buffer_depth` exceeds the
-    /// 255 credits a router's counters hold.
+    /// exceeds the 64 input VCs a router's occupancy index addresses.
     pub fn validate(&self) -> Result<(), ConfigError> {
         self.mechanism.validate()?;
-        if !(1..=MAX_LINK_LATENCY).contains(&self.link_latency) {
-            return Err(ConfigError::LinkLatency {
-                latency: self.link_latency,
-                max: MAX_LINK_LATENCY,
-            });
-        }
         let (ports, vcs) = (self.topology.ports(), self.vc_layout().total());
         if ports.saturating_mul(vcs) > VC_INDEX_BITS {
             return Err(ConfigError::TooManyVcs { ports, vcs });
         }
-        if self.buffer_depth > MAX_BUFFER_DEPTH {
-            return Err(ConfigError::BufferDepth {
-                depth: self.buffer_depth,
-                max: MAX_BUFFER_DEPTH,
-            });
-        }
         Ok(())
     }
 
-    /// The VC layout implied by the mechanism configuration.
+    /// The VC layout implied by the mechanism and the topology: wrap
+    /// topologies (torus, ring) add one reply VC, so each virtual network
+    /// keeps at least two allocatable VCs after the dateline splits them
+    /// into classes; on the mesh the layout is exactly the paper's.
     pub fn vc_layout(&self) -> VcLayout {
         VcLayout {
-            req_vcs: self.req_vcs,
-            reply_vcs: self.mechanism.reply_vcs() + self.extra_reply_vcs,
+            reply_vcs: self.mechanism.reply_vcs() + usize::from(self.topology.has_wrap()),
             circuit_vcs: self.mechanism.circuit_vcs(),
         }
     }
@@ -102,9 +62,9 @@ impl NocConfig {
 /// How the virtual channels of one physical port are split between the two
 /// virtual networks and the circuit class.
 ///
-/// VC indices are dense: request VCs first, then reply VCs; the *last*
-/// `circuit_vcs` reply VCs are the circuit class (bufferless in complete
-/// mode).
+/// VC indices are dense: the [`REQ_VCS`] request VCs first, then reply
+/// VCs; the *last* `circuit_vcs` reply VCs are the circuit class
+/// (bufferless in complete mode).
 ///
 /// # Examples
 ///
@@ -126,8 +86,6 @@ impl NocConfig {
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct VcLayout {
-    /// VCs in the request virtual network.
-    pub req_vcs: usize,
     /// VCs in the reply virtual network (incl. circuit class).
     pub reply_vcs: usize,
     /// Trailing reply VCs dedicated to circuits.
@@ -137,7 +95,7 @@ pub struct VcLayout {
 impl VcLayout {
     /// Total VCs per port.
     pub fn total(&self) -> usize {
-        self.req_vcs + self.reply_vcs
+        REQ_VCS + self.reply_vcs
     }
 
     /// Virtual network a VC index belongs to.
@@ -148,7 +106,7 @@ impl VcLayout {
     /// builds.
     pub fn vnet_of(&self, vc: usize) -> Vnet {
         debug_assert!(vc < self.total(), "vc {vc} out of range");
-        if vc < self.req_vcs {
+        if vc < REQ_VCS {
             Vnet::Request
         } else {
             Vnet::Reply
@@ -158,8 +116,8 @@ impl VcLayout {
     /// The VC index range of a virtual network.
     pub fn vcs_of(&self, vnet: Vnet) -> Range<usize> {
         match vnet {
-            Vnet::Request => 0..self.req_vcs,
-            Vnet::Reply => self.req_vcs..self.total(),
+            Vnet::Request => 0..REQ_VCS,
+            Vnet::Reply => REQ_VCS..self.total(),
         }
     }
 
@@ -183,8 +141,8 @@ impl VcLayout {
     /// only ever used through reservations).
     pub fn allocatable_vcs(&self, vnet: Vnet) -> Range<usize> {
         match vnet {
-            Vnet::Request => 0..self.req_vcs,
-            Vnet::Reply => self.req_vcs..self.total() - self.circuit_vcs,
+            Vnet::Request => 0..REQ_VCS,
+            Vnet::Reply => REQ_VCS..self.total() - self.circuit_vcs,
         }
     }
 
@@ -218,10 +176,10 @@ mod tests {
     fn wrap_topologies_gain_a_reply_vc_and_split_classes() {
         let torus =
             NocConfig::paper_baseline(Topology::torus(4, 4).unwrap(), MechanismConfig::complete());
-        assert_eq!(torus.extra_reply_vcs, 1);
         let vl = torus.vc_layout();
-        // 2 req + (2 complete + 1 extra) reply, last one the circuit VC.
-        assert_eq!(vl.total(), 5);
+        // 2 req + (2 complete + 1 for the dateline) reply, the last one
+        // the circuit VC.
+        assert_eq!((vl.reply_vcs, vl.total()), (3, 5));
         assert_eq!(vl.allocatable_vcs(Vnet::Reply), 2..4);
         // Each class keeps at least one allocatable VC in both VNs.
         for vnet in [Vnet::Request, Vnet::Reply] {
@@ -232,78 +190,47 @@ mod tests {
             assert_eq!(c0.start, vl.allocatable_vcs(vnet).start);
             assert_eq!(c1.end, vl.allocatable_vcs(vnet).end);
         }
-        // Mesh keeps the paper's exact layout: no extra VC.
-        let mesh =
-            NocConfig::paper_baseline(Topology::mesh(4, 4).unwrap(), MechanismConfig::complete());
-        assert_eq!(mesh.extra_reply_vcs, 0);
-        assert_eq!(mesh.vc_layout().total(), 4);
+        let ring =
+            NocConfig::paper_baseline(Topology::ring(8).unwrap(), MechanismConfig::baseline());
+        assert_eq!(ring.vc_layout().total(), 5);
+        // Mesh and cmesh keep the paper's exact layout: no extra VC.
+        for topology in [
+            Topology::mesh(4, 4).unwrap(),
+            Topology::cmesh(2, 2, 4).unwrap(),
+        ] {
+            let cfg = NocConfig::paper_baseline(topology, MechanismConfig::complete());
+            assert_eq!((cfg.vc_layout().reply_vcs, cfg.vc_layout().total()), (2, 4));
+        }
     }
 
     #[test]
     fn vc_index_width_is_a_typed_config_error() {
-        // cmesh-4 routers have 8 ports: 6 request + 2 reply VCs fill the
-        // 64-entry index exactly.
-        let cmesh = Topology::cmesh(2, 2, 4).unwrap();
-        let mut cfg = NocConfig::paper_baseline(cmesh, MechanismConfig::baseline());
-        cfg.req_vcs = 6;
-        assert_eq!(cfg.topology.ports() * cfg.vc_layout().total(), 64);
-        assert_eq!(cfg.validate(), Ok(()));
-        assert!(crate::Network::new(cfg).is_ok());
-        // A mesh router has 5 ports: 11 + 2 VCs make 65.
-        let mut cfg =
-            NocConfig::paper_baseline(Topology::mesh(4, 4).unwrap(), MechanismConfig::baseline());
-        cfg.req_vcs = 11;
-        let err = ConfigError::TooManyVcs { ports: 5, vcs: 13 };
+        // A cmesh router has 4 network ports plus one local port per tile,
+        // each with 4 Baseline VCs: 12 tiles make 16 ports, filling the
+        // 64-entry index exactly, and build.
+        let fits = NocConfig::paper_baseline(
+            Topology::cmesh(2, 1, 12).unwrap(),
+            MechanismConfig::baseline(),
+        );
+        assert_eq!(fits.topology.ports() * fits.vc_layout().total(), 64);
+        assert_eq!(fits.validate(), Ok(()));
+        assert!(crate::Network::new(fits).is_ok());
+        // 13 tiles make 17 ports x 4 VCs = 68.
+        let cfg = NocConfig::paper_baseline(
+            Topology::cmesh(2, 1, 13).unwrap(),
+            MechanismConfig::baseline(),
+        );
+        let err = ConfigError::TooManyVcs { ports: 17, vcs: 4 };
         assert_eq!(cfg.validate(), Err(err));
         assert_eq!(crate::Network::new(cfg).err(), Some(err));
-        assert!(err.to_string().contains("5 ports x 13 VCs"), "{err}");
-        // The reachable case from the issue: cmesh-4 with 8 request VCs.
-        let mut cfg = NocConfig::paper_baseline(cmesh, MechanismConfig::complete());
-        cfg.req_vcs = 8;
+        assert!(err.to_string().contains("17 ports x 4 VCs"), "{err}");
+        // Fragmented's extra circuit VC makes 5 per port: 12 tiles no
+        // longer fit either.
+        let cfg = NocConfig::paper_baseline(fits.topology, MechanismConfig::fragmented());
         assert!(matches!(
             crate::Network::with_faults(cfg, crate::FaultConfig::none()),
-            Err(ConfigError::TooManyVcs { ports: 8, vcs: 10 })
+            Err(ConfigError::TooManyVcs { ports: 16, vcs: 5 })
         ));
-    }
-
-    #[test]
-    fn link_latency_bounds_are_a_typed_config_error() {
-        let mut cfg =
-            NocConfig::paper_baseline(Topology::mesh(4, 4).unwrap(), MechanismConfig::complete());
-        for ok in [1, 2, MAX_LINK_LATENCY] {
-            cfg.link_latency = ok;
-            assert_eq!(cfg.validate(), Ok(()), "latency {ok}");
-            assert!(crate::Network::new(cfg).is_ok(), "latency {ok}");
-        }
-        for bad in [0, MAX_LINK_LATENCY + 1, u32::MAX] {
-            cfg.link_latency = bad;
-            let err = ConfigError::LinkLatency {
-                latency: bad,
-                max: 62,
-            };
-            assert_eq!(cfg.validate(), Err(err), "latency {bad}");
-            assert_eq!(crate::Network::new(cfg).err(), Some(err));
-            assert!(
-                err.to_string()
-                    .contains(&format!("link latency of {bad} cycles")),
-                "{err}"
-            );
-        }
-    }
-
-    #[test]
-    fn buffer_depth_bound_is_a_typed_config_error() {
-        let mut cfg =
-            NocConfig::paper_baseline(Topology::mesh(4, 4).unwrap(), MechanismConfig::complete());
-        cfg.buffer_depth = 255;
-        assert!(crate::Network::new(cfg).is_ok());
-        cfg.buffer_depth = 256;
-        let err = ConfigError::BufferDepth {
-            depth: 256,
-            max: 255,
-        };
-        assert_eq!(crate::Network::new(cfg).err(), Some(err));
-        assert!(err.to_string().contains("256 flits"), "{err}");
     }
 
     #[test]

@@ -9,19 +9,20 @@
 //! message is queued or delivered, and nothing is woken to count a credit.
 
 use crate::config::NocConfig;
+use rcsim_core::table4::BUFFER_DEPTH;
 use rcsim_core::{CircuitMode, Cycle, PORT_LOCAL};
 use serde::{Deserialize, Serialize};
 
 /// The credit return of one output VC: a counter plus a shift register
 /// of the credits still on their way.
 ///
-/// A credit is sent at most `1 + MAX_LINK_LATENCY` = 63 cycles before it
-/// lands, and is read no earlier than the cycle it was sent in, so the
-/// 64 bits behind `newest` hold every credit still in flight. Arrivals
-/// further back have landed and are shifted out by later sends. Nothing
-/// is ever folded in when a credit is read, so the record depends only on
-/// what was sent and taken. It is the same whether or not the owner was
-/// visited in between.
+/// A credit is sent at most `1 + LINK_LATENCY` = 2 cycles before it
+/// lands (Table 4), and is read no earlier than the cycle it was sent in,
+/// so the 64 bits behind `newest` hold every credit still in flight with
+/// room to spare. Arrivals further back have landed and are shifted out
+/// by later sends. Nothing is ever folded in when a credit is read, so
+/// the record depends only on what was sent and taken. It is the same
+/// whether or not the owner was visited in between.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub(crate) struct CreditWire {
     /// Credits the owner holds, counting those still on the wire.
@@ -43,9 +44,9 @@ pub(crate) struct CreditWire {
 
 impl CreditWire {
     /// An idle wire: `depth` credits home, none on the way.
-    pub(crate) fn full(depth: u32) -> Self {
+    pub(crate) fn full(depth: u8) -> Self {
         CreditWire {
-            count: depth as u8,
+            count: depth,
             lost: 0,
             newest: 0,
             lo: 0,
@@ -153,7 +154,7 @@ impl CreditWires {
             vcs,
             ni_base,
             credited,
-            wires: vec![CreditWire::full(cfg.buffer_depth); ni_base + cfg.topology.nodes() * vcs],
+            wires: vec![CreditWire::full(BUFFER_DEPTH); ni_base + cfg.topology.nodes() * vcs],
         }
     }
 
@@ -295,14 +296,15 @@ mod tests {
     proptest! {
         /// The wire against the list of every arrival it was sent: the
         /// same credits in flight and available at every cycle read, for
-        /// the shortest, a short and the longest link.
+        /// the chip's link, a longer one and the longest the 64-bit
+        /// register holds.
         #[test]
         fn the_wire_matches_the_list_of_arrivals(
             latency in prop_oneof![Just(1u64), Just(2u64), Just(62u64)],
             steps in proptest::collection::vec(step(), 1..200),
         ) {
             const DEPTH: u8 = 40;
-            let mut wire = CreditWire::full(DEPTH.into());
+            let mut wire = CreditWire::full(DEPTH);
             let mut reference = Sent { count: DEPTH, arrivals: Vec::new() };
             let mut now = 0;
             for s in &steps {

@@ -3,8 +3,10 @@
 //! This crate implements the paper's baseline network (Table 4: 4-stage
 //! routers — routing/input buffering, VC allocation, switch allocation,
 //! switch traversal — round-robin two-phase allocators, 5-flit VC buffers,
-//! 16 B flits, 1-cycle links, two virtual networks routed XY/YX) and every
-//! Reactive Circuits router variant on top of it:
+//! 16 B flits, 1-cycle links, two virtual networks routed XY/YX; the fixed
+//! values are the constants of [`rcsim_core::table4`], and a [`NocConfig`]
+//! chooses only the topology and the mechanism) and every Reactive
+//! Circuits router variant on top of it:
 //!
 //! * request packets reserve circuits for their replies **in parallel with
 //!   VC allocation** at every router they cross (§4.1);

@@ -19,6 +19,7 @@ use crate::router::{self, bits, Router};
 use crate::stats::{CircuitOutcome, NocStats};
 use rcsim_core::circuit::CircuitKey;
 use rcsim_core::routing::{path_is_healthy, Routing};
+use rcsim_core::table4::BUFFER_DEPTH;
 use rcsim_core::{
     skip_law, superset_law, ConfigError, CongestionMap, CongestionState, Cycle, KernelMode, NodeId,
     RegionPlan, RegionSample, StateSet, Stateful, TopologyHealth, PORT_LOCAL,
@@ -246,8 +247,8 @@ impl Network {
             congestion: CongestionMap::new(routers_n),
             state: State {
                 packets: Packets::default(),
-                router_links: Calendar::new(cfg.link_latency, routers_n, cfg.topology.ports()),
-                ni_links: Calendar::new(cfg.link_latency, tiles, 1),
+                router_links: Calendar::new(routers_n, cfg.topology.ports()),
+                ni_links: Calendar::new(tiles, 1),
                 credits: CreditWires::new(&cfg),
                 delivered: vec![Vec::new(); tiles],
                 stats: NocStats::default(),
@@ -467,9 +468,7 @@ impl Network {
             spec.dst.index() < self.cfg.topology.nodes(),
             "dst out of range"
         );
-        let len = spec
-            .flits_override
-            .unwrap_or_else(|| spec.class.flits(self.cfg.flit_bytes));
+        let len = spec.flits_override.unwrap_or_else(|| spec.class.flits());
         assert!(
             (1..=u32::from(u16::MAX)).contains(&len),
             "packet length out of range"
@@ -1206,11 +1205,10 @@ impl Network {
                     let flits = owed[i * slots + port * vcs + vc];
                     let (home, on_wire, lost) = (w.available(now), w.in_flight(now), w.lost());
                     let sum = u32::from(home) + u32::from(on_wire) + flits + u32::from(lost);
-                    if credits.credited(vc) && sum != self.cfg.buffer_depth {
+                    if credits.credited(vc) && sum != u32::from(BUFFER_DEPTH) {
                         return Err(format!(
                             "credits of {id}/in{port} vc{vc} at {now}: {home} home + {on_wire} on \
-                             the wire + {flits} flits + {lost} lost is not the depth {}",
-                            self.cfg.buffer_depth
+                             the wire + {flits} flits + {lost} lost is not the depth {BUFFER_DEPTH}"
                         ));
                     }
                 }

@@ -11,6 +11,7 @@ use crate::router::alloc::RoundRobin;
 use crate::stats::{CircuitOutcome, NocStats};
 use rcsim_core::circuit::{CircuitHandle, CircuitKey};
 use rcsim_core::routing::{path_is_healthy, Routing};
+use rcsim_core::table4::{BUFFER_DEPTH, LINK_LATENCY};
 use rcsim_core::{
     CircuitMode, CongestionMap, Cycle, MechanismConfig, MessageClass, NodeId, StateMap, StateSet,
     Topology, TopologyHealth, Vnet,
@@ -20,11 +21,11 @@ use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, VecDeque};
 
 /// The reply class (and its flit count) a circuit-building request expects.
-pub(crate) fn expected_reply_flits(class: MessageClass, flit_bytes: u32) -> u32 {
+pub(crate) fn expected_reply_flits(class: MessageClass) -> u32 {
     match class {
-        MessageClass::L1Request => MessageClass::L2Reply.flits(flit_bytes),
-        MessageClass::WbData => MessageClass::L2WbAck.flits(flit_bytes),
-        MessageClass::MemRequest => MessageClass::MemoryReply.flits(flit_bytes),
+        MessageClass::L1Request => MessageClass::L2Reply.flits(),
+        MessageClass::WbData => MessageClass::L2WbAck.flits(),
+        MessageClass::MemRequest => MessageClass::MemoryReply.flits(),
         // The MEMORY reply to an L2 write-back is a single-flit ack.
         MessageClass::MemWbData => 1,
         _ => 1,
@@ -153,8 +154,6 @@ pub(crate) struct Ni {
     topology: Topology,
     layout: VcLayout,
     mechanism: MechanismConfig,
-    flit_bytes: u32,
-    buffer_depth: u32,
     /// Where trace events go; disabled by default.
     sink: TraceSink,
     pub(crate) state: State,
@@ -175,8 +174,6 @@ impl Ni {
             topology: cfg.topology,
             layout,
             mechanism: cfg.mechanism,
-            flit_bytes: cfg.flit_bytes,
-            buffer_depth: cfg.buffer_depth,
             sink: TraceSink::default(),
             state: State {
                 queues: [VecDeque::new(), VecDeque::new()],
@@ -291,7 +288,7 @@ impl Ni {
                 && self.topology.hop_count(spec.src, spec.dst) > 0
                 && !self.mech_switch_suppresses(spec, cong)
             {
-                let reply_flits = expected_reply_flits(spec.class, self.flit_bytes);
+                let reply_flits = expected_reply_flits(spec.class);
                 // The tail of a multi-flit request arrives len-1 cycles
                 // after its head, so the responder's turnaround as seen
                 // from the head's schedule is that much longer.
@@ -517,7 +514,7 @@ impl Ni {
         link: &mut impl LinkSink,
     ) -> bool {
         for (key, dst) in self.state.pending_undos.drain(..) {
-            link.undo(0, key, dst, now + 1);
+            link.undo(0, key, dst, now + Cycle::from(LINK_LATENCY));
         }
         for (_, flit) in ejected.drain(..) {
             self.receive_flit(flit, now, cong, packets, out);
@@ -525,7 +522,7 @@ impl Ni {
         let Some(flit) = self.inject_one(now, topo, cong, packets, out, link.wires()) else {
             return false;
         };
-        link.flit(0, flit, now + 1, packets);
+        link.flit(0, flit, now + Cycle::from(LINK_LATENCY), packets);
         true
     }
 
@@ -713,8 +710,7 @@ impl Ni {
                 continue;
             }
             let vc = self.layout.allocatable_vcs(vnet).find(|&vc| {
-                self.state.streams[vc].is_none()
-                    && u32::from(wires[vc].available(now)) == self.buffer_depth
+                self.state.streams[vc].is_none() && wires[vc].available(now) == BUFFER_DEPTH
             });
             if let Some(vc) = vc {
                 let queued = self.state.queues[vn]

@@ -5,9 +5,9 @@
 //! (stage 2, **in parallel with the circuit reservation** of §4.1),
 //! switch-allocated at *t+2* (stage 3) and traverses the crossbar at *t+3*
 //! (stage 4), reaching the next router at *t+5* after the 1-cycle link —
-//! 5 cycles per hop. A reply that finds its circuit reserved bypasses
-//! stages 1–3 entirely: it crosses the router the cycle it arrives and
-//! reaches the next router 2 cycles later (§4.3).
+//! 5 cycles per hop ([`rcsim_core::table4`]). A reply that finds its
+//! circuit reserved bypasses stages 1–3 entirely: it crosses the router
+//! the cycle it arrives and reaches the next router 2 cycles later (§4.3).
 
 pub(crate) mod alloc;
 mod input;
@@ -19,9 +19,10 @@ use crate::links::LinkSink;
 use crate::stats::Activity;
 use alloc::RoundRobin;
 use input::{InputVc, VcState};
-use rcsim_core::circuit::timing::{router_window, REQ_HOP_CYCLES};
+use rcsim_core::circuit::timing::{nominal_inject, router_window};
 use rcsim_core::circuit::{CircuitKey, ReserveRequest, RouterCircuits};
 use rcsim_core::routing::Routing;
+use rcsim_core::table4::{BUFFER_DEPTH, INJECT_OVERHEAD, LINK_LATENCY};
 use rcsim_core::{CircuitMode, Cycle, MechanismConfig, NodeId, Topology, Vnet, PORT_LOCAL};
 use rcsim_trace::{EventKind, TraceEvent, TraceSink};
 use serde::{Deserialize, Serialize};
@@ -72,10 +73,6 @@ struct PortArbiters {
 /// VCs (`ports × VcLayout::total()`), which [`NocConfig::validate`]
 /// enforces.
 pub(crate) const VC_INDEX_BITS: usize = u64::BITS as usize;
-
-/// Deepest VC buffer ([`NocConfig::buffer_depth`]) a one-byte credit
-/// counter ([`CreditWire`]) can count; [`NocConfig::validate`] enforces it.
-pub(crate) const MAX_BUFFER_DEPTH: u32 = u8::MAX as u32;
 
 /// Which input VCs and retry queues hold work — the request lines a
 /// hardware allocator sees, so the pipeline stages visit busy VCs only
@@ -148,7 +145,7 @@ pub(crate) struct State {
     /// arrival order. Growable, because one bound cannot be proven: the
     /// complete-mode circuit VC is uncredited, so a torn circuit's
     /// fallen-back stream is bounded by its packet's length, not by
-    /// `buffer_depth`.
+    /// [`BUFFER_DEPTH`].
     spill: Vec<(u8, Flit)>,
     pub(crate) circuits: RouterCircuits,
     /// Per input port, bypass flits that lost a same-cycle output conflict
@@ -176,11 +173,9 @@ pub(crate) struct Router {
     /// the concentration is 1).
     node: NodeId,
     /// Ports per router (`Topology::ports()`) and VCs per port
-    /// (`VcLayout::total()`), cached like the four bytes after them.
+    /// (`VcLayout::total()`), cached like the two bytes after them.
     ports: u8,
     vcs: u8,
-    buffer_depth: u8,
-    link_latency: u8,
     /// `mechanism.timed.is_timed()`.
     timed: bool,
     /// The first circuit-class VC (`vcs` when there is none).
@@ -196,7 +191,6 @@ pub(crate) struct Router {
     va_scratch: Vec<(Cycle, usize, Vnet, NodeId)>,
     layout: VcLayout,
     mechanism: MechanismConfig,
-    inject_overhead: u32,
 }
 
 const _: () = assert!(std::mem::offset_of!(Router, contend) == 64);
@@ -207,8 +201,8 @@ impl Router {
         let total = layout.total();
         let ports = cfg.topology.ports();
         assert!(
-            ports * total <= VC_INDEX_BITS && cfg.buffer_depth <= MAX_BUFFER_DEPTH,
-            "NocConfig::validate bounds the input VCs per router and their depth"
+            ports * total <= VC_INDEX_BITS,
+            "NocConfig::validate bounds the input VCs per router"
         );
         let arbiters = PortArbiters {
             sa_in: RoundRobin::new(total),
@@ -223,8 +217,6 @@ impl Router {
             node,
             ports: ports as u8,
             vcs: total as u8,
-            buffer_depth: cfg.buffer_depth as u8,
-            link_latency: cfg.link_latency as u8,
             timed: cfg.mechanism.timed.is_timed(),
             circuit_vc0: (total - layout.circuit_vcs) as u8,
             contend: [0; VC_INDEX_BITS],
@@ -249,7 +241,6 @@ impl Router {
             va_scratch: Vec::with_capacity(total),
             layout,
             mechanism: cfg.mechanism,
-            inject_overhead: cfg.inject_overhead,
         }
     }
 
@@ -360,16 +351,14 @@ impl Router {
     /// The credits of output VC `slot` home at `now`: its wire's, or the
     /// whole buffer on an (uncredited) ejection port, which has no wire.
     fn home(&self, now: Cycle, wires: &[CreditWire], slot: usize) -> u8 {
-        wires
-            .get(slot)
-            .map_or(self.buffer_depth, |w| w.available(now))
+        wires.get(slot).map_or(BUFFER_DEPTH, |w| w.available(now))
     }
 
     /// `true` when output VC `slot` may be VC-allocated at `now`: no
     /// packet holds it and every credit of the downstream buffer is home.
     /// A VC the tail left whose credits are still on the way is draining.
     fn free_at(&self, now: Cycle, wires: &[CreditWire], slot: usize) -> bool {
-        self.state.owner[slot] == Owner::Free && self.home(now, wires, slot) == self.buffer_depth
+        self.state.owner[slot] == Owner::Free && self.home(now, wires, slot) == BUFFER_DEPTH
     }
 
     /// Runs one cycle. `arrivals` and `undos` are the messages reaching
@@ -463,7 +452,7 @@ impl Router {
         };
         if port < PORT_LOCAL {
             self.state.activity.credits += 1;
-            out.undo(port, key, dst, now + self.link_latency as Cycle);
+            out.undo(port, key, dst, now + Cycle::from(LINK_LATENCY));
         }
     }
 
@@ -471,7 +460,7 @@ impl Router {
     /// out of `port`, towards the requestor.
     fn start_undo(&mut self, now: Cycle, port: usize, key: CircuitKey, out: &mut impl LinkSink) {
         self.state.activity.credits += 1;
-        out.undo(port, key, key.requestor, now + self.link_latency as Cycle);
+        out.undo(port, key, key.requestor, now + Cycle::from(LINK_LATENCY));
     }
 
     fn drain_bypass_retries(&mut self, now: Cycle, packets: &mut Packets, out: &mut impl LinkSink) {
@@ -559,7 +548,7 @@ impl Router {
                 .circuit_vc(entry.vc as usize % self.layout.circuit_vcs);
             // A head needs the downstream VC completely idle (all credits
             // home), like the packet-switched draining rule.
-            if wires[self.slot(entry.out_port, gvc)].available(now) < self.buffer_depth {
+            if wires[self.slot(entry.out_port, gvc)].available(now) < BUFFER_DEPTH {
                 self.state.circuits.release(port, key);
                 return BypassCheck::Pipeline;
             }
@@ -656,7 +645,7 @@ impl Router {
         let in_vc = usize::from(flit.vc);
         if !self.layout.is_circuit_vc(in_vc) || self.mechanism.circuit_vc_buffered() {
             self.state.activity.credits += 1;
-            out.credit(port, in_vc, now + self.link_latency as Cycle);
+            out.credit(port, in_vc, now + Cycle::from(LINK_LATENCY));
         }
         self.out_busy |= 1 << entry.out_port;
         self.state.activity.xbar_traversals += 1;
@@ -675,7 +664,7 @@ impl Router {
             now + 1
         } else {
             self.state.activity.link_flits += 1;
-            now + 1 + self.link_latency as Cycle
+            now + 1 + Cycle::from(LINK_LATENCY)
         };
         out.flit(entry.out_port, flit, arrive, packets);
     }
@@ -776,7 +765,7 @@ impl Router {
 
             // Return the freed buffer slot upstream.
             self.state.activity.credits += 1;
-            out.credit(in_port, in_vc, now + self.link_latency as Cycle);
+            out.credit(in_port, in_vc, now + Cycle::from(LINK_LATENCY));
 
             let out_slot = self.slot(route, out_vc);
             self.out_busy |= 1 << route;
@@ -786,7 +775,7 @@ impl Router {
             } else {
                 out.wires()[out_slot].take(now);
                 self.state.activity.link_flits += 1;
-                now + 1 + self.link_latency as Cycle
+                now + 1 + Cycle::from(LINK_LATENCY)
             };
             if is_tail {
                 // Draining until its credits are home ([`Router::free_at`]).
@@ -1110,14 +1099,13 @@ impl Router {
 
         let (window, max_extra_shift, nominal, slack) = match handle.timing {
             Some(t) => {
-                let nominal = now
-                    + (REQ_HOP_CYCLES * h_req) as Cycle
-                    + handle.turnaround as Cycle
-                    + self.inject_overhead as Cycle;
+                let nominal =
+                    nominal_inject(now, h_req, handle.turnaround) + Cycle::from(INJECT_OVERHEAD);
                 let slack = self.mechanism.timed.slack(handle.path_hops);
                 // `nominal` is the reply's *injection* time at its NI; it
-                // occupies this router one cycle later (NI→router link).
-                let w = router_window(nominal + 1, t.shift, h_req, handle.reply_flits, slack);
+                // occupies its first router one NI→router link later.
+                let first = nominal + Cycle::from(LINK_LATENCY);
+                let w = router_window(first, t.shift, h_req, handle.reply_flits, slack);
                 (Some(w), t.max_shift - t.shift, nominal, slack)
             }
             None => (None, 0, 0, 0),
@@ -1392,7 +1380,7 @@ mod tests {
             router: Router::new(NodeId(5), &cfg),
             sink: Recorder {
                 sent: Vec::new(),
-                wires: vec![CreditWire::full(cfg.buffer_depth); slots],
+                wires: vec![CreditWire::full(BUFFER_DEPTH); slots],
             },
         }
     }
@@ -1505,7 +1493,7 @@ mod tests {
         let mut seqs = Vec::new();
         for now in u64::from(len)..u64::from(4 * len) {
             // The downstream buffer is as deep as it needs to be.
-            r.sink.wires.fill(CreditWire::full(MAX_BUFFER_DEPTH));
+            r.sink.wires.fill(CreditWire::full(u8::MAX));
             for o in tick(&mut r, now, &mut packets, vec![]) {
                 if let Outgoing::Flit(_, f, _) = o {
                     seqs.push(f.seq);

@@ -1,16 +1,14 @@
-//! Router area model (Table 6).
+//! Router area model (Table 6) of the Table 4 router
+//! ([`rcsim_core::table4`]).
 
+use rcsim_core::table4::{BUFFER_DEPTH, FLIT_BYTES, REQ_VCS};
 use rcsim_core::{CircuitMode, MechanismConfig};
 use serde::{Deserialize, Serialize};
 
 /// Router ports in a mesh (N/E/S/W/Local).
 const PORTS: f64 = 5.0;
-/// Flit width in bits (16 B flits).
-const FLIT_BITS: f64 = 128.0;
-/// VC buffer depth in flits (Table 4).
-const BUFFER_DEPTH: f64 = 5.0;
-/// Request-VN VCs (constant across configurations).
-const REQ_VCS: f64 = 2.0;
+/// Flit width in bits.
+const FLIT_BITS: f64 = (FLIT_BYTES * 8) as f64;
 
 /// Area units per SRAM buffer bit (the normalization unit).
 const SRAM_BIT: f64 = 1.0;
@@ -66,14 +64,14 @@ impl RouterArea {
     /// `cores` tiles (the core count fixes the destination-id width).
     pub fn for_mechanism(mechanism: &MechanismConfig, cores: usize) -> Self {
         let reply_vcs = mechanism.reply_vcs() as f64;
-        let total_vcs = REQ_VCS + reply_vcs;
+        let total_vcs = REQ_VCS as f64 + reply_vcs;
         // Complete circuits remove the buffer from the circuit VC (§4.2).
         let buffered_vcs = if mechanism.circuit_vc_buffered() {
             total_vcs
         } else {
             total_vcs - mechanism.circuit_vcs() as f64
         };
-        let buffers = PORTS * buffered_vcs * BUFFER_DEPTH * FLIT_BITS * SRAM_BIT;
+        let buffers = PORTS * buffered_vcs * f64::from(BUFFER_DEPTH) * FLIT_BITS * SRAM_BIT;
         let crossbar = PORTS * PORTS * FLIT_BITS * XBAR_K;
         let allocators = ALLOC_K * total_vcs * total_vcs;
 

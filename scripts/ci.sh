@@ -150,6 +150,29 @@ if grep -rn 'RC_KERNEL' crates src tests examples README.md; then
   echo "FAIL: RC_KERNEL is back"; exit 1
 fi
 
+echo "==> Table 4 is one place (DESIGN.md §4: the router's fixed parameters are constants of rcsim_core::table4)"
+# NocConfig is a topology and a mechanism. Up to each file's test module,
+# comments aside, no crate keeps a copy of a Table 4 parameter under the
+# name of one of the six retired NocConfig fields — as a field, a
+# parameter or a binding — and neither the timed-window algebra nor the
+# area model writes a Table 4 value down as a number: they read the
+# constants.
+retired='buffer_depth|flit_bytes|req_vcs|link_latency|inject_overhead|extra_reply_vcs'
+code='FNR == 1 { skip = 0 }
+  skip { next }
+  /^#\[cfg\(test\)\]$/ { getline; if ($0 ~ /^mod /) skip = 1; next }
+  { sub(/\/\/.*/, "") }'
+copies=$(find crates/*/src -name '*.rs' -print0 | xargs -0 awk -v re="(^|[^A-Za-z0-9_])($retired)([^A-Za-z0-9_]|$)" \
+  "$code"' $0 ~ re { print FILENAME ":" FNR ": " $0 }')
+numbers=$(awk -v re='(^|[^A-Za-z0-9_.])[0-9]' "$code"' $0 ~ re { print FILENAME ":" FNR ": " $0 }' \
+  crates/core/src/circuit/timing.rs)
+named=$(find crates/power/src -name '*.rs' -print0 | xargs -0 awk \
+  -v re='(LATENCY|STAGES|DEPTH|FLIT|VCS|OVERHEAD)[A-Z_]*[ ]*(:[ ]*[A-Z0-9]+[ ]*)?[:=][ ]*-?[0-9]' \
+  "$code"' toupper($0) ~ re { print FILENAME ":" FNR ": " $0 }')
+[ -z "$copies$numbers$named" ] \
+  || { echo "FAIL: a Table 4 parameter is settable or written down again outside rcsim_core::table4:"
+       printf '%s\n' "$copies" "$numbers" "$named" | grep .; exit 1; }
+
 echo "==> cargo build --release"
 $CARGO build --release "$@"
 
@@ -194,6 +217,7 @@ must_exit_2 RC_CYCLES RC_CYCLES=20k $bench fig6
 # A retired knob is an unknown name like any other.
 must_exit_2 RC_TOPO_WINDOW RC_TOPO_WINDOW=8 $bench fig6
 must_exit_2 RC_KERNEL RC_KERNEL=dense $bench fig6
+must_exit_2 RC_NO_CACHE RC_NO_CACHE=1 $bench fig6
 # The names are listed, and the known experiment beside the typo does not run.
 must_exit_2 'fig6, fig7' RC_JOBS=1 $bench fig6 fig66
 
@@ -211,7 +235,7 @@ telemetry() {
   awk -F': ' -v key="\"$2\"" '$1 ~ key {gsub(/,/, "", $2); print $2; exit}' "$1"
 }
 
-env "${smoke[@]}" RC_JOBS=1 RC_NO_CACHE=1 $bench fig6 > /dev/null 2> /dev/null
+env "${smoke[@]}" RC_JOBS=1 RC_CACHE_DIR= $bench fig6 > /dev/null 2> /dev/null
 cp target/experiments/BENCH_fig6.json target/experiments/ci_fig6_serial.json
 
 env "${smoke[@]}" RC_JOBS=4 RC_CACHE_DIR="$cache_dir" $bench fig6 > /dev/null 2> /dev/null
@@ -240,8 +264,8 @@ echo "==> every experiment: RC_JOBS 1 ≡ 4 (BENCH rows byte-identical), summari
 # smoke uses): serially, then on four workers. Every experiment's rows and
 # claims must be byte-identical across the two — the network-only ones
 # included, which go through the same worker pool — and every summary
-# must validate. RC_NO_CACHE=1 is load-bearing: a cache hit would compare
-# a result with itself. The experiments' own asserts ride along: nothing
+# must validate. An empty RC_CACHE_DIR (no cache) is load-bearing: a cache
+# hit would compare a result with itself. The experiments' own asserts ride along: nothing
 # abandoned or stalled under dead links (DESIGN.md §10), conservation and
 # the queue bound past saturation (§11), every topology point drained to
 # quiescence — the wraparound dateline check (§12) — and the adaptive row
@@ -251,7 +275,7 @@ $CARGO test -q -p rcsim-system --test resilience --test open_loop --test adaptiv
 $CARGO test -q -p rcsim-core --test policy_props "$@"
 run_all() {
   local tag=$1 name; shift
-  env "${smoke[@]}" RC_TOPO_CYCLES=600 RC_TOPO_CORES=64 RC_NO_CACHE=1 "$@" \
+  env "${smoke[@]}" RC_TOPO_CYCLES=600 RC_TOPO_CORES=64 RC_CACHE_DIR= "$@" \
     $bench all > /dev/null 2> "target/experiments/ci_all_$tag.log"
   for name in $($bench list); do
     cp "target/experiments/BENCH_$name.json" "target/experiments/ci_${name}_$tag.json"
@@ -273,7 +297,7 @@ $CARGO run --release -q -p rcsim-bench --bin validate_bench "$@"
 # Off-path re-check: a fresh fig6 after the policy layer has been
 # exercised must still match the serial rows from the sweep smoke bit for
 # bit (`adaptive` is skip-serialized when off, so a cache hit would
-# compare a pre-adaptive row with itself — RC_NO_CACHE=1 again).
+# compare a pre-adaptive row with itself — RC_CACHE_DIR= again).
 diff <(strip_telemetry target/experiments/ci_fig6_serial.json) \
      <(strip_telemetry target/experiments/ci_fig6_jobs1.json) \
   || { echo "FAIL: adaptive-off BENCH_fig6.json rows drifted after the adaptive sweep"; exit 1; }
@@ -322,7 +346,7 @@ echo "==> checkpoint smoke (kill-and-resume byte-identity, corrupt-file clean mi
 $CARGO test -q -p rcsim-system --test checkpoint_diff "$@"
 ckpt_smoke=(RC_APPS=blackscholes RC_CYCLES=8000 RC_WARMUP=2000
             RC_SMALL_CACHES=1 RC_CORES=16 RC_MAX_CYCLES=40000
-            RC_JOBS=1 RC_NO_CACHE=1)
+            RC_JOBS=1 RC_CACHE_DIR=)
 ckpt_dir=target/experiments/ckpt-ci
 rm -rf "$ckpt_dir"
 env "${ckpt_smoke[@]}" $bench fig6 > /dev/null 2> /dev/null
@@ -348,9 +372,9 @@ if find "$ckpt_dir" -name '*.ckpt' | grep -q .; then
   echo "FAIL: completed sweep left checkpoints behind in $ckpt_dir"; exit 1
 fi
 mkdir -p "$ckpt_dir"
-# Every earlier version (v8, with credits as messages in the link
-# calendars, is the newest of them), with the checksum of its "{}": only the
-# version rejects it.
+# Every earlier version (v9, whose link calendars carried their window, is
+# the newest of them), with the checksum of its "{}": only the version
+# rejects it.
 current=$(sed -n 's/^pub const CHECKPOINT_FORMAT_VERSION: u32 = \([0-9]*\);$/\1/p' crates/system/src/checkpoint.rs)
 for v in $(seq 0 $((${current:?CHECKPOINT_FORMAT_VERSION not found} - 1))); do
   stale="$ckpt_dir/stale_v$v.ckpt"; printf 'rcsim-checkpoint v%s 08f44b07b5901a25\n{}' "$v" > "$stale"

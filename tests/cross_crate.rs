@@ -6,6 +6,7 @@ mod golden_rows;
 
 use golden_rows::{first_difference, row_lines};
 use rcsim_bench::{run_experiment, RunEnv, SweepRunner, EXPERIMENTS, KNOBS};
+use reactive_circuits::core::circuit::CircuitKey;
 use reactive_circuits::prelude::*;
 use reactive_circuits::system::{run_sim_traced, AdaptiveConfig, DeadLinkEvent, TraceConfig};
 use std::path::{Path, PathBuf};
@@ -104,6 +105,115 @@ fn zero_length_packet_is_rejected() {
     let health = net.health();
     assert!(health.quiescent && !health.stalled, "{health}");
     assert_eq!(net.take_delivered(NodeId(3)).len(), 4);
+}
+
+/// Sends `spec` through `net` and returns the delivered packet's
+/// `delivered_at − injected_at` and whether it rode a circuit.
+fn one_packet(net: &mut Network, spec: PacketSpec) -> (u64, bool) {
+    net.inject(spec);
+    for _ in 0..200 {
+        net.tick();
+        if let [d] = &net.take_delivered(spec.dst)[..] {
+            return (d.delivered_at - d.injected_at, d.rode_circuit);
+        }
+    }
+    panic!("{spec:?} was not delivered in 200 cycles");
+}
+
+/// The zero-load oracle: one packet at a time through an empty network
+/// takes exactly the paper's arithmetic, written here by hand from
+/// Table 4's stage list rather than read from the simulator's constants.
+///
+/// Through the pipeline, a head flit is injected at `T` and crosses the
+/// 1-cycle NI link into its router at `T + 1`. Every router takes four
+/// stages (route computation, VC allocation, switch allocation, switch
+/// traversal) and every link between two routers one cycle, so `h`
+/// router hops cost 5 each. The destination router's four stages land the
+/// flit in the NI. The endpoints therefore cost 1 + 4 = 5 cycles. The
+/// body flits follow one per cycle, so a `len`-flit packet needs
+/// `5 + 5·h + (len − 1)`.
+///
+/// On a built complete circuit the reply crosses each router in its
+/// arrival cycle: the NI link and the destination router's bypass cycle
+/// make 1 + 1 = 2 endpoint cycles, each hop 2 more (bypass and link), so
+/// `2 + 2·h + (len − 1)`.
+///
+/// Pipeline rows send a 1-flit `L1Request` and a 5-flit `WbData` under
+/// `Baseline` at every distance of four shapes, wraparound links
+/// included. Circuit rows send a 5-flit `L2Reply` under `Complete` on the
+/// circuit its request built, on the mesh and the concentrated mesh: wrap
+/// shapes refuse reservations across the dateline, and tiles sharing a
+/// router build no circuit. Every expected latency is a literal.
+#[test]
+fn zero_load_latency_is_the_papers_arithmetic() {
+    let mesh = Topology::mesh(4, 4).unwrap();
+    let torus = Topology::torus(4, 4).unwrap();
+    let ring = Topology::ring(8).unwrap();
+    let cmesh = Topology::cmesh(2, 2, 4).unwrap();
+    // (shape, src, dst, router hops, L1Request cycles, WbData cycles).
+    let pipeline = [
+        (mesh, 0, 1, 1, 10, 14),
+        (mesh, 0, 2, 2, 15, 19),
+        (mesh, 0, 3, 3, 20, 24),
+        (mesh, 0, 7, 4, 25, 29),
+        (mesh, 0, 11, 5, 30, 34),
+        (mesh, 0, 15, 6, 35, 39),
+        (torus, 0, 3, 1, 10, 14),
+        (torus, 0, 15, 2, 15, 19),
+        (torus, 0, 6, 3, 20, 24),
+        (torus, 0, 10, 4, 25, 29),
+        (ring, 0, 7, 1, 10, 14),
+        (ring, 6, 0, 2, 15, 19),
+        (ring, 1, 4, 3, 20, 24),
+        (ring, 0, 4, 4, 25, 29),
+        (cmesh, 0, 3, 0, 5, 9),
+        (cmesh, 1, 6, 1, 10, 14),
+        (cmesh, 2, 13, 2, 15, 19),
+    ];
+    for (topology, src, dst, hops, request, data) in pipeline {
+        for (class, expected) in [
+            (MessageClass::L1Request, request),
+            (MessageClass::WbData, data),
+        ] {
+            let cfg = NocConfig::paper_baseline(topology, MechanismConfig::baseline());
+            let mut net = Network::new(cfg).unwrap();
+            let spec = PacketSpec::new(NodeId(src), NodeId(dst), class);
+            let row = format!("{} n{src}->n{dst} ({hops} hops) {class}", topology.label());
+            assert_eq!(one_packet(&mut net, spec), (expected, false), "{row}");
+        }
+    }
+    // (shape, requestor, home, router hops, L1Request cycles, L2Reply cycles).
+    let circuits = [
+        (mesh, 0, 1, 1, 10, 8),
+        (mesh, 0, 2, 2, 15, 10),
+        (mesh, 0, 3, 3, 20, 12),
+        (mesh, 0, 7, 4, 25, 14),
+        (mesh, 0, 11, 5, 30, 16),
+        (mesh, 0, 15, 6, 35, 18),
+        (cmesh, 1, 6, 1, 10, 8),
+        (cmesh, 2, 13, 2, 15, 10),
+    ];
+    for (topology, requestor, home, hops, request, reply) in circuits {
+        let cfg = NocConfig::paper_baseline(topology, MechanismConfig::complete());
+        let mut net = Network::new(cfg).unwrap();
+        let (requestor, home) = (NodeId(requestor), NodeId(home));
+        let row = format!("{} n{requestor}<-n{home} ({hops} hops)", topology.label());
+        let spec = PacketSpec::new(requestor, home, MessageClass::L1Request).with_block(64);
+        assert_eq!(
+            one_packet(&mut net, spec),
+            (request, false),
+            "{row} request"
+        );
+        let key = CircuitKey {
+            requestor,
+            block: 64,
+        };
+        assert!(net.has_circuit_origin(home, key), "{row}: no circuit built");
+        let spec = PacketSpec::new(home, requestor, MessageClass::L2Reply)
+            .with_block(64)
+            .with_circuit_key(key);
+        assert_eq!(one_packet(&mut net, spec), (reply, true), "{row} reply");
+    }
 }
 
 /// Packet records are recycled — through abandonment under a retry budget
@@ -534,7 +644,7 @@ fn run_env_of_an_empty_environment_is_the_documented_defaults() {
     // Variables of other programs are not ours to judge.
     assert_eq!(run_env(&[("PATH", "/bin"), ("RCX", "1")]), Ok(defaults));
     // Every knob is accepted, and its table default is what unset means.
-    assert_eq!(KNOBS.len(), 15);
+    assert_eq!(KNOBS.len(), 14);
     for knob in KNOBS {
         let mut set = run_env(&[(knob.name, knob.default)]).expect(knob.name);
         if knob.name == "RC_APPS" {
@@ -592,7 +702,7 @@ fn env_built_sweep_runner_is_what_the_environment_says() {
         Some((Path::new("somewhere/ckpt"), 500))
     );
 
-    let plain = SweepRunner::for_env(&run_env(&[("RC_NO_CACHE", "1"), ("RC_JOBS", "1")]).unwrap());
+    let plain = SweepRunner::for_env(&run_env(&[("RC_CACHE_DIR", ""), ("RC_JOBS", "1")]).unwrap());
     assert_eq!(plain.workers(), 1);
     assert_eq!((plain.cache_dir(), plain.checkpoints()), (None, None));
     // Without a directory the default interval checkpoints nothing.
@@ -615,7 +725,7 @@ fn fig6_through_the_experiment_table_matches_its_golden_rows() {
         ("RC_SMALL_CACHES", "1"),
         ("RC_CORES", "16"),
         ("RC_MAX_CYCLES", "10000"),
-        ("RC_NO_CACHE", "1"),
+        ("RC_CACHE_DIR", ""),
         ("RC_JOBS", "2"),
     ])
     .unwrap();
