@@ -7,7 +7,7 @@ use super::PLAIN;
 use crate::table::{cell, Cell, Experiment, Fmt, Headline, Row, RowData};
 use crate::{sim_jobs, RunEnv};
 use rcsim_core::{MechanismConfig, NodeId, TopologySpec};
-use rcsim_noc::DeadLinkEvent;
+use rcsim_noc::{DeadLinkEvent, QUEUE_CAP};
 use rcsim_system::{OpenLoopConfig, RunResult, SimConfig};
 
 /// The sum over the row's runs of a counter.
@@ -297,7 +297,6 @@ fn plateau_is_testable(row: &Row) -> bool {
 /// their bound and the arrival streams produce something. With admission
 /// on, goodput past the knee must plateau, not collapse.
 fn overload_asserts(rows: &[RowData]) -> Result<(), String> {
-    let queue_cap = open_loop(ADMIT_RATE, true).ingress.queue_cap;
     for d in rows {
         let label = &d.row.label;
         for r in d.runs {
@@ -311,9 +310,9 @@ fn overload_asserts(rows: &[RowData]) -> Result<(), String> {
                 ));
             }
             let deepest = r.health.overload.depth_high_water as usize;
-            if deepest > queue_cap {
+            if deepest > QUEUE_CAP {
                 return Err(format!(
-                    "{label}: ingress queue exceeded its bound ({deepest} > {queue_cap})"
+                    "{label}: ingress queue exceeded its bound ({deepest} > {QUEUE_CAP})"
                 ));
             }
             if r.external.offered == 0 {

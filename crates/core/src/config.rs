@@ -427,6 +427,9 @@ pub enum ConfigError {
     /// epoch, zero regions, inverted hysteresis band). The payload names
     /// the problem.
     AdaptivePolicy(&'static str),
+    /// Open-loop traffic on a topology whose every tile is an ingress edge
+    /// tile, so no tile is left to serve the external requests.
+    NoServerTiles,
     /// A router would have more input VCs (`ports` × `vcs` per port) than
     /// its 64-entry VC occupancy index can address.
     TooManyVcs {
@@ -475,6 +478,9 @@ impl fmt::Display for ConfigError {
             }
             ConfigError::AdaptivePolicy(what) => {
                 write!(f, "adaptive policy misconfigured: {what}")
+            }
+            ConfigError::NoServerTiles => {
+                f.write_str("open-loop traffic needs a tile outside the ingress edge")
             }
             ConfigError::TooManyVcs { ports, vcs } => write!(
                 f,

@@ -49,9 +49,6 @@ fn default_hot_exit() -> u64 {
 fn default_min_dwell() -> Cycle {
     100
 }
-fn default_true() -> bool {
-    true
-}
 
 /// Knobs for the adaptive runtime policy. Absent from a `SimConfig` by
 /// default (`Option<AdaptiveConfig>` with `skip_serializing_if`), so cache
@@ -81,16 +78,6 @@ pub struct AdaptiveConfig {
     /// Minimum cycles between two switches of the same region.
     #[serde(default = "default_min_dwell")]
     pub min_dwell: Cycle,
-    /// Plan congestion-aware detours around hot regions' routers
-    /// (reuses the fault-detour path-carrying machinery).
-    #[serde(default = "default_true")]
-    pub detour: bool,
-    /// Switch mechanism per path: suppress circuit construction for
-    /// requests whose reply path crosses a hot region (those replies fall
-    /// back to Baseline-equivalent packet switching), and tear down
-    /// established circuits through a region on its calm→hot switch.
-    #[serde(default = "default_true")]
-    pub mech_switch: bool,
 }
 
 impl Default for AdaptiveConfig {
@@ -101,8 +88,6 @@ impl Default for AdaptiveConfig {
             hot_enter: default_hot_enter(),
             hot_exit: default_hot_exit(),
             min_dwell: default_min_dwell(),
-            detour: true,
-            mech_switch: true,
         }
     }
 }
@@ -225,8 +210,8 @@ impl RegionSample {
 pub enum RegionMode {
     /// Normal operation: circuits build, DOR routing.
     Calm,
-    /// Congested: circuit construction suppressed (when `mech_switch`),
-    /// traffic detours around the region's routers (when `detour`).
+    /// Congested: circuits across the region are torn down and not built
+    /// again, and traffic detours around the region's routers.
     Hot,
 }
 
@@ -359,12 +344,13 @@ crate::stateful!(PolicyController => PolicyState);
 /// whose era matches — post-heal traffic returns to DOR instead of
 /// retracing a detour recorded under conditions that no longer hold.
 ///
-/// The feature switches are wiring (set once, by whoever installs the
-/// policy); the hot count is scratch, recounted by `rebuild_scratch`.
+/// While any router is hot, NIs plan congestion-aware detours around hot
+/// routers and skip circuit construction for requests whose reply path
+/// crosses one; only a policy marks routers hot, so without one the map
+/// carries nothing but fault-heal era bumps. The hot count is scratch,
+/// recounted by `rebuild_scratch`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CongestionMap {
-    detour: bool,
-    suppress: bool,
     state: CongestionState,
     hot_count: usize,
 }
@@ -388,28 +374,6 @@ impl CongestionMap {
             },
             ..CongestionMap::default()
         }
-    }
-
-    /// Arms the policy features this map drives: `detour` lets NIs plan
-    /// congestion-aware detours around hot routers, `suppress` lets them
-    /// skip circuit construction for requests whose reply path crosses a
-    /// hot router. Both default off — the map then only carries fault-heal
-    /// era bumps and behaves exactly like the pre-adaptive code.
-    pub fn set_features(&mut self, detour: bool, suppress: bool) {
-        self.detour = detour;
-        self.suppress = suppress;
-    }
-
-    /// `true` when congestion-aware detours are armed and at least one
-    /// router is hot.
-    pub fn detour_active(&self) -> bool {
-        self.detour && self.hot_count > 0
-    }
-
-    /// `true` when path-sensitive circuit suppression is armed and at
-    /// least one router is hot.
-    pub fn suppress_active(&self) -> bool {
-        self.suppress && self.hot_count > 0
     }
 
     /// Marks router `r` hot or calm.
@@ -527,12 +491,6 @@ mod tests {
         m.set_hot(2, true); // idempotent
         assert!(m.any_hot() && m.is_hot(2) && !m.is_hot(0));
         assert!(!m.is_hot(99), "out of range is calm");
-        // Hot routers drive nothing until the features are armed.
-        assert!(!m.detour_active() && !m.suppress_active());
-        m.set_features(true, false);
-        assert!(m.detour_active() && !m.suppress_active());
-        m.set_features(true, true);
-        assert!(m.detour_active() && m.suppress_active());
         m.set_hot(2, false);
         assert!(!m.any_hot());
         let e = m.era();

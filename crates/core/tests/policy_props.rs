@@ -116,8 +116,6 @@ fn cfg_strategy() -> impl Strategy<Value = AdaptiveConfig> {
             hot_enter: a.max(b).max(1),
             hot_exit: a.min(b),
             min_dwell: dwell,
-            detour: true,
-            mech_switch: true,
         },
     )
 }

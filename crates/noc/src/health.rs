@@ -4,7 +4,7 @@
 //! of the last flit movement and the set of in-flight packets — from
 //! which [`crate::Network::health`] assembles a [`HealthReport`] on
 //! demand: whether the fabric has stalled (in-flight traffic but no flit
-//! moved for [`WatchdogConfig::stall_window`] cycles, i.e. deadlock or
+//! moved for [`STALL_WINDOW`] cycles, i.e. deadlock or
 //! livelock), the oldest in-flight messages, per-NI backlogs,
 //! circuit-table entries that look leaked, and the fault-injection
 //! counters. The bookkeeping is pure observation: it never changes what
@@ -20,28 +20,17 @@ use rcsim_core::{Cycle, MessageClass, NodeId, Topology};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// Watchdog thresholds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct WatchdogConfig {
-    /// Cycles without any flit movement (while packets are in flight)
-    /// after which the network is declared stalled.
-    pub stall_window: Cycle,
-    /// Age in cycles after which a circuit-table entry is reported as a
-    /// suspected leak.
-    pub leak_age: Cycle,
-    /// Cap on the stuck messages and leaked entries listed in a report.
-    pub max_report_entries: usize,
-}
+/// Cycles without any flit movement (while packets are in flight) after
+/// which the network is declared stalled.
+pub const STALL_WINDOW: Cycle = 1_000;
 
-impl Default for WatchdogConfig {
-    fn default() -> Self {
-        WatchdogConfig {
-            stall_window: 1_000,
-            leak_age: 4_000,
-            max_report_entries: 8,
-        }
-    }
-}
+/// Age in cycles after which a circuit-table entry is reported as a
+/// suspected leak.
+pub(crate) const LEAK_AGE: Cycle = 4_000;
+
+/// Cap on every list in a report: stuck messages, leaked entries, dead
+/// links, dead routers and the resources of a deadlock cycle.
+pub const MAX_REPORT_ENTRIES: usize = 8;
 
 /// One in-flight message, as listed by a [`HealthReport`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -60,7 +49,7 @@ pub struct StuckMessage {
     pub retries: u32,
 }
 
-/// A circuit-table entry older than [`WatchdogConfig::leak_age`]: either a
+/// A circuit-table entry older than `LEAK_AGE` (4 000 cycles): either a
 /// reservation whose reply never came (e.g. dropped by a fault without a
 /// complete undo) or a circuit wedged mid-use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -192,7 +181,7 @@ pub struct DeadlockResource {
 pub struct DeadlockReport {
     /// The blocked resources forming the cycle, in wait order: each
     /// entry waits on the next, and the last waits on the first. Capped
-    /// at [`WatchdogConfig::max_report_entries`].
+    /// at [`MAX_REPORT_ENTRIES`].
     pub resources: Vec<DeadlockResource>,
     /// Full length of the detected cycle (exceeds `resources.len()`
     /// when truncated).

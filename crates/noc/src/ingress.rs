@@ -12,7 +12,7 @@
 //!    was empty. The client is told how long to wait before re-offering
 //!    (the retry-after/backoff contract).
 //! 3. **Rejected (`QueueFull`)** — the bounded queue was at capacity;
-//!    retry after the configured backoff.
+//!    retry after a fixed backoff.
 //! 4. **Shed (`ShedTimeout`)** — admitted, but the queue did not drain
 //!    before the shed timeout; the arrival is dropped *explicitly* at the
 //!    head of the queue (old work is the least useful work under
@@ -34,11 +34,25 @@ use std::fmt;
 /// One token in units of 1/1024 — the fixed-point scale of the bucket.
 const TOKEN_SCALE: u64 = 1024;
 
-/// Configuration of the edge ingress layer.
+/// Bound on each edge's ingress queue (entries). Never exceeded.
+pub const QUEUE_CAP: usize = 32;
+
+/// Token-bucket burst capacity, in whole tokens.
+const BUCKET_CAP: u64 = 16;
+
+/// Release an arrival into the edge NI only while the NI's backlog is
+/// below this many packets (explicit backpressure).
+const BACKPRESSURE_THRESHOLD: usize = 8;
+
+/// Retry-after told to clients rejected for a full queue (and for an
+/// empty bucket that never refills), cycles.
+const RETRY_BACKOFF: u64 = 64;
+
+/// Configuration of the edge ingress layer: what the overload sweep
+/// varies. The queue bound, burst capacity, backpressure threshold and
+/// retry backoff are the constants above.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct IngressConfig {
-    /// Bound on each edge's ingress queue (entries). Never exceeded.
-    pub queue_cap: usize,
     /// An admitted arrival still queued after this many cycles is shed.
     pub shed_timeout: u64,
     /// Enables the token-bucket admission controller. With admission off
@@ -48,25 +62,14 @@ pub struct IngressConfig {
     /// Token-bucket refill rate: whole tokens granted per 1024 cycles
     /// (i.e. `rate * 1024` for a per-cycle admission rate `rate`).
     pub tokens_per_kilocycle: u64,
-    /// Token-bucket burst capacity, in whole tokens.
-    pub bucket_cap: u64,
-    /// Release an arrival into the edge NI only while the NI's backlog is
-    /// below this many packets (explicit backpressure).
-    pub backpressure_threshold: usize,
-    /// Retry-after told to clients rejected for a full queue, cycles.
-    pub retry_backoff: u64,
 }
 
 impl Default for IngressConfig {
     fn default() -> Self {
         Self {
-            queue_cap: 32,
             shed_timeout: 2_000,
             admission: true,
             tokens_per_kilocycle: 256, // 0.25 admits/cycle/edge
-            bucket_cap: 16,
-            backpressure_threshold: 8,
-            retry_backoff: 64,
         }
     }
 }
@@ -225,9 +228,9 @@ impl IngressState {
     pub(crate) fn new(cfg: IngressConfig, nodes: Vec<NodeId>) -> Self {
         let full = EdgeIngress {
             queue: VecDeque::new(),
-            // Start full so a cold-start burst up to `bucket_cap` is
+            // Start full so a cold-start burst up to `BUCKET_CAP` is
             // admitted rather than spuriously rejected at cycle 0.
-            tokens: cfg.bucket_cap * TOKEN_SCALE,
+            tokens: BUCKET_CAP * TOKEN_SCALE,
         };
         Self {
             cfg,
@@ -266,7 +269,7 @@ impl IngressState {
             // when refill is off).
             let deficit = TOKEN_SCALE - e.tokens;
             let retry_after = if cfg.tokens_per_kilocycle == 0 {
-                cfg.retry_backoff
+                RETRY_BACKOFF
             } else {
                 deficit.div_ceil(cfg.tokens_per_kilocycle).max(1)
             };
@@ -275,11 +278,11 @@ impl IngressState {
                 retry_after,
             };
         }
-        if e.queue.len() >= cfg.queue_cap {
+        if e.queue.len() >= QUEUE_CAP {
             self.state.report.rejected_queue_full += 1;
             return Admission::Rejected {
                 reason: RejectReason::QueueFull,
-                retry_after: cfg.retry_backoff.max(1),
+                retry_after: RETRY_BACKOFF,
             };
         }
         if cfg.admission {
@@ -312,7 +315,7 @@ impl IngressState {
         let cfg = self.cfg;
         for (i, (e, &node)) in self.state.edges.iter_mut().zip(&self.nodes).enumerate() {
             if cfg.admission {
-                e.tokens = (e.tokens + cfg.tokens_per_kilocycle).min(cfg.bucket_cap * TOKEN_SCALE);
+                e.tokens = (e.tokens + cfg.tokens_per_kilocycle).min(BUCKET_CAP * TOKEN_SCALE);
             }
             while let Some(head) = e.queue.front() {
                 let waited = now.saturating_sub(head.arrived_at);
@@ -324,7 +327,7 @@ impl IngressState {
                 self.state.report.queued -= 1;
                 shed.push(ShedArrival { edge: node, waited });
             }
-            if backlogs[i] < cfg.backpressure_threshold {
+            if backlogs[i] < BACKPRESSURE_THRESHOLD {
                 if let Some(head) = e.queue.pop_front() {
                     self.state.report.released += 1;
                     self.state.report.queued -= 1;
@@ -360,15 +363,13 @@ rcsim_core::stateful!(IngressState => State);
 mod tests {
     use super::*;
 
+    /// Admission at one token per cycle; queued heads go stale after 100
+    /// cycles.
     fn cfg() -> IngressConfig {
         IngressConfig {
-            queue_cap: 4,
             shed_timeout: 100,
             admission: true,
-            tokens_per_kilocycle: TOKEN_SCALE, // 1 token/cycle
-            bucket_cap: 2,
-            backpressure_threshold: 4,
-            retry_backoff: 16,
+            tokens_per_kilocycle: TOKEN_SCALE,
         }
     }
 
@@ -379,16 +380,15 @@ mod tests {
     #[test]
     fn bucket_bounds_burst_admits() {
         let mut s = IngressState::new(cfg(), vec![node(0)]);
-        // bucket_cap = 2 tokens, no refill yet: third offer bounces.
-        assert!(matches!(
-            s.offer(0, node(0), node(5), 1),
-            Admission::Admitted { depth: 1 }
-        ));
-        assert!(matches!(
-            s.offer(0, node(0), node(5), 2),
-            Admission::Admitted { depth: 2 }
-        ));
-        match s.offer(0, node(0), node(5), 3) {
+        // A full bucket and no refill yet: the offer past the burst
+        // capacity bounces.
+        for b in 0..BUCKET_CAP {
+            assert!(matches!(
+                s.offer(0, node(0), node(5), b),
+                Admission::Admitted { depth } if u64::from(depth) == b + 1
+            ));
+        }
+        match s.offer(0, node(0), node(5), BUCKET_CAP) {
             Admission::Rejected {
                 reason: RejectReason::NoToken,
                 retry_after,
@@ -403,14 +403,22 @@ mod tests {
         let mut c = cfg();
         c.admission = false; // isolate the queue bound
         let mut s = IngressState::new(c, vec![node(0)]);
-        for b in 0..10u64 {
+        let offers = QUEUE_CAP as u64 + 6;
+        for b in 0..offers {
             s.offer(0, node(0), node(5), b);
         }
+        match s.offer(0, node(0), node(5), offers) {
+            Admission::Rejected {
+                reason: RejectReason::QueueFull,
+                retry_after,
+            } => assert_eq!(retry_after, RETRY_BACKOFF),
+            other => panic!("expected QueueFull reject, got {other:?}"),
+        }
         let r = s.report();
-        assert_eq!(r.admitted, 4);
-        assert_eq!(r.rejected_queue_full, 6);
-        assert_eq!(r.queued, 4);
-        assert_eq!(r.depth_high_water, 4);
+        assert_eq!(r.admitted, QUEUE_CAP as u64);
+        assert_eq!(r.rejected_queue_full, 7);
+        assert_eq!(r.queued, QUEUE_CAP as u64);
+        assert_eq!(r.depth_high_water as usize, QUEUE_CAP);
         assert_eq!(r.unaccounted(), 0);
     }
 
@@ -422,13 +430,13 @@ mod tests {
         s.offer(0, node(0), node(5), 10);
         s.offer(0, node(0), node(6), 11);
         let (mut rel, mut shed) = (Vec::new(), Vec::new());
-        s.drain(1, &[0], &mut rel, &mut shed);
+        s.drain(1, &[BACKPRESSURE_THRESHOLD - 1], &mut rel, &mut shed);
         assert_eq!(rel.len(), 1);
         assert_eq!(rel[0].block, 10);
         assert_eq!(rel[0].waited, 1);
         // NI congested: nothing released.
         rel.clear();
-        s.drain(2, &[4], &mut rel, &mut shed);
+        s.drain(2, &[BACKPRESSURE_THRESHOLD], &mut rel, &mut shed);
         assert!(rel.is_empty());
         assert_eq!(s.queued(), 1);
         assert!(shed.is_empty());
@@ -445,7 +453,7 @@ mod tests {
         let (mut rel, mut shed) = (Vec::new(), Vec::new());
         // Past the shed timeout with the NI congested the whole time:
         // both entries go out the shed path, explicitly.
-        s.drain(150, &[4], &mut rel, &mut shed);
+        s.drain(150, &[BACKPRESSURE_THRESHOLD], &mut rel, &mut shed);
         assert!(rel.is_empty());
         assert_eq!(shed.len(), 2);
         assert_eq!(shed[0].waited, 150);
@@ -459,23 +467,24 @@ mod tests {
     fn tokens_refill_over_time() {
         let mut c = cfg();
         c.tokens_per_kilocycle = TOKEN_SCALE / 4; // 0.25/cycle
-        c.bucket_cap = 1;
         let mut s = IngressState::new(c, vec![node(0)]);
-        assert!(matches!(
-            s.offer(0, node(0), node(5), 1),
-            Admission::Admitted { .. }
-        ));
-        let reject = s.offer(0, node(0), node(5), 2);
+        for b in 0..BUCKET_CAP {
+            assert!(matches!(
+                s.offer(0, node(0), node(5), b),
+                Admission::Admitted { .. }
+            ));
+        }
+        let reject = s.offer(0, node(0), node(5), BUCKET_CAP);
         match reject {
             Admission::Rejected { retry_after, .. } => assert_eq!(retry_after, 4),
             other => panic!("expected reject, got {other:?}"),
         }
         let (mut rel, mut shed) = (Vec::new(), Vec::new());
         for t in 1..=4 {
-            s.drain(t, &[0], &mut rel, &mut shed);
+            s.drain(t, &[BACKPRESSURE_THRESHOLD], &mut rel, &mut shed);
         }
         assert!(matches!(
-            s.offer(5, node(0), node(5), 3),
+            s.offer(5, node(0), node(5), BUCKET_CAP + 1),
             Admission::Admitted { .. }
         ));
     }

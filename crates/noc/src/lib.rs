@@ -63,10 +63,10 @@ pub use fault::{DeadLinkEvent, DeadRouterEvent, FaultConfig, FaultStats, StuckPo
 pub use flit::{Delivered, Flit, FlitKind, PacketId, PacketSpec};
 pub use health::{
     AdaptiveReport, DeadlockReport, DeadlockResource, HealthReport, LeakedCircuit, StuckMessage,
-    WatchdogConfig,
+    MAX_REPORT_ENTRIES, STALL_WINDOW,
 };
 pub use ingress::{
-    Admission, IngressConfig, OverloadReport, RejectReason, ReleasedArrival, ShedArrival,
+    Admission, IngressConfig, OverloadReport, RejectReason, ReleasedArrival, ShedArrival, QUEUE_CAP,
 };
 pub use network::{Network, NetworkSnapshot, NetworkTelemetry};
 pub use stats::{CircuitOutcome, MessageGroup, NocStats};

@@ -8,7 +8,8 @@ use crate::credit::CreditWires;
 use crate::fault::{self, FaultConfig, FaultState, FaultStats};
 use crate::flit::{Delivered, Flit, Packet, PacketId, PacketSpec, Packets};
 use crate::health::{
-    AdaptiveReport, DeadlockReport, HealthReport, LeakedCircuit, StuckMessage, WatchdogConfig,
+    AdaptiveReport, DeadlockReport, HealthReport, LeakedCircuit, StuckMessage, LEAK_AGE,
+    MAX_REPORT_ENTRIES, STALL_WINDOW,
 };
 use crate::ingress::{
     self, Admission, IngressConfig, IngressState, OverloadReport, ReleasedArrival, ShedArrival,
@@ -113,7 +114,6 @@ pub struct Network {
     neighbors: Vec<[Option<NodeId>; PORT_LOCAL]>,
     /// Scheduled permanent-fault transitions, sorted by cycle.
     fault_schedule: Vec<(Cycle, TopoChange)>,
-    watchdog: WatchdogConfig,
     /// The benchmark's stub (see [`KernelMode`]).
     kernel: KernelMode,
     /// Where trace events go; [`TraceSink::Disabled`] by default.
@@ -225,7 +225,6 @@ impl Network {
                 .map(|id| std::array::from_fn(|port| cfg.topology.neighbor(id, port)))
                 .collect(),
             fault_schedule,
-            watchdog: WatchdogConfig::default(),
             kernel: KernelMode::Event,
             sink: TraceSink::default(),
             routers: cfg
@@ -281,18 +280,11 @@ impl Network {
     }
 
     /// The congestion map's one writer, for an adaptive policy stepped
-    /// beside the network (DESIGN.md §14): arms its features (`detour`s,
-    /// `suppress`ed circuits; wiring, armed at install with an empty range)
-    /// and marks `routers` hot or calm, cooling bumping the era to stale
-    /// detours recorded through them. No NI needs the worklist for it.
-    pub fn set_congestion(
-        &mut self,
-        detour: bool,
-        suppress: bool,
-        routers: Range<usize>,
-        hot: bool,
-    ) {
-        self.congestion.set_features(detour, suppress);
+    /// beside the network (DESIGN.md §14): marks `routers` hot or calm,
+    /// cooling bumping the era to stale detours recorded through them.
+    /// While any router is hot, NIs detour around hot routers and skip
+    /// circuits whose reply path crosses one. No NI needs the worklist for it.
+    pub fn set_congestion(&mut self, routers: Range<usize>, hot: bool) {
         for r in routers {
             self.congestion.set_hot(r, hot);
         }
@@ -330,16 +322,6 @@ impl Network {
             buffered_flits: routers.iter().map(|r| r.buffered_flits() as u64).sum(),
             ni_backlog: self.nis[tiles].iter().map(|ni| ni.backlog() as u64).sum(),
         }
-    }
-
-    /// Replaces the watchdog thresholds.
-    pub fn set_watchdog(&mut self, watchdog: WatchdogConfig) {
-        self.watchdog = watchdog;
-    }
-
-    /// The active watchdog thresholds.
-    pub fn watchdog(&self) -> &WatchdogConfig {
-        &self.watchdog
     }
 
     /// Installs the open-loop ingress layer at `edges` (bounded queues,
@@ -1063,11 +1045,11 @@ impl Network {
     }
 
     /// `true` when packets are in flight but no flit has moved for at
-    /// least the watchdog's stall window — a deadlock (e.g. lost credits)
+    /// least [`STALL_WINDOW`] cycles — a deadlock (e.g. lost credits)
     /// or total livelock.
     pub fn stalled(&self) -> bool {
         self.state.packets.in_flight() > 0
-            && self.state.now.saturating_sub(self.state.last_progress) >= self.watchdog.stall_window
+            && self.state.now.saturating_sub(self.state.last_progress) >= STALL_WINDOW
     }
 
     /// The fault-injection counters (all zero when faults are disabled).
@@ -1253,16 +1235,16 @@ impl Network {
             .collect();
         msgs.sort_by_key(|m| (std::cmp::Reverse(m.age), m.packet));
         let oldest_age = msgs.first().map(|m| m.age);
-        msgs.truncate(self.watchdog.max_report_entries);
+        msgs.truncate(MAX_REPORT_ENTRIES);
 
         let mut leaked = Vec::new();
         'scan: for (i, r) in self.routers.iter().enumerate() {
             for (in_port, e, age) in r
                 .state
                 .circuits
-                .stale_entries(self.state.now.saturating_sub(1), self.watchdog.leak_age)
+                .stale_entries(self.state.now.saturating_sub(1), LEAK_AGE)
             {
-                if leaked.len() >= self.watchdog.max_report_entries {
+                if leaked.len() >= MAX_REPORT_ENTRIES {
                     break 'scan;
                 }
                 leaked.push(LeakedCircuit {
@@ -1276,9 +1258,9 @@ impl Network {
         }
 
         let mut dead_links = self.state.topo.dead_links_sorted();
-        dead_links.truncate(self.watchdog.max_report_entries);
+        dead_links.truncate(MAX_REPORT_ENTRIES);
         let mut dead_routers = self.state.topo.dead_routers_sorted();
-        dead_routers.truncate(self.watchdog.max_report_entries);
+        dead_routers.truncate(MAX_REPORT_ENTRIES);
 
         HealthReport {
             cycle: self.state.now,
@@ -1325,7 +1307,7 @@ impl Network {
             &self.cfg.topology,
             self.cfg.vc_layout().total(),
             &waiters,
-            self.watchdog.max_report_entries,
+            MAX_REPORT_ENTRIES,
         )
     }
 

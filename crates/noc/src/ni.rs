@@ -421,7 +421,7 @@ impl Ni {
     /// Baseline-equivalent packet switching (no timed window to miss, no
     /// undo traffic when it inevitably would).
     fn mech_switch_suppresses(&mut self, spec: &PacketSpec, cong: &CongestionMap) -> bool {
-        if !cong.suppress_active() {
+        if !cong.any_hot() {
             return false;
         }
         let reply = self.topology.route_path(spec.dst, spec.src, Routing::Yx);
@@ -752,7 +752,7 @@ impl Ni {
                 },
             });
             p.path = None;
-            if (topo.is_degraded() || cong.detour_active()) && p.dst != self.node {
+            if (topo.is_degraded() || cong.any_hot()) && p.dst != self.node {
                 p.path = self.plan_detour(p, now, topo, cong, out);
             }
         }
@@ -783,7 +783,7 @@ impl Ni {
             .topology
             .route_path(self.node, p.dst, Routing::for_vnet(p.vnet));
         let dor_healthy = path_is_healthy(&dor, topo);
-        let dor_congested = cong.detour_active() && Self::path_is_congested(&dor, cong);
+        let dor_congested = cong.any_hot() && Self::path_is_congested(&dor, cong);
         if dor_healthy && !dor_congested {
             return None;
         }
@@ -802,14 +802,14 @@ impl Ni {
                         // congestion detours comply by construction
                         // (reverse of west-first); a reversed *fault*
                         // detour may not — those replies re-plan instead.
-                        && (!cong.detour_active() || self.path_obeys_east_last(r))
+                        && (!cong.any_hot() || self.path_obeys_east_last(r))
                 })
                 .map(|(_, r)| r)
         } else {
             None
         };
         let detour = recorded.or_else(|| {
-            if cong.detour_active() {
+            if cong.any_hot() {
                 // Prefer a route that is both healthy and clear of hot
                 // regions; when none exists, congestion alone is not
                 // worth stalling for — fall through.

@@ -7,6 +7,7 @@ use rcsim_core::circuit::CircuitKey;
 use rcsim_core::{MechanismConfig, MessageClass, NodeId, Topology};
 use rcsim_noc::{
     CircuitOutcome, DeadLinkEvent, DeadRouterEvent, FaultConfig, Network, NocConfig, PacketSpec,
+    MAX_REPORT_ENTRIES,
 };
 
 fn faulty_net(mechanism: MechanismConfig, faults: FaultConfig) -> Network {
@@ -273,8 +274,9 @@ fn reply_after_region_cools_ignores_stale_congestion_detour() {
     // request's 1 and the reply's latency matches a control.
     let mesh = Topology::mesh(4, 4).unwrap();
     let mut n = Network::new(NocConfig::paper_baseline(mesh, MechanismConfig::baseline())).unwrap();
-    // Row 0 (routers 0–3) hot, detours armed, as a policy would mark it.
-    n.set_congestion(true, false, 0..4, true);
+    // Row 0 (routers 0–3) hot, as a policy would mark it; no policy is
+    // installed.
+    n.set_congestion(0..4, true);
 
     // A request across the hot row detours around it (and node 3's NI
     // records the reversed route for the reply).
@@ -289,8 +291,8 @@ fn reply_after_region_cools_ignores_stale_congestion_detour() {
     // recorded path (through row 1) up, and every fresh route from node 3
     // crosses a hot router, so only the era keeps the reply off the stale
     // detour.
-    n.set_congestion(true, false, 0..4, false);
-    n.set_congestion(true, false, 0..8, true);
+    n.set_congestion(0..4, false);
+    n.set_congestion(0..8, true);
 
     let control_key = CircuitKey {
         requestor: NodeId(0),
@@ -393,10 +395,14 @@ fn retry_exhaustion_conserves_every_packet() {
 
 #[test]
 fn health_report_caps_degraded_topology_lists() {
-    // max_report_entries caps every list in the report, including the
-    // dead-link and dead-router inventories of a badly degraded chip.
+    // MAX_REPORT_ENTRIES caps every list in the report, including the
+    // dead-link and dead-router inventories of a badly degraded chip:
+    // ten of each on an 8×8 mesh, listed as their first eight.
     let mut f = FaultConfig::none();
-    for (a, b) in [(5u16, 6u16), (9, 10), (6, 7), (10, 11)] {
+    let links: Vec<(u16, u16)> = (1..6u16)
+        .flat_map(|row| [(row * 8 + 1, row * 8 + 2), (row * 8 + 4, row * 8 + 5)])
+        .collect();
+    for &(a, b) in &links {
         f.dead_links.push(DeadLinkEvent {
             a: NodeId(a),
             b: NodeId(b),
@@ -404,25 +410,46 @@ fn health_report_caps_degraded_topology_lists() {
             duration: None,
         });
     }
-    for r in [0u16, 3, 12] {
+    let routers: Vec<u16> = (54..64).collect();
+    for &r in &routers {
         f.dead_routers.push(DeadRouterEvent {
             node: NodeId(r),
             at: 0,
             duration: None,
         });
     }
-    let mut n = faulty_net(MechanismConfig::baseline(), f);
-    let mut wd = *n.watchdog();
-    wd.max_report_entries = 2;
-    n.set_watchdog(wd);
+    let mesh = Topology::mesh(8, 8).unwrap();
+    let mut n = Network::with_faults(
+        NocConfig::paper_baseline(mesh, MechanismConfig::baseline()),
+        f,
+    )
+    .unwrap();
     run(&mut n, 10);
     let h = n.health();
-    assert_eq!(h.dead_links.len(), 2, "dead-link list must be capped");
-    assert_eq!(h.dead_routers.len(), 2, "dead-router list must be capped");
-    // The caps are presentational only: the counters still see all faults.
+    assert!(links.len() > MAX_REPORT_ENTRIES && routers.len() > MAX_REPORT_ENTRIES);
     assert_eq!(
-        h.dead_links,
-        vec![(NodeId(5), NodeId(6)), (NodeId(6), NodeId(7))]
+        h.dead_links.len(),
+        MAX_REPORT_ENTRIES,
+        "dead-link list must be capped"
     );
-    assert_eq!(h.dead_routers, vec![NodeId(0), NodeId(3)]);
+    assert_eq!(
+        h.dead_routers.len(),
+        MAX_REPORT_ENTRIES,
+        "dead-router list must be capped"
+    );
+    // The caps are presentational only: the lists are the sorted heads.
+    let first = |v: &[(u16, u16)]| -> Vec<(NodeId, NodeId)> {
+        v.iter()
+            .take(MAX_REPORT_ENTRIES)
+            .map(|&(a, b)| (NodeId(a), NodeId(b)))
+            .collect()
+    };
+    assert_eq!(h.dead_links, first(&links));
+    assert_eq!(
+        h.dead_routers,
+        routers[..MAX_REPORT_ENTRIES]
+            .iter()
+            .map(|&r| NodeId(r))
+            .collect::<Vec<_>>()
+    );
 }

@@ -5,7 +5,7 @@
 
 use rcsim_core::circuit::CircuitKey;
 use rcsim_core::{MechanismConfig, MessageClass, NodeId, Topology};
-use rcsim_noc::{CircuitOutcome, FaultConfig, Network, NocConfig, PacketSpec, WatchdogConfig};
+use rcsim_noc::{CircuitOutcome, FaultConfig, Network, NocConfig, PacketSpec, STALL_WINDOW};
 
 fn cfg(mechanism: MechanismConfig) -> NocConfig {
     NocConfig::paper_baseline(Topology::mesh(4, 4).expect("valid"), mechanism)
@@ -21,11 +21,7 @@ fn credit_loss_deadlock_is_detected_within_window() {
         ..FaultConfig::none()
     };
     let mut net = Network::with_faults(cfg(MechanismConfig::baseline()), faults).expect("valid");
-    let window = 200;
-    net.set_watchdog(WatchdogConfig {
-        stall_window: window,
-        ..WatchdogConfig::default()
-    });
+    let window = STALL_WINDOW;
 
     // Enough multi-hop traffic to exhaust the never-returned credits:
     // each 5-flit reply eats a full VC's credits on every link it

@@ -31,18 +31,10 @@ pub struct ProtocolConfig {
     /// cycles, i.e. exponential backoff.
     #[serde(default = "default_reissue_timeout")]
     pub reissue_timeout: Cycle,
-    /// Reissues attempted per miss before the L1 gives up and leaves the
-    /// wedge to the watchdog. `0` disables reissue entirely.
-    #[serde(default = "default_max_reissues")]
-    pub max_reissues: u32,
 }
 
 fn default_reissue_timeout() -> Cycle {
     50_000
-}
-
-fn default_max_reissues() -> u32 {
-    3
 }
 
 impl ProtocolConfig {
@@ -60,7 +52,6 @@ impl ProtocolConfig {
             undo_on_l2_miss: false,
             mc_tiles: topology.memory_controller_tiles(),
             reissue_timeout: default_reissue_timeout(),
-            max_reissues: default_max_reissues(),
         }
     }
 

@@ -9,6 +9,10 @@ use rcsim_core::{Cycle, MessageClass, NodeId, StateMap, Topology};
 use rcsim_trace::{EventKind, TraceEvent, TraceSink};
 use serde::{Deserialize, Serialize};
 
+/// Reissues attempted per miss before the L1 gives up and leaves the
+/// wedge to the watchdog.
+const MAX_REISSUES: u32 = 3;
+
 /// MESI stable states (`I` is represented by absence).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 enum L1State {
@@ -154,7 +158,7 @@ impl L1Cache {
 
     /// When reissue `reissues + 1` of a miss issued at `issued_at` is due.
     fn next_reissue(&self, issued_at: Cycle, reissues: u32) -> Cycle {
-        if reissues >= self.cfg.max_reissues {
+        if reissues >= MAX_REISSUES {
             return Cycle::MAX;
         }
         let wait = self.cfg.reissue_timeout.checked_shl(reissues);
@@ -242,7 +246,7 @@ impl L1Cache {
     /// (1-based) fires once `reissue_timeout << (n-1)` cycles have passed
     /// since the miss was issued — exponential backoff so a genuinely
     /// wedged protocol does not flood the fabric. After
-    /// [`ProtocolConfig::max_reissues`] attempts the L1 goes quiet and the
+    /// `MAX_REISSUES` (3) attempts the L1 goes quiet and the
     /// watchdog reports the stuck miss instead.
     ///
     /// Cheap no-op (one `Option` check) when no miss is outstanding, so
@@ -655,7 +659,7 @@ mod tests {
         assert_eq!(p.sent.len(), 3);
         c.maybe_reissue(4 * t, &mut p);
         assert_eq!(p.sent.len(), 4);
-        // max_reissues (3) exhausted: the L1 goes quiet.
+        // MAX_REISSUES (3) exhausted: the L1 goes quiet.
         c.maybe_reissue(400 * t, &mut p);
         assert_eq!(p.sent.len(), 4);
         assert_eq!(c.stats().reissues, 3);

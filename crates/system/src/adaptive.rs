@@ -21,8 +21,8 @@ pub struct Adaptive {
 }
 
 impl Adaptive {
-    /// Installs the policy on `net`, arming the congestion map's features.
-    /// Decisions fall on `t = k · decision_epoch`, `k ≥ 1`, of `net`'s clock.
+    /// Installs the policy on `net`. Decisions fall on
+    /// `t = k · decision_epoch`, `k ≥ 1`, of `net`'s clock.
     ///
     /// # Errors
     ///
@@ -35,7 +35,6 @@ impl Adaptive {
         cfg.validate()?;
         assert_eq!(net.now(), 0, "the adaptive policy is installed at cycle 0");
         let plan = RegionPlan::new(&net.config().topology, cfg.regions);
-        net.set_congestion(cfg.detour, cfg.mech_switch, 0..0, true);
         Ok(Adaptive {
             controller: PolicyController::new(cfg, plan.regions()),
             plan,
@@ -46,8 +45,8 @@ impl Adaptive {
     /// One cycle, right before [`Network::tick`] and after this cycle's
     /// injections: on a decision epoch, runs the controller on fresh
     /// samples and applies each switch — a trace event, the region's hot
-    /// flags and, for one turning hot under `mech_switch`, the teardown of
-    /// the circuits across it.
+    /// flags and, for one turning hot, the teardown of the circuits across
+    /// it.
     pub fn step(&mut self, net: &mut Network, sink: &TraceSink) {
         let (now, cfg) = (net.now(), *self.controller.config());
         if now == 0 || !now.is_multiple_of(cfg.decision_epoch) {
@@ -69,18 +68,11 @@ impl Adaptive {
             });
             if hot {
                 self.counters.hot_switches += 1;
-                if cfg.mech_switch {
-                    newly_hot.push(d.region);
-                }
+                newly_hot.push(d.region);
             } else {
                 self.counters.calm_switches += 1;
             }
-            // With neither feature armed, hot flags do nothing and cooling
-            // must not bump the era.
-            if cfg.detour || cfg.mech_switch {
-                let routers = self.plan.router_range(d.region);
-                net.set_congestion(cfg.detour, cfg.mech_switch, routers, hot);
-            }
+            net.set_congestion(self.plan.router_range(d.region), hot);
         }
         if !newly_hot.is_empty() {
             let plan = &self.plan;

@@ -14,7 +14,7 @@ use rcsim_core::{
 };
 use rcsim_noc::{
     AdaptiveReport, CircuitOutcome, FaultConfig, HealthReport, Network, NetworkSnapshot, NocConfig,
-    NocStats, PacketSpec, WatchdogConfig,
+    NocStats, PacketSpec,
 };
 use rcsim_protocol::{
     Access, L1Cache, L1CacheState, L2Bank, L2BankState, MemoryController, MemoryState, Msg, Port,
@@ -212,12 +212,11 @@ impl Chip {
             proto_cfg,
             workload,
             FaultConfig::none(),
-            WatchdogConfig::default(),
         )
     }
 
-    /// Assembles a chip with a fault-injection configuration and watchdog
-    /// thresholds. `FaultConfig::none()` is exactly [`Chip::new`].
+    /// Assembles a chip with a fault-injection configuration.
+    /// `FaultConfig::none()` is exactly [`Chip::new`].
     ///
     /// # Errors
     ///
@@ -228,14 +227,12 @@ impl Chip {
         mut proto_cfg: ProtocolConfig,
         workload: &Workload,
         faults: FaultConfig,
-        watchdog: WatchdogConfig,
     ) -> Result<Self, rcsim_core::ConfigError> {
         mechanism.validate()?;
         assert_eq!(workload.cores(), topology.nodes(), "one thread per core");
         proto_cfg.eliminate_acks = mechanism.eliminate_acks;
         proto_cfg.undo_on_l2_miss = mechanism.undo_on_l2_miss;
-        let mut net = Network::with_faults(NocConfig::paper_baseline(topology, mechanism), faults)?;
-        net.set_watchdog(watchdog);
+        let net = Network::with_faults(NocConfig::paper_baseline(topology, mechanism), faults)?;
         let cores = (0..topology.nodes())
             .map(|i| Core::new(i as u16, workload.core_trace(i)))
             .collect();
@@ -298,13 +295,21 @@ impl Chip {
     /// [`Topology::edge_nodes`]) and seeds one arrival stream per edge
     /// node. Every other tile serves external requests. Call before the
     /// first [`Chip::tick`].
-    pub fn enable_open_loop(&mut self, cfg: OpenLoopConfig, seed: u64) {
+    ///
+    /// # Errors
+    ///
+    /// [`ConfigError::NoServerTiles`] when every tile is an edge tile (a
+    /// grid one router wide), leaving none to serve.
+    pub fn enable_open_loop(&mut self, cfg: OpenLoopConfig, seed: u64) -> Result<(), ConfigError> {
         let edges = self.topology.edge_nodes();
         let servers: Vec<NodeId> = self
             .topology
             .iter_tiles()
             .filter(|n| !edges.contains(n))
             .collect();
+        if servers.is_empty() {
+            return Err(ConfigError::NoServerTiles);
+        }
         self.open_loop = Some(Box::new(OpenLoopState::new(
             cfg,
             seed,
@@ -313,6 +318,7 @@ impl Chip {
             self.circuits_enabled,
             &mut self.net,
         )));
+        Ok(())
     }
 
     /// Turns on the adaptive runtime policy, stepped beside the network

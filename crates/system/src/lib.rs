@@ -43,11 +43,11 @@ pub use checkpoint::{run_sim_resumable, SessionSnapshot, SimSession, CHECKPOINT_
 pub use chip::{Chip, ChipSnapshot};
 pub use core_model::Core;
 pub use envelope::{config_hash, fnv1a_64, Envelope};
-pub use open_loop::OpenLoopConfig;
+pub use open_loop::{OpenLoopConfig, SLO};
 pub use rcsim_core::{AdaptiveConfig, KernelMode};
 pub use rcsim_noc::{
     DeadLinkEvent, DeadRouterEvent, FaultConfig, FaultStats, HealthReport, IngressConfig,
-    OverloadReport, StuckPortEvent, WatchdogConfig,
+    OverloadReport, StuckPortEvent, QUEUE_CAP,
 };
 pub use rcsim_workload::ArrivalProcess;
 pub use report::{ExternalSummary, LatencyRow, RunResult};

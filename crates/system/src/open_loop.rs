@@ -9,7 +9,7 @@
 //! admitted arrival becomes a 1-flit `L1Request`-class packet from its
 //! edge NI to a uniformly chosen interior server tile; the request
 //! reserves a circuit on its way (exactly like a coherence request), the
-//! server "computes" for [`OpenLoopConfig::service_time`] cycles, and the
+//! server "computes" for `SERVICE_TIME` cycles, and the
 //! 5-flit `L2Reply`-class response rides the circuit back to the edge.
 //! The transaction's end-to-end latency is measured from edge admission
 //! to reply delivery, so time spent queued at a congested ingress is part
@@ -46,25 +46,28 @@ const EXT_BLOCK_BASE: u64 = 0x4_0000_0000;
 /// Per-edge stride of the external block region.
 const EXT_BLOCK_STRIDE: u64 = 0x100_0000;
 
+/// Cycles a server tile "computes" between request delivery and reply
+/// injection.
+const SERVICE_TIME: u64 = 20;
+
+/// End-to-end latency SLO bound, cycles (admission → reply delivered);
+/// completions within it count toward goodput-in-SLO.
+pub const SLO: u64 = 1_000;
+
+/// How many times a rejected arrival re-offers (honouring each
+/// rejection's `retry_after`) before giving up.
+const MAX_CLIENT_RETRIES: u32 = 3;
+
 /// Configuration of the open-loop external-traffic layer (an optional
-/// part of `SimConfig`; `None` keeps runs purely closed-loop).
+/// part of `SimConfig`; `None` keeps runs purely closed-loop): what the
+/// overload sweep varies.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct OpenLoopConfig {
     /// The arrival process each west-edge node runs (identically
     /// parameterised, independently seeded).
     pub process: ArrivalProcess,
-    /// Edge ingress: queue bound, token-bucket admission, shed timeout,
-    /// backpressure threshold, retry backoff.
+    /// Edge ingress: token-bucket admission and shed timeout.
     pub ingress: IngressConfig,
-    /// Cycles a server tile "computes" between request delivery and
-    /// reply injection.
-    pub service_time: u64,
-    /// End-to-end latency SLO bound, cycles (admission → reply
-    /// delivered); completions within it count toward goodput-in-SLO.
-    pub slo: u64,
-    /// How many times a rejected arrival re-offers (honouring each
-    /// rejection's `retry_after`) before giving up.
-    pub max_client_retries: u32,
 }
 
 impl Default for OpenLoopConfig {
@@ -72,9 +75,6 @@ impl Default for OpenLoopConfig {
         Self {
             process: ArrivalProcess::Poisson { rate: 0.05 },
             ingress: IngressConfig::default(),
-            service_time: 20,
-            slo: 1_000,
-            max_client_retries: 3,
         }
     }
 }
@@ -126,7 +126,6 @@ struct PendingRetry {
 /// [`OpenLoopState::pre_net_tick`] every cycle (both kernels) and fed
 /// deliveries by [`OpenLoopState::on_delivered`].
 pub(crate) struct OpenLoopState {
-    cfg: OpenLoopConfig,
     edges: Vec<NodeId>,
     servers: Vec<NodeId>,
     circuits_enabled: bool,
@@ -175,13 +174,11 @@ impl OpenLoopState {
         circuits_enabled: bool,
         net: &mut Network,
     ) -> Self {
-        assert!(!servers.is_empty(), "open loop needs interior server tiles");
         net.configure_ingress(cfg.ingress, edges.clone());
         let streams = (0..edges.len())
             .map(|i| ArrivalStream::new(cfg.process, seed, i, edges.len()))
             .collect();
         Self {
-            cfg,
             edges,
             servers,
             circuits_enabled,
@@ -219,7 +216,7 @@ impl OpenLoopState {
         attempts: u32,
     ) {
         if let Admission::Rejected { retry_after, .. } = outcome {
-            if attempts > self.cfg.max_client_retries {
+            if attempts > MAX_CLIENT_RETRIES {
                 self.state.gave_up += 1;
             } else {
                 self.state.retries.push(PendingRetry {
@@ -309,7 +306,7 @@ impl OpenLoopState {
             let spec = PacketSpec::new(rel.edge, rel.dst, MessageClass::L1Request)
                 .with_block(rel.block)
                 .with_token(token)
-                .with_turnaround(self.cfg.service_time as u32);
+                .with_turnaround(SERVICE_TIME as u32);
             net.inject(spec);
             self.state.in_net.insert(
                 token,
@@ -334,7 +331,7 @@ impl OpenLoopState {
         {
             ExtPacket::Request { edge, arrived_at } => {
                 self.state.in_service.push(InService {
-                    due: now + self.cfg.service_time,
+                    due: now + SERVICE_TIME,
                     server: node,
                     edge,
                     block,
@@ -345,7 +342,7 @@ impl OpenLoopState {
                 self.state.completed += 1;
                 self.state.completed_measured += 1;
                 let lat = now.saturating_sub(arrived_at);
-                if lat <= self.cfg.slo {
+                if lat <= SLO {
                     self.state.completed_in_slo += 1;
                 }
                 self.state.latency.record(lat as f64);

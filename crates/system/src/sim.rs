@@ -3,7 +3,7 @@
 use crate::chip::Chip;
 use crate::report::RunResult;
 use rcsim_core::{AdaptiveConfig, KernelMode, MechanismConfig, TopologySpec};
-use rcsim_noc::{FaultConfig, HealthReport, WatchdogConfig};
+use rcsim_noc::{FaultConfig, HealthReport};
 use rcsim_power::{area_savings, EnergyModel};
 use rcsim_protocol::ProtocolConfig;
 use rcsim_trace::{LatencyBreakdown, MetricsRegistry, TraceEvent};
@@ -36,17 +36,11 @@ pub struct SimConfig {
     /// Fault injection (default: none — zero-perturbation).
     #[serde(default)]
     pub faults: FaultConfig,
-    /// Progress-watchdog thresholds.
-    #[serde(default)]
-    pub watchdog: WatchdogConfig,
     /// Override of [`ProtocolConfig`]'s L1 reissue timeout (`None` keeps
     /// the default). Short runs studying reissue recovery need a timeout
     /// that fits inside the measure window.
     #[serde(default)]
     pub reissue_timeout: Option<u64>,
-    /// Override of the L1 reissue budget (`None` keeps the default).
-    #[serde(default)]
-    pub max_reissues: Option<u32>,
     /// Open-loop external traffic at the west edge (`None` keeps the run
     /// purely closed-loop — the default, and bit-identical to builds
     /// before this field existed).
@@ -77,9 +71,7 @@ impl SimConfig {
             measure_cycles: 10_000,
             small_caches: true,
             faults: FaultConfig::none(),
-            watchdog: WatchdogConfig::default(),
             reissue_timeout: None,
-            max_reissues: None,
             open_loop: None,
             topology: TopologySpec::Mesh,
             adaptive: None,
@@ -219,20 +211,16 @@ pub(crate) fn build_chip(cfg: &SimConfig, kernel: KernelMode) -> Result<Chip, Si
     if let Some(t) = cfg.reissue_timeout {
         proto.reissue_timeout = t;
     }
-    if let Some(n) = cfg.max_reissues {
-        proto.max_reissues = n;
-    }
     let mut chip = Chip::with_faults(
         topology,
         cfg.mechanism,
         proto,
         &workload,
         cfg.faults.clone(),
-        cfg.watchdog,
     )?;
     chip.set_kernel(kernel);
     if let Some(ol) = &cfg.open_loop {
-        chip.enable_open_loop(ol.clone(), cfg.seed);
+        chip.enable_open_loop(ol.clone(), cfg.seed)?;
     }
     if let Some(ad) = cfg.adaptive {
         chip.enable_adaptive(ad)?;

@@ -43,8 +43,6 @@ fn aggressive() -> AdaptiveConfig {
         hot_enter: 96,
         hot_exit: 48,
         min_dwell: 80,
-        detour: true,
-        mech_switch: true,
     }
 }
 

@@ -91,8 +91,6 @@ fn adaptive(cores: u16) -> SimConfig {
             hot_enter: 96,
             hot_exit: 48,
             min_dwell: 80,
-            detour: true,
-            mech_switch: true,
         }),
         ..quick(cores, MechanismConfig::complete())
     }

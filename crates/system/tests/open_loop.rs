@@ -4,9 +4,10 @@
 //! builds every run checks the two worklist laws (DESIGN.md §9) with
 //! open-loop traffic on.
 
-use rcsim_core::MechanismConfig;
+use rcsim_core::{MechanismConfig, TopologySpec};
 use rcsim_system::{
-    run_sim, run_sim_traced, ArrivalProcess, OpenLoopConfig, RunResult, SimConfig, TraceConfig,
+    run_sim, run_sim_traced, ArrivalProcess, OpenLoopConfig, RunResult, SimConfig, SimError,
+    TraceConfig, QUEUE_CAP,
 };
 use rcsim_trace::EventKind;
 
@@ -38,8 +39,11 @@ fn assert_conserved(r: &RunResult, label: &str) {
          gave_up {} in_flight {})",
         e.offered, e.completed, e.shed, e.gave_up, e.in_flight
     );
-    let cap = r.health.overload.depth_high_water;
-    assert!(cap <= 32, "{label}: queue bound exceeded ({cap} > 32)");
+    let cap = r.health.overload.depth_high_water as usize;
+    assert!(
+        cap <= QUEUE_CAP,
+        "{label}: queue bound exceeded ({cap} > {QUEUE_CAP})"
+    );
 }
 
 #[test]
@@ -72,27 +76,26 @@ fn past_saturation_sheds_and_rejects_but_never_stalls() {
 
 #[test]
 fn bursty_overload_exercises_the_shed_path() {
-    // Backpressure that never clears (threshold 0): admitted arrivals can
-    // never be released into the NI, so each one must leave through the
-    // explicit shed path once it goes stale — never silently.
-    let mut cfg = overload_cfg(0.0, true);
+    // Bursts at 0.8 arrivals/cycle/edge with admission off keep the edge
+    // queues full, and congestion holds their release to about one
+    // arrival per five cycles: a full queue's tail waits well past a
+    // 100-cycle shed timeout, so heads go stale and must leave through
+    // the explicit shed path — never silently.
+    let mut cfg = overload_cfg(0.0, false);
     let ol = cfg.open_loop.as_mut().unwrap();
+    ol.ingress.shed_timeout = 100;
     ol.process = ArrivalProcess::Bursty {
         rate_on: 0.8,
         rate_off: 0.0,
         mean_on: 300,
         mean_off: 300,
     };
-    ol.ingress.backpressure_threshold = 0;
     let r = run_sim(&cfg).expect("bursty run");
     assert_conserved(&r, "bursty");
     assert!(
         r.external.shed > 0,
-        "a blocked drain must trip the shed timeout"
-    );
-    assert_eq!(
-        r.external.completed, 0,
-        "nothing can complete when the drain never releases"
+        "an overloaded drain must trip the shed timeout: {}",
+        r.health.overload
     );
 }
 
@@ -179,4 +182,25 @@ fn open_loop_works_on_rectangular_meshes() {
     cfg.measure_cycles = 1_500;
     let r = run_sim(&cfg).expect("rectangular-mesh run");
     assert_conserved(&r, "32-core mesh");
+}
+
+#[test]
+fn open_loop_without_server_tiles_is_a_config_error() {
+    // Every tile on the ingress edge leaves none to serve: one core, and
+    // four cores on one concentrated router.
+    let one = SimConfig {
+        open_loop: Some(OpenLoopConfig::poisson(0.05)),
+        ..SimConfig::quick(1, MechanismConfig::complete_noack(), "blackscholes")
+    };
+    let cmesh = SimConfig {
+        cores: 4,
+        ..one.clone()
+    }
+    .with_topology(TopologySpec::CMesh { concentration: 4 });
+    for (label, cfg) in [("1 core", one), ("cmesh 4/4", cmesh)] {
+        match run_sim(&cfg) {
+            Err(SimError::Config(_)) => {}
+            other => panic!("{label}: expected a configuration error, got {other:?}"),
+        }
+    }
 }

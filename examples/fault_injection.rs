@@ -8,7 +8,8 @@
 //!    (`fault_degraded`) and dropped packets are retransmitted end-to-end;
 //! 3. a wedged fabric — total credit loss deadlocks the mesh, and the
 //!    progress watchdog turns the hang into `SimError::Stalled` with a
-//!    diagnostic `HealthReport`.
+//!    diagnostic `HealthReport` once no flit has moved for
+//!    `STALL_WINDOW` (1 000) cycles.
 //!
 //! Run with: `cargo run --release --example fault_injection [drop_rate]`
 //! (`drop_rate` defaults to 0.001; crank it up to watch `fault_degraded`
@@ -54,10 +55,6 @@ fn main() {
     wedged.faults = FaultConfig {
         credit_loss_rate: 1.0, // every credit vanishes: guaranteed deadlock
         ..FaultConfig::none()
-    };
-    wedged.watchdog = WatchdogConfig {
-        stall_window: 500,
-        ..WatchdogConfig::default()
     };
     match run_sim(&wedged) {
         Ok(_) => eprintln!("wedged fabric: unexpectedly completed"),

@@ -7,6 +7,7 @@
 //! ```
 
 use reactive_circuits::prelude::*;
+use reactive_circuits::system::{QUEUE_CAP, SLO};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Bursty on/off arrivals: 0.6 arrivals/cycle/edge while bursting —
@@ -18,18 +19,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             mean_on: 400,
             mean_off: 800,
         },
+        // Admit ≤ 0.25/cycle/edge (short bursts pass through a 16-token
+        // bucket) into 32-deep edge queues; shed what waits 1 500 cycles.
         ingress: IngressConfig {
-            queue_cap: 32,
             shed_timeout: 1_500,
             admission: true,
-            tokens_per_kilocycle: 256, // admit ≤ 0.25/cycle/edge
-            bucket_cap: 16,            // ...but let short bursts through
-            backpressure_threshold: 8,
-            retry_backoff: 64,
+            tokens_per_kilocycle: 256,
         },
-        service_time: 20,
-        slo: 1_000,
-        max_client_retries: 3,
     };
 
     let cfg = SimConfig {
@@ -50,7 +46,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!(
         "  completed      {:>8}   ({} within the {}-cycle SLO, measured window)",
-        e.completed, e.completed_in_slo, 1_000
+        e.completed, e.completed_in_slo, SLO
     );
     println!(
         "  rejected       {:>8}   (typed refusals with retry-after)",
@@ -80,7 +76,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert!(!r.health.stalled, "fabric stalled under overload");
     println!("\nconservation: offered == completed + shed + gave_up + in_flight  ✓");
     println!(
-        "no stall, queues bounded (high-water {} ≤ cap 32)  ✓",
+        "no stall, queues bounded (high-water {} ≤ cap {QUEUE_CAP})  ✓",
         r.health.overload.depth_high_water
     );
     Ok(())

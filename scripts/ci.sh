@@ -173,6 +173,27 @@ named=$(find crates/power/src -name '*.rs' -print0 | xargs -0 awk \
   || { echo "FAIL: a Table 4 parameter is settable or written down again outside rcsim_core::table4:"
        printf '%s\n' "$copies" "$numbers" "$named" | grep .; exit 1; }
 
+echo "==> config is what varies (DESIGN.md §10, §11, §14: a value no experiment sets is a constant beside its reader)"
+# Up to each file's test module, comments aside, no crate, example or the
+# root package brings a retired knob back: the watchdog's thresholds, its
+# config type and setter, the congestion map's feature switch, the L1
+# reissue budget, the open-loop service time, SLO and client retries, and
+# the ingress queue bound, burst capacity and backpressure threshold — as
+# a field, a binding or an access — nor a detour or mech_switch field of
+# AdaptiveConfig. FaultConfig's retry_backoff and max_retries stay.
+knobs='stall_window|leak_age|max_report_entries|max_reissues|service_time|slo|max_client_retries|queue_cap|bucket_cap|backpressure_threshold'
+retired=$(find crates/*/src src examples -name '*.rs' -print0 | xargs -0 awk \
+  -v names='(^|[^A-Za-z0-9_])(WatchdogConfig|set_watchdog|set_features)([^A-Za-z0-9_]|$)' \
+  -v fields="(^|[^A-Za-z0-9_])($knobs) *:([^:]|\$)|\\.($knobs)([^A-Za-z0-9_]|\$)" \
+  "$code"' $0 ~ names || $0 ~ fields { print FILENAME ":" FNR ": " $0 }')
+switches=$(find crates/*/src -name '*.rs' -print0 | xargs -0 awk "$code"'
+  /^pub struct AdaptiveConfig \{$/ { inside = 1 }
+  inside && /^}$/ { inside = 0 }
+  inside && /(^|[^A-Za-z0-9_])(detour|mech_switch) *:/ { print FILENAME ":" FNR ": " $0 }')
+[ -z "$retired$switches" ] \
+  || { echo "FAIL: a config value no experiment varies is settable again:"
+       printf '%s\n' "$retired" "$switches" | grep .; exit 1; }
+
 echo "==> cargo build --release"
 $CARGO build --release "$@"
 
@@ -372,9 +393,9 @@ if find "$ckpt_dir" -name '*.ckpt' | grep -q .; then
   echo "FAIL: completed sweep left checkpoints behind in $ckpt_dir"; exit 1
 fi
 mkdir -p "$ckpt_dir"
-# Every earlier version (v9, whose link calendars carried their window, is
-# the newest of them), with the checksum of its "{}": only the version
-# rejects it.
+# Every earlier version (v10, whose embedded config still carried the
+# watchdog and the reissue budget, is the newest of them), with the
+# checksum of its "{}": only the version rejects it.
 current=$(sed -n 's/^pub const CHECKPOINT_FORMAT_VERSION: u32 = \([0-9]*\);$/\1/p' crates/system/src/checkpoint.rs)
 for v in $(seq 0 $((${current:?CHECKPOINT_FORMAT_VERSION not found} - 1))); do
   stale="$ckpt_dir/stale_v$v.ckpt"; printf 'rcsim-checkpoint v%s 08f44b07b5901a25\n{}' "$v" > "$stale"

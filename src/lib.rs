@@ -51,7 +51,7 @@ pub mod prelude {
     };
     pub use rcsim_noc::{
         CircuitOutcome, FaultConfig, FaultStats, HealthReport, MessageGroup, Network, NocConfig,
-        PacketSpec, StuckPortEvent, WatchdogConfig,
+        PacketSpec, StuckPortEvent,
     };
     pub use rcsim_power::{area_savings, EnergyModel, RouterArea};
     pub use rcsim_stats::{geometric_mean, Accumulator};

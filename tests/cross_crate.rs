@@ -7,6 +7,7 @@ mod golden_rows;
 use golden_rows::{first_difference, row_lines};
 use rcsim_bench::{run_experiment, RunEnv, SweepRunner, EXPERIMENTS, KNOBS};
 use reactive_circuits::core::circuit::CircuitKey;
+use reactive_circuits::noc::STALL_WINDOW;
 use reactive_circuits::prelude::*;
 use reactive_circuits::system::{run_sim_traced, AdaptiveConfig, DeadLinkEvent, TraceConfig};
 use std::path::{Path, PathBuf};
@@ -268,10 +269,6 @@ fn wedged_cfg() -> SimConfig {
         credit_loss_rate: 1.0,
         ..FaultConfig::none()
     };
-    cfg.watchdog = WatchdogConfig {
-        stall_window: 300,
-        ..WatchdogConfig::default()
-    };
     cfg
 }
 
@@ -326,7 +323,7 @@ fn wedged_run_dumps_a_checkpoint_that_replays_the_stall() {
     assert_eq!(snap.config(), &cfg);
     let mut session = SimSession::resume(&snap, KernelMode::Event, 1).unwrap();
     if !session.chip().health().stalled {
-        let target = session.pos() + cfg.watchdog.stall_window;
+        let target = session.pos() + STALL_WINDOW;
         assert!(matches!(
             session.run_until(target),
             Err(SimError::Stalled { .. })
@@ -339,11 +336,10 @@ fn wedged_run_dumps_a_checkpoint_that_replays_the_stall() {
 
 #[test]
 fn fault_free_config_is_zero_perturbation() {
-    // The fault/watchdog layer defaults must not move a single number.
+    // The fault layer's default must not move a single number.
     let a = run_sim(&quick(MechanismConfig::complete_noack(), "fft")).unwrap();
     let mut cfg = quick(MechanismConfig::complete_noack(), "fft");
     cfg.faults = FaultConfig::none();
-    cfg.watchdog = WatchdogConfig::default();
     let b = run_sim(&cfg).unwrap();
     assert_eq!(a, b, "FaultConfig::none() must be bit-identical");
     assert!(a.health.healthy());
@@ -399,7 +395,6 @@ fn adaptive_run_skips_only_no_ops_and_traces_without_perturbing() {
         hot_enter: 96,
         hot_exit: 48,
         min_dwell: 80,
-        ..AdaptiveConfig::default()
     });
     let trace = TraceConfig {
         capacity: 1 << 20,
@@ -443,7 +438,6 @@ fn resumed_state_is_byte_identical() {
             hot_enter: 96,
             hot_exit: 48,
             min_dwell: 80,
-            ..AdaptiveConfig::default()
         }),
         ..differential_cfg()
     };
@@ -491,7 +485,6 @@ fn worklist_holds_every_outside_mutation_and_survives_a_resume() {
             hot_enter: 96,
             hot_exit: 48,
             min_dwell: 80,
-            ..AdaptiveConfig::default()
         }),
         ..differential_cfg()
     };
