@@ -862,9 +862,11 @@ impl Network {
     fn note_delivered(&mut self, slot: u32, d: &mut Delivered) -> u32 {
         let rec = &self.state.packets[slot];
         let (committed, retries) = (rec.committed, rec.retries);
+        // Empty without faults: then no key is hashed.
+        let faulted = &mut self.state.faulted_circuits;
         let key_faulted = rec
             .circuit_key
-            .is_some_and(|k| self.state.faulted_circuits.remove(&k));
+            .is_some_and(|k| !faulted.is_empty() && faulted.remove(&k));
         self.state.packets.close(slot);
         if committed && (retries > 0 || key_faulted) {
             self.state

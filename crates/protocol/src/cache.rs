@@ -43,11 +43,11 @@ impl CacheConfig {
 /// A set-associative array storing per-line metadata of type `M`, indexed
 /// by cache-line address.
 ///
-/// Everything sized by the modelled capacity is a flat, zero-allocated
-/// array of integers — untouched pages stay unmapped — and metadata
-/// exists only for resident lines, in a slab. The serialized form is the
-/// canonical sparse [`Image`]: equal contents give equal bytes whatever
-/// slots the slab handed out on the way there.
+/// What the modelled capacity sizes is three integers per set. Tags and
+/// slots exist only for sets that have held a line, one block of `ways`
+/// each, and metadata only for resident lines, in a slab. The serialized
+/// form is the canonical sparse [`Image`]: equal contents give equal
+/// bytes whatever blocks and slots were handed out on the way there.
 ///
 /// # Examples
 ///
@@ -72,10 +72,16 @@ pub struct CacheArray<M: Clone> {
     valid: Vec<u64>,
     /// Per set: the packed tree-PLRU word ([`plru`]).
     recency: Vec<u64>,
-    /// Per (set, way), at `set · ways + way`: the tag last written there —
-    /// stale once the way's valid bit is cleared, never read then.
+    /// Per set: 1 + the number of its way block, or 0 while the set has
+    /// never held a line. A set gets its block on its first fill and keeps
+    /// it when it empties, as it keeps its recency word.
+    way_block: Vec<u32>,
+    /// Way blocks of `ways` entries, in the order their sets first filled:
+    /// way `w` of block `b` is at `b · ways + w`. The tag last written
+    /// there — stale once the way's valid bit is cleared, never read then.
     tags: Vec<u64>,
-    /// Per (set, way): the slot of `lines` holding a valid way's metadata.
+    /// Per way of a block: the slot of `lines` holding a valid way's
+    /// metadata.
     slots: Vec<u32>,
     /// Metadata of the resident lines. Which slot a line got is history,
     /// not state: nothing observable depends on it and no image records it.
@@ -133,8 +139,9 @@ impl<M: Clone> CacheArray<M> {
             bank_bits: banks.is_power_of_two().then(|| banks.trailing_zeros()),
             valid: vec![0; sets],
             recency: vec![0; sets],
-            tags: vec![0; sets * ways],
-            slots: vec![0; sets * ways],
+            way_block: vec![0; sets],
+            tags: Vec::new(),
+            slots: Vec::new(),
             lines: Slab::default(),
         }
     }
@@ -179,14 +186,15 @@ impl<M: Clone> CacheArray<M> {
         self.join(high << self.set_bits | set as u64, bank)
     }
 
-    /// Where (set, way) sits in `tags` and `slots`.
+    /// Where (set, way) sits in `tags` and `slots`, for a set that has
+    /// held a line (one with a valid way always has).
     fn at(&self, set: usize, way: usize) -> usize {
-        set * self.cfg.ways + way
+        (self.way_block[set] as usize - 1) * self.cfg.ways + way
     }
 
-    /// The way of `set` holding `tag`. The valid mask is read before any
-    /// tag: an empty set costs no tag line (and never faults in a tag page
-    /// nothing wrote), and a cleared way's stale tag cannot match.
+    /// The way of `set` holding `tag`. The valid mask is read before
+    /// anything else: a miss on an empty set loads no other word, and a
+    /// cleared way's stale tag cannot match.
     fn way_of(&self, set: usize, tag: u64) -> Option<usize> {
         bits(self.valid[set]).find(|&w| self.tags[self.at(set, w)] == tag)
     }
@@ -208,8 +216,16 @@ impl<M: Clone> CacheArray<M> {
         self.lines.get_mut(slot).expect(RESIDENT)
     }
 
-    /// Makes the free `way` of `set` hold a line.
+    /// Makes the free `way` of `set` hold a line, giving the set its way
+    /// block if it has none yet.
     fn fill(&mut self, set: usize, way: usize, tag: u64, meta: M) {
+        if self.way_block[set] == 0 {
+            let end = self.tags.len() + self.cfg.ways;
+            self.tags.resize(end, 0);
+            self.slots.resize(end, 0);
+            // At most one block per set, and `new` caps sets at 2^31.
+            self.way_block[set] = (end / self.cfg.ways) as u32;
+        }
         let i = self.at(set, way);
         self.tags[i] = tag;
         self.slots[i] = self.lines.insert(meta);
@@ -559,12 +575,23 @@ mod tests {
         )
     }
 
+    /// Small arrays, whose every set soon holds a line, and half the time
+    /// an L2 bank's 1 024 × 16, where most sets never do — so round trips
+    /// rebuild arrays whose way blocks have gaps and another order.
     fn geometry() -> impl Strategy<Value = CacheConfig> {
-        (0usize..4, 0usize..3, 0usize..4).prop_map(|(w, s, i)| CacheConfig {
-            ways: [1, 2, 16, 64][w],
-            sets: [1, 4, 8][s],
-            interleave: [1, 16, 48, 64][i],
-        })
+        let interleave = |i: usize| [1, 16, 48, 64][i];
+        prop_oneof![
+            (0usize..4, 0usize..3, 0usize..4).prop_map(move |(w, s, i)| CacheConfig {
+                ways: [1, 2, 16, 64][w],
+                sets: [1, 4, 8][s],
+                interleave: interleave(i),
+            }),
+            (0usize..4).prop_map(move |i| CacheConfig {
+                ways: 16,
+                sets: 1024,
+                interleave: interleave(i),
+            }),
+        ]
     }
 
     /// Folds a drawn number into a universe of three times the array's
@@ -739,6 +766,32 @@ mod tests {
         a.insert(7, 7);
         a.remove(7);
         assert!(json(&a).contains("[2,2],[3,2]]"), "{}", json(&a));
+    }
+
+    /// A set gets ways when it first holds a line: an array restored from
+    /// an image has blocks for the sets with lines in it and none for the
+    /// rest, a set that kept only its recency word included.
+    #[test]
+    fn restored_array_allocates_blocks_only_for_sets_with_lines() {
+        let cfg = CacheConfig::from_capacity(1024 * 1024, 16);
+        let mut array: CacheArray<u32> = CacheArray::new(cfg);
+        assert!(array.tags.is_empty() && array.slots.is_empty());
+        for block in [5, 900, 900 + 1024, 7] {
+            array.insert(block, block as u32);
+        }
+        array.remove(7);
+        assert_eq!(array.tags.len(), 3 * 16, "sets 5, 900 and 7 held a line");
+        let restored: CacheArray<u32> = serde_json::from_str(&json(&array)).expect("deserializes");
+        assert_eq!(json(&restored), json(&array));
+        assert_eq!(
+            (restored.tags.len(), restored.slots.len()),
+            (2 * 16, 2 * 16)
+        );
+        let with_block: Vec<usize> = (0..cfg.sets)
+            .filter(|&set| restored.way_block[set] != 0)
+            .collect();
+        assert_eq!(with_block, [5, 900]);
+        assert_ne!(restored.recency[7], 0, "set 7 keeps its recency word");
     }
 
     /// With a power-of-two interleave the set and the tag are, bit for

@@ -23,7 +23,6 @@ use rcsim_protocol::{
 use rcsim_trace::{EventKind, TraceEvent, TraceSink};
 use rcsim_workload::{ArrivalState, Workload, WorkloadRng};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// Bridges the protocol state machines to the NoC: attaches circuit keys
 /// to eligible replies, reports NoAck commits, forwards undos and keeps
@@ -711,51 +710,63 @@ impl Chip {
     /// consistency across all caches. Returns human-readable violations
     /// (empty = coherent).
     pub fn coherence_violations(&self) -> Vec<String> {
-        let mut violations = Vec::new();
-        // Gather every cached L1 line.
-        let mut holders: BTreeMap<u64, Vec<(NodeId, bool, u64)>> = BTreeMap::new();
+        // Every cached L1 line, in one flat list sorted by block.
+        let count = self.l1s.iter().map(|l1| l1.lines().count()).sum();
+        let mut holdings = Vec::with_capacity(count);
         for (i, l1) in self.l1s.iter().enumerate() {
-            for (block, writable, value) in l1.lines() {
-                holders
-                    .entry(block)
-                    .or_default()
-                    .push((NodeId(i as u16), writable, value));
-            }
+            let node = NodeId(i as u16);
+            holdings.extend(
+                l1.lines()
+                    .map(|(block, writable, _)| (block, node, writable)),
+            );
         }
-        for (block, hs) in &holders {
-            let writers: Vec<_> = hs.iter().filter(|(_, w, _)| *w).collect();
-            if writers.len() > 1 {
-                violations.push(format!(
-                    "block {block:#x}: {} writable copies",
-                    writers.len()
-                ));
-            }
-            if writers.len() == 1 && hs.len() > 1 {
-                violations.push(format!(
-                    "block {block:#x}: writable copy coexists with {} other copies",
-                    hs.len() - 1
-                ));
-            }
-            // Every actual holder must be known to the directory (the
-            // directory may track stale sharers, never the reverse).
-            let home = self.proto_cfg.home(&self.topology, *block);
-            if let Some((owner, sharers)) = self.l2s[home.index()].probe(*block) {
-                for (n, w, _) in hs {
-                    let known = owner == Some(*n) || sharers & (1u64 << n.index()) != 0;
-                    if !known && *w {
-                        violations.push(format!(
-                            "block {block:#x}: writable holder {n} unknown to the directory"
-                        ));
-                    }
-                }
-            } else {
-                violations.push(format!(
-                    "block {block:#x}: cached in an L1 but absent from its home bank (inclusion)"
-                ));
-            }
-        }
-        violations
+        holdings.sort_unstable();
+        violations_among(&holdings, |block| {
+            let home = self.proto_cfg.home(&self.topology, block);
+            self.l2s[home.index()].probe(block)
+        })
     }
+}
+
+/// The coherence violations among `holdings`, the `(block, holder,
+/// writable)` of every L1 copy sorted by block and holder, given each
+/// block's directory entry `(owner, sharer mask)` (`None`: the block is
+/// absent from its home bank). Messages come block by block, ascending.
+fn violations_among(
+    holdings: &[(u64, NodeId, bool)],
+    directory: impl Fn(u64) -> Option<(Option<NodeId>, u64)>,
+) -> Vec<String> {
+    let mut violations = Vec::new();
+    for copies in holdings.chunk_by(|a, b| a.0 == b.0) {
+        let block = copies[0].0;
+        let writers = copies.iter().filter(|&&(_, _, w)| w).count();
+        if writers > 1 {
+            violations.push(format!("block {block:#x}: {writers} writable copies"));
+        }
+        if writers == 1 && copies.len() > 1 {
+            violations.push(format!(
+                "block {block:#x}: writable copy coexists with {} other copies",
+                copies.len() - 1
+            ));
+        }
+        // Every actual holder must be known to the directory (the
+        // directory may track stale sharers, never the reverse).
+        let Some((owner, sharers)) = directory(block) else {
+            violations.push(format!(
+                "block {block:#x}: cached in an L1 but absent from its home bank (inclusion)"
+            ));
+            continue;
+        };
+        for &(_, n, w) in copies {
+            let known = owner == Some(n) || sharers & (1u64 << n.index()) != 0;
+            if !known && w {
+                violations.push(format!(
+                    "block {block:#x}: writable holder {n} unknown to the directory"
+                ));
+            }
+        }
+    }
+    violations
 }
 
 /// A [`Chip`]'s state and that of each of its components (see
@@ -777,6 +788,44 @@ pub struct ChipSnapshot {
 mod tests {
     use super::*;
     use rcsim_workload::Workload;
+
+    /// Each violation, planted: two writers, a writer beside a reader, a
+    /// writable holder the directory does not know and an L1 copy its home
+    /// bank lacks — and nothing for copies the directory tracks, stale
+    /// sharers included.
+    #[test]
+    fn planted_violations_are_each_reported_once_in_block_order() {
+        let n = NodeId;
+        let holdings = [
+            (0x10, n(0), true),
+            (0x10, n(3), true),
+            (0x20, n(1), true),
+            (0x20, n(2), false),
+            (0x30, n(4), true),
+            (0x40, n(5), false),
+            (0x50, n(6), false),
+            (0x50, n(7), false),
+            (0x60, n(2), true),
+        ];
+        let directory = |block: u64| match block {
+            0x10 => Some((None, 1 << 0 | 1 << 3)),
+            0x20 => Some((Some(n(1)), 1 << 2)),
+            0x30 => Some((Some(n(9)), 0)),
+            0x50 => Some((None, 1 << 6 | 1 << 7 | 1 << 8)),
+            0x60 => Some((Some(n(2)), 0)),
+            _ => None,
+        };
+        assert_eq!(
+            violations_among(&holdings, directory),
+            [
+                "block 0x10: 2 writable copies",
+                "block 0x20: writable copy coexists with 1 other copies",
+                "block 0x30: writable holder n4 unknown to the directory",
+                "block 0x40: cached in an L1 but absent from its home bank (inclusion)",
+            ]
+        );
+        assert!(violations_among(&[], directory).is_empty());
+    }
 
     /// A bank whose wake slot runs one cycle late is caught the cycle its
     /// work falls due, by name.

@@ -73,6 +73,10 @@ flat=$(sed '/^#\[cfg(test)\]$/,$d' crates/protocol/src/cache.rs)
 if grep -nE 'Vec<Vec<|Vec<Option<Line|struct (Set|Line)\b' <<< "$flat"; then
   echo "FAIL: a per-set or per-line allocation is back in crates/protocol/src/cache.rs"; exit 1
 fi
+# Ways exist only for sets that have held a line: nothing is sized sets × ways.
+if grep -nE '(sets|ways)[^;]*\*[^;]*(sets|ways)' <<< "$flat"; then
+  echo "FAIL: a capacity-sized way array (sets × ways) is back in crates/protocol/src/cache.rs"; exit 1
+fi
 grep -q '^#!\[forbid(unsafe_code)\]$' crates/protocol/src/lib.rs \
   || { echo "FAIL: crates/protocol/src/lib.rs lost forbid(unsafe_code)"; exit 1; }
 
