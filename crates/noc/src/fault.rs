@@ -10,10 +10,11 @@
 //! Fault classes (all rates are per-event probabilities in `[0, 1]`):
 //!
 //! * **Link drop** — when a head flit crosses an inter-router link it may
-//!   be dropped; the rest of the packet is then swallowed at the same link
-//!   so a packet is always lost whole, never truncated. Upstream credits
-//!   are still synthesized for swallowed flits so the *fault* does not by
-//!   itself wedge the fabric (credit loss is a separate class).
+//!   be dropped. It sets its output VC's eat bit, and the rest of the
+//!   packet, which follows it on that VC, is swallowed at the same link:
+//!   a packet is lost whole, never truncated. Upstream credits are still
+//!   synthesized for swallowed flits so the *fault* does not by itself
+//!   wedge the fabric (credit loss is a separate class).
 //! * **Link corruption** — the head flit is marked corrupted; the packet
 //!   travels normally and is discarded at the destination NI's integrity
 //!   check instead of being delivered.
@@ -30,8 +31,8 @@
 //!   and nothing enters the port until the window ends.
 //! * **Dead link** — a scheduled [`DeadLinkEvent`] removes one
 //!   bidirectional inter-router link at a given cycle, permanently or for
-//!   a bounded window. Every flit on the link at onset (and any flit later
-//!   routed onto it) is lost whole; the live [`TopologyHealth`] map makes
+//!   a bounded window. A packet whose head is routed onto it is lost
+//!   whole, through the same eat bit; the live [`TopologyHealth`] map makes
 //!   new packets detour around it and tears down every circuit whose
 //!   reply path crossed it (DESIGN.md §10).
 //! * **Dead router** — a scheduled [`DeadRouterEvent`] kills a whole
@@ -53,10 +54,10 @@
 //! [`BypassCheck::Pipeline`]: crate::router::BypassCheck::Pipeline
 //! [`CircuitOutcome::FaultDegraded`]: crate::CircuitOutcome::FaultDegraded
 
-use crate::flit::{Flit, Packet, PacketId};
+use crate::flit::Flit;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use rcsim_core::{ConfigError, Cycle, NodeId, StateMap, Topology, PORT_LOCAL};
+use rcsim_core::{ConfigError, Cycle, NodeId, Topology, PORT_LOCAL};
 use serde::{Deserialize, Serialize};
 
 /// A scheduled one-shot fault: one router input port accepts nothing for
@@ -255,7 +256,8 @@ impl Default for FaultConfig {
 pub struct FaultStats {
     /// Packets chosen for a link drop.
     pub packets_dropped: u64,
-    /// Individual flits swallowed by link drops (heads + swallowed rest).
+    /// Flits lost on a live hop: dropped heads and the rest of their
+    /// packets (a flit counts under the hop it is lost on).
     pub flits_dropped: u64,
     /// Packets marked corrupted on a link (discarded at the NI).
     pub packets_corrupted: u64,
@@ -277,7 +279,9 @@ pub struct FaultStats {
     /// path crossed the dead resource.
     #[serde(default)]
     pub circuits_torn: u64,
-    /// Flits lost on a dead link (in flight at onset or routed onto it).
+    /// Flits lost on a dead hop: heads routed onto it, the rest of their
+    /// packets, and the rest of packets whose head a random drop lost
+    /// before the hop died (a flit counts under the hop it is lost on).
     #[serde(default)]
     pub dead_flits_lost: u64,
 }
@@ -314,15 +318,15 @@ impl From<(u64, u64)> for FaultRng {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub(crate) struct State {
     rng: FaultRng,
-    /// Packets being swallowed at a link, keyed by
-    /// (upstream node index, output-port index, packet): remaining flits.
-    eating: StateMap<(usize, usize, PacketId), u32>,
+    /// One word per router: bit `port · vcs + vc` is set while the last
+    /// head sent on that output VC was lost, so the body behind it is too.
+    eating: Vec<u64>,
     pub(crate) stats: FaultStats,
 }
 
 /// Live fault injection: the configuration (wiring) plus the dedicated
-/// RNG and the bookkeeping needed to swallow whole packets. Held by the
-/// network only when the configuration can actually fire.
+/// RNG and the eat bits that lose packets whole. Held by the network
+/// only when the configuration can actually fire.
 #[derive(Debug, Clone)]
 pub(crate) struct FaultState {
     pub(crate) cfg: FaultConfig,
@@ -330,13 +334,13 @@ pub(crate) struct FaultState {
 }
 
 impl FaultState {
-    pub(crate) fn new(cfg: FaultConfig) -> Self {
+    pub(crate) fn new(cfg: FaultConfig, routers: usize) -> Self {
         let rng = FaultRng(ChaCha8Rng::seed_from_u64(cfg.seed));
         FaultState {
             cfg,
             state: State {
                 rng,
-                eating: StateMap::default(),
+                eating: vec![0; routers],
                 stats: FaultStats::default(),
             },
         }
@@ -346,40 +350,44 @@ impl FaultState {
         rate > 0.0 && self.state.rng.0.gen_bool(rate.clamp(0.0, 1.0))
     }
 
-    /// Decides the fate of `flit`, one of `packet`'s, leaving router
-    /// `from` through output port `dir` onto an inter-router link.
+    /// Decides the fate of `flit` leaving router `from` on output VC slot
+    /// `out` (`port · vcs + vc`) of an inter-router link, `dead` when the
+    /// link or an endpoint router is down. A head sets the VC's eat bit to
+    /// whether it is lost: on a dead hop without a draw, so scheduled
+    /// faults leave the random stream alone, else at the drop rate. A VC
+    /// carries one packet at a time, head first, so every flit is lost
+    /// exactly when its VC's bit is set, and counted under the hop it is
+    /// lost on. A packet whose head crossed before the hop died drains
+    /// whole: cutting a wormhole mid-stream would wedge the downstream VC.
     pub(crate) fn on_link_flit(
         &mut self,
         from: usize,
-        dir: usize,
+        out: usize,
         flit: Flit,
-        packet: &Packet,
+        dead: bool,
     ) -> LinkFate {
-        let key = (from, dir, packet.id);
-        if let Some(rest) = self.state.eating.get_mut(&key) {
-            *rest -= 1;
-            if *rest == 0 {
-                self.state.eating.remove(&key);
-            }
-            self.state.stats.flits_dropped += 1;
-            return LinkFate::Drop;
-        }
+        let bit = 1 << out;
         if flit.is_head() {
-            if self.chance(self.cfg.link_drop_rate) {
+            let lost = dead || self.chance(self.cfg.link_drop_rate);
+            let word = &mut self.state.eating[from];
+            *word = if lost { *word | bit } else { *word & !bit };
+            if lost && !dead {
                 self.state.stats.packets_dropped += 1;
-                self.state.stats.flits_dropped += 1;
-                let rest = packet.len.saturating_sub(1);
-                if rest > 0 {
-                    self.state.eating.insert(key, rest);
-                }
-                return LinkFate::Drop;
-            }
-            if self.chance(self.cfg.link_corrupt_rate) {
+            } else if !lost && self.chance(self.cfg.link_corrupt_rate) {
                 self.state.stats.packets_corrupted += 1;
                 return LinkFate::Corrupt;
             }
         }
-        LinkFate::Deliver
+        if self.state.eating[from] & bit == 0 {
+            return LinkFate::Deliver;
+        }
+        let stats = &mut self.state.stats;
+        if dead {
+            stats.dead_flits_lost += 1;
+        } else {
+            stats.flits_dropped += 1;
+        }
+        LinkFate::Drop
     }
 
     /// `true` if a credit crossing an inter-router link is lost.
@@ -420,14 +428,7 @@ rcsim_core::stateful!(FaultState => State);
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flit::PacketSpec;
-    use rcsim_core::{MessageClass, Topology, PORT_EAST, PORT_WEST};
-
-    /// Packet `id`, `len` flits long.
-    fn packet(id: u64, len: u32) -> Packet {
-        let spec = PacketSpec::new(NodeId(0), NodeId(1), MessageClass::L2Reply);
-        Packet::new(PacketId(id), &spec, len, 0)
-    }
+    use rcsim_core::{Topology, PORT_EAST, PORT_WEST};
 
     /// The head and a body flit of a `len`-flit packet.
     fn flits(len: u32) -> (Flit, Flit) {
@@ -435,6 +436,20 @@ mod tests {
             Flit::new(0, 0, len, 0, 0),
             Flit::new(0, 1, len.max(3), 0, 0),
         )
+    }
+
+    /// A fault layer over 16 routers dropping heads at `drop_rate`.
+    fn dropping(drop_rate: f64) -> FaultState {
+        let cfg = FaultConfig {
+            link_drop_rate: drop_rate,
+            ..FaultConfig::none()
+        };
+        FaultState::new(cfg, 16)
+    }
+
+    /// The fault RNG's position in its stream.
+    fn draws(fs: &FaultState) -> (u64, u64) {
+        fs.state.rng.0.state_words()
     }
 
     #[test]
@@ -608,21 +623,72 @@ mod tests {
 
     #[test]
     fn drop_swallows_whole_packet() {
-        let cfg = FaultConfig {
-            link_drop_rate: 1.0,
-            ..FaultConfig::none()
-        };
-        let mut fs = FaultState::new(cfg);
-        let (p, (head, body)) = (packet(7, 5), flits(5));
-        assert_eq!(fs.on_link_flit(3, 1, head, &p), LinkFate::Drop);
-        // The four body/tail flits at the same link are swallowed without
-        // further draws.
+        let mut fs = dropping(1.0);
+        let (head, body) = flits(5);
+        assert_eq!(fs.on_link_flit(3, 1, head, false), LinkFate::Drop);
+        assert_eq!(fs.state.eating[3], 1 << 1);
+        // The four body/tail flits on the same output VC are swallowed
+        // without further draws.
+        let rng = draws(&fs);
         for _ in 0..4 {
-            assert_eq!(fs.on_link_flit(3, 1, body, &p), LinkFate::Drop);
+            assert_eq!(fs.on_link_flit(3, 1, body, false), LinkFate::Drop);
         }
-        assert!(fs.state.eating.is_empty(), "swallow bookkeeping must drain");
+        assert_eq!(draws(&fs), rng, "a body flit never draws");
         assert_eq!(fs.state.stats.packets_dropped, 1);
         assert_eq!(fs.state.stats.flits_dropped, 5);
+    }
+
+    #[test]
+    fn a_head_on_another_vc_of_the_link_is_rolled_fresh() {
+        let mut fs = dropping(1.0);
+        let (head, body) = flits(5);
+        assert_eq!(fs.on_link_flit(3, 1, head, false), LinkFate::Drop);
+        fs.cfg.link_drop_rate = 0.0;
+        // Slot 2 is another VC of the same port: its own head decides.
+        assert_eq!(fs.on_link_flit(3, 2, head, false), LinkFate::Deliver);
+        assert_eq!(fs.on_link_flit(3, 2, body, false), LinkFate::Deliver);
+        assert_eq!(fs.on_link_flit(3, 1, body, false), LinkFate::Drop);
+        assert_eq!(fs.on_link_flit(4, 1, body, false), LinkFate::Deliver);
+        assert_eq!(fs.state.eating[3], 1 << 1);
+    }
+
+    #[test]
+    fn a_new_head_on_an_eaten_vc_clears_its_bit() {
+        // A retransmission reaching the link while its lost copy's body
+        // is still being eaten there, in miniature: the last head on the
+        // VC decides, whichever packet it belongs to.
+        let mut fs = dropping(1.0);
+        let (head, body) = flits(5);
+        assert_eq!(fs.on_link_flit(3, 1, head, false), LinkFate::Drop);
+        assert_eq!(fs.on_link_flit(3, 1, body, false), LinkFate::Drop);
+        fs.cfg.link_drop_rate = 0.0;
+        assert_eq!(fs.on_link_flit(3, 1, head, false), LinkFate::Deliver);
+        assert_eq!(fs.state.eating[3], 0);
+        assert_eq!(fs.on_link_flit(3, 1, body, false), LinkFate::Deliver);
+        assert_eq!(fs.state.stats.flits_dropped, 2);
+    }
+
+    #[test]
+    fn a_dead_hop_drops_heads_without_a_draw() {
+        let mut fs = dropping(0.5);
+        let (head, body) = flits(5);
+        let rng = draws(&fs);
+        assert_eq!(fs.on_link_flit(0, 4, head, true), LinkFate::Drop);
+        assert_eq!(fs.on_link_flit(0, 4, body, true), LinkFate::Drop);
+        assert_eq!(draws(&fs), rng, "a dead hop never draws");
+        assert_eq!(fs.state.stats.dead_flits_lost, 2);
+        assert_eq!(fs.state.stats.packets_dropped, 0);
+        assert_eq!(fs.state.stats.flits_dropped, 0);
+        // A packet whose head crossed before the link died drains whole.
+        fs.cfg.link_drop_rate = 0.0;
+        assert_eq!(fs.on_link_flit(0, 5, head, false), LinkFate::Deliver);
+        assert_eq!(fs.on_link_flit(0, 5, body, true), LinkFate::Deliver);
+        // A body lost to a random drop counts under the hop it dies on.
+        fs.cfg.link_drop_rate = 1.0;
+        assert_eq!(fs.on_link_flit(0, 6, head, false), LinkFate::Drop);
+        assert_eq!(fs.on_link_flit(0, 6, body, true), LinkFate::Drop);
+        assert_eq!(fs.state.stats.flits_dropped, 1);
+        assert_eq!(fs.state.stats.dead_flits_lost, 3);
     }
 
     #[test]
@@ -631,17 +697,12 @@ mod tests {
             link_corrupt_rate: 1.0,
             ..FaultConfig::none()
         };
-        let mut fs = FaultState::new(cfg);
+        let mut fs = FaultState::new(cfg, 1);
         let single = flits(1).0;
-        assert_eq!(
-            fs.on_link_flit(0, 0, single, &packet(7, 1)),
-            LinkFate::Corrupt
-        );
+        assert_eq!(fs.on_link_flit(0, 0, single, false), LinkFate::Corrupt);
         let body = flits(5).1;
-        assert_eq!(
-            fs.on_link_flit(0, 0, body, &packet(7, 5)),
-            LinkFate::Deliver
-        );
+        assert_eq!(fs.on_link_flit(0, 0, body, false), LinkFate::Deliver);
+        assert_eq!(fs.state.stats.packets_corrupted, 1);
     }
 
     #[test]
@@ -665,20 +726,20 @@ mod tests {
             seed: 42,
             ..FaultConfig::none()
         };
-        let mut a = FaultState::new(cfg.clone());
-        let mut b = FaultState::new(cfg);
+        let mut a = FaultState::new(cfg.clone(), 64);
+        let mut b = FaultState::new(cfg, 64);
         for i in 0..64 {
-            let (p, head) = (packet(7, 1), flits(1).0);
+            let head = flits(1).0;
             assert_eq!(
-                a.on_link_flit(i, 0, head, &p),
-                b.on_link_flit(i, 0, head, &p)
+                a.on_link_flit(i, 0, head, false),
+                b.on_link_flit(i, 0, head, false)
             );
         }
     }
 
     /// Property round trip of the fault-layer checkpoint: after an
-    /// arbitrary prefix of link/credit/table rolls (including packets
-    /// mid-swallow), a [`FaultState`] restored from the snapshot — into a
+    /// arbitrary prefix of link/credit/table rolls (including VCs whose
+    /// eat bit is set), a [`FaultState`] restored from the snapshot — into a
     /// state built from a *different* seed — must produce the identical
     /// fate sequence for any continuation, and the snapshot must survive
     /// serde byte-for-byte.
@@ -690,9 +751,10 @@ mod tests {
         enum Roll {
             Flit {
                 from: usize,
-                dir: usize,
+                out: usize,
                 len: u32,
-                pkt: u64,
+                head: bool,
+                dead: bool,
             },
             Credit,
             Table,
@@ -700,14 +762,20 @@ mod tests {
 
         fn roll_strategy() -> impl Strategy<Value = Roll> {
             prop_oneof![
-                (0usize..16, 0usize..4, 1u32..6, 0u64..8).prop_map(|(from, dir, len, pkt)| {
-                    Roll::Flit {
+                (
+                    0usize..16,
+                    0usize..24,
+                    1u32..6,
+                    any::<bool>(),
+                    any::<bool>()
+                )
+                    .prop_map(|(from, out, len, head, dead)| Roll::Flit {
                         from,
-                        dir,
+                        out,
                         len,
-                        pkt,
-                    }
-                }),
+                        head,
+                        dead,
+                    }),
                 Just(Roll::Credit),
                 Just(Roll::Table),
             ]
@@ -719,14 +787,19 @@ mod tests {
                 let outcome = match *r {
                     Roll::Flit {
                         from,
-                        dir,
+                        out,
                         len,
-                        pkt,
-                    } => match fs.on_link_flit(from, dir, flits(len).0, &packet(pkt, len)) {
-                        LinkFate::Deliver => 0,
-                        LinkFate::Drop => 1,
-                        LinkFate::Corrupt => 2,
-                    },
+                        head,
+                        dead,
+                    } => {
+                        let (h, body) = flits(len);
+                        let flit = if head { h } else { body };
+                        match fs.on_link_flit(from, out, flit, dead) {
+                            LinkFate::Deliver => 0,
+                            LinkFate::Drop => 1,
+                            LinkFate::Corrupt => 2,
+                        }
+                    }
                     Roll::Credit => 3 + fs.on_link_credit() as u64,
                     Roll::Table => match fs.roll_table_corruption(5) {
                         None => 5,
@@ -755,23 +828,27 @@ mod tests {
                     seed,
                     ..FaultConfig::none()
                 };
-                let mut original = FaultState::new(cfg.clone());
+                let mut original = FaultState::new(cfg.clone(), 16);
                 play(&mut original, &prefix);
 
                 let snap = original.state.clone();
                 let json = serde_json::to_string(&snap).expect("serialize snapshot");
                 let decoded: State =
                     serde_json::from_str(&json).expect("deserialize snapshot");
+                prop_assert_eq!(&decoded.eating, &original.state.eating);
                 prop_assert_eq!(
                     serde_json::to_string(&decoded).expect("re-serialize"),
                     json,
                     "snapshot re-serialization is not byte-identical"
                 );
 
-                let mut restored = FaultState::new(FaultConfig {
-                    seed: seed ^ 0x5EED,
-                    ..cfg
-                });
+                let mut restored = FaultState::new(
+                    FaultConfig {
+                        seed: seed ^ 0x5EED,
+                        ..cfg
+                    },
+                    16,
+                );
                 restored.state = decoded;
                 prop_assert_eq!(
                     play(&mut original, &suffix),

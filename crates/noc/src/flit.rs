@@ -140,7 +140,7 @@ pub struct Flit {
 }
 
 // A flit is moved at every hop: eight to a cache line, and `Copy`.
-const _: () = assert!(std::mem::size_of::<Flit>() <= 16);
+const _: () = assert!(std::mem::size_of::<Flit>() == 8);
 const _: fn() = || {
     fn copy<T: Copy>() {}
     copy::<Flit>();
@@ -254,9 +254,6 @@ pub(crate) struct Packet {
     pub committed: bool,
     /// A head was emitted and counted as this packet's injection.
     pub counted: bool,
-    /// A head of this packet died at a dead link; its remaining flits
-    /// are eaten silently at the same link (packet-atomic loss).
-    pub head_eaten: bool,
     /// Delivered or abandoned: the record goes when `in_fabric` is zero.
     pub closed: bool,
     /// Total flits in the packet.
@@ -303,7 +300,6 @@ impl Packet {
             corrupted: false,
             committed: false,
             counted: false,
-            head_eaten: false,
             closed: false,
             len,
             received: 0,

@@ -276,31 +276,10 @@ impl LinkSink for Links<'_> {
             packets.flit_gone(flit.slot);
             return;
         };
-        if self.degraded
-            && !self.topo.hop_usable(self.from, nb)
-            && (flit.is_head() || packets[flit.slot].head_eaten)
-        {
-            // The link (or an endpoint router) is dead: the packet is
-            // lost from its head flit on. Synthesize the credits it would
-            // have earned, tear the reservations it orphans and schedule
-            // the end-to-end retransmission — without touching the fault
-            // RNG, so the random-fault stream is unchanged by scheduled
-            // dead resources. A packet whose head crossed *before* the
-            // link died drains whole instead: cutting a wormhole
-            // mid-stream would wedge the downstream VC forever.
-            if flit.is_tail() {
-                packets[flit.slot].head_eaten = false;
-            } else if flit.is_head() {
-                packets[flit.slot].head_eaten = true;
-            }
-            if let Some(fs) = self.faults.as_mut() {
-                fs.state.stats.dead_flits_lost += 1;
-            }
-            self.drop_on_link(nb, port, flit, arrive, packets);
-            return;
-        }
         if let Some(fs) = self.faults.as_mut() {
-            match fs.on_link_flit(self.from.index(), port, flit, &packets[flit.slot]) {
+            let dead = self.degraded && !self.topo.hop_usable(self.from, nb);
+            let out = port * self.cfg.vc_layout().total() + usize::from(flit.vc);
+            match fs.on_link_flit(self.from.index(), out, flit, dead) {
                 LinkFate::Deliver => {}
                 LinkFate::Corrupt => packets[flit.slot].corrupted = true,
                 LinkFate::Drop => {

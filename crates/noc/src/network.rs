@@ -240,7 +240,7 @@ impl Network {
             faults: if faults.is_none() {
                 None
             } else {
-                Some(FaultState::new(faults))
+                Some(FaultState::new(faults, routers_n))
             },
             ingress: None,
             congestion: CongestionMap::new(routers_n),

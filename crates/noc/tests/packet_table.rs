@@ -13,8 +13,10 @@
 //! worklist laws (DESIGN.md §9) all the while. Every row runs
 //! a second time with credit loss and a dead-link window on top: a lost
 //! credit can leave a VC short for good and a link dying under a circuit
-//! stream can strand its body (ROADMAP item 3a), so those runs have a
-//! fixed length instead of a drain.
+//! stream can strand its body (ROADMAP item 2, wedge entrance 1), so
+//! those runs have a fixed length instead of a drain. A last run drops
+//! long packets retransmitted after a backoff shorter than they are, and
+//! must drain.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -183,4 +185,56 @@ fn records_recycle_under_faults_on_a_mesh() {
 #[test]
 fn records_recycle_under_faults_on_a_concentrated_mesh() {
     sweep(Topology::cmesh(2, 2, 4).expect("valid"), "cmesh 2x2x4");
+}
+
+/// A retransmission shorter in backoff than its packet reaches the link
+/// that dropped its first copy while that copy's body is still being
+/// eaten there. The link keys its loss on the output VC's last head, not
+/// on the packet, so the new head is rolled fresh instead of being eaten
+/// as the old copy's body (which left its body headless in a VC and
+/// wedged the fabric). Long packets at a load past saturation and a high
+/// drop rate make the overlap common; every run must drain whole.
+#[test]
+fn a_retransmission_is_never_eaten_as_the_lost_copys_body() {
+    let topology = Topology::mesh(4, 4).expect("valid");
+    let tiles = topology.nodes() as u16;
+    for backoff in [1, 2] {
+        for seed in 0..5u64 {
+            let label = format!("backoff {backoff} / seed {seed}");
+            let cfg = NocConfig::paper_baseline(topology, MechanismConfig::baseline());
+            let mut f = FaultConfig::none();
+            f.seed = seed;
+            f.link_drop_rate = 0.2;
+            f.max_retries = 6;
+            f.retry_backoff = backoff;
+            let mut net = Network::with_faults(cfg, f).expect("valid configuration");
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (mut injected, mut delivered) = (0u64, 0u64);
+            while net.now() < 600 || !net.is_quiescent() {
+                assert!(
+                    net.now() < 20_000 && !net.stalled(),
+                    "{label}: did not drain\n{}",
+                    net.health()
+                );
+                if net.now() < 600 {
+                    for src in 0..tiles {
+                        if rng.gen_bool(0.15) {
+                            let dst = (src + rng.gen_range(1..tiles)) % tiles;
+                            injected += 1;
+                            net.inject(
+                                PacketSpec::new(NodeId(src), NodeId(dst), MessageClass::WbData)
+                                    .with_flits(16),
+                            );
+                        }
+                    }
+                }
+                net.tick();
+                delivered += net.take_all_delivered().len() as u64;
+                net.check_index()
+                    .unwrap_or_else(|e| panic!("{label}: cycle {}: {e}", net.now()));
+            }
+            let abandoned = net.fault_stats().packets_abandoned;
+            assert_eq!(delivered + abandoned, injected, "{label}");
+        }
+    }
 }

@@ -63,7 +63,7 @@ echo "==> one record per packet (DESIGN.md §9: a flit is a Copy handle into the
 old=$(grep -rnE '(Hash|State)Map<PacketId|payloads: StateMap|struct Head\b' crates/*/src || true)
 boxed=$(sed -n '/^pub struct Flit {/,/^}/p' crates/noc/src/flit.rs | grep 'Box<' || true)
 [ -z "$old$boxed" ] || { echo "FAIL: a per-packet map, a flit header or a boxed flit field is back:"; echo "$old$boxed"; exit 1; }
-grep -q 'const _: () = assert!(std::mem::size_of::<Flit>() <= 16);' crates/noc/src/flit.rs \
+grep -q 'const _: () = assert!(std::mem::size_of::<Flit>() == 8);' crates/noc/src/flit.rs \
   && grep -q 'copy::<Flit>();' crates/noc/src/flit.rs \
   || { echo "FAIL: crates/noc/src/flit.rs lost its size or Copy assertion on Flit"; exit 1; }
 
@@ -197,6 +197,17 @@ switches=$(find crates/*/src -name '*.rs' -print0 | xargs -0 awk "$code"'
 [ -z "$retired$switches" ] \
   || { echo "FAIL: a config value no experiment varies is settable again:"
        printf '%s\n' "$retired" "$switches" | grep .; exit 1; }
+
+echo "==> a link flit's fate is decided once (DESIGN.md §6b: one eat bit per router output VC)"
+# FaultState::on_link_flit decides every flit's fate on an inter-router
+# link from its output VC's eat bit: no per-packet loss flag and no map
+# (keyed by packet or otherwise) in the fault layer's state.
+eaten=$(grep -rn 'head_eaten' crates/noc/src || true)
+maps=$(awk '/^pub\(crate\) struct State \{$/ { inside = 1 }
+  inside && /^}$/ { inside = 0 }
+  inside && /StateMap</ { print FILENAME ":" FNR ": " $0 }' crates/noc/src/fault.rs)
+[ -z "$eaten$maps" ] \
+  || { echo "FAIL: a second record of link loss is back:"; printf '%s\n' "$eaten" "$maps" | grep .; exit 1; }
 
 echo "==> cargo build --release"
 $CARGO build --release "$@"
@@ -397,9 +408,9 @@ if find "$ckpt_dir" -name '*.ckpt' | grep -q .; then
   echo "FAIL: completed sweep left checkpoints behind in $ckpt_dir"; exit 1
 fi
 mkdir -p "$ckpt_dir"
-# Every earlier version (v10, whose embedded config still carried the
-# watchdog and the reissue budget, is the newest of them), with the
-# checksum of its "{}": only the version rejects it.
+# Every earlier version (v11, whose packet records still carried the
+# dead-link eat flag and whose fault state a swallow map, is the newest
+# of them), with the checksum of its "{}": only the version rejects it.
 current=$(sed -n 's/^pub const CHECKPOINT_FORMAT_VERSION: u32 = \([0-9]*\);$/\1/p' crates/system/src/checkpoint.rs)
 for v in $(seq 0 $((${current:?CHECKPOINT_FORMAT_VERSION not found} - 1))); do
   stale="$ckpt_dir/stale_v$v.ckpt"; printf 'rcsim-checkpoint v%s 08f44b07b5901a25\n{}' "$v" > "$stale"
