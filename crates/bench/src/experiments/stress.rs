@@ -37,7 +37,6 @@ fn interior_dead_links(cores: u16, count: usize, at: u64) -> Result<Vec<DeadLink
         a: NodeId(a),
         b: NodeId(a + 1),
         at,
-        duration: None,
     };
     Ok(interior.take(count).map(dead).collect())
 }

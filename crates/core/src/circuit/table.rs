@@ -235,19 +235,6 @@ impl RouterCircuits {
         stale
     }
 
-    /// Fault injection: removes the `entry_idx`-th entry of input port
-    /// `in_port` (if present), simulating a corrupted/forgotten table row.
-    /// Returns the removed entry so the caller can account for the broken
-    /// circuit.
-    pub fn fault_remove(&mut self, in_port: usize, entry_idx: usize) -> Option<CircuitEntry> {
-        let port = &mut self.ports[in_port];
-        if entry_idx < port.len() {
-            Some(port.remove(entry_idx))
-        } else {
-            None
-        }
-    }
-
     /// The configured mode.
     pub fn mode(&self) -> CircuitMode {
         self.mode
@@ -520,12 +507,6 @@ impl RouterCircuits {
     /// Total number of reserved circuits at this router.
     pub fn total_entries(&self) -> usize {
         self.ports.iter().map(Vec::len).sum()
-    }
-
-    /// Number of reserved circuits at one input port (used by fault
-    /// injection to pick a victim for [`Self::fault_remove`]).
-    pub fn port_occupancy(&self, in_port: usize) -> usize {
-        self.ports[in_port].len()
     }
 }
 
@@ -946,21 +927,6 @@ mod tests {
         rc.end_use(PORT_EAST, key(1, 0));
         assert_eq!(rc.expire(20), 1);
         assert_eq!(rc.next_expiry(), Some(44));
-    }
-
-    #[test]
-    fn fault_remove_deletes_one_entry() {
-        let mut rc = RouterCircuits::new(CircuitMode::Complete, 5, 1);
-        let k = key(1, 0);
-        rc.try_reserve(&req(k, 9, PORT_EAST, PORT_WEST)).unwrap();
-        assert!(rc.fault_remove(PORT_WEST, 0).is_none(), "wrong port");
-        assert!(
-            rc.fault_remove(PORT_EAST, 3).is_none(),
-            "index out of range"
-        );
-        let removed = rc.fault_remove(PORT_EAST, 0).expect("entry removed");
-        assert_eq!(removed.key, k);
-        assert_eq!(rc.total_entries(), 0);
     }
 
     #[test]

@@ -416,12 +416,8 @@ pub enum ConfigError {
     /// A fault-injection rate is NaN, negative or greater than one. The
     /// payload names the offending knob.
     FaultRate(&'static str),
-    /// A scheduled fault (stuck port / dead link / dead router) has an
-    /// explicit duration of zero cycles — it would never take effect.
-    FaultWindow,
     /// A scheduled fault references topology that does not exist (node out
-    /// of bounds, non-adjacent link pair, `Local` stuck port). The payload
-    /// names the problem.
+    /// of bounds, non-adjacent link pair). The payload names the problem.
     FaultTopology(&'static str),
     /// An adaptive-policy knob violates its invariants (zero decision
     /// epoch, zero regions, inverted hysteresis band). The payload names
@@ -469,9 +465,6 @@ impl fmt::Display for ConfigError {
             }
             ConfigError::FaultRate(knob) => {
                 write!(f, "fault rate `{knob}` must be a finite value in [0, 1]")
-            }
-            ConfigError::FaultWindow => {
-                f.write_str("scheduled faults need a non-zero (or permanent) duration")
             }
             ConfigError::FaultTopology(what) => {
                 write!(f, "scheduled fault references invalid topology: {what}")

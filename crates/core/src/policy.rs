@@ -339,16 +339,15 @@ crate::stateful!(PolicyController => PolicyState);
 /// congestion as well as faults.
 ///
 /// The `era` counter is the staleness fence for recorded reverse reply
-/// paths: it bumps whenever a blocking condition clears (a link or router
-/// heals, or a hot region cools), and the NI only rides a recorded path
-/// whose era matches — post-heal traffic returns to DOR instead of
-/// retracing a detour recorded under conditions that no longer hold.
+/// paths: it bumps whenever a hot region cools, and the NI only rides a
+/// recorded path whose era matches — later traffic returns to DOR instead
+/// of retracing a detour recorded under conditions that no longer hold.
 ///
 /// While any router is hot, NIs plan congestion-aware detours around hot
 /// routers and skip circuit construction for requests whose reply path
 /// crosses one; only a policy marks routers hot, so without one the map
-/// carries nothing but fault-heal era bumps. The hot count is scratch,
-/// recounted by `rebuild_scratch`.
+/// stays all calm at era 0. The hot count is scratch, recounted by
+/// `rebuild_scratch`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CongestionMap {
     state: CongestionState,
@@ -409,7 +408,7 @@ impl CongestionMap {
     }
 
     /// Advances the era: previously recorded reverse paths become stale.
-    /// Called when a fault heals or a hot region cools.
+    /// Called when a hot region cools.
     pub fn bump_era(&mut self) {
         self.state.era += 1;
     }

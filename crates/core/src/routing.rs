@@ -67,19 +67,9 @@ impl TopologyHealth {
         self.dead_links.insert(norm(a, b));
     }
 
-    /// Heals the `a`–`b` link (end of a bounded dead window).
-    pub fn revive_link(&mut self, a: NodeId, b: NodeId) {
-        self.dead_links.remove(&norm(a, b));
-    }
-
     /// Marks router `n` dead.
     pub fn kill_router(&mut self, n: NodeId) {
         self.dead_routers.insert(n);
-    }
-
-    /// Heals router `n`.
-    pub fn revive_router(&mut self, n: NodeId) {
-        self.dead_routers.remove(&n);
     }
 
     /// `true` when router `n` is alive.
@@ -129,7 +119,7 @@ mod tests {
     }
 
     #[test]
-    fn path_health_follows_kills_and_revivals() {
+    fn path_health_follows_kills() {
         let path = [0, 1, 2, 6].map(NodeId);
         let mut topo = TopologyHealth::new();
         assert!(!topo.is_degraded());
@@ -139,12 +129,12 @@ mod tests {
         assert!(!topo.link_usable(NodeId(1), NodeId(2)));
         assert!(!topo.hop_usable(NodeId(1), NodeId(2)));
         assert!(!path_is_healthy(&path, &topo));
-        topo.revive_link(NodeId(1), NodeId(2));
+        let mut topo = TopologyHealth::new();
         topo.kill_router(NodeId(6));
+        assert!(topo.link_usable(NodeId(2), NodeId(6)));
         assert!(!topo.hop_usable(NodeId(2), NodeId(6)));
         assert!(!path_is_healthy(&path, &topo));
-        topo.revive_router(NodeId(6));
-        assert!(path_is_healthy(&path, &topo));
+        assert!(path_is_healthy(&path[..3], &topo));
     }
 
     #[test]

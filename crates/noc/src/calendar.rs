@@ -56,9 +56,6 @@ pub(crate) struct Calendar {
     /// `(component, arrival, circuit, circuit destination)` undo
     /// notifications, in enqueue order.
     undos: Vec<(usize, Cycle, CircuitKey, NodeId)>,
-    /// `(component, port, flit)` whose arrival cycle passed while their
-    /// input port was stuck (a scheduled fault window), oldest first.
-    held: Vec<(usize, usize, Flit)>,
 }
 
 impl Calendar {
@@ -73,7 +70,6 @@ impl Calendar {
             masks: vec![0; cells],
             regs: vec![Flit::default(); cells * ports],
             undos: Vec::new(),
-            held: Vec::new(),
         }
     }
 
@@ -128,79 +124,52 @@ impl Calendar {
 
     /// Which of components `64·w .. 64·w + 64` have anything to
     /// [`Calendar::drain`] at `now`, as bit `i % 64`: their cell of this
-    /// cycle is due, or a stuck port parked flits for them. A set bit must
-    /// be answered with a drain in this cycle, or the cell would be
-    /// mistaken for a later cycle's.
+    /// cycle is due. A set bit must be answered with a drain in this
+    /// cycle, or the cell would be mistaken for a later cycle's.
     pub(crate) fn due_word(&self, now: Cycle, w: usize) -> u64 {
-        let mut word = self.due_bits[(now & WINDOW_MASK) as usize * self.n.div_ceil(64) + w];
-        for h in self.held.iter().filter(|h| h.0 / 64 == w) {
-            word |= 1 << (h.0 % 64);
-        }
-        word
+        self.due_bits[(now & WINDOW_MASK) as usize * self.n.div_ceil(64) + w]
     }
 
     /// Hands over everything due at component `i` at `now`: flits into
     /// the caller's (empty) scratch vector as `(port, flit)`, port-major,
     /// and within a port in arrival order; undos in enqueue order. The
     /// network-wide undo list is searched only when the cell says one is
-    /// due. Bit `p` of `stuck` freezes input port `p`: its flits are
-    /// parked, and come out ahead of the port's later arrivals on the
-    /// first drain that finds the port free again.
+    /// due.
     pub(crate) fn drain(
         &mut self,
         i: usize,
         now: Cycle,
-        stuck: u64,
         flits: &mut Vec<(usize, Flit)>,
         undos: &mut Vec<(CircuitKey, NodeId)>,
     ) {
         debug_assert!(flits.is_empty() && undos.is_empty());
-        let cell = (now & WINDOW_MASK) as usize * self.n + i;
-        let mut arrived = 0;
         let due = self.due_at(i, now);
-        if *due >> (i % 64) & 1 == 1 {
-            *due &= !(1 << (i % 64));
-            arrived = std::mem::take(&mut self.masks[cell]);
-            if arrived & UNDO_DUE != 0 {
-                arrived &= !UNDO_DUE;
-                let due = self.undos.extract_if(.., |u| u.0 == i && u.1 == now);
-                undos.extend(due.map(|(_, _, key, dst)| (key, dst)));
-            }
+        if *due >> (i % 64) & 1 == 0 {
+            return;
         }
-        let arrivals = bits(arrived).map(|p| (p, self.regs[cell * self.ports + p]));
-        if stuck == 0 && self.held.is_empty() {
-            return flits.extend(arrivals);
+        *due &= !(1 << (i % 64));
+        let cell = (now & WINDOW_MASK) as usize * self.n + i;
+        let mut arrived = std::mem::take(&mut self.masks[cell]);
+        if arrived & UNDO_DUE != 0 {
+            arrived &= !UNDO_DUE;
+            let due = self.undos.extract_if(.., |u| u.0 == i && u.1 == now);
+            undos.extend(due.map(|(_, _, key, dst)| (key, dst)));
         }
-        // A stuck-port window: port by port, the parked flits and then the
-        // arrival stay parked or come out as the port is now.
-        let parked = std::mem::take(&mut self.held);
-        let (mut mine, others) = parked.into_iter().partition::<Vec<_>, _>(|h| h.0 == i);
-        mine.extend(arrivals.map(|(p, f)| (i, p, f)));
-        self.held = others;
-        for p in 0..self.ports {
-            for h in mine.iter().filter(|h| h.1 == p) {
-                if stuck >> p & 1 == 1 {
-                    self.held.push(*h);
-                } else {
-                    flits.push((p, h.2));
-                }
-            }
-        }
+        flits.extend(bits(arrived).map(|p| (p, self.regs[cell * self.ports + p])));
     }
 
     /// `true` while a flit or an undo is on its way.
     pub(crate) fn carries_traffic(&self) -> bool {
-        !self.held.is_empty() || !self.undos.is_empty() || self.masks.iter().any(|&m| m != 0)
+        !self.undos.is_empty() || self.masks.iter().any(|&m| m != 0)
     }
 
-    /// Every flit on its way or parked, as `(component, input port,
-    /// flit)`, in no particular order.
+    /// Every flit on its way, as `(component, input port, flit)`, in no
+    /// particular order.
     pub(crate) fn flits(&self) -> impl Iterator<Item = (usize, usize, Flit)> + '_ {
         let regs = self.masks.iter().zip(self.regs.chunks(self.ports));
         let n = self.n;
         regs.enumerate()
             .flat_map(move |(cell, (m, r))| bits(m & !UNDO_DUE).map(move |p| (cell % n, p, r[p])))
-            .chain(self.held.iter().copied())
     }
 }
 
@@ -236,13 +205,13 @@ mod tests {
     /// What one drain handed over: flits as `(port, packet slot)`, undos.
     type Drained = (Vec<(usize, u32)>, Vec<(CircuitKey, NodeId)>);
 
-    fn drain(cal: &mut Calendar, now: Cycle, stuck: u64) -> Drained {
-        drain_at(cal, I, now, stuck)
+    fn drain(cal: &mut Calendar, now: Cycle) -> Drained {
+        drain_at(cal, I, now)
     }
 
-    fn drain_at(cal: &mut Calendar, i: usize, now: Cycle, stuck: u64) -> Drained {
+    fn drain_at(cal: &mut Calendar, i: usize, now: Cycle) -> Drained {
         let (mut f, mut u) = (Vec::new(), Vec::new());
-        cal.drain(i, now, stuck, &mut f, &mut u);
+        cal.drain(i, now, &mut f, &mut u);
         (f.into_iter().map(|(p, f)| (p, f.slot)).collect(), u)
     }
 
@@ -267,15 +236,14 @@ mod tests {
             }
         }
 
-        /// The earliest arrival still queued: in the past while a stuck
-        /// port holds flits back.
+        /// The earliest arrival still queued.
         fn next_due(&self) -> Cycle {
             let flits = self.flits.iter().flatten().map(|&(a, _)| a);
             let undos = self.undos.iter().map(|&(a, _, _)| a);
             flits.chain(undos).min().unwrap_or(Cycle::MAX)
         }
 
-        fn drain(&mut self, now: Cycle, stuck: u64) -> Drained {
+        fn drain(&mut self, now: Cycle) -> Drained {
             fn due<T>(q: &mut Vec<(Cycle, T)>, now: Cycle, mut f: impl FnMut(T)) {
                 let mut j = 0;
                 while j < q.len() {
@@ -288,9 +256,7 @@ mod tests {
             }
             let (mut f, mut u) = (Vec::new(), Vec::new());
             for (p, q) in self.flits.iter_mut().enumerate() {
-                if stuck >> p & 1 == 0 {
-                    due(q, now, |id| f.push((p, id)));
-                }
+                due(q, now, |id| f.push((p, id)));
             }
             let mut j = 0;
             while j < self.undos.len() {
@@ -318,11 +284,11 @@ mod tests {
         assert_eq!(cal.flits().count(), 4);
         assert!(cal.flits().all(|(i, _, _)| i == I));
         assert!(!due(&cal, I, 10) && due(&cal, I, 11));
-        let (f, u) = drain(&mut cal, 11, 0);
+        let (f, u) = drain(&mut cal, 11);
         assert_eq!(f, [(0, 3), (4, 1)]);
         assert!(u.is_empty());
         assert!(!due(&cal, I, 11) && due(&cal, I, 12));
-        let (f, u) = drain(&mut cal, 12, 0);
+        let (f, u) = drain(&mut cal, 12);
         assert_eq!(f, [(2, 2), (4, 4)]);
         assert_eq!(
             u,
@@ -343,35 +309,9 @@ mod tests {
         for now in 0..200 {
             cal.push_undo(I, now, now + far, key(now), NodeId(3));
             assert_eq!(due(&cal, I, now), now >= far, "cycle {now}");
-            let (_, u) = drain(&mut cal, now, 0);
+            let (_, u) = drain(&mut cal, now);
             assert_eq!(u.len(), usize::from(now >= far), "cycle {now}");
         }
-    }
-
-    #[test]
-    fn flits_held_behind_a_stuck_port_come_out_first() {
-        let mut cal = calendar();
-        cal.push_flit(I, 0, 1, 2, flit(1));
-        cal.push_flit(I, 0, 1, 0, flit(2));
-        cal.push_flit(I, 0, 2, 2, flit(3));
-        // Port 2 is stuck at cycle 1: its flit is parked, port 0 flows.
-        let (f, _) = drain(&mut cal, 1, 1 << 2);
-        assert_eq!(f, [(0, 2)]);
-        assert!(cal.carries_traffic());
-        // Still stuck at 2: the second flit queues behind the first.
-        cal.push_flit(I, 2, 3, 2, flit(4));
-        let (f, _) = drain(&mut cal, 2, 1 << 2);
-        assert!(f.is_empty());
-        assert_eq!(cal.flits().count(), 3);
-        // Freed at 3: parked flits precede the one arriving now.
-        let (f, _) = drain(&mut cal, 3, 0);
-        assert_eq!(f, [(2, 1), (2, 3), (2, 4)]);
-        // A parked flit keeps its component, and only it, due every cycle.
-        cal.push_flit(I, 3, 4, 2, flit(5));
-        drain(&mut cal, 4, 1 << 2);
-        assert!((5..9).all(|now| due(&cal, I, now) && !due(&cal, 0, now)));
-        assert_eq!(drain(&mut cal, 9, 0).0, [(2, 5)]);
-        assert!(!due(&cal, I, 10));
     }
 
     #[test]
@@ -397,8 +337,7 @@ mod tests {
     }
 
     /// One cycle of a random schedule: which driven component receives
-    /// what is enqueued (as deltas ahead of `now`), and which ports are
-    /// stuck when the cycle is drained.
+    /// what is enqueued (as deltas ahead of `now`).
     #[derive(Debug, Clone)]
     struct Step {
         /// An index into [`DRIVEN`].
@@ -406,7 +345,6 @@ mod tests {
         /// The ports whose wire carries a flit this cycle.
         flit_ports: u64,
         undos: Vec<u64>,
-        stuck: u64,
         skip_when_idle: bool,
     }
 
@@ -423,15 +361,12 @@ mod tests {
                 }
             }),
             proptest::collection::vec(0..64u64, 0..2),
-            // Mostly free, sometimes a random subset of ports stuck.
-            (0..4u8, 0..1u64 << PORTS).prop_map(|(roll, m)| if roll == 0 { m } else { 0 }),
             any::<bool>(),
         )
-            .prop_map(|(target, flit_ports, undos, stuck, skip_when_idle)| Step {
+            .prop_map(|(target, flit_ports, undos, skip_when_idle)| Step {
                 target,
                 flit_ports,
                 undos,
-                stuck,
                 skip_when_idle,
             })
     }
@@ -440,8 +375,7 @@ mod tests {
         /// Interleaved pushes and drains against one reference mailbox per
         /// driven component: identical drained sequences, and every due
         /// word exactly the driven components that are due — a reference
-        /// with an arrival at or before `now` (in the past while a stuck
-        /// port parks flits) — and nothing else. Each port is one wire
+        /// with an arrival at or before `now` — and nothing else. Each port is one wire
         /// with its own delay, drawn per case, carrying at most one flit
         /// per cycle (the register law); undos take any delta in the window
         /// and come out in enqueue order. Like the event kernel, the loop
@@ -468,8 +402,8 @@ mod tests {
                 }
                 for (j, &i) in DRIVEN.iter().enumerate() {
                     if due_now[j] || !s.skip_when_idle {
-                        let got = drain_at(&mut cal, i, now, s.stuck);
-                        prop_assert_eq!((now, i, got), (now, i, reference[j].drain(now, s.stuck)));
+                        let got = drain_at(&mut cal, i, now);
+                        prop_assert_eq!((now, i, got), (now, i, reference[j].drain(now)));
                     }
                 }
                 let (i, reference_i) = (DRIVEN[s.target], &mut reference[s.target]);

@@ -7,7 +7,8 @@
 //! the fault layer at all — the network holds no `FaultState` in that case
 //! and never consults the fault RNG.
 //!
-//! Fault classes (all rates are per-event probabilities in `[0, 1]`):
+//! Fault classes (rates are per-event probabilities in `[0, 1]`; the
+//! scheduled faults are permanent from their cycle `at`):
 //!
 //! * **Link drop** — when a head flit crosses an inter-router link it may
 //!   be dropped. It sets its output VC's eat bit, and the rest of the
@@ -15,112 +16,56 @@
 //!   a packet is lost whole, never truncated. Upstream credits are still
 //!   synthesized for swallowed flits so the *fault* does not by itself
 //!   wedge the fabric (credit loss is a separate class).
-//! * **Link corruption** — the head flit is marked corrupted; the packet
-//!   travels normally and is discarded at the destination NI's integrity
-//!   check instead of being delivered.
 //! * **Credit loss** — a credit crossing an inter-router link vanishes,
 //!   permanently shrinking the usable depth of the upstream VC. Enough of
 //!   these deadlock the network — the watchdog's job to report.
-//! * **Table corruption** — a random circuit-table entry of a random
-//!   router evaporates (soft error in the reservation SRAM). A reply that
-//!   arrives expecting the entry falls back to the ordinary 5-cycle
-//!   pipeline at that router ([`BypassCheck::Pipeline`]); its delivery is
-//!   reclassified [`CircuitOutcome::FaultDegraded`].
-//! * **Stuck input port** — a scheduled [`StuckPortEvent`] freezes one
-//!   router input port for a window of cycles: arrivals queue on the link
-//!   and nothing enters the port until the window ends.
 //! * **Dead link** — a scheduled [`DeadLinkEvent`] removes one
-//!   bidirectional inter-router link at a given cycle, permanently or for
-//!   a bounded window. A packet whose head is routed onto it is lost
-//!   whole, through the same eat bit; the live [`TopologyHealth`] map makes
-//!   new packets detour around it and tears down every circuit whose
-//!   reply path crossed it (DESIGN.md §10).
+//!   bidirectional inter-router link. A packet whose head is routed onto
+//!   it is lost whole, through the same eat bit; the live
+//!   [`TopologyHealth`] map makes new packets detour around it and tears
+//!   down every circuit whose reply path crossed it (DESIGN.md §10).
 //! * **Dead router** — a scheduled [`DeadRouterEvent`] kills a whole
-//!   router: all four of its links stop carrying data and no packet may
-//!   start from, end at or cross the node. NoC-level studies only — a dead
-//!   router takes its L2 bank along, which the coherence protocol does not
-//!   model losing.
+//!   router: none of its links carries data and no packet may start from,
+//!   end at or cross the node. NoC-level studies only — a dead router
+//!   takes its L2 bank along, which the coherence protocol does not model
+//!   losing.
 //!
 //! Recovery is end-to-end: the network tracks every in-flight packet and
-//! retransmits lost or corrupted ones from the source NI (plain
-//! packet-switched, bounded retries with linear backoff); a packet that
-//! exhausts its retries is counted in `NocStats::dropped_packets`. For
-//! permanent faults the protocol layer adds a second safety net: an L1
-//! whose miss reply never arrives reissues the request after a timeout
-//! (bounded, exponential backoff).
+//! retransmits lost ones from the source NI (plain packet-switched,
+//! bounded retries with linear backoff); a packet that exhausts its
+//! retries is counted in `NocStats::dropped_packets`. For dead links the
+//! protocol layer adds a second safety net: an L1 whose miss reply never
+//! arrives reissues the request after a timeout (bounded, exponential
+//! backoff).
 //!
 //! [`TopologyHealth`]: rcsim_core::TopologyHealth
-//!
-//! [`BypassCheck::Pipeline`]: crate::router::BypassCheck::Pipeline
-//! [`CircuitOutcome::FaultDegraded`]: crate::CircuitOutcome::FaultDegraded
 
 use crate::flit::Flit;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use rcsim_core::{ConfigError, Cycle, NodeId, Topology, PORT_LOCAL};
+use rcsim_core::{ConfigError, Cycle, NodeId, Topology};
 use serde::{Deserialize, Serialize};
 
-/// A scheduled one-shot fault: one router input port accepts nothing for
-/// `duration` cycles starting at cycle `at`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct StuckPortEvent {
-    /// The router whose input port sticks.
-    pub node: NodeId,
-    /// Which network input port (`PORT_NORTH`..=`PORT_WEST`).
-    pub port: usize,
-    /// First stuck cycle.
-    pub at: Cycle,
-    /// Number of cycles the port stays stuck.
-    pub duration: Cycle,
-}
-
-impl StuckPortEvent {
-    /// `true` while the event holds the port at cycle `now`.
-    pub fn active(&self, now: Cycle) -> bool {
-        now >= self.at && now < self.at.saturating_add(self.duration)
-    }
-}
-
-/// A scheduled hard fault on one inter-router link: from cycle `at` the
-/// `a`–`b` link carries no data in either direction, permanently
-/// (`duration: None`) or until `at + duration`.
+/// A scheduled hard fault on one inter-router link: from cycle `at` on,
+/// the `a`–`b` link carries no data in either direction.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct DeadLinkEvent {
     /// One endpoint of the link.
     pub a: NodeId,
-    /// The other endpoint (must be a mesh neighbour of `a`).
+    /// The other endpoint (a neighbour of `a` in the topology).
     pub b: NodeId,
     /// First dead cycle.
     pub at: Cycle,
-    /// `None` for a permanent fault, `Some(n)` to heal after `n` cycles.
-    pub duration: Option<Cycle>,
 }
 
-impl DeadLinkEvent {
-    /// The cycle the link heals, or `None` for a permanent fault.
-    pub fn heals_at(&self) -> Option<Cycle> {
-        self.duration.map(|d| self.at.saturating_add(d))
-    }
-}
-
-/// A scheduled hard fault on a whole router: from cycle `at` node `node`
-/// accepts, emits and forwards nothing, permanently (`duration: None`) or
-/// until `at + duration`.
+/// A scheduled hard fault on a whole router: from cycle `at` on, node
+/// `node` accepts, emits and forwards nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct DeadRouterEvent {
     /// The router that dies.
     pub node: NodeId,
     /// First dead cycle.
     pub at: Cycle,
-    /// `None` for a permanent fault, `Some(n)` to heal after `n` cycles.
-    pub duration: Option<Cycle>,
-}
-
-impl DeadRouterEvent {
-    /// The cycle the router heals, or `None` for a permanent fault.
-    pub fn heals_at(&self) -> Option<Cycle> {
-        self.duration.map(|d| self.at.saturating_add(d))
-    }
 }
 
 /// Fault-injection configuration. The default ([`FaultConfig::none`])
@@ -132,16 +77,8 @@ pub struct FaultConfig {
     /// Probability a packet is dropped per inter-router link traversal
     /// (decided at its head flit; the whole packet is lost).
     pub link_drop_rate: f64,
-    /// Probability a packet is corrupted per inter-router link traversal
-    /// (decided at its head flit; discarded at the destination NI).
-    pub link_corrupt_rate: f64,
     /// Probability a credit is lost per inter-router link traversal.
     pub credit_loss_rate: f64,
-    /// Probability, per router per cycle, that one random circuit-table
-    /// entry is corrupted (removed).
-    pub table_corrupt_rate: f64,
-    /// Scheduled stuck-input-port windows.
-    pub stuck_ports: Vec<StuckPortEvent>,
     /// Scheduled dead links (permanent faults, DESIGN.md §10).
     #[serde(default)]
     pub dead_links: Vec<DeadLinkEvent>,
@@ -162,10 +99,7 @@ impl FaultConfig {
         FaultConfig {
             seed: 0xFA017,
             link_drop_rate: 0.0,
-            link_corrupt_rate: 0.0,
             credit_loss_rate: 0.0,
-            table_corrupt_rate: 0.0,
-            stuck_ports: Vec::new(),
             dead_links: Vec::new(),
             dead_routers: Vec::new(),
             max_retries: 4,
@@ -176,10 +110,7 @@ impl FaultConfig {
     /// `true` when no fault class can ever fire.
     pub fn is_none(&self) -> bool {
         self.link_drop_rate <= 0.0
-            && self.link_corrupt_rate <= 0.0
             && self.credit_loss_rate <= 0.0
-            && self.table_corrupt_rate <= 0.0
-            && self.stuck_ports.is_empty()
             && self.dead_links.is_empty()
             && self.dead_routers.is_empty()
     }
@@ -191,17 +122,12 @@ impl FaultConfig {
     /// # Errors
     ///
     /// * [`ConfigError::FaultRate`] — a rate is NaN, negative or above 1.
-    /// * [`ConfigError::FaultWindow`] — a scheduled fault has an explicit
-    ///   duration of zero cycles (it could never take effect).
     /// * [`ConfigError::FaultTopology`] — a scheduled fault names a router
-    ///   outside the topology, a non-adjacent link pair, or a local
-    ///   port.
+    ///   outside the topology or a non-adjacent link pair.
     pub fn validate(&self, topology: &Topology) -> Result<(), ConfigError> {
         let rates = [
             (self.link_drop_rate, "link_drop_rate"),
-            (self.link_corrupt_rate, "link_corrupt_rate"),
             (self.credit_loss_rate, "credit_loss_rate"),
-            (self.table_corrupt_rate, "table_corrupt_rate"),
         ];
         for (rate, name) in rates {
             if !rate.is_finite() || !(0.0..=1.0).contains(&rate) {
@@ -209,34 +135,17 @@ impl FaultConfig {
             }
         }
         let routers = topology.routers();
-        for e in &self.stuck_ports {
-            if e.duration == 0 {
-                return Err(ConfigError::FaultWindow);
-            }
-            if e.node.index() >= routers {
-                return Err(ConfigError::FaultTopology("stuck-port node out of bounds"));
-            }
-            if e.port >= PORT_LOCAL {
-                return Err(ConfigError::FaultTopology("stuck port on a local port"));
-            }
-        }
         for e in &self.dead_links {
-            if e.duration == Some(0) {
-                return Err(ConfigError::FaultWindow);
-            }
             if e.a.index() >= routers || e.b.index() >= routers {
                 return Err(ConfigError::FaultTopology("dead-link node out of bounds"));
             }
             if topology.distance(e.a, e.b) != 1 {
                 return Err(ConfigError::FaultTopology(
-                    "dead-link endpoints are not mesh neighbours",
+                    "dead-link endpoints are not neighbours",
                 ));
             }
         }
         for e in &self.dead_routers {
-            if e.duration == Some(0) {
-                return Err(ConfigError::FaultWindow);
-            }
             if e.node.index() >= routers {
                 return Err(ConfigError::FaultTopology("dead router out of bounds"));
             }
@@ -259,13 +168,16 @@ pub struct FaultStats {
     /// Flits lost on a live hop: dropped heads and the rest of their
     /// packets (a flit counts under the hop it is lost on).
     pub flits_dropped: u64,
-    /// Packets marked corrupted on a link (discarded at the NI).
+    /// Always zero: no code writes it. It stays so the serialized counters
+    /// keep their shape (ROADMAP item 1 retires it).
     pub packets_corrupted: u64,
     /// Credits lost on inter-router links.
     pub credits_lost: u64,
-    /// Circuit-table entries corrupted away.
+    /// Always zero: no code writes it. It stays so the serialized counters
+    /// keep their shape (ROADMAP item 1 retires it).
     pub table_entries_corrupted: u64,
-    /// Router-port × cycle units spent stuck.
+    /// Always zero: no code writes it. It stays so the serialized counters
+    /// keep their shape (ROADMAP item 1 retires it).
     pub stuck_port_cycles: u64,
     /// End-to-end retransmissions issued.
     pub retransmissions: u64,
@@ -284,17 +196,6 @@ pub struct FaultStats {
     /// before the hop died (a flit counts under the hop it is lost on).
     #[serde(default)]
     pub dead_flits_lost: u64,
-}
-
-/// Fate of a flit crossing an inter-router link under fault injection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LinkFate {
-    /// Delivered untouched.
-    Deliver,
-    /// Delivered with the corrupted mark set (head flits only).
-    Corrupt,
-    /// Dropped at this link.
-    Drop,
 }
 
 /// The fault RNG, serialized as its two state words.
@@ -350,22 +251,17 @@ impl FaultState {
         rate > 0.0 && self.state.rng.0.gen_bool(rate.clamp(0.0, 1.0))
     }
 
-    /// Decides the fate of `flit` leaving router `from` on output VC slot
-    /// `out` (`port · vcs + vc`) of an inter-router link, `dead` when the
-    /// link or an endpoint router is down. A head sets the VC's eat bit to
+    /// Decides whether `flit`, leaving router `from` on output VC slot
+    /// `out` (`port · vcs + vc`) of an inter-router link, is lost there;
+    /// `dead` when the link or an endpoint router is down. A head sets the
+    /// VC's eat bit to
     /// whether it is lost: on a dead hop without a draw, so scheduled
     /// faults leave the random stream alone, else at the drop rate. A VC
     /// carries one packet at a time, head first, so every flit is lost
     /// exactly when its VC's bit is set, and counted under the hop it is
     /// lost on. A packet whose head crossed before the hop died drains
     /// whole: cutting a wormhole mid-stream would wedge the downstream VC.
-    pub(crate) fn on_link_flit(
-        &mut self,
-        from: usize,
-        out: usize,
-        flit: Flit,
-        dead: bool,
-    ) -> LinkFate {
+    pub(crate) fn on_link_flit(&mut self, from: usize, out: usize, flit: Flit, dead: bool) -> bool {
         let bit = 1 << out;
         if flit.is_head() {
             let lost = dead || self.chance(self.cfg.link_drop_rate);
@@ -373,13 +269,10 @@ impl FaultState {
             *word = if lost { *word | bit } else { *word & !bit };
             if lost && !dead {
                 self.state.stats.packets_dropped += 1;
-            } else if !lost && self.chance(self.cfg.link_corrupt_rate) {
-                self.state.stats.packets_corrupted += 1;
-                return LinkFate::Corrupt;
             }
         }
         if self.state.eating[from] & bit == 0 {
-            return LinkFate::Deliver;
+            return false;
         }
         let stats = &mut self.state.stats;
         if dead {
@@ -387,7 +280,7 @@ impl FaultState {
         } else {
             stats.flits_dropped += 1;
         }
-        LinkFate::Drop
+        true
     }
 
     /// `true` if a credit crossing an inter-router link is lost.
@@ -398,29 +291,6 @@ impl FaultState {
         }
         lost
     }
-
-    /// Rolls the per-router/per-cycle table-corruption die; on a hit,
-    /// returns a (port index, uniform draw) pair the network uses to pick
-    /// a victim entry. `ports` is the router's port count (5 on the plain
-    /// mesh, so the historical RNG stream is unchanged there).
-    pub(crate) fn roll_table_corruption(&mut self, ports: usize) -> Option<(usize, usize)> {
-        if self.chance(self.cfg.table_corrupt_rate) {
-            Some((
-                self.state.rng.0.gen_range(0..ports),
-                self.state.rng.0.gen_range(0..usize::MAX),
-            ))
-        } else {
-            None
-        }
-    }
-
-    /// `true` while any scheduled event holds input port `port` of `node`.
-    pub(crate) fn port_stuck(&self, node: usize, port: usize, now: Cycle) -> bool {
-        self.cfg
-            .stuck_ports
-            .iter()
-            .any(|e| e.node.index() == node && e.port == port && e.active(now))
-    }
 }
 
 rcsim_core::stateful!(FaultState => State);
@@ -428,7 +298,7 @@ rcsim_core::stateful!(FaultState => State);
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rcsim_core::{Topology, PORT_EAST, PORT_WEST};
+    use rcsim_core::Topology;
 
     /// The head and a body flit of a `len`-flit packet.
     fn flits(len: u32) -> (Flit, Flit) {
@@ -466,7 +336,6 @@ mod tests {
                 a: NodeId(0),
                 b: NodeId(1),
                 at: 0,
-                duration: None,
             }],
             ..FaultConfig::none()
         };
@@ -475,7 +344,6 @@ mod tests {
             dead_routers: vec![DeadRouterEvent {
                 node: NodeId(5),
                 at: 100,
-                duration: Some(50),
             }],
             ..FaultConfig::none()
         };
@@ -503,65 +371,7 @@ mod tests {
             cfg.validate(&mesh),
             Err(ConfigError::FaultRate("credit_loss_rate"))
         );
-        let cfg = FaultConfig {
-            table_corrupt_rate: -1.0,
-            ..FaultConfig::none()
-        };
-        assert_eq!(
-            cfg.validate(&mesh),
-            Err(ConfigError::FaultRate("table_corrupt_rate"))
-        );
         assert_eq!(FaultConfig::none().validate(&mesh), Ok(()));
-    }
-
-    #[test]
-    fn validate_rejects_zero_windows() {
-        let mesh = Topology::mesh(4, 4).unwrap();
-        let cfg = FaultConfig {
-            stuck_ports: vec![StuckPortEvent {
-                node: NodeId(1),
-                port: PORT_EAST,
-                at: 5,
-                duration: 0,
-            }],
-            ..FaultConfig::none()
-        };
-        assert_eq!(cfg.validate(&mesh), Err(ConfigError::FaultWindow));
-        let cfg = FaultConfig {
-            dead_links: vec![DeadLinkEvent {
-                a: NodeId(0),
-                b: NodeId(1),
-                at: 5,
-                duration: Some(0),
-            }],
-            ..FaultConfig::none()
-        };
-        assert_eq!(cfg.validate(&mesh), Err(ConfigError::FaultWindow));
-        let cfg = FaultConfig {
-            dead_routers: vec![DeadRouterEvent {
-                node: NodeId(0),
-                at: 5,
-                duration: Some(0),
-            }],
-            ..FaultConfig::none()
-        };
-        assert_eq!(cfg.validate(&mesh), Err(ConfigError::FaultWindow));
-        // Permanent (None) and bounded (Some(>0)) windows are fine.
-        let cfg = FaultConfig {
-            dead_links: vec![DeadLinkEvent {
-                a: NodeId(0),
-                b: NodeId(1),
-                at: 5,
-                duration: None,
-            }],
-            dead_routers: vec![DeadRouterEvent {
-                node: NodeId(2),
-                at: 5,
-                duration: Some(10),
-            }],
-            ..FaultConfig::none()
-        };
-        assert_eq!(cfg.validate(&mesh), Ok(()));
     }
 
     #[test]
@@ -572,7 +382,6 @@ mod tests {
                 a: NodeId(0),
                 b: NodeId(99),
                 at: 0,
-                duration: None,
             }],
             ..FaultConfig::none()
         };
@@ -586,7 +395,6 @@ mod tests {
                 a: NodeId(0),
                 b: NodeId(5),
                 at: 0,
-                duration: None,
             }],
             ..FaultConfig::none()
         };
@@ -598,20 +406,6 @@ mod tests {
             dead_routers: vec![DeadRouterEvent {
                 node: NodeId(16),
                 at: 0,
-                duration: None,
-            }],
-            ..FaultConfig::none()
-        };
-        assert!(matches!(
-            cfg.validate(&mesh),
-            Err(ConfigError::FaultTopology(_))
-        ));
-        let cfg = FaultConfig {
-            stuck_ports: vec![StuckPortEvent {
-                node: NodeId(1),
-                port: PORT_LOCAL,
-                at: 0,
-                duration: 10,
             }],
             ..FaultConfig::none()
         };
@@ -625,13 +419,13 @@ mod tests {
     fn drop_swallows_whole_packet() {
         let mut fs = dropping(1.0);
         let (head, body) = flits(5);
-        assert_eq!(fs.on_link_flit(3, 1, head, false), LinkFate::Drop);
+        assert!(fs.on_link_flit(3, 1, head, false));
         assert_eq!(fs.state.eating[3], 1 << 1);
         // The four body/tail flits on the same output VC are swallowed
         // without further draws.
         let rng = draws(&fs);
         for _ in 0..4 {
-            assert_eq!(fs.on_link_flit(3, 1, body, false), LinkFate::Drop);
+            assert!(fs.on_link_flit(3, 1, body, false));
         }
         assert_eq!(draws(&fs), rng, "a body flit never draws");
         assert_eq!(fs.state.stats.packets_dropped, 1);
@@ -642,13 +436,13 @@ mod tests {
     fn a_head_on_another_vc_of_the_link_is_rolled_fresh() {
         let mut fs = dropping(1.0);
         let (head, body) = flits(5);
-        assert_eq!(fs.on_link_flit(3, 1, head, false), LinkFate::Drop);
+        assert!(fs.on_link_flit(3, 1, head, false));
         fs.cfg.link_drop_rate = 0.0;
         // Slot 2 is another VC of the same port: its own head decides.
-        assert_eq!(fs.on_link_flit(3, 2, head, false), LinkFate::Deliver);
-        assert_eq!(fs.on_link_flit(3, 2, body, false), LinkFate::Deliver);
-        assert_eq!(fs.on_link_flit(3, 1, body, false), LinkFate::Drop);
-        assert_eq!(fs.on_link_flit(4, 1, body, false), LinkFate::Deliver);
+        assert!(!fs.on_link_flit(3, 2, head, false));
+        assert!(!fs.on_link_flit(3, 2, body, false));
+        assert!(fs.on_link_flit(3, 1, body, false));
+        assert!(!fs.on_link_flit(4, 1, body, false));
         assert_eq!(fs.state.eating[3], 1 << 1);
     }
 
@@ -659,12 +453,12 @@ mod tests {
         // VC decides, whichever packet it belongs to.
         let mut fs = dropping(1.0);
         let (head, body) = flits(5);
-        assert_eq!(fs.on_link_flit(3, 1, head, false), LinkFate::Drop);
-        assert_eq!(fs.on_link_flit(3, 1, body, false), LinkFate::Drop);
+        assert!(fs.on_link_flit(3, 1, head, false));
+        assert!(fs.on_link_flit(3, 1, body, false));
         fs.cfg.link_drop_rate = 0.0;
-        assert_eq!(fs.on_link_flit(3, 1, head, false), LinkFate::Deliver);
+        assert!(!fs.on_link_flit(3, 1, head, false));
         assert_eq!(fs.state.eating[3], 0);
-        assert_eq!(fs.on_link_flit(3, 1, body, false), LinkFate::Deliver);
+        assert!(!fs.on_link_flit(3, 1, body, false));
         assert_eq!(fs.state.stats.flits_dropped, 2);
     }
 
@@ -673,50 +467,22 @@ mod tests {
         let mut fs = dropping(0.5);
         let (head, body) = flits(5);
         let rng = draws(&fs);
-        assert_eq!(fs.on_link_flit(0, 4, head, true), LinkFate::Drop);
-        assert_eq!(fs.on_link_flit(0, 4, body, true), LinkFate::Drop);
+        assert!(fs.on_link_flit(0, 4, head, true));
+        assert!(fs.on_link_flit(0, 4, body, true));
         assert_eq!(draws(&fs), rng, "a dead hop never draws");
         assert_eq!(fs.state.stats.dead_flits_lost, 2);
         assert_eq!(fs.state.stats.packets_dropped, 0);
         assert_eq!(fs.state.stats.flits_dropped, 0);
         // A packet whose head crossed before the link died drains whole.
         fs.cfg.link_drop_rate = 0.0;
-        assert_eq!(fs.on_link_flit(0, 5, head, false), LinkFate::Deliver);
-        assert_eq!(fs.on_link_flit(0, 5, body, true), LinkFate::Deliver);
+        assert!(!fs.on_link_flit(0, 5, head, false));
+        assert!(!fs.on_link_flit(0, 5, body, true));
         // A body lost to a random drop counts under the hop it dies on.
         fs.cfg.link_drop_rate = 1.0;
-        assert_eq!(fs.on_link_flit(0, 6, head, false), LinkFate::Drop);
-        assert_eq!(fs.on_link_flit(0, 6, body, true), LinkFate::Drop);
+        assert!(fs.on_link_flit(0, 6, head, false));
+        assert!(fs.on_link_flit(0, 6, body, true));
         assert_eq!(fs.state.stats.flits_dropped, 1);
         assert_eq!(fs.state.stats.dead_flits_lost, 3);
-    }
-
-    #[test]
-    fn corruption_marks_heads_only() {
-        let cfg = FaultConfig {
-            link_corrupt_rate: 1.0,
-            ..FaultConfig::none()
-        };
-        let mut fs = FaultState::new(cfg, 1);
-        let single = flits(1).0;
-        assert_eq!(fs.on_link_flit(0, 0, single, false), LinkFate::Corrupt);
-        let body = flits(5).1;
-        assert_eq!(fs.on_link_flit(0, 0, body, false), LinkFate::Deliver);
-        assert_eq!(fs.state.stats.packets_corrupted, 1);
-    }
-
-    #[test]
-    fn stuck_window_is_half_open() {
-        let e = StuckPortEvent {
-            node: NodeId(0),
-            port: PORT_WEST,
-            at: 10,
-            duration: 5,
-        };
-        assert!(!e.active(9));
-        assert!(e.active(10));
-        assert!(e.active(14));
-        assert!(!e.active(15));
     }
 
     #[test]
@@ -738,7 +504,7 @@ mod tests {
     }
 
     /// Property round trip of the fault-layer checkpoint: after an
-    /// arbitrary prefix of link/credit/table rolls (including VCs whose
+    /// arbitrary prefix of link and credit rolls (including VCs whose
     /// eat bit is set), a [`FaultState`] restored from the snapshot — into a
     /// state built from a *different* seed — must produce the identical
     /// fate sequence for any continuation, and the snapshot must survive
@@ -757,7 +523,6 @@ mod tests {
                 dead: bool,
             },
             Credit,
-            Table,
         }
 
         fn roll_strategy() -> impl Strategy<Value = Roll> {
@@ -777,7 +542,6 @@ mod tests {
                         dead,
                     }),
                 Just(Roll::Credit),
-                Just(Roll::Table),
             ]
         }
 
@@ -794,17 +558,9 @@ mod tests {
                     } => {
                         let (h, body) = flits(len);
                         let flit = if head { h } else { body };
-                        match fs.on_link_flit(from, out, flit, dead) {
-                            LinkFate::Deliver => 0,
-                            LinkFate::Drop => 1,
-                            LinkFate::Corrupt => 2,
-                        }
+                        u64::from(fs.on_link_flit(from, out, flit, dead))
                     }
-                    Roll::Credit => 3 + fs.on_link_credit() as u64,
-                    Roll::Table => match fs.roll_table_corruption(5) {
-                        None => 5,
-                        Some((port, draw)) => 6 ^ (port as u64) ^ draw as u64,
-                    },
+                    Roll::Credit => 2 + u64::from(fs.on_link_credit()),
                 };
                 trace.push(outcome);
             }
@@ -822,9 +578,7 @@ mod tests {
             ) {
                 let cfg = FaultConfig {
                     link_drop_rate: 0.2,
-                    link_corrupt_rate: 0.1,
                     credit_loss_rate: 0.05,
-                    table_corrupt_rate: 0.15,
                     seed,
                     ..FaultConfig::none()
                 };

@@ -247,9 +247,6 @@ pub(crate) struct Packet {
     pub scrounger_final: Option<NodeId>,
     pub class: MessageClass,
     pub vnet: Vnet,
-    /// Set by the fault layer when the current copy is corrupted in
-    /// transit: the destination NI discards it, the source retransmits.
-    pub corrupted: bool,
     /// The reply committed to riding its own complete circuit at inject.
     pub committed: bool,
     /// A head was emitted and counted as this packet's injection.
@@ -297,7 +294,6 @@ impl Packet {
             scrounger_final: None,
             class: spec.class,
             vnet: spec.class.vnet(),
-            corrupted: false,
             committed: false,
             counted: false,
             closed: false,

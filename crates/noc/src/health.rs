@@ -349,12 +349,9 @@ impl fmt::Display for HealthReport {
         if self.faults != FaultStats::default() {
             writeln!(
                 f,
-                "  faults: {} pkts dropped, {} corrupted, {} credits lost, \
-                 {} table entries hit, {} retransmissions, {} abandoned",
+                "  faults: {} pkts dropped, {} credits lost, {} retransmissions, {} abandoned",
                 self.faults.packets_dropped,
-                self.faults.packets_corrupted,
                 self.faults.credits_lost,
-                self.faults.table_entries_corrupted,
                 self.faults.retransmissions,
                 self.faults.packets_abandoned
             )?;

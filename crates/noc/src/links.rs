@@ -8,7 +8,7 @@
 use crate::calendar::Calendar;
 use crate::config::NocConfig;
 use crate::credit::{CreditWire, CreditWires};
-use crate::fault::{FaultState, LinkFate};
+use crate::fault::FaultState;
 use crate::flit::{Flit, PacketId, Packets};
 use rcsim_core::circuit::CircuitKey;
 use rcsim_core::{Cycle, NodeId, TopologyHealth, PORT_LOCAL};
@@ -23,7 +23,7 @@ use rcsim_trace::{EventKind, TraceEvent, TraceSink};
 pub(crate) trait LinkSink {
     /// A flit leaving through output `port` (local ports eject to a
     /// tile's NI); its `vc` field is the downstream buffer index. The
-    /// link may mark, or lose, the flit's packet in `packets`.
+    /// link may lose the flit's packet in `packets`.
     fn flit(&mut self, port: usize, flit: Flit, arrive: Cycle, packets: &mut Packets);
     /// A credit for `vc` returned upstream through input port `port`,
     /// landing on the sender's wire at `arrive`.
@@ -186,13 +186,7 @@ impl Links<'_> {
     /// next end-to-end retransmission (linear backoff), or abandons it
     /// once the retry budget is spent. No-op without fault injection, or
     /// when the packet is already resolved.
-    pub(crate) fn schedule_retry(
-        &mut self,
-        packets: &mut Packets,
-        slot: u32,
-        id: PacketId,
-        at: Cycle,
-    ) {
+    fn schedule_retry(&mut self, packets: &mut Packets, slot: u32, id: PacketId, at: Cycle) {
         let Some(fs) = self.faults.as_mut() else {
             return;
         };
@@ -279,13 +273,9 @@ impl LinkSink for Links<'_> {
         if let Some(fs) = self.faults.as_mut() {
             let dead = self.degraded && !self.topo.hop_usable(self.from, nb);
             let out = port * self.cfg.vc_layout().total() + usize::from(flit.vc);
-            match fs.on_link_flit(self.from.index(), out, flit, dead) {
-                LinkFate::Deliver => {}
-                LinkFate::Corrupt => packets[flit.slot].corrupted = true,
-                LinkFate::Drop => {
-                    self.drop_on_link(nb, port, flit, arrive, packets);
-                    return;
-                }
+            if fs.on_link_flit(self.from.index(), out, flit, dead) {
+                self.drop_on_link(nb, port, flit, arrive, packets);
+                return;
             }
         }
         self.router_links

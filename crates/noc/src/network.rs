@@ -55,9 +55,6 @@ struct Scratch {
     /// every cycle by [`Network::drain_ingress`].
     backlogs: Vec<usize>,
     shed: Vec<ShedArrival>,
-    /// Per router, the mask of input ports stuck this cycle (all zero
-    /// without a fault layer).
-    stuck: Vec<u64>,
     /// Bitsets (bit `i % 64` of word `i / 64`): the NIs whose
     /// `is_active()` and the routers whose `is_busy()` held after their
     /// last tick or an outside mutation, and the routers holding timed
@@ -88,12 +85,8 @@ fn word_mask(n: usize, w: usize) -> u64 {
 enum TopoChange {
     /// The link between two adjacent routers dies.
     LinkDown(NodeId, NodeId),
-    /// A bounded dead-link window ends.
-    LinkUp(NodeId, NodeId),
-    /// A whole router dies (all five of its links with it).
+    /// A whole router dies (all of its links with it).
     RouterDown(NodeId),
-    /// A bounded dead-router window ends.
-    RouterUp(NodeId),
 }
 
 /// A mesh NoC instance.
@@ -132,9 +125,7 @@ pub struct Network {
     ingress: Option<Box<IngressState>>,
     /// Which routers an adaptive policy ([`Network::set_congestion`])
     /// marks hot, plus the staleness era for recorded detour paths. Always
-    /// present (all calm without a policy): the NIs read it, and every
-    /// link/router revival bumps the era too, so post-heal replies stop
-    /// riding detours recorded under the fault.
+    /// present (all calm without a policy): the NIs read it.
     congestion: CongestionMap,
 
     state: State,
@@ -172,9 +163,8 @@ struct State {
     fault_cursor: usize,
     /// Scheduled end-to-end retransmissions: (due cycle, slot, packet).
     retry_queue: Vec<(Cycle, u32, PacketId)>,
-    /// Circuits hit by table corruption or dead-resource teardown;
-    /// consumed when their reply is delivered to reclassify it as
-    /// `FaultDegraded`.
+    /// Circuits hit by dead-resource teardown; consumed when their reply
+    /// is delivered to reclassify it as `FaultDegraded`.
     faulted_circuits: StateSet<CircuitKey>,
     /// Last cycle any flit moved (arrived, ejected or was delivered).
     last_progress: Cycle,
@@ -206,15 +196,9 @@ impl Network {
         let mut fault_schedule = Vec::new();
         for e in &faults.dead_links {
             fault_schedule.push((e.at, TopoChange::LinkDown(e.a, e.b)));
-            if let Some(h) = e.heals_at() {
-                fault_schedule.push((h, TopoChange::LinkUp(e.a, e.b)));
-            }
         }
         for e in &faults.dead_routers {
             fault_schedule.push((e.at, TopoChange::RouterDown(e.node)));
-            if let Some(h) = e.heals_at() {
-                fault_schedule.push((h, TopoChange::RouterUp(e.node)));
-            }
         }
         fault_schedule.sort_by_key(|&(t, _)| t);
         Ok(Self {
@@ -261,7 +245,6 @@ impl Network {
             },
             delivered_tiles: vec![0; tiles.div_ceil(64)],
             scratch: Scratch {
-                stuck: vec![0; routers_n],
                 ni_busy: vec![0; tiles.div_ceil(64)],
                 router_busy: vec![0; routers_n.div_ceil(64)],
                 timed: vec![0; routers_n.div_ceil(64)],
@@ -602,8 +585,6 @@ impl Network {
         }
         let mut s = std::mem::take(&mut self.scratch);
 
-        self.fault_pre_pass(now, &mut s.stuck);
-
         // NIs first: they consume flits produced last cycle and inject at
         // most one flit each into their router's local port.
         for w in 0..s.ni_busy.len() {
@@ -621,7 +602,7 @@ impl Network {
                 let (i, ni) = (64 * w + b, &mut self.nis[64 * w + b]);
                 if due >> b & 1 == 1 {
                     let (flits, undos) = (&mut s.arrivals, &mut s.undos);
-                    self.state.ni_links.drain(i, now, 0, flits, undos);
+                    self.state.ni_links.drain(i, now, flits, undos);
                 }
                 moved |= !s.arrivals.is_empty();
                 s.ni_out.clear();
@@ -647,13 +628,9 @@ impl Network {
             }
         }
 
-        // Routers, each writing its output straight onto the links. The
-        // fault pre-pass already ran densely for every router (see
-        // [`Network::fault_pre_pass`]); this loop only reads its
-        // per-router stuck masks. A stuck port never hides work — the
-        // flits it parks keep the router due every cycle until the window
-        // ends. A timed entry's expiry is a time, not a bit: the routers
-        // holding one are asked.
+        // Routers, each writing its output straight onto the links. A
+        // timed entry's expiry is a time, not a bit: the routers holding
+        // one are asked.
         let (routers, packets, mut links) = self.links(now);
         for w in 0..s.router_busy.len() {
             let due = links.router_links.due_word(now, w);
@@ -674,7 +651,7 @@ impl Network {
                 let (i, router) = (64 * w + b, &mut routers[64 * w + b]);
                 if due >> b & 1 == 1 {
                     let (flits, undos) = (&mut s.arrivals, &mut s.undos);
-                    links.router_links.drain(i, now, s.stuck[i], flits, undos);
+                    links.router_links.drain(i, now, flits, undos);
                 }
                 moved |= !s.arrivals.is_empty();
                 links.from = NodeId(i as u16);
@@ -755,61 +732,17 @@ impl Network {
         torn
     }
 
-    /// The dense per-cycle fault pre-pass, hoisted ahead of the NI and
-    /// router loops: computes every router's stuck-port mask into `stuck`
-    /// (bit `p` = input port `p`; all zero, and never written, without a
-    /// fault layer), counts stuck-port cycles, and
-    /// rolls each router's table-corruption draw. It runs for every
-    /// router in index order, so the fault RNG stream is `corrupt(0..n)`
-    /// then `links(0..n)` whether or not idle routers are skipped. Scheduled stuck-port windows freeze individual input
-    /// ports: their arrivals stay parked on the link until the window
-    /// ends.
-    fn fault_pre_pass(&mut self, now: Cycle, stuck: &mut [u64]) {
-        let ports = self.cfg.topology.ports();
-        let Some(fs) = self.faults.as_mut() else {
-            return;
-        };
-        for (i, mask) in stuck.iter_mut().enumerate() {
-            // Only network ports stick (`FaultConfig::validate`).
-            *mask = 0;
-            for p in 0..PORT_LOCAL {
-                *mask |= u64::from(fs.port_stuck(i, p, now)) << p;
-            }
-            fs.state.stats.stuck_port_cycles += u64::from(mask.count_ones());
-            // Soft errors in the reservation SRAM: one random entry of one
-            // random port evaporates; the riding reply (if any) degrades
-            // to the ordinary pipeline at this router.
-            if let Some((port, draw)) = fs.roll_table_corruption(ports) {
-                let circuits = &mut self.routers[i].state.circuits;
-                let occ = circuits.port_occupancy(port);
-                if occ > 0 {
-                    if let Some(e) = circuits.fault_remove(port, draw % occ) {
-                        self.state.faulted_circuits.insert(e.key);
-                        fs.state.stats.table_entries_corrupted += 1;
-                    }
-                }
-            }
-        }
-    }
-
     /// Accounts one NI's tick (the NI itself is statistics-free, see
     /// [`Ni::tick`]) in a fixed per-NI order: the at-most-one counted
-    /// injection, reroutes, retries of corrupt discards, then deliveries
-    /// in ejection order. Called NI by NI in tile order, which fixes the
-    /// f64 accumulation order of every statistic and the order of the
-    /// trace.
+    /// injection, reroutes, then deliveries in ejection order. Called NI
+    /// by NI in tile order, which fixes the f64 accumulation order of
+    /// every statistic and the order of the trace.
     fn settle_ni(&mut self, tile: usize, now: Cycle, out: &mut NiOut) {
         if let Some((class, len)) = out.injection.take() {
             self.state.stats.record_injection(class, len);
         }
         if let Some(fs) = self.faults.as_mut() {
             fs.state.stats.packets_rerouted += out.reroutes;
-        }
-        if !out.corrupt_discards.is_empty() {
-            let (_, packets, mut links) = self.links(now);
-            for &(slot, id) in &out.corrupt_discards {
-                links.schedule_retry(packets, slot, id, now);
-            }
         }
         for (slot, mut d) in out.delivered.drain(..) {
             self.state.stats.record_delivery(
@@ -855,7 +788,7 @@ impl Network {
 
     /// Watchdog bookkeeping at delivery: closes the packet's outstanding
     /// record and, when a committed circuit ride was hit by a fault along
-    /// the way (retransmitted, or its circuit corrupted out of a table),
+    /// the way (retransmitted, or its circuit torn down by a dead resource),
     /// reclassifies its Figure 6 outcome as `FaultDegraded` and keeps the
     /// delivery's `rode_circuit` flag consistent with the sender's §4.6
     /// NoAck commitment. Returns the packet's end-to-end retry count.
@@ -879,12 +812,11 @@ impl Network {
         retries
     }
 
-    /// Applies every scheduled dead-link / dead-router transition due
-    /// this cycle: updates the topology-health map, re-derives each
-    /// router's degraded flag, emits the fault trace events, and on each
-    /// onset tears down every circuit whose reply path crosses a dead
-    /// resource. Dense and RNG-free, so skipping idle components never
-    /// moves the fault stream.
+    /// Applies every scheduled dead-link / dead-router onset due this
+    /// cycle: updates the topology-health map, re-derives each router's
+    /// degraded flag, emits the fault trace event, and tears down every
+    /// circuit whose reply path crosses a dead resource. Dense and
+    /// RNG-free, so skipping idle components never moves the fault stream.
     fn process_fault_onsets(&mut self, now: Cycle) {
         while self.state.fault_cursor < self.fault_schedule.len()
             && self.fault_schedule[self.state.fault_cursor].0 <= now
@@ -899,13 +831,6 @@ impl Network {
                         kind: EventKind::LinkDead { a: a.0, b: b.0 },
                     });
                 }
-                TopoChange::LinkUp(a, b) => {
-                    self.state.topo.revive_link(a, b);
-                    self.sink.emit(|| rcsim_trace::TraceEvent {
-                        cycle: now,
-                        kind: EventKind::LinkHealed { a: a.0, b: b.0 },
-                    });
-                }
                 TopoChange::RouterDown(node) => {
                     self.state.topo.kill_router(node);
                     self.sink.emit(|| rcsim_trace::TraceEvent {
@@ -913,26 +838,9 @@ impl Network {
                         kind: EventKind::RouterDead { node: node.0 },
                     });
                 }
-                TopoChange::RouterUp(node) => {
-                    self.state.topo.revive_router(node);
-                    self.sink.emit(|| rcsim_trace::TraceEvent {
-                        cycle: now,
-                        kind: EventKind::RouterHealed { node: node.0 },
-                    });
-                }
             }
             self.refresh_degraded();
-            if matches!(
-                change,
-                TopoChange::LinkDown(..) | TopoChange::RouterDown(..)
-            ) {
-                self.teardown_circuits(now);
-            } else {
-                // A heal invalidates recorded detour paths: any reply path
-                // an NI memorised before this cycle may now be worse than
-                // DOR, so stale it via the era fence.
-                self.congestion.bump_era();
-            }
+            self.teardown_circuits(now);
         }
     }
 
@@ -1163,8 +1071,7 @@ impl Network {
     /// link into a router: the credits on the upstream wire — home at
     /// `now` or still on the way — plus the flits the VC's buffer holds
     /// (ring, spill and bypass-retry queue), the flits on the link towards
-    /// it (registers, or parked behind a stuck port) and the credits the
-    /// link lost make the buffer depth.
+    /// it and the credits the link lost make the buffer depth.
     fn check_credits(&self) -> Result<(), String> {
         let (topology, now, credits) = (self.cfg.topology, self.state.now, &self.state.credits);
         let vcs = self.cfg.vc_layout().total();

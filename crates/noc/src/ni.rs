@@ -5,7 +5,7 @@
 
 use crate::config::{NocConfig, VcLayout};
 use crate::credit::CreditWire;
-use crate::flit::{Delivered, Flit, Packet, PacketId, PacketSpec, Packets};
+use crate::flit::{Delivered, Flit, Packet, PacketSpec, Packets};
 use crate::links::LinkSink;
 use crate::router::alloc::RoundRobin;
 use crate::stats::{CircuitOutcome, NocStats};
@@ -77,10 +77,6 @@ struct Origin {
 pub(crate) struct NiOut {
     /// Fully received packets for the tile logic, with their record's slot.
     pub delivered: Vec<(u32, Delivered)>,
-    /// Packets (slot and id) that failed the NI's integrity check
-    /// (corrupted by the fault layer) and were discarded instead of
-    /// delivered; the network schedules their end-to-end retransmission.
-    pub corrupt_discards: Vec<(u32, PacketId)>,
     /// Packets this tick sent on a recorded detour because their DOR path
     /// crossed a dead link or router (added to the fault counters).
     pub reroutes: u64,
@@ -96,7 +92,6 @@ impl NiOut {
     /// Empties every output list, keeping the allocations.
     pub(crate) fn clear(&mut self) {
         self.delivered.clear();
-        self.corrupt_discards.clear();
         self.reroutes = 0;
         self.injection = None;
     }
@@ -124,10 +119,9 @@ pub(crate) struct State {
     /// emitted so it retraces the request's detour instead of a freshly
     /// recomputed route (path symmetry, DESIGN.md §10). Each route is
     /// stamped with the [`CongestionMap`] era it was recorded under and
-    /// only consumed while that era is still current — when the blocking
-    /// condition heals (link/router revival, hot region cooling) the era
-    /// bumps and the stale detour is ignored, so post-heal replies return
-    /// to DOR. Bounded FIFO.
+    /// only consumed while that era is still current — when a hot region
+    /// cools, the era bumps and the stale detours are ignored, so later
+    /// replies return to DOR. Bounded FIFO.
     reply_paths: StateMap<(NodeId, u64), (u64, Vec<NodeId>)>,
     /// Insertion order of `reply_paths` keys, for deterministic eviction.
     /// It is the eviction history: it legitimately holds keys already
@@ -449,8 +443,7 @@ impl Ni {
         }
     }
 
-    /// End-to-end retransmission of a packet lost or corrupted by the
-    /// fault layer: same id, token and creation time, but a fresh plain
+    /// End-to-end retransmission of a packet lost by the fault layer: same id, token and creation time, but a fresh plain
     /// packet-switched traversal — a replacement circuit would need a new
     /// request, so retries never ride one. Injection statistics are not
     /// recounted (the original injection already was).
@@ -459,7 +452,6 @@ impl Ni {
         p.scrounger_final = None;
         p.injected_at = None;
         p.circuit = None;
-        p.corrupted = false;
         p.received = 0;
         p.start_at = now;
         self.state.queues[p.vnet.index()].push_back((slot, 0));
@@ -562,14 +554,6 @@ impl Ni {
         out: &mut NiOut,
     ) {
         debug_assert_eq!(p.received, p.len, "flits lost or duplicated in transit");
-        if p.corrupted {
-            // Failed the integrity check: discard here (even a scrounger
-            // leg — the data is bad everywhere) and let the network
-            // schedule an end-to-end retransmission from the source.
-            out.corrupt_discards.push((tail.slot, p.id));
-            return;
-        }
-
         if let Some(final_dst) = p.scrounger_final {
             if final_dst != self.node {
                 self.reenqueue_scrounger(tail.slot, p, final_dst, now);

@@ -674,8 +674,8 @@ impl Router {
         let slot = self.slot(port, flit.vc.into());
         if flit.is_head() && !self.state.vcs[slot].is_idle() {
             // A head whose fallback VC is still draining an earlier
-            // packet — e.g. a timed circuit stream that lost its window
-            // behind a stuck port and degraded to the pipeline. It must
+            // packet — e.g. a circuit stream forced onto the pipeline when
+            // a dead link or router made this router degraded. It must
             // wait, not corrupt the wormhole: park it with the bypass
             // retries ([`Router::drain_bypass_retries`] holds it until
             // the VC idles, and the non-empty queue keeps its body flits

@@ -8,8 +8,8 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rcsim_core::circuit::CircuitKey;
-use rcsim_core::{MechanismConfig, MessageClass, NodeId, Topology, PORT_WEST};
-use rcsim_noc::{DeadLinkEvent, FaultConfig, Network, NocConfig, PacketSpec, StuckPortEvent};
+use rcsim_core::{MechanismConfig, MessageClass, NodeId, Topology};
+use rcsim_noc::{DeadLinkEvent, FaultConfig, Network, NocConfig, PacketSpec};
 
 const LOAD_CYCLES: u64 = 3_000;
 const RESTORE_AT: u64 = 1_111;
@@ -21,10 +21,11 @@ const DRAIN_LIMIT: u64 = 30_000;
 ///
 /// A link dying under this load can cut a circuit stream in two and wedge
 /// the fabric (Fragmented on the cmesh, SlackDelay on the mesh — so does
-/// the pre-index router, cycle for cycle); the index must track a wedged
-/// fabric too, so those runs stop at the watchdog instead of draining.
+/// the pre-index router, cycle for cycle), and lost credits leave VCs
+/// short for good; the index must track a wedged fabric too, so those
+/// runs stop at the watchdog instead of draining.
 fn drive(topology: Topology, mechanism: MechanismConfig, faults: FaultConfig, label: &str) {
-    let must_drain = faults.dead_links.is_empty();
+    let must_drain = faults.is_none();
     let cfg = NocConfig::paper_baseline(topology, mechanism);
     let mut net = Network::with_faults(cfg, faults).expect("valid configuration");
     let tiles = topology.nodes() as u16;
@@ -77,24 +78,19 @@ fn drive(topology: Topology, mechanism: MechanismConfig, faults: FaultConfig, la
 }
 
 fn fault_schedules() -> [(&'static str, FaultConfig); 3] {
+    // Starved VCs back traffic up behind them.
+    let mut starved = FaultConfig::none();
+    starved.credit_loss_rate = 0.002;
     // Router 1 sits east of router 0 on both fabrics below.
-    let mut stuck = FaultConfig::none();
-    stuck.stuck_ports.push(StuckPortEvent {
-        node: NodeId(1),
-        port: PORT_WEST,
-        at: 400,
-        duration: 300,
-    });
     let mut dead = FaultConfig::none();
     dead.dead_links.push(DeadLinkEvent {
         a: NodeId(0),
         b: NodeId(1),
         at: 900,
-        duration: None,
     });
     [
         ("no faults", FaultConfig::none()),
-        ("stuck port", stuck),
+        ("credit loss", starved),
         ("dead link", dead),
     ]
 }

@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use rcsim_core::{MechanismConfig, MessageClass, NodeId, Topology};
-use rcsim_noc::{FaultConfig, Network, NocConfig, PacketSpec};
+use rcsim_noc::{DeadLinkEvent, FaultConfig, Network, NocConfig, PacketSpec};
 use std::collections::HashMap;
 
 fn any_mechanism() -> impl Strategy<Value = MechanismConfig> {
@@ -75,22 +75,28 @@ proptest! {
         prop_assert_eq!(got, expected);
     }
 
-    /// Conservation holds with the fault layer active: every injected
-    /// packet is either delivered (possibly after retransmission) or
-    /// accounted as dropped-after-retries — nothing vanishes silently.
+    /// Conservation holds with the fault layer active — random drops and,
+    /// maybe, one of the twelve horizontal links dead from the start:
+    /// every injected packet is either delivered (possibly after
+    /// retransmission or on a detour) or accounted as
+    /// dropped-after-retries — nothing vanishes silently.
     #[test]
     fn packets_conserved_under_faults(
         mechanism in any_mechanism(),
         drop_rate in 0.0f64..0.15,
-        corrupt_rate in 0.0f64..0.15,
+        dead_link in 0u16..16,
         fault_seed in 0u64..1_000,
         packets in prop::collection::vec((0u16..16, 0u16..16, any_class(), 0u64..64), 1..60),
     ) {
         let mesh = Topology::mesh(4, 4).expect("valid");
+        // 12..16: no dead link.
+        let a = (dead_link < 12).then_some(dead_link / 3 * 4 + dead_link % 3);
         let faults = FaultConfig {
             link_drop_rate: drop_rate,
-            link_corrupt_rate: corrupt_rate,
             seed: fault_seed,
+            dead_links: a.map(|a| DeadLinkEvent { a: NodeId(a), b: NodeId(a + 1), at: 0 })
+                .into_iter()
+                .collect(),
             ..FaultConfig::none()
         };
         let mut net = Network::with_faults(

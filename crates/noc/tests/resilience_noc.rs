@@ -1,7 +1,7 @@
 //! Network-level tests of the permanent-fault machinery: dead links and
 //! routers, detour routing, recorded reverse paths for replies, circuit
-//! teardown at fault onset, healing, and graceful abandonment when a node
-//! is fully cut off.
+//! teardown at fault onset, and graceful abandonment when a node is fully
+//! cut off.
 
 use rcsim_core::circuit::CircuitKey;
 use rcsim_core::{MechanismConfig, MessageClass, NodeId, Topology};
@@ -21,13 +21,12 @@ fn run(n: &mut Network, cycles: u64) {
     }
 }
 
-fn dead_link(a: u16, b: u16, at: u64, duration: Option<u64>) -> FaultConfig {
+fn dead_link(a: u16, b: u16, at: u64) -> FaultConfig {
     let mut f = FaultConfig::none();
     f.dead_links.push(DeadLinkEvent {
         a: NodeId(a),
         b: NodeId(b),
         at,
-        duration,
     });
     f
 }
@@ -36,7 +35,7 @@ fn dead_link(a: u16, b: u16, at: u64, duration: Option<u64>) -> FaultConfig {
 fn dead_link_from_start_reroutes_and_delivers() {
     // 0 -> 3 normally rides the bottom row 0-1-2-3; link 1-2 is dead from
     // cycle 0, so the head must leave on a detour and still arrive.
-    let mut n = faulty_net(MechanismConfig::baseline(), dead_link(1, 2, 0, None));
+    let mut n = faulty_net(MechanismConfig::baseline(), dead_link(1, 2, 0));
     n.inject(PacketSpec::new(
         NodeId(0),
         NodeId(3),
@@ -59,7 +58,7 @@ fn reply_detours_back_over_recorded_reverse_path() {
     // Round trip across a dead link: the request detours, the responder's
     // NI records the traversed path, and the reply walks it in reverse.
     // Both directions count as reroutes and both arrive.
-    let mut n = faulty_net(MechanismConfig::complete(), dead_link(1, 2, 0, None));
+    let mut n = faulty_net(MechanismConfig::complete(), dead_link(1, 2, 0));
     n.inject(PacketSpec::new(NodeId(0), NodeId(3), MessageClass::L1Request).with_block(0x40));
     run(&mut n, 300);
     assert_eq!(n.take_delivered(NodeId(3)).len(), 1);
@@ -92,7 +91,7 @@ fn onset_tears_circuit_and_reply_records_torn_down() {
     // path. The onset must tear every table entry for the circuit, purge
     // the responder-side origin, and the late reply must be reclassified
     // as TornDown while still arriving via a detour.
-    let mut n = faulty_net(MechanismConfig::complete(), dead_link(1, 2, 300, None));
+    let mut n = faulty_net(MechanismConfig::complete(), dead_link(1, 2, 300));
     n.inject(PacketSpec::new(NodeId(0), NodeId(15), MessageClass::L1Request).with_block(0x80));
     run(&mut n, 250);
     assert_eq!(n.take_delivered(NodeId(15)).len(), 1);
@@ -140,7 +139,6 @@ fn dead_router_routes_around() {
     f.dead_routers.push(DeadRouterEvent {
         node: NodeId(5),
         at: 0,
-        duration: None,
     });
     let mut n = faulty_net(MechanismConfig::baseline(), f);
     n.inject(PacketSpec::new(
@@ -157,37 +155,15 @@ fn dead_router_routes_around() {
 }
 
 #[test]
-fn temporary_dead_link_heals_and_dor_resumes() {
-    // The link is only dead for cycles 100..300. Traffic injected after
-    // the heal must take the plain DOR path (no reroute counted).
-    let mut n = faulty_net(MechanismConfig::baseline(), dead_link(1, 2, 100, Some(200)));
-    run(&mut n, 150);
-    assert_eq!(n.health().dead_links, vec![(NodeId(1), NodeId(2))]);
-    run(&mut n, 250); // past the heal at cycle 300
-    let h = n.health();
-    assert!(h.dead_links.is_empty(), "{h}");
-
-    n.inject(PacketSpec::new(
-        NodeId(0),
-        NodeId(3),
-        MessageClass::L1Request,
-    ));
-    run(&mut n, 100);
-    assert_eq!(n.take_delivered(NodeId(3)).len(), 1);
-    assert_eq!(n.health().faults.packets_rerouted, 0);
-}
-
-#[test]
 fn isolated_node_abandons_after_retries() {
     // Both of corner node 0's links die, cutting it off entirely. A packet
     // from 0 has no healthy path: every emission dies on the dead link and
     // the retry machinery must eventually abandon it instead of wedging.
-    let mut f = dead_link(0, 1, 0, None);
+    let mut f = dead_link(0, 1, 0);
     f.dead_links.push(DeadLinkEvent {
         a: NodeId(0),
         b: NodeId(4),
         at: 0,
-        duration: None,
     });
     let mut n = faulty_net(MechanismConfig::baseline(), f);
     n.inject(PacketSpec::new(
@@ -205,70 +181,9 @@ fn isolated_node_abandons_after_retries() {
 }
 
 #[test]
-fn reply_after_heal_ignores_stale_recorded_path() {
-    // Regression: recorded reverse paths are keyed (dst, block) and
-    // era-stamped. A request detours around a dead link and its reversed
-    // route is recorded at the responder — but the link heals before the
-    // reply is sent, so the reply must ride plain DOR, not retrace the
-    // now-pointless detour. Observable two ways: the reroute counter
-    // stays at 1 (the request only), and the reply's in-network latency
-    // equals that of a control reply that never had a recorded path.
-    let mut n = faulty_net(MechanismConfig::complete(), dead_link(1, 2, 0, Some(400)));
-    n.inject(PacketSpec::new(NodeId(0), NodeId(3), MessageClass::L1Request).with_block(0x40));
-    run(&mut n, 300);
-    assert_eq!(n.take_delivered(NodeId(3)).len(), 1);
-    assert_eq!(n.health().faults.packets_rerouted, 1, "request detoured");
-
-    run(&mut n, 200); // past the heal at cycle 400 (bumps the path era)
-    assert!(n.health().dead_links.is_empty());
-
-    // Control: a reply between the same endpoints with a block no request
-    // ever recorded a path for — pure DOR by construction.
-    let control_key = CircuitKey {
-        requestor: NodeId(0),
-        block: 0x999,
-    };
-    n.inject(
-        PacketSpec::new(NodeId(3), NodeId(0), MessageClass::L2Reply)
-            .with_block(0x999)
-            .with_circuit_key(control_key),
-    );
-    run(&mut n, 100);
-    let control = n.take_delivered(NodeId(0));
-    assert_eq!(control.len(), 1);
-    let dor_latency = control[0].delivered_at - control[0].injected_at;
-
-    // The reply to the detoured request: its recorded path is stale.
-    let key = CircuitKey {
-        requestor: NodeId(0),
-        block: 0x40,
-    };
-    n.inject(
-        PacketSpec::new(NodeId(3), NodeId(0), MessageClass::L2Reply)
-            .with_block(0x40)
-            .with_circuit_key(key),
-    );
-    run(&mut n, 100);
-    let d = n.take_delivered(NodeId(0));
-    assert_eq!(d.len(), 1);
-    assert_eq!(
-        d[0].delivered_at - d[0].injected_at,
-        dor_latency,
-        "post-heal reply must match the control's DOR latency, \
-         not retrace the recorded detour"
-    );
-    assert_eq!(
-        n.health().faults.packets_rerouted,
-        1,
-        "no reroute may be charged to the post-heal reply"
-    );
-    assert!(n.health().healthy());
-}
-
-#[test]
 fn reply_after_region_cools_ignores_stale_congestion_detour() {
-    // The congestion twin of the heal test: a request detours around a
-    // hot row and its reversed route is recorded — then the row cools,
+    // Recorded reverse paths are keyed (dst, block) and era-stamped: a
+    // request detours around a hot row and its reversed route is recorded — then the row cools,
     // which bumps the staleness era, before the reply is sent. The reply
     // must ride plain DOR: the congestion-detour counter stays at the
     // request's 1 and the reply's latency matches a control.
@@ -336,11 +251,10 @@ fn reply_after_region_cools_ignores_stale_congestion_detour() {
 
 #[test]
 fn dead_fault_config_survives_serde_round_trip() {
-    let f = dead_link(1, 2, 100, Some(50));
+    let f = dead_link(1, 2, 100);
     let json = serde_json::to_string(&f).unwrap();
     let back: FaultConfig = serde_json::from_str(&json).unwrap();
-    assert_eq!(back.dead_links.len(), 1);
-    assert_eq!(back.dead_links[0].heals_at(), Some(150));
+    assert_eq!(back, f);
     // Configs serialised before the dead-resource fields existed (no
     // `dead_links` / `dead_routers` keys) still load via serde defaults.
     let mut v: serde_json::Value = serde_json::from_str(&json).unwrap();
@@ -407,7 +321,6 @@ fn health_report_caps_degraded_topology_lists() {
             a: NodeId(a),
             b: NodeId(b),
             at: 0,
-            duration: None,
         });
     }
     let routers: Vec<u16> = (54..64).collect();
@@ -415,7 +328,6 @@ fn health_report_caps_degraded_topology_lists() {
         f.dead_routers.push(DeadRouterEvent {
             node: NodeId(r),
             at: 0,
-            duration: None,
         });
     }
     let mesh = Topology::mesh(8, 8).unwrap();

@@ -47,7 +47,7 @@ pub use open_loop::{OpenLoopConfig, SLO};
 pub use rcsim_core::{AdaptiveConfig, KernelMode};
 pub use rcsim_noc::{
     DeadLinkEvent, DeadRouterEvent, FaultConfig, FaultStats, HealthReport, IngressConfig,
-    OverloadReport, StuckPortEvent, QUEUE_CAP,
+    OverloadReport, QUEUE_CAP,
 };
 pub use rcsim_workload::ArrivalProcess;
 pub use report::{ExternalSummary, LatencyRow, RunResult};

@@ -206,7 +206,6 @@ fn fault_onset_on_a_decision_tick_skips_only_no_ops() {
         a: rcsim_core::NodeId(5),
         b: rcsim_core::NodeId(6),
         at: 2_000,
-        duration: None,
     }];
     let (run, _) = traced(&cfg);
     assert!(run.health.adaptive.decisions > 0);

@@ -34,8 +34,6 @@ fn light_faults(cores: u16) -> FaultConfig {
     FaultConfig {
         seed: if cores > 16 { 0x5EED1 } else { 0xFA017 },
         link_drop_rate: 0.003,
-        link_corrupt_rate: 0.002,
-        table_corrupt_rate: 0.001,
         ..FaultConfig::none()
     }
 }
@@ -47,27 +45,24 @@ fn faulty(cores: u16) -> SimConfig {
     }
 }
 
-/// The n5–n6 link dies at 400 and heals at 1 300: reroutes, teardown,
-/// dead-link eating, then the heal's era bump.
-fn dead_link_window() -> SimConfig {
+/// The n5–n6 link dies at 400: reroutes, teardown, dead-link eating.
+fn dead_link() -> SimConfig {
     let mut cfg = quick(16, MechanismConfig::complete());
     cfg.faults.dead_links = vec![DeadLinkEvent {
         a: NodeId(5),
         b: NodeId(6),
         at: 400,
-        duration: Some(900),
     }];
     cfg
 }
 
-/// Router n10 is dead from 600 to 1 000 (a window: the protocol does not
-/// model losing an L2 bank for good, it reissues across the outage).
-fn dead_router_window() -> SimConfig {
+/// Router n10 dies at 600, taking its L2 bank along: the misses it owes
+/// are reissued until the run ends.
+fn dead_router() -> SimConfig {
     let mut cfg = quick(16, MechanismConfig::complete());
     cfg.faults.dead_routers = vec![DeadRouterEvent {
         node: NodeId(10),
         at: 600,
-        duration: Some(400),
     }];
     cfg
 }
@@ -192,11 +187,11 @@ fn faulty_runs_resume_identically() {
     assert_splits_identical(&faulty(16), "faults");
 }
 
-/// Splits before the link dies, while it is dead (`dead_eating`, the
-/// degraded routers, the detours) and after it healed.
+/// Splits before the link dies and twice while it is dead (the eat bits,
+/// the degraded routers, the detours).
 #[test]
-fn dead_link_window_resumes_identically() {
-    let cfg = dead_link_window();
+fn dead_link_resumes_identically() {
+    let cfg = dead_link();
     let reference = uninterrupted(&cfg);
     assert!(!reference.result.contains("\"packets_rerouted\":0,"));
     for k in [137, 700, 1_700] {
@@ -205,8 +200,8 @@ fn dead_link_window_resumes_identically() {
 }
 
 #[test]
-fn dead_router_window_resumes_identically() {
-    let cfg = dead_router_window();
+fn dead_router_resumes_identically() {
+    let cfg = dead_router();
     let reference = uninterrupted(&cfg);
     for k in [137, 800, 1_700] {
         assert_split_identical(&reference, &cfg, k, "dead router");
@@ -250,7 +245,7 @@ fn classes() -> Vec<(String, SimConfig)> {
     let complete = || quick(16, MechanismConfig::complete());
     classes.extend([
         ("light faults".to_owned(), faulty(16)),
-        ("dead link".to_owned(), dead_link_window()),
+        ("dead link".to_owned(), dead_link()),
         ("overload".to_owned(), overloaded(16)),
         ("adaptive".to_owned(), adaptive(16)),
         (

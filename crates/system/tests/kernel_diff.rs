@@ -6,13 +6,12 @@
 //! cycle. The grid: every mechanism of the paper's Figure 6 on the 4×4
 //! and 8×8 chips with and without fault injection, {mesh, torus, ring} ×
 //! {faults off, on}, torus/cmesh/ring under a representative mechanism
-//! set, stuck ports, an open-loop overload point and a mid-run dead link;
+//! set, an open-loop overload point and a mid-run dead link;
 //! traced runs must also report exactly what untraced ones do.
 
 use rcsim_core::MechanismConfig;
 use rcsim_system::{
-    run_sim, run_sim_traced, DeadLinkEvent, FaultConfig, OpenLoopConfig, SimConfig, StuckPortEvent,
-    TraceConfig,
+    run_sim, run_sim_traced, DeadLinkEvent, FaultConfig, OpenLoopConfig, SimConfig, TraceConfig,
 };
 
 /// Baseline first, then the full Figure 6 grid (Fragmented → Postponed_k).
@@ -32,11 +31,8 @@ fn quick(cores: u16, mechanism: MechanismConfig) -> SimConfig {
     }
 }
 
-/// A light, deterministic fault mix that exercises link drops,
-/// payload corruption and circuit-table corruption without wedging the
-/// quick runs. Stuck ports are exercised separately (see
-/// [`stuck_ports_agree_on_every_mechanism`]) so their wake-source
-/// behaviour is isolated from the probabilistic faults.
+/// A light, deterministic fault mix that exercises link drops and the
+/// retransmissions behind them without wedging the quick runs.
 fn light_faults(cores: u16) -> FaultConfig {
     FaultConfig {
         // A fault-RNG stream the seed simulator tolerates at this mesh
@@ -45,8 +41,6 @@ fn light_faults(cores: u16) -> FaultConfig {
         // about fixing that corner.
         seed: if cores > 16 { 0x5EED1 } else { 0xFA017 },
         link_drop_rate: 0.003,
-        link_corrupt_rate: 0.002,
-        table_corrupt_rate: 0.001,
         ..FaultConfig::none()
     }
 }
@@ -116,28 +110,6 @@ fn every_topology_skips_only_no_ops() {
                 &format!("{} @ 16 cores on {}", m.label(), spec.label()),
             );
         }
-    }
-}
-
-/// Stuck input ports are a wake source of their own (queued arrivals must
-/// keep the router's wake time due until the window ends). Every Figure 6
-/// mechanism — including the timed ones, whose expired slots at a stuck
-/// port used to trip a wormhole stream-order assertion — must survive the
-/// window, skipping only no-ops.
-#[test]
-fn stuck_ports_skip_only_no_ops_on_every_mechanism() {
-    for m in all_mechanisms() {
-        let mut cfg = quick(16, m);
-        cfg.faults = FaultConfig {
-            stuck_ports: vec![StuckPortEvent {
-                node: rcsim_core::NodeId(5),
-                port: rcsim_core::PORT_EAST,
-                at: 900,
-                duration: 400,
-            }],
-            ..FaultConfig::none()
-        };
-        assert_skips_are_no_ops(&cfg, &format!("{} @ 16 cores, stuck port", m.label()));
     }
 }
 
@@ -225,7 +197,6 @@ fn midrun_dead_link_skips_only_no_ops() {
         a: rcsim_core::NodeId(5),
         b: rcsim_core::NodeId(6),
         at: 900,
-        duration: None,
     }];
     assert_skips_are_no_ops(&cfg, "complete @ 16 cores, mid-run dead link");
 }

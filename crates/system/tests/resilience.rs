@@ -28,7 +28,6 @@ fn dead_interior_link(at: u64) -> DeadLinkEvent {
         a: NodeId(5),
         b: NodeId(6),
         at,
-        duration: None,
     }
 }
 
@@ -107,7 +106,6 @@ fn dead_router_degrades_without_stalling() {
     cfg.faults.dead_routers = vec![DeadRouterEvent {
         node: NodeId(5),
         at: 2_000,
-        duration: None,
     }];
     cfg.reissue_timeout = Some(1_000);
     let r = run_sim(&cfg).expect("run completes with a dead router");

@@ -208,21 +208,9 @@ pub enum EventKind {
         /// The other endpoint.
         b: u16,
     },
-    /// A bounded dead-link window ended; the link carries data again.
-    LinkHealed {
-        /// One endpoint of the link.
-        a: u16,
-        /// The other endpoint.
-        b: u16,
-    },
     /// A scheduled permanent fault killed a whole router.
     RouterDead {
         /// The dead router.
-        node: u16,
-    },
-    /// A bounded dead-router window ended.
-    RouterHealed {
-        /// The healed router.
         node: u16,
     },
     /// A source NI sent a packet on a recorded detour because its DOR path
@@ -317,9 +305,7 @@ impl EventKind {
             EventKind::L1MissEnd { .. } => "l1_miss_end",
             EventKind::L2Access { .. } => "l2_access",
             EventKind::LinkDead { .. } => "link_dead",
-            EventKind::LinkHealed { .. } => "link_healed",
             EventKind::RouterDead { .. } => "router_dead",
-            EventKind::RouterHealed { .. } => "router_healed",
             EventKind::NiReroute { .. } => "ni_reroute",
             EventKind::L1Reissue { .. } => "l1_reissue",
             EventKind::IngressAdmit { .. } => "ingress_admit",

@@ -218,20 +218,18 @@ fn zero_load_latency_is_the_papers_arithmetic() {
 }
 
 /// Packet records are recycled — through abandonment under a retry budget
-/// of one and a dead-link window as well as through delivery — every
+/// of one and a dead link as well as through delivery — every
 /// packet is delivered or abandoned, and the table's laws hold after every
 /// cycle (in debug builds so do the two laws on every skipped component).
 #[test]
 fn packet_slots_recycle_under_faults() {
     let mut faults = FaultConfig::none();
-    faults.link_drop_rate = 0.05;
-    faults.link_corrupt_rate = 0.03;
+    faults.link_drop_rate = 0.08;
     faults.max_retries = 1;
     faults.dead_links.push(DeadLinkEvent {
         a: NodeId(5),
         b: NodeId(6),
         at: 150,
-        duration: Some(100),
     });
     let cfg = NocConfig::paper_baseline(Topology::mesh(4, 4).unwrap(), MechanismConfig::baseline());
     let mut net = Network::with_faults(cfg, faults).unwrap();
@@ -371,14 +369,12 @@ fn serialized(result: &RunResult) -> String {
 fn skipped_components_are_no_ops_under_link_faults() {
     let mut cfg = differential_cfg();
     cfg.faults = FaultConfig {
-        link_drop_rate: 0.002,
-        link_corrupt_rate: 0.002,
+        link_drop_rate: 0.004,
         ..FaultConfig::none()
     };
     let result = run_sim(&cfg).unwrap();
     assert!(result.instructions > 0);
     assert!(result.health.faults.packets_dropped > 0);
-    assert!(result.health.faults.packets_corrupted > 0);
 }
 
 /// Adaptive policies on (thresholds low enough that regions heat and
@@ -423,9 +419,9 @@ fn resume_at_mid_run_is_byte_identical() {
     assert_eq!(serialized(&uninterrupted), serialized(&result));
 }
 
-/// State, not just results: with a link dying at 400 and healing at 1 300
-/// and the adaptive policy on, a run checkpointed inside the window and
-/// resumed holds exactly the state it saved, and ends in exactly the state
+/// State, not just results: with a link dying at 400 and the adaptive
+/// policy on, a run checkpointed after the link died and resumed holds
+/// exactly the state it saved, and ends in exactly the state
 /// — every field of every component — of the run that was never
 /// interrupted.
 #[test]
@@ -446,7 +442,6 @@ fn resumed_state_is_byte_identical() {
         a: NodeId(5),
         b: NodeId(6),
         at: 400,
-        duration: Some(900),
     }];
     let mut whole = SimSession::new(&cfg, None, KernelMode::Event, 1).unwrap();
     whole.run_until(500).unwrap();
@@ -514,8 +509,8 @@ fn worklist_holds_every_outside_mutation_and_survives_a_resume() {
 }
 
 /// Credits are back-wires (DESIGN.md §6b): on a 4×4 fragmented echo with
-/// link drops, credit loss, a dead-link window and a stuck port, credit
-/// conservation holds after every cycle. For every
+/// link drops, credit loss and a dead link, credit conservation holds
+/// after every cycle. For every
 /// credited VC, the credits home and on the wire, the flits buffered or
 /// on the link, and the credits lost make the buffer depth
 /// (`Network::check_index`). A fresh network restored mid-run then ends
@@ -537,13 +532,6 @@ fn credit_conservation_holds_every_cycle_under_faults_and_a_resume() {
         a: NodeId(5),
         b: NodeId(6),
         at: 300,
-        duration: Some(250),
-    });
-    faults.stuck_ports.push(StuckPortEvent {
-        node: NodeId(9),
-        port: 3,
-        at: 350,
-        duration: 150,
     });
     let network = || Network::with_faults(cfg, faults.clone()).unwrap();
     // Requests for the first 700 cycles, each answered by a reply that
@@ -592,7 +580,7 @@ fn credit_conservation_holds_every_cycle_under_faults_and_a_resume() {
     );
     let f = whole.fault_stats();
     assert!(f.credits_lost > 0 && f.packets_dropped > 0 && f.dead_flits_lost > 0);
-    assert!(f.stuck_port_cycles > 0 && whole.stats().total_delivered() > 400);
+    assert!(whole.stats().total_delivered() > 400);
 }
 
 #[test]
