@@ -220,11 +220,6 @@ impl Topology {
         PORT_LOCAL + self.local_slot(tile)
     }
 
-    /// `true` for injection/ejection ports.
-    pub fn is_local_port(&self, port: usize) -> bool {
-        port >= PORT_LOCAL
-    }
-
     /// Coordinate of a router on the grid.
     pub fn coord(&self, router: NodeId) -> Coord {
         debug_assert!(
@@ -419,9 +414,9 @@ impl Topology {
     }
 
     /// Shortest healthy router path between the routers of two tiles,
-    /// avoiding dead links and routers, or `None` when the degraded
-    /// network is disconnected between the two. Breadth-first in the fixed
-    /// E/W/N/S order, so the detour is fully deterministic. Detours are
+    /// avoiding dead links, or `None` when the degraded network is
+    /// disconnected between the two. Breadth-first in the fixed E/W/N/S
+    /// order, so the detour is fully deterministic. Detours are
     /// *not* restricted to dimension order: deadlock freedom is not
     /// guaranteed in theory on a degraded network (the watchdog catches
     /// wedges); in practice single-fault detours stay minimal-plus-two and
@@ -489,9 +484,6 @@ impl Topology {
     ) -> Option<Vec<NodeId>> {
         let src = self.router_of(src);
         let dst = self.router_of(dst);
-        if !topo.node_usable(src) || !topo.node_usable(dst) {
-            return None;
-        }
         if src == dst {
             return Some(vec![src]);
         }
@@ -530,7 +522,7 @@ impl Topology {
                     next_committed = committed || commits;
                 }
                 let next = nb.index() + if next_committed { n } else { 0 };
-                if prev[next] != UNSEEN || !topo.node_usable(nb) || !topo.link_usable(at, nb) {
+                if prev[next] != UNSEEN || !topo.link_usable(at, nb) {
                     continue;
                 }
                 prev[next] = state as u32;
@@ -977,7 +969,6 @@ mod tests {
         topo.kill_link(NodeId(2), NodeId(1));
         assert!(topo.is_degraded());
         assert!(!topo.link_usable(NodeId(1), NodeId(2)));
-        assert!(!topo.hop_usable(NodeId(1), NodeId(2)));
         let dor = m.route_path(NodeId(0), NodeId(10), Routing::Xy);
         assert!(!path_is_healthy(&dor, &topo));
 
@@ -990,26 +981,12 @@ mod tests {
         assert!(path_is_healthy(&dor, &TopologyHealth::new()));
     }
 
-    #[test]
-    fn dead_router_blocks_traversal_and_endpoints() {
-        for t in all_topologies() {
-            let src = NodeId(0);
-            let dst = t.tile_of(NodeId(t.routers() as u16 / 2 + 1), 0);
-            let dor = t.route_path(src, dst, Routing::Xy);
-            assert!(dor.len() >= 3, "{t:?}");
-            let dead = dor[1];
-            let mut topo = TopologyHealth::new();
-            topo.kill_router(dead);
-            assert!(!topo.node_usable(dead));
-            // Paths through it detour around it (a ring goes the long way).
-            let p = t.route_path_healthy(src, dst, &topo).unwrap();
-            assert!(!p.contains(&dead), "{t:?}");
-            assert!(path_is_healthy(&p, &topo));
-            // Paths *to* a dead router do not exist.
-            let dead_tile = t.tile_of(dead, 0);
-            assert!(t.route_path_healthy(src, dead_tile, &topo).is_none());
-            let healthy = TopologyHealth::new();
-            assert!(t.route_path_healthy(src, dead_tile, &healthy).is_some());
+    /// Kills every link of router `r`.
+    fn isolate(t: &Topology, topo: &mut TopologyHealth, r: NodeId) {
+        for port in 0..PORT_LOCAL {
+            if let Some(nb) = t.neighbor(r, port) {
+                topo.kill_link(r, nb);
+            }
         }
     }
 
@@ -1019,11 +996,7 @@ mod tests {
         // corner's four, the ring node's two.
         for t in all_topologies() {
             let mut topo = TopologyHealth::new();
-            for port in 0..PORT_LOCAL {
-                if let Some(nb) = t.neighbor(NodeId(0), port) {
-                    topo.kill_link(NodeId(0), nb);
-                }
-            }
+            isolate(&t, &mut topo, NodeId(0));
             let far = NodeId(t.nodes() as u16 - 1);
             assert!(t.route_path_healthy(NodeId(0), far, &topo).is_none());
             assert!(t.route_path_healthy(far, NodeId(0), &topo).is_none());
@@ -1040,7 +1013,7 @@ mod tests {
         ] {
             let mut topo = TopologyHealth::new();
             topo.kill_link(NodeId(9), NodeId(10));
-            topo.kill_router(NodeId(27));
+            isolate(&t, &mut topo, NodeId(27));
             for s in t.iter_tiles() {
                 for d in [0u16, 7, 35, 63].map(NodeId) {
                     let a = t.route_path_healthy(s, d, &topo);

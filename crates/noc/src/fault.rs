@@ -24,11 +24,9 @@
 //!   it is lost whole, through the same eat bit; the live
 //!   [`TopologyHealth`] map makes new packets detour around it and tears
 //!   down every circuit whose reply path crossed it (DESIGN.md §10).
-//! * **Dead router** — a scheduled [`DeadRouterEvent`] kills a whole
-//!   router: none of its links carries data and no packet may start from,
-//!   end at or cross the node. NoC-level studies only — a dead router
-//!   takes its L2 bank along, which the coherence protocol does not model
-//!   losing.
+//!   Dead links are the only topology fault: a router-sized obstacle is
+//!   every link of that router dead, and the router's tiles stay reachable
+//!   only from themselves.
 //!
 //! Recovery is end-to-end: the network tracks every in-flight packet and
 //! retransmits lost ones from the source NI (plain packet-switched,
@@ -58,16 +56,6 @@ pub struct DeadLinkEvent {
     pub at: Cycle,
 }
 
-/// A scheduled hard fault on a whole router: from cycle `at` on, node
-/// `node` accepts, emits and forwards nothing.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct DeadRouterEvent {
-    /// The router that dies.
-    pub node: NodeId,
-    /// First dead cycle.
-    pub at: Cycle,
-}
-
 /// Fault-injection configuration. The default ([`FaultConfig::none`])
 /// injects nothing and is guaranteed zero-perturbation.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -82,9 +70,6 @@ pub struct FaultConfig {
     /// Scheduled dead links (permanent faults, DESIGN.md §10).
     #[serde(default)]
     pub dead_links: Vec<DeadLinkEvent>,
-    /// Scheduled dead routers (NoC-level studies only).
-    #[serde(default)]
-    pub dead_routers: Vec<DeadRouterEvent>,
     /// End-to-end retransmissions attempted per packet before it is
     /// abandoned and counted in `NocStats::dropped_packets`.
     pub max_retries: u32,
@@ -101,7 +86,6 @@ impl FaultConfig {
             link_drop_rate: 0.0,
             credit_loss_rate: 0.0,
             dead_links: Vec::new(),
-            dead_routers: Vec::new(),
             max_retries: 4,
             retry_backoff: 64,
         }
@@ -109,21 +93,18 @@ impl FaultConfig {
 
     /// `true` when no fault class can ever fire.
     pub fn is_none(&self) -> bool {
-        self.link_drop_rate <= 0.0
-            && self.credit_loss_rate <= 0.0
-            && self.dead_links.is_empty()
-            && self.dead_routers.is_empty()
+        self.link_drop_rate <= 0.0 && self.credit_loss_rate <= 0.0 && self.dead_links.is_empty()
     }
 
     /// Checks the configuration against `topology` before a network is
-    /// built. Scheduled fault events name *routers* (not tiles), so on a
-    /// concentrated mesh the bound is the router count.
+    /// built. Dead links join *routers* (not tiles), so on a concentrated
+    /// mesh the bound is the router count.
     ///
     /// # Errors
     ///
     /// * [`ConfigError::FaultRate`] — a rate is NaN, negative or above 1.
-    /// * [`ConfigError::FaultTopology`] — a scheduled fault names a router
-    ///   outside the topology or a non-adjacent link pair.
+    /// * [`ConfigError::FaultTopology`] — a dead link names a router
+    ///   outside the topology or a non-adjacent pair.
     pub fn validate(&self, topology: &Topology) -> Result<(), ConfigError> {
         let rates = [
             (self.link_drop_rate, "link_drop_rate"),
@@ -143,11 +124,6 @@ impl FaultConfig {
                 return Err(ConfigError::FaultTopology(
                     "dead-link endpoints are not neighbours",
                 ));
-            }
-        }
-        for e in &self.dead_routers {
-            if e.node.index() >= routers {
-                return Err(ConfigError::FaultTopology("dead router out of bounds"));
             }
         }
         Ok(())
@@ -184,11 +160,11 @@ pub struct FaultStats {
     /// Packets abandoned after exhausting their retries.
     pub packets_abandoned: u64,
     /// Packets that left their source on a detour because the DOR path
-    /// crossed a dead link or router.
+    /// crossed a dead link.
     #[serde(default)]
     pub packets_rerouted: u64,
     /// Circuit-table entries torn down at fault onset because their reply
-    /// path crossed the dead resource.
+    /// path crossed the dead link.
     #[serde(default)]
     pub circuits_torn: u64,
     /// Flits lost on a dead hop: heads routed onto it, the rest of their
@@ -253,8 +229,7 @@ impl FaultState {
 
     /// Decides whether `flit`, leaving router `from` on output VC slot
     /// `out` (`port · vcs + vc`) of an inter-router link, is lost there;
-    /// `dead` when the link or an endpoint router is down. A head sets the
-    /// VC's eat bit to
+    /// `dead` when the link is down. A head sets the VC's eat bit to
     /// whether it is lost: on a dead hop without a draw, so scheduled
     /// faults leave the random stream alone, else at the drop rate. A VC
     /// carries one packet at a time, head first, so every flit is lost
@@ -340,14 +315,6 @@ mod tests {
             ..FaultConfig::none()
         };
         assert!(!dead.is_none(), "dead links must construct a FaultState");
-        let dead = FaultConfig {
-            dead_routers: vec![DeadRouterEvent {
-                node: NodeId(5),
-                at: 100,
-            }],
-            ..FaultConfig::none()
-        };
-        assert!(!dead.is_none());
     }
 
     #[test]
@@ -394,17 +361,6 @@ mod tests {
             dead_links: vec![DeadLinkEvent {
                 a: NodeId(0),
                 b: NodeId(5),
-                at: 0,
-            }],
-            ..FaultConfig::none()
-        };
-        assert!(matches!(
-            cfg.validate(&mesh),
-            Err(ConfigError::FaultTopology(_))
-        ));
-        let cfg = FaultConfig {
-            dead_routers: vec![DeadRouterEvent {
-                node: NodeId(16),
                 at: 0,
             }],
             ..FaultConfig::none()

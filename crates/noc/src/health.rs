@@ -29,7 +29,7 @@ pub const STALL_WINDOW: Cycle = 1_000;
 pub(crate) const LEAK_AGE: Cycle = 4_000;
 
 /// Cap on every list in a report: stuck messages, leaked entries, dead
-/// links, dead routers and the resources of a deadlock cycle.
+/// links and the resources of a deadlock cycle.
 pub const MAX_REPORT_ENTRIES: usize = 8;
 
 /// One in-flight message, as listed by a [`HealthReport`].
@@ -122,7 +122,8 @@ pub struct HealthReport {
     /// stuck/leaked lists).
     #[serde(default)]
     pub dead_links: Vec<(NodeId, NodeId)>,
-    /// Routers currently dead (sorted, capped).
+    /// Always empty: dead links are the only topology fault. It stays so
+    /// the serialized report keeps its shape (ROADMAP item 1 retires it).
     #[serde(default)]
     pub dead_routers: Vec<NodeId>,
     /// Coherence requests reissued by L1s whose reply never arrived
@@ -356,18 +357,22 @@ impl fmt::Display for HealthReport {
                 self.faults.packets_abandoned
             )?;
         }
-        if !self.dead_links.is_empty() || !self.dead_routers.is_empty() {
+        if !self.dead_links.is_empty() {
+            // A full list was capped: the chip may have more dead links.
+            let capped = if self.dead_links.len() >= MAX_REPORT_ENTRIES {
+                "at least "
+            } else {
+                ""
+            };
             writeln!(
                 f,
-                "  degraded topology: {} dead links {:?}, {} dead routers {:?}; \
+                "  degraded topology: {capped}{} dead links {:?}; \
                  {} packets rerouted, {} circuits torn, {} flits lost on dead links",
                 self.dead_links.len(),
                 self.dead_links
                     .iter()
                     .map(|(a, b)| (a.0, b.0))
                     .collect::<Vec<_>>(),
-                self.dead_routers.len(),
-                self.dead_routers.iter().map(|n| n.0).collect::<Vec<_>>(),
                 self.faults.packets_rerouted,
                 self.faults.circuits_torn,
                 self.faults.dead_flits_lost

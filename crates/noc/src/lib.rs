@@ -59,7 +59,7 @@ mod stats;
 pub mod traffic;
 
 pub use config::{NocConfig, VcLayout};
-pub use fault::{DeadLinkEvent, DeadRouterEvent, FaultConfig, FaultStats};
+pub use fault::{DeadLinkEvent, FaultConfig, FaultStats};
 pub use flit::{Delivered, Flit, FlitKind, PacketId, PacketSpec};
 pub use health::{
     AdaptiveReport, DeadlockReport, DeadlockResource, HealthReport, LeakedCircuit, StuckMessage,

@@ -271,7 +271,7 @@ impl LinkSink for Links<'_> {
             return;
         };
         if let Some(fs) = self.faults.as_mut() {
-            let dead = self.degraded && !self.topo.hop_usable(self.from, nb);
+            let dead = self.degraded && !self.topo.link_usable(self.from, nb);
             let out = port * self.cfg.vc_layout().total() + usize::from(flit.vc);
             if fs.on_link_flit(self.from.index(), out, flit, dead) {
                 self.drop_on_link(nb, port, flit, arrive, packets);
@@ -317,7 +317,7 @@ impl LinkSink for Links<'_> {
         // Undo propagation dies with a dead link; the entries beyond it
         // were removed by the scheduled-fault teardown, so nothing is
         // left to clean up.
-        if !self.degraded || self.topo.hop_usable(self.from, nb) {
+        if !self.degraded || self.topo.link_usable(self.from, nb) {
             self.router_links
                 .push_undo(nb.index(), self.now, arrive, key, dst);
         }

@@ -5,7 +5,7 @@
 use crate::calendar::Calendar;
 use crate::config::NocConfig;
 use crate::credit::CreditWires;
-use crate::fault::{self, FaultConfig, FaultState, FaultStats};
+use crate::fault::{self, DeadLinkEvent, FaultConfig, FaultState, FaultStats};
 use crate::flit::{Delivered, Flit, Packet, PacketId, PacketSpec, Packets};
 use crate::health::{
     AdaptiveReport, DeadlockReport, HealthReport, LeakedCircuit, StuckMessage, LEAK_AGE,
@@ -78,17 +78,6 @@ fn word_mask(n: usize, w: usize) -> u64 {
     u64::MAX >> (64 * (w + 1)).saturating_sub(n)
 }
 
-/// One scheduled permanent-fault transition, precomputed at construction
-/// from the [`FaultConfig`] and applied densely at the top of the cycle
-/// loop (RNG-free, so skipping a component never moves the fault stream).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum TopoChange {
-    /// The link between two adjacent routers dies.
-    LinkDown(NodeId, NodeId),
-    /// A whole router dies (all of its links with it).
-    RouterDown(NodeId),
-}
-
 /// A mesh NoC instance.
 ///
 /// Drive it with [`Network::tick`]; submit packets with
@@ -105,8 +94,10 @@ pub struct Network {
     /// Each router's neighbour per network port ([`Topology::neighbor`],
     /// tabulated once: [`Links`] asks for every message).
     neighbors: Vec<[Option<NodeId>; PORT_LOCAL]>,
-    /// Scheduled permanent-fault transitions, sorted by cycle.
-    fault_schedule: Vec<(Cycle, TopoChange)>,
+    /// The configuration's dead links, sorted by onset: applied densely
+    /// at the top of the cycle loop (RNG-free, so skipping a component
+    /// never moves the fault stream).
+    fault_schedule: Vec<DeadLinkEvent>,
     /// The benchmark's stub (see [`KernelMode`]).
     kernel: KernelMode,
     /// Where trace events go; [`TraceSink::Disabled`] by default.
@@ -155,15 +146,15 @@ struct State {
     stats: NocStats,
     now: Cycle,
     next_packet: u64,
-    /// The live dead-link / dead-router map, updated as the scheduled
-    /// fault events in [`Network::fault_schedule`] fire. Routing and the
-    /// NIs consult it; a healthy map costs one boolean check per packet.
+    /// The live dead-link set, updated as the scheduled dead links in
+    /// [`Network::fault_schedule`] fire. Routing and the NIs consult it;
+    /// a healthy map costs one boolean check per packet.
     topo: TopologyHealth,
     /// First not-yet-applied entry of `fault_schedule`.
     fault_cursor: usize,
     /// Scheduled end-to-end retransmissions: (due cycle, slot, packet).
     retry_queue: Vec<(Cycle, u32, PacketId)>,
-    /// Circuits hit by dead-resource teardown; consumed when their reply
+    /// Circuits hit by dead-link teardown; consumed when their reply
     /// is delivered to reclassify it as `FaultDegraded`.
     faulted_circuits: StateSet<CircuitKey>,
     /// Last cycle any flit moved (arrived, ejected or was delivered).
@@ -193,14 +184,8 @@ impl Network {
         faults.validate(&cfg.topology)?;
         let tiles = cfg.topology.nodes();
         let routers_n = cfg.topology.routers();
-        let mut fault_schedule = Vec::new();
-        for e in &faults.dead_links {
-            fault_schedule.push((e.at, TopoChange::LinkDown(e.a, e.b)));
-        }
-        for e in &faults.dead_routers {
-            fault_schedule.push((e.at, TopoChange::RouterDown(e.node)));
-        }
-        fault_schedule.sort_by_key(|&(t, _)| t);
+        let mut fault_schedule = faults.dead_links.clone();
+        fault_schedule.sort_by_key(|e| e.at);
         Ok(Self {
             cfg,
             neighbors: cfg
@@ -712,7 +697,7 @@ impl Network {
     /// Mechanism-switch teardown of every built circuit whose reply path
     /// (YX, source → requestor) crosses a router `doomed` names; returns
     /// the count. Unlike the fault path ([`Network::teardown_circuits`]),
-    /// whose dead resource kills every flit still referencing the entries
+    /// whose dead link kills every flit still referencing the entries
     /// it rips out, a switch happens on a *healthy* fabric, where a direct
     /// release would strand headless body flits. So the circuit's NI
     /// *origin* is forgotten and §4.4 undo started ([`Ni::teardown_origin`]
@@ -788,7 +773,7 @@ impl Network {
 
     /// Watchdog bookkeeping at delivery: closes the packet's outstanding
     /// record and, when a committed circuit ride was hit by a fault along
-    /// the way (retransmitted, or its circuit torn down by a dead resource),
+    /// the way (retransmitted, or its circuit torn down by a dead link),
     /// reclassifies its Figure 6 outcome as `FaultDegraded` and keeps the
     /// delivery's `rode_circuit` flag consistent with the sender's §4.6
     /// NoAck commitment. Returns the packet's end-to-end retry count.
@@ -812,63 +797,39 @@ impl Network {
         retries
     }
 
-    /// Applies every scheduled dead-link / dead-router onset due this
-    /// cycle: updates the topology-health map, re-derives each router's
-    /// degraded flag, emits the fault trace event, and tears down every
-    /// circuit whose reply path crosses a dead resource. Dense and
-    /// RNG-free, so skipping idle components never moves the fault stream.
+    /// Applies every dead-link onset due this cycle: updates the
+    /// topology-health map, marks the link's two routers degraded, emits
+    /// the fault trace event, and tears down every circuit whose reply
+    /// path crosses a dead link. Dense and RNG-free, so skipping idle
+    /// components never moves the fault stream.
+    ///
+    /// A degraded router takes no part in circuits — reservations are
+    /// refused and bypasses forced to the packet pipeline — so reactive
+    /// traffic beside a dead link falls back to plain packet switching
+    /// (DESIGN.md §10). Dead links never heal, so neither does the flag.
     fn process_fault_onsets(&mut self, now: Cycle) {
-        while self.state.fault_cursor < self.fault_schedule.len()
-            && self.fault_schedule[self.state.fault_cursor].0 <= now
+        while let Some(&DeadLinkEvent { a, b, at }) =
+            self.fault_schedule.get(self.state.fault_cursor)
         {
-            let (_, change) = self.fault_schedule[self.state.fault_cursor];
-            self.state.fault_cursor += 1;
-            match change {
-                TopoChange::LinkDown(a, b) => {
-                    self.state.topo.kill_link(a, b);
-                    self.sink.emit(|| rcsim_trace::TraceEvent {
-                        cycle: now,
-                        kind: EventKind::LinkDead { a: a.0, b: b.0 },
-                    });
-                }
-                TopoChange::RouterDown(node) => {
-                    self.state.topo.kill_router(node);
-                    self.sink.emit(|| rcsim_trace::TraceEvent {
-                        cycle: now,
-                        kind: EventKind::RouterDead { node: node.0 },
-                    });
-                }
+            if at > now {
+                break;
             }
-            self.refresh_degraded();
+            self.state.fault_cursor += 1;
+            self.state.topo.kill_link(a, b);
+            self.sink.emit(|| rcsim_trace::TraceEvent {
+                cycle: now,
+                kind: EventKind::LinkDead { a: a.0, b: b.0 },
+            });
+            self.routers[a.index()].set_degraded(true);
+            self.routers[b.index()].set_degraded(true);
             self.teardown_circuits(now);
-        }
-    }
-
-    /// Re-derives each router's degraded flag: a router is degraded while
-    /// it is dead itself or any of its links is unusable. Degraded
-    /// routers take no part in circuits — reservations are refused and
-    /// bypasses forced to the packet pipeline — so reactive traffic
-    /// adjacent to the dead region falls back to plain packet switching
-    /// (DESIGN.md §10).
-    fn refresh_degraded(&mut self) {
-        for i in 0..self.cfg.topology.routers() {
-            let id = NodeId(i as u16);
-            let degraded = self.state.topo.is_degraded()
-                && (!self.state.topo.node_usable(id)
-                    || (0..PORT_LOCAL).any(|p| {
-                        self.cfg
-                            .topology
-                            .neighbor(id, p)
-                            .is_some_and(|nb| !self.state.topo.hop_usable(id, nb))
-                    }));
-            self.routers[i].set_degraded(degraded);
         }
     }
 
     /// Fault-onset circuit recovery: removes every circuit-table entry —
     /// at every router and input port — belonging to a circuit whose
     /// reply path (YX from the circuit's source to its requestor, the
-    /// route the reply itself would take) crosses a dead resource, and
+    /// route the reply itself would take) crosses a dead link, and
     /// purges the matching NI origins. A reply already committed to a
     /// torn circuit limps home through the pipeline and is reclassified
     /// `FaultDegraded` on delivery; one not yet enqueued finds its origin
@@ -878,16 +839,13 @@ impl Network {
         let ports = topology.ports();
         // Ordered, so the `CircuitTear` trace events are too.
         let mut doomed: BTreeSet<CircuitKey> = BTreeSet::new();
-        for i in 0..topology.routers() {
-            let node = NodeId(i as u16);
-            for (_, e, _) in self.routers[i].state.circuits.stale_entries(now, 0) {
+        for r in &self.routers {
+            for (_, e, _) in r.state.circuits.stale_entries(now, 0) {
                 if doomed.contains(&e.key) {
                     continue;
                 }
                 let reply_path = topology.route_path(e.source, e.key.requestor, Routing::Yx);
-                if !self.state.topo.node_usable(node)
-                    || !path_is_healthy(&reply_path, &self.state.topo)
-                {
+                if !path_is_healthy(&reply_path, &self.state.topo) {
                     doomed.insert(e.key);
                 }
             }
@@ -1168,8 +1126,6 @@ impl Network {
 
         let mut dead_links = self.state.topo.dead_links_sorted();
         dead_links.truncate(MAX_REPORT_ENTRIES);
-        let mut dead_routers = self.state.topo.dead_routers_sorted();
-        dead_routers.truncate(MAX_REPORT_ENTRIES);
 
         HealthReport {
             cycle: self.state.now,
@@ -1183,7 +1139,7 @@ impl Network {
             leaked_circuits: leaked,
             faults: self.fault_stats(),
             dead_links,
-            dead_routers,
+            dead_routers: Vec::new(),
             l1_reissues: 0,
             overload: self.overload_report(),
             adaptive: AdaptiveReport {

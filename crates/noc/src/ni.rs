@@ -78,7 +78,7 @@ pub(crate) struct NiOut {
     /// Fully received packets for the tile logic, with their record's slot.
     pub delivered: Vec<(u32, Delivered)>,
     /// Packets this tick sent on a recorded detour because their DOR path
-    /// crossed a dead link or router (added to the fault counters).
+    /// crossed a dead link (added to the fault counters).
     pub reroutes: u64,
     /// The statistics-counted injection this tick started, if any (class
     /// and flit count of the head emitted with `count_injection` set). At
@@ -346,8 +346,8 @@ impl Ni {
                 }
                 None => {
                     outcome = if self.state.torn.remove(&key) {
-                        // The circuit was built but a dead link or router
-                        // tore it down before the reply could ride.
+                        // The circuit was built but a dead link tore it
+                        // down before the reply could ride.
                         CircuitOutcome::TornDown
                     } else if spec.class.circuit_eligible() && self.mechanism.circuits_enabled() {
                         CircuitOutcome::Failed
@@ -745,7 +745,7 @@ impl Ni {
         flit
     }
 
-    /// When the packet's DOR route crosses a dead link or router — or a
+    /// When the packet's DOR route crosses a dead link — or a
     /// hot region the adaptive policy wants avoided — the detour to record
     /// in its record: the reversed route of the request it answers when
     /// a current-era one was recorded (path symmetry, DESIGN.md §10), else

@@ -126,8 +126,8 @@ pub(crate) struct State {
     /// Switch grants awaiting traversal: the first `st_len` entries of
     /// `st_pending`, in grant order (at most one per input port).
     st_len: u8,
-    /// `true` while this router is part of, or borders, a dead region
-    /// (set by the network when scheduled permanent faults fire).
+    /// `true` once a link of this router has died (set by the network
+    /// when a scheduled dead link fires; links never heal).
     /// Degraded routers take no part in circuits: reservations are
     /// refused and bypasses forced to the packet pipeline (DESIGN.md
     /// §10).
@@ -342,8 +342,8 @@ impl Router {
         }
     }
 
-    /// Marks this router as part of (or adjacent to) a dead region; the
-    /// network re-derives the flag whenever a scheduled fault fires.
+    /// Marks this router as an endpoint of a dead link; the network sets
+    /// the flag when a scheduled dead link fires.
     pub(crate) fn set_degraded(&mut self, degraded: bool) {
         self.state.degraded = degraded;
     }
@@ -675,7 +675,7 @@ impl Router {
         if flit.is_head() && !self.state.vcs[slot].is_idle() {
             // A head whose fallback VC is still draining an earlier
             // packet — e.g. a circuit stream forced onto the pipeline when
-            // a dead link or router made this router degraded. It must
+            // a dead link made this router degraded. It must
             // wait, not corrupt the wormhole: park it with the bypass
             // retries ([`Router::drain_bypass_retries`] holds it until
             // the VC idles, and the non-empty queue keeps its body flits

@@ -63,7 +63,7 @@ pub enum CircuitOutcome {
     /// fell back to the packet-switched pipeline (and was retransmitted
     /// end-to-end if flits were lost).
     FaultDegraded,
-    /// The circuit was built, but a dead link or router severed its path
+    /// The circuit was built, but a dead link severed its path
     /// before the reply used it; the reservation was torn down at fault
     /// onset and the reply travelled packet-switched (DESIGN.md §10).
     TornDown,

@@ -1,13 +1,12 @@
-//! Network-level tests of the permanent-fault machinery: dead links and
-//! routers, detour routing, recorded reverse paths for replies, circuit
+//! Network-level tests of the permanent-fault machinery: dead links,
+//! detour routing, recorded reverse paths for replies, circuit
 //! teardown at fault onset, and graceful abandonment when a node is fully
 //! cut off.
 
 use rcsim_core::circuit::CircuitKey;
 use rcsim_core::{MechanismConfig, MessageClass, NodeId, Topology};
 use rcsim_noc::{
-    CircuitOutcome, DeadLinkEvent, DeadRouterEvent, FaultConfig, Network, NocConfig, PacketSpec,
-    MAX_REPORT_ENTRIES,
+    CircuitOutcome, DeadLinkEvent, FaultConfig, Network, NocConfig, PacketSpec, MAX_REPORT_ENTRIES,
 };
 
 fn faulty_net(mechanism: MechanismConfig, faults: FaultConfig) -> Network {
@@ -132,29 +131,6 @@ fn onset_tears_circuit_and_reply_records_torn_down() {
 }
 
 #[test]
-fn dead_router_routes_around() {
-    // Node 5 dies at cycle 0; 1 -> 9 normally goes straight through it
-    // (1-5-9). The packet must detour and arrive; health lists the router.
-    let mut f = FaultConfig::none();
-    f.dead_routers.push(DeadRouterEvent {
-        node: NodeId(5),
-        at: 0,
-    });
-    let mut n = faulty_net(MechanismConfig::baseline(), f);
-    n.inject(PacketSpec::new(
-        NodeId(1),
-        NodeId(9),
-        MessageClass::L1Request,
-    ));
-    run(&mut n, 300);
-    assert_eq!(n.take_delivered(NodeId(9)).len(), 1);
-    let h = n.health();
-    assert_eq!(h.faults.packets_rerouted, 1);
-    assert_eq!(h.dead_routers, vec![NodeId(5)]);
-    assert!(h.healthy(), "{h}");
-}
-
-#[test]
 fn isolated_node_abandons_after_retries() {
     // Both of corner node 0's links die, cutting it off entirely. A packet
     // from 0 has no healthy path: every emission dies on the dead link and
@@ -255,17 +231,15 @@ fn dead_fault_config_survives_serde_round_trip() {
     let json = serde_json::to_string(&f).unwrap();
     let back: FaultConfig = serde_json::from_str(&json).unwrap();
     assert_eq!(back, f);
-    // Configs serialised before the dead-resource fields existed (no
-    // `dead_links` / `dead_routers` keys) still load via serde defaults.
+    // Configs serialised before the dead-link field existed (no
+    // `dead_links` key) still load via serde defaults.
     let mut v: serde_json::Value = serde_json::from_str(&json).unwrap();
     match &mut v {
-        serde_json::Value::Map(entries) => {
-            entries.retain(|(k, _)| k != "dead_links" && k != "dead_routers")
-        }
+        serde_json::Value::Map(entries) => entries.retain(|(k, _)| k != "dead_links"),
         other => panic!("expected object, got {other:?}"),
     }
     let old: FaultConfig = serde_json::from_value(v).unwrap();
-    assert!(old.dead_links.is_empty() && old.dead_routers.is_empty());
+    assert!(old.dead_links.is_empty());
 }
 
 #[test]
@@ -310,8 +284,9 @@ fn retry_exhaustion_conserves_every_packet() {
 #[test]
 fn health_report_caps_degraded_topology_lists() {
     // MAX_REPORT_ENTRIES caps every list in the report, including the
-    // dead-link and dead-router inventories of a badly degraded chip:
-    // ten of each on an 8×8 mesh, listed as their first eight.
+    // dead-link inventory of a badly degraded chip: ten dead links on an
+    // 8×8 mesh, listed as their first eight, and the summary line says
+    // the chip may have more.
     let mut f = FaultConfig::none();
     let links: Vec<(u16, u16)> = (1..6u16)
         .flat_map(|row| [(row * 8 + 1, row * 8 + 2), (row * 8 + 4, row * 8 + 5)])
@@ -323,13 +298,6 @@ fn health_report_caps_degraded_topology_lists() {
             at: 0,
         });
     }
-    let routers: Vec<u16> = (54..64).collect();
-    for &r in &routers {
-        f.dead_routers.push(DeadRouterEvent {
-            node: NodeId(r),
-            at: 0,
-        });
-    }
     let mesh = Topology::mesh(8, 8).unwrap();
     let mut n = Network::with_faults(
         NocConfig::paper_baseline(mesh, MechanismConfig::baseline()),
@@ -338,30 +306,25 @@ fn health_report_caps_degraded_topology_lists() {
     .unwrap();
     run(&mut n, 10);
     let h = n.health();
-    assert!(links.len() > MAX_REPORT_ENTRIES && routers.len() > MAX_REPORT_ENTRIES);
+    assert!(links.len() > MAX_REPORT_ENTRIES);
     assert_eq!(
         h.dead_links.len(),
         MAX_REPORT_ENTRIES,
         "dead-link list must be capped"
     );
-    assert_eq!(
-        h.dead_routers.len(),
-        MAX_REPORT_ENTRIES,
-        "dead-router list must be capped"
-    );
-    // The caps are presentational only: the lists are the sorted heads.
-    let first = |v: &[(u16, u16)]| -> Vec<(NodeId, NodeId)> {
-        v.iter()
-            .take(MAX_REPORT_ENTRIES)
-            .map(|&(a, b)| (NodeId(a), NodeId(b)))
-            .collect()
-    };
-    assert_eq!(h.dead_links, first(&links));
-    assert_eq!(
-        h.dead_routers,
-        routers[..MAX_REPORT_ENTRIES]
-            .iter()
-            .map(|&r| NodeId(r))
-            .collect::<Vec<_>>()
+    // The caps are presentational only: the list is the sorted head.
+    let first: Vec<(NodeId, NodeId)> = links
+        .iter()
+        .take(MAX_REPORT_ENTRIES)
+        .map(|&(a, b)| (NodeId(a), NodeId(b)))
+        .collect();
+    assert_eq!(h.dead_links, first);
+    assert!(h.dead_routers.is_empty());
+    let report = h.to_string();
+    assert!(
+        report.contains(&format!(
+            "degraded topology: at least {MAX_REPORT_ENTRIES} dead links"
+        )),
+        "{report}"
     );
 }

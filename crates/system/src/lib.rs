@@ -46,8 +46,7 @@ pub use envelope::{config_hash, fnv1a_64, Envelope};
 pub use open_loop::{OpenLoopConfig, SLO};
 pub use rcsim_core::{AdaptiveConfig, KernelMode};
 pub use rcsim_noc::{
-    DeadLinkEvent, DeadRouterEvent, FaultConfig, FaultStats, HealthReport, IngressConfig,
-    OverloadReport, QUEUE_CAP,
+    DeadLinkEvent, FaultConfig, FaultStats, HealthReport, IngressConfig, OverloadReport, QUEUE_CAP,
 };
 pub use rcsim_workload::ArrivalProcess;
 pub use report::{ExternalSummary, LatencyRow, RunResult};

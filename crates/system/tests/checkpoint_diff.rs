@@ -3,7 +3,7 @@
 //! agree byte for byte — in the serialized `RunResult`, in the trace-event
 //! sequence, and in *state*: what a resume holds is what was saved, and a
 //! resumed run ends in the uninterrupted run's final checkpoint — across
-//! mechanisms, fault injection, dead links and routers, open-loop
+//! mechanisms, fault injection, dead links, open-loop
 //! overload, the adaptive runtime policies and topologies. In debug builds
 //! a restored run also keeps the two worklist laws (DESIGN.md §9): the
 //! busy bits a restore rebuilds must hold every component with work.
@@ -11,9 +11,8 @@
 use proptest::prelude::*;
 use rcsim_core::{MechanismConfig, NodeId, TopologySpec};
 use rcsim_system::{
-    fnv1a_64, run_sim, run_sim_resumable, AdaptiveConfig, DeadLinkEvent, DeadRouterEvent,
-    FaultConfig, KernelMode, OpenLoopConfig, RunResult, SessionSnapshot, SimConfig, SimSession,
-    TraceConfig,
+    fnv1a_64, run_sim, run_sim_resumable, AdaptiveConfig, DeadLinkEvent, FaultConfig, KernelMode,
+    OpenLoopConfig, RunResult, SessionSnapshot, SimConfig, SimSession, TraceConfig,
 };
 use std::path::{Path, PathBuf};
 
@@ -52,17 +51,6 @@ fn dead_link() -> SimConfig {
         a: NodeId(5),
         b: NodeId(6),
         at: 400,
-    }];
-    cfg
-}
-
-/// Router n10 dies at 600, taking its L2 bank along: the misses it owes
-/// are reissued until the run ends.
-fn dead_router() -> SimConfig {
-    let mut cfg = quick(16, MechanismConfig::complete());
-    cfg.faults.dead_routers = vec![DeadRouterEvent {
-        node: NodeId(10),
-        at: 600,
     }];
     cfg
 }
@@ -196,15 +184,6 @@ fn dead_link_resumes_identically() {
     assert!(!reference.result.contains("\"packets_rerouted\":0,"));
     for k in [137, 700, 1_700] {
         assert_split_identical(&reference, &cfg, k, "dead link");
-    }
-}
-
-#[test]
-fn dead_router_resumes_identically() {
-    let cfg = dead_router();
-    let reference = uninterrupted(&cfg);
-    for k in [137, 800, 1_700] {
-        assert_split_identical(&reference, &cfg, k, "dead router");
     }
 }
 

@@ -1,5 +1,5 @@
 //! Full-system permanent-fault acceptance layer (DESIGN.md §10): a chip
-//! with permanently dead links or routers must finish its run with every
+//! with permanently dead links must finish its run with every
 //! coherence request answered — requests detour, replies retrace the
 //! recorded reverse path, circuits over the dead region are torn down and
 //! rebuilt elsewhere, and (when the NoC's own retransmissions are turned
@@ -9,7 +9,7 @@
 //! through the onsets, detours and reissues.
 
 use rcsim_core::{MechanismConfig, NodeId};
-use rcsim_system::{run_sim, DeadLinkEvent, DeadRouterEvent, SimConfig};
+use rcsim_system::{run_sim, DeadLinkEvent, SimConfig};
 
 /// A 4×4 `Complete` configuration long enough for circuits to form and
 /// misses to recycle several times.
@@ -93,25 +93,6 @@ fn l1_reissue_recovers_when_noc_retries_are_disabled() {
         r.health.l1_reissues > 0,
         "reissue timeout never fired with transport recovery off"
     );
-}
-
-/// A dead router is survivable too as long as no L2 home or core is
-/// unreachable-critical: here router 5 dies at onset and the rest of the
-/// chip routes around it. Traffic to/from node 5 itself is abandoned at
-/// the transport and re-driven by the reissue layer, so the run may show
-/// abandons but must not stall.
-#[test]
-fn dead_router_degrades_without_stalling() {
-    let mut cfg = complete_4x4();
-    cfg.faults.dead_routers = vec![DeadRouterEvent {
-        node: NodeId(5),
-        at: 2_000,
-    }];
-    cfg.reissue_timeout = Some(1_000);
-    let r = run_sim(&cfg).expect("run completes with a dead router");
-    assert!(!r.health.stalled, "dead router wedged the chip");
-    assert_eq!(r.health.dead_routers, vec![NodeId(5)]);
-    assert!(r.instructions > 0);
 }
 
 /// Every Figure 6 mechanism — circuits on or off, timed or not — must

@@ -208,13 +208,8 @@ pub enum EventKind {
         /// The other endpoint.
         b: u16,
     },
-    /// A scheduled permanent fault killed a whole router.
-    RouterDead {
-        /// The dead router.
-        node: u16,
-    },
     /// A source NI sent a packet on a recorded detour because its DOR path
-    /// crossed a dead link or router.
+    /// crossed a dead link.
     NiReroute {
         /// Packet id.
         packet: u64,
@@ -305,7 +300,6 @@ impl EventKind {
             EventKind::L1MissEnd { .. } => "l1_miss_end",
             EventKind::L2Access { .. } => "l2_access",
             EventKind::LinkDead { .. } => "link_dead",
-            EventKind::RouterDead { .. } => "router_dead",
             EventKind::NiReroute { .. } => "ni_reroute",
             EventKind::L1Reissue { .. } => "l1_reissue",
             EventKind::IngressAdmit { .. } => "ingress_admit",

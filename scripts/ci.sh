@@ -209,21 +209,29 @@ maps=$(awk '/^pub\(crate\) struct State \{$/ { inside = 1 }
 [ -z "$eaten$maps" ] \
   || { echo "FAIL: a second record of link loss is back:"; printf '%s\n' "$eaten" "$maps" | grep .; exit 1; }
 
-echo "==> the fault model is what \`resilience\` measures (DESIGN.md §6b: drops, credit loss, dead links and routers, none healing)"
-# Stuck input ports, link corruption, circuit-table corruption and
-# healing windows were set by tests alone and are gone: none of their
-# names is back in crates/*/src, src or examples. FaultStats keeps
-# packets_corrupted, table_entries_corrupted and stuck_port_cycles only
-# because the benchmark's fingerprint hashes the serialized counters:
-# they stay zero, so nothing assigns them.
+echo "==> the fault model is what \`resilience\` measures (DESIGN.md §6b: drops, credit loss, dead links, none healing)"
+# Stuck input ports, link corruption, circuit-table corruption, healing
+# windows and dead routers were set by tests alone and are gone: none of
+# their names is back in crates/*/src, src or examples. FaultStats keeps
+# packets_corrupted, table_entries_corrupted and stuck_port_cycles, and
+# HealthReport keeps dead_routers, only because the benchmark's
+# fingerprint hashes the serialized result: they stay zero or empty, so
+# nothing assigns them (dead_routers has one empty initialiser).
 retired='StuckPortEvent|link_corrupt_rate|table_corrupt_rate|heals_at|revive_link|revive_router|LinkHealed|RouterHealed|corrupt_discards|fault_remove'
+retired+='|DeadRouterEvent|kill_router|node_usable|dead_routers_sorted|RouterDown|RouterDead|TopoChange'
 back=$(grep -rnwE "$retired" crates/*/src src examples || true)
 zero='packets_corrupted|table_entries_corrupted|stuck_port_cycles'
 written=$(grep -rnE --include='*.rs' "\\b($zero) *([-+*/|&^]?=[^=]|:[^:])" crates src tests examples \
   | grep -vE "^crates/noc/src/fault\.rs:[0-9]+: +pub ($zero): u64,\$" || true)
-[ -z "$back$written" ] \
-  || { echo "FAIL: a retired fault kind is back, or a retired FaultStats counter is written:"
-       printf '%s\n' "$back" "$written" | grep .; exit 1; }
+filled=$(grep -rnE --include='*.rs' \
+  -e '\bdead_routers *([-+*/|&^]?=[^=]|:[^:])' -e '^ *dead_routers *(,|$)' \
+  -e '\bdead_routers\.(push|extend|extend_from_slice|insert|append|resize|splice|clone_from)\(' \
+  -e '&mut [A-Za-z0-9_.]*\bdead_routers\b' crates src tests examples \
+  | grep -vE '^crates/noc/src/health\.rs:[0-9]+: +pub dead_routers: Vec<NodeId>,$' \
+  | grep -vE '\bdead_routers *[:=] *(Vec::new\(\)|vec!\[\])' || true)
+[ -z "$back$written$filled" ] \
+  || { echo "FAIL: a retired fault kind is back, a retired FaultStats counter is written, or HealthReport::dead_routers is filled:"
+       printf '%s\n' "$back" "$written" "$filled" | grep .; exit 1; }
 
 echo "==> cargo build --release"
 $CARGO build --release "$@"
@@ -424,10 +432,9 @@ if find "$ckpt_dir" -name '*.ckpt' | grep -q .; then
   echo "FAIL: completed sweep left checkpoints behind in $ckpt_dir"; exit 1
 fi
 mkdir -p "$ckpt_dir"
-# Every earlier version (v12, whose calendars still parked flits behind
-# stuck ports and whose packet records carried a corruption mark, is the
-# newest of them), with the checksum of its "{}": only the version
-# rejects it.
+# Every earlier version (v13, whose fault config and topology-health map
+# still listed dead routers, is the newest of them), with the checksum of
+# its "{}": only the version rejects it.
 current=$(sed -n 's/^pub const CHECKPOINT_FORMAT_VERSION: u32 = \([0-9]*\);$/\1/p' crates/system/src/checkpoint.rs)
 for v in $(seq 0 $((${current:?CHECKPOINT_FORMAT_VERSION not found} - 1))); do
   stale="$ckpt_dir/stale_v$v.ckpt"; printf 'rcsim-checkpoint v%s 08f44b07b5901a25\n{}' "$v" > "$stale"
