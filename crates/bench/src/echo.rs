@@ -1,8 +1,7 @@
 //! The network-only harness: a request/reply echo driven straight into a
 //! [`Network`], for points no [`rcsim_system::SimConfig`] can describe —
 //! the coherence protocol's sharer bitmask caps full-chip runs at 64
-//! tiles, and the adaptive policies need interference no workload
-//! produces on demand.
+//! tiles.
 //!
 //! Every node flips a Bernoulli coin per cycle for a single-flit
 //! **foreground** request to a uniform-random destination, gated on a free
@@ -12,27 +11,18 @@
 //! reservations, which is the overload experiment's subject, not this
 //! one's). A delivered request bounces back, after the modelled L2
 //! turnaround, as a circuit-eligible data reply; a delivered reply closes
-//! the round trip. During a **bursting** phase every node also fires a
-//! bounded salvo of one-way `FwdRequest`s, most of them at one mid-fabric
-//! node, jamming the request network around it. After the driven phases
-//! a draining point runs to quiescence and fails unless everything
-//! injected got out with nothing abandoned — the deadlock-freedom check
-//! for the wraparound topologies' dateline rule.
+//! the round trip. After the driven cycles a draining point runs to
+//! quiescence and fails unless everything injected got out with nothing
+//! abandoned — the deadlock-freedom check for the wraparound topologies'
+//! dateline rule.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rcsim_core::circuit::CircuitKey;
-use rcsim_core::{AdaptiveConfig, MechanismConfig, MessageClass, NodeId, TopologySpec};
-use rcsim_noc::traffic::{Generator, Pattern};
+use rcsim_core::{MechanismConfig, MessageClass, NodeId, TopologySpec};
+use rcsim_noc::traffic::Generator;
 use rcsim_noc::{CircuitOutcome, MessageGroup, Network, NocConfig, PacketSpec};
-use rcsim_system::Adaptive;
-use rcsim_trace::TraceSink;
 use std::collections::VecDeque;
-
-/// Background requests each node may fire per bursting phase: enough to
-/// jam the hotspot's column for a while, few enough that the jam drains
-/// before the next phase.
-const SALVO: u32 = 16;
 
 /// One network-only point.
 #[derive(Debug, Clone, PartialEq)]
@@ -40,8 +30,6 @@ pub(crate) struct EchoSpec {
     pub topology: TopologySpec,
     pub cores: u16,
     pub mechanism: MechanismConfig,
-    /// The runtime controller, on the same hardware (`None`: static).
-    pub adaptive: Option<AdaptiveConfig>,
     /// Seed of the point's own traffic RNG.
     pub seed: u64,
     /// Foreground requests per node per cycle (clamped to `[0, 1]`).
@@ -51,14 +39,14 @@ pub(crate) struct EchoSpec {
     /// Modelled L2 turnaround: cycles from a request's delivery to the
     /// injection of its reply.
     pub turnaround: u64,
-    /// The driven phases in order: `(cycles, bursting)`.
-    pub phases: Vec<(u64, bool)>,
-    /// Run to quiescence after the driven phases and check the drain.
+    /// Driven cycles.
+    pub cycles: u64,
+    /// Run to quiescence after the driven cycles and check the drain.
     pub drain: bool,
 }
 
 /// What one point measured. Latencies are in cycles; everything but the
-/// network latencies and the hit rate counts the driven phases only (the
+/// network latencies and the hit rate counts the driven cycles only (the
 /// drain tail exists for the deadlock-freedom check, not the measurement).
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct EchoResult {
@@ -77,11 +65,6 @@ pub(crate) struct EchoResult {
     pub goodput: f64,
     /// Packets of any class delivered per node per cycle.
     pub delivered_per_node_cycle: f64,
-    /// Controller mode switches, hot and calm.
-    pub switches: u64,
-    pub congestion_detours: u64,
-    pub circuits_suppressed: u64,
-    pub circuits_torn_on_switch: u64,
 }
 
 /// Sorted-slice percentile (nearest rank), `per_mille` in `0..=1000`.
@@ -95,7 +78,6 @@ fn percentile(sorted: &[u64], per_mille: usize) -> f64 {
 struct Ledger {
     turnaround: u64,
     fg_out: Vec<u32>,
-    bg_out: Vec<u32>,
     replies: VecDeque<(u64, NodeId, NodeId, u64)>,
     born: Vec<u64>,
     rtt: Vec<u64>,
@@ -116,7 +98,6 @@ impl Ledger {
                     self.fg_out[node.0 as usize] -= 1;
                     self.rtt.push(now - self.born[(d.block / 64) as usize]);
                 }
-                MessageClass::FwdRequest => self.bg_out[d.src.0 as usize] -= 1,
                 other => panic!("the echo harness injects no {other}"),
             }
         }
@@ -139,74 +120,38 @@ impl Ledger {
 ///
 /// # Errors
 ///
-/// A message naming what failed: a shape `cores` does not fit, an
-/// invalid adaptive configuration, or a draining point that did not
-/// reach quiescence, abandoned a packet or lost a delivery (with the
-/// network's health report).
+/// A message naming what failed: a shape `cores` does not fit, or a
+/// draining point that did not reach quiescence, abandoned a packet or
+/// lost a delivery (with the network's health report).
 pub(crate) fn run_echo(spec: &EchoSpec) -> Result<EchoResult, String> {
     let topology = spec.topology.build(spec.cores).map_err(|e| e.to_string())?;
     let cfg = NocConfig::paper_baseline(topology, spec.mechanism);
     let mut net = Network::new(cfg).map_err(|e| e.to_string())?;
-    let mut policy = match spec.adaptive {
-        Some(cfg) => Some(Adaptive::new(cfg, &mut net).map_err(|e| e.to_string())?),
-        None => None,
-    };
-    // Steps the policy, if any, right before the network moves.
-    let mut tick = |net: &mut Network| {
-        if let Some(p) = policy.as_mut() {
-            p.step(net, &TraceSink::Disabled);
-        }
-        net.tick();
-    };
     let mut rng = StdRng::seed_from_u64(spec.seed);
     let n = topology.nodes() as u16;
     let fg = Generator::uniform(spec.rate.clamp(0.0, 1.0));
-    // The hot node sits mid-fabric so burst traffic crosses the interior.
-    let bg = Generator {
-        pattern: Pattern::Hotspot {
-            target: NodeId(n / 2 + 4),
-            percent: 80,
-        },
-        injection_rate: 0.5,
-        class: MessageClass::FwdRequest,
-    };
-    let mut bg_budget = vec![0u32; n as usize];
     let mut ledger = Ledger {
         turnaround: spec.turnaround,
         fg_out: vec![0; n as usize],
-        bg_out: vec![0; n as usize],
         replies: VecDeque::new(),
         born: vec![0],
         rtt: Vec::new(),
     };
-    for &(cycles, bursting) in &spec.phases {
-        if bursting {
-            bg_budget.fill(SALVO);
-        }
-        for _ in 0..cycles {
-            for src in (0..n).map(NodeId) {
-                let s = src.0 as usize;
-                if ledger.fg_out[s] < spec.window && rng.gen_bool(fg.injection_rate) {
-                    let dst = fg.destination(&net, src, &mut rng);
-                    if dst != src {
-                        let block = 64 * ledger.born.len() as u64;
-                        net.inject(PacketSpec::new(src, dst, fg.class).with_block(block));
-                        ledger.fg_out[s] += 1;
-                        ledger.born.push(net.now());
-                    }
-                }
-                if bursting && bg_budget[s] > 0 && rng.gen_bool(bg.injection_rate) {
-                    let dst = bg.destination(&net, src, &mut rng);
-                    if dst != src {
-                        net.inject(PacketSpec::new(src, dst, bg.class));
-                        bg_budget[s] -= 1;
-                        ledger.bg_out[s] += 1;
-                    }
+    for _ in 0..spec.cycles {
+        for src in (0..n).map(NodeId) {
+            let s = src.0 as usize;
+            if ledger.fg_out[s] < spec.window && rng.gen_bool(fg.injection_rate) {
+                let dst = fg.destination(&net, src, &mut rng);
+                if dst != src {
+                    let block = 64 * ledger.born.len() as u64;
+                    net.inject(PacketSpec::new(src, dst, fg.class).with_block(block));
+                    ledger.fg_out[s] += 1;
+                    ledger.born.push(net.now());
                 }
             }
-            tick(&mut net);
-            ledger.echo(&mut net);
         }
+        net.tick();
+        ledger.echo(&mut net);
     }
     let driven = net.now();
     let node_cycles = topology.nodes() as f64 * driven as f64;
@@ -217,7 +162,7 @@ pub(crate) fn run_echo(spec: &EchoSpec) -> Result<EchoResult, String> {
         // saturated point must drain once injection stops.
         let deadline = driven + 200 * driven + 2_000_000;
         while !(net.is_quiescent() && ledger.replies.is_empty()) && net.now() < deadline {
-            tick(&mut net);
+            net.tick();
             ledger.echo(&mut net);
         }
         let health = net.health();
@@ -230,12 +175,11 @@ pub(crate) fn run_echo(spec: &EchoSpec) -> Result<EchoResult, String> {
                 health.faults.packets_abandoned
             ));
         }
-        if ledger.fg_out.iter().chain(&ledger.bg_out).any(|&o| o != 0) {
+        if ledger.fg_out.iter().any(|&o| o != 0) {
             return Err("lost deliveries".to_owned());
         }
     }
-    let (stats, ni) = (net.stats(), net.health().adaptive);
-    let adaptive = policy.map_or(ni, |p| p.report(ni));
+    let stats = net.stats();
     let lat = stats.network_latency.get(&MessageGroup::CircuitRep);
     let mut rtt = ledger.rtt;
     rtt.truncate(closed);
@@ -250,9 +194,5 @@ pub(crate) fn run_echo(spec: &EchoSpec) -> Result<EchoResult, String> {
         rtt_p999: percentile(&rtt, 999),
         goodput: rtt.len() as f64 / node_cycles,
         delivered_per_node_cycle: delivered as f64 / node_cycles,
-        switches: adaptive.hot_switches + adaptive.calm_switches,
-        congestion_detours: adaptive.congestion_detours,
-        circuits_suppressed: adaptive.circuits_suppressed,
-        circuits_torn_on_switch: adaptive.circuits_torn_on_switch,
     })
 }

@@ -30,7 +30,6 @@ pub static EXPERIMENTS: &[Experiment] = &[
     stress::RESILIENCE,
     stress::OVERLOAD,
     network::TOPOLOGY,
-    network::ADAPTIVE,
 ];
 
 /// What most entries are: full-system rows, nothing claimed, nothing

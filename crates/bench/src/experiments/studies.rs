@@ -116,12 +116,11 @@ fn load_point(mechanism: MechanismConfig, rate: f64) -> EchoSpec {
         topology: TopologySpec::Mesh,
         cores: 64,
         mechanism,
-        adaptive: None,
         seed: 7,
         rate,
         window: u32::MAX,
         turnaround: 0,
-        phases: vec![(4_000, false)],
+        cycles: 4_000,
         drain: false,
     }
 }

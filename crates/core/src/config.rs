@@ -419,10 +419,6 @@ pub enum ConfigError {
     /// A scheduled fault references topology that does not exist (node out
     /// of bounds, non-adjacent link pair). The payload names the problem.
     FaultTopology(&'static str),
-    /// An adaptive-policy knob violates its invariants (zero decision
-    /// epoch, zero regions, inverted hysteresis band). The payload names
-    /// the problem.
-    AdaptivePolicy(&'static str),
     /// Open-loop traffic on a topology whose every tile is an ingress edge
     /// tile, so no tile is left to serve the external requests.
     NoServerTiles,
@@ -468,9 +464,6 @@ impl fmt::Display for ConfigError {
             }
             ConfigError::FaultTopology(what) => {
                 write!(f, "scheduled fault references invalid topology: {what}")
-            }
-            ConfigError::AdaptivePolicy(what) => {
-                write!(f, "adaptive policy misconfigured: {what}")
             }
             ConfigError::NoServerTiles => {
                 f.write_str("open-loop traffic needs a tile outside the ingress edge")

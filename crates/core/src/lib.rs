@@ -40,7 +40,6 @@
 
 pub mod circuit;
 pub mod config;
-pub mod policy;
 pub mod routing;
 pub mod sched;
 pub mod state;
@@ -49,10 +48,6 @@ pub mod topology;
 pub mod types;
 
 pub use config::{CircuitMode, ConfigError, MechanismConfig, TimedPolicy};
-pub use policy::{
-    AdaptiveConfig, CongestionMap, CongestionState, PolicyController, PolicyState, RegionDecision,
-    RegionMode, RegionPlan, RegionSample, SCORE_SCALE,
-};
 pub use routing::TopologyHealth;
 pub use sched::{skip_law, superset_law, KernelMode, SKIP_LAW_STRIDE};
 pub use state::{Slab, StateMap, StateSet, Stateful};

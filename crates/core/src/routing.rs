@@ -33,7 +33,7 @@ impl Routing {
 /// permanent-fault model, DESIGN.md §10). Links are bidirectional —
 /// killing `(a, b)` kills both directions.
 ///
-/// Every field is state (DESIGN.md §15): the map serializes as it stands.
+/// Every field is state (DESIGN.md §13): the map serializes as it stands.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TopologyHealth {
     /// Dead links, stored as normalized `(min, max)` node pairs.

@@ -1,4 +1,4 @@
-//! A component's `State` (DESIGN.md §15): the [`Stateful`] trait every
+//! A component's `State` (DESIGN.md §13): the [`Stateful`] trait every
 //! component snapshots and restores through, and containers for what a
 //! `State` holds — the std `HashMap`/`HashSet` the hot path uses,
 //! unchanged behind `Deref`, whose serialized form is a key-sorted

@@ -37,7 +37,6 @@
 //!    close a cycle around a ring dimension.
 
 use crate::config::ConfigError;
-use crate::policy::CongestionMap;
 use crate::routing::{Routing, TopologyHealth};
 use crate::types::{Coord, NodeId};
 use serde::{Deserialize, Serialize};
@@ -416,127 +415,51 @@ impl Topology {
     /// Shortest healthy router path between the routers of two tiles,
     /// avoiding dead links, or `None` when the degraded network is
     /// disconnected between the two. Breadth-first in the fixed E/W/N/S
-    /// order, so the detour is fully deterministic. Detours are
-    /// *not* restricted to dimension order: deadlock freedom is not
-    /// guaranteed in theory on a degraded network (the watchdog catches
-    /// wedges); in practice single-fault detours stay minimal-plus-two and
-    /// do not close dependency cycles.
+    /// order, so the detour is fully deterministic. Detours are *not*
+    /// restricted to dimension order or to any turn model, so deadlock
+    /// freedom is not guaranteed on a degraded network, and single-fault
+    /// detours can close one: on a 4×4 mesh with one dead link, the
+    /// circuit mechanisms' one buffered reply VC wedges in a six-router
+    /// wait-for cycle of packet-switched replies (ROADMAP item 2). The
+    /// watchdog catches such wedges.
     pub fn route_path_healthy(
         &self,
         src: NodeId,
         dst: NodeId,
         topo: &TopologyHealth,
     ) -> Option<Vec<NodeId>> {
-        self.search(src, dst, topo, None)
-    }
-
-    /// Like [`Topology::route_path_healthy`], but additionally refuses to
-    /// route *through* routers the [`CongestionMap`] marks hot, and —
-    /// unlike the fault search, whose detours are rare — constrains the
-    /// path to a deadlock-free *turn model*, because congestion detours
-    /// happen in bulk and unrestricted paths would close cycles in a
-    /// virtual network's channel-dependency graph (observed as wormhole
-    /// deadlock among detoured replies):
-    ///
-    /// * request VN (`Routing::Xy`) — **west-first**: every West hop
-    ///   precedes any other direction. XY DOR paths satisfy this (their
-    ///   X phase comes first), and west-first prohibits exactly the
-    ///   North→West / South→West turns that close both abstract mesh
-    ///   cycles (Glass & Ni), so DOR traffic plus these detours stays
-    ///   acyclic;
-    /// * reply VN (`Routing::Yx`) — **east-last**: after the first East
-    ///   hop, only East hops follow. YX DOR paths satisfy it (horizontal
-    ///   phase last), it prohibits the East→North / East→South turns
-    ///   (again one per abstract cycle), and it is exactly the *reverse*
-    ///   of west-first — so a reply retracing a detoured request's
-    ///   recorded route is compliant by construction.
-    ///
-    /// Wrap links are never taken: a detour across the torus dateline is
-    /// outside the mesh turn-model argument, so detours stay on the mesh
-    /// subgraph (torus DOR traffic keeps its dateline VC classes).
-    ///
-    /// The endpoints are exempt from the hot check — a packet cannot
-    /// avoid its own source or destination router — so this returns
-    /// `None` only when every healthy, model-compliant route crosses a
-    /// hot interior router (callers then fall back to DOR).
-    pub fn route_path_healthy_avoiding(
-        &self,
-        src: NodeId,
-        dst: NodeId,
-        routing: Routing,
-        topo: &TopologyHealth,
-        cong: &CongestionMap,
-    ) -> Option<Vec<NodeId>> {
-        self.search(src, dst, topo, Some((routing, cong)))
-    }
-
-    /// The one breadth-first search behind both detours. A search state
-    /// is a router and whether the path to it has passed the turn model's
-    /// commit point (west-first: the first non-West hop; east-last: the
-    /// first East hop) — one layer of states per router without a model,
-    /// two with.
-    fn search(
-        &self,
-        src: NodeId,
-        dst: NodeId,
-        topo: &TopologyHealth,
-        model: Option<(Routing, &CongestionMap)>,
-    ) -> Option<Vec<NodeId>> {
         let src = self.router_of(src);
         let dst = self.router_of(dst);
         if src == dst {
             return Some(vec![src]);
         }
-        let n = self.routers();
-        let layers = if model.is_some() { 2 } else { 1 };
-        // `prev[state]` is the state it was first reached from (the
+        // `prev[router]` is the router it was first reached from (the
         // start: itself), `UNSEEN` until it is.
         const UNSEEN: u32 = u32::MAX;
-        let router = |state: usize| NodeId((state % n) as u16);
         let start = src.index();
-        let mut prev = vec![UNSEEN; layers * n];
+        let mut prev = vec![UNSEEN; self.routers()];
         prev[start] = start as u32;
-        let mut frontier = VecDeque::from([start]);
-        while let Some(state) = frontier.pop_front() {
-            let (at, committed) = (router(state), state >= n);
+        let mut frontier = VecDeque::from([src]);
+        while let Some(at) = frontier.pop_front() {
             for port in SCAN_ORDER {
                 let Some(nb) = self.neighbor(at, port) else {
                     continue;
                 };
-                let mut next_committed = false;
-                if let Some((routing, cong)) = model {
-                    // A link between routers that are not grid neighbours
-                    // wraps (on a 2-wide torus both ports join the same
-                    // pair, and the pair is adjacent).
-                    let (a, b) = (self.coord(at), self.coord(nb));
-                    let commits = match routing {
-                        Routing::Xy => port != PORT_WEST,
-                        Routing::Yx => port == PORT_EAST,
-                    };
-                    if a.x.abs_diff(b.x) + a.y.abs_diff(b.y) != 1
-                        || committed && !commits
-                        || nb != dst && cong.is_hot(nb.index())
-                    {
-                        continue;
-                    }
-                    next_committed = committed || commits;
-                }
-                let next = nb.index() + if next_committed { n } else { 0 };
-                if prev[next] != UNSEEN || !topo.link_usable(at, nb) {
+                if prev[nb.index()] != UNSEEN || !topo.link_usable(at, nb) {
                     continue;
                 }
-                prev[next] = state as u32;
+                prev[nb.index()] = at.index() as u32;
                 if nb == dst {
                     let mut path = vec![dst, at];
-                    let mut state = state;
-                    while state != start {
-                        state = prev[state] as usize;
-                        path.push(router(state));
+                    let mut r = at.index();
+                    while r != start {
+                        r = prev[r] as usize;
+                        path.push(NodeId(r as u16));
                     }
                     path.reverse();
                     return Some(path);
                 }
-                frontier.push_back(next);
+                frontier.push_back(nb);
             }
         }
         None
@@ -867,8 +790,6 @@ mod tests {
             assert_eq!(ring.edge_nodes(), torus.edge_nodes());
             let mut health = TopologyHealth::new();
             health.kill_link(NodeId(0), NodeId(1));
-            let mut cong = CongestionMap::new(n as usize);
-            cong.set_hot(n as usize / 2, true);
             for a in ring.iter_routers() {
                 assert_eq!(ring.coord(a), torus.coord(a));
                 assert_eq!(ring.router_of(a), torus.router_of(a));
@@ -893,10 +814,6 @@ mod tests {
                             torus.next_hop_port(a, b, algo)
                         );
                         assert_eq!(ring.route_path(a, b, algo), torus.route_path(a, b, algo));
-                        assert_eq!(
-                            ring.route_path_healthy_avoiding(a, b, algo, &health, &cong),
-                            torus.route_path_healthy_avoiding(a, b, algo, &health, &cong)
-                        );
                     }
                 }
             }

@@ -37,7 +37,7 @@ const UNDO_DUE: u64 = 1 << 63;
 /// ([`WINDOW`]), so the cells one tick reads are adjacent and in
 /// component order.
 ///
-/// This is *state* (DESIGN.md §15): it is serialized as-is.
+/// This is *state* (DESIGN.md §13): it is serialized as-is.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub(crate) struct Calendar {
     /// Components and input ports per component.

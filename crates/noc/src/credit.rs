@@ -124,7 +124,7 @@ impl CreditWire {
 /// (`Links`/`NiLink`), and the owner reads its own wires through the sink
 /// it ticks into. So no router borrows another.
 ///
-/// This is *state* (DESIGN.md §15): it is serialized as-is.
+/// This is *state* (DESIGN.md §13): it is serialized as-is.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub(crate) struct CreditWires {
     /// Network-port output VC slots per router (`PORT_LOCAL · vcs`), VCs

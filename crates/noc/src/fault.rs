@@ -191,7 +191,7 @@ impl From<(u64, u64)> for FaultRng {
     }
 }
 
-/// The fault layer's state (DESIGN.md §15).
+/// The fault layer's state (DESIGN.md §13).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub(crate) struct State {
     rng: FaultRng,

@@ -67,28 +67,19 @@ pub struct LeakedCircuit {
     pub in_use: bool,
 }
 
-/// Counters of the adaptive runtime policy (all zero when adaptation is
-/// disabled — the default). [`crate::Network::health`] fills the NI-side
-/// `congestion_detours` and `circuits_suppressed`; the policy, a client
-/// of the network, adds the rest.
+/// Always zero: the adaptive runtime policy whose counters these were
+/// is gone. The type stays so the serialized [`HealthReport`] keeps its
+/// shape (ROADMAP item 1 retires it).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[allow(missing_docs)] // every field is always zero
 pub struct AdaptiveReport {
-    /// Decision epochs the controller has run.
     pub decisions: u64,
-    /// Regions switched calm→hot.
     pub hot_switches: u64,
-    /// Regions switched hot→calm.
     pub calm_switches: u64,
-    /// Circuit-table entries torn down by calm→hot mechanism switches.
     pub circuits_torn_on_switch: u64,
-    /// Packets sent on a congestion-aware detour (DOR path healthy but
-    /// crossing a hot region; distinct from fault reroutes).
     pub congestion_detours: u64,
-    /// Requests that skipped circuit construction because their reply
-    /// path crossed a hot region (the path-sensitive mechanism switch).
     #[serde(default)]
     pub circuits_suppressed: u64,
-    /// Regions hot at the time the report was taken.
     pub hot_regions: u64,
 }
 
@@ -135,8 +126,7 @@ pub struct HealthReport {
     /// layer is configured).
     #[serde(default)]
     pub overload: crate::ingress::OverloadReport,
-    /// Adaptive-policy counters (all zero when the adaptive block is
-    /// absent — the default).
+    /// Always zero (see [`AdaptiveReport`]).
     #[serde(default)]
     pub adaptive: AdaptiveReport,
     /// Wait-for-graph diagnosis: present only when the network is
@@ -410,20 +400,6 @@ impl fmt::Display for HealthReport {
                 }
                 writeln!(f)?;
             }
-        }
-        if self.adaptive.decisions > 0 {
-            writeln!(
-                f,
-                "  adaptive: {} decisions, {} hot / {} calm switches ({} hot now), \
-                 {} circuits torn on switch, {} suppressed, {} congestion detours",
-                self.adaptive.decisions,
-                self.adaptive.hot_switches,
-                self.adaptive.calm_switches,
-                self.adaptive.hot_regions,
-                self.adaptive.circuits_torn_on_switch,
-                self.adaptive.circuits_suppressed,
-                self.adaptive.congestion_detours
-            )?;
         }
         Ok(())
     }

@@ -205,7 +205,7 @@ struct EdgeIngress {
     tokens: u64,
 }
 
-/// The ingress layer's state (DESIGN.md §15): one [`EdgeIngress`] per
+/// The ingress layer's state (DESIGN.md §13): one [`EdgeIngress`] per
 /// configured edge node, in edge order, plus the cumulative
 /// [`OverloadReport`] counters.
 #[derive(Debug, Clone, Serialize, Deserialize)]

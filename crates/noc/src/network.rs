@@ -22,13 +22,12 @@ use rcsim_core::circuit::CircuitKey;
 use rcsim_core::routing::{path_is_healthy, Routing};
 use rcsim_core::table4::BUFFER_DEPTH;
 use rcsim_core::{
-    skip_law, superset_law, ConfigError, CongestionMap, CongestionState, Cycle, KernelMode, NodeId,
-    RegionPlan, RegionSample, StateSet, Stateful, TopologyHealth, PORT_LOCAL,
+    skip_law, superset_law, ConfigError, Cycle, KernelMode, NodeId, StateSet, Stateful,
+    TopologyHealth, PORT_LOCAL,
 };
 use rcsim_trace::{ClassLabel, EventKind, TraceSink};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
-use std::ops::Range;
 
 /// A whole-network occupancy snapshot, taken between cycles. Feeds the
 /// trace layer's periodic `EpochSample` events.
@@ -114,10 +113,6 @@ pub struct Network {
     /// `None` unless [`Network::configure_ingress`] was called, so
     /// closed-loop runs carry no ingress state at all.
     ingress: Option<Box<IngressState>>,
-    /// Which routers an adaptive policy ([`Network::set_congestion`])
-    /// marks hot, plus the staleness era for recorded detour paths. Always
-    /// present (all calm without a policy): the NIs read it.
-    congestion: CongestionMap,
 
     state: State,
 
@@ -128,7 +123,7 @@ pub struct Network {
     scratch: Scratch,
 }
 
-/// The network's own state (DESIGN.md §15).
+/// The network's own state (DESIGN.md §13).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct State {
     /// Every injected, not yet resolved packet (src == dst traffic never
@@ -212,7 +207,6 @@ impl Network {
                 Some(FaultState::new(faults, routers_n))
             },
             ingress: None,
-            congestion: CongestionMap::new(routers_n),
             state: State {
                 packets: Packets::default(),
                 router_links: Calendar::new(routers_n, cfg.topology.ports()),
@@ -247,20 +241,6 @@ impl Network {
         self.kernel = kernel;
     }
 
-    /// The congestion map's one writer, for an adaptive policy stepped
-    /// beside the network (DESIGN.md §14): marks `routers` hot or calm,
-    /// cooling bumping the era to stale detours recorded through them.
-    /// While any router is hot, NIs detour around hot routers and skip
-    /// circuits whose reply path crosses one. No NI needs the worklist for it.
-    pub fn set_congestion(&mut self, routers: Range<usize>, hot: bool) {
-        for r in routers {
-            self.congestion.set_hot(r, hot);
-        }
-        if !hot {
-            self.congestion.bump_era();
-        }
-    }
-
     /// Installs a trace sink, fanning it out to every NI and router so the
     /// whole fabric records into one shared event log. Pass
     /// [`TraceSink::Disabled`] to turn tracing back off.
@@ -276,19 +256,14 @@ impl Network {
 
     /// The occupancy snapshot the trace layer samples once per epoch.
     pub fn telemetry(&self) -> NetworkTelemetry {
-        self.occupancy(0..self.routers.len(), 0..self.nis.len())
-    }
-
-    /// The [`NetworkTelemetry`] sums over some routers and NIs.
-    fn occupancy(&self, routers: Range<usize>, tiles: Range<usize>) -> NetworkTelemetry {
-        let routers = &self.routers[routers];
         NetworkTelemetry {
-            circuit_entries: routers
+            circuit_entries: self
+                .routers
                 .iter()
                 .map(|r| r.state.circuits.total_entries() as u64)
                 .sum(),
-            buffered_flits: routers.iter().map(|r| r.buffered_flits() as u64).sum(),
-            ni_backlog: self.nis[tiles].iter().map(|ni| ni.backlog() as u64).sum(),
+            buffered_flits: self.routers.iter().map(|r| r.buffered_flits() as u64).sum(),
+            ni_backlog: self.nis.iter().map(|ni| ni.backlog() as u64).sum(),
         }
     }
 
@@ -465,8 +440,8 @@ impl Network {
         }
         let now = self.state.now;
         let slot = self.state.packets.insert(Packet::new(id, &spec, len, now));
-        let committed = self.ni_mut(spec.src.index(), |ni, st, cong| {
-            ni.enqueue(&spec, slot, &mut st.packets[slot], now, cong, &mut st.stats)
+        let committed = self.ni_mut(spec.src.index(), |ni, st| {
+            ni.enqueue(&spec, slot, &mut st.packets[slot], now, &mut st.stats)
         });
         (id, committed)
     }
@@ -476,20 +451,14 @@ impl Network {
     /// instead of replying itself (§4.4). Returns `false` when no such
     /// circuit is registered.
     pub fn undo_circuit(&mut self, node: NodeId, key: CircuitKey) -> bool {
-        self.ni_mut(node.index(), |ni, st, _| {
-            ni.undo_circuit(key, &mut st.stats)
-        })
+        self.ni_mut(node.index(), |ni, st| ni.undo_circuit(key, &mut st.stats))
     }
 
     /// Applies a mutation from outside the tick loop to NI `i` and puts it
     /// on the worklist if that left it active: the one way such a mutation
     /// reaches an NI, so its busy bit stays `is_active()`.
-    fn ni_mut<R>(
-        &mut self,
-        i: usize,
-        f: impl FnOnce(&mut Ni, &mut State, &CongestionMap) -> R,
-    ) -> R {
-        let r = f(&mut self.nis[i], &mut self.state, &self.congestion);
+    fn ni_mut<R>(&mut self, i: usize, f: impl FnOnce(&mut Ni, &mut State) -> R) -> R {
+        let r = f(&mut self.nis[i], &mut self.state);
         self.scratch.ni_busy[i / 64] |= u64::from(self.nis[i].is_active()) << (i % 64);
         r
     }
@@ -563,7 +532,7 @@ impl Network {
         while let Some(k) = self.state.retry_queue.iter().position(|r| r.0 <= now) {
             let (_, slot, id) = self.state.retry_queue.remove(k);
             if let Some(src) = self.state.packets.open_mut(slot, id).map(|rec| rec.src) {
-                self.ni_mut(src.index(), |ni, st, _| {
+                self.ni_mut(src.index(), |ni, st| {
                     ni.reenqueue_retry(slot, &mut st.packets[slot], now);
                 });
             }
@@ -596,7 +565,6 @@ impl Network {
                     now,
                     &mut s.arrivals,
                     &self.state.topo,
-                    &self.congestion,
                     &mut self.state.packets,
                     &mut s.ni_out,
                     &mut NiLink {
@@ -662,59 +630,10 @@ impl Network {
         superset_law("NI", i, now, !ni.is_active());
         skip_law("NI", i, now, ni, |ni| {
             let (mut probe, mut out) = (Probe::new(state.credits.ni(i), sink), NiOut::default());
-            let (topo, cong, packets) = (&state.topo, &self.congestion, &mut state.packets);
-            let injected = ni.tick(
-                now,
-                &mut Vec::new(),
-                topo,
-                cong,
-                packets,
-                &mut out,
-                &mut probe,
-            );
+            let (topo, packets) = (&state.topo, &mut state.packets);
+            let injected = ni.tick(now, &mut Vec::new(), topo, packets, &mut out, &mut probe);
             !injected && out == NiOut::default() && probe.quiet()
         });
-    }
-
-    /// Per-region occupancy sums (the [`Network::telemetry`] quantities,
-    /// split over the region plan's contiguous router/tile ranges): what an
-    /// adaptive policy decides on.
-    pub fn region_samples(&self, plan: &RegionPlan) -> Vec<RegionSample> {
-        (0..plan.regions())
-            .map(|g| {
-                let rr = plan.router_range(g);
-                let o = self.occupancy(rr.clone(), plan.tile_range(g));
-                RegionSample {
-                    buffered_flits: o.buffered_flits,
-                    ni_backlog: o.ni_backlog,
-                    circuit_entries: o.circuit_entries,
-                    routers: rr.len() as u64,
-                }
-            })
-            .collect()
-    }
-
-    /// Mechanism-switch teardown of every built circuit whose reply path
-    /// (YX, source → requestor) crosses a router `doomed` names; returns
-    /// the count. Unlike the fault path ([`Network::teardown_circuits`]),
-    /// whose dead link kills every flit still referencing the entries
-    /// it rips out, a switch happens on a *healthy* fabric, where a direct
-    /// release would strand headless body flits. So the circuit's NI
-    /// *origin* is forgotten and §4.4 undo started ([`Ni::teardown_origin`]
-    /// through [`Network::ni_mut`]): entries go hop by hop, in-use ones
-    /// when the tail passes. NIs in index order, keys sorted: deterministic.
-    pub fn teardown_origins(&mut self, doomed: impl Fn(usize) -> bool) -> u64 {
-        let topology = self.cfg.topology;
-        let mut torn = 0;
-        for i in 0..self.nis.len() {
-            for key in self.nis[i].origin_keys() {
-                let reply_path = topology.route_path(NodeId(i as u16), key.requestor, Routing::Yx);
-                if reply_path.iter().any(|r| doomed(r.index())) {
-                    torn += u64::from(self.ni_mut(i, |ni, _, _| ni.teardown_origin(key)));
-                }
-            }
-        }
-        torn
     }
 
     /// Accounts one NI's tick (the NI itself is statistics-free, see
@@ -949,7 +868,7 @@ impl Network {
     }
 
     /// Recomputes every derived quantity — each router's VC occupancy
-    /// index (DESIGN.md §15), the tiles holding deliveries, the worklist's
+    /// index (DESIGN.md §13), the tiles holding deliveries, the worklist's
     /// busy bits (timed bits: a superset) — from the state it mirrors,
     /// checks the
     /// packet table's laws (every flit handle anywhere names a held
@@ -1142,11 +1061,7 @@ impl Network {
             dead_routers: Vec::new(),
             l1_reissues: 0,
             overload: self.overload_report(),
-            adaptive: AdaptiveReport {
-                circuits_suppressed: self.nis.iter().map(Ni::circuits_suppressed).sum(),
-                congestion_detours: self.nis.iter().map(Ni::congestion_detours).sum(),
-                ..AdaptiveReport::default()
-            },
+            adaptive: AdaptiveReport::default(),
             deadlock: if self.stalled() {
                 self.deadlock_report()
             } else {
@@ -1186,13 +1101,12 @@ impl Network {
             nis: self.nis.snapshot(),
             faults: self.faults.snapshot(),
             ingress: self.ingress.snapshot(),
-            congestion: self.congestion.snapshot(),
         }
     }
 
     /// Overwrites this network's state, and its components', with a
     /// [`Network::snapshot`] of one built from the same configuration;
-    /// wiring (routing, fault schedule, congestion features, sinks) is
+    /// wiring (routing, fault schedule, sinks) is
     /// kept. Panics as [`Stateful::restore`] does.
     pub fn restore(&mut self, snap: &NetworkSnapshot) {
         self.state.clone_from(&snap.state);
@@ -1200,7 +1114,6 @@ impl Network {
         self.nis.restore(&snap.nis);
         self.faults.restore(&snap.faults);
         self.ingress.restore(&snap.ingress);
-        self.congestion.restore(&snap.congestion);
         let (routers, nis) = (&self.routers, &self.nis);
         self.delivered_tiles = Self::rebuild_scratch(&self.state);
         self.scratch.ni_busy = bitset(nis.len(), |i| nis[i].is_active());
@@ -1243,7 +1156,7 @@ fn router_laws(i: usize, now: Cycle, router: &mut Router, packets: &mut Packets,
 
 /// A [`Network`]'s state and that of each of its components, captured
 /// between ticks by [`Network::snapshot`] and re-applied with
-/// [`Network::restore`] (DESIGN.md §15).
+/// [`Network::restore`] (DESIGN.md §13).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct NetworkSnapshot {
     state: State,
@@ -1251,7 +1164,6 @@ pub struct NetworkSnapshot {
     nis: Vec<ni::State>,
     faults: Option<fault::State>,
     ingress: Option<ingress::State>,
-    congestion: CongestionState,
 }
 
 #[cfg(test)]

@@ -13,8 +13,8 @@ use rcsim_core::circuit::{CircuitHandle, CircuitKey};
 use rcsim_core::routing::{path_is_healthy, Routing};
 use rcsim_core::table4::{BUFFER_DEPTH, LINK_LATENCY};
 use rcsim_core::{
-    CircuitMode, CongestionMap, Cycle, MechanismConfig, MessageClass, NodeId, StateMap, StateSet,
-    Topology, TopologyHealth, Vnet,
+    CircuitMode, Cycle, MechanismConfig, MessageClass, NodeId, StateMap, StateSet, Topology,
+    TopologyHealth, Vnet,
 };
 use rcsim_trace::{EventKind, TraceEvent, TraceSink};
 use serde::{Deserialize, Serialize};
@@ -97,7 +97,7 @@ impl NiOut {
     }
 }
 
-/// An NI's state (DESIGN.md §15).
+/// An NI's state (DESIGN.md §13).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub(crate) struct State {
     /// Per-VN FIFO of packet-switched packets.
@@ -117,29 +117,16 @@ pub(crate) struct State {
     /// Reversed source routes of detoured requests delivered here, keyed
     /// by `(requestor, block)`: consumed when the matching reply is
     /// emitted so it retraces the request's detour instead of a freshly
-    /// recomputed route (path symmetry, DESIGN.md §10). Each route is
-    /// stamped with the [`CongestionMap`] era it was recorded under and
-    /// only consumed while that era is still current — when a hot region
-    /// cools, the era bumps and the stale detours are ignored, so later
-    /// replies return to DOR. Bounded FIFO.
-    reply_paths: StateMap<(NodeId, u64), (u64, Vec<NodeId>)>,
-    /// Insertion order of `reply_paths` keys, for deterministic eviction.
-    /// It is the eviction history: it legitimately holds keys already
-    /// removed from the map (a consumed reply path leaves its order slot
-    /// behind) and duplicates (a re-recorded path is pushed again), and
-    /// the bounded eviction's future pops depend on exactly that sequence.
+    /// recomputed route (path symmetry, DESIGN.md §10). Bounded FIFO.
+    reply_paths: StateMap<(NodeId, u64), Vec<NodeId>>,
+    /// The keys of `reply_paths`, each once, oldest first: the eviction
+    /// order. A key leaves it when its path is consumed or evicted.
     reply_path_order: VecDeque<(NodeId, u64)>,
     /// Circuit origins removed by fault-recovery teardown; consumed when
     /// the reply shows up to record the `TornDown` outcome.
     torn: StateSet<CircuitKey>,
     /// Undos decided at enqueue time, drained at the next tick.
     pending_undos: Vec<(CircuitKey, NodeId)>,
-    /// Requests whose circuit construction the adaptive mechanism switch
-    /// suppressed (reply path crossed a hot region at enqueue time).
-    circuits_suppressed: u64,
-    /// Packets sent from here on a congestion-aware detour: their DOR path
-    /// was healthy but crossed a hot region (not a fault reroute).
-    congestion_detours: u64,
 }
 
 /// Wiring, [`State`], then scratch.
@@ -182,23 +169,10 @@ impl Ni {
                 reply_path_order: VecDeque::new(),
                 torn: StateSet::default(),
                 pending_undos: Vec::new(),
-                circuits_suppressed: 0,
-                congestion_detours: 0,
             },
             live_streams: 0,
             sendable: Vec::new(),
         }
-    }
-
-    /// How many requests enqueued here had their circuit construction
-    /// suppressed by the adaptive mechanism switch.
-    pub(crate) fn circuits_suppressed(&self) -> u64 {
-        self.state.circuits_suppressed
-    }
-
-    /// How many packets this NI sent on a congestion-aware detour.
-    pub(crate) fn congestion_detours(&self) -> u64 {
-        self.state.congestion_detours
     }
 
     pub(crate) fn set_trace_sink(&mut self, sink: TraceSink) {
@@ -220,31 +194,6 @@ impl Ni {
             if self.state.origins.remove(key).is_some() {
                 self.state.torn.insert(*key);
             }
-        }
-    }
-
-    /// The circuit keys of every origin registered at this NI, in sorted
-    /// order (deterministic iteration for the adaptive teardown).
-    pub(crate) fn origin_keys(&self) -> Vec<CircuitKey> {
-        let mut keys: Vec<CircuitKey> = self.state.origins.keys().copied().collect();
-        keys.sort_by_key(|k| (k.requestor, k.block));
-        keys
-    }
-
-    /// Mechanism-switch teardown (DESIGN.md §14): forgets the origin and
-    /// starts §4.4 undo propagation to release the router entries hop by
-    /// hop — the abort path that is already safe against every in-flight
-    /// race (reservations still arriving, borrowed scroungers, streams:
-    /// in-use entries are flagged `undo_pending` and removed when the
-    /// tail passes). The reply that would have ridden the circuit records
-    /// the `torn_down` outcome and goes packet-switched.
-    pub(crate) fn teardown_origin(&mut self, key: CircuitKey) -> bool {
-        if self.state.origins.remove(&key).is_some() {
-            self.state.torn.insert(key);
-            self.state.pending_undos.push((key, key.requestor));
-            true
-        } else {
-            false
         }
     }
 
@@ -270,7 +219,6 @@ impl Ni {
         slot: u32,
         p: &mut Packet,
         now: Cycle,
-        cong: &CongestionMap,
         stats: &mut NocStats,
     ) -> bool {
         if !spec.class.is_reply() {
@@ -280,7 +228,6 @@ impl Ni {
             if spec.class.builds_circuit()
                 && self.mechanism.circuits_enabled()
                 && self.topology.hop_count(spec.src, spec.dst) > 0
-                && !self.mech_switch_suppresses(spec, cong)
             {
                 let reply_flits = expected_reply_flits(spec.class);
                 // The tail of a multi-flit request arrives len-1 cycles
@@ -402,31 +349,6 @@ impl Ni {
         true
     }
 
-    /// The adaptive mechanism switch (DESIGN.md §14): `true` when circuit
-    /// construction for this request should be skipped because the reply
-    /// it reserves for would cross a hot region. The reply retraces the
-    /// request's route YX (§4.1), so the check routes `dst → src` on the
-    /// reply vnet; endpoints are exempt for the same reason as in
-    /// [`Ni::path_is_congested`] — a reply into or out of the hot region
-    /// cannot avoid it, and a reservation still beats queueing there.
-    /// Suppression is path-sensitive rather than per-source: a requestor
-    /// far from the congestion keeps building circuits on clear paths,
-    /// while any requestor whose reply would thread the jam falls back to
-    /// Baseline-equivalent packet switching (no timed window to miss, no
-    /// undo traffic when it inevitably would).
-    fn mech_switch_suppresses(&mut self, spec: &PacketSpec, cong: &CongestionMap) -> bool {
-        if !cong.any_hot() {
-            return false;
-        }
-        let reply = self.topology.route_path(spec.dst, spec.src, Routing::Yx);
-        if Self::path_is_congested(&reply, cong) {
-            self.state.circuits_suppressed += 1;
-            true
-        } else {
-            false
-        }
-    }
-
     /// Re-injection of a scrounger at its intermediate node: same logical
     /// message, original timestamps, no new statistics.
     fn reenqueue_scrounger(&mut self, slot: u32, p: &mut Packet, final_dst: NodeId, now: Cycle) {
@@ -500,7 +422,6 @@ impl Ni {
         now: Cycle,
         ejected: &mut Vec<(usize, Flit)>,
         topo: &TopologyHealth,
-        cong: &CongestionMap,
         packets: &mut Packets,
         out: &mut NiOut,
         link: &mut impl LinkSink,
@@ -509,9 +430,9 @@ impl Ni {
             link.undo(0, key, dst, now + Cycle::from(LINK_LATENCY));
         }
         for (_, flit) in ejected.drain(..) {
-            self.receive_flit(flit, now, cong, packets, out);
+            self.receive_flit(flit, now, packets, out);
         }
-        let Some(flit) = self.inject_one(now, topo, cong, packets, out, link.wires()) else {
+        let Some(flit) = self.inject_one(now, topo, packets, out, link.wires()) else {
             return false;
         };
         link.flit(0, flit, now + Cycle::from(LINK_LATENCY), packets);
@@ -529,30 +450,16 @@ impl Ni {
 
     /// Takes one ejected flit out of the fabric; the tail completes the
     /// packet's current traversal.
-    fn receive_flit(
-        &mut self,
-        flit: Flit,
-        now: Cycle,
-        cong: &CongestionMap,
-        packets: &mut Packets,
-        out: &mut NiOut,
-    ) {
+    fn receive_flit(&mut self, flit: Flit, now: Cycle, packets: &mut Packets, out: &mut NiOut) {
         let p = &mut packets[flit.slot];
         p.received += 1;
         if flit.is_tail() {
-            self.receive_packet(flit, p, now, cong, out);
+            self.receive_packet(flit, p, now, out);
         }
         packets.flit_gone(flit.slot);
     }
 
-    fn receive_packet(
-        &mut self,
-        tail: Flit,
-        p: &mut Packet,
-        now: Cycle,
-        cong: &CongestionMap,
-        out: &mut NiOut,
-    ) {
+    fn receive_packet(&mut self, tail: Flit, p: &mut Packet, now: Cycle, out: &mut NiOut) {
         debug_assert_eq!(p.received, p.len, "flits lost or duplicated in transit");
         if let Some(final_dst) = p.scrounger_final {
             if final_dst != self.node {
@@ -567,7 +474,7 @@ impl Ni {
                 // reply retraces it (path symmetry, DESIGN.md §10).
                 let mut rev = path.clone();
                 rev.reverse();
-                self.record_reply_path((p.src, p.block), cong.era(), rev);
+                self.record_reply_path((p.src, p.block), rev);
             }
         }
 
@@ -626,7 +533,6 @@ impl Ni {
         &mut self,
         now: Cycle,
         topo: &TopologyHealth,
-        cong: &CongestionMap,
         packets: &mut Packets,
         out: &mut NiOut,
         wires: &mut [CreditWire],
@@ -646,7 +552,7 @@ impl Ni {
             }
         }
         if let Some(mut s) = self.state.circuit_active.take() {
-            let flit = self.emit_flit(&mut s, now, topo, cong, packets, out);
+            let flit = self.emit_flit(&mut s, now, topo, packets, out);
             if !flit.is_tail() {
                 self.state.circuit_active = Some(s);
             }
@@ -664,7 +570,7 @@ impl Ni {
             .take()
             .expect("sendable stream exists");
         wires[vc].take(now);
-        let flit = self.emit_flit(&mut s, now, topo, cong, packets, out);
+        let flit = self.emit_flit(&mut s, now, topo, packets, out);
         if flit.is_tail() {
             self.live_streams -= 1;
         } else {
@@ -713,7 +619,6 @@ impl Ni {
         s: &mut Stream,
         now: Cycle,
         topo: &TopologyHealth,
-        cong: &CongestionMap,
         packets: &mut Packets,
         out: &mut NiOut,
     ) -> Flit {
@@ -736,8 +641,8 @@ impl Ni {
                 },
             });
             p.path = None;
-            if (topo.is_degraded() || cong.any_hot()) && p.dst != self.node {
-                p.path = self.plan_detour(p, now, topo, cong, out);
+            if topo.is_degraded() && p.dst != self.node {
+                p.path = self.plan_detour(p, now, topo, out);
             }
         }
         let flit = Flit::new(s.slot, s.next_seq, p.len, s.vc, s.tags);
@@ -745,83 +650,40 @@ impl Ni {
         flit
     }
 
-    /// When the packet's DOR route crosses a dead link — or a
-    /// hot region the adaptive policy wants avoided — the detour to record
-    /// in its record: the reversed route of the request it answers when
-    /// a current-era one was recorded (path symmetry, DESIGN.md §10), else
-    /// a deterministic BFS around the dead (and, when adaptation is on,
-    /// hot) region. `None` when DOR is healthy and uncongested (the
-    /// ordinary case, bit-identical to a fault-free run), when every
-    /// healthy route crosses the hot region anyway, or when no healthy
-    /// route exists at all — then the flit is emitted on DOR and, for
-    /// faults, the end-to-end retry/abandon machinery takes over.
+    /// When the packet's DOR route crosses a dead link, the detour to
+    /// record in its record: the reversed route of the request it answers
+    /// when one was recorded (path symmetry, DESIGN.md §10), else a
+    /// deterministic BFS around the dead links. `None` when DOR is healthy
+    /// (the ordinary case, bit-identical to a fault-free run) or when no
+    /// healthy route exists at all — then the flit is emitted on DOR and
+    /// the end-to-end retry/abandon machinery takes over.
     fn plan_detour(
         &mut self,
         p: &mut Packet,
         now: Cycle,
         topo: &TopologyHealth,
-        cong: &CongestionMap,
         out: &mut NiOut,
     ) -> Option<Vec<NodeId>> {
         let dor = self
             .topology
             .route_path(self.node, p.dst, Routing::for_vnet(p.vnet));
-        let dor_healthy = path_is_healthy(&dor, topo);
-        let dor_congested = cong.any_hot() && Self::path_is_congested(&dor, cong);
-        if dor_healthy && !dor_congested {
+        if path_is_healthy(&dor, topo) {
             return None;
         }
         let my_router = self.topology.router_of(self.node);
         let recorded = if p.vnet == Vnet::Reply {
-            self.state
-                .reply_paths
-                .remove(&(p.dst, p.block))
-                .filter(|(era, r)| {
-                    *era == cong.era()
-                        && r.first() == Some(&my_router)
-                        && path_is_healthy(r, topo)
-                        // While adaptive detours are live, every reply-VN
-                        // path must obey the east-last turn model (see
-                        // `route_path_healthy_avoiding`). Reversed
-                        // congestion detours comply by construction
-                        // (reverse of west-first); a reversed *fault*
-                        // detour may not — those replies re-plan instead.
-                        && (!cong.any_hot() || self.path_obeys_east_last(r))
-                })
-                .map(|(_, r)| r)
+            self.take_reply_path((p.dst, p.block))
+                .filter(|r| r.first() == Some(&my_router) && path_is_healthy(r, topo))
         } else {
             None
         };
-        let detour = recorded.or_else(|| {
-            if cong.any_hot() {
-                // Prefer a route that is both healthy and clear of hot
-                // regions; when none exists, congestion alone is not
-                // worth stalling for — fall through.
-                if let Some(clear) = self.topology.route_path_healthy_avoiding(
-                    self.node,
-                    p.dst,
-                    Routing::for_vnet(p.vnet),
-                    topo,
-                    cong,
-                ) {
-                    return Some(clear);
-                }
-            }
-            if dor_healthy {
-                None
-            } else {
-                self.topology.route_path_healthy(self.node, p.dst, topo)
-            }
-        })?;
+        let detour =
+            recorded.or_else(|| self.topology.route_path_healthy(self.node, p.dst, topo))?;
         // A detoured request reserves nothing: the reservation mirror
         // assumes the reply retraces the request's DOR route (§4.1),
         // which the detour breaks.
         p.circuit = None;
-        if dor_healthy {
-            self.state.congestion_detours += 1;
-        } else {
-            out.reroutes += 1;
-        }
+        out.reroutes += 1;
         self.sink.emit(|| TraceEvent {
             cycle: now,
             kind: EventKind::NiReroute {
@@ -832,44 +694,26 @@ impl Ni {
         Some(detour)
     }
 
-    /// `true` when the recorded path satisfies the reply VN's east-last
-    /// turn model: after its first East hop, every hop is East.
-    fn path_obeys_east_last(&self, path: &[NodeId]) -> bool {
-        let mut gone_east = false;
-        for w in path.windows(2) {
-            let east = self.topology.port_between(w[0], w[1]) == Some(rcsim_core::PORT_EAST);
-            if gone_east && !east {
-                return false;
-            }
-            gone_east |= east;
-        }
-        true
-    }
-
-    /// `true` when the routed path crosses a hot *interior* router. The
-    /// endpoints are exempt: traffic into or out of a hot router cannot
-    /// avoid it, so detouring such a packet would burn hops for nothing.
-    fn path_is_congested(path: &[NodeId], cong: &CongestionMap) -> bool {
-        path.len() > 2
-            && path[1..path.len() - 1]
-                .iter()
-                .any(|r| cong.is_hot(r.index()))
-    }
-
     /// Remembers the reversed route of a detoured request so its reply can
-    /// retrace it, stamped with the current staleness era. Bounded: the
-    /// oldest recorded route is evicted first.
-    fn record_reply_path(&mut self, key: (NodeId, u64), era: u64, rev: Vec<NodeId>) {
+    /// retrace it. Bounded: the oldest recorded route is evicted first.
+    fn record_reply_path(&mut self, key: (NodeId, u64), rev: Vec<NodeId>) {
         const REPLY_PATH_CAP: usize = 256;
-        if self.state.reply_paths.insert(key, (era, rev)).is_none() {
+        if self.state.reply_paths.insert(key, rev).is_none() {
             self.state.reply_path_order.push_back(key);
         }
-        while self.state.reply_paths.len() > REPLY_PATH_CAP {
-            let Some(old) = self.state.reply_path_order.pop_front() else {
-                break;
-            };
-            self.state.reply_paths.remove(&old);
+        if self.state.reply_paths.len() > REPLY_PATH_CAP {
+            let oldest = self.state.reply_path_order.pop_front();
+            let oldest = oldest.expect("one order slot per recorded path");
+            self.state.reply_paths.remove(&oldest);
         }
+    }
+
+    /// Consumes the recorded reply path for `key`, if any, with its
+    /// order slot.
+    fn take_reply_path(&mut self, key: (NodeId, u64)) -> Option<Vec<NodeId>> {
+        let path = self.state.reply_paths.remove(&key)?;
+        self.state.reply_path_order.retain(|&k| k != key);
+        Some(path)
     }
 
     /// The packet copies this NI holds, as `(slot, flits sent)`: `None`
@@ -908,8 +752,6 @@ impl Ni {
             reply_path_order: _,
             torn: _,
             pending_undos: _,
-            circuits_suppressed: _,
-            congestion_detours: _,
         } = state;
         streams.iter().flatten().count()
     }

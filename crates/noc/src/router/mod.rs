@@ -78,7 +78,7 @@ pub(crate) const VC_INDEX_BITS: usize = u64::BITS as usize;
 /// hardware allocator sees, so the pipeline stages visit busy VCs only
 /// instead of scanning `ports × VCs` states per tick.
 ///
-/// This is *scratch*, not *state* (DESIGN.md §15): every field is a
+/// This is *scratch*, not *state* (DESIGN.md §13): every field is a
 /// function of the VC states, VC buffers and bypass-retry queues, is
 /// rebuilt from them by [`Router::rebuild_scratch`] on restore, and is never
 /// serialized. It is maintained where a VC changes state
@@ -112,7 +112,7 @@ pub(crate) fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
     })
 }
 
-/// A router's state (DESIGN.md §15), flat: everything per VC — input or
+/// A router's state (DESIGN.md §13), flat: everything per VC — input or
 /// output side — lives at slot `port · total + vc`, the numbering of the
 /// [`OccupancyIndex`] bits, and everything per port at slot `port`, in
 /// arrays of [`VC_INDEX_BITS`] entries inside the router itself, each

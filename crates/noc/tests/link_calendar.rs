@@ -1,5 +1,5 @@
 //! The link registers (DESIGN.md §9) and the state/scratch split around
-//! them (§15), seen from outside the crate: a snapshot holds state only,
+//! them (§13), seen from outside the crate: a snapshot holds state only,
 //! so a network restored from one taken mid-traffic — full registers,
 //! packet table and all — continues exactly like the original,
 //! its rebuilt worklist keeping the two laws in debug builds. Derived

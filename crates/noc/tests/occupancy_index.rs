@@ -1,4 +1,4 @@
-//! The router's occupancy index (DESIGN.md §15) is maintained
+//! The router's occupancy index (DESIGN.md §13) is maintained
 //! incrementally at the VC state transitions and retry-queue push/pop
 //! sites; these runs recompute it from scratch after *every* cycle —
 //! also in release builds, where the per-tick `debug_assert!` is compiled

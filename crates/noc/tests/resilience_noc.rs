@@ -84,6 +84,61 @@ fn reply_detours_back_over_recorded_reverse_path() {
     assert!(h.healthy(), "{h}");
 }
 
+/// The field `name` of a serialized struct.
+fn field<'a>(v: &'a serde_json::Value, name: &str) -> &'a serde_json::Value {
+    match v {
+        serde_json::Value::Map(entries) => &entries.iter().find(|(k, _)| k == name).unwrap().1,
+        other => panic!("expected an object holding `{name}`, got {other:?}"),
+    }
+}
+
+fn entries(v: &serde_json::Value) -> &[serde_json::Value] {
+    match v {
+        serde_json::Value::Seq(items) => items,
+        other => panic!("expected an array, got {other:?}"),
+    }
+}
+
+#[test]
+fn recorded_reply_paths_stay_bounded_over_many_round_trips() {
+    // 300 round trips 4 -> 7 across the dead link 5-6, ten at a time:
+    // each request's path is recorded at 7 and consumed by its reply, so
+    // every NI ends with no recorded path, and its eviction order holds
+    // exactly the recorded paths' keys — never a slot per consumed path.
+    let mut n = faulty_net(MechanismConfig::baseline(), dead_link(5, 6, 0));
+    for batch in 0..30u64 {
+        let blocks: Vec<u64> = (0..10).map(|i| 0x40 * (10 * batch + i + 1)).collect();
+        for &block in &blocks {
+            n.inject(
+                PacketSpec::new(NodeId(4), NodeId(7), MessageClass::L1Request).with_block(block),
+            );
+        }
+        run(&mut n, 200);
+        assert_eq!(n.take_delivered(NodeId(7)).len(), blocks.len());
+        for &block in &blocks {
+            let key = CircuitKey {
+                requestor: NodeId(4),
+                block,
+            };
+            n.inject(
+                PacketSpec::new(NodeId(7), NodeId(4), MessageClass::L2Reply)
+                    .with_block(block)
+                    .with_circuit_key(key),
+            );
+        }
+        run(&mut n, 200);
+        assert_eq!(n.take_delivered(NodeId(4)).len(), blocks.len());
+    }
+    assert!(n.is_quiescent());
+    assert_eq!(n.health().faults.packets_rerouted, 600);
+    let snap = serde_json::to_value(&n.snapshot()).unwrap();
+    for (i, ni) in entries(field(&snap, "nis")).iter().enumerate() {
+        let paths = entries(field(ni, "reply_paths")).len();
+        let order = entries(field(ni, "reply_path_order")).len();
+        assert_eq!((paths, order), (0, 0), "NI {i}: paths, order slots");
+    }
+}
+
 #[test]
 fn onset_tears_circuit_and_reply_records_torn_down() {
     // Build a complete circuit fault-free, then kill a link on its reply
@@ -154,75 +209,6 @@ fn isolated_node_abandons_after_retries() {
     assert!(h.faults.dead_flits_lost >= 1);
     assert!(!h.stalled, "abandonment must not read as a stall: {h}");
     assert!(!h.healthy());
-}
-
-#[test]
-fn reply_after_region_cools_ignores_stale_congestion_detour() {
-    // Recorded reverse paths are keyed (dst, block) and era-stamped: a
-    // request detours around a hot row and its reversed route is recorded — then the row cools,
-    // which bumps the staleness era, before the reply is sent. The reply
-    // must ride plain DOR: the congestion-detour counter stays at the
-    // request's 1 and the reply's latency matches a control.
-    let mesh = Topology::mesh(4, 4).unwrap();
-    let mut n = Network::new(NocConfig::paper_baseline(mesh, MechanismConfig::baseline())).unwrap();
-    // Row 0 (routers 0–3) hot, as a policy would mark it; no policy is
-    // installed.
-    n.set_congestion(0..4, true);
-
-    // A request across the hot row detours around it (and node 3's NI
-    // records the reversed route for the reply).
-    n.inject(PacketSpec::new(NodeId(0), NodeId(3), MessageClass::L1Request).with_block(0x40));
-    run(&mut n, 100);
-    assert_eq!(n.take_delivered(NodeId(3)).len(), 1);
-    let detours = n.health().adaptive.congestion_detours;
-    assert_eq!(detours, 1, "request must detour: {}", n.health());
-
-    // The row cools, staling the recorded path. Then rows 0 and 1 heat:
-    // the reply's DOR path is congested again, so its NI looks the
-    // recorded path (through row 1) up, and every fresh route from node 3
-    // crosses a hot router, so only the era keeps the reply off the stale
-    // detour.
-    n.set_congestion(0..4, false);
-    n.set_congestion(0..8, true);
-
-    let control_key = CircuitKey {
-        requestor: NodeId(0),
-        block: 0x999,
-    };
-    n.inject(
-        PacketSpec::new(NodeId(3), NodeId(0), MessageClass::L2Reply)
-            .with_block(0x999)
-            .with_circuit_key(control_key),
-    );
-    run(&mut n, 100);
-    let control = n.take_delivered(NodeId(0));
-    assert_eq!(control.len(), 1);
-    let dor_latency = control[0].delivered_at - control[0].injected_at;
-
-    let key = CircuitKey {
-        requestor: NodeId(0),
-        block: 0x40,
-    };
-    n.inject(
-        PacketSpec::new(NodeId(3), NodeId(0), MessageClass::L2Reply)
-            .with_block(0x40)
-            .with_circuit_key(key),
-    );
-    run(&mut n, 100);
-    let d = n.take_delivered(NodeId(0));
-    assert_eq!(d.len(), 1);
-    assert_eq!(
-        d[0].delivered_at - d[0].injected_at,
-        dor_latency,
-        "post-cool reply must match the control's DOR latency, \
-         not retrace the recorded congestion detour"
-    );
-    assert_eq!(
-        n.health().adaptive.congestion_detours,
-        detours,
-        "no congestion detour may be charged to the post-cool reply"
-    );
-    assert!(n.health().healthy());
 }
 
 #[test]

@@ -1,6 +1,6 @@
 //! A generic set-associative cache array with pseudo-LRU replacement,
 //! sized in memory by the lines a run has filled, not by the capacity it
-//! models (DESIGN.md §15, "Cache arrays").
+//! models (DESIGN.md §13, "Cache arrays").
 
 use crate::plru;
 use rcsim_core::Slab;

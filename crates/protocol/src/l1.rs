@@ -102,7 +102,7 @@ pub struct L1Cache {
     state: L1CacheState,
 }
 
-/// An [`L1Cache`]'s state (DESIGN.md §15).
+/// An [`L1Cache`]'s state (DESIGN.md §13).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct L1CacheState {
     array: CacheArray<L1Line>,

@@ -109,7 +109,7 @@ pub struct L2Bank {
     state: L2BankState,
 }
 
-/// An [`L2Bank`]'s state (DESIGN.md §15).
+/// An [`L2Bank`]'s state (DESIGN.md §13).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct L2BankState {
     array: CacheArray<L2Line>,

@@ -24,7 +24,7 @@ pub struct MemoryController {
     state: MemoryState,
 }
 
-/// A [`MemoryController`]'s state (DESIGN.md §15).
+/// A [`MemoryController`]'s state (DESIGN.md §13).
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct MemoryState {
     store: StateMap<u64, u64>,

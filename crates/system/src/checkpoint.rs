@@ -9,15 +9,15 @@
 //! the `checkpoint_diff` differential matrix — is byte identity:
 //! `run(0..T)` and `run(0..k) + save + restore + run(k..T)` produce the
 //! same [`RunResult`] and the same trace stream, for any `k`, under every
-//! topology, fault plan, open-loop and adaptive configuration.
+//! topology, fault plan and open-loop configuration.
 //!
 //! What a snapshot holds is each component's `State` — every field its
 //! behaviour depends on from one tick to the next — and nothing else:
 //! wiring (geometry, latencies, mechanism flags, trace sinks) is
 //! rebuilt from the [`SimConfig`] by construction and scratch is rebuilt
-//! from the state. DESIGN.md §15 has the rule and the table.
+//! from the state. DESIGN.md §13 has the rule and the table.
 //!
-//! On disk a checkpoint is an [`Envelope`] file (`rcsim-checkpoint v14`),
+//! On disk a checkpoint is an [`Envelope`] file (`rcsim-checkpoint v15`),
 //! the format the sweep result cache shares: a corrupt, truncated or
 //! stale-version file loads as `None` — a clean miss, never an error.
 
@@ -32,7 +32,7 @@ use std::path::Path;
 
 /// Bumped whenever the snapshot layout changes incompatibly. A checkpoint
 /// carrying any other version is treated as a clean miss, never an error.
-pub const CHECKPOINT_FORMAT_VERSION: u32 = 14;
+pub const CHECKPOINT_FORMAT_VERSION: u32 = 15;
 
 const CHECKPOINT: Envelope = Envelope {
     magic: "rcsim-checkpoint",

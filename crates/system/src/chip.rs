@@ -3,18 +3,17 @@
 //! wired to the cycle-accurate NoC through an adapter implementing the
 //! protocol's [`Port`].
 
-use crate::adaptive::Adaptive;
 use crate::core_model::{self, Core, CoreAction};
 use crate::open_loop::{self, OpenLoopConfig, OpenLoopState, EXT_TOKEN_BIT};
 use crate::report::ExternalSummary;
 use rcsim_core::circuit::CircuitKey;
 use rcsim_core::{
-    skip_law, superset_law, AdaptiveConfig, ConfigError, Cycle, KernelMode, MechanismConfig,
-    MessageClass, NodeId, PolicyState, Slab, StateSet, Stateful, Topology,
+    skip_law, superset_law, ConfigError, Cycle, KernelMode, MechanismConfig, MessageClass, NodeId,
+    Slab, StateSet, Stateful, Topology,
 };
 use rcsim_noc::{
-    AdaptiveReport, CircuitOutcome, FaultConfig, HealthReport, Network, NetworkSnapshot, NocConfig,
-    NocStats, PacketSpec,
+    CircuitOutcome, FaultConfig, HealthReport, Network, NetworkSnapshot, NocConfig, NocStats,
+    PacketSpec,
 };
 use rcsim_protocol::{
     Access, L1Cache, L1CacheState, L2Bank, L2BankState, MemoryController, MemoryState, Msg, Port,
@@ -159,8 +158,6 @@ pub struct Chip {
     mcs: Vec<Option<MemoryController>>,
     /// Open-loop external-traffic driver; `None` for closed-loop runs.
     open_loop: Option<Box<OpenLoopState>>,
-    /// The adaptive runtime policy; `None` for static runs.
-    adaptive: Option<Adaptive>,
 
     state: State,
 
@@ -182,7 +179,7 @@ struct Wake {
     banks: Vec<Cycle>,
 }
 
-/// The chip's own state (DESIGN.md §15): the glue between the protocol
+/// The chip's own state (DESIGN.md §13): the glue between the protocol
 /// and the network.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 struct State {
@@ -261,7 +258,6 @@ impl Chip {
             l2s,
             mcs,
             open_loop: None,
-            adaptive: None,
             state: State::default(),
             wake: Wake {
                 cores: vec![Cycle::MAX; n],
@@ -317,13 +313,6 @@ impl Chip {
             self.circuits_enabled,
             &mut self.net,
         )));
-        Ok(())
-    }
-
-    /// Turns on the adaptive runtime policy, stepped beside the network
-    /// (DESIGN.md §14); fails and panics as [`Adaptive::new`] does.
-    pub fn enable_adaptive(&mut self, cfg: AdaptiveConfig) -> Result<(), ConfigError> {
-        self.adaptive = Some(Adaptive::new(cfg, &mut self.net)?);
         Ok(())
     }
 
@@ -452,11 +441,6 @@ impl Chip {
         // moves, so injections land this cycle.
         if let Some(ol) = self.open_loop.as_mut() {
             ol.pre_net_tick(&mut self.net, now);
-        }
-
-        // The adaptive policy decides on the backlog those injections left.
-        if let Some(ad) = self.adaptive.as_mut() {
-            ad.step(&mut self.net, &self.sink);
         }
 
         // The network moves.
@@ -602,13 +586,10 @@ impl Chip {
     }
 
     /// A liveness snapshot of the network (see [`Network::health`]), plus
-    /// the chip-level reissue counter and the adaptive controller's.
+    /// the chip-level reissue counter.
     pub fn health(&self) -> HealthReport {
         let mut h = self.net.health();
         h.l1_reissues = self.l1s.iter().map(|l1| l1.stats().reissues).sum();
-        if let Some(ad) = &self.adaptive {
-            h.adaptive = ad.report(h.adaptive);
-        }
         h
     }
 
@@ -687,7 +668,6 @@ impl Chip {
             l2s: self.l2s.snapshot(),
             mcs: self.mcs.snapshot(),
             open_loop: self.open_loop.snapshot(),
-            adaptive: self.adaptive.snapshot(),
         }
     }
 
@@ -702,7 +682,6 @@ impl Chip {
         self.l2s.restore(&snap.l2s);
         self.mcs.restore(&snap.mcs);
         self.open_loop.restore(&snap.open_loop);
-        self.adaptive.restore(&snap.adaptive);
         self.rebuild_scratch();
     }
 
@@ -781,7 +760,6 @@ pub struct ChipSnapshot {
     /// Indexed by tile, like [`Chip::mcs`].
     mcs: Vec<Option<MemoryState>>,
     open_loop: Option<(open_loop::State, Vec<ArrivalState>)>,
-    adaptive: Option<(AdaptiveReport, PolicyState)>,
 }
 
 #[cfg(test)]

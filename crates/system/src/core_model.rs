@@ -25,7 +25,7 @@ pub struct Core {
     pub(crate) state: State,
 }
 
-/// A [`Core`]'s own state (DESIGN.md §15).
+/// A [`Core`]'s own state (DESIGN.md §13).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct State {
     phase: Phase,

@@ -29,7 +29,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod adaptive;
 mod checkpoint;
 mod chip;
 mod core_model;
@@ -38,13 +37,12 @@ mod open_loop;
 mod report;
 mod sim;
 
-pub use adaptive::Adaptive;
 pub use checkpoint::{run_sim_resumable, SessionSnapshot, SimSession, CHECKPOINT_FORMAT_VERSION};
 pub use chip::{Chip, ChipSnapshot};
 pub use core_model::Core;
 pub use envelope::{config_hash, fnv1a_64, Envelope};
 pub use open_loop::{OpenLoopConfig, SLO};
-pub use rcsim_core::{AdaptiveConfig, KernelMode};
+pub use rcsim_core::KernelMode;
 pub use rcsim_noc::{
     DeadLinkEvent, FaultConfig, FaultStats, HealthReport, IngressConfig, OverloadReport, QUEUE_CAP,
 };

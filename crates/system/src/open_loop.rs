@@ -136,7 +136,7 @@ pub(crate) struct OpenLoopState {
     released_buf: Vec<ReleasedArrival>,
 }
 
-/// The open-loop driver's own state (DESIGN.md §15).
+/// The open-loop driver's own state (DESIGN.md §13).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub(crate) struct State {
     retries: Vec<PendingRetry>,

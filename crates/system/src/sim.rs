@@ -2,7 +2,7 @@
 
 use crate::chip::Chip;
 use crate::report::RunResult;
-use rcsim_core::{AdaptiveConfig, KernelMode, MechanismConfig, TopologySpec};
+use rcsim_core::{KernelMode, MechanismConfig, TopologySpec};
 use rcsim_noc::{FaultConfig, HealthReport};
 use rcsim_power::{area_savings, EnergyModel};
 use rcsim_protocol::ProtocolConfig;
@@ -51,12 +51,6 @@ pub struct SimConfig {
     /// and goldens stay byte-identical.
     #[serde(default, skip_serializing_if = "TopologySpec::is_mesh")]
     pub topology: TopologySpec,
-    /// Adaptive runtime policies: congestion-aware detours and per-region
-    /// mechanism switching (`None` keeps the network static — the
-    /// default, omitted from serialization so existing cache keys and
-    /// goldens stay byte-identical).
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub adaptive: Option<AdaptiveConfig>,
 }
 
 impl SimConfig {
@@ -74,7 +68,6 @@ impl SimConfig {
             reissue_timeout: None,
             open_loop: None,
             topology: TopologySpec::Mesh,
-            adaptive: None,
         }
     }
 
@@ -192,10 +185,10 @@ fn run_sim_inner(
     Ok(session.finish())
 }
 
-/// Builds the chip a [`SimConfig`] describes, fully wired (open loop,
-/// adaptive policies) but not yet ticked. Shared by [`run_sim`] and the
-/// checkpoint layer so a restore target is constructed by exactly the
-/// same code path as a fresh run.
+/// Builds the chip a [`SimConfig`] describes, fully wired (open loop)
+/// but not yet ticked. Shared by [`run_sim`] and the checkpoint layer so
+/// a restore target is constructed by exactly the same code path as a
+/// fresh run.
 pub(crate) fn build_chip(cfg: &SimConfig, kernel: KernelMode) -> Result<Chip, SimError> {
     // The spec picks the router grid: square for the paper's 16/64-core
     // chips, the most nearly square rectangle otherwise (scalability
@@ -221,9 +214,6 @@ pub(crate) fn build_chip(cfg: &SimConfig, kernel: KernelMode) -> Result<Chip, Si
     chip.set_kernel(kernel);
     if let Some(ol) = &cfg.open_loop {
         chip.enable_open_loop(ol.clone(), cfg.seed)?;
-    }
-    if let Some(ad) = cfg.adaptive {
-        chip.enable_adaptive(ad)?;
     }
     Ok(chip)
 }

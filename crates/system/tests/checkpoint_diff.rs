@@ -4,15 +4,15 @@
 //! sequence, and in *state*: what a resume holds is what was saved, and a
 //! resumed run ends in the uninterrupted run's final checkpoint — across
 //! mechanisms, fault injection, dead links, open-loop
-//! overload, the adaptive runtime policies and topologies. In debug builds
+//! overload and topologies. In debug builds
 //! a restored run also keeps the two worklist laws (DESIGN.md §9): the
 //! busy bits a restore rebuilds must hold every component with work.
 
 use proptest::prelude::*;
 use rcsim_core::{MechanismConfig, NodeId, TopologySpec};
 use rcsim_system::{
-    fnv1a_64, run_sim, run_sim_resumable, AdaptiveConfig, DeadLinkEvent, FaultConfig, KernelMode,
-    OpenLoopConfig, RunResult, SessionSnapshot, SimConfig, SimSession, TraceConfig,
+    fnv1a_64, run_sim, run_sim_resumable, DeadLinkEvent, FaultConfig, KernelMode, OpenLoopConfig,
+    RunResult, SessionSnapshot, SimConfig, SimSession, TraceConfig,
 };
 use std::path::{Path, PathBuf};
 
@@ -63,19 +63,6 @@ fn overloaded(cores: u16) -> SimConfig {
         seed: 0x0BEE,
         open_loop: Some(ol),
         ..quick(cores, MechanismConfig::complete_noack())
-    }
-}
-
-fn adaptive(cores: u16) -> SimConfig {
-    SimConfig {
-        adaptive: Some(AdaptiveConfig {
-            decision_epoch: 40,
-            regions: 4,
-            hot_enter: 96,
-            hot_exit: 48,
-            min_dwell: 80,
-        }),
-        ..quick(cores, MechanismConfig::complete())
     }
 }
 
@@ -193,11 +180,6 @@ fn overloaded_runs_resume_identically() {
 }
 
 #[test]
-fn adaptive_runs_resume_identically() {
-    assert_splits_identical(&adaptive(16), "adaptive");
-}
-
-#[test]
 fn non_mesh_topologies_resume_identically() {
     for spec in [TopologySpec::Torus, TopologySpec::Ring] {
         let cfg = quick(16, MechanismConfig::complete()).with_topology(spec);
@@ -226,7 +208,6 @@ fn classes() -> Vec<(String, SimConfig)> {
         ("light faults".to_owned(), faulty(16)),
         ("dead link".to_owned(), dead_link()),
         ("overload".to_owned(), overloaded(16)),
-        ("adaptive".to_owned(), adaptive(16)),
         (
             "torus".to_owned(),
             complete().with_topology(TopologySpec::Torus),

@@ -254,19 +254,6 @@ pub enum EventKind {
         /// Cycles the arrival waited in the queue before being shed.
         waited: u64,
     },
-    /// The adaptive policy controller switched a region between calm and
-    /// hot (hysteresis + min-dwell; see DESIGN.md §14). Emitted once per
-    /// region switch, at the top of the tick.
-    PolicySwitch {
-        /// Region index in the controller's region plan.
-        region: u16,
-        /// `true` when the region entered the hot state, `false` when it
-        /// cooled back to calm.
-        hot: bool,
-        /// The fixed-point occupancy score (×256 per router) the decision
-        /// was based on.
-        score: u64,
-    },
     /// A periodic whole-network occupancy sample.
     EpochSample {
         /// Live circuit-table entries across all routers.
@@ -305,7 +292,6 @@ impl EventKind {
             EventKind::IngressAdmit { .. } => "ingress_admit",
             EventKind::IngressReject { .. } => "ingress_reject",
             EventKind::IngressShed { .. } => "ingress_shed",
-            EventKind::PolicySwitch { .. } => "policy_switch",
             EventKind::EpochSample { .. } => "epoch_sample",
         }
     }

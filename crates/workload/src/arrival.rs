@@ -108,7 +108,7 @@ pub struct ArrivalStream {
     state: ArrivalState,
 }
 
-/// An [`ArrivalStream`]'s state (DESIGN.md §15).
+/// An [`ArrivalStream`]'s state (DESIGN.md §13).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ArrivalState {
     rng: WorkloadRng,

@@ -305,7 +305,7 @@ impl Workload {
 }
 
 /// Generator of one core's memory-reference stream. Its state (DESIGN.md
-/// §15) is the RNG; the rest is rebuilt by [`Workload::core_trace`].
+/// §13) is the RNG; the rest is rebuilt by [`Workload::core_trace`].
 #[derive(Debug, Clone)]
 pub struct CoreTrace {
     state: WorkloadRng,

@@ -40,7 +40,7 @@ if grep -rn 'env::var' crates/*/src src examples | grep -v '^crates/bench/src/en
   echo "FAIL: the process environment is read outside crates/bench/src/env.rs"; exit 1
 fi
 
-echo "==> state is the snapshot (DESIGN.md §15: only the three containers compose one, through one trait)"
+echo "==> state is the snapshot (DESIGN.md §13: only the three containers compose one, through one trait)"
 mirrors=$(grep -rnE 'struct \w+Snapshot|Portable(Event|Kind)' crates/*/src \
   | grep -vE 'struct (Session|Chip|Network)Snapshot\b' || true)
 [ -z "$mirrors" ] || { echo "FAIL: a mirror *Snapshot struct or a Portable* twin is back:"; echo "$mirrors"; exit 1; }
@@ -67,7 +67,7 @@ grep -q 'const _: () = assert!(std::mem::size_of::<Flit>() == 8);' crates/noc/sr
   && grep -q 'copy::<Flit>();' crates/noc/src/flit.rs \
   || { echo "FAIL: crates/noc/src/flit.rs lost its size or Copy assertion on Flit"; exit 1; }
 
-echo "==> flat cache arrays (DESIGN.md §15: memory grows with resident lines, not modelled capacity)"
+echo "==> flat cache arrays (DESIGN.md §13: memory grows with resident lines, not modelled capacity)"
 # Up to the test module, where the old array lives on as the oracle.
 flat=$(sed '/^#\[cfg(test)\]$/,$d' crates/protocol/src/cache.rs)
 if grep -nE 'Vec<Vec<|Vec<Option<Line|struct (Set|Line)\b' <<< "$flat"; then
@@ -131,14 +131,12 @@ counted=$(awk '
 [ -z "$cells$counted" ] \
   || { echo "FAIL: a credit cell in the calendar, or a credit callback on Router/Ni, is back:"; echo "$cells$counted"; exit 1; }
 
-echo "==> extensions are clients (DESIGN.md §14: the adaptive policy steps beside the network, not inside it)"
-# The network hosts no policy: its controller, knobs and state live in
-# crates/system, which samples and acts through Network's doors, and
-# nothing wakes a component but its own links.
-hosted=$(grep -rnE '\b(AdaptiveConfig|PolicyController|PolicyState|enable_adaptive|adaptive_tick)\b|fn wake\b' \
-  crates/noc/src || true)
-[ -z "$hosted" ] \
-  || { echo "FAIL: crates/noc/src hosts a policy or a wake-up again:"; echo "$hosted"; exit 1; }
+echo "==> only links wake a component (DESIGN.md §9: a component is visited for a due link or its own busy bit)"
+# Nothing under crates/noc/src wakes a router or an NI from outside: work
+# arrives on its links, or through Network::ni_mut, which sets its bit.
+woken=$(grep -rnE 'fn wake\b' crates/noc/src || true)
+[ -z "$woken" ] \
+  || { echo "FAIL: crates/noc/src has a wake-up again:"; echo "$woken"; exit 1; }
 
 echo "==> one kernel (DESIGN.md §9: the dense kernel is a law checked in debug builds, not a mode)"
 # What survives of the kernel mode is the stub benchmark/ still calls for
@@ -177,26 +175,21 @@ named=$(find crates/power/src -name '*.rs' -print0 | xargs -0 awk \
   || { echo "FAIL: a Table 4 parameter is settable or written down again outside rcsim_core::table4:"
        printf '%s\n' "$copies" "$numbers" "$named" | grep .; exit 1; }
 
-echo "==> config is what varies (DESIGN.md §10, §11, §14: a value no experiment sets is a constant beside its reader)"
+echo "==> config is what varies (DESIGN.md §10, §11: a value no experiment sets is a constant beside its reader)"
 # Up to each file's test module, comments aside, no crate, example or the
 # root package brings a retired knob back: the watchdog's thresholds, its
 # config type and setter, the congestion map's feature switch, the L1
 # reissue budget, the open-loop service time, SLO and client retries, and
 # the ingress queue bound, burst capacity and backpressure threshold — as
-# a field, a binding or an access — nor a detour or mech_switch field of
-# AdaptiveConfig. FaultConfig's retry_backoff and max_retries stay.
+# a field, a binding or an access. FaultConfig's retry_backoff and
+# max_retries stay.
 knobs='stall_window|leak_age|max_report_entries|max_reissues|service_time|slo|max_client_retries|queue_cap|bucket_cap|backpressure_threshold'
 retired=$(find crates/*/src src examples -name '*.rs' -print0 | xargs -0 awk \
   -v names='(^|[^A-Za-z0-9_])(WatchdogConfig|set_watchdog|set_features)([^A-Za-z0-9_]|$)' \
   -v fields="(^|[^A-Za-z0-9_])($knobs) *:([^:]|\$)|\\.($knobs)([^A-Za-z0-9_]|\$)" \
   "$code"' $0 ~ names || $0 ~ fields { print FILENAME ":" FNR ": " $0 }')
-switches=$(find crates/*/src -name '*.rs' -print0 | xargs -0 awk "$code"'
-  /^pub struct AdaptiveConfig \{$/ { inside = 1 }
-  inside && /^}$/ { inside = 0 }
-  inside && /(^|[^A-Za-z0-9_])(detour|mech_switch) *:/ { print FILENAME ":" FNR ": " $0 }')
-[ -z "$retired$switches" ] \
-  || { echo "FAIL: a config value no experiment varies is settable again:"
-       printf '%s\n' "$retired" "$switches" | grep .; exit 1; }
+[ -z "$retired" ] \
+  || { echo "FAIL: a config value no experiment varies is settable again:"; echo "$retired"; exit 1; }
 
 echo "==> a link flit's fate is decided once (DESIGN.md §6b: one eat bit per router output VC)"
 # FaultState::on_link_flit decides every flit's fate on an inter-router
@@ -209,16 +202,21 @@ maps=$(awk '/^pub\(crate\) struct State \{$/ { inside = 1 }
 [ -z "$eaten$maps" ] \
   || { echo "FAIL: a second record of link loss is back:"; printf '%s\n' "$eaten" "$maps" | grep .; exit 1; }
 
-echo "==> the fault model is what \`resilience\` measures (DESIGN.md §6b: drops, credit loss, dead links, none healing)"
+echo "==> the fault model is what \`resilience\` measures (DESIGN.md §6b, §10: drops, credit loss, dead links, none healing; a dead link is the only reason to leave DOR)"
 # Stuck input ports, link corruption, circuit-table corruption, healing
-# windows and dead routers were set by tests alone and are gone: none of
-# their names is back in crates/*/src, src or examples. FaultStats keeps
-# packets_corrupted, table_entries_corrupted and stuck_port_cycles, and
-# HealthReport keeps dead_routers, only because the benchmark's
-# fingerprint hashes the serialized result: they stay zero or empty, so
-# nothing assigns them (dead_routers has one empty initialiser).
+# windows and dead routers were set by tests alone and are gone, and so
+# is the adaptive runtime policy (its controller, congestion map, region
+# plan, turn-model detours and trace event): none of their names is back
+# in crates/*/src, src or examples. FaultStats keeps packets_corrupted,
+# table_entries_corrupted and stuck_port_cycles, and HealthReport keeps
+# dead_routers and adaptive, only because the benchmark's fingerprint
+# hashes the serialized result: they stay zero or empty, so nothing
+# assigns them (dead_routers has one empty initialiser, adaptive one
+# default).
 retired='StuckPortEvent|link_corrupt_rate|table_corrupt_rate|heals_at|revive_link|revive_router|LinkHealed|RouterHealed|corrupt_discards|fault_remove'
 retired+='|DeadRouterEvent|kill_router|node_usable|dead_routers_sorted|RouterDown|RouterDead|TopoChange'
+retired+='|AdaptiveConfig|PolicyController|PolicyState|CongestionMap|RegionPlan|set_congestion|region_samples'
+retired+='|teardown_origins|route_path_healthy_avoiding|PolicySwitch|enable_adaptive'
 back=$(grep -rnwE "$retired" crates/*/src src examples || true)
 zero='packets_corrupted|table_entries_corrupted|stuck_port_cycles'
 written=$(grep -rnE --include='*.rs' "\\b($zero) *([-+*/|&^]?=[^=]|:[^:])" crates src tests examples \
@@ -229,9 +227,15 @@ filled=$(grep -rnE --include='*.rs' \
   -e '&mut [A-Za-z0-9_.]*\bdead_routers\b' crates src tests examples \
   | grep -vE '^crates/noc/src/health\.rs:[0-9]+: +pub dead_routers: Vec<NodeId>,$' \
   | grep -vE '\bdead_routers *[:=] *(Vec::new\(\)|vec!\[\])' || true)
-[ -z "$back$written$filled" ] \
-  || { echo "FAIL: a retired fault kind is back, a retired FaultStats counter is written, or HealthReport::dead_routers is filled:"
-       printf '%s\n' "$back" "$written" "$filled" | grep .; exit 1; }
+counted=$(grep -rnE --include='*.rs' \
+  -e '\badaptive *([-+*/|&^]?=[^=]|:[^:])' -e '^ *adaptive *(,|$)' \
+  -e '\badaptive\.[a-z_]+ *([-+*/|&^]?=[^=])' -e '\badaptive\.clone_from\(' \
+  -e '&mut [A-Za-z0-9_.]*\badaptive\b' -e '\bAdaptiveReport *\{' crates src tests examples \
+  | grep -vE '^crates/noc/src/health\.rs:[0-9]+: *pub (adaptive: AdaptiveReport,|struct AdaptiveReport \{)$' \
+  | grep -vE '\badaptive *[:=] *AdaptiveReport::default\(\)' || true)
+[ -z "$back$written$filled$counted" ] \
+  || { echo "FAIL: a retired fault kind or policy name is back, a retired FaultStats counter is written, or HealthReport::dead_routers or ::adaptive is filled:"
+       printf '%s\n' "$back" "$written" "$filled" "$counted" | grep .; exit 1; }
 
 echo "==> cargo build --release"
 $CARGO build --release "$@"
@@ -252,7 +256,7 @@ echo "==> bench telemetry smoke (traced fig6 + summary validation)"
 $CARGO build --release -p rcsim-bench "$@"
 bench=target/release/rcsim-bench
 for bin in rcsim-bench validate_bench rcsim-replay; do test -x "target/release/$bin"; done
-[ "$($bench list | wc -l)" -eq 15 ] || { echo "FAIL: rcsim-bench list must name 15 experiments"; exit 1; }
+[ "$($bench list | wc -l)" -eq 14 ] || { echo "FAIL: rcsim-bench list must name 14 experiments"; exit 1; }
 rm -f target/experiments/BENCH_*.json target/experiments/*.md
 smoke=(RC_APPS=blackscholes RC_CYCLES=2000 RC_WARMUP=1000
        RC_SMALL_CACHES=1 RC_CORES=16 RC_MAX_CYCLES=10000)
@@ -328,11 +332,9 @@ echo "==> every experiment: RC_JOBS 1 ≡ 4 (BENCH rows byte-identical), summari
 # hit would compare a result with itself. The experiments' own asserts ride along: nothing
 # abandoned or stalled under dead links (DESIGN.md §10), conservation and
 # the queue bound past saturation (§11), every topology point drained to
-# quiescence — the wraparound dateline check (§12) — and the adaptive row
-# beating both statics while switching (§14). Leaves
+# quiescence — the wraparound dateline check (§12). Leaves
 # ci_<name>_{jobs1,jobs4}.json behind.
-$CARGO test -q -p rcsim-system --test resilience --test open_loop --test adaptive_diff "$@"
-$CARGO test -q -p rcsim-core --test policy_props "$@"
+$CARGO test -q -p rcsim-system --test resilience --test open_loop "$@"
 run_all() {
   local tag=$1 name; shift
   env "${smoke[@]}" RC_TOPO_CYCLES=600 RC_TOPO_CORES=64 RC_CACHE_DIR= "$@" \
@@ -350,17 +352,15 @@ for name in $($bench list); do
 done
 [ "$(telemetry target/experiments/ci_topology_jobs4.json jobs)" -gt 0 ] \
   || { echo "FAIL: the network-only topology sweep reports no workers"; exit 1; }
-grep -E '"(label|p99_latency|goodput)"' target/experiments/BENCH_adaptive.json | sed 's/^ */    /'
 $CARGO run --release -q -p rcsim-bench --bin validate_bench "$@"
-[ "$(ls target/experiments/*.md | wc -l)" -eq 15 ] \
+[ "$(ls target/experiments/*.md | wc -l)" -eq "$($bench list | wc -l)" ] \
   || { echo "FAIL: rcsim-bench all must leave one Markdown table per experiment"; exit 1; }
-# Off-path re-check: a fresh fig6 after the policy layer has been
-# exercised must still match the serial rows from the sweep smoke bit for
-# bit (`adaptive` is skip-serialized when off, so a cache hit would
-# compare a pre-adaptive row with itself — RC_CACHE_DIR= again).
+# Determinism after `all`: the fig6 rows of the whole-table run must
+# match the serial rows from the sweep smoke bit for bit (both uncached,
+# so neither compares a result with itself).
 diff <(strip_telemetry target/experiments/ci_fig6_serial.json) \
      <(strip_telemetry target/experiments/ci_fig6_jobs1.json) \
-  || { echo "FAIL: adaptive-off BENCH_fig6.json rows drifted after the adaptive sweep"; exit 1; }
+  || { echo "FAIL: BENCH_fig6.json rows of \`rcsim-bench all\` differ from the lone fig6 run"; exit 1; }
 
 echo "==> kernel/link/packet-table/power/traffic suites"
 # The kernel matrix under both laws, the link-sink suite (emission order
@@ -393,10 +393,10 @@ $CARGO test --release -q -p rcsim-noc --lib "$@" -- calendar credit
 $CARGO test --release -q --test cross_crate "$@" -- worklist credit_conservation
 
 echo "==> checkpoint smoke (kill-and-resume byte-identity, corrupt-file clean miss)"
-# Crash-resilience gate (DESIGN.md §15). The differential suite proves
+# Crash-resilience gate (DESIGN.md §13). The differential suite proves
 # save/restore byte-identity — result, trace and state — at forced and
-# drawn split cycles across topologies, faults, overload and adaptive
-# runs, and that the resumable driver's result is run_sim's.
+# drawn split cycles across topologies, faults and overload runs, and
+# that the resumable driver's result is run_sim's.
 # Then the crash drill: a checkpointed fig6 sweep is SIGKILLed mid-run
 # (the binary itself — killing a `cargo run` wrapper would orphan the
 # simulator), half of the checkpoints it left are corrupted, and the
@@ -432,9 +432,9 @@ if find "$ckpt_dir" -name '*.ckpt' | grep -q .; then
   echo "FAIL: completed sweep left checkpoints behind in $ckpt_dir"; exit 1
 fi
 mkdir -p "$ckpt_dir"
-# Every earlier version (v13, whose fault config and topology-health map
-# still listed dead routers, is the newest of them), with the checksum of
-# its "{}": only the version rejects it.
+# Every earlier version (v14, whose network and chip state still held the
+# congestion map and the adaptive policy, is the newest of them), with the
+# checksum of its "{}": only the version rejects it.
 current=$(sed -n 's/^pub const CHECKPOINT_FORMAT_VERSION: u32 = \([0-9]*\);$/\1/p' crates/system/src/checkpoint.rs)
 for v in $(seq 0 $((${current:?CHECKPOINT_FORMAT_VERSION not found} - 1))); do
   stale="$ckpt_dir/stale_v$v.ckpt"; printf 'rcsim-checkpoint v%s 08f44b07b5901a25\n{}' "$v" > "$stale"

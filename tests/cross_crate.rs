@@ -9,7 +9,7 @@ use rcsim_bench::{run_experiment, RunEnv, SweepRunner, EXPERIMENTS, KNOBS};
 use reactive_circuits::core::circuit::CircuitKey;
 use reactive_circuits::noc::STALL_WINDOW;
 use reactive_circuits::prelude::*;
-use reactive_circuits::system::{run_sim_traced, AdaptiveConfig, DeadLinkEvent, TraceConfig};
+use reactive_circuits::system::{run_sim_traced, DeadLinkEvent, TraceConfig};
 use std::path::{Path, PathBuf};
 
 fn quick(mechanism: MechanismConfig, app: &str) -> SimConfig {
@@ -344,7 +344,7 @@ fn fault_free_config_is_zero_perturbation() {
 }
 
 /// The configuration of the rows below: rows of `rcsim-system`'s
-/// `kernel_diff`, `adaptive_diff` and `checkpoint_diff` matrices, kept in
+/// `kernel_diff` and `checkpoint_diff` matrices, kept in
 /// tier-1 so the plain test command exercises the routers' occupancy index
 /// (stage skipping), its rebuild on restore, the link calendars and, in
 /// debug builds, the two laws on every component the worklist skips
@@ -377,32 +377,25 @@ fn skipped_components_are_no_ops_under_link_faults() {
     assert!(result.health.faults.packets_dropped > 0);
 }
 
-/// Adaptive policies on (thresholds low enough that regions heat and
-/// cool inside the run): decisions and the teardowns they trigger skip
-/// only no-ops, and tracing is pure observation — the traced run's result
-/// is the untraced run's.
+/// A link dead from cycle 0, so NIs detour around it: tracing is pure
+/// observation — the traced run's result is the untraced run's — and the
+/// detours show in the trace.
 #[test]
-fn adaptive_run_skips_only_no_ops_and_traces_without_perturbing() {
+fn dead_link_run_traces_without_perturbing() {
     let mut cfg = differential_cfg();
     cfg.warmup_cycles = 0;
-    cfg.adaptive = Some(AdaptiveConfig {
-        decision_epoch: 40,
-        regions: 4,
-        hot_enter: 96,
-        hot_exit: 48,
-        min_dwell: 80,
-    });
+    cfg.faults.dead_links = vec![DeadLinkEvent {
+        a: NodeId(5),
+        b: NodeId(6),
+        at: 0,
+    }];
     let trace = TraceConfig {
         capacity: 1 << 20,
         epoch: 0,
     };
     let (traced, report) = run_sim_traced(&cfg, &trace).unwrap();
-    assert!(traced.health.adaptive.hot_switches > 0);
-    assert!(traced.health.adaptive.calm_switches > 0);
-    assert!(report
-        .events
-        .iter()
-        .any(|e| e.kind.name() == "policy_switch"));
+    assert!(traced.health.faults.packets_rerouted > 0);
+    assert!(report.events.iter().any(|e| e.kind.name() == "ni_reroute"));
     assert_eq!(serialized(&traced), serialized(&run_sim(&cfg).unwrap()));
 }
 
@@ -419,24 +412,15 @@ fn resume_at_mid_run_is_byte_identical() {
     assert_eq!(serialized(&uninterrupted), serialized(&result));
 }
 
-/// State, not just results: with a link dying at 400 and the adaptive
-/// policy on, a run checkpointed after the link died and resumed holds
+/// State, not just results: with a link dying at 400, a run
+/// checkpointed after the link died and resumed holds
 /// exactly the state it saved, and ends in exactly the state
 /// — every field of every component — of the run that was never
 /// interrupted.
 #[test]
 fn resumed_state_is_byte_identical() {
     let bytes = |s: &SimSession| serde_json::to_string(&s.checkpoint()).expect("serializes");
-    let mut cfg = SimConfig {
-        adaptive: Some(AdaptiveConfig {
-            decision_epoch: 40,
-            regions: 4,
-            hot_enter: 96,
-            hot_exit: 48,
-            min_dwell: 80,
-        }),
-        ..differential_cfg()
-    };
+    let mut cfg = differential_cfg();
     cfg.mechanism = MechanismConfig::complete();
     cfg.faults.dead_links = vec![DeadLinkEvent {
         a: NodeId(5),
@@ -454,15 +438,15 @@ fn resumed_state_is_byte_identical() {
     resumed.run_until(resumed.total()).unwrap();
     assert_eq!(bytes(&resumed), bytes(&whole));
     let (whole, resumed) = (whole.finish().0, resumed.finish().0);
-    assert!(whole.health.faults.packets_rerouted > 0 && whole.health.adaptive.hot_switches > 0);
+    assert!(whole.health.faults.packets_rerouted > 0);
     assert_eq!(serialized(&resumed), serialized(&whole));
 }
 
 /// The worklist (DESIGN.md §9) against every way work reaches an NI from
 /// outside the tick loop — injections, retries of packets lost on a link,
 /// `undo_circuit` (§4.4's call for a forwarded request, made on every L2
-/// miss by the `undo_on_l2_miss` ablation so a short cold run makes many),
-/// adaptive decisions and `teardown_origin` — and a restore, which
+/// miss by the `undo_on_l2_miss` ablation so a short cold run makes many)
+/// — and a restore, which
 /// rebuilds it: debug builds check the superset and skip laws on every
 /// component it leaves out, before and after a mid-run resume that holds
 /// the state bytes it saved and ends in the uninterrupted run's state and
@@ -474,13 +458,6 @@ fn worklist_holds_every_outside_mutation_and_survives_a_resume() {
             link_drop_rate: 0.004,
             ..FaultConfig::none()
         },
-        adaptive: Some(AdaptiveConfig {
-            decision_epoch: 40,
-            regions: 4,
-            hot_enter: 96,
-            hot_exit: 48,
-            min_dwell: 80,
-        }),
         ..differential_cfg()
     };
     cfg.warmup_cycles = 0;
@@ -503,8 +480,6 @@ fn worklist_holds_every_outside_mutation_and_survives_a_resume() {
     let faults = &result.health.faults;
     assert!(faults.packets_dropped > 0 && faults.retransmissions > 0);
     assert!(result.outcomes.get("undone").is_some_and(|&f| f > 0.0));
-    let adaptive = &result.health.adaptive;
-    assert!(adaptive.hot_switches > 0 && adaptive.circuits_torn_on_switch > 0);
     assert_eq!(serialized(&result), serialized(&whole));
 }
 
