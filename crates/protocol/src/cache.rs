@@ -44,8 +44,9 @@ impl CacheConfig {
 /// by cache-line address.
 ///
 /// What the modelled capacity sizes is three integers per set. Tags and
-/// slots exist only for sets that have held a line, one block of `ways`
-/// each, and metadata only for resident lines, in a slab. The serialized
+/// slots exist only for sets that have held a line, one block each of the
+/// smallest power of two of ways that covers the highest way the set has
+/// filled, and metadata only for resident lines, in a slab. The serialized
 /// form is the canonical sparse [`Image`]: equal contents give equal
 /// bytes whatever blocks and slots were handed out on the way there.
 ///
@@ -72,17 +73,23 @@ pub struct CacheArray<M: Clone> {
     valid: Vec<u64>,
     /// Per set: the packed tree-PLRU word ([`plru`]).
     recency: Vec<u64>,
-    /// Per set: 1 + the number of its way block, or 0 while the set has
-    /// never held a line. A set gets its block on its first fill and keeps
-    /// it when it empties, as it keeps its recency word.
+    /// Per set: the entry offset of its way block in `tags` and `slots`,
+    /// shifted left by [`SIZE_BITS`], over 1 + log2 of the block's ways;
+    /// or 0 while the set has never held a line. A set gets a block
+    /// of one way on its first fill, moves to one twice as large when it
+    /// fills the way past its block's end, and keeps its block when it
+    /// empties, as it keeps its recency word.
     way_block: Vec<u32>,
-    /// Way blocks of `ways` entries, in the order their sets first filled:
-    /// way `w` of block `b` is at `b · ways + w`. The tag last written
-    /// there — stale once the way's valid bit is cleared, never read then.
+    /// Way blocks of 1, 2, 4 … `ways` entries: way `w` of the block at
+    /// offset `o` is at `o + w`. The tag last written there — stale once
+    /// the way's valid bit is cleared, never read then.
     tags: Vec<u64>,
     /// Per way of a block: the slot of `lines` holding a valid way's
     /// metadata.
     slots: Vec<u32>,
+    /// Per log2 of a block's ways: offsets of the blocks sets have
+    /// outgrown, handed to the next set that grows to that size.
+    free: [Vec<u32>; 7],
     /// Metadata of the resident lines. Which slot a line got is history,
     /// not state: nothing observable depends on it and no image records it.
     lines: Slab<M>,
@@ -104,6 +111,16 @@ struct Image<M> {
 
 const RESIDENT: &str = "a valid way names a resident line";
 
+/// The low bits of a `way_block` word: 1 + log2 of the block's ways
+/// (1..=7), 0 for no block.
+const SIZE_BITS: u32 = 3;
+const SIZE_MASK: u32 = (1 << SIZE_BITS) - 1;
+/// The most lines (`sets × ways`) an array may model. A set takes at most
+/// one block of each size in turn, so `tags` never passes `2 · sets ·
+/// ways` entries, and every offset fits in the `32 − SIZE_BITS` bits above
+/// a `way_block` word's size bits.
+const MAX_LINES: usize = 1 << (32 - SIZE_BITS - 1);
+
 /// The set bit positions of `mask`, ascending.
 fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
     std::iter::from_fn(move || {
@@ -121,7 +138,8 @@ impl<M: Clone> CacheArray<M> {
     /// # Panics
     ///
     /// Panics, naming the field, unless `ways` is a power of two in
-    /// `1..=64`, `sets` a power of two ≥ 1 and `interleave` ≥ 1.
+    /// `1..=64`, `sets` a power of two ≥ 1 with `sets × ways` at most
+    /// 2^28, and `interleave` ≥ 1.
     pub fn new(cfg: CacheConfig) -> Self {
         let (sets, ways, banks) = (cfg.sets, cfg.ways, cfg.interleave);
         assert!(
@@ -129,8 +147,14 @@ impl<M: Clone> CacheArray<M> {
             "CacheConfig::ways must be a power of two in 1..=64, got {ways}"
         );
         assert!(
-            sets.is_power_of_two() && sets <= 1 << 31,
-            "CacheConfig::sets must be a power of two in 1..=2^31, got {sets}"
+            sets.is_power_of_two(),
+            "CacheConfig::sets must be a power of two ≥ 1, got {sets}"
+        );
+        assert!(
+            sets.checked_mul(ways)
+                .is_some_and(|lines| lines <= MAX_LINES),
+            "CacheConfig::sets × ways must be at most 2^28 (way-block offsets \
+             are 29 bits), got {sets} × {ways}"
         );
         assert!(banks >= 1, "CacheConfig::interleave must be ≥ 1");
         Self {
@@ -142,6 +166,7 @@ impl<M: Clone> CacheArray<M> {
             way_block: vec![0; sets],
             tags: Vec::new(),
             slots: Vec::new(),
+            free: Default::default(),
             lines: Slab::default(),
         }
     }
@@ -186,10 +211,44 @@ impl<M: Clone> CacheArray<M> {
         self.join(high << self.set_bits | set as u64, bank)
     }
 
-    /// Where (set, way) sits in `tags` and `slots`, for a set that has
-    /// held a line (one with a valid way always has).
+    /// Where (set, way) sits in `tags` and `slots`, for a way inside the
+    /// set's block (a valid way always is).
     fn at(&self, set: usize, way: usize) -> usize {
-        (self.way_block[set] as usize - 1) * self.cfg.ways + way
+        (self.way_block[set] >> SIZE_BITS) as usize + way
+    }
+
+    /// The ways of `set`'s block: 0 while it has none.
+    fn block_ways(&self, set: usize) -> usize {
+        match self.way_block[set] & SIZE_MASK {
+            0 => 0,
+            size => 1 << (size - 1),
+        }
+    }
+
+    /// Moves `set` to a block of `ways` entries, more than its block has:
+    /// one a set outgrew if there is one, else a new one at the end. The
+    /// set's ways go with it, and its old block onto its size's free list.
+    fn grow(&mut self, set: usize, ways: usize) {
+        let log2 = ways.trailing_zeros();
+        let to = match self.free[log2 as usize].pop() {
+            Some(to) => to as usize,
+            None => {
+                let to = self.tags.len();
+                self.tags.resize(to + ways, 0);
+                self.slots.resize(to + ways, 0);
+                to
+            }
+        };
+        let old = self.way_block[set];
+        if old != 0 {
+            let from = (old >> SIZE_BITS) as usize;
+            let len = self.block_ways(set);
+            self.tags.copy_within(from..from + len, to);
+            self.slots.copy_within(from..from + len, to);
+            self.free[len.trailing_zeros() as usize].push(old >> SIZE_BITS);
+        }
+        // Below 2 · MAX_LINES, which `new` keeps within 29 bits.
+        self.way_block[set] = (to as u32) << SIZE_BITS | (log2 + 1);
     }
 
     /// The way of `set` holding `tag`. The valid mask is read before
@@ -216,15 +275,11 @@ impl<M: Clone> CacheArray<M> {
         self.lines.get_mut(slot).expect(RESIDENT)
     }
 
-    /// Makes the free `way` of `set` hold a line, giving the set its way
-    /// block if it has none yet.
+    /// Makes the free `way` of `set` hold a line, first moving the set to
+    /// the smallest block that covers `way` if its own does not.
     fn fill(&mut self, set: usize, way: usize, tag: u64, meta: M) {
-        if self.way_block[set] == 0 {
-            let end = self.tags.len() + self.cfg.ways;
-            self.tags.resize(end, 0);
-            self.slots.resize(end, 0);
-            // At most one block per set, and `new` caps sets at 2^31.
-            self.way_block[set] = (end / self.cfg.ways) as u32;
+        if way >= self.block_ways(set) {
+            self.grow(set, (way + 1).next_power_of_two());
         }
         let i = self.at(set, way);
         self.tags[i] = tag;
@@ -368,7 +423,9 @@ impl<M: Clone> From<Image<M>> for CacheArray<M> {
         for (set, recency) in image.sets {
             array.recency[set as usize] = recency;
         }
-        for (set, way, tag, meta) in image.lines {
+        // Lines are set-major and way-minor: read backwards, a set's first
+        // fill is its highest way, which sizes its one block.
+        for (set, way, tag, meta) in image.lines.into_iter().rev() {
             let (set, way) = (set as usize, usize::from(way));
             assert!(
                 way < array.cfg.ways && array.valid[set] >> way & 1 == 0,
@@ -634,17 +691,52 @@ mod tests {
         }
     }
 
+    /// Raises each set's highest filled way to its highest valid one: one
+    /// call after every operation sees every fill, since an operation
+    /// fills at most one way.
+    fn note_fills(array: &CacheArray<u32>, highest: &mut [Option<usize>]) {
+        for (high, &valid) in highest.iter_mut().zip(&array.valid) {
+            if valid != 0 {
+                *high = (*high).max(Some(63 - valid.leading_zeros() as usize));
+            }
+        }
+    }
+
+    /// The block law: each set's block is the smallest power of two of
+    /// ways that covers the highest way it has filled (none while it has
+    /// filled none), and `tags` and `slots` hold those blocks and the
+    /// free-listed ones, nothing else.
+    fn check_blocks(
+        array: &CacheArray<u32>,
+        highest: &[Option<usize>],
+    ) -> Result<(), TestCaseError> {
+        for (set, high) in highest.iter().enumerate() {
+            let law = high.map_or(0, |w| (w + 1).next_power_of_two());
+            prop_assert_eq!(array.block_ways(set), law, "set {}", set);
+        }
+        let live: usize = (0..highest.len()).map(|set| array.block_ways(set)).sum();
+        let free: usize = (0..)
+            .zip(&array.free)
+            .map(|(size, f)| f.len() << size)
+            .sum();
+        prop_assert_eq!(array.tags.len(), live + free);
+        prop_assert_eq!(array.slots.len(), live + free);
+        Ok(())
+    }
+
     proptest! {
         /// Every return value, every evicted `(block, meta)` and every
         /// iteration order of the flat array is the `RefArray`'s, across
         /// serialize → deserialize round trips in mid-sequence; and the
         /// array that went through them ends in the very bytes of one
-        /// that never did.
+        /// that never did. After every operation its blocks obey the block
+        /// law, a round trip counting as a fresh start from what it holds.
         #[test]
         fn flat_array_matches_ref_array(cfg in geometry(), ops in ops()) {
             let mut array: CacheArray<u32> = CacheArray::new(cfg);
             let mut plain = array.clone();
             let mut oracle: RefArray<u32> = RefArray::new(cfg);
+            let mut highest = vec![None; cfg.sets];
             for op in &ops {
                 apply(&mut plain, cfg, op);
                 match *op {
@@ -709,8 +801,11 @@ mod tests {
                         // Not only in what the image shows: a set emptied
                         // before the round trip has its recency word after it.
                         prop_assert_eq!(&array.recency, &plain.recency);
+                        highest.fill(None);
                     }
                 }
+                note_fills(&array, &mut highest);
+                check_blocks(&array, &highest)?;
             }
             prop_assert_eq!(json(&array), json(&plain));
         }
@@ -768,9 +863,10 @@ mod tests {
         assert!(json(&a).contains("[2,2],[3,2]]"), "{}", json(&a));
     }
 
-    /// A set gets ways when it first holds a line: an array restored from
-    /// an image has blocks for the sets with lines in it and none for the
-    /// rest, a set that kept only its recency word included.
+    /// A set gets ways when it first holds a line, as many as it has
+    /// filled: an array restored from an image has blocks for the sets
+    /// with lines in it, sized by their highest way, and none for the rest,
+    /// a set that kept only its recency word included.
     #[test]
     fn restored_array_allocates_blocks_only_for_sets_with_lines() {
         let cfg = CacheConfig::from_capacity(1024 * 1024, 16);
@@ -780,17 +876,23 @@ mod tests {
             array.insert(block, block as u32);
         }
         array.remove(7);
-        assert_eq!(array.tags.len(), 3 * 16, "sets 5, 900 and 7 held a line");
+        let blocks = |a: &CacheArray<u32>| -> Vec<(usize, usize)> {
+            (0..cfg.sets)
+                .map(|set| (set, a.block_ways(set)))
+                .filter(|&(_, ways)| ways != 0)
+                .collect()
+        };
+        assert_eq!(blocks(&array), [(5, 1), (7, 1), (900, 2)]);
+        assert_eq!(
+            array.tags.len(),
+            4,
+            "set 7 took the one-way block set 900 outgrew"
+        );
+        assert!(array.free.iter().all(Vec::is_empty));
         let restored: CacheArray<u32> = serde_json::from_str(&json(&array)).expect("deserializes");
         assert_eq!(json(&restored), json(&array));
-        assert_eq!(
-            (restored.tags.len(), restored.slots.len()),
-            (2 * 16, 2 * 16)
-        );
-        let with_block: Vec<usize> = (0..cfg.sets)
-            .filter(|&set| restored.way_block[set] != 0)
-            .collect();
-        assert_eq!(with_block, [5, 900]);
+        assert_eq!((restored.tags.len(), restored.slots.len()), (3, 3));
+        assert_eq!(blocks(&restored), [(5, 1), (900, 2)]);
         assert_ne!(restored.recency[7], 0, "set 7 keeps its recency word");
     }
 
@@ -909,6 +1011,18 @@ mod tests {
         }
         assert!(message(CacheConfig::from_capacity(3 * 64 * 4, 4)).contains("CacheConfig::sets"));
         assert!(message(good.with_interleave(0)).contains("CacheConfig::interleave"));
+    }
+
+    /// Way-block offsets are 29 bits, and a set may hold up to twice its
+    /// ways in blocks over its life: the bound is on the lines modelled.
+    #[test]
+    #[should_panic(expected = "CacheConfig::sets × ways must be at most 2^28")]
+    fn more_than_2_pow_28_lines_are_rejected() {
+        CacheArray::<u32>::new(CacheConfig {
+            sets: 1 << 23,
+            ways: 64,
+            interleave: 1,
+        });
     }
 
     #[test]

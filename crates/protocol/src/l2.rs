@@ -44,27 +44,35 @@ enum Busy {
     Evicting { pending: u64, fetch_for: u64 },
 }
 
+/// A resident line's data and directory entry. Whether it is busy lives
+/// in [`L2BankState::blocked`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct L2Line {
     data: u64,
-    dirty: bool,
-    owner: Option<NodeId>,
     sharers: u64,
-    busy: Option<Busy>,
-    queue: VecDeque<Msg>,
+    owner: Option<NodeId>,
+    dirty: bool,
 }
+
+// A paper-size bank models 16 K lines: its slab slot stays three words.
+const _: () = assert!(std::mem::size_of::<Option<L2Line>>() == 24);
 
 impl L2Line {
     fn fresh(data: u64) -> Self {
         Self {
             data,
-            dirty: false,
-            owner: None,
             sharers: 0,
-            busy: None,
-            queue: VecDeque::new(),
+            owner: None,
+            dirty: false,
         }
     }
+}
+
+/// A resident line in mid-transaction, or with requests waiting on it.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+struct Blocked {
+    busy: Option<Busy>,
+    queue: VecDeque<Msg>,
 }
 
 /// An in-flight line fetch.
@@ -113,6 +121,9 @@ pub struct L2Bank {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct L2BankState {
     array: CacheArray<L2Line>,
+    /// The resident lines that are busy or have queued requests, and only
+    /// those: an idle line has no entry.
+    blocked: StateMap<u64, Blocked>,
     mshrs: StateMap<u64, Mshr>,
     /// Victim blocks written back to memory, with requests that must wait
     /// for the `MEMORY` ack before re-fetching them.
@@ -140,6 +151,7 @@ impl L2Bank {
         );
         let state = L2BankState {
             array: CacheArray::new(cfg.l2),
+            blocked: StateMap::default(),
             mshrs: StateMap::default(),
             wb_pending: StateMap::default(),
             reserved_ways: StateMap::default(),
@@ -178,11 +190,32 @@ impl L2Bank {
             && self.state.wb_pending.is_empty()
             && self.state.inbox.is_empty()
             && self.state.stalled.is_empty()
-            && self
-                .state
-                .array
-                .iter()
-                .all(|(_, l)| l.busy.is_none() && l.queue.is_empty())
+            && self.state.blocked.is_empty()
+    }
+
+    /// Why `block` is busy, if it is.
+    fn busy(&self, block: u64) -> Option<Busy> {
+        self.state.blocked.get(&block).and_then(|b| b.busy)
+    }
+
+    /// Marks `block` busy.
+    fn block_on(&mut self, block: u64, busy: Busy) {
+        self.state.blocked.entry(block).or_default().busy = Some(busy);
+    }
+
+    /// Marks `block` idle, dropping its entry unless requests queue on it.
+    fn unblock(&mut self, block: u64) {
+        if let Some(blocked) = self.state.blocked.get_mut(&block) {
+            blocked.busy = None;
+            if blocked.queue.is_empty() {
+                self.state.blocked.remove(&block);
+            }
+        }
+    }
+
+    /// The requests waiting on `block`.
+    fn queue(&mut self, block: u64) -> &mut VecDeque<Msg> {
+        &mut self.state.blocked.entry(block).or_default().queue
     }
 
     fn proc_latency(&self, class: MessageClass) -> u32 {
@@ -263,14 +296,12 @@ impl L2Bank {
             return;
         }
         if self.state.array.peek(block).is_some() {
-            let line = self.state.array.peek_mut(block).expect("peeked");
-            if line.busy.is_some() {
+            if self.busy(block).is_some() {
                 if self.on_duplicate_request(&msg, port) {
                     return;
                 }
-                let line = self.state.array.peek_mut(block).expect("peeked");
                 self.state.stats.queued_on_busy += 1;
-                line.queue.push_back(msg);
+                self.queue(block).push_back(msg);
                 return;
             }
             self.serve(msg, port);
@@ -287,15 +318,14 @@ impl L2Bank {
     /// request belongs to a different transaction and must queue normally.
     fn on_duplicate_request(&mut self, msg: &Msg, port: &mut dyn Port) -> bool {
         let block = msg.block;
-        let line = self.state.array.peek_mut(block).expect("caller checked");
-        match line.busy {
+        match self.busy(block) {
             Some(Busy::WaitDataAck {
                 requestor,
                 wb_ack_owed,
             }) if requestor == msg.src => {
                 // The data reply (or its ack) was lost: unblock the line
                 // and serve the retry from the current directory state.
-                line.busy = None;
+                self.unblock(block);
                 if let Some(owner) = wb_ack_owed {
                     port.send(Msg::new(MessageClass::L2WbAck, self.node, owner, block), 1);
                 }
@@ -361,8 +391,8 @@ impl L2Bank {
             if msg.wb_race {
                 // The owner's own write-back is racing this request: wait
                 // for the data to come home, then serve from the queue.
-                line.busy = Some(Busy::WaitOwnerWb);
-                line.queue.push_front(msg);
+                self.queue(block).push_front(msg);
+                self.block_on(block, Busy::WaitOwnerWb);
                 return;
             }
             // The requestor silently dropped its clean Exclusive copy:
@@ -370,12 +400,15 @@ impl L2Bank {
             line.owner = None;
         }
         if let Some(owner) = line.owner {
-            line.busy = Some(Busy::WaitFwdAck {
-                requestor,
-                kind,
-                old_owner: owner,
-                wb_ack_owed: false,
-            });
+            self.block_on(
+                block,
+                Busy::WaitFwdAck {
+                    requestor,
+                    kind,
+                    old_owner: owner,
+                    wb_ack_owed: false,
+                },
+            );
             self.state.stats.forwards += 1;
             port.send(
                 Msg::new(MessageClass::FwdRequest, self.node, owner, block)
@@ -402,10 +435,13 @@ impl L2Bank {
             ReqKind::GetX => {
                 let others = line.sharers & !bit(requestor);
                 if others != 0 {
-                    line.busy = Some(Busy::WaitInvAcks {
-                        requestor,
-                        pending: others,
-                    });
+                    self.block_on(
+                        block,
+                        Busy::WaitInvAcks {
+                            requestor,
+                            pending: others,
+                        },
+                    );
                     for n in nodes_of(others) {
                         self.state.stats.invalidations += 1;
                         port.send(Msg::new(MessageClass::Invalidation, self.node, n, block), 1);
@@ -437,26 +473,24 @@ impl L2Bank {
             reply = reply.with_exclusive();
         }
         let committed = port.send(reply, 1);
-        let line = self
-            .state
-            .array
-            .peek_mut(block)
-            .expect("reply for a cached line");
         if committed && self.cfg.eliminate_acks {
             // Delivery over a complete circuit is guaranteed and ordered:
             // acknowledge on the reply's behalf and unblock immediately.
             self.state.stats.self_acked += 1;
             port.record_eliminated_ack();
-            line.busy = None;
+            self.unblock(block);
             if let Some(owner) = wb_ack_owed {
                 port.send(Msg::new(MessageClass::L2WbAck, self.node, owner, block), 1);
             }
             self.drain_line_queue(block, port);
         } else {
-            line.busy = Some(Busy::WaitDataAck {
-                requestor,
-                wb_ack_owed,
-            });
+            self.block_on(
+                block,
+                Busy::WaitDataAck {
+                    requestor,
+                    wb_ack_owed,
+                },
+            );
         }
     }
 
@@ -466,15 +500,12 @@ impl L2Bank {
         // duplicate (or late) acks can land after the transaction already
         // resolved — possibly after the line was even evicted. Anything
         // that does not match the ack the line is waiting for is ignored.
-        let Some(line) = self.state.array.peek_mut(block) else {
-            return;
-        };
-        match line.busy {
+        match self.busy(block) {
             Some(Busy::WaitDataAck {
                 requestor,
                 wb_ack_owed,
             }) if requestor == msg.src => {
-                line.busy = None;
+                self.unblock(block);
                 if let Some(owner) = wb_ack_owed {
                     port.send(Msg::new(MessageClass::L2WbAck, self.node, owner, block), 1);
                 }
@@ -485,6 +516,11 @@ impl L2Bank {
                 old_owner,
                 wb_ack_owed,
             }) if requestor == msg.src => {
+                let line = self
+                    .state
+                    .array
+                    .peek_mut(block)
+                    .expect("a busy line is cached");
                 match kind {
                     ReqKind::GetS => {
                         line.owner = None;
@@ -495,7 +531,7 @@ impl L2Bank {
                         line.sharers = 0;
                     }
                 }
-                line.busy = None;
+                self.unblock(block);
                 if wb_ack_owed {
                     port.send(
                         Msg::new(MessageClass::L2WbAck, self.node, old_owner, block),
@@ -518,12 +554,13 @@ impl L2Bank {
         data: u64,
         port: &mut dyn Port,
     ) {
+        let busy = self.busy(block);
         let Some(line) = self.state.array.peek_mut(block) else {
             // The eviction this ack belongs to has already completed (the
             // node answered both with a write-back and a late ack).
             return;
         };
-        match line.busy {
+        match busy {
             Some(Busy::WaitInvAcks { requestor, pending }) => {
                 let pending = pending & !bit(from);
                 if with_data {
@@ -536,7 +573,7 @@ impl L2Bank {
                     let data = line.data;
                     self.reply_data(requestor, block, data, true, None, port);
                 } else {
-                    line.busy = Some(Busy::WaitInvAcks { requestor, pending });
+                    self.block_on(block, Busy::WaitInvAcks { requestor, pending });
                 }
             }
             Some(Busy::Evicting { pending, fetch_for }) => {
@@ -548,7 +585,7 @@ impl L2Bank {
                 if pending == 0 {
                     self.finish_eviction(block, fetch_for, port);
                 } else {
-                    line.busy = Some(Busy::Evicting { pending, fetch_for });
+                    self.block_on(block, Busy::Evicting { pending, fetch_for });
                 }
             }
             Some(Busy::WaitFwdAck {
@@ -562,16 +599,16 @@ impl L2Bank {
                 // the requestor directly.
                 debug_assert!(!wb_ack_owed, "a received WB contradicts a stale forward");
                 line.owner = None;
-                line.busy = None;
                 let retry =
                     Msg::new(MessageClass::L1Request, requestor, self.node, block).with_req(kind);
-                line.queue.push_front(retry);
+                self.queue(block).push_front(retry);
+                self.unblock(block);
                 self.drain_line_queue(block, port);
             }
             _ if !with_data => {
                 // A stale inv-ack from a silent-drop race: ignore.
             }
-            ref other => panic!(
+            other => panic!(
                 "L2 {} inv response for line {block:#x} in state {other:?}",
                 self.node
             ),
@@ -581,13 +618,14 @@ impl L2Bank {
     fn on_wb_data(&mut self, msg: Msg, port: &mut dyn Port) {
         let block = msg.block;
         let from = msg.src;
+        let busy = self.busy(block);
         let Some(line) = self.state.array.peek_mut(block) else {
             panic!(
                 "L2 {} write-back for absent line {block:#x} (inclusion violated)",
                 self.node
             );
         };
-        match line.busy {
+        match busy {
             // A write-back is only *current* while the directory still
             // regards the writer as the owner; anything else is a stale
             // WB that lost a race to an ownership transfer — its data
@@ -603,7 +641,7 @@ impl L2Bank {
                 line.data = msg.data;
                 line.dirty = true;
                 line.owner = None;
-                line.busy = None;
+                self.unblock(block);
                 port.send(Msg::new(MessageClass::L2WbAck, self.node, from, block), 1);
                 self.drain_line_queue(block, port);
             }
@@ -619,12 +657,15 @@ impl L2Bank {
                 // owner can still serve the forward from its WB buffer.
                 line.data = msg.data;
                 line.dirty = true;
-                line.busy = Some(Busy::WaitFwdAck {
-                    requestor,
-                    kind,
-                    old_owner,
-                    wb_ack_owed: true,
-                });
+                self.block_on(
+                    block,
+                    Busy::WaitFwdAck {
+                        requestor,
+                        kind,
+                        old_owner,
+                        wb_ack_owed: true,
+                    },
+                );
             }
             Some(Busy::WaitDataAck {
                 requestor,
@@ -638,10 +679,13 @@ impl L2Bank {
                 if line.owner == Some(from) {
                     line.owner = None;
                 }
-                line.busy = Some(Busy::WaitDataAck {
-                    requestor,
-                    wb_ack_owed: Some(from),
-                });
+                self.block_on(
+                    block,
+                    Busy::WaitDataAck {
+                        requestor,
+                        wb_ack_owed: Some(from),
+                    },
+                );
             }
             Some(Busy::Evicting { pending, .. }) | Some(Busy::WaitInvAcks { pending, .. })
                 if pending & bit(from) != 0 =>
@@ -658,17 +702,22 @@ impl L2Bank {
         }
     }
 
+    /// Serves the requests queued on `block` while it stays idle.
     fn drain_line_queue(&mut self, block: u64, port: &mut dyn Port) {
         loop {
-            let Some(line) = self.state.array.peek_mut(block) else {
+            let Some(blocked) = self.state.blocked.get_mut(&block) else {
                 return;
             };
-            if line.busy.is_some() {
+            if blocked.busy.is_some() {
                 return;
             }
-            let Some(msg) = line.queue.pop_front() else {
-                return;
-            };
+            let msg = blocked
+                .queue
+                .pop_front()
+                .expect("an idle line keeps its entry only while requests queue");
+            if blocked.queue.is_empty() {
+                self.state.blocked.remove(&block);
+            }
             self.state.stats.busy_wait_cycles += 1;
             self.serve(msg, port);
         }
@@ -713,12 +762,7 @@ impl L2Bank {
         // PLRU choice, (4) any idle line.
         let victim = {
             let plru = self.state.array.victim_for(block);
-            let idle = |b: &u64| {
-                self.state
-                    .array
-                    .peek(*b)
-                    .is_some_and(|l| l.busy.is_none() && l.queue.is_empty())
-            };
+            let idle = |b: &u64| !self.state.blocked.contains_key(b);
             let uncopied = |b: &u64| {
                 self.state
                     .array
@@ -743,7 +787,7 @@ impl L2Bank {
             return;
         };
         self.state.stats.evictions += 1;
-        let vline = self.state.array.peek_mut(victim).expect("victim cached");
+        let vline = self.state.array.peek(victim).expect("victim cached");
         let copies = vline.sharers | vline.owner.map_or(0, bit);
         if copies == 0 {
             // No L1 copies: evict immediately.
@@ -758,10 +802,13 @@ impl L2Bank {
             self.drop_victim(victim, port);
             self.fetch_from_memory(block, port);
         } else {
-            vline.busy = Some(Busy::Evicting {
-                pending: copies,
-                fetch_for: block,
-            });
+            self.block_on(
+                victim,
+                Busy::Evicting {
+                    pending: copies,
+                    fetch_for: block,
+                },
+            );
             self.state.mshrs.insert(
                 block,
                 Mshr {
@@ -783,6 +830,9 @@ impl L2Bank {
     /// to memory.
     fn drop_victim(&mut self, victim: u64, port: &mut dyn Port) {
         let line = self.state.array.remove(victim).expect("victim cached");
+        // Requests that queued on the victim while it was evicting go with
+        // it; their L1s reissue them.
+        self.state.blocked.remove(&victim);
         if line.dirty {
             self.state.wb_pending.insert(victim, VecDeque::new());
             port.send(
@@ -1065,6 +1115,54 @@ mod tests {
         assert!(sent[0].exclusive);
         l2.receive(ack(7, 0x100), p.now);
         settle(&mut l2, &mut p);
+        assert_eq!(l2.probe(0x100), Some((Some(NodeId(7)), 0)));
+    }
+
+    /// A GetX that invalidates sharers keeps its line, and only it, in
+    /// `blocked` through the invalidation acks and the requestor's data
+    /// ack; the last ack empties the map, and the bank is quiescent.
+    #[test]
+    fn getx_holds_its_line_in_blocked_until_the_last_ack() {
+        let (mut l2, mut p) = bank();
+        for (node, block) in [(3, 0x100), (5, 0x100), (9, 0x140)] {
+            l2.receive(gets(node, block), p.now);
+            settle(&mut l2, &mut p);
+            if p.sent.iter().any(|m| m.class == MessageClass::MemRequest) {
+                l2.receive(mem_reply(&l2, block, 1), p.now);
+                settle(&mut l2, &mut p);
+            }
+            l2.receive(ack(node, block), p.now);
+            settle(&mut l2, &mut p);
+            p.take();
+        }
+        assert!(l2.is_quiescent() && l2.state.blocked.is_empty());
+
+        let blocked = |l2: &L2Bank| -> Vec<(u64, Option<Busy>)> {
+            l2.state.blocked.iter().map(|(&b, e)| (b, e.busy)).collect()
+        };
+        l2.receive(getx(7, 0x100), p.now);
+        settle(&mut l2, &mut p);
+        let waiting = |pending: u64| Busy::WaitInvAcks {
+            requestor: NodeId(7),
+            pending,
+        };
+        let both = bit(NodeId(3)) | bit(NodeId(5));
+        assert_eq!(blocked(&l2), [(0x100, Some(waiting(both)))]);
+        let inv_ack = |from| Msg::new(MessageClass::L1InvAck, NodeId(from), NodeId(0), 0x100);
+        l2.receive(inv_ack(3), p.now);
+        settle(&mut l2, &mut p);
+        assert_eq!(blocked(&l2), [(0x100, Some(waiting(bit(NodeId(5)))))]);
+        l2.receive(inv_ack(5), p.now);
+        settle(&mut l2, &mut p);
+        let data_ack = Busy::WaitDataAck {
+            requestor: NodeId(7),
+            wb_ack_owed: None,
+        };
+        assert_eq!(blocked(&l2), [(0x100, Some(data_ack))]);
+        assert!(!l2.is_quiescent());
+        l2.receive(ack(7, 0x100), p.now);
+        settle(&mut l2, &mut p);
+        assert!(l2.state.blocked.is_empty() && l2.is_quiescent());
         assert_eq!(l2.probe(0x100), Some((Some(NodeId(7)), 0)));
     }
 

@@ -380,8 +380,11 @@ $CARGO test -q -p rcsim-noc --test traffic_patterns "$@"
 
 echo "==> cache arrays, the topology tables and the worklist in release (oracle proptests, geometry, footprint law)"
 # Shifts, masks and `as` casts behave alike in both profiles only if no
-# debug assertion was doing the work; the footprint law (allocations,
-# file size, resume on paper-size caches) is stated for release builds.
+# debug assertion was doing the work, the block law included (a set's way
+# block is the smallest power of two covering the highest way it has
+# filled; `tags` is the live blocks plus the free-listed ones); the
+# footprint law (allocations, bytes held after a run, file size, resume
+# on paper-size caches) is stated for release builds.
 # The due words against the reference mailbox, the credit wires against
 # their list of arrivals, the worklist through every outside mutation and
 # a resume with both laws compiled out, and credit conservation every
@@ -432,9 +435,9 @@ if find "$ckpt_dir" -name '*.ckpt' | grep -q .; then
   echo "FAIL: completed sweep left checkpoints behind in $ckpt_dir"; exit 1
 fi
 mkdir -p "$ckpt_dir"
-# Every earlier version (v14, whose network and chip state still held the
-# congestion map and the adaptive policy, is the newest of them), with the
-# checksum of its "{}": only the version rejects it.
+# Every earlier version (v15, whose L2 lines still carried their busy
+# state and request queue, is the newest of them), with the checksum of
+# its "{}": only the version rejects it.
 current=$(sed -n 's/^pub const CHECKPOINT_FORMAT_VERSION: u32 = \([0-9]*\);$/\1/p' crates/system/src/checkpoint.rs)
 for v in $(seq 0 $((${current:?CHECKPOINT_FORMAT_VERSION not found} - 1))); do
   stale="$ckpt_dir/stale_v$v.ckpt"; printf 'rcsim-checkpoint v%s 08f44b07b5901a25\n{}' "$v" > "$stale"
@@ -456,7 +459,7 @@ echo "==> canonical benchmark gate (benchmark/check.sh + full-size drift check)"
 benchmark/check.sh
 perf_out=$($CARGO run --release --offline -q --manifest-path benchmark/Cargo.toml -- \
   --seed 1 --seconds 1) || { echo "$perf_out"; echo "FAIL: perf exited non-zero"; exit 1; }
-grep -E '^(== |sim_cycles_per_s|FAILED|DRIFT)' <<< "$perf_out" | sed 's/^/    /'
+grep -E '^(== |sim_cycles_per_s|peak_rss_mb|FAILED|DRIFT)' <<< "$perf_out" | sed 's/^/    /'
 if grep -q -E '^(DRIFT|FAILED)' <<< "$perf_out"; then
   echo "FAIL: simulated results differ from benchmark/expected.json (or a rep failed)"; exit 1
 fi
