@@ -18,11 +18,11 @@ use serde::{Deserialize, Serialize};
 ///
 /// A credit is sent at most `1 + LINK_LATENCY` = 2 cycles before it
 /// lands (Table 4), and is read no earlier than the cycle it was sent in,
-/// so the 64 bits behind `newest` hold every credit still in flight with
-/// room to spare. Arrivals further back have landed and are shifted out
-/// by later sends. Nothing is ever folded in when a credit is read, so
-/// the record depends only on what was sent and taken. It is the same
-/// whether or not the owner was visited in between.
+/// so the [`WINDOW`] bits behind `newest` hold every credit still in
+/// flight with room to spare. Arrivals further back have landed and are
+/// shifted out by later sends. Nothing is ever folded in when a credit is
+/// read, so the record depends only on what was sent and taken. It is the
+/// same whether or not the owner was visited in between.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub(crate) struct CreditWire {
     /// Credits the owner holds, counting those still on the wire.
@@ -38,9 +38,14 @@ pub(crate) struct CreditWire {
     /// the switch. The fault layer loses packets whole, which keeps that
     /// from happening in any run measured so far, but the wire does not
     /// rely on it.
-    lo: u64,
-    hi: u64,
+    lo: u16,
+    hi: u16,
 }
+
+/// Cycles a [`CreditWire`]'s shift register reaches back from `newest`.
+const WINDOW: Cycle = u16::BITS as Cycle;
+
+const _: () = assert!(std::mem::size_of::<CreditWire>() == 16);
 
 impl CreditWire {
     /// An idle wire: `depth` credits home, none on the way.
@@ -59,7 +64,7 @@ impl CreditWire {
         if t >= self.newest {
             return 0;
         }
-        let later = u64::MAX >> (64 - (self.newest - t).min(64));
+        let later = u16::MAX >> (WINDOW - (self.newest - t).min(WINDOW));
         ((self.lo & later).count_ones() + 2 * (self.hi & later).count_ones()) as u8
     }
 
@@ -84,7 +89,7 @@ impl CreditWire {
     pub(crate) fn send(&mut self, arrive: Cycle) {
         if arrive > self.newest {
             let shift = arrive - self.newest;
-            (self.lo, self.hi) = if shift < 64 {
+            (self.lo, self.hi) = if shift < WINDOW {
                 (self.lo << shift, self.hi << shift)
             } else {
                 (0, 0)
@@ -93,7 +98,7 @@ impl CreditWire {
         }
         let k = self.newest - arrive;
         assert!(
-            k < 64,
+            k < WINDOW,
             "a credit landing at {arrive} is behind the wire's window"
         );
         let (bit, carry) = (1 << k, self.lo & 1 << k);
@@ -256,13 +261,27 @@ mod tests {
         assert_eq!((w.available(100), w.in_flight(100), w.lost()), (1, 0, 1));
     }
 
+    /// The register reaches 15 cycles back from the newest arrival.
+    #[test]
+    fn a_credit_15_cycles_behind_the_newest_fits() {
+        let mut w = CreditWire::full(2);
+        w.take(0);
+        w.take(0);
+        w.send(21);
+        w.send(6);
+        assert_eq!(
+            (w.available(6), w.available(20), w.available(21)),
+            (1, 1, 2)
+        );
+    }
+
     #[test]
     #[should_panic(expected = "behind the wire's window")]
     fn a_credit_far_behind_the_newest_panics() {
         let mut w = CreditWire::full(2);
         w.take(0);
         w.take(0);
-        w.send(70);
+        w.send(22);
         w.send(6);
     }
 
@@ -281,10 +300,10 @@ mod tests {
 
     fn step() -> impl Strategy<Value = Step> {
         (
-            (0..8u8, 1..4u64, 60..140u64)
+            (0..8u8, 1..4u64, 14..40u64)
                 .prop_map(|(roll, near, far)| if roll == 0 { far } else { near }),
             (any::<bool>(), any::<bool>()),
-            proptest::collection::vec(0..130u64, 0..4),
+            proptest::collection::vec(0..36u64, 0..4),
         )
             .prop_map(|(gap, (switch, made_up), reads)| Step {
                 gap,
@@ -296,11 +315,11 @@ mod tests {
     proptest! {
         /// The wire against the list of every arrival it was sent: the
         /// same credits in flight and available at every cycle read, for
-        /// the chip's link, a longer one and the longest the 64-bit
+        /// the chip's link, a longer one and the longest the 16-bit
         /// register holds.
         #[test]
         fn the_wire_matches_the_list_of_arrivals(
-            latency in prop_oneof![Just(1u64), Just(2u64), Just(62u64)],
+            latency in prop_oneof![Just(1u64), Just(2u64), Just(14u64)],
             steps in proptest::collection::vec(step(), 1..200),
         ) {
             const DEPTH: u8 = 40;

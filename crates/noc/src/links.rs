@@ -177,6 +177,9 @@ impl Links<'_> {
     /// since the last call — after the router's tick rather than inside
     /// it, so their trace events follow the tick's own.
     pub(crate) fn settle(&mut self, packets: &mut Packets) {
+        if self.lost.is_empty() {
+            return;
+        }
         for (slot, id, at) in std::mem::take(&mut self.lost) {
             self.schedule_retry(packets, slot, id, at);
         }

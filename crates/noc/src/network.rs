@@ -117,9 +117,6 @@ pub struct Network {
     state: State,
 
     // Scratch.
-    /// The tiles whose `delivered` list is non-empty, as a bitset: the
-    /// every-cycle [`Network::take_all_delivered`] walks its set bits.
-    delivered_tiles: Vec<u64>,
     scratch: Scratch,
 }
 
@@ -137,7 +134,9 @@ struct State {
     ni_links: Calendar,
     /// The credit return of every router output VC and NI injection VC.
     credits: CreditWires,
-    delivered: Vec<Vec<Delivered>>,
+    /// Packets fully received and not yet taken, with the tile that
+    /// received them, in arrival order: one queue for the whole network.
+    delivered: Vec<(NodeId, Delivered)>,
     stats: NocStats,
     now: Cycle,
     next_packet: u64,
@@ -212,7 +211,7 @@ impl Network {
                 router_links: Calendar::new(routers_n, cfg.topology.ports()),
                 ni_links: Calendar::new(tiles, 1),
                 credits: CreditWires::new(&cfg),
-                delivered: vec![Vec::new(); tiles],
+                delivered: Vec::new(),
                 stats: NocStats::default(),
                 now: 0,
                 next_packet: 0,
@@ -222,7 +221,6 @@ impl Network {
                 faulted_circuits: StateSet::default(),
                 last_progress: 0,
             },
-            delivered_tiles: vec![0; tiles.div_ceil(64)],
             scratch: Scratch {
                 ni_busy: vec![0; tiles.div_ceil(64)],
                 router_busy: vec![0; routers_n.div_ceil(64)],
@@ -484,30 +482,26 @@ impl Network {
         self.state.stats.record_outcome(outcome);
     }
 
-    /// Hands a fully received packet to `tile`'s delivery list.
+    /// Hands a fully received packet to the delivery queue.
     fn deliver(&mut self, tile: usize, d: Delivered) {
-        self.delivered_tiles[tile / 64] |= 1 << (tile % 64);
-        self.state.delivered[tile].push(d);
+        self.state.delivered.push((NodeId(tile as u16), d));
     }
 
-    /// Packets fully received at `node` since the last call.
+    /// Packets fully received at `node` since the last call, in arrival
+    /// order.
     pub fn take_delivered(&mut self, node: NodeId) -> Vec<Delivered> {
-        let tile = node.index();
-        self.delivered_tiles[tile / 64] &= !(1 << (tile % 64));
-        std::mem::take(&mut self.state.delivered[tile])
+        (self.state.delivered.extract_if(.., |(at, _)| *at == node))
+            .map(|(_, d)| d)
+            .collect()
     }
 
     /// Packets fully received anywhere since the last call, as
-    /// `(node, packet)` pairs in tile order.
+    /// `(node, packet)` pairs in tile order, each tile's in arrival order.
+    /// The queue keeps its capacity, so a warm tick delivers without
+    /// allocating.
     pub fn take_all_delivered(&mut self) -> Vec<(NodeId, Delivered)> {
-        let mut all = Vec::new();
-        for (w, word) in self.delivered_tiles.iter_mut().enumerate() {
-            for tile in bits(std::mem::take(word)).map(|b| 64 * w + b) {
-                let held = self.state.delivered[tile].drain(..);
-                all.extend(held.map(|d| (NodeId(tile as u16), d)));
-            }
-        }
-        all
+        self.state.delivered.sort_by_key(|&(node, _)| node);
+        self.state.delivered.drain(..).collect()
     }
 
     /// Advances the network by one clock cycle.
@@ -868,16 +862,14 @@ impl Network {
     }
 
     /// Recomputes every derived quantity — each router's VC occupancy
-    /// index (DESIGN.md §13), the tiles holding deliveries, the worklist's
-    /// busy bits (timed bits: a superset) — from the state it mirrors,
-    /// checks the
-    /// packet table's laws (every flit handle anywhere names a held
-    /// record, each record's `in_fabric` is the number of its flits out
-    /// there, a closed record with none left is gone, no copy delivers
-    /// more flits than the packet has, the open count is a recount) and
-    /// reports the first mismatch. Debug builds assert the
-    /// router part on every router tick; tests call this in release
-    /// builds too.
+    /// index (DESIGN.md §13), the worklist's busy bits (timed bits: a
+    /// superset) — from the state it mirrors, checks the packet table's
+    /// laws (every flit handle anywhere names a held record, each record's
+    /// `in_fabric` is the number of its flits out there, a closed record
+    /// with none left is gone, no copy delivers more flits than the packet
+    /// has, the open count is a recount) and reports the first mismatch.
+    /// Debug builds assert the router part on every router tick; tests
+    /// call this in release builds too.
     ///
     /// # Errors
     ///
@@ -885,13 +877,6 @@ impl Network {
     pub fn check_index(&self) -> Result<(), String> {
         for r in &self.routers {
             r.check_index()?;
-        }
-        let held = Self::rebuild_scratch(&self.state);
-        if held != self.delivered_tiles {
-            return Err(format!(
-                "delivered tiles {:x?} but packets are held at {held:x?}",
-                self.delivered_tiles
-            ));
         }
         let (nis, routers, s) = (&self.nis, &self.routers, &self.scratch);
         let timed = bitset(routers.len(), |i| routers[i].holds_timed());
@@ -1115,30 +1100,9 @@ impl Network {
         self.faults.restore(&snap.faults);
         self.ingress.restore(&snap.ingress);
         let (routers, nis) = (&self.routers, &self.nis);
-        self.delivered_tiles = Self::rebuild_scratch(&self.state);
         self.scratch.ni_busy = bitset(nis.len(), |i| nis[i].is_active());
         self.scratch.router_busy = bitset(routers.len(), |i| routers[i].is_busy());
         self.scratch.timed = bitset(routers.len(), |i| routers[i].holds_timed());
-    }
-
-    /// The tiles holding deliveries in `state`.
-    fn rebuild_scratch(state: &State) -> Vec<u64> {
-        let State {
-            delivered,
-            packets: _,
-            router_links: _,
-            ni_links: _,
-            credits: _,
-            stats: _,
-            now: _,
-            next_packet: _,
-            topo: _,
-            fault_cursor: _,
-            retry_queue: _,
-            faulted_circuits: _,
-            last_progress: _,
-        } = state;
-        bitset(delivered.len(), |tile| !delivered[tile].is_empty())
     }
 }
 

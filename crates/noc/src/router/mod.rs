@@ -22,7 +22,7 @@ use input::{InputVc, VcState};
 use rcsim_core::circuit::timing::{nominal_inject, router_window};
 use rcsim_core::circuit::{CircuitKey, ReserveRequest, RouterCircuits};
 use rcsim_core::routing::Routing;
-use rcsim_core::table4::{BUFFER_DEPTH, INJECT_OVERHEAD, LINK_LATENCY};
+use rcsim_core::table4::{BUFFER_DEPTH, INJECT_OVERHEAD, LINK_LATENCY, REQ_VCS};
 use rcsim_core::{CircuitMode, Cycle, MechanismConfig, NodeId, Topology, Vnet, PORT_LOCAL};
 use rcsim_trace::{EventKind, TraceEvent, TraceSink};
 use serde::{Deserialize, Serialize};
@@ -69,10 +69,15 @@ struct PortArbiters {
 }
 
 /// Width of the [`OccupancyIndex`] masks and capacity of the router's
-/// per-VC and per-port arrays: a router may have at most this many input
-/// VCs (`ports × VcLayout::total()`), which [`NocConfig::validate`]
-/// enforces.
+/// per-VC arrays: a router may have at most this many input VCs (`ports ×
+/// VcLayout::total()`), which [`NocConfig::validate`] enforces.
 pub(crate) const VC_INDEX_BITS: usize = u64::BITS as usize;
+
+/// Capacity of the router's per-port arrays. Every port has the
+/// [`REQ_VCS`] request VCs and at least two reply VCs, so the
+/// [`VC_INDEX_BITS`] bound [`NocConfig::validate`] enforces allows at most
+/// this many ports; the paper's mesh router has 5.
+pub(crate) const MAX_PORTS: usize = VC_INDEX_BITS / (REQ_VCS + 2);
 
 /// Which input VCs and retry queues hold work — the request lines a
 /// hardware allocator sees, so the pipeline stages visit busy VCs only
@@ -114,9 +119,10 @@ pub(crate) fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
 
 /// A router's state (DESIGN.md §13), flat: everything per VC — input or
 /// output side — lives at slot `port · total + vc`, the numbering of the
-/// [`OccupancyIndex`] bits, and everything per port at slot `port`, in
-/// arrays of [`VC_INDEX_BITS`] entries inside the router itself, each
-/// entry as narrow as [`NocConfig::validate`] lets it be. They serialize
+/// [`OccupancyIndex`] bits, in arrays of [`VC_INDEX_BITS`] entries, and
+/// everything per port at slot `port`, in arrays of [`MAX_PORTS`] entries,
+/// all inside the router itself, each entry as narrow as
+/// [`NocConfig::validate`] lets it be. They serialize
 /// whole: the entries past the last slot (or port) are never touched, so
 /// they are the same constants in every snapshot. Declaration order is
 /// memory order (DESIGN.md §9 has the field → cache line table).
@@ -135,9 +141,9 @@ pub(crate) struct State {
     /// Who holds each output VC, by slot. (Its credits are on the
     /// network's credit wires, which the router reads through its sink.)
     owner: [Owner; VC_INDEX_BITS],
-    st_pending: [StGrant; VC_INDEX_BITS],
+    st_pending: [StGrant; MAX_PORTS],
     /// The arbiters, by port.
-    arbiters: [PortArbiters; VC_INDEX_BITS],
+    arbiters: [PortArbiters; MAX_PORTS],
     pub(crate) activity: Activity,
     /// The input VCs, by slot: control words and flit ring, a line each.
     vcs: Vec<InputVc>,
@@ -182,10 +188,10 @@ pub(crate) struct Router {
     circuit_vc0: u8,
     /// Per output port, the input ports requesting it in the current
     /// SA/VA sweep, as a mask; all zero between sweeps.
-    contend: [u64; VC_INDEX_BITS],
+    contend: [u64; MAX_PORTS],
     /// The VC each input port nominated in [`Router::stage_sa`] phase 1
     /// (meaningful only for ports that nominated this tick).
-    sa_nominee: [u8; VC_INDEX_BITS],
+    sa_nominee: [u8; MAX_PORTS],
     pub(crate) state: State,
     /// Reused candidate list for the VC-allocation sweep.
     va_scratch: Vec<(Cycle, usize, Vnet, NodeId)>,
@@ -194,6 +200,7 @@ pub(crate) struct Router {
 }
 
 const _: () = assert!(std::mem::offset_of!(Router, contend) == 64);
+const _: () = assert!(std::mem::size_of::<Router>() <= 896);
 
 impl Router {
     pub(crate) fn new(node: NodeId, cfg: &NocConfig) -> Self {
@@ -201,7 +208,7 @@ impl Router {
         let total = layout.total();
         let ports = cfg.topology.ports();
         assert!(
-            ports * total <= VC_INDEX_BITS,
+            ports * total <= VC_INDEX_BITS && ports <= MAX_PORTS,
             "NocConfig::validate bounds the input VCs per router"
         );
         let arbiters = PortArbiters {
@@ -219,14 +226,14 @@ impl Router {
             vcs: total as u8,
             timed: cfg.mechanism.timed.is_timed(),
             circuit_vc0: (total - layout.circuit_vcs) as u8,
-            contend: [0; VC_INDEX_BITS],
-            sa_nominee: [0; VC_INDEX_BITS],
+            contend: [0; MAX_PORTS],
+            sa_nominee: [0; MAX_PORTS],
             state: State {
                 st_len: 0,
                 degraded: false,
                 owner: [Owner::Free; VC_INDEX_BITS],
-                st_pending: [StGrant::default(); VC_INDEX_BITS],
-                arbiters: [arbiters; VC_INDEX_BITS],
+                st_pending: [StGrant::default(); MAX_PORTS],
+                arbiters: [arbiters; MAX_PORTS],
                 activity: Activity::default(),
                 vcs: vec![InputVc::default(); ports * total],
                 spill: Vec::new(),

@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 pub struct CacheConfig {
     /// Number of sets (a power of two ≥ 1).
     pub sets: usize,
-    /// Associativity (a power of two in `1..=64`).
+    /// Associativity (a power of two in `1..=16`).
     pub ways: usize,
     /// Banks the lines interleave over (≥ 1; 1 for a private cache). A
     /// bank of an address-interleaved shared cache sees the blocks
@@ -43,7 +43,7 @@ impl CacheConfig {
 /// A set-associative array storing per-line metadata of type `M`, indexed
 /// by cache-line address.
 ///
-/// What the modelled capacity sizes is three integers per set. Tags and
+/// What the modelled capacity sizes is one 8-byte word per set. Tags and
 /// slots exist only for sets that have held a line, one block each of the
 /// smallest power of two of ways that covers the highest way the set has
 /// filled, and metadata only for resident lines, in a slab. The serialized
@@ -69,17 +69,8 @@ pub struct CacheArray<M: Clone> {
     /// log2 of `cfg.interleave` when that is a power of two (the split of
     /// a block address is then a shift and a mask, not a division).
     bank_bits: Option<u32>,
-    /// Per set: bit `w` is set while way `w` holds a line.
-    valid: Vec<u64>,
-    /// Per set: the packed tree-PLRU word ([`plru`]).
-    recency: Vec<u64>,
-    /// Per set: the entry offset of its way block in `tags` and `slots`,
-    /// shifted left by [`SIZE_BITS`], over 1 + log2 of the block's ways;
-    /// or 0 while the set has never held a line. A set gets a block
-    /// of one way on its first fill, moves to one twice as large when it
-    /// fills the way past its block's end, and keeps its block when it
-    /// empties, as it keeps its recency word.
-    way_block: Vec<u32>,
+    /// Per set: its valid mask, recency word and way block, one word.
+    sets: Vec<SetWord>,
     /// Way blocks of 1, 2, 4 … `ways` entries: way `w` of the block at
     /// offset `o` is at `o + w`. The tag last written there — stale once
     /// the way's valid bit is cleared, never read then.
@@ -89,11 +80,32 @@ pub struct CacheArray<M: Clone> {
     slots: Vec<u32>,
     /// Per log2 of a block's ways: offsets of the blocks sets have
     /// outgrown, handed to the next set that grows to that size.
-    free: [Vec<u32>; 7],
+    free: [Vec<u32>; MAX_WAYS.trailing_zeros() as usize + 1],
     /// Metadata of the resident lines. Which slot a line got is history,
     /// not state: nothing observable depends on it and no image records it.
     lines: Slab<M>,
 }
+
+/// What a lookup reads of one set, in one 8-byte word.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct SetWord {
+    /// Bit `w` is set while way `w` holds a line.
+    valid: u16,
+    /// The packed tree-PLRU word ([`plru`]): 15 node bits at 16 ways.
+    recency: u16,
+    /// The entry offset of the set's way block in `tags` and `slots`,
+    /// shifted left by [`SIZE_BITS`], over 1 + log2 of the block's ways;
+    /// or 0 while the set has never held a line. A set gets a block of one
+    /// way on its first fill, moves to one twice as large when it fills
+    /// the way past its block's end, and keeps its block when it empties,
+    /// as it keeps its recency word.
+    block: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<SetWord>() == 8);
+
+/// The widest set a [`SetWord`] describes: Table 2's L2 is 16-way.
+const MAX_WAYS: usize = u16::BITS as usize;
 
 /// The serialized form of a [`CacheArray`]: geometry, then only what is
 /// not zero, in one canonical order.
@@ -111,18 +123,18 @@ struct Image<M> {
 
 const RESIDENT: &str = "a valid way names a resident line";
 
-/// The low bits of a `way_block` word: 1 + log2 of the block's ways
-/// (1..=7), 0 for no block.
+/// The low bits of a [`SetWord::block`]: 1 + log2 of the block's ways
+/// (1..=5), 0 for no block.
 const SIZE_BITS: u32 = 3;
 const SIZE_MASK: u32 = (1 << SIZE_BITS) - 1;
 /// The most lines (`sets × ways`) an array may model. A set takes at most
 /// one block of each size in turn, so `tags` never passes `2 · sets ·
 /// ways` entries, and every offset fits in the `32 − SIZE_BITS` bits above
-/// a `way_block` word's size bits.
+/// a [`SetWord::block`]'s size bits.
 const MAX_LINES: usize = 1 << (32 - SIZE_BITS - 1);
 
 /// The set bit positions of `mask`, ascending.
-fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
+fn bits(mut mask: u16) -> impl Iterator<Item = usize> {
     std::iter::from_fn(move || {
         (mask != 0).then(|| {
             let i = mask.trailing_zeros() as usize;
@@ -138,13 +150,13 @@ impl<M: Clone> CacheArray<M> {
     /// # Panics
     ///
     /// Panics, naming the field, unless `ways` is a power of two in
-    /// `1..=64`, `sets` a power of two ≥ 1 with `sets × ways` at most
+    /// `1..=16`, `sets` a power of two ≥ 1 with `sets × ways` at most
     /// 2^28, and `interleave` ≥ 1.
     pub fn new(cfg: CacheConfig) -> Self {
         let (sets, ways, banks) = (cfg.sets, cfg.ways, cfg.interleave);
         assert!(
-            ways.is_power_of_two() && ways <= 64,
-            "CacheConfig::ways must be a power of two in 1..=64, got {ways}"
+            ways.is_power_of_two() && ways <= MAX_WAYS,
+            "CacheConfig::ways must be a power of two in 1..=16, got {ways}"
         );
         assert!(
             sets.is_power_of_two(),
@@ -161,9 +173,7 @@ impl<M: Clone> CacheArray<M> {
             cfg,
             set_bits: sets.trailing_zeros(),
             bank_bits: banks.is_power_of_two().then(|| banks.trailing_zeros()),
-            valid: vec![0; sets],
-            recency: vec![0; sets],
-            way_block: vec![0; sets],
+            sets: vec![SetWord::default(); sets],
             tags: Vec::new(),
             slots: Vec::new(),
             free: Default::default(),
@@ -214,12 +224,12 @@ impl<M: Clone> CacheArray<M> {
     /// Where (set, way) sits in `tags` and `slots`, for a way inside the
     /// set's block (a valid way always is).
     fn at(&self, set: usize, way: usize) -> usize {
-        (self.way_block[set] >> SIZE_BITS) as usize + way
+        (self.sets[set].block >> SIZE_BITS) as usize + way
     }
 
     /// The ways of `set`'s block: 0 while it has none.
     fn block_ways(&self, set: usize) -> usize {
-        match self.way_block[set] & SIZE_MASK {
+        match self.sets[set].block & SIZE_MASK {
             0 => 0,
             size => 1 << (size - 1),
         }
@@ -239,7 +249,7 @@ impl<M: Clone> CacheArray<M> {
                 to
             }
         };
-        let old = self.way_block[set];
+        let old = self.sets[set].block;
         if old != 0 {
             let from = (old >> SIZE_BITS) as usize;
             let len = self.block_ways(set);
@@ -248,14 +258,14 @@ impl<M: Clone> CacheArray<M> {
             self.free[len.trailing_zeros() as usize].push(old >> SIZE_BITS);
         }
         // Below 2 · MAX_LINES, which `new` keeps within 29 bits.
-        self.way_block[set] = (to as u32) << SIZE_BITS | (log2 + 1);
+        self.sets[set].block = (to as u32) << SIZE_BITS | (log2 + 1);
     }
 
-    /// The way of `set` holding `tag`. The valid mask is read before
+    /// The way of `set` holding `tag`. The set word is read before
     /// anything else: a miss on an empty set loads no other word, and a
     /// cleared way's stale tag cannot match.
     fn way_of(&self, set: usize, tag: u64) -> Option<usize> {
-        bits(self.valid[set]).find(|&w| self.tags[self.at(set, w)] == tag)
+        bits(self.sets[set].valid).find(|&w| self.tags[self.at(set, w)] == tag)
     }
 
     /// The (set, way) of a cached block.
@@ -284,11 +294,13 @@ impl<M: Clone> CacheArray<M> {
         let i = self.at(set, way);
         self.tags[i] = tag;
         self.slots[i] = self.lines.insert(meta);
-        self.valid[set] |= 1 << way;
+        self.sets[set].valid |= 1 << way;
     }
 
     fn touch(&mut self, set: usize, way: usize) {
-        self.recency[set] = plru::touch(self.recency[set], self.cfg.ways, way);
+        let word = &mut self.sets[set];
+        // At most 16 ways: the tree's node bits are 1..=15.
+        word.recency = plru::touch(word.recency.into(), self.cfg.ways, way) as u16;
     }
 
     /// Metadata of a cached block, without touching recency.
@@ -330,13 +342,13 @@ impl<M: Clone> CacheArray<M> {
             "block {block:#x} already cached"
         );
         let ways = self.cfg.ways;
-        if let Some(way) = bits(!self.valid[set]).next().filter(|&w| w < ways) {
+        if let Some(way) = bits(!self.sets[set].valid).next().filter(|&w| w < ways) {
             self.fill(set, way, tag, meta);
             self.touch(set, way);
             return None;
         }
         // A full set: the victim's way and slot change hands in place.
-        let way = plru::victim(self.recency[set], ways);
+        let way = plru::victim(self.sets[set].recency.into(), ways);
         let i = self.at(set, way);
         let evicted = self.block_of(self.tags[i], set);
         self.tags[i] = tag;
@@ -348,8 +360,9 @@ impl<M: Clone> CacheArray<M> {
     /// (`None` if a free way exists). Recency is not modified.
     pub fn victim_for(&self, block: u64) -> Option<u64> {
         let (set, ways) = (self.set_of(block), self.cfg.ways);
-        (self.valid[set].count_ones() as usize == ways).then(|| {
-            let way = plru::victim(self.recency[set], ways);
+        let word = self.sets[set];
+        (word.valid.count_ones() as usize == ways).then(|| {
+            let way = plru::victim(word.recency.into(), ways);
             self.block_of(self.tags[self.at(set, way)], set)
         })
     }
@@ -358,20 +371,20 @@ impl<M: Clone> CacheArray<M> {
     /// candidates when a victim must be chosen under constraints).
     pub fn set_blocks(&self, block: u64) -> Vec<u64> {
         let set = self.set_of(block);
-        bits(self.valid[set])
+        bits(self.sets[set].valid)
             .map(|w| self.block_of(self.tags[self.at(set, w)], set))
             .collect()
     }
 
     /// Number of free ways in the set of `block`.
     pub fn free_ways(&self, block: u64) -> usize {
-        self.cfg.ways - self.valid[self.set_of(block)].count_ones() as usize
+        self.cfg.ways - self.sets[self.set_of(block)].valid.count_ones() as usize
     }
 
     /// Removes a block, returning its metadata.
     pub fn remove(&mut self, block: u64) -> Option<M> {
         let (set, way) = self.find(block)?;
-        self.valid[set] &= !(1 << way);
+        self.sets[set].valid &= !(1 << way);
         self.lines.remove(self.slots[self.at(set, way)])
     }
 
@@ -390,7 +403,7 @@ impl<M: Clone> CacheArray<M> {
     pub fn iter(&self) -> impl Iterator<Item = (u64, &M)> {
         (0..self.cfg.sets).flat_map(move |set| {
             let block = move |w| self.block_of(self.tags[self.at(set, w)], set);
-            bits(self.valid[set]).map(move |w| (block(w), self.line(set, w)))
+            bits(self.sets[set].valid).map(move |w| (block(w), self.line(set, w)))
         })
     }
 }
@@ -400,11 +413,11 @@ impl<M: Clone> From<CacheArray<M>> for Image<M> {
         let cfg = array.cfg;
         let mut sets = Vec::new();
         let mut lines = Vec::with_capacity(array.len());
-        for (set, (&valid, &recency)) in array.valid.iter().zip(&array.recency).enumerate() {
+        for (set, &SetWord { valid, recency, .. }) in array.sets.iter().enumerate() {
             if valid | recency == 0 {
                 continue;
             }
-            sets.push((set as u32, recency));
+            sets.push((set as u32, recency.into()));
             for w in bits(valid) {
                 let i = array.at(set, w);
                 let meta = array.lines.remove(array.slots[i]).expect(RESIDENT);
@@ -421,14 +434,15 @@ impl<M: Clone> From<Image<M>> for CacheArray<M> {
     fn from(image: Image<M>) -> Self {
         let mut array = CacheArray::new(image.cfg);
         for (set, recency) in image.sets {
-            array.recency[set as usize] = recency;
+            array.sets[set as usize].recency =
+                u16::try_from(recency).expect("cache image: a recency word of at most 16 ways");
         }
         // Lines are set-major and way-minor: read backwards, a set's first
         // fill is its highest way, which sizes its one block.
         for (set, way, tag, meta) in image.lines.into_iter().rev() {
             let (set, way) = (set as usize, usize::from(way));
             assert!(
-                way < array.cfg.ways && array.valid[set] >> way & 1 == 0,
+                way < array.cfg.ways && array.sets[set].valid >> way & 1 == 0,
                 "cache image: way {way} of set {set} is out of range or named twice"
             );
             array.fill(set, way, tag, meta);
@@ -634,12 +648,13 @@ mod tests {
 
     /// Small arrays, whose every set soon holds a line, and half the time
     /// an L2 bank's 1 024 × 16, where most sets never do — so round trips
-    /// rebuild arrays whose way blocks have gaps and another order.
+    /// rebuild arrays whose way blocks have gaps and another order. The
+    /// widest way count is the widest a set word holds.
     fn geometry() -> impl Strategy<Value = CacheConfig> {
         let interleave = |i: usize| [1, 16, 48, 64][i];
         prop_oneof![
             (0usize..4, 0usize..3, 0usize..4).prop_map(move |(w, s, i)| CacheConfig {
-                ways: [1, 2, 16, 64][w],
+                ways: [1, 2, 4, 16][w],
                 sets: [1, 4, 8][s],
                 interleave: interleave(i),
             }),
@@ -695,9 +710,9 @@ mod tests {
     /// call after every operation sees every fill, since an operation
     /// fills at most one way.
     fn note_fills(array: &CacheArray<u32>, highest: &mut [Option<usize>]) {
-        for (high, &valid) in highest.iter_mut().zip(&array.valid) {
-            if valid != 0 {
-                *high = (*high).max(Some(63 - valid.leading_zeros() as usize));
+        for (high, word) in highest.iter_mut().zip(&array.sets) {
+            if word.valid != 0 {
+                *high = (*high).max(Some(15 - word.valid.leading_zeros() as usize));
             }
         }
     }
@@ -800,7 +815,10 @@ mod tests {
                         prop_assert_eq!(json(&array), bytes);
                         // Not only in what the image shows: a set emptied
                         // before the round trip has its recency word after it.
-                        prop_assert_eq!(&array.recency, &plain.recency);
+                        let recency = |a: &CacheArray<u32>| -> Vec<u16> {
+                            a.sets.iter().map(|w| w.recency).collect()
+                        };
+                        prop_assert_eq!(recency(&array), recency(&plain));
                         highest.fill(None);
                     }
                 }
@@ -893,7 +911,7 @@ mod tests {
         assert_eq!(json(&restored), json(&array));
         assert_eq!((restored.tags.len(), restored.slots.len()), (3, 3));
         assert_eq!(blocks(&restored), [(5, 1), (900, 2)]);
-        assert_ne!(restored.recency[7], 0, "set 7 keeps its recency word");
+        assert_ne!(restored.sets[7].recency, 0, "set 7 keeps its recency word");
     }
 
     /// With a power-of-two interleave the set and the tag are, bit for
@@ -1002,7 +1020,8 @@ mod tests {
             }
         };
         let good = CacheConfig::from_capacity(32 * 1024, 4);
-        for ways in [0, 3, 128] {
+        // A set word holds 16 ways: Table 2's 16-way L2 is the widest.
+        for ways in [0, 3, 32, 64, 128] {
             assert!(message(CacheConfig { ways, ..good }).contains("CacheConfig::ways"));
         }
         assert!(message(CacheConfig::from_capacity(32 * 1024, 0)).contains("CacheConfig::ways"));
@@ -1019,8 +1038,8 @@ mod tests {
     #[should_panic(expected = "CacheConfig::sets × ways must be at most 2^28")]
     fn more_than_2_pow_28_lines_are_rejected() {
         CacheArray::<u32>::new(CacheConfig {
-            sets: 1 << 23,
-            ways: 64,
+            sets: 1 << 25,
+            ways: 16,
             interleave: 1,
         });
     }

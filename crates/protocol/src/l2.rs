@@ -799,7 +799,8 @@ impl L2Bank {
                 },
             );
             *self.state.reserved_ways.entry(set).or_insert(0) += 1;
-            self.drop_victim(victim, port);
+            let queued = self.drop_victim(victim, port);
+            debug_assert!(queued.is_empty(), "an idle victim has no queue");
             self.fetch_from_memory(block, port);
         } else {
             self.block_on(
@@ -827,12 +828,11 @@ impl L2Bank {
     }
 
     /// Removes a victim whose L1 copies are gone, writing dirty data back
-    /// to memory.
-    fn drop_victim(&mut self, victim: u64, port: &mut dyn Port) {
+    /// to memory, and returns the requests that queued on it while it was
+    /// evicting.
+    fn drop_victim(&mut self, victim: u64, port: &mut dyn Port) -> VecDeque<Msg> {
         let line = self.state.array.remove(victim).expect("victim cached");
-        // Requests that queued on the victim while it was evicting go with
-        // it; their L1s reissue them.
-        self.state.blocked.remove(&victim);
+        let queued = (self.state.blocked.remove(&victim)).map_or_else(VecDeque::new, |b| b.queue);
         if line.dirty {
             self.state.wb_pending.insert(victim, VecDeque::new());
             port.send(
@@ -846,12 +846,16 @@ impl L2Bank {
                 self.cfg.mem_latency,
             );
         }
+        queued
     }
 
+    /// Drops the evicted `victim` and starts the fetch it made room for.
+    /// Requests that queued on the victim meanwhile start over, now that
+    /// it is gone (behind its write-back, if it was dirty).
     fn finish_eviction(&mut self, victim: u64, fetch_for: u64, port: &mut dyn Port) {
         let set = self.state.array.set_of(fetch_for);
         *self.state.reserved_ways.entry(set).or_insert(0) += 1;
-        self.drop_victim(victim, port);
+        let queued = self.drop_victim(victim, port);
         let mshr = self
             .state
             .mshrs
@@ -859,6 +863,9 @@ impl L2Bank {
             .expect("fetch waiting on eviction");
         mshr.evicting_victim = None;
         self.fetch_from_memory(fetch_for, port);
+        for msg in queued {
+            self.on_request(msg, port);
+        }
     }
 
     fn fetch_from_memory(&mut self, block: u64, port: &mut dyn Port) {

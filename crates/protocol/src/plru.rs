@@ -1,12 +1,13 @@
 //! Tree pseudo-LRU replacement (both cache levels use pseudo-LRU,
-//! Table 2), packed: the tree of one set of up to 64 ways is one `u64`
-//! the cache array keeps per set, and the way count lives once, in the
-//! array's configuration.
+//! Table 2), packed: the tree of one set of up to 64 ways is one `u64`,
+//! and the way count lives once, in the array's configuration. The cache
+//! array keeps the low 16 bits per set: it holds at most 16 ways, whose
+//! tree has 15 nodes.
 //!
 //! Bit `i` of the word covers internal node `i` (root = 1; bit 0 is
 //! unused): 0 = the left subtree is older, 1 = the right one. `ways`
 //! must be a power of two in `1..=64` — [`crate::CacheArray::new`] checks
-//! it once for the whole array.
+//! its own, narrower bound once for the whole array.
 //!
 //! # Examples
 //!

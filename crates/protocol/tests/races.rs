@@ -5,7 +5,9 @@
 
 use rcsim_core::circuit::CircuitKey;
 use rcsim_core::{Cycle, MessageClass, NodeId, Topology};
-use rcsim_protocol::{Access, L1Cache, L2Bank, MemoryController, Msg, Port, ProtocolConfig};
+use rcsim_protocol::{
+    Access, CacheConfig, L1Cache, L2Bank, MemoryController, Msg, Port, ProtocolConfig,
+};
 use std::collections::VecDeque;
 
 /// A latency wire: every send arrives `delay` cycles later.
@@ -41,7 +43,11 @@ struct Cluster {
 impl Cluster {
     fn new(cores: usize, delay: Cycle) -> Self {
         let mesh = Topology::mesh(4, 4).unwrap();
-        let cfg = ProtocolConfig::small_for_tests(&mesh);
+        Self::with_config(cores, delay, ProtocolConfig::small_for_tests(&mesh))
+    }
+
+    fn with_config(cores: usize, delay: Cycle, cfg: ProtocolConfig) -> Self {
+        let mesh = Topology::mesh(4, 4).unwrap();
         Cluster {
             mesh,
             l1s: (0..cores)
@@ -88,6 +94,9 @@ impl Cluster {
             }
             self.l2.tick(now, &mut self.wire);
             self.mc.tick(now, &mut self.wire);
+            for l1 in &mut self.l1s {
+                l1.maybe_reissue(now, &mut self.wire);
+            }
         }
     }
 
@@ -243,4 +252,58 @@ fn upgrade_losing_to_remote_write_still_completes() {
     let (owner, _) = c.l2.probe(B).expect("line cached");
     assert!(owner == Some(NodeId(0)) || owner == Some(NodeId(1)));
     let _ = c.mesh;
+}
+
+/// A request that queues on a line the bank is evicting is served when
+/// the eviction completes, not dropped with the line. A 1-set × 1-way
+/// slice holds one line, so core 2's miss on another block evicts `B`
+/// from under core 1's copy, and core 0's request for `B`, one cycle
+/// behind core 2's, finds `B` waiting for core 1's invalidation ack. The
+/// reissue timeout is short, so a dropped request would still be served,
+/// by its reissue; it must be served by the bank, with none.
+#[test]
+fn request_queued_on_an_evicting_victim_is_served() {
+    let mesh = Topology::mesh(4, 4).unwrap();
+    let small = ProtocolConfig::small_for_tests(&mesh);
+    let cfg = ProtocolConfig {
+        l2: CacheConfig {
+            sets: 1,
+            ways: 1,
+            ..small.l2
+        },
+        reissue_timeout: 1_000,
+        ..small
+    };
+    let mut c = Cluster::with_config(3, 3, cfg);
+    assert_eq!(c.access(1, B, true, Some(8)), 8);
+    c.settle();
+    let other = B + 16;
+    assert!(matches!(
+        c.l1s[2].access(other, false, None, &mut c.wire),
+        Access::Miss
+    ));
+    c.run(1);
+    assert!(matches!(
+        c.l1s[0].access(B, false, None, &mut c.wire),
+        Access::Miss
+    ));
+    for _ in 0..3_000 {
+        if !c.l1s[0].miss_pending() && !c.l1s[2].miss_pending() {
+            break;
+        }
+        c.run(1);
+    }
+    assert!(!c.l1s[0].miss_pending() && !c.l1s[2].miss_pending());
+    assert!(
+        c.l2.stats().queued_on_busy >= 1,
+        "core 0's request queued on the evicting line"
+    );
+    let reissues: Vec<u64> = c.l1s.iter().map(|l1| l1.stats().reissues).collect();
+    assert_eq!(
+        reissues,
+        [0, 0, 0],
+        "every miss was served without a reissue"
+    );
+    assert_eq!(c.l1s[0].probe(B).map(|(_, v)| v), Some(8));
+    c.settle();
 }

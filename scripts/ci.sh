@@ -67,6 +67,16 @@ grep -q 'const _: () = assert!(std::mem::size_of::<Flit>() == 8);' crates/noc/sr
   && grep -q 'copy::<Flit>();' crates/noc/src/flit.rs \
   || { echo "FAIL: crates/noc/src/flit.rs lost its size or Copy assertion on Flit"; exit 1; }
 
+echo "==> state sized by what it models (DESIGN.md §9, §6b, §13: ports, a link's window, 16 ways)"
+grep -q 'const _: () = assert!(std::mem::size_of::<SetWord>() == 8);' crates/protocol/src/cache.rs \
+  && grep -q 'const _: () = assert!(std::mem::size_of::<CreditWire>() == 16);' crates/noc/src/credit.rs \
+  && grep -q 'const _: () = assert!(std::mem::size_of::<Router>() <= 896);' crates/noc/src/router/mod.rs \
+  || { echo "FAIL: the size assertion on SetWord, CreditWire or Router is gone"; exit 1; }
+# Per-port router arrays hold MAX_PORTS entries; only per-VC ones hold VC_INDEX_BITS.
+wide=$(grep -nE '^ *(pub(\(crate\))? )?(contend|sa_nominee|st_pending|arbiters): \[[^]]*; *VC_INDEX_BITS\]' \
+  crates/noc/src/router/mod.rs || true)
+[ -z "$wide" ] || { echo "FAIL: a per-port router array is sized by VC_INDEX_BITS again:"; echo "$wide"; exit 1; }
+
 echo "==> flat cache arrays (DESIGN.md §13: memory grows with resident lines, not modelled capacity)"
 # Up to the test module, where the old array lives on as the oracle.
 flat=$(sed '/^#\[cfg(test)\]$/,$d' crates/protocol/src/cache.rs)
@@ -435,9 +445,10 @@ if find "$ckpt_dir" -name '*.ckpt' | grep -q .; then
   echo "FAIL: completed sweep left checkpoints behind in $ckpt_dir"; exit 1
 fi
 mkdir -p "$ckpt_dir"
-# Every earlier version (v15, whose L2 lines still carried their busy
-# state and request queue, is the newest of them), with the checksum of
-# its "{}": only the version rejects it.
+# Every earlier version (v16, whose routers still held 64 entries of each
+# per-port array and whose credit wires had 64-cycle windows, is the
+# newest of them), with the checksum of its "{}": only the version
+# rejects it.
 current=$(sed -n 's/^pub const CHECKPOINT_FORMAT_VERSION: u32 = \([0-9]*\);$/\1/p' crates/system/src/checkpoint.rs)
 for v in $(seq 0 $((${current:?CHECKPOINT_FORMAT_VERSION not found} - 1))); do
   stale="$ckpt_dir/stale_v$v.ckpt"; printf 'rcsim-checkpoint v%s 08f44b07b5901a25\n{}' "$v" > "$stale"

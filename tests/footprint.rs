@@ -3,15 +3,19 @@
 //! size (Table 2: 32 KB L1s, 1 MB L2 banks, 64 tiles) the cache arrays
 //! model 1 M lines, of which a short run fills a few thousand — building
 //! them used to take 74 393 allocations and a checkpoint 74 563 more, and
-//! the file was 9.2 MB (859, 1 475 and 0.93 MB now). Counting bytes, not
+//! the file was 9.2 MB (601, 1 218 and 0.61 MB now). Counting bytes, not
 //! calls: while every set had its ways from the start, building asked for
 //! 14.6 MB and a checkpoint copied 14.6 MB; now a set gets its ways when it
-//! first holds a line, and each is under 2 MB. Counting what is held: at
-//! cycle 10 000 the session keeps 2.3 MB of heap, where it kept 3.0 MB
-//! while a set's first line brought all 16 ways with it and an L2 line
-//! carried its busy state and request queue. This is also the only
-//! checkpoint row on paper-size caches: `checkpoint_diff` runs
-//! `SimConfig::quick`, i.e. small ones.
+//! first holds a line, and building asks for 0.93 MB, a checkpoint copies
+//! 1.0 MB. Counting what is held: at cycle 10 000 the session keeps 1.32 MB
+//! of heap. It kept 3.0 MB while a set's first line brought all 16 ways
+//! with it and an L2 line carried its busy state and request queue, and
+//! 2.3 MB while a set took three words, a router held 64 entries of each
+//! per-port array and a credit wire a 64-cycle window. This is also the
+//! only checkpoint row on paper-size caches: `checkpoint_diff` runs
+//! `SimConfig::quick`, i.e. small ones. The benchmark's two 256-node
+//! networks are sized by their ports and links too: building one asks for
+//! 0.93 MB (mesh) and 1.04 MB (torus), 1.23 and 1.36 MB before.
 
 use reactive_circuits::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -90,10 +94,35 @@ fn paper_size_session_is_sized_by_what_it_touches() {
     };
     let session = |cfg| SimSession::new(cfg, None, KernelMode::Event, 1).expect("valid config");
 
+    // The benchmark's two 256-node networks.
+    let network_bytes = |topology: Topology, mechanism| {
+        let cfg = NocConfig::paper_baseline(topology, mechanism);
+        let (net, (_, bytes)) = counted(|| Network::new(cfg));
+        net.expect("valid config");
+        bytes
+    };
+    let grid = "a 16 × 16 grid";
+    let mesh = network_bytes(
+        Topology::mesh(16, 16).expect(grid),
+        MechanismConfig::complete(),
+    );
+    assert!(
+        mesh <= 1_070_000,
+        "Network::new asked for {mesh} bytes on the mesh"
+    );
+    let torus = network_bytes(
+        Topology::torus(16, 16).expect(grid),
+        MechanismConfig::baseline(),
+    );
+    assert!(
+        torus <= 1_200_000,
+        "Network::new asked for {torus} bytes on the torus"
+    );
+
     let (mut first, (built, built_bytes)) = counted(|| session(&cfg));
     assert!(built <= 5_000, "SimSession::new made {built} allocations");
     assert!(
-        built_bytes <= 3_000_000,
+        built_bytes <= 1_070_000,
         "SimSession::new asked for {built_bytes} bytes"
     );
 
@@ -126,7 +155,7 @@ fn paper_size_session_is_sized_by_what_it_touches() {
     whole.run_until(whole.total()).expect("no stall");
     let held = HELD.load(Ordering::Relaxed) - before;
     assert!(
-        held <= 2_600_000,
+        held <= 1_520_000,
         "a session holds {held} bytes at cycle 10 000"
     );
     let (resumed, whole) = (resumed.finish().0, whole.finish().0);
