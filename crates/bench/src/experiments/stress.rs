@@ -171,8 +171,8 @@ fn resilience_asserts(rows: &[RowData]) -> Result<(), String> {
 
 pub const RESILIENCE: Experiment = Experiment {
     name: "resilience",
-    title: "Resilience — degradation under permanently dead links: requests detour, replies \
-            retrace the recorded reverse path, crossing circuits are torn down, lost messages \
+    title: "Resilience — degradation under permanently dead links: pairs whose DOR path breaks \
+            take the up*/down* table both ways, crossing circuits are torn down, lost messages \
             are reissued",
     grid: resilience_grid,
     cells: resilience_cells,

@@ -18,8 +18,8 @@
 //! Tiles (cores, caches, NIs) and routers are distinct spaces. With one
 //! tile per router they coincide (`router_of` is the identity); for
 //! `CMesh` with concentration `c`, tile `t` sits at router `t / c`, local
-//! slot `t % c`. Routers are numbered row-major. Flit source routes,
-//! [`TopologyHealth`] and fault events all live in *router* space.
+//! slot `t % c`. Routers are numbered row-major. [`TopologyHealth`] and
+//! fault events live in *router* space.
 //!
 //! # Wraparound and deadlock (dateline rule)
 //!
@@ -38,9 +38,8 @@
 
 use crate::config::ConfigError;
 use crate::routing::{Routing, TopologyHealth};
-use crate::types::{Coord, NodeId};
+use crate::types::{Coord, NodeId, Vnet};
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 
 /// North network port. The four network ports come first; local ports
 /// follow at `4..4 + concentration`.
@@ -53,11 +52,6 @@ pub const PORT_SOUTH: usize = 2;
 pub const PORT_WEST: usize = 3;
 /// First local (injection/ejection) port.
 pub const PORT_LOCAL: usize = 4;
-
-/// The order every search scans the network ports in, which is what makes
-/// a detour — and the port chosen between two routers a 2-wide torus links
-/// twice — deterministic.
-const SCAN_ORDER: [usize; 4] = [PORT_EAST, PORT_WEST, PORT_NORTH, PORT_SOUTH];
 
 /// The physical interconnect of one chip: a shape and a router grid.
 ///
@@ -310,7 +304,7 @@ impl Topology {
     /// *router* is `dst`, under dimension-order routing. Must not be
     /// called with `at == dst` (ejection is [`Topology::eject_port`],
     /// which needs the tile).
-    fn min_route_port(&self, at: NodeId, dst: NodeId, algo: Routing) -> usize {
+    pub fn min_route_port(&self, at: NodeId, dst: NodeId, algo: Routing) -> usize {
         debug_assert_ne!(at, dst, "min_route_port called at the destination");
         let (a, d) = (self.coord(at), self.coord(dst));
         let x_port = self
@@ -324,32 +318,6 @@ impl Topology {
             Routing::Yx => y_port.or(x_port),
         }
         .expect("at != dst, so one dimension differs")
-    }
-
-    /// The output port at router `at` for a packet heading to *tile*
-    /// `dst`: the ejection port when `at` is the destination's router,
-    /// the DOR port otherwise.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use rcsim_core::routing::Routing;
-    /// use rcsim_core::{NodeId, Topology, PORT_EAST, PORT_LOCAL, PORT_SOUTH};
-    ///
-    /// let mesh = Topology::mesh(4, 4)?;
-    /// // From n0 (0,0) to n5 (1,1): XY goes East first, YX goes South first.
-    /// assert_eq!(mesh.next_hop_port(NodeId(0), NodeId(5), Routing::Xy), PORT_EAST);
-    /// assert_eq!(mesh.next_hop_port(NodeId(0), NodeId(5), Routing::Yx), PORT_SOUTH);
-    /// assert_eq!(mesh.next_hop_port(NodeId(5), NodeId(5), Routing::Xy), PORT_LOCAL);
-    /// # Ok::<(), rcsim_core::ConfigError>(())
-    /// ```
-    pub fn next_hop_port(&self, at: NodeId, dst: NodeId, algo: Routing) -> usize {
-        let dst_router = self.router_of(dst);
-        if at == dst_router {
-            self.eject_port(dst)
-        } else {
-            self.min_route_port(at, dst_router, algo)
-        }
     }
 
     /// The full sequence of *routers* a packet visits between two tiles
@@ -366,6 +334,44 @@ impl Topology {
             path.push(at);
         }
         path
+    }
+
+    /// The one routing decision: the output port at router `at` for a
+    /// packet that arrived through input port `in_port`, heading to *tile*
+    /// `dst` on `vnet` — dimension order, or `health`'s up*/down* table when
+    /// its source NI set the `detour` bit ([`TopologyHealth::detours`]).
+    /// A detoured packet cut off from `dst` keeps DOR and is retried.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use rcsim_core::{NodeId, Topology, TopologyHealth, Vnet};
+    /// use rcsim_core::{PORT_EAST, PORT_LOCAL as INJECTED, PORT_SOUTH};
+    ///
+    /// let (mesh, health) = (Topology::mesh(4, 4)?, TopologyHealth::new());
+    /// let hop = |at, vnet| mesh.route(NodeId(at), INJECTED, NodeId(5), vnet, false, &health);
+    /// // From n0 (0,0) to n5 (1,1): requests go East first, replies South.
+    /// assert_eq!(hop(0, Vnet::Request), PORT_EAST);
+    /// assert_eq!(hop(0, Vnet::Reply), PORT_SOUTH);
+    /// assert_eq!(hop(5, Vnet::Request), INJECTED); // ejects
+    /// # Ok::<(), rcsim_core::ConfigError>(())
+    /// ```
+    pub fn route(
+        &self,
+        at: NodeId,
+        in_port: usize,
+        dst: NodeId,
+        vnet: Vnet,
+        detour: bool,
+        health: &TopologyHealth,
+    ) -> usize {
+        let dst_router = self.router_of(dst);
+        if at == dst_router {
+            return self.eject_port(dst);
+        }
+        let table = detour.then(|| health.next_port(at, self.neighbor(at, in_port), dst_router));
+        (table.flatten())
+            .unwrap_or_else(|| self.min_route_port(at, dst_router, Routing::for_vnet(vnet)))
     }
 
     /// Dateline VC class of the downstream input VC for a hop arriving at
@@ -390,79 +396,6 @@ impl Topology {
             _ => false,
         };
         usize::from(!wraps_ahead)
-    }
-
-    /// The network port leading from router `a` to adjacent router `b`,
-    /// or `None` when the two are not neighbours (scanned E, W, N, S).
-    pub fn port_between(&self, a: NodeId, b: NodeId) -> Option<usize> {
-        SCAN_ORDER
-            .into_iter()
-            .find(|&p| self.neighbor(a, p) == Some(b))
-    }
-
-    /// The output port at router `at` for a packet following a recorded
-    /// router `path` toward tile `dst`: the ejection port at the path's
-    /// end, `None` when `at` is not on the path or the recorded successor
-    /// is not adjacent (caller falls back to plain DOR).
-    pub fn next_hop_on_path(&self, path: &[NodeId], at: NodeId, dst: NodeId) -> Option<usize> {
-        let i = path.iter().position(|&n| n == at)?;
-        match path.get(i + 1) {
-            None => Some(self.eject_port(dst)),
-            Some(&next) => self.port_between(at, next),
-        }
-    }
-
-    /// Shortest healthy router path between the routers of two tiles,
-    /// avoiding dead links, or `None` when the degraded network is
-    /// disconnected between the two. Breadth-first in the fixed E/W/N/S
-    /// order, so the detour is fully deterministic. Detours are *not*
-    /// restricted to dimension order or to any turn model, so deadlock
-    /// freedom is not guaranteed on a degraded network, and single-fault
-    /// detours can close one: on a 4×4 mesh with one dead link, the
-    /// circuit mechanisms' one buffered reply VC wedges in a six-router
-    /// wait-for cycle of packet-switched replies (ROADMAP item 2). The
-    /// watchdog catches such wedges.
-    pub fn route_path_healthy(
-        &self,
-        src: NodeId,
-        dst: NodeId,
-        topo: &TopologyHealth,
-    ) -> Option<Vec<NodeId>> {
-        let src = self.router_of(src);
-        let dst = self.router_of(dst);
-        if src == dst {
-            return Some(vec![src]);
-        }
-        // `prev[router]` is the router it was first reached from (the
-        // start: itself), `UNSEEN` until it is.
-        const UNSEEN: u32 = u32::MAX;
-        let start = src.index();
-        let mut prev = vec![UNSEEN; self.routers()];
-        prev[start] = start as u32;
-        let mut frontier = VecDeque::from([src]);
-        while let Some(at) = frontier.pop_front() {
-            for port in SCAN_ORDER {
-                let Some(nb) = self.neighbor(at, port) else {
-                    continue;
-                };
-                if prev[nb.index()] != UNSEEN || !topo.link_usable(at, nb) {
-                    continue;
-                }
-                prev[nb.index()] = at.index() as u32;
-                if nb == dst {
-                    let mut path = vec![dst, at];
-                    let mut r = at.index();
-                    while r != start {
-                        r = prev[r] as usize;
-                        path.push(NodeId(r as u16));
-                    }
-                    path.reverse();
-                    return Some(path);
-                }
-                frontier.push_back(nb);
-            }
-        }
-        None
     }
 
     /// The tiles where external open-loop traffic enters the chip: every
@@ -578,7 +511,32 @@ impl TopologySpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::routing::path_is_healthy;
+
+    /// The routers a packet from tile `s` to tile `d` on `vnet` visits
+    /// under [`Topology::route`], or `None` where it would cross a dead
+    /// link.
+    fn walk(
+        t: &Topology,
+        health: &TopologyHealth,
+        s: NodeId,
+        d: NodeId,
+        vnet: Vnet,
+    ) -> Option<Vec<NodeId>> {
+        let detour = health.detours(t, s, d, vnet);
+        let (mut at, mut in_port) = (t.router_of(s), PORT_LOCAL);
+        let mut path = vec![at];
+        while at != t.router_of(d) {
+            let port = t.route(at, in_port, d, vnet, detour, health);
+            let nb = t.neighbor(at, port).expect("routes stay on the grid");
+            if !health.link_usable(at, nb) {
+                return None;
+            }
+            assert!(path.len() <= 2 * t.routers(), "{t:?} {s} -> {d} loops");
+            (at, in_port) = (nb, port ^ 2);
+            path.push(at);
+        }
+        Some(path)
+    }
 
     fn all_topologies() -> Vec<Topology> {
         vec![
@@ -618,8 +576,10 @@ mod tests {
         assert_eq!(t.neighbor(NodeId(5), PORT_LOCAL), None);
         for r in t.iter_routers() {
             assert_eq!(t.eject_port(r), PORT_LOCAL);
-            assert_eq!(t.next_hop_port(r, r, Routing::Xy), PORT_LOCAL);
-            assert_eq!(t.next_hop_port(r, r, Routing::Yx), PORT_LOCAL);
+            for vnet in Vnet::ALL {
+                let hop = t.route(r, PORT_LOCAL, r, vnet, false, &TopologyHealth::new());
+                assert_eq!(hop, PORT_LOCAL);
+            }
         }
         // n0 = (0,0), n10 = (2,2): XY goes x first, YX y first.
         assert_eq!(
@@ -788,8 +748,10 @@ mod tests {
             assert_eq!(ring.ports(), torus.ports());
             assert_eq!(ring.has_wrap(), torus.has_wrap());
             assert_eq!(ring.edge_nodes(), torus.edge_nodes());
-            let mut health = TopologyHealth::new();
-            health.kill_link(NodeId(0), NodeId(1));
+            let (mut ring_health, mut torus_health) =
+                (TopologyHealth::new(), TopologyHealth::new());
+            ring_health.kill_link(&ring, NodeId(0), NodeId(1));
+            torus_health.kill_link(&torus, NodeId(0), NodeId(1));
             for a in ring.iter_routers() {
                 assert_eq!(ring.coord(a), torus.coord(a));
                 assert_eq!(ring.router_of(a), torus.router_of(a));
@@ -800,19 +762,20 @@ mod tests {
                 }
                 for b in ring.iter_routers() {
                     assert_eq!(ring.distance(a, b), torus.distance(a, b));
-                    assert_eq!(ring.port_between(a, b), torus.port_between(a, b));
-                    assert_eq!(
-                        ring.route_path_healthy(a, b, &health),
-                        torus.route_path_healthy(a, b, &health)
-                    );
+                    for vnet in Vnet::ALL {
+                        assert_eq!(
+                            walk(&ring, &ring_health, a, b, vnet),
+                            walk(&torus, &torus_health, a, b, vnet)
+                        );
+                        for in_port in [PORT_EAST, PORT_WEST, PORT_LOCAL] {
+                            let route = |t: &Topology, h| t.route(a, in_port, b, vnet, true, h);
+                            assert_eq!(route(&ring, &ring_health), route(&torus, &torus_health));
+                        }
+                    }
                     for port in 0..PORT_LOCAL {
                         assert_eq!(ring.vc_class(a, b, port), torus.vc_class(a, b, port));
                     }
                     for algo in [Routing::Xy, Routing::Yx] {
-                        assert_eq!(
-                            ring.next_hop_port(a, b, algo),
-                            torus.next_hop_port(a, b, algo)
-                        );
                         assert_eq!(ring.route_path(a, b, algo), torus.route_path(a, b, algo));
                     }
                 }
@@ -863,60 +826,68 @@ mod tests {
     }
 
     #[test]
-    fn healthy_search_is_minimal_on_a_healthy_network() {
+    fn a_healthy_chip_routes_in_dimension_order() {
         for t in all_topologies() {
             let health = TopologyHealth::new();
-            for s in t.iter_tiles() {
+            for at in t.iter_routers() {
                 for d in t.iter_tiles() {
-                    let p = t.route_path_healthy(s, d, &health).unwrap();
-                    assert_eq!(p.first(), Some(&t.router_of(s)));
-                    assert_eq!(p.last(), Some(&t.router_of(d)));
-                    assert_eq!(p.len() as u32, t.hop_count(s, d) + 1, "{t:?} s={s} d={d}");
-                    assert!(path_is_healthy(&t.route_path(s, d, Routing::Xy), &health));
+                    for vnet in Vnet::ALL {
+                        let dor = match t.router_of(d) {
+                            dst if dst == at => t.eject_port(d),
+                            dst => t.min_route_port(at, dst, Routing::for_vnet(vnet)),
+                        };
+                        for in_port in 0..t.ports() {
+                            assert_eq!(t.route(at, in_port, d, vnet, false, &health), dor);
+                        }
+                        assert!(!health.detours(&t, t.tile_of(at, 0), d, vnet));
+                    }
                 }
             }
         }
     }
 
     #[test]
-    fn dead_link_breaks_path_and_search_detours() {
+    fn a_dead_link_detours_the_pairs_whose_dor_path_crosses_it() {
         let m = Topology::mesh(4, 4).unwrap();
-        let mut topo = TopologyHealth::new();
+        let mut health = TopologyHealth::new();
         // Kill the (1)-(2) link on n0 -> n10's XY path.
-        topo.kill_link(NodeId(2), NodeId(1));
-        assert!(topo.is_degraded());
-        assert!(!topo.link_usable(NodeId(1), NodeId(2)));
-        let dor = m.route_path(NodeId(0), NodeId(10), Routing::Xy);
-        assert!(!path_is_healthy(&dor, &topo));
-
-        let detour = m.route_path_healthy(NodeId(0), NodeId(10), &topo).unwrap();
-        assert_eq!(detour.first(), Some(&NodeId(0)));
-        assert_eq!(detour.last(), Some(&NodeId(10)));
-        assert!(path_is_healthy(&detour, &topo));
-        // Single dead link off the bounding box: detour stays minimal.
+        health.kill_link(&m, NodeId(2), NodeId(1));
+        assert!(health.detours(&m, NodeId(0), NodeId(10), Vnet::Request));
+        let detour = walk(&m, &health, NodeId(0), NodeId(10), Vnet::Request).unwrap();
+        assert_eq!(
+            (detour[0], detour[detour.len() - 1]),
+            (NodeId(0), NodeId(10))
+        );
+        // Single dead link off the bounding box: the detour stays minimal.
         assert_eq!(detour.len() as u32, m.distance(NodeId(0), NodeId(10)) + 1);
-        assert!(path_is_healthy(&dor, &TopologyHealth::new()));
+        // A pair whose XY path misses the link keeps it.
+        assert!(!health.detours(&m, NodeId(4), NodeId(7), Vnet::Request));
+        assert_eq!(
+            walk(&m, &health, NodeId(4), NodeId(7), Vnet::Request).unwrap(),
+            m.route_path(NodeId(4), NodeId(7), Routing::Xy)
+        );
     }
 
     /// Kills every link of router `r`.
     fn isolate(t: &Topology, topo: &mut TopologyHealth, r: NodeId) {
         for port in 0..PORT_LOCAL {
             if let Some(nb) = t.neighbor(r, port) {
-                topo.kill_link(r, nb);
+                topo.kill_link(t, r, nb);
             }
         }
     }
 
     #[test]
-    fn disconnected_corner_returns_none() {
+    fn a_cut_off_router_has_no_table_route() {
         // Cut every link of router 0: the mesh corner's two, the torus
         // corner's four, the ring node's two.
         for t in all_topologies() {
-            let mut topo = TopologyHealth::new();
-            isolate(&t, &mut topo, NodeId(0));
-            let far = NodeId(t.nodes() as u16 - 1);
-            assert!(t.route_path_healthy(NodeId(0), far, &topo).is_none());
-            assert!(t.route_path_healthy(far, NodeId(0), &topo).is_none());
+            let mut health = TopologyHealth::new();
+            isolate(&t, &mut health, NodeId(0));
+            let far = t.router_of(NodeId(t.nodes() as u16 - 1));
+            assert_eq!(health.next_port(NodeId(0), None, far), None);
+            assert_eq!(health.next_port(far, None, NodeId(0)), None);
+            assert_eq!(walk(&t, &health, NodeId(0), far, Vnet::Request), None);
         }
     }
 
@@ -929,36 +900,22 @@ mod tests {
             Topology::ring(64).unwrap(),
         ] {
             let mut topo = TopologyHealth::new();
-            topo.kill_link(NodeId(9), NodeId(10));
+            topo.kill_link(&t, NodeId(9), NodeId(10));
             isolate(&t, &mut topo, NodeId(27));
+            let mut again = topo.clone();
+            again.rebuild(&t);
+            assert_eq!(again, topo, "{t:?}");
             for s in t.iter_tiles() {
                 for d in [0u16, 7, 35, 63].map(NodeId) {
-                    let a = t.route_path_healthy(s, d, &topo);
-                    assert_eq!(a, t.route_path_healthy(s, d, &topo), "{t:?} s={s} d={d}");
+                    let a = walk(&t, &topo, s, d, Vnet::Request);
                     // The two faults cut a ring into the arcs 10..=26 and
                     // 28..=9; a grid stays connected around them.
                     let same_arc = (10..27).contains(&s.0) == (10..27).contains(&d.0);
                     let connected = s != NodeId(27) && (t.dims().1 > 1 || same_arc);
                     assert_eq!(a.is_some(), connected, "{t:?} s={s} d={d}");
-                    assert!(a.is_none_or(|p| path_is_healthy(&p, &topo)));
                 }
             }
         }
-    }
-
-    #[test]
-    fn next_hop_on_path_follows_recording() {
-        let m = Topology::mesh(4, 4).unwrap();
-        let p = [0, 1, 5, 6].map(NodeId);
-        let dst = NodeId(6);
-        assert_eq!(m.next_hop_on_path(&p, NodeId(0), dst), Some(PORT_EAST));
-        assert_eq!(m.next_hop_on_path(&p, NodeId(1), dst), Some(PORT_SOUTH));
-        assert_eq!(m.next_hop_on_path(&p, NodeId(6), dst), Some(PORT_LOCAL));
-        // Off-path routers fall back to DOR (None).
-        assert_eq!(m.next_hop_on_path(&p, NodeId(9), dst), None);
-        // Non-adjacent successor (corrupt recording) also falls back.
-        let bad = [NodeId(0), NodeId(10)];
-        assert_eq!(m.next_hop_on_path(&bad, NodeId(0), NodeId(10)), None);
     }
 
     #[test]

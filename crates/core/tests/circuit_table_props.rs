@@ -8,7 +8,7 @@
 use proptest::prelude::*;
 use rcsim_core::circuit::{CircuitKey, ReserveError, ReserveRequest, RouterCircuits};
 use rcsim_core::routing::Routing;
-use rcsim_core::{CircuitMode, NodeId, Topology};
+use rcsim_core::{CircuitMode, NodeId, Topology, PORT_LOCAL};
 use std::collections::BTreeMap;
 
 const PORTS: [usize; 5] = [0, 1, 2, 3, 4];
@@ -240,6 +240,13 @@ fn topo_strategy() -> impl Strategy<Value = Topology> {
     ]
 }
 
+/// The network port from router `a` to its neighbour `b`.
+fn port_between(topo: &Topology, a: NodeId, b: NodeId) -> usize {
+    (0..PORT_LOCAL)
+        .find(|&p| topo.neighbor(a, p) == Some(b))
+        .expect("adjacent routers")
+}
+
 /// The per-router reservations a request travelling `path` (router ids,
 /// src-side first) writes for its reply: at each router the reply arrives
 /// from the dst side and leaves towards the src side; the endpoints use
@@ -253,14 +260,12 @@ fn reply_ports_along(
     let mut out = Vec::with_capacity(path.len());
     for (j, r) in path.iter().enumerate() {
         let in_port = if j + 1 < path.len() {
-            topo.port_between(*r, path[j + 1])
-                .expect("adjacent routers")
+            port_between(topo, *r, path[j + 1])
         } else {
             topo.eject_port(dst_tile)
         };
         let out_port = if j > 0 {
-            topo.port_between(*r, path[j - 1])
-                .expect("adjacent routers")
+            port_between(topo, *r, path[j - 1])
         } else {
             topo.eject_port(src_tile)
         };

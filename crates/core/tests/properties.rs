@@ -4,8 +4,10 @@
 use proptest::prelude::*;
 use rcsim_core::circuit::timing::TimeWindow;
 use rcsim_core::circuit::{CircuitKey, ReserveRequest, RouterCircuits};
-use rcsim_core::routing::{path_is_healthy, Routing, TopologyHealth};
-use rcsim_core::{CircuitMode, NodeId, Topology, PORT_LOCAL};
+mod cdg;
+
+use rcsim_core::routing::{Routing, TopologyHealth};
+use rcsim_core::{CircuitMode, NodeId, Topology, Vnet, PORT_LOCAL};
 
 /// Any of the four shapes on a small grid (a ring over `w * h` nodes),
 /// with two of its tiles.
@@ -54,7 +56,7 @@ proptest! {
     #[test]
     fn next_hop_stays_inside((t, a, b) in topology_and_pair()) {
         let at = t.router_of(a);
-        let port = t.next_hop_port(at, b, Routing::Xy);
+        let port = t.route(at, PORT_LOCAL, b, Vnet::Request, false, &TopologyHealth::new());
         if at == t.router_of(b) {
             prop_assert_eq!(port, PORT_LOCAL + t.local_slot(b));
         } else {
@@ -75,9 +77,9 @@ proptest! {
     }
 
     /// No shape here has a bridge (a ring has two ways round), so a
-    /// detour around one dead link exists: a healthy path between the
-    /// same routers, found again by the same search, and — where there is
-    /// a second dimension to step aside into — at most two hops longer.
+    /// detour around one dead link exists: a healthy route between the
+    /// same routers, the same from a second table built from the same
+    /// dead link, and no shorter than dimension order.
     #[test]
     fn single_fault_detours_are_healthy_and_deterministic(
         (t, a, b) in topology_and_pair(),
@@ -87,18 +89,18 @@ proptest! {
         let mut health = TopologyHealth::new();
         if dor.len() > 1 {
             let i = cut % (dor.len() - 1);
-            health.kill_link(dor[i], dor[i + 1]);
+            health.kill_link(&t, dor[i], dor[i + 1]);
         }
-        let detour = t.route_path_healthy(a, b, &health);
-        prop_assert_eq!(&detour, &t.route_path_healthy(a, b, &health));
-        let detour = detour.expect("one dead link disconnects nothing");
-        prop_assert!(path_is_healthy(&detour, &health));
+        let mut again = TopologyHealth::new();
+        for (x, y) in health.dead_links_sorted() {
+            again.kill_link(&t, x, y);
+        }
+        let detour = cdg::route_hops(&t, &health, Vnet::Request, a, b);
+        prop_assert_eq!(&detour, &cdg::route_hops(&t, &again, Vnet::Request, a, b));
+        let detour = cdg::routers(&detour.expect("one dead link disconnects nothing"));
         prop_assert_eq!(detour.first(), dor.first());
         prop_assert_eq!(detour.last(), dor.last());
         prop_assert!(detour.len() >= dor.len());
-        if t.dims().1 > 1 {
-            prop_assert!(detour.len() <= dor.len() + 2);
-        }
     }
 
     /// Window overlap is symmetric and consistent with an exhaustive

@@ -22,8 +22,9 @@
 //! * **Dead link** — a scheduled [`DeadLinkEvent`] removes one
 //!   bidirectional inter-router link. A packet whose head is routed onto
 //!   it is lost whole, through the same eat bit; the live
-//!   [`TopologyHealth`] map makes new packets detour around it and tears
-//!   down every circuit whose reply path crossed it (DESIGN.md §10).
+//!   [`TopologyHealth`] map sends new packets whose DOR path it breaks
+//!   along its up*/down* table and tears down every circuit whose reply
+//!   would now detour (DESIGN.md §10).
 //!   Dead links are the only topology fault: a router-sized obstacle is
 //!   every link of that router dead, and the router's tiles stay reachable
 //!   only from themselves.
@@ -159,8 +160,8 @@ pub struct FaultStats {
     pub retransmissions: u64,
     /// Packets abandoned after exhausting their retries.
     pub packets_abandoned: u64,
-    /// Packets that left their source on a detour because the DOR path
-    /// crossed a dead link.
+    /// Packets that left their source with the detour bit set: their DOR
+    /// path crossed a dead link or was not up*/down*-legal.
     #[serde(default)]
     pub packets_rerouted: u64,
     /// Circuit-table entries torn down at fault onset because their reply

@@ -233,11 +233,6 @@ pub(crate) struct Packet {
     /// The id [`crate::Network::inject`] returned and traces print; a slot
     /// is reused, the id is not, so it doubles as the slot's generation.
     pub id: PacketId,
-    /// Recorded source route: the router sequence the current copy must
-    /// follow, set by the source NI when DOR would cross a dead link or
-    /// router (replies to a detoured request retrace it reversed,
-    /// DESIGN.md §10). `None` for the ordinary DOR case.
-    pub path: Option<Vec<NodeId>>,
     pub src: NodeId,
     /// Destination of the *current traversal*: the circuit's end while
     /// `scrounger_final` is set, else the packet's real destination.
@@ -247,6 +242,10 @@ pub(crate) struct Packet {
     pub scrounger_final: Option<NodeId>,
     pub class: MessageClass,
     pub vnet: Vnet,
+    /// The detour bit its source NI set at the current copy's head
+    /// emission: routers follow the up*/down* table instead of DOR
+    /// ([`rcsim_core::TopologyHealth::detours`], DESIGN.md §10).
+    pub detour: bool,
     /// The reply committed to riding its own complete circuit at inject.
     pub committed: bool,
     /// A head was emitted and counted as this packet's injection.
@@ -288,12 +287,12 @@ impl Packet {
     pub(crate) fn new(id: PacketId, spec: &PacketSpec, len: u32, now: Cycle) -> Packet {
         Packet {
             id,
-            path: None,
             src: spec.src,
             dst: spec.dst,
             scrounger_final: None,
             class: spec.class,
             vnet: spec.class.vnet(),
+            detour: false,
             committed: false,
             counted: false,
             closed: false,

@@ -19,11 +19,10 @@ use crate::ni::{self, Ni, NiOut};
 use crate::router::{self, bits, Router};
 use crate::stats::{CircuitOutcome, NocStats};
 use rcsim_core::circuit::CircuitKey;
-use rcsim_core::routing::{path_is_healthy, Routing};
 use rcsim_core::table4::BUFFER_DEPTH;
 use rcsim_core::{
     skip_law, superset_law, ConfigError, Cycle, KernelMode, NodeId, StateSet, Stateful,
-    TopologyHealth, PORT_LOCAL,
+    TopologyHealth, Vnet, PORT_LOCAL,
 };
 use rcsim_trace::{ClassLabel, EventKind, TraceSink};
 use serde::{Deserialize, Serialize};
@@ -602,7 +601,14 @@ impl Network {
                 }
                 moved |= !s.arrivals.is_empty();
                 links.from = NodeId(i as u16);
-                router.tick(now, &mut s.arrivals, &mut s.undos, packets, &mut links);
+                router.tick(
+                    now,
+                    &mut s.arrivals,
+                    &mut s.undos,
+                    packets,
+                    links.topo,
+                    &mut links,
+                );
                 links.settle(packets);
                 s.router_busy[w] |= u64::from(router.is_busy()) << b;
                 s.timed[w] |= u64::from(router.holds_timed()) << b;
@@ -728,7 +734,7 @@ impl Network {
                 break;
             }
             self.state.fault_cursor += 1;
-            self.state.topo.kill_link(a, b);
+            self.state.topo.kill_link(&self.cfg.topology, a, b);
             self.sink.emit(|| rcsim_trace::TraceEvent {
                 cycle: now,
                 kind: EventKind::LinkDead { a: a.0, b: b.0 },
@@ -741,9 +747,9 @@ impl Network {
 
     /// Fault-onset circuit recovery: removes every circuit-table entry —
     /// at every router and input port — belonging to a circuit whose
-    /// reply path (YX from the circuit's source to its requestor, the
-    /// route the reply itself would take) crosses a dead link, and
-    /// purges the matching NI origins. A reply already committed to a
+    /// reply would now detour (its YX path from the circuit's source to
+    /// its requestor is not both healthy and up*/down*-legal), and purges
+    /// the matching NI origins. A reply already committed to a
     /// torn circuit limps home through the pipeline and is reclassified
     /// `FaultDegraded` on delivery; one not yet enqueued finds its origin
     /// gone and records `TornDown`.
@@ -751,18 +757,12 @@ impl Network {
         let topology = self.cfg.topology;
         let ports = topology.ports();
         // Ordered, so the `CircuitTear` trace events are too.
-        let mut doomed: BTreeSet<CircuitKey> = BTreeSet::new();
-        for r in &self.routers {
-            for (_, e, _) in r.state.circuits.stale_entries(now, 0) {
-                if doomed.contains(&e.key) {
-                    continue;
-                }
-                let reply_path = topology.route_path(e.source, e.key.requestor, Routing::Yx);
-                if !path_is_healthy(&reply_path, &self.state.topo) {
-                    doomed.insert(e.key);
-                }
-            }
-        }
+        let health = &self.state.topo;
+        let doomed: BTreeSet<CircuitKey> = (self.routers.iter())
+            .flat_map(|r| r.state.circuits.stale_entries(now, 0))
+            .filter(|(_, e, _)| health.detours(&topology, e.source, e.key.requestor, Vnet::Reply))
+            .map(|(_, e, _)| e.key)
+            .collect();
         if doomed.is_empty() {
             return;
         }
@@ -814,9 +814,11 @@ impl Network {
     }
 
     /// `true` when nothing is queued or travelling. Packets abandoned by
-    /// the fault layer after exhausting their retries count as resolved.
+    /// the fault layer after exhausting their retries count as resolved
+    /// once the flits of their lost copies have drained.
     pub fn is_quiescent(&self) -> bool {
-        self.nis.iter().all(|ni| ni.backlog() == 0)
+        self.state.packets.records().occupied() == 0
+            && self.nis.iter().all(|ni| ni.backlog() == 0)
             && !self.state.router_links.carries_traffic()
             && !self.state.ni_links.carries_traffic()
             && self.state.retry_queue.is_empty()
@@ -1095,6 +1097,7 @@ impl Network {
     /// kept. Panics as [`Stateful::restore`] does.
     pub fn restore(&mut self, snap: &NetworkSnapshot) {
         self.state.clone_from(&snap.state);
+        self.state.topo.rebuild(&self.cfg.topology);
         self.routers.restore(&snap.routers);
         self.nis.restore(&snap.nis);
         self.faults.restore(&snap.faults);
@@ -1113,7 +1116,14 @@ fn router_laws(i: usize, now: Cycle, router: &mut Router, packets: &mut Packets,
     superset_law("router", i, now, !router.is_busy() && !router.expires(now));
     skip_law("router", i, now, router, |r| {
         let mut probe = Probe::new(links.credits.router(i), links.sink);
-        r.tick(now, &mut Vec::new(), &mut Vec::new(), packets, &mut probe);
+        r.tick(
+            now,
+            &mut Vec::new(),
+            &mut Vec::new(),
+            packets,
+            links.topo,
+            &mut probe,
+        );
         probe.quiet()
     });
 }

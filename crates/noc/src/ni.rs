@@ -10,7 +10,6 @@ use crate::links::LinkSink;
 use crate::router::alloc::RoundRobin;
 use crate::stats::{CircuitOutcome, NocStats};
 use rcsim_core::circuit::{CircuitHandle, CircuitKey};
-use rcsim_core::routing::{path_is_healthy, Routing};
 use rcsim_core::table4::{BUFFER_DEPTH, LINK_LATENCY};
 use rcsim_core::{
     CircuitMode, Cycle, MechanismConfig, MessageClass, NodeId, StateMap, StateSet, Topology,
@@ -77,8 +76,8 @@ struct Origin {
 pub(crate) struct NiOut {
     /// Fully received packets for the tile logic, with their record's slot.
     pub delivered: Vec<(u32, Delivered)>,
-    /// Packets this tick sent on a recorded detour because their DOR path
-    /// crossed a dead link (added to the fault counters).
+    /// Packets this tick sent with the detour bit set (added to the fault
+    /// counters).
     pub reroutes: u64,
     /// The statistics-counted injection this tick started, if any (class
     /// and flit count of the head emitted with `count_injection` set). At
@@ -114,14 +113,6 @@ pub(crate) struct State {
     /// are back-to-back and never overlap).
     circuit_link_free_at: Cycle,
     origins: StateMap<CircuitKey, Origin>,
-    /// Reversed source routes of detoured requests delivered here, keyed
-    /// by `(requestor, block)`: consumed when the matching reply is
-    /// emitted so it retraces the request's detour instead of a freshly
-    /// recomputed route (path symmetry, DESIGN.md §10). Bounded FIFO.
-    reply_paths: StateMap<(NodeId, u64), Vec<NodeId>>,
-    /// The keys of `reply_paths`, each once, oldest first: the eviction
-    /// order. A key leaves it when its path is consumed or evicted.
-    reply_path_order: VecDeque<(NodeId, u64)>,
     /// Circuit origins removed by fault-recovery teardown; consumed when
     /// the reply shows up to record the `TornDown` outcome.
     torn: StateSet<CircuitKey>,
@@ -165,8 +156,6 @@ impl Ni {
                 circuit_active: None,
                 circuit_link_free_at: 0,
                 origins: StateMap::default(),
-                reply_paths: StateMap::default(),
-                reply_path_order: VecDeque::new(),
                 torn: StateSet::default(),
                 pending_undos: Vec::new(),
             },
@@ -468,16 +457,6 @@ impl Ni {
             }
         }
 
-        if p.vnet == Vnet::Request {
-            if let Some(path) = &p.path {
-                // A detoured request: remember its route reversed so the
-                // reply retraces it (path symmetry, DESIGN.md §10).
-                let mut rev = path.clone();
-                rev.reverse();
-                self.record_reply_path((p.src, p.block), rev);
-            }
-        }
-
         // The delivery statistic is replayed by the network from the
         // `Delivered` record below: its arguments — class, queueing delay
         // (`injected_at - created_at`) and network latency
@@ -640,80 +619,24 @@ impl Ni {
                     node: self.node.0,
                 },
             });
-            p.path = None;
-            if topo.is_degraded() && p.dst != self.node {
-                p.path = self.plan_detour(p, now, topo, out);
+            p.detour = topo.detours(&self.topology, self.node, p.dst, p.vnet);
+            if p.detour {
+                // A detoured request reserves nothing: its reply detours
+                // too, so it would not retrace the reservations (§4.1).
+                p.circuit = None;
+                out.reroutes += 1;
+                self.sink.emit(|| TraceEvent {
+                    cycle: now,
+                    kind: EventKind::NiReroute {
+                        packet: p.id.0,
+                        node: self.node.0,
+                    },
+                });
             }
         }
         let flit = Flit::new(s.slot, s.next_seq, p.len, s.vc, s.tags);
         s.next_seq += 1;
         flit
-    }
-
-    /// When the packet's DOR route crosses a dead link, the detour to
-    /// record in its record: the reversed route of the request it answers
-    /// when one was recorded (path symmetry, DESIGN.md §10), else a
-    /// deterministic BFS around the dead links. `None` when DOR is healthy
-    /// (the ordinary case, bit-identical to a fault-free run) or when no
-    /// healthy route exists at all — then the flit is emitted on DOR and
-    /// the end-to-end retry/abandon machinery takes over.
-    fn plan_detour(
-        &mut self,
-        p: &mut Packet,
-        now: Cycle,
-        topo: &TopologyHealth,
-        out: &mut NiOut,
-    ) -> Option<Vec<NodeId>> {
-        let dor = self
-            .topology
-            .route_path(self.node, p.dst, Routing::for_vnet(p.vnet));
-        if path_is_healthy(&dor, topo) {
-            return None;
-        }
-        let my_router = self.topology.router_of(self.node);
-        let recorded = if p.vnet == Vnet::Reply {
-            self.take_reply_path((p.dst, p.block))
-                .filter(|r| r.first() == Some(&my_router) && path_is_healthy(r, topo))
-        } else {
-            None
-        };
-        let detour =
-            recorded.or_else(|| self.topology.route_path_healthy(self.node, p.dst, topo))?;
-        // A detoured request reserves nothing: the reservation mirror
-        // assumes the reply retraces the request's DOR route (§4.1),
-        // which the detour breaks.
-        p.circuit = None;
-        out.reroutes += 1;
-        self.sink.emit(|| TraceEvent {
-            cycle: now,
-            kind: EventKind::NiReroute {
-                packet: p.id.0,
-                node: self.node.0,
-            },
-        });
-        Some(detour)
-    }
-
-    /// Remembers the reversed route of a detoured request so its reply can
-    /// retrace it. Bounded: the oldest recorded route is evicted first.
-    fn record_reply_path(&mut self, key: (NodeId, u64), rev: Vec<NodeId>) {
-        const REPLY_PATH_CAP: usize = 256;
-        if self.state.reply_paths.insert(key, rev).is_none() {
-            self.state.reply_path_order.push_back(key);
-        }
-        if self.state.reply_paths.len() > REPLY_PATH_CAP {
-            let oldest = self.state.reply_path_order.pop_front();
-            let oldest = oldest.expect("one order slot per recorded path");
-            self.state.reply_paths.remove(&oldest);
-        }
-    }
-
-    /// Consumes the recorded reply path for `key`, if any, with its
-    /// order slot.
-    fn take_reply_path(&mut self, key: (NodeId, u64)) -> Option<Vec<NodeId>> {
-        let path = self.state.reply_paths.remove(&key)?;
-        self.state.reply_path_order.retain(|&k| k != key);
-        Some(path)
     }
 
     /// The packet copies this NI holds, as `(slot, flits sent)`: `None`
@@ -748,8 +671,6 @@ impl Ni {
             circuit_active: _,
             circuit_link_free_at: _,
             origins: _,
-            reply_paths: _,
-            reply_path_order: _,
             torn: _,
             pending_undos: _,
         } = state;

@@ -23,7 +23,9 @@ use rcsim_core::circuit::timing::{nominal_inject, router_window};
 use rcsim_core::circuit::{CircuitKey, ReserveRequest, RouterCircuits};
 use rcsim_core::routing::Routing;
 use rcsim_core::table4::{BUFFER_DEPTH, INJECT_OVERHEAD, LINK_LATENCY, REQ_VCS};
-use rcsim_core::{CircuitMode, Cycle, MechanismConfig, NodeId, Topology, Vnet, PORT_LOCAL};
+use rcsim_core::{
+    CircuitMode, Cycle, MechanismConfig, NodeId, Topology, TopologyHealth, Vnet, PORT_LOCAL,
+};
 use rcsim_trace::{EventKind, TraceEvent, TraceSink};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -372,13 +374,15 @@ impl Router {
     /// this router this cycle, as its link registers hand them over
     /// (drained in place so the caller can reuse the buffers); produced
     /// messages go straight onto `out`, and the router's credits are
-    /// `out`'s wires, read at `now`. Flits are handles into `packets`.
+    /// `out`'s wires, read at `now`. Flits are handles into `packets`;
+    /// detoured heads route by `health`'s up*/down* table.
     pub(crate) fn tick(
         &mut self,
         now: Cycle,
         arrivals: &mut Vec<(usize, Flit)>,
         undos: &mut Vec<(CircuitKey, NodeId)>,
         packets: &mut Packets,
+        health: &TopologyHealth,
         out: &mut impl LinkSink,
     ) {
         self.out_busy = 0;
@@ -396,9 +400,9 @@ impl Router {
         }
 
         // Retry queued bypass flits (in order per input), then arrivals.
-        self.drain_bypass_retries(now, packets, out);
+        self.drain_bypass_retries(now, packets, health, out);
         for (port, flit) in arrivals.drain(..) {
-            self.receive(now, port, flit, packets, out);
+            self.receive(now, port, flit, packets, health, out);
         }
 
         self.stage_st(now, packets, out);
@@ -451,10 +455,11 @@ impl Router {
             // No reservation here (fragmented gap, or already expired):
             // keep following the reply path towards the destination.
             None => {
-                if self.node == self.topology.router_of(dst) {
+                let to = self.topology.router_of(dst);
+                if self.node == to {
                     return;
                 }
-                self.topology.next_hop_port(self.node, dst, Routing::Yx)
+                self.topology.min_route_port(self.node, to, Routing::Yx)
             }
         };
         if port < PORT_LOCAL {
@@ -470,7 +475,13 @@ impl Router {
         out.undo(port, key, key.requestor, now + Cycle::from(LINK_LATENCY));
     }
 
-    fn drain_bypass_retries(&mut self, now: Cycle, packets: &mut Packets, out: &mut impl LinkSink) {
+    fn drain_bypass_retries(
+        &mut self,
+        now: Cycle,
+        packets: &mut Packets,
+        health: &TopologyHealth,
+        out: &mut impl LinkSink,
+    ) {
         for p in bits(self.occ.retries) {
             // Decide on the queue head in place; pop only to act.
             while let Some(&front) = self.state.bypass_retry[p].front() {
@@ -490,7 +501,7 @@ impl Router {
                             break;
                         }
                         let flit = self.pop_retry(p);
-                        self.buffer_flit(now, p, flit, packets);
+                        self.buffer_flit(now, p, flit, packets, health);
                     }
                 }
             }
@@ -582,6 +593,7 @@ impl Router {
         port: usize,
         flit: Flit,
         packets: &mut Packets,
+        health: &TopologyHealth,
         out: &mut impl LinkSink,
     ) {
         if flit.rides() {
@@ -604,7 +616,7 @@ impl Router {
                 BypassCheck::Pipeline => {}
             }
         }
-        self.buffer_flit(now, port, flit, packets);
+        self.buffer_flit(now, port, flit, packets, health);
     }
 
     /// One-cycle circuit traversal: straight through the crossbar (§4.3).
@@ -677,7 +689,14 @@ impl Router {
     }
 
     /// Stage 1: buffer write and route computation.
-    fn buffer_flit(&mut self, now: Cycle, port: usize, flit: Flit, packets: &Packets) {
+    fn buffer_flit(
+        &mut self,
+        now: Cycle,
+        port: usize,
+        flit: Flit,
+        packets: &Packets,
+        health: &TopologyHealth,
+    ) {
         let slot = self.slot(port, flit.vc.into());
         if flit.is_head() && !self.state.vcs[slot].is_idle() {
             // A head whose fallback VC is still draining an earlier
@@ -692,15 +711,8 @@ impl Router {
         }
         self.state.activity.buffer_writes += 1;
         if flit.is_head() {
-            // Detoured packets follow the source route recorded for them
-            // (DESIGN.md §10); everything else routes DOR.
-            let packet = &packets[flit.slot];
-            let routing = Routing::for_vnet(packet.vnet);
-            let hop = packet
-                .path
-                .as_deref()
-                .and_then(|p| self.topology.next_hop_on_path(p, self.node, packet.dst))
-                .unwrap_or_else(|| self.topology.next_hop_port(self.node, packet.dst, routing));
+            let p = &packets[flit.slot];
+            let hop = (self.topology).route(self.node, port, p.dst, p.vnet, p.detour, health);
             let vc = &mut self.state.vcs[slot];
             vc.route = Some(hop as u8);
             vc.state = VcState::WaitVa;
@@ -1414,7 +1426,14 @@ mod tests {
         mut arrivals: Vec<(usize, Flit)>,
     ) -> Vec<Outgoing> {
         let Lone { router, sink } = r;
-        router.tick(now, &mut arrivals, &mut Vec::new(), packets, sink);
+        router.tick(
+            now,
+            &mut arrivals,
+            &mut Vec::new(),
+            packets,
+            &TopologyHealth::new(),
+            sink,
+        );
         std::mem::take(&mut sink.sent)
     }
 
@@ -1701,7 +1720,14 @@ mod tests {
             .expect("reservation succeeds");
         let Lone { router, sink } = &mut r;
         let undos = &mut vec![(key, NodeId(4))];
-        router.tick(5, &mut Vec::new(), undos, &mut Packets::default(), sink);
+        router.tick(
+            5,
+            &mut Vec::new(),
+            undos,
+            &mut Packets::default(),
+            &TopologyHealth::new(),
+            sink,
+        );
         assert_eq!(r.state.circuits.total_entries(), 0);
         assert!(r
             .sink

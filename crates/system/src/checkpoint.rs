@@ -32,7 +32,7 @@ use std::path::Path;
 
 /// Bumped whenever the snapshot layout changes incompatibly. A checkpoint
 /// carrying any other version is treated as a clean miss, never an error.
-pub const CHECKPOINT_FORMAT_VERSION: u32 = 17;
+pub const CHECKPOINT_FORMAT_VERSION: u32 = 18;
 
 const CHECKPOINT: Envelope = Envelope {
     magic: "rcsim-checkpoint",

@@ -1,9 +1,10 @@
 //! Full-system permanent-fault acceptance layer (DESIGN.md §10): a chip
 //! with permanently dead links must finish its run with every
-//! coherence request answered — requests detour, replies retrace the
-//! recorded reverse path, circuits over the dead region are torn down and
-//! rebuilt elsewhere, and (when the NoC's own retransmissions are turned
-//! off) the L1 reissue timeout re-drives lost requests. The degraded
+//! coherence request answered — a pair whose dimension-order path the dead
+//! links break detours along the up*/down* table in both directions,
+//! circuits over the dead region are torn down and rebuilt elsewhere, and
+//! (when the NoC's own retransmissions are turned off) the L1 reissue
+//! timeout re-drives lost requests. The degraded
 //! chip must also stay deterministic: repeated runs are reproducible, and
 //! in debug builds every run checks the two worklist laws (DESIGN.md §9)
 //! through the onsets, detours and reissues.
@@ -143,4 +144,70 @@ fn degraded_runs_are_reproducible() {
         serde_json::to_string(&b).unwrap(),
         "identical configs produced different results"
     );
+}
+
+/// The dead-link wedge matrix at one seed: a 4×4 chip with link 5–6 dead
+/// from cycle 0, no warm-up and 200 000 measured cycles, under
+/// `Baseline`, `Complete` and `Complete_NoAck` on `canneal` and
+/// `blackscholes`. Returns the runs that did not drain, with why. When
+/// routers left dimension order for breadth-first detours and replies
+/// retraced them reversed, the circuit mechanisms wedged here on a
+/// six-router cycle of reply VCs (1, 2, 6, 10, 9, 5); every route on the
+/// degraded chip is now up*/down*-legal.
+fn wedge_matrix(seed: u64) -> Vec<String> {
+    let mechanisms = [
+        MechanismConfig::baseline(),
+        MechanismConfig::complete(),
+        MechanismConfig::complete_noack(),
+    ];
+    let runs = ["canneal", "blackscholes"].map(|app| mechanisms.map(|m| (app, m)));
+    std::thread::scope(|scope| {
+        let runs: Vec<_> = (runs.into_iter().flatten())
+            .map(|(app, m)| scope.spawn(move || drains(seed, app, m)))
+            .collect();
+        let outcomes = runs
+            .into_iter()
+            .map(|run| run.join().expect("run panicked"));
+        outcomes.filter_map(Result::err).collect()
+    })
+}
+
+/// One run of [`wedge_matrix`]: `Err` with why when it does not drain.
+fn drains(seed: u64, app: &str, m: MechanismConfig) -> Result<(), String> {
+    let cfg = SimConfig {
+        seed,
+        warmup_cycles: 0,
+        measure_cycles: 200_000,
+        faults: rcsim_system::FaultConfig {
+            dead_links: vec![dead_interior_link(0)],
+            ..rcsim_system::FaultConfig::none()
+        },
+        ..SimConfig::quick(16, m, app)
+    };
+    let run = format!("seed {seed:#x}, {app}, {}", m.label());
+    let r = run_sim(&cfg).map_err(|e| format!("{run}: {e}"))?;
+    if r.health.stalled || r.health.faults.packets_abandoned > 0 {
+        return Err(format!("{run}: {}", r.health));
+    }
+    assert!(r.health.faults.packets_rerouted > 0, "{run}: no detour");
+    Ok(())
+}
+
+/// One seed of the wedge matrix drains: six runs.
+#[test]
+fn dead_link_wedge_matrix_drains() {
+    let wedged = wedge_matrix(0xC1C0);
+    assert!(wedged.is_empty(), "{wedged:#?}");
+}
+
+/// All three seeds of the wedge matrix drain: eighteen runs, on the
+/// release build `scripts/ci.sh` runs.
+#[test]
+#[ignore = "eighteen 200k-cycle runs; scripts/ci.sh runs it in release"]
+fn dead_link_wedge_matrix_drains_at_every_seed() {
+    let wedged: Vec<String> = [0xC1C0, 0xC1C1, 0xC1C2]
+        .into_iter()
+        .flat_map(wedge_matrix)
+        .collect();
+    assert!(wedged.is_empty(), "{wedged:#?}");
 }

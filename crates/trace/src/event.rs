@@ -208,8 +208,8 @@ pub enum EventKind {
         /// The other endpoint.
         b: u16,
     },
-    /// A source NI sent a packet on a recorded detour because its DOR path
-    /// crossed a dead link.
+    /// A source NI sent a packet with the detour bit set: its DOR path
+    /// crosses a dead link or is not up*/down*-legal.
     NiReroute {
         /// Packet id.
         packet: u64,

@@ -216,8 +216,10 @@ echo "==> the fault model is what \`resilience\` measures (DESIGN.md §6b, §10:
 # Stuck input ports, link corruption, circuit-table corruption, healing
 # windows and dead routers were set by tests alone and are gone, and so
 # is the adaptive runtime policy (its controller, congestion map, region
-# plan, turn-model detours and trace event): none of their names is back
-# in crates/*/src, src or examples. FaultStats keeps packets_corrupted,
+# plan, turn-model detours and trace event), and so are source routes
+# and stored reply paths (one routing function decides every hop: DOR,
+# or the up*/down* table for a detoured packet): none of their names is
+# back in crates/*/src, src or examples. FaultStats keeps packets_corrupted,
 # table_entries_corrupted and stuck_port_cycles, and HealthReport keeps
 # dead_routers and adaptive, only because the benchmark's fingerprint
 # hashes the serialized result: they stay zero or empty, so nothing
@@ -227,6 +229,8 @@ retired='StuckPortEvent|link_corrupt_rate|table_corrupt_rate|heals_at|revive_lin
 retired+='|DeadRouterEvent|kill_router|node_usable|dead_routers_sorted|RouterDown|RouterDead|TopoChange'
 retired+='|AdaptiveConfig|PolicyController|PolicyState|CongestionMap|RegionPlan|set_congestion|region_samples'
 retired+='|teardown_origins|route_path_healthy_avoiding|PolicySwitch|enable_adaptive'
+retired+='|plan_detour|next_hop_on_path|port_between|record_reply_path|take_reply_path|reply_paths'
+retired+='|reply_path_order|REPLY_PATH_CAP|route_path_healthy|path_is_healthy'
 back=$(grep -rnwE "$retired" crates/*/src src examples || true)
 zero='packets_corrupted|table_entries_corrupted|stuck_port_cycles'
 written=$(grep -rnE --include='*.rs' "\\b($zero) *([-+*/|&^]?=[^=]|:[^:])" crates src tests examples \
@@ -345,6 +349,9 @@ echo "==> every experiment: RC_JOBS 1 ≡ 4 (BENCH rows byte-identical), summari
 # quiescence — the wraparound dateline check (§12). Leaves
 # ci_<name>_{jobs1,jobs4}.json behind.
 $CARGO test -q -p rcsim-system --test resilience --test open_loop "$@"
+# The dead-link wedge matrix at all three seeds (the debug run above does
+# one seed): 18 runs of 200 000 cycles with link 5–6 dead, all of which drain.
+$CARGO test --release -q -p rcsim-system --test resilience "$@" -- --ignored
 run_all() {
   local tag=$1 name; shift
   env "${smoke[@]}" RC_TOPO_CYCLES=600 RC_TOPO_CORES=64 RC_CACHE_DIR= "$@" \
@@ -445,10 +452,9 @@ if find "$ckpt_dir" -name '*.ckpt' | grep -q .; then
   echo "FAIL: completed sweep left checkpoints behind in $ckpt_dir"; exit 1
 fi
 mkdir -p "$ckpt_dir"
-# Every earlier version (v16, whose routers still held 64 entries of each
-# per-port array and whose credit wires had 64-cycle windows, is the
-# newest of them), with the checksum of its "{}": only the version
-# rejects it.
+# Every earlier version (v17, whose packet records still carried a source
+# route and whose NIs stored reply paths, is the newest of them), with
+# the checksum of its "{}": only the version rejects it.
 current=$(sed -n 's/^pub const CHECKPOINT_FORMAT_VERSION: u32 = \([0-9]*\);$/\1/p' crates/system/src/checkpoint.rs)
 for v in $(seq 0 $((${current:?CHECKPOINT_FORMAT_VERSION not found} - 1))); do
   stale="$ckpt_dir/stale_v$v.ckpt"; printf 'rcsim-checkpoint v%s 08f44b07b5901a25\n{}' "$v" > "$stale"

@@ -1,6 +1,8 @@
 //! Workspace-level integration tests: the public prelude workflow, and
 //! cross-crate invariants (determinism, energy/area consistency).
 
+#[path = "../crates/core/tests/cdg/mod.rs"]
+mod cdg;
 #[path = "../crates/bench/tests/golden_rows/mod.rs"]
 mod golden_rows;
 
@@ -397,6 +399,28 @@ fn dead_link_run_traces_without_perturbing() {
     assert!(traced.health.faults.packets_rerouted > 0);
     assert!(report.events.iter().any(|e| e.kind.name() == "ni_reroute"));
     assert_eq!(serialized(&traced), serialized(&run_sim(&cfg).unwrap()));
+}
+
+/// The deadlock oracle on the 4×4 mesh (`crates/core/tests/cdg`): the
+/// routes `Topology::route` gives have an acyclic channel-dependency graph
+/// fault-free and with any one link dead, while the breadth-first detours
+/// it replaced, replies retracing them, close the reply cycle through
+/// routers 1, 2, 6, 10, 9 and 5 with link 5–6 dead.
+#[test]
+fn routing_is_deadlock_free_with_any_one_dead_link() {
+    use rcsim_core::{Topology, TopologyHealth, Vnet};
+    let t = Topology::mesh(4, 4).unwrap();
+    assert_eq!(cdg::route_cycle(&t, &TopologyHealth::new()), None);
+    for (a, b) in cdg::every_link(&t) {
+        let mut health = TopologyHealth::new();
+        health.kill_link(&t, a, b);
+        assert_eq!(cdg::route_cycle(&t, &health), None, "{a:?}-{b:?} dead");
+    }
+    let mut health = TopologyHealth::new();
+    health.kill_link(&t, NodeId(5), NodeId(6));
+    let bfs = |s, d| cdg::bfs_detour_hops(&t, &health, Vnet::Reply, s, d);
+    let wedge = [1, 2, 6, 10, 9, 5].map(NodeId).to_vec();
+    assert_eq!(cdg::dependency_cycle(&t, bfs), Some(wedge));
 }
 
 #[test]
