@@ -42,12 +42,7 @@ const TOPO_WINDOW: u32 = 8;
 /// with every node injecting whenever its [`TOPO_WINDOW`] has a free
 /// slot, for the credit-limited saturation throughput. Both must drain.
 fn topology_grid(env: &RunEnv) -> Result<Vec<Row>, String> {
-    let shapes = [
-        TopologySpec::Mesh,
-        TopologySpec::Torus,
-        TopologySpec::CMesh { concentration: 4 },
-        TopologySpec::Ring,
-    ];
+    let shapes = [TopologySpec::Mesh, TopologySpec::Torus];
     let mechanisms = [
         ("baseline", MechanismConfig::baseline()),
         ("fragmented", MechanismConfig::fragmented()),

@@ -144,7 +144,7 @@ impl MechanismConfig {
     }
 
     /// Fragmented circuits (2 per input, third reply VC).
-    pub fn fragmented() -> Self {
+    pub const fn fragmented() -> Self {
         Self {
             mode: CircuitMode::Fragmented,
             timed: TimedPolicy::Untimed,
@@ -289,7 +289,7 @@ impl MechanismConfig {
     /// Number of virtual channels in the *reply* virtual network for this
     /// configuration: baseline 2, fragmented 3 (extra circuit VC, §4.2),
     /// complete/ideal 2 (one of which is the circuit VC).
-    pub fn reply_vcs(&self) -> usize {
+    pub const fn reply_vcs(&self) -> usize {
         match self.mode {
             CircuitMode::Fragmented => 3,
             _ => 2,
@@ -393,14 +393,6 @@ pub enum ConfigError {
     EmptyMesh,
     /// The mesh has more nodes than `NodeId` can address.
     MeshTooLarge,
-    /// A concentrated mesh whose concentration does not divide the core
-    /// count (or is zero).
-    Concentration {
-        /// The requested number of tiles.
-        cores: u16,
-        /// Tiles per router.
-        concentration: u16,
-    },
     /// Timed reservations only work with complete circuits (§4.7).
     TimedRequiresComplete,
     /// ACK elimination relies on the never-blocking guarantee of complete
@@ -422,14 +414,6 @@ pub enum ConfigError {
     /// Open-loop traffic on a topology whose every tile is an ingress edge
     /// tile, so no tile is left to serve the external requests.
     NoServerTiles,
-    /// A router would have more input VCs (`ports` × `vcs` per port) than
-    /// its 64-entry VC occupancy index can address.
-    TooManyVcs {
-        /// Ports per router of the topology.
-        ports: usize,
-        /// Virtual channels per port of the VC layout.
-        vcs: usize,
-    },
 }
 
 impl fmt::Display for ConfigError {
@@ -437,13 +421,6 @@ impl fmt::Display for ConfigError {
         match self {
             ConfigError::EmptyMesh => f.write_str("mesh dimensions must be non-zero"),
             ConfigError::MeshTooLarge => f.write_str("mesh exceeds the 16-bit node id space"),
-            ConfigError::Concentration {
-                cores,
-                concentration,
-            } => write!(
-                f,
-                "{cores} cores do not divide into routers of {concentration} tiles"
-            ),
             ConfigError::TimedRequiresComplete => {
                 f.write_str("timed reservations require complete circuits")
             }
@@ -468,10 +445,6 @@ impl fmt::Display for ConfigError {
             ConfigError::NoServerTiles => {
                 f.write_str("open-loop traffic needs a tile outside the ingress edge")
             }
-            ConfigError::TooManyVcs { ports, vcs } => write!(
-                f,
-                "{ports} ports x {vcs} VCs per port exceeds the 64 input VCs a router can index"
-            ),
         }
     }
 }

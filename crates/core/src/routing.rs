@@ -178,7 +178,7 @@ impl TopologyHealth {
     /// A pair's XY path is legal exactly when its reversed YX path is, so a
     /// reply detours exactly when its request did.
     pub fn detours(&self, t: &Topology, src: NodeId, dst: NodeId, vnet: Vnet) -> bool {
-        let (mut at, dst, mut down) = (t.router_of(src), t.router_of(dst), false);
+        let (mut at, mut down) = (src, false);
         while self.is_degraded() && at != dst {
             let port = t.min_route_port(at, dst, Routing::for_vnet(vnet));
             let nb = t.neighbor(at, port).expect("DOR stays on the grid");

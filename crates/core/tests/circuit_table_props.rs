@@ -3,7 +3,7 @@
 //! output-conflict rule, and clean tear-down under arbitrary interleavings
 //! of reserve / release / undo / begin_use / end_use — plus, for the
 //! topology subsystem, reservation/teardown symmetry along paths drawn
-//! from torus, concentrated-mesh and ring routings.
+//! from torus and one-row torus routings.
 
 use proptest::prelude::*;
 use rcsim_core::circuit::{CircuitKey, ReserveError, ReserveRequest, RouterCircuits};
@@ -227,16 +227,14 @@ proptest! {
 
 // ---------------------------------------------------------------------------
 // Topology-path properties: circuits reserved along request paths drawn
-// from torus, concentrated-mesh and ring routings retrace and tear down
-// exactly, per topology (the §4.1 symmetry the mechanism rests on).
+// from torus and one-row torus routings retrace and tear down exactly,
+// per topology (the §4.1 symmetry the mechanism rests on).
 // ---------------------------------------------------------------------------
 
 fn topo_strategy() -> impl Strategy<Value = Topology> {
     prop_oneof![
         (2u16..=6, 2u16..=6).prop_map(|(w, h)| Topology::torus(w, h).expect("valid torus")),
-        (3u16..=24).prop_map(|n| Topology::ring(n).expect("valid ring")),
-        (2u16..=4, 2u16..=4, 2u16..=4)
-            .prop_map(|(w, h, c)| Topology::cmesh(w, h, c).expect("valid cmesh")),
+        (3u16..=24).prop_map(|n| Topology::torus(n, 1).expect("valid torus")),
     ]
 }
 
@@ -250,24 +248,19 @@ fn port_between(topo: &Topology, a: NodeId, b: NodeId) -> usize {
 /// The per-router reservations a request travelling `path` (router ids,
 /// src-side first) writes for its reply: at each router the reply arrives
 /// from the dst side and leaves towards the src side; the endpoints use
-/// the tiles' local ports.
-fn reply_ports_along(
-    topo: &Topology,
-    path: &[NodeId],
-    src_tile: NodeId,
-    dst_tile: NodeId,
-) -> Vec<(NodeId, usize, usize)> {
+/// the local port.
+fn reply_ports_along(topo: &Topology, path: &[NodeId]) -> Vec<(NodeId, usize, usize)> {
     let mut out = Vec::with_capacity(path.len());
     for (j, r) in path.iter().enumerate() {
         let in_port = if j + 1 < path.len() {
             port_between(topo, *r, path[j + 1])
         } else {
-            topo.eject_port(dst_tile)
+            PORT_LOCAL
         };
         let out_port = if j > 0 {
             port_between(topo, *r, path[j - 1])
         } else {
-            topo.eject_port(src_tile)
+            PORT_LOCAL
         };
         out.push((*r, in_port, out_port));
     }
@@ -292,16 +285,15 @@ proptest! {
     ) {
         let n = topo.nodes() as u16;
         let mut tables: Vec<RouterCircuits> = (0..topo.routers())
-            .map(|_| RouterCircuits::with_ports(CircuitMode::Ideal, 8, 1, topo.ports()))
+            .map(|_| RouterCircuits::new(CircuitMode::Ideal, 8, 1))
             .collect();
         let mut reserved: Vec<ReservedPath> = Vec::new();
 
         for (i, (a, b)) in pairs.iter().enumerate() {
             let src = NodeId(a % n);
             let dst = NodeId(b % n);
-            if topo.hop_count(src, dst) == 0 {
-                // Same router (same tile, or CMesh neighbours sharing one):
-                // no circuit is built.
+            if src == dst {
+                // Traffic a tile sends itself builds no circuit.
                 continue;
             }
             // §4.1: the request goes XY, the reply retraces YX — reversed.
@@ -311,7 +303,7 @@ proptest! {
             prop_assert_eq!(&fwd, &back, "path symmetry broken on {}", topo.label());
 
             let k = CircuitKey { requestor: src, block: i as u64 * 64 };
-            let hops = reply_ports_along(&topo, &fwd, src, dst);
+            let hops = reply_ports_along(&topo, &fwd);
             for (r, in_port, out_port) in &hops {
                 tables[r.index()]
                     .try_reserve(&ReserveRequest {
@@ -366,13 +358,13 @@ proptest! {
         let n = topo.nodes() as u16;
         let src = NodeId(a % n);
         let dst = NodeId(b % n);
-        prop_assume!(topo.hop_count(src, dst) > 0);
+        prop_assume!(src != dst);
 
         let fwd = topo.route_path(src, dst, Routing::Xy);
         let k = CircuitKey { requestor: src, block: 0x40 };
-        let hops = reply_ports_along(&topo, &fwd, src, dst);
+        let hops = reply_ports_along(&topo, &fwd);
         let mut tables: Vec<RouterCircuits> = (0..topo.routers())
-            .map(|_| RouterCircuits::with_ports(CircuitMode::Complete, 5, 1, topo.ports()))
+            .map(|_| RouterCircuits::new(CircuitMode::Complete, 5, 1))
             .collect();
         for (r, in_port, out_port) in &hops {
             tables[r.index()]

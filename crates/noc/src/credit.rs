@@ -27,9 +27,6 @@ use serde::{Deserialize, Serialize};
 pub(crate) struct CreditWire {
     /// Credits the owner holds, counting those still on the wire.
     count: u8,
-    /// Credits the link lost on their way back (fault injection): they
-    /// never land, so the downstream buffer is that much shorter for good.
-    lost: u8,
     /// Arrival cycle of the newest credit sent.
     newest: Cycle,
     /// How many credits land at `newest - k`, as the two-bit number
@@ -52,7 +49,6 @@ impl CreditWire {
     pub(crate) fn full(depth: u8) -> Self {
         CreditWire {
             count: depth,
-            lost: 0,
             newest: 0,
             lo: 0,
             hi: 0,
@@ -71,11 +67,6 @@ impl CreditWire {
     /// Credits the owner may spend at cycle `t`.
     pub(crate) fn available(&self, t: Cycle) -> u8 {
         self.count - self.in_flight(t)
-    }
-
-    /// Credits the link lost.
-    pub(crate) fn lost(&self) -> u8 {
-        self.lost
     }
 
     /// Spends a credit at cycle `now`: a flit leaves for the downstream
@@ -113,17 +104,12 @@ impl CreditWire {
             .checked_add(1)
             .expect("more credits returned than taken");
     }
-
-    /// Counts a credit the link lost instead of returning.
-    pub(crate) fn lose(&mut self) {
-        self.lost += 1;
-    }
 }
 
 /// Every credit wire in the network, in one flat array owned beside the
 /// link calendars. Router `r`'s output VC slot `s` (`port · vcs + vc`) on
 /// a network port is wire `r · per_router + s`; ejection is uncredited, so
-/// local ports have none. After all the routers come the NIs: tile `t`'s
+/// the local port has none. After all the routers come the NIs: tile `t`'s
 /// injection VC `v` is wire `routers · per_router + t · vcs + v`.
 /// Whoever returns a credit writes the wire through a link sink
 /// (`Links`/`NiLink`), and the owner reads its own wires through the sink
@@ -251,14 +237,6 @@ mod tests {
         assert_eq!(w.available(1), 1);
         assert_eq!(w.available(2), 2);
         assert_eq!(w.available(3), 4);
-    }
-
-    #[test]
-    fn a_lost_credit_never_lands() {
-        let mut w = CreditWire::full(2);
-        w.take(0);
-        w.lose();
-        assert_eq!((w.available(100), w.in_flight(100), w.lost()), (1, 0, 1));
     }
 
     /// The register reaches 15 cycles back from the newest arrival.

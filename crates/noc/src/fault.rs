@@ -14,11 +14,8 @@
 //!   be dropped. It sets its output VC's eat bit, and the rest of the
 //!   packet, which follows it on that VC, is swallowed at the same link:
 //!   a packet is lost whole, never truncated. Upstream credits are still
-//!   synthesized for swallowed flits so the *fault* does not by itself
-//!   wedge the fabric (credit loss is a separate class).
-//! * **Credit loss** — a credit crossing an inter-router link vanishes,
-//!   permanently shrinking the usable depth of the upstream VC. Enough of
-//!   these deadlock the network — the watchdog's job to report.
+//!   synthesized for swallowed flits so the fault does not wedge the
+//!   fabric.
 //! * **Dead link** — a scheduled [`DeadLinkEvent`] removes one
 //!   bidirectional inter-router link. A packet whose head is routed onto
 //!   it is lost whole, through the same eat bit; the live
@@ -26,8 +23,8 @@
 //!   along its up*/down* table and tears down every circuit whose reply
 //!   would now detour (DESIGN.md §10).
 //!   Dead links are the only topology fault: a router-sized obstacle is
-//!   every link of that router dead, and the router's tiles stay reachable
-//!   only from themselves.
+//!   every link of that router dead, and its tile stays reachable only
+//!   from itself.
 //!
 //! Recovery is end-to-end: the network tracks every in-flight packet and
 //! retransmits lost ones from the source NI (plain packet-switched,
@@ -66,8 +63,6 @@ pub struct FaultConfig {
     /// Probability a packet is dropped per inter-router link traversal
     /// (decided at its head flit; the whole packet is lost).
     pub link_drop_rate: f64,
-    /// Probability a credit is lost per inter-router link traversal.
-    pub credit_loss_rate: f64,
     /// Scheduled dead links (permanent faults, DESIGN.md §10).
     #[serde(default)]
     pub dead_links: Vec<DeadLinkEvent>,
@@ -85,7 +80,6 @@ impl FaultConfig {
         FaultConfig {
             seed: 0xFA017,
             link_drop_rate: 0.0,
-            credit_loss_rate: 0.0,
             dead_links: Vec::new(),
             max_retries: 4,
             retry_backoff: 64,
@@ -94,31 +88,26 @@ impl FaultConfig {
 
     /// `true` when no fault class can ever fire.
     pub fn is_none(&self) -> bool {
-        self.link_drop_rate <= 0.0 && self.credit_loss_rate <= 0.0 && self.dead_links.is_empty()
+        self.link_drop_rate <= 0.0 && self.dead_links.is_empty()
     }
 
     /// Checks the configuration against `topology` before a network is
-    /// built. Dead links join *routers* (not tiles), so on a concentrated
-    /// mesh the bound is the router count.
+    /// built.
     ///
     /// # Errors
     ///
-    /// * [`ConfigError::FaultRate`] — a rate is NaN, negative or above 1.
+    /// * [`ConfigError::FaultRate`] — the drop rate is NaN, negative or
+    ///   above 1.
     /// * [`ConfigError::FaultTopology`] — a dead link names a router
     ///   outside the topology or a non-adjacent pair.
     pub fn validate(&self, topology: &Topology) -> Result<(), ConfigError> {
-        let rates = [
-            (self.link_drop_rate, "link_drop_rate"),
-            (self.credit_loss_rate, "credit_loss_rate"),
-        ];
-        for (rate, name) in rates {
-            if !rate.is_finite() || !(0.0..=1.0).contains(&rate) {
-                return Err(ConfigError::FaultRate(name));
-            }
+        let rate = self.link_drop_rate;
+        if !rate.is_finite() || !(0.0..=1.0).contains(&rate) {
+            return Err(ConfigError::FaultRate("link_drop_rate"));
         }
-        let routers = topology.routers();
+        let nodes = topology.nodes();
         for e in &self.dead_links {
-            if e.a.index() >= routers || e.b.index() >= routers {
+            if e.a.index() >= nodes || e.b.index() >= nodes {
                 return Err(ConfigError::FaultTopology("dead-link node out of bounds"));
             }
             if topology.distance(e.a, e.b) != 1 {
@@ -148,7 +137,8 @@ pub struct FaultStats {
     /// Always zero: no code writes it. It stays so the serialized counters
     /// keep their shape (ROADMAP item 1 retires it).
     pub packets_corrupted: u64,
-    /// Credits lost on inter-router links.
+    /// Always zero: no code writes it. It stays so the serialized counters
+    /// keep their shape (ROADMAP item 1 retires it).
     pub credits_lost: u64,
     /// Always zero: no code writes it. It stays so the serialized counters
     /// keep their shape (ROADMAP item 1 retires it).
@@ -258,15 +248,6 @@ impl FaultState {
         }
         true
     }
-
-    /// `true` if a credit crossing an inter-router link is lost.
-    pub(crate) fn on_link_credit(&mut self) -> bool {
-        let lost = self.chance(self.cfg.credit_loss_rate);
-        if lost {
-            self.state.stats.credits_lost += 1;
-        }
-        lost
-    }
 }
 
 rcsim_core::stateful!(FaultState => State);
@@ -331,14 +312,6 @@ mod tests {
                 Err(ConfigError::FaultRate("link_drop_rate"))
             );
         }
-        let cfg = FaultConfig {
-            credit_loss_rate: f64::NAN,
-            ..FaultConfig::none()
-        };
-        assert_eq!(
-            cfg.validate(&mesh),
-            Err(ConfigError::FaultRate("credit_loss_rate"))
-        );
         assert_eq!(FaultConfig::none().validate(&mesh), Ok(()));
     }
 
@@ -461,7 +434,7 @@ mod tests {
     }
 
     /// Property round trip of the fault-layer checkpoint: after an
-    /// arbitrary prefix of link and credit rolls (including VCs whose
+    /// arbitrary prefix of link rolls (including VCs whose
     /// eat bit is set), a [`FaultState`] restored from the snapshot — into a
     /// state built from a *different* seed — must produce the identical
     /// fate sequence for any continuation, and the snapshot must survive
@@ -471,55 +444,37 @@ mod tests {
         use proptest::prelude::*;
 
         #[derive(Debug, Clone, Copy)]
-        enum Roll {
-            Flit {
-                from: usize,
-                out: usize,
-                len: u32,
-                head: bool,
-                dead: bool,
-            },
-            Credit,
+        struct Roll {
+            from: usize,
+            out: usize,
+            len: u32,
+            head: bool,
+            dead: bool,
         }
 
         fn roll_strategy() -> impl Strategy<Value = Roll> {
-            prop_oneof![
-                (
-                    0usize..16,
-                    0usize..24,
-                    1u32..6,
-                    any::<bool>(),
-                    any::<bool>()
-                )
-                    .prop_map(|(from, out, len, head, dead)| Roll::Flit {
-                        from,
-                        out,
-                        len,
-                        head,
-                        dead,
-                    }),
-                Just(Roll::Credit),
-            ]
+            (
+                0usize..16,
+                0usize..24,
+                1u32..6,
+                any::<bool>(),
+                any::<bool>(),
+            )
+                .prop_map(|(from, out, len, head, dead)| Roll {
+                    from,
+                    out,
+                    len,
+                    head,
+                    dead,
+                })
         }
 
         fn play(fs: &mut FaultState, rolls: &[Roll]) -> Vec<u64> {
             let mut trace = Vec::with_capacity(rolls.len());
             for r in rolls {
-                let outcome = match *r {
-                    Roll::Flit {
-                        from,
-                        out,
-                        len,
-                        head,
-                        dead,
-                    } => {
-                        let (h, body) = flits(len);
-                        let flit = if head { h } else { body };
-                        u64::from(fs.on_link_flit(from, out, flit, dead))
-                    }
-                    Roll::Credit => 2 + u64::from(fs.on_link_credit()),
-                };
-                trace.push(outcome);
+                let (h, body) = flits(r.len);
+                let flit = if r.head { h } else { body };
+                trace.push(u64::from(fs.on_link_flit(r.from, r.out, flit, r.dead)));
             }
             trace
         }
@@ -535,7 +490,6 @@ mod tests {
             ) {
                 let cfg = FaultConfig {
                     link_drop_rate: 0.2,
-                    credit_loss_rate: 0.05,
                     seed,
                     ..FaultConfig::none()
                 };

@@ -68,16 +68,13 @@ impl Generator {
                 }
             },
             Pattern::Transpose => {
-                // Transpose acts on the router grid; a concentrated tile
-                // keeps its local slot at the transposed router.
                 let (w, h) = topology.dims();
-                let c = topology.coord(topology.router_of(src));
+                let c = topology.coord(src);
                 let max = (w - 1).min(h - 1);
-                let t_router = topology.router_at(rcsim_core::Coord {
+                let t = topology.router_at(rcsim_core::Coord {
                     x: c.y.min(max),
                     y: c.x.min(max),
                 });
-                let t = topology.tile_of(t_router, topology.local_slot(src));
                 if t == src {
                     NodeId((src.0 + 1) % n)
                 } else {

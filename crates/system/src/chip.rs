@@ -233,14 +233,14 @@ impl Chip {
             .map(|i| Core::new(i as u16, workload.core_trace(i)))
             .collect();
         let l1s = topology
-            .iter_tiles()
+            .iter_routers()
             .map(|n| L1Cache::new(n, topology, proto_cfg.clone()))
             .collect();
         let l2s = topology
-            .iter_tiles()
+            .iter_routers()
             .map(|n| L2Bank::new(n, topology, proto_cfg.clone()))
             .collect();
-        let mut mcs: Vec<Option<MemoryController>> = topology.iter_tiles().map(|_| None).collect();
+        let mut mcs: Vec<Option<MemoryController>> = vec![None; topology.nodes()];
         for n in &proto_cfg.mc_tiles {
             mcs[n.index()] = Some(MemoryController::new(*n, proto_cfg.mem_latency));
         }
@@ -299,7 +299,7 @@ impl Chip {
         let edges = self.topology.edge_nodes();
         let servers: Vec<NodeId> = self
             .topology
-            .iter_tiles()
+            .iter_routers()
             .filter(|n| !edges.contains(n))
             .collect();
         if servers.is_empty() {

@@ -20,8 +20,8 @@ use std::collections::BTreeMap;
 /// v3: rows carry `p999_latency` (99.9th-percentile network latency) for
 /// SLO-tail tracking in the overload benches.
 ///
-/// v4: rows carry `topology` (the interconnect label: `mesh`, `torus`,
-/// `cmesh-<c>`, `ring`) so topology sweeps stay diffable per shape.
+/// v4: rows carry `topology` (the interconnect label, `mesh` or `torus`)
+/// so topology sweeps stay diffable per shape.
 ///
 /// v5: the checkpoint-cost sweep (`BENCH_checkpoint.json`) joins the
 /// suite; its rows carry snapshot cost (`snapshot_ms`,

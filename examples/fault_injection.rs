@@ -1,15 +1,15 @@
 //! Fault injection and health reporting (the README walkthrough).
 //!
-//! Three runs of the same 16-core chip:
+//! Two runs of the same 16-core chip:
 //!
 //! 1. fault-free — the default; `FaultConfig::none()` perturbs nothing;
 //! 2. a lossy fabric — 1 in 1 000 link traversals eats a packet, replies
 //!    that lose their circuit limp home over the ordinary pipeline
-//!    (`fault_degraded`) and dropped packets are retransmitted end-to-end;
-//! 3. a wedged fabric — total credit loss deadlocks the mesh, and the
-//!    progress watchdog turns the hang into `SimError::Stalled` with a
-//!    diagnostic `HealthReport` once no flit has moved for
-//!    `STALL_WINDOW` (1 000) cycles.
+//!    (`fault_degraded`) and dropped packets are retransmitted end-to-end.
+//!
+//! A run that wedges instead ends in `SimError::Stalled` with a
+//! diagnostic `HealthReport` once no flit has moved for `STALL_WINDOW`
+//! (1 000) cycles.
 //!
 //! Run with: `cargo run --release --example fault_injection [drop_rate]`
 //! (`drop_rate` defaults to 0.001; crank it up to watch `fault_degraded`
@@ -49,19 +49,5 @@ fn main() {
             r.health.healthy(),
         ),
         Err(e) => eprintln!("lossy links: {e}"),
-    }
-
-    let mut wedged = base();
-    wedged.faults = FaultConfig {
-        credit_loss_rate: 1.0, // every credit vanishes: guaranteed deadlock
-        ..FaultConfig::none()
-    };
-    match run_sim(&wedged) {
-        Ok(_) => eprintln!("wedged fabric: unexpectedly completed"),
-        Err(SimError::Stalled { report }) => {
-            println!("wedged fabric: watchdog caught the deadlock —");
-            print!("{report}");
-        }
-        Err(e) => eprintln!("wedged fabric: {e}"),
     }
 }

@@ -70,9 +70,9 @@ grep -q 'const _: () = assert!(std::mem::size_of::<Flit>() == 8);' crates/noc/sr
 echo "==> state sized by what it models (DESIGN.md §9, §6b, §13: ports, a link's window, 16 ways)"
 grep -q 'const _: () = assert!(std::mem::size_of::<SetWord>() == 8);' crates/protocol/src/cache.rs \
   && grep -q 'const _: () = assert!(std::mem::size_of::<CreditWire>() == 16);' crates/noc/src/credit.rs \
-  && grep -q 'const _: () = assert!(std::mem::size_of::<Router>() <= 896);' crates/noc/src/router/mod.rs \
+  && grep -q 'const _: () = assert!(std::mem::size_of::<Router>() <= 712);' crates/noc/src/router/mod.rs \
   || { echo "FAIL: the size assertion on SetWord, CreditWire or Router is gone"; exit 1; }
-# Per-port router arrays hold MAX_PORTS entries; only per-VC ones hold VC_INDEX_BITS.
+# Per-port router arrays hold PORTS entries; only per-VC ones hold VC_INDEX_BITS.
 wide=$(grep -nE '^ *(pub(\(crate\))? )?(contend|sa_nominee|st_pending|arbiters): \[[^]]*; *VC_INDEX_BITS\]' \
   crates/noc/src/router/mod.rs || true)
 [ -z "$wide" ] || { echo "FAIL: a per-port router array is sized by VC_INDEX_BITS again:"; echo "$wide"; exit 1; }
@@ -104,7 +104,7 @@ printed=$(grep -rn 'println!' crates/bench/src/experiments crates/bench/src/tabl
 [ -z "$sliced$global$printed" ] \
   || { echo "FAIL: index arithmetic over results, a global env() or a println! is back in the bench harness:"; echo "$sliced$global$printed"; exit 1; }
 
-echo "==> one geometry (DESIGN.md §12: Topology is a shape and a grid; ports are indices; no cargo features)"
+echo "==> one geometry, a mesh or a torus (DESIGN.md §12: Topology is a shape and a grid; a tile is its router; ports are indices; no cargo features)"
 twins=$(grep -rnE 'struct Mesh\b|enum Direction\b|Topology::(Mesh|Torus|CMesh|Ring)\b|fn (next_hop|direction_between)\(' \
   --include='*.rs' crates src tests examples || true)
 gated=$(grep -rn 'cfg(feature' crates/*/src crates/*/tests || true)
@@ -212,27 +212,31 @@ maps=$(awk '/^pub\(crate\) struct State \{$/ { inside = 1 }
 [ -z "$eaten$maps" ] \
   || { echo "FAIL: a second record of link loss is back:"; printf '%s\n' "$eaten" "$maps" | grep .; exit 1; }
 
-echo "==> the fault model is what \`resilience\` measures (DESIGN.md §6b, §10: drops, credit loss, dead links, none healing; a dead link is the only reason to leave DOR)"
+echo "==> the fault model and the shapes are what experiments measure (DESIGN.md §6b, §10, §12: drops and dead links, none healing, on a mesh or a torus; a dead link is the only reason to leave DOR)"
 # Stuck input ports, link corruption, circuit-table corruption, healing
 # windows and dead routers were set by tests alone and are gone, and so
 # is the adaptive runtime policy (its controller, congestion map, region
 # plan, turn-model detours and trace event), and so are source routes
 # and stored reply paths (one routing function decides every hop: DOR,
-# or the up*/down* table for a detoured packet): none of their names is
+# or the up*/down* table for a detoured packet), and so are credit loss
+# and the concentrated mesh and ring shapes (a tile is its router; a
+# wedge is built by editing a checkpoint image): none of their names is
 # back in crates/*/src, src or examples. FaultStats keeps packets_corrupted,
-# table_entries_corrupted and stuck_port_cycles, and HealthReport keeps
-# dead_routers and adaptive, only because the benchmark's fingerprint
-# hashes the serialized result: they stay zero or empty, so nothing
-# assigns them (dead_routers has one empty initialiser, adaptive one
-# default).
+# table_entries_corrupted, stuck_port_cycles and credits_lost, and
+# HealthReport keeps dead_routers and adaptive, only because the
+# benchmark's fingerprint hashes the serialized result: they stay zero or
+# empty, so nothing assigns them (dead_routers has one empty initialiser,
+# adaptive one default).
 retired='StuckPortEvent|link_corrupt_rate|table_corrupt_rate|heals_at|revive_link|revive_router|LinkHealed|RouterHealed|corrupt_discards|fault_remove'
 retired+='|DeadRouterEvent|kill_router|node_usable|dead_routers_sorted|RouterDown|RouterDead|TopoChange'
 retired+='|AdaptiveConfig|PolicyController|PolicyState|CongestionMap|RegionPlan|set_congestion|region_samples'
 retired+='|teardown_origins|route_path_healthy_avoiding|PolicySwitch|enable_adaptive'
 retired+='|plan_detour|next_hop_on_path|port_between|record_reply_path|take_reply_path|reply_paths'
 retired+='|reply_path_order|REPLY_PATH_CAP|route_path_healthy|path_is_healthy'
+retired+='|CMesh|cmesh|concentration|router_of|tile_of|local_slot|iter_tiles|with_ports|TooManyVcs'
+retired+='|credit_loss_rate|on_link_credit|TopologySpec::Ring|Topology::ring'
 back=$(grep -rnwE "$retired" crates/*/src src examples || true)
-zero='packets_corrupted|table_entries_corrupted|stuck_port_cycles'
+zero='packets_corrupted|table_entries_corrupted|stuck_port_cycles|credits_lost'
 written=$(grep -rnE --include='*.rs' "\\b($zero) *([-+*/|&^]?=[^=]|:[^:])" crates src tests examples \
   | grep -vE "^crates/noc/src/fault\.rs:[0-9]+: +pub ($zero): u64,\$" || true)
 filled=$(grep -rnE --include='*.rs' \
@@ -452,8 +456,9 @@ if find "$ckpt_dir" -name '*.ckpt' | grep -q .; then
   echo "FAIL: completed sweep left checkpoints behind in $ckpt_dir"; exit 1
 fi
 mkdir -p "$ckpt_dir"
-# Every earlier version (v17, whose packet records still carried a source
-# route and whose NIs stored reply paths, is the newest of them), with
+# Every earlier version (v18, whose routers still held 16-entry per-port
+# arrays and whose credit wires counted lost credits, is the newest of
+# them), with
 # the checksum of its "{}": only the version rejects it.
 current=$(sed -n 's/^pub const CHECKPOINT_FORMAT_VERSION: u32 = \([0-9]*\);$/\1/p' crates/system/src/checkpoint.rs)
 for v in $(seq 0 $((${current:?CHECKPOINT_FORMAT_VERSION not found} - 1))); do
