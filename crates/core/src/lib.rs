@@ -52,6 +52,6 @@ pub use routing::TopologyHealth;
 pub use sched::{skip_law, superset_law, KernelMode, SKIP_LAW_STRIDE};
 pub use state::{Slab, StateMap, StateSet, Stateful};
 pub use topology::{
-    Topology, TopologySpec, PORT_EAST, PORT_LOCAL, PORT_NORTH, PORT_SOUTH, PORT_WEST,
+    Topology, TopologySpec, PORTS, PORT_EAST, PORT_LOCAL, PORT_NORTH, PORT_SOUTH, PORT_WEST,
 };
 pub use types::{Coord, Cycle, MessageClass, NodeId, Vnet};
