@@ -1,6 +1,5 @@
 //! The circuit-construction record carried in a request's header.
 
-use super::timing;
 use crate::types::{Cycle, NodeId};
 use serde::{Deserialize, Serialize};
 
@@ -16,8 +15,8 @@ pub struct CircuitKey {
 }
 
 /// Scalar summary of every reserved window along the path (see the module
-/// docs of [`timing`]): the reply can use the circuit iff it is injected at
-/// some `T` with `lower ≤ T ≤ upper`.
+/// docs of [`timing`](super::timing)): the reply can use the circuit iff
+/// it is injected at some `T` with `lower ≤ T ≤ upper`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TimingState {
     /// Latest window lower bound seen so far (`max_R n_R + shift_R`).
@@ -126,12 +125,6 @@ impl CircuitHandle {
     pub fn fully_built(&self) -> bool {
         !self.failed && self.built_hops == self.path_hops + 1
     }
-
-    /// Nominal reply-injection estimate from a router `req_hops_remaining`
-    /// hops before the destination at local time `now`.
-    pub fn nominal_at(&self, now: Cycle, req_hops_remaining: u32) -> Cycle {
-        timing::nominal_inject(now, req_hops_remaining, self.turnaround)
-    }
 }
 
 #[cfg(test)]
@@ -206,11 +199,5 @@ mod tests {
         assert!(h.fully_built());
         h.failed = true;
         assert!(!h.fully_built());
-    }
-
-    #[test]
-    fn nominal_estimate() {
-        let h = handle(3);
-        assert_eq!(h.nominal_at(50, 2), 50 + 10 + 7);
     }
 }

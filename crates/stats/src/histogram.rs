@@ -98,22 +98,6 @@ impl Histogram {
         // Quantile lands in the overflow bin.
         Some(self.bins.len() as f64 * self.bin_width)
     }
-
-    /// Merges another histogram into this one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the bin configuration differs.
-    pub fn merge(&mut self, other: &Histogram) {
-        assert_eq!(self.bin_width, other.bin_width, "bin width mismatch");
-        assert_eq!(self.bins.len(), other.bins.len(), "bin count mismatch");
-        for (a, b) in self.bins.iter_mut().zip(&other.bins) {
-            *a += b;
-        }
-        self.overflow += other.overflow;
-        self.count += other.count;
-        self.sum += other.sum;
-    }
 }
 
 #[cfg(test)]
@@ -165,26 +149,5 @@ mod tests {
         let mut h = Histogram::new(1.0, 2);
         h.record(100.0);
         assert_eq!(h.quantile(0.5), Some(2.0));
-    }
-
-    #[test]
-    fn merge_adds_counts() {
-        let mut a = Histogram::new(1.0, 3);
-        a.record(0.5);
-        let mut b = Histogram::new(1.0, 3);
-        b.record(1.5);
-        b.record(9.0);
-        a.merge(&b);
-        assert_eq!(a.bins(), &[1, 1, 0]);
-        assert_eq!(a.overflow(), 1);
-        assert_eq!(a.count(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "bin width mismatch")]
-    fn merge_rejects_mismatched() {
-        let mut a = Histogram::new(1.0, 3);
-        let b = Histogram::new(2.0, 3);
-        a.merge(&b);
     }
 }

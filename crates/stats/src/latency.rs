@@ -107,16 +107,6 @@ impl LatencyStat {
     pub fn histogram(&self) -> &Histogram {
         &self.hist
     }
-
-    /// Merges another statistic recorded with the same histogram geometry.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the bin configuration differs.
-    pub fn merge(&mut self, other: &LatencyStat) {
-        self.acc.merge(&other.acc);
-        self.hist.merge(&other.hist);
-    }
 }
 
 #[cfg(test)]
@@ -154,17 +144,5 @@ mod tests {
         assert!(p999 >= p99, "p999 {p999} < p99 {p99}");
         assert_eq!(p999, 999.0);
         assert!(LatencyStat::new(1.0, 10).p999().is_none());
-    }
-
-    #[test]
-    fn merge_keeps_paths_consistent() {
-        let mut a = LatencyStat::new(1.0, 10);
-        a.record(1.0);
-        let mut b = LatencyStat::new(1.0, 10);
-        b.record(3.0);
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert!((a.mean() - 2.0).abs() < 1e-12);
-        assert_eq!(a.histogram().count(), 2);
     }
 }
