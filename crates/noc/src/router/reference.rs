@@ -10,7 +10,8 @@
 //! function, the circuit table and the VC layout.
 //!
 //! It models the mechanisms the differential drives: the baseline and
-//! untimed complete circuits, on healthy links.
+//! untimed complete and fragmented circuits, on healthy links or after a
+//! degraded onset (DESIGN.md §10).
 
 use super::tests::Recorder;
 use crate::config::{NocConfig, VcLayout};
@@ -91,6 +92,9 @@ pub(super) struct Coverage {
     pub bypasses: u64,
     /// Flits parked in a bypass-retry queue.
     pub bypass_retries: u64,
+    /// Riding flits that took the pipeline: no reservation here (a gap,
+    /// or one undone or released), or one this router gave back.
+    pub fallbacks: u64,
     /// Undos processed.
     pub undos: u64,
 }
@@ -123,6 +127,8 @@ pub(super) struct RefRouter {
     /// Per input port, flits waiting to retry the bypass (or, for a head,
     /// for its VC to idle), in arrival order.
     retry: Vec<VecDeque<Flit>>,
+    /// A link of this router died: it takes no part in circuits.
+    degraded: bool,
     pub(super) circuits: RouterCircuits,
     pub(super) activity: Activity,
     pub(super) coverage: Coverage,
@@ -132,9 +138,8 @@ impl RefRouter {
     pub(super) fn new(node: NodeId, cfg: &NocConfig) -> Self {
         let mechanism = cfg.mechanism;
         assert!(
-            matches!(mechanism.mode, CircuitMode::None | CircuitMode::Complete)
-                && !mechanism.timed.is_timed(),
-            "the reference models the baseline and untimed complete circuits"
+            mechanism.mode != CircuitMode::Ideal && !mechanism.timed.is_timed(),
+            "the reference models the baseline and untimed complete and fragmented circuits"
         );
         let layout = cfg.vc_layout();
         let vcs = layout.total();
@@ -160,6 +165,7 @@ impl RefRouter {
             va_out: rr,
             grants: Vec::new(),
             retry: vec![VecDeque::new(); PORTS],
+            degraded: false,
             circuits: RouterCircuits::new(
                 mechanism.mode,
                 mechanism.max_circuits_per_input,
@@ -172,6 +178,11 @@ impl RefRouter {
 
     pub(super) fn set_trace_sink(&mut self, sink: TraceSink) {
         self.sink = sink;
+    }
+
+    /// A link of this router died (DESIGN.md §10); links never heal.
+    pub(super) fn set_degraded(&mut self, degraded: bool) {
+        self.degraded = degraded;
     }
 
     pub(super) fn buffered_flits(&self) -> usize {
@@ -207,7 +218,7 @@ impl RefRouter {
         }
         for p in 0..PORTS {
             while let Some(&flit) = self.retry[p].front() {
-                match self.bypass(p, flit, packets, &taken) {
+                match self.bypass(now, p, flit, packets, out.wires(), &taken) {
                     Bypass::Go(entry) => {
                         self.retry[p].pop_front();
                         self.cross(now, p, flit, entry, &mut taken, packets, out);
@@ -253,7 +264,7 @@ impl RefRouter {
             if !self.retry[port].is_empty() {
                 return self.park(port, flit);
             }
-            match self.bypass(port, flit, packets, taken) {
+            match self.bypass(now, port, flit, packets, out.wires(), taken) {
                 Bypass::Go(entry) => {
                     return self.cross(now, port, flit, entry, taken, packets, out)
                 }
@@ -264,15 +275,44 @@ impl RefRouter {
         self.write(now, port, flit, packets, health);
     }
 
-    fn bypass(&self, port: usize, flit: Flit, packets: &Packets, taken: &[bool; PORTS]) -> Bypass {
+    /// Whether a riding flit finds a circuit it may take. A reservation
+    /// is given back instead (§4.2, DESIGN.md §10) at a degraded router,
+    /// which takes no part in circuits, and by a fragmented head whose
+    /// next router might lack the reservation: its message must fit in
+    /// the circuit VC there, so every credit of that VC must be home.
+    fn bypass(
+        &mut self,
+        now: Cycle,
+        port: usize,
+        flit: Flit,
+        packets: &Packets,
+        wires: &[CreditWire],
+        taken: &[bool; PORTS],
+    ) -> Bypass {
         let Some(key) = packets[flit.slot].riding.filter(|_| flit.rides()) else {
             return Bypass::Pipeline;
         };
-        match self.circuits.lookup(port, key) {
-            None => Bypass::Pipeline,
-            Some(entry) if taken[entry.out_port] => Bypass::Wait,
-            Some(&entry) => Bypass::Go(entry),
+        let Some(&entry) = self.circuits.lookup(port, key) else {
+            return Bypass::Pipeline;
+        };
+        let next_router = entry.out_port != PORT_LOCAL;
+        let may_lack = self.mechanism.mode == CircuitMode::Fragmented && flit.is_head();
+        let room = !(next_router && may_lack)
+            || self.home(now, wires, entry.out_port, self.circuit_vc(entry)) == BUFFER_DEPTH;
+        if self.degraded || !room {
+            self.circuits.release(port, key);
+            Bypass::Pipeline
+        } else if taken[entry.out_port] {
+            Bypass::Wait
+        } else {
+            Bypass::Go(entry)
         }
+    }
+
+    /// The VC a flit crossing on `entry` leaves on.
+    fn circuit_vc(&self, entry: CircuitEntry) -> usize {
+        let circuit_vcs = self.layout.circuit_vcs;
+        self.layout.circuit_vc(usize::from(entry.vc) % circuit_vcs)
     }
 
     /// The one-cycle circuit traversal.
@@ -309,11 +349,10 @@ impl RefRouter {
         }
         taken[entry.out_port] = true;
         self.activity.xbar_traversals += 1;
-        if self.layout.circuit_vcs > 0 {
-            flit.vc = self
-                .layout
-                .circuit_vc(usize::from(entry.vc) % self.layout.circuit_vcs)
-                as u8;
+        flit.vc = self.circuit_vc(entry) as u8;
+        if self.mechanism.mode == CircuitMode::Fragmented && entry.out_port != PORT_LOCAL {
+            // §4.2: the circuit VC there is buffered and credited.
+            out.wires()[entry.out_port * self.layout.total() + usize::from(flit.vc)].take(now);
         }
         let arrive = self.leave(now, entry.out_port);
         out.flit(entry.out_port, flit, arrive, packets);
@@ -341,6 +380,7 @@ impl RefRouter {
         if flit.is_head() && !self.inputs[port][v].idle() {
             return self.park(port, flit);
         }
+        self.coverage.fallbacks += u64::from(flit.rides());
         self.activity.buffer_writes += 1;
         if flit.is_head() {
             let p = &packets[flit.slot];
@@ -521,7 +561,8 @@ impl RefRouter {
     /// §4.1: the request head at `(p, v)` reserves its reply's circuit —
     /// in through the request's output, out through its input. A
     /// complete circuit that cannot be reserved is doomed, and its built
-    /// prefix undone.
+    /// prefix undone; a fragmented one keeps its prefix and tries again
+    /// at the next router (§4.2).
     fn reserve(
         &mut self,
         now: Cycle,
@@ -538,7 +579,9 @@ impl RefRouter {
             return;
         };
         let key = handle.key;
-        let doomed = if self.topology.is_wrap_hop(self.node, route)
+        // A degraded router refuses every reservation (DESIGN.md §10).
+        let doomed = if self.degraded
+            || self.topology.is_wrap_hop(self.node, route)
             || self.topology.is_wrap_hop(self.node, p)
         {
             true
