@@ -70,7 +70,7 @@ grep -q 'const _: () = assert!(std::mem::size_of::<Flit>() == 8);' crates/noc/sr
 echo "==> state sized by what it models (DESIGN.md §9, §6b, §13: ports, a link's window, 16 ways)"
 grep -q 'const _: () = assert!(std::mem::size_of::<SetWord>() == 8);' crates/protocol/src/cache.rs \
   && grep -q 'const _: () = assert!(std::mem::size_of::<CreditWire>() == 16);' crates/noc/src/credit.rs \
-  && grep -q 'const _: () = assert!(std::mem::size_of::<Router>() <= 712);' crates/noc/src/router/mod.rs \
+  && grep -q 'const _: () = assert!(std::mem::size_of::<Router>() == 712);' crates/noc/src/router/mod.rs \
   || { echo "FAIL: the size assertion on SetWord, CreditWire or Router is gone"; exit 1; }
 # Per-port router arrays hold PORTS entries; only per-VC ones hold VC_INDEX_BITS.
 wide=$(grep -nE '^ *(pub(\(crate\))? )?(contend|sa_nominee|st_pending|arbiters): \[[^]]*; *VC_INDEX_BITS\]' \
@@ -396,7 +396,9 @@ for jobs in 1 4; do
 done
 $CARGO test --release -q -p rcsim-bench --test experiments_golden "$@"
 $CARGO test --release -q -p rcsim-noc --test direct_links --test steady_state_allocs "$@"
-# The router against RefRouter at the differential's long size.
+# The router against RefRouter at the differential's long size: Baseline,
+# Complete and Fragmented on mesh and torus, and both circuit mechanisms
+# across a degraded onset.
 $CARGO test --release -q -p rcsim-noc --lib "$@" router::differential -- --ignored
 $CARGO test -q -p rcsim-power "$@"
 $CARGO test -q -p rcsim-noc --test traffic_patterns "$@"
@@ -491,7 +493,7 @@ fi
 echo "==> non-test lines per crate (src/**/*.rs up to each file's #[cfg(test)] mod)"
 # A file whose first line is #![cfg(test)] is test code whole; a
 # #[cfg(test)] module declared without a body (`mod x;`) is one line.
-for crate in crates/*/; do
+counts=$(for crate in crates/*/; do
   find "${crate}src" -name '*.rs' -print0 | xargs -0 awk -v crate="$(basename "$crate")" '
     FNR == 1 { skip = ($0 ~ /^#!\[cfg\(test\)\]$/); held = 0 }
     skip { next }
@@ -499,6 +501,9 @@ for crate in crates/*/; do
     /^#\[cfg\(test\)\]$/ { held = 1; next }
     { n++ }
     END { printf "    %-10s %6d\n", crate, n; }'
-done
+done)
+echo "$counts"
+# ROADMAP item 6 targets the three crates the router reshape touches.
+awk '$1 ~ /^(bench|system|noc)$/ { sum += $2 } END { printf "    %-10s %6d (ROADMAP 6: <= 11150)\n", "b+s+noc", sum }' <<< "$counts"
 
 echo "CI gate passed."
