@@ -30,7 +30,7 @@ pub use rcsim_system::config_hash as cache_key;
 /// Bumped whenever [`RunResult`] or the simulator's semantics change in a
 /// way that invalidates previously cached results: a file of any other
 /// version is a miss, and is overwritten by the recomputed point.
-pub const CACHE_FORMAT_VERSION: u32 = 5;
+pub const CACHE_FORMAT_VERSION: u32 = 6;
 
 const CACHE: Envelope = Envelope {
     magic: "rcsim-cache",

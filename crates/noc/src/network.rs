@@ -768,7 +768,7 @@ impl Network {
         for i in 0..topology.routers() {
             for key in &doomed {
                 for p in 0..PORTS {
-                    if self.routers[i].state.circuits.release(p, *key).is_some() {
+                    if self.routers[i].release_circuit(p, *key).is_some() {
                         self.sink.emit(|| rcsim_trace::TraceEvent {
                             cycle: now,
                             kind: EventKind::CircuitTear {

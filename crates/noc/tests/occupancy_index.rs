@@ -22,9 +22,10 @@ const DRAIN_LIMIT: u64 = 30_000;
 /// A link dying under this load can cut a circuit stream in two and wedge
 /// the fabric (SlackDelay on the mesh — so does the pre-index router,
 /// cycle for cycle; ROADMAP item 2, wedge entrance 1); the index must track a wedged fabric too, so those runs stop at
-/// the watchdog instead of draining.
+/// the watchdog instead of draining. Link drops lose whole packets, which
+/// their NIs retransmit, so a run under drops alone must drain.
 fn drive(topology: Topology, mechanism: MechanismConfig, faults: FaultConfig, label: &str) {
-    let must_drain = faults.is_none();
+    let must_drain = faults.dead_links.is_empty();
     let cfg = NocConfig::paper_baseline(topology, mechanism);
     let mut net = Network::with_faults(cfg, faults).expect("valid configuration");
     let tiles = topology.nodes() as u16;
@@ -76,7 +77,7 @@ fn drive(topology: Topology, mechanism: MechanismConfig, faults: FaultConfig, la
     );
 }
 
-fn fault_schedules() -> [(&'static str, FaultConfig); 2] {
+fn fault_schedules() -> [(&'static str, FaultConfig); 3] {
     // Router 1 sits east of router 0.
     let mut dead = FaultConfig::none();
     dead.dead_links.push(DeadLinkEvent {
@@ -84,7 +85,15 @@ fn fault_schedules() -> [(&'static str, FaultConfig); 2] {
         b: NodeId(1),
         at: 900,
     });
-    [("no faults", FaultConfig::none()), ("dead link", dead)]
+    let drops = FaultConfig {
+        link_drop_rate: 0.01,
+        ..FaultConfig::none()
+    };
+    [
+        ("no faults", FaultConfig::none()),
+        ("dead link", dead),
+        ("drops", drops),
+    ]
 }
 
 fn sweep(topology: Topology, fabric: &str) {
@@ -105,4 +114,9 @@ fn sweep(topology: Topology, fabric: &str) {
 #[test]
 fn index_tracks_vc_states_on_a_mesh() {
     sweep(Topology::mesh(4, 4).expect("valid"), "mesh 4x4");
+}
+
+#[test]
+fn index_tracks_vc_states_on_a_torus() {
+    sweep(Topology::torus(4, 4).expect("valid"), "torus 4x4");
 }
