@@ -10,15 +10,20 @@
 //! would leave its source NI if nothing else goes wrong —
 //!
 //! ```text
-//! n_R = now_R + 5 · hops_remaining(request) + turnaround
+//! n_R = now_R + 5 · hops_remaining(request) + turnaround + INJECT_OVERHEAD
 //! ```
 //!
-//! The window reserved at router R for a reply injected at `n_R + shift` is
-//! `[n_R + shift + 2·d, n_R + shift + 2·d + flits + slack]` where `d` is
-//! the reply's hop distance from its source to R. Because a reply injected
-//! at time `T` occupies R exactly during `[T + 2d, T + 2d + flits]`
-//! (complete circuits never block), the reply meets *every* router's window
-//! iff
+//! The last term is Table 4's
+//! [`INJECT_OVERHEAD`](crate::table4::INJECT_OVERHEAD): the request's
+//! ejection at the responder, the responder's NI and the reply's
+//! injection, fixed work at the two endpoints that the hop and
+//! turnaround counts leave out. A reply injected at time `T` crosses its
+//! NI's link to its first router in one [`LINK_LATENCY`], so it occupies
+//! R exactly during `[T + 1 + 2d, T + 1 + 2d + flits]`, `d` being the
+//! reply's hop distance from its source to R (complete circuits never
+//! block). The window reserved at R for a reply injected at `n_R + shift`
+//! is therefore `[n_R + 1 + shift + 2·d, n_R + 1 + shift + 2·d + flits +
+//! slack]`, and the reply meets *every* router's window iff
 //!
 //! ```text
 //! max_R (n_R + shift_R)  ≤  T  ≤  min_R (n_R + shift_R + slack)
