@@ -110,18 +110,6 @@ pub enum FlitKind {
     HeadTail,
 }
 
-impl FlitKind {
-    /// The kind for flit `seq` of a packet `len` flits long.
-    pub fn for_position(seq: u32, len: u32) -> FlitKind {
-        match (seq == 0, seq + 1 == len) {
-            (true, true) => FlitKind::HeadTail,
-            (true, false) => FlitKind::Head,
-            (false, true) => FlitKind::Tail,
-            (false, false) => FlitKind::Body,
-        }
-    }
-}
-
 /// One 16-byte flow-control unit travelling through the network — here an
 /// 8-byte handle: whose it is (a slot of the network's [`Packets`] table),
 /// which flit of the packet, the VC it travels on and how it is tagged.
@@ -419,6 +407,19 @@ pub struct Delivered {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl FlitKind {
+        /// The kind for flit `seq` of a packet `len` flits long: the
+        /// oracle [`Flit::kind`] is held to.
+        fn for_position(seq: u32, len: u32) -> FlitKind {
+            match (seq == 0, seq + 1 == len) {
+                (true, true) => FlitKind::HeadTail,
+                (true, false) => FlitKind::Head,
+                (false, true) => FlitKind::Tail,
+                (false, false) => FlitKind::Body,
+            }
+        }
+    }
 
     #[test]
     fn flit_kind_positions() {

@@ -62,26 +62,6 @@ pub enum ArrivalProcess {
     },
 }
 
-impl ArrivalProcess {
-    /// Long-run mean arrivals per cycle per edge (clamping ignored), for
-    /// labelling sweep points by offered load.
-    pub fn mean_rate(&self) -> f64 {
-        match *self {
-            ArrivalProcess::Poisson { rate } => rate,
-            ArrivalProcess::Bursty {
-                rate_on,
-                rate_off,
-                mean_on,
-                mean_off,
-            } => {
-                let (on, off) = (mean_on.max(1) as f64, mean_off.max(1) as f64);
-                (rate_on * on + rate_off * off) / (on + off)
-            }
-            ArrivalProcess::Diurnal { peak_rate, .. } => peak_rate / 2.0,
-        }
-    }
-}
-
 /// One external arrival produced by [`ArrivalStream::poll`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExternalArrival {
@@ -264,23 +244,6 @@ mod tests {
             .count();
         let tails = arrivals.len() - mid;
         assert!(mid > 2 * tails, "mid {mid} vs tails {tails}");
-    }
-
-    #[test]
-    fn mean_rate_summaries() {
-        assert_eq!(ArrivalProcess::Poisson { rate: 0.25 }.mean_rate(), 0.25);
-        let b = ArrivalProcess::Bursty {
-            rate_on: 0.4,
-            rate_off: 0.0,
-            mean_on: 100,
-            mean_off: 300,
-        };
-        assert!((b.mean_rate() - 0.1).abs() < 1e-12);
-        let d = ArrivalProcess::Diurnal {
-            peak_rate: 0.5,
-            period: 1000,
-        };
-        assert!((d.mean_rate() - 0.25).abs() < 1e-12);
     }
 
     #[test]
