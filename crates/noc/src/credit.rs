@@ -10,7 +10,7 @@
 
 use crate::config::NocConfig;
 use rcsim_core::table4::BUFFER_DEPTH;
-use rcsim_core::{CircuitMode, Cycle, PORT_LOCAL};
+use rcsim_core::{Cycle, PORT_LOCAL};
 use serde::{Deserialize, Serialize};
 
 /// The credit return of one output VC: a counter plus a shift register
@@ -133,12 +133,11 @@ pub(crate) struct CreditWires {
 
 impl CreditWires {
     pub(crate) fn new(cfg: &NocConfig) -> Self {
-        let layout = cfg.vc_layout();
-        let vcs = layout.total();
+        let vcs = cfg.vc_layout().total();
         let per_router = PORT_LOCAL * vcs;
         let ni_base = cfg.topology.routers() * per_router;
         let credited = (0..vcs)
-            .filter(|&v| !layout.is_circuit_vc(v) || cfg.mechanism.mode == CircuitMode::Fragmented)
+            .filter(|&v| cfg.credited(v))
             .fold(0, |m, v| m | 1 << v);
         CreditWires {
             per_router,
