@@ -39,10 +39,9 @@ impl NocConfig {
         }
     }
 
-    /// `true` when VC `vc` takes a credit per flit: every VC but the
-    /// complete- and ideal-mode circuit VC, which is sent on without one.
+    /// `true` when VC `vc` takes a credit per flit ([`VcLayout::credited`]).
     pub(crate) fn credited(&self, vc: usize) -> bool {
-        !self.vc_layout().is_circuit_vc(vc) || self.mechanism.mode == CircuitMode::Fragmented
+        self.vc_layout().credited(vc, self.mechanism.mode)
     }
 }
 
@@ -103,6 +102,14 @@ impl VcLayout {
     /// `true` when `vc` is a circuit-class VC.
     pub fn is_circuit_vc(&self, vc: usize) -> bool {
         vc >= self.total() - self.circuit_vcs && vc < self.total()
+    }
+
+    /// `true` when VC `vc` takes a credit per flit under circuit mode
+    /// `mode`: every VC but the complete- and ideal-mode circuit VC, which
+    /// is sent on without one. The one credit rule: a router returns a
+    /// credit, and a wire carries one, only where this holds.
+    pub(crate) fn credited(&self, vc: usize, mode: CircuitMode) -> bool {
+        !self.is_circuit_vc(vc) || mode == CircuitMode::Fragmented
     }
 
     /// The global VC index of circuit VC `i`.
