@@ -84,6 +84,18 @@ awk 'function crate(file) {
        depth++ }
      END { flush() }' "$out.own" "$out.sym" \
   | sed -E 's#\t[^\t]*/(crates|benchmark|library)/#\t\1/#' > "$out.frames"
+# One line per sampled address of the binary: count, the function its
+# samples count for (the outermost frame, as above) and the inlined
+# callee directly under that frame, or "(its own code)" when the address
+# lies in no inlined callee.
+awk 'function flush() {
+       if (addr != "") print counts[++k] "\t" fns[n] "\t" (n > 1 ? fns[n - 1] : "(its own code)")
+       addr = ""
+     }
+     NR == FNR { counts[NR] = $1; next }
+     /^0x[0-9a-f]+$/ { flush(); addr = $0; depth = 0; n = 0; next }
+     { if (depth % 2 == 0) fns[++n] = $0; depth++ }
+     END { flush() }' "$out.own" "$out.sym" > "$out.callees"
 # Samples outside the binary, by mapping.
 awk -v bin="$bin" '$2 != bin { n = split($2, p, "/"); printf "%s\t%s\t%s\t-\n", $1, p[n], p[n] }' \
   "$out.placed" >> "$out.frames"
@@ -103,3 +115,11 @@ awk -F'\t' -v total="$samples" '{ s[$2] += $1 } END { for (k in s) printf "%6.2f
   "$out.frames" | sort -rn
 table 3 function 25
 table 4 "source line" 25
+# The top function's samples, split by the inlined callee directly under
+# it (a stage the compiler inlined into Router::tick counts as Router::tick
+# in the function table).
+top=$(awk -F'\t' '$2 !~ /harness/ { s[$3] += $1 } END { for (k in s) print s[k] "\t" k }' \
+  "$out.frames" | sort -rn | head -n 1)
+echo "== the top function's ${top%%$'\t'*} samples by the inlined callee directly under it: ${top#*$'\t'}"
+awk -F'\t' -v top="${top#*$'\t'}" '$2 == top { s[$3] += $1; t += $1 }
+  END { for (k in s) printf "%6.2f%%  %s\n", 100 * s[k] / t, k }' "$out.callees" | sort -rn | head -n 15
