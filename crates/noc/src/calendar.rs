@@ -7,7 +7,7 @@
 //! has — one flit register per input port for each cycle of a short
 //! arrival window — rather than a mailbox to search: a message is written
 //! once into the registers of its arrival cycle and read once when that
-//! cycle comes. Credits travel on back-wires of their own
+//! cycle comes. Credits travel on the network's credit list
 //! ([`crate::credit`]) and never enter a calendar.
 
 use crate::flit::Flit;

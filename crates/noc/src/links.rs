@@ -229,9 +229,8 @@ impl Links<'_> {
         packets: &mut Packets,
     ) {
         let (now, from) = (self.now, self.from.index());
-        if let Some(wire) = self.credits.router_vc(from, port, flit.vc.into()) {
-            wire.send(arrive);
-        }
+        let slot = self.credits.router_slot(from, port, flit.vc.into());
+        self.credits.send(slot, arrive);
         if flit.is_head() {
             let rec = &packets[flit.slot];
             if let Some(h) = &rec.circuit {
@@ -277,8 +276,8 @@ impl LinkSink for Links<'_> {
     }
 
     fn credit(&mut self, port: usize, vc: usize, arrive: Cycle) {
-        let wire = if port >= PORT_LOCAL {
-            self.credits.ni_vc(self.from.index(), vc)
+        let slot = if port >= PORT_LOCAL {
+            self.credits.ni_slot(self.from.index(), vc)
         } else {
             let Some(nb) = self.neighbor(port) else {
                 return;
@@ -287,11 +286,10 @@ impl LinkSink for Links<'_> {
             // backchannel is the recovery path's control plane, and
             // without it every VC that ever crossed the link would wedge
             // permanently (DESIGN.md §6b).
-            self.credits.router_vc(nb.index(), opposite_port(port), vc)
+            self.credits
+                .router_slot(nb.index(), opposite_port(port), vc)
         };
-        if let Some(wire) = wire {
-            wire.send(arrive);
-        }
+        self.credits.send(slot, arrive);
     }
 
     fn undo(&mut self, port: usize, key: CircuitKey, dst: NodeId, arrive: Cycle) {

@@ -538,16 +538,16 @@ impl Ni {
         }
 
         // Packet-switched: continue an in-flight stream or start one.
-        self.collect_sendable(now, wires);
+        self.collect_sendable(wires);
         if self.sendable.is_empty() {
-            self.try_activate(now, wires, packets);
-            self.collect_sendable(now, wires);
+            self.try_activate(wires, packets);
+            self.collect_sendable(wires);
         }
         let vc = self.state.rr_stream.grant_among(&self.sendable)?;
         let mut s = self.state.streams[vc]
             .take()
             .expect("sendable stream exists");
-        wires[vc].take(now);
+        wires[vc].take();
         let flit = self.emit_flit(&mut s, now, topo, packets, out);
         if flit.is_tail() {
             self.live_streams -= 1;
@@ -559,18 +559,18 @@ impl Ni {
 
     /// Rebuilds the scratch list of VCs with a stream and a credit home
     /// at `now`.
-    fn collect_sendable(&mut self, now: Cycle, wires: &[CreditWire]) {
+    fn collect_sendable(&mut self, wires: &[CreditWire]) {
         self.sendable.clear();
         let vcs = self.state.streams.iter().zip(wires).enumerate();
         self.sendable.extend(
-            vcs.filter(|(_, (s, w))| s.is_some() && w.available(now) > 0)
+            vcs.filter(|(_, (s, w))| s.is_some() && w.available() > 0)
                 .map(|(vc, _)| vc),
         );
     }
 
     /// Starts a new packet-switched stream if a VC of its class is fully
     /// idle at `now` (all credits home, no local stream).
-    fn try_activate(&mut self, now: Cycle, wires: &[CreditWire], packets: &mut Packets) {
+    fn try_activate(&mut self, wires: &[CreditWire], packets: &mut Packets) {
         for attempt in 0..2 {
             let vn = (self.state.vnet_rr + attempt) % 2;
             let vnet = Vnet::ALL[vn];
@@ -578,7 +578,7 @@ impl Ni {
                 continue;
             }
             let vc = self.layout.allocatable_vcs(vnet).find(|&vc| {
-                self.state.streams[vc].is_none() && wires[vc].available(now) == BUFFER_DEPTH
+                self.state.streams[vc].is_none() && wires[vc].available() == BUFFER_DEPTH
             });
             if let Some(vc) = vc {
                 let queued = self.state.queues[vn]
