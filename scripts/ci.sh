@@ -67,11 +67,10 @@ grep -q 'const _: () = assert!(std::mem::size_of::<Flit>() == 8);' crates/noc/sr
   && grep -q 'copy::<Flit>();' crates/noc/src/flit.rs \
   || { echo "FAIL: crates/noc/src/flit.rs lost its size or Copy assertion on Flit"; exit 1; }
 
-echo "==> state sized by what it models (DESIGN.md §9, §6b, §13: ports, a link's window, 16 ways)"
+echo "==> state sized by what it models (DESIGN.md §9, §13: ports, 16 ways)"
 grep -q 'const _: () = assert!(std::mem::size_of::<SetWord>() == 8);' crates/protocol/src/cache.rs \
-  && grep -q 'const _: () = assert!(std::mem::size_of::<CreditWire>() == 16);' crates/noc/src/credit.rs \
   && grep -q 'const _: () = assert!(std::mem::size_of::<Router>() == 712);' crates/noc/src/router/mod.rs \
-  || { echo "FAIL: the size assertion on SetWord, CreditWire or Router is gone"; exit 1; }
+  || { echo "FAIL: the size assertion on SetWord or Router is gone"; exit 1; }
 # Per-port router arrays hold PORTS entries; only per-VC ones hold VC_INDEX_BITS.
 wide=$(grep -nE '^ *(pub(\(crate\))? )?(contend|sa_nominee|st_pending|arbiters): \[[^]]*; *VC_INDEX_BITS\]' \
   crates/noc/src/router/mod.rs || true)
@@ -115,7 +114,8 @@ tables=$(grep -n '^\[features\]' crates/*/Cargo.toml || true)
 echo "==> the kernel walks a worklist (DESIGN.md §9: due words ∪ busy bits)"
 # Network::tick visits the set bits of due | busy, never every component
 # to ask it; the due bit comes from the word the loop holds (`.due(` only
-# in tests, up to each file's #[cfg(test)] mod); no credit list.
+# in tests, up to each file's #[cfg(test)] mod); no credit list handed to
+# a router's tick (credits land before anything ticks, DESIGN.md §6b).
 tick=$(sed -n '/^    pub fn tick(&mut self) {$/,/^    }$/p' crates/noc/src/network.rs)
 scan=$(grep -E 'for i in 0\.\.topology\.nodes\(\)|routers\.iter_mut\(\)\.enumerate\(\)' <<< "$tick" || true)
 asked=$(find crates/noc/src -name '*.rs' -print0 | xargs -0 awk '
@@ -125,13 +125,13 @@ asked=$(find crates/noc/src -name '*.rs' -print0 | xargs -0 awk '
   /\.due\(/ { print FILENAME ":" FNR ": " $0 }')
 listed=$(grep -rn 'credits: &mut Vec<(usize, u8)>' crates/noc/src || true)
 [ -n "$tick" ] && [ -z "$scan$asked$listed" ] \
-  || { echo "FAIL: Network::tick scans every component, a due test or a credit list is back:"
+  || { echo "FAIL: Network::tick scans every component, a due test or a per-tick credit list is back:"
        printf '%s\n' "$scan" "$asked" "$listed" | grep .; exit 1; }
 
-echo "==> credits never enter the calendar (DESIGN.md §9: a credit is a timestamp on its wire, not a message)"
-# Credits are written on CreditWire records (crates/noc/src/credit.rs) and
-# read as a function of time: no calendar cell holds one, no drain hands
-# one over, and no router or NI is visited to count one.
+echo "==> credits never enter the calendar (DESIGN.md §6b, §9: the network lands a credit before anything ticks)"
+# Credits travel on CreditWires' list (crates/noc/src/credit.rs) and land
+# on their counters at the top of the tick: no calendar cell holds one, no
+# drain hands one over, and no router or NI is visited to count one.
 cells=$(grep -nE 'push_credit|credits: Vec<|masks: Vec<\(' crates/noc/src/calendar.rs || true)
 counted=$(awk '
   FNR == 1 { skip = 0 }
@@ -396,13 +396,14 @@ for jobs in 1 4; do
 done
 $CARGO test --release -q -p rcsim-bench --test experiments_golden "$@"
 $CARGO test --release -q -p rcsim-noc --test direct_links --test steady_state_allocs "$@"
-# The router against RefRouter at the differential's long size, on mesh
-# and torus: all ten versions (Baseline, Fragmented, Complete,
-# Complete_NoAck, Reuse_NoAck, Timed_NoAck, Slack_1, SlackDelay_1,
-# Postponed_1, Ideal) and the borrowing-scrounger Reuse, each healthy
-# row drained at its end (flits held while nothing moves fail it), each
-# circuit version also across a degraded onset.
-$CARGO test --release -q -p rcsim-noc --lib "$@" router::differential -- --ignored
+# The router against RefRouter, and the network against RefNetwork, at
+# their differentials' long sizes, on mesh and torus: all ten versions
+# (Baseline, Fragmented, Complete, Complete_NoAck, Reuse_NoAck,
+# Timed_NoAck, Slack_1, SlackDelay_1, Postponed_1, Ideal) and the
+# borrowing-scrounger Reuse, each healthy row drained at its end (flits
+# held while nothing moves fail it), each circuit version also across a
+# degraded onset at the router.
+$CARGO test --release -q -p rcsim-noc --lib "$@" -- --ignored router::differential network::differential
 $CARGO test -q -p rcsim-power "$@"
 $CARGO test -q -p rcsim-noc --test traffic_patterns "$@"
 
@@ -413,8 +414,8 @@ echo "==> cache arrays, the topology tables and the worklist in release (oracle 
 # filled; `tags` is the live blocks plus the free-listed ones); the
 # footprint law (allocations, bytes held after a run, file size, resume
 # on paper-size caches) is stated for release builds.
-# The due words against the reference mailbox, the credit wires against
-# their list of arrivals, the worklist through every outside mutation and
+# The due words against the reference mailbox, credits landing at their
+# cycle, the worklist through every outside mutation and
 # a resume with both laws compiled out, and credit conservation every
 # cycle of a faulted echo.
 $CARGO test --release -q -p rcsim-protocol "$@"
@@ -463,8 +464,8 @@ if find "$ckpt_dir" -name '*.ckpt' | grep -q .; then
   echo "FAIL: completed sweep left checkpoints behind in $ckpt_dir"; exit 1
 fi
 mkdir -p "$ckpt_dir"
-# Every earlier version (v19, whose Ideal runs could hold two circuit
-# streams interleaved on one output VC, is the newest of them), with
+# Every earlier version (v20, whose credit wires were shift registers, is
+# the newest of them), with
 # the checksum of its "{}": only the version rejects it.
 current=$(sed -n 's/^pub const CHECKPOINT_FORMAT_VERSION: u32 = \([0-9]*\);$/\1/p' crates/system/src/checkpoint.rs)
 for v in $(seq 0 $((${current:?CHECKPOINT_FORMAT_VERSION not found} - 1))); do
