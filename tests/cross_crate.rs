@@ -541,11 +541,10 @@ fn worklist_holds_every_outside_mutation_and_survives_a_resume() {
     assert_eq!(serialized(&result), serialized(&whole));
 }
 
-/// Credits are back-wires (DESIGN.md §6b): on a 4×4 fragmented echo with
+/// Credits are messages (DESIGN.md §6b): on a 4×4 fragmented echo with
 /// link drops and a dead link, credit conservation holds after every
-/// cycle. For every
-/// credited VC, the credits home and on the wire, the flits buffered or
-/// on the link, and the credits lost make the buffer depth
+/// cycle. For every credited VC, the credits home and on their way and
+/// the flits buffered or on the link make the buffer depth
 /// (`Network::check_index`). A fresh network restored mid-run then ends
 /// in the state of the run that was never interrupted.
 #[test]
