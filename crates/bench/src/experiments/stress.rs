@@ -44,12 +44,8 @@ fn interior_dead_links(cores: u16, count: usize, at: u64) -> Result<Vec<DeadLink
 /// Every mechanism fault-free and with one and two dead links; then the
 /// recovery machinery itself. A link dying halfway through the measure
 /// window of a Complete run has circuits crossing it (teardown) and
-/// packets in flight on it (loss): `noc_retry` recovers them with the
-/// default end-to-end retransmissions; `l1_reissue` disables those on a
-/// lossy fabric (the dead link alone eats only what is in flight at
-/// onset, which can be nothing in a short window), so the transport
-/// abandons every loss and only the protocol's L1 reissue completes the
-/// affected misses.
+/// packets in flight on it (loss), which the default end-to-end
+/// retransmissions recover.
 fn resilience_grid(env: &RunEnv) -> Result<Vec<Row>, String> {
     let cores = env.cores[0];
     let mechanisms = [
@@ -79,23 +75,13 @@ fn resilience_grid(env: &RunEnv) -> Result<Vec<Row>, String> {
         }
     }
     let link = interior_dead_links(cores, 1, 0)?;
-    for (tag, retries) in [("noc_retry", true), ("l1_reissue", false)] {
-        let adjust = |cfg: &mut SimConfig| {
-            cfg.faults.dead_links = link.clone();
-            cfg.faults.dead_links[0].at = cfg.warmup_cycles + cfg.measure_cycles / 2;
-            if !retries {
-                cfg.faults.max_retries = 0;
-                cfg.faults.link_drop_rate = 0.01;
-                cfg.faults.seed = 0xFA17;
-                // The default timeout is sized for multi-million-cycle
-                // runs; recovery must fit in the measure window here.
-                cfg.reissue_timeout = Some((cfg.measure_cycles / 4).max(250));
-            }
-        };
-        let complete = MechanismConfig::complete();
-        let jobs = sim_jobs(env, &env.apps, cores, complete, &format!(" {tag}"), adjust);
-        rows.push(Row::new(RECOVERY, cores, format!("recovery/{tag}")).sim(jobs));
-    }
+    let adjust = |cfg: &mut SimConfig| {
+        cfg.faults.dead_links = link.clone();
+        cfg.faults.dead_links[0].at = cfg.warmup_cycles + cfg.measure_cycles / 2;
+    };
+    let complete = MechanismConfig::complete();
+    let jobs = sim_jobs(env, &env.apps, cores, complete, " noc_retry", adjust);
+    rows.push(Row::new(RECOVERY, cores, "recovery/noc_retry").sim(jobs));
     Ok(rows)
 }
 
@@ -117,7 +103,6 @@ fn resilience_cells(d: &RowData) -> Vec<Cell> {
         counter(d, "circuits_torn", "torn", |r| {
             r.health.faults.circuits_torn
         }),
-        counter(d, "l1_reissues", "reissues", |r| r.health.l1_reissues),
         counter(d, "abandoned", "abandoned", |r| {
             r.health.faults.packets_abandoned
         }),
@@ -141,9 +126,8 @@ fn resilience_cells(d: &RowData) -> Vec<Cell> {
     cells
 }
 
-/// No point may stall, no request may ever be abandoned where the
-/// network retries, a dead link must actually be exercised, and with
-/// retries off the L1 reissue path must fire.
+/// No point may stall, no request may ever be abandoned, and a dead link
+/// must actually be exercised.
 fn resilience_asserts(rows: &[RowData]) -> Result<(), String> {
     for d in rows {
         let label = &d.row.label;
@@ -151,18 +135,13 @@ fn resilience_asserts(rows: &[RowData]) -> Result<(), String> {
             return Err(format!("{label}: stalled"));
         }
         let abandoned = d.total(|r| r.health.faults.packets_abandoned);
-        if label != "recovery/l1_reissue" && abandoned != 0 {
+        if abandoned != 0 {
             return Err(format!("{label}: abandoned {abandoned} coherence requests"));
         }
         let rerouted = d.total(|r| r.health.faults.packets_rerouted);
         if d.param("dead_links").is_some_and(|dead| dead > 0.0) && rerouted == 0 {
             return Err(format!(
                 "{label}: never rerouted — the dead links were not exercised"
-            ));
-        }
-        if label == "recovery/l1_reissue" && d.total(|r| r.health.l1_reissues) == 0 {
-            return Err(format!(
-                "{label}: with NoC retries disabled the L1 reissue path must fire"
             ));
         }
     }
@@ -173,7 +152,7 @@ pub const RESILIENCE: Experiment = Experiment {
     name: "resilience",
     title: "Resilience — degradation under permanently dead links: pairs whose DOR path breaks \
             take the up*/down* table both ways, crossing circuits are torn down, lost messages \
-            are reissued",
+            are retransmitted",
     grid: resilience_grid,
     cells: resilience_cells,
     asserts: resilience_asserts,

@@ -27,7 +27,7 @@ use rcsim_system::SimConfig;
 pub use env::{Knob, RunEnv, KNOBS};
 pub use experiments::EXPERIMENTS;
 pub use rcsim_trace::{BenchRow, BenchSummary};
-pub use sweep::{cache_key, SweepOutcome, SweepRunner, SweepStats, CACHE_FORMAT_VERSION};
+pub use sweep::{cache_key, SweepOutcome, SweepRunner, SweepStats, SOURCE_HASH};
 pub use table::{run_experiment, BenchError, Experiment, Report, Verdict};
 
 /// The jobs of one row: `apps` × `RC_SEEDS` on a `cores`-core chip under

@@ -13,10 +13,12 @@
 //! Completed points are cached under `target/experiments/cache/` (or
 //! `RC_CACHE_DIR`) as [`Envelope`] files, the checkpoints' format: named
 //! by the [`SimConfig`]'s content hash ([`cache_key`]), stamped with
-//! [`CACHE_FORMAT_VERSION`]. A rerun after an unrelated edit skips
-//! already-computed points; an empty `RC_CACHE_DIR` bypasses the cache
-//! entirely. A corrupt, truncated or stale-format cache file is treated as
-//! a miss and recomputed, never an error.
+//! [`SOURCE_HASH`], the hash of the simulator's sources this binary was
+//! built from. A rerun after an edit outside those sources (an
+//! experiment's table, a test) skips already-computed points; an edit
+//! inside them recomputes every point. An empty `RC_CACHE_DIR` bypasses
+//! the cache entirely. A corrupt, truncated or other-build cache file is
+//! treated as a miss and recomputed, never an error.
 
 use crate::env::RunEnv;
 use rcsim_system::{run_sim, run_sim_resumable, Envelope, RunResult, SimConfig, SimError};
@@ -27,14 +29,13 @@ use std::time::Instant;
 
 pub use rcsim_system::config_hash as cache_key;
 
-/// Bumped whenever [`RunResult`] or the simulator's semantics change in a
-/// way that invalidates previously cached results: a file of any other
-/// version is a miss, and is overwritten by the recomputed point.
-pub const CACHE_FORMAT_VERSION: u32 = 6;
+// `SOURCE_HASH`: a file saved by a build of other simulator sources is a
+// miss, and is overwritten by the recomputed point.
+include!(concat!(env!("OUT_DIR"), "/source_hash.rs"));
 
 const CACHE: Envelope = Envelope {
     magic: "rcsim-cache",
-    version: CACHE_FORMAT_VERSION,
+    version: SOURCE_HASH,
     extension: "json",
 };
 

@@ -1,8 +1,8 @@
-//! On-disk result-cache correctness: hits only for the exact same config,
-//! misses for any field change, and graceful recomputation when a cache
-//! file is corrupt.
+//! On-disk result-cache correctness: hits only for the exact same config
+//! and simulator sources, misses for any field change, and graceful
+//! recomputation when a cache file is corrupt or from another build.
 
-use rcsim_bench::{cache_key, SweepRunner};
+use rcsim_bench::{cache_key, SweepRunner, SOURCE_HASH};
 use rcsim_core::MechanismConfig;
 use rcsim_system::SimConfig;
 use std::path::PathBuf;
@@ -75,6 +75,36 @@ fn corrupt_cache_file_recomputes_not_errors() {
         let healed = runner.run(&job(&cfg));
         assert_eq!(healed.stats.cached, 1);
     }
+
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn entry_from_other_simulator_sources_recomputes_not_errors() {
+    // The file header carries the hash of the sources that computed the
+    // entry; an entry saved by another build of the simulator is a miss,
+    // recomputed and overwritten, even though its payload is intact.
+    let dir = tmp_dir("cache-sources");
+    let runner = SweepRunner::new(1, Some(dir.clone()));
+    let cfg = small_cfg();
+
+    let first = runner.run(&job(&cfg)).results[0]
+        .as_ref()
+        .expect("runs")
+        .clone();
+    let path = runner.cache_path(&cfg).expect("caching enabled");
+    let text = std::fs::read_to_string(&path).unwrap();
+    let ours = format!("rcsim-cache v{SOURCE_HASH} ");
+    assert!(text.starts_with(&ours), "header names this build's sources");
+    let theirs = format!("rcsim-cache v{} ", SOURCE_HASH ^ 1);
+    std::fs::write(&path, text.replacen(&ours, &theirs, 1)).unwrap();
+
+    let again = runner.run(&job(&cfg));
+    assert_eq!(again.stats.cached, 0, "another build's entry must miss");
+    assert_eq!(again.stats.failed, 0, "a stale entry is never an error");
+    assert_eq!(again.results[0].as_ref().expect("recomputed"), &first);
+    assert!(std::fs::read_to_string(&path).unwrap().starts_with(&ours));
+    assert_eq!(runner.run(&job(&cfg)).stats.cached, 1, "the file healed");
 
     let _ = std::fs::remove_dir_all(dir);
 }

@@ -29,10 +29,10 @@
 //! Recovery is end-to-end: the network tracks every in-flight packet and
 //! retransmits lost ones from the source NI (plain packet-switched,
 //! bounded retries with linear backoff); a packet that exhausts its
-//! retries is counted in `NocStats::dropped_packets`. For dead links the
-//! protocol layer adds a second safety net: an L1 whose miss reply never
-//! arrives reissues the request after a timeout (bounded, exponential
-//! backoff).
+//! retries is counted in `NocStats::dropped_packets` and
+//! `FaultStats::packets_abandoned`. This is the only recovery path: the
+//! protocol above never re-sends a request, so an abandoned packet leaves
+//! its transaction unfinished and the run unhealthy.
 //!
 //! [`TopologyHealth`]: rcsim_core::TopologyHealth
 

@@ -117,8 +117,9 @@ pub struct HealthReport {
     /// the serialized report keeps its shape (ROADMAP item 1 retires it).
     #[serde(default)]
     pub dead_routers: Vec<NodeId>,
-    /// Coherence requests reissued by L1s whose reply never arrived
-    /// (filled in by the system layer; zero for bare-network runs).
+    /// Always zero: the protocol never re-sends a request, the transport's
+    /// retransmission is the one recovery path. It stays so the serialized
+    /// report keeps its shape (ROADMAP item 1 retires it).
     #[serde(default)]
     pub l1_reissues: u64,
     /// Open-loop ingress ledger: admit/reject/shed counters, queue
@@ -365,9 +366,6 @@ impl fmt::Display for HealthReport {
                 self.faults.circuits_torn,
                 self.faults.dead_flits_lost
             )?;
-        }
-        if self.l1_reissues > 0 {
-            writeln!(f, "  l1 reissues: {}", self.l1_reissues)?;
         }
         if self.overload.offered > 0 {
             writeln!(f, "  ingress: {}", self.overload)?;

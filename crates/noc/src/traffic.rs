@@ -1,4 +1,4 @@
-//! Synthetic network-level traffic patterns, used by the NoC's own tests
+//! Synthetic uniform-random network traffic, used by the NoC's own tests
 //! and micro-benchmarks (the full-system experiments use the coherence
 //! protocol in `rcsim-protocol` instead).
 
@@ -6,33 +6,15 @@ use crate::flit::PacketSpec;
 use crate::network::Network;
 use rand::Rng;
 use rcsim_core::{MessageClass, NodeId};
-use serde::{Deserialize, Serialize};
 
-/// Spatial traffic pattern.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Pattern {
-    /// Destination drawn uniformly over all other nodes.
-    UniformRandom,
-    /// Node `(x, y)` sends to `(y, x)`.
-    Transpose,
-    /// A fraction of traffic targets one hot node, the rest is uniform.
-    Hotspot {
-        /// The hot node.
-        target: NodeId,
-        /// Percentage (0–100) of packets aimed at it.
-        percent: u8,
-    },
-}
-
-/// A Bernoulli packet generator over a pattern.
+/// A Bernoulli packet generator of uniform-random traffic.
 ///
 /// Each cycle, every node independently starts a new request packet with
-/// probability `injection_rate` (packets/node/cycle). Useful to reproduce
-/// the light loads the paper reports (<4 flits/node/100 cycles).
+/// probability `injection_rate` (packets/node/cycle), to a destination
+/// drawn uniformly over all other nodes. Useful to reproduce the light
+/// loads the paper reports (<4 flits/node/100 cycles).
 #[derive(Debug, Clone)]
 pub struct Generator {
-    /// Spatial pattern.
-    pub pattern: Pattern,
     /// Packets per node per cycle.
     pub injection_rate: f64,
     /// Message class injected (class fixes size and VN).
@@ -43,55 +25,25 @@ impl Generator {
     /// A uniform-random generator of single-flit requests.
     pub fn uniform(injection_rate: f64) -> Self {
         Self {
-            pattern: Pattern::UniformRandom,
             injection_rate,
             class: MessageClass::L1Request,
         }
     }
 
-    /// Chooses a destination for `src` under the pattern.
+    /// Chooses a destination for `src`, uniformly over the other nodes.
     ///
     /// On a degenerate mesh with fewer than two nodes there is no valid
     /// destination; `src` is returned and [`Generator::step`] skips the
     /// self-addressed packet.
     pub fn destination<R: Rng>(&self, net: &Network, src: NodeId, rng: &mut R) -> NodeId {
-        let topology = net.config().topology;
-        let n = topology.nodes() as u16;
+        let n = net.config().topology.nodes() as u16;
         if n < 2 {
             return src;
         }
-        match self.pattern {
-            Pattern::UniformRandom => loop {
-                let d = NodeId(rng.gen_range(0..n));
-                if d != src {
-                    return d;
-                }
-            },
-            Pattern::Transpose => {
-                let (w, h) = topology.dims();
-                let c = topology.coord(src);
-                let max = (w - 1).min(h - 1);
-                let t = topology.router_at(rcsim_core::Coord {
-                    x: c.y.min(max),
-                    y: c.x.min(max),
-                });
-                if t == src {
-                    NodeId((src.0 + 1) % n)
-                } else {
-                    t
-                }
-            }
-            Pattern::Hotspot { target, percent } => {
-                if rng.gen_range(0..100u8) < percent && target != src {
-                    target
-                } else {
-                    loop {
-                        let d = NodeId(rng.gen_range(0..n));
-                        if d != src {
-                            return d;
-                        }
-                    }
-                }
+        loop {
+            let d = NodeId(rng.gen_range(0..n));
+            if d != src {
+                return d;
             }
         }
     }
@@ -145,40 +97,6 @@ mod tests {
         for s in 0..16u16 {
             for _ in 0..50 {
                 assert_ne!(g.destination(&n, NodeId(s), &mut rng), NodeId(s));
-            }
-        }
-    }
-
-    #[test]
-    fn transpose_is_involutive_inside_square() {
-        let n = net();
-        let g = Generator {
-            pattern: Pattern::Transpose,
-            injection_rate: 0.1,
-            class: MessageClass::L1Request,
-        };
-        let mut rng = ChaCha8Rng::seed_from_u64(7);
-        // (1,2) -> (2,1) -> (1,2)
-        let a = NodeId(9); // (1,2) in 4x4
-        let b = g.destination(&n, a, &mut rng);
-        assert_eq!(g.destination(&n, b, &mut rng), a);
-    }
-
-    #[test]
-    fn hotspot_targets_hot_node() {
-        let n = net();
-        let g = Generator {
-            pattern: Pattern::Hotspot {
-                target: NodeId(5),
-                percent: 100,
-            },
-            injection_rate: 0.1,
-            class: MessageClass::L1Request,
-        };
-        let mut rng = ChaCha8Rng::seed_from_u64(7);
-        for s in 0..16u16 {
-            if s != 5 {
-                assert_eq!(g.destination(&n, NodeId(s), &mut rng), NodeId(5));
             }
         }
     }

@@ -1,7 +1,7 @@
 //! Memory-system configuration (the paper's Table 2) and address mapping.
 
 use crate::cache::CacheConfig;
-use rcsim_core::{Cycle, NodeId, Topology};
+use rcsim_core::{NodeId, Topology};
 use serde::{Deserialize, Serialize};
 
 /// Configuration of the coherent memory hierarchy.
@@ -25,16 +25,6 @@ pub struct ProtocolConfig {
     pub undo_on_l2_miss: bool,
     /// Tiles hosting memory controllers.
     pub mc_tiles: Vec<NodeId>,
-    /// Cycles an L1 waits for the reply to an outstanding miss before
-    /// reissuing the request (permanent faults can lose either the request
-    /// or its reply). Reissue `n` fires after `reissue_timeout << n`
-    /// cycles, i.e. exponential backoff.
-    #[serde(default = "default_reissue_timeout")]
-    pub reissue_timeout: Cycle,
-}
-
-fn default_reissue_timeout() -> Cycle {
-    50_000
 }
 
 impl ProtocolConfig {
@@ -51,7 +41,6 @@ impl ProtocolConfig {
             eliminate_acks: false,
             undo_on_l2_miss: false,
             mc_tiles: topology.memory_controller_tiles(),
-            reissue_timeout: default_reissue_timeout(),
         }
     }
 

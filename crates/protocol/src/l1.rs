@@ -9,10 +9,6 @@ use rcsim_core::{Cycle, MessageClass, NodeId, StateMap, Topology};
 use rcsim_trace::{EventKind, TraceEvent, TraceSink};
 use serde::{Deserialize, Serialize};
 
-/// Reissues attempted per miss before the L1 gives up and leaves the
-/// wedge to the watchdog.
-const MAX_REISSUES: u32 = 3;
-
 /// MESI stable states (`I` is represented by absence).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 enum L1State {
@@ -33,10 +29,6 @@ struct PendingMiss {
     kind: ReqKind,
     write_value: Option<u64>,
     issued_at: Cycle,
-    /// Times the request has been re-sent because no reply arrived.
-    reissues: u32,
-    /// The cycle the next re-send is due (`Cycle::MAX`: never again).
-    reissue_at: Cycle,
 }
 
 /// Result of a core access.
@@ -80,15 +72,6 @@ pub struct L1Stats {
     pub forwards_served: u64,
     /// `L1_DATA_ACK`s skipped thanks to a complete circuit (§4.6).
     pub acks_elided: u64,
-    /// Outstanding-miss requests re-sent after the reissue timeout
-    /// (recovery from losses on dead links, DESIGN.md §10).
-    #[serde(default)]
-    pub reissues: u64,
-    /// Data replies that arrived for no (or a different) outstanding miss —
-    /// duplicates produced by a reissue racing the original reply. They are
-    /// acknowledged and otherwise ignored.
-    #[serde(default)]
-    pub stale_fills: u64,
 }
 
 /// A private L1 data cache attached to one core.
@@ -148,21 +131,6 @@ impl L1Cache {
     /// `true` while a miss is outstanding (the in-order core is stalled).
     pub fn miss_pending(&self) -> bool {
         self.state.miss.is_some()
-    }
-
-    /// The first cycle [`L1Cache::maybe_reissue`] will do anything:
-    /// `Cycle::MAX` with no miss outstanding or its reissues spent.
-    pub fn reissue_at(&self) -> Cycle {
-        self.state.miss.map_or(Cycle::MAX, |m| m.reissue_at)
-    }
-
-    /// When reissue `reissues + 1` of a miss issued at `issued_at` is due.
-    fn next_reissue(&self, issued_at: Cycle, reissues: u32) -> Cycle {
-        if reissues >= MAX_REISSUES {
-            return Cycle::MAX;
-        }
-        let wait = self.cfg.reissue_timeout.checked_shl(reissues);
-        issued_at.saturating_add(wait.unwrap_or(Cycle::MAX))
     }
 
     fn home(&self, block: u64) -> NodeId {
@@ -228,8 +196,6 @@ impl L1Cache {
             kind,
             write_value: if write { write_value } else { None },
             issued_at: port.now(),
-            reissues: 0,
-            reissue_at: self.next_reissue(port.now(), 0),
         });
         let mut req =
             Msg::new(MessageClass::L1Request, self.node, self.home(block), block).with_req(kind);
@@ -238,42 +204,6 @@ impl L1Cache {
         }
         port.send(req, self.cfg.l2_hit_latency);
         Access::Miss
-    }
-
-    /// Re-sends the outstanding miss request if its reply is overdue
-    /// (DESIGN.md §10): a permanent fault may have eaten the request or
-    /// its reply on a link that has since been routed around. Reissue `n`
-    /// (1-based) fires once `reissue_timeout << (n-1)` cycles have passed
-    /// since the miss was issued — exponential backoff so a genuinely
-    /// wedged protocol does not flood the fabric. After
-    /// `MAX_REISSUES` (3) attempts the L1 goes quiet and the
-    /// watchdog reports the stuck miss instead.
-    ///
-    /// Cheap no-op (one `Option` check) when no miss is outstanding, so
-    /// callers may invoke it every cycle.
-    pub fn maybe_reissue(&mut self, now: Cycle, port: &mut dyn Port) {
-        let Some(mut m) = self.state.miss.filter(|m| m.reissue_at <= now) else {
-            return;
-        };
-        m.reissues += 1;
-        m.reissue_at = self.next_reissue(m.issued_at, m.reissues);
-        self.state.miss = Some(m);
-        let (block, kind, attempt) = (m.block, m.kind, m.reissues);
-        self.state.stats.reissues += 1;
-        self.sink.emit(|| TraceEvent {
-            cycle: now,
-            kind: EventKind::L1Reissue {
-                node: self.node.0,
-                block,
-                attempt,
-            },
-        });
-        let mut req =
-            Msg::new(MessageClass::L1Request, self.node, self.home(block), block).with_req(kind);
-        if self.state.wb_buffer.contains_key(&block) {
-            req = req.with_wb_race();
-        }
-        port.send(req, self.cfg.l2_hit_latency);
     }
 
     fn evict(&mut self, block: u64, line: L1Line, port: &mut dyn Port) {
@@ -313,6 +243,9 @@ impl L1Cache {
                 None
             }
             MessageClass::L2WbAck => {
+                // Absent from the buffer when the write-back answered an
+                // invalidation: `invalidate` sends the dirty data without
+                // buffering it, and the home acks it all the same.
                 self.state.wb_buffer.remove(&msg.block);
                 None
             }
@@ -321,28 +254,18 @@ impl L1Cache {
     }
 
     fn fill(&mut self, msg: &Msg, rode_circuit: bool, port: &mut dyn Port) -> Option<MissDone> {
-        // A reissued request can produce two replies: the first fill
-        // resolves the miss, so a data message with no (or a different)
-        // outstanding miss is a stale duplicate. Acknowledge it so the
-        // home bank unblocks, but install nothing.
-        if !matches!(&self.state.miss, Some(m) if m.block == msg.block) {
-            self.state.stats.stale_fills += 1;
-            let elide =
-                self.cfg.eliminate_acks && rode_circuit && msg.class == MessageClass::L2Reply;
-            if !elide {
-                port.send(
-                    Msg::new(
-                        MessageClass::L1DataAck,
-                        self.node,
-                        self.home(msg.block),
-                        msg.block,
-                    ),
-                    1,
-                );
-            }
-            return None;
-        }
-        let pending = self.state.miss.take().expect("matched above");
+        // The transport delivers each message once, and a line stays
+        // blocked at its home until this fill's ack: data arrives only for
+        // the outstanding miss.
+        let pending = self
+            .state
+            .miss
+            .take()
+            .expect("data arrives only for the outstanding miss");
+        debug_assert_eq!(
+            pending.block, msg.block,
+            "data for another block than the miss"
+        );
         let (state, data) = match pending.kind {
             ReqKind::GetX => (L1State::Modified, pending.write_value.unwrap_or(msg.data)),
             ReqKind::GetS => (
@@ -634,68 +557,6 @@ mod tests {
         let m = Msg::new(MessageClass::L1ToL1, NodeId(9), NodeId(3), 0x140).with_data(2);
         c.handle(&m, true, &mut p);
         assert_eq!(p.sent.last().unwrap().class, MessageClass::L1DataAck);
-    }
-
-    #[test]
-    fn overdue_miss_is_reissued_with_exponential_backoff() {
-        let mut c = l1();
-        let mut p = TestPort::new();
-        c.access(0x100, false, None, &mut p);
-        assert_eq!(p.sent.len(), 1);
-        let t = c.cfg.reissue_timeout;
-
-        // One cycle early: nothing.
-        c.maybe_reissue(t - 1, &mut p);
-        assert_eq!(p.sent.len(), 1);
-        // First reissue at the timeout.
-        c.maybe_reissue(t, &mut p);
-        assert_eq!(p.sent.len(), 2);
-        assert_eq!(p.sent[1].class, MessageClass::L1Request);
-        assert_eq!(p.sent[1].req, Some(ReqKind::GetS));
-        // Backoff doubles: the second reissue waits until 2t from issue.
-        c.maybe_reissue(t + 1, &mut p);
-        assert_eq!(p.sent.len(), 2);
-        c.maybe_reissue(2 * t, &mut p);
-        assert_eq!(p.sent.len(), 3);
-        c.maybe_reissue(4 * t, &mut p);
-        assert_eq!(p.sent.len(), 4);
-        // MAX_REISSUES (3) exhausted: the L1 goes quiet.
-        c.maybe_reissue(400 * t, &mut p);
-        assert_eq!(p.sent.len(), 4);
-        assert_eq!(c.stats().reissues, 3);
-
-        // A late reply still completes the miss normally.
-        let done = c.handle(&reply(&c, 0x100, 9), false, &mut p);
-        assert_eq!(done.unwrap().value, 9);
-        assert!(!c.miss_pending());
-    }
-
-    #[test]
-    fn reissue_is_noop_without_outstanding_miss() {
-        let mut c = l1();
-        let mut p = TestPort::new();
-        c.maybe_reissue(1_000_000, &mut p);
-        assert!(p.sent.is_empty());
-        assert_eq!(c.stats().reissues, 0);
-    }
-
-    #[test]
-    fn duplicate_fill_is_acked_and_ignored() {
-        let mut c = l1();
-        let mut p = TestPort::new();
-        c.access(0x100, false, None, &mut p);
-        c.handle(&reply(&c, 0x100, 42), false, &mut p).unwrap();
-        let n = p.sent.len();
-        // A second reply for the same block (a reissue raced the original):
-        // acknowledged so the home unblocks, but the line is untouched.
-        assert!(c.handle(&reply(&c, 0x100, 99), false, &mut p).is_none());
-        assert_eq!(p.sent.len(), n + 1);
-        assert_eq!(p.sent.last().unwrap().class, MessageClass::L1DataAck);
-        assert_eq!(c.stats().stale_fills, 1);
-        assert_eq!(
-            c.access(0x100, false, None, &mut p),
-            Access::Hit { value: 42 }
-        );
     }
 
     #[test]

@@ -297,9 +297,6 @@ impl L2Bank {
         }
         if self.state.array.peek(block).is_some() {
             if self.busy(block).is_some() {
-                if self.on_duplicate_request(&msg, port) {
-                    return;
-                }
                 self.state.stats.queued_on_busy += 1;
                 self.queue(block).push_back(msg);
                 return;
@@ -307,63 +304,6 @@ impl L2Bank {
             self.serve(msg, port);
         } else {
             self.start_fetch(msg, port);
-        }
-    }
-
-    /// Handles a request for a busy line that duplicates the transaction
-    /// the line is busy on — a reissue (DESIGN.md §10) after the original
-    /// reply, forward or ack was lost on a dead resource. Queueing such a
-    /// request would deadlock (the transaction it waits on can never
-    /// finish), so the bank recovers instead. Returns `false` when the
-    /// request belongs to a different transaction and must queue normally.
-    fn on_duplicate_request(&mut self, msg: &Msg, port: &mut dyn Port) -> bool {
-        let block = msg.block;
-        match self.busy(block) {
-            Some(Busy::WaitDataAck {
-                requestor,
-                wb_ack_owed,
-            }) if requestor == msg.src => {
-                // The data reply (or its ack) was lost: unblock the line
-                // and serve the retry from the current directory state.
-                self.unblock(block);
-                if let Some(owner) = wb_ack_owed {
-                    port.send(Msg::new(MessageClass::L2WbAck, self.node, owner, block), 1);
-                }
-                self.serve(*msg, port);
-                true
-            }
-            Some(Busy::WaitFwdAck {
-                requestor,
-                kind,
-                old_owner,
-                ..
-            }) if requestor == msg.src => {
-                // The forward, its L1-to-L1 data, or the requestor's ack
-                // was lost: re-send the forward. If the old owner no
-                // longer holds the line it answers "not here" and the
-                // bank serves the requestor from its own copy.
-                self.state.stats.forwards += 1;
-                port.send(
-                    Msg::new(MessageClass::FwdRequest, self.node, old_owner, block)
-                        .with_req(kind)
-                        .with_requestor(requestor),
-                    1,
-                );
-                true
-            }
-            Some(Busy::WaitInvAcks { requestor, pending }) if requestor == msg.src => {
-                // The reply goes out when the last ack lands, but one of
-                // the invalidations (or its ack) may be what was lost:
-                // re-send to every still-pending sharer. Duplicate
-                // invalidations are harmless — an L1 without the line
-                // answers with a plain ack, and stale acks are ignored.
-                for n in nodes_of(pending) {
-                    self.state.stats.invalidations += 1;
-                    port.send(Msg::new(MessageClass::Invalidation, self.node, n, block), 1);
-                }
-                true
-            }
-            _ => false,
         }
     }
 
@@ -496,10 +436,9 @@ impl L2Bank {
 
     fn on_data_ack(&mut self, msg: Msg, port: &mut dyn Port) {
         let block = msg.block;
-        // Reissued requests can produce duplicate replies, and those
-        // duplicate (or late) acks can land after the transaction already
-        // resolved — possibly after the line was even evicted. Anything
-        // that does not match the ack the line is waiting for is ignored.
+        // Each reply or forward is delivered once and acked once, and its
+        // line stays busy until that ack: an ack always finds its line
+        // waiting for it.
         match self.busy(block) {
             Some(Busy::WaitDataAck {
                 requestor,
@@ -539,7 +478,14 @@ impl L2Bank {
                     );
                 }
             }
-            _ => return, // stale or duplicate ack
+            other => {
+                debug_assert!(
+                    false,
+                    "L2 {} ack from {} for line {block:#x} in state {other:?}",
+                    self.node, msg.src
+                );
+                return;
+            }
         }
         self.drain_line_queue(block, port);
     }
@@ -556,8 +502,11 @@ impl L2Bank {
     ) {
         let busy = self.busy(block);
         let Some(line) = self.state.array.peek_mut(block) else {
-            // The eviction this ack belongs to has already completed (the
-            // node answered both with a write-back and a late ack).
+            // A late plain ack: the owner's write-back crossed this
+            // eviction's invalidation, answered it (`on_wb_data`) and the
+            // eviction completed; the invalidation then found the line
+            // gone from the L1, which acks anyway
+            // (`races.rs::write_back_crossing_an_eviction_is_acked_late`).
             return;
         };
         match busy {
@@ -606,7 +555,8 @@ impl L2Bank {
                 self.drain_line_queue(block, port);
             }
             _ if !with_data => {
-                // A stale inv-ack from a silent-drop race: ignore.
+                // The same late ack, once the line is back and idle or
+                // busy on another transaction.
             }
             other => panic!(
                 "L2 {} inv response for line {block:#x} in state {other:?}",
@@ -695,8 +645,11 @@ impl L2Bank {
                 self.on_ack_from(from, block, true, msg.data, port);
             }
             _ => {
-                // Stale write-back (ownership already moved on): discard
-                // the data, release the writer's WB buffer.
+                // The writer evicted the line while a forward to it was in
+                // flight and served the forward from its write-back buffer;
+                // the requestor's ack completed the forward before this
+                // write-back arrived. Discard the data, release the
+                // writer's buffer.
                 port.send(Msg::new(MessageClass::L2WbAck, self.node, from, block), 1);
             }
         }
@@ -906,8 +859,12 @@ impl L2Bank {
                 self.on_request(msg, port);
             }
         } else {
-            // A duplicate memory reply (a retransmitted fetch raced the
-            // original): the fetch already resolved, nothing to do.
+            // Memory answers each fetch and write-back once.
+            debug_assert!(
+                false,
+                "L2 {} memory reply for {block:#x} nobody awaits",
+                self.node
+            );
         }
     }
 
@@ -1342,149 +1299,6 @@ mod tests {
             .find(|m| m.class == MessageClass::L2Reply)
             .unwrap();
         assert_eq!((r.dst, r.data), (NodeId(5), 9));
-    }
-
-    #[test]
-    fn duplicate_request_during_wait_data_ack_reserves_again() {
-        let (mut l2, mut p) = bank();
-        l2.receive(gets(3, 0x100), 0);
-        settle(&mut l2, &mut p);
-        l2.receive(mem_reply(&l2, 0x100, 42), p.now);
-        settle(&mut l2, &mut p);
-        let first = p.take();
-        assert!(first.iter().any(|m| m.class == MessageClass::L2Reply));
-
-        // The reply was lost on a dead link; after the timeout the L1
-        // reissues. The bank must serve again, not queue behind an ack
-        // that will never come.
-        l2.receive(gets(3, 0x100), p.now);
-        settle(&mut l2, &mut p);
-        let sent = p.take();
-        let replies: Vec<_> = sent
-            .iter()
-            .filter(|m| m.class == MessageClass::L2Reply)
-            .collect();
-        assert_eq!(replies.len(), 1, "retry re-served: {sent:?}");
-        assert_eq!(replies[0].dst, NodeId(3));
-        assert_eq!(replies[0].data, 42);
-        // The eventual ack resolves the line normally.
-        l2.receive(ack(3, 0x100), p.now);
-        settle(&mut l2, &mut p);
-        assert!(l2.is_quiescent());
-    }
-
-    #[test]
-    fn duplicate_request_during_wait_fwd_ack_resends_forward() {
-        let (mut l2, mut p) = bank();
-        // 3 owns the line exclusively.
-        l2.receive(gets(3, 0x100), 0);
-        settle(&mut l2, &mut p);
-        l2.receive(mem_reply(&l2, 0x100, 9), p.now);
-        settle(&mut l2, &mut p);
-        l2.receive(ack(3, 0x100), p.now);
-        settle(&mut l2, &mut p);
-        // 5 requests; the forward goes to 3.
-        l2.receive(gets(5, 0x100), p.now);
-        settle(&mut l2, &mut p);
-        p.take();
-
-        // The forward (or its data) was lost; 5 reissues.
-        l2.receive(gets(5, 0x100), p.now);
-        settle(&mut l2, &mut p);
-        let sent = p.take();
-        let fwds: Vec<_> = sent
-            .iter()
-            .filter(|m| m.class == MessageClass::FwdRequest)
-            .collect();
-        assert_eq!(fwds.len(), 1, "forward re-sent: {sent:?}");
-        assert_eq!(fwds[0].dst, NodeId(3));
-        assert_eq!(fwds[0].requestor, Some(NodeId(5)));
-        // Old owner answers, requestor acks: transaction completes.
-        l2.receive(
-            Msg::new(MessageClass::L1InvAck, NodeId(3), NodeId(0), 0x100),
-            p.now,
-        );
-        settle(&mut l2, &mut p);
-        l2.receive(ack(5, 0x100), p.now);
-        settle(&mut l2, &mut p);
-        assert!(l2.is_quiescent());
-    }
-
-    #[test]
-    fn duplicate_request_during_wait_inv_acks_resends_invalidations() {
-        let (mut l2, mut p) = bank();
-        // Install sharers 3 and 5.
-        l2.receive(gets(3, 0x100), 0);
-        settle(&mut l2, &mut p);
-        l2.receive(mem_reply(&l2, 0x100, 1), p.now);
-        settle(&mut l2, &mut p);
-        l2.receive(ack(3, 0x100), p.now);
-        settle(&mut l2, &mut p);
-        l2.receive(gets(5, 0x100), p.now);
-        settle(&mut l2, &mut p);
-        l2.receive(ack(5, 0x100), p.now);
-        settle(&mut l2, &mut p);
-        // 7 writes; invalidations go out to 3 and 5.
-        l2.receive(getx(7, 0x100), p.now);
-        settle(&mut l2, &mut p);
-        p.take();
-
-        // 7 reissues while the acks are still collecting: the pending
-        // invalidations are re-sent (one of them may be what was lost),
-        // but no reply or new transaction starts.
-        l2.receive(getx(7, 0x100), p.now);
-        settle(&mut l2, &mut p);
-        let resent = p.take();
-        assert_eq!(resent.len(), 2, "{resent:?}");
-        assert!(resent.iter().all(|m| m.class == MessageClass::Invalidation));
-
-        // The collection still completes and replies exactly once.
-        l2.receive(
-            Msg::new(MessageClass::L1InvAck, NodeId(3), NodeId(0), 0x100),
-            p.now,
-        );
-        l2.receive(
-            Msg::new(MessageClass::L1InvAck, NodeId(5), NodeId(0), 0x100),
-            p.now,
-        );
-        settle(&mut l2, &mut p);
-        let sent = p.take();
-        assert_eq!(
-            sent.iter()
-                .filter(|m| m.class == MessageClass::L2Reply)
-                .count(),
-            1
-        );
-        l2.receive(ack(7, 0x100), p.now);
-        settle(&mut l2, &mut p);
-        assert!(l2.is_quiescent());
-    }
-
-    #[test]
-    fn stale_acks_and_duplicate_memory_replies_are_ignored() {
-        let (mut l2, mut p) = bank();
-        // Ack for a block the bank has never seen: no panic, no effect.
-        l2.receive(ack(3, 0x200), 0);
-        settle(&mut l2, &mut p);
-        assert!(p.take().is_empty());
-
-        // Idle line + stale ack from an old transaction: ignored.
-        l2.receive(gets(3, 0x100), p.now);
-        settle(&mut l2, &mut p);
-        l2.receive(mem_reply(&l2, 0x100, 1), p.now);
-        settle(&mut l2, &mut p);
-        l2.receive(ack(3, 0x100), p.now);
-        settle(&mut l2, &mut p);
-        p.take();
-        l2.receive(ack(3, 0x100), p.now);
-        settle(&mut l2, &mut p);
-        assert!(p.take().is_empty());
-
-        // Duplicate memory reply after the fetch resolved: ignored.
-        l2.receive(mem_reply(&l2, 0x100, 77), p.now);
-        settle(&mut l2, &mut p);
-        assert!(p.take().is_empty());
-        assert!(l2.is_quiescent());
     }
 
     #[test]

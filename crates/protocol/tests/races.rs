@@ -94,9 +94,6 @@ impl Cluster {
             }
             self.l2.tick(now, &mut self.wire);
             self.mc.tick(now, &mut self.wire);
-            for l1 in &mut self.l1s {
-                l1.maybe_reissue(now, &mut self.wire);
-            }
         }
     }
 
@@ -258,9 +255,9 @@ fn upgrade_losing_to_remote_write_still_completes() {
 /// the eviction completes, not dropped with the line. A 1-set × 1-way
 /// slice holds one line, so core 2's miss on another block evicts `B`
 /// from under core 1's copy, and core 0's request for `B`, one cycle
-/// behind core 2's, finds `B` waiting for core 1's invalidation ack. The
-/// reissue timeout is short, so a dropped request would still be served,
-/// by its reissue; it must be served by the bank, with none.
+/// behind core 2's, finds `B` waiting for core 1's invalidation ack.
+/// Nothing re-sends a request, so a dropped one would leave its miss
+/// pending for good: every miss must complete.
 #[test]
 fn request_queued_on_an_evicting_victim_is_served() {
     let mesh = Topology::mesh(4, 4).unwrap();
@@ -271,7 +268,6 @@ fn request_queued_on_an_evicting_victim_is_served() {
             ways: 1,
             ..small.l2
         },
-        reissue_timeout: 1_000,
         ..small
     };
     let mut c = Cluster::with_config(3, 3, cfg);
@@ -293,17 +289,70 @@ fn request_queued_on_an_evicting_victim_is_served() {
         }
         c.run(1);
     }
-    assert!(!c.l1s[0].miss_pending() && !c.l1s[2].miss_pending());
+    assert!(
+        c.l1s.iter().all(|l1| !l1.miss_pending()),
+        "every miss completed"
+    );
     assert!(
         c.l2.stats().queued_on_busy >= 1,
         "core 0's request queued on the evicting line"
     );
-    let reissues: Vec<u64> = c.l1s.iter().map(|l1| l1.stats().reissues).collect();
-    assert_eq!(
-        reissues,
-        [0, 0, 0],
-        "every miss was served without a reissue"
-    );
     assert_eq!(c.l1s[0].probe(B).map(|(_, v)| v), Some(8));
+    c.settle();
+}
+
+/// An owner's write-back that crosses its home's eviction invalidation
+/// answers that invalidation: the eviction completes on the write-back,
+/// and the invalidation, finding the line gone from the L1, is acked
+/// anyway — a late ack for a line the bank no longer holds, which the
+/// bank ignores. One-line L1s and a 1-set × 2-way slice: core 1 owns `B`
+/// dirty and core 3 owns `X`; core 2's miss on a third block evicts `B`
+/// from the slice, and one cycle later core 1's miss on a fourth evicts
+/// `B` from its L1. The stored value survives, and every miss completes.
+#[test]
+fn write_back_crossing_an_eviction_is_acked_late() {
+    let mesh = Topology::mesh(4, 4).unwrap();
+    let small = ProtocolConfig::small_for_tests(&mesh);
+    let cfg = ProtocolConfig {
+        l1: CacheConfig {
+            sets: 1,
+            ways: 1,
+            ..small.l1
+        },
+        l2: CacheConfig {
+            sets: 1,
+            ways: 2,
+            ..small.l2
+        },
+        ..small
+    };
+    let mut c = Cluster::with_config(4, 3, cfg);
+    let (x, third, fourth) = (B + 16, B + 32, B + 48);
+    assert_eq!(c.access(1, B, true, Some(8)), 8);
+    c.settle();
+    assert_eq!(c.access(3, x, false, None), 0);
+    c.settle();
+    assert!(matches!(
+        c.l1s[2].access(third, false, None, &mut c.wire),
+        Access::Miss
+    ));
+    c.run(1);
+    assert!(matches!(
+        c.l1s[1].access(fourth, false, None, &mut c.wire),
+        Access::Miss
+    ));
+    for _ in 0..3_000 {
+        if c.l1s.iter().all(|l1| !l1.miss_pending()) {
+            break;
+        }
+        c.run(1);
+    }
+    assert!(
+        c.l1s.iter().all(|l1| !l1.miss_pending()),
+        "every miss completed"
+    );
+    c.settle();
+    assert_eq!(c.l2.probe(B), None, "the slice evicted B");
+    assert_eq!(c.access(0, B, false, None), 8, "the store reached memory");
     c.settle();
 }

@@ -17,7 +17,7 @@
 //! rebuilt from the [`SimConfig`] by construction and scratch is rebuilt
 //! from the state. DESIGN.md §13 has the rule and the table.
 //!
-//! On disk a checkpoint is an [`Envelope`] file (`rcsim-checkpoint v21`),
+//! On disk a checkpoint is an [`Envelope`] file (`rcsim-checkpoint v22`),
 //! the format the sweep result cache shares: a corrupt, truncated or
 //! stale-version file loads as `None` — a clean miss, never an error.
 
@@ -32,7 +32,7 @@ use std::path::Path;
 
 /// Bumped whenever the snapshot layout changes incompatibly. A checkpoint
 /// carrying any other version is treated as a clean miss, never an error.
-pub const CHECKPOINT_FORMAT_VERSION: u32 = 21;
+pub const CHECKPOINT_FORMAT_VERSION: u64 = 22;
 
 const CHECKPOINT: Envelope = Envelope {
     magic: "rcsim-checkpoint",

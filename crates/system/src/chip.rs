@@ -172,8 +172,6 @@ pub struct Chip {
 struct Wake {
     /// [`Core::ready_at`].
     cores: Vec<Cycle>,
-    /// [`L1Cache::reissue_at`].
-    reissues: Vec<Cycle>,
     /// The earlier of [`L2Bank::next_due`] and the tile's
     /// [`MemoryController::next_due`].
     banks: Vec<Cycle>,
@@ -261,7 +259,6 @@ impl Chip {
             state: State::default(),
             wake: Wake {
                 cores: vec![Cycle::MAX; n],
-                reissues: vec![Cycle::MAX; n],
                 banks: vec![Cycle::MAX; n],
             },
         };
@@ -273,7 +270,6 @@ impl Chip {
     fn rebuild_scratch(&mut self) {
         for i in 0..self.cores.len() {
             self.wake.cores[i] = self.cores[i].ready_at();
-            self.wake.reissues[i] = self.l1s[i].reissue_at();
             self.wake_bank(i);
         }
     }
@@ -362,9 +358,9 @@ impl Chip {
         self.topology
     }
 
-    /// Advances the whole chip one cycle. A core, L1 reissue or bank
-    /// whose wake slot lies ahead is skipped; debug builds take it through
-    /// the two laws of DESIGN.md §9 instead.
+    /// Advances the whole chip one cycle. A core or bank whose wake slot
+    /// lies ahead is skipped; debug builds take it through the two laws of
+    /// DESIGN.md §9 instead.
     pub fn tick(&mut self) {
         let now = self.net.now();
         let n = self.topology.nodes();
@@ -403,37 +399,8 @@ impl Chip {
                     Access::Hit { .. } => self.cores[i].access_hit(now),
                     Access::Miss => self.cores[i].access_missed(),
                 }
-                self.wake.reissues[i] = self.l1s[i].reissue_at();
             }
             self.wake.cores[i] = self.cores[i].ready_at();
-        }
-
-        // Overdue-miss reissue (DESIGN.md §10): a permanent fault may have
-        // eaten a request or its reply before the fabric routed around the
-        // dead resource. A no-op until the outstanding miss's next
-        // reissue cycle, so that is all the loop asks.
-        for i in 0..n {
-            if self.wake.reissues[i] > now {
-                if cfg!(debug_assertions) {
-                    let l1 = &mut self.l1s[i];
-                    superset_law("L1", i, now, l1.reissue_at() > now);
-                    skip_law("L1", i, now, l1, |l1| {
-                        let mut probe = Probe::new(now, &self.sink);
-                        l1.maybe_reissue(now, &mut probe);
-                        probe.quiet()
-                    });
-                }
-                continue;
-            }
-            let mut port = ChipPort {
-                net: &mut self.net,
-                state: &mut self.state,
-                node: NodeId(i as u16),
-                circuits_enabled: self.circuits_enabled,
-                track_undone,
-            };
-            self.l1s[i].maybe_reissue(now, &mut port);
-            self.wake.reissues[i] = self.l1s[i].reissue_at();
         }
 
         // Open-loop external traffic: service replies, client retries,
@@ -493,7 +460,6 @@ impl Chip {
                     {
                         self.cores[i].miss_done(now, l1_hit);
                         self.wake.cores[i] = self.cores[i].ready_at();
-                        self.wake.reissues[i] = self.l1s[i].reissue_at();
                     }
                 }
                 MessageClass::L1Request
@@ -585,12 +551,9 @@ impl Chip {
         self.net.stalled()
     }
 
-    /// A liveness snapshot of the network (see [`Network::health`]), plus
-    /// the chip-level reissue counter.
+    /// A liveness snapshot of the network (see [`Network::health`]).
     pub fn health(&self) -> HealthReport {
-        let mut h = self.net.health();
-        h.l1_reissues = self.l1s.iter().map(|l1| l1.stats().reissues).sum();
-        h
+        self.net.health()
     }
 
     /// Zeroes every statistic after warm-up (traffic in flight continues).
@@ -634,8 +597,6 @@ impl Chip {
             total.invalidations += s.invalidations;
             total.forwards_served += s.forwards_served;
             total.acks_elided += s.acks_elided;
-            total.reissues += s.reissues;
-            total.stale_fills += s.stale_fills;
         }
         total
     }

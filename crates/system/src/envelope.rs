@@ -36,9 +36,10 @@ pub fn config_hash(cfg: &SimConfig) -> u64 {
 pub struct Envelope {
     /// The header's first word.
     pub magic: &'static str,
-    /// The only version that loads; bump it whenever a payload saved
-    /// before would no longer mean the same.
-    pub version: u32,
+    /// The only version that loads: a format number bumped whenever a
+    /// payload saved before would no longer mean the same, or a hash of
+    /// what computed the payload.
+    pub version: u64,
     /// The file names' extension.
     pub extension: &'static str,
 }

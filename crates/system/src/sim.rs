@@ -36,11 +36,6 @@ pub struct SimConfig {
     /// Fault injection (default: none — zero-perturbation).
     #[serde(default)]
     pub faults: FaultConfig,
-    /// Override of [`ProtocolConfig`]'s L1 reissue timeout (`None` keeps
-    /// the default). Short runs studying reissue recovery need a timeout
-    /// that fits inside the measure window.
-    #[serde(default)]
-    pub reissue_timeout: Option<u64>,
     /// Open-loop external traffic at the west edge (`None` keeps the run
     /// purely closed-loop — the default, and bit-identical to builds
     /// before this field existed).
@@ -65,7 +60,6 @@ impl SimConfig {
             measure_cycles: 10_000,
             small_caches: true,
             faults: FaultConfig::none(),
-            reissue_timeout: None,
             open_loop: None,
             topology: TopologySpec::Mesh,
         }
@@ -196,14 +190,11 @@ pub(crate) fn build_chip(cfg: &SimConfig, kernel: KernelMode) -> Result<Chip, Si
     let topology = cfg.topology.build(cfg.cores)?;
     let workload = Workload::by_name(&cfg.workload, topology.nodes(), cfg.seed)
         .ok_or_else(|| SimError::UnknownWorkload(cfg.workload.clone()))?;
-    let mut proto = if cfg.small_caches {
+    let proto = if cfg.small_caches {
         ProtocolConfig::small_for_tests(&topology)
     } else {
         ProtocolConfig::paper_defaults(&topology)
     };
-    if let Some(t) = cfg.reissue_timeout {
-        proto.reissue_timeout = t;
-    }
     let mut chip = Chip::with_faults(
         topology,
         cfg.mechanism,

@@ -6,8 +6,7 @@
 
 use rcsim_core::MechanismConfig;
 use rcsim_system::{
-    run_sim, run_sim_traced, ArrivalProcess, OpenLoopConfig, RunResult, SimConfig, SimError,
-    TraceConfig, QUEUE_CAP,
+    run_sim, run_sim_traced, OpenLoopConfig, RunResult, SimConfig, SimError, TraceConfig, QUEUE_CAP,
 };
 use rcsim_trace::EventKind;
 
@@ -75,23 +74,16 @@ fn past_saturation_sheds_and_rejects_but_never_stalls() {
 }
 
 #[test]
-fn bursty_overload_exercises_the_shed_path() {
-    // Bursts at 0.8 arrivals/cycle/edge with admission off keep the edge
-    // queues full, and congestion holds their release to about one
-    // arrival per five cycles: a full queue's tail waits well past a
-    // 100-cycle shed timeout, so heads go stale and must leave through
-    // the explicit shed path — never silently.
-    let mut cfg = overload_cfg(0.0, false);
-    let ol = cfg.open_loop.as_mut().unwrap();
-    ol.ingress.shed_timeout = 100;
-    ol.process = ArrivalProcess::Bursty {
-        rate_on: 0.8,
-        rate_off: 0.0,
-        mean_on: 300,
-        mean_off: 300,
-    };
-    let r = run_sim(&cfg).expect("bursty run");
-    assert_conserved(&r, "bursty");
+fn overload_without_admission_exercises_the_shed_path() {
+    // Arrivals at 0.8/cycle/edge with admission off keep the edge queues
+    // full, and congestion holds their release to about one arrival per
+    // five cycles: a full queue's tail waits well past a 100-cycle shed
+    // timeout, so heads go stale and must leave through the explicit shed
+    // path — never silently.
+    let mut cfg = overload_cfg(0.8, false);
+    cfg.open_loop.as_mut().unwrap().ingress.shed_timeout = 100;
+    let r = run_sim(&cfg).expect("overload run");
+    assert_conserved(&r, "admission off");
     assert!(
         r.external.shed > 0,
         "an overloaded drain must trip the shed timeout: {}",

@@ -216,16 +216,6 @@ pub enum EventKind {
         /// Source node.
         node: u16,
     },
-    /// An L1 reissued a coherence request whose reply never arrived
-    /// (permanent-fault recovery, bounded exponential backoff).
-    L1Reissue {
-        /// L1 node.
-        node: u16,
-        /// The block of the outstanding miss.
-        block: u64,
-        /// Reissue number (1-based).
-        attempt: u32,
-    },
     /// An open-loop external arrival was admitted into an edge ingress
     /// queue (token available, queue below its bound).
     IngressAdmit {
@@ -288,7 +278,6 @@ impl EventKind {
             EventKind::L2Access { .. } => "l2_access",
             EventKind::LinkDead { .. } => "link_dead",
             EventKind::NiReroute { .. } => "ni_reroute",
-            EventKind::L1Reissue { .. } => "l1_reissue",
             EventKind::IngressAdmit { .. } => "ingress_admit",
             EventKind::IngressReject { .. } => "ingress_reject",
             EventKind::IngressShed { .. } => "ingress_shed",

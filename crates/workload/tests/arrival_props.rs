@@ -1,5 +1,5 @@
 //! Property-based round trips of the arrival-stream checkpoint: for any
-//! process shape, seed and split cycle, a stream restored from its
+//! rate, seed and split cycle, a stream restored from its
 //! snapshot must continue the exact arrival sequence of the original —
 //! the RNG draw sequence *is* the process definition, so one misplaced
 //! draw shows up as a shifted arrival. The snapshot itself must survive
@@ -10,19 +10,7 @@ use rcsim_core::Stateful;
 use rcsim_workload::{ArrivalProcess, ArrivalState, ArrivalStream};
 
 fn process_strategy() -> impl Strategy<Value = ArrivalProcess> {
-    prop_oneof![
-        (0.0f64..1.0).prop_map(|rate| ArrivalProcess::Poisson { rate }),
-        (0.05f64..0.9, 0.0f64..0.05, 1u64..200, 1u64..400).prop_map(
-            |(rate_on, rate_off, mean_on, mean_off)| ArrivalProcess::Bursty {
-                rate_on,
-                rate_off,
-                mean_on,
-                mean_off,
-            }
-        ),
-        (0.05f64..1.0, 2u64..5_000)
-            .prop_map(|(peak_rate, period)| ArrivalProcess::Diurnal { peak_rate, period }),
-    ]
+    (0.0f64..1.0).prop_map(|rate| ArrivalProcess::Poisson { rate })
 }
 
 proptest! {

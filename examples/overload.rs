@@ -1,4 +1,4 @@
-//! Overload robustness in one run: bursty open-loop traffic slams the
+//! Overload robustness in one run: open-loop Poisson traffic slams the
 //! west edge of a 4×4 chip while admission control, bounded ingress
 //! queues and deterministic load-shedding keep the fabric from wedging.
 //!
@@ -10,15 +10,9 @@ use reactive_circuits::prelude::*;
 use reactive_circuits::system::{QUEUE_CAP, SLO};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // Bursty on/off arrivals: 0.6 arrivals/cycle/edge while bursting —
-    // far past what the edge NIs can drain — with quiet spells between.
+    // Poisson arrivals at 0.3/cycle/edge — past what admission lets in.
     let open_loop = OpenLoopConfig {
-        process: ArrivalProcess::Bursty {
-            rate_on: 0.6,
-            rate_off: 0.02,
-            mean_on: 400,
-            mean_off: 800,
-        },
+        process: ArrivalProcess::Poisson { rate: 0.3 },
         // Admit ≤ 0.25/cycle/edge (short bursts pass through a 16-token
         // bucket) into 32-deep edge queues; shed what waits 1 500 cycles.
         ingress: IngressConfig {
@@ -35,7 +29,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ..SimConfig::quick(16, MechanismConfig::complete_noack(), "blackscholes")
     };
 
-    println!("Running 16-core chip, bursty open-loop edge traffic, admission ON ...\n");
+    println!("Running 16-core chip, Poisson open-loop edge traffic, admission ON ...\n");
     let r = run_sim(&cfg)?;
 
     let e = &r.external;

@@ -220,13 +220,18 @@ echo "==> the fault model and the shapes are what experiments measure (DESIGN.md
 # and stored reply paths (one routing function decides every hop: DOR,
 # or the up*/down* table for a detoured packet), and so are credit loss
 # and the concentrated mesh and ring shapes (a tile is its router; a
-# wedge is built by editing a checkpoint image): none of their names is
+# wedge is built by editing a checkpoint image), and so are the L1
+# reissue timer and the L2's recovery from the duplicates it made (the
+# transport's retransmission is the one recovery path), the hand-bumped
+# cache version (the sweep cache is keyed on a hash of the simulator's
+# sources), and the traffic shapes no experiment ran (transpose and
+# hotspot patterns, bursty and diurnal arrivals): none of their names is
 # back in crates/*/src, src or examples. FaultStats keeps packets_corrupted,
 # table_entries_corrupted, stuck_port_cycles and credits_lost, and
-# HealthReport keeps dead_routers and adaptive, only because the
-# benchmark's fingerprint hashes the serialized result: they stay zero or
-# empty, so nothing assigns them (dead_routers has one empty initialiser,
-# adaptive one default).
+# HealthReport keeps dead_routers, adaptive and l1_reissues, only because
+# the benchmark's fingerprint hashes the serialized result: they stay zero
+# or empty, so nothing assigns them (dead_routers has one empty
+# initialiser, adaptive one default, l1_reissues one zero).
 retired='StuckPortEvent|link_corrupt_rate|table_corrupt_rate|heals_at|revive_link|revive_router|LinkHealed|RouterHealed|corrupt_discards|fault_remove'
 retired+='|DeadRouterEvent|kill_router|node_usable|dead_routers_sorted|RouterDown|RouterDead|TopoChange'
 retired+='|AdaptiveConfig|PolicyController|PolicyState|CongestionMap|RegionPlan|set_congestion|region_samples'
@@ -235,6 +240,8 @@ retired+='|plan_detour|next_hop_on_path|port_between|record_reply_path|take_repl
 retired+='|reply_path_order|REPLY_PATH_CAP|route_path_healthy|path_is_healthy'
 retired+='|CMesh|cmesh|concentration|router_of|tile_of|local_slot|iter_tiles|with_ports|TooManyVcs'
 retired+='|credit_loss_rate|on_link_credit|TopologySpec::Ring|Topology::ring'
+retired+='|maybe_reissue|reissue_at|reissue_timeout|next_reissue|on_duplicate_request|L1Reissue|stale_fills'
+retired+='|CACHE_FORMAT_VERSION|Transpose|Hotspot|Bursty|Diurnal|BurstState'
 back=$(grep -rnwE "$retired" crates/*/src src examples || true)
 zero='packets_corrupted|table_entries_corrupted|stuck_port_cycles|credits_lost'
 written=$(grep -rnE --include='*.rs' "\\b($zero) *([-+*/|&^]?=[^=]|:[^:])" crates src tests examples \
@@ -251,9 +258,14 @@ counted=$(grep -rnE --include='*.rs' \
   -e '&mut [A-Za-z0-9_.]*\badaptive\b' -e '\bAdaptiveReport *\{' crates src tests examples \
   | grep -vE '^crates/noc/src/health\.rs:[0-9]+: *pub (adaptive: AdaptiveReport,|struct AdaptiveReport \{)$' \
   | grep -vE '\badaptive *[:=] *AdaptiveReport::default\(\)' || true)
-[ -z "$back$written$filled$counted" ] \
-  || { echo "FAIL: a retired fault kind or policy name is back, a retired FaultStats counter is written, or HealthReport::dead_routers or ::adaptive is filled:"
-       printf '%s\n' "$back" "$written" "$filled" "$counted" | grep .; exit 1; }
+reissued=$(grep -rnE --include='*.rs' \
+  -e '\bl1_reissues *([-+*/|&^]?=[^=]|:[^:])' -e '(^|[{,]) *l1_reissues *(,|\}|$)' \
+  -e '&mut [A-Za-z0-9_.]*\bl1_reissues\b' crates src tests examples \
+  | grep -vE '^crates/noc/src/health\.rs:[0-9]+: +pub l1_reissues: u64,$' \
+  | grep -vE '^crates/noc/src/network\.rs:[0-9]+: +l1_reissues: 0,$' || true)
+[ -z "$back$written$filled$counted$reissued" ] \
+  || { echo "FAIL: a retired fault kind, policy, recovery or shape name is back, a retired FaultStats counter is written, or HealthReport::dead_routers, ::adaptive or ::l1_reissues is filled:"
+       printf '%s\n' "$back" "$written" "$filled" "$counted" "$reissued" | grep .; exit 1; }
 
 echo "==> cargo build --release"
 $CARGO build --release "$@"
@@ -464,10 +476,10 @@ if find "$ckpt_dir" -name '*.ckpt' | grep -q .; then
   echo "FAIL: completed sweep left checkpoints behind in $ckpt_dir"; exit 1
 fi
 mkdir -p "$ckpt_dir"
-# Every earlier version (v20, whose credit wires were shift registers, is
+# Every earlier version (v21, whose L1 misses carried a reissue timer, is
 # the newest of them), with
 # the checksum of its "{}": only the version rejects it.
-current=$(sed -n 's/^pub const CHECKPOINT_FORMAT_VERSION: u32 = \([0-9]*\);$/\1/p' crates/system/src/checkpoint.rs)
+current=$(sed -n 's/^pub const CHECKPOINT_FORMAT_VERSION: u64 = \([0-9]*\);$/\1/p' crates/system/src/checkpoint.rs)
 for v in $(seq 0 $((${current:?CHECKPOINT_FORMAT_VERSION not found} - 1))); do
   stale="$ckpt_dir/stale_v$v.ckpt"; printf 'rcsim-checkpoint v%s 08f44b07b5901a25\n{}' "$v" > "$stale"
   if $CARGO run --release -q -p rcsim-bench --bin rcsim-replay "$stale" > /dev/null 2> /dev/null; then
