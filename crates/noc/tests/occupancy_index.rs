@@ -21,9 +21,9 @@ const DRAIN_LIMIT: u64 = 30_000;
 ///
 /// A link dying under this load can cut a circuit stream in two and wedge
 /// the fabric (SlackDelay on the mesh — so does the pre-index router,
-/// cycle for cycle; ROADMAP item 2, wedge entrance 1); the index must track a wedged fabric too, so those runs stop at
-/// the watchdog instead of draining. Link drops lose whole packets, which
-/// their NIs retransmit, so a run under drops alone must drain.
+/// cycle for cycle; ROADMAP item 2, wedge entrance 1); the index must
+/// track a wedged fabric too, so those runs stop at the watchdog instead
+/// of draining. A fault-free run must drain.
 fn drive(topology: Topology, mechanism: MechanismConfig, faults: FaultConfig, label: &str) {
     let must_drain = faults.dead_links.is_empty();
     let cfg = NocConfig::paper_baseline(topology, mechanism);
@@ -77,7 +77,7 @@ fn drive(topology: Topology, mechanism: MechanismConfig, faults: FaultConfig, la
     );
 }
 
-fn fault_schedules() -> [(&'static str, FaultConfig); 3] {
+fn fault_schedules() -> [(&'static str, FaultConfig); 2] {
     // Router 1 sits east of router 0.
     let mut dead = FaultConfig::none();
     dead.dead_links.push(DeadLinkEvent {
@@ -85,15 +85,7 @@ fn fault_schedules() -> [(&'static str, FaultConfig); 3] {
         b: NodeId(1),
         at: 900,
     });
-    let drops = FaultConfig {
-        link_drop_rate: 0.01,
-        ..FaultConfig::none()
-    };
-    [
-        ("no faults", FaultConfig::none()),
-        ("dead link", dead),
-        ("drops", drops),
-    ]
+    [("no faults", FaultConfig::none()), ("dead link", dead)]
 }
 
 fn sweep(topology: Topology, fabric: &str) {

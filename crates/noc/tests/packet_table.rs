@@ -2,8 +2,9 @@
 //! a handle into it, a record is closed when its packet is delivered or
 //! abandoned and recycled once none of its flits is left in the fabric.
 //! These runs abandon packets *while their body flits are still in
-//! flight* — random link drops with a retry budget of one — and check,
-//! after every
+//! flight* — tile 5 has every link dead, so each copy of a packet to or
+//! from it is routed onto a dead link until its retry budget is spent —
+//! and check, after every
 //! cycle, the table's laws (`Network::check_index`: every handle anywhere
 //! names a held record, each record's in-fabric count is a recount) and
 //! that the open records are exactly the packets injected and not yet
@@ -11,11 +12,9 @@
 //! high-water mark is far below the packets injected (slots are reused);
 //! in debug builds every skipped router and NI is held to the two
 //! worklist laws (DESIGN.md §9) all the while. Every row runs
-//! a second time with a dead link on top: a link dying under a circuit
-//! stream can strand its body (ROADMAP item 2, wedge entrance 1), so
-//! those runs have a fixed length instead of a drain. A last run drops
-//! long packets retransmitted after a backoff shorter than they are, and
-//! must drain.
+//! a second time with a link dying under load on top: a link dying under
+//! a circuit stream can strand its body (ROADMAP item 2, wedge entrance
+//! 1), so those runs have a fixed length instead of a drain.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -29,15 +28,18 @@ const DRAIN_LIMIT: u64 = 40_000;
 /// Length of the runs with every fault class on.
 const RUN_CYCLES: u64 = 2_400;
 
-/// Random link drops and, with `all` fault classes on, the 0–1 link
-/// (router 1 sits east of router 0) dead from cycle 480. One retransmission per packet: when its head is lost
-/// too, the packet is abandoned with that copy's body still streaming
-/// towards the link.
+/// Tile 5 cut off from cycle 0 (its four links dead, so nothing streams
+/// across them when they die) and, with `all` fault classes on, the 0–1
+/// link (router 1 sits east of router 0) dead from cycle 480, under load.
 fn faults(all: bool) -> FaultConfig {
     let mut f = FaultConfig::none();
-    f.seed = 0x7AB1E;
-    f.link_drop_rate = 0.06;
-    f.max_retries = 1;
+    for b in [1, 4, 6, 9] {
+        f.dead_links.push(DeadLinkEvent {
+            a: NodeId(5),
+            b: NodeId(b),
+            at: 0,
+        });
+    }
     if all {
         f.dead_links.push(DeadLinkEvent {
             a: NodeId(0),
@@ -150,7 +152,7 @@ fn sweep(topology: Topology, fabric: &str) {
             );
             let f = &row.faults;
             assert!(
-                f.packets_dropped > 0 && (f.packets_rerouted > 0) == all,
+                f.dead_flits_lost > 0 && f.retransmissions > 0 && f.packets_rerouted > 0,
                 "{label}: every fault class must fire: {f:?}"
             );
             assert!(
@@ -167,56 +169,4 @@ fn sweep(topology: Topology, fabric: &str) {
 #[test]
 fn records_recycle_under_faults_on_a_mesh() {
     sweep(Topology::mesh(4, 4).expect("valid"), "mesh 4x4");
-}
-
-/// A retransmission shorter in backoff than its packet reaches the link
-/// that dropped its first copy while that copy's body is still being
-/// eaten there. The link keys its loss on the output VC's last head, not
-/// on the packet, so the new head is rolled fresh instead of being eaten
-/// as the old copy's body (which left its body headless in a VC and
-/// wedged the fabric). Long packets at a load past saturation and a high
-/// drop rate make the overlap common; every run must drain whole.
-#[test]
-fn a_retransmission_is_never_eaten_as_the_lost_copys_body() {
-    let topology = Topology::mesh(4, 4).expect("valid");
-    let tiles = topology.nodes() as u16;
-    for backoff in [1, 2] {
-        for seed in 0..5u64 {
-            let label = format!("backoff {backoff} / seed {seed}");
-            let cfg = NocConfig::paper_baseline(topology, MechanismConfig::baseline());
-            let mut f = FaultConfig::none();
-            f.seed = seed;
-            f.link_drop_rate = 0.2;
-            f.max_retries = 6;
-            f.retry_backoff = backoff;
-            let mut net = Network::with_faults(cfg, f).expect("valid configuration");
-            let mut rng = StdRng::seed_from_u64(seed);
-            let (mut injected, mut delivered) = (0u64, 0u64);
-            while net.now() < 600 || !net.is_quiescent() {
-                assert!(
-                    net.now() < 20_000 && !net.stalled(),
-                    "{label}: did not drain\n{}",
-                    net.health()
-                );
-                if net.now() < 600 {
-                    for src in 0..tiles {
-                        if rng.gen_bool(0.15) {
-                            let dst = (src + rng.gen_range(1..tiles)) % tiles;
-                            injected += 1;
-                            net.inject(
-                                PacketSpec::new(NodeId(src), NodeId(dst), MessageClass::WbData)
-                                    .with_flits(16),
-                            );
-                        }
-                    }
-                }
-                net.tick();
-                delivered += net.take_all_delivered().len() as u64;
-                net.check_index()
-                    .unwrap_or_else(|e| panic!("{label}: cycle {}: {e}", net.now()));
-            }
-            let abandoned = net.fault_stats().packets_abandoned;
-            assert_eq!(delivered + abandoned, injected, "{label}");
-        }
-    }
 }

@@ -175,15 +175,18 @@ fn dead_fault_config_survives_serde_round_trip() {
 
 #[test]
 fn retry_exhaustion_conserves_every_packet() {
-    // A zero retry budget under an aggressive drop rate: every dropped
-    // packet is abandoned on the spot, nothing is retransmitted, and the
-    // packet ledger still balances — injected == delivered + abandoned.
-    let faults = FaultConfig {
-        seed: 0xABAD1,
-        link_drop_rate: 0.20,
-        max_retries: 0,
-        ..FaultConfig::none()
-    };
+    // Tile 5 loses all four links: every packet to or from it is routed
+    // onto a dead link on each of its copies and abandoned once its retry
+    // budget is spent, while every other pair detours around the hole.
+    // The packet ledger still balances — injected == delivered + abandoned.
+    let mut faults = FaultConfig::none();
+    for b in [1, 4, 6, 9] {
+        faults.dead_links.push(DeadLinkEvent {
+            a: NodeId(5),
+            b: NodeId(b),
+            at: 0,
+        });
+    }
     let mut n = faulty_net(MechanismConfig::baseline(), faults);
     for i in 0..60u64 {
         let s = (i % 16) as u16;
@@ -199,8 +202,12 @@ fn retry_exhaustion_conserves_every_packet() {
     }
     assert!(n.is_quiescent(), "exhausted traffic must drain, not linger");
     let h = n.health();
-    assert!(h.faults.packets_abandoned > 0, "20% drop over 60 must hit");
-    assert_eq!(h.faults.retransmissions, 0, "retry budget is zero");
+    assert!(h.faults.packets_abandoned > 0, "traffic to tile 5 must die");
+    assert_eq!(
+        h.faults.retransmissions,
+        4 * h.faults.packets_abandoned,
+        "only the abandoned packets were lost, each on all its copies"
+    );
     assert!(!h.healthy(), "abandonment must be visible in the report");
     let s = n.stats();
     assert!(s.total_delivered() > 0, "most packets still get through");
