@@ -144,6 +144,12 @@ fn resilience_asserts(rows: &[RowData]) -> Result<(), String> {
                 "{label}: never rerouted — the dead links were not exercised"
             ));
         }
+        let retransmitted = d.total(|r| r.health.faults.retransmissions);
+        if d.row.section == RECOVERY && retransmitted == 0 {
+            return Err(format!(
+                "{label}: never retransmitted — the transport was not exercised"
+            ));
+        }
     }
     Ok(())
 }

@@ -405,9 +405,6 @@ pub enum ConfigError {
     ZeroCircuitStorage,
     /// Borrowing scroungers only make sense with reuse enabled.
     BorrowRequiresReuse,
-    /// A fault-injection rate is NaN, negative or greater than one. The
-    /// payload names the offending knob.
-    FaultRate(&'static str),
     /// A scheduled fault references topology that does not exist (node out
     /// of bounds, non-adjacent link pair). The payload names the problem.
     FaultTopology(&'static str),
@@ -435,9 +432,6 @@ impl fmt::Display for ConfigError {
             }
             ConfigError::BorrowRequiresReuse => {
                 f.write_str("borrowing scroungers require circuit reuse")
-            }
-            ConfigError::FaultRate(knob) => {
-                write!(f, "fault rate `{knob}` must be a finite value in [0, 1]")
             }
             ConfigError::FaultTopology(what) => {
                 write!(f, "scheduled fault references invalid topology: {what}")

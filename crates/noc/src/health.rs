@@ -340,10 +340,8 @@ impl fmt::Display for HealthReport {
         if self.faults != FaultStats::default() {
             writeln!(
                 f,
-                "  faults: {} pkts dropped, {} retransmissions, {} abandoned",
-                self.faults.packets_dropped,
-                self.faults.retransmissions,
-                self.faults.packets_abandoned
+                "  faults: {} retransmissions, {} abandoned",
+                self.faults.retransmissions, self.faults.packets_abandoned
             )?;
         }
         if !self.dead_links.is_empty() {

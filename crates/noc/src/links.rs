@@ -123,11 +123,17 @@ impl LinkSink for Probe<'_> {
     }
 }
 
+/// End-to-end retransmissions of a lost packet before it is abandoned
+/// and counted in `NocStats::dropped_packets`.
+const MAX_RETRIES: u32 = 4;
+/// Base retransmission delay in cycles: retry `n` waits `n × RETRY_BACKOFF`.
+const RETRY_BACKOFF: Cycle = 64;
+
 /// The routers' sink: everything a message leaving router `from` at `now`
 /// can touch — both register sets, the credit wires, the neighbour
 /// table, the link-fault layer and the end-to-end retry state (see
-/// `Network::links`). Fault-RNG draws happen per message in emission
-/// order, which no skipped component moves.
+/// `Network::links`). The fault layer decides each message's fate in
+/// emission order, which no skipped component moves.
 pub(crate) struct Links<'a> {
     pub now: Cycle,
     pub from: NodeId,
@@ -177,9 +183,10 @@ impl Links<'_> {
     }
 
     /// Marks packet `id` (in `slot`) as hit by a fault and schedules its
-    /// next end-to-end retransmission (linear backoff), or abandons it
-    /// once the retry budget is spent. No-op without fault injection, or
-    /// when the packet is already resolved.
+    /// next end-to-end retransmission (linear backoff: retry `n` waits
+    /// `n × RETRY_BACKOFF`), or abandons it once [`MAX_RETRIES`] are spent.
+    /// No-op without fault injection, or when the packet is already
+    /// resolved.
     fn schedule_retry(&mut self, packets: &mut Packets, slot: u32, id: PacketId, at: Cycle) {
         let Some(fs) = self.faults.as_mut() else {
             return;
@@ -187,11 +194,11 @@ impl Links<'_> {
         let Some(rec) = packets.open_mut(slot, id) else {
             return;
         };
-        if rec.retries < fs.cfg.max_retries {
+        if rec.retries < MAX_RETRIES {
             rec.retries += 1;
             fs.state.stats.retransmissions += 1;
             let attempt = rec.retries;
-            let backoff = fs.cfg.retry_backoff.max(1) * attempt as Cycle;
+            let backoff = RETRY_BACKOFF * attempt as Cycle;
             self.retry_queue.push((at + backoff, slot, id));
             self.sink.emit(|| TraceEvent {
                 cycle: at,
@@ -215,11 +222,11 @@ impl Links<'_> {
         }
     }
 
-    /// Handles one flit dropped on the link `from → nb`: makes up the
+    /// Handles one flit lost on the dead link `from → nb`: makes up the
     /// downstream credit it will never earn, landing when the flit would
-    /// have (credit loss is its own fault class; drops must not wedge the
-    /// fabric by themselves), tears down the circuit reservations the
-    /// packet leaves orphaned, and notes the end-to-end retransmission.
+    /// have (a loss must not wedge the fabric), tears down the circuit
+    /// reservations the packet leaves orphaned, and notes the end-to-end
+    /// retransmission.
     fn drop_on_link(
         &mut self,
         nb: NodeId,

@@ -93,8 +93,8 @@ pub struct Network {
     /// tabulated once: [`Links`] asks for every message).
     neighbors: Vec<[Option<NodeId>; PORT_LOCAL]>,
     /// The configuration's dead links, sorted by onset: applied densely
-    /// at the top of the cycle loop (RNG-free, so skipping a component
-    /// never moves the fault stream).
+    /// at the top of the cycle loop, so skipping a component never moves
+    /// an onset.
     fault_schedule: Vec<DeadLinkEvent>,
     /// The benchmark's stub (see [`KernelMode`]).
     kernel: KernelMode,
@@ -179,7 +179,8 @@ impl Network {
         faults.validate(&cfg.topology)?;
         let tiles = cfg.topology.nodes();
         let routers_n = cfg.topology.routers();
-        let mut fault_schedule = faults.dead_links.clone();
+        let faulted = !faults.is_none();
+        let mut fault_schedule = faults.dead_links;
         fault_schedule.sort_by_key(|e| e.at);
         Ok(Self {
             cfg,
@@ -201,11 +202,7 @@ impl Network {
                 .iter_routers()
                 .map(|id| Ni::new(id, &cfg))
                 .collect(),
-            faults: if faults.is_none() {
-                None
-            } else {
-                Some(FaultState::new(faults, routers_n))
-            },
+            faults: faulted.then(|| FaultState::new(routers_n)),
             ingress: None,
             state: State {
                 packets: Packets::default(),
@@ -498,8 +495,9 @@ impl Network {
 
     /// Packets fully received anywhere since the last call, as
     /// `(node, packet)` pairs in tile order, each tile's in arrival order.
-    /// The queue keeps its capacity, so a warm tick delivers without
-    /// allocating.
+    /// The network's queue keeps its capacity, so a warm tick delivers
+    /// without allocating; the returned `Vec` is allocated afresh on every
+    /// call that delivers anything.
     pub fn take_all_delivered(&mut self) -> Vec<(NodeId, Delivered)> {
         self.state.delivered.sort_by_key(|&(node, _)| node);
         self.state.delivered.drain(..).collect()
@@ -522,8 +520,8 @@ impl Network {
         // Credits due land first: every wire read this cycle holds them.
         self.state.credits.land(now);
 
-        // Scheduled dead-link / dead-router transitions fire next, before
-        // anything moves this cycle: they are dense and draw no fault RNG.
+        // Scheduled dead-link onsets fire next, before anything moves this
+        // cycle: they are dense.
         self.process_fault_onsets(now);
 
         // Due end-to-end retransmissions re-enter their source NI.
@@ -722,8 +720,8 @@ impl Network {
     /// Applies every dead-link onset due this cycle: updates the
     /// topology-health map, marks the link's two routers degraded, emits
     /// the fault trace event, and tears down every circuit whose reply
-    /// path crosses a dead link. Dense and RNG-free, so skipping idle
-    /// components never moves the fault stream.
+    /// path crosses a dead link. Dense, so skipping idle components never
+    /// moves an onset.
     ///
     /// A degraded router takes no part in circuits — reservations are
     /// refused and bypasses forced to the packet pipeline — so reactive

@@ -13,8 +13,7 @@
 //!   percentile queries;
 //! * [`LatencyStat`] — an accumulator and a histogram fed by one `record`
 //!   call, so mean and p50/p99 can never drift apart;
-//! * [`geometric_mean`] / [`harmonic_mean`] — the means used for speedup
-//!   aggregation.
+//! * [`geometric_mean`] — the mean used for speedup aggregation.
 //!
 //! # Examples
 //!
@@ -41,4 +40,4 @@ mod means;
 pub use accumulator::Accumulator;
 pub use histogram::Histogram;
 pub use latency::LatencyStat;
-pub use means::{geometric_mean, harmonic_mean, weighted_mean};
+pub use means::geometric_mean;

@@ -1,4 +1,4 @@
-//! Aggregate means used when summarising per-application results.
+//! The aggregate mean used when summarising per-application results.
 
 /// Geometric mean of a sequence of strictly positive values; `None` when the
 /// input is empty or contains a non-positive value.
@@ -25,47 +25,6 @@ pub fn geometric_mean<I: IntoIterator<Item = f64>>(values: I) -> Option<f64> {
     (n > 0).then(|| (log_sum / n as f64).exp())
 }
 
-/// Harmonic mean of strictly positive values; `None` when empty or any value
-/// is non-positive. Appropriate for rates (e.g. IPC across equal-work runs).
-///
-/// # Examples
-///
-/// ```
-/// let h = rcsim_stats::harmonic_mean([1.0, 3.0]).unwrap();
-/// assert!((h - 1.5).abs() < 1e-12);
-/// ```
-pub fn harmonic_mean<I: IntoIterator<Item = f64>>(values: I) -> Option<f64> {
-    let mut recip_sum = 0.0;
-    let mut n = 0u64;
-    for v in values {
-        if v <= 0.0 {
-            return None;
-        }
-        recip_sum += 1.0 / v;
-        n += 1;
-    }
-    (n > 0).then(|| n as f64 / recip_sum)
-}
-
-/// Weighted arithmetic mean of `(value, weight)` pairs; `None` when the
-/// total weight is zero.
-///
-/// # Examples
-///
-/// ```
-/// let m = rcsim_stats::weighted_mean([(10.0, 1.0), (20.0, 3.0)]).unwrap();
-/// assert!((m - 17.5).abs() < 1e-12);
-/// ```
-pub fn weighted_mean<I: IntoIterator<Item = (f64, f64)>>(pairs: I) -> Option<f64> {
-    let mut num = 0.0;
-    let mut den = 0.0;
-    for (v, w) in pairs {
-        num += v * w;
-        den += w;
-    }
-    (den != 0.0).then(|| num / den)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -78,26 +37,11 @@ mod tests {
     }
 
     #[test]
-    fn harmonic_basic() {
-        assert_eq!(harmonic_mean([]), None);
-        assert_eq!(harmonic_mean([0.0]), None);
-        assert!((harmonic_mean([2.0, 2.0]).unwrap() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn weighted_basic() {
-        assert_eq!(weighted_mean([]), None);
-        assert_eq!(weighted_mean([(5.0, 0.0)]), None);
-        assert!((weighted_mean([(1.0, 1.0), (2.0, 1.0)]).unwrap() - 1.5).abs() < 1e-12);
-    }
-
-    #[test]
     fn means_ordering_amgm() {
-        // harmonic <= geometric <= arithmetic for positive values
+        // geometric <= arithmetic for positive values
         let vals = [1.0, 2.0, 3.0, 10.0];
-        let h = harmonic_mean(vals).unwrap();
         let g = geometric_mean(vals).unwrap();
         let a = vals.iter().sum::<f64>() / vals.len() as f64;
-        assert!(h <= g && g <= a);
+        assert!(g <= a);
     }
 }

@@ -17,7 +17,7 @@
 //! rebuilt from the [`SimConfig`] by construction and scratch is rebuilt
 //! from the state. DESIGN.md §13 has the rule and the table.
 //!
-//! On disk a checkpoint is an [`Envelope`] file (`rcsim-checkpoint v22`),
+//! On disk a checkpoint is an [`Envelope`] file (`rcsim-checkpoint v23`),
 //! the format the sweep result cache shares: a corrupt, truncated or
 //! stale-version file loads as `None` — a clean miss, never an error.
 
@@ -26,13 +26,13 @@ use crate::envelope::{config_hash, Envelope};
 use crate::report::RunResult;
 use crate::sim::{assemble_result, build_chip, SimConfig, SimError, TraceConfig, TraceReport};
 use rcsim_core::{Cycle, KernelMode};
-use rcsim_trace::{LatencyBreakdown, MetricsRegistry, TraceEvent, TraceSink};
+use rcsim_trace::{LatencyBreakdown, TraceEvent, TraceSink};
 use serde::{Deserialize, Serialize};
 use std::path::Path;
 
 /// Bumped whenever the snapshot layout changes incompatibly. A checkpoint
 /// carrying any other version is treated as a clean miss, never an error.
-pub const CHECKPOINT_FORMAT_VERSION: u64 = 22;
+pub const CHECKPOINT_FORMAT_VERSION: u64 = 23;
 
 const CHECKPOINT: Envelope = Envelope {
     magic: "rcsim-checkpoint",
@@ -225,13 +225,10 @@ impl SimSession {
             let dropped = self.sink.dropped();
             let events = self.sink.drain();
             let breakdown = LatencyBreakdown::from_events(&events);
-            let mut metrics = MetricsRegistry::new();
-            metrics.tally_events(&events);
             TraceReport {
                 events,
                 dropped,
                 breakdown,
-                metrics,
             }
         });
         (assemble_result(&self.cfg, &self.chip), trace_report)

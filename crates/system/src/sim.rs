@@ -6,7 +6,7 @@ use rcsim_core::{KernelMode, MechanismConfig, TopologySpec};
 use rcsim_noc::{FaultConfig, HealthReport};
 use rcsim_power::{area_savings, EnergyModel};
 use rcsim_protocol::ProtocolConfig;
-use rcsim_trace::{LatencyBreakdown, MetricsRegistry, TraceEvent};
+use rcsim_trace::{LatencyBreakdown, TraceEvent};
 use rcsim_workload::Workload;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -136,8 +136,6 @@ pub struct TraceReport {
     pub dropped: u64,
     /// Per-message latency phases reconstructed from the events.
     pub breakdown: LatencyBreakdown,
-    /// Event counts by kind plus last-sample occupancy gauges.
-    pub metrics: MetricsRegistry,
 }
 
 /// Runs one simulation point and gathers every measured quantity.

@@ -15,7 +15,6 @@
 //! - [`LatencyBreakdown`] — a post-pass matching packet and circuit
 //!   lifecycles back together into per-phase latency histograms
 //!   (queueing, circuit setup, circuit/packet/degraded transit).
-//! - [`MetricsRegistry`] — name-keyed counters and gauges.
 //! - [`chrome_trace`] — export to the Chrome trace-event JSON format that
 //!   Perfetto opens directly.
 //! - [`BenchSummary`] — the machine-readable `BENCH_<name>.json` document
@@ -32,7 +31,6 @@ mod bench;
 mod breakdown;
 mod chrome;
 mod event;
-mod metrics;
 mod ring;
 mod sink;
 
@@ -40,6 +38,5 @@ pub use bench::{BenchRow, BenchSummary, ClaimOutcome, BENCH_SCHEMA_VERSION};
 pub use breakdown::LatencyBreakdown;
 pub use chrome::{chrome_trace, chrome_trace_json};
 pub use event::{ClassLabel, EventKind, TraceEvent};
-pub use metrics::MetricsRegistry;
 pub use ring::RingLog;
 pub use sink::TraceSink;

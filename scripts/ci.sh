@@ -190,10 +190,11 @@ echo "==> config is what varies (DESIGN.md §10, §11: a value no experiment set
 # root package brings a retired knob back: the watchdog's thresholds, its
 # config type and setter, the congestion map's feature switch, the L1
 # reissue budget, the open-loop service time, SLO and client retries, and
-# the ingress queue bound, burst capacity and backpressure threshold — as
-# a field, a binding or an access. FaultConfig's retry_backoff and
-# max_retries stay.
+# the ingress queue bound, burst capacity and backpressure threshold, and
+# the transport's retry budget and backoff and the link drop rate — as a
+# field, a binding or an access.
 knobs='stall_window|leak_age|max_report_entries|max_reissues|service_time|slo|max_client_retries|queue_cap|bucket_cap|backpressure_threshold'
+knobs+='|max_retries|retry_backoff|link_drop_rate'
 retired=$(find crates/*/src src examples -name '*.rs' -print0 | xargs -0 awk \
   -v names='(^|[^A-Za-z0-9_])(WatchdogConfig|set_watchdog|set_features)([^A-Za-z0-9_]|$)' \
   -v fields="(^|[^A-Za-z0-9_])($knobs) *:([^:]|\$)|\\.($knobs)([^A-Za-z0-9_]|\$)" \
@@ -212,7 +213,7 @@ maps=$(awk '/^pub\(crate\) struct State \{$/ { inside = 1 }
 [ -z "$eaten$maps" ] \
   || { echo "FAIL: a second record of link loss is back:"; printf '%s\n' "$eaten" "$maps" | grep .; exit 1; }
 
-echo "==> the fault model and the shapes are what experiments measure (DESIGN.md §6b, §10, §12: drops and dead links, none healing, on a mesh or a torus; a dead link is the only reason to leave DOR)"
+echo "==> the fault model and the shapes are what experiments measure (DESIGN.md §6b, §10, §12: dead links, none healing, on a mesh or a torus; a dead link is the only reason to leave DOR)"
 # Stuck input ports, link corruption, circuit-table corruption, healing
 # windows and dead routers were set by tests alone and are gone, and so
 # is the adaptive runtime policy (its controller, congestion map, region
@@ -224,10 +225,13 @@ echo "==> the fault model and the shapes are what experiments measure (DESIGN.md
 # reissue timer and the L2's recovery from the duplicates it made (the
 # transport's retransmission is the one recovery path), the hand-bumped
 # cache version (the sweep cache is keyed on a hash of the simulator's
-# sources), and the traffic shapes no experiment ran (transpose and
-# hotspot patterns, bursty and diurnal arrivals): none of their names is
-# back in crates/*/src, src or examples. FaultStats keeps packets_corrupted,
-# table_entries_corrupted, stuck_port_cycles and credits_lost, and
+# sources), the traffic shapes no experiment ran (transpose and hotspot
+# patterns, bursty and diurnal arrivals), random link drops with their
+# fault RNG and rate error, and the trace metrics registry and the
+# harmonic and weighted means nothing read: none of their names is back
+# in crates/*/src, src or examples. FaultStats keeps packets_dropped,
+# flits_dropped, packets_corrupted, table_entries_corrupted,
+# stuck_port_cycles and credits_lost, and
 # HealthReport keeps dead_routers, adaptive and l1_reissues, only because
 # the benchmark's fingerprint hashes the serialized result: they stay zero
 # or empty, so nothing assigns them (dead_routers has one empty
@@ -242,8 +246,9 @@ retired+='|CMesh|cmesh|concentration|router_of|tile_of|local_slot|iter_tiles|wit
 retired+='|credit_loss_rate|on_link_credit|TopologySpec::Ring|Topology::ring'
 retired+='|maybe_reissue|reissue_at|reissue_timeout|next_reissue|on_duplicate_request|L1Reissue|stale_fills'
 retired+='|CACHE_FORMAT_VERSION|Transpose|Hotspot|Bursty|Diurnal|BurstState'
+retired+='|FaultRng|FaultRate|MetricsRegistry|tally_events|harmonic_mean|weighted_mean'
 back=$(grep -rnwE "$retired" crates/*/src src examples || true)
-zero='packets_corrupted|table_entries_corrupted|stuck_port_cycles|credits_lost'
+zero='packets_dropped|flits_dropped|packets_corrupted|table_entries_corrupted|stuck_port_cycles|credits_lost'
 written=$(grep -rnE --include='*.rs' "\\b($zero) *([-+*/|&^]?=[^=]|:[^:])" crates src tests examples \
   | grep -vE "^crates/noc/src/fault\.rs:[0-9]+: +pub ($zero): u64,\$" || true)
 filled=$(grep -rnE --include='*.rs' \
@@ -476,8 +481,8 @@ if find "$ckpt_dir" -name '*.ckpt' | grep -q .; then
   echo "FAIL: completed sweep left checkpoints behind in $ckpt_dir"; exit 1
 fi
 mkdir -p "$ckpt_dir"
-# Every earlier version (v21, whose L1 misses carried a reissue timer, is
-# the newest of them), with
+# Every earlier version (v22, whose fault layer carried a drop RNG, is the
+# newest of them), with
 # the checksum of its "{}": only the version rejects it.
 current=$(sed -n 's/^pub const CHECKPOINT_FORMAT_VERSION: u64 = \([0-9]*\);$/\1/p' crates/system/src/checkpoint.rs)
 for v in $(seq 0 $((${current:?CHECKPOINT_FORMAT_VERSION not found} - 1))); do
