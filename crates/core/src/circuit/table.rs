@@ -415,12 +415,14 @@ impl RouterCircuits {
     }
 
     /// Finds the circuit for `key` arriving on `in_port`.
+    #[inline]
     pub fn lookup(&self, in_port: usize, key: CircuitKey) -> Option<&CircuitEntry> {
         self.ports[in_port].iter().find(|e| e.key == key)
     }
 
     /// Marks the circuit as actively streaming (reply head arrived), so it
     /// cannot expire mid-message.
+    #[inline]
     pub fn begin_use(&mut self, in_port: usize, key: CircuitKey) -> bool {
         match self.ports[in_port].iter_mut().find(|e| e.key == key) {
             Some(e) => {
@@ -433,6 +435,7 @@ impl RouterCircuits {
 
     /// Releases the circuit after the reply's tail flit leaves (§4.3: the
     /// tail clears the built-circuit bit). Returns the removed entry.
+    #[inline]
     pub fn release(&mut self, in_port: usize, key: CircuitKey) -> Option<CircuitEntry> {
         let port = &mut self.ports[in_port];
         let idx = port.iter().position(|e| e.key == key)?;

@@ -25,6 +25,7 @@ pub enum Routing {
 
 impl Routing {
     /// The routing used by a virtual network.
+    #[inline]
     pub fn for_vnet(vnet: Vnet) -> Routing {
         match vnet {
             Vnet::Request => Routing::Xy,
@@ -136,6 +137,7 @@ impl TopologyHealth {
     }
 
     /// `true` when any link is dead.
+    #[inline]
     pub fn is_degraded(&self) -> bool {
         !self.dead_links.is_empty()
     }
@@ -158,6 +160,7 @@ impl TopologyHealth {
 
     /// `true` when a flit may cross between `a` and `b`: their link is
     /// alive.
+    #[inline]
     pub fn link_usable(&self, a: NodeId, b: NodeId) -> bool {
         !self.dead_links.contains(&(a.min(b), a.max(b)))
     }

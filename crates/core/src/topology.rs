@@ -128,6 +128,7 @@ impl Topology {
 
     /// `true` for the torus, whose wraparound links need the dateline VC
     /// classes and the extra reply VC.
+    #[inline]
     pub fn has_wrap(&self) -> bool {
         self.shape == TopologySpec::Torus
     }
@@ -143,6 +144,7 @@ impl Topology {
     }
 
     /// Coordinate of a router on the grid.
+    #[inline]
     pub fn coord(&self, router: NodeId) -> Coord {
         debug_assert!(
             router.index() < self.routers(),
@@ -155,6 +157,7 @@ impl Topology {
     }
 
     /// Router at a grid coordinate.
+    #[inline]
     pub fn router_at(&self, c: Coord) -> NodeId {
         NodeId(c.y * self.width + c.x)
     }
@@ -163,6 +166,7 @@ impl Topology {
     /// (East/South) or down: the new position and whether the step crossed
     /// the wraparound seam, or `None` off an edge that does not wrap (every
     /// edge of a mesh; both ends of a dimension of length one).
+    #[inline]
     fn step(&self, at: u16, len: u16, up: bool) -> Option<(u16, bool)> {
         if at != if up { len - 1 } else { 0 } {
             Some((if up { at + 1 } else { at - 1 }, false))
@@ -174,6 +178,7 @@ impl Topology {
     }
 
     /// The router out of a network port and whether the link to it wraps.
+    #[inline]
     fn hop(&self, router: NodeId, port: usize) -> Option<(NodeId, bool)> {
         let c = self.coord(router);
         let up = port == PORT_EAST || port == PORT_SOUTH;
@@ -193,6 +198,7 @@ impl Topology {
 
     /// The neighbouring router out of a network port, or `None` at a
     /// mesh edge, for the local port, or along a dimension of length one.
+    #[inline]
     pub fn neighbor(&self, router: NodeId, port: usize) -> Option<NodeId> {
         self.hop(router, port).map(|(to, _)| to)
     }
@@ -219,6 +225,7 @@ impl Topology {
     /// only when strictly shorter: equal distances break toward the
     /// *non-wrapping* direction, which is what makes forward and reverse
     /// routes retrace each other.
+    #[inline]
     fn toward(&self, at: u16, dst: u16, len: u16) -> Option<bool> {
         let d = at.abs_diff(dst);
         (d != 0).then_some((dst > at) == (!self.has_wrap() || d <= len - d))
@@ -228,6 +235,7 @@ impl Topology {
     /// router is `dst`, under dimension-order routing. Must not be
     /// called with `at == dst` (that packet ejects through
     /// [`PORT_LOCAL`]).
+    #[inline]
     pub fn min_route_port(&self, at: NodeId, dst: NodeId, algo: Routing) -> usize {
         debug_assert_ne!(at, dst, "min_route_port called at the destination");
         let (a, d) = (self.coord(at), self.coord(dst));
@@ -279,6 +287,7 @@ impl Topology {
     /// assert_eq!(hop(5, Vnet::Request), INJECTED); // ejects
     /// # Ok::<(), rcsim_core::ConfigError>(())
     /// ```
+    #[inline]
     pub fn route(
         &self,
         at: NodeId,
@@ -301,6 +310,7 @@ impl Topology {
     /// the hop's dimension still crosses the wrap link, class 1 once it no
     /// longer does. Stateless — derived from position alone — and always
     /// 1 on a mesh (which never restricts by class).
+    #[inline]
     pub fn vc_class(&self, downstream: NodeId, dst: NodeId, port: usize) -> usize {
         if !self.has_wrap() {
             return 1;

@@ -14,7 +14,7 @@ use crate::flit::Flit;
 use crate::router::bits;
 use rcsim_core::circuit::CircuitKey;
 use rcsim_core::table4::LINK_LATENCY;
-use rcsim_core::{Cycle, NodeId};
+use rcsim_core::{Cycle, NodeId, PORTS};
 use serde::{Deserialize, Serialize};
 
 /// The cycles of a [`Calendar`]'s arrival window, `W`: `LINK_LATENCY + 2`
@@ -30,6 +30,39 @@ const WINDOW_MASK: Cycle = WINDOW as Cycle - 1;
 /// The bit of a cell's mask set while an undo notification is due there;
 /// the bits below it are the input ports whose flit register is full.
 const UNDO_DUE: u64 = 1 << 63;
+
+/// The flits that reach one component in one cycle, as its cell's
+/// registers handed over whole: register `p` holds input port `p`'s flit
+/// while bit `p` of `full` is set.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub(crate) struct Cell {
+    full: u64,
+    regs: [Flit; PORTS],
+}
+
+impl Cell {
+    /// A cell holding `flits`, as `(port, flit)` in ascending port order.
+    #[cfg(test)]
+    pub(crate) fn of(flits: &[(usize, Flit)]) -> Cell {
+        let mut cell = Cell::default();
+        for &(p, f) in flits {
+            assert!(cell.full >> p == 0, "one flit per port, in port order");
+            cell.full |= 1 << p;
+            cell.regs[p] = f;
+        }
+        cell
+    }
+
+    /// `true` when no flit arrived.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.full == 0
+    }
+
+    /// The arrived flits as `(port, flit)`, in port order.
+    pub(crate) fn flits(self) -> impl Iterator<Item = (usize, Flit)> {
+        bits(self.full).map(move |p| (p, self.regs[p]))
+    }
+}
 
 /// The messages in flight towards every component of one kind (all the
 /// routers, or all the NIs), as flat arrays over *cells*: cell
@@ -61,7 +94,7 @@ pub(crate) struct Calendar {
 impl Calendar {
     /// Empty registers for `n` components of `ports` input ports each.
     pub(crate) fn new(n: usize, ports: usize) -> Self {
-        assert!(ports < 63, "a cell's mask holds the ports and the undo bit");
+        assert!(ports <= PORTS, "a cell holds at most a router's ports");
         let cells = WINDOW * n;
         Calendar {
             n,
@@ -123,39 +156,38 @@ impl Calendar {
     }
 
     /// Which of components `64·w .. 64·w + 64` have anything to
-    /// [`Calendar::drain`] at `now`, as bit `i % 64`: their cell of this
-    /// cycle is due. A set bit must be answered with a drain in this
+    /// [`Calendar::take`] at `now`, as bit `i % 64`: their cell of this
+    /// cycle is due. A set bit must be answered with a take in this
     /// cycle, or the cell would be mistaken for a later cycle's.
     pub(crate) fn due_word(&self, now: Cycle, w: usize) -> u64 {
         self.due_bits[(now & WINDOW_MASK) as usize * self.n.div_ceil(64) + w]
     }
 
-    /// Hands over everything due at component `i` at `now`: flits into
-    /// the caller's (empty) scratch vector as `(port, flit)`, port-major,
-    /// and within a port in arrival order; undos in enqueue order. The
-    /// network-wide undo list is searched only when the cell says one is
-    /// due.
-    pub(crate) fn drain(
+    /// Hands over everything due at component `i` at `now`: its cell's
+    /// flit registers, whole, and the undos due there, appended to the
+    /// caller's vector in enqueue order. The network-wide undo list is
+    /// searched only when the cell says one is due.
+    pub(crate) fn take(
         &mut self,
         i: usize,
         now: Cycle,
-        flits: &mut Vec<(usize, Flit)>,
         undos: &mut Vec<(CircuitKey, NodeId)>,
-    ) {
-        debug_assert!(flits.is_empty() && undos.is_empty());
+    ) -> Cell {
         let due = self.due_at(i, now);
         if *due >> (i % 64) & 1 == 0 {
-            return;
+            return Cell::default();
         }
         *due &= !(1 << (i % 64));
         let cell = (now & WINDOW_MASK) as usize * self.n + i;
-        let mut arrived = std::mem::take(&mut self.masks[cell]);
-        if arrived & UNDO_DUE != 0 {
-            arrived &= !UNDO_DUE;
+        let mut full = std::mem::take(&mut self.masks[cell]);
+        if full & UNDO_DUE != 0 {
+            full &= !UNDO_DUE;
             let due = self.undos.extract_if(.., |u| u.0 == i && u.1 == now);
             undos.extend(due.map(|(_, _, key, dst)| (key, dst)));
         }
-        flits.extend(bits(arrived).map(|p| (p, self.regs[cell * self.ports + p])));
+        let mut regs = [Flit::default(); PORTS];
+        regs[..self.ports].copy_from_slice(&self.regs[cell * self.ports..][..self.ports]);
+        Cell { full, regs }
     }
 
     /// `true` while a flit or an undo is on its way.
@@ -210,9 +242,9 @@ mod tests {
     }
 
     fn drain_at(cal: &mut Calendar, i: usize, now: Cycle) -> Drained {
-        let (mut f, mut u) = (Vec::new(), Vec::new());
-        cal.drain(i, now, &mut f, &mut u);
-        (f.into_iter().map(|(p, f)| (p, f.slot)).collect(), u)
+        let mut u = Vec::new();
+        let f = cal.take(i, now, &mut u);
+        (f.flits().map(|(p, f)| (p, f.slot)).collect(), u)
     }
 
     /// Component `i`'s bit of [`Calendar::due_word`].

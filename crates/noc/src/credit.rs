@@ -127,11 +127,11 @@ impl CreditWires {
         self.ni_base + t * self.vcs + vc
     }
 
-    /// Returns a credit on wire `slot`, landing at `arrive`, when its VC
-    /// is credited. Routers and NIs both start on a multiple of `vcs`, so
-    /// `slot % vcs` is the VC.
-    pub(crate) fn send(&mut self, slot: usize, arrive: Cycle) {
-        if self.credited(slot % self.vcs) {
+    /// Returns a credit on wire `slot`, the wire of VC `vc`, landing at
+    /// `arrive`, when that VC is credited.
+    pub(crate) fn send(&mut self, slot: usize, vc: usize, arrive: Cycle) {
+        debug_assert_eq!(slot % self.vcs, vc, "wire {slot} is not VC {vc}'s");
+        if self.credited(vc) {
             self.on_the_way.push((arrive, slot as u32));
         }
     }
@@ -169,8 +169,8 @@ mod tests {
         let slot = w.router_slot(3, 1, 2);
         w.wires[slot].take();
         w.wires[slot].take();
-        w.send(slot, 13);
-        w.send(slot, 12);
+        w.send(slot, 2, 13);
+        w.send(slot, 2, 12);
         w.land(11);
         assert_eq!((w.wires[slot].available(), w.in_flight(slot)), (3, 2));
         w.land(12);
@@ -188,8 +188,8 @@ mod tests {
         let circuit = cfg.vc_layout().circuit_vc(0);
         let (uncredited, credited) = (w.router_slot(0, 1, circuit), w.ni_slot(2, 0));
         w.wires[credited].take();
-        w.send(uncredited, 5);
-        w.send(credited, 5);
+        w.send(uncredited, circuit, 5);
+        w.send(credited, 0, 5);
         assert_eq!((w.in_flight(uncredited), w.in_flight(credited)), (0, 1));
         w.land(5);
         assert_eq!(w.ni(2)[0].available(), BUFFER_DEPTH);

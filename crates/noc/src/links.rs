@@ -172,11 +172,17 @@ impl Links<'_> {
 
     /// Schedules the end-to-end retransmissions of the packets lost
     /// since the last call — after the router's tick rather than inside
-    /// it, so their trace events follow the tick's own.
+    /// it, so their trace events follow the tick's own. Called after
+    /// every router tick, so the common empty case stays in the caller.
+    #[inline]
     pub(crate) fn settle(&mut self, packets: &mut Packets) {
-        if self.lost.is_empty() {
-            return;
+        if !self.lost.is_empty() {
+            self.settle_lost(packets);
         }
+    }
+
+    #[cold]
+    fn settle_lost(&mut self, packets: &mut Packets) {
         for (slot, id, at) in std::mem::take(&mut self.lost) {
             self.schedule_retry(packets, slot, id, at);
         }
@@ -236,8 +242,9 @@ impl Links<'_> {
         packets: &mut Packets,
     ) {
         let (now, from) = (self.now, self.from.index());
-        let slot = self.credits.router_slot(from, port, flit.vc.into());
-        self.credits.send(slot, arrive);
+        let vc = usize::from(flit.vc);
+        let slot = self.credits.router_slot(from, port, vc);
+        self.credits.send(slot, vc, arrive);
         if flit.is_head() {
             let rec = &packets[flit.slot];
             if let Some(h) = &rec.circuit {
@@ -296,7 +303,7 @@ impl LinkSink for Links<'_> {
             self.credits
                 .router_slot(nb.index(), opposite_port(port), vc)
         };
-        self.credits.send(slot, arrive);
+        self.credits.send(slot, vc, arrive);
     }
 
     fn undo(&mut self, port: usize, key: CircuitKey, dst: NodeId, arrive: Cycle) {

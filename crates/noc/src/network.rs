@@ -2,11 +2,11 @@
 //! fault-injection hooks (flits and credits crossing inter-router links,
 //! circuit tables, input ports) and the always-on progress watchdog.
 
-use crate::calendar::Calendar;
+use crate::calendar::{Calendar, Cell};
 use crate::config::NocConfig;
 use crate::credit::CreditWires;
 use crate::fault::{self, DeadLinkEvent, FaultConfig, FaultState, FaultStats};
-use crate::flit::{Delivered, Flit, Packet, PacketId, PacketSpec, Packets};
+use crate::flit::{Delivered, Packet, PacketId, PacketSpec, Packets};
 use crate::health::{
     AdaptiveReport, DeadlockReport, HealthReport, LeakedCircuit, StuckMessage, LEAK_AGE,
     MAX_REPORT_ENTRIES, STALL_WINDOW,
@@ -47,7 +47,6 @@ pub struct NetworkTelemetry {
 #[derive(Debug, Default)]
 struct Scratch {
     ni_out: NiOut,
-    arrivals: Vec<(usize, Flit)>,
     undos: Vec<(CircuitKey, NodeId)>,
     /// The ingress edges' NI backlogs and the arrivals shed, gathered
     /// every cycle by [`Network::drain_ingress`].
@@ -550,15 +549,17 @@ impl Network {
             s.ni_busy[w] &= !visit;
             for b in bits(visit) {
                 let (i, ni) = (64 * w + b, &mut self.nis[64 * w + b]);
+                let mut ejected = None;
                 if due >> b & 1 == 1 {
-                    let (flits, undos) = (&mut s.arrivals, &mut s.undos);
-                    self.state.ni_links.drain(i, now, flits, undos);
+                    let cell = self.state.ni_links.take(i, now, &mut s.undos);
+                    debug_assert!(s.undos.is_empty(), "no undo reaches an NI");
+                    ejected = cell.flits().next().map(|(_, f)| f);
                 }
-                moved |= !s.arrivals.is_empty();
+                moved |= ejected.is_some();
                 s.ni_out.clear();
                 let injected = ni.tick(
                     now,
-                    &mut s.arrivals,
+                    ejected,
                     &self.state.topo,
                     &mut self.state.packets,
                     &mut s.ni_out,
@@ -596,20 +597,13 @@ impl Network {
             s.timed[w] &= !visit;
             for b in bits(visit) {
                 let (i, router) = (64 * w + b, &mut routers[64 * w + b]);
+                let mut cell = Cell::default();
                 if due >> b & 1 == 1 {
-                    let (flits, undos) = (&mut s.arrivals, &mut s.undos);
-                    links.router_links.drain(i, now, flits, undos);
+                    cell = links.router_links.take(i, now, &mut s.undos);
                 }
-                moved |= !s.arrivals.is_empty();
+                moved |= !cell.is_empty();
                 links.from = NodeId(i as u16);
-                router.tick(
-                    now,
-                    &mut s.arrivals,
-                    &mut s.undos,
-                    packets,
-                    links.topo,
-                    &mut links,
-                );
+                router.tick(now, cell, &mut s.undos, packets, links.topo, &mut links);
                 links.settle(packets);
                 s.router_busy[w] |= u64::from(router.is_busy()) << b;
                 s.timed[w] |= u64::from(router.holds_timed()) << b;
@@ -632,7 +626,7 @@ impl Network {
         skip_law("NI", i, now, ni, |ni| {
             let (mut probe, mut out) = (Probe::new(state.credits.ni(i), sink), NiOut::default());
             let (topo, packets) = (&state.topo, &mut state.packets);
-            let injected = ni.tick(now, &mut Vec::new(), topo, packets, &mut out, &mut probe);
+            let injected = ni.tick(now, None, topo, packets, &mut out, &mut probe);
             !injected && out == NiOut::default() && probe.quiet()
         });
     }
@@ -1122,7 +1116,7 @@ fn router_laws(i: usize, now: Cycle, router: &mut Router, packets: &mut Packets,
         let mut probe = Probe::new(links.credits.router(i), links.sink);
         r.tick(
             now,
-            &mut Vec::new(),
+            Cell::default(),
             &mut Vec::new(),
             packets,
             links.topo,

@@ -203,13 +203,13 @@ impl RefNetwork {
         self.land_credits(now);
         let mut out = NiOut::default();
         for t in 0..self.nis.len() {
-            let mut ejected = Vec::new();
+            let mut ejected = None;
             take(
                 &mut self.out[t][PORT_LOCAL],
                 now,
                 |_| true,
                 |m| match m {
-                    Msg::Flit(f) => ejected.push((0, f)),
+                    Msg::Flit(f) => assert!(ejected.replace(f).is_none(), "two flits at NI {t}"),
                     m => panic!("{m:?} ejected at NI {t}"),
                 },
             );
@@ -219,7 +219,7 @@ impl RefNetwork {
                 undos_sent: &mut self.undos_sent,
             };
             let (health, packets) = (&self.health, &mut self.packets);
-            self.nis[t].tick(now, &mut ejected, health, packets, &mut out, &mut ports);
+            self.nis[t].tick(now, ejected, health, packets, &mut out, &mut ports);
             for (slot, d) in out.delivered.drain(..) {
                 let retries = self.packets[slot].retries;
                 self.packets.close(slot);

@@ -395,11 +395,10 @@ impl Ni {
 
     /// One NI cycle: process ejected flits, then inject at most one flit
     /// into the router's local port (circuit streams have priority);
-    /// returns whether one was injected. Flits come as the link registers
-    /// hand them over — `(port, flit)` pairs, the port always 0 at an NI —
-    /// and are drained in place so the caller can reuse the buffer; the
-    /// flit and any circuit undos go out on `link`, the NI's single port,
-    /// whose wires hold the NI's credits.
+    /// returns whether one was injected. `ejected` is the flit the
+    /// router's ejection wire delivers this cycle, at most one; the
+    /// injected flit and any circuit undos go out on `link`, the NI's
+    /// single port, whose wires hold the NI's credits.
     ///
     /// Deliberately statistics-free: deliveries and the counted injection
     /// are surfaced through `out` and recorded into [`NocStats`] by the
@@ -408,7 +407,7 @@ impl Ni {
     pub(crate) fn tick(
         &mut self,
         now: Cycle,
-        ejected: &mut Vec<(usize, Flit)>,
+        ejected: Option<Flit>,
         topo: &TopologyHealth,
         packets: &mut Packets,
         out: &mut NiOut,
@@ -417,7 +416,7 @@ impl Ni {
         for (key, dst) in self.state.pending_undos.drain(..) {
             link.undo(0, key, dst, now + Cycle::from(LINK_LATENCY));
         }
-        for (_, flit) in ejected.drain(..) {
+        if let Some(flit) = ejected {
             self.receive_flit(flit, now, packets, out);
         }
         let Some(flit) = self.inject_one(now, topo, packets, out, link.wires()) else {

@@ -30,6 +30,7 @@
 use super::reference::{Coverage, RefRouter};
 use super::tests::{Outgoing, Recorder};
 use super::Router;
+use crate::calendar::Cell;
 use crate::config::NocConfig;
 use crate::flit::{Flit, Packet, PacketId, PacketSpec, Packets};
 use rcsim_core::circuit::{CircuitHandle, CircuitKey};
@@ -495,7 +496,7 @@ impl Harness {
             let (p, r) = (&mut self.prod, &mut self.reference);
             p.router.tick(
                 now,
-                &mut arrivals.clone(),
+                Cell::of(&arrivals),
                 &mut undos.clone(),
                 &mut p.packets,
                 &health,

@@ -16,6 +16,7 @@ mod input;
 #[cfg(test)]
 pub(crate) mod reference;
 
+use crate::calendar::Cell;
 use crate::config::{NocConfig, VcLayout};
 use crate::credit::CreditWire;
 use crate::flit::{Flit, PacketId, Packets};
@@ -185,14 +186,12 @@ pub(crate) struct Router {
     /// (meaningful only for ports that nominated this tick).
     sa_nominee: [u8; PORTS],
     pub(crate) state: State,
-    /// Reused candidate list for the VC-allocation sweep.
-    va_scratch: Vec<(Cycle, usize, Vnet, NodeId)>,
     layout: VcLayout,
     mechanism: MechanismConfig,
 }
 
 const _: () = assert!(std::mem::offset_of!(Router, contend) == 64);
-const _: () = assert!(std::mem::size_of::<Router>() == 712);
+const _: () = assert!(std::mem::size_of::<Router>() == 688);
 
 impl Router {
     pub(crate) fn new(node: NodeId, cfg: &NocConfig) -> Self {
@@ -229,7 +228,6 @@ impl Router {
                 ),
                 bypass_retry: (0..PORTS).map(|_| VecDeque::new()).collect(),
             },
-            va_scratch: Vec::with_capacity(total),
             layout,
             mechanism: cfg.mechanism,
         }
@@ -373,26 +371,31 @@ impl Router {
             .find(|&ovc| self.free_at(wires, self.slot(out_port, ovc)))
     }
 
-    /// Runs one cycle. `arrivals` and `undos` are the messages reaching
-    /// this router this cycle, as its link registers hand them over
-    /// (drained in place so the caller can reuse the buffers); produced
-    /// messages go straight onto `out`, and the router's credits are
-    /// `out`'s wires, read at `now`. Flits are handles into `packets`;
-    /// detoured heads route by `health`'s up*/down* table.
+    /// Runs one cycle. `arrived` (the router's calendar cell) and `undos`
+    /// are the messages reaching this router this cycle, as its link
+    /// registers hand them over (`undos` is drained in place so the caller
+    /// can reuse the buffer); produced messages go straight onto `out`,
+    /// and the router's credits are `out`'s wires, read at `now`. Flits are
+    /// handles into `packets`; detoured heads route by `health`'s
+    /// up*/down* table.
     pub(crate) fn tick(
         &mut self,
         now: Cycle,
-        arrivals: &mut Vec<(usize, Flit)>,
+        arrived: Cell,
         undos: &mut Vec<(CircuitKey, NodeId)>,
         packets: &mut Packets,
         health: &TopologyHealth,
         out: &mut impl LinkSink,
     ) {
         self.out_busy = 0;
+        // The heads waiting since an earlier cycle: the ones VA may see.
+        let ripe = self.occ.wait_va;
 
         // The undo information credits may carry (§4.4).
-        for (key, dst) in undos.drain(..) {
-            self.process_undo(now, key, dst, out);
+        if !undos.is_empty() {
+            for (key, dst) in undos.drain(..) {
+                self.process_undo(now, key, dst, out);
+            }
         }
 
         if self.timed {
@@ -407,14 +410,14 @@ impl Router {
         for port in bits(self.occ.retries) {
             self.retry(now, port, packets, health, out);
         }
-        for (port, flit) in arrivals.drain(..) {
+        for (port, flit) in arrived.flits() {
             self.state.activity.circuit_lookups += u64::from(flit.rides());
             self.arrive(now, port, flit, packets, health, out);
         }
 
         self.stage_st(now, packets, out);
         self.stage_sa(now, packets, out.wires());
-        self.stage_va(now, packets, out);
+        self.stage_va(now, ripe, packets, out);
         debug_assert_eq!(self.check_index(), Ok(()));
     }
 
@@ -803,24 +806,25 @@ impl Router {
         }
     }
 
+    // The allocators cost what they decide: each walks the set bits of
+    // its requests, a lone request passes the same arbiter and grant
+    // code as contended ones, and an idle stage returns at once.
+
     /// Stage 3: two-phase round-robin switch allocation; winners traverse
     /// the crossbar next cycle.
     fn stage_sa(&mut self, now: Cycle, packets: &Packets, wires: &[CreditWire]) {
-        if self.occ.post_va == 0 {
-            return;
-        }
         // Inputs with a grant still pending ST cannot be granted again.
-        let blocked = self.state.st_pending[..self.state.st_len.into()]
-            .iter()
-            .fold(0u64, |m, g| m | 1 << g.in_port);
+        let mut live = self.occ.post_va;
+        for g in &self.state.st_pending[..self.state.st_len.into()] {
+            live &= !self.port_mask(g.in_port.into());
+        }
         // Phase 1: each input port holding a post-VA VC nominates one.
         // `wanted` collects the output ports some nominee routes to.
         let mut wanted = 0u64;
-        for p in 0..PORTS {
-            let port_vcs = self.port_bits(self.occ.post_va, p);
-            if port_vcs == 0 || blocked >> p & 1 == 1 {
-                continue;
-            }
+        while live != 0 {
+            let p = live.trailing_zeros() as usize / usize::from(self.vcs);
+            let port_vcs = self.port_bits(live, p);
+            live &= !self.port_mask(p);
             let mut requests = 0u64;
             for v in bits(port_vcs) {
                 let vc = &self.state.vcs[self.slot(p, v)];
@@ -834,9 +838,7 @@ impl Router {
                 }
                 let route = usize::from(vc.route.expect("post-VA VC has a route"));
                 let out_vc = usize::from(vc.out_vc.expect("post-VA VC has an output VC"));
-                if self.may_send(wires, route, out_vc) {
-                    requests |= 1 << v;
-                }
+                requests |= u64::from(self.may_send(wires, route, out_vc)) << v;
             }
             if let Some(v) = self.state.arbiters[p].sa_in.grant_mask(requests) {
                 let route = self.state.vcs[self.slot(p, v)]
@@ -848,41 +850,35 @@ impl Router {
             }
         }
         // Phase 2: each requested output port grants one nominee.
-        self.grant_outputs(
-            wanted,
-            |a| &mut a.sa_out,
-            |r, _, winner| {
-                let v = r.sa_nominee[winner];
-                let slot = r.slot(winner, v.into());
-                if r.state.vcs[slot].state == VcState::WaitSa {
-                    r.advance(now, slot, VcState::Active, packets);
-                }
-                r.state.activity.sw_allocs += 1;
-                r.state.st_pending[usize::from(r.state.st_len)] = StGrant {
-                    in_port: winner as u8,
-                    in_vc: v,
-                };
-                r.state.st_len += 1;
-                true
-            },
-        );
+        for o in bits(wanted) {
+            let asking = std::mem::take(&mut self.contend[o]);
+            let winner = (self.state.arbiters[o].sa_out.grant_mask(asking))
+                .expect("a nominee asks for its route");
+            let v = self.sa_nominee[winner];
+            let slot = self.slot(winner, v.into());
+            if self.state.vcs[slot].state == VcState::WaitSa {
+                self.advance(now, slot, VcState::Active, packets);
+            }
+            self.state.activity.sw_allocs += 1;
+            self.state.st_pending[usize::from(self.state.st_len)] = StGrant {
+                in_port: winner as u8,
+                in_vc: v,
+            };
+            self.state.st_len += 1;
+        }
     }
 
     /// Stage 2: VC allocation — and, in parallel, the reactive-circuit
-    /// reservation for request packets (§4.1).
-    fn stage_va(&mut self, now: Cycle, packets: &mut Packets, out: &mut impl LinkSink) {
-        if self.occ.wait_va == 0 {
-            return;
-        }
+    /// reservation for request packets (§4.1). `ripe` are the heads that
+    /// were waiting before this cycle: a head is never allocated on the
+    /// cycle it arrives.
+    fn stage_va(&mut self, now: Cycle, ripe: u64, packets: &mut Packets, out: &mut impl LinkSink) {
         // Circuit reservations happen on the first VA attempt, whether or
         // not the VC wins allocation this cycle. The same pass groups the
         // requesting input ports by output port.
         let mut wanted = 0u64;
-        for slot in bits(self.occ.wait_va) {
+        for slot in bits(ripe) {
             let vc = &self.state.vcs[slot];
-            if vc.state_since >= now {
-                continue;
-            }
             let route = usize::from(vc.route.expect("WaitVa VC has a route"));
             let p = slot / usize::from(self.vcs);
             if !vc.circuit_attempted {
@@ -891,29 +887,13 @@ impl Router {
             self.contend[route] |= 1 << p;
             wanted |= 1 << route;
         }
+        // Phase 2: each requested output port grants the first input port,
+        // in round-robin order, one of whose heads finds a free VC.
         let wires = &*out.wires();
-        self.grant_outputs(
-            wanted,
-            |a| &mut a.va_out,
-            |r, o, winner| r.allocate_vc(now, o, winner, packets, wires),
-        );
-    }
-
-    /// Output control, for VA and SA phase 2 alike: each output port in
-    /// `wanted` grants one of the input ports in its `contend` mask,
-    /// round-robin on the arbiter `arbiter` picks. `select` is the data
-    /// select: it takes the winner's request (`true`), or passes the
-    /// winner over (`false`) and the output grants the next input.
-    fn grant_outputs(
-        &mut self,
-        wanted: u64,
-        arbiter: fn(&mut PortArbiters) -> &mut RoundRobin,
-        mut select: impl FnMut(&mut Self, usize, usize) -> bool,
-    ) {
         for o in bits(wanted) {
             let mut asking = std::mem::take(&mut self.contend[o]);
-            while let Some(winner) = arbiter(&mut self.state.arbiters[o]).grant_mask(asking) {
-                if select(self, o, winner) {
+            while let Some(winner) = self.state.arbiters[o].va_out.grant_mask(asking) {
+                if self.allocate_vc(now, o, winner, ripe, packets, wires) {
                     break;
                 }
                 asking &= !(1 << winner);
@@ -921,50 +901,53 @@ impl Router {
         }
     }
 
-    /// VA's data select: the winning input port's heads for output `o`,
-    /// walked in age order, until one finds a free output VC of its class.
-    /// (Considering only the oldest head would pass the whole input port
-    /// over whenever its virtual network has no free output VC, and since
-    /// the oldest never changes, younger heads behind it would wait
-    /// forever — a head-of-line wait that can close a request/reply credit
-    /// cycle into a hard deadlock under sustained load; see
-    /// tests/echo_probe.rs.)
+    /// VA's data select: the heads of input port `winner` in `ripe` routed
+    /// to output `o`, walked oldest first (lowest VC among equals), until
+    /// one finds a free output VC of its class. (Considering only the
+    /// oldest head would pass the whole input port over whenever its
+    /// virtual network has no free output VC, and since the oldest never
+    /// changes, younger heads behind it would wait forever — a
+    /// head-of-line wait that can close a request/reply credit cycle into
+    /// a hard deadlock under sustained load; see tests/echo_probe.rs.)
     fn allocate_vc(
         &mut self,
         now: Cycle,
         o: usize,
         winner: usize,
+        ripe: u64,
         packets: &Packets,
         wires: &[CreditWire],
     ) -> bool {
-        let mut candidates = std::mem::take(&mut self.va_scratch);
-        candidates.clear();
         let inputs = &self.state.vcs[self.slot(winner, 0)..];
-        candidates.extend(
-            bits(self.port_bits(self.occ.wait_va, winner))
-                .map(|v| (v, &inputs[v]))
-                .filter(|(_, vc)| vc.state_since < now && vc.route == Some(o as u8))
-                .map(|(v, vc)| {
-                    let head = vc.front().expect("WaitVa VC holds its head");
-                    let packet = &packets[head.slot];
-                    (vc.state_since, v, packet.vnet, packet.dst)
-                }),
-        );
-        candidates.sort_unstable_by_key(|&(since, v, _, _)| (since, v));
-        let won = (candidates.iter())
-            .find_map(|&(_, v, vnet, dst)| Some((v, self.free_vc(wires, o, vnet, dst)?)));
-        self.va_scratch = candidates;
-        let Some((v, ovc)) = won else {
-            return false;
-        };
-        self.state.owner[self.slot(o, ovc)] = Owner::Owned(winner as u8, v as u8);
-        let slot = self.slot(winner, v);
-        self.occ.wait_va &= !(1 << slot);
-        self.occ.post_va |= 1 << slot;
-        self.state.vcs[slot].out_vc = Some(ovc as u8);
-        self.advance(now, slot, VcState::WaitSa, packets);
-        self.state.activity.vc_allocs += 1;
-        true
+        let mut heads = self.port_bits(ripe, winner);
+        heads &= !bits(heads).fold(0, |m, v| {
+            m | u64::from(inputs[v].route != Some(o as u8)) << v
+        });
+        while heads != 0 {
+            // A lone head is the oldest outright.
+            let v = if heads & (heads - 1) == 0 {
+                heads.trailing_zeros() as usize
+            } else {
+                bits(heads)
+                    .min_by_key(|&v| (inputs[v].state_since, v))
+                    .expect("heads left")
+            };
+            heads &= !(1 << v);
+            let head = inputs[v].front().expect("WaitVa VC holds its head");
+            let packet = &packets[head.slot];
+            let Some(ovc) = self.free_vc(wires, o, packet.vnet, packet.dst) else {
+                continue;
+            };
+            self.state.owner[self.slot(o, ovc)] = Owner::Owned(winner as u8, v as u8);
+            let slot = self.slot(winner, v);
+            self.occ.wait_va &= !(1 << slot);
+            self.occ.post_va |= 1 << slot;
+            self.state.vcs[slot].out_vc = Some(ovc as u8);
+            self.advance(now, slot, VcState::WaitSa, packets);
+            self.state.activity.vc_allocs += 1;
+            return true;
+        }
+        false
     }
 
     /// Moves input VC `slot` on to `state` at `now`, tracing its head's
@@ -1007,6 +990,11 @@ impl Router {
     /// `port`'s slice of an index mask, shifted down to bit 0 = VC 0.
     fn port_bits(&self, mask: u64, port: usize) -> u64 {
         (mask >> (port * usize::from(self.vcs))) & ((1 << self.vcs) - 1)
+    }
+
+    /// The index mask of `port`'s VCs.
+    fn port_mask(&self, port: usize) -> u64 {
+        ((1 << self.vcs) - 1) << (port * usize::from(self.vcs))
     }
 
     /// The [`OccupancyIndex`] `state` implies — the one scratch field that
@@ -1423,7 +1411,8 @@ mod tests {
             packets: &mut Packets,
             out: &mut Recorder,
         ) {
-            self.tick(now, arrivals, undos, packets, &TopologyHealth::new(), out);
+            let cell = Cell::of(&std::mem::take(arrivals));
+            self.tick(now, cell, undos, packets, &TopologyHealth::new(), out);
         }
 
         fn circuits(&mut self) -> &mut RouterCircuits {
@@ -1474,12 +1463,15 @@ mod tests {
             .collect()
     }
 
+    /// Ticks `r` at `now` with `arrivals`, handed over in port order as a
+    /// calendar cell holds them.
     fn tick<R: UnderTest>(
         r: &mut Lone<R>,
         now: Cycle,
         packets: &mut Packets,
         mut arrivals: Vec<(usize, Flit)>,
     ) -> Vec<Outgoing> {
+        arrivals.sort_by_key(|&(port, _)| port);
         let Lone { router, sink } = r;
         router.step(now, &mut arrivals, &mut Vec::new(), packets, sink);
         std::mem::take(&mut sink.sent)
@@ -1765,7 +1757,7 @@ mod tests {
         let health = TopologyHealth::new();
         r.tick(
             1,
-            &mut Vec::new(),
+            Cell::default(),
             &mut Vec::new(),
             &mut packets,
             &health,
