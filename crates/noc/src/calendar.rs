@@ -186,7 +186,9 @@ impl Calendar {
             undos.extend(due.map(|(_, _, key, dst)| (key, dst)));
         }
         let mut regs = [Flit::default(); PORTS];
-        regs[..self.ports].copy_from_slice(&self.regs[cell * self.ports..][..self.ports]);
+        for p in bits(full) {
+            regs[p] = self.regs[cell * self.ports + p];
+        }
         Cell { full, regs }
     }
 
