@@ -121,10 +121,19 @@ pub(crate) fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
 /// lets it be. They serialize
 /// whole: the entries past the last slot are never touched, so
 /// they are the same constants in every snapshot. Declaration order is
-/// memory order (DESIGN.md §9 has the field → cache line table).
+/// memory order, what a busy tick reads first (DESIGN.md §9 has the
+/// field → cache line table).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 #[repr(C)]
 pub(crate) struct State {
+    /// The input VCs, by slot: control words and flit ring, a line each.
+    vcs: Vec<InputVc>,
+    /// Flits that found their VC's ring full, as `(slot, flit)` in
+    /// arrival order. Growable, because one bound cannot be proven: the
+    /// complete-mode circuit VC is uncredited, so a torn circuit's
+    /// fallen-back stream is bounded by its packet's length, not by
+    /// [`BUFFER_DEPTH`].
+    spill: Vec<(u8, Flit)>,
     /// Switch grants awaiting traversal: the first `st_len` entries of
     /// `st_pending`, in grant order (at most one per input port).
     st_len: u8,
@@ -134,35 +143,27 @@ pub(crate) struct State {
     /// refused and bypasses forced to the packet pipeline (DESIGN.md
     /// §10).
     degraded: bool,
-    /// Who holds each output VC, by slot: VA's grant, or a circuit
-    /// stream's head on a circuit VC. (Its credits are on the network's
-    /// credit wires, which the router reads through its sink.)
-    owner: [Owner; VC_INDEX_BITS],
     st_pending: [StGrant; PORTS],
     /// The arbiters, by port.
     arbiters: [PortArbiters; PORTS],
     pub(crate) activity: Activity,
-    /// The input VCs, by slot: control words and flit ring, a line each.
-    vcs: Vec<InputVc>,
-    /// Flits that found their VC's ring full, as `(slot, flit)` in
-    /// arrival order. Growable, because one bound cannot be proven: the
-    /// complete-mode circuit VC is uncredited, so a torn circuit's
-    /// fallen-back stream is bounded by its packet's length, not by
-    /// [`BUFFER_DEPTH`].
-    spill: Vec<(u8, Flit)>,
-    pub(crate) circuits: RouterCircuits,
     /// Per input port, bypass flits that found their output taken this
     /// cycle or their output circuit VC held by another stream, or
     /// arrived while an earlier flit is still queued.
     bypass_retry: Vec<VecDeque<Flit>>,
+    /// Who holds each output VC, by slot: VA's grant, or a circuit
+    /// stream's head on a circuit VC. (Its credits are on the network's
+    /// credit wires, which the router reads through its sink.)
+    owner: [Owner; VC_INDEX_BITS],
+    pub(crate) circuits: RouterCircuits,
 }
 
 /// Wiring, [`State`] and scratch: the [`OccupancyIndex`] is derived
-/// from the state; the rest of the scratch is dead at the tick boundaries
-/// where snapshots are taken, so a router the worklist skipped snapshots
-/// the same as a ticked one (the skip law). Declaration order
-/// is memory order: the first line is all an idle test or the top of a
-/// tick reads.
+/// from the state; `out_busy` is dead at the tick boundaries where
+/// snapshots are taken, so a router the worklist skipped snapshots the
+/// same as a ticked one (the skip law). Declaration order is memory
+/// order: the first line is all an idle test or the top of a tick reads,
+/// and the state's hot head follows on the next three.
 #[repr(C)]
 pub(crate) struct Router {
     occ: OccupancyIndex,
@@ -170,28 +171,24 @@ pub(crate) struct Router {
     /// (circuits have priority, §4.3); cleared at the top of every tick.
     out_busy: u64,
     topology: Topology,
-    /// Where trace events go; disabled by default.
-    sink: TraceSink,
     /// Router id, which is its tile's.
     node: NodeId,
-    /// VCs per port (`VcLayout::total()`), cached like the byte after
+    /// Where trace events go; disabled by default.
+    sink: TraceSink,
+    /// VCs per port (`VcLayout::total()`), cached like the bytes after
     /// it.
     vcs: u8,
     /// `mechanism.timed.is_timed()`.
     timed: bool,
-    /// Per output port, the input ports requesting it in the current
-    /// SA/VA sweep, as a mask; all zero between sweeps.
-    contend: [u64; PORTS],
-    /// The VC each input port nominated in [`Router::stage_sa`] phase 1
-    /// (meaningful only for ports that nominated this tick).
-    sa_nominee: [u8; PORTS],
+    /// Bit `v`: VC `v` takes a credit per flit (`VcLayout::credited`).
+    credited: u16,
     pub(crate) state: State,
     layout: VcLayout,
     mechanism: MechanismConfig,
 }
 
-const _: () = assert!(std::mem::offset_of!(Router, contend) == 64);
-const _: () = assert!(std::mem::size_of::<Router>() == 688);
+const _: () = assert!(std::mem::offset_of!(Router, state) == 64);
+const _: () = assert!(std::mem::size_of::<Router>() == 640);
 
 impl Router {
     pub(crate) fn new(node: NodeId, cfg: &NocConfig) -> Self {
@@ -206,27 +203,28 @@ impl Router {
             occ: OccupancyIndex::default(),
             out_busy: 0,
             topology: cfg.topology,
-            sink: TraceSink::default(),
             node,
+            sink: TraceSink::default(),
             vcs: total as u8,
             timed: cfg.mechanism.timed.is_timed(),
-            contend: [0; PORTS],
-            sa_nominee: [0; PORTS],
+            credited: (0..total)
+                .filter(|&v| cfg.credited(v))
+                .fold(0, |m, v| m | 1 << v),
             state: State {
+                vcs: vec![InputVc::default(); PORTS * total],
+                spill: Vec::new(),
                 st_len: 0,
                 degraded: false,
-                owner: [Owner::Free; VC_INDEX_BITS],
                 st_pending: [StGrant::default(); PORTS],
                 arbiters: [arbiters; PORTS],
                 activity: Activity::default(),
-                vcs: vec![InputVc::default(); PORTS * total],
-                spill: Vec::new(),
+                bypass_retry: (0..PORTS).map(|_| VecDeque::new()).collect(),
+                owner: [Owner::Free; VC_INDEX_BITS],
                 circuits: RouterCircuits::new(
                     cfg.mechanism.mode,
                     cfg.mechanism.max_circuits_per_input,
                     cfg.mechanism.circuit_vcs().max(1),
                 ),
-                bypass_retry: (0..PORTS).map(|_| VecDeque::new()).collect(),
             },
             layout,
             mechanism: cfg.mechanism,
@@ -675,7 +673,7 @@ impl Router {
         // A bypassed flit never occupies the buffer slot its VC credit paid
         // for; return the credit immediately where the VC is credited.
         let in_vc = usize::from(flit.vc);
-        if self.layout.credited(in_vc, self.mechanism.mode) {
+        if self.credited >> in_vc & 1 == 1 {
             self.state.activity.credits += 1;
             out.credit(port, in_vc, now + Cycle::from(LINK_LATENCY));
         }
@@ -783,7 +781,7 @@ impl Router {
             // Return the freed buffer slot upstream, where the VC is
             // credited (a stream fallen back off an uncredited circuit VC
             // returns none).
-            if self.layout.credited(in_vc, self.mechanism.mode) {
+            if self.credited >> in_vc & 1 == 1 {
                 self.state.activity.credits += 1;
                 out.credit(in_port, in_vc, now + Cycle::from(LINK_LATENCY));
             }
@@ -819,8 +817,9 @@ impl Router {
             live &= !self.port_mask(g.in_port.into());
         }
         // Phase 1: each input port holding a post-VA VC nominates one.
-        // `wanted` collects the output ports some nominee routes to.
-        let mut wanted = 0u64;
+        // `wanted` collects the output ports some nominee routes to, and
+        // `contend` per output port the input ports asking for it.
+        let (mut wanted, mut contend, mut nominee) = (0u64, [0u8; PORTS], [0u8; PORTS]);
         while live != 0 {
             let p = live.trailing_zeros() as usize / usize::from(self.vcs);
             let port_vcs = self.port_bits(live, p);
@@ -844,17 +843,16 @@ impl Router {
                 let route = self.state.vcs[self.slot(p, v)]
                     .route
                     .expect("post-VA VC has a route");
-                self.sa_nominee[p] = v as u8;
-                self.contend[usize::from(route)] |= 1 << p;
+                nominee[p] = v as u8;
+                contend[usize::from(route)] |= 1 << p;
                 wanted |= 1 << route;
             }
         }
         // Phase 2: each requested output port grants one nominee.
         for o in bits(wanted) {
-            let asking = std::mem::take(&mut self.contend[o]);
-            let winner = (self.state.arbiters[o].sa_out.grant_mask(asking))
+            let winner = (self.state.arbiters[o].sa_out.grant_mask(contend[o].into()))
                 .expect("a nominee asks for its route");
-            let v = self.sa_nominee[winner];
+            let v = nominee[winner];
             let slot = self.slot(winner, v.into());
             if self.state.vcs[slot].state == VcState::WaitSa {
                 self.advance(now, slot, VcState::Active, packets);
@@ -876,7 +874,7 @@ impl Router {
         // Circuit reservations happen on the first VA attempt, whether or
         // not the VC wins allocation this cycle. The same pass groups the
         // requesting input ports by output port.
-        let mut wanted = 0u64;
+        let (mut wanted, mut contend) = (0u64, [0u8; PORTS]);
         for slot in bits(ripe) {
             let vc = &self.state.vcs[slot];
             let route = usize::from(vc.route.expect("WaitVa VC has a route"));
@@ -884,14 +882,14 @@ impl Router {
             if !vc.circuit_attempted {
                 self.attempt_reservation(now, p, slot, packets, out);
             }
-            self.contend[route] |= 1 << p;
+            contend[route] |= 1 << p;
             wanted |= 1 << route;
         }
         // Phase 2: each requested output port grants the first input port,
         // in round-robin order, one of whose heads finds a free VC.
         let wires = &*out.wires();
         for o in bits(wanted) {
-            let mut asking = std::mem::take(&mut self.contend[o]);
+            let mut asking = u64::from(contend[o]);
             while let Some(winner) = self.state.arbiters[o].va_out.grant_mask(asking) {
                 if self.allocate_vc(now, o, winner, ripe, packets, wires) {
                     break;
@@ -1003,14 +1001,14 @@ impl Router {
         let State {
             vcs,
             spill,
-            bypass_retry,
             st_len: _,
+            degraded: _,
             st_pending: _,
+            arbiters: _,
+            activity: _,
+            bypass_retry,
             owner: _,
             circuits: _,
-            arbiters: _,
-            degraded: _,
-            activity: _,
         } = state;
         let mut occ = OccupancyIndex::default();
         for (slot, vc) in vcs.iter().enumerate() {
