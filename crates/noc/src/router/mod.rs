@@ -102,6 +102,13 @@ struct OccupancyIndex {
     retries: u64,
 }
 
+/// ⌈2¹⁶ / `vcs`⌉: `(slot · reciprocal(vcs)) >> 16` is `slot / vcs` for
+/// every slot below [`VC_INDEX_BITS`] and every layout of at most 12 VCs a
+/// port (`a_slot_divides_by_its_reciprocal` checks each case).
+const fn reciprocal(vcs: usize) -> u32 {
+    (1u32 << 16).div_ceil(vcs as u32)
+}
+
 /// The set bit positions of `mask`, ascending.
 pub(crate) fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
     std::iter::from_fn(move || {
@@ -182,6 +189,8 @@ pub(crate) struct Router {
     timed: bool,
     /// Bit `v`: VC `v` takes a credit per flit (`VcLayout::credited`).
     credited: u16,
+    /// [`reciprocal`] of `vcs`, which [`Router::port_of`] divides by.
+    recip: u32,
     pub(crate) state: State,
     layout: VcLayout,
     mechanism: MechanismConfig,
@@ -210,6 +219,7 @@ impl Router {
             credited: (0..total)
                 .filter(|&v| cfg.credited(v))
                 .fold(0, |m, v| m | 1 << v),
+            recip: reciprocal(total),
             state: State {
                 vcs: vec![InputVc::default(); PORTS * total],
                 spill: Vec::new(),
@@ -240,9 +250,17 @@ impl Router {
         port * usize::from(self.vcs) + vc
     }
 
+    /// The port of `slot`: `slot / vcs`, as a multiply and a shift,
+    /// since a run-time divide would cost a dozen cycles on the
+    /// allocators' request walk.
+    fn port_of(&self, slot: usize) -> usize {
+        (slot * self.recip as usize) >> 16
+    }
+
     /// The `(port, vc)` a slot stands for.
     fn port_vc(&self, slot: usize) -> (usize, usize) {
-        (slot / usize::from(self.vcs), slot % usize::from(self.vcs))
+        let port = self.port_of(slot);
+        (port, slot - self.slot(port, 0))
     }
 
     /// Every flit this router holds, with the input port it came in on
@@ -821,7 +839,7 @@ impl Router {
         // `contend` per output port the input ports asking for it.
         let (mut wanted, mut contend, mut nominee) = (0u64, [0u8; PORTS], [0u8; PORTS]);
         while live != 0 {
-            let p = live.trailing_zeros() as usize / usize::from(self.vcs);
+            let p = self.port_of(live.trailing_zeros() as usize);
             let port_vcs = self.port_bits(live, p);
             live &= !self.port_mask(p);
             let mut requests = 0u64;
@@ -878,7 +896,7 @@ impl Router {
         for slot in bits(ripe) {
             let vc = &self.state.vcs[slot];
             let route = usize::from(vc.route.expect("WaitVa VC has a route"));
-            let p = slot / usize::from(self.vcs);
+            let p = self.port_of(slot);
             if !vc.circuit_attempted {
                 self.attempt_reservation(now, p, slot, packets, out);
             }
@@ -1324,6 +1342,15 @@ mod tests {
         MechanismConfig, MessageClass, Stateful, Topology, PORT_EAST, PORT_NORTH, PORT_SOUTH,
         PORT_WEST,
     };
+
+    #[test]
+    fn a_slot_divides_by_its_reciprocal() {
+        for vcs in 1..=VC_INDEX_BITS / PORTS {
+            for slot in 0..VC_INDEX_BITS {
+                assert_eq!((slot * reciprocal(vcs) as usize) >> 16, slot / vcs);
+            }
+        }
+    }
 
     /// One recorded [`LinkSink`] call, argument for argument.
     #[derive(Debug, Clone, PartialEq)]
