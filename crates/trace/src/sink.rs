@@ -27,6 +27,15 @@ pub enum TraceSink {
     Ring(Arc<Mutex<RingLog>>),
 }
 
+/// The enabled half of [`TraceSink::emit`], out of line: the callers are
+/// per-flit paths, which keep only the tag test.
+#[cold]
+#[inline(never)]
+fn record(ring: &Mutex<RingLog>, f: impl FnOnce() -> TraceEvent) {
+    let event = f();
+    ring.lock().expect("trace ring poisoned").push(event);
+}
+
 impl TraceSink {
     /// A sink writing into a fresh ring of `capacity` events.
     ///
@@ -48,12 +57,8 @@ impl TraceSink {
     /// the disabled path.
     #[inline]
     pub fn emit(&self, f: impl FnOnce() -> TraceEvent) {
-        match self {
-            TraceSink::Disabled => {}
-            TraceSink::Ring(ring) => {
-                let event = f();
-                ring.lock().expect("trace ring poisoned").push(event);
-            }
+        if let TraceSink::Ring(ring) = self {
+            record(ring, f);
         }
     }
 
