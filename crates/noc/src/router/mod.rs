@@ -836,6 +836,20 @@ impl Router {
         for g in &self.state.st_pending[..self.state.st_len.into()] {
             live &= !self.port_mask(g.in_port.into());
         }
+        if live & live.wrapping_sub(1) == 0 {
+            // One VC or none: phase 1's nominee is phase 2's only contender.
+            if live != 0 {
+                let slot = live.trailing_zeros() as usize;
+                let p = self.port_of(slot);
+                let v = slot - self.slot(p, 0);
+                if let Some(route) = self.sa_request(now, wires, slot) {
+                    self.state.arbiters[p].sa_in.grant_mask(1 << v);
+                    self.state.arbiters[route].sa_out.grant_mask(1 << p);
+                    self.sa_grant(now, p, v, packets);
+                }
+            }
+            return;
+        }
         // Phase 1: each input port holding a post-VA VC nominates one.
         // `wanted` collects the output ports some nominee routes to, and
         // `contend` per output port the input ports asking for it.
@@ -846,18 +860,8 @@ impl Router {
             live &= !self.port_mask(p);
             let mut requests = 0u64;
             for v in bits(port_vcs) {
-                let vc = &self.state.vcs[self.slot(p, v)];
-                let stage_ok = match vc.state {
-                    VcState::WaitSa => vc.state_since < now,
-                    VcState::Active => true,
-                    _ => false,
-                };
-                if !stage_ok || vc.len() == 0 {
-                    continue;
-                }
-                let route = usize::from(vc.route.expect("post-VA VC has a route"));
-                let out_vc = usize::from(vc.out_vc.expect("post-VA VC has an output VC"));
-                requests |= u64::from(self.may_send(wires, route, out_vc)) << v;
+                let asks = self.sa_request(now, wires, self.slot(p, v)).is_some();
+                requests |= u64::from(asks) << v;
             }
             if let Some(v) = self.state.arbiters[p].sa_in.grant_mask(requests) {
                 let route = self.state.vcs[self.slot(p, v)]
@@ -872,18 +876,40 @@ impl Router {
         for o in bits(wanted) {
             let winner = (self.state.arbiters[o].sa_out.grant_mask(contend[o].into()))
                 .expect("a nominee asks for its route");
-            let v = nominee[winner];
-            let slot = self.slot(winner, v.into());
-            if self.state.vcs[slot].state == VcState::WaitSa {
-                self.advance(now, slot, VcState::Active, packets);
-            }
-            self.state.activity.sw_allocs += 1;
-            self.state.st_pending[usize::from(self.state.st_len)] = StGrant {
-                in_port: winner as u8,
-                in_vc: v,
-            };
-            self.state.st_len += 1;
+            self.sa_grant(now, winner, nominee[winner].into(), packets);
         }
+    }
+
+    /// SA's request line from the post-VA VC at `slot`: its route when it
+    /// has reached the stage, holds a flit and [`Router::may_send`].
+    fn sa_request(&self, now: Cycle, wires: &[CreditWire], slot: usize) -> Option<usize> {
+        let vc = &self.state.vcs[slot];
+        let stage_ok = match vc.state {
+            VcState::WaitSa => vc.state_since < now,
+            VcState::Active => true,
+            _ => false,
+        };
+        if !stage_ok || vc.len() == 0 {
+            return None;
+        }
+        let route = usize::from(vc.route.expect("post-VA VC has a route"));
+        let out_vc = usize::from(vc.out_vc.expect("post-VA VC has an output VC"));
+        self.may_send(wires, route, out_vc).then_some(route)
+    }
+
+    /// SA's grant to input VC `(p, v)`: it traverses the crossbar next
+    /// cycle.
+    fn sa_grant(&mut self, now: Cycle, p: usize, v: usize, packets: &Packets) {
+        let slot = self.slot(p, v);
+        if self.state.vcs[slot].state == VcState::WaitSa {
+            self.advance(now, slot, VcState::Active, packets);
+        }
+        self.state.activity.sw_allocs += 1;
+        self.state.st_pending[usize::from(self.state.st_len)] = StGrant {
+            in_port: p as u8,
+            in_vc: v as u8,
+        };
+        self.state.st_len += 1;
     }
 
     /// Stage 2: VC allocation — and, in parallel, the reactive-circuit
@@ -906,7 +932,8 @@ impl Router {
             wanted |= 1 << route;
         }
         // Phase 2: each requested output port grants the first input port,
-        // in round-robin order, one of whose heads finds a free VC.
+        // in round-robin order, one of whose heads finds a free VC (a lone
+        // request is the same grant).
         let wires = &*out.wires();
         for o in bits(wanted) {
             let mut asking = u64::from(contend[o]);
