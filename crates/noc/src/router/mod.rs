@@ -432,7 +432,7 @@ impl Router {
         }
 
         self.stage_st(now, packets, out);
-        self.stage_sa(now, packets, out.wires());
+        self.stage_sa(now, packets, out);
         self.stage_va(now, ripe, packets, out);
         debug_assert_eq!(self.check_index(), Ok(()));
     }
@@ -561,7 +561,7 @@ impl Router {
         health: &TopologyHealth,
         out: &mut impl LinkSink,
     ) -> bool {
-        match self.circuit(port, flit, packets, out.wires()) {
+        match self.circuit(port, flit, packets, out) {
             Some((entry, gvc)) => {
                 let held = self.state.owner[self.slot(entry.out_port, gvc)];
                 if self.out_busy >> entry.out_port & 1 == 1
@@ -595,7 +595,7 @@ impl Router {
         port: usize,
         flit: Flit,
         packets: &Packets,
-        wires: &[CreditWire],
+        out: &mut impl LinkSink,
     ) -> Option<(CircuitEntry, usize)> {
         if !flit.rides() {
             return None;
@@ -620,7 +620,7 @@ impl Router {
             // reservation there is missing (§4.2 "messages can always be
             // stored"), so a head needs it completely idle, all credits
             // home — the packet-switched draining rule.
-            fall_back |= wires[self.slot(entry.out_port, gvc)].available() < BUFFER_DEPTH;
+            fall_back |= out.wires()[self.slot(entry.out_port, gvc)].available() < BUFFER_DEPTH;
         }
         if fall_back {
             self.release_circuit(port, key);
@@ -830,23 +830,25 @@ impl Router {
 
     /// Stage 3: two-phase round-robin switch allocation; winners traverse
     /// the crossbar next cycle.
-    fn stage_sa(&mut self, now: Cycle, packets: &Packets, wires: &[CreditWire]) {
+    fn stage_sa(&mut self, now: Cycle, packets: &Packets, out: &mut impl LinkSink) {
         // Inputs with a grant still pending ST cannot be granted again.
         let mut live = self.occ.post_va;
         for g in &self.state.st_pending[..self.state.st_len.into()] {
             live &= !self.port_mask(g.in_port.into());
         }
-        if live & live.wrapping_sub(1) == 0 {
-            // One VC or none: phase 1's nominee is phase 2's only contender.
-            if live != 0 {
-                let slot = live.trailing_zeros() as usize;
-                let p = self.port_of(slot);
-                let v = slot - self.slot(p, 0);
-                if let Some(route) = self.sa_request(now, wires, slot) {
-                    self.state.arbiters[p].sa_in.grant_mask(1 << v);
-                    self.state.arbiters[route].sa_out.grant_mask(1 << p);
-                    self.sa_grant(now, p, v, packets);
-                }
+        if live == 0 {
+            return;
+        }
+        let wires = &*out.wires();
+        if live & (live - 1) == 0 {
+            // One VC: phase 1's nominee is phase 2's only contender.
+            let slot = live.trailing_zeros() as usize;
+            let p = self.port_of(slot);
+            let v = slot - self.slot(p, 0);
+            if let Some(route) = self.sa_request(now, wires, slot) {
+                self.state.arbiters[p].sa_in.grant_mask(1 << v);
+                self.state.arbiters[route].sa_out.grant_mask(1 << p);
+                self.sa_grant(now, p, v, packets);
             }
             return;
         }
@@ -917,6 +919,9 @@ impl Router {
     /// were waiting before this cycle: a head is never allocated on the
     /// cycle it arrives.
     fn stage_va(&mut self, now: Cycle, ripe: u64, packets: &mut Packets, out: &mut impl LinkSink) {
+        if ripe == 0 {
+            return;
+        }
         // Circuit reservations happen on the first VA attempt, whether or
         // not the VC wins allocation this cycle. The same pass groups the
         // requesting input ports by output port.
