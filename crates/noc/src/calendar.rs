@@ -14,7 +14,7 @@ use crate::flit::Flit;
 use crate::router::bits;
 use rcsim_core::circuit::CircuitKey;
 use rcsim_core::table4::LINK_LATENCY;
-use rcsim_core::{Cycle, NodeId, PORTS};
+use rcsim_core::{Cycle, NodeId};
 use serde::{Deserialize, Serialize};
 
 /// The cycles of a [`Calendar`]'s arrival window, `W`: `LINK_LATENCY + 2`
@@ -30,39 +30,6 @@ const WINDOW_MASK: Cycle = WINDOW as Cycle - 1;
 /// The bit of a cell's mask set while an undo notification is due there;
 /// the bits below it are the input ports whose flit register is full.
 const UNDO_DUE: u64 = 1 << 63;
-
-/// The flits that reach one component in one cycle, as its cell's
-/// registers handed over whole: register `p` holds input port `p`'s flit
-/// while bit `p` of `full` is set.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub(crate) struct Cell {
-    full: u64,
-    regs: [Flit; PORTS],
-}
-
-impl Cell {
-    /// A cell holding `flits`, as `(port, flit)` in ascending port order.
-    #[cfg(test)]
-    pub(crate) fn of(flits: &[(usize, Flit)]) -> Cell {
-        let mut cell = Cell::default();
-        for &(p, f) in flits {
-            assert!(cell.full >> p == 0, "one flit per port, in port order");
-            cell.full |= 1 << p;
-            cell.regs[p] = f;
-        }
-        cell
-    }
-
-    /// `true` when no flit arrived.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.full == 0
-    }
-
-    /// The arrived flits as `(port, flit)`, in port order.
-    pub(crate) fn flits(self) -> impl Iterator<Item = (usize, Flit)> {
-        bits(self.full).map(move |p| (p, self.regs[p]))
-    }
-}
 
 /// The messages in flight towards every component of one kind (all the
 /// routers, or all the NIs), as flat arrays over *cells*: cell
@@ -94,7 +61,7 @@ pub(crate) struct Calendar {
 impl Calendar {
     /// Empty registers for `n` components of `ports` input ports each.
     pub(crate) fn new(n: usize, ports: usize) -> Self {
-        assert!(ports <= PORTS, "a cell holds at most a router's ports");
+        assert!(ports < 63, "a cell's mask holds the ports and the undo bit");
         let cells = WINDOW * n;
         Calendar {
             n,
@@ -163,33 +130,32 @@ impl Calendar {
         self.due_bits[(now & WINDOW_MASK) as usize * self.n.div_ceil(64) + w]
     }
 
-    /// Hands over everything due at component `i` at `now`: its cell's
-    /// flit registers, whole, and the undos due there, appended to the
-    /// caller's vector in enqueue order. The network-wide undo list is
-    /// searched only when the cell says one is due.
-    pub(crate) fn take(
-        &mut self,
-        i: usize,
-        now: Cycle,
-        undos: &mut Vec<(CircuitKey, NodeId)>,
-    ) -> Cell {
+    /// Takes what is due at component `i` at `now`: the mask of the input
+    /// ports whose register in its cell holds a flit, read in place with
+    /// [`Calendar::reg`] for the rest of the cycle, and the undos due
+    /// there, appended to the caller's vector in enqueue order. The
+    /// network-wide undo list is searched only when the cell says one is
+    /// due.
+    pub(crate) fn take(&mut self, i: usize, now: Cycle, undos: &mut Vec<(CircuitKey, NodeId)>) -> u64 {
         let due = self.due_at(i, now);
         if *due >> (i % 64) & 1 == 0 {
-            return Cell::default();
+            return 0;
         }
         *due &= !(1 << (i % 64));
         let cell = (now & WINDOW_MASK) as usize * self.n + i;
-        let mut full = std::mem::take(&mut self.masks[cell]);
+        let full = std::mem::take(&mut self.masks[cell]);
         if full & UNDO_DUE != 0 {
-            full &= !UNDO_DUE;
             let due = self.undos.extract_if(.., |u| u.0 == i && u.1 == now);
             undos.extend(due.map(|(_, _, key, dst)| (key, dst)));
         }
-        let mut regs = [Flit::default(); PORTS];
-        for p in bits(full) {
-            regs[p] = self.regs[cell * self.ports + p];
-        }
-        Cell { full, regs }
+        full & !UNDO_DUE
+    }
+
+    /// The flit in input port `port`'s register of component `i`'s cell at
+    /// `now`, which [`Calendar::take`] said is full. Nothing writes a cell
+    /// in its own cycle, so the register holds until the next window.
+    pub(crate) fn reg(&self, i: usize, now: Cycle, port: usize) -> Flit {
+        self.regs[((now & WINDOW_MASK) as usize * self.n + i) * self.ports + port]
     }
 
     /// `true` while a flit or an undo is on its way.
@@ -245,8 +211,8 @@ mod tests {
 
     fn drain_at(cal: &mut Calendar, i: usize, now: Cycle) -> Drained {
         let mut u = Vec::new();
-        let f = cal.take(i, now, &mut u);
-        (f.flits().map(|(p, f)| (p, f.slot)).collect(), u)
+        let full = cal.take(i, now, &mut u);
+        (bits(full).map(|p| (p, cal.reg(i, now, p).slot)).collect(), u)
     }
 
     /// Component `i`'s bit of [`Calendar::due_word`].

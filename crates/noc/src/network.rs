@@ -2,7 +2,7 @@
 //! fault-injection hooks (flits and credits crossing inter-router links,
 //! circuit tables, input ports) and the always-on progress watchdog.
 
-use crate::calendar::{Calendar, Cell};
+use crate::calendar::Calendar;
 use crate::config::NocConfig;
 use crate::credit::CreditWires;
 use crate::fault::{self, DeadLinkEvent, FaultConfig, FaultState, FaultStats};
@@ -551,9 +551,9 @@ impl Network {
                 let (i, ni) = (64 * w + b, &mut self.nis[64 * w + b]);
                 let mut ejected = None;
                 if due >> b & 1 == 1 {
-                    let cell = self.state.ni_links.take(i, now, &mut s.undos);
+                    let full = self.state.ni_links.take(i, now, &mut s.undos);
                     debug_assert!(s.undos.is_empty(), "no undo reaches an NI");
-                    ejected = cell.flits().next().map(|(_, f)| f);
+                    ejected = (full != 0).then(|| self.state.ni_links.reg(i, now, 0));
                 }
                 moved |= ejected.is_some();
                 s.ni_out.clear();
@@ -597,13 +597,13 @@ impl Network {
             s.timed[w] &= !visit;
             for b in bits(visit) {
                 let (i, router) = (64 * w + b, &mut routers[64 * w + b]);
-                let mut cell = Cell::default();
+                let mut arrived = 0;
                 if due >> b & 1 == 1 {
-                    cell = links.router_links.take(i, now, &mut s.undos);
+                    arrived = links.router_links.take(i, now, &mut s.undos);
                 }
-                moved |= !cell.is_empty();
+                moved |= arrived != 0;
                 links.from = NodeId(i as u16);
-                router.tick(now, cell, &mut s.undos, packets, links.topo, &mut links);
+                router.tick(now, arrived, &mut s.undos, packets, links.topo, &mut links);
                 links.settle(packets);
                 s.router_busy[w] |= u64::from(router.is_busy()) << b;
                 s.timed[w] |= u64::from(router.holds_timed()) << b;
@@ -1116,7 +1116,7 @@ fn router_laws(i: usize, now: Cycle, router: &mut Router, packets: &mut Packets,
         let mut probe = Probe::new(links.credits.router(i), links.sink);
         r.tick(
             now,
-            Cell::default(),
+            0,
             &mut Vec::new(),
             packets,
             links.topo,

@@ -30,7 +30,6 @@
 use super::reference::{Coverage, RefRouter};
 use super::tests::{Outgoing, Recorder};
 use super::Router;
-use crate::calendar::Cell;
 use crate::config::NocConfig;
 use crate::flit::{Flit, Packet, PacketId, PacketSpec, Packets};
 use rcsim_core::circuit::{CircuitHandle, CircuitKey};
@@ -494,9 +493,10 @@ impl Harness {
             });
             self.undos_sent += undos.len() as u64;
             let (p, r) = (&mut self.prod, &mut self.reference);
+            let arrived = p.sink.arrive(&arrivals);
             p.router.tick(
                 now,
-                Cell::of(&arrivals),
+                arrived,
                 &mut undos.clone(),
                 &mut p.packets,
                 &health,

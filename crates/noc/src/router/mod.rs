@@ -16,7 +16,6 @@ mod input;
 #[cfg(test)]
 pub(crate) mod reference;
 
-use crate::calendar::Cell;
 use crate::config::{NocConfig, VcLayout};
 use crate::credit::CreditWire;
 use crate::flit::{Flit, PacketId, Packets};
@@ -387,17 +386,17 @@ impl Router {
             .find(|&ovc| self.free_at(wires, self.slot(out_port, ovc)))
     }
 
-    /// Runs one cycle. `arrived` (the router's calendar cell) and `undos`
-    /// are the messages reaching this router this cycle, as its link
-    /// registers hand them over (`undos` is drained in place so the caller
-    /// can reuse the buffer); produced messages go straight onto `out`,
-    /// and the router's credits are `out`'s wires, read at `now`. Flits are
-    /// handles into `packets`; detoured heads route by `health`'s
-    /// up*/down* table.
+    /// Runs one cycle. `arrived` (the input ports whose link register
+    /// holds a flit, read in place through `out`) and `undos` are the
+    /// messages reaching this router this cycle (`undos` is drained in
+    /// place so the caller can reuse the buffer); produced messages go
+    /// straight onto `out`, and the router's credits are `out`'s wires,
+    /// read at `now`. Flits are handles into `packets`; detoured heads
+    /// route by `health`'s up*/down* table.
     pub(crate) fn tick(
         &mut self,
         now: Cycle,
-        arrived: Cell,
+        arrived: u64,
         undos: &mut Vec<(CircuitKey, NodeId)>,
         packets: &mut Packets,
         health: &TopologyHealth,
@@ -426,7 +425,8 @@ impl Router {
         for port in bits(self.occ.retries) {
             self.retry(now, port, packets, health, out);
         }
-        for (port, flit) in arrived.flits() {
+        for port in bits(arrived) {
+            let flit = out.arrival(port);
             self.state.activity.circuit_lookups += u64::from(flit.rides());
             self.arrive(now, port, flit, packets, health, out);
         }
@@ -1403,6 +1403,8 @@ mod tests {
     pub(super) struct Recorder {
         pub(super) sent: Vec<Outgoing>,
         pub(super) wires: Vec<CreditWire>,
+        /// The link registers a tick reads its arrivals from.
+        pub(super) regs: [Flit; PORTS],
     }
 
     impl Recorder {
@@ -1413,7 +1415,18 @@ mod tests {
             Recorder {
                 sent: Vec::new(),
                 wires: vec![CreditWire::full(BUFFER_DEPTH); slots],
+                regs: [Flit::default(); PORTS],
             }
+        }
+
+        /// Files `arrivals` (one flit a port, in port order) in the link
+        /// registers; returns the mask a tick takes.
+        pub(super) fn arrive(&mut self, arrivals: &[(usize, Flit)]) -> u64 {
+            arrivals.iter().fold(0, |full, &(p, f)| {
+                assert!(full >> p == 0, "one flit per port, in port order");
+                self.regs[p] = f;
+                full | 1 << p
+            })
         }
     }
 
@@ -1432,6 +1445,10 @@ mod tests {
 
         fn wires(&mut self) -> &mut [CreditWire] {
             &mut self.wires
+        }
+
+        fn arrival(&self, port: usize) -> Flit {
+            self.regs[port]
         }
     }
 
@@ -1472,8 +1489,8 @@ mod tests {
             packets: &mut Packets,
             out: &mut Recorder,
         ) {
-            let cell = Cell::of(&std::mem::take(arrivals));
-            self.tick(now, cell, undos, packets, &TopologyHealth::new(), out);
+            let arrived = out.arrive(&std::mem::take(arrivals));
+            self.tick(now, arrived, undos, packets, &TopologyHealth::new(), out);
         }
 
         fn circuits(&mut self) -> &mut RouterCircuits {
@@ -1818,7 +1835,7 @@ mod tests {
         let health = TopologyHealth::new();
         r.tick(
             1,
-            Cell::default(),
+            0,
             &mut Vec::new(),
             &mut packets,
             &health,
