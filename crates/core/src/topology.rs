@@ -150,15 +150,10 @@ impl Topology {
             router.index() < self.routers(),
             "router {router} out of range for {self:?}"
         );
-        // A power-of-two width (every size the paper runs) divides by a
-        // shift: routing and VC allocation ask for coordinates per hop.
-        let w = self.width;
-        let (x, y) = if w.is_power_of_two() {
-            (router.0 & (w - 1), router.0 >> w.trailing_zeros())
-        } else {
-            (router.0 % w, router.0 / w)
-        };
-        Coord { x, y }
+        Coord {
+            x: router.0 % self.width,
+            y: router.0 / self.width,
+        }
     }
 
     /// Router at a grid coordinate.

@@ -238,7 +238,6 @@ impl Links<'_> {
     /// have (a loss must not wedge the fabric), tears down the circuit
     /// reservations the packet leaves orphaned, and notes the end-to-end
     /// retransmission.
-    #[cold]
     fn drop_on_link(
         &mut self,
         nb: NodeId,

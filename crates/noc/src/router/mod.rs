@@ -523,7 +523,6 @@ impl Router {
 
     /// The flits parked on `port`, oldest first: each input VC's go on
     /// until one of them must wait, and the other VCs' go on past it.
-    #[inline(never)]
     fn retry(
         &mut self,
         now: Cycle,
@@ -744,21 +743,20 @@ impl Router {
     /// Takes the oldest flit out of the input VC at `slot`; the ring then
     /// takes over the VC's oldest spilled flit, if any.
     fn unbuffer(&mut self, slot: usize) -> Flit {
-        let flit = self.state.vcs[slot].pop().expect("granted VC has a flit");
+        let vc = &mut self.state.vcs[slot];
+        let flit = vc.pop().expect("granted VC has a flit");
         self.occ.buffered -= 1;
         if !self.state.spill.is_empty() {
-            self.refill(slot);
+            let spilled = self
+                .state
+                .spill
+                .iter()
+                .position(|s| usize::from(s.0) == slot);
+            if let Some(k) = spilled {
+                vc.push(self.state.spill.remove(k).1);
+            }
         }
         flit
-    }
-
-    /// Moves the oldest spilled flit of VC `slot`, if any, into its ring.
-    #[cold]
-    fn refill(&mut self, slot: usize) {
-        let spilled = (self.state.spill.iter()).position(|s| usize::from(s.0) == slot);
-        if let Some(k) = spilled {
-            self.state.vcs[slot].push(self.state.spill.remove(k).1);
-        }
     }
 
     /// Stage 4: switch traversal for last cycle's SA winners. Circuit
@@ -1129,8 +1127,6 @@ impl Router {
     /// The §4.1 reservation: while the request head sits in VA, write the
     /// reply's circuit into this router's tables. `p` is the input port
     /// of the VC at `slot`.
-    // Out of line, like `retry`: the per-flit stages keep only the call.
-    #[inline(never)]
     fn attempt_reservation(
         &mut self,
         now: Cycle,
