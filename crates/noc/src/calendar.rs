@@ -136,7 +136,12 @@ impl Calendar {
     /// there, appended to the caller's vector in enqueue order. The
     /// network-wide undo list is searched only when the cell says one is
     /// due.
-    pub(crate) fn take(&mut self, i: usize, now: Cycle, undos: &mut Vec<(CircuitKey, NodeId)>) -> u64 {
+    pub(crate) fn take(
+        &mut self,
+        i: usize,
+        now: Cycle,
+        undos: &mut Vec<(CircuitKey, NodeId)>,
+    ) -> u64 {
         let due = self.due_at(i, now);
         if *due >> (i % 64) & 1 == 0 {
             return 0;
@@ -212,7 +217,10 @@ mod tests {
     fn drain_at(cal: &mut Calendar, i: usize, now: Cycle) -> Drained {
         let mut u = Vec::new();
         let full = cal.take(i, now, &mut u);
-        (bits(full).map(|p| (p, cal.reg(i, now, p).slot)).collect(), u)
+        (
+            bits(full).map(|p| (p, cal.reg(i, now, p).slot)).collect(),
+            u,
+        )
     }
 
     /// Component `i`'s bit of [`Calendar::due_word`].

@@ -492,14 +492,20 @@ impl Network {
             .collect()
     }
 
-    /// Packets fully received anywhere since the last call, as
-    /// `(node, packet)` pairs in tile order, each tile's in arrival order.
-    /// The network's queue keeps its capacity, so a warm tick delivers
-    /// without allocating; the returned `Vec` is allocated afresh on every
-    /// call that delivers anything.
-    pub fn take_all_delivered(&mut self) -> Vec<(NodeId, Delivered)> {
+    /// Moves the packets fully received anywhere since the last call onto
+    /// the end of `out`, as `(node, packet)` pairs in tile order, each
+    /// tile's in arrival order. Both queues keep their capacity, so a warm
+    /// caller that reuses `out` takes its deliveries without allocating.
+    pub fn drain_delivered(&mut self, out: &mut Vec<(NodeId, Delivered)>) {
         self.state.delivered.sort_by_key(|&(node, _)| node);
-        self.state.delivered.drain(..).collect()
+        out.append(&mut self.state.delivered);
+    }
+
+    /// [`Network::drain_delivered`] into a fresh `Vec`.
+    pub fn take_all_delivered(&mut self) -> Vec<(NodeId, Delivered)> {
+        let mut out = Vec::new();
+        self.drain_delivered(&mut out);
+        out
     }
 
     /// Advances the network by one clock cycle.
@@ -1114,14 +1120,7 @@ fn router_laws(i: usize, now: Cycle, router: &mut Router, packets: &mut Packets,
     superset_law("router", i, now, !router.is_busy() && !router.expires(now));
     skip_law("router", i, now, router, |r| {
         let mut probe = Probe::new(links.credits.router(i), links.sink);
-        r.tick(
-            now,
-            0,
-            &mut Vec::new(),
-            packets,
-            links.topo,
-            &mut probe,
-        );
+        r.tick(now, 0, &mut Vec::new(), packets, links.topo, &mut probe);
         probe.quiet()
     });
 }

@@ -101,13 +101,6 @@ struct OccupancyIndex {
     retries: u64,
 }
 
-/// ⌈2¹⁶ / `vcs`⌉: `(slot · reciprocal(vcs)) >> 16` is `slot / vcs` for
-/// every slot below [`VC_INDEX_BITS`] and every layout of at most 12 VCs a
-/// port (`a_slot_divides_by_its_reciprocal` checks each case).
-const fn reciprocal(vcs: usize) -> u32 {
-    (1u32 << 16).div_ceil(vcs as u32)
-}
-
 /// The set bit positions of `mask`, ascending.
 pub(crate) fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
     std::iter::from_fn(move || {
@@ -188,8 +181,6 @@ pub(crate) struct Router {
     timed: bool,
     /// Bit `v`: VC `v` takes a credit per flit (`VcLayout::credited`).
     credited: u16,
-    /// [`reciprocal`] of `vcs`, which [`Router::port_of`] divides by.
-    recip: u32,
     pub(crate) state: State,
     layout: VcLayout,
     mechanism: MechanismConfig,
@@ -218,7 +209,6 @@ impl Router {
             credited: (0..total)
                 .filter(|&v| cfg.credited(v))
                 .fold(0, |m, v| m | 1 << v),
-            recip: reciprocal(total),
             state: State {
                 vcs: vec![InputVc::default(); PORTS * total],
                 spill: Vec::new(),
@@ -249,17 +239,9 @@ impl Router {
         port * usize::from(self.vcs) + vc
     }
 
-    /// The port of `slot`: `slot / vcs`, as a multiply and a shift,
-    /// since a run-time divide would cost a dozen cycles on the
-    /// allocators' request walk.
-    fn port_of(&self, slot: usize) -> usize {
-        (slot * self.recip as usize) >> 16
-    }
-
     /// The `(port, vc)` a slot stands for.
     fn port_vc(&self, slot: usize) -> (usize, usize) {
-        let port = self.port_of(slot);
-        (port, slot - self.slot(port, 0))
+        (slot / usize::from(self.vcs), slot % usize::from(self.vcs))
     }
 
     /// Every flit this router holds, with the input port it came in on
@@ -840,10 +822,8 @@ impl Router {
         let wires = &*out.wires();
         if live & (live - 1) == 0 {
             // One VC: phase 1's nominee is phase 2's only contender.
-            let slot = live.trailing_zeros() as usize;
-            let p = self.port_of(slot);
-            let v = slot - self.slot(p, 0);
-            if let Some(route) = self.sa_request(now, wires, slot) {
+            let (p, v) = self.port_vc(live.trailing_zeros() as usize);
+            if let Some(route) = self.sa_request(now, wires, p, v) {
                 self.state.arbiters[p].sa_in.grant_mask(1 << v);
                 self.state.arbiters[route].sa_out.grant_mask(1 << p);
                 self.sa_grant(now, p, v, packets);
@@ -855,20 +835,17 @@ impl Router {
         // `contend` per output port the input ports asking for it.
         let (mut wanted, mut contend, mut nominee) = (0u64, [0u8; PORTS], [0u8; PORTS]);
         while live != 0 {
-            let p = self.port_of(live.trailing_zeros() as usize);
+            let (p, _) = self.port_vc(live.trailing_zeros() as usize);
             let port_vcs = self.port_bits(live, p);
             live &= !self.port_mask(p);
             let mut requests = 0u64;
             for v in bits(port_vcs) {
-                let asks = self.sa_request(now, wires, self.slot(p, v)).is_some();
-                requests |= u64::from(asks) << v;
+                requests |= u64::from(self.sa_request(now, wires, p, v).is_some()) << v;
             }
             if let Some(v) = self.state.arbiters[p].sa_in.grant_mask(requests) {
-                let route = self.state.vcs[self.slot(p, v)]
-                    .route
-                    .expect("post-VA VC has a route");
+                let route = self.sa_request(now, wires, p, v).expect("the nominee asks");
                 nominee[p] = v as u8;
-                contend[usize::from(route)] |= 1 << p;
+                contend[route] |= 1 << p;
                 wanted |= 1 << route;
             }
         }
@@ -880,10 +857,10 @@ impl Router {
         }
     }
 
-    /// SA's request line from the post-VA VC at `slot`: its route when it
+    /// SA's request line from the post-VA VC `(p, v)`: its route when it
     /// has reached the stage, holds a flit and [`Router::may_send`].
-    fn sa_request(&self, now: Cycle, wires: &[CreditWire], slot: usize) -> Option<usize> {
-        let vc = &self.state.vcs[slot];
+    fn sa_request(&self, now: Cycle, wires: &[CreditWire], p: usize, v: usize) -> Option<usize> {
+        let vc = &self.state.vcs[self.slot(p, v)];
         let stage_ok = match vc.state {
             VcState::WaitSa => vc.state_since < now,
             VcState::Active => true,
@@ -927,7 +904,7 @@ impl Router {
         for slot in bits(ripe) {
             let vc = &self.state.vcs[slot];
             let route = usize::from(vc.route.expect("WaitVa VC has a route"));
-            let p = self.port_of(slot);
+            let (p, _) = self.port_vc(slot);
             if !vc.circuit_attempted {
                 self.attempt_reservation(now, p, slot, packets, out);
             }
@@ -971,15 +948,7 @@ impl Router {
         heads &= !bits(heads).fold(0, |m, v| {
             m | u64::from(inputs[v].route != Some(o as u8)) << v
         });
-        while heads != 0 {
-            // A lone head is the oldest outright.
-            let v = if heads & (heads - 1) == 0 {
-                heads.trailing_zeros() as usize
-            } else {
-                bits(heads)
-                    .min_by_key(|&v| (inputs[v].state_since, v))
-                    .expect("heads left")
-            };
+        while let Some(v) = bits(heads).min_by_key(|&v| (inputs[v].state_since, v)) {
             heads &= !(1 << v);
             let head = inputs[v].front().expect("WaitVa VC holds its head");
             let packet = &packets[head.slot];
@@ -1141,12 +1110,9 @@ impl Router {
         let head = vc.front().expect("WaitVa VC holds its head");
         let packet = &mut packets[head.slot];
         let dst = packet.dst;
-        let Some(handle) = packet.circuit.as_mut() else {
+        let Some(handle) = packet.circuit.as_mut().filter(|h| !h.failed) else {
             return;
         };
-        if handle.failed {
-            return;
-        }
         let key = handle.key;
         // Reply direction through this router: it arrives from where the
         // request is going and leaves where the request came from.
@@ -1252,20 +1218,14 @@ impl Router {
         out: &mut Vec<VcWaiter>,
     ) {
         for (slot, vc) in self.state.vcs.iter().enumerate() {
+            // A VC waits with a head or body in it and a route; ejection
+            // waits never close a channel cycle.
+            let (Some(route @ 0..PORT_LOCAL), Some(front)) =
+                (vc.route.map(usize::from), vc.front())
+            else {
+                continue;
+            };
             let (p, v) = self.port_vc(slot);
-            if vc.is_idle() {
-                continue;
-            }
-            let Some(route) = vc.route.map(usize::from) else {
-                continue;
-            };
-            if route >= PORT_LOCAL {
-                // Ejection waits never close a channel cycle.
-                continue;
-            }
-            let Some(front) = vc.front() else {
-                continue;
-            };
             let packet = &packets[front.slot];
             let out_vc = vc.out_vc.map(usize::from);
             let mut edges = Vec::new();
@@ -1374,15 +1334,6 @@ mod tests {
         MechanismConfig, MessageClass, Stateful, Topology, PORT_EAST, PORT_NORTH, PORT_SOUTH,
         PORT_WEST,
     };
-
-    #[test]
-    fn a_slot_divides_by_its_reciprocal() {
-        for vcs in 1..=VC_INDEX_BITS / PORTS {
-            for slot in 0..VC_INDEX_BITS {
-                assert_eq!((slot * reciprocal(vcs) as usize) >> 16, slot / vcs);
-            }
-        }
-    }
 
     /// One recorded [`LinkSink`] call, argument for argument.
     #[derive(Debug, Clone, PartialEq)]
@@ -1829,14 +1780,7 @@ mod tests {
         );
 
         let health = TopologyHealth::new();
-        r.tick(
-            1,
-            0,
-            &mut Vec::new(),
-            &mut packets,
-            &health,
-            &mut sink,
-        );
+        r.tick(1, 0, &mut Vec::new(), &mut packets, &health, &mut sink);
         let state = |port, v| r.state.vcs[r.slot(port, v)].state;
         assert_eq!(state(PORT_WEST, 0), VcState::WaitSa, "SA passes it over");
         assert_eq!(

@@ -12,8 +12,8 @@ use rcsim_core::{
     Slab, StateSet, Stateful, Topology,
 };
 use rcsim_noc::{
-    CircuitOutcome, FaultConfig, HealthReport, Network, NetworkSnapshot, NocConfig, NocStats,
-    PacketSpec,
+    CircuitOutcome, Delivered, FaultConfig, HealthReport, Network, NetworkSnapshot, NocConfig,
+    NocStats, PacketSpec,
 };
 use rcsim_protocol::{
     Access, L1Cache, L1CacheState, L2Bank, L2BankState, MemoryController, MemoryState, Msg, Port,
@@ -163,6 +163,9 @@ pub struct Chip {
 
     // Scratch.
     wake: Wake,
+    /// The network's deliveries of the current tick, empty between ticks:
+    /// reused, so a tick takes them without allocating.
+    delivered: Vec<(NodeId, Delivered)>,
 }
 
 /// Per tile, the next cycle each of its components has anything to do:
@@ -261,6 +264,7 @@ impl Chip {
                 cores: vec![Cycle::MAX; n],
                 banks: vec![Cycle::MAX; n],
             },
+            delivered: Vec::new(),
         };
         chip.rebuild_scratch();
         Ok(chip)
@@ -427,7 +431,9 @@ impl Chip {
         }
 
         // Deliveries fan out to the tile components.
-        for (node, d) in self.net.take_all_delivered() {
+        let mut delivered = std::mem::take(&mut self.delivered);
+        self.net.drain_delivered(&mut delivered);
+        for (node, d) in delivered.drain(..) {
             if d.token & EXT_TOKEN_BIT != 0 {
                 // External traffic bypasses the coherence protocol.
                 self.open_loop
@@ -479,6 +485,7 @@ impl Chip {
                 }
             }
         }
+        self.delivered = delivered;
 
         // L2 banks and memory controllers act on due work.
         for i in 0..n {
