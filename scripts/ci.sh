@@ -69,7 +69,7 @@ grep -q 'const _: () = assert!(std::mem::size_of::<Flit>() == 8);' crates/noc/sr
 
 echo "==> state sized by what it models (DESIGN.md §9, §13: ports, 16 ways)"
 grep -q 'const _: () = assert!(std::mem::size_of::<SetWord>() == 8);' crates/protocol/src/cache.rs \
-  && grep -q 'const _: () = assert!(std::mem::size_of::<Router>() == 712);' crates/noc/src/router/mod.rs \
+  && grep -q 'const _: () = assert!(std::mem::size_of::<Router>() == 640);' crates/noc/src/router/mod.rs \
   || { echo "FAIL: the size assertion on SetWord or Router is gone"; exit 1; }
 # Per-port router arrays hold PORTS entries; only per-VC ones hold VC_INDEX_BITS.
 wide=$(grep -nE '^ *(pub(\(crate\))? )?(contend|sa_nominee|st_pending|arbiters): \[[^]]*; *VC_INDEX_BITS\]' \
@@ -437,7 +437,7 @@ echo "==> cache arrays, the topology tables and the worklist in release (oracle 
 # cycle of a faulted echo.
 $CARGO test --release -q -p rcsim-protocol "$@"
 $CARGO test --release -q -p rcsim-core --test topology_table "$@"
-$CARGO test --release -q --test footprint "$@"
+$CARGO test --release -q --test footprint --test tick_allocs "$@"
 $CARGO test --release -q -p rcsim-noc --lib "$@" -- calendar credit
 $CARGO test --release -q --test cross_crate "$@" -- worklist credit_conservation
 
@@ -510,6 +510,12 @@ if grep -q -E '^(DRIFT|FAILED)' <<< "$perf_out"; then
   echo "FAIL: simulated results differ from benchmark/expected.json (or a rep failed)"; exit 1
 fi
 
+echo "==> rep-level pairing smoke (scripts/pair.sh: HEAD against itself)"
+# Builds the rep server (scripts/pair/) from a git archive of HEAD and runs
+# a few A B B A pairs of every workload at the --quick size: it exits
+# non-zero if a pair's fingerprints differ or a rep fails.
+PAIR_DIR=target/pair scripts/pair.sh --quick --seconds 2 HEAD HEAD
+
 echo "==> non-test lines per crate (src/**/*.rs up to each file's #[cfg(test)] mod)"
 # A file whose first line is #![cfg(test)] is test code whole; a
 # #[cfg(test)] module declared without a body (`mod x;`) is one line.
@@ -525,5 +531,9 @@ done)
 echo "$counts"
 # ROADMAP item 6 targets the three crates the router reshape touches.
 awk '$1 ~ /^(bench|system|noc)$/ { sum += $2 } END { printf "    %-10s %6d (ROADMAP 6: <= 11150)\n", "b+s+noc", sum }' <<< "$counts"
+# ROADMAP 20's document targets: printed only until its cut has landed.
+for doc in EXPERIMENTS.md:1000 DESIGN.md:800; do
+  printf "    %-14s %5d lines (ROADMAP 20: < %d)\n" "${doc%:*}" "$(wc -l < "${doc%:*}")" "${doc#*:}"
+done
 
 echo "CI gate passed."

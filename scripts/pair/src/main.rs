@@ -244,7 +244,7 @@ fn drive(args: &[String]) -> Result<bool, String> {
         while speed.is_empty() || start.elapsed().as_secs_f64() < args.seconds {
             let k = speed.len() as u64;
             let seed = args.seed + k;
-            let (ra, rb) = if k % 2 == 0 {
+            let (ra, rb) = if k.is_multiple_of(2) {
                 let ra = a.rep(workload, seed, args.quick)?;
                 (ra, b.rep(workload, seed, args.quick)?)
             } else {
