@@ -945,9 +945,10 @@ impl Router {
         wires: &[CreditWire],
     ) -> bool {
         let inputs = &self.state.vcs[self.slot(winner, 0)..];
-        let mut heads = bits(self.port_bits(ripe, winner))
-            .filter(|&v| inputs[v].route == Some(o as u8))
-            .fold(0u64, |m, v| m | 1 << v);
+        let mut heads = self.port_bits(ripe, winner);
+        heads &= !bits(heads).fold(0, |m, v| {
+            m | u64::from(inputs[v].route != Some(o as u8)) << v
+        });
         while let Some(v) = bits(heads).min_by_key(|&v| (inputs[v].state_since, v)) {
             heads &= !(1 << v);
             let head = inputs[v].front().expect("WaitVa VC holds its head");
