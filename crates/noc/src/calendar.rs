@@ -130,16 +130,16 @@ impl Calendar {
         self.due_bits[(now & WINDOW_MASK) as usize * self.n.div_ceil(64) + w]
     }
 
-    /// Takes what is due at component `i` at `now`: the mask of the input
-    /// ports whose register in its cell holds a flit, read in place with
-    /// [`Calendar::reg`] for the rest of the cycle, and the undos due
-    /// there, appended to the caller's vector in enqueue order. The
-    /// network-wide undo list is searched only when the cell says one is
-    /// due.
+    /// Takes what is due at component `i` at `now`: returns the mask of
+    /// the input ports whose register in its cell holds a flit, copies
+    /// those registers into `regs` by port, and appends the undos due
+    /// there to the caller's vector in enqueue order. The network-wide
+    /// undo list is searched only when the cell says one is due.
     pub(crate) fn take(
         &mut self,
         i: usize,
         now: Cycle,
+        regs: &mut [Flit],
         undos: &mut Vec<(CircuitKey, NodeId)>,
     ) -> u64 {
         let due = self.due_at(i, now);
@@ -153,14 +153,11 @@ impl Calendar {
             let due = self.undos.extract_if(.., |u| u.0 == i && u.1 == now);
             undos.extend(due.map(|(_, _, key, dst)| (key, dst)));
         }
-        full & !UNDO_DUE
-    }
-
-    /// The flit in input port `port`'s register of component `i`'s cell at
-    /// `now`, which [`Calendar::take`] said is full. Nothing writes a cell
-    /// in its own cycle, so the register holds until the next window.
-    pub(crate) fn reg(&self, i: usize, now: Cycle, port: usize) -> Flit {
-        self.regs[((now & WINDOW_MASK) as usize * self.n + i) * self.ports + port]
+        let full = full & !UNDO_DUE;
+        for p in bits(full) {
+            regs[p] = self.regs[cell * self.ports + p];
+        }
+        full
     }
 
     /// `true` while a flit or an undo is on its way.
@@ -215,12 +212,9 @@ mod tests {
     }
 
     fn drain_at(cal: &mut Calendar, i: usize, now: Cycle) -> Drained {
-        let mut u = Vec::new();
-        let full = cal.take(i, now, &mut u);
-        (
-            bits(full).map(|p| (p, cal.reg(i, now, p).slot)).collect(),
-            u,
-        )
+        let (mut regs, mut u) = ([Flit::default(); PORTS], Vec::new());
+        let full = cal.take(i, now, &mut regs, &mut u);
+        (bits(full).map(|p| (p, regs[p].slot)).collect(), u)
     }
 
     /// Component `i`'s bit of [`Calendar::due_word`].

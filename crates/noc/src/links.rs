@@ -34,11 +34,6 @@ pub(crate) trait LinkSink {
     /// The producer's own credit wires, one per output VC slot (a
     /// router's `port · vcs + vc`, an NI's injection VC).
     fn wires(&mut self) -> &mut [CreditWire];
-    /// The flit arriving this cycle on input `port` of the producer, a
-    /// router, read from its link register in place.
-    fn arrival(&self, port: usize) -> Flit {
-        unreachable!("only a router's sink holds its link registers (port {port})")
-    }
 }
 
 /// The input port a flit sent out of network port `port` arrives on at
@@ -326,9 +321,5 @@ impl LinkSink for Links<'_> {
 
     fn wires(&mut self) -> &mut [CreditWire] {
         self.credits.router_mut(self.from.index())
-    }
-
-    fn arrival(&self, port: usize) -> Flit {
-        self.router_links.reg(self.from.index(), self.now, port)
     }
 }

@@ -6,7 +6,7 @@ use crate::calendar::Calendar;
 use crate::config::NocConfig;
 use crate::credit::CreditWires;
 use crate::fault::{self, DeadLinkEvent, FaultConfig, FaultState, FaultStats};
-use crate::flit::{Delivered, Packet, PacketId, PacketSpec, Packets};
+use crate::flit::{Delivered, Flit, Packet, PacketId, PacketSpec, Packets};
 use crate::health::{
     AdaptiveReport, DeadlockReport, HealthReport, LeakedCircuit, StuckMessage, LEAK_AGE,
     MAX_REPORT_ENTRIES, STALL_WINDOW,
@@ -557,9 +557,10 @@ impl Network {
                 let (i, ni) = (64 * w + b, &mut self.nis[64 * w + b]);
                 let mut ejected = None;
                 if due >> b & 1 == 1 {
-                    let full = self.state.ni_links.take(i, now, &mut s.undos);
+                    let mut reg = [Flit::default()];
+                    let full = self.state.ni_links.take(i, now, &mut reg, &mut s.undos);
                     debug_assert!(s.undos.is_empty(), "no undo reaches an NI");
-                    ejected = (full != 0).then(|| self.state.ni_links.reg(i, now, 0));
+                    ejected = (full != 0).then_some(reg[0]);
                 }
                 moved |= ejected.is_some();
                 s.ni_out.clear();
@@ -603,13 +604,14 @@ impl Network {
             s.timed[w] &= !visit;
             for b in bits(visit) {
                 let (i, router) = (64 * w + b, &mut routers[64 * w + b]);
-                let mut arrived = 0;
+                let (mut arrived, mut regs) = (0, [Flit::default(); PORTS]);
                 if due >> b & 1 == 1 {
-                    arrived = links.router_links.take(i, now, &mut s.undos);
+                    arrived = links.router_links.take(i, now, &mut regs, &mut s.undos);
                 }
                 moved |= arrived != 0;
                 links.from = NodeId(i as u16);
-                router.tick(now, arrived, &mut s.undos, packets, links.topo, &mut links);
+                let (topo, undos) = (links.topo, &mut s.undos);
+                router.tick(now, arrived, &regs, undos, packets, topo, &mut links);
                 links.settle(packets);
                 s.router_busy[w] |= u64::from(router.is_busy()) << b;
                 s.timed[w] |= u64::from(router.holds_timed()) << b;
@@ -1120,7 +1122,16 @@ fn router_laws(i: usize, now: Cycle, router: &mut Router, packets: &mut Packets,
     superset_law("router", i, now, !router.is_busy() && !router.expires(now));
     skip_law("router", i, now, router, |r| {
         let mut probe = Probe::new(links.credits.router(i), links.sink);
-        r.tick(now, 0, &mut Vec::new(), packets, links.topo, &mut probe);
+        let regs = [Flit::default(); PORTS];
+        r.tick(
+            now,
+            0,
+            &regs,
+            &mut Vec::new(),
+            packets,
+            links.topo,
+            &mut probe,
+        );
         probe.quiet()
     });
 }

@@ -28,7 +28,7 @@
 //! moves for [`WEDGED`] cycles fails the row.
 
 use super::reference::{Coverage, RefRouter};
-use super::tests::{Outgoing, Recorder};
+use super::tests::{registers, Outgoing, Recorder};
 use super::Router;
 use crate::config::NocConfig;
 use crate::flit::{Flit, Packet, PacketId, PacketSpec, Packets};
@@ -493,10 +493,11 @@ impl Harness {
             });
             self.undos_sent += undos.len() as u64;
             let (p, r) = (&mut self.prod, &mut self.reference);
-            let arrived = p.sink.arrive(&arrivals);
+            let (arrived, regs) = registers(&arrivals);
             p.router.tick(
                 now,
                 arrived,
+                &regs,
                 &mut undos.clone(),
                 &mut p.packets,
                 &health,

@@ -89,15 +89,10 @@ impl InputVc {
     }
 
     /// Takes the oldest flit out of the ring (the rest move up: they
-    /// share its cache line). The move is a fixed-length loop, not a
-    /// `memmove` call of the ring's length.
+    /// share its cache line).
     pub fn pop(&mut self) -> Option<Flit> {
         let flit = self.front()?;
-        for k in 1..RING {
-            if k < usize::from(self.len) {
-                self.ring[k - 1] = self.ring[k];
-            }
-        }
+        self.ring.copy_within(1..usize::from(self.len), 0);
         self.len -= 1;
         Some(flit)
     }

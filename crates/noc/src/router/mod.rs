@@ -120,19 +120,10 @@ pub(crate) fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
 /// lets it be. They serialize
 /// whole: the entries past the last slot are never touched, so
 /// they are the same constants in every snapshot. Declaration order is
-/// memory order, what a busy tick reads first (DESIGN.md §9 has the
-/// field → cache line table).
+/// memory order (DESIGN.md §9 has the field → cache line table).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 #[repr(C)]
 pub(crate) struct State {
-    /// The input VCs, by slot: control words and flit ring, a line each.
-    vcs: Vec<InputVc>,
-    /// Flits that found their VC's ring full, as `(slot, flit)` in
-    /// arrival order. Growable, because one bound cannot be proven: the
-    /// complete-mode circuit VC is uncredited, so a torn circuit's
-    /// fallen-back stream is bounded by its packet's length, not by
-    /// [`BUFFER_DEPTH`].
-    spill: Vec<(u8, Flit)>,
     /// Switch grants awaiting traversal: the first `st_len` entries of
     /// `st_pending`, in grant order (at most one per input port).
     st_len: u8,
@@ -142,27 +133,34 @@ pub(crate) struct State {
     /// refused and bypasses forced to the packet pipeline (DESIGN.md
     /// §10).
     degraded: bool,
-    st_pending: [StGrant; PORTS],
-    /// The arbiters, by port.
-    arbiters: [PortArbiters; PORTS],
-    pub(crate) activity: Activity,
-    /// Per input port, bypass flits that found their output taken this
-    /// cycle or their output circuit VC held by another stream, or
-    /// arrived while an earlier flit is still queued.
-    bypass_retry: Vec<VecDeque<Flit>>,
     /// Who holds each output VC, by slot: VA's grant, or a circuit
     /// stream's head on a circuit VC. (Its credits are on the network's
     /// credit wires, which the router reads through its sink.)
     owner: [Owner; VC_INDEX_BITS],
+    st_pending: [StGrant; PORTS],
+    /// The arbiters, by port.
+    arbiters: [PortArbiters; PORTS],
+    pub(crate) activity: Activity,
+    /// The input VCs, by slot: control words and flit ring, a line each.
+    vcs: Vec<InputVc>,
+    /// Flits that found their VC's ring full, as `(slot, flit)` in
+    /// arrival order. Growable, because one bound cannot be proven: the
+    /// complete-mode circuit VC is uncredited, so a torn circuit's
+    /// fallen-back stream is bounded by its packet's length, not by
+    /// [`BUFFER_DEPTH`].
+    spill: Vec<(u8, Flit)>,
     pub(crate) circuits: RouterCircuits,
+    /// Per input port, bypass flits that found their output taken this
+    /// cycle or their output circuit VC held by another stream, or
+    /// arrived while an earlier flit is still queued.
+    bypass_retry: Vec<VecDeque<Flit>>,
 }
 
 /// Wiring, [`State`] and scratch: the [`OccupancyIndex`] is derived
 /// from the state; `out_busy` is dead at the tick boundaries where
 /// snapshots are taken, so a router the worklist skipped snapshots the
 /// same as a ticked one (the skip law). Declaration order is memory
-/// order: the first line is all an idle test or the top of a tick reads,
-/// and the state's hot head follows on the next three.
+/// order: the first line is all an idle test or the top of a tick reads.
 #[repr(C)]
 pub(crate) struct Router {
     occ: OccupancyIndex,
@@ -170,17 +168,15 @@ pub(crate) struct Router {
     /// (circuits have priority, §4.3); cleared at the top of every tick.
     out_busy: u64,
     topology: Topology,
-    /// Router id, which is its tile's.
-    node: NodeId,
     /// Where trace events go; disabled by default.
     sink: TraceSink,
-    /// VCs per port (`VcLayout::total()`), cached like the bytes after
+    /// Router id, which is its tile's.
+    node: NodeId,
+    /// VCs per port (`VcLayout::total()`), cached like the byte after
     /// it.
     vcs: u8,
     /// `mechanism.timed.is_timed()`.
     timed: bool,
-    /// Bit `v`: VC `v` takes a credit per flit (`VcLayout::credited`).
-    credited: u16,
     pub(crate) state: State,
     layout: VcLayout,
     mechanism: MechanismConfig,
@@ -202,28 +198,25 @@ impl Router {
             occ: OccupancyIndex::default(),
             out_busy: 0,
             topology: cfg.topology,
-            node,
             sink: TraceSink::default(),
+            node,
             vcs: total as u8,
             timed: cfg.mechanism.timed.is_timed(),
-            credited: (0..total)
-                .filter(|&v| cfg.credited(v))
-                .fold(0, |m, v| m | 1 << v),
             state: State {
-                vcs: vec![InputVc::default(); PORTS * total],
-                spill: Vec::new(),
                 st_len: 0,
                 degraded: false,
+                owner: [Owner::Free; VC_INDEX_BITS],
                 st_pending: [StGrant::default(); PORTS],
                 arbiters: [arbiters; PORTS],
                 activity: Activity::default(),
-                bypass_retry: (0..PORTS).map(|_| VecDeque::new()).collect(),
-                owner: [Owner::Free; VC_INDEX_BITS],
+                vcs: vec![InputVc::default(); PORTS * total],
+                spill: Vec::new(),
                 circuits: RouterCircuits::new(
                     cfg.mechanism.mode,
                     cfg.mechanism.max_circuits_per_input,
                     cfg.mechanism.circuit_vcs().max(1),
                 ),
+                bypass_retry: (0..PORTS).map(|_| VecDeque::new()).collect(),
             },
             layout,
             mechanism: cfg.mechanism,
@@ -368,17 +361,19 @@ impl Router {
             .find(|&ovc| self.free_at(wires, self.slot(out_port, ovc)))
     }
 
-    /// Runs one cycle. `arrived` (the input ports whose link register
-    /// holds a flit, read in place through `out`) and `undos` are the
-    /// messages reaching this router this cycle (`undos` is drained in
-    /// place so the caller can reuse the buffer); produced messages go
-    /// straight onto `out`, and the router's credits are `out`'s wires,
-    /// read at `now`. Flits are handles into `packets`; detoured heads
-    /// route by `health`'s up*/down* table.
+    /// Runs one cycle. The flits reaching this router this cycle are
+    /// `regs[p]` for each set bit `p` of `arrived` (its link registers as
+    /// they hand them over), and `undos` the undos (drained in place so
+    /// the caller can reuse the buffer); produced messages go straight
+    /// onto `out`, and the router's credits are `out`'s wires, read at
+    /// `now`. Flits are handles into `packets`; detoured heads route by
+    /// `health`'s up*/down* table.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn tick(
         &mut self,
         now: Cycle,
         arrived: u64,
+        regs: &[Flit; PORTS],
         undos: &mut Vec<(CircuitKey, NodeId)>,
         packets: &mut Packets,
         health: &TopologyHealth,
@@ -408,7 +403,7 @@ impl Router {
             self.retry(now, port, packets, health, out);
         }
         for port in bits(arrived) {
-            let flit = out.arrival(port);
+            let flit = regs[port];
             self.state.activity.circuit_lookups += u64::from(flit.rides());
             self.arrive(now, port, flit, packets, health, out);
         }
@@ -673,7 +668,7 @@ impl Router {
         // A bypassed flit never occupies the buffer slot its VC credit paid
         // for; return the credit immediately where the VC is credited.
         let in_vc = usize::from(flit.vc);
-        if self.credited >> in_vc & 1 == 1 {
+        if self.layout.credited(in_vc, self.mechanism.mode) {
             self.state.activity.credits += 1;
             out.credit(port, in_vc, now + Cycle::from(LINK_LATENCY));
         }
@@ -781,7 +776,7 @@ impl Router {
             // Return the freed buffer slot upstream, where the VC is
             // credited (a stream fallen back off an uncredited circuit VC
             // returns none).
-            if self.credited >> in_vc & 1 == 1 {
+            if self.layout.credited(in_vc, self.mechanism.mode) {
                 self.state.activity.credits += 1;
                 out.credit(in_port, in_vc, now + Cycle::from(LINK_LATENCY));
             }
@@ -1021,14 +1016,14 @@ impl Router {
         let State {
             vcs,
             spill,
-            st_len: _,
-            degraded: _,
-            st_pending: _,
-            arbiters: _,
-            activity: _,
             bypass_retry,
+            st_len: _,
+            st_pending: _,
             owner: _,
             circuits: _,
+            arbiters: _,
+            degraded: _,
+            activity: _,
         } = state;
         let mut occ = OccupancyIndex::default();
         for (slot, vc) in vcs.iter().enumerate() {
@@ -1351,8 +1346,6 @@ mod tests {
     pub(super) struct Recorder {
         pub(super) sent: Vec<Outgoing>,
         pub(super) wires: Vec<CreditWire>,
-        /// The link registers a tick reads its arrivals from.
-        pub(super) regs: [Flit; PORTS],
     }
 
     impl Recorder {
@@ -1363,19 +1356,21 @@ mod tests {
             Recorder {
                 sent: Vec::new(),
                 wires: vec![CreditWire::full(BUFFER_DEPTH); slots],
-                regs: [Flit::default(); PORTS],
             }
         }
+    }
 
-        /// Files `arrivals` (one flit a port, in port order) in the link
-        /// registers; returns the mask a tick takes.
-        pub(super) fn arrive(&mut self, arrivals: &[(usize, Flit)]) -> u64 {
-            arrivals.iter().fold(0, |full, &(p, f)| {
-                assert!(full >> p == 0, "one flit per port, in port order");
-                self.regs[p] = f;
-                full | 1 << p
-            })
-        }
+    /// `arrivals` (one flit a port, in port order) as a router's link
+    /// registers hand them to a tick: the mask of full ports and the
+    /// registers.
+    pub(super) fn registers(arrivals: &[(usize, Flit)]) -> (u64, [Flit; PORTS]) {
+        let mut regs = [Flit::default(); PORTS];
+        let full = arrivals.iter().fold(0, |full, &(p, f)| {
+            assert!(full >> p == 0, "one flit per port, in port order");
+            regs[p] = f;
+            full | 1 << p
+        });
+        (full, regs)
     }
 
     impl LinkSink for Recorder {
@@ -1393,10 +1388,6 @@ mod tests {
 
         fn wires(&mut self) -> &mut [CreditWire] {
             &mut self.wires
-        }
-
-        fn arrival(&self, port: usize) -> Flit {
-            self.regs[port]
         }
     }
 
@@ -1437,8 +1428,9 @@ mod tests {
             packets: &mut Packets,
             out: &mut Recorder,
         ) {
-            let arrived = out.arrive(&std::mem::take(arrivals));
-            self.tick(now, arrived, undos, packets, &TopologyHealth::new(), out);
+            let (arrived, regs) = registers(&std::mem::take(arrivals));
+            let health = TopologyHealth::new();
+            self.tick(now, arrived, &regs, undos, packets, &health, out);
         }
 
         fn circuits(&mut self) -> &mut RouterCircuits {
@@ -1781,7 +1773,16 @@ mod tests {
         );
 
         let health = TopologyHealth::new();
-        r.tick(1, 0, &mut Vec::new(), &mut packets, &health, &mut sink);
+        let regs = [Flit::default(); PORTS];
+        r.tick(
+            1,
+            0,
+            &regs,
+            &mut Vec::new(),
+            &mut packets,
+            &health,
+            &mut sink,
+        );
         let state = |port, v| r.state.vcs[r.slot(port, v)].state;
         assert_eq!(state(PORT_WEST, 0), VcState::WaitSa, "SA passes it over");
         assert_eq!(

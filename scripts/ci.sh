@@ -72,7 +72,7 @@ grep -q 'const _: () = assert!(std::mem::size_of::<SetWord>() == 8);' crates/pro
   && grep -q 'const _: () = assert!(std::mem::size_of::<Router>() == 640);' crates/noc/src/router/mod.rs \
   || { echo "FAIL: the size assertion on SetWord or Router is gone"; exit 1; }
 # Per-port router arrays hold PORTS entries; only per-VC ones hold VC_INDEX_BITS.
-wide=$(grep -nE '^ *(pub(\(crate\))? )?(contend|sa_nominee|st_pending|arbiters): \[[^]]*; *VC_INDEX_BITS\]' \
+wide=$(grep -nE '^ *(pub(\(crate\))? )?(st_pending|arbiters): \[[^]]*; *VC_INDEX_BITS\]' \
   crates/noc/src/router/mod.rs || true)
 [ -z "$wide" ] || { echo "FAIL: a per-port router array is sized by VC_INDEX_BITS again:"; echo "$wide"; exit 1; }
 

@@ -19,6 +19,7 @@
 //! `scripts/pair.sh` builds one server per revision and runs the driver.
 
 use rcsim_perf::span::Off;
+use rcsim_perf::stats::median;
 use rcsim_perf::workloads::{echo_rep, session_rep, RepOptions, Schedule, SplitMix64, Workload};
 use std::io::{BufRead, BufReader, Write};
 use std::process::{Child, ChildStdin, ChildStdout, Command, ExitCode, Stdio};
@@ -200,17 +201,6 @@ fn parse(args: &[String]) -> Result<Args, String> {
         return Err(USAGE.to_string());
     }
     Ok(parsed)
-}
-
-fn median(xs: &[f64]) -> f64 {
-    let mut v = xs.to_vec();
-    v.sort_by(f64::total_cmp);
-    let n = v.len();
-    if n % 2 == 1 {
-        v[n / 2]
-    } else {
-        (v[n / 2 - 1] + v[n / 2]) / 2.0
-    }
 }
 
 /// The bootstrap 99 % interval of the median of `xs`.
