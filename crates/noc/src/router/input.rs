@@ -92,7 +92,11 @@ impl InputVc {
     /// share its cache line).
     pub fn pop(&mut self) -> Option<Flit> {
         let flit = self.front()?;
-        self.ring.copy_within(1..usize::from(self.len), 0);
+        for k in 1..RING {
+            if k < usize::from(self.len) {
+                self.ring[k - 1] = self.ring[k];
+            }
+        }
         self.len -= 1;
         Some(flit)
     }

@@ -177,6 +177,8 @@ pub(crate) struct Router {
     vcs: u8,
     /// `mechanism.timed.is_timed()`.
     timed: bool,
+    /// Bit `v`: VC `v` takes a credit per flit (`VcLayout::credited`).
+    credited: u16,
     pub(crate) state: State,
     layout: VcLayout,
     mechanism: MechanismConfig,
@@ -202,6 +204,9 @@ impl Router {
             node,
             vcs: total as u8,
             timed: cfg.mechanism.timed.is_timed(),
+            credited: (0..total)
+                .filter(|&v| cfg.credited(v))
+                .fold(0, |m, v| m | 1 << v),
             state: State {
                 st_len: 0,
                 degraded: false,
@@ -668,7 +673,7 @@ impl Router {
         // A bypassed flit never occupies the buffer slot its VC credit paid
         // for; return the credit immediately where the VC is credited.
         let in_vc = usize::from(flit.vc);
-        if self.layout.credited(in_vc, self.mechanism.mode) {
+        if self.credited >> in_vc & 1 == 1 {
             self.state.activity.credits += 1;
             out.credit(port, in_vc, now + Cycle::from(LINK_LATENCY));
         }
@@ -776,7 +781,7 @@ impl Router {
             // Return the freed buffer slot upstream, where the VC is
             // credited (a stream fallen back off an uncredited circuit VC
             // returns none).
-            if self.layout.credited(in_vc, self.mechanism.mode) {
+            if self.credited >> in_vc & 1 == 1 {
                 self.state.activity.credits += 1;
                 out.credit(in_port, in_vc, now + Cycle::from(LINK_LATENCY));
             }
