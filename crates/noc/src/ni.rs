@@ -133,8 +133,6 @@ pub(crate) struct Ni {
     /// empties, recounted by [`Ni::rebuild_scratch`]. Makes
     /// [`Ni::backlog`], asked after every NI tick for its busy bit, O(1).
     live_streams: usize,
-    /// Reused scratch for [`Ni::inject_one`]'s sendable-VC collection.
-    sendable: Vec<usize>,
 }
 
 impl Ni {
@@ -160,7 +158,6 @@ impl Ni {
                 pending_undos: Vec::new(),
             },
             live_streams: 0,
-            sendable: Vec::new(),
         }
     }
 
@@ -537,15 +534,15 @@ impl Ni {
         }
 
         // Packet-switched: continue an in-flight stream or start one.
-        self.collect_sendable(wires);
-        if self.sendable.is_empty() {
+        let mut ready = self.ready_vcs(wires);
+        if ready == 0 {
             self.try_activate(wires, packets);
-            self.collect_sendable(wires);
+            ready = self.ready_vcs(wires);
         }
-        let vc = self.state.rr_stream.grant_among(&self.sendable)?;
+        let vc = self.state.rr_stream.grant_mask(ready)?;
         let mut s = self.state.streams[vc]
             .take()
-            .expect("sendable stream exists");
+            .expect("a ready VC holds a stream");
         wires[vc].take();
         let flit = self.emit_flit(&mut s, now, topo, packets, out);
         if flit.is_tail() {
@@ -556,15 +553,13 @@ impl Ni {
         Some(flit)
     }
 
-    /// Rebuilds the scratch list of VCs with a stream and a credit home
-    /// at `now`.
-    fn collect_sendable(&mut self, wires: &[CreditWire]) {
-        self.sendable.clear();
+    /// The request mask of the stream arbiter: bit `vc` for each VC with
+    /// a stream and a credit home at `now`.
+    fn ready_vcs(&self, wires: &[CreditWire]) -> u64 {
         let vcs = self.state.streams.iter().zip(wires).enumerate();
-        self.sendable.extend(
-            vcs.filter(|(_, (s, w))| s.is_some() && w.available() > 0)
-                .map(|(vc, _)| vc),
-        );
+        vcs.fold(0, |m, (vc, (s, w))| {
+            m | u64::from(s.is_some() && w.available() > 0) << vc
+        })
     }
 
     /// Starts a new packet-switched stream if a VC of its class is fully

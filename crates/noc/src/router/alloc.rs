@@ -84,23 +84,6 @@ impl RoundRobin {
         }
         None
     }
-
-    /// Like [`RoundRobin::grant`] but over an explicit candidate list of
-    /// indices (not necessarily dense).
-    pub fn grant_among(&mut self, candidates: &[usize]) -> Option<usize> {
-        let (next, n) = (usize::from(self.next), usize::from(self.n));
-        debug_assert!(candidates.iter().all(|&c| c < n));
-        // Pick the candidate closest after the pointer.
-        let winner = candidates.iter().copied().min_by_key(|&c| {
-            if c >= next {
-                c - next
-            } else {
-                c + n - next
-            }
-        })?;
-        self.advance_past(winner);
-        Some(winner)
-    }
 }
 
 #[cfg(test)]
@@ -134,14 +117,14 @@ mod tests {
     }
 
     #[test]
-    fn grant_among_respects_pointer() {
+    fn grant_mask_respects_pointer() {
         let mut rr = RoundRobin::new(5);
-        assert_eq!(rr.grant_among(&[1, 3]), Some(1));
+        assert_eq!(rr.grant_mask(0b01010), Some(1));
         // Pointer now at 2: 3 wins over 1.
-        assert_eq!(rr.grant_among(&[1, 3]), Some(3));
+        assert_eq!(rr.grant_mask(0b01010), Some(3));
         // Pointer now at 4: wraps to 1.
-        assert_eq!(rr.grant_among(&[1, 3]), Some(1));
-        assert_eq!(rr.grant_among(&[]), None);
+        assert_eq!(rr.grant_mask(0b01010), Some(1));
+        assert_eq!(rr.grant_mask(0), None);
     }
 
     #[test]
