@@ -207,6 +207,12 @@ impl RouterCircuits {
         self.now = self.now.max(now);
     }
 
+    /// Every entry with its input port, in table order: by input port,
+    /// then as the port's list holds them.
+    pub fn entries(&self) -> impl Iterator<Item = (usize, CircuitEntry)> + '_ {
+        (self.ports.iter().enumerate()).flat_map(|(p, es)| es.iter().map(move |&e| (p, e)))
+    }
+
     /// Entries older than `min_age` cycles as of the caller-supplied
     /// absolute cycle `now` that are not actively streaming a reply.
     /// Timed entries expire on their own; long-lived untimed entries with
@@ -891,7 +897,7 @@ mod tests {
         assert_eq!(port, PORT_EAST);
         assert_eq!(entry.key, key(1, 0));
         assert_eq!(age, 300);
-        assert!(rc.stale_entries(400, 0).len() == 2);
+        assert_eq!(rc.entries().count(), 2);
     }
 
     #[test]

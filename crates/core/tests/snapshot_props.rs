@@ -38,11 +38,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 /// keys are recovered from the table itself so the original and the
 /// restored copy are always offered the identical call sequence.
 fn apply(rc: &mut RouterCircuits, tag: u64, i: usize, op: Op) {
-    let live: Vec<(usize, CircuitKey)> = rc
-        .stale_entries(0, 0)
-        .into_iter()
-        .map(|(p, e, _)| (p, e.key))
-        .collect();
+    let live: Vec<(usize, CircuitKey)> = rc.entries().map(|(p, e)| (p, e.key)).collect();
     let nth = |n: usize| {
         if live.is_empty() {
             None

@@ -761,9 +761,9 @@ impl Network {
         // Ordered, so the `CircuitTear` trace events are too.
         let health = &self.state.topo;
         let doomed: BTreeSet<CircuitKey> = (self.routers.iter())
-            .flat_map(|r| r.state.circuits.stale_entries(now, 0))
-            .filter(|(_, e, _)| health.detours(&topology, e.source, e.key.requestor, Vnet::Reply))
-            .map(|(_, e, _)| e.key)
+            .flat_map(|r| r.state.circuits.entries())
+            .filter(|(_, e)| health.detours(&topology, e.source, e.key.requestor, Vnet::Reply))
+            .map(|(_, e)| e.key)
             .collect();
         if doomed.is_empty() {
             return;
@@ -1073,7 +1073,7 @@ impl Network {
         let mut buf = Vec::new();
         for (r, id) in self.routers.iter().zip(self.cfg.topology.iter_routers()) {
             let wires = self.state.credits.router(id.index());
-            r.waiters(self.state.now, &self.state.packets, wires, &mut buf);
+            r.waiters(&self.state.packets, wires, &mut buf);
             waiters.extend(buf.drain(..).map(|w| (id, w)));
         }
         DeadlockReport::find(
