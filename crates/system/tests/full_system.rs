@@ -4,7 +4,7 @@
 
 use rcsim_core::{MechanismConfig, Topology};
 use rcsim_protocol::ProtocolConfig;
-use rcsim_system::{run_sim, Chip, SimConfig};
+use rcsim_system::{run_sim, Chip, KernelMode, SimConfig, SimSession};
 use rcsim_workload::Workload;
 
 fn quick(cores: u16, mechanism: MechanismConfig, workload: &str) -> SimConfig {
@@ -280,4 +280,25 @@ fn latency_quantiles_are_exposed() {
 fn unknown_workload_is_an_error() {
     let cfg = SimConfig::quick(16, MechanismConfig::baseline(), "not-an-app");
     assert!(run_sim(&cfg).is_err());
+}
+
+/// The benchmark's `fullsys64` rep at seed 118 (64 cores, `canneal`,
+/// `Complete_NoAck`, paper caches, 40 000 + 40 000 cycles) ends with a
+/// writable L1 holder the directory does not know ("block 0x200000025:
+/// writable holder n26 unknown to the directory"); seed 40 100 fails
+/// alike, seeds 117 and 119 do not. About a second in a release build.
+#[test]
+#[ignore = "ROADMAP 19: a fullsys64 rep at seed 118 breaks coherence; unfixed"]
+fn fullsys64_seed_118_stays_coherent() {
+    let cfg = SimConfig {
+        seed: 118,
+        warmup_cycles: 40_000,
+        measure_cycles: 40_000,
+        small_caches: false,
+        ..SimConfig::quick(64, MechanismConfig::complete_noack(), "canneal")
+    };
+    let mut session = SimSession::new(&cfg, None, KernelMode::Event, 1).expect("session");
+    session.run_until(80_000).expect("the rep runs");
+    let violations = session.chip().coherence_violations();
+    assert!(violations.is_empty(), "{violations:?}");
 }
